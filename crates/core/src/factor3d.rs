@@ -138,7 +138,7 @@ pub fn factor_3d(
         let nodes = forest.supernodes_of(lvl, q, &sym.part);
         // One span per active forest level; the `fact`/`reduce` phase spans
         // and per-supernode node spans nest underneath it.
-        let lvl_span = rank.span_enter(simgrid::SpanCat::Level, &format!("level{lvl}"));
+        let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
         let k = my_z / step;
         // Under the task-graph schedule, a retiring (odd-k) grid ships each

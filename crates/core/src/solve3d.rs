@@ -27,7 +27,6 @@ use simgrid::{FailKind, Grid3d, Payload, Rank};
 use slu2d::factor2d::{FactorEnv, FactorOpts};
 use slu2d::solve2d::{apply_ancestor_x, backward_nodes, forward_nodes, DistSolveState};
 use slu2d::store::BlockStore;
-use std::sync::Arc;
 use symbolic::Symbolic;
 
 use simgrid::tags::{T_ACC_RED, T_X_DOWN};
@@ -50,7 +49,6 @@ pub fn solve_3d(
     sym: &Symbolic,
     forest: &EtreeForest,
     opts: FactorOpts,
-    uindex: &Arc<Vec<Vec<usize>>>,
     b: &[f64],
 ) -> Result<Vec<f64>, FailKind> {
     let l = forest.l;
@@ -63,7 +61,7 @@ pub fn solve_3d(
         col: comms.col.clone(),
         opts,
     };
-    let mut st = DistSolveState::with_index(sym, Arc::clone(uindex));
+    let mut st = DistSolveState::new(sym);
     let mut x_out = vec![0.0; sym.part.n()];
 
     // ---- Forward sweep: leaves to root, acc reduced along z. ----
@@ -74,7 +72,7 @@ pub fn solve_3d(
         }
         let q = my_z >> (l - lvl);
         let nodes = forest.supernodes_of(lvl, q, &sym.part);
-        let sweep_span = rank.span_enter(simgrid::SpanCat::Level, &format!("fwd{lvl}"));
+        let sweep_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("fwd{lvl}"));
         forward_nodes(rank, &env, store, sym, &nodes, b, &mut st);
         if lvl == 0 {
             rank.span_exit(sweep_span);
@@ -131,7 +129,7 @@ pub fn solve_3d(
             continue;
         }
         let k = my_z / step;
-        let sweep_span = rank.span_enter(simgrid::SpanCat::Level, &format!("bwd{lvl}"));
+        let sweep_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("bwd{lvl}"));
         // A grid is "born" at the first level where it is active; except for
         // grid 0 (born at level 0), it first receives the ancestor solution
         // segments from its pair partner.

@@ -223,6 +223,9 @@ pub struct Output3d {
     /// recovery guarantee ("faults with recovery change clocks, never
     /// values") is asserted through this.
     pub factor_digest: u64,
+    /// Scheduler counters of the run (steps, matched wakeups, unmatched
+    /// sends, quiescence resolutions); `None` under the threaded backend.
+    pub sched: Option<simgrid::SchedStats>,
 }
 
 impl Output3d {
@@ -425,8 +428,9 @@ fn try_run(
     cfg: &SolverConfig,
     rhs: Option<Vec<f64>>,
 ) -> Result<Output3d, MachineFailure> {
-    assert!(cfg.pz.is_power_of_two(), "Pz must be a power of two");
-    let grid3 = Grid3d::new(cfg.pr, cfg.pc, cfg.pz);
+    // A bad grid is bad input, not a broken invariant: report it the way the
+    // machine reports its own config errors.
+    let grid3 = Grid3d::try_new(cfg.pr, cfg.pc, cfg.pz).map_err(MachineFailure::config)?;
     let mut machine = Machine::new(grid3.size(), cfg.model).with_backend(cfg.backend);
     if cfg.tracing {
         machine = machine.with_tracing();
@@ -506,9 +510,8 @@ fn try_run(
             match strategy {
                 SolveStrategy::Distributed3d => {
                     let world = rank.world();
-                    let uindex = slu2d::solve2d::transpose_index(&sym);
                     let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| match solve_3d(
-                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, &uindex, rhs,
+                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs,
                     ) {
                         Ok(xp) => xp,
                         Err(kind) => rank.fail(kind),
@@ -615,6 +618,7 @@ fn try_run(
         forest: Arc::try_unwrap(forest).unwrap_or_else(|a| (*a).clone()),
         sanitizer: out.sanitizer,
         factor_digest,
+        sched: out.sched,
     })
 }
 
@@ -836,6 +840,35 @@ mod tests {
         assert_eq!(rep.msgs_sent, rep.msgs_received, "{}", rep.render());
         assert!(rep.msgs_sent > 0);
         assert!(out.x.is_some());
+    }
+
+    #[test]
+    fn try_entry_points_report_a_bad_grid_as_a_config_error() {
+        let a = grid2d_5pt(8, 8, 0.0, 0);
+        let b = vec![1.0; a.nrows];
+        let prep = Prepared::new(a, Geometry::Grid2d { nx: 8, ny: 8 }, 8, 8);
+        for (pr, pc, pz) in [(1, 1, 3), (1, 1, 0), (0, 2, 2), (2, 0, 1)] {
+            let cfg = SolverConfig {
+                pr,
+                pc,
+                pz,
+                ..Default::default()
+            };
+            let errs = [
+                try_factor_only(&prep, &cfg).err(),
+                try_factor_and_solve(&prep, &cfg, Some(b.clone())).err(),
+            ];
+            for err in errs {
+                let err = err.unwrap_or_else(|| panic!("{pr}x{pc}x{pz} must be rejected"));
+                assert_eq!(err.phase, "config");
+                assert!(
+                    matches!(&err.kind, FailKind::Config { detail }
+                        if detail.contains(&format!("{pr}x{pc}x{pz}"))),
+                    "unexpected failure kind: {}",
+                    err.kind
+                );
+            }
+        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub fn distributed_symbolic(
                 parent.push(v.first().copied());
                 struct_of.push(v);
             }
-            Some(BlockFill { struct_of, parent })
+            Some(BlockFill::new(struct_of, parent))
         }
     } else {
         None

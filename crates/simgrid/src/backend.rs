@@ -13,14 +13,15 @@
 //!   concurrently.
 //! - [`EventBackend`]: discrete-event mode. Ranks are *resumable tasks*:
 //!   each still owns a (mostly parked) OS thread as its coroutine stack,
-//!   but exactly one runs at any instant, driven by a cooperative
-//!   scheduler on the caller's thread. A blocking receive that finds its
-//!   inbox empty yields back to the scheduler instead of sleeping on the
-//!   channel; a send marks its destination runnable. No wall-clock
-//!   timeouts, no watchdog thread: when the ready queue empties with live
-//!   ranks still blocked, the machine is provably quiescent and the
-//!   scheduler resolves the situation *synchronously* from the wait-for
-//!   graph (deadlock) or the failure board (cascade). This is what makes
+//!   but exactly one runs at any instant — the one holding the *baton*. A
+//!   blocking receive that finds its inbox empty publishes what it waits
+//!   for, picks the next ready rank and wakes it directly (`EventSched`);
+//!   a send marks its destination runnable only if the message is the one
+//!   the destination is parked on. No scheduler thread, no wall-clock
+//!   timeouts, no watchdog: when the ready queue empties with live ranks
+//!   still parked, the machine is provably quiescent and the parking rank
+//!   resolves the situation *synchronously* from the wait-for graph
+//!   (deadlock) or the failure board (cascade). This is what makes
 //!   paper-scale grids — `P = 64×64 = 4096` ranks — run in one process:
 //!   4096 parked tasks cost virtual address space, not CPU.
 //!
@@ -33,9 +34,9 @@ use crate::faultlab::{FailureBoard, MachineFailure};
 use crate::machine::{Machine, RunResult};
 use crate::rank::Rank;
 use commcheck::WaitGraph;
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
 /// Which execution backend drives a [`Machine`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -176,234 +177,242 @@ impl ExecBackend for EventBackend {
     }
 }
 
-/// What a rank task reports back to the scheduler when it stops running.
-/// Exactly one of these arrives per resume: the resumed rank either parks
-/// in a blocked receive or terminates (normally or by panic).
-#[derive(Debug)]
-pub(crate) enum SchedEvent {
-    /// The rank's blocking receive found nothing and parked.
-    Blocked(usize),
-    /// The rank's SPMD closure returned or unwound; it will never run again.
-    Done(usize),
+/// Host-side counters of one event-backend run ([`RunResult::sched`]).
+/// Deterministic — a function of the rank programs alone — but kept out of
+/// the merged metrics registry: they describe the engine, not the
+/// simulation, and no golden artifact depends on them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Time slices granted: every resume of a rank task, the first included.
+    pub steps: u64,
+    /// Parked ranks made runnable by a send matching their published wait.
+    pub wakeups: u64,
+    /// Sends delivered to a parked rank that was waiting for something
+    /// else. Each would have been a spurious wakeup under a wake-on-any-send
+    /// scheduler; here it costs no step.
+    pub unmatched_sends: u64,
+    /// Times the machine went quiescent with live ranks parked and the
+    /// scheduler had to resolve it (deadlock verdict or cascade wake-all).
+    pub quiescence_resolutions: u64,
 }
 
-/// Per-rank handle onto the event scheduler, carried inside [`Rank`] when
-/// the machine runs under [`EventBackend`] (`None` under the threaded
-/// backend — every hook below is then never called).
-pub(crate) struct EventCtl {
-    rank: usize,
-    /// Rank -> scheduler: yield and termination events.
-    sched_tx: Sender<SchedEvent>,
-    /// Scheduler -> this rank: permission to run.
-    resume_rx: Receiver<()>,
-    /// Destinations of delivered sends since the scheduler last drained;
-    /// the scheduler turns these into wakeups. Uncontended: only the one
-    /// running rank pushes, and the scheduler drains only while no rank
-    /// runs.
-    notify: Arc<Mutex<Vec<usize>>>,
+/// What a parked receive is waiting for: the match key of
+/// [`Rank::recv`](crate::Rank::recv) (`src = Some(world rank)`) or
+/// [`Rank::recv_any`](crate::Rank::recv_any) (`src = None`: any sender).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WaitKey {
+    pub(crate) ctx: u64,
+    pub(crate) tag: u64,
+    pub(crate) src: Option<usize>,
 }
 
-impl EventCtl {
-    /// Record that a message was handed to `dst_world`'s inbox, so the
-    /// scheduler can mark it runnable. Called from the send path of the
-    /// (single) running rank.
-    pub(crate) fn note_send(&self, dst_world: usize) {
-        self.notify.lock().unwrap().push(dst_world);
-    }
-
-    /// Park until the scheduler grants another time slice. Panics if the
-    /// scheduler vanished — that is a harness bug, not a protocol failure.
-    pub(crate) fn yield_blocked(&self) {
-        self.sched_tx
-            .send(SchedEvent::Blocked(self.rank))
-            .expect("event scheduler dropped its queue while ranks live");
-        self.resume_rx
-            .recv()
-            .expect("event scheduler vanished while a rank was parked");
-    }
-
-    /// Park until the scheduler's first resume. Called once per rank task
-    /// before its SPMD closure starts, establishing the one-at-a-time
-    /// invariant from the very first instruction.
-    pub(crate) fn wait_first_resume(&self) {
-        self.resume_rx
-            .recv()
-            .expect("event scheduler vanished before the run started");
-    }
-}
-
-/// Sends [`SchedEvent::Done`] when the rank task exits, normally or by
-/// panic. Declared *before* the wait-graph done-guard in the task body so
-/// it drops *after* it: by the time the scheduler processes the Done event,
-/// the wait-for graph already shows the rank finished.
-pub(crate) struct DoneNotifier {
-    pub(crate) rank: usize,
-    pub(crate) sched_tx: Sender<SchedEvent>,
-}
-
-impl Drop for DoneNotifier {
-    fn drop(&mut self) {
-        let _ = self.sched_tx.send(SchedEvent::Done(self.rank));
-    }
-}
-
-/// Wiring the machine hands each event-mode rank task at spawn time.
-pub(crate) struct EventWiring {
-    pub(crate) sched_tx: Sender<SchedEvent>,
-    pub(crate) resume_rx: Receiver<()>,
-    pub(crate) notify: Arc<Mutex<Vec<usize>>>,
-}
-
-impl EventWiring {
-    pub(crate) fn into_ctl(self, rank: usize) -> EventCtl {
-        EventCtl {
-            rank,
-            sched_tx: self.sched_tx,
-            resume_rx: self.resume_rx,
-            notify: self.notify,
-        }
+impl WaitKey {
+    fn matches(&self, src: usize, ctx: u64, tag: u64) -> bool {
+        self.ctx == ctx && self.tag == tag && self.src.is_none_or(|s| s == src)
     }
 }
 
 /// Scheduler-side view of one rank task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TaskState {
-    /// In the ready queue, waiting for a time slice.
+    /// In the ready queue, waiting for the baton.
     Ready,
-    /// Currently holding the machine (at most one rank at a time).
+    /// Holding the baton (at most one rank at a time).
     Running,
-    /// Parked in a blocking receive with an empty inbox.
-    Blocked,
+    /// Parked in a blocking receive, waiting for a message matching the key.
+    Blocked(WaitKey),
     /// Terminated; never scheduled again.
     Done,
 }
 
-/// The cooperative scheduler: drives rank tasks one at a time until all
-/// terminate. Runs on the caller's thread between spawn and join.
-///
-/// # Ready-queue ordering (deterministic, by construction)
-///
-/// The ready queue is strict FIFO, seeded `0..n` at start. Wakeups are
-/// appended in *send order*: the one running rank pushes each delivered
-/// destination onto `notify` as it sends, and [`EventScheduler::step`]
-/// drains that list in order after the slice, enqueueing only
-/// destinations that are currently [`TaskState::Blocked`]. A rank is
-/// never queued twice (enqueueing flips it to `Ready`), and a running or
-/// ready rank is never re-queued by a wakeup. Since exactly one task runs
-/// at a time, the whole interleaving is a deterministic function of the
-/// rank programs — *no* simulated quantity depends on it, but determinism
-/// here also makes host-side behavior (iteration counts, trace file
-/// layout) reproducible run-to-run.
-///
-/// # Spurious wakeups cannot livelock
-///
-/// A wakeup is *spurious* when the notified rank's blocking receive drains
-/// its inbox and still has no matching message (e.g. the send carried a
-/// different tag; the receive stashes it and re-parks). Each such
-/// wake–recheck–park cycle consumes one ready-queue entry that only a
-/// *delivered send* (or the quiescence resolver) can replenish: a blocked
-/// rank is re-queued only from `notify`, never by itself. So the number of
-/// spurious wakeups a rank can ever experience is bounded by the total
-/// number of messages addressed to it — a rank blocked on a tag nobody
-/// sends re-parks at most once per incoming message and then stays parked
-/// until the machine goes quiescent, where [`Self::resolve_quiescence`]
-/// either proves a deadlock or resolves cascades. There is no path that
-/// re-queues a blocked rank without new information, hence no spin-wake
-/// loop (regression-tested in `tests/event_backend.rs`).
-pub(crate) struct EventScheduler {
+/// Everything the scheduler knows, behind the one lock of [`EventSched`].
+struct SchedState {
     state: Vec<TaskState>,
     ready: VecDeque<usize>,
     ndone: usize,
-    sched_rx: Receiver<SchedEvent>,
-    resume_txs: Vec<Sender<()>>,
-    notify: Arc<Mutex<Vec<usize>>>,
+    /// Delivered sends so far (progress measure for the stall rule).
+    nsends: u64,
+    /// `(ndone, nsends)` at the last quiescent wake-all; a second quiescence
+    /// with identical counters means the survivors are cyclically stuck.
+    stall_snapshot: Option<(usize, u64)>,
+    stats: SchedStats,
     wait_graph: Arc<WaitGraph>,
     board: Arc<FailureBoard>,
-    /// Progress counters (`ndone`, total wakeup notifications) at the last
-    /// quiescent wake-all; a second quiescence with identical counters
-    /// means the survivors are cyclically stuck.
-    stall_snapshot: Option<(usize, u64)>,
-    /// Running count of drained send notifications (progress measure).
-    nsends: u64,
 }
 
-impl EventScheduler {
-    pub(crate) fn new(
-        n: usize,
-        sched_rx: Receiver<SchedEvent>,
-        resume_txs: Vec<Sender<()>>,
-        notify: Arc<Mutex<Vec<usize>>>,
-        wait_graph: Arc<WaitGraph>,
-        board: Arc<FailureBoard>,
-    ) -> Self {
-        EventScheduler {
-            state: vec![TaskState::Ready; n],
-            ready: (0..n).collect(),
-            ndone: 0,
-            sched_rx,
-            resume_txs,
-            notify,
-            wait_graph,
-            board,
-            stall_snapshot: None,
-            nsends: 0,
+/// The cooperative scheduler of the event backend: a *baton pass*, shared
+/// by every [`Rank`] of an event-mode run (a threaded-mode rank carries
+/// `None` and never reaches the hooks below). There is no scheduler thread.
+/// Exactly one rank task holds the baton and runs; when it parks in a
+/// blocking receive ([`EventSched::park`]) or terminates ([`BatonGuard`]) it
+/// picks the next ready rank itself and wakes it directly — one OS context
+/// switch per step. The thread that called [`Machine::run`] sleeps in
+/// [`EventSched::drive`] until every task is done.
+///
+/// # Matched wakeups
+///
+/// A parked rank publishes the [`WaitKey`] it waits for. The send path
+/// ([`EventSched::note_send`]) marks the destination ready *at send time*
+/// and only when the message matches that key; a send the parked receive
+/// would merely stash leaves the destination parked (the message waits in
+/// its inbox and is drained by the receive that wants it). A resumed rank
+/// therefore finds its message — the only other resumes come from the
+/// quiescence resolver and from transport-level duplicates, which match the
+/// key but are filtered at intake.
+///
+/// # Ready-queue ordering (deterministic, by construction)
+///
+/// The ready queue is strict FIFO, seeded `0..n`. Only the baton holder
+/// executes, so only it sends, and each matching send appends its
+/// destination under the lock, in program order: the queue is a
+/// deterministic function of the rank programs. *No* simulated quantity
+/// depends on it, but determinism here also makes host-side behavior
+/// (step counts, trace file layout) reproducible run-to-run.
+///
+/// # No wake can be lost
+///
+/// A rank parks only after draining its inbox without a match, and it holds
+/// the baton from that drain until [`EventSched::park`] publishes its key
+/// under the lock — nobody else runs in between, so no send can slip past.
+/// Every later send to it takes the same lock, sees the key, and enqueues
+/// it if it matches. A rank is never queued twice (enqueueing flips it to
+/// `Ready`), and nothing re-queues a parked rank without new information:
+/// a matching send, or the quiescence resolver — hence no spin-wake loop.
+pub(crate) struct EventSched {
+    st: Mutex<SchedState>,
+    /// Rank task threads, set once by [`EventSched::drive`] before the first
+    /// baton is handed out.
+    threads: OnceLock<Vec<Thread>>,
+    /// The thread sleeping in [`EventSched::drive`].
+    driver: Thread,
+}
+
+impl EventSched {
+    /// A scheduler for `n` rank tasks; the calling thread becomes the driver.
+    pub(crate) fn new(n: usize, wait_graph: Arc<WaitGraph>, board: Arc<FailureBoard>) -> Self {
+        EventSched {
+            st: Mutex::new(SchedState {
+                state: vec![TaskState::Ready; n],
+                ready: (0..n).collect(),
+                ndone: 0,
+                nsends: 0,
+                stall_snapshot: None,
+                stats: SchedStats::default(),
+                wait_graph,
+                board,
+            }),
+            threads: OnceLock::new(),
+            driver: std::thread::current(),
         }
     }
 
-    /// Drive the machine to completion: every rank task terminated.
-    pub(crate) fn drive(&mut self) {
-        let n = self.state.len();
-        while self.ndone < n {
-            if let Some(r) = self.ready.pop_front() {
-                self.step(r);
+    /// The critical sections below are a few index writes and queue pushes;
+    /// a panic inside one is a scheduler bug. Recover the guard anyway: the
+    /// panicking rank's [`BatonGuard`] must still be able to pass the baton,
+    /// or the run would hang instead of reporting the panic.
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.st.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hand the first baton to rank 0 and sleep until every task is done.
+    /// `tasks[r]` is rank `r`'s task thread.
+    pub(crate) fn drive<T>(&self, tasks: &[JoinHandle<T>]) -> SchedStats {
+        self.threads
+            .set(tasks.iter().map(|h| h.thread().clone()).collect())
+            .expect("an event scheduler drives exactly one run");
+        let first = self.lock().pick_next();
+        self.wake(first);
+        loop {
+            let st = self.lock();
+            if st.ndone == tasks.len() {
+                return st.stats;
+            }
+            drop(st);
+            std::thread::park();
+        }
+    }
+
+    /// Wake whoever holds the baton next: a rank task, or — when every task
+    /// is done — the driver.
+    fn wake(&self, next: Option<usize>) {
+        match next {
+            Some(r) => self.threads.get().expect("baton passed before drive()")[r].unpark(),
+            None => self.driver.unpark(),
+        }
+    }
+
+    /// Sleep until `rank` holds the baton. Called once per task before its
+    /// SPMD closure starts (nothing — not even rank construction — runs
+    /// outside a time slice), and by [`EventSched::park`].
+    pub(crate) fn wait_turn(&self, rank: usize) {
+        while self.lock().state[rank] != TaskState::Running {
+            std::thread::park();
+        }
+    }
+
+    /// Record that `src` handed a `(ctx, tag)` message to `dst`'s inbox:
+    /// a destination parked on a matching key becomes ready, in send order.
+    pub(crate) fn note_send(&self, src: usize, dst: usize, ctx: u64, tag: u64) {
+        let mut st = self.lock();
+        st.nsends += 1;
+        if let TaskState::Blocked(key) = st.state[dst] {
+            if key.matches(src, ctx, tag) {
+                st.state[dst] = TaskState::Ready;
+                st.ready.push_back(dst);
+                st.stats.wakeups += 1;
             } else {
-                self.resolve_quiescence();
+                st.stats.unmatched_sends += 1;
             }
         }
     }
 
-    /// Give rank `r` a time slice and absorb the one event it produces.
-    fn step(&mut self, r: usize) {
+    /// `rank`'s blocking receive found nothing: publish what it waits for,
+    /// pass the baton, and sleep until it comes back — because a matching
+    /// message was sent, or because the machine went quiescent and the
+    /// caller's deadlock/cascade checks should fire.
+    pub(crate) fn park(&self, rank: usize, key: WaitKey) {
+        let next = self.pass(rank, TaskState::Blocked(key));
+        if next != Some(rank) {
+            self.wake(next);
+            self.wait_turn(rank);
+        }
+    }
+
+    /// `rank` gives the baton up, entering state `to`; returns who gets it.
+    fn pass(&self, rank: usize, to: TaskState) -> Option<usize> {
+        let mut st = self.lock();
+        st.state[rank] = to;
+        st.ndone += usize::from(to == TaskState::Done);
+        st.pick_next()
+    }
+}
+
+impl SchedState {
+    /// Choose who runs next and mark it running; `None` once every task is
+    /// done. The caller has just given the baton up (parked or finished), so
+    /// no rank is running.
+    fn pick_next(&mut self) -> Option<usize> {
+        if self.ndone == self.state.len() {
+            return None;
+        }
+        if self.ready.is_empty() {
+            self.resolve_quiescence();
+        }
+        let r = self
+            .ready
+            .pop_front()
+            .expect("quiescence resolution re-queues every parked rank");
         self.state[r] = TaskState::Running;
-        // A parked task cannot exit, so its resume endpoint is alive.
-        self.resume_txs[r]
-            .send(())
-            .expect("parked rank task dropped its resume endpoint");
-        match self
-            .sched_rx
-            .recv()
-            .expect("all rank tasks vanished mid-run")
-        {
-            SchedEvent::Blocked(b) => {
-                debug_assert_eq!(b, r, "only the running rank can yield");
-                self.state[b] = TaskState::Blocked;
-            }
-            SchedEvent::Done(d) => {
-                debug_assert_eq!(d, r, "only the running rank can terminate");
-                self.state[d] = TaskState::Done;
-                self.ndone += 1;
-            }
-        }
-        // Turn the slice's sends into wakeups. Progress of any kind (a
-        // send or a termination) invalidates the stall snapshot.
-        let dsts: Vec<usize> = std::mem::take(&mut *self.notify.lock().unwrap());
-        if !dsts.is_empty() {
-            self.nsends += dsts.len() as u64;
-        }
-        for dst in dsts {
-            if self.state[dst] == TaskState::Blocked {
-                self.state[dst] = TaskState::Ready;
-                self.ready.push_back(dst);
-            }
-        }
+        self.stats.steps += 1;
+        Some(r)
     }
 
     /// The ready queue is empty but live ranks remain: every one of them is
-    /// parked in a blocking receive over an empty inbox, and — because
-    /// sends are synchronous under cooperative scheduling — no message is
-    /// in flight. The machine cannot move on its own. Three cases:
+    /// parked in a blocking receive with no matching message in its inbox,
+    /// and — because sends are synchronous under cooperative scheduling —
+    /// none is in flight. The machine cannot move on its own. Three cases:
     ///
-    /// 1. No failure on the board: the blocked ranks form a hopeless set by
+    /// 1. No failure on the board: the parked ranks form a hopeless set by
     ///    construction. Publish the deadlock report synchronously (no
     ///    detector thread, no grace period — quiescence is proven, not
     ///    guessed) and wake everyone to abort with it.
@@ -414,21 +423,39 @@ impl EventScheduler {
     ///    stuck independent of the failure — publish the deadlock report
     ///    and wake them to abort.
     fn resolve_quiescence(&mut self) {
+        self.stats.quiescence_resolutions += 1;
         let progress = (self.ndone, self.nsends);
         let stalled = self.stall_snapshot == Some(progress);
         self.stall_snapshot = Some(progress);
         if !self.board.has_failure() || stalled {
             // Deliberately ignore an empty verdict: all live ranks are
-            // blocked on blocked-or-done ranks, so the stuck set is exactly
-            // the blocked set and never empty here.
+            // parked on parked-or-done ranks, so the stuck set is exactly
+            // the parked set and never empty here.
             let _ = self.wait_graph.detect_now();
         }
         for r in 0..self.state.len() {
-            if self.state[r] == TaskState::Blocked {
+            if matches!(self.state[r], TaskState::Blocked(_)) {
                 self.state[r] = TaskState::Ready;
                 self.ready.push_back(r);
             }
         }
+    }
+}
+
+/// Passes the baton when the rank task exits, normally or by panic, so a
+/// dying rank can never strand the parked ones. Declared *before* the
+/// wait-graph done-guard in the task body so it drops *after* it: by the
+/// time the next rank (or the quiescence resolver) looks, the wait-for
+/// graph already shows this rank finished.
+pub(crate) struct BatonGuard {
+    pub(crate) rank: usize,
+    pub(crate) sched: Arc<EventSched>,
+}
+
+impl Drop for BatonGuard {
+    fn drop(&mut self) {
+        let next = self.sched.pass(self.rank, TaskState::Done);
+        self.sched.wake(next);
     }
 }
 

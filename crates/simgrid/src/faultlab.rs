@@ -585,6 +585,21 @@ pub struct MachineFailure {
 }
 
 impl MachineFailure {
+    /// A run rejected before any rank started: one [`FailKind::Config`]
+    /// failure, attributed to rank 0 under the phase label `config`.
+    pub fn config(detail: impl Into<String>) -> MachineFailure {
+        MachineFailure {
+            failures: vec![RankFailure {
+                rank: 0,
+                phase: "config".to_string(),
+                kind: FailKind::Config {
+                    detail: detail.into(),
+                },
+                seq: 0,
+            }],
+        }
+    }
+
     /// The failure the run should be attributed to: the earliest
     /// *non-cascade* failure, falling back to the earliest overall.
     pub fn primary(&self) -> &RankFailure {

@@ -3,8 +3,7 @@
 //! per-rank reports.
 
 use crate::backend::{
-    Backend, DoneNotifier, EventBackend, EventScheduler, EventWiring, ExecBackend, SchedEvent,
-    ThreadedBackend,
+    Backend, BatonGuard, EventBackend, EventSched, ExecBackend, SchedStats, ThreadedBackend,
 };
 use crate::faultlab::{
     FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, RetryPolicy,
@@ -16,7 +15,7 @@ use commcheck::{CommReport, SanState, WaitGraph};
 use crossbeam::channel::{unbounded, Sender};
 use obs::{CriticalPath, Json, MetricsRegistry, RankObs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default wall-clock receive backstop when neither
@@ -74,6 +73,9 @@ pub struct RunResult<T> {
     /// Communication-correctness report (races, leaks, counts), `None`
     /// unless the machine ran with [`Machine::with_sanitizer`].
     pub sanitizer: Option<CommReport>,
+    /// Scheduler counters of an event-backend run; `None` under the
+    /// threaded backend, where the kernel schedules.
+    pub sched: Option<SchedStats>,
 }
 
 /// Marks a rank finished in the wait-for graph when its thread exits —
@@ -313,8 +315,8 @@ impl Machine {
 
     /// The shared execution engine behind both [`ExecBackend`]
     /// implementations. One task per rank either way; `mode` decides who
-    /// schedules them — the kernel (threaded) or the cooperative
-    /// [`EventScheduler`] on this thread (event).
+    /// schedules them — the kernel (threaded) or the ranks themselves,
+    /// passing the [`EventSched`] baton (event).
     pub(crate) fn execute<T, F>(&self, f: F, mode: Backend) -> Result<RunResult<T>, MachineFailure>
     where
         T: Send + 'static,
@@ -324,25 +326,14 @@ impl Machine {
         // Host profiling attributes *wall* time per rank thread, which only
         // means something when ranks really run concurrently: under the
         // event backend a parked task would book its entire descheduled
-        // life as CommWait. This combination used to be dropped silently
-        // (`salu --backend event --hostprof-out` succeeded with no data);
-        // now it is rejected up front as a structured config failure.
+        // life as CommWait. Reject the combination up front.
         if self.host_profiling && event_mode {
-            return Err(MachineFailure {
-                failures: vec![RankFailure {
-                    rank: 0,
-                    phase: "config".to_string(),
-                    kind: FailKind::Config {
-                        detail: "host profiling requires the threaded backend: the \
-                                 event scheduler multiplexes every rank onto one \
-                                 thread, so per-rank wall-clock attribution would be \
-                                 meaningless (docs/backends.md). Run with \
-                                 Backend::Threaded or drop with_host_profiling()"
-                            .to_string(),
-                    },
-                    seq: 0,
-                }],
-            });
+            return Err(MachineFailure::config(
+                "host profiling requires the threaded backend: the event scheduler \
+                 multiplexes every rank onto one thread, so per-rank wall-clock \
+                 attribution would be meaningless (docs/backends.md). Run with \
+                 Backend::Threaded or drop with_host_profiling()",
+            ));
         }
         // An orderly rank shutdown unwinds with a typed payload that the
         // join loop interprets via the failure board; the default panic
@@ -402,37 +393,15 @@ impl Machine {
             }
         });
 
-        // Event-mode wiring: a shared event queue back to the scheduler,
-        // one resume channel per rank, and the send-notification list.
-        let mut event_plumbing = event_mode.then(|| {
-            let (sched_tx, sched_rx) = unbounded::<SchedEvent>();
-            let notify: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut resume_txs = Vec::with_capacity(n);
-            let mut wirings = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = unbounded::<()>();
-                resume_txs.push(tx);
-                wirings.push(EventWiring {
-                    sched_tx: sched_tx.clone(),
-                    resume_rx: rx,
-                    notify: Arc::clone(&notify),
-                });
-            }
-            let sched = EventScheduler::new(
+        let sched = event_mode.then(|| {
+            Arc::new(EventSched::new(
                 n,
-                sched_rx,
-                resume_txs,
-                notify,
                 Arc::clone(&wait_graph),
                 Arc::clone(&board),
-            );
-            (sched, wirings)
+            ))
         });
-        let mut wirings = event_plumbing
-            .as_mut()
-            .map(|(_, w)| std::mem::take(w))
-            .unwrap_or_default();
-        wirings.reverse(); // pop() below hands them out in rank order
+        // One member list for every rank's world communicator.
+        let world: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
         let fctx = FaultCtx {
             faults: self.faults.clone(),
@@ -448,7 +417,8 @@ impl Machine {
             let graph = Arc::clone(&wait_graph);
             let san = san.clone();
             let fctx = fctx.clone();
-            let wiring = wirings.pop();
+            let sched = sched.clone();
+            let world = Arc::clone(&world);
             let handle = std::thread::Builder::new()
                 .name(format!("simrank-{world_rank}"))
                 // Factorization recursion and big local buffers: give each
@@ -457,11 +427,11 @@ impl Machine {
                 .stack_size(16 << 20)
                 .spawn(move || {
                     // Declared first so it drops *last*: by the time the
-                    // scheduler processes this task's Done event, the
-                    // wait-for graph below already shows the rank finished.
-                    let _notify_done = wiring.as_ref().map(|w| DoneNotifier {
+                    // baton moves on, the wait-for graph below already
+                    // shows the rank finished.
+                    let _baton = sched.as_ref().map(|s| BatonGuard {
                         rank: world_rank,
-                        sched_tx: w.sched_tx.clone(),
+                        sched: Arc::clone(s),
                     });
                     // Declared second, drops first: the rank is marked
                     // done (never sends again) even on panic.
@@ -470,17 +440,16 @@ impl Machine {
                         rank: world_rank,
                     };
                     let board = Arc::clone(&fctx.board);
-                    let evt = wiring.map(|w| w.into_ctl(world_rank));
-                    if let Some(e) = &evt {
+                    if let Some(s) = &sched {
                         // Cooperative mode: no simulated work — not even
                         // rank construction — before the first time slice.
-                        e.wait_first_resume();
+                        s.wait_turn(world_rank);
                     }
                     // det-lint: allow(wall-clock): host-side wall_secs profiling only
                     let started = Instant::now();
                     let mut rank = Rank::new(
                         world_rank,
-                        n,
+                        world,
                         senders,
                         inbox,
                         model,
@@ -489,7 +458,7 @@ impl Machine {
                         graph,
                         san,
                         fctx,
-                        evt,
+                        sched,
                     );
                     let out =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rank)));
@@ -525,12 +494,9 @@ impl Machine {
         // post-join `Arc::try_unwrap` sees the sole owner.
         drop(fctx);
 
-        // Event mode: drive the cooperative scheduler to completion on this
-        // thread. Every task has terminated when this returns, so the join
-        // loop below never blocks for long.
-        if let Some((mut sched, _)) = event_plumbing.take() {
-            sched.drive();
-        }
+        // Event mode: hand out the first baton and sleep until every task
+        // has terminated, so the join loop below never blocks for long.
+        let sched_stats = sched.map(|s| s.drive(&handles));
 
         let mut results = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(n);
@@ -571,6 +537,7 @@ impl Machine {
             results,
             reports,
             sanitizer,
+            sched: sched_stats,
         })
     }
 }

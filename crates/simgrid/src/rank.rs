@@ -1,7 +1,7 @@
 //! The per-rank execution context: point-to-point messaging, clocks,
 //! counters, spans, and metrics.
 
-use crate::backend::EventCtl;
+use crate::backend::{EventSched, WaitKey};
 use crate::comm::Comm;
 use crate::faultlab::{
     FailKind, FailureBoard, FaultDecision, FaultPlan, OrderlyAbort, RankFailure, RecvError,
@@ -54,7 +54,9 @@ pub(crate) struct Msg {
 /// All communication and time accounting flows through methods on this type.
 pub struct Rank {
     world_rank: usize,
-    world_size: usize,
+    /// The world communicator, built once: its member list is one
+    /// allocation shared by every rank of the machine.
+    world: Comm,
     senders: Arc<Vec<Sender<Msg>>>,
     inbox: Receiver<Msg>,
     /// Messages received from the channel but not yet matched by a `recv`.
@@ -130,10 +132,10 @@ pub struct Rank {
     my_stalls: Vec<StallRule>,
     /// Index of the next unapplied stall window.
     stall_idx: usize,
-    /// Handle onto the cooperative scheduler, present iff the machine runs
-    /// under [`crate::EventBackend`]. `None` (the threaded backend) makes
-    /// every event-mode hook vanish from the hot paths.
-    evt: Option<EventCtl>,
+    /// The cooperative scheduler, present iff the machine runs under
+    /// [`crate::EventBackend`]. `None` (the threaded backend) makes every
+    /// event-mode hook vanish from the hot paths.
+    sched: Option<Arc<EventSched>>,
 }
 
 /// Fault-layer wiring shared by every rank; built once per run by the
@@ -151,7 +153,7 @@ impl Rank {
     #[allow(clippy::too_many_arguments)] // crate-internal; called once from Machine::run
     pub(crate) fn new(
         world_rank: usize,
-        world_size: usize,
+        world_members: Arc<Vec<usize>>,
         senders: Arc<Vec<Sender<Msg>>>,
         inbox: Receiver<Msg>,
         model: TimeModel,
@@ -160,16 +162,21 @@ impl Rank {
         wait_graph: Arc<WaitGraph>,
         san: Option<Arc<SanState>>,
         fctx: FaultCtx,
-        evt: Option<EventCtl>,
+        sched: Option<Arc<EventSched>>,
     ) -> Self {
         let my_stalls = fctx
             .faults
             .as_ref()
             .map(|p| p.stalls_for(world_rank))
             .unwrap_or_default();
+        let world_size = world_members.len();
         Rank {
             world_rank,
-            world_size,
+            world: Comm {
+                ctx: 0,
+                members: world_members,
+                my_local: world_rank,
+            },
             senders,
             inbox,
             pending: HashMap::new(),
@@ -205,7 +212,7 @@ impl Rank {
             board: fctx.board,
             my_stalls,
             stall_idx: 0,
-            evt,
+            sched,
         }
     }
 
@@ -249,7 +256,7 @@ impl Rank {
     /// Total number of ranks on the machine.
     #[inline]
     pub fn size(&self) -> usize {
-        self.world_size
+        self.world.size()
     }
 
     /// The machine model in effect.
@@ -259,11 +266,7 @@ impl Rank {
 
     /// The world communicator containing every rank.
     pub fn world(&self) -> Comm {
-        Comm {
-            ctx: 0,
-            members: Arc::new((0..self.world_size).collect()),
-            my_local: self.world_rank,
-        }
+        self.world.clone()
     }
 
     /// Create a sub-communicator from an explicit member list (world ranks,
@@ -280,6 +283,31 @@ impl Rank {
             members: Arc::new(members.to_vec()),
             my_local,
         })
+    }
+
+    /// [`Rank::subset`] for a family of `count` pairwise-disjoint
+    /// communicators created back to back, of which this rank belongs to the
+    /// `index`-th only (its layer among the layers, its row among the rows):
+    /// the same context ids as `count` `subset` calls, without building the
+    /// member lists of the `count - 1` communicators it is not part of.
+    pub(crate) fn subset_in_family(
+        &mut self,
+        count: usize,
+        index: usize,
+        members: Vec<usize>,
+    ) -> Comm {
+        debug_assert!(index < count);
+        let ctx = self.next_ctx + index as u64;
+        self.next_ctx += count as u64;
+        let my_local = members
+            .iter()
+            .position(|&w| w == self.world_rank)
+            .expect("a rank is a member of its own communicator");
+        Comm {
+            ctx,
+            members: Arc::new(members),
+            my_local,
+        }
     }
 
     /// Set the traffic-accounting phase label. All subsequent sends and
@@ -317,9 +345,13 @@ impl Rank {
     /// Open a labeled span at the current simulated time. Returns a handle
     /// for [`Rank::span_exit`]; `None` when the machine is not tracing
     /// (pass it to `span_exit` regardless — the pair is a no-op then).
-    pub fn span_enter(&mut self, cat: SpanCat, name: &str) -> Option<SpanId> {
+    /// `name` is rendered only when tracing: pass `format_args!(..)` for a
+    /// computed name and an untraced run allocates nothing for it.
+    pub fn span_enter(&mut self, cat: SpanCat, name: impl std::fmt::Display) -> Option<SpanId> {
         let t = self.clock;
-        self.rec.as_mut().map(|rec| rec.enter(cat, name, t))
+        self.rec
+            .as_mut()
+            .map(|rec| rec.enter(cat, &name.to_string(), t))
     }
 
     /// Close a span opened by [`Rank::span_enter`]. Inner spans still open
@@ -333,7 +365,12 @@ impl Rank {
 
     /// Run `f` inside a span: sugar for `span_enter` / `span_exit` that
     /// cannot leak an open span on early return of a value.
-    pub fn with_span<T>(&mut self, cat: SpanCat, name: &str, f: impl FnOnce(&mut Rank) -> T) -> T {
+    pub fn with_span<T>(
+        &mut self,
+        cat: SpanCat,
+        name: impl std::fmt::Display,
+        f: impl FnOnce(&mut Rank) -> T,
+    ) -> T {
         let id = self.span_enter(cat, name);
         let out = f(self);
         self.span_exit(id);
@@ -719,10 +756,10 @@ impl Rank {
         if self.senders[dst_world].send(msg).is_err() {
             self.fail(FailKind::PeerDown { peer: dst_world });
         }
-        // Event backend: a delivered message is a scheduler event — tell
-        // the scheduler so a destination parked in a receive wakes up.
-        if let Some(evt) = &self.evt {
-            evt.note_send(dst_world);
+        // Event backend: a delivered message is a scheduler event — a
+        // destination parked on exactly this message becomes runnable.
+        if let Some(sched) = &self.sched {
+            sched.note_send(self.world_rank, dst_world, ctx, tag);
         }
     }
 
@@ -793,8 +830,10 @@ impl Rank {
                 phase: self.phase.clone(),
             },
         );
-        let result = if self.evt.is_some() {
-            self.blocked_wait_event(ctx, tag, &targets, &src_desc, &accept)
+        let result = if self.sched.is_some() {
+            let src = (!wildcard).then(|| targets[0]);
+            let key = WaitKey { ctx, tag, src };
+            self.blocked_wait_event(key, &targets, &src_desc, &accept)
         } else {
             self.blocked_wait_threaded(ctx, tag, &targets, &src_desc, &accept)
         };
@@ -846,14 +885,13 @@ impl Rank {
     }
 
     /// Event-backend wait: no channel sleeping and no wall-clock deadline.
-    /// The rank parks by yielding to the cooperative scheduler and is
-    /// resumed when a message is delivered to it — or when the scheduler,
-    /// seeing the whole machine quiescent, has published a deadlock report
-    /// or wants waits on dead peers resolved as cascades.
+    /// The rank parks by passing the baton, publishing `key`, and is resumed
+    /// when a message matching `key` has been delivered to it — or when the
+    /// whole machine went quiescent and a deadlock report is published or
+    /// waits on dead peers should resolve as cascades.
     fn blocked_wait_event(
         &mut self,
-        ctx: u64,
-        tag: u64,
+        key: WaitKey,
         targets: &[usize],
         src_desc: &str,
         accept: &impl Fn(&Msg) -> bool,
@@ -863,14 +901,14 @@ impl Rank {
                 return Err(RecvError::Deadlock { report });
             }
             if self.board.has_failure() && self.wait_graph.all_done(targets) {
-                return self.resolve_cascade(ctx, tag, src_desc, accept);
+                return self.resolve_cascade(key.ctx, key.tag, src_desc, accept);
             }
-            // Park. On resume either a message is waiting in the inbox or
+            // Park. On resume either the message is waiting in the inbox or
             // the machine went quiescent and the checks above will fire.
-            self.evt
+            self.sched
                 .as_ref()
                 .expect("blocked_wait_event outside event mode")
-                .yield_blocked();
+                .park(self.world_rank, key);
             while let Ok(m) = self.inbox.try_recv() {
                 let Some(m) = self.intake(m) else { continue };
                 if accept(&m) {

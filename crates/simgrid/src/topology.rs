@@ -56,14 +56,24 @@ pub struct Grid3d {
 }
 
 impl Grid3d {
-    /// `pz` must be a power of two (Algorithm 1 halves the active grid set
-    /// each level).
-    pub fn new(pr: usize, pc: usize, pz: usize) -> Self {
-        assert!(pz > 0 && pz.is_power_of_two(), "Pz must be a power of two");
-        Grid3d {
-            grid2d: Grid2d::new(pr, pc),
-            pz,
+    /// `pr` and `pc` must be positive and `pz` a power of two (Algorithm 1
+    /// halves the active grid set each level); the error names the shape.
+    pub fn try_new(pr: usize, pc: usize, pz: usize) -> Result<Self, String> {
+        if pr == 0 || pc == 0 || !pz.is_power_of_two() {
+            return Err(format!(
+                "invalid process grid {pr}x{pc}x{pz}: pr and pc must be positive and Pz must \
+                 be a power of two"
+            ));
         }
+        Ok(Grid3d {
+            grid2d: Grid2d { pr, pc },
+            pz,
+        })
+    }
+
+    /// [`Grid3d::try_new`] for shapes known to be valid; panics otherwise.
+    pub fn new(pr: usize, pc: usize, pz: usize) -> Self {
+        Self::try_new(pr, pc, pz).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Total process count `pr * pc * pz`.
@@ -121,46 +131,20 @@ pub fn build_grid_comms(rank: &mut Rank, g: &Grid3d) -> GridComms {
     let (my_r, my_c, my_z) = g.coords_of(rank.id());
     let g2 = g.grid2d;
 
-    let mut layer = None;
-    for z in 0..g.pz {
-        let members: Vec<usize> = (0..g2.size()).map(|l| z * g2.size() + l).collect();
-        if let Some(c) = rank.subset(&members) {
-            layer = Some(c);
-        }
-    }
-    let mut row = None;
-    for z in 0..g.pz {
-        for r in 0..g2.pr {
-            let members: Vec<usize> = (0..g2.pc).map(|c| g.rank_of(r, c, z)).collect();
-            if let Some(c) = rank.subset(&members) {
-                row = Some(c);
-            }
-        }
-    }
-    let mut col = None;
-    for z in 0..g.pz {
-        for c in 0..g2.pc {
-            let members: Vec<usize> = (0..g2.pr).map(|r| g.rank_of(r, c, z)).collect();
-            if let Some(cc) = rank.subset(&members) {
-                col = Some(cc);
-            }
-        }
-    }
-    let mut zline = None;
-    for r in 0..g2.pr {
-        for c in 0..g2.pc {
-            let members: Vec<usize> = (0..g.pz).map(|z| g.rank_of(r, c, z)).collect();
-            if let Some(cc) = rank.subset(&members) {
-                zline = Some(cc);
-            }
-        }
-    }
+    // Four families of disjoint communicators, in this order — all layers,
+    // all rows, all columns, all z-lines — with context ids as if every rank
+    // had created every one of them (`commplan` predicts the ids from that
+    // order). A rank builds only the one of each family it belongs to.
+    let layer = (0..g2.size()).map(|l| my_z * g2.size() + l).collect();
+    let row = (0..g2.pc).map(|c| g.rank_of(my_r, c, my_z)).collect();
+    let col = (0..g2.pr).map(|r| g.rank_of(r, my_c, my_z)).collect();
+    let zline = (0..g.pz).map(|z| g.rank_of(my_r, my_c, z)).collect();
     GridComms {
         coords: (my_r, my_c, my_z),
-        layer: layer.expect("every rank is in exactly one layer"),
-        row: row.expect("every rank is in exactly one row"),
-        col: col.expect("every rank is in exactly one column"),
-        zline: zline.expect("every rank is in exactly one z-line"),
+        layer: rank.subset_in_family(g.pz, my_z, layer),
+        row: rank.subset_in_family(g.pz * g2.pr, my_z * g2.pr + my_r, row),
+        col: rank.subset_in_family(g.pz * g2.pc, my_z * g2.pc + my_c, col),
+        zline: rank.subset_in_family(g2.size(), g2.rank_of(my_r, my_c), zline),
     }
 }
 
@@ -200,6 +184,53 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn grid3d_rejects_non_power_of_two_pz() {
         let _ = Grid3d::new(2, 2, 3);
+    }
+
+    /// The arithmetic context ids equal those of the definition: every rank
+    /// calling `subset` once per layer, row, column and z-line, in that
+    /// order (the order `commplan` predicts ids from).
+    #[test]
+    fn context_ids_match_one_subset_call_per_communicator() {
+        for (pr, pc, pz) in [(2, 3, 4), (3, 1, 2), (1, 1, 1), (4, 4, 1)] {
+            let g = Grid3d::new(pr, pc, pz);
+            let by_definition = move |rank: &mut Rank| {
+                let g2 = g.grid2d;
+                let mut mine = Vec::new();
+                let mut create = |members: Vec<usize>| mine.extend(rank.subset(&members));
+                for z in 0..g.pz {
+                    create((0..g2.size()).map(|l| z * g2.size() + l).collect());
+                }
+                for z in 0..g.pz {
+                    for r in 0..g2.pr {
+                        create((0..g2.pc).map(|c| g.rank_of(r, c, z)).collect());
+                    }
+                }
+                for z in 0..g.pz {
+                    for c in 0..g2.pc {
+                        create((0..g2.pr).map(|r| g.rank_of(r, c, z)).collect());
+                    }
+                }
+                for r in 0..g2.pr {
+                    for c in 0..g2.pc {
+                        create((0..g.pz).map(|z| g.rank_of(r, c, z)).collect());
+                    }
+                }
+                mine
+            };
+            let describe = |c: &Comm| (c.ctx, c.members().to_vec(), c.local_rank());
+            let m = Machine::new(g.size(), TimeModel::zero());
+            let out = m.run(move |rank| {
+                let want: Vec<_> = by_definition(rank).iter().map(describe).collect();
+                let next_by_definition = rank.subset(&[rank.id()]).expect("member").ctx;
+                (want, next_by_definition)
+            });
+            let got = m.run(move |rank| {
+                let c = build_grid_comms(rank, &g);
+                let got = [&c.layer, &c.row, &c.col, &c.zline].map(describe).to_vec();
+                (got, rank.subset(&[rank.id()]).expect("member").ctx)
+            });
+            assert_eq!(out.results, got.results, "{pr}x{pc}x{pz}");
+        }
     }
 
     #[test]

@@ -357,7 +357,7 @@ mod tests {
         .with_tracing();
         let out = m.run(|rank| {
             for lvl in 0..2 {
-                rank.with_span(SpanCat::Level, &format!("level{lvl}"), |rank| {
+                rank.with_span(SpanCat::Level, format_args!("level{lvl}"), |rank| {
                     rank.set_phase("fact");
                     rank.advance_compute(1);
                 });

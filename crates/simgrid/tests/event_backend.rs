@@ -212,32 +212,124 @@ fn recv_any_from_a_non_member_is_an_orderly_failure() {
 }
 
 #[test]
-fn spurious_wakeups_are_bounded_by_delivered_messages() {
-    // Rank 1 blocks on tag 99 while rank 0 bombards it with 64 messages on
-    // other tags — every delivery wakes rank 1, which drains, stashes, and
-    // re-parks (the spurious-wakeup path). A blocked rank is only ever
-    // re-queued by a delivered send, so the wake count is bounded and the
-    // run terminates; a spin-wake bug here would hang this test.
-    let out = machine(2, Backend::Event).run(|rank| {
+fn a_rank_parked_on_one_tag_is_not_resumed_by_sends_of_another() {
+    // Rank 1 parks on tag 99 (rank 0 waits for its go-ahead first, so the
+    // park is certain to precede the sends), then rank 0 sends it
+    // `mismatched` messages on other tags followed by the one it waits for.
+    // Matched wakeups: the mismatched sends are counted, cost no scheduler
+    // step, and stay buffered in order for the receives that want them.
+    let run = |mismatched: u64| {
+        let out = machine(2, Backend::Event).run(move |rank| {
+            let world = rank.world();
+            if rank.id() == 0 {
+                rank.recv(&world, 1, 1000);
+                for i in 0..mismatched {
+                    rank.send(&world, 1, i, Payload::Idx(vec![i as usize]));
+                }
+                rank.send(&world, 1, 99, Payload::Idx(vec![7]));
+                0
+            } else {
+                rank.send(&world, 0, 1000, Payload::Idx(vec![]));
+                let got = rank.recv(&world, 0, 99).into_idx()[0];
+                for i in 0..mismatched {
+                    assert_eq!(rank.recv(&world, 0, i).into_idx()[0], i as usize);
+                }
+                got
+            }
+        });
+        assert_eq!(out.results[1], 7);
+        out.sched.expect("event runs report scheduler counters")
+    };
+    let (none, many) = (run(0), run(64));
+    assert_eq!(none.unmatched_sends, 0);
+    assert_eq!(many.unmatched_sends, 64);
+    // Two first slices, rank 0 resumed by the go-ahead, rank 1 by tag 99.
+    assert_eq!((none.steps, none.wakeups), (4, 2));
+    assert_eq!((many.steps, many.wakeups), (4, 2));
+    assert_eq!(many.quiescence_resolutions, 0);
+    // Deterministic, and absent where the kernel schedules.
+    assert_eq!(run(64), many);
+    assert!(machine(2, Backend::Threaded).run(|_| ()).sched.is_none());
+}
+
+#[test]
+fn a_panicking_rank_passes_the_baton_to_the_ranks_it_strands() {
+    // Ranks 1..8 park on rank 0 (rank 0 waits for the last of them first),
+    // then rank 0 panics. Its unwind must hand the baton on: the machine
+    // goes quiescent with a failure on the board, every stranded wait
+    // resolves as a cascade, and the run ends with the panic as primary.
+    let err = machine(8, Backend::Event)
+        .try_run(|rank| {
+            let world = rank.world();
+            if rank.id() == 0 {
+                rank.recv(&world, 7, 1);
+                panic!("boom");
+            }
+            if rank.id() == 7 {
+                rank.send(&world, 0, 1, Payload::Idx(vec![]));
+            }
+            let _ = rank.recv(&world, 0, 5);
+        })
+        .expect_err("rank 0's panic must fail the run");
+    let primary = err.primary();
+    assert_eq!(primary.rank, 0);
+    assert!(matches!(&primary.kind, FailKind::Panic { message } if message == "boom"));
+    assert_eq!(err.failures.len(), 8, "{}", err.render());
+    for f in err.failures.iter().filter(|f| f.rank != 0) {
+        assert!(f.is_cascade(), "rank {}: {}", f.rank, f.kind);
+    }
+}
+
+#[test]
+fn a_three_rank_cycle_is_named_exactly() {
+    // 0 -> 1 -> 2 -> 0 wait on each other; rank 3 finishes normally and
+    // must not appear in the verdict.
+    let err = machine(4, Backend::Event)
+        .try_run(|rank| {
+            let world = rank.world();
+            if rank.id() < 3 {
+                let _ = rank.recv(&world, (rank.id() + 1) % 3, 40 + rank.id() as u64);
+            }
+        })
+        .expect_err("a wait cycle must deadlock");
+    let text = err.render();
+    assert!(text.contains("deadlock detected: 3 rank(s)"), "{text}");
+    for r in 0..3 {
+        assert!(
+            text.contains(&format!("rank {r} blocked in recv")),
+            "{text}"
+        );
+        assert!(text.contains(&format!("tag={}", 40 + r)), "{text}");
+    }
+    assert!(!text.contains("rank 3 blocked"), "{text}");
+}
+
+#[test]
+fn recv_any_wakes_on_a_match_from_any_member_and_only_on_a_match() {
+    // Rank 0 takes three wildcard receives on tag 7. Ranks 1..3 each send
+    // one, every one preceded by a tag-8 decoy that must not resume rank 0.
+    let out = machine(4, Backend::Event).run(|rank| {
         let world = rank.world();
         if rank.id() == 0 {
-            for i in 0..64u64 {
-                rank.send(&world, 1, i, Payload::Idx(vec![i as usize]));
+            let mut srcs: Vec<usize> = (0..3).map(|_| rank.recv_any(&world, 7).0).collect();
+            srcs.sort_unstable();
+            for src in 1..4 {
+                rank.recv(&world, src, 8);
             }
-            rank.send(&world, 1, 99, Payload::Idx(vec![7]));
-            0
+            srcs
         } else {
-            // The matching tag arrives last; each earlier delivery is a
-            // spurious wakeup for this receive.
-            let got = rank.recv(&world, 0, 99).into_idx()[0];
-            // The stashed messages are all still there, in order.
-            for i in 0..64u64 {
-                assert_eq!(rank.recv(&world, 0, i).into_idx()[0], i as usize);
-            }
-            got
+            rank.send(&world, 0, 8, Payload::Idx(vec![]));
+            rank.send(&world, 0, 7, Payload::Idx(vec![rank.id()]));
+            Vec::new()
         }
     });
-    assert_eq!(out.results[1], 7);
+    assert_eq!(out.results[0], vec![1, 2, 3]);
+    let s = out.sched.expect("event run");
+    // Rank 0 parks once; rank 1's decoy finds it parked and is not a match.
+    // Its tag-7 send is, and by the time rank 0 runs again all three are in.
+    assert_eq!(s.unmatched_sends, 1);
+    assert_eq!(s.wakeups, 1);
+    assert_eq!(s.steps, 5);
 }
 
 #[test]

@@ -148,7 +148,7 @@ pub fn factor_nodes_with(
             if paneled[j] || pending[&m] > 0 {
                 continue;
             }
-            let (pd, pert) = rank.with_span(SpanCat::Node, &format!("panel{m}"), |rank| {
+            let (pd, pert) = rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
                 factor_step_panel(rank, env, store, sym, m)
             });
             outcome.perturbations += pert;
@@ -165,7 +165,7 @@ pub fn factor_nodes_with(
         let pd = panels
             .remove(&k)
             .expect("current node must be panel-ready (children all done)");
-        rank.with_span(SpanCat::Node, &format!("schur{k}"), |rank| {
+        rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
             if env.opts.batched_schur {
                 factor_step_schur_batched(rank, env, store, sym, k, &pd, &mut scratch);
             } else {

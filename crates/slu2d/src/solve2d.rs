@@ -16,7 +16,6 @@ use crate::store::BlockStore;
 use densela::{backward_subst, flops, forward_subst_unit};
 use simgrid::{HostPhase, Payload, Rank};
 use std::collections::HashMap;
-use std::sync::Arc;
 use symbolic::Symbolic;
 
 use simgrid::tags::{T_BWD_BC, T_BWD_RED, T_FWD_BC, T_FWD_RED};
@@ -33,41 +32,17 @@ pub struct DistSolveState {
     pub y: HashMap<usize, Vec<f64>>,
     /// Backward solutions known to this rank, keyed by supernode.
     pub x: HashMap<usize, Vec<f64>>,
-    /// Transposed block structure: `ublocks_into[k]` lists supernodes
-    /// `j < k` holding a `U(j, k)` block. Shared (`Arc`) so repeated solves
-    /// against the same factors — iterative-refinement sweeps in particular
-    /// — build it only once.
-    pub ublocks_into: Arc<Vec<Vec<usize>>>,
-}
-
-/// Build the transposed block index once per factorization; reuse it across
-/// solves via [`DistSolveState::with_index`].
-pub fn transpose_index(sym: &Symbolic) -> Arc<Vec<Vec<usize>>> {
-    let mut ublocks_into: Vec<Vec<usize>> = vec![Vec::new(); sym.nsup()];
-    for j in 0..sym.nsup() {
-        for &i in &sym.fill.struct_of[j] {
-            ublocks_into[i].push(j);
-        }
-    }
-    Arc::new(ublocks_into)
 }
 
 impl DistSolveState {
     /// Fresh state for a solve over `sym`'s supernodes.
     pub fn new(sym: &Symbolic) -> DistSolveState {
-        Self::with_index(sym, transpose_index(sym))
-    }
-
-    /// Fresh state reusing a prebuilt transpose index (see
-    /// [`transpose_index`]).
-    pub fn with_index(sym: &Symbolic, ublocks_into: Arc<Vec<Vec<usize>>>) -> DistSolveState {
         let n = sym.part.n();
         DistSolveState {
             acc: vec![0.0; n],
             accu: vec![0.0; n],
             y: HashMap::new(),
             x: HashMap::new(),
-            ublocks_into,
         }
     }
 }
@@ -146,7 +121,7 @@ pub fn apply_ancestor_x(
 ) {
     debug_assert_eq!(env.my_c, k % env.grid.pc);
     let f0 = flops::get();
-    for &j in &st.ublocks_into[k] {
+    for &j in &sym.fill.blocks_into()[k] {
         if j % env.grid.pr == env.my_r {
             if let Some(u) = store.get(j, k) {
                 let contrib = u.matvec(xk);
@@ -200,7 +175,7 @@ pub fn backward_nodes(
             let payload = rank.bcast(&env.col, kr, xk.map(Payload::F64s), T_BWD_BC | k as u64);
             let seg = payload.into_f64s();
             let f0 = flops::get();
-            for &j in &st.ublocks_into[k] {
+            for &j in &sym.fill.blocks_into()[k] {
                 if j % grid.pr == env.my_r {
                     if let Some(u) = store.get(j, k) {
                         let contrib = u.matvec(&seg);

@@ -27,24 +27,55 @@ pub struct BlockFill {
     /// Supernodal elimination-tree parent: the first block row below the
     /// diagonal block. `None` for roots (supernodes with empty struct).
     pub parent: Vec<Option<usize>>,
+    /// Derived from `parent` by [`BlockFill::new`]; see [`BlockFill::children`].
+    children: Vec<Vec<usize>>,
+    /// Derived from `struct_of` by [`BlockFill::new`]; see
+    /// [`BlockFill::blocks_into`].
+    blocks_into: Vec<Vec<usize>>,
 }
 
 impl BlockFill {
+    /// Assemble a fill pattern, deriving the two rank-invariant indexes every
+    /// rank of a distributed factorization or solve reads — once here instead
+    /// of once per rank. `struct_of` and `parent` must not be modified
+    /// afterwards.
+    pub fn new(struct_of: Vec<Vec<usize>>, parent: Vec<Option<usize>>) -> BlockFill {
+        let mut children = vec![Vec::new(); parent.len()];
+        for (s, p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                children[*p].push(s);
+            }
+        }
+        let mut blocks_into = vec![Vec::new(); struct_of.len()];
+        for (j, st) in struct_of.iter().enumerate() {
+            for &i in st {
+                blocks_into[i].push(j);
+            }
+        }
+        BlockFill {
+            struct_of,
+            parent,
+            children,
+            blocks_into,
+        }
+    }
+
     /// Number of structurally nonzero off-diagonal blocks in `L` (equal to
     /// the count in `U` by symmetry).
     pub fn num_lblocks(&self) -> usize {
         self.struct_of.iter().map(|s| s.len()).sum()
     }
 
-    /// Children lists of the supernodal elimination tree.
-    pub fn children(&self) -> Vec<Vec<usize>> {
-        let mut ch = vec![Vec::new(); self.parent.len()];
-        for (s, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                ch[*p].push(s);
-            }
-        }
-        ch
+    /// Children lists of the supernodal elimination tree, ascending.
+    pub fn children(&self) -> &[Vec<usize>] {
+        &self.children
+    }
+
+    /// The transposed block structure: `blocks_into()[k]` lists, ascending,
+    /// the supernodes `j < k` with `k` in `struct_of[j]` — the `U(j, k)`
+    /// blocks of column `k` (equivalently the `L(k, j)` blocks of row `k`).
+    pub fn blocks_into(&self) -> &[Vec<usize>] {
+        &self.blocks_into
     }
 
     /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
@@ -106,7 +137,7 @@ pub fn block_symbolic(a: &Csr, part: &SnPartition) -> BlockFill {
         struct_of[s] = merged;
     }
 
-    BlockFill { struct_of, parent }
+    BlockFill::new(struct_of, parent)
 }
 
 #[cfg(test)]

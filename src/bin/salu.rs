@@ -757,6 +757,13 @@ fn print_report(out: &salu::lu3d::Output3d) {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    if let Some(s) = &out.sched {
+        println!(
+            "event scheduler         = {} steps, {} matched wakeups, {} unmatched sends \
+             (no step each), {} quiescence resolution(s)",
+            s.steps, s.wakeups, s.unmatched_sends, s.quiescence_resolutions
+        );
+    }
     let Some(reports) = out.hostprof_reports() else {
         return;
     };

@@ -182,6 +182,53 @@ fn plan_check_accepts_both_backends_ledgers() {
     }
 }
 
+/// P = 16 with the solve and a refinement sweep on top: the solution is
+/// bitwise backend-independent too, and the event run's scheduler counters
+/// are a deterministic function of the rank programs (absent under the
+/// threaded backend, where the kernel schedules).
+#[test]
+fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
+    let a = matgen::kkt_3d(4, 4, 4, 1e-2, 1);
+    let b: Vec<f64> = (0..a.nrows).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+    let prep = Prepared::new(a, Geometry::General, 16, 24);
+    let run = |backend| {
+        let cfg = SolverConfig {
+            pr: 2,
+            pc: 2,
+            pz: 4,
+            refine_steps: 1,
+            model: TimeModel::edison_like(),
+            backend,
+            ..Default::default()
+        };
+        try_factor_and_solve(&prep, &cfg, Some(b.clone()))
+            .unwrap_or_else(|e| panic!("{backend} run failed: {e}"))
+    };
+    let (threaded, event, again) = (
+        run(Backend::Threaded),
+        run(Backend::Event),
+        run(Backend::Event),
+    );
+    let bits = |o: &Output3d| -> Vec<u64> {
+        let x = o.x.as_ref().expect("solution");
+        x.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&threaded), bits(&event), "solutions diverge");
+    assert_eq!(threaded.factor_digest, event.factor_digest);
+    assert_eq!(threaded.makespan().to_bits(), event.makespan().to_bits());
+    assert_eq!(
+        threaded.commvol_profile().pretty(),
+        event.commvol_profile().pretty()
+    );
+    assert!(threaded.sched.is_none());
+    let s = event.sched.expect("event runs report scheduler counters");
+    assert_eq!(Some(s), again.sched, "scheduler counters must repeat");
+    // Every resume is a first slice, a matched wakeup, or part of a
+    // quiescence wake-all — and a healthy run never goes quiescent.
+    assert_eq!(s.quiescence_resolutions, 0);
+    assert_eq!(s.steps, 16 + s.wakeups);
+}
+
 /// Paper-scale smoke: a 64x64x1 process grid — P = 4096 ranks — factored
 /// in one process by the event backend. Threaded could not sensibly run
 /// this (4096 free-running OS threads); the scheduler just takes turns.

@@ -249,7 +249,7 @@ proptest! {
                     0 => {
                         let cat = [SpanCat::Level, SpanCat::Node, SpanCat::Other]
                             [(next() % 3) as usize];
-                        stack.push(rank.span_enter(cat, &format!("s{i}")));
+                        stack.push(rank.span_enter(cat, format_args!("s{i}")));
                     }
                     1 => {
                         if let Some(id) = stack.pop() {

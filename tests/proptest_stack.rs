@@ -107,6 +107,46 @@ proptest! {
         }
     }
 
+    /// The indexes symbolic analysis caches for every rank to borrow — the
+    /// etree children lists and the transposed block structure — equal what
+    /// each rank used to derive for itself from `parent` and `struct_of`.
+    #[test]
+    fn cached_symbolic_indexes_match_fresh_derivations(
+        n in 16usize..160,
+        bw in 1usize..8,
+        fill in 0.1f64..1.0,
+        seed in 0u64..1000,
+        maxsup in 1usize..12,
+    ) {
+        let a = salu::sparsemat::matgen::random_band(n, bw, fill, seed);
+        let g = Graph::from_matrix(&a);
+        let tree = nested_dissection(
+            &g,
+            NdOptions {
+                leaf_size: 8,
+                geometry: Geometry::General,
+                seed,
+            },
+        );
+        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
+        let sym = Symbolic::analyze(&pa, &tree, maxsup);
+        let nsup = sym.nsup();
+        let mut children = vec![Vec::new(); nsup];
+        for (s, p) in sym.fill.parent.iter().enumerate() {
+            if let Some(p) = *p {
+                children[p].push(s);
+            }
+        }
+        prop_assert_eq!(sym.fill.children(), &children[..]);
+        let mut blocks_into = vec![Vec::new(); nsup];
+        for j in 0..nsup {
+            for &i in &sym.fill.struct_of[j] {
+                blocks_into[i].push(j);
+            }
+        }
+        prop_assert_eq!(sym.fill.blocks_into(), &blocks_into[..]);
+    }
+
     /// Tree-forest partitions cover every node exactly once with nested
     /// replication ranges, for every Pz.
     #[test]
