@@ -3,8 +3,7 @@
 //! (z-axis words during ancestor reduction), for a planar matrix (K2D5pt)
 //! and a non-planar one (nlpkkt), at two machine sizes.
 //!
-//! The volumes are read from the wire ledger (`obs::commvol`) rather than
-//! the legacy phase counters; every row asserts the two agree exactly, and
+//! The volumes are read from the wire ledger (`obs::commvol`); every row
 //! checks the delivery invariant `total_recv_words == total_sent_words`.
 //! The class columns break the machine-wide volume into L-panel, U-panel,
 //! and z-reduction traffic, and `waste` is the fraction of shipped words
@@ -30,23 +29,6 @@ fn main() {
                 let Some(out) = run_config(&prep, p, pz) else {
                     continue;
                 };
-                // Ledger/counter conservation: the wire ledger and the
-                // phase counters are independent charge paths and must
-                // agree word-for-word on every rank and phase.
-                for (rank, r) in out.reports.iter().enumerate() {
-                    assert_eq!(
-                        r.commvol.sent_words(),
-                        r.total_sent_words(),
-                        "rank {rank}: wire ledger != phase counters"
-                    );
-                    for phase in ["fact", "reduce"] {
-                        assert_eq!(
-                            r.commvol.phase_words(phase),
-                            r.sent_words_in(phase),
-                            "rank {rank}: phase `{phase}` split disagrees"
-                        );
-                    }
-                }
                 let max_phase = |phase: &str| {
                     out.reports
                         .iter()

@@ -77,16 +77,7 @@ pub fn config(p: usize, pz: usize, model: TimeModel) -> Option<SolverConfig> {
 
 /// Run a factorization for one `(P, Pz)` point.
 pub fn run_config(prep: &Prepared, p: usize, pz: usize) -> Option<Output3d> {
-    run_config_with(prep, p, pz, false)
-}
-
-/// Like [`run_config`] with an explicit Schur-update path: `batched` routes
-/// the trailing updates through the gather-GEMM-scatter kernel
-/// (`SolverConfig::batched_schur`). Simulated results are identical either
-/// way; only host wall-clock changes.
-pub fn run_config_with(prep: &Prepared, p: usize, pz: usize, batched: bool) -> Option<Output3d> {
-    let mut cfg = config(p, pz, TimeModel::edison_like())?;
-    cfg.batched_schur = batched;
+    let cfg = config(p, pz, TimeModel::edison_like())?;
     Some(factor_only(prep, &cfg))
 }
 

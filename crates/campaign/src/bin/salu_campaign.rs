@@ -4,7 +4,7 @@
 //! # run a campaign: jobs + artifacts + BENCH_<pr>.json + report.md
 //! salu-campaign run campaigns/smoke.toml --out-dir results/campaign/smoke
 //!
-//! # compare any two snapshots (v1, v2, or v3 schema)
+//! # compare any two snapshots
 //! salu-campaign compare results/campaign/smoke/BENCH_pr8.json results/BENCH_pr4.json
 //! ```
 //!
@@ -31,7 +31,7 @@ fn usage() -> ! {
          \x20        into --out-dir (default results/campaign/<name>), and — when\n\
          \x20        a baseline is configured — also regression.md/.json, failing\n\
          \x20        on gated regressions.\n\
-         compare  diff two BENCH_*.json snapshots (any schema generation) and\n\
+         compare  diff two BENCH_*.json snapshots (salu-bench-snapshot/3) and\n\
          \x20        print the regression report. --tol-* override the default\n\
          \x20        bands (wall 0.5, sim 0.02); --gate-wall makes wall\n\
          \x20        regressions fail the gate too.\n\

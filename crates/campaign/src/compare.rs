@@ -1,7 +1,7 @@
 //! Regression comparator over bench snapshots.
 //!
-//! Matches the points of a new snapshot against a baseline (any schema
-//! generation — see [`crate::snapshot`]), diffs each shared metric, and
+//! Matches the points of a new snapshot against a baseline (see
+//! [`crate::snapshot`]), diffs each shared metric, and
 //! assigns per-metric verdicts. Every metric is lower-is-better.
 //!
 //! Two tolerance bands apply: `sim` for deterministic simulated/ledger
@@ -309,13 +309,12 @@ mod tests {
     use super::*;
     use crate::snapshot::BenchPoint;
 
-    fn key(matrix: &str, pz: u64, batched: bool) -> PointKey {
+    fn key(matrix: &str, pz: u64) -> PointKey {
         PointKey {
             matrix: matrix.into(),
             n: 100,
             p: 16,
             pz,
-            batched,
             lookahead: None,
             faults: None,
             backend: None,
@@ -325,7 +324,6 @@ mod tests {
 
     fn snap(label: &str, points: Vec<BenchPoint>) -> Snapshot {
         Snapshot {
-            version: 3,
             label: label.into(),
             points,
         }
@@ -375,8 +373,8 @@ mod tests {
 
     #[test]
     fn wall_regressions_do_not_gate_by_default() {
-        let base = snap("pr4", vec![pt(key("m", 1, false), 0.010, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1, false), 0.100, 2.0)]);
+        let base = snap("pr4", vec![pt(key("m", 1), 0.010, 2.0)]);
+        let new = snap("pr8", vec![pt(key("m", 1), 0.100, 2.0)]);
         let cmp = compare(&new, &base, Tolerance::default());
         let wall = &cmp.matched[0].verdicts[0];
         assert_eq!(wall.verdict, Verdict::Regressed);
@@ -396,8 +394,8 @@ mod tests {
 
     #[test]
     fn sim_regressions_gate() {
-        let base = snap("pr4", vec![pt(key("m", 1, false), 0.010, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1, false), 0.010, 2.5)]);
+        let base = snap("pr4", vec![pt(key("m", 1), 0.010, 2.0)]);
+        let new = snap("pr8", vec![pt(key("m", 1), 0.010, 2.5)]);
         let cmp = compare(&new, &base, Tolerance::default());
         assert!(cmp.regressed());
         let (imp, unch, reg, inc) = cmp.tallies();
@@ -408,22 +406,16 @@ mod tests {
     fn missing_and_extra_points_are_reported_not_gated() {
         let base = snap(
             "pr4",
-            vec![
-                pt(key("m", 1, false), 0.01, 2.0),
-                pt(key("m", 4, false), 0.01, 1.0),
-            ],
+            vec![pt(key("m", 1), 0.01, 2.0), pt(key("m", 4), 0.01, 1.0)],
         );
         let new = snap(
             "pr8",
-            vec![
-                pt(key("m", 1, false), 0.01, 2.0),
-                pt(key("m", 1, true), 0.01, 2.0),
-            ],
+            vec![pt(key("m", 1), 0.01, 2.0), pt(key("m", 2), 0.01, 2.0)],
         );
         let cmp = compare(&new, &base, Tolerance::default());
         assert_eq!(cmp.matched.len(), 1);
-        assert_eq!(cmp.missing, vec![key("m", 4, false)]);
-        assert_eq!(cmp.extra, vec![key("m", 1, true)]);
+        assert_eq!(cmp.missing, vec![key("m", 4)]);
+        assert_eq!(cmp.extra, vec![key("m", 2)]);
         assert!(!cmp.regressed());
     }
 
@@ -437,10 +429,10 @@ mod tests {
         let snap_ok = snap(
             "pr10",
             vec![
-                pt(key("m", 1, false), 0.01, 2.0),
-                pt(tg(key("m", 1, false)), 0.01, 2.0),
-                pt(key("m", 4, false), 0.01, 1.0),
-                pt(tg(key("m", 4, false)), 0.01, 0.9),
+                pt(key("m", 1), 0.01, 2.0),
+                pt(tg(key("m", 1)), 0.01, 2.0),
+                pt(key("m", 4), 0.01, 1.0),
+                pt(tg(key("m", 4)), 0.01, 0.9),
             ],
         );
         let gate = schedule_gate(&snap_ok);
@@ -449,28 +441,25 @@ mod tests {
         // a taskgraph point above its level twin fails the gate
         let snap_bad = snap(
             "pr10",
-            vec![
-                pt(key("m", 4, false), 0.01, 1.0),
-                pt(tg(key("m", 4, false)), 0.01, 1.1),
-            ],
+            vec![pt(key("m", 4), 0.01, 1.0), pt(tg(key("m", 4)), 0.01, 1.1)],
         );
         let gate = schedule_gate(&snap_bad);
         assert!(!gate.ok());
         assert!(gate.violations[0].contains("exceeds level"));
         // an unpaired taskgraph point is a violation, not silence
-        let snap_orphan = snap("pr10", vec![pt(tg(key("m", 4, false)), 0.01, 1.0)]);
+        let snap_orphan = snap("pr10", vec![pt(tg(key("m", 4)), 0.01, 1.0)]);
         let gate = schedule_gate(&snap_orphan);
         assert!(!gate.ok());
         assert!(gate.violations[0].contains("no level twin"));
         // level-only snapshots produce zero pairs (the CLI rejects that)
-        let gate = schedule_gate(&snap("pr10", vec![pt(key("m", 4, false), 0.01, 1.0)]));
+        let gate = schedule_gate(&snap("pr10", vec![pt(key("m", 4), 0.01, 1.0)]));
         assert!(gate.ok() && gate.pairs.is_empty());
     }
 
     #[test]
     fn report_json_carries_the_gate_flag() {
-        let base = snap("pr4", vec![pt(key("m", 1, false), 0.01, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1, false), 0.01, 2.5)]);
+        let base = snap("pr4", vec![pt(key("m", 1), 0.01, 2.0)]);
+        let new = snap("pr8", vec![pt(key("m", 1), 0.01, 2.5)]);
         let cmp = compare(&new, &base, Tolerance::default());
         let doc = cmp.to_json();
         assert_eq!(doc.get("regressed").and_then(Json::as_bool), Some(true));

@@ -5,7 +5,7 @@
 //!
 //! A campaign is a TOML spec (see `campaigns/*.toml` and docs/campaign.md)
 //! that sweeps generator/matrix × `n` × `P` × `Pz` × options
-//! (`batched`, `lookahead`, `faults`, `backend`). The runner expands the
+//! (`lookahead`, `faults`, `backend`, `schedule`). The runner expands the
 //! sweep into jobs, factors each one best-of-N, writes per-job artifact
 //! directories (metrics / memprof / commvol / hostprof — the latter for
 //! threaded-backend jobs only, optionally a Chrome trace), and emits:
@@ -16,9 +16,8 @@
 //!   regression report with per-metric verdicts
 //!   (improved / unchanged / regressed / incomparable).
 //!
-//! The comparator loads every historical snapshot generation (v1–v3) and
-//! matches points by
-//! `(matrix, n, p, pz, batched, lookahead, faults, backend)`;
+//! The comparator matches points by
+//! `(matrix, n, p, pz, lookahead, faults, backend, schedule)`;
 //! deterministic simulated metrics gate under a tight tolerance band,
 //! host wall-clock under a loose, by default non-gating one. The
 //! `salu-campaign` binary fronts all of this for the CLI and CI.

@@ -125,14 +125,13 @@ mod tests {
     use crate::compare::{compare, Tolerance};
     use crate::snapshot::{BenchPoint, PointKey};
 
-    fn point(batched: bool, makespan: f64) -> BenchPoint {
+    fn point(pz: u64, makespan: f64) -> BenchPoint {
         BenchPoint {
             key: PointKey {
                 matrix: "m".into(),
                 n: 64,
                 p: 4,
-                pz: 1,
-                batched,
+                pz,
                 lookahead: None,
                 faults: None,
                 backend: None,
@@ -149,14 +148,12 @@ mod tests {
     #[test]
     fn reports_render_verdicts_and_coverage() {
         let base = Snapshot {
-            version: 2,
             label: "pr4".into(),
-            points: vec![point(false, 2.0), point(true, 2.0)],
+            points: vec![point(1, 2.0), point(2, 2.0)],
         };
         let new = Snapshot {
-            version: 3,
             label: "pr8".into(),
-            points: vec![point(false, 2.5)],
+            points: vec![point(1, 2.5)],
         };
         let cmp = compare(&new, &base, Tolerance::default());
         let md = compare_markdown(&cmp);
@@ -164,7 +161,7 @@ mod tests {
         assert!(md.contains("**(gated)**"));
         assert!(md.contains("Baseline points not re-measured"));
         let run = run_markdown(&new, &["m p=4 pz=3".into()], &[]);
-        assert!(run.contains("| m n=64 P=4 Pz=1 per-block |"));
+        assert!(run.contains("| m n=64 P=4 Pz=1 |"));
         assert!(run.contains("Skipped sweep"));
         assert!(!run.contains("Failed jobs"));
         let run = run_markdown(&new, &[], &["slug: job panicked: boom".into()]);

@@ -3,10 +3,10 @@
 //! artifact directories.
 //!
 //! Each job factors its matrix `reps` times and keeps the **minimum** host
-//! wall-clock — the standard estimator for run-to-run noise, lifted from
-//! the old `bench_snapshot` binary. Simulated metrics (makespan, ledger
-//! bytes, wire words) are bitwise deterministic, so they are taken from
-//! the last repetition after asserting the factor digest never moved.
+//! wall-clock — the standard estimator for run-to-run noise. Simulated
+//! metrics (makespan, ledger bytes, wire words) are bitwise deterministic,
+//! so they are taken from the last repetition after asserting the factor
+//! digest never moved.
 //!
 //! Every job writes `metrics.json`, `memprof.json`, `commvol.json`, and
 //! `hostprof.json` into `<out>/jobs/<slug>/`; with `trace = true` in the
@@ -114,7 +114,6 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         pz: job.pz,
         model: TimeModel::edison_like(),
         lookahead: job.lookahead,
-        batched_schur: job.batched,
         backend: job.backend,
         schedule: job.schedule,
         // Host-time phase attribution only makes sense when every rank
@@ -210,7 +209,6 @@ fn to_point(job: &Job, run: &JobRun) -> BenchPoint {
             n: run.n as u64,
             p: job.p as u64,
             pz: job.pz as u64,
-            batched: job.batched,
             lookahead: (job.lookahead as u64 != DEFAULT_LOOKAHEAD).then_some(job.lookahead as u64),
             faults: job.faults.clone(),
             backend: (job.backend != Backend::Threaded).then(|| job.backend.to_string()),
@@ -311,7 +309,6 @@ pub fn run_campaign(spec: &CampaignSpec, out_dir: &Path) -> Result<CampaignOutco
     }
     Ok(CampaignOutcome {
         snapshot: Snapshot {
-            version: 3,
             label: spec.pr_label.clone(),
             points,
         },
@@ -330,37 +327,29 @@ mod tests {
     fn tiny_campaign_runs_and_snapshots() {
         let spec = CampaignSpec::parse(
             "[campaign]\nname = \"t\"\npr = \"test\"\nreps = 2\nworkers = 2\n\
-             [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [4]\npz = [1, 2]\nbatched = [false, true]\n",
+             [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [4]\npz = [1, 2]\n",
         )
         .unwrap();
         let dir = std::env::temp_dir().join(format!("campaign-test-{}", std::process::id()));
         let out = run_campaign(&spec, &dir).unwrap();
-        assert_eq!(out.snapshot.points.len(), 4);
+        assert_eq!(out.snapshot.points.len(), 2);
         assert!(out.skipped.is_empty());
-        // batched and per-block share the simulated metrics
-        let key = |batched| PointKey {
+        let key = PointKey {
             matrix: "k2d5pt".into(),
             n: out.snapshot.points[0].key.n,
             p: 4,
             pz: 1,
-            batched,
             lookahead: None,
             faults: None,
             backend: None,
             schedule: None,
         };
-        let pb = out.snapshot.find(&key(false)).unwrap();
-        let ba = out.snapshot.find(&key(true)).unwrap();
-        assert_eq!(pb.metric("makespan_secs"), ba.metric("makespan_secs"));
-        assert!(pb.metric("wall_secs").unwrap() > 0.0);
+        let planar = out.snapshot.find(&key).unwrap();
+        assert!(planar.metric("wall_secs").unwrap() > 0.0);
+        assert!(planar.metric("makespan_secs").unwrap() > 0.0);
         // artifacts landed per job
         for p in &out.snapshot.points {
-            let slug = format!(
-                "k2d5pt-p{}-pz{}-{}",
-                p.key.p,
-                p.key.pz,
-                if p.key.batched { "batched" } else { "perblock" }
-            );
+            let slug = format!("k2d5pt-p{}-pz{}", p.key.p, p.key.pz);
             for f in [
                 "metrics.json",
                 "memprof.json",
@@ -396,7 +385,7 @@ mod tests {
         ] {
             assert_eq!(thr.metric(m), evt.metric(m), "{m}");
         }
-        let evt_dir = dir.join("jobs").join("k2d5pt-p4-pz2-perblock-event");
+        let evt_dir = dir.join("jobs").join("k2d5pt-p4-pz2-event");
         assert!(evt_dir.join("commvol.json").is_file());
         assert!(
             !evt_dir.join("hostprof.json").exists(),
@@ -431,10 +420,7 @@ mod tests {
             assert_eq!(lv.metric(m), tg.metric(m), "{m}");
         }
         // both artifact dirs landed, the taskgraph one under its suffix
-        for slug in [
-            "k2d5pt-p4-pz2-perblock-event",
-            "k2d5pt-p4-pz2-perblock-event-taskgraph",
-        ] {
+        for slug in ["k2d5pt-p4-pz2-event", "k2d5pt-p4-pz2-event-taskgraph"] {
             assert!(
                 dir.join("jobs").join(slug).join("commvol.json").is_file(),
                 "{slug}"

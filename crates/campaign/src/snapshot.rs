@@ -1,24 +1,17 @@
 //! Bench-snapshot documents: the `BENCH_*.json` perf trajectory.
 //!
-//! Every PR that moves performance leaves one snapshot in `results/`. Three
-//! schema generations exist and the loader reads all of them into the same
-//! logical shape, so the comparator can diff any pair:
+//! Every PR that moves performance leaves one snapshot in `results/`, all
+//! in one schema, `salu-bench-snapshot/3`: one record per measured
+//! configuration, keyed by
+//! `(matrix, n, p, pz, lookahead, faults, backend, schedule)`, with the
+//! metric columns of [`METRICS`]. `scale` is carried for display but not
+//! matched on (matrix + n already pin the problem). A record that omits an
+//! option column means that option's default (`lookahead = 8`,
+//! `backend = "threaded"`, `schedule = "level"`, no faults).
 //!
-//! - `salu-bench-snapshot/1` (`BENCH_pr3.json`): one point per config,
-//!   per-block Schur path only — loads as `batched = false`.
-//! - `salu-bench-snapshot/2` (`BENCH_pr4.json`): each point carries both
-//!   `wall_secs` and `wall_secs_batched` — loads as **two** logical points
-//!   (`batched = false` / `true`) sharing the simulated metrics, which are
-//!   path-independent by construction.
-//! - `salu-bench-snapshot/3` (campaign runner output): one point per job
-//!   with an explicit `batched` flag plus the swept options (`lookahead`,
-//!   `faults`) in the key.
-//!
-//! Points are keyed by
-//! `(matrix, n, p, pz, batched, lookahead, faults, backend)`; `scale` is
-//! carried for display but not matched on (matrix + n already pin the
-//! problem). Documents that predate a key column match its default
-//! (`lookahead = 8`, `backend = "threaded"`).
+//! The snapshots of PRs 3 and 4 were written in two earlier generations
+//! and migrated once (docs/campaign.md, "Snapshots"); the loader reads
+//! only `/3` and says so when handed anything else.
 
 use simgrid::Json;
 
@@ -29,9 +22,8 @@ pub struct PointKey {
     pub n: u64,
     pub p: u64,
     pub pz: u64,
-    pub batched: bool,
-    /// `None` in v1/v2 documents (which predate option sweeps) and for
-    /// v3 points at the default window; matched as equal to the default.
+    /// `None` for points at the default window (and in documents that
+    /// predate option sweeps); matched as equal to the default.
     pub lookahead: Option<u64>,
     pub faults: Option<String>,
     /// Execution backend (`threaded` | `event`). `None` in documents that
@@ -45,28 +37,15 @@ pub struct PointKey {
 }
 
 impl PointKey {
-    /// Canonical form for matching: v1/v2 points carry no lookahead field,
-    /// and v3 points at the default window mean the same configuration.
+    /// Canonical form for matching: an absent option column and its
+    /// explicit default mean the same configuration.
     #[allow(clippy::type_complexity)]
-    fn canon(
-        &self,
-    ) -> (
-        String,
-        u64,
-        u64,
-        u64,
-        bool,
-        u64,
-        Option<String>,
-        String,
-        String,
-    ) {
+    fn canon(&self) -> (String, u64, u64, u64, u64, Option<String>, String, String) {
         (
             self.matrix.clone(),
             self.n,
             self.p,
             self.pz,
-            self.batched,
             self.lookahead.unwrap_or(DEFAULT_LOOKAHEAD),
             self.faults.clone(),
             self.backend.clone().unwrap_or_else(|| "threaded".into()),
@@ -80,19 +59,15 @@ impl PointKey {
 }
 
 /// The default lookahead window (`SolverConfig::default().lookahead`),
-/// assumed for snapshot generations that predate option sweeps.
+/// assumed for records without a `lookahead` column.
 pub const DEFAULT_LOOKAHEAD: u64 = 8;
 
 impl std::fmt::Display for PointKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} n={} P={} Pz={} {}",
-            self.matrix,
-            self.n,
-            self.p,
-            self.pz,
-            if self.batched { "batched" } else { "per-block" }
+            "{} n={} P={} Pz={}",
+            self.matrix, self.n, self.p, self.pz
         )?;
         if let Some(la) = self.lookahead {
             if la != DEFAULT_LOOKAHEAD {
@@ -155,30 +130,31 @@ impl BenchPoint {
     }
 }
 
+/// The one snapshot schema generation read and written.
+pub const SCHEMA: &str = "salu-bench-snapshot/3";
+
 /// A loaded snapshot document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
-    /// Schema generation (1, 2, or 3).
-    pub version: u32,
     /// The `pr` label, e.g. `pr4`.
     pub label: String,
     pub points: Vec<BenchPoint>,
 }
 
 impl Snapshot {
-    /// Parse any supported `BENCH_*.json` generation.
+    /// Parse a `BENCH_*.json` document.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
         let doc = Json::parse(text)?;
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("snapshot has no schema field")?;
-        let version: u32 = schema
-            .strip_prefix("salu-bench-snapshot/")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("unknown snapshot schema '{schema}'"))?;
-        if !(1..=3).contains(&version) {
-            return Err(format!("unsupported snapshot schema version {version}"));
+        if schema != SCHEMA {
+            return Err(format!(
+                "snapshot schema is '{schema}', but the only supported generation is \
+                 '{SCHEMA}' (the /1 and /2 files of PRs 3-4 were migrated once; see \
+                 docs/campaign.md)"
+            ));
         }
         let label = doc
             .get("pr")
@@ -191,13 +167,9 @@ impl Snapshot {
             .ok_or("snapshot has no points array")?;
         let mut points = Vec::new();
         for (i, pt) in raw.iter().enumerate() {
-            load_point(pt, version, &mut points).map_err(|e| format!("point #{i}: {e}"))?;
+            points.push(load_point(pt).map_err(|e| format!("point #{i}: {e}"))?);
         }
-        Ok(Snapshot {
-            version,
-            label,
-            points,
-        })
+        Ok(Snapshot { label, points })
     }
 
     /// Read and parse a snapshot file.
@@ -212,8 +184,7 @@ impl Snapshot {
         self.points.iter().find(|p| p.key.matches(key))
     }
 
-    /// Serialize as a v3 document (the only generation the workspace
-    /// writes going forward).
+    /// Serialize as a [`SCHEMA`] document.
     pub fn to_json(&self) -> Json {
         let points = self
             .points
@@ -225,7 +196,6 @@ impl Snapshot {
                     ("n".into(), Json::num(p.key.n as f64)),
                     ("p".into(), Json::num(p.key.p as f64)),
                     ("pz".into(), Json::num(p.key.pz as f64)),
-                    ("batched".into(), Json::Bool(p.key.batched)),
                     (
                         "lookahead".into(),
                         Json::num(p.key.lookahead.unwrap_or(DEFAULT_LOOKAHEAD) as f64),
@@ -249,14 +219,14 @@ impl Snapshot {
             })
             .collect();
         Json::Obj(vec![
-            ("schema".into(), Json::str("salu-bench-snapshot/3")),
+            ("schema".into(), Json::str(SCHEMA)),
             ("pr".into(), Json::str(&self.label)),
             ("points".into(), Json::Arr(points)),
         ])
     }
 }
 
-fn load_point(pt: &Json, version: u32, out: &mut Vec<BenchPoint>) -> Result<(), String> {
+fn load_point(pt: &Json) -> Result<BenchPoint, String> {
     let str_field = |k: &str| pt.get(k).and_then(Json::as_str).map(str::to_string);
     let num_field = |k: &str| -> Result<u64, String> {
         pt.get(k)
@@ -264,135 +234,69 @@ fn load_point(pt: &Json, version: u32, out: &mut Vec<BenchPoint>) -> Result<(), 
             .map(|v| v as u64)
             .ok_or_else(|| format!("missing numeric field '{k}'"))
     };
-    let matrix = str_field("matrix").ok_or("missing matrix name")?;
-    let scale = str_field("scale").unwrap_or_default();
-    let base = PointKey {
-        matrix,
-        n: num_field("n")?,
-        p: num_field("p")?,
-        pz: num_field("pz")?,
-        batched: false,
-        lookahead: None,
-        faults: None,
-        backend: None,
-        schedule: None,
-    };
-    let sim_metrics = |skip_wall: bool| -> Vec<(String, f64)> {
-        METRICS
+    Ok(BenchPoint {
+        key: PointKey {
+            matrix: str_field("matrix").ok_or("missing matrix name")?,
+            n: num_field("n")?,
+            p: num_field("p")?,
+            pz: num_field("pz")?,
+            lookahead: pt.get("lookahead").and_then(Json::as_f64).map(|v| v as u64),
+            faults: str_field("faults"),
+            backend: str_field("backend"),
+            schedule: str_field("schedule"),
+        },
+        scale: str_field("scale").unwrap_or_default(),
+        metrics: METRICS
             .iter()
-            .filter(|m| !(skip_wall && is_wall_metric(m)))
             .filter_map(|m| pt.get(m).and_then(Json::as_f64).map(|v| (m.to_string(), v)))
-            .collect()
-    };
-    match version {
-        1 => out.push(BenchPoint {
-            key: base,
-            scale,
-            metrics: sim_metrics(false),
-        }),
-        2 => {
-            // One v2 record is two logical points: the per-block wall and
-            // the batched wall, sharing the (path-independent) simulated
-            // metrics.
-            out.push(BenchPoint {
-                key: base.clone(),
-                scale: scale.clone(),
-                metrics: sim_metrics(false),
-            });
-            if let Some(wb) = pt.get("wall_secs_batched").and_then(Json::as_f64) {
-                let mut metrics = vec![("wall_secs".to_string(), wb)];
-                metrics.extend(sim_metrics(true));
-                out.push(BenchPoint {
-                    key: PointKey {
-                        batched: true,
-                        ..base
-                    },
-                    scale,
-                    metrics,
-                });
-            }
-        }
-        3 => {
-            let key = PointKey {
-                batched: pt.get("batched").and_then(Json::as_bool).unwrap_or(false),
-                lookahead: pt.get("lookahead").and_then(Json::as_f64).map(|v| v as u64),
-                faults: str_field("faults"),
-                backend: str_field("backend"),
-                schedule: str_field("schedule"),
-                ..base
-            };
-            out.push(BenchPoint {
-                key,
-                scale,
-                metrics: sim_metrics(false),
-            });
-        }
-        _ => unreachable!("version validated by caller"),
-    }
-    Ok(())
+            .collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v1_doc() -> String {
-        r#"{
-          "schema": "salu-bench-snapshot/1", "pr": "pr3",
-          "points": [{"matrix": "k2d5pt", "n": 4096, "p": 16, "pz": 1,
-                      "wall_secs": 0.03, "makespan_secs": 0.007,
-                      "max_peak_bytes": 566032, "total_peak_bytes": 5318408,
-                      "w_fact_words": 204950, "w_red_words": 0,
-                      "total_sent_words": 1868472}]
-        }"#
-        .to_string()
-    }
-
-    fn v2_doc() -> String {
-        r#"{
-          "schema": "salu-bench-snapshot/2", "pr": "pr4",
-          "points": [{"matrix": "k2d5pt", "scale": "small", "n": 4096,
-                      "p": 16, "pz": 1,
-                      "wall_secs": 0.034, "wall_secs_batched": 0.032,
-                      "batched_speedup": 1.05, "makespan_secs": 0.0068,
-                      "max_peak_bytes": 566032, "total_peak_bytes": 5260912,
-                      "w_fact_words": 204950, "w_red_words": 0,
-                      "total_sent_words": 1868472}]
-        }"#
-        .to_string()
+    fn key() -> PointKey {
+        PointKey {
+            matrix: "m".into(),
+            n: 10,
+            p: 4,
+            pz: 1,
+            lookahead: None,
+            faults: None,
+            backend: None,
+            schedule: None,
+        }
     }
 
     #[test]
-    fn v1_loads_as_perblock_points() {
-        let s = Snapshot::parse(&v1_doc()).unwrap();
-        assert_eq!((s.version, s.label.as_str()), (1, "pr3"));
+    fn records_without_option_columns_load_at_the_defaults() {
+        // The shape of the migrated PR 3 / PR 4 records: no option columns.
+        let s = Snapshot::parse(
+            r#"{
+              "schema": "salu-bench-snapshot/3", "pr": "pr3",
+              "points": [{"matrix": "k2d5pt", "n": 4096, "p": 16, "pz": 1,
+                          "wall_secs": 0.03, "makespan_secs": 0.007,
+                          "max_peak_bytes": 566032, "total_peak_bytes": 5318408,
+                          "w_fact_words": 204950, "w_red_words": 0,
+                          "total_sent_words": 1868472, "not_a_metric": 1.5}]
+            }"#,
+        )
+        .unwrap();
+        assert_eq!(s.label, "pr3");
         assert_eq!(s.points.len(), 1);
         let p = &s.points[0];
-        assert!(!p.key.batched);
         assert_eq!(p.key.lookahead, None);
         assert_eq!(p.metric("wall_secs"), Some(0.03));
         assert_eq!(p.metric("w_fact_words"), Some(204950.0));
+        // only the columns of METRICS are compared metrics
+        assert_eq!(p.metric("not_a_metric"), None);
     }
 
     #[test]
-    fn v2_splits_into_two_logical_points() {
-        let s = Snapshot::parse(&v2_doc()).unwrap();
-        assert_eq!(s.points.len(), 2);
-        let (pb, ba) = (&s.points[0], &s.points[1]);
-        assert!(!pb.key.batched);
-        assert!(ba.key.batched);
-        assert_eq!(pb.metric("wall_secs"), Some(0.034));
-        assert_eq!(ba.metric("wall_secs"), Some(0.032));
-        // simulated metrics are shared between the two logical points
-        assert_eq!(pb.metric("makespan_secs"), ba.metric("makespan_secs"));
-        // batched_speedup is derived, not a compared metric
-        assert_eq!(pb.metric("batched_speedup"), None);
-    }
-
-    #[test]
-    fn v3_roundtrips_through_to_json() {
+    fn roundtrips_through_to_json() {
         let snap = Snapshot {
-            version: 3,
             label: "pr8".into(),
             points: vec![BenchPoint {
                 key: PointKey {
@@ -400,7 +304,6 @@ mod tests {
                     n: 1024,
                     p: 16,
                     pz: 4,
-                    batched: true,
                     lookahead: Some(4),
                     faults: Some("drop:p=0.05".into()),
                     backend: Some("event".into()),
@@ -414,52 +317,25 @@ mod tests {
             }],
         };
         let reparsed = Snapshot::parse(&snap.to_json().pretty()).unwrap();
-        assert_eq!(reparsed.version, 3);
-        assert_eq!(reparsed.points, snap.points);
+        assert_eq!(reparsed, snap);
     }
 
     #[test]
-    fn v1_and_v3_default_lookahead_match() {
-        let a = PointKey {
-            matrix: "m".into(),
-            n: 10,
-            p: 4,
-            pz: 1,
-            batched: false,
-            lookahead: None,
-            faults: None,
-            backend: None,
-            schedule: None,
-        };
-        let b = PointKey {
+    fn absent_and_default_lookahead_match() {
+        let a = key();
+        assert!(a.matches(&PointKey {
             lookahead: Some(DEFAULT_LOOKAHEAD),
             ..a.clone()
-        };
-        let c = PointKey {
-            lookahead: Some(2),
-            ..a.clone()
-        };
-        assert!(a.matches(&b));
-        assert!(!a.matches(&c));
+        }));
         assert!(!a.matches(&PointKey {
-            batched: true,
+            lookahead: Some(2),
             ..a.clone()
         }));
     }
 
     #[test]
-    fn backend_column_defaults_to_threaded_for_old_documents() {
-        let old = PointKey {
-            matrix: "m".into(),
-            n: 10,
-            p: 4,
-            pz: 1,
-            batched: false,
-            lookahead: None,
-            faults: None,
-            backend: None,
-            schedule: None,
-        };
+    fn backend_column_defaults_to_threaded() {
+        let old = key();
         // An absent column and an explicit "threaded" are the same point;
         // an event point is new coverage, never matched against threaded.
         assert!(old.matches(&PointKey {
@@ -480,18 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn schedule_column_defaults_to_level_for_old_documents() {
-        let old = PointKey {
-            matrix: "m".into(),
-            n: 10,
-            p: 4,
-            pz: 1,
-            batched: false,
-            lookahead: None,
-            faults: None,
-            backend: None,
-            schedule: None,
-        };
+    fn schedule_column_defaults_to_level() {
+        let old = key();
         // An absent column and an explicit "level" are the same point; a
         // taskgraph point is new coverage, never matched against level.
         assert!(old.matches(&PointKey {
@@ -513,9 +379,31 @@ mod tests {
     }
 
     #[test]
-    fn unknown_schema_is_an_error() {
+    fn exactly_one_schema_generation_is_accepted() {
+        // The retired generations are refused by name, not half-loaded.
+        for old in ["salu-bench-snapshot/1", "salu-bench-snapshot/2"] {
+            let e =
+                Snapshot::parse(&format!(r#"{{"schema": "{old}", "points": []}}"#)).unwrap_err();
+            assert!(e.contains(old) && e.contains(SCHEMA), "{e}");
+        }
         assert!(Snapshot::parse(r#"{"schema": "salu-bench-snapshot/9", "points": []}"#).is_err());
         assert!(Snapshot::parse(r#"{"points": []}"#).is_err());
         assert!(Snapshot::parse(r#"{"schema": "other/1", "points": []}"#).is_err());
+    }
+
+    #[test]
+    fn every_committed_snapshot_loads() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).expect("results/ exists") {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let snap = Snapshot::load(path.to_str().unwrap()).unwrap_or_else(|e| panic!("{e}"));
+                assert!(!snap.points.is_empty(), "{name}");
+                seen += 1;
+            }
+        }
+        assert!(seen >= 4, "expected BENCH_pr3/4/8/10");
     }
 }

@@ -49,7 +49,6 @@ pub struct PointSpec {
     pub maxsup: usize,
     pub p: Vec<usize>,
     pub pz: Vec<usize>,
-    pub batched: Vec<bool>,
     pub lookahead: Vec<usize>,
     /// Fault-plan specs in `FaultPlan::parse` syntax; `""` means no
     /// faults (the common case, and the default sweep).
@@ -74,7 +73,6 @@ pub struct Job {
     pub maxsup: usize,
     pub p: usize,
     pub pz: usize,
-    pub batched: bool,
     pub lookahead: usize,
     /// `None` = fault-free.
     pub faults: Option<String>,
@@ -86,13 +84,7 @@ pub struct Job {
 impl Job {
     /// Filesystem-safe slug naming this job's artifact directory.
     pub fn slug(&self) -> String {
-        let mut s = format!(
-            "{}-p{}-pz{}-{}",
-            self.matrix.label(),
-            self.p,
-            self.pz,
-            if self.batched { "batched" } else { "perblock" }
-        );
+        let mut s = format!("{}-p{}-pz{}", self.matrix.label(), self.p, self.pz);
         if self.lookahead != 8 {
             s.push_str(&format!("-la{}", self.lookahead));
         }
@@ -132,9 +124,17 @@ impl CampaignSpec {
     /// Parse a spec document.
     pub fn parse(text: &str) -> Result<CampaignSpec, String> {
         let doc = toml::parse(text)?;
+        for (name, _) in &doc.sections {
+            if !["campaign", "tolerance", "point"].contains(&name.as_str()) {
+                return Err(format!(
+                    "unknown section [{name}] (known: [campaign], [tolerance], [[point]])"
+                ));
+            }
+        }
         let header = doc
             .section("campaign")
             .ok_or("spec has no [campaign] section")?;
+        known_keys(header, CAMPAIGN_KEYS).map_err(|e| format!("[campaign]: {e}"))?;
         let name = req_str(header, "campaign", "name")?;
         let pr_label = opt_str(header, "pr")?.unwrap_or_else(|| name.clone());
         let reps = opt_usize(header, "campaign", "reps")?.unwrap_or(1).max(1);
@@ -148,6 +148,7 @@ impl CampaignSpec {
         };
         let mut tolerance = Tolerance::default();
         if let Some(t) = doc.section("tolerance") {
+            known_keys(t, TOLERANCE_KEYS).map_err(|e| format!("[tolerance]: {e}"))?;
             if let Some(v) = t.get("wall") {
                 tolerance.wall = v.as_f64().ok_or("[tolerance] wall must be a number")?;
             }
@@ -195,25 +196,22 @@ impl CampaignSpec {
                         ));
                         continue;
                     }
-                    for &batched in &pt.batched {
-                        for &lookahead in &pt.lookahead {
-                            for faults in &pt.faults {
-                                for &backend in &pt.backend {
-                                    for &schedule in &pt.schedule {
-                                        jobs.push(Job {
-                                            matrix: pt.matrix.clone(),
-                                            leaf: pt.leaf,
-                                            maxsup: pt.maxsup,
-                                            p,
-                                            pz,
-                                            batched,
-                                            lookahead,
-                                            faults: (!faults.is_empty()).then(|| faults.clone()),
-                                            backend,
-                                            schedule,
-                                            reps: pt.reps.unwrap_or(self.reps),
-                                        });
-                                    }
+                    for &lookahead in &pt.lookahead {
+                        for faults in &pt.faults {
+                            for &backend in &pt.backend {
+                                for &schedule in &pt.schedule {
+                                    jobs.push(Job {
+                                        matrix: pt.matrix.clone(),
+                                        leaf: pt.leaf,
+                                        maxsup: pt.maxsup,
+                                        p,
+                                        pz,
+                                        lookahead,
+                                        faults: (!faults.is_empty()).then(|| faults.clone()),
+                                        backend,
+                                        schedule,
+                                        reps: pt.reps.unwrap_or(self.reps),
+                                    });
                                 }
                             }
                         }
@@ -225,7 +223,44 @@ impl CampaignSpec {
     }
 }
 
+/// The keys each block reads. Anything else is an error, not an ignored
+/// line: a misspelt axis must not quietly shrink the sweep.
+const CAMPAIGN_KEYS: &[&str] = &["name", "pr", "reps", "workers", "baseline", "trace"];
+const TOLERANCE_KEYS: &[&str] = &["wall", "sim", "gate_wall"];
+const POINT_KEYS: &[&str] = &[
+    "matrix",
+    "gen",
+    "scale",
+    "leaf",
+    "maxsup",
+    "p",
+    "pz",
+    "lookahead",
+    "faults",
+    "backend",
+    "schedule",
+    "reps",
+];
+
+fn known_keys(t: &Table, known: &[&str]) -> Result<(), String> {
+    for (key, _) in &t.entries {
+        if key == "batched" {
+            return Err(
+                "key 'batched' was removed: the Schur update now picks its kernel per \
+                 supernode from the update's size (docs/perf.md), so there is no second \
+                 path to sweep — delete the line"
+                    .into(),
+            );
+        }
+        if !known.contains(&key.as_str()) {
+            return Err(format!("unknown key '{key}' (known: {})", known.join(", ")));
+        }
+    }
+    Ok(())
+}
+
 fn parse_point(t: &Table) -> Result<PointSpec, String> {
+    known_keys(t, POINT_KEYS)?;
     let matrix = match (t.get("matrix"), t.get("gen")) {
         (Some(m), None) => MatrixSource::Named {
             name: m.as_str().ok_or("matrix must be a string")?.to_string(),
@@ -260,17 +295,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
     }
     let pz = usize_list("pz", 1)?;
     let lookahead = usize_list("lookahead", 8)?;
-    let batched = match t.get("batched") {
-        None => vec![false],
-        Some(v) => {
-            let vals: Option<Vec<bool>> = v.as_list().iter().map(Value::as_bool).collect();
-            let vals = vals.ok_or("batched must be a boolean list")?;
-            if vals.is_empty() {
-                return Err("batched sweep is empty".into());
-            }
-            vals
-        }
-    };
     let faults = match t.get("faults") {
         None => vec![String::new()],
         Some(v) => {
@@ -330,7 +354,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
         maxsup: single_usize(t, "maxsup", 32)?,
         p,
         pz,
-        batched,
         lookahead,
         faults,
         backend,
@@ -395,7 +418,7 @@ sim = 0.02
 matrix = \"k2d5pt\"
 p = [16]
 pz = [1, 4]
-batched = [false, true]
+lookahead = [0, 8]
 
 [[point]]
 gen = \"grid3d:8\"
@@ -412,19 +435,19 @@ pz = [2, 3]
         assert_eq!(spec.baseline.as_deref(), Some("results/BENCH_pr4.json"));
         assert_eq!(spec.tolerance.sim, 0.02);
         let (jobs, skipped) = spec.expand();
-        // point 1: 1 p x 2 pz x 2 batched = 4; point 2: pz=2 only (pz=3 is
-        // not a power of two) = 1.
+        // point 1: 1 p x 2 pz x 2 lookahead = 4; point 2: pz=2 only (pz=3
+        // is not a power of two) = 1.
         assert_eq!(jobs.len(), 5);
         assert_eq!(skipped.len(), 1);
         assert!(skipped[0].contains("pz=3"));
-        assert!(jobs.iter().any(|j| j.pz == 4 && j.batched));
+        assert!(jobs.iter().any(|j| j.pz == 4 && j.lookahead == 0));
         assert_eq!(
             jobs[4].matrix,
             MatrixSource::Gen {
                 spec: "grid3d:8".into()
             }
         );
-        assert_eq!(jobs[4].slug(), "grid3d8-p8-pz2-perblock");
+        assert_eq!(jobs[4].slug(), "grid3d8-p8-pz2");
     }
 
     #[test]
@@ -437,10 +460,7 @@ pz = [2, 3]
         assert!(skipped.is_empty());
         assert_eq!(jobs.len(), 1);
         let j = &jobs[0];
-        assert_eq!(
-            (j.pz, j.batched, j.lookahead, j.leaf, j.maxsup),
-            (1, false, 8, 32, 32)
-        );
+        assert_eq!((j.pz, j.lookahead, j.leaf, j.maxsup), (1, 8, 32, 32));
         assert!(j.faults.is_none());
         assert_eq!(j.schedule, Schedule::Level);
         assert_eq!(j.reps, 1);
@@ -468,6 +488,69 @@ pz = [2, 3]
             CampaignSpec::parse("[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\n").is_err(),
             "no p sweep"
         );
+    }
+
+    #[test]
+    fn unknown_keys_and_sections_are_errors_naming_the_key_and_block() {
+        let with_point_key = |line: &str| {
+            CampaignSpec::parse(&format!(
+                "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\np = 4\n{line}\n"
+            ))
+            .unwrap_err()
+        };
+        // A stale spec from before the Schur paths were folded: named, with
+        // the reason, not ignored.
+        let e = with_point_key("batched = [false, true]");
+        assert!(
+            e.contains("[[point]] #1") && e.contains("'batched' was removed"),
+            "{e}"
+        );
+        // Typo'd axes used to shrink the sweep to its defaults in silence.
+        for typo in ["bached = [true]", "backends = [\"event\"]", "Pz = [1, 4]"] {
+            let e = with_point_key(typo);
+            let key = typo.split(' ').next().unwrap();
+            assert!(
+                e.contains("[[point]] #1") && e.contains(&format!("unknown key '{key}'")),
+                "{e}"
+            );
+        }
+        let e = CampaignSpec::parse(
+            "[campaign]\nname = \"x\"\nbaselin = \"b.json\"\n[[point]]\nmatrix = \"a\"\np = 4\n",
+        )
+        .unwrap_err();
+        assert!(
+            e.contains("[campaign]") && e.contains("unknown key 'baselin'"),
+            "{e}"
+        );
+        let e = CampaignSpec::parse(
+            "[campaign]\nname = \"x\"\n[tolerance]\nsimm = 0.1\n[[point]]\nmatrix = \"a\"\np = 4\n",
+        )
+        .unwrap_err();
+        assert!(
+            e.contains("[tolerance]") && e.contains("unknown key 'simm'"),
+            "{e}"
+        );
+        // A misspelt block header would drop the whole block.
+        let e = CampaignSpec::parse(
+            "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\np = 4\n[[points]]\nmatrix = \"b\"\np = 4\n",
+        )
+        .unwrap_err();
+        assert!(e.contains("unknown section [points]"), "{e}");
+    }
+
+    #[test]
+    fn every_committed_campaign_parses() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).expect("campaigns/ exists") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "toml") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                CampaignSpec::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                seen += 1;
+            }
+        }
+        assert!(seen >= 2, "expected at least smoke.toml and scaling.toml");
     }
 
     #[test]
@@ -526,7 +609,7 @@ pz = [2, 3]
             .expect("smoke campaign carries the P=4096 point");
         assert_eq!(paper.backend, Backend::Event);
         assert_eq!(paper.reps, 1);
-        assert_eq!(paper.slug(), "grid2d64-p4096-pz1-perblock-event");
+        assert_eq!(paper.slug(), "grid2d64-p4096-pz1-event");
     }
 
     #[test]
@@ -542,8 +625,8 @@ pz = [2, 3]
         assert_eq!(jobs[0].schedule, Schedule::Level);
         assert_eq!(jobs[1].schedule, Schedule::TaskGraph);
         // level stays suffix-free so historical artifact paths never move
-        assert_eq!(jobs[0].slug(), "kkt4-p8-pz4-perblock-event");
-        assert_eq!(jobs[1].slug(), "kkt4-p8-pz4-perblock-event-taskgraph");
+        assert_eq!(jobs[0].slug(), "kkt4-p8-pz4-event");
+        assert_eq!(jobs[1].slug(), "kkt4-p8-pz4-event-taskgraph");
         assert!(
             CampaignSpec::parse(
                 "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\np = 4\nschedule = [\"eager\"]\n"

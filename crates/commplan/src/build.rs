@@ -61,9 +61,9 @@ struct Builder<'a> {
 ///
 /// `lookahead` must match `FactorOpts::lookahead`: it permutes the panel
 /// schedule (and therefore per-channel event order), though aggregate
-/// volumes are lookahead-invariant. The other solver options do not touch
-/// communication: `batched_schur` is local arithmetic and pivoting only
-/// perturbs values.
+/// volumes are lookahead-invariant. Nothing else the solver decides touches
+/// communication: which Schur kernel runs is local arithmetic, and pivoting
+/// only perturbs values.
 pub fn build_plan(
     sym: &Symbolic,
     forest: &EtreeForest,

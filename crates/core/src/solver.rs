@@ -40,11 +40,6 @@ pub struct SolverConfig {
     pub lookahead: usize,
     /// Static-pivoting threshold.
     pub pivot_threshold: f64,
-    /// Run Schur updates through the batched gather-GEMM-scatter path
-    /// (one register-blocked GEMM per supernode instead of one tiny GEMM
-    /// per block pair). Bit-identical factors and identical simulated
-    /// clocks either way — purely a host-performance knob (docs/perf.md).
-    pub batched_schur: bool,
     /// Iterative-refinement sweeps after the solve. SuperLU_DIST pairs
     /// static pivoting with refinement to recover accuracy lost to pivot
     /// perturbations (§VI: "SuperLU_DIST uses static pivoting with
@@ -118,7 +113,6 @@ impl Default for SolverConfig {
             pz: 1,
             lookahead: 8,
             pivot_threshold: 1e-10,
-            batched_schur: false,
             refine_steps: 0,
             solve_strategy: SolveStrategy::Distributed3d,
             model: TimeModel::edison_like(),
@@ -416,6 +410,33 @@ pub fn try_factor_and_solve(
     try_run(prep, cfg, rhs).map_err(SolverError::from_machine)
 }
 
+/// Solve, then run `refine_steps` sweeps of iterative refinement, on the
+/// ranks of `comm`. `solve_once` returns this rank's partial solution for a
+/// right-hand side; every rank of `comm` materializes the full vector by
+/// allreduce so it can compute the residual `b - A x` locally
+/// (redundantly, hence deterministically) from the shared matrix values.
+fn solve_and_refine(
+    rank: &mut simgrid::Rank,
+    comm: &simgrid::Comm,
+    pa: &sparsemat::Csr,
+    b: &[f64],
+    refine_steps: usize,
+    mut solve_once: impl FnMut(&mut simgrid::Rank, &[f64]) -> Vec<f64>,
+) -> Vec<f64> {
+    let xp = solve_once(rank, b);
+    let mut x_full = rank.allreduce_sum(comm, xp, simgrid::tags::CB_SOLVE_X);
+    for step in 0..refine_steps {
+        let ax = pa.matvec(&x_full);
+        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
+        let dxp = solve_once(rank, &r);
+        let dx = rank.allreduce_sum(comm, dxp, simgrid::tags::CB_REFINE | step as u64);
+        for (xi, di) in x_full.iter_mut().zip(dx) {
+            *xi += di;
+        }
+    }
+    x_full
+}
+
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
     match try_run(prep, cfg, rhs) {
         Ok(out) => out,
@@ -457,7 +478,6 @@ fn try_run(
     let opts = FactorOpts {
         lookahead: cfg.lookahead,
         pivot_threshold: cfg.pivot_threshold,
-        batched_schur: cfg.batched_schur,
     };
     let forest_cl = Arc::clone(&forest);
     let cfg_refine = cfg.refine_steps;
@@ -504,37 +524,18 @@ fn try_run(
         // Digest before any solve: GatherToGrid0 mutates the store.
         let factor_digest = store_digest(&store);
 
-        let refine_steps = cfg_refine;
         let x_partial = rhs_p.as_ref().and_then(|b| {
             rank.set_phase("solve");
             match strategy {
                 SolveStrategy::Distributed3d => {
                     let world = rank.world();
-                    let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| match solve_3d(
-                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs,
-                    ) {
-                        Ok(xp) => xp,
-                        Err(kind) => rank.fail(kind),
-                    };
-                    let xp = solve_once(rank, b);
-                    // Every rank materializes the full solution so iterative
-                    // refinement can compute residuals locally.
-                    let mut x_full = rank.allreduce_sum(&world, xp, simgrid::tags::CB_SOLVE_X);
-                    for step in 0..refine_steps {
-                        let ax = pa.matvec(&x_full);
-                        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
-                        let dxp = solve_once(rank, &r);
-                        let dx =
-                            rank.allreduce_sum(&world, dxp, simgrid::tags::CB_REFINE | step as u64);
-                        for (xi, di) in x_full.iter_mut().zip(dx) {
-                            *xi += di;
+                    let x_full = solve_and_refine(rank, &world, &pa, b, cfg_refine, |rank, rhs| {
+                        match solve_3d(rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs) {
+                            Ok(xp) => xp,
+                            Err(kind) => rank.fail(kind),
                         }
-                    }
-                    if rank.id() == 0 {
-                        Some(x_full)
-                    } else {
-                        None
-                    }
+                    });
+                    (rank.id() == 0).then_some(x_full)
                 }
                 SolveStrategy::GatherToGrid0 => {
                     gather_factors_to_grid0(rank, &comms, &mut store, &sym, &forest_cl);
@@ -550,31 +551,11 @@ fn try_run(
                         opts,
                     };
                     let nodes: Vec<usize> = (0..sym.nsup()).collect();
-                    let xp = solve_nodes(rank, &env, &store, &sym, &nodes, b);
-                    // Every layer rank materializes the full solution so
-                    // iterative refinement can compute residuals locally.
-                    let mut x_full =
-                        rank.allreduce_sum(&comms.layer, xp, simgrid::tags::CB_SOLVE_X);
-                    for step in 0..refine_steps {
-                        // r = b - A x, computed redundantly (deterministic)
-                        // on each layer rank from the shared matrix values.
-                        let ax = pa.matvec(&x_full);
-                        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
-                        let dxp = solve_nodes(rank, &env, &store, &sym, &nodes, &r);
-                        let dx = rank.allreduce_sum(
-                            &comms.layer,
-                            dxp,
-                            simgrid::tags::CB_REFINE | step as u64,
-                        );
-                        for (xi, di) in x_full.iter_mut().zip(dx) {
-                            *xi += di;
-                        }
-                    }
-                    if comms.layer.local_rank() == 0 {
-                        Some(x_full)
-                    } else {
-                        None
-                    }
+                    let x_full =
+                        solve_and_refine(rank, &comms.layer, &pa, b, cfg_refine, |rank, rhs| {
+                            solve_nodes(rank, &env, &store, &sym, &nodes, rhs)
+                        });
+                    (comms.layer.local_rank() == 0).then_some(x_full)
                 }
             }
         });

@@ -127,11 +127,24 @@ pub fn gemm_blocked_tiled(
         n,
         "col offsets must cover B's cols"
     );
+    let s_cols = col_off.len() - 1;
     assert_eq!(
         blocks.len(),
-        (row_off.len() - 1) * (col_off.len() - 1),
+        (row_off.len() - 1) * s_cols,
         "need one block per (row stripe, col stripe) pair"
     );
+    // A block smaller than its stripe would stall the tile loads on a
+    // zero-length fragment; a larger one would be silently half-updated.
+    for (bi, rows) in row_off.windows(2).enumerate() {
+        for (bj, cols) in col_off.windows(2).enumerate() {
+            let blk = &blocks[bi * s_cols + bj];
+            assert_eq!(
+                (blk.rows(), blk.cols()),
+                (rows[1] - rows[0], cols[1] - cols[0]),
+                "block ({bi},{bj}) does not have the shape of its stripes"
+            );
+        }
+    }
     gemm_core(alpha, a, b, row_off, col_off, blocks);
 }
 
@@ -208,9 +221,13 @@ fn gemm_core_ws(
     // the (L3-resident) B panel over each L2-resident A block; at the
     // sizes the solver produces that replaces `n / NC` re-packs of A with
     // cheap streaming reads of compressed B.
+    // Slabs are sized for the depth in use, not for `KC`: a width-32
+    // supernode packs a quarter of a `KC`-deep panel, and every rank thread
+    // holds its own workspace.
     let ncb = n.div_ceil(NR) * NR;
-    ensure(&mut ws.ap, MC * KC);
-    ensure(&mut ws.bp, KC * ncb);
+    let kc_max = KC.min(k);
+    ensure(&mut ws.ap, MC * kc_max);
+    ensure(&mut ws.bp, kc_max * ncb);
     ensure(&mut ws.tile_kks, (ncb / NR) * KC);
     ensure(&mut ws.tile_len, ncb / NR);
     // Zero scales remaining among kept rows' real columns: tiles with none
@@ -489,6 +506,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tiled_matches_one_axpy_gemm_per_block() {
+        // C tiled from ragged stripes (crossing MR/NR tile boundaries): the
+        // fused scatter must equal one axpy GEMM per block, bit for bit.
+        let (row_off, col_off, k) = ([0usize, 7, 24, 41], [0usize, 3, 22], 19);
+        let (m, n) = (41, 22);
+        let a = mk_sparse(m, k, 1);
+        let b = mk_sparse(k, n, 2);
+        let (mut blocks, mut want) = (Vec::new(), Vec::new());
+        for rows in row_off.windows(2) {
+            for cols in col_off.windows(2) {
+                let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
+                let c = mk(h, w, (rows[0] * 100 + cols[0]) as u64 + 3);
+                let mut updated = c.clone();
+                let a_blk = a.block(rows[0], 0, h, k);
+                let b_blk = b.block(0, cols[0], k, w);
+                gemm(-1.0, &a_blk, &b_blk, 1.0, &mut updated);
+                blocks.push(c);
+                want.push(updated);
+            }
+        }
+        gemm_blocked_tiled(-1.0, &a, &b, &row_off, &col_off, &mut blocks);
+        for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "block {i} differs");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not have the shape of its stripes")]
+    fn tiled_rejects_blocks_that_do_not_match_their_stripes() {
+        // Stripe 1 claims a row that belongs to block 0: used to spin
+        // forever on a zero-length tile fragment.
+        let a = mk(10, 4, 1);
+        let b = mk(4, 6, 2);
+        let mut blocks = vec![mk(5, 6, 3), mk(5, 6, 4)];
+        gemm_blocked_tiled(-1.0, &a, &b, &[0, 4, 10], &[0, 6], &mut blocks);
     }
 
     #[test]

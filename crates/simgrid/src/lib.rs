@@ -19,8 +19,8 @@
 //! - **Collectives are built on point-to-point** (binomial-tree broadcast
 //!   and reduce, dissemination barrier), so message *counts* and *volumes*
 //!   match what a real MPI implementation would transfer.
-//! - **Per-rank traffic counters**, keyed by a user-set phase label, give the
-//!   exact `W_fact` / `W_red` split of the paper's Fig. 10.
+//! - **A per-rank wire ledger** (`obs::commvol`), keyed by a user-set phase
+//!   label, gives the exact `W_fact` / `W_red` split of the paper's Fig. 10.
 //! - **Per-rank simulated clocks** follow an α-β (latency + inverse
 //!   bandwidth) network model plus a flop-rate compute model. A receive
 //!   advances the receiver's clock to the message arrival time, so the final
@@ -71,7 +71,7 @@ pub use faultlab::{
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Payload, PayloadKind};
 pub use rank::Rank;
-pub use stats::{merged_metrics, PhaseCounter, RankReport, TrafficSummary};
+pub use stats::{merged_metrics, RankReport, TrafficSummary};
 pub use timemodel::TimeModel;
 pub use topology::{Grid2d, Grid3d};
 pub use trace::{render_gantt, validate_trace};

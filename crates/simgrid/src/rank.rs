@@ -8,7 +8,7 @@ use crate::faultlab::{
     RetryPolicy, StallRule,
 };
 use crate::payload::Payload;
-use crate::stats::{PhaseCounter, RankReport};
+use crate::stats::RankReport;
 use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
@@ -66,12 +66,10 @@ pub struct Rank {
     /// ranks create communicators in the same order (SPMD discipline).
     next_ctx: u64,
     phase: String,
-    traffic: HashMap<String, PhaseCounter>,
     clock: f64,
     t_comm: f64,
     t_comp: f64,
     flops: u64,
-    peak_mem: u64,
     /// Per-send sequence number feeding message uids.
     msg_seq: u64,
     /// Span/activity recorder, present when the machine traces.
@@ -183,12 +181,10 @@ impl Rank {
             model,
             next_ctx: 1, // 0 is reserved for the world communicator
             phase: "default".to_string(),
-            traffic: HashMap::new(),
             clock: 0.0,
             t_comm: 0.0,
             t_comp: 0.0,
             flops: 0,
-            peak_mem: 0,
             msg_seq: 0,
             rec: if tracing {
                 Some(Recorder::new(world_rank))
@@ -505,10 +501,6 @@ impl Rank {
         self.ledger.peak()
     }
 
-    fn counter(&mut self) -> &mut PhaseCounter {
-        self.traffic.entry(self.phase.clone()).or_default()
-    }
-
     /// Apply any stall window whose trigger time has been reached: the
     /// rank pauses for the window's length in simulated time, recorded as
     /// a `Wait` activity under a `fault` span. Stalls are applied at the
@@ -708,9 +700,6 @@ impl Rank {
             let axis = self.comm_axis(dst_world);
             self.comm
                 .charge_send(&self.phase, class, axis, dst_world, words, struct_words, t0);
-            let c = self.counter();
-            c.sent_msgs += 1;
-            c.sent_words += words;
         } else {
             // Transport-internal duplicate under recovery: the network
             // pays, the algorithm doesn't — count it as resend overhead
@@ -1021,11 +1010,6 @@ impl Rank {
         self.ledger
             .credit_at(MemClass::MsgInFlight, 0, words * 8, done);
         self.comm.charge_recv(src_world, words);
-        {
-            let c = self.counter();
-            c.recv_msgs += 1;
-            c.recv_words += words;
-        }
         // Sanitizer: absorb the sender's clock (this receive happens after
         // the send), tick our own event, retire the outstanding entry.
         if let Some(san) = &self.san {
@@ -1206,13 +1190,6 @@ impl Rank {
         self.record(ActivityKind::Compute, t0, self.clock, None, 0, None);
     }
 
-    /// Record a memory gauge (bytes currently allocated by the caller);
-    /// keeps the peak for the final report.
-    pub fn record_memory(&mut self, bytes: u64) {
-        self.peak_mem = self.peak_mem.max(bytes);
-        self.metrics.gauge_max("mem.peak_bytes", bytes as f64);
-    }
-
     /// Current simulated clock in seconds.
     pub fn clock(&self) -> f64 {
         self.clock
@@ -1237,19 +1214,13 @@ impl Rank {
             .host
             .as_ref()
             .map(|h| h.report(wall_secs, self.flops, commvol.sent_words()));
-        // Ledger-driven high-water mark; `record_memory` snapshots (if any)
-        // are folded in so untagged callers still count.
-        let peak_mem = self.peak_mem.max(memprof.peak_bytes);
         let mut metrics = self.metrics;
-        metrics.gauge_max("mem.peak_bytes", peak_mem as f64);
+        metrics.gauge_max("mem.peak_bytes", memprof.peak_bytes as f64);
         RankReport {
-            // det-lint: allow(unordered): collected into the report's BTreeMap
-            traffic: self.traffic.into_iter().collect(),
             clock,
             t_comm: self.t_comm,
             t_comp: self.t_comp,
             flops: self.flops,
-            peak_mem_bytes: peak_mem,
             wall_secs,
             metrics,
             memprof,

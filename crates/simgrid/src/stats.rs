@@ -1,34 +1,10 @@
 //! Per-rank traffic and time accounting.
 
 use obs::{CommReport, HostReport, MemReport, MetricsRegistry, RankObs};
-use std::collections::BTreeMap;
-
-/// Message/word counters for one traffic phase on one rank.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseCounter {
-    pub sent_msgs: u64,
-    pub sent_words: u64,
-    pub recv_msgs: u64,
-    pub recv_words: u64,
-}
-
-impl PhaseCounter {
-    /// Fold another counter into this one.
-    pub fn merge(&mut self, other: &PhaseCounter) {
-        self.sent_msgs += other.sent_msgs;
-        self.sent_words += other.sent_words;
-        self.recv_msgs += other.recv_msgs;
-        self.recv_words += other.recv_words;
-    }
-}
 
 /// Everything one rank reports at the end of a run.
 #[derive(Clone, Debug, Default)]
 pub struct RankReport {
-    /// Traffic counters keyed by the phase label active when the message was
-    /// sent/received (see [`crate::Rank::set_phase`]). The paper's Fig. 10
-    /// is the `"fact"` vs `"reduce"` split of `sent_words`.
-    pub traffic: BTreeMap<String, PhaseCounter>,
     /// Final simulated clock (seconds): this rank's critical-path time.
     pub clock: f64,
     /// Simulated seconds spent in communication (transfer charges plus
@@ -38,9 +14,6 @@ pub struct RankReport {
     pub t_comp: f64,
     /// Total flops this rank charged via `advance_compute`.
     pub flops: u64,
-    /// Peak memory in bytes: the ledger high-water mark, folded with any
-    /// legacy `record_memory` snapshots.
-    pub peak_mem_bytes: u64,
     /// Wall-clock seconds this rank's thread actually ran.
     pub wall_secs: f64,
     /// Counters, gauges, and histograms this rank recorded (always on).
@@ -50,7 +23,10 @@ pub struct RankReport {
     pub memprof: MemReport,
     /// Wire-volume ledger: algorithmic words sent keyed by
     /// `(phase, class, tree level, grid axis)` plus per-edge totals
-    /// (always on). Fault-injected duplicates and retransmits are
+    /// (always on) — the one place sends and receives are counted. The
+    /// phase is the label active when the message was sent (see
+    /// [`crate::Rank::set_phase`]); the paper's Fig. 10 is the `"fact"` vs
+    /// `"reduce"` split. Fault-injected duplicates and retransmits are
     /// excluded — see `fault.resent_words` in [`RankReport::metrics`].
     pub commvol: CommReport,
     /// Host-time profile: wall-clock self time per phase summing to 100%
@@ -65,22 +41,22 @@ pub struct RankReport {
 impl RankReport {
     /// Total words sent across all phases.
     pub fn total_sent_words(&self) -> u64 {
-        self.traffic.values().map(|c| c.sent_words).sum()
+        self.commvol.sent_words()
     }
 
     /// Total messages sent across all phases.
     pub fn total_sent_msgs(&self) -> u64 {
-        self.traffic.values().map(|c| c.sent_msgs).sum()
+        self.commvol.sent_msgs()
     }
 
     /// Total words received across all phases.
     pub fn total_recv_words(&self) -> u64 {
-        self.traffic.values().map(|c| c.recv_words).sum()
+        self.commvol.recv_words()
     }
 
     /// Words sent in one phase (0 if the phase never ran).
     pub fn sent_words_in(&self, phase: &str) -> u64 {
-        self.traffic.get(phase).map_or(0, |c| c.sent_words)
+        self.commvol.phase_words(phase)
     }
 }
 
@@ -106,7 +82,7 @@ pub struct TrafficSummary {
     pub max_t_comp: f64,
     /// Maximum per-rank communication seconds.
     pub max_t_comm: f64,
-    /// Maximum per-rank peak memory (bytes).
+    /// Maximum per-rank memory-ledger high-water mark (bytes).
     pub max_peak_mem: u64,
     /// Total flops over all ranks.
     pub total_flops: u64,
@@ -132,7 +108,7 @@ impl TrafficSummary {
             s.makespan = s.makespan.max(r.clock);
             s.max_t_comp = s.max_t_comp.max(r.t_comp);
             s.max_t_comm = s.max_t_comm.max(r.t_comm);
-            s.max_peak_mem = s.max_peak_mem.max(r.peak_mem_bytes);
+            s.max_peak_mem = s.max_peak_mem.max(r.memprof.peak_bytes);
             s.total_flops += r.flops;
             for e in &r.commvol.sent_to {
                 s.edges += 1;
@@ -169,28 +145,27 @@ pub fn merged_metrics(reports: &[RankReport]) -> MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::{CommClass, CommLedger, GridAxis};
+
+    /// A report whose ledger saw `sends` as `(phase, words)` and `recvs` as
+    /// word counts, all on one edge.
+    fn report(sends: &[(&str, u64)], recvs: &[u64]) -> RankReport {
+        let mut ledger = CommLedger::new(false);
+        for &(phase, words) in sends {
+            ledger.charge_send(phase, CommClass::Control, GridAxis::X, 1, words, words, 0.0);
+        }
+        for &words in recvs {
+            ledger.charge_recv(1, words);
+        }
+        RankReport {
+            commvol: ledger.report(),
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn report_totals() {
-        let mut r = RankReport::default();
-        r.traffic.insert(
-            "fact".into(),
-            PhaseCounter {
-                sent_msgs: 2,
-                sent_words: 100,
-                recv_msgs: 1,
-                recv_words: 50,
-            },
-        );
-        r.traffic.insert(
-            "reduce".into(),
-            PhaseCounter {
-                sent_msgs: 1,
-                sent_words: 10,
-                recv_msgs: 0,
-                recv_words: 0,
-            },
-        );
+        let r = report(&[("fact", 60), ("fact", 40), ("reduce", 10)], &[50]);
         assert_eq!(r.total_sent_words(), 110);
         assert_eq!(r.total_sent_msgs(), 3);
         assert_eq!(r.total_recv_words(), 50);
@@ -200,60 +175,24 @@ mod tests {
 
     #[test]
     fn summary_aggregates_max_and_total() {
-        let mut r1 = RankReport::default();
-        r1.traffic.insert(
-            "fact".into(),
-            PhaseCounter {
-                sent_msgs: 1,
-                sent_words: 5,
-                ..Default::default()
-            },
-        );
+        let mut r1 = report(&[("fact", 5)], &[]);
         r1.clock = 2.0;
-        let mut r2 = RankReport::default();
-        r2.traffic.insert(
-            "fact".into(),
-            PhaseCounter {
-                sent_msgs: 4,
-                sent_words: 9,
-                ..Default::default()
-            },
-        );
+        r1.memprof.peak_bytes = 64;
+        let mut r2 = report(&[("fact", 2), ("fact", 3), ("fact", 4)], &[]);
         r2.clock = 1.0;
+        r2.memprof.peak_bytes = 96;
         let s = TrafficSummary::from_reports(&[r1, r2]);
         assert_eq!(s.max_sent_words, 9);
         assert_eq!(s.total_sent_words, 14);
+        assert_eq!(s.max_sent_msgs, 3);
         assert_eq!(s.makespan, 2.0);
+        assert_eq!(s.max_peak_mem, 96);
     }
 
     #[test]
     fn summary_aggregates_recv_words() {
-        let mut r1 = RankReport::default();
-        r1.traffic.insert(
-            "fact".into(),
-            PhaseCounter {
-                recv_msgs: 2,
-                recv_words: 30,
-                ..Default::default()
-            },
-        );
-        r1.traffic.insert(
-            "reduce".into(),
-            PhaseCounter {
-                recv_msgs: 1,
-                recv_words: 12,
-                ..Default::default()
-            },
-        );
-        let mut r2 = RankReport::default();
-        r2.traffic.insert(
-            "fact".into(),
-            PhaseCounter {
-                recv_msgs: 1,
-                recv_words: 25,
-                ..Default::default()
-            },
-        );
+        let r1 = report(&[], &[30, 12]);
+        let r2 = report(&[], &[25]);
         let s = TrafficSummary::from_reports(&[r1, r2]);
         assert_eq!(s.max_recv_words, 42, "r1 receives 30 + 12");
         assert_eq!(s.total_recv_words, 67);

@@ -145,10 +145,8 @@ pub fn run_2d(
             InitValues::FromMatrix,
         );
         // Ledger-driven accounting: every block charged once at build (the
-        // symbolic pattern is fully allocated up front, so the old pair of
-        // `record_memory` snapshots double-counted nothing and missed
-        // transients). The high-water mark now falls out of the ledger,
-        // identically to the 3D path.
+        // symbolic pattern is fully allocated up front); the high-water
+        // mark falls out of the ledger, identically to the 3D path.
         store.charge_to_ledger(rank, |i, j| {
             let class = if i < j {
                 MemClass::UPanel

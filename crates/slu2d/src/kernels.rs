@@ -176,11 +176,93 @@ pub fn factor_step_panel(
     (PanelData { lmap, umap }, perturbations)
 }
 
+/// Below this many (estimated dense) flops in one rank's share of a
+/// supernode's update, the gather/pack overhead of the batched kernel
+/// outweighs its register blocking and the per-block loop is faster
+/// (`kkt_scale` in the repo benchmark lives entirely below it,
+/// `nonplanar_schur` mostly above). Both kernels are bitwise identical, so
+/// this is purely a host-performance threshold.
+pub(crate) const BATCH_MIN_FLOPS: u64 = 1_000_000;
+
 /// The Schur-complement update for supernode `k` (§II-E): every rank
 /// updates its owned trailing blocks `A(I,J) -= L(I,k) * U(k,J)` for
 /// `I, J` in `struct(k)`. Purely local; the block-fill closure property
 /// guarantees every target block exists.
+///
+/// The kernel is chosen per supernode from the size of this rank's share:
+/// small updates run one `densela::gemm` per block pair, large ones gather
+/// the panel pieces and run one register-blocked GEMM over the whole
+/// update. Factors, flop charges, and simulated clocks are bit-identical
+/// either way (see docs/perf.md); `scratch` is the gather arena, reused
+/// across the supernodes of one node list.
 pub fn factor_step_schur(
+    rank: &mut Rank,
+    env: &FactorEnv,
+    store: &mut BlockStore,
+    sym: &Symbolic,
+    k: usize,
+    panels: &PanelData,
+    scratch: &mut SchurScratch,
+) {
+    factor_step_schur_at(rank, env, store, sym, k, panels, scratch, BATCH_MIN_FLOPS);
+}
+
+/// [`factor_step_schur`] with the dispatch threshold as an argument — the
+/// crate-private seam the equivalence tests use to force one kernel for
+/// every supernode (`u64::MAX`: always per-block, `0`: always batched).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn factor_step_schur_at(
+    rank: &mut Rank,
+    env: &FactorEnv,
+    store: &mut BlockStore,
+    sym: &Symbolic,
+    k: usize,
+    panels: &PanelData,
+    scratch: &mut SchurScratch,
+    batch_min_flops: u64,
+) {
+    let f0 = flops::get();
+    let grid = env.grid;
+    let struct_k = &sym.fill.struct_of[k];
+    // Size this rank's share without allocating: summed widths of the
+    // block rows / columns both kernels visit.
+    let width = |s: usize| sym.part.width(s);
+    let m_total: usize = owned_pieces(struct_k, &panels.lmap, grid.pr, env.my_r)
+        .map(width)
+        .sum();
+    let n_total: usize = owned_pieces(struct_k, &panels.umap, grid.pc, env.my_c)
+        .map(width)
+        .sum();
+    let dense_flops = 2 * (m_total * width(k) * n_total) as u64;
+    // `.max(1)`: an empty share is the per-block loop's no-op even when a
+    // test forces the threshold to zero.
+    if dense_flops < batch_min_flops.max(1) {
+        schur_per_block(rank, env, store, sym, k, panels);
+    } else {
+        schur_batched(rank, env, store, sym, k, panels, scratch);
+    }
+    let df = flops::get() - f0;
+    rank.metric_observe("gemm.flops_per_supernode", df as f64);
+    rank.advance_compute(df);
+}
+
+/// The block rows (or columns) of `struct(k)` this rank holds a panel piece
+/// for, ascending: the `I` (or `J`) both Schur kernels range over.
+fn owned_pieces<'a>(
+    struct_k: &'a [usize],
+    pieces: &'a HashMap<usize, Mat>,
+    procs: usize,
+    me: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    struct_k
+        .iter()
+        .copied()
+        .filter(move |s| s % procs == me && pieces.contains_key(s))
+}
+
+/// One `densela::gemm` per owned `(I, J)` block pair — the same loop the
+/// sequential reference [`crate::seq::seq_factor`] runs.
+fn schur_per_block(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &mut BlockStore,
@@ -189,7 +271,6 @@ pub fn factor_step_schur(
     panels: &PanelData,
 ) {
     let _host = rank.host_scope_sn(HostPhase::Gemm, k);
-    let f0 = flops::get();
     let grid = env.grid;
     let struct_k = &sym.fill.struct_of[k];
     for &j in struct_k {
@@ -212,32 +293,21 @@ pub fn factor_step_schur(
             densela::gemm(-1.0, l, u, 1.0, target);
         }
     }
-    let df = flops::get() - f0;
-    rank.metric_observe("gemm.flops_per_supernode", df as f64);
-    rank.advance_compute(df);
 }
 
-/// Batched gather-GEMM-scatter variant of [`factor_step_schur`]: instead of
-/// one tiny GEMM per `(I, J)` block pair (two hash lookups each), gather
-/// this rank's owned L-blocks and U-panel pieces into two contiguous
-/// column-major panels, run ONE register-blocked GEMM over the whole
-/// trailing update, and scatter the result rows back into the
-/// `BlockStore` targets — the supernodal-panel aggregation of the
-/// SuperLU_DIST lineage. The scatter is fused into the kernel
-/// ([`densela::gemm_blocked_tiled`] stores its C register tiles straight
-/// into the target blocks), so the targets are never copied through a
-/// scratch panel. Bit-identical to the per-block path: every target element
-/// receives the same contributions in the same ascending-`k` order with the
-/// same zero-scale skips ([`densela::gemm_blocked`]'s contract), and the
-/// total flop charge matches, so simulated clocks and traces are unchanged.
-/// Below this many (estimated dense) flops, the batched path's
-/// gather/pack/scatter overhead outweighs the register-blocked kernel's
-/// advantage and the per-block loop is faster; such supernodes dispatch to
-/// [`factor_step_schur`] unchanged. Both paths are bitwise identical, so
-/// the threshold is purely a host-performance tuning knob.
-const BATCH_MIN_FLOPS: u64 = 1_000_000;
-
-pub fn factor_step_schur_batched(
+/// Gather-GEMM-scatter: instead of one tiny GEMM per `(I, J)` block pair
+/// (two hash lookups each), gather this rank's owned L-blocks and U-panel
+/// pieces into two contiguous column-major panels and run ONE
+/// register-blocked GEMM over the whole trailing update — the
+/// supernodal-panel aggregation of the SuperLU_DIST lineage. The scatter is
+/// fused into the kernel ([`densela::gemm_blocked_tiled`] stores its C
+/// register tiles straight into the target blocks), so the targets are
+/// never copied through a scratch panel. Bit-identical to
+/// [`schur_per_block`]: every target element receives the same
+/// contributions in the same ascending-`k` order with the same zero-scale
+/// skips ([`densela::gemm_blocked`]'s contract), and the flop count
+/// matches, so simulated clocks and traces are unchanged.
+fn schur_batched(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &mut BlockStore,
@@ -246,100 +316,69 @@ pub fn factor_step_schur_batched(
     panels: &PanelData,
     scratch: &mut SchurScratch,
 ) {
-    let f0 = flops::get();
+    rank.metric_inc("schur.batched_supernodes", 1);
+    let gather_scope = rank.host_scope_sn(HostPhase::Gather, k);
     let grid = env.grid;
     let struct_k = &sym.fill.struct_of[k];
     let w = sym.part.width(k);
-
-    // Participating block rows/columns in ascending supernode order, with
-    // their panel offsets: `(id, offset, width)`.
-    let mut rows: Vec<(usize, usize, usize)> = Vec::new();
-    let mut m_total = 0usize;
-    for &i in struct_k {
-        if i % grid.pr == env.my_r && panels.lmap.contains_key(&i) {
-            let wi = sym.part.width(i);
-            rows.push((i, m_total, wi));
-            m_total += wi;
+    // Participating block rows/columns in ascending supernode order, and
+    // their panel offsets closed by the panel's total extent.
+    let stripes = |pieces: &HashMap<usize, Mat>, procs: usize, me: usize| {
+        let ids: Vec<usize> = owned_pieces(struct_k, pieces, procs, me).collect();
+        let mut off = Vec::with_capacity(ids.len() + 1);
+        off.push(0usize);
+        for &s in &ids {
+            off.push(off[off.len() - 1] + sym.part.width(s));
+        }
+        (ids, off)
+    };
+    let (rows, row_off) = stripes(&panels.lmap, grid.pr, env.my_r);
+    let (cols, col_off) = stripes(&panels.umap, grid.pc, env.my_c);
+    let (m_total, n_total) = (row_off[rows.len()], col_off[cols.len()]);
+    scratch.shape(rank, m_total, w, n_total);
+    // Gather L: stack each owned block's rows at its panel offset.
+    for (&i, ri) in rows.iter().zip(&row_off) {
+        let blk = &panels.lmap[&i];
+        let wi = blk.rows();
+        for c in 0..w {
+            scratch.l.col_mut(c)[*ri..ri + wi].copy_from_slice(&blk.col(c)[..wi]);
         }
     }
-    let mut cols: Vec<(usize, usize, usize)> = Vec::new();
-    let mut n_total = 0usize;
-    for &j in struct_k {
-        if j % grid.pc == env.my_c && panels.umap.contains_key(&j) {
-            let wj = sym.part.width(j);
-            cols.push((j, n_total, wj));
-            n_total += wj;
+    // Gather U: concatenate the owned pieces column-wise.
+    for (&j, cj) in cols.iter().zip(&col_off) {
+        let blk = &panels.umap[&j];
+        for c in 0..blk.cols() {
+            scratch.u.col_mut(cj + c).copy_from_slice(blk.col(c));
         }
     }
-
-    if ((2 * m_total * w * n_total) as u64) < BATCH_MIN_FLOPS {
-        return factor_step_schur(rank, env, store, sym, k, panels);
-    }
-
-    if m_total > 0 && n_total > 0 {
-        let gather_scope = rank.host_scope_sn(HostPhase::Gather, k);
-        scratch.shape(rank, m_total, w, n_total);
-        // Gather L: stack each owned block's rows at its panel offset.
-        for &(i, ri, wi) in &rows {
-            let blk = &panels.lmap[&i];
-            for c in 0..w {
-                scratch.l.col_mut(c)[ri..ri + wi].copy_from_slice(&blk.col(c)[..wi]);
-            }
-        }
-        // Gather U: concatenate the owned pieces column-wise.
-        for &(j, cj, wj) in &cols {
-            let blk = &panels.umap[&j];
-            for c in 0..wj {
-                scratch.u.col_mut(cj + c).copy_from_slice(blk.col(c));
-            }
-        }
-        // Pull the target blocks out of the store (a pointer move each) so
-        // the tiled GEMM reads and writes them in place: the result
-        // scatter happens inside the kernel's C-tile stores, with no
-        // target-panel copy in either direction.
-        let mut targets: Vec<Mat> = Vec::with_capacity(rows.len() * cols.len());
-        for &(i, _, _) in &rows {
-            for &(j, _, _) in &cols {
-                targets.push(store.take(i, j).unwrap_or_else(|| {
-                    panic!("Schur target block ({i},{j}) missing — fill closure violated")
-                }));
-            }
-        }
-        let row_off: Vec<usize> = rows.iter().map(|&(_, ri, _)| ri).chain([m_total]).collect();
-        let col_off: Vec<usize> = cols.iter().map(|&(_, cj, _)| cj).chain([n_total]).collect();
-        drop(gather_scope);
-        let gemm_scope = rank.host_scope_sn(HostPhase::Gemm, k);
-        // det-lint: allow(wall-clock): host GEMM timing feeds the batched flop-rate metric
-        let t0 = std::time::Instant::now();
-        densela::gemm_blocked_tiled(
-            -1.0,
-            &scratch.l,
-            &scratch.u,
-            &row_off,
-            &col_off,
-            &mut targets,
-        );
-        let host_secs = t0.elapsed().as_secs_f64();
-        drop(gemm_scope);
-        let scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);
-        let mut it = targets.into_iter();
-        for &(i, _, _) in &rows {
-            for &(j, _, _) in &cols {
-                store.insert(i, j, it.next().unwrap());
-            }
-        }
-        drop(scatter_scope);
-        // Host-measured GEMM throughput of the batched path (flops per
-        // wall-clock second). Only recorded when the batched path runs, so
-        // default-config golden artifacts never carry this host-dependent
-        // sample.
-        let df_gemm = flops::get() - f0;
-        if host_secs > 0.0 {
-            rank.metric_observe("gemm.batched_flop_rate", df_gemm as f64 / host_secs);
+    // Pull the target blocks out of the store (a pointer move each) so
+    // the tiled GEMM reads and writes them in place: the result scatter
+    // happens inside the kernel's C-tile stores, with no target-panel copy
+    // in either direction.
+    let mut targets: Vec<Mat> = Vec::with_capacity(rows.len() * cols.len());
+    for &i in &rows {
+        for &j in &cols {
+            targets.push(store.take(i, j).unwrap_or_else(|| {
+                panic!("Schur target block ({i},{j}) missing — fill closure violated")
+            }));
         }
     }
-
-    let df = flops::get() - f0;
-    rank.metric_observe("gemm.flops_per_supernode", df as f64);
-    rank.advance_compute(df);
+    drop(gather_scope);
+    let gemm_scope = rank.host_scope_sn(HostPhase::Gemm, k);
+    densela::gemm_blocked_tiled(
+        -1.0,
+        &scratch.l,
+        &scratch.u,
+        &row_off,
+        &col_off,
+        &mut targets,
+    );
+    drop(gemm_scope);
+    let _scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);
+    let mut it = targets.into_iter();
+    for &i in &rows {
+        for &j in &cols {
+            store.insert(i, j, it.next().expect("one target per block pair"));
+        }
+    }
 }

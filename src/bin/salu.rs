@@ -36,7 +36,6 @@ struct Args {
     plan_check: bool,
     conformance: Option<String>,
     sanitize: bool,
-    batched_schur: bool,
     backend: Backend,
     schedule: Schedule,
     faults: Option<String>,
@@ -67,7 +66,8 @@ fn usage() -> ! {
          \x20 --no-compare       skip the 2D-baseline comparison run\n\
          \x20 --report           print the unified single-run digest: makespan\n\
          \x20                    with critical-path attribution, peak memory by\n\
-         \x20                    class, wire volume by class and grid axis, and\n\
+         \x20                    class, wire volume by class and grid axis, the\n\
+         \x20                    Schur dispatch split (batched vs per-block), and\n\
          \x20                    the host-time phase breakdown (enables tracing\n\
          \x20                    and host profiling for this run)\n\
          \x20 --condest          estimate the 1-norm condition number (sequential)\n\
@@ -105,8 +105,6 @@ fn usage() -> ! {
          \x20                    '-' = stdout. Exit 1 on failure.\n\
          \x20 --sanitize         run under the communication sanitizer\n\
          \x20                    (race/deadlock/leak detection; see docs/commcheck.md)\n\
-         \x20 --batched-schur    use the batched gather-GEMM-scatter Schur path\n\
-         \x20                    (bitwise-identical factors; see docs/perf.md)\n\
          \x20 --backend B        execution backend: 'threaded' (default; one OS\n\
          \x20                    thread per rank) or 'event' (cooperative\n\
          \x20                    discrete-event scheduler — runs paper-scale\n\
@@ -169,7 +167,6 @@ fn parse_args() -> Args {
         plan_check: false,
         conformance: None,
         sanitize: false,
-        batched_schur: false,
         backend: Backend::Threaded,
         schedule: Schedule::Level,
         faults: None,
@@ -215,7 +212,6 @@ fn parse_args() -> Args {
             "--plan-check" => args.plan_check = true,
             "--conformance" => args.conformance = Some(val("--conformance")),
             "--sanitize" => args.sanitize = true,
-            "--batched-schur" => args.batched_schur = true,
             "--backend" => {
                 let v = val("--backend");
                 args.backend = v.parse().unwrap_or_else(|e| {
@@ -409,7 +405,6 @@ fn main() {
         host_profiling: (args.hostprof_out.is_some() || args.report)
             && args.backend == Backend::Threaded,
         sanitize: args.sanitize,
-        batched_schur: args.batched_schur,
         backend: args.backend,
         schedule: args.schedule,
         fault_plan: fault_plan.clone(),
@@ -722,7 +717,8 @@ fn main() {
 
 /// The `--report` digest: every observability subsystem's headline numbers
 /// in one place — simulated critical path, ledger memory by class, wire
-/// volume by class and axis, and the host-time phase breakdown.
+/// volume by class and axis, the Schur dispatch split, and the host-time
+/// phase breakdown.
 fn print_report(out: &salu::lu3d::Output3d) {
     use salu::simgrid::{CommClass, GridAxis, HostPhase, MemClass};
     println!("\n== run digest ==");
@@ -756,6 +752,16 @@ fn print_report(out: &salu::lu3d::Output3d) {
             .map(|&ax| format!("{} {}", ax.as_str(), out.axis_words(ax)))
             .collect::<Vec<_>>()
             .join(", ")
+    );
+    let metrics = out.metrics();
+    let updates = metrics
+        .histogram("gemm.flops_per_supernode")
+        .map_or(0, |h| h.count);
+    let batched = metrics.counter("schur.batched_supernodes");
+    println!(
+        "schur updates           = {updates} (rank, supernode) updates: {batched} batched \
+         gather-GEMM-scatter, {} per-block",
+        updates - batched
     );
     if let Some(s) = &out.sched {
         println!(

@@ -23,7 +23,11 @@ struct Case {
     a: Csr,
     geometry: Geometry,
     grid: (usize, usize, usize),
-    batched: bool,
+    /// Supernode pins `(leaf, maxsup)` for [`Prepared::new`].
+    pins: (usize, usize),
+    /// The case must take the batched Schur kernel (asserted through the
+    /// `schur.batched_supernodes` counter) — the others are too small to.
+    batches: bool,
     lookahead: usize,
     fault_spec: Option<&'static str>,
 }
@@ -35,7 +39,8 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (2, 2, 1),
-            batched: false,
+            pins: (16, 24),
+            batches: false,
             lookahead: 8,
             fault_spec: None,
         },
@@ -44,16 +49,18 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (2, 2, 4),
-            batched: false,
+            pins: (16, 24),
+            batches: false,
             lookahead: 0,
             fault_spec: None,
         },
         Case {
-            label: "grid2d:16 4x1x2 batched (tall layer)",
+            label: "grid2d:16 4x1x2 (tall layer)",
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (4, 1, 2),
-            batched: true,
+            pins: (16, 24),
+            batches: false,
             lookahead: 8,
             fault_spec: None,
         },
@@ -62,12 +69,13 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(20, 20, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 20, ny: 20 },
             grid: (2, 2, 2),
-            batched: false,
+            pins: (16, 24),
+            batches: false,
             lookahead: 8,
             fault_spec: Some("drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3"),
         },
         Case {
-            label: "grid3d:6 2x2x2 batched",
+            label: "grid3d:6 2x2x2",
             a: matgen::grid3d_7pt(6, 6, 6, 0.1, 1),
             geometry: Geometry::Grid3d {
                 nx: 6,
@@ -75,7 +83,22 @@ fn cases() -> Vec<Case> {
                 nz: 6,
             },
             grid: (2, 2, 2),
-            batched: true,
+            pins: (16, 24),
+            batches: false,
+            lookahead: 8,
+            fault_spec: None,
+        },
+        Case {
+            label: "grid3d:14 2x2x2 leaf=maxsup=32 (crosses the Schur batching threshold)",
+            a: matgen::grid3d_7pt(14, 14, 14, 0.1, 1),
+            geometry: Geometry::Grid3d {
+                nx: 14,
+                ny: 14,
+                nz: 14,
+            },
+            grid: (2, 2, 2),
+            pins: (32, 32),
+            batches: true,
             lookahead: 8,
             fault_spec: None,
         },
@@ -84,11 +107,17 @@ fn cases() -> Vec<Case> {
             a: matgen::kkt_3d(4, 4, 4, 1e-2, 1),
             geometry: Geometry::General,
             grid: (2, 2, 2),
-            batched: false,
+            pins: (16, 24),
+            batches: false,
             lookahead: 4,
             fault_spec: None,
         },
     ]
+}
+
+fn prepare(case: &Case) -> Prepared {
+    let (leaf, maxsup) = case.pins;
+    Prepared::new(case.a.clone(), case.geometry, leaf, maxsup)
 }
 
 fn config(case: &Case, backend: Backend) -> SolverConfig {
@@ -99,7 +128,6 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
         pz,
         model: TimeModel::edison_like(),
         lookahead: case.lookahead,
-        batched_schur: case.batched,
         backend,
         fault_plan: case
             .fault_spec
@@ -114,7 +142,7 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
 #[test]
 fn every_config_is_bitwise_identical_across_backends() {
     for case in cases() {
-        let prep = Prepared::new(case.a.clone(), case.geometry, 16, 24);
+        let prep = prepare(&case);
         let threaded = try_factor_only(&prep, &config(&case, Backend::Threaded))
             .unwrap_or_else(|e| panic!("{}: threaded run failed: {e}", case.label));
         let event = try_factor_only(&prep, &config(&case, Backend::Event))
@@ -145,6 +173,23 @@ fn every_config_is_bitwise_identical_across_backends() {
             "{}: memory-ledger reports diverge",
             case.label
         );
+        if case.batches {
+            // The gather-GEMM-scatter kernel ran, equally often on both
+            // backends, and an event rerun repeats digest and scheduler
+            // counters with it in the loop.
+            let batched = |o: &Output3d| o.metrics().counter("schur.batched_supernodes");
+            assert!(
+                batched(&threaded) > 0,
+                "{}: no supernode was batched",
+                case.label
+            );
+            assert_eq!(batched(&threaded), batched(&event), "{}", case.label);
+            let again = try_factor_only(&prep, &config(&case, Backend::Event))
+                .unwrap_or_else(|e| panic!("{}: event rerun failed: {e}", case.label));
+            assert_eq!(event.factor_digest, again.factor_digest, "{}", case.label);
+            assert!(event.sched.is_some(), "{}", case.label);
+            assert_eq!(event.sched, again.sched, "{}", case.label);
+        }
     }
 }
 
@@ -154,7 +199,7 @@ fn every_config_is_bitwise_identical_across_backends() {
 fn plan_check_accepts_both_backends_ledgers() {
     for case in cases() {
         let (pr, pc, pz) = case.grid;
-        let prep = Prepared::new(case.a.clone(), case.geometry, 16, 24);
+        let prep = prepare(&case);
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
         let plan = build_plan(&prep.sym, &forest, Grid3d::new(pr, pc, pz), case.lookahead);
         let audit = check_plan(&plan);

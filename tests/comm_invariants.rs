@@ -104,24 +104,12 @@ fn total_flops_are_grid_invariant() {
 
 #[test]
 fn wire_ledger_conserves_words_per_edge() {
-    // The wire ledger is an independent charge path from the phase
-    // counters; the two must agree in total, per phase, and edge by edge
-    // (every word rank a charged toward b was booked by b from a).
+    // Senders and receivers book the wire ledger independently; the two
+    // sides must agree edge by edge (every word rank a charged toward b
+    // was booked by b from a).
     use std::collections::BTreeMap;
     let tm = test_matrix("k2d5pt", Scale::Tiny);
     let out = run(&tm, 8, 2);
-    let ledger: u64 = out.reports.iter().map(|r| r.commvol.sent_words()).sum();
-    let counters: u64 = out.reports.iter().map(|r| r.total_sent_words()).sum();
-    assert_eq!(ledger, counters, "ledger total != phase-counter total");
-    assert_eq!(
-        out.reports
-            .iter()
-            .map(|r| r.commvol.phase_words("reduce"))
-            .max()
-            .unwrap(),
-        out.w_red(),
-        "reduce-phase ledger words != W_red"
-    );
     let mut sent: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
     let mut recv: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
     for (me, r) in out.reports.iter().enumerate() {

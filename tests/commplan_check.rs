@@ -21,7 +21,6 @@ struct Case {
     geometry: Geometry,
     grid: (usize, usize, usize),
     lookahead: usize,
-    batched_schur: bool,
     fault_spec: Option<&'static str>,
 }
 
@@ -32,7 +31,6 @@ fn check_case(case: Case) -> commplan::CommPlan {
         geometry,
         grid: (pr, pc, pz),
         lookahead,
-        batched_schur,
         fault_spec,
     } = case;
     let prep = Prepared::new(a, geometry, 16, 24);
@@ -41,7 +39,6 @@ fn check_case(case: Case) -> commplan::CommPlan {
         pc,
         pz,
         lookahead,
-        batched_schur,
         fault_plan: fault_spec.map(|s| simgrid::FaultPlan::parse(s, 7).expect("fault spec")),
         retry: fault_spec.map(|_| simgrid::RetryPolicy::default()),
         ..Default::default()
@@ -78,7 +75,6 @@ fn plan_matches_ledger_small_3d() {
         geometry: Geometry::Grid2d { nx: 16, ny: 16 },
         grid: (2, 2, 2),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: None,
     });
 }
@@ -94,7 +90,6 @@ fn plan_matches_ledger_conformance_grid() {
         geometry: Geometry::Grid2d { nx: n, ny: n },
         grid: (2, 2, 4),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: None,
     });
     match check_planar_volume(&plan, n * n) {
@@ -113,7 +108,6 @@ fn plan_matches_ledger_degenerate_grids() {
         geometry: Geometry::Grid2d { nx: 16, ny: 16 },
         grid: (2, 2, 1),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: None,
     });
     check_case(Case {
@@ -122,22 +116,20 @@ fn plan_matches_ledger_degenerate_grids() {
         geometry: Geometry::Grid2d { nx: 16, ny: 16 },
         grid: (1, 1, 2),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: None,
     });
 }
 
-/// Batched Schur gather-GEMM-scatter and zero lookahead change the local
-/// compute schedule, not the wire program: the same plan must hold.
+/// Zero lookahead changes the local compute schedule, not the wire
+/// program: the same plan must hold.
 #[test]
-fn plan_matches_ledger_batched_and_eager() {
+fn plan_matches_ledger_zero_lookahead() {
     check_case(Case {
-        label: "grid2d:16 2x1x2 batched lookahead=0",
+        label: "grid2d:16 2x1x2 lookahead=0",
         a: matgen::grid2d_5pt(16, 16, 0.1, 1),
         geometry: Geometry::Grid2d { nx: 16, ny: 16 },
         grid: (2, 1, 2),
         lookahead: 0,
-        batched_schur: true,
         fault_spec: None,
     });
 }
@@ -155,7 +147,6 @@ fn plan_matches_ledger_other_generators() {
         },
         grid: (2, 2, 2),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: None,
     });
     check_case(Case {
@@ -164,7 +155,6 @@ fn plan_matches_ledger_other_generators() {
         geometry: Geometry::General,
         grid: (2, 2, 2),
         lookahead: 4,
-        batched_schur: false,
         fault_spec: None,
     });
 }
@@ -180,7 +170,6 @@ fn plan_matches_ledger_under_fault_recovery() {
         geometry: Geometry::Grid2d { nx: 24, ny: 24 },
         grid: (2, 2, 4),
         lookahead: 8,
-        batched_schur: false,
         fault_spec: Some("drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3"),
     });
 }
@@ -292,7 +281,6 @@ proptest! {
         pc in 1usize..3,
         lpz in 0usize..3,
         lookahead in 0usize..3,
-        batched in 0u8..2,
         faulty in 0u8..2,
     ) {
         let (a, geometry) = if gen3d == 1 {
@@ -313,7 +301,6 @@ proptest! {
             geometry,
             grid: (pr, pc, 1 << lpz),
             lookahead: lookahead * 4,
-            batched_schur: batched == 1,
             fault_spec: (faulty == 1).then_some("drop:p=0.03;dup:p=0.02"),
         });
     }

@@ -30,11 +30,15 @@ fn traced_run(pz: usize, rhs: bool) -> Output3d {
 
 #[test]
 fn traffic_phases_are_exactly_fact_reduce_solve() {
+    // Phases come from the wire ledger's send entries: receives are booked
+    // per edge, not per phase, so sends are what this checks. In particular
+    // no message may ever be sent under the unlabeled "default" phase —
+    // every communication path must set its phase first.
     let out = traced_run(2, true);
     let mut phases: Vec<&str> = out
         .reports
         .iter()
-        .flat_map(|r| r.traffic.keys().map(|k| k.as_str()))
+        .flat_map(|r| r.commvol.entries.iter().map(|e| e.phase.as_str()))
         .collect();
     phases.sort_unstable();
     phases.dedup();
@@ -43,14 +47,6 @@ fn traffic_phases_are_exactly_fact_reduce_solve() {
         vec!["fact", "reduce", "solve"],
         "traffic phase keys"
     );
-    // In particular no message may ever be charged to the unlabeled
-    // "default" phase: every communication path must set its phase first.
-    for (rank, rep) in out.reports.iter().enumerate() {
-        assert!(
-            !rep.traffic.contains_key("default"),
-            "rank {rank} has traffic in the default phase"
-        );
-    }
 }
 
 #[test]
@@ -111,8 +107,9 @@ fn factor_only_runs_have_no_solve_phase() {
         )
     };
     for rep in &out.reports {
-        assert!(!rep.traffic.contains_key("solve"));
-        assert!(!rep.traffic.contains_key("default"));
+        for phase in ["solve", "default"] {
+            assert!(rep.commvol.entries.iter().all(|e| e.phase != phase));
+        }
     }
 }
 
@@ -177,8 +174,6 @@ fn memory_peak_attribution_sums_to_peak_on_every_rank() {
             m.peak_attr_sum(),
             m.peak_bytes
         );
-        // The folded legacy field agrees with the ledger.
-        assert!(rep.peak_mem_bytes >= m.peak_bytes);
     }
 }
 

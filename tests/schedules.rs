@@ -33,7 +33,6 @@ struct Case {
     a: Csr,
     geometry: Geometry,
     grid: (usize, usize, usize),
-    batched: bool,
     lookahead: usize,
     fault_spec: Option<&'static str>,
 }
@@ -45,7 +44,6 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (2, 2, 1),
-            batched: false,
             lookahead: 8,
             fault_spec: None,
         },
@@ -54,16 +52,14 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (2, 2, 4),
-            batched: false,
             lookahead: 0,
             fault_spec: None,
         },
         Case {
-            label: "grid2d:16 4x1x2 batched (tall layer)",
+            label: "grid2d:16 4x1x2 (tall layer)",
             a: matgen::grid2d_5pt(16, 16, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 16, ny: 16 },
             grid: (4, 1, 2),
-            batched: true,
             lookahead: 8,
             fault_spec: None,
         },
@@ -72,12 +68,11 @@ fn cases() -> Vec<Case> {
             a: matgen::grid2d_5pt(20, 20, 0.1, 1),
             geometry: Geometry::Grid2d { nx: 20, ny: 20 },
             grid: (2, 2, 2),
-            batched: false,
             lookahead: 8,
             fault_spec: Some("drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3"),
         },
         Case {
-            label: "grid3d:6 2x2x2 batched",
+            label: "grid3d:6 2x2x2",
             a: matgen::grid3d_7pt(6, 6, 6, 0.1, 1),
             geometry: Geometry::Grid3d {
                 nx: 6,
@@ -85,7 +80,6 @@ fn cases() -> Vec<Case> {
                 nz: 6,
             },
             grid: (2, 2, 2),
-            batched: true,
             lookahead: 8,
             fault_spec: None,
         },
@@ -94,7 +88,6 @@ fn cases() -> Vec<Case> {
             a: matgen::kkt_3d(4, 4, 4, 1e-2, 1),
             geometry: Geometry::General,
             grid: (2, 2, 2),
-            batched: false,
             lookahead: 4,
             fault_spec: None,
         },
@@ -109,7 +102,6 @@ fn config(case: &Case, backend: Backend, schedule: Schedule) -> SolverConfig {
         pz,
         model: TimeModel::edison_like(),
         lookahead: case.lookahead,
-        batched_schur: case.batched,
         backend,
         schedule,
         fault_plan: case
