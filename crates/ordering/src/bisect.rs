@@ -7,9 +7,10 @@
 //! then converts an edge bisection into the vertex separator nested
 //! dissection needs.
 
-use crate::graph::Graph;
+use crate::graph::{BfsBuffers, Graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 /// A two-way edge partition: `side[v] in {0, 1}`.
 #[derive(Clone, Debug)]
@@ -22,8 +23,8 @@ pub struct Bisection {
 }
 
 impl Bisection {
-    /// Recompute cut and side weights from scratch (used after refinement
-    /// and by tests).
+    /// Recompute cut and side weights from scratch (used by the initial
+    /// bisection, by debug cross-checks and by tests).
     pub fn recompute(g: &Graph, side: Vec<u8>) -> Bisection {
         let mut cut = 0;
         let mut weight = [0u64; 2];
@@ -42,6 +43,14 @@ impl Bisection {
         }
     }
 
+    /// True if `cut` and `weight` are what [`Bisection::recompute`] finds for
+    /// `side`: the debug cross-check behind every place that carries them
+    /// along instead of recomputing.
+    pub(crate) fn is_consistent(&self, g: &Graph) -> bool {
+        let fresh = Bisection::recompute(g, self.side.clone());
+        (fresh.cut, fresh.weight) == (self.cut, self.weight)
+    }
+
     /// Imbalance ratio: max side weight over ideal half.
     pub fn imbalance(&self) -> f64 {
         let total = (self.weight[0] + self.weight[1]).max(1);
@@ -50,11 +59,31 @@ impl Bisection {
     }
 }
 
+/// Buffers of [`graph_growing_bisection`], reused across tries and calls.
+#[derive(Default)]
+pub(crate) struct GrowWorkspace {
+    /// The side vector of the try that lost the last comparison.
+    side: Vec<u8>,
+    visited: Vec<bool>,
+    queue: VecDeque<usize>,
+    bfs: BfsBuffers,
+}
+
 /// Grow a region from a pseudo-peripheral vertex by BFS until it holds half
 /// the total vertex weight; repeat for `ntries` seeds and keep the smallest
 /// cut among balanced results. Handles disconnected graphs by continuing
 /// growth from unvisited vertices.
 pub fn graph_growing_bisection(g: &Graph, ntries: usize, seed: u64) -> Bisection {
+    graph_growing_bisection_in(g, ntries, seed, &mut GrowWorkspace::default())
+}
+
+/// [`graph_growing_bisection`] on the caller's buffers.
+pub(crate) fn graph_growing_bisection_in(
+    g: &Graph,
+    ntries: usize,
+    seed: u64,
+    ws: &mut GrowWorkspace,
+) -> Bisection {
     let n = g.n();
     assert!(n >= 2, "bisection needs at least 2 vertices");
     let total = g.total_vwgt();
@@ -65,14 +94,19 @@ pub fn graph_growing_bisection(g: &Graph, ntries: usize, seed: u64) -> Bisection
     for t in 0..ntries.max(1) {
         let start0 = rng.gen_range(0..n);
         let start = if t == 0 {
-            g.pseudo_peripheral(start0)
+            g.pseudo_peripheral_in(start0, &mut ws.bfs)
         } else {
             start0
         };
-        let mut side = vec![1u8; n];
+        let mut side = std::mem::take(&mut ws.side);
+        side.clear();
+        side.resize(n, 1u8);
         let mut grown = 0u64;
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
+        let visited = &mut ws.visited;
+        visited.clear();
+        visited.resize(n, false);
+        let queue = &mut ws.queue;
+        queue.clear();
         queue.push_back(start);
         visited[start] = true;
         let mut next_unvisited = 0usize;
@@ -115,8 +149,10 @@ pub fn graph_growing_bisection(g: &Graph, ntries: usize, seed: u64) -> Bisection
                 }
             }
         };
-        if better {
-            best = Some(b);
+        // The loser's side vector is the next try's.
+        let loser = if better { best.replace(b) } else { Some(b) };
+        if let Some(loser) = loser {
+            ws.side = loser.side;
         }
     }
     best.expect("at least one bisection attempt")

@@ -127,10 +127,9 @@ mod tests {
         assert_eq!(sep.len(), 7); // a full column of the grid
         assert_eq!(lo.len() + hi.len() + sep.len(), g.n());
         // No edge from lo to hi.
-        let hiset: std::collections::HashSet<_> = hi.iter().collect();
         for &v in &lo {
             for &u in g.neighbors(v) {
-                assert!(!hiset.contains(&u), "edge {v}-{u} crosses separator");
+                assert!(!hi.contains(&u), "edge {v}-{u} crosses separator");
             }
         }
     }
@@ -154,10 +153,9 @@ mod tests {
             let all: Vec<usize> = (0..g.n()).collect();
             let (lo, hi, sep) = plane_bisect(&c, &all);
             assert!(!sep.is_empty());
-            let hiset: std::collections::HashSet<_> = hi.iter().collect();
             for &v in &lo {
                 for &u in g.neighbors(v) {
-                    assert!(!hiset.contains(&u));
+                    assert!(!hi.contains(&u));
                 }
             }
         }

@@ -99,12 +99,21 @@ impl Graph {
     /// subgraph and the map from subgraph id to original id.
     pub fn subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
         let mut local = vec![usize::MAX; self.n()];
+        (self.subgraph_in(vertices, &mut local), vertices.to_vec())
+    }
+
+    /// [`Graph::subgraph`] on the caller's original→local map: `local` has
+    /// one entry per vertex of `self`, all `usize::MAX` on entry and again
+    /// on return, so a caller that keeps it pays O(|subgraph| + its edges)
+    /// per call instead of O(n).
+    pub(crate) fn subgraph_in(&self, vertices: &[usize], local: &mut [usize]) -> Graph {
         for (i, &v) in vertices.iter().enumerate() {
             local[v] = i;
         }
+        let degree_sum = vertices.iter().map(|&v| self.degree(v)).sum();
         let mut xadj = Vec::with_capacity(vertices.len() + 1);
-        let mut adj = Vec::new();
-        let mut ewgt = Vec::new();
+        let mut adj = Vec::with_capacity(degree_sum);
+        let mut ewgt = Vec::with_capacity(degree_sum);
         let mut vwgt = Vec::with_capacity(vertices.len());
         xadj.push(0);
         for &v in vertices {
@@ -117,15 +126,15 @@ impl Graph {
             vwgt.push(self.vwgt[v]);
             xadj.push(adj.len());
         }
-        (
-            Graph {
-                xadj,
-                adj,
-                ewgt,
-                vwgt,
-            },
-            vertices.to_vec(),
-        )
+        for &v in vertices {
+            local[v] = usize::MAX;
+        }
+        Graph {
+            xadj,
+            adj,
+            ewgt,
+            vwgt,
+        }
     }
 
     /// Connected components: returns (component id per vertex, #components).
@@ -157,39 +166,48 @@ impl Graph {
     /// vertex, vertices in BFS order). Unreached vertices get
     /// `usize::MAX`.
     pub fn bfs_levels(&self, start: usize) -> (Vec<usize>, Vec<usize>) {
-        let n = self.n();
-        let mut level = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut frontier = vec![start];
+        let mut buf = BfsBuffers::default();
+        self.bfs_levels_in(start, &mut buf);
+        (buf.level, buf.order)
+    }
+
+    /// [`Graph::bfs_levels`] into the caller's buffers; `buf.order` doubles
+    /// as the queue.
+    fn bfs_levels_in(&self, start: usize, buf: &mut BfsBuffers) {
+        let BfsBuffers { level, order } = buf;
+        level.clear();
+        level.resize(self.n(), usize::MAX);
+        order.clear();
+        order.push(start);
         level[start] = 0;
-        let mut depth = 0;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                order.push(v);
-                for &u in self.neighbors(v) {
-                    if level[u] == usize::MAX {
-                        level[u] = depth + 1;
-                        next.push(u);
-                    }
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &u in self.neighbors(v) {
+                if level[u] == usize::MAX {
+                    level[u] = level[v] + 1;
+                    order.push(u);
                 }
             }
-            frontier = next;
-            depth += 1;
         }
-        (level, order)
     }
 
     /// A pseudo-peripheral vertex: repeated BFS from the farthest vertex
     /// until eccentricity stops growing. Classic starting point for
     /// graph-growing bisection.
     pub fn pseudo_peripheral(&self, start: usize) -> usize {
+        self.pseudo_peripheral_in(start, &mut BfsBuffers::default())
+    }
+
+    /// [`Graph::pseudo_peripheral`] on the caller's buffers.
+    pub(crate) fn pseudo_peripheral_in(&self, start: usize, buf: &mut BfsBuffers) -> usize {
         let mut v = start;
         let mut ecc = 0;
         for _ in 0..8 {
-            let (levels, order) = self.bfs_levels(v);
-            let far = *order.last().unwrap_or(&v);
-            let far_ecc = levels[far];
+            self.bfs_levels_in(v, buf);
+            let far = *buf.order.last().unwrap_or(&v);
+            let far_ecc = buf.level[far];
             if far_ecc <= ecc {
                 break;
             }
@@ -198,6 +216,50 @@ impl Graph {
         }
         v
     }
+}
+
+/// The two vectors a breadth-first search fills.
+#[derive(Default)]
+pub(crate) struct BfsBuffers {
+    level: Vec<usize>,
+    order: Vec<usize>,
+}
+
+/// A random weighted graph for the differential tests: symmetric, no
+/// self-loops, each possible edge present with probability `density` (low
+/// values leave it disconnected), edge weights 1..=50, vertex weights 1..=20
+/// with about one vertex in eight several times heavier — heavier than the
+/// 5%-of-total balance slack, so refinement's balance test refuses moves.
+#[cfg(test)]
+pub(crate) fn random_weighted(rng: &mut rand::rngs::StdRng, n: usize, density: f64) -> Graph {
+    use rand::Rng;
+    let mut rows: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+    for v in 0..n {
+        for u in v + 1..n {
+            if rng.gen_bool(density) {
+                let w = rng.gen_range(1u64..51);
+                rows[v].push((u, w));
+                rows[u].push((v, w));
+            }
+        }
+    }
+    let mut g = Graph {
+        xadj: vec![0],
+        adj: Vec::new(),
+        ewgt: Vec::new(),
+        vwgt: Vec::new(),
+    };
+    for row in rows {
+        for (u, w) in row {
+            g.adj.push(u);
+            g.ewgt.push(w);
+        }
+        g.xadj.push(g.adj.len());
+        let heavy = rng.gen_bool(0.125);
+        g.vwgt
+            .push(rng.gen_range(1u64..21) * if heavy { 8 } else { 1 });
+    }
+    g
 }
 
 #[cfg(test)]

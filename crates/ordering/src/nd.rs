@@ -8,7 +8,7 @@
 
 use crate::geometric::{plane_bisect, Coords};
 use crate::graph::Graph;
-use crate::multilevel::multilevel_vertex_separator;
+use crate::multilevel::{multilevel_vertex_separator_in, Workspace};
 use crate::septree::{SepNode, SepTree};
 use sparsemat::testmats::Geometry;
 use sparsemat::Perm;
@@ -37,9 +37,23 @@ impl Default for NdOptions {
     }
 }
 
+/// The bisection engine of one ordering, with the state it keeps between
+/// bisections.
+enum Engine {
+    /// Coordinate planes on a regular grid.
+    Geometric(Coords),
+    /// Multilevel bisection of induced subgraphs.
+    Multilevel {
+        /// Original → subgraph vertex id, `usize::MAX` outside the subgraph
+        /// being built; `Graph::subgraph_in` resets what it sets.
+        local: Vec<usize>,
+        ws: Box<Workspace>,
+    },
+}
+
 struct NdState<'g> {
     g: &'g Graph,
-    coords: Option<Coords>,
+    engine: Engine,
     opts: NdOptions,
     /// Output nodes, in postorder.
     nodes: Vec<SepNode>,
@@ -55,23 +69,24 @@ impl<'g> NdState<'g> {
         vertices: &[usize],
         level: usize,
     ) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-        let (c1, c2, sep) = if let Some(coords) = &self.coords {
-            plane_bisect(coords, vertices)
-        } else {
-            let (sub, map) = self.g.subgraph(vertices);
-            let (assign, _) =
-                multilevel_vertex_separator(&sub, self.opts.seed ^ (level as u64) << 8);
-            let mut c1 = Vec::new();
-            let mut c2 = Vec::new();
-            let mut sep = Vec::new();
-            for (local, &orig) in map.iter().enumerate() {
-                match assign[local] {
-                    0 => c1.push(orig),
-                    1 => c2.push(orig),
-                    _ => sep.push(orig),
+        let (c1, c2, sep) = match &mut self.engine {
+            Engine::Geometric(coords) => plane_bisect(coords, vertices),
+            Engine::Multilevel { local, ws } => {
+                let sub = self.g.subgraph_in(vertices, local);
+                let seed = self.opts.seed ^ (level as u64) << 8;
+                let (assign, _) = multilevel_vertex_separator_in(&sub, seed, ws);
+                let mut c1 = Vec::new();
+                let mut c2 = Vec::new();
+                let mut sep = Vec::new();
+                for (&orig, &part) in vertices.iter().zip(&assign) {
+                    match part {
+                        0 => c1.push(orig),
+                        1 => c2.push(orig),
+                        _ => sep.push(orig),
+                    }
                 }
+                (c1, c2, sep)
             }
-            (c1, c2, sep)
         };
         // A degenerate split (everything in one part) cannot recurse.
         if c1.is_empty() && c2.is_empty() {
@@ -86,7 +101,8 @@ impl<'g> NdState<'g> {
     /// Recurse on `vertices`; creates this subtree's nodes in postorder and
     /// returns the subtree root's node index.
     fn recurse(&mut self, vertices: Vec<usize>, level: usize) -> usize {
-        if vertices.len() <= self.opts.leaf_size {
+        // Fewer than two vertices cannot be bisected, whatever the leaf size.
+        if vertices.len() <= self.opts.leaf_size.max(1) {
             return self.emit_leaf(vertices, level);
         }
         match self.bisect(&vertices, level) {
@@ -158,8 +174,11 @@ impl<'g> NdState<'g> {
 pub fn nested_dissection(g: &Graph, opts: NdOptions) -> SepTree {
     let n = g.n();
     assert!(n > 0, "empty graph");
-    let coords = match opts.geometry {
-        Geometry::General => None,
+    let engine = match opts.geometry {
+        Geometry::General => Engine::Multilevel {
+            local: vec![usize::MAX; n],
+            ws: Box::default(),
+        },
         geom => {
             let c = Coords::from_geometry(&geom);
             assert_eq!(
@@ -167,12 +186,12 @@ pub fn nested_dissection(g: &Graph, opts: NdOptions) -> SepTree {
                 n,
                 "geometry size does not match graph vertex count"
             );
-            Some(c)
+            Engine::Geometric(c)
         }
     };
     let mut state = NdState {
         g,
-        coords,
+        engine,
         opts,
         nodes: Vec::new(),
         order: Vec::with_capacity(n),
@@ -269,6 +288,35 @@ mod tests {
         );
         tree.validate().unwrap();
         assert_eq!(tree.n(), 96);
+    }
+
+    #[test]
+    fn leaf_size_zero_is_leaf_size_one_on_both_engines() {
+        // Nothing smaller than two vertices can be bisected: the multilevel
+        // engine used to panic on leaf size 0 where the geometric one ran.
+        let kkt = Graph::from_matrix(&kkt_3d(3, 3, 3, 1e-2, 0));
+        let grid = Graph::from_matrix(&grid2d_5pt(8, 8, 0.0, 0));
+        for (g, geometry) in [
+            (&kkt, Geometry::General),
+            (&grid, Geometry::General),
+            (&grid, Geometry::Grid2d { nx: 8, ny: 8 }),
+        ] {
+            let run = |leaf_size| {
+                let tree = nested_dissection(
+                    g,
+                    NdOptions {
+                        leaf_size,
+                        geometry,
+                        ..Default::default()
+                    },
+                );
+                tree.validate().unwrap();
+                tree
+            };
+            let (zero, one) = (run(0), run(1));
+            assert_eq!(zero.perm.old_order(), one.perm.old_order());
+            assert_eq!(zero.nodes.len(), one.nodes.len());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Triplet (coordinate) format: the builder format for generators and I/O.
 
 use crate::csr::Csr;
+use std::collections::TryReserveError;
 
 /// A sparse matrix in coordinate (triplet) form. Duplicate entries are
 /// allowed and are summed on conversion to [`Csr`].
@@ -53,9 +54,24 @@ impl Coo {
     /// result from cancellation is *not* done (explicit zeros are kept so
     /// patterns remain predictable for symbolic analysis).
     pub fn to_csr(&self) -> Csr {
+        self.try_to_csr()
+            .unwrap_or_else(|e| panic!("{} x {} matrix: {e}", self.nrows, self.ncols))
+    }
+
+    /// [`Coo::to_csr`] for dimensions that come from outside the program:
+    /// the arrays sized by `nrows` (which no stored entry backs) are
+    /// allocated fallibly, so an absurd row count is an error, not an abort.
+    pub fn try_to_csr(&self) -> Result<Csr, TryReserveError> {
         let nnz = self.nnz();
+        let nptr = self.nrows.saturating_add(1);
+        let zeros = |len: usize| -> Result<Vec<usize>, TryReserveError> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(len)?;
+            v.resize(len, 0);
+            Ok(v)
+        };
         // Counting sort by row.
-        let mut row_counts = vec![0usize; self.nrows + 1];
+        let mut row_counts = zeros(nptr)?;
         for &r in &self.rows {
             row_counts[r + 1] += 1;
         }
@@ -64,14 +80,16 @@ impl Coo {
         }
         let mut order: Vec<usize> = vec![0; nnz];
         {
-            let mut next = row_counts.clone();
+            let mut next = zeros(nptr)?;
+            next.copy_from_slice(&row_counts);
             for (k, &r) in self.rows.iter().enumerate() {
                 order[next[r]] = k;
                 next[r] += 1;
             }
         }
         // Within each row, sort by column and merge duplicates.
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut row_ptr = Vec::new();
+        row_ptr.try_reserve_exact(nptr)?;
         let mut col_idx = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
         row_ptr.push(0);
@@ -98,13 +116,13 @@ impl Coo {
             }
             row_ptr.push(col_idx.len());
         }
-        Csr {
+        Ok(Csr {
             nrows: self.nrows,
             ncols: self.ncols,
             row_ptr,
             col_idx,
             values,
-        }
+        })
     }
 }
 

@@ -264,6 +264,13 @@ fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
             eprintln!("failed to read {path}: {e}");
             exit(1)
         });
+        if a.nrows == 0 || a.nrows != a.ncols {
+            eprintln!(
+                "cannot factor {path}: the matrix is {} x {}, need a non-empty square one",
+                a.nrows, a.ncols
+            );
+            exit(1)
+        }
         return (a, Geometry::General, path.clone());
     }
     let spec = args.gen_spec.as_ref().unwrap();
