@@ -116,8 +116,8 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         lookahead: job.lookahead,
         backend: job.backend,
         schedule: job.schedule,
-        // Host-time phase attribution only makes sense when every rank
-        // really runs in parallel; event-mode runs skip hostprof.json.
+        // Event-mode jobs are the scaling points, whose wall column should
+        // not carry the profiler's scope timers: they skip hostprof.json.
         host_profiling: job.backend == Backend::Threaded,
         retry: fault_plan.is_some().then(RetryPolicy::default),
         fault_plan,

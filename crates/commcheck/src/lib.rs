@@ -32,4 +32,4 @@ pub use lint::{check_determinism, lint_trace, LintReport, LintStats};
 pub use online::{SanState, SendRec};
 pub use report::{CommReport, Finding};
 pub use vclock::VClock;
-pub use waitgraph::{WaitGraph, WaitInfo};
+pub use waitgraph::{WaitGraph, WaitInfo, WaitTargets};

@@ -13,37 +13,56 @@
 //! blocked rank wakes it within microseconds, changing its episode).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What a blocked rank is waiting on.
+/// Who can unblock a blocked rank.
+#[derive(Clone, Debug)]
+pub enum WaitTargets {
+    /// A deterministic `recv(src, ..)`: this world rank and no other.
+    One(usize),
+    /// A wildcard (any-source) receive: any one of these world ranks — the
+    /// other members of the communicator — suffices.
+    AnyOf(Arc<[usize]>),
+}
+
+impl WaitTargets {
+    /// The world ranks that could unblock the waiting rank.
+    pub fn ranks(&self) -> &[usize] {
+        match self {
+            WaitTargets::One(src) => std::slice::from_ref(src),
+            WaitTargets::AnyOf(ranks) => ranks,
+        }
+    }
+}
+
+/// What a blocked rank is waiting on. Cheap to build: a deterministic
+/// receive registers one without allocating.
 #[derive(Clone, Debug)]
 pub struct WaitInfo {
-    /// World ranks that could unblock this rank. One element for a
-    /// deterministic `recv(src, ..)`; all other communicator members for a
-    /// wildcard receive.
-    pub targets: Vec<usize>,
-    /// True for a wildcard (any-source) receive: any one target suffices.
-    pub wildcard: bool,
+    pub targets: WaitTargets,
     pub ctx: u64,
     pub tag: u64,
     /// Traffic phase label active on the waiting rank.
-    pub phase: String,
+    pub phase: Arc<str>,
 }
 
 impl WaitInfo {
+    /// The source as failure reports name it: the world rank, or `ANY`.
+    pub fn src_desc(&self) -> String {
+        match &self.targets {
+            WaitTargets::One(src) => src.to_string(),
+            WaitTargets::AnyOf(_) => "ANY".to_string(),
+        }
+    }
+
     fn describe(&self) -> String {
-        let src = if self.wildcard {
-            "ANY".to_string()
-        } else {
-            self.targets
-                .first()
-                .map(|t| t.to_string())
-                .unwrap_or_default()
-        };
         format!(
-            "(ctx={}, src={src}, tag={}, phase={})",
-            self.ctx, self.tag, self.phase
+            "(ctx={}, src={}, tag={}, phase={})",
+            self.ctx,
+            self.src_desc(),
+            self.tag,
+            self.phase
         )
     }
 }
@@ -167,7 +186,7 @@ impl WaitGraph {
                 // A rank stays in the set only if every potential sender
                 // can never send again. (For a deterministic receive there
                 // is exactly one target; for a wildcard, all of them.)
-                let hopeless = w.targets.iter().all(|&t| done[t] || stuck[t]);
+                let hopeless = w.targets.ranks().iter().all(|&t| done[t] || stuck[t]);
                 if !hopeless {
                     stuck[r] = false;
                     changed = true;
@@ -192,7 +211,7 @@ impl WaitGraph {
         );
         for &(r, _) in members {
             if let RankState::Blocked(w) = &slots[r].state {
-                let waits: Vec<String> = w.targets.iter().map(|t| t.to_string()).collect();
+                let waits: Vec<String> = w.targets.ranks().iter().map(|t| t.to_string()).collect();
                 out.push_str(&format!(
                     "  rank {r} blocked in recv {} waiting on rank(s) {}\n",
                     w.describe(),
@@ -257,9 +276,11 @@ mod tests {
     use super::*;
 
     fn wait(targets: Vec<usize>, ctx: u64, tag: u64) -> WaitInfo {
+        let [src] = targets[..] else {
+            panic!("a deterministic receive has one source");
+        };
         WaitInfo {
-            targets,
-            wildcard: false,
+            targets: WaitTargets::One(src),
             ctx,
             tag,
             phase: "fact".into(),
@@ -302,8 +323,9 @@ mod tests {
     #[test]
     fn wildcard_needs_all_targets_hopeless() {
         let g = WaitGraph::new(3);
-        let mut w = wait(vec![1, 2], 0, 1);
-        w.wildcard = true;
+        let mut w = wait(vec![1], 0, 1);
+        w.targets = WaitTargets::AnyOf(vec![1, 2].into());
+        assert_eq!(w.src_desc(), "ANY");
         g.block(0, w);
         g.mark_done(1);
         // Rank 2 still running: the wildcard could still be satisfied.

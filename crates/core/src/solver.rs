@@ -13,7 +13,7 @@ use simgrid::{
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
 use slu2d::solve2d::solve_nodes;
-use slu2d::store::BlockStore;
+use slu2d::store::{BlockStore, StoreLayout};
 use std::sync::Arc;
 
 /// How the triangular solve is distributed.
@@ -54,11 +54,12 @@ pub struct SolverConfig {
     /// Costs memory proportional to the operation count; off by default.
     pub tracing: bool,
     /// Profile host wall-clock time per rank (`obs::hostprof`): RAII
-    /// scopes attribute the thread's measured wall to a fixed phase
-    /// taxonomy (panel-factor/gather/gemm/scatter/solves/comm-wait plus an
-    /// orchestration residual), summing to 100% by construction. Purely
-    /// host-side — simulated clocks, factors, and digests are untouched.
-    /// Off by default.
+    /// scopes attribute the rank's measured wall to a fixed phase taxonomy
+    /// (store-build/panel-factor/gather/gemm/scatter/solves/digest/comm-wait
+    /// plus an orchestration residual), summing to 100% by construction.
+    /// Under the event backend a rank's wall is the time it held the baton.
+    /// Purely host-side — simulated clocks, factors, and digests are
+    /// untouched. Off by default.
     pub host_profiling: bool,
     /// Run under the communication sanitizer (`commcheck`): vector-clock
     /// race detection on wildcard receives, message-leak accounting, and a
@@ -89,9 +90,7 @@ pub struct SolverConfig {
     /// per rank; [`Backend::Event`] runs ranks as cooperatively scheduled
     /// tasks, making paper-scale grids (`pr*pc*pz = 4096` and beyond)
     /// single-process-cheap. Factor digests, simulated makespans, and all
-    /// observability ledgers are bitwise identical between backends; host
-    /// profiling is threaded-only and the machine rejects
-    /// `host_profiling = true` under `Event` with a config error.
+    /// observability ledgers are bitwise identical between backends.
     pub backend: Backend,
     /// When the ancestor-reduction sends fire (docs/backends.md,
     /// "Schedules"). [`Schedule::Level`] (the default) ships every
@@ -211,11 +210,14 @@ pub struct Output3d {
     /// [`SolverConfig::sanitize`] set. A sanitized run with findings
     /// panics before this is ever returned, so a present report is clean.
     pub sanitizer: Option<simgrid::CommReport>,
-    /// Order-independent digest over every rank's factored blocks (sorted
-    /// block keys, then raw f64 bit patterns). Two runs produced *bitwise
-    /// identical* L/U factors iff their digests match — the chaos suite's
-    /// recovery guarantee ("faults with recovery change clocks, never
-    /// values") is asserted through this.
+    /// Digest over every rank's factored blocks (block keys and dimensions
+    /// in ascending key order, raw f64 bit patterns; ranks folded in world
+    /// order). Two runs produced *bitwise identical* L/U factors iff their
+    /// digests match, up to a 64-bit collision — the chaos suite's recovery
+    /// guarantee ("faults with recovery change clocks, never values") is
+    /// asserted through this. The function may change between builds: a
+    /// digest is comparable only with digests computed by the same build,
+    /// and no artifact stores one.
     pub factor_digest: u64,
     /// Scheduler counters of the run (steps, matched wakeups, unmatched
     /// sends, quiescence resolutions); `None` under the threaded backend.
@@ -356,25 +358,49 @@ impl Output3d {
     }
 }
 
-/// FNV-1a over a block store's sorted keys and raw f64 bit patterns:
-/// equal digests ⇔ bitwise-equal local factors.
+/// Number of independent hash lanes a block's words are dealt into: enough
+/// chains in flight to hide the latency of a 64-bit multiply, scalar or
+/// vector (measured on the AVX-512 build host: 4 lanes 1.7 ns/word, 8 lanes
+/// 1.0, 16 lanes 0.55, 32 lanes 0.45; the byte-wise FNV-1a it replaces 10.3).
+const DIGEST_LANES: usize = 16;
+
+/// One step of the digest's mixing chain: a bijection of `h` for fixed `w`
+/// and of `w` for fixed `h` (rotation, XOR, multiplication by an odd
+/// constant), so a change to one input word always changes the state. The
+/// rotation carries high bits — an f64's sign and exponent — into the low
+/// half, which a bare multiply-XOR chain never does.
+#[inline]
+fn digest_step(h: u64, w: u64) -> u64 {
+    (h.rotate_left(23) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Digest of a block store: equal digests ⇔ bitwise-equal local factors
+/// (same keys, same shapes, same f64 bit patterns), up to a 64-bit
+/// collision. Each block's words are dealt round-robin into
+/// [`DIGEST_LANES`] independent chains of whole `u64` words, so the
+/// multiplies overlap instead of waiting on each other, and the lanes are
+/// then folded in order with the block's key and dimensions, the blocks in
+/// ascending key order. Every fold is a [`digest_step`], so the order of
+/// lanes, words within a lane, and blocks all matter.
 fn store_digest(store: &BlockStore) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut keys: Vec<(usize, usize)> = store.keys().collect();
-    keys.sort_unstable();
-    let mut h = OFFSET;
-    let mix = |h: &mut u64, v: u64| {
-        for byte in v.to_le_bytes() {
-            *h ^= u64::from(byte);
-            *h = h.wrapping_mul(PRIME);
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = SEED;
+    for ((i, j), m) in store.iter() {
+        let mut lanes = [SEED; DIGEST_LANES];
+        let mut rounds = m.as_slice().chunks_exact(DIGEST_LANES);
+        for round in &mut rounds {
+            for (lane, v) in lanes.iter_mut().zip(round) {
+                *lane = digest_step(*lane, v.to_bits());
+            }
         }
-    };
-    for (i, j) in keys {
-        mix(&mut h, i as u64);
-        mix(&mut h, j as u64);
-        for &v in store.get(i, j).expect("listed key").as_slice() {
-            mix(&mut h, v.to_bits());
+        for (lane, v) in lanes.iter_mut().zip(rounds.remainder()) {
+            *lane = digest_step(*lane, v.to_bits());
+        }
+        for header in [i, j, m.rows(), m.cols()] {
+            h = digest_step(h, header as u64);
+        }
+        for lane in lanes {
+            h = digest_step(h, lane);
         }
     }
     h
@@ -437,6 +463,32 @@ fn solve_and_refine(
     x_full
 }
 
+/// What grid `z` allocates and what it initializes: `keep(sn)` holds for the
+/// supernodes of its forest parts plus every replicated ancestor, and
+/// `value_pred(i, j)` for the blocks whose values of `A` land on this grid —
+/// each block's designated initialization grid is the factoring grid of its
+/// deeper endpoint; the other grids start it at zero (§III-A).
+fn layer_predicates<'a>(
+    forest: &'a EtreeForest,
+    sym: &'a symbolic::Symbolic,
+    z: usize,
+) -> (
+    impl Fn(usize) -> bool + 'a,
+    impl Fn(usize, usize) -> bool + 'a,
+) {
+    let keep = move |sn: usize| forest.keeps(sym.part.node_of_sn[sn], z);
+    let value_pred = move |bi: usize, bj: usize| {
+        let (ni, nj) = (sym.part.node_of_sn[bi], sym.part.node_of_sn[bj]);
+        let deeper = if forest.part_level[ni] >= forest.part_level[nj] {
+            ni
+        } else {
+            nj
+        };
+        forest.factoring_grid(deeper) == z
+    };
+    (keep, value_pred)
+}
+
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
     match try_run(prep, cfg, rhs) {
         Ok(out) => out,
@@ -474,6 +526,9 @@ fn try_run(
     let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, cfg.pz));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
+    // Where every block and matrix entry lives on a layer: derived once for
+    // the machine, read by every rank's store.
+    let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
     let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
     let opts = FactorOpts {
         lookahead: cfg.lookahead,
@@ -488,28 +543,19 @@ fn try_run(
         let comms = build_grid_comms(rank, &grid3);
         let (my_r, my_c, my_z) = comms.coords;
 
-        // Allocate this grid's blocks: its forest parts plus every
-        // replicated ancestor; values land on each block's designated
-        // initialization grid, zeros elsewhere (§III-A).
-        let keep = |sn: usize| forest_cl.keeps(sym.part.node_of_sn[sn], my_z);
-        let value_pred = |bi: usize, bj: usize| {
-            let (ni, nj) = (sym.part.node_of_sn[bi], sym.part.node_of_sn[bj]);
-            let deeper = if forest_cl.part_level[ni] >= forest_cl.part_level[nj] {
-                ni
-            } else {
-                nj
-            };
-            forest_cl.factoring_grid(deeper) == my_z
+        let (keep, value_pred) = layer_predicates(&forest_cl, &sym, my_z);
+        let mut store = {
+            let _host = rank.host_scope(simgrid::HostPhase::StoreBuild);
+            BlockStore::from_layout(
+                Arc::clone(&layout),
+                &pa,
+                &sym,
+                my_r,
+                my_c,
+                &keep,
+                &value_pred,
+            )
         };
-        let mut store = BlockStore::build_with_value_pred(
-            &pa,
-            &sym,
-            &grid3.grid2d,
-            my_r,
-            my_c,
-            &keep,
-            &value_pred,
-        );
         let store_words = store.total_words();
 
         // A structured stage failure ends this rank in an orderly way: the
@@ -522,7 +568,10 @@ fn try_run(
             Err(kind) => rank.fail(kind),
         };
         // Digest before any solve: GatherToGrid0 mutates the store.
-        let factor_digest = store_digest(&store);
+        let factor_digest = {
+            let _host = rank.host_scope(simgrid::HostPhase::Digest);
+            store_digest(&store)
+        };
 
         let x_partial = rhs_p.as_ref().and_then(|b| {
             rank.set_phase("solve");
@@ -632,6 +681,319 @@ mod tests {
             r / bmax
         );
         out
+    }
+
+    // ---- The store and its digest: what every bitwise contract rests on ----
+
+    use densela::Mat;
+    use proptest::prelude::*;
+    use simgrid::Grid2d;
+    use slu2d::store::InitValues;
+    use std::collections::BTreeMap;
+
+    /// The store as every rank used to build it — scan the whole pattern,
+    /// then the whole matrix, keeping what is this rank's. The oracle the
+    /// layout-indexed store is compared against.
+    fn scan_build(
+        a: &Csr,
+        sym: &symbolic::Symbolic,
+        grid: &Grid2d,
+        (my_r, my_c): (usize, usize),
+        keep: &dyn Fn(usize) -> bool,
+        value_pred: &dyn Fn(usize, usize) -> bool,
+    ) -> BTreeMap<(usize, usize), Mat> {
+        let part = &sym.part;
+        let mut blocks = BTreeMap::new();
+        let mine = |i: usize, j: usize| grid.owner(i, j) == (my_r, my_c);
+        for j in (0..part.nsup()).filter(|&j| keep(j)) {
+            let wj = part.width(j);
+            if mine(j, j) {
+                blocks.insert((j, j), Mat::zeros(wj, wj));
+            }
+            for &i in sym.fill.struct_of[j].iter().filter(|&&i| keep(i)) {
+                let wi = part.width(i);
+                if mine(i, j) {
+                    blocks.insert((i, j), Mat::zeros(wi, wj));
+                }
+                if mine(j, i) {
+                    blocks.insert((j, i), Mat::zeros(wj, wi));
+                }
+            }
+        }
+        for row in 0..a.nrows {
+            let bi = part.sn_of_col[row];
+            for (col, val) in a.row_cols(row).iter().zip(a.row_vals(row)) {
+                let bj = part.sn_of_col[*col];
+                if !keep(bi) || !keep(bj) || !mine(bi, bj) || !value_pred(bi, bj) {
+                    continue;
+                }
+                let m = blocks
+                    .get_mut(&(bi, bj))
+                    .expect("the pattern holds all of A");
+                *m.at_mut(row - part.ranges[bi].start, col - part.ranges[bj].start) += *val;
+            }
+        }
+        blocks
+    }
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every rank of a `pr x pc x pz` machine, under the solver's real
+    /// predicates: the layout-built store equals the scanned one block for
+    /// block and bit for bit, and digests the same however it was filled.
+    fn assert_stores_match_the_oracle(prep: &Prepared, pr: usize, pc: usize, pz: usize) {
+        let ctx = format!("{pr}x{pc}x{pz}");
+        let grid = Grid2d::new(pr, pc);
+        let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
+        let layout = Arc::new(StoreLayout::new(&prep.pa, &prep.sym, &grid));
+        let mut total_blocks = 0;
+        for z in 0..pz {
+            let (keep, value_pred) = layer_predicates(&forest, &prep.sym, z);
+            for (r, c) in (0..pr).flat_map(|r| (0..pc).map(move |c| (r, c))) {
+                let oracle = scan_build(&prep.pa, &prep.sym, &grid, (r, c), &keep, &value_pred);
+                let shared = BlockStore::from_layout(
+                    Arc::clone(&layout),
+                    &prep.pa,
+                    &prep.sym,
+                    r,
+                    c,
+                    &keep,
+                    &value_pred,
+                );
+                let private = BlockStore::build_with_value_pred(
+                    &prep.pa,
+                    &prep.sym,
+                    &grid,
+                    r,
+                    c,
+                    &keep,
+                    &value_pred,
+                );
+                for (name, store) in [("shared", &shared), ("private", &private)] {
+                    let ctx = format!("{ctx} z={z} ({r},{c}) {name} layout");
+                    assert_eq!(
+                        store.keys().collect::<Vec<_>>(),
+                        oracle.keys().copied().collect::<Vec<_>>(),
+                        "{ctx}: block sets"
+                    );
+                    assert_eq!(store.len(), oracle.len(), "{ctx}");
+                    for ((i, j), want) in &oracle {
+                        let got = store.get(*i, *j).expect("listed key");
+                        assert_eq!(
+                            (got.rows(), got.cols()),
+                            (want.rows(), want.cols()),
+                            "{ctx}: shape of ({i},{j})"
+                        );
+                        assert_eq!(bits(got), bits(want), "{ctx}: block ({i},{j})");
+                    }
+                }
+                // The digest is a function of the content, not of how or in
+                // what order the store was filled.
+                let mut refilled = BlockStore::empty(Arc::clone(&layout), r, c);
+                for ((i, j), m) in oracle.iter().rev() {
+                    refilled.insert(*i, *j, m.clone());
+                }
+                assert_eq!(store_digest(&shared), store_digest(&refilled), "{ctx}");
+                assert_eq!(store_digest(&shared), store_digest(&private), "{ctx}");
+                total_blocks += oracle.len();
+            }
+        }
+        assert!(
+            total_blocks >= layout.num_blocks(),
+            "{ctx}: every block is kept on some layer"
+        );
+    }
+
+    #[test]
+    fn layout_built_stores_equal_the_scanning_oracle() {
+        let planar = Prepared::new(
+            grid2d_5pt(24, 24, 0.1, 1),
+            Geometry::Grid2d { nx: 24, ny: 24 },
+            8,
+            8,
+        );
+        assert_stores_match_the_oracle(&planar, 2, 2, 4);
+        let nonplanar = Prepared::new(
+            grid3d_7pt(10, 10, 10, 0.1, 2),
+            Geometry::Grid3d {
+                nx: 10,
+                ny: 10,
+                nz: 10,
+            },
+            8,
+            8,
+        );
+        assert_stores_match_the_oracle(&nonplanar, 1, 3, 2);
+        assert_stores_match_the_oracle(&nonplanar, 1, 1, 1);
+        let kkt = Prepared::new(kkt_3d(6, 5, 4, 1e-2, 3), Geometry::General, 8, 8);
+        assert_stores_match_the_oracle(&kkt, 3, 2, 2);
+    }
+
+    /// A small store with blocks of many shapes, values from the matrix.
+    fn digest_fixture() -> BlockStore {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 5),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            7,
+        );
+        let grid = Grid2d::new(1, 1);
+        let mut store = BlockStore::build(
+            &prep.pa,
+            &prep.sym,
+            &grid,
+            0,
+            0,
+            &|_| true,
+            InitValues::FromMatrix,
+        );
+        // Make every word distinct, keeping fill blocks zero-free too: a
+        // swap of equal words would be no change at all.
+        let keys: Vec<_> = store.keys().collect();
+        for (n, &(i, j)) in keys.iter().enumerate() {
+            let m = store.get_mut(i, j).unwrap();
+            for (e, v) in m.as_mut_slice().iter_mut().enumerate() {
+                *v += 1.0 + (n * 1000 + e) as f64;
+            }
+        }
+        store
+    }
+
+    /// `store` with the words of block `key` permuted or rewritten.
+    fn with_words(
+        store: &BlockStore,
+        key: (usize, usize),
+        edit: impl FnOnce(&mut [f64]),
+    ) -> BlockStore {
+        let mut changed = store.clone();
+        edit(changed.get_mut(key.0, key.1).unwrap().as_mut_slice());
+        changed
+    }
+
+    proptest! {
+        #[test]
+        fn digest_sees_every_bit_and_every_swap(block in 0usize..10_000, a in 0usize..10_000, b in 0usize..10_000, bit in 0u32..64) {
+            let store = digest_fixture();
+            let base = store_digest(&store);
+            let keys: Vec<_> = store.keys().collect();
+            let key = keys[block % keys.len()];
+            let len = store.get(key.0, key.1).unwrap().as_slice().len();
+            let (a, b) = (a % len, b % len);
+            let flipped = with_words(&store, key, |w| w[a] = f64::from_bits(w[a].to_bits() ^ (1 << bit)));
+            prop_assert!(store_digest(&flipped) != base, "bit {} of word {} of block {:?}", bit, a, key);
+            if a != b {
+                // Any two words: same lane when a ≡ b (mod lanes), else not.
+                let swapped = with_words(&store, key, |w| w.swap(a, b));
+                prop_assert!(store_digest(&swapped) != base, "words {} and {} of block {:?}", a, b, key);
+            }
+        }
+    }
+
+    #[test]
+    fn digest_orders_words_within_and_across_lanes() {
+        let store = digest_fixture();
+        let base = store_digest(&store);
+        // A block of three rounds whose last two lanes hold equally many
+        // words (the remainder of a partial round goes to the first lanes).
+        let key = store
+            .iter()
+            .map(|(key, m)| (key, m.as_slice().len()))
+            .find(|(_, len)| *len >= 3 * DIGEST_LANES && len % DIGEST_LANES <= DIGEST_LANES - 2)
+            .map(|(key, _)| key)
+            .expect("a block of three rounds");
+        // Same lane: one round apart.
+        let same = with_words(&store, key, |w| w.swap(1, 1 + DIGEST_LANES));
+        assert_ne!(store_digest(&same), base);
+        // Neighbouring lanes, same depth.
+        let across = with_words(&store, key, |w| w.swap(1, 2));
+        assert_ne!(store_digest(&across), base);
+        // The case a symmetric combination of the lanes cannot see: a block
+        // that is zero except for two words at the same depth of two lanes.
+        // Swapping them exchanges the two lanes' states exactly.
+        let sparse = |x: f64, y: f64| {
+            with_words(&store, key, |w| {
+                w.fill(0.0);
+                w[2 * DIGEST_LANES - 2] = x;
+                w[2 * DIGEST_LANES - 1] = y;
+            })
+        };
+        assert_ne!(
+            store_digest(&sparse(3.5, -0.25)),
+            store_digest(&sparse(-0.25, 3.5))
+        );
+        // An f64's sign lives in the top bit, which a multiply never carries
+        // downwards: equal magnitudes of opposite sign, one lane, swapped.
+        let signs = |x: f64, y: f64| {
+            with_words(&store, key, |w| {
+                w[0] = x;
+                w[DIGEST_LANES] = y;
+            })
+        };
+        assert_ne!(
+            store_digest(&signs(2.0, -2.0)),
+            store_digest(&signs(-2.0, 2.0))
+        );
+    }
+
+    #[test]
+    fn digest_binds_content_to_key_shape_and_presence() {
+        let store = digest_fixture();
+        let base = store_digest(&store);
+        // Two equal-shaped blocks exchange their contents.
+        let keys: Vec<_> = store.keys().collect();
+        let shape = |&(i, j): &(usize, usize)| {
+            let m = store.get(i, j).unwrap();
+            (m.rows(), m.cols())
+        };
+        let (p, q) = keys
+            .iter()
+            .enumerate()
+            .find_map(|(n, p)| {
+                let q = keys[n + 1..].iter().find(|q| shape(q) == shape(p))?;
+                Some((*p, *q))
+            })
+            .expect("two blocks of one shape");
+        let mut exchanged = store.clone();
+        let (mp, mq) = (
+            exchanged.take(p.0, p.1).unwrap(),
+            exchanged.take(q.0, q.1).unwrap(),
+        );
+        exchanged.insert(p.0, p.1, mq);
+        exchanged.insert(q.0, q.1, mp);
+        assert_eq!(
+            exchanged.keys().collect::<Vec<_>>(),
+            keys,
+            "same keys, same order"
+        );
+        assert_ne!(store_digest(&exchanged), base);
+        // Taking a block out and putting it back is no change.
+        let mut restored = store.clone();
+        let m = restored.take(p.0, p.1).unwrap();
+        restored.insert(p.0, p.1, m);
+        assert_eq!(store_digest(&restored), base);
+
+        // The same words under transposed dimensions.
+        let tall = *keys
+            .iter()
+            .find(|k| shape(k).0 != shape(k).1)
+            .expect("a non-square block");
+        let mut transposed = store.clone();
+        let m = transposed.take(tall.0, tall.1).unwrap();
+        transposed.insert(
+            tall.0,
+            tall.1,
+            Mat::from_vec(m.cols(), m.rows(), m.as_slice().to_vec()),
+        );
+        assert_ne!(store_digest(&transposed), base);
+
+        // An all-zero block is content: dropping it is seen.
+        let zeroed = with_words(&store, tall, |w| w.fill(0.0));
+        let mut dropped = zeroed.clone();
+        dropped.take(tall.0, tall.1).unwrap();
+        assert_eq!(dropped.len(), zeroed.len() - 1);
+        assert_ne!(store_digest(&dropped), store_digest(&zeroed));
     }
 
     #[test]

@@ -136,12 +136,31 @@ pub struct EdgeVolume {
     pub words: u64,
 }
 
+/// A ledger key with the phase label replaced by its index in
+/// [`CommLedger::phases`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CellKey {
+    phase: u32,
+    class: CommClass,
+    level: u32,
+    axis: GridAxis,
+}
+
 /// Running per-key volumes for one rank.
+///
+/// A rank touches a few dozen distinct keys in a run and sends thousands of
+/// messages under each, almost always under the key of the previous send: the
+/// cells are a short vector searched last-hit first, the phase labels are
+/// interned, and the labelled, sorted rows exist only in the report.
 #[derive(Clone, Debug, Default)]
 pub struct CommLedger {
     /// Current tree level, stamped onto send charges.
     level: u32,
-    sent: BTreeMap<(String, CommClass, u32, GridAxis), CommCell>,
+    /// Phase labels in order of first use.
+    phases: Vec<String>,
+    cells: Vec<(CellKey, CommCell)>,
+    /// Index into `cells` of the last charge.
+    last: usize,
     sent_to: BTreeMap<usize, (u64, u64)>,
     recv_from: BTreeMap<usize, (u64, u64)>,
     /// Per-event timeline, recorded only when tracing.
@@ -164,8 +183,40 @@ impl CommLedger {
         self.level = level;
     }
 
-    pub fn level(&self) -> u32 {
-        self.level
+    /// The cell of `(phase, class, current level, axis)`, created on first
+    /// use. Allocates only then.
+    fn cell_mut(&mut self, phase: &str, class: CommClass, axis: GridAxis) -> &mut CommCell {
+        let level = self.level;
+        let phases = &self.phases;
+        let is_key = |k: &CellKey| {
+            k.class == class
+                && k.level == level
+                && k.axis == axis
+                && phases[k.phase as usize] == phase
+        };
+        if !self.cells.get(self.last).is_some_and(|(k, _)| is_key(k)) {
+            self.last = match self.cells.iter().position(|(k, _)| is_key(k)) {
+                Some(at) => at,
+                None => {
+                    let phase = match self.phases.iter().position(|p| p == phase) {
+                        Some(id) => id,
+                        None => {
+                            self.phases.push(phase.to_string());
+                            self.phases.len() - 1
+                        }
+                    } as u32;
+                    let key = CellKey {
+                        phase,
+                        class,
+                        level,
+                        axis,
+                    };
+                    self.cells.push((key, CommCell::default()));
+                    self.cells.len() - 1
+                }
+            };
+        }
+        &mut self.cells[self.last].1
     }
 
     /// Charge one algorithmic send: `words` padded words (with
@@ -187,10 +238,7 @@ impl CommLedger {
             struct_words <= words,
             "struct {struct_words} > padded {words}"
         );
-        let cell = self
-            .sent
-            .entry((phase.to_string(), class, self.level, axis))
-            .or_default();
+        let cell = self.cell_mut(phase, class, axis);
         cell.msgs += 1;
         cell.words += words;
         cell.struct_words += struct_words.min(words);
@@ -213,7 +261,7 @@ impl CommLedger {
 
     /// Padded words sent so far, all keys.
     pub fn sent_words(&self) -> u64 {
-        self.sent.values().map(|c| c.words).sum()
+        self.cells.iter().map(|(_, c)| c.words).sum()
     }
 
     /// Take the recorded event timeline (empty when tracing was off).
@@ -228,18 +276,22 @@ impl CommLedger {
                 .map(|(&peer, &(msgs, words))| EdgeVolume { peer, msgs, words })
                 .collect::<Vec<_>>()
         };
+        let mut entries: Vec<CommEntry> = self
+            .cells
+            .iter()
+            .map(|&(key, cell)| CommEntry {
+                phase: self.phases[key.phase as usize].clone(),
+                class: key.class,
+                level: key.level,
+                axis: key.axis,
+                cell,
+            })
+            .collect();
+        entries.sort_by(|a, b| {
+            (&a.phase, a.class, a.level, a.axis).cmp(&(&b.phase, b.class, b.level, b.axis))
+        });
         CommReport {
-            entries: self
-                .sent
-                .iter()
-                .map(|((phase, class, level, axis), &cell)| CommEntry {
-                    phase: phase.clone(),
-                    class: *class,
-                    level: *level,
-                    axis: *axis,
-                    cell,
-                })
-                .collect(),
+            entries,
             sent_to: edges(&self.sent_to),
             recv_from: edges(&self.recv_from),
         }
@@ -260,7 +312,7 @@ pub struct CommEntry {
 /// per-edge sent/received volumes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommReport {
-    /// Keyed volumes, in BTreeMap (deterministic) order.
+    /// Keyed volumes, ascending by `(phase, class, level, axis)`.
     pub entries: Vec<CommEntry>,
     /// Words this rank sent, per destination world rank.
     pub sent_to: Vec<EdgeVolume>,
@@ -478,6 +530,55 @@ pub fn commvol_json(per_rank: &[CommReport]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random sends over a handful of phases, classes, levels and axes:
+        /// the indexed cells render to exactly the rows a map keyed by the
+        /// labelled tuple accumulates, in that map's order.
+        #[test]
+        fn indexed_cells_report_like_a_labelled_map(seed in 0u64..1_000_000, sends in 1usize..300) {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let phases = ["solve", "fact", "reduce", "default"];
+            let mut ledger = CommLedger::new(false);
+            let mut reference: BTreeMap<(String, CommClass, u32, GridAxis), CommCell> = BTreeMap::new();
+            let mut key = (phases[0], CommClass::Control, 0u32, GridAxis::X);
+            for _ in 0..sends {
+                // Mostly the key of the previous send, as in a real run.
+                if draw(4) == 0 {
+                    key = (
+                        phases[draw(4) as usize],
+                        CommClass::ALL[draw(6) as usize],
+                        draw(3) as u32,
+                        GridAxis::ALL[draw(4) as usize],
+                    );
+                    ledger.set_level(key.2);
+                }
+                let words = draw(50);
+                let struct_words = draw(words + 1);
+                ledger.charge_send(key.0, key.1, key.3, draw(5) as usize, words, struct_words, 0.0);
+                let cell = reference.entry((key.0.to_string(), key.1, key.2, key.3)).or_default();
+                cell.msgs += 1;
+                cell.words += words;
+                cell.struct_words += struct_words;
+            }
+            let expected: Vec<CommEntry> = reference
+                .into_iter()
+                .map(|((phase, class, level, axis), cell)| CommEntry { phase, class, level, axis, cell })
+                .collect();
+            let report = ledger.report();
+            prop_assert_eq!(ledger.sent_words(), report.sent_words());
+            prop_assert_eq!(report.entries, expected);
+        }
+    }
 
     #[test]
     fn keys_separate_phase_class_level_axis() {

@@ -35,6 +35,9 @@ use std::time::Instant;
 /// kernel under the 3D schedule plus the triangular solves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HostPhase {
+    /// Building the rank's block store: allocating its kept share of the
+    /// pattern and scattering its bucket of matrix values.
+    StoreBuild,
     /// Dense panel factorization of a diagonal supernode.
     PanelFactor,
     /// Packing panel pairs into batched GEMM operands.
@@ -47,6 +50,8 @@ pub enum HostPhase {
     SolveFwd,
     /// Backward triangular solve.
     SolveBwd,
+    /// Hashing the rank's factored blocks into the run's factor digest.
+    Digest,
     /// Blocked in a receive whose message had not yet arrived on the
     /// physical channel.
     CommWait,
@@ -58,13 +63,15 @@ pub enum HostPhase {
 
 impl HostPhase {
     /// All phases, in the fixed order used by every report and track.
-    pub const ALL: [HostPhase; 8] = [
+    pub const ALL: [HostPhase; 10] = [
+        HostPhase::StoreBuild,
         HostPhase::PanelFactor,
         HostPhase::Gather,
         HostPhase::Gemm,
         HostPhase::Scatter,
         HostPhase::SolveFwd,
         HostPhase::SolveBwd,
+        HostPhase::Digest,
         HostPhase::CommWait,
         HostPhase::Orchestration,
     ];
@@ -82,12 +89,14 @@ impl HostPhase {
 
     pub fn as_str(self) -> &'static str {
         match self {
+            HostPhase::StoreBuild => "store-build",
             HostPhase::PanelFactor => "panel-factor",
             HostPhase::Gather => "gather",
             HostPhase::Gemm => "gemm",
             HostPhase::Scatter => "scatter",
             HostPhase::SolveFwd => "solve-fwd",
             HostPhase::SolveBwd => "solve-bwd",
+            HostPhase::Digest => "digest",
             HostPhase::CommWait => "comm-wait",
             HostPhase::Orchestration => "orchestration",
         }
@@ -112,6 +121,9 @@ struct Frame {
     phase: HostPhase,
     sn: Option<usize>,
     start: Instant,
+    /// Nanoseconds the rank spent paused while this frame was open; not
+    /// part of its elapsed time.
+    paused_ns: u64,
     /// Total elapsed nanoseconds of already-closed child scopes.
     child_ns: u64,
     /// Simulated time at open, stamped onto the timeline event.
@@ -131,6 +143,10 @@ struct Inner {
     per_sn: BTreeMap<usize, u64>,
     /// Per-scope timeline, recorded only when tracing.
     timeline: Option<Vec<HostEvent>>,
+    /// When the current pause began, while the rank is paused.
+    paused_at: Option<Instant>,
+    /// Total nanoseconds spent paused.
+    paused_ns: u64,
 }
 
 /// Per-rank host-time profiler. The owning rank thread is the only writer,
@@ -173,6 +189,7 @@ impl HostProf {
                 sn,
                 // det-lint: allow(wall-clock): host-time profiler scope open
                 start: Instant::now(),
+                paused_ns: 0,
                 child_ns: 0,
                 t_sim,
             });
@@ -190,7 +207,7 @@ impl HostProf {
             .pop()
             .expect("hostprof: scope closed with empty stack");
         // det-lint: allow(wall-clock): host-time profiler scope close
-        let elapsed = frame.start.elapsed().as_nanos() as u64;
+        let elapsed = (frame.start.elapsed().as_nanos() as u64).saturating_sub(frame.paused_ns);
         let self_ns = elapsed.saturating_sub(frame.child_ns);
         let key = inner.path.clone();
         inner.path.pop();
@@ -209,6 +226,36 @@ impl HostProf {
                 ns: self_ns,
             });
         }
+    }
+
+    /// The rank stops running on the host (the event backend parks it and
+    /// another rank takes the baton): until [`HostProf::resume`], wall time
+    /// is nobody's — it is taken out of every open frame and reported by
+    /// [`HostProf::paused_secs`] so the caller can take it out of the rank's
+    /// wall as well.
+    pub fn pause(&self) {
+        // det-lint: allow(wall-clock): host-time profiler pause
+        self.lock().paused_at = Some(Instant::now());
+    }
+
+    /// The rank runs again; see [`HostProf::pause`].
+    pub fn resume(&self) {
+        let mut inner = self.lock();
+        let Some(since) = inner.paused_at.take() else {
+            return;
+        };
+        // det-lint: allow(wall-clock): host-time profiler resume
+        let ns = since.elapsed().as_nanos() as u64;
+        inner.paused_ns += ns;
+        for frame in &mut inner.stack {
+            frame.paused_ns += ns;
+        }
+    }
+
+    /// Total seconds spent between [`HostProf::pause`] and
+    /// [`HostProf::resume`] so far.
+    pub fn paused_secs(&self) -> f64 {
+        self.lock().paused_ns as f64 * 1.0e-9
     }
 
     /// Take the recorded timeline, sorted by simulated open time (scopes
@@ -514,6 +561,31 @@ mod tests {
         // Supernode attribution saw only the outer scope's self time.
         assert_eq!(r.per_supernode_ns.len(), 1);
         assert_eq!(r.per_supernode_ns[0].0, 3);
+    }
+
+    #[test]
+    fn paused_time_belongs_to_no_frame() {
+        let p = Arc::new(HostProf::new(false));
+        {
+            let _outer = p.scope(HostPhase::PanelFactor, None, 0.0);
+            let _inner = p.scope(HostPhase::CommWait, None, 0.0);
+            spin_ns(100_000);
+            p.pause();
+            spin_ns(5_000_000); // parked: another rank holds the baton
+            p.resume();
+            spin_ns(100_000);
+        }
+        p.resume(); // without a pause: nothing happens
+        let paused = p.paused_secs();
+        assert!(paused >= 5.0e-3, "paused {paused}");
+        let r = p.report(1.0, 0, 0);
+        let wait = r.phase_secs(HostPhase::CommWait);
+        let panel = r.phase_secs(HostPhase::PanelFactor);
+        assert!(wait >= 200_000.0e-9, "wait {wait}");
+        assert!(
+            wait + panel < 2.5e-3,
+            "the pause leaked into a frame: wait {wait}, panel {panel}"
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! everything here just does deterministic arithmetic.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
 
 /// What a tracked buffer holds. The taxonomy follows the memory story of
 /// the paper: 2D panels, the Pz-replicated ancestor copies that buy the
@@ -78,18 +77,43 @@ pub struct MemEvent {
     pub delta: i64,
 }
 
+/// Balances in bytes per `(class, tree level)`: one short vector per class,
+/// indexed by level. Tree levels are small (at most `log2 Pz`), so a charge
+/// is two index operations.
+type Balances = [Vec<u64>; MemClass::ALL.len()];
+
+/// The nonzero balances as attribution entries, in `(class, level)` order.
+fn attribution(balances: &Balances) -> Vec<MemAttr> {
+    let mut out = Vec::new();
+    for (&class, levels) in MemClass::ALL.iter().zip(balances) {
+        for (level, &bytes) in levels.iter().enumerate() {
+            if bytes > 0 {
+                out.push(MemAttr {
+                    class,
+                    level: level as u32,
+                    bytes,
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Running balances, high-water mark, and peak-instant attribution for
 /// one rank.
 #[derive(Clone, Debug, Default)]
 pub struct MemLedger {
-    /// Current balance per (class, tree level), in bytes. Zero entries are
-    /// removed so iteration only sees live classes.
-    cur: BTreeMap<(MemClass, u32), u64>,
+    cur: Balances,
     total: u64,
     peak: u64,
     peak_t: f64,
-    /// Snapshot of `cur` at the instant `peak` was set.
-    peak_by: BTreeMap<(MemClass, u32), u64>,
+    /// Snapshot of `cur` at the instant `peak` was set — taken lazily.
+    /// Between a peak-setting charge and the next credit `cur` only grows
+    /// and every charge sets a new peak, so `cur` *is* the snapshot until a
+    /// credit (or the report) needs the two to differ.
+    peak_by: Balances,
+    /// True while `cur` stands in for `peak_by`.
+    peak_is_cur: bool,
     /// Current tree level; stamped onto charges (credits look up the
     /// level a balance was charged under).
     level: u32,
@@ -115,10 +139,6 @@ impl MemLedger {
         self.level = level;
     }
 
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     /// Charge `bytes` of `class` at simulated time `t`, attributed to the
     /// current tree level.
     pub fn charge(&mut self, class: MemClass, bytes: u64, t: f64) {
@@ -131,12 +151,16 @@ impl MemLedger {
         if bytes == 0 {
             return;
         }
-        *self.cur.entry((class, level)).or_insert(0) += bytes;
+        let levels = &mut self.cur[class as usize];
+        if levels.len() <= level as usize {
+            levels.resize(level as usize + 1, 0);
+        }
+        levels[level as usize] += bytes;
         self.total += bytes;
         if self.total > self.peak {
             self.peak = self.total;
             self.peak_t = t;
-            self.peak_by = self.cur.clone();
+            self.peak_is_cur = true;
         }
         if let Some(tl) = &mut self.timeline {
             tl.push(MemEvent {
@@ -160,23 +184,30 @@ impl MemLedger {
         if bytes == 0 {
             return;
         }
-        let bal = self.cur.get_mut(&(class, level)).unwrap_or_else(|| {
-            panic!(
-                "memprof: credit of {bytes} B against empty balance \
-                 ({} @ level {level})",
-                class.as_str()
-            )
-        });
+        let bal = self.cur[class as usize]
+            .get(level as usize)
+            .copied()
+            .unwrap_or(0);
         assert!(
-            *bal >= bytes,
+            bal > 0,
+            "memprof: credit of {bytes} B against empty balance \
+             ({} @ level {level})",
+            class.as_str()
+        );
+        assert!(
+            bal >= bytes,
             "memprof: credit of {bytes} B exceeds balance {bal} B \
              ({} @ level {level})",
             class.as_str()
         );
-        *bal -= bytes;
-        if *bal == 0 {
-            self.cur.remove(&(class, level));
+        if self.peak_is_cur {
+            // `cur` is about to stop being the balances of the peak instant.
+            for (snapshot, levels) in self.peak_by.iter_mut().zip(&self.cur) {
+                snapshot.clone_from(levels);
+            }
+            self.peak_is_cur = false;
         }
+        self.cur[class as usize][level as usize] -= bytes;
         self.total -= bytes;
         if let Some(tl) = &mut self.timeline {
             tl.push(MemEvent {
@@ -190,11 +221,7 @@ impl MemLedger {
 
     /// Current balance of one class summed over levels.
     pub fn balance(&self, class: MemClass) -> u64 {
-        self.cur
-            .iter()
-            .filter(|((c, _), _)| *c == class)
-            .map(|(_, &b)| b)
-            .sum()
+        self.cur[class as usize].iter().sum()
     }
 
     /// Current total across all classes.
@@ -207,11 +234,6 @@ impl MemLedger {
         self.peak
     }
 
-    /// Simulated time at which the high-water mark was set.
-    pub fn peak_t(&self) -> f64 {
-        self.peak_t
-    }
-
     /// Take the recorded event timeline (empty when tracing was off).
     pub fn take_timeline(&mut self) -> Vec<MemEvent> {
         self.timeline.take().unwrap_or_default()
@@ -219,21 +241,17 @@ impl MemLedger {
 
     /// Freeze into a report. Call at the end of the run.
     pub fn report(&self) -> MemReport {
-        let attr = |m: &BTreeMap<(MemClass, u32), u64>| {
-            m.iter()
-                .map(|(&(class, level), &bytes)| MemAttr {
-                    class,
-                    level,
-                    bytes,
-                })
-                .collect::<Vec<_>>()
+        let at_peak = if self.peak_is_cur {
+            &self.cur
+        } else {
+            &self.peak_by
         };
         MemReport {
             peak_bytes: self.peak,
             peak_t: self.peak_t,
-            peak_by: attr(&self.peak_by),
+            peak_by: attribution(at_peak),
             final_bytes: self.total,
-            final_by: attr(&self.cur),
+            final_by: attribution(&self.cur),
         }
     }
 }
@@ -328,6 +346,123 @@ pub fn memprof_json(per_rank: &[MemReport]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The ledger as it was first written: balances in an ordered map, the
+    /// whole map copied at every new peak. The reference the lazy snapshot
+    /// must agree with.
+    #[derive(Default)]
+    struct EagerLedger {
+        cur: BTreeMap<(MemClass, u32), u64>,
+        total: u64,
+        peak: u64,
+        peak_t: f64,
+        peak_by: BTreeMap<(MemClass, u32), u64>,
+    }
+
+    impl EagerLedger {
+        fn charge_at(&mut self, class: MemClass, level: u32, bytes: u64, t: f64) {
+            if bytes == 0 {
+                return;
+            }
+            *self.cur.entry((class, level)).or_insert(0) += bytes;
+            self.total += bytes;
+            if self.total > self.peak {
+                self.peak = self.total;
+                self.peak_t = t;
+                self.peak_by = self.cur.clone();
+            }
+        }
+
+        fn credit_at(&mut self, class: MemClass, level: u32, bytes: u64) {
+            let bal = self
+                .cur
+                .get_mut(&(class, level))
+                .expect("reference balance");
+            *bal -= bytes;
+            if *bal == 0 {
+                self.cur.remove(&(class, level));
+            }
+            self.total -= bytes;
+        }
+
+        fn report(&self) -> MemReport {
+            let attr = |m: &BTreeMap<(MemClass, u32), u64>| {
+                m.iter()
+                    .map(|(&(class, level), &bytes)| MemAttr {
+                        class,
+                        level,
+                        bytes,
+                    })
+                    .collect()
+            };
+            MemReport {
+                peak_bytes: self.peak,
+                peak_t: self.peak_t,
+                peak_by: attr(&self.peak_by),
+                final_bytes: self.total,
+                final_by: attr(&self.cur),
+            }
+        }
+    }
+
+    #[test]
+    fn classes_index_the_balances_in_report_order() {
+        for (at, &class) in MemClass::ALL.iter().enumerate() {
+            assert_eq!(class as usize, at);
+        }
+        assert!(MemClass::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    proptest! {
+        /// Random charge / credit / `set_level` sequences: the lazily
+        /// snapshotted ledger reports exactly what the eager one does, at
+        /// every prefix a report could be asked for.
+        #[test]
+        fn lazy_peak_snapshot_equals_eager_reference(seed in 0u64..1_000_000, ops in 1usize..200) {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut lazy = MemLedger::new(false);
+            let mut eager = EagerLedger::default();
+            let mut level = 0u32;
+            for step in 0..ops {
+                let t = step as f64;
+                let class = MemClass::ALL[draw(6) as usize];
+                match draw(8) {
+                    0 => {
+                        level = draw(5) as u32;
+                        lazy.set_level(level);
+                    }
+                    1..=4 => {
+                        // Zero-byte charges included: they are no-ops.
+                        let bytes = draw(4) * draw(100);
+                        lazy.charge(class, bytes, t);
+                        eager.charge_at(class, level, bytes, t);
+                    }
+                    _ => {
+                        // Credit part of some live balance, often all of it.
+                        let live: Vec<_> = eager.cur.iter().map(|(&k, &b)| (k, b)).collect();
+                        if !live.is_empty() {
+                            let ((class, at), bal) = live[draw(live.len() as u64) as usize];
+                            let bytes = if draw(2) == 0 { bal } else { 1 + draw(bal) };
+                            lazy.credit_at(class, at, bytes, t);
+                            eager.credit_at(class, at, bytes);
+                        }
+                    }
+                }
+                prop_assert_eq!(lazy.report(), eager.report());
+                prop_assert_eq!(lazy.balance(class), eager.cur.iter().filter(|((c, _), _)| *c == class).map(|(_, &b)| b).sum::<u64>());
+            }
+        }
+    }
 
     #[test]
     fn peak_attribution_sums_to_peak() {

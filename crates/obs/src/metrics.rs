@@ -139,22 +139,37 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    // The three recorders look the name up before they own it: a hit — every
+    // call but a metric's first — allocates nothing.
+
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
-        if v > *g {
-            *g = v;
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = g.max(v),
+            None => {
+                self.gauges.insert(name.to_string(), v.max(f64::MIN));
+            }
         }
     }
 
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                self.histograms
+                    .entry(name.to_string())
+                    .or_default()
+                    .observe(v);
+            }
+        }
     }
 
     pub fn counter(&self, name: &str) -> u64 {

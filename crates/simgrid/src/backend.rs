@@ -8,9 +8,7 @@
 //! - [`ThreadedBackend`]: the original free-running mode. Every rank is an
 //!   OS thread scheduled by the kernel; receives block on the channel with
 //!   a wall-clock backstop, and a watchdog thread runs the deadlock
-//!   detector. Real host parallelism — required by the host-time profiler,
-//!   whose phase attribution only means something when ranks actually run
-//!   concurrently.
+//!   detector. Real host parallelism.
 //! - [`EventBackend`]: discrete-event mode. Ranks are *resumable tasks*:
 //!   each still owns a (mostly parked) OS thread as its coroutine stack,
 //!   but exactly one runs at any instant — the one holding the *baton*. A

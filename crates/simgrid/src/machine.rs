@@ -188,9 +188,8 @@ impl Machine {
     /// Select the execution backend (see [`Backend`] and `docs/backends.md`).
     /// Simulated results — factor digests, makespans, every ledger — are
     /// identical either way; only host-side scheduling differs. The
-    /// threaded default keeps real parallelism (required by the host-time
-    /// profiler); the event backend runs arbitrarily large rank counts in
-    /// one cooperative process.
+    /// threaded default keeps real parallelism; the event backend runs
+    /// arbitrarily large rank counts in one cooperative process.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -220,10 +219,9 @@ impl Machine {
     /// untouched. When combined with [`Machine::with_tracing`], host
     /// counter tracks join the Chrome trace. Off by default.
     ///
-    /// Threaded backend only: wall attribution is meaningless when the
-    /// event scheduler multiplexes every rank onto one thread, so a run
-    /// configured with both fails fast with a structured
-    /// [`FailKind::Config`] error instead of silently dropping the data.
+    /// Valid under both backends. Under the event backend a rank's wall is
+    /// the time it held the baton: the profiler is paused while the rank is
+    /// parked, so the per-rank walls add up to (at most) the machine's.
     pub fn with_host_profiling(mut self) -> Self {
         self.host_profiling = true;
         self
@@ -323,18 +321,6 @@ impl Machine {
         F: Fn(&mut Rank) -> T + Send + Sync + 'static,
     {
         let event_mode = mode == Backend::Event;
-        // Host profiling attributes *wall* time per rank thread, which only
-        // means something when ranks really run concurrently: under the
-        // event backend a parked task would book its entire descheduled
-        // life as CommWait. Reject the combination up front.
-        if self.host_profiling && event_mode {
-            return Err(MachineFailure::config(
-                "host profiling requires the threaded backend: the event scheduler \
-                 multiplexes every rank onto one thread, so per-rank wall-clock \
-                 attribution would be meaningless (docs/backends.md). Run with \
-                 Backend::Threaded or drop with_host_profiling()",
-            ));
-        }
         // An orderly rank shutdown unwinds with a typed payload that the
         // join loop interprets via the failure board; the default panic
         // hook would still print "thread panicked" plus a backtrace for
@@ -362,8 +348,6 @@ impl Machine {
         let f = Arc::new(f);
         let model = self.model;
         let tracing = self.tracing;
-        // Threaded-only by contract (docs/backends.md); the event-mode
-        // combination was rejected above.
         let host_profiling = self.host_profiling;
         let board = Arc::new(FailureBoard::new());
 
@@ -578,6 +562,37 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], 12.0);
+    }
+
+    #[test]
+    fn the_unexpected_message_queue_drains_to_empty() {
+        // Rank 1 receives in the reverse of the order rank 0 sent in, so all
+        // but the last of 1500 messages are stashed before they are wanted.
+        // Once every message has met its receive nothing is left behind — no
+        // per-key queue, no tombstone.
+        const N: u64 = 1500;
+        for backend in [Backend::Threaded, Backend::Event] {
+            let m = Machine::new(2, TimeModel::zero()).with_backend(backend);
+            let out = m.run(|rank| {
+                let world = rank.world();
+                if rank.id() == 0 {
+                    for tag in 0..N {
+                        rank.send(&world, 1, tag, Payload::Idx(vec![tag as usize]));
+                    }
+                    (0, 0)
+                } else {
+                    let mut high_water = 0;
+                    for tag in (0..N).rev() {
+                        assert_eq!(rank.recv(&world, 0, tag).into_idx(), vec![tag as usize]);
+                        high_water = high_water.max(rank.unexpected_msgs());
+                    }
+                    (high_water, rank.unexpected_msgs())
+                }
+            });
+            let (high_water, left) = out.results[1];
+            assert_eq!(high_water, N as usize - 1, "{backend}: stashed");
+            assert_eq!(left, 0, "{backend}: left behind");
+        }
     }
 
     #[test]

@@ -12,13 +12,12 @@ use crate::stats::RankReport;
 use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
-use commcheck::{SanState, SendRec, VClock, WaitGraph, WaitInfo};
+use commcheck::{SanState, SendRec, VClock, WaitGraph, WaitInfo, WaitTargets};
 use crossbeam::channel::{Receiver, Sender};
 use obs::{
-    ActivityKind, CommClass, CommLedger, GridAxis, HostPhase, HostProf, HostScope, MemClass,
-    MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
+    ActivityKind, CommClass, CommLedger, GridAxis, Histogram, HostPhase, HostProf, HostScope,
+    MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
 };
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,13 +58,21 @@ pub struct Rank {
     world: Comm,
     senders: Arc<Vec<Sender<Msg>>>,
     inbox: Receiver<Msg>,
-    /// Messages received from the channel but not yet matched by a `recv`.
-    pending: HashMap<(u64, usize, u64), VecDeque<Msg>>,
+    /// Messages received from the channel but not yet matched by a `recv`,
+    /// in arrival order — an MPI unexpected-message queue. A receive takes
+    /// the oldest message with its key, so the queue holds exactly the
+    /// messages still owed a receive and is empty once they are all matched.
+    pending: Vec<Msg>,
     model: TimeModel,
     /// Monotonic counter for deterministic communicator context ids; all
     /// ranks create communicators in the same order (SPMD discipline).
     next_ctx: u64,
-    phase: String,
+    /// The current traffic phase label, shared with [`Rank::phases`].
+    phase: Arc<str>,
+    /// Every label [`Rank::set_phase`] has seen: changing phase, or handing
+    /// the label to the wait-for graph, allocates nothing after a label's
+    /// first use.
+    phases: Vec<Arc<str>>,
     clock: f64,
     t_comm: f64,
     t_comp: f64,
@@ -79,6 +86,12 @@ pub struct Rank {
     /// Always-on counters/gauges/histograms; merged across ranks after the
     /// run.
     metrics: MetricsRegistry,
+    /// The per-message metrics, kept as plain fields on the send and receive
+    /// paths and entered into `metrics` under their names by
+    /// [`Rank::into_report`]: `msg.sent`, `msg.send_words`, `recv.wait_secs`.
+    msgs_sent: u64,
+    send_words: Histogram,
+    recv_wait_secs: Histogram,
     /// Tagged allocation ledger: running balances per memory class, the
     /// high-water mark, and its class+level attribution. Always on; the
     /// per-event timeline is recorded only when tracing.
@@ -96,9 +109,10 @@ pub struct Rank {
     /// panel broadcasts keep their class inside collective internals.
     comm_class: Option<CommClass>,
     /// 3D process-grid shape registered by the topology layer
-    /// ([`Rank::register_grid`]); classifies each send's edge by grid
-    /// axis. Without it every edge classifies as [`GridAxis::Cross`].
-    grid: Option<Grid3d>,
+    /// ([`Rank::register_grid`]) with this rank's coordinates in it;
+    /// classifies each send's edge by grid axis. Without it every edge
+    /// classifies as [`GridAxis::Cross`].
+    grid: Option<(Grid3d, (usize, usize, usize))>,
     /// Machine-wide wait-for graph; touched only when a receive actually
     /// blocks on the channel, so the fast path costs nothing.
     wait_graph: Arc<WaitGraph>,
@@ -168,6 +182,7 @@ impl Rank {
             .map(|p| p.stalls_for(world_rank))
             .unwrap_or_default();
         let world_size = world_members.len();
+        let phase: Arc<str> = "default".into();
         Rank {
             world_rank,
             world: Comm {
@@ -177,10 +192,11 @@ impl Rank {
             },
             senders,
             inbox,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             model,
             next_ctx: 1, // 0 is reserved for the world communicator
-            phase: "default".to_string(),
+            phases: vec![Arc::clone(&phase)],
+            phase,
             clock: 0.0,
             t_comm: 0.0,
             t_comp: 0.0,
@@ -193,6 +209,9 @@ impl Rank {
             },
             phase_span: None,
             metrics: MetricsRegistry::default(),
+            msgs_sent: 0,
+            send_words: Histogram::default(),
+            recv_wait_secs: Histogram::default(),
             ledger: MemLedger::new(tracing),
             comm: CommLedger::new(tracing),
             host: host_profiling.then(|| Arc::new(HostProf::new(tracing))),
@@ -220,7 +239,7 @@ impl Rank {
     pub fn fail(&self, kind: FailKind) -> ! {
         self.board.record(RankFailure {
             rank: self.world_rank,
-            phase: self.phase.clone(),
+            phase: self.phase.to_string(),
             kind,
             seq: 0,
         });
@@ -315,9 +334,14 @@ impl Rank {
     /// is currently open (e.g. the level span), so phases show up in the
     /// trace hierarchy and critical-path attribution without extra calls.
     pub fn set_phase(&mut self, phase: &str) {
-        let changed = self.phase != phase;
+        let changed = &*self.phase != phase;
         if changed {
-            self.phase = phase.to_string();
+            let known = self.phases.iter().position(|p| **p == *phase);
+            let at = known.unwrap_or_else(|| {
+                self.phases.push(phase.into());
+                self.phases.len() - 1
+            });
+            self.phase = Arc::clone(&self.phases[at]);
         }
         let Some(rec) = &mut self.rec else {
             return;
@@ -334,8 +358,7 @@ impl Rank {
                 rec.exit(ps, t);
             }
         }
-        let name = self.phase.clone();
-        self.phase_span = Some(rec.enter(SpanCat::Phase, &name, t));
+        self.phase_span = Some(rec.enter(SpanCat::Phase, &self.phase, t));
     }
 
     /// Open a labeled span at the current simulated time. Returns a handle
@@ -448,7 +471,7 @@ impl Rank {
     /// Called once by [`crate::build_grid_comms`]; drivers that build their
     /// own communicators can call it directly.
     pub fn register_grid(&mut self, g: Grid3d) {
-        self.grid = Some(g);
+        self.grid = Some((g, g.coords_of(self.world_rank)));
     }
 
     /// Set the communication class subsequent sends are charged to in the
@@ -469,19 +492,13 @@ impl Rank {
         out
     }
 
-    /// Total algorithmic words this rank has sent so far (wire ledger).
-    pub fn comm_sent_words(&self) -> u64 {
-        self.comm.sent_words()
-    }
-
     /// Which grid axis the edge from this rank to world rank `peer` runs
     /// along. Exactly one differing coordinate names the axis; anything
     /// else — including no registered grid — is a cross edge.
     fn comm_axis(&self, peer: usize) -> GridAxis {
-        let Some(g) = &self.grid else {
+        let Some((g, (r0, c0, z0))) = self.grid else {
             return GridAxis::Cross;
         };
-        let (r0, c0, z0) = g.coords_of(self.world_rank);
         let (r1, c1, z1) = g.coords_of(peer);
         match (r0 != r1, c0 != c1, z0 != z1) {
             (false, true, false) => GridAxis::X,
@@ -489,16 +506,6 @@ impl Rank {
             (false, false, true) => GridAxis::Z,
             _ => GridAxis::Cross,
         }
-    }
-
-    /// Current ledger balance of one memory class (bytes).
-    pub fn mem_balance(&self, class: MemClass) -> u64 {
-        self.ledger.balance(class)
-    }
-
-    /// Ledger high-water mark so far (bytes).
-    pub fn mem_peak(&self) -> u64 {
-        self.ledger.peak()
     }
 
     /// Apply any stall window whose trigger time has been reached: the
@@ -689,8 +696,8 @@ impl Rank {
             info,
         );
         if visible {
-            self.metrics.inc("msg.sent", 1);
-            self.metrics.observe("msg.send_words", words as f64);
+            self.msgs_sent += 1;
+            self.send_words.observe(words as f64);
             let struct_words = payload.struct_words();
             let class = self.comm_class.unwrap_or(if tag & COLL_TAG != 0 {
                 CommClass::Collective
@@ -720,7 +727,7 @@ impl Rank {
                         ctx,
                         tag,
                         words,
-                        phase: self.phase.clone(),
+                        phase: self.phase.to_string(),
                         clock: vc.clone(),
                     },
                 );
@@ -754,14 +761,22 @@ impl Rank {
 
     /// Buffer a message that did not match the receive in progress.
     fn stash(&mut self, m: Msg) {
-        self.pending
-            .entry((m.ctx, m.src_world, m.tag))
-            .or_default()
-            .push_back(m);
+        self.pending.push(m);
     }
 
+    /// Take the oldest buffered message from `key = (ctx, src_world, tag)`.
     fn pop_pending(&mut self, key: (u64, usize, u64)) -> Option<Msg> {
-        self.pending.get_mut(&key).and_then(|q| q.pop_front())
+        let at = self
+            .pending
+            .iter()
+            .position(|m| (m.ctx, m.src_world, m.tag) == key)?;
+        Some(self.pending.remove(at))
+    }
+
+    /// Number of received messages no `recv` has matched yet.
+    #[cfg(test)]
+    pub(crate) fn unexpected_msgs(&self) -> usize {
+        self.pending.len()
     }
 
     /// Filter one message pulled off the channel. Transport-level
@@ -788,8 +803,7 @@ impl Rank {
         &mut self,
         ctx: u64,
         tag: u64,
-        targets: Vec<usize>,
-        wildcard: bool,
+        targets: WaitTargets,
         accept: impl Fn(&Msg) -> bool,
     ) -> Result<Msg, RecvError> {
         // Host-profiler attribution: everything below — including the
@@ -804,27 +818,19 @@ impl Rank {
             }
             self.stash(m);
         }
-        let src_desc = if wildcard {
-            "ANY".to_string()
-        } else {
-            targets.first().map(|t| t.to_string()).unwrap_or_default()
+        // Registering the wait costs two reference counts; what a failure
+        // report says about it is rendered only if the wait fails.
+        let wait = WaitInfo {
+            targets,
+            ctx,
+            tag,
+            phase: Arc::clone(&self.phase),
         };
-        self.wait_graph.block(
-            self.world_rank,
-            WaitInfo {
-                targets: targets.clone(),
-                wildcard,
-                ctx,
-                tag,
-                phase: self.phase.clone(),
-            },
-        );
+        self.wait_graph.block(self.world_rank, wait.clone());
         let result = if self.sched.is_some() {
-            let src = (!wildcard).then(|| targets[0]);
-            let key = WaitKey { ctx, tag, src };
-            self.blocked_wait_event(key, &targets, &src_desc, &accept)
+            self.blocked_wait_event(&wait, &accept)
         } else {
-            self.blocked_wait_threaded(ctx, tag, &targets, &src_desc, &accept)
+            self.blocked_wait_threaded(&wait, &accept)
         };
         self.wait_graph.unblock(self.world_rank);
         result
@@ -835,10 +841,7 @@ impl Rank {
     /// backstop.
     fn blocked_wait_threaded(
         &mut self,
-        ctx: u64,
-        tag: u64,
-        targets: &[usize],
-        src_desc: &str,
+        wait: &WaitInfo,
         accept: &impl Fn(&Msg) -> bool,
     ) -> Result<Msg, RecvError> {
         // det-lint: allow(wall-clock): host watchdog against a hung recv, not simulated time
@@ -856,15 +859,15 @@ impl Rank {
                     self.stash(m);
                 }
                 Err(_) => {
-                    if self.board.has_failure() && self.wait_graph.all_done(targets) {
-                        return self.resolve_cascade(ctx, tag, src_desc, accept);
+                    if self.board.has_failure() && self.wait_graph.all_done(wait.targets.ranks()) {
+                        return self.resolve_cascade(wait, accept);
                     }
                     // det-lint: allow(wall-clock): host watchdog check
                     if Instant::now() >= deadline {
                         return Err(RecvError::WallTimeout {
-                            src: src_desc.to_string(),
-                            ctx,
-                            tag,
+                            src: wait.src_desc(),
+                            ctx: wait.ctx,
+                            tag: wait.tag,
                             dump: self.wait_graph.dump(),
                         });
                     }
@@ -874,30 +877,44 @@ impl Rank {
     }
 
     /// Event-backend wait: no channel sleeping and no wall-clock deadline.
-    /// The rank parks by passing the baton, publishing `key`, and is resumed
-    /// when a message matching `key` has been delivered to it — or when the
-    /// whole machine went quiescent and a deadlock report is published or
-    /// waits on dead peers should resolve as cascades.
+    /// The rank parks by passing the baton, publishing what it waits for,
+    /// and is resumed when a matching message has been delivered to it — or
+    /// when the whole machine went quiescent and a deadlock report is
+    /// published or waits on dead peers should resolve as cascades.
     fn blocked_wait_event(
         &mut self,
-        key: WaitKey,
-        targets: &[usize],
-        src_desc: &str,
+        wait: &WaitInfo,
         accept: &impl Fn(&Msg) -> bool,
     ) -> Result<Msg, RecvError> {
+        let key = WaitKey {
+            ctx: wait.ctx,
+            tag: wait.tag,
+            src: match wait.targets {
+                WaitTargets::One(src) => Some(src),
+                WaitTargets::AnyOf(_) => None,
+            },
+        };
         loop {
             if let Some(report) = self.wait_graph.deadlock_report() {
                 return Err(RecvError::Deadlock { report });
             }
-            if self.board.has_failure() && self.wait_graph.all_done(targets) {
-                return self.resolve_cascade(key.ctx, key.tag, src_desc, accept);
+            if self.board.has_failure() && self.wait_graph.all_done(wait.targets.ranks()) {
+                return self.resolve_cascade(wait, accept);
             }
             // Park. On resume either the message is waiting in the inbox or
             // the machine went quiescent and the checks above will fire.
+            // Parked wall time belongs to whoever holds the baton, not to
+            // this rank's host profile.
+            if let Some(host) = &self.host {
+                host.pause();
+            }
             self.sched
                 .as_ref()
                 .expect("blocked_wait_event outside event mode")
                 .park(self.world_rank, key);
+            if let Some(host) = &self.host {
+                host.resume();
+            }
             while let Ok(m) = self.inbox.try_recv() {
                 let Some(m) = self.intake(m) else { continue };
                 if accept(&m) {
@@ -914,9 +931,7 @@ impl Rank {
     /// primary failure.
     fn resolve_cascade(
         &mut self,
-        ctx: u64,
-        tag: u64,
-        src_desc: &str,
+        wait: &WaitInfo,
         accept: &impl Fn(&Msg) -> bool,
     ) -> Result<Msg, RecvError> {
         let mut matched = None;
@@ -932,9 +947,9 @@ impl Rank {
             Some(m) => Ok(m),
             None => Err(RecvError::PeerFailed {
                 origin: self.board.primary_rank().unwrap_or(self.world_rank),
-                src: src_desc.to_string(),
-                ctx,
-                tag,
+                src: wait.src_desc(),
+                ctx: wait.ctx,
+                tag: wait.tag,
             }),
         }
     }
@@ -984,7 +999,7 @@ impl Rank {
             .charge_at(MemClass::MsgInFlight, 0, words * 8, ready);
         self.t_comm += done - self.clock;
         if ready > self.clock {
-            self.metrics.observe("recv.wait_secs", ready - self.clock);
+            self.recv_wait_secs.observe(ready - self.clock);
         }
         self.record(
             ActivityKind::Wait,
@@ -1060,7 +1075,7 @@ impl Rank {
         let key = (comm.ctx, src_world, tag);
         let msg = match self.pop_pending(key) {
             Some(m) => m,
-            None => self.blocked_recv(comm.ctx, tag, vec![src_world], false, |m| {
+            None => self.blocked_recv(comm.ctx, tag, WaitTargets::One(src_world), |m| {
                 (m.ctx, m.src_world, m.tag) == key
             })?,
         };
@@ -1073,36 +1088,6 @@ impl Rank {
     pub fn recv_f64s(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<f64> {
         let src_world = comm.world_rank_of(src);
         match self.recv(comm, src, tag).try_into_f64s() {
-            Ok(v) => v,
-            Err(e) => self.fail(FailKind::PayloadMismatch {
-                expected: e.expected,
-                got: e.got,
-                src: src_world,
-                ctx: comm.ctx,
-                tag,
-            }),
-        }
-    }
-
-    /// Receive and unwrap an `Idx` payload; see [`Rank::recv_f64s`].
-    pub fn recv_idx(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<usize> {
-        let src_world = comm.world_rank_of(src);
-        match self.recv(comm, src, tag).try_into_idx() {
-            Ok(v) => v,
-            Err(e) => self.fail(FailKind::PayloadMismatch {
-                expected: e.expected,
-                got: e.got,
-                src: src_world,
-                ctx: comm.ctx,
-                tag,
-            }),
-        }
-    }
-
-    /// Receive and unwrap a `Packed` payload; see [`Rank::recv_f64s`].
-    pub fn recv_packed(&mut self, comm: &Comm, src: usize, tag: u64) -> (Vec<usize>, Vec<f64>) {
-        let src_world = comm.world_rank_of(src);
-        match self.recv(comm, src, tag).try_into_packed() {
             Ok(v) => v,
             Err(e) => self.fail(FailKind::PayloadMismatch {
                 expected: e.expected,
@@ -1143,13 +1128,14 @@ impl Rank {
         let msg = match found {
             Some(m) => m,
             None => {
-                let targets: Vec<usize> = comm
+                let others = comm
                     .members()
                     .iter()
                     .copied()
                     .filter(|&w| w != self.world_rank)
                     .collect();
-                match self.blocked_recv(ctx, tag, targets, true, |m| m.ctx == ctx && m.tag == tag) {
+                let targets = WaitTargets::AnyOf(others);
+                match self.blocked_recv(ctx, tag, targets, |m| m.ctx == ctx && m.tag == tag) {
                     Ok(m) => m,
                     Err(e) => self.fail_recv(e),
                 }
@@ -1198,6 +1184,12 @@ impl Rank {
     /// Snapshot the final report (called by the machine after the SPMD
     /// closure returns). Closes any spans left open.
     pub(crate) fn into_report(self, wall_secs: f64) -> RankReport {
+        // A profiled rank's wall is the time it ran: under the event
+        // backend, what it spent parked belongs to the baton holders.
+        let wall_secs = match &self.host {
+            Some(h) => (wall_secs - h.paused_secs()).max(0.0),
+            None => wall_secs,
+        };
         let clock = self.clock;
         let mut ledger = self.ledger;
         let mem_timeline = ledger.take_timeline();
@@ -1215,6 +1207,17 @@ impl Rank {
             .as_ref()
             .map(|h| h.report(wall_secs, self.flops, commvol.sent_words()));
         let mut metrics = self.metrics;
+        if self.msgs_sent > 0 {
+            metrics.inc("msg.sent", self.msgs_sent);
+        }
+        for (name, samples) in [
+            ("msg.send_words", self.send_words),
+            ("recv.wait_secs", self.recv_wait_secs),
+        ] {
+            if samples.count > 0 {
+                metrics.histograms.insert(name.to_string(), samples);
+            }
+        }
         metrics.gauge_max("mem.peak_bytes", memprof.peak_bytes as f64);
         RankReport {
             clock,

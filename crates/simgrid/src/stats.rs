@@ -14,7 +14,9 @@ pub struct RankReport {
     pub t_comp: f64,
     /// Total flops this rank charged via `advance_compute`.
     pub flops: u64,
-    /// Wall-clock seconds this rank's thread actually ran.
+    /// Wall-clock seconds from this rank's first time slice to its return.
+    /// With host profiling on, time spent parked by the event backend is
+    /// taken out: the seconds the rank actually ran.
     pub wall_secs: f64,
     /// Counters, gauges, and histograms this rank recorded (always on).
     pub metrics: MetricsRegistry,

@@ -143,29 +143,82 @@ fn sanitizer_rides_along_without_a_detector_thread() {
 }
 
 #[test]
-fn host_profiling_under_event_backend_fails_fast_with_config_error() {
-    // PR-10 satellite: this combination used to be dropped silently — the
-    // run succeeded and the hostprof report was simply absent. It must now
-    // be rejected before any rank runs, with a structured config failure.
-    let err = machine(2, Backend::Event)
+fn host_profiling_under_the_event_backend_charges_only_baton_time() {
+    // Rank 1 parks until rank 0 has spun for a while. Its profile must not
+    // book the parked wall anywhere: phases sum to its wall, and the two
+    // walls together fit inside the machine's.
+    let spin = std::time::Duration::from_millis(30);
+    let started = std::time::Instant::now();
+    let out = machine(2, Backend::Event)
         .with_host_profiling()
-        .try_run(|_rank| ())
-        .expect_err("host profiling + event backend must be rejected");
-    let primary = err.primary();
-    assert_eq!(primary.phase, "config");
+        .run(move |rank| {
+            let world = rank.world();
+            if rank.id() == 0 {
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < spin {
+                    std::hint::spin_loop();
+                }
+                rank.send(&world, 1, 1, Payload::Empty);
+            } else {
+                rank.recv(&world, 0, 1);
+            }
+        });
+    let machine_wall = started.elapsed().as_secs_f64();
+    let walls: Vec<f64> = out.reports.iter().map(|r| r.wall_secs).collect();
+    assert!(walls[0] >= spin.as_secs_f64(), "rank 0 ran {walls:?}");
     assert!(
-        matches!(&primary.kind, FailKind::Config { detail }
-            if detail.contains("threaded backend")),
-        "unexpected failure kind: {}",
-        primary.kind
+        walls[1] < spin.as_secs_f64() / 2.0,
+        "rank 1 was parked while rank 0 spun, yet reports {walls:?}"
     );
-    // The same machine without host profiling runs fine.
-    machine(2, Backend::Event).run(|_rank| ());
-    // And the threaded combination still profiles.
-    let out = machine(2, Backend::Threaded)
-        .with_host_profiling()
-        .run(|_rank| ());
+    assert!(walls.iter().sum::<f64>() <= machine_wall, "{walls:?}");
+    for r in &out.reports {
+        let hp = r.hostprof.as_ref().expect("profiled run");
+        assert_eq!(hp.wall_secs, r.wall_secs);
+        assert!(
+            (hp.attributed_secs() - hp.wall_secs).abs() < 1e-6,
+            "phases {} vs wall {}",
+            hp.attributed_secs(),
+            hp.wall_secs
+        );
+        assert!(hp.phase_secs(simgrid::HostPhase::CommWait) <= hp.wall_secs);
+    }
     assert!(out.hostprof_profile().is_some());
+}
+
+#[test]
+fn a_thousand_out_of_order_messages_are_matched_oldest_first_per_key() {
+    // Rank 0 sends 1200 messages over 300 tags (four per tag, numbered) and
+    // then the one rank 1 is parked on. Rank 1 finds all 1200 unexpected,
+    // then receives them tag-descending: each receive must take the oldest
+    // message of its own key.
+    const TAGS: u64 = 300;
+    const PER_TAG: usize = 4;
+    let out = machine(2, Backend::Event).run(|rank| {
+        let world = rank.world();
+        if rank.id() == 0 {
+            for seq in 0..PER_TAG {
+                for tag in 0..TAGS {
+                    rank.send(&world, 1, tag, Payload::Idx(vec![tag as usize, seq]));
+                }
+            }
+            rank.send(&world, 1, TAGS, Payload::Empty);
+            0
+        } else {
+            rank.recv(&world, 0, TAGS);
+            let mut matched = 0;
+            for tag in (0..TAGS).rev() {
+                for seq in 0..PER_TAG {
+                    assert_eq!(
+                        rank.recv(&world, 0, tag).into_idx(),
+                        vec![tag as usize, seq]
+                    );
+                    matched += 1;
+                }
+            }
+            matched
+        }
+    });
+    assert_eq!(out.results[1], TAGS as usize * PER_TAG);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! value-symmetric SPD matrix it must produce the same solutions as the LU
 //! path.
 
-use crate::store::BlockStore;
+use crate::store::{BlockStore, StoreLayout};
 use densela::gemm::gemm_nt;
 use densela::{chol_backward, chol_forward, potrf, trsm_right_ltrans, Mat};
 use sparsemat::Csr;
@@ -19,7 +19,8 @@ use symbolic::Symbolic;
 /// pattern, initialized from the values of `a` (which must be symmetric).
 pub fn build_chol_store(a: &Csr, sym: &Symbolic) -> BlockStore {
     let part = &sym.part;
-    let mut store = BlockStore::new();
+    let layout = StoreLayout::new(a, sym, &simgrid::Grid2d::new(1, 1));
+    let mut store = BlockStore::empty(std::sync::Arc::new(layout), 0, 0);
     for j in 0..part.nsup() {
         let wj = part.width(j);
         store.insert(j, j, Mat::zeros(wj, wj));

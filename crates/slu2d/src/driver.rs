@@ -4,7 +4,7 @@
 
 use crate::factor2d::{factor_nodes, FactorEnv, FactorOpts};
 use crate::solve2d::solve_nodes;
-use crate::store::{BlockStore, InitValues};
+use crate::store::{BlockStore, StoreLayout};
 use ordering::{nested_dissection, Graph, NdOptions, SepTree};
 use simgrid::topology::build_grid_comms;
 use simgrid::{Grid3d, Machine, MemClass, RankReport, TimeModel};
@@ -123,6 +123,7 @@ pub fn run_2d(
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
     let rhs = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
+    let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
 
     let out = machine.run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
@@ -135,14 +136,14 @@ pub fn run_2d(
             col: comms.col,
             opts,
         };
-        let mut store = BlockStore::build(
+        let mut store = BlockStore::from_layout(
+            Arc::clone(&layout),
             &pa,
             &sym,
-            &grid3.grid2d,
             my_r,
             my_c,
             &|_| true,
-            InitValues::FromMatrix,
+            &|_, _| true,
         );
         // Ledger-driven accounting: every block charged once at build (the
         // symbolic pattern is fully allocated up front); the high-water

@@ -4,7 +4,6 @@
 use crate::kernels::{factor_step_panel, factor_step_schur_at, PanelData, BATCH_MIN_FLOPS};
 use crate::store::{BlockStore, SchurScratch};
 use simgrid::{Comm, Grid2d, MemClass, Rank, SpanCat};
-use std::collections::HashMap;
 use symbolic::Symbolic;
 
 /// Per-rank environment for a 2D factorization: the grid shape, this rank's
@@ -143,12 +142,12 @@ fn factor_nodes_at(
         }
     }
 
-    let mut pending: HashMap<usize, usize> = HashMap::new();
-    for &k in nodes {
-        pending.insert(k, children[k].iter().filter(|&&c| !done[c]).count());
-    }
-
-    let mut panels: HashMap<usize, PanelData> = HashMap::new();
+    // Per-node bookkeeping, indexed by position in `nodes`.
+    let mut pending: Vec<usize> = nodes
+        .iter()
+        .map(|&k| children[k].iter().filter(|&&c| !done[c]).count())
+        .collect();
+    let mut panels: Vec<Option<PanelData>> = (0..nodes.len()).map(|_| None).collect();
     let mut paneled = vec![false; nodes.len()];
     // Gather arena of the batched Schur kernel, reused across every
     // supernode of this node list; released (ledger-credited) at the end.
@@ -163,7 +162,7 @@ fn factor_nodes_at(
         let w_end = (idx + env.opts.lookahead + 1).min(nodes.len());
         for j in idx..w_end {
             let m = nodes[j];
-            if paneled[j] || pending[&m] > 0 {
+            if paneled[j] || pending[j] > 0 {
                 continue;
             }
             let (pd, pert) = rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
@@ -176,23 +175,23 @@ fn factor_nodes_at(
             // Panel pieces held for a pending Schur update are transient
             // Schur-buffer memory; credited when the update consumes them.
             rank.mem_charge(MemClass::SchurBuf, pd.words() * 8);
-            panels.insert(m, pd);
+            panels[j] = Some(pd);
             paneled[j] = true;
         }
 
-        let pd = panels
-            .remove(&k)
+        let pd = panels[idx]
+            .take()
             .expect("current node must be panel-ready (children all done)");
         rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
-            factor_step_schur_at(rank, env, store, sym, k, &pd, &mut scratch, batch_min_flops);
+            factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops);
         });
         rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
         done[k] = true;
         // The Schur update completes node k; decrement its etree parent's
         // pending count if the parent is in this list.
         if let Some(p) = sym.fill.parent[k] {
-            if let Some(cnt) = pending.get_mut(&p) {
-                *cnt -= 1;
+            if let Ok(pos) = nodes.binary_search(&p) {
+                pending[pos] -= 1;
             }
         }
         after_schur(rank, store, idx + 1);

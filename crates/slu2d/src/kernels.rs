@@ -6,7 +6,6 @@ use crate::factor2d::FactorEnv;
 use crate::store::{pack_blocks, unpack_blocks, BlockStore, SchurScratch};
 use densela::{flops, getrf, trsm_left_lower_unit, trsm_right_upper, Mat, PivotPolicy};
 use simgrid::{CommClass, HostPhase, Payload, Rank};
-use std::collections::HashMap;
 use symbolic::Symbolic;
 
 // Message-tag kinds (shifted above the supernode id) come from the
@@ -14,21 +13,24 @@ use symbolic::Symbolic;
 use simgrid::tags::{T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_UPANEL};
 
 /// The L and U panel pieces a rank holds after the panel phase of
-/// supernode `k`: `lmap[I]` for block rows `I` in this rank's process row,
-/// `umap[J]` for block columns `J` in this rank's process column.
+/// supernode `k`, as the panel broadcasts delivered them: `l` holds
+/// `(I, L(I,k))` for the block rows `I` of `struct(k)` in this rank's process
+/// row, `u` holds `(J, U(k,J))` for the block columns `J` in its process
+/// column, both ascending — the sublists of `struct(k)` the Schur kernels
+/// range over.
 pub struct PanelData {
-    pub lmap: HashMap<usize, Mat>,
-    pub umap: HashMap<usize, Mat>,
+    pub l: Vec<(usize, Mat)>,
+    pub u: Vec<(usize, Mat)>,
 }
 
 impl PanelData {
     /// Total words of panel storage held (for Schur-buffer memory
     /// accounting).
     pub fn words(&self) -> u64 {
-        self.lmap
-            .values()
-            .chain(self.umap.values())
-            .map(|m| (m.rows() * m.cols()) as u64)
+        self.l
+            .iter()
+            .chain(&self.u)
+            .map(|(_, m)| (m.rows() * m.cols()) as u64)
             .sum()
     }
 }
@@ -131,7 +133,7 @@ pub fn factor_step_panel(
     //    My process row participates in the L broadcast iff some block row
     //    of the panel maps to it (deterministic from the symbolic pattern,
     //    so every rank agrees without communication).
-    let mut lmap = HashMap::new();
+    let mut l = Vec::new();
     let row_has_l = struct_k.iter().any(|&i| i % grid.pr == env.my_r);
     if row_has_l {
         let data = if env.my_c == kc {
@@ -147,11 +149,9 @@ pub fn factor_step_panel(
         let payload = rank.with_comm_class(CommClass::LPanel, |rank| {
             rank.bcast(&env.row, kc, data, T_LPANEL | k as u64)
         });
-        for (i, m) in unpack_blocks(payload) {
-            lmap.insert(i, m);
-        }
+        l = unpack_blocks(payload);
     }
-    let mut umap = HashMap::new();
+    let mut u = Vec::new();
     let col_has_u = struct_k.iter().any(|&j| j % grid.pc == env.my_c);
     if col_has_u {
         let data = if env.my_r == kr {
@@ -167,13 +167,11 @@ pub fn factor_step_panel(
         let payload = rank.with_comm_class(CommClass::UPanel, |rank| {
             rank.bcast(&env.col, kr, data, T_UPANEL | k as u64)
         });
-        for (j, m) in unpack_blocks(payload) {
-            umap.insert(j, m);
-        }
+        u = unpack_blocks(payload);
     }
 
     rank.advance_compute(flops::get() - f0);
-    (PanelData { lmap, umap }, perturbations)
+    (PanelData { l, u }, perturbations)
 }
 
 /// Below this many (estimated dense) flops in one rank's share of a
@@ -197,23 +195,20 @@ pub(crate) const BATCH_MIN_FLOPS: u64 = 1_000_000;
 /// across the supernodes of one node list.
 pub fn factor_step_schur(
     rank: &mut Rank,
-    env: &FactorEnv,
     store: &mut BlockStore,
     sym: &Symbolic,
     k: usize,
     panels: &PanelData,
     scratch: &mut SchurScratch,
 ) {
-    factor_step_schur_at(rank, env, store, sym, k, panels, scratch, BATCH_MIN_FLOPS);
+    factor_step_schur_at(rank, store, sym, k, panels, scratch, BATCH_MIN_FLOPS);
 }
 
 /// [`factor_step_schur`] with the dispatch threshold as an argument — the
 /// crate-private seam the equivalence tests use to force one kernel for
 /// every supernode (`u64::MAX`: always per-block, `0`: always batched).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn factor_step_schur_at(
     rank: &mut Rank,
-    env: &FactorEnv,
     store: &mut BlockStore,
     sym: &Symbolic,
     k: usize,
@@ -222,72 +217,30 @@ pub(crate) fn factor_step_schur_at(
     batch_min_flops: u64,
 ) {
     let f0 = flops::get();
-    let grid = env.grid;
-    let struct_k = &sym.fill.struct_of[k];
-    // Size this rank's share without allocating: summed widths of the
-    // block rows / columns both kernels visit.
-    let width = |s: usize| sym.part.width(s);
-    let m_total: usize = owned_pieces(struct_k, &panels.lmap, grid.pr, env.my_r)
-        .map(width)
-        .sum();
-    let n_total: usize = owned_pieces(struct_k, &panels.umap, grid.pc, env.my_c)
-        .map(width)
-        .sum();
-    let dense_flops = 2 * (m_total * width(k) * n_total) as u64;
+    // Size this rank's share: summed widths of the block rows / columns
+    // both kernels visit.
+    let m_total: usize = panels.l.iter().map(|(_, m)| m.rows()).sum();
+    let n_total: usize = panels.u.iter().map(|(_, m)| m.cols()).sum();
+    let dense_flops = 2 * (m_total * sym.part.width(k) * n_total) as u64;
     // `.max(1)`: an empty share is the per-block loop's no-op even when a
     // test forces the threshold to zero.
     if dense_flops < batch_min_flops.max(1) {
-        schur_per_block(rank, env, store, sym, k, panels);
+        schur_per_block(rank, store, k, panels);
     } else {
-        schur_batched(rank, env, store, sym, k, panels, scratch);
+        schur_batched(rank, store, sym, k, panels, scratch);
     }
     let df = flops::get() - f0;
     rank.metric_observe("gemm.flops_per_supernode", df as f64);
     rank.advance_compute(df);
 }
 
-/// The block rows (or columns) of `struct(k)` this rank holds a panel piece
-/// for, ascending: the `I` (or `J`) both Schur kernels range over.
-fn owned_pieces<'a>(
-    struct_k: &'a [usize],
-    pieces: &'a HashMap<usize, Mat>,
-    procs: usize,
-    me: usize,
-) -> impl Iterator<Item = usize> + 'a {
-    struct_k
-        .iter()
-        .copied()
-        .filter(move |s| s % procs == me && pieces.contains_key(s))
-}
-
 /// One `densela::gemm` per owned `(I, J)` block pair — the same loop the
 /// sequential reference [`crate::seq::seq_factor`] runs.
-fn schur_per_block(
-    rank: &mut Rank,
-    env: &FactorEnv,
-    store: &mut BlockStore,
-    sym: &Symbolic,
-    k: usize,
-    panels: &PanelData,
-) {
+fn schur_per_block(rank: &mut Rank, store: &mut BlockStore, k: usize, panels: &PanelData) {
     let _host = rank.host_scope_sn(HostPhase::Gemm, k);
-    let grid = env.grid;
-    let struct_k = &sym.fill.struct_of[k];
-    for &j in struct_k {
-        if j % grid.pc != env.my_c {
-            continue;
-        }
-        let Some(u) = panels.umap.get(&j) else {
-            continue;
-        };
-        for &i in struct_k {
-            if i % grid.pr != env.my_r {
-                continue;
-            }
-            let Some(l) = panels.lmap.get(&i) else {
-                continue;
-            };
-            let target = store.get_mut(i, j).unwrap_or_else(|| {
+    for (j, u) in &panels.u {
+        for (i, l) in &panels.l {
+            let target = store.get_mut(*i, *j).unwrap_or_else(|| {
                 panic!("Schur target block ({i},{j}) missing — fill closure violated")
             });
             densela::gemm(-1.0, l, u, 1.0, target);
@@ -295,10 +248,19 @@ fn schur_per_block(
     }
 }
 
-/// Gather-GEMM-scatter: instead of one tiny GEMM per `(I, J)` block pair
-/// (two hash lookups each), gather this rank's owned L-blocks and U-panel
-/// pieces into two contiguous column-major panels and run ONE
-/// register-blocked GEMM over the whole trailing update — the
+/// Running sums of `extents`, from 0 to their total.
+fn panel_offsets(extents: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut off = vec![0usize];
+    for e in extents {
+        off.push(off[off.len() - 1] + e);
+    }
+    off
+}
+
+/// Gather-GEMM-scatter: instead of one tiny GEMM per `(I, J)` block pair,
+/// gather this rank's owned L-blocks and U-panel pieces into two contiguous
+/// column-major panels and run ONE register-blocked GEMM over the whole
+/// trailing update — the
 /// supernodal-panel aggregation of the SuperLU_DIST lineage. The scatter is
 /// fused into the kernel ([`densela::gemm_blocked_tiled`] stores its C
 /// register tiles straight into the target blocks), so the targets are
@@ -309,7 +271,6 @@ fn schur_per_block(
 /// matches, so simulated clocks and traces are unchanged.
 fn schur_batched(
     rank: &mut Rank,
-    env: &FactorEnv,
     store: &mut BlockStore,
     sym: &Symbolic,
     k: usize,
@@ -318,35 +279,22 @@ fn schur_batched(
 ) {
     rank.metric_inc("schur.batched_supernodes", 1);
     let gather_scope = rank.host_scope_sn(HostPhase::Gather, k);
-    let grid = env.grid;
-    let struct_k = &sym.fill.struct_of[k];
     let w = sym.part.width(k);
-    // Participating block rows/columns in ascending supernode order, and
-    // their panel offsets closed by the panel's total extent.
-    let stripes = |pieces: &HashMap<usize, Mat>, procs: usize, me: usize| {
-        let ids: Vec<usize> = owned_pieces(struct_k, pieces, procs, me).collect();
-        let mut off = Vec::with_capacity(ids.len() + 1);
-        off.push(0usize);
-        for &s in &ids {
-            off.push(off[off.len() - 1] + sym.part.width(s));
-        }
-        (ids, off)
-    };
-    let (rows, row_off) = stripes(&panels.lmap, grid.pr, env.my_r);
-    let (cols, col_off) = stripes(&panels.umap, grid.pc, env.my_c);
-    let (m_total, n_total) = (row_off[rows.len()], col_off[cols.len()]);
+    // Panel offsets of the participating block rows/columns (ascending
+    // supernode order), closed by the panel's total extent.
+    let row_off = panel_offsets(panels.l.iter().map(|(_, m)| m.rows()));
+    let col_off = panel_offsets(panels.u.iter().map(|(_, m)| m.cols()));
+    let (m_total, n_total) = (row_off[panels.l.len()], col_off[panels.u.len()]);
     scratch.shape(rank, m_total, w, n_total);
     // Gather L: stack each owned block's rows at its panel offset.
-    for (&i, ri) in rows.iter().zip(&row_off) {
-        let blk = &panels.lmap[&i];
+    for ((_, blk), ri) in panels.l.iter().zip(&row_off) {
         let wi = blk.rows();
         for c in 0..w {
             scratch.l.col_mut(c)[*ri..ri + wi].copy_from_slice(&blk.col(c)[..wi]);
         }
     }
     // Gather U: concatenate the owned pieces column-wise.
-    for (&j, cj) in cols.iter().zip(&col_off) {
-        let blk = &panels.umap[&j];
+    for ((_, blk), cj) in panels.u.iter().zip(&col_off) {
         for c in 0..blk.cols() {
             scratch.u.col_mut(cj + c).copy_from_slice(blk.col(c));
         }
@@ -355,9 +303,9 @@ fn schur_batched(
     // the tiled GEMM reads and writes them in place: the result scatter
     // happens inside the kernel's C-tile stores, with no target-panel copy
     // in either direction.
-    let mut targets: Vec<Mat> = Vec::with_capacity(rows.len() * cols.len());
-    for &i in &rows {
-        for &j in &cols {
+    let mut targets: Vec<Mat> = Vec::with_capacity(panels.l.len() * panels.u.len());
+    for &(i, _) in &panels.l {
+        for &(j, _) in &panels.u {
             targets.push(store.take(i, j).unwrap_or_else(|| {
                 panic!("Schur target block ({i},{j}) missing — fill closure violated")
             }));
@@ -376,8 +324,8 @@ fn schur_batched(
     drop(gemm_scope);
     let _scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);
     let mut it = targets.into_iter();
-    for &i in &rows {
-        for &j in &cols {
+    for &(i, _) in &panels.l {
+        for &(j, _) in &panels.u {
             store.insert(i, j, it.next().expect("one target per block pair"));
         }
     }

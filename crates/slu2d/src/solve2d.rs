@@ -15,7 +15,7 @@ use crate::factor2d::FactorEnv;
 use crate::store::BlockStore;
 use densela::{backward_subst, flops, forward_subst_unit};
 use simgrid::{HostPhase, Payload, Rank};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use symbolic::Symbolic;
 
 use simgrid::tags::{T_BWD_BC, T_BWD_RED, T_FWD_BC, T_FWD_RED};
@@ -27,11 +27,12 @@ pub struct DistSolveState {
     pub acc: Vec<f64>,
     /// Backward partial sums: accumulated `U(j,k) x_k` contributions.
     pub accu: Vec<f64>,
-    /// Forward solutions known to this rank (diagonal owners and their
-    /// process columns), keyed by supernode.
-    pub y: HashMap<usize, Vec<f64>>,
-    /// Backward solutions known to this rank, keyed by supernode.
-    pub x: HashMap<usize, Vec<f64>>,
+    /// Forward solutions this rank reads back: `y_k` on the diagonal owner
+    /// of `k`, ordered by supernode.
+    pub y: BTreeMap<usize, Vec<f64>>,
+    /// Backward solutions known to this rank (diagonal owners and their
+    /// process columns), ordered by supernode.
+    pub x: BTreeMap<usize, Vec<f64>>,
 }
 
 impl DistSolveState {
@@ -41,8 +42,8 @@ impl DistSolveState {
         DistSolveState {
             acc: vec![0.0; n],
             accu: vec![0.0; n],
-            y: HashMap::new(),
-            x: HashMap::new(),
+            y: BTreeMap::new(),
+            x: BTreeMap::new(),
         }
     }
 }
@@ -100,7 +101,10 @@ pub fn forward_nodes(
                 }
             }
             rank.advance_compute(flops::get() - f0);
-            st.y.insert(k, seg);
+            // Only the diagonal owner reads y_k back (backward phase).
+            if env.my_r == kr {
+                st.y.insert(k, seg);
+            }
         }
     }
 }

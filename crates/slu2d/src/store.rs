@@ -4,10 +4,17 @@
 //! `(I, J)`), the granularity substitution documented in DESIGN.md: it
 //! preserves the block sparsity, distribution, and communication pattern of
 //! SuperLU_DIST while making every Schur update a plain GEMM.
+//!
+//! Where a block lives is decided once per machine, not once per rank: a
+//! [`StoreLayout`] maps every block of the symbolic pattern to its
+//! block-cyclic owner and to a slot in that owner's share, and buckets the
+//! matrix entries by owner. A [`BlockStore`] is then a flat vector of blocks
+//! addressed through the shared layout — the supernodal index arrays of the
+//! SuperLU_DIST lineage, set up once and read by every rank.
 
 use densela::Mat;
 use simgrid::{Grid2d, MemClass, Payload, Rank};
-use std::collections::HashMap;
+use std::sync::Arc;
 use symbolic::Symbolic;
 
 /// Bytes of symbolic bookkeeping charged to the memory ledger per stored
@@ -26,17 +33,169 @@ pub enum InitValues {
     Zero,
 }
 
+/// "Not held" in [`BlockStore::pos`].
+const ABSENT: u32 = u32::MAX;
+
+/// The placement of the symbolic block pattern on one 2D process grid,
+/// derived once per machine and shared read-only by the stores of all its
+/// ranks (every layer of a 3D grid uses the same 2D placement).
+///
+/// Pattern blocks are numbered in ascending `(i, j)` order; each owner's
+/// *share* — the blocks the block-cyclic layout assigns to it — is numbered
+/// in the same order, so walking a share walks its keys sorted. The entries
+/// of the matrix are bucketed by owner as indices into its value array: a
+/// rank fills its store from its own bucket and never scans the rest.
+#[derive(Debug)]
+pub struct StoreLayout {
+    grid: Grid2d,
+    /// The block pattern in CSR form: block row `i` holds the ascending
+    /// block columns `cols[row_ptr[i]..row_ptr[i + 1]]` (the `L(i, ·)`
+    /// blocks, the diagonal, the `U(i, ·)` blocks).
+    row_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    /// Per pattern block (indexed like `cols`): its slot in its owner's share.
+    slot: Vec<u32>,
+    /// Per owner (layer rank): the keys of its share, in slot order.
+    share: Vec<Vec<(u32, u32)>>,
+    /// Per owner: the matrix entries that fall into its share, as
+    /// `(index into the value array, share slot)`, ascending by index.
+    entries: Vec<Vec<(u32, u32)>>,
+}
+
+impl StoreLayout {
+    /// Place the pattern of `sym` and the entries of `a` (the reordered,
+    /// pattern-symmetric matrix `sym` was analyzed from) on `grid`.
+    pub fn new(a: &sparsemat::Csr, sym: &Symbolic, grid: &Grid2d) -> StoreLayout {
+        Self::derive(a, sym, grid, None)
+    }
+
+    /// With `only = Some(owner)`, the layout as that one rank needs it: only
+    /// its share and bucket are filled in, so deriving it costs no more than
+    /// the scan a rank without a shared layout has to make anyway.
+    fn derive(
+        a: &sparsemat::Csr,
+        sym: &Symbolic,
+        grid: &Grid2d,
+        only: Option<usize>,
+    ) -> StoreLayout {
+        let part = &sym.part;
+        let fill = &sym.fill;
+        let nsup = part.nsup();
+        let into = fill.blocks_into();
+        assert!(
+            nsup < ABSENT as usize && a.nnz() < ABSENT as usize,
+            "store layout indexes blocks and entries with u32"
+        );
+        let owner_of = |i: usize, j: usize| {
+            let (r, c) = grid.owner(i, j);
+            grid.rank_of(r, c)
+        };
+        let wanted = |owner: usize| only.is_none_or(|me| me == owner);
+
+        let nblocks: usize = nsup + 2 * fill.num_lblocks();
+        let mut row_ptr = Vec::with_capacity(nsup + 1);
+        let mut cols = Vec::with_capacity(nblocks);
+        let mut slot = Vec::with_capacity(nblocks);
+        let mut share: Vec<Vec<(u32, u32)>> = vec![Vec::new(); grid.size()];
+        row_ptr.push(0);
+        for i in 0..nsup {
+            let row = into[i]
+                .iter()
+                .chain(std::iter::once(&i))
+                .chain(&fill.struct_of[i]);
+            for &j in row {
+                let owner = owner_of(i, j);
+                if wanted(owner) {
+                    slot.push(share[owner].len() as u32);
+                    share[owner].push((i as u32, j as u32));
+                } else {
+                    slot.push(ABSENT);
+                }
+                cols.push(j as u32);
+            }
+            row_ptr.push(cols.len());
+        }
+
+        let mut layout = StoreLayout {
+            grid: *grid,
+            row_ptr,
+            cols,
+            slot,
+            share,
+            entries: vec![Vec::new(); grid.size()],
+        };
+        for row in 0..a.nrows {
+            let bi = part.sn_of_col[row];
+            // Columns ascend within a CSR row, so entries of one block are
+            // adjacent: look a block up once per run of them.
+            let mut run = (usize::MAX, 0usize, ABSENT);
+            for e in a.row_ptr[row]..a.row_ptr[row + 1] {
+                let bj = part.sn_of_col[a.col_idx[e]];
+                if run.0 != bj {
+                    let owner = owner_of(bi, bj);
+                    let s = if wanted(owner) {
+                        // The pattern contains all of A.
+                        let id = layout
+                            .find(bi, bj)
+                            .expect("matrix entry outside the symbolic pattern");
+                        layout.slot[id]
+                    } else {
+                        ABSENT
+                    };
+                    run = (bj, owner, s);
+                }
+                let (_, owner, s) = run;
+                if s != ABSENT {
+                    layout.entries[owner].push((e as u32, s));
+                }
+            }
+        }
+        layout
+    }
+
+    /// Number of blocks in the pattern.
+    pub fn num_blocks(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Index of pattern block `(i, j)`, if the pattern has it.
+    fn find(&self, i: usize, j: usize) -> Option<usize> {
+        let (lo, hi) = (*self.row_ptr.get(i)?, *self.row_ptr.get(i + 1)?);
+        let row = &self.cols[lo..hi];
+        row.binary_search(&(j as u32)).ok().map(|p| lo + p)
+    }
+}
+
 /// The blocks a simulated rank owns, keyed by `(block_row, block_col)`
-/// supernode ids.
-#[derive(Clone, Debug, Default)]
+/// supernode ids: a flat vector of blocks addressed through the machine's
+/// shared [`StoreLayout`]. A store holds any subset of its rank's share of
+/// the pattern (the kept supernodes of its layer); it cannot hold a block
+/// the layout assigns to another rank.
+#[derive(Clone, Debug)]
 pub struct BlockStore {
-    blocks: HashMap<(usize, usize), Mat>,
+    layout: Arc<StoreLayout>,
+    /// This rank's index into the layout's per-owner tables.
+    owner: usize,
+    /// Share slot → index into `blocks`, or [`ABSENT`].
+    pos: Vec<u32>,
+    blocks: Vec<Mat>,
+    /// Indices of `blocks` vacated by [`BlockStore::take`], reused by
+    /// [`BlockStore::insert`].
+    free: Vec<u32>,
 }
 
 impl BlockStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        BlockStore::default()
+    /// A store for grid position `(my_r, my_c)` of `layout` that holds no
+    /// block yet.
+    pub fn empty(layout: Arc<StoreLayout>, my_r: usize, my_c: usize) -> BlockStore {
+        let owner = layout.grid.rank_of(my_r, my_c);
+        BlockStore {
+            pos: vec![ABSENT; layout.share[owner].len()],
+            layout,
+            owner,
+            blocks: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
     /// Build the store for one rank of a 2D grid: allocates every block of
@@ -49,6 +208,8 @@ impl BlockStore {
     /// A block `(I, J)` is allocated when *both* endpoints are kept.
     ///
     /// `a` is the reordered, pattern-symmetric matrix (shared, read-only).
+    /// Derives a private [`StoreLayout`] for this one rank; the ranks of a
+    /// machine share one through [`BlockStore::from_layout`] instead.
     pub fn build(
         a: &sparsemat::Csr,
         sym: &Symbolic,
@@ -80,120 +241,179 @@ impl BlockStore {
         keep: &dyn Fn(usize) -> bool,
         value_pred: &dyn Fn(usize, usize) -> bool,
     ) -> BlockStore {
+        let layout = StoreLayout::derive(a, sym, grid, Some(grid.rank_of(my_r, my_c)));
+        Self::from_layout(Arc::new(layout), a, sym, my_r, my_c, keep, value_pred)
+    }
+
+    /// [`BlockStore::build_with_value_pred`] on a layout shared by every
+    /// rank of the machine: walks this rank's share and its bucket of
+    /// matrix entries only. `layout` must have been derived from the same
+    /// `a` and `sym`.
+    pub fn from_layout(
+        layout: Arc<StoreLayout>,
+        a: &sparsemat::Csr,
+        sym: &Symbolic,
+        my_r: usize,
+        my_c: usize,
+        keep: &dyn Fn(usize) -> bool,
+        value_pred: &dyn Fn(usize, usize) -> bool,
+    ) -> BlockStore {
         let part = &sym.part;
-        let mut blocks = HashMap::new();
-        let mine = |i: usize, j: usize| grid.owner(i, j) == (my_r, my_c);
+        let owner = layout.grid.rank_of(my_r, my_c);
+        let share = &layout.share[owner];
+        let kept: Vec<bool> = (0..part.nsup()).map(keep).collect();
+        let held = |&(i, j): &(u32, u32)| kept[i as usize] && kept[j as usize];
 
-        // Allocate pattern blocks.
-        for j in 0..part.nsup() {
-            if !keep(j) {
-                continue;
-            }
-            let wj = part.width(j);
-            if mine(j, j) {
-                blocks.insert((j, j), Mat::zeros(wj, wj));
-            }
-            for &i in &sym.fill.struct_of[j] {
-                if !keep(i) {
-                    continue;
-                }
-                let wi = part.width(i);
-                if mine(i, j) {
-                    blocks.insert((i, j), Mat::zeros(wi, wj)); // L side
-                }
-                if mine(j, i) {
-                    blocks.insert((j, i), Mat::zeros(wj, wi)); // U side
-                }
+        // Allocate the kept part of the share; exactly sized, so a layer
+        // that keeps a quarter of the pattern pays for a quarter.
+        let count = share.iter().filter(|key| held(key)).count();
+        let mut pos = vec![ABSENT; share.len()];
+        let mut blocks = Vec::with_capacity(count);
+        let mut from_matrix = Vec::with_capacity(count);
+        for (s, key) in share.iter().enumerate() {
+            if held(key) {
+                let (i, j) = (key.0 as usize, key.1 as usize);
+                pos[s] = blocks.len() as u32;
+                blocks.push(Mat::zeros(part.width(i), part.width(j)));
+                from_matrix.push(value_pred(i, j));
             }
         }
 
-        // Scatter matrix values.
-        for row in 0..a.nrows {
-            let bi = part.sn_of_col[row];
-            if !keep(bi) {
+        // Scatter this rank's bucket of matrix values. The bucket ascends by
+        // entry index, so the row of an entry is found by walking `row_ptr`.
+        let mut row = 0usize;
+        for &(e, s) in &layout.entries[owner] {
+            let p = pos[s as usize];
+            if p == ABSENT || !from_matrix[p as usize] {
                 continue;
             }
-            let r_off = row - part.ranges[bi].start;
-            for (col, val) in a.row_cols(row).iter().zip(a.row_vals(row)) {
-                let bj = part.sn_of_col[*col];
-                if !keep(bj) || !mine(bi, bj) || !value_pred(bi, bj) {
-                    continue;
-                }
-                if let Some(m) = blocks.get_mut(&(bi, bj)) {
-                    let c_off = col - part.ranges[bj].start;
-                    *m.at_mut(r_off, c_off) += *val;
-                }
-                // Entries whose block is absent from the symbolic pattern
-                // cannot exist: the pattern contains all of A.
+            let e = e as usize;
+            while a.row_ptr[row + 1] <= e {
+                row += 1;
             }
+            let (bi, bj) = share[s as usize];
+            let r_off = row - part.ranges[bi as usize].start;
+            let c_off = a.col_idx[e] - part.ranges[bj as usize].start;
+            *blocks[p as usize].at_mut(r_off, c_off) += a.values[e];
         }
+        BlockStore {
+            layout,
+            owner,
+            pos,
+            blocks,
+            free: Vec::new(),
+        }
+    }
 
-        BlockStore { blocks }
+    /// This rank's share slot of block `(i, j)`, if the layout assigns the
+    /// block to this rank. A slot numbered in another owner's share names a
+    /// different key here (or none), which is the ownership test.
+    #[inline]
+    fn slot_of(&self, i: usize, j: usize) -> Option<usize> {
+        let layout = &*self.layout;
+        let s = layout.slot[layout.find(i, j)?] as usize;
+        (layout.share[self.owner].get(s) == Some(&(i as u32, j as u32))).then_some(s)
+    }
+
+    /// Index into `blocks` of block `(i, j)`, if held.
+    #[inline]
+    fn index_of(&self, i: usize, j: usize) -> Option<usize> {
+        let p = self.pos[self.slot_of(i, j)?];
+        (p != ABSENT).then_some(p as usize)
     }
 
     /// Borrow a block.
     pub fn get(&self, i: usize, j: usize) -> Option<&Mat> {
-        self.blocks.get(&(i, j))
+        self.index_of(i, j).map(|p| &self.blocks[p])
     }
 
     /// Borrow a block mutably.
     pub fn get_mut(&mut self, i: usize, j: usize) -> Option<&mut Mat> {
-        self.blocks.get_mut(&(i, j))
+        self.index_of(i, j).map(|p| &mut self.blocks[p])
     }
 
-    /// Insert (or replace) a block.
+    /// Insert (or replace) a block. Panics when the layout does not assign
+    /// block `(i, j)` to this store's rank.
     pub fn insert(&mut self, i: usize, j: usize, m: Mat) {
-        self.blocks.insert((i, j), m);
+        let s = self.slot_of(i, j).unwrap_or_else(|| {
+            panic!("block ({i},{j}) is not in this rank's share of the pattern")
+        });
+        if self.pos[s] != ABSENT {
+            self.blocks[self.pos[s] as usize] = m;
+        } else if let Some(p) = self.free.pop() {
+            self.blocks[p as usize] = m;
+            self.pos[s] = p;
+        } else {
+            self.pos[s] = self.blocks.len() as u32;
+            self.blocks.push(m);
+        }
     }
 
     /// Remove a block, returning it.
     pub fn take(&mut self, i: usize, j: usize) -> Option<Mat> {
-        self.blocks.remove(&(i, j))
+        let s = self.slot_of(i, j)?;
+        let p = self.pos[s];
+        if p == ABSENT {
+            return None;
+        }
+        self.pos[s] = ABSENT;
+        self.free.push(p);
+        Some(std::mem::replace(
+            &mut self.blocks[p as usize],
+            Mat::zeros(0, 0),
+        ))
     }
 
     /// Whether a block is present.
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        self.blocks.contains_key(&(i, j))
+        self.index_of(i, j).is_some()
     }
 
     /// Number of stored blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.blocks.len() - self.free.len()
     }
 
     /// True when no blocks are stored.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
     /// Total words of block storage — the per-rank memory statistic behind
     /// the paper's Fig. 11.
     pub fn total_words(&self) -> u64 {
+        // Vacated entries are 0 x 0.
         self.blocks
-            .values()
+            .iter()
             .map(|m| (m.rows() * m.cols()) as u64)
             .sum()
     }
 
-    /// Iterate over `(block_row, block_col)` keys (arbitrary order).
+    /// The stored blocks with their `(block_row, block_col)` keys, in
+    /// ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &Mat)> + '_ {
+        let share = &self.layout.share[self.owner];
+        share
+            .iter()
+            .zip(&self.pos)
+            .filter(|(_, &p)| p != ABSENT)
+            .map(|(&(i, j), &p)| ((i as usize, j as usize), &self.blocks[p as usize]))
+    }
+
+    /// Iterate over `(block_row, block_col)` keys, ascending.
     pub fn keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        // det-lint: allow(unordered): documented arbitrary order; ordered consumers sort
-        self.blocks.keys().copied()
+        self.iter().map(|(key, _)| key)
     }
 
     /// Charge every stored block (plus [`SYMBOLIC_META_BYTES`] of metadata
-    /// each) to `rank`'s memory ledger, classifying each block with
-    /// `class_of(i, j) -> (class, tree level)`. Keys are sorted so the
-    /// ledger timeline is deterministic despite the hash-map backing.
+    /// each) to `rank`'s memory ledger in ascending key order, classifying
+    /// each block with `class_of(i, j) -> (class, tree level)`.
     pub fn charge_to_ledger(
         &self,
         rank: &mut Rank,
         class_of: impl Fn(usize, usize) -> (MemClass, u32),
     ) {
-        let mut keys: Vec<(usize, usize)> = self.keys().collect();
-        keys.sort_unstable();
-        for (i, j) in keys {
-            let m = &self.blocks[&(i, j)];
+        for ((i, j), m) in self.iter() {
             let (class, level) = class_of(i, j);
             rank.mem_charge_at(class, level, (m.rows() * m.cols()) as u64 * 8);
             rank.mem_charge_at(MemClass::SymbolicMeta, level, SYMBOLIC_META_BYTES);

@@ -407,10 +407,7 @@ fn main() {
         lookahead: args.lookahead,
         refine_steps: args.refine,
         tracing: args.trace_out.is_some() || args.report,
-        // Host profiling is threaded-only; the machine rejects it under
-        // the event backend (a config error), so only request it there.
-        host_profiling: (args.hostprof_out.is_some() || args.report)
-            && args.backend == Backend::Threaded,
+        host_profiling: args.hostprof_out.is_some() || args.report,
         sanitize: args.sanitize,
         backend: args.backend,
         schedule: args.schedule,
@@ -419,16 +416,6 @@ fn main() {
         recv_deadline: args.recv_deadline,
         ..Default::default()
     };
-    if args.backend == Backend::Event && args.hostprof_out.is_some() {
-        // Host-time profiling needs real parallelism; the machine disables
-        // it under the event backend, so the output file would be empty.
-        eprintln!("--hostprof-out requires --backend threaded (see docs/backends.md)");
-        exit(2);
-    }
-    if args.backend == Backend::Event && args.report {
-        println!("note: --backend event skips the host-time phase breakdown (threaded-only)");
-    }
-
     // Static communication plan: derived from symbolic analysis alone,
     // before (and independent of) any numeric execution.
     let plan = if args.plan_out.is_some() || args.plan_check {

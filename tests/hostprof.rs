@@ -83,6 +83,63 @@ fn profiling_never_perturbs_the_factors() {
 }
 
 #[test]
+fn the_contract_holds_under_the_event_backend() {
+    // One rank runs at a time, so a rank's wall is the time it held the
+    // baton: the phases still partition it, the walls of all 16 ranks fit
+    // inside the machine's, and the simulation cannot tell it was profiled.
+    let nx = 24;
+    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
+    let b = a.matvec(&vec![1.0; a.nrows]);
+    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
+    let run = |host_profiling| {
+        let cfg = SolverConfig {
+            pr: 2,
+            pc: 2,
+            pz: 4,
+            backend: Backend::Event,
+            host_profiling,
+            ..Default::default()
+        };
+        let started = std::time::Instant::now();
+        let out = factor_and_solve(&prep, &cfg, Some(b.clone()));
+        (out, started.elapsed().as_secs_f64())
+    };
+    let (profiled, machine_wall) = run(true);
+    let (plain, _) = run(false);
+
+    let reports = profiled.hostprof_reports().expect("profiling was on");
+    assert_eq!(reports.len(), 16);
+    for (rank, hp) in reports.iter().enumerate() {
+        assert!(hp.wall_secs > 0.0, "rank {rank} wall");
+        let rel = (hp.attributed_secs() - hp.wall_secs).abs() / hp.wall_secs;
+        assert!(
+            rel < 0.01,
+            "rank {rank}: attributed {} vs wall {}",
+            hp.attributed_secs(),
+            hp.wall_secs
+        );
+        assert!(hp.phase_secs(HostPhase::StoreBuild) > 0.0, "rank {rank}");
+        assert!(hp.phase_secs(HostPhase::Digest) > 0.0, "rank {rank}");
+    }
+    let wall_sum: f64 = reports.iter().map(|r| r.wall_secs).sum();
+    assert!(
+        wall_sum <= machine_wall,
+        "ranks held the baton for {wall_sum} s of a {machine_wall} s run"
+    );
+
+    assert_eq!(profiled.factor_digest, plain.factor_digest);
+    assert_eq!(profiled.makespan().to_bits(), plain.makespan().to_bits());
+    assert_eq!(profiled.x, plain.x);
+    assert_eq!(profiled.sched, plain.sched);
+    for (rank, (p, q)) in profiled.reports.iter().zip(&plain.reports).enumerate() {
+        assert_eq!(p.clock.to_bits(), q.clock.to_bits(), "rank {rank} clock");
+        assert_eq!(p.commvol, q.commvol, "rank {rank} wire ledger");
+        assert_eq!(p.memprof, q.memprof, "rank {rank} memory ledger");
+        assert_eq!(p.metrics, q.metrics, "rank {rank} metrics");
+    }
+}
+
+#[test]
 fn hostprof_document_is_well_formed() {
     let out = pinned_run(true, false);
     let doc = out.hostprof_profile().expect("profiling was on");
