@@ -13,8 +13,7 @@
 //! regression. Exit 2 means bad usage or unreadable input.
 
 use campaign::{
-    compare, compare_markdown, run_campaign, run_markdown, schedule_gate, CampaignSpec, Snapshot,
-    Tolerance,
+    compare, compare_markdown, run_campaign, run_markdown, CampaignSpec, Snapshot, Tolerance,
 };
 use std::path::PathBuf;
 use std::process::exit;
@@ -24,7 +23,6 @@ fn usage() -> ! {
         "usage:\n\
          \x20 salu-campaign run SPEC.toml [--out-dir DIR] [--baseline FILE] [--jobs N]\n\
          \x20 salu-campaign compare NEW.json BASELINE.json [--tol-wall X] [--tol-sim X] [--gate-wall]\n\
-         \x20 salu-campaign schedule-gate SNAPSHOT.json\n\
          \n\
          run      expand the sweep spec, execute every job (best-of-N wall,\n\
          \x20        per-job artifact dirs), write BENCH_<pr>.json and report.md\n\
@@ -35,11 +33,6 @@ fn usage() -> ! {
          \x20        print the regression report. --tol-* override the default\n\
          \x20        bands (wall 0.5, sim 0.02); --gate-wall makes wall\n\
          \x20        regressions fail the gate too.\n\
-         schedule-gate\n\
-         \x20        pair every schedule=taskgraph point with its level twin\n\
-         \x20        and fail (exit 1) if any taskgraph makespan exceeds its\n\
-         \x20        level makespan, if a taskgraph point is unpaired, or if\n\
-         \x20        the snapshot has no pairs at all.\n\
          \n\
          See docs/campaign.md."
     );
@@ -51,7 +44,6 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("schedule-gate") => cmd_schedule_gate(&args[1..]),
         _ => usage(),
     }
 }
@@ -204,40 +196,6 @@ fn cmd_compare(args: &[String]) -> ! {
     let cmp = compare(&load(new_path), &load(base_path), tol);
     print!("{}", compare_markdown(&cmp));
     exit(if cmp.regressed() { 1 } else { 0 })
-}
-
-fn cmd_schedule_gate(args: &[String]) -> ! {
-    let [path] = args else { usage() };
-    let snap = Snapshot::load(path).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
-    let gate = schedule_gate(&snap);
-    for (key, level, tg) in &gate.pairs {
-        println!(
-            "  {key}: level {level:.9e}  taskgraph {tg:.9e}  ({:+.4}%)",
-            (tg - level) / level * 100.0
-        );
-    }
-    for v in &gate.violations {
-        eprintln!("  VIOLATION: {v}");
-    }
-    if gate.pairs.is_empty() && gate.ok() {
-        eprintln!("schedule gate FAILED — {path} has no level/taskgraph pairs");
-        exit(1);
-    }
-    if !gate.ok() {
-        eprintln!(
-            "schedule gate FAILED — {} violation(s)",
-            gate.violations.len()
-        );
-        exit(1);
-    }
-    println!(
-        "schedule gate clean: taskgraph <= level on all {} pair(s)",
-        gate.pairs.len()
-    );
-    exit(0)
 }
 
 fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {

@@ -202,61 +202,6 @@ fn judge(old: f64, new: f64, tol: f64) -> (Verdict, f64) {
     (verdict, ratio)
 }
 
-/// Outcome of the schedule gate over one snapshot (see [`schedule_gate`]).
-#[derive(Clone, Debug, Default)]
-pub struct ScheduleGate {
-    /// `(level-point key, level makespan, taskgraph makespan)` per pair.
-    pub pairs: Vec<(PointKey, f64, f64)>,
-    /// Human-readable gate failures; empty means the gate passed.
-    pub violations: Vec<String>,
-}
-
-impl ScheduleGate {
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Pair every `schedule=taskgraph` point of a snapshot with its
-/// `schedule=level` twin (same key otherwise) and require the task-graph
-/// makespan to be less than or equal to the level makespan on every pair.
-///
-/// The makespans are deterministic simulated metrics, so no tolerance
-/// band applies: hoisted z-reduction sends must never push the critical
-/// path past the bulk-synchronous level order on any committed campaign
-/// point. An unpaired taskgraph point is itself a violation — the gate
-/// must never silently shrink to zero coverage.
-pub fn schedule_gate(snap: &Snapshot) -> ScheduleGate {
-    let mut gate = ScheduleGate::default();
-    for tp in &snap.points {
-        if tp.key.schedule.as_deref() != Some("taskgraph") {
-            continue;
-        }
-        let level_key = PointKey {
-            schedule: None,
-            ..tp.key.clone()
-        };
-        let Some(lp) = snap.find(&level_key) else {
-            gate.violations
-                .push(format!("{}: no level twin in the snapshot", tp.key));
-            continue;
-        };
-        let (Some(lm), Some(tm)) = (lp.metric("makespan_secs"), tp.metric("makespan_secs")) else {
-            gate.violations
-                .push(format!("{level_key}: a side is missing makespan_secs"));
-            continue;
-        };
-        if tm > lm {
-            gate.violations.push(format!(
-                "{level_key}: taskgraph makespan {tm:.9e} exceeds level {lm:.9e} ({:+.4}%)",
-                (tm - lm) / lm * 100.0
-            ));
-        }
-        gate.pairs.push((level_key, lm, tm));
-    }
-    gate
-}
-
 /// Diff `new` against `baseline`.
 pub fn compare(new: &Snapshot, baseline: &Snapshot, tol: Tolerance) -> Comparison {
     let mut matched = Vec::new();
@@ -318,7 +263,6 @@ mod tests {
             lookahead: None,
             faults: None,
             backend: None,
-            schedule: None,
         }
     }
 
@@ -417,43 +361,6 @@ mod tests {
         assert_eq!(cmp.missing, vec![key("m", 4)]);
         assert_eq!(cmp.extra, vec![key("m", 2)]);
         assert!(!cmp.regressed());
-    }
-
-    #[test]
-    fn schedule_gate_pairs_points_and_flags_regressions() {
-        let tg = |k: PointKey| PointKey {
-            schedule: Some("taskgraph".into()),
-            ..k
-        };
-        // taskgraph <= level on both pairs: gate passes, ties allowed
-        let snap_ok = snap(
-            "pr10",
-            vec![
-                pt(key("m", 1), 0.01, 2.0),
-                pt(tg(key("m", 1)), 0.01, 2.0),
-                pt(key("m", 4), 0.01, 1.0),
-                pt(tg(key("m", 4)), 0.01, 0.9),
-            ],
-        );
-        let gate = schedule_gate(&snap_ok);
-        assert!(gate.ok(), "{:?}", gate.violations);
-        assert_eq!(gate.pairs.len(), 2);
-        // a taskgraph point above its level twin fails the gate
-        let snap_bad = snap(
-            "pr10",
-            vec![pt(key("m", 4), 0.01, 1.0), pt(tg(key("m", 4)), 0.01, 1.1)],
-        );
-        let gate = schedule_gate(&snap_bad);
-        assert!(!gate.ok());
-        assert!(gate.violations[0].contains("exceeds level"));
-        // an unpaired taskgraph point is a violation, not silence
-        let snap_orphan = snap("pr10", vec![pt(tg(key("m", 4)), 0.01, 1.0)]);
-        let gate = schedule_gate(&snap_orphan);
-        assert!(!gate.ok());
-        assert!(gate.violations[0].contains("no level twin"));
-        // level-only snapshots produce zero pairs (the CLI rejects that)
-        let gate = schedule_gate(&snap("pr10", vec![pt(key("m", 4), 0.01, 1.0)]));
-        assert!(gate.ok() && gate.pairs.is_empty());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! A campaign is a TOML spec (see `campaigns/*.toml` and docs/campaign.md)
 //! that sweeps generator/matrix × `n` × `P` × `Pz` × options
-//! (`lookahead`, `faults`, `backend`, `schedule`). The runner expands the
-//! sweep into jobs, factors each one best-of-N, writes per-job artifact
-//! directories (metrics / memprof / commvol / hostprof — the latter for
+//! (`lookahead`, `faults`, `backend`). The runner expands the sweep into
+//! jobs, factors each one best-of-N, writes per-job artifact directories
+//! (metrics / memprof / commvol / hostprof — the latter for
 //! threaded-backend jobs only, optionally a Chrome trace), and emits:
 //!
 //! - a `BENCH_<pr>.json` snapshot (schema `salu-bench-snapshot/3`) that
@@ -17,10 +17,10 @@
 //!   (improved / unchanged / regressed / incomparable).
 //!
 //! The comparator matches points by
-//! `(matrix, n, p, pz, lookahead, faults, backend, schedule)`;
-//! deterministic simulated metrics gate under a tight tolerance band,
-//! host wall-clock under a loose, by default non-gating one. The
-//! `salu-campaign` binary fronts all of this for the CLI and CI.
+//! `(matrix, n, p, pz, lookahead, faults, backend)`; deterministic
+//! simulated metrics gate under a tight tolerance band, host wall-clock
+//! under a loose, by default non-gating one. The `salu-campaign` binary
+//! fronts all of this for the CLI and CI.
 
 pub mod compare;
 pub mod report;
@@ -29,10 +29,7 @@ pub mod snapshot;
 pub mod spec;
 pub mod toml;
 
-pub use compare::{
-    compare, schedule_gate, Comparison, MetricVerdict, PointComparison, ScheduleGate, Tolerance,
-    Verdict,
-};
+pub use compare::{compare, Comparison, MetricVerdict, PointComparison, Tolerance, Verdict};
 pub use report::{compare_markdown, run_markdown};
 pub use runner::{run_campaign, CampaignOutcome};
 pub use snapshot::{BenchPoint, PointKey, Snapshot, DEFAULT_LOOKAHEAD, METRICS};

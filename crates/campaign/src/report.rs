@@ -135,7 +135,6 @@ mod tests {
                 lookahead: None,
                 faults: None,
                 backend: None,
-                schedule: None,
             },
             scale: "tiny".into(),
             metrics: vec![

@@ -17,7 +17,7 @@
 use crate::snapshot::{BenchPoint, PointKey, Snapshot, DEFAULT_LOOKAHEAD};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
 use lu3d::solver::{try_factor_only, Output3d, SolverConfig};
-use simgrid::{Backend, FaultPlan, RetryPolicy, Schedule, TimeModel};
+use simgrid::{Backend, FaultPlan, RetryPolicy, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Geometry, Scale};
 use sparsemat::{matgen, Csr};
@@ -115,7 +115,6 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         model: TimeModel::edison_like(),
         lookahead: job.lookahead,
         backend: job.backend,
-        schedule: job.schedule,
         // Event-mode jobs are the scaling points, whose wall column should
         // not carry the profiler's scope timers: they skip hostprof.json.
         host_profiling: job.backend == Backend::Threaded,
@@ -212,7 +211,6 @@ fn to_point(job: &Job, run: &JobRun) -> BenchPoint {
             lookahead: (job.lookahead as u64 != DEFAULT_LOOKAHEAD).then_some(job.lookahead as u64),
             faults: job.faults.clone(),
             backend: (job.backend != Backend::Threaded).then(|| job.backend.to_string()),
-            schedule: (job.schedule != Schedule::Level).then(|| job.schedule.to_string()),
         },
         scale: job.matrix.scale(),
         metrics: vec![
@@ -342,7 +340,6 @@ mod tests {
             lookahead: None,
             faults: None,
             backend: None,
-            schedule: None,
         };
         let planar = out.snapshot.find(&key).unwrap();
         assert!(planar.metric("wall_secs").unwrap() > 0.0);
@@ -391,41 +388,6 @@ mod tests {
             !evt_dir.join("hostprof.json").exists(),
             "event jobs must not claim host-time attribution"
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn schedule_jobs_share_ledgers_and_key_the_schedule() {
-        let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"s\"\npr = \"test\"\n\
-             [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [4]\npz = [2]\n\
-             backend = [\"event\"]\nschedule = [\"level\", \"taskgraph\"]\n",
-        )
-        .unwrap();
-        let dir = std::env::temp_dir().join(format!("campaign-sched-{}", std::process::id()));
-        let out = run_campaign(&spec, &dir).unwrap();
-        assert!(out.failed.is_empty(), "{:?}", out.failed);
-        assert_eq!(out.snapshot.points.len(), 2);
-        let (lv, tg) = (&out.snapshot.points[0], &out.snapshot.points[1]);
-        assert_eq!(lv.key.schedule, None);
-        assert_eq!(tg.key.schedule.as_deref(), Some("taskgraph"));
-        // hoisting only moves clocks: every ledger metric stays bitwise
-        for m in [
-            "max_peak_bytes",
-            "total_peak_bytes",
-            "w_fact_words",
-            "w_red_words",
-            "total_sent_words",
-        ] {
-            assert_eq!(lv.metric(m), tg.metric(m), "{m}");
-        }
-        // both artifact dirs landed, the taskgraph one under its suffix
-        for slug in ["k2d5pt-p4-pz2-event", "k2d5pt-p4-pz2-event-taskgraph"] {
-            assert!(
-                dir.join("jobs").join(slug).join("commvol.json").is_file(),
-                "{slug}"
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,11 +3,11 @@
 //! Every PR that moves performance leaves one snapshot in `results/`, all
 //! in one schema, `salu-bench-snapshot/3`: one record per measured
 //! configuration, keyed by
-//! `(matrix, n, p, pz, lookahead, faults, backend, schedule)`, with the
-//! metric columns of [`METRICS`]. `scale` is carried for display but not
+//! `(matrix, n, p, pz, lookahead, faults, backend)`, with the metric
+//! columns of [`METRICS`]. `scale` is carried for display but not
 //! matched on (matrix + n already pin the problem). A record that omits an
 //! option column means that option's default (`lookahead = 8`,
-//! `backend = "threaded"`, `schedule = "level"`, no faults).
+//! `backend = "threaded"`, no faults).
 //!
 //! The snapshots of PRs 3 and 4 were written in two earlier generations
 //! and migrated once (docs/campaign.md, "Snapshots"); the loader reads
@@ -30,17 +30,12 @@ pub struct PointKey {
     /// predate the backend column; matched as equal to `threaded`, so
     /// every historical snapshot keeps comparing against threaded runs.
     pub backend: Option<String>,
-    /// Communication schedule (`level` | `taskgraph`). `None` in documents
-    /// that predate the schedule column; matched as equal to `level`, so
-    /// every historical snapshot keeps comparing against level-order runs.
-    pub schedule: Option<String>,
 }
 
 impl PointKey {
     /// Canonical form for matching: an absent option column and its
     /// explicit default mean the same configuration.
-    #[allow(clippy::type_complexity)]
-    fn canon(&self) -> (String, u64, u64, u64, u64, Option<String>, String, String) {
+    fn canon(&self) -> (String, u64, u64, u64, u64, Option<String>, String) {
         (
             self.matrix.clone(),
             self.n,
@@ -49,7 +44,6 @@ impl PointKey {
             self.lookahead.unwrap_or(DEFAULT_LOOKAHEAD),
             self.faults.clone(),
             self.backend.clone().unwrap_or_else(|| "threaded".into()),
-            self.schedule.clone().unwrap_or_else(|| "level".into()),
         )
     }
 
@@ -80,11 +74,6 @@ impl std::fmt::Display for PointKey {
         if let Some(b) = &self.backend {
             if b != "threaded" {
                 write!(f, " backend={b}")?;
-            }
-        }
-        if let Some(s) = &self.schedule {
-            if s != "level" {
-                write!(f, " schedule={s}")?;
             }
         }
         Ok(())
@@ -204,10 +193,6 @@ impl Snapshot {
                         "backend".into(),
                         Json::str(p.key.backend.as_deref().unwrap_or("threaded")),
                     ),
-                    (
-                        "schedule".into(),
-                        Json::str(p.key.schedule.as_deref().unwrap_or("level")),
-                    ),
                 ];
                 if let Some(fa) = &p.key.faults {
                     fields.push(("faults".into(), Json::str(fa)));
@@ -243,7 +228,6 @@ fn load_point(pt: &Json) -> Result<BenchPoint, String> {
             lookahead: pt.get("lookahead").and_then(Json::as_f64).map(|v| v as u64),
             faults: str_field("faults"),
             backend: str_field("backend"),
-            schedule: str_field("schedule"),
         },
         scale: str_field("scale").unwrap_or_default(),
         metrics: METRICS
@@ -266,7 +250,6 @@ mod tests {
             lookahead: None,
             faults: None,
             backend: None,
-            schedule: None,
         }
     }
 
@@ -307,7 +290,6 @@ mod tests {
                     lookahead: Some(4),
                     faults: Some("drop:p=0.05".into()),
                     backend: Some("event".into()),
-                    schedule: Some("taskgraph".into()),
                 },
                 scale: "small".into(),
                 metrics: vec![
@@ -353,29 +335,6 @@ mod tests {
             ..old
         };
         assert!(evt.to_string().ends_with("backend=event"));
-    }
-
-    #[test]
-    fn schedule_column_defaults_to_level() {
-        let old = key();
-        // An absent column and an explicit "level" are the same point; a
-        // taskgraph point is new coverage, never matched against level.
-        assert!(old.matches(&PointKey {
-            schedule: Some("level".into()),
-            ..old.clone()
-        }));
-        assert!(!old.matches(&PointKey {
-            schedule: Some("taskgraph".into()),
-            ..old.clone()
-        }));
-        // Display keeps old keys stable and flags only non-default
-        // schedules.
-        assert!(!old.to_string().contains("schedule"));
-        let tg = PointKey {
-            schedule: Some("taskgraph".into()),
-            ..old
-        };
-        assert!(tg.to_string().ends_with("schedule=taskgraph"));
     }
 
     #[test]

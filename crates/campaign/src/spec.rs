@@ -10,7 +10,7 @@
 
 use crate::compare::Tolerance;
 use crate::toml::{self, Table, Value};
-use simgrid::{Backend, Schedule};
+use simgrid::Backend;
 
 /// Where a point's matrix comes from.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -56,9 +56,6 @@ pub struct PointSpec {
     /// Execution backends to sweep (`threaded` | `event`); defaults to
     /// threaded only, matching every historical snapshot.
     pub backend: Vec<Backend>,
-    /// Communication schedules to sweep (`level` | `taskgraph`); defaults
-    /// to level only, matching every historical snapshot.
-    pub schedule: Vec<Schedule>,
     /// Per-point repetition override. Paper-scale points (P = 4096) take
     /// minutes per rep; this lets one point opt out of the campaign-wide
     /// best-of-N without loosening the small points.
@@ -77,7 +74,6 @@ pub struct Job {
     /// `None` = fault-free.
     pub faults: Option<String>,
     pub backend: Backend,
-    pub schedule: Schedule,
     pub reps: usize,
 }
 
@@ -93,9 +89,6 @@ impl Job {
         }
         if self.backend != Backend::Threaded {
             s.push_str(&format!("-{}", self.backend));
-        }
-        if self.schedule != Schedule::Level {
-            s.push_str(&format!("-{}", self.schedule));
         }
         s
     }
@@ -199,20 +192,17 @@ impl CampaignSpec {
                     for &lookahead in &pt.lookahead {
                         for faults in &pt.faults {
                             for &backend in &pt.backend {
-                                for &schedule in &pt.schedule {
-                                    jobs.push(Job {
-                                        matrix: pt.matrix.clone(),
-                                        leaf: pt.leaf,
-                                        maxsup: pt.maxsup,
-                                        p,
-                                        pz,
-                                        lookahead,
-                                        faults: (!faults.is_empty()).then(|| faults.clone()),
-                                        backend,
-                                        schedule,
-                                        reps: pt.reps.unwrap_or(self.reps),
-                                    });
-                                }
+                                jobs.push(Job {
+                                    matrix: pt.matrix.clone(),
+                                    leaf: pt.leaf,
+                                    maxsup: pt.maxsup,
+                                    p,
+                                    pz,
+                                    lookahead,
+                                    faults: (!faults.is_empty()).then(|| faults.clone()),
+                                    backend,
+                                    reps: pt.reps.unwrap_or(self.reps),
+                                });
                             }
                         }
                     }
@@ -238,7 +228,6 @@ const POINT_KEYS: &[&str] = &[
     "lookahead",
     "faults",
     "backend",
-    "schedule",
     "reps",
 ];
 
@@ -325,21 +314,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
             vals
         }
     };
-    let schedule = match t.get("schedule") {
-        None => vec![Schedule::Level],
-        Some(v) => {
-            let vals: Option<Vec<Schedule>> = v
-                .as_list()
-                .iter()
-                .map(|x| x.as_str().and_then(|s| s.parse().ok()))
-                .collect();
-            let vals = vals.ok_or("schedule must be a list of 'level' | 'taskgraph'")?;
-            if vals.is_empty() {
-                return Err("schedule sweep is empty".into());
-            }
-            vals
-        }
-    };
     let reps = match t.get("reps") {
         None => None,
         Some(v) => Some(
@@ -357,7 +331,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
         lookahead,
         faults,
         backend,
-        schedule,
         reps,
     })
 }
@@ -462,7 +435,6 @@ pz = [2, 3]
         let j = &jobs[0];
         assert_eq!((j.pz, j.lookahead, j.leaf, j.maxsup), (1, 8, 32, 32));
         assert!(j.faults.is_none());
-        assert_eq!(j.schedule, Schedule::Level);
         assert_eq!(j.reps, 1);
         assert_eq!(spec.pr_label, "d", "pr label defaults to the name");
     }
@@ -505,8 +477,15 @@ pz = [2, 3]
             e.contains("[[point]] #1") && e.contains("'batched' was removed"),
             "{e}"
         );
-        // Typo'd axes used to shrink the sweep to its defaults in silence.
-        for typo in ["bached = [true]", "backends = [\"event\"]", "Pz = [1, 4]"] {
+        // Typo'd axes used to shrink the sweep to its defaults in silence;
+        // so would the `schedule` axis of a spec from before there was one
+        // program order.
+        for typo in [
+            "bached = [true]",
+            "backends = [\"event\"]",
+            "Pz = [1, 4]",
+            "schedule = [\"level\"]",
+        ] {
             let e = with_point_key(typo);
             let key = typo.split(' ').next().unwrap();
             assert!(
@@ -613,33 +592,9 @@ pz = [2, 3]
     }
 
     #[test]
-    fn schedule_sweeps_expand_and_suffix_the_slug() {
-        let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"s\"\n\
-             [[point]]\ngen = \"kkt:4\"\np = 8\npz = [4]\nbackend = [\"event\"]\n\
-             schedule = [\"level\", \"taskgraph\"]\n",
-        )
-        .unwrap();
-        let (jobs, _) = spec.expand();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].schedule, Schedule::Level);
-        assert_eq!(jobs[1].schedule, Schedule::TaskGraph);
-        // level stays suffix-free so historical artifact paths never move
-        assert_eq!(jobs[0].slug(), "kkt4-p8-pz4-event");
-        assert_eq!(jobs[1].slug(), "kkt4-p8-pz4-event-taskgraph");
-        assert!(
-            CampaignSpec::parse(
-                "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\np = 4\nschedule = [\"eager\"]\n"
-            )
-            .is_err(),
-            "unknown schedule names must be rejected at parse time"
-        );
-    }
-
-    #[test]
     fn the_committed_scaling_campaign_stays_valid() {
-        // The CI schedule gate runs this exact file; it must keep pairing
-        // every point across both schedules on the event backend.
+        // The CI strong-scaling step runs this exact file and compares it
+        // with results/BENCH_pr10.json point by point.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../campaigns/scaling.toml"
@@ -649,16 +604,11 @@ pz = [2, 3]
         assert_eq!(spec.pr_label, "pr10");
         let (jobs, skipped) = spec.expand();
         assert!(skipped.is_empty(), "{skipped:?}");
-        // 4 P values x 2 Pz x 2 schedules, all event-backend
-        assert_eq!(jobs.len(), 16);
+        // 4 P values x 2 Pz, all event-backend
+        assert_eq!(jobs.len(), 8);
         assert!(jobs.iter().all(|j| j.backend == Backend::Event));
-        let tg: Vec<_> = jobs
-            .iter()
-            .filter(|j| j.schedule == Schedule::TaskGraph)
-            .collect();
-        assert_eq!(tg.len(), 8, "every grid point runs under both schedules");
-        // the paper-scale replicated point is the headline pair
-        assert!(tg.iter().any(|j| j.p == 4096 && j.pz == 4));
+        // the paper-scale replicated point is the headline
+        assert!(jobs.iter().any(|j| j.p == 4096 && j.pz == 4));
     }
 
     #[test]

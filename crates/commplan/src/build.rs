@@ -6,13 +6,14 @@
 //! each rank belongs to exactly one layer, one row, one column, and one
 //! z-line, the global enumeration preserves every rank's program order:
 //!
-//! - panels are enumerated in the exact `factor_nodes` lookahead schedule
-//!   (replicated here from the shared symbolic state, like every rank does
-//!   at runtime), and each panel's broadcasts in kernel order (diagonal
-//!   row, diagonal column, L panel, U panel);
-//! - broadcasts are expanded into their binomial-tree edges with the same
-//!   relative-rank arithmetic as `simgrid::coll::bcast_inner`, so the plan
-//!   predicts not just totals but each intermediate forward hop;
+//! - panels are enumerated in the lookahead order `factor_nodes` executes
+//!   (`BlockFill::lookahead_order`, the same call on the same symbolic
+//!   state), and each panel's broadcasts in kernel order (diagonal row,
+//!   diagonal column, L panel, U panel);
+//! - broadcasts are expanded into the binomial-tree edges `Rank::bcast`
+//!   walks (`simgrid::coll::bcast_tree`), so the plan predicts not just
+//!   totals but each intermediate forward hop, on the communicator context
+//!   ids `build_grid_comms` hands out (`Grid3d::ctx_id`);
 //! - ancestor reductions are enumerated per z-pair in `(l_a desc, s asc)`
 //!   order with the packed-block word count derived from the same
 //!   owned-blocks rule the runtime store implements.
@@ -20,38 +21,16 @@
 use crate::{CommPlan, Dir, OpKind, OpMeta, PlanEvent};
 use lu3d::EtreeForest;
 use obs::CommClass;
+use simgrid::coll::bcast_tree;
 use simgrid::tags::{coll_tag, PH_BCAST, T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_REDUCE, T_UPANEL};
+use simgrid::topology::CommFamily;
 use simgrid::Grid3d;
-use std::collections::HashMap;
-use symbolic::Symbolic;
-
-/// Communicator context ids, mirroring `build_grid_comms` creation order
-/// (`Rank::subset` hands out ids from a per-rank counter starting at 1;
-/// world is 0): all layers, then all rows, then all columns, then all
-/// z-lines.
-struct CtxIds {
-    pr: usize,
-    pc: usize,
-    pz: usize,
-}
-
-impl CtxIds {
-    fn row(&self, z: usize, r: usize) -> u64 {
-        (1 + self.pz + z * self.pr + r) as u64
-    }
-    fn col(&self, z: usize, c: usize) -> u64 {
-        (1 + self.pz + self.pz * self.pr + z * self.pc + c) as u64
-    }
-    fn zline(&self, r: usize, c: usize) -> u64 {
-        (1 + self.pz + self.pz * self.pr + self.pz * self.pc + r * self.pc + c) as u64
-    }
-}
+use symbolic::{LookaheadStep, Symbolic};
 
 struct Builder<'a> {
     sym: &'a Symbolic,
     forest: &'a EtreeForest,
     grid: Grid3d,
-    ctx: CtxIds,
     plan: CommPlan,
 }
 
@@ -70,13 +49,12 @@ pub fn build_plan(
     grid: Grid3d,
     lookahead: usize,
 ) -> CommPlan {
-    let (pr, pc, pz) = (grid.grid2d.pr, grid.grid2d.pc, grid.pz);
+    let pz = grid.pz;
     assert_eq!(pz, forest.pz(), "grid/forest Pz mismatch");
     let mut b = Builder {
         sym,
         forest,
         grid,
-        ctx: CtxIds { pr, pc, pz },
         plan: CommPlan {
             grid,
             events: vec![Vec::new(); grid.size()],
@@ -101,8 +79,11 @@ pub fn build_plan(
         for z in (0..pz).step_by(step) {
             let q = z >> (l - lvl);
             let nodes = forest.supernodes_of(lvl, q, &sym.part);
-            for k in panel_order(sym, &nodes, &mut done[z], lookahead) {
-                b.plan_panel(lvl, z, k);
+            for ahead in sym.fill.lookahead_order(&nodes, &done[z], lookahead) {
+                match ahead {
+                    LookaheadStep::Panel(j) => b.plan_panel(lvl, z, nodes[j]),
+                    LookaheadStep::Schur(idx) => done[z][nodes[idx]] = true,
+                }
             }
             if lvl == 0 {
                 continue;
@@ -118,39 +99,6 @@ pub fn build_plan(
         }
     }
     b.plan
-}
-
-/// Replicate the `factor_nodes` lookahead schedule: the order panels (and
-/// therefore their broadcasts) happen in. All ranks of a layer compute this
-/// same schedule from shared symbolic state; `done` is the layer's copy and
-/// is advanced for the next level.
-fn panel_order(sym: &Symbolic, nodes: &[usize], done: &mut [bool], lookahead: usize) -> Vec<usize> {
-    let children = sym.fill.children();
-    let mut pending: HashMap<usize, usize> = HashMap::new();
-    for &k in nodes {
-        pending.insert(k, children[k].iter().filter(|&&c| !done[c]).count());
-    }
-    let mut paneled = vec![false; nodes.len()];
-    let mut order = Vec::with_capacity(nodes.len());
-    for idx in 0..nodes.len() {
-        let k = nodes[idx];
-        let w_end = (idx + lookahead + 1).min(nodes.len());
-        for j in idx..w_end {
-            let m = nodes[j];
-            if paneled[j] || pending[&m] > 0 {
-                continue;
-            }
-            order.push(m);
-            paneled[j] = true;
-        }
-        done[k] = true;
-        if let Some(p) = sym.fill.parent[k] {
-            if let Some(cnt) = pending.get_mut(&p) {
-                *cnt -= 1;
-            }
-        }
-    }
-    order
 }
 
 impl Builder<'_> {
@@ -179,7 +127,7 @@ impl Builder<'_> {
         self.plan_bcast(
             &row_members(kr),
             kc,
-            self.ctx.row(z, kr),
+            grid.ctx_id(CommFamily::Row, (kr, 0, z)),
             coll_tag(PH_BCAST, T_DIAG_ROW | k as u64),
             wk * wk,
             CommClass::Collective,
@@ -189,7 +137,7 @@ impl Builder<'_> {
         self.plan_bcast(
             &col_members(kc),
             kr,
-            self.ctx.col(z, kc),
+            grid.ctx_id(CommFamily::Col, (0, kc, z)),
             coll_tag(PH_BCAST, T_DIAG_COL | k as u64),
             wk * wk,
             CommClass::Collective,
@@ -212,7 +160,7 @@ impl Builder<'_> {
             self.plan_bcast(
                 &row_members(r),
                 kc,
-                self.ctx.row(z, r),
+                grid.ctx_id(CommFamily::Row, (r, 0, z)),
                 coll_tag(PH_BCAST, T_LPANEL | k as u64),
                 1 + 3 * cnt + block_words,
                 CommClass::LPanel,
@@ -234,7 +182,7 @@ impl Builder<'_> {
             self.plan_bcast(
                 &col_members(c),
                 kr,
-                self.ctx.col(z, c),
+                grid.ctx_id(CommFamily::Col, (0, c, z)),
                 coll_tag(PH_BCAST, T_UPANEL | k as u64),
                 1 + 3 * cnt + block_words,
                 CommClass::UPanel,
@@ -244,11 +192,10 @@ impl Builder<'_> {
         }
     }
 
-    /// Expand one broadcast into its binomial-tree point-to-point edges,
-    /// mirroring `simgrid::coll::bcast_inner` exactly: ranks are rotated so
-    /// the root is relative 0, each non-root receives from its parent
-    /// (lowest set bit cleared), and every rank forwards to children in
-    /// decreasing bit order. `p - 1` messages total, zero when `p <= 1`.
+    /// Expand one broadcast into its binomial-tree point-to-point edges
+    /// ([`bcast_tree`], which `Rank::bcast` executes): each non-root
+    /// receives from its parent, then every rank forwards to its children
+    /// in sending order. `p - 1` messages total, zero when `p <= 1`.
     #[allow(clippy::too_many_arguments)]
     fn plan_bcast(
         &mut self,
@@ -275,53 +222,22 @@ impl Builder<'_> {
             ctx,
             tag,
         });
-        let phase = "fact";
-        for local in 0..p {
-            let relative = (local + p - root) % p;
-            let world = members[local];
-            let mut mask = 1usize;
-            if relative == 0 {
-                while mask < p {
-                    mask <<= 1;
-                }
-            } else {
-                loop {
-                    if relative & mask != 0 {
-                        let src = ((relative - mask) + root) % p;
-                        self.plan.events[world].push(PlanEvent {
-                            dir: Dir::Recv,
-                            peer: members[src],
-                            ctx,
-                            tag,
-                            words,
-                            phase,
-                            class,
-                            level: lvl as u32,
-                            op,
-                        });
-                        break;
-                    }
-                    mask <<= 1;
-                }
-            }
-            let mut bit = mask >> 1;
-            while bit > 0 {
-                if relative + bit < p {
-                    let dst = ((relative + bit) + root) % p;
-                    self.plan.events[world].push(PlanEvent {
-                        dir: Dir::Send,
-                        peer: members[dst],
-                        ctx,
-                        tag,
-                        words,
-                        phase,
-                        class,
-                        level: lvl as u32,
-                        op,
-                    });
-                }
-                bit >>= 1;
-            }
+        let event = |dir, peer: usize| PlanEvent {
+            dir,
+            peer: members[peer],
+            ctx,
+            tag,
+            words,
+            phase: "fact",
+            class,
+            level: lvl as u32,
+            op,
+        };
+        for (local, &world) in members.iter().enumerate() {
+            let (parent, children) = bcast_tree(p, root, local);
+            let events = &mut self.plan.events[world];
+            events.extend(parent.map(|src| event(Dir::Recv, src)));
+            events.extend(children.map(|dst| event(Dir::Send, dst)));
         }
     }
 
@@ -345,7 +261,7 @@ impl Builder<'_> {
                             continue;
                         }
                         let tag = T_REDUCE | s as u64;
-                        let ctx = self.ctx.zline(r, c);
+                        let ctx = self.grid.ctx_id(CommFamily::Zline, (r, c, 0));
                         let op = self.plan.ops.len() as u32;
                         let src = self.grid.rank_of(r, c, send_z);
                         let dst = self.grid.rank_of(r, c, recv_z);

@@ -12,8 +12,8 @@
 //! - [`build_plan`] derives the complete expected communication program
 //!   from symbolic analysis alone — per-rank event sequences (sends and
 //!   receives in program order) for Algorithm 1's `fact` panel broadcasts
-//!   (binomial trees, mirroring `simgrid`'s collective algorithms
-//!   edge-for-edge) and `reduce` z-line ancestor reductions, keyed by the
+//!   (the binomial trees `simgrid`'s broadcast walks, from the function it
+//!   walks them with) and `reduce` z-line ancestor reductions, keyed by the
 //!   wire-ledger taxonomy (`obs::CommClass`, tree level, grid axis).
 //! - [`check_plan`] verifies the plan statically, before any run: every
 //!   planned receive has a matching planned send with identical words (and
@@ -61,7 +61,7 @@ pub struct PlanEvent {
     pub dir: Dir,
     /// World rank of the other endpoint.
     pub peer: usize,
-    /// Communicator context id, mirroring `build_grid_comms` creation order.
+    /// Communicator context id, as `simgrid::Grid3d::ctx_id` states it.
     pub ctx: u64,
     /// Full wire tag (collective-internal tags included).
     pub tag: u64,

@@ -11,10 +11,9 @@
 //! coordinates — the z-axis of the 3D grid.
 
 use crate::forest::EtreeForest;
-use crate::taskgraph::{self, SendTask};
 use simgrid::topology::GridComms;
-use simgrid::{FailKind, Grid3d, Rank, Schedule};
-use slu2d::factor2d::{factor_nodes, factor_nodes_with, FactorEnv, FactorOpts};
+use simgrid::{FailKind, Grid3d, Rank};
+use slu2d::factor2d::{factor_nodes, FactorEnv, FactorOpts};
 use slu2d::store::{pack_blocks, unpack_blocks, BlockStore};
 use symbolic::Symbolic;
 
@@ -68,14 +67,6 @@ fn owned_ancestor_blocks(
 /// [`FailKind::Solver`] naming the phase, supernode, and forest level,
 /// instead of poisoning a channel — the caller fails the rank with it
 /// (`rank.fail`), keeping machine-level failure attribution intact.
-///
-/// `schedule` selects when the reduction sends fire (docs/backends.md,
-/// "Schedules"): [`Schedule::Level`] ships every ancestor supernode at the
-/// level boundary; [`Schedule::TaskGraph`] hoists each send to its
-/// readiness point in the per-level dependency DAG ([`crate::taskgraph`]).
-/// Both schedules are bitwise identical on factors, solutions, and the
-/// wire/memory ledgers; only simulated clocks (hence makespan) differ.
-#[allow(clippy::too_many_arguments)] // the SPMD entry point: machine context + problem + options
 pub fn factor_3d(
     rank: &mut Rank,
     grid3: &Grid3d,
@@ -84,7 +75,6 @@ pub fn factor_3d(
     sym: &Symbolic,
     forest: &EtreeForest,
     opts: FactorOpts,
-    schedule: Schedule,
 ) -> Result<Outcome3d, FailKind> {
     let l = forest.l;
     assert_eq!(grid3.pz, forest.pz(), "grid/forest Pz mismatch");
@@ -141,30 +131,7 @@ pub fn factor_3d(
         let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
         let k = my_z / step;
-        // Under the task-graph schedule, a retiring (odd-k) grid ships each
-        // ancestor supernode as soon as its last local writer completes
-        // instead of waiting for the level boundary. The plan is derived
-        // from symbolic state only, so both schedules run the same compute
-        // and ledger program (see `crate::taskgraph` for the argument).
-        let eager = (schedule == Schedule::TaskGraph && lvl > 0 && !k.is_multiple_of(2))
-            .then(|| taskgraph::eager_send_plan(sym, forest, &nodes, lvl, my_z));
-        let fo = if let Some(plan) = &eager {
-            let dest_z = my_z - step;
-            fire_eager_sends(rank, comms, store, sym, my_r, my_c, dest_z, &plan.at[0]);
-            factor_nodes_with(
-                rank,
-                &env,
-                store,
-                sym,
-                &nodes,
-                &mut done,
-                &mut |rank, store, pos| {
-                    fire_eager_sends(rank, comms, store, sym, my_r, my_c, dest_z, &plan.at[pos]);
-                },
-            )
-        } else {
-            factor_nodes(rank, &env, store, sym, &nodes, &mut done)
-        };
+        let fo = factor_nodes(rank, &env, store, sym, &nodes, &mut done);
         outcome.perturbations += fo.perturbations;
         outcome.lookahead_hits += fo.lookahead_hits;
 
@@ -176,84 +143,14 @@ pub fn factor_3d(
         rank.set_phase("reduce");
         if k.is_multiple_of(2) {
             let src_z = my_z + step;
-            reduce_ancestors(
-                rank, comms, store, sym, forest, lvl, my_z, src_z, false, false,
-            )?;
+            reduce_ancestors(rank, comms, store, sym, forest, lvl, my_z, src_z, false)?;
         } else {
             let dest_z = my_z - step;
-            let sent = eager.is_some();
-            reduce_ancestors(
-                rank, comms, store, sym, forest, lvl, my_z, dest_z, true, sent,
-            )?;
+            reduce_ancestors(rank, comms, store, sym, forest, lvl, my_z, dest_z, true)?;
         }
         rank.span_exit(lvl_span);
     }
     Ok(outcome)
-}
-
-/// Pack this rank's owned blocks of ancestor supernode `s` into one message
-/// and ship it down the z-line, charged to the `ZReduction` wire class.
-/// Returns the payload bytes. Deliberately performs no memory-ledger event:
-/// the sender's `AncestorReplica` credit stays at the level boundary under
-/// every schedule, keeping the per-rank ledger sequence schedule-invariant.
-fn send_ancestor_supernode(
-    rank: &mut Rank,
-    comms: &GridComms,
-    store: &BlockStore,
-    sym: &Symbolic,
-    peer_z: usize,
-    s: usize,
-    blocks: &[(usize, usize)],
-) -> u64 {
-    let tag = T_REDUCE | s as u64;
-    let nsup = sym.nsup();
-    let items: Vec<(usize, &densela::Mat)> = blocks
-        .iter()
-        .map(|&(i, j)| (i * nsup + j, store.get(i, j).expect("owned block")))
-        .collect();
-    let sent_bytes: u64 = items
-        .iter()
-        .map(|(_, m)| (m.rows() * m.cols()) as u64 * 8)
-        .sum();
-    let payload = pack_blocks(&items);
-    rank.with_comm_class(simgrid::CommClass::ZReduction, |rank| {
-        rank.send(&comms.zline, peer_z, tag, payload)
-    });
-    sent_bytes
-}
-
-/// Fire the reduce sends that became ready at one task-graph position
-/// (level entry or a just-completed Schur update), under the `reduce`
-/// phase so the wire ledger lands in the same cells as a boundary send.
-/// Supernodes this rank owns no blocks of are skipped, mirroring the
-/// boundary loop.
-#[allow(clippy::too_many_arguments)]
-fn fire_eager_sends(
-    rank: &mut Rank,
-    comms: &GridComms,
-    store: &BlockStore,
-    sym: &Symbolic,
-    my_r: usize,
-    my_c: usize,
-    peer_z: usize,
-    tasks: &[SendTask],
-) {
-    if tasks.is_empty() {
-        return;
-    }
-    let grid = simgrid::Grid2d {
-        pr: comms.col.size(),
-        pc: comms.row.size(),
-    };
-    rank.set_phase("reduce");
-    for t in tasks {
-        let blocks = owned_ancestor_blocks(store, sym, &grid, my_r, my_c, t.s);
-        if blocks.is_empty() {
-            continue;
-        }
-        send_ancestor_supernode(rank, comms, store, sym, peer_z, t.s, &blocks);
-    }
-    rank.set_phase("fact");
 }
 
 /// One side of the level-`lvl` ancestor reduction between this rank and its
@@ -261,10 +158,6 @@ fn fire_eager_sends(
 /// (Algorithm 1's inner loop), one packed message per supernode with owned
 /// blocks. Sender and receiver derive identical block lists from shared
 /// symbolic state, so no negotiation traffic is needed.
-///
-/// With `already_sent` (task-graph schedule), the sender's messages left
-/// during the factorization sweep; this pass then only replays the
-/// boundary's `AncestorReplica` credits, in the boundary's order.
 #[allow(clippy::too_many_arguments)]
 fn reduce_ancestors(
     rank: &mut Rank,
@@ -276,7 +169,6 @@ fn reduce_ancestors(
     my_z: usize,
     peer_z: usize,
     i_am_sender: bool,
-    already_sent: bool,
 ) -> Result<(), FailKind> {
     let l = forest.l;
     let grid = simgrid::Grid2d {
@@ -294,19 +186,19 @@ fn reduce_ancestors(
             }
             let tag = T_REDUCE | s as u64;
             if i_am_sender {
-                let sent_bytes: u64 = if already_sent {
-                    // Message left at its task-graph readiness point; the
-                    // blocks' dimensions (hence bytes) are schedule-fixed.
-                    blocks
-                        .iter()
-                        .map(|&(i, j)| {
-                            let m = store.get(i, j).expect("owned block");
-                            (m.rows() * m.cols()) as u64 * 8
-                        })
-                        .sum()
-                } else {
-                    send_ancestor_supernode(rank, comms, store, sym, peer_z, s, &blocks)
-                };
+                let nsup = sym.nsup();
+                let items: Vec<(usize, &densela::Mat)> = blocks
+                    .iter()
+                    .map(|&(i, j)| (i * nsup + j, store.get(i, j).expect("owned block")))
+                    .collect();
+                let sent_bytes: u64 = items
+                    .iter()
+                    .map(|(_, m)| (m.rows() * m.cols()) as u64 * 8)
+                    .sum();
+                let payload = pack_blocks(&items);
+                rank.with_comm_class(simgrid::CommClass::ZReduction, |rank| {
+                    rank.send(&comms.zline, peer_z, tag, payload)
+                });
                 // This grid retires after sending: its replica of ancestor
                 // `s` is dead, so release the bytes charged at store build
                 // (class AncestorReplica, level `l_a`).

@@ -46,7 +46,6 @@ pub mod gather;
 pub mod solve3d;
 pub mod solver;
 pub mod symbolic3d;
-pub mod taskgraph;
 
 pub use factor3d::factor_3d;
 pub use forest::EtreeForest;

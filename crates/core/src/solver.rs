@@ -7,8 +7,8 @@ use crate::gather::gather_factors_to_grid0;
 use crate::solve3d::solve_3d;
 use simgrid::topology::build_grid_comms;
 use simgrid::{
-    Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
-    Schedule, TimeModel, TrafficSummary,
+    Backend, CommReport, FailKind, FaultPlan, Finding, Grid3d, Machine, MachineFailure,
+    RankFailure, RankReport, RetryPolicy, TimeModel, TrafficSummary,
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
@@ -66,8 +66,10 @@ pub struct SolverConfig {
     /// wait-for-graph deadlock detector that aborts a hung run within
     /// ~100ms naming the exact cycle. Off by default — then no clocks, no
     /// send table, and no detector thread exist (zero overhead). The
-    /// report lands in [`Output3d::sanitizer`]; findings panic at the end
-    /// of the run so CI cannot miss them.
+    /// report lands in [`Output3d::sanitizer`]; findings fail the run — a
+    /// panic from [`factor_and_solve`] / [`factor_only`], so CI cannot miss
+    /// them, a [`SolverError`] carrying the report from the `try_` entry
+    /// points.
     pub sanitize: bool,
     /// Seeded deterministic fault plan (`simgrid::faultlab`): message
     /// drop/dup/delay rules, rank stall windows, link degradation. `None`
@@ -92,16 +94,6 @@ pub struct SolverConfig {
     /// single-process-cheap. Factor digests, simulated makespans, and all
     /// observability ledgers are bitwise identical between backends.
     pub backend: Backend,
-    /// When the ancestor-reduction sends fire (docs/backends.md,
-    /// "Schedules"). [`Schedule::Level`] (the default) ships every
-    /// replicated-ancestor supernode at the level boundary, as in the
-    /// paper's Algorithm 1. [`Schedule::TaskGraph`] derives a per-rank
-    /// dependency DAG from symbolic analysis ([`crate::taskgraph`]) and
-    /// hoists each send to the completion of the supernode's last local
-    /// Schur writer. Factors, solutions, and the wire/memory ledgers are
-    /// bitwise identical between schedules on both backends; only
-    /// simulated clocks (and the makespan) may drop.
-    pub schedule: Schedule,
 }
 
 impl Default for SolverConfig {
@@ -122,7 +114,6 @@ impl Default for SolverConfig {
             retry: None,
             recv_deadline: None,
             backend: Backend::Threaded,
-            schedule: Schedule::default(),
         }
     }
 }
@@ -208,7 +199,7 @@ pub struct Output3d {
     pub forest: EtreeForest,
     /// Communication-correctness report; `None` unless the run had
     /// [`SolverConfig::sanitize`] set. A sanitized run with findings
-    /// panics before this is ever returned, so a present report is clean.
+    /// fails before this is ever returned, so a present report is clean.
     pub sanitizer: Option<simgrid::CommReport>,
     /// Digest over every rank's factored blocks (block keys and dimensions
     /// in ascending key order, raw f64 bit patterns; ranks folded in world
@@ -240,9 +231,10 @@ impl Output3d {
         TrafficSummary::max_sent_words_in(&self.reports, "reduce")
     }
 
-    /// Simulated critical-path factorization time: the largest clock over
-    /// ranks at the end of the *factorization* (excludes solve when the run
-    /// included one only if measured via `factor_only`).
+    /// Simulated makespan: the largest clock over ranks at the end of the
+    /// run. That is the factorization's critical path after
+    /// [`factor_only`]; after a run with a right-hand side it includes the
+    /// solve and refinement.
     pub fn makespan(&self) -> f64 {
         self.summary().makespan
     }
@@ -489,6 +481,34 @@ fn layer_predicates<'a>(
     (keep, value_pred)
 }
 
+/// A sanitizer report with findings is the run's failure: attributed to the
+/// rank and traffic phase of the first finding (a leak's sender, a race's
+/// receiver), carrying the whole rendered report.
+fn sanitizer_verdict(rep: &CommReport) -> Result<(), MachineFailure> {
+    let Some(first) = rep.findings.first() else {
+        return Ok(());
+    };
+    let (rank, phase) = match first {
+        Finding::Race {
+            receiver, phase, ..
+        } => (*receiver, phase),
+        Finding::Leak { src, phase, .. } => (*src, phase),
+    };
+    Err(MachineFailure {
+        failures: vec![RankFailure {
+            rank,
+            phase: phase.clone(),
+            kind: FailKind::Solver {
+                phase: "sanitize".to_string(),
+                supernode: None,
+                level: None,
+                detail: format!("communication sanitizer found defects:\n{}", rep.render()),
+            },
+            seq: 0,
+        }],
+    })
+}
+
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
     match try_run(prep, cfg, rhs) {
         Ok(out) => out,
@@ -504,6 +524,13 @@ fn try_run(
     // A bad grid is bad input, not a broken invariant: report it the way the
     // machine reports its own config errors.
     let grid3 = Grid3d::try_new(cfg.pr, cfg.pc, cfg.pz).map_err(MachineFailure::config)?;
+    if let Some(b) = rhs.as_ref().filter(|b| b.len() != prep.a.nrows) {
+        return Err(MachineFailure::config(format!(
+            "right-hand side has {} entries but the matrix has {} rows",
+            b.len(),
+            prep.a.nrows
+        )));
+    }
     let mut machine = Machine::new(grid3.size(), cfg.model).with_backend(cfg.backend);
     if cfg.tracing {
         machine = machine.with_tracing();
@@ -537,7 +564,6 @@ fn try_run(
     let forest_cl = Arc::clone(&forest);
     let cfg_refine = cfg.refine_steps;
     let strategy = cfg.solve_strategy;
-    let schedule = cfg.schedule;
 
     let out = machine.try_run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
@@ -561,9 +587,7 @@ fn try_run(
         // A structured stage failure ends this rank in an orderly way: the
         // machine's failure board attributes the run to it (not to the
         // ranks that cascade), and `try_run` surfaces it as the error.
-        let outcome = match factor_3d(
-            rank, &grid3, &comms, &mut store, &sym, &forest_cl, opts, schedule,
-        ) {
+        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &forest_cl, opts) {
             Ok(o) => o,
             Err(kind) => rank.fail(kind),
         };
@@ -618,11 +642,7 @@ fn try_run(
     })?;
 
     if let Some(rep) = &out.sanitizer {
-        assert!(
-            rep.is_clean(),
-            "communication sanitizer found defects:\n{}",
-            rep.render()
-        );
+        sanitizer_verdict(rep)?;
     }
     let perturbations = out.results.iter().map(|r| r.0).sum();
     let lookahead_hits = out.results.iter().map(|r| r.1).sum();
@@ -1212,6 +1232,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn try_factor_and_solve_rejects_a_wrong_length_rhs_as_a_config_error() {
+        let a = grid2d_5pt(8, 8, 0.0, 0);
+        let n = a.nrows;
+        let prep = Prepared::new(a, Geometry::Grid2d { nx: 8, ny: 8 }, 8, 8);
+        let cfg = SolverConfig {
+            pc: 2,
+            ..Default::default()
+        };
+        for len in [n + 3, n - 1, 0] {
+            let err = try_factor_and_solve(&prep, &cfg, Some(vec![1.0; len]))
+                .err()
+                .unwrap_or_else(|| panic!("a right-hand side of {len} entries must be rejected"));
+            assert_eq!(err.phase, "config");
+            assert!(
+                matches!(&err.kind, FailKind::Config { detail }
+                    if detail.contains(&format!("{len} entries"))
+                        && detail.contains(&format!("{n} rows"))),
+                "unexpected failure kind: {}",
+                err.kind
+            );
+        }
+    }
+
+    /// The solver's own program gives the sanitizer nothing to find, so the
+    /// report → failure conversion is handed a report that has something:
+    /// rank 0 sends twice, rank 1 receives once.
+    #[test]
+    fn sanitizer_findings_become_a_structured_failure_naming_them() {
+        let m = Machine::new(2, TimeModel::zero()).with_sanitizer();
+        let out = m.run(|rank| {
+            let world = rank.world();
+            rank.set_phase("fact");
+            if rank.id() == 0 {
+                rank.send(&world, 1, 7, simgrid::Payload::F64s(vec![1.0, 2.0]));
+                rank.send(&world, 1, 8, simgrid::Payload::F64s(vec![3.0; 5])); // leaked
+            } else {
+                let _ = rank.recv(&world, 0, 7);
+            }
+        });
+        let rep = out.sanitizer.expect("sanitized run must report");
+        let mf = sanitizer_verdict(&rep).expect_err("a leak is a failure");
+        // What `run` panics with still leads with the old assertion text.
+        assert!(mf
+            .render()
+            .contains("communication sanitizer found defects"));
+        let err = SolverError::from_machine(mf);
+        assert_eq!((err.rank, err.phase.as_str(), err.cascades), (0, "fact", 0));
+        assert!(err.to_string().contains("LEAK: message 0 -> 1"), "{err}");
+        assert!(sanitizer_verdict(&CommReport::default()).is_ok());
     }
 
     #[test]

@@ -78,63 +78,6 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Which rank-local task order the solver's factorization executes
-/// (docs/backends.md, "Schedules"). Orthogonal to [`Backend`]: the backend
-/// decides who drives the rank tasks, the schedule decides what order each
-/// rank's own program performs its communication tasks in.
-///
-/// Both schedules produce bitwise-identical factor digests, solutions, and
-/// wire/memory ledgers; `TaskGraph` only moves *sends* earlier (to the
-/// point their task-graph dependencies are satisfied), so simulated
-/// makespan can shrink but no receiver-observable value changes. The
-/// differential suite in `tests/schedules.rs` pins exactly that.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Schedule {
-    /// Bulk-synchronous level order: every communication task runs at the
-    /// program point Algorithm 1's level loop reaches it (z-reduction
-    /// sends fire at the level boundary, after the whole 2D factorization
-    /// of the level).
-    #[default]
-    Level,
-    /// Task-graph order: a per-rank dependency DAG derived from symbolic
-    /// analysis marks each z-reduction send ready as soon as its last
-    /// producing Schur update completes, and the send fires there —
-    /// overlapping reduction traffic with the remaining 2D factorization
-    /// instead of idling the receiving grid at the level barrier.
-    TaskGraph,
-}
-
-impl Schedule {
-    /// Canonical lowercase name, as used by the CLI, campaign specs, and
-    /// snapshot files.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Schedule::Level => "level",
-            Schedule::TaskGraph => "taskgraph",
-        }
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "level" => Ok(Schedule::Level),
-            "taskgraph" => Ok(Schedule::TaskGraph),
-            other => Err(format!(
-                "unknown schedule '{other}' (expected 'level' or 'taskgraph')"
-            )),
-        }
-    }
-}
-
 /// An execution strategy for [`Machine`] runs. See the module docs for the
 /// two implementations and their contract: identical simulated results,
 /// different host-side scheduling.
@@ -468,14 +411,5 @@ mod tests {
         }
         assert!("mpi".parse::<Backend>().is_err());
         assert_eq!(Backend::default(), Backend::Threaded);
-    }
-
-    #[test]
-    fn schedule_round_trips_through_its_name() {
-        for s in [Schedule::Level, Schedule::TaskGraph] {
-            assert_eq!(s.as_str().parse::<Schedule>().unwrap(), s);
-        }
-        assert!("async".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Level);
     }
 }

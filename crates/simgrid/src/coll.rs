@@ -41,6 +41,33 @@ use crate::tags::{
 };
 use obs::SpanCat;
 
+/// Position of local rank `local` in the binomial broadcast tree over `p`
+/// ranks rooted at `root`: the rank it receives from (`None` at the root)
+/// and the ranks it forwards to, in sending order. Ranks are rotated so the
+/// root is relative 0; a non-root's parent is its relative rank with the
+/// lowest set bit cleared, and every bit below that one addresses a distinct
+/// child subtree, forwarded in decreasing bit order. The one definition of
+/// the tree: [`Rank::bcast`] executes it and `commplan` plans from it.
+pub fn bcast_tree(
+    p: usize,
+    root: usize,
+    local: usize,
+) -> (Option<usize>, impl Iterator<Item = usize>) {
+    let relative = (local + p - root) % p;
+    let low = if relative == 0 {
+        p.next_power_of_two()
+    } else {
+        1usize << relative.trailing_zeros()
+    };
+    let parent = (relative != 0).then(|| (relative - low + root) % p);
+    let children = (0..low.trailing_zeros())
+        .rev()
+        .map(|b| 1usize << b)
+        .filter(move |&bit| relative + bit < p)
+        .map(move |bit| (relative + bit + root) % p);
+    (parent, children)
+}
+
 impl Rank {
     /// Broadcast from `root` (local rank) to every member of `comm`.
     /// `data` must be `Some` on the root and is ignored elsewhere. Every
@@ -65,36 +92,13 @@ impl Rank {
     ) -> Payload {
         let p = comm.size();
         assert!(root < p, "bcast root out of range");
-        // Rotate so the root is relative rank 0.
-        let relative = (comm.local_rank() + p - root) % p;
-
-        // Receive from parent (clear the lowest set bit), unless root.
-        let mut mask = 1usize;
-        let payload;
-        if relative == 0 {
-            payload = data.expect("bcast root must supply data");
-            while mask < p {
-                mask <<= 1;
-            }
-        } else {
-            loop {
-                if relative & mask != 0 {
-                    let src = ((relative - mask) + root) % p;
-                    payload = self.recv(comm, src, tag);
-                    break;
-                }
-                mask <<= 1;
-            }
-        }
-        // Forward to children in decreasing bit order. Every bit below my
-        // lowest set bit addresses a distinct child subtree.
-        let mut bit = mask >> 1;
-        while bit > 0 {
-            if relative + bit < p {
-                let dst = ((relative + bit) + root) % p;
-                self.send(comm, dst, tag, payload.clone());
-            }
-            bit >>= 1;
+        let (parent, children) = bcast_tree(p, root, comm.local_rank());
+        let payload = match parent {
+            None => data.expect("bcast root must supply data"),
+            Some(src) => self.recv(comm, src, tag),
+        };
+        for dst in children {
+            self.send(comm, dst, tag, payload.clone());
         }
         payload
     }

@@ -62,7 +62,7 @@ pub mod timemodel;
 pub mod topology;
 pub mod trace;
 
-pub use backend::{Backend, EventBackend, ExecBackend, SchedStats, Schedule, ThreadedBackend};
+pub use backend::{Backend, EventBackend, ExecBackend, SchedStats, ThreadedBackend};
 pub use comm::Comm;
 pub use faultlab::{
     EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,

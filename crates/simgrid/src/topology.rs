@@ -104,6 +104,55 @@ impl Grid3d {
     pub fn levels(&self) -> usize {
         self.pz.trailing_zeros() as usize
     }
+
+    /// How many communicators `family` has on this grid, and which of them
+    /// passes through `(r, c, z)`.
+    fn family_slot(&self, family: CommFamily, (r, c, z): (usize, usize, usize)) -> (usize, usize) {
+        let Grid2d { pr, pc } = self.grid2d;
+        match family {
+            CommFamily::Layer => (self.pz, z),
+            CommFamily::Row => (self.pz * pr, z * pr + r),
+            CommFamily::Col => (self.pz * pc, z * pc + c),
+            CommFamily::Zline => (pr * pc, r * pc + c),
+        }
+    }
+
+    /// Context id of the `family` communicator through `(r, c, z)` on a
+    /// rank whose first communicator creation was [`build_grid_comms`]: ids
+    /// run from 1 (0 is the world) through the families in creation order,
+    /// as if every rank had created every communicator of each. Coordinates
+    /// a family does not distinguish (a row's `c`) are ignored.
+    pub fn ctx_id(&self, family: CommFamily, coords: (usize, usize, usize)) -> u64 {
+        let before: usize = CommFamily::CREATION_ORDER
+            .iter()
+            .take_while(|&&f| f != family)
+            .map(|&f| self.family_slot(f, coords).0)
+            .sum();
+        (1 + before + self.family_slot(family, coords).1) as u64
+    }
+}
+
+/// The four families of disjoint communicators of a 3D grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CommFamily {
+    /// One per `z`: a whole 2D layer.
+    Layer,
+    /// One per `(z, r)`: a process row of a layer.
+    Row,
+    /// One per `(z, c)`: a process column of a layer.
+    Col,
+    /// One per `(r, c)`: the z-line through a grid position.
+    Zline,
+}
+
+impl CommFamily {
+    /// The order [`build_grid_comms`] creates the families in.
+    const CREATION_ORDER: [CommFamily; 4] = [
+        CommFamily::Layer,
+        CommFamily::Row,
+        CommFamily::Col,
+        CommFamily::Zline,
+    ];
 }
 
 /// The communicators a rank needs to run the 3D algorithm, built once at
@@ -131,20 +180,25 @@ pub fn build_grid_comms(rank: &mut Rank, g: &Grid3d) -> GridComms {
     let (my_r, my_c, my_z) = g.coords_of(rank.id());
     let g2 = g.grid2d;
 
-    // Four families of disjoint communicators, in this order — all layers,
-    // all rows, all columns, all z-lines — with context ids as if every rank
-    // had created every one of them (`commplan` predicts the ids from that
-    // order). A rank builds only the one of each family it belongs to.
+    // One communicator of each family, in creation order, with context ids
+    // as if every rank had created every communicator of each family
+    // ([`Grid3d::ctx_id`] states the ids; `commplan` reads them there). A
+    // rank builds only the one of each family it belongs to.
+    let coords = (my_r, my_c, my_z);
+    let mut create = |family, members: Vec<usize>| {
+        let (count, index) = g.family_slot(family, coords);
+        rank.subset_in_family(count, index, members)
+    };
     let layer = (0..g2.size()).map(|l| my_z * g2.size() + l).collect();
     let row = (0..g2.pc).map(|c| g.rank_of(my_r, c, my_z)).collect();
     let col = (0..g2.pr).map(|r| g.rank_of(r, my_c, my_z)).collect();
     let zline = (0..g.pz).map(|z| g.rank_of(my_r, my_c, z)).collect();
     GridComms {
-        coords: (my_r, my_c, my_z),
-        layer: rank.subset_in_family(g.pz, my_z, layer),
-        row: rank.subset_in_family(g.pz * g2.pr, my_z * g2.pr + my_r, row),
-        col: rank.subset_in_family(g.pz * g2.pc, my_z * g2.pc + my_c, col),
-        zline: rank.subset_in_family(g2.size(), g2.rank_of(my_r, my_c), zline),
+        coords,
+        layer: create(CommFamily::Layer, layer),
+        row: create(CommFamily::Row, row),
+        col: create(CommFamily::Col, col),
+        zline: create(CommFamily::Zline, zline),
     }
 }
 
@@ -186,9 +240,10 @@ mod tests {
         let _ = Grid3d::new(2, 2, 3);
     }
 
-    /// The arithmetic context ids equal those of the definition: every rank
-    /// calling `subset` once per layer, row, column and z-line, in that
-    /// order (the order `commplan` predicts ids from).
+    /// The arithmetic context ids — the ones [`Grid3d::ctx_id`] states and
+    /// `build_grid_comms` hands out — equal those of the definition: every
+    /// rank calling `subset` once per layer, row, column and z-line, in
+    /// that order.
     #[test]
     fn context_ids_match_one_subset_call_per_communicator() {
         for (pr, pc, pz) in [(2, 3, 4), (3, 1, 2), (1, 1, 1), (4, 4, 1)] {
@@ -226,7 +281,10 @@ mod tests {
             });
             let got = m.run(move |rank| {
                 let c = build_grid_comms(rank, &g);
-                let got = [&c.layer, &c.row, &c.col, &c.zline].map(describe).to_vec();
+                let comms = [&c.layer, &c.row, &c.col, &c.zline];
+                let stated = CommFamily::CREATION_ORDER.map(|f| g.ctx_id(f, c.coords));
+                assert_eq!(comms.map(|c| c.ctx), stated, "Grid3d::ctx_id");
+                let got = comms.map(describe).to_vec();
                 (got, rank.subset(&[rank.id()]).expect("member").ctx)
             });
             assert_eq!(out.results, got.results, "{pr}x{pc}x{pz}");

@@ -4,7 +4,7 @@
 use crate::kernels::{factor_step_panel, factor_step_schur_at, PanelData, BATCH_MIN_FLOPS};
 use crate::store::{BlockStore, SchurScratch};
 use simgrid::{Comm, Grid2d, MemClass, Rank, SpanCat};
-use symbolic::Symbolic;
+use symbolic::{LookaheadStep, Symbolic};
 
 /// Per-rank environment for a 2D factorization: the grid shape, this rank's
 /// coordinates, and the row/column communicators of its layer.
@@ -68,43 +68,12 @@ pub fn factor_nodes(
     nodes: &[usize],
     done: &mut [bool],
 ) -> FactorOutcome {
-    factor_nodes_with(rank, env, store, sym, nodes, done, &mut |_, _, _| {})
+    factor_nodes_at(rank, env, store, sym, nodes, done, BATCH_MIN_FLOPS)
 }
 
-/// [`factor_nodes`] with a progress hook for the 3D task-graph schedule:
-/// `after_schur(rank, store, pos)` is called once per scheduled node,
-/// immediately after the Schur update of `nodes[pos - 1]` completes (so
-/// `pos` runs 1..=nodes.len()). At that point every block whose last
-/// writer is `nodes[pos - 1]` holds its final value for this node list —
-/// the hook may ship such blocks (eager ancestor-reduction sends) but must
-/// not mutate blocks still pending updates. The hook runs outside any node
-/// span, and the compute schedule is identical to [`factor_nodes`]'s, so a
-/// no-op hook is bitwise equivalent.
-pub fn factor_nodes_with(
-    rank: &mut Rank,
-    env: &FactorEnv,
-    store: &mut BlockStore,
-    sym: &Symbolic,
-    nodes: &[usize],
-    done: &mut [bool],
-    after_schur: &mut dyn FnMut(&mut Rank, &mut BlockStore, usize),
-) -> FactorOutcome {
-    factor_nodes_at(
-        rank,
-        env,
-        store,
-        sym,
-        nodes,
-        done,
-        after_schur,
-        BATCH_MIN_FLOPS,
-    )
-}
-
-/// [`factor_nodes_with`] with the Schur dispatch threshold as an argument
-/// (see [`factor_step_schur_at`]): the crate-private seam the equivalence
-/// tests force a kernel through. Never a public option.
-#[allow(clippy::too_many_arguments)]
+/// [`factor_nodes`] with the Schur dispatch threshold as an argument (see
+/// [`factor_step_schur_at`]): the crate-private seam the equivalence tests
+/// force a kernel through. Never a public option.
 fn factor_nodes_at(
     rank: &mut Rank,
     env: &FactorEnv,
@@ -112,16 +81,10 @@ fn factor_nodes_at(
     sym: &Symbolic,
     nodes: &[usize],
     done: &mut [bool],
-    after_schur: &mut dyn FnMut(&mut Rank, &mut BlockStore, usize),
     batch_min_flops: u64,
 ) -> FactorOutcome {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     let mut outcome = FactorOutcome::default();
-
-    // Unprocessed-children counts for the lookahead readiness test. A node
-    // is panel-ready when every not-yet-done elimination-tree child has been
-    // processed: its column then has all updates applied.
-    let children = sym.fill.children();
 
     // Validate the `done[]` contract up front: every scheduled node's
     // children must either be marked done (processed earlier, or owned by
@@ -129,6 +92,7 @@ fn factor_nodes_at(
     // scheduled before it in this list. A violation used to surface as a
     // bare "current node must be panel-ready" panic deep inside the loop;
     // failing here names the offending supernode and child instead.
+    let children = sym.fill.children();
     for &k in nodes {
         for &c in &children[k] {
             if !done[c] && nodes.binary_search(&c).is_err() {
@@ -142,59 +106,44 @@ fn factor_nodes_at(
         }
     }
 
-    // Per-node bookkeeping, indexed by position in `nodes`.
-    let mut pending: Vec<usize> = nodes
-        .iter()
-        .map(|&k| children[k].iter().filter(|&&c| !done[c]).count())
-        .collect();
+    // Panels factored ahead of their Schur update, by position in `nodes`.
     let mut panels: Vec<Option<PanelData>> = (0..nodes.len()).map(|_| None).collect();
-    let mut paneled = vec![false; nodes.len()];
     // Gather arena of the batched Schur kernel, reused across every
     // supernode of this node list; released (ledger-credited) at the end.
     let mut scratch = SchurScratch::new();
 
-    for idx in 0..nodes.len() {
-        let k = nodes[idx];
-        // Run panel phases for the window [idx, idx + lookahead], in order,
-        // for every node whose children are all done. All ranks compute the
-        // same schedule from shared symbolic state, keeping the collective
-        // broadcasts aligned.
-        let w_end = (idx + env.opts.lookahead + 1).min(nodes.len());
-        for j in idx..w_end {
-            let m = nodes[j];
-            if paneled[j] || pending[j] > 0 {
-                continue;
+    // All ranks derive the same order from shared symbolic state, keeping
+    // the collective broadcasts of the panel steps aligned.
+    let mut next_schur = 0;
+    for step in sym.fill.lookahead_order(nodes, done, env.opts.lookahead) {
+        match step {
+            LookaheadStep::Panel(j) => {
+                let m = nodes[j];
+                let (pd, pert) = rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
+                    factor_step_panel(rank, env, store, sym, m)
+                });
+                outcome.perturbations += pert;
+                if j > next_schur {
+                    outcome.lookahead_hits += 1;
+                }
+                // Panel pieces held for a pending Schur update are transient
+                // Schur-buffer memory; credited when the update consumes them.
+                rank.mem_charge(MemClass::SchurBuf, pd.words() * 8);
+                panels[j] = Some(pd);
             }
-            let (pd, pert) = rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
-                factor_step_panel(rank, env, store, sym, m)
-            });
-            outcome.perturbations += pert;
-            if j > idx {
-                outcome.lookahead_hits += 1;
-            }
-            // Panel pieces held for a pending Schur update are transient
-            // Schur-buffer memory; credited when the update consumes them.
-            rank.mem_charge(MemClass::SchurBuf, pd.words() * 8);
-            panels[j] = Some(pd);
-            paneled[j] = true;
-        }
-
-        let pd = panels[idx]
-            .take()
-            .expect("current node must be panel-ready (children all done)");
-        rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
-            factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops);
-        });
-        rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
-        done[k] = true;
-        // The Schur update completes node k; decrement its etree parent's
-        // pending count if the parent is in this list.
-        if let Some(p) = sym.fill.parent[k] {
-            if let Ok(pos) = nodes.binary_search(&p) {
-                pending[pos] -= 1;
+            LookaheadStep::Schur(idx) => {
+                let k = nodes[idx];
+                let pd = panels[idx]
+                    .take()
+                    .expect("current node must be panel-ready (children all done)");
+                rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
+                    factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops);
+                });
+                rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
+                done[k] = true;
+                next_schur = idx + 1;
             }
         }
-        after_schur(rank, store, idx + 1);
     }
     scratch.release(rank);
     outcome
@@ -265,7 +214,7 @@ mod tests {
                     &|_| true,
                     InitValues::FromMatrix,
                 );
-                // Schedule only the root; nothing is done: contract violated.
+                // Only the root is listed and nothing is done: contract violated.
                 let mut done = vec![false; sym_cl.nsup()];
                 factor_nodes(rank, &env, &mut store, &sym_cl, &[root_sn], &mut done);
             })
@@ -334,7 +283,6 @@ mod tests {
                 &sym,
                 &nodes,
                 &mut done,
-                &mut |_, _, _| {},
                 batch_min_flops,
             );
             store

@@ -34,6 +34,17 @@ pub struct BlockFill {
     blocks_into: Vec<Vec<usize>>,
 }
 
+/// One step of [`BlockFill::lookahead_order`], by position in its node list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LookaheadStep {
+    /// Factor and broadcast the panel of the node at this position.
+    Panel(usize),
+    /// Apply the Schur update of the node at this position. Its panel step
+    /// comes earlier provided every child of every listed node is `done` on
+    /// entry or listed itself.
+    Schur(usize),
+}
+
 impl BlockFill {
     /// Assemble a fill pattern, deriving the two rank-invariant indexes every
     /// rank of a distributed factorization or solve reads — once here instead
@@ -76,6 +87,46 @@ impl BlockFill {
     /// blocks of column `k` (equivalently the `L(k, j)` blocks of row `k`).
     pub fn blocks_into(&self) -> &[Vec<usize>] {
         &self.blocks_into
+    }
+
+    /// The elimination-tree lookahead order of §II-F over the node list
+    /// `nodes` (ascending) with window `lookahead`: before the Schur update
+    /// of `nodes[idx]`, the panel phase of every node in positions
+    /// `idx..=idx + lookahead` that has not run yet and whose children are
+    /// all complete — `done` on entry, or updated earlier in this list.
+    /// Steps carry positions in `nodes`. A pure function of symbolic state,
+    /// so every rank of a layer derives the same order; the factorization
+    /// executes it and the communication plan flattens it.
+    pub fn lookahead_order(
+        &self,
+        nodes: &[usize],
+        done: &[bool],
+        lookahead: usize,
+    ) -> Vec<LookaheadStep> {
+        let mut pending: Vec<usize> = nodes
+            .iter()
+            .map(|&k| self.children[k].iter().filter(|&&c| !done[c]).count())
+            .collect();
+        let mut paneled = vec![false; nodes.len()];
+        let mut order = Vec::with_capacity(2 * nodes.len());
+        for idx in 0..nodes.len() {
+            let w_end = (idx + lookahead + 1).min(nodes.len());
+            for j in idx..w_end {
+                if !paneled[j] && pending[j] == 0 {
+                    order.push(LookaheadStep::Panel(j));
+                    paneled[j] = true;
+                }
+            }
+            order.push(LookaheadStep::Schur(idx));
+            // The update completes `nodes[idx]`: one child fewer for its
+            // parent to wait on, if the parent is in this list.
+            if let Some(p) = self.parent[nodes[idx]] {
+                if let Ok(pos) = nodes.binary_search(&p) {
+                    pending[pos] -= 1;
+                }
+            }
+        }
+        order
     }
 
     /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
@@ -320,5 +371,45 @@ mod tests {
             assert!(fill.is_ancestor(s, nsup - 1));
         }
         assert!(!fill.is_ancestor(nsup - 1, 0));
+    }
+
+    /// What the window may and may not do: every node gets one panel and
+    /// one Schur step, Schur steps stay in list order, a panel runs after
+    /// the Schur update of each of its children and at most `lookahead`
+    /// positions ahead of the next update; a zero window alternates.
+    #[test]
+    fn lookahead_order_respects_children_and_window() {
+        use LookaheadStep::{Panel, Schur};
+        let a = grid2d_5pt(10, 10, 0.0, 0);
+        let (fill, _, _) = analyze(&a, Geometry::Grid2d { nx: 10, ny: 10 }, 6, 4);
+        let nodes: Vec<usize> = (0..fill.parent.len()).collect();
+        let done = vec![false; nodes.len()];
+        let alternating: Vec<_> = (0..nodes.len())
+            .flat_map(|i| [Panel(i), Schur(i)])
+            .collect();
+        assert_eq!(fill.lookahead_order(&nodes, &done, 0), alternating);
+        let mut ran_ahead = false;
+        for lookahead in [1, 3, nodes.len()] {
+            let order = fill.lookahead_order(&nodes, &done, lookahead);
+            let at = |step| order.iter().position(|&s| s == step).expect("step present");
+            assert_eq!(order.len(), 2 * nodes.len());
+            for j in 0..nodes.len() {
+                let updates_before = order[..at(Panel(j))]
+                    .iter()
+                    .filter(|s| matches!(s, Schur(_)))
+                    .count();
+                assert!(updates_before <= j && j <= updates_before + lookahead);
+                ran_ahead |= updates_before < j;
+                assert!(at(Panel(j)) < at(Schur(j)));
+                assert!(j == 0 || at(Schur(j - 1)) < at(Schur(j)));
+                for &c in &fill.children()[j] {
+                    assert!(at(Schur(c)) < at(Panel(j)), "panel {j} before child {c}");
+                }
+            }
+        }
+        assert!(
+            ran_ahead,
+            "no panel ever ran ahead: the window was never used"
+        );
     }
 }

@@ -37,7 +37,6 @@ struct Args {
     conformance: Option<String>,
     sanitize: bool,
     backend: Backend,
-    schedule: Schedule,
     faults: Option<String>,
     fault_seed: u64,
     no_recover: bool,
@@ -112,13 +111,6 @@ fn usage() -> ! {
          \x20                    process). Factor digests, makespans, and all\n\
          \x20                    ledgers are bitwise identical either way; host\n\
          \x20                    profiling needs 'threaded' (see docs/backends.md)\n\
-         \x20 --schedule S       reduction-send schedule: 'level' (default;\n\
-         \x20                    ship ancestor supernodes at each level\n\
-         \x20                    boundary, as in Algorithm 1) or 'taskgraph'\n\
-         \x20                    (hoist each send to its dependency-DAG\n\
-         \x20                    readiness point). Factors, solutions, and\n\
-         \x20                    all ledgers are bitwise identical; only\n\
-         \x20                    simulated clocks differ (docs/backends.md)\n\
          \n\
          fault injection (see docs/faultlab.md):\n\
          \x20 --faults SPEC      inject deterministic faults into the simulated\n\
@@ -168,7 +160,6 @@ fn parse_args() -> Args {
         conformance: None,
         sanitize: false,
         backend: Backend::Threaded,
-        schedule: Schedule::Level,
         faults: None,
         fault_seed: 1,
         no_recover: false,
@@ -215,13 +206,6 @@ fn parse_args() -> Args {
             "--backend" => {
                 let v = val("--backend");
                 args.backend = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--schedule" => {
-                let v = val("--schedule");
-                args.schedule = v.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -410,7 +394,6 @@ fn main() {
         host_profiling: args.hostprof_out.is_some() || args.report,
         sanitize: args.sanitize,
         backend: args.backend,
-        schedule: args.schedule,
         fault_plan: fault_plan.clone(),
         retry: (fault_plan.is_some() && !args.no_recover).then(RetryPolicy::default),
         recv_deadline: args.recv_deadline,

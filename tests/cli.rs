@@ -75,3 +75,23 @@ fn leaf_size_zero_runs_on_the_multilevel_engine() {
     );
     assert!(stdout.contains("residual"), "stdout: {stdout}");
 }
+
+/// A flag the CLI no longer has is bad usage (exit 2, the argument named
+/// ahead of the usage text), not an option that is read and dropped.
+#[test]
+fn removed_schedule_flag_is_rejected() {
+    let out = salu(&[
+        "--gen",
+        "grid2d:8",
+        "--grid",
+        "1x1x1",
+        "--schedule",
+        "level",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("unknown argument --schedule\n"),
+        "stderr: {stderr}"
+    );
+}

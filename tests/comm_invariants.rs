@@ -215,7 +215,6 @@ fn traced_3d_run_has_consistent_timelines() {
             &sym,
             &forest,
             salu::slu2d::factor2d::FactorOpts::default(),
-            salu::simgrid::Schedule::Level,
         )
         .expect("fault-free factorization succeeds");
     });

@@ -2,12 +2,15 @@
 //! measured wire-volume ledger of a factor-only run *exactly* — per
 //! (phase, class, level, axis) cell and per peer edge — across a matrix of
 //! configurations, under fault recovery, and for property-sampled configs.
-//! Mutation tests prove the comparator actually catches planted extra and
-//! missing sends with a named edge.
+//! Fault-free cases also run traced, and each rank's point-to-point program
+//! order must equal its planned event list event for event. Mutation tests
+//! prove the comparator actually catches planted extra and missing sends
+//! with a named edge.
 
 use commplan::{build_plan, check_plan, check_planar_volume, compare_with_measured, Dir};
 use lu3d::solver::{factor_only, SolverConfig};
 use lu3d::EtreeForest;
+use obs::ActivityKind;
 use proptest::prelude::*;
 use simgrid::Grid3d;
 use slu2d::driver::Prepared;
@@ -41,6 +44,8 @@ fn check_case(case: Case) -> commplan::CommPlan {
         lookahead,
         fault_plan: fault_spec.map(|s| simgrid::FaultPlan::parse(s, 7).expect("fault spec")),
         retry: fault_spec.map(|_| simgrid::RetryPolicy::default()),
+        // Retransmissions would show in a trace; the plan has none.
+        tracing: fault_spec.is_none(),
         ..Default::default()
     };
     let grid = Grid3d::new(pr, pc, pz);
@@ -63,6 +68,39 @@ fn check_case(case: Case) -> commplan::CommPlan {
             assert!(stats.msgs > 0, "{label}: no planned traffic compared");
         }
         Err(mismatches) => panic!("{label}: plan != ledger:\n{}", mismatches.join("\n")),
+    }
+
+    // Totals cannot see order: pin the plan's panel order, broadcast edges
+    // and context ids to what each rank did, message by message.
+    for (rank, ran) in out.rank_obs().iter().flatten().enumerate() {
+        let ran: Vec<_> = ran
+            .activities
+            .iter()
+            .filter_map(|a| {
+                let dir = match a.kind {
+                    ActivityKind::Send => Dir::Send,
+                    ActivityKind::Recv => Dir::Recv,
+                    ActivityKind::Compute | ActivityKind::Wait => return None,
+                };
+                let msg = a.msg.expect("a fault-free message has an identity");
+                let peer = a.peer.expect("a message has a peer");
+                Some((dir, peer, msg.ctx, msg.tag, a.words))
+            })
+            .collect();
+        let planned: Vec<_> = plan.events[rank]
+            .iter()
+            .map(|e| (e.dir, e.peer, e.ctx, e.tag, e.words))
+            .collect();
+        if let Some(at) = (0..ran.len().max(planned.len())).find(|&i| ran.get(i) != planned.get(i))
+        {
+            panic!(
+                "{label}: rank {rank} leaves its planned program at event {at} of {}: ran \
+                 {:?}, planned {:?} (dir, peer, ctx, tag, words)",
+                planned.len(),
+                ran.get(at),
+                planned.get(at)
+            );
+        }
     }
     plan
 }
