@@ -12,7 +12,7 @@
 //! EXPERIMENTS.md.
 
 use lu3d::solver::{factor_only, Output3d, SolverConfig};
-use simgrid::TimeModel;
+use simgrid::{Grid2d, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Scale, TestMatrix};
 
@@ -46,16 +46,6 @@ pub fn prepare(tm: &TestMatrix) -> Prepared {
 /// layer keeps at least one rank).
 pub const PZ_SWEEP: &[usize] = &[1, 2, 4, 8, 16];
 
-/// Split `pxy` ranks into a near-square `pr x pc` layer, preferring wider
-/// `pc` (SuperLU convention).
-pub fn layer_shape(pxy: usize) -> (usize, usize) {
-    let mut pr = (pxy as f64).sqrt() as usize;
-    while pr > 1 && !pxy.is_multiple_of(pr) {
-        pr -= 1;
-    }
-    (pr.max(1), pxy / pr.max(1))
-}
-
 /// Build the grid config for `p` total ranks and a given `pz`.
 pub fn config(p: usize, pz: usize, model: TimeModel) -> Option<SolverConfig> {
     if !p.is_multiple_of(pz) {
@@ -65,10 +55,10 @@ pub fn config(p: usize, pz: usize, model: TimeModel) -> Option<SolverConfig> {
     if pxy == 0 {
         return None;
     }
-    let (pr, pc) = layer_shape(pxy);
+    let layer = Grid2d::near_square(pxy);
     Some(SolverConfig {
-        pr,
-        pc,
+        pr: layer.pr,
+        pc: layer.pc,
         pz,
         model,
         ..Default::default()
@@ -136,15 +126,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn layer_shapes_factor_evenly() {
-        for pxy in [1usize, 2, 4, 6, 8, 12, 16, 24, 48, 96] {
-            let (pr, pc) = layer_shape(pxy);
-            assert_eq!(pr * pc, pxy, "pxy={pxy}");
-            assert!(pr <= pc);
-        }
-    }
 
     #[test]
     fn config_rejects_indivisible() {

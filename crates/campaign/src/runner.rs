@@ -8,16 +8,16 @@
 //! so they are taken from the last repetition after asserting the factor
 //! digest never moved.
 //!
-//! Every job writes `metrics.json`, `memprof.json`, `commvol.json`, and
-//! `hostprof.json` into `<out>/jobs/<slug>/`; with `trace = true` in the
-//! spec, one extra traced repetition also writes `trace.json` (kept out of
-//! the timed repetitions so tracing overhead never pollutes the wall
+//! Every job writes its run document (`simgrid::run_document`, schema
+//! `salu-run/1`) as `run.json` into `<out>/jobs/<slug>/`; with `trace = true`
+//! in the spec, one extra traced repetition also writes `trace.json` (kept
+//! out of the timed repetitions so tracing overhead never pollutes the wall
 //! column).
 
 use crate::snapshot::{BenchPoint, PointKey, Snapshot, DEFAULT_LOOKAHEAD};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
 use lu3d::solver::{try_factor_only, Output3d, SolverConfig};
-use simgrid::{Backend, FaultPlan, RetryPolicy, TimeModel};
+use simgrid::{Backend, FaultPlan, Grid2d, RetryPolicy, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Geometry, Scale};
 use sparsemat::{matgen, Csr};
@@ -54,54 +54,19 @@ fn build_matrix(source: &MatrixSource) -> Result<(Csr, Geometry), String> {
             let tm = test_matrix(name, scale);
             Ok((tm.matrix, tm.geometry))
         }
-        MatrixSource::Gen { spec } => {
-            let (kind, size) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("bad gen spec '{spec}', expected KIND:SIZE"))?;
-            let k: usize = size
-                .parse()
-                .map_err(|_| format!("bad size in gen spec '{spec}'"))?;
-            let unsym = 0.1;
-            match kind {
-                "grid2d" => Ok((
-                    matgen::grid2d_5pt(k, k, unsym, 1),
-                    Geometry::Grid2d { nx: k, ny: k },
-                )),
-                "grid2d9" => Ok((
-                    matgen::grid2d_9pt(k, k, unsym, 1),
-                    Geometry::Grid2d { nx: k, ny: k },
-                )),
-                "grid3d" => Ok((
-                    matgen::grid3d_7pt(k, k, k, unsym, 1),
-                    Geometry::Grid3d {
-                        nx: k,
-                        ny: k,
-                        nz: k,
-                    },
-                )),
-                "grid3d27" => Ok((
-                    matgen::grid3d_27pt(k, k, k, unsym, 1),
-                    Geometry::Grid3d {
-                        nx: k,
-                        ny: k,
-                        nz: k,
-                    },
-                )),
-                "kkt" => Ok((matgen::kkt_3d(k, k, k, 1e-2, 1), Geometry::General)),
-                other => Err(format!("unknown generator kind '{other}'")),
-            }
-        }
+        // The CLI's `--gen` grammar, at its default value asymmetry.
+        MatrixSource::Gen { spec } => matgen::from_spec(spec, 0.1),
     }
 }
 
-/// Solver config for one job. Mirrors `bench::config`'s near-square layer
-/// split so campaign points are comparable with the historical snapshots.
+/// Solver config for one job. The layer is `bench::config`'s near-square
+/// split, so campaign points are comparable with the historical snapshots.
 fn job_config(job: &Job) -> Result<SolverConfig, String> {
     let pxy = job.p / job.pz;
     if pxy == 0 {
         return Err(format!("p={} pz={}: empty layer", job.p, job.pz));
     }
-    let (pr, pc) = bench::layer_shape(pxy);
+    let layer = Grid2d::near_square(pxy);
     let fault_plan = match &job.faults {
         Some(spec) => {
             Some(FaultPlan::parse(spec, 1).map_err(|e| format!("bad faults spec '{spec}': {e}"))?)
@@ -109,14 +74,15 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         None => None,
     };
     Ok(SolverConfig {
-        pr,
-        pc,
+        pr: layer.pr,
+        pc: layer.pc,
         pz: job.pz,
         model: TimeModel::edison_like(),
         lookahead: job.lookahead,
         backend: job.backend,
         // Event-mode jobs are the scaling points, whose wall column should
-        // not carry the profiler's scope timers: they skip hostprof.json.
+        // not carry the profiler's scope timers: their `host.hostprof` is
+        // `null`.
         host_profiling: job.backend == Backend::Threaded,
         retry: fault_plan.is_some().then(RetryPolicy::default),
         fault_plan,
@@ -159,7 +125,7 @@ fn run_job(job: &Job, prep: &Prepared) -> Result<JobRun, String> {
     })
 }
 
-/// Write one job's artifact files; returns a line describing the dir.
+/// Write one job's artifact files: `run.json`, and `trace.json` when asked.
 fn write_artifacts(
     dir: &Path,
     job: &Job,
@@ -172,12 +138,10 @@ fn write_artifacts(
         let path = dir.join(name);
         std::fs::write(&path, doc.pretty()).map_err(|e| format!("write {}: {e}", path.display()))
     };
-    write("metrics.json", &run.out.metrics().to_json())?;
-    write("memprof.json", &run.out.mem_profile())?;
-    write("commvol.json", &run.out.commvol_profile())?;
-    if let Some(doc) = run.out.hostprof_profile() {
-        write("hostprof.json", &doc)?;
-    }
+    write(
+        "run.json",
+        &simgrid::run_document(&run.out.reports, run.out.sched.as_ref()),
+    )?;
     if trace {
         // One extra traced repetition, outside the timed loop: tracing
         // allocates span stores and would pollute the wall column.
@@ -321,6 +285,21 @@ mod tests {
     use super::*;
     use crate::spec::CampaignSpec;
 
+    /// File names in one job's artifact directory, sorted.
+    fn job_files(dir: &Path, slug: &str) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.join("jobs").join(slug))
+            .expect("job directory")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn run_doc(dir: &Path, slug: &str) -> simgrid::Json {
+        let text = std::fs::read_to_string(dir.join("jobs").join(slug).join("run.json")).unwrap();
+        simgrid::Json::parse(&text).expect("run.json parses")
+    }
+
     #[test]
     fn tiny_campaign_runs_and_snapshots() {
         let spec = CampaignSpec::parse(
@@ -344,17 +323,18 @@ mod tests {
         let planar = out.snapshot.find(&key).unwrap();
         assert!(planar.metric("wall_secs").unwrap() > 0.0);
         assert!(planar.metric("makespan_secs").unwrap() > 0.0);
-        // artifacts landed per job
+        // one run document per job, and nothing else
         for p in &out.snapshot.points {
             let slug = format!("k2d5pt-p{}-pz{}", p.key.p, p.key.pz);
-            for f in [
-                "metrics.json",
-                "memprof.json",
-                "commvol.json",
-                "hostprof.json",
-            ] {
-                assert!(dir.join("jobs").join(&slug).join(f).is_file(), "{slug}/{f}");
-            }
+            assert_eq!(job_files(&dir, &slug), ["run.json"], "{slug}");
+            let doc = run_doc(&dir, &slug);
+            assert_eq!(
+                doc.get("schema").and_then(|s| s.as_str()),
+                Some("salu-run/1")
+            );
+            let host = doc.get("host").expect("host section");
+            assert!(host.get("hostprof").and_then(|h| h.as_obj()).is_some());
+            assert_eq!(host.get("sched"), Some(&simgrid::Json::Null));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -382,10 +362,18 @@ mod tests {
         ] {
             assert_eq!(thr.metric(m), evt.metric(m), "{m}");
         }
-        let evt_dir = dir.join("jobs").join("k2d5pt-p4-pz2-event");
-        assert!(evt_dir.join("commvol.json").is_file());
-        assert!(
-            !evt_dir.join("hostprof.json").exists(),
+        // ... and so is the whole `sim` section of the two run documents;
+        // the event job carries scheduler counters and no host-time profile.
+        let (thr_doc, evt_doc) = (
+            run_doc(&dir, "k2d5pt-p4-pz2"),
+            run_doc(&dir, "k2d5pt-p4-pz2-event"),
+        );
+        assert_eq!(thr_doc.get("sim"), evt_doc.get("sim"));
+        let host = evt_doc.get("host").expect("host section");
+        assert!(host.get("sched").and_then(|s| s.as_obj()).is_some());
+        assert_eq!(
+            host.get("hostprof"),
+            Some(&simgrid::Json::Null),
             "event jobs must not claim host-time attribution"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -433,10 +421,6 @@ mod tests {
         .is_ok());
         assert!(build_matrix(&MatrixSource::Gen {
             spec: "nope:4".into()
-        })
-        .is_err());
-        assert!(build_matrix(&MatrixSource::Gen {
-            spec: "grid2d".into()
         })
         .is_err());
         assert!(build_matrix(&MatrixSource::Named {

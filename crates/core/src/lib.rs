@@ -18,8 +18,8 @@
 //!   queries that decide which blocks each grid allocates and initializes.
 //! - [`factor3d`]: Algorithm 1 itself — per-level 2D factorization (via
 //!   [`slu2d::factor_nodes`]) and the pairwise ancestor reduction.
-//! - [`gather`]: the bring-home step that collects factor panels onto grid
-//!   0 so the (non-benchmarked) solve phase can run on one layer.
+//! - [`solve3d`]: the triangular solve on the 3D factor layout — per-forest
+//!   sweeps with accumulator reductions and solution broadcasts along z.
 //! - [`solver`]: the end-to-end API — order, analyze, partition, factor,
 //!   solve — plus the measurement output every experiment harness consumes.
 //!
@@ -42,7 +42,6 @@
 
 pub mod factor3d;
 pub mod forest;
-pub mod gather;
 pub mod solve3d;
 pub mod solver;
 pub mod symbolic3d;

@@ -17,9 +17,9 @@
 //!
 //! Every supernode is solved exactly once — on the grid that factored it —
 //! so summing the per-rank outputs over the whole machine yields the
-//! solution. SuperLU_DIST gained an analogous 3D solve after the paper;
-//! here it doubles as a consistency check against the gather-based solve
-//! in [`crate::gather`].
+//! solution. SuperLU_DIST gained an analogous 3D solve after the paper.
+//! The 2D solve is its `pz = 1` case, which `tests/proptest_stack.rs` holds
+//! every deeper grid's solution against.
 
 use crate::forest::EtreeForest;
 use simgrid::topology::GridComms;
@@ -208,7 +208,7 @@ fn ancestor_supernodes(forest: &EtreeForest, sym: &Symbolic, z: usize, lvl: usiz
 
 #[cfg(test)]
 mod tests {
-    use crate::solver::{factor_and_solve, SolveStrategy, SolverConfig};
+    use crate::solver::{factor_and_solve, SolverConfig};
     use simgrid::TimeModel;
     use slu2d::driver::Prepared;
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt};
@@ -231,7 +231,6 @@ mod tests {
                 pr,
                 pc,
                 pz,
-                solve_strategy: SolveStrategy::Distributed3d,
                 model: TimeModel::zero(),
                 ..Default::default()
             },

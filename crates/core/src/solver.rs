@@ -3,7 +3,6 @@
 
 use crate::factor3d::factor_3d;
 use crate::forest::EtreeForest;
-use crate::gather::gather_factors_to_grid0;
 use crate::solve3d::solve_3d;
 use simgrid::topology::build_grid_comms;
 use simgrid::{
@@ -12,21 +11,8 @@ use simgrid::{
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
-use slu2d::solve2d::solve_nodes;
 use slu2d::store::{BlockStore, StoreLayout};
 use std::sync::Arc;
-
-/// How the triangular solve is distributed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SolveStrategy {
-    /// Fully distributed: forward/backward substitution follows the 3D
-    /// factor layout, with accumulator reductions and solution broadcasts
-    /// along the z-axis (see [`crate::solve3d`]). The default.
-    Distributed3d,
-    /// Ship every factor panel to grid 0 and solve on one layer (see
-    /// [`crate::gather`]); simpler, more traffic, used as a cross-check.
-    GatherToGrid0,
-}
 
 /// Configuration of one 3D run: grid shape plus tuning knobs.
 #[derive(Clone, Debug)]
@@ -45,8 +31,6 @@ pub struct SolverConfig {
     /// perturbations (§VI: "SuperLU_DIST uses static pivoting with
     /// iterative refinement"); 0 disables.
     pub refine_steps: usize,
-    /// How to distribute the triangular solve.
-    pub solve_strategy: SolveStrategy,
     /// Machine model for the simulated cluster.
     pub model: TimeModel,
     /// Record per-rank span/activity traces (enables the Gantt chart,
@@ -105,7 +89,6 @@ impl Default for SolverConfig {
             lookahead: 8,
             pivot_threshold: 1e-10,
             refine_steps: 0,
-            solve_strategy: SolveStrategy::Distributed3d,
             model: TimeModel::edison_like(),
             tracing: false,
             host_profiling: false,
@@ -213,6 +196,11 @@ pub struct Output3d {
     /// Scheduler counters of the run (steps, matched wakeups, unmatched
     /// sends, quiescence resolutions); `None` under the threaded backend.
     pub sched: Option<simgrid::SchedStats>,
+    /// Simulated makespan of the factorization alone: the largest clock
+    /// over ranks when `factor_3d` returned, before any solve. Bitwise what
+    /// [`Output3d::makespan`] reports after [`factor_only`] under the same
+    /// configuration.
+    pub factor_makespan: f64,
 }
 
 impl Output3d {
@@ -267,14 +255,6 @@ impl Output3d {
         simgrid::merged_metrics(&self.reports)
     }
 
-    /// Machine-wide memory profile document: per-rank ledger reports plus
-    /// the max/sum/per-class summary (always available — the ledger does
-    /// not require tracing).
-    pub fn mem_profile(&self) -> simgrid::Json {
-        let per_rank: Vec<_> = self.reports.iter().map(|r| r.memprof.clone()).collect();
-        simgrid::memprof_json(&per_rank)
-    }
-
     /// Max per-rank ledger high-water mark (bytes).
     pub fn max_peak_bytes(&self) -> u64 {
         self.reports
@@ -299,27 +279,9 @@ impl Output3d {
             .sum()
     }
 
-    /// Machine-wide host-time profile document: per-rank wall-clock phase
-    /// breakdowns with derived flop-rate/bandwidth gauges and folded
-    /// stacks. `None` unless the run had
-    /// [`SolverConfig::host_profiling`] set.
-    pub fn hostprof_profile(&self) -> Option<simgrid::Json> {
-        let per_rank: Option<Vec<_>> = self.reports.iter().map(|r| r.hostprof.clone()).collect();
-        per_rank.map(|v| simgrid::hostprof_json(&v))
-    }
-
     /// Per-rank host-time reports, when profiling was on.
     pub fn hostprof_reports(&self) -> Option<Vec<simgrid::HostReport>> {
         self.reports.iter().map(|r| r.hostprof.clone()).collect()
-    }
-
-    /// Machine-wide wire-volume profile document: per-rank comm-ledger
-    /// reports plus per-class/per-axis/per-level totals and the
-    /// padding-waste ratios (always available — the ledger does not
-    /// require tracing).
-    pub fn commvol_profile(&self) -> simgrid::Json {
-        let per_rank: Vec<_> = self.reports.iter().map(|r| r.commvol.clone()).collect();
-        simgrid::commvol_json(&per_rank)
     }
 
     /// Sum over ranks of algorithmic words sent under one communication
@@ -563,7 +525,6 @@ fn try_run(
     };
     let forest_cl = Arc::clone(&forest);
     let cfg_refine = cfg.refine_steps;
-    let strategy = cfg.solve_strategy;
 
     let out = machine.try_run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
@@ -591,53 +552,27 @@ fn try_run(
             Ok(o) => o,
             Err(kind) => rank.fail(kind),
         };
-        // Digest before any solve: GatherToGrid0 mutates the store.
+        let factor_clock = rank.clock();
         let factor_digest = {
             let _host = rank.host_scope(simgrid::HostPhase::Digest);
             store_digest(&store)
         };
 
-        let x_partial = rhs_p.as_ref().and_then(|b| {
+        let x_full = rhs_p.as_ref().map(|b| {
             rank.set_phase("solve");
-            match strategy {
-                SolveStrategy::Distributed3d => {
-                    let world = rank.world();
-                    let x_full = solve_and_refine(rank, &world, &pa, b, cfg_refine, |rank, rhs| {
-                        match solve_3d(rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs) {
-                            Ok(xp) => xp,
-                            Err(kind) => rank.fail(kind),
-                        }
-                    });
-                    (rank.id() == 0).then_some(x_full)
-                }
-                SolveStrategy::GatherToGrid0 => {
-                    gather_factors_to_grid0(rank, &comms, &mut store, &sym, &forest_cl);
-                    if my_z != 0 {
-                        return None;
-                    }
-                    let env = slu2d::factor2d::FactorEnv {
-                        grid: grid3.grid2d,
-                        my_r,
-                        my_c,
-                        row: comms.row.clone(),
-                        col: comms.col.clone(),
-                        opts,
-                    };
-                    let nodes: Vec<usize> = (0..sym.nsup()).collect();
-                    let x_full =
-                        solve_and_refine(rank, &comms.layer, &pa, b, cfg_refine, |rank, rhs| {
-                            solve_nodes(rank, &env, &store, &sym, &nodes, rhs)
-                        });
-                    (comms.layer.local_rank() == 0).then_some(x_full)
-                }
-            }
+            let world = rank.world();
+            solve_and_refine(rank, &world, &pa, b, cfg_refine, |rank, rhs| {
+                solve_3d(rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs)
+                    .unwrap_or_else(|kind| rank.fail(kind))
+            })
         });
         (
             outcome.perturbations,
             outcome.lookahead_hits,
             store_words,
             factor_digest,
-            x_partial,
+            factor_clock,
+            x_full.filter(|_| rank.id() == 0),
         )
     })?;
 
@@ -653,10 +588,11 @@ fn try_run(
     let factor_digest = out.results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
         (h.rotate_left(17) ^ r.3).wrapping_mul(0x0000_0100_0000_01b3)
     });
+    let factor_makespan = out.results.iter().map(|r| r.4).fold(0.0, f64::max);
     let x = out
         .results
         .into_iter()
-        .find_map(|r| r.4)
+        .find_map(|r| r.5)
         .map(|px| prep.unpermute_solution(&px));
     Ok(Output3d {
         x,
@@ -669,6 +605,7 @@ fn try_run(
         sanitizer: out.sanitizer,
         factor_digest,
         sched: out.sched,
+        factor_makespan,
     })
 }
 
@@ -1131,6 +1068,33 @@ mod tests {
             o2.w_fact(),
             o1.w_fact()
         );
+    }
+
+    #[test]
+    fn factor_makespan_is_the_factor_only_makespan() {
+        // What `salu` divides the 2D baseline by: the clock when the
+        // factorization ended, read off the run that also solved.
+        let a = grid2d_5pt(14, 14, 0.1, 3);
+        let b = a.matvec(&vec![1.0; a.nrows]);
+        let prep = Prepared::new(a, Geometry::Grid2d { nx: 14, ny: 14 }, 8, 8);
+        let cfg = SolverConfig {
+            pr: 2,
+            pc: 1,
+            pz: 2,
+            refine_steps: 1,
+            ..Default::default()
+        };
+        let solved = factor_and_solve(&prep, &cfg, Some(b));
+        let factored = factor_only(&prep, &cfg);
+        assert_eq!(
+            solved.factor_makespan.to_bits(),
+            factored.makespan().to_bits()
+        );
+        assert_eq!(
+            factored.factor_makespan.to_bits(),
+            factored.makespan().to_bits()
+        );
+        assert!(solved.makespan() > solved.factor_makespan);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The machine's SPMD contract — `f(&mut Rank)` per rank, blocking
 //! receives, deterministic results — admits more than one execution
-//! strategy. This module puts the strategy behind the [`ExecBackend`]
-//! trait with two implementations:
+//! strategy. [`Backend`] names the two, and [`Machine::try_run`] runs either:
 //!
-//! - [`ThreadedBackend`]: the original free-running mode. Every rank is an
+//! - [`Backend::Threaded`]: the original free-running mode. Every rank is an
 //!   OS thread scheduled by the kernel; receives block on the channel with
 //!   a wall-clock backstop, and a watchdog thread runs the deadlock
 //!   detector. Real host parallelism.
-//! - [`EventBackend`]: discrete-event mode. Ranks are *resumable tasks*:
+//! - [`Backend::Event`]: discrete-event mode. Ranks are *resumable tasks*:
 //!   each still owns a (mostly parked) OS thread as its coroutine stack,
 //!   but exactly one runs at any instant — the one holding the *baton*. A
 //!   blocking receive that finds its inbox empty publishes what it waits
@@ -28,10 +27,11 @@
 //! (commvol/memprof/metrics) are bitwise identical between them — the
 //! differential suite in `tests/backends.rs` pins exactly that.
 
-use crate::faultlab::{FailureBoard, MachineFailure};
-use crate::machine::{Machine, RunResult};
-use crate::rank::Rank;
+use crate::faultlab::FailureBoard;
+#[cfg(doc)]
+use crate::{Machine, Rank, RunResult};
 use commcheck::WaitGraph;
+use obs::Json;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -78,46 +78,6 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// An execution strategy for [`Machine`] runs. See the module docs for the
-/// two implementations and their contract: identical simulated results,
-/// different host-side scheduling.
-pub trait ExecBackend {
-    /// Run `f` as an SPMD program on `machine`, one logical rank per
-    /// invocation, and collect results and per-rank reports.
-    fn run<T, F>(&self, machine: &Machine, f: F) -> Result<RunResult<T>, MachineFailure>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static;
-}
-
-/// The original free-running mode: kernel-scheduled rank threads, blocking
-/// channel receives, watchdog deadlock detector, wall-clock backstop.
-pub struct ThreadedBackend;
-
-impl ExecBackend for ThreadedBackend {
-    fn run<T, F>(&self, machine: &Machine, f: F) -> Result<RunResult<T>, MachineFailure>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static,
-    {
-        machine.execute(f, Backend::Threaded)
-    }
-}
-
-/// Discrete-event mode: ranks are cooperatively scheduled resumable tasks;
-/// sends and receives become scheduler events instead of channel blocking.
-pub struct EventBackend;
-
-impl ExecBackend for EventBackend {
-    fn run<T, F>(&self, machine: &Machine, f: F) -> Result<RunResult<T>, MachineFailure>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static,
-    {
-        machine.execute(f, Backend::Event)
-    }
-}
-
 /// Host-side counters of one event-backend run ([`RunResult::sched`]).
 /// Deterministic — a function of the rank programs alone — but kept out of
 /// the merged metrics registry: they describe the engine, not the
@@ -135,6 +95,24 @@ pub struct SchedStats {
     /// Times the machine went quiescent with live ranks parked and the
     /// scheduler had to resolve it (deadlock verdict or cascade wake-all).
     pub quiescence_resolutions: u64,
+}
+
+impl SchedStats {
+    /// The `host.sched` section of the run document.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("steps".into(), Json::num(self.steps as f64)),
+            ("wakeups".into(), Json::num(self.wakeups as f64)),
+            (
+                "unmatched_sends".into(),
+                Json::num(self.unmatched_sends as f64),
+            ),
+            (
+                "quiescence_resolutions".into(),
+                Json::num(self.quiescence_resolutions as f64),
+            ),
+        ])
+    }
 }
 
 /// What a parked receive is waiting for: the match key of

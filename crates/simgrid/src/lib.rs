@@ -62,7 +62,7 @@ pub mod timemodel;
 pub mod topology;
 pub mod trace;
 
-pub use backend::{Backend, EventBackend, ExecBackend, SchedStats, ThreadedBackend};
+pub use backend::{Backend, SchedStats};
 pub use comm::Comm;
 pub use faultlab::{
     EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,
@@ -71,7 +71,7 @@ pub use faultlab::{
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Payload, PayloadKind};
 pub use rank::Rank;
-pub use stats::{merged_metrics, RankReport, TrafficSummary};
+pub use stats::{merged_metrics, run_document, RankReport, TrafficSummary};
 pub use timemodel::TimeModel;
 pub use topology::{Grid2d, Grid3d};
 pub use trace::{render_gantt, validate_trace};
@@ -79,9 +79,8 @@ pub use trace::{render_gantt, validate_trace};
 // critical-path analysis (see the `obs` crate).
 pub use obs;
 pub use obs::{
-    commvol_json, hostprof_json, memprof_json, ActivityKind, CommClass, CommLedger, CriticalPath,
-    GridAxis, HostPhase, HostReport, HostScope, Json, MemClass, MemLedger, MemReport,
-    MetricsRegistry, RankObs, SpanCat, SpanId,
+    ActivityKind, CommClass, CommLedger, CriticalPath, GridAxis, HostPhase, HostReport, HostScope,
+    Json, MemClass, MemLedger, MemReport, MetricsRegistry, RankObs, SpanCat, SpanId,
 };
 // `obs::CommReport` (the wire-volume report on `RankReport::commvol`) is
 // deliberately not re-exported at the top level: `commcheck::CommReport`

@@ -2,19 +2,16 @@
 //! closure under the configured [`Backend`], and collects results plus
 //! per-rank reports.
 
-use crate::backend::{
-    Backend, BatonGuard, EventBackend, EventSched, ExecBackend, SchedStats, ThreadedBackend,
-};
+use crate::backend::{Backend, BatonGuard, EventSched, SchedStats};
 use crate::faultlab::{
     FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, RetryPolicy,
 };
 use crate::rank::{FaultCtx, Msg, Rank};
-use crate::stats::{merged_metrics, RankReport, TrafficSummary};
+use crate::stats::{RankReport, TrafficSummary};
 use crate::timemodel::TimeModel;
 use commcheck::{CommReport, SanState, WaitGraph};
-use crossbeam::channel::{unbounded, Sender};
-use obs::{CriticalPath, Json, MetricsRegistry, RankObs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -112,58 +109,6 @@ impl<T> RunResult<T> {
     /// Aggregate the per-rank reports.
     pub fn summary(&self) -> TrafficSummary {
         TrafficSummary::from_reports(&self.reports)
-    }
-
-    /// Per-rank span/activity stores, `None` unless the machine ran with
-    /// [`Machine::with_tracing`].
-    pub fn rank_obs(&self) -> Option<Vec<RankObs>> {
-        self.reports
-            .iter()
-            .map(|r| r.trace.clone())
-            .collect::<Option<Vec<_>>>()
-    }
-
-    /// Chrome trace-event document of a traced run (load in
-    /// <https://ui.perfetto.dev>). `None` when tracing was off.
-    pub fn chrome_trace(&self) -> Option<Json> {
-        self.rank_obs().map(|obs| obs::chrome_trace(&obs))
-    }
-
-    /// Critical path through the send→recv dependency graph of a traced
-    /// run. `None` when tracing was off.
-    pub fn critical_path(&self) -> Option<CriticalPath> {
-        self.rank_obs().map(|obs| CriticalPath::analyze(&obs))
-    }
-
-    /// Machine-wide metrics: every rank's registry merged (always
-    /// available — metrics do not require tracing).
-    pub fn metrics(&self) -> MetricsRegistry {
-        merged_metrics(&self.reports)
-    }
-
-    /// Machine-wide memory profile: every rank's ledger report plus the
-    /// max/sum/per-class summary (always available — the ledger does not
-    /// require tracing).
-    pub fn mem_profile(&self) -> Json {
-        let per_rank: Vec<_> = self.reports.iter().map(|r| r.memprof.clone()).collect();
-        obs::memprof_json(&per_rank)
-    }
-
-    /// Machine-wide host-time profile: every rank's phase attribution plus
-    /// the summed phase seconds, aggregate flop rate, and folded-stack
-    /// text. `None` unless the machine ran with
-    /// [`Machine::with_host_profiling`].
-    pub fn hostprof_profile(&self) -> Option<Json> {
-        let per_rank: Option<Vec<_>> = self.reports.iter().map(|r| r.hostprof.clone()).collect();
-        per_rank.map(|v| obs::hostprof_json(&v))
-    }
-
-    /// Machine-wide wire-volume profile: every rank's comm ledger report
-    /// plus per-class/per-axis/per-level totals and the padding-waste
-    /// ratios (always available — the ledger does not require tracing).
-    pub fn commvol_profile(&self) -> Json {
-        let per_rank: Vec<_> = self.reports.iter().map(|r| r.commvol.clone()).collect();
-        obs::commvol_json(&per_rank)
     }
 }
 
@@ -300,27 +245,17 @@ impl Machine {
     /// machine-wide board; the *primary* (earliest non-cascade) entry names
     /// the original failing rank even when other ranks die in its wake —
     /// the panic-collection reports the cause, not the cascade.
+    ///
+    /// One engine runs both backends, one task per rank either way; the
+    /// machine's [`Backend`] decides who schedules them — the kernel
+    /// (threaded) or the ranks themselves, passing the `EventSched` baton
+    /// (event).
     pub fn try_run<T, F>(&self, f: F) -> Result<RunResult<T>, MachineFailure>
     where
         T: Send + 'static,
         F: Fn(&mut Rank) -> T + Send + Sync + 'static,
     {
-        match self.backend {
-            Backend::Threaded => ThreadedBackend.run(self, f),
-            Backend::Event => EventBackend.run(self, f),
-        }
-    }
-
-    /// The shared execution engine behind both [`ExecBackend`]
-    /// implementations. One task per rank either way; `mode` decides who
-    /// schedules them — the kernel (threaded) or the ranks themselves,
-    /// passing the [`EventSched`] baton (event).
-    pub(crate) fn execute<T, F>(&self, f: F, mode: Backend) -> Result<RunResult<T>, MachineFailure>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static,
-    {
-        let event_mode = mode == Backend::Event;
+        let event_mode = self.backend == Backend::Event;
         // An orderly rank shutdown unwinds with a typed payload that the
         // join loop interprets via the failure board; the default panic
         // hook would still print "thread panicked" plus a backtrace for
@@ -340,7 +275,7 @@ impl Machine {
         let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }

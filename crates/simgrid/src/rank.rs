@@ -13,11 +13,11 @@ use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
 use commcheck::{SanState, SendRec, VClock, WaitGraph, WaitInfo, WaitTargets};
-use crossbeam::channel::{Receiver, Sender};
 use obs::{
     ActivityKind, CommClass, CommLedger, GridAxis, Histogram, HostPhase, HostProf, HostScope,
     MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
 };
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -145,7 +145,7 @@ pub struct Rank {
     /// Index of the next unapplied stall window.
     stall_idx: usize,
     /// The cooperative scheduler, present iff the machine runs under
-    /// [`crate::EventBackend`]. `None` (the threaded backend) makes every
+    /// [`crate::Backend::Event`]. `None` (the threaded backend) makes every
     /// event-mode hook vanish from the hot paths.
     sched: Option<Arc<EventSched>>,
 }

@@ -1,6 +1,7 @@
 //! Per-rank traffic and time accounting.
 
-use obs::{CommReport, HostReport, MemReport, MetricsRegistry, RankObs};
+use crate::backend::SchedStats;
+use obs::{CommReport, HostReport, Json, MemReport, MetricsRegistry, RankObs};
 
 /// Everything one rank reports at the end of a run.
 #[derive(Clone, Debug, Default)]
@@ -142,6 +143,50 @@ pub fn merged_metrics(reports: &[RankReport]) -> MetricsRegistry {
         all.merge(&r.metrics);
     }
     all
+}
+
+/// The one account of a finished run, and the only place it is assembled:
+///
+/// ```text
+/// {"schema": "salu-run/1",
+///  "sim":  {"metrics", "memprof", "commvol"},
+///  "host": {"sched", "hostprof"}}
+/// ```
+///
+/// `sim` holds what the simulation determines — the merged metrics registry
+/// ([`MetricsRegistry::to_json`]), the memory ledgers ([`obs::memprof_json`])
+/// and the wire ledgers ([`obs::commvol_json`]) — and is bitwise the same on
+/// every host, backend and repetition of one configuration. `host` holds what
+/// the engine and the machine it ran on add: the event scheduler's counters
+/// (`null` under the threaded backend, where the kernel schedules) and the
+/// host-time profile ([`obs::hostprof_json`]; `null` unless the run had host
+/// profiling on). The timeline of a traced run is not a section: it stays a
+/// bare trace-event file, which is what Perfetto and the trace linter read.
+pub fn run_document(reports: &[RankReport], sched: Option<&SchedStats>) -> Json {
+    let memprof: Vec<_> = reports.iter().map(|r| r.memprof.clone()).collect();
+    let commvol: Vec<_> = reports.iter().map(|r| r.commvol.clone()).collect();
+    let hostprof: Option<Vec<_>> = reports.iter().map(|r| r.hostprof.clone()).collect();
+    Json::Obj(vec![
+        ("schema".into(), Json::str("salu-run/1")),
+        (
+            "sim".into(),
+            Json::Obj(vec![
+                ("metrics".into(), merged_metrics(reports).to_json()),
+                ("memprof".into(), obs::memprof_json(&memprof)),
+                ("commvol".into(), obs::commvol_json(&commvol)),
+            ]),
+        ),
+        (
+            "host".into(),
+            Json::Obj(vec![
+                ("sched".into(), sched.map_or(Json::Null, |s| s.to_json())),
+                (
+                    "hostprof".into(),
+                    hostprof.map_or(Json::Null, |v| obs::hostprof_json(&v)),
+                ),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]

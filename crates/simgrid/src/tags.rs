@@ -46,8 +46,6 @@ pub const T_BWD_RED: u64 = 7 << KIND_SHIFT;
 pub const T_BWD_BC: u64 = 8 << KIND_SHIFT;
 /// 3D factorization: z-line ancestor reduction (Algorithm 1's reduce phase).
 pub const T_REDUCE: u64 = 9 << KIND_SHIFT;
-/// 3D result collection: gather factored panels to grid 0.
-pub const T_GATHER: u64 = 10 << KIND_SHIFT;
 /// 3D triangular solve: ancestor partial-sum accumulation up the z-line.
 pub const T_ACC_RED: u64 = 12 << KIND_SHIFT;
 /// 3D triangular solve: solved ancestor segments pushed down the z-line.
@@ -67,8 +65,6 @@ pub const T_CRED: u64 = 24 << KIND_SHIFT;
 
 // --- Collective caller bases (routed through [`coll_tag`]) ------------------
 
-/// Layer-wide sum of distributed solution pieces (2D solve driver).
-pub const CB_LAYER_XSUM: u64 = 9 << KIND_SHIFT;
 /// World allreduce assembling the final solution vector (3D solve).
 pub const CB_SOLVE_X: u64 = 11 << KIND_SHIFT;
 /// Per-step allreduce in iterative refinement (`CB_REFINE | step`).
@@ -183,11 +179,6 @@ pub const REGISTRY: &[TagDecl] = &[
         base: T_REDUCE,
     },
     TagDecl {
-        name: "T_GATHER",
-        space: TagSpace::P2p,
-        base: T_GATHER,
-    },
-    TagDecl {
         name: "T_ACC_RED",
         space: TagSpace::P2p,
         base: T_ACC_RED,
@@ -226,11 +217,6 @@ pub const REGISTRY: &[TagDecl] = &[
         name: "T_CRED",
         space: TagSpace::P2p,
         base: T_CRED,
-    },
-    TagDecl {
-        name: "CB_LAYER_XSUM",
-        space: TagSpace::CollBase,
-        base: CB_LAYER_XSUM,
     },
     TagDecl {
         name: "CB_SOLVE_X",

@@ -23,6 +23,18 @@ impl Grid2d {
         Grid2d { pr, pc }
     }
 
+    /// The near-square `pr x pc` split of `p` processes: the largest
+    /// `pr <= sqrt(p)` dividing `p`, so `pc >= pr` (SuperLU convention) —
+    /// the layer shape every harness and the CLI's 2D baseline use. Panics
+    /// if `p == 0`.
+    pub fn near_square(p: usize) -> Self {
+        let mut pr = ((p as f64).sqrt() as usize).max(1);
+        while !p.is_multiple_of(pr) {
+            pr -= 1;
+        }
+        Grid2d::new(pr, p / pr)
+    }
+
     /// Total process count.
     pub fn size(&self) -> usize {
         self.pr * self.pc
@@ -218,6 +230,17 @@ mod tests {
             }
         }
         assert_eq!(g.owner(7, 9), (7 % 3, 9 % 4));
+    }
+
+    #[test]
+    fn near_square_layers_factor_evenly() {
+        for p in [1usize, 2, 4, 6, 8, 12, 16, 24, 48, 96] {
+            let g = Grid2d::near_square(p);
+            assert_eq!(g.size(), p, "p={p}");
+            assert!(g.pr <= g.pc);
+        }
+        assert_eq!(Grid2d::near_square(96), Grid2d::new(8, 12));
+        assert_eq!(Grid2d::near_square(7), Grid2d::new(1, 7));
     }
 
     #[test]

@@ -1,13 +1,8 @@
-//! End-to-end 2D driver: order → analyze → distribute → factor → solve on a
-//! simulated `pr x pc` machine. This is the baseline every experiment
-//! normalizes against.
+//! Pre-processing shared by every run: order → analyze, once, on the host.
+//! The 2D baseline every experiment normalizes against is `pz = 1` of
+//! `lu3d::solver`, which factors and solves from a [`Prepared`].
 
-use crate::factor2d::{factor_nodes, FactorEnv, FactorOpts};
-use crate::solve2d::solve_nodes;
-use crate::store::{BlockStore, StoreLayout};
 use ordering::{nested_dissection, Graph, NdOptions, SepTree};
-use simgrid::topology::build_grid_comms;
-use simgrid::{Grid3d, Machine, MemClass, RankReport, TimeModel};
 use sparsemat::testmats::Geometry;
 use sparsemat::Csr;
 use std::sync::Arc;
@@ -85,181 +80,14 @@ impl Prepared {
     }
 }
 
-/// Result of a full 2D factor+solve run.
-pub struct Run2dOutput {
-    /// Solution in the original ordering (when a RHS was supplied).
-    pub x: Option<Vec<f64>>,
-    /// Per-rank reports (traffic, clocks, memory).
-    pub reports: Vec<RankReport>,
-    /// Total static-pivot perturbations.
-    pub perturbations: usize,
-}
-
-/// Factor (and optionally solve) on a simulated `pr x pc` machine.
-///
-/// ```
-/// use slu2d::driver::{run_2d, Prepared};
-/// use slu2d::factor2d::FactorOpts;
-/// use simgrid::TimeModel;
-/// use sparsemat::testmats::Geometry;
-///
-/// let a = sparsemat::matgen::grid2d_5pt(10, 10, 0.1, 0);
-/// let b = a.matvec(&vec![1.0; 100]);
-/// let prep = Prepared::new(a, Geometry::Grid2d { nx: 10, ny: 10 }, 8, 8);
-/// let out = run_2d(&prep, 2, 2, TimeModel::zero(), FactorOpts::default(), Some(b.clone()));
-/// let x = out.x.unwrap();
-/// assert!(prep.a.residual_inf(&x, &b) < 1e-9);
-/// ```
-pub fn run_2d(
-    prep: &Prepared,
-    pr: usize,
-    pc: usize,
-    model: TimeModel,
-    opts: FactorOpts,
-    rhs: Option<Vec<f64>>,
-) -> Run2dOutput {
-    let grid3 = Grid3d::new(pr, pc, 1);
-    let machine = Machine::new(pr * pc, model);
-    let pa = Arc::clone(&prep.pa);
-    let sym = Arc::clone(&prep.sym);
-    let rhs = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
-    let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
-
-    let out = machine.run(move |rank| {
-        let comms = build_grid_comms(rank, &grid3);
-        let (my_r, my_c, _) = comms.coords;
-        let env = FactorEnv {
-            grid: grid3.grid2d,
-            my_r,
-            my_c,
-            row: comms.row,
-            col: comms.col,
-            opts,
-        };
-        let mut store = BlockStore::from_layout(
-            Arc::clone(&layout),
-            &pa,
-            &sym,
-            my_r,
-            my_c,
-            &|_| true,
-            &|_, _| true,
-        );
-        // Ledger-driven accounting: every block charged once at build (the
-        // symbolic pattern is fully allocated up front); the high-water
-        // mark falls out of the ledger, identically to the 3D path.
-        store.charge_to_ledger(rank, |i, j| {
-            let class = if i < j {
-                MemClass::UPanel
-            } else {
-                MemClass::LPanel
-            };
-            (class, 0)
-        });
-        rank.set_phase("fact");
-        let nodes: Vec<usize> = (0..sym.nsup()).collect();
-        let mut done = vec![false; sym.nsup()];
-        let outcome = factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done);
-
-        let x_partial = rhs.as_ref().map(|b| {
-            rank.set_phase("solve");
-            let xp = solve_nodes(rank, &env, &store, &sym, &nodes, b);
-            // Materialize the full solution on local rank 0 of the layer.
-            rank.reduce_sum(&comms.layer, 0, xp, simgrid::tags::CB_LAYER_XSUM)
-        });
-        (outcome.perturbations, x_partial.flatten())
-    });
-
-    let perturbations = out.results.iter().map(|(p, _)| p).sum();
-    let x = out
-        .results
-        .into_iter()
-        .find_map(|(_, x)| x)
-        .map(|px| prep.unpermute_solution(&px));
-    Run2dOutput {
-        x,
-        reports: out.reports,
-        perturbations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparsemat::matgen::{grid2d_5pt, grid3d_7pt};
-
-    fn check_solve(a: Csr, geometry: Geometry, pr: usize, pc: usize) {
-        let n = a.nrows;
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) - 5.0).collect();
-        let b = a.matvec(&x_true);
-        let prep = Prepared::new(a, geometry, 8, 8);
-        let out = run_2d(
-            &prep,
-            pr,
-            pc,
-            TimeModel::zero(),
-            FactorOpts::default(),
-            Some(b.clone()),
-        );
-        let x = out.x.expect("solution");
-        let r = prep.a.residual_inf(&x, &b);
-        let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        assert!(
-            r / bmax < 1e-8,
-            "grid {pr}x{pc}: relative residual {}",
-            r / bmax
-        );
-    }
-
-    #[test]
-    fn solves_on_1x1() {
-        check_solve(
-            grid2d_5pt(10, 10, 0.1, 1),
-            Geometry::Grid2d { nx: 10, ny: 10 },
-            1,
-            1,
-        );
-    }
-
-    #[test]
-    fn solves_on_2x2() {
-        check_solve(
-            grid2d_5pt(12, 12, 0.1, 2),
-            Geometry::Grid2d { nx: 12, ny: 12 },
-            2,
-            2,
-        );
-    }
-
-    #[test]
-    fn solves_on_rectangular_grids() {
-        check_solve(
-            grid2d_5pt(10, 10, 0.1, 3),
-            Geometry::Grid2d { nx: 10, ny: 10 },
-            1,
-            4,
-        );
-        check_solve(
-            grid2d_5pt(10, 10, 0.1, 4),
-            Geometry::Grid2d { nx: 10, ny: 10 },
-            3,
-            2,
-        );
-    }
-
-    #[test]
-    fn solves_3d_problem_on_2x3() {
-        check_solve(
-            grid3d_7pt(4, 4, 4, 0.1, 5),
-            Geometry::Grid3d {
-                nx: 4,
-                ny: 4,
-                nz: 4,
-            },
-            2,
-            3,
-        );
-    }
+    use crate::factor2d::{factor_nodes, FactorEnv, FactorOpts};
+    use crate::store::BlockStore;
+    use simgrid::topology::build_grid_comms;
+    use simgrid::{Grid3d, Machine, TimeModel};
+    use sparsemat::matgen::grid2d_5pt;
 
     #[test]
     fn distributed_matches_sequential_factors() {
@@ -329,40 +157,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn lookahead_zero_and_eight_agree() {
-        let a = grid2d_5pt(10, 10, 0.1, 7);
-        let b: Vec<f64> = (0..100).map(|i| i as f64 * 0.01).collect();
-        let prep = Prepared::new(a, Geometry::Grid2d { nx: 10, ny: 10 }, 8, 6);
-        let o0 = run_2d(
-            &prep,
-            2,
-            2,
-            TimeModel::zero(),
-            FactorOpts {
-                lookahead: 0,
-                ..Default::default()
-            },
-            Some(b.clone()),
-        );
-        let o8 = run_2d(
-            &prep,
-            2,
-            2,
-            TimeModel::zero(),
-            FactorOpts {
-                lookahead: 8,
-                ..Default::default()
-            },
-            Some(b),
-        );
-        let x0 = o0.x.unwrap();
-        let x8 = o8.x.unwrap();
-        for (u, v) in x0.iter().zip(&x8) {
-            assert!((u - v).abs() < 1e-10);
         }
     }
 }

@@ -38,7 +38,6 @@ pub mod store;
 
 pub use cholseq::{build_chol_store, chol_factor, chol_solve};
 pub use condest::{condest_1, inverse_norm1_estimate, seq_solve_transpose};
-pub use driver::{run_2d, Run2dOutput};
 pub use factor2d::{factor_nodes, FactorEnv, FactorOpts};
 pub use seq::{seq_factor, seq_solve, seq_solve_multi};
 pub use store::BlockStore;

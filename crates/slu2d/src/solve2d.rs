@@ -195,25 +195,3 @@ pub fn backward_nodes(
         }
     }
 }
-
-/// Solve `L U x = b` on the 2D grid for the supernodes in `nodes`
-/// (ascending; pass all supernodes for a full solve). `b` is the full
-/// right-hand side in permuted ordering, available on every rank (read-only
-/// input data). Returns this rank's *partial* solution vector: the segments
-/// this rank solved (diagonal owners), zero elsewhere — sum across the
-/// layer to materialize the full solution.
-pub fn solve_nodes(
-    rank: &mut Rank,
-    env: &FactorEnv,
-    store: &BlockStore,
-    sym: &Symbolic,
-    nodes: &[usize],
-    b: &[f64],
-) -> Vec<f64> {
-    assert_eq!(b.len(), sym.part.n());
-    let mut st = DistSolveState::new(sym);
-    forward_nodes(rank, env, store, sym, nodes, b, &mut st);
-    let mut x_out = vec![0.0; sym.part.n()];
-    backward_nodes(rank, env, store, sym, nodes, &mut st, &mut x_out);
-    x_out
-}

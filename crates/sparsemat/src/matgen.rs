@@ -28,6 +28,7 @@
 
 use crate::coo::Coo;
 use crate::csr::Csr;
+use crate::testmats::Geometry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -437,6 +438,36 @@ pub fn random_band(n: usize, bandwidth: usize, fill_prob: f64, seed: u64) -> Csr
     coo.to_csr().symmetrize_pattern()
 }
 
+/// Build a model problem from the `KIND:SIZE` grammar of `salu --gen` and of
+/// a campaign's `gen` matrix source, with the geometry hint its ordering
+/// uses: `grid2d:K` / `grid2d9:K` (5- and 9-point Laplacians on a `K x K`
+/// grid), `grid3d:K` / `grid3d27:K` (7- and 27-point on `K^3`), `kkt:K` (the
+/// saddle-point system on `K^3`, regularization `1e-2`). The seed is pinned
+/// to 1 so one spec always names one matrix; `unsym` is the value asymmetry
+/// of the grid kinds (`kkt` ignores it).
+pub fn from_spec(spec: &str, unsym: f64) -> Result<(Csr, Geometry), String> {
+    let (kind, size) = spec
+        .split_once(':')
+        .ok_or_else(|| format!("bad generator spec '{spec}', expected KIND:SIZE"))?;
+    let k: usize = size
+        .parse()
+        .map_err(|_| format!("bad size in generator spec '{spec}'"))?;
+    let planar = Geometry::Grid2d { nx: k, ny: k };
+    let cube = Geometry::Grid3d {
+        nx: k,
+        ny: k,
+        nz: k,
+    };
+    match kind {
+        "grid2d" => Ok((grid2d_5pt(k, k, unsym, 1), planar)),
+        "grid2d9" => Ok((grid2d_9pt(k, k, unsym, 1), planar)),
+        "grid3d" => Ok((grid3d_7pt(k, k, k, unsym, 1), cube)),
+        "grid3d27" => Ok((grid3d_27pt(k, k, k, unsym, 1), cube)),
+        "kkt" => Ok((kkt_3d(k, k, k, 1e-2, 1), Geometry::General)),
+        other => Err(format!("unknown generator kind '{other}'")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,6 +588,37 @@ mod tests {
                 .map(|(_, v)| v.abs())
                 .sum();
             assert!(diag > off, "row {i} not dominant");
+        }
+    }
+
+    #[test]
+    fn from_spec_names_the_five_kinds_and_rejects_the_rest() {
+        let cube = |k| Geometry::Grid3d {
+            nx: k,
+            ny: k,
+            nz: k,
+        };
+        for (spec, n, geometry) in [
+            ("grid2d:4", 16, Geometry::Grid2d { nx: 4, ny: 4 }),
+            ("grid2d9:4", 16, Geometry::Grid2d { nx: 4, ny: 4 }),
+            ("grid3d:3", 27, cube(3)),
+            ("grid3d27:3", 27, cube(3)),
+            ("kkt:2", 16, Geometry::General),
+        ] {
+            let (a, g) = from_spec(spec, 0.1).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!((a.nrows, g), (n, geometry), "{spec}");
+        }
+        assert_eq!(
+            from_spec("grid2d:4", 0.1).unwrap().0,
+            grid2d_5pt(4, 4, 0.1, 1)
+        );
+        for (spec, needle) in [
+            ("nope:4", "unknown generator kind 'nope'"),
+            ("grid2d", "expected KIND:SIZE"),
+            ("grid2d:x", "bad size"),
+        ] {
+            let err = from_spec(spec, 0.1).expect_err(spec);
+            assert!(err.contains(needle), "{spec}: {err}");
         }
     }
 }

@@ -33,7 +33,6 @@ fn main() {
             ..Default::default()
         };
         let out = factor_only(&prep, &cfg);
-        let s = out.summary();
         // Critical-path rank decomposition.
         let crit = out
             .reports
@@ -54,7 +53,6 @@ fn main() {
             out.w_fact() + out.w_red(),
             out.max_peak_bytes() as f64 / 8e6,
         );
-        let _ = s;
     }
     println!(
         "\nbest speedup over the 2D baseline: {:.2}x",
@@ -62,18 +60,12 @@ fn main() {
     );
     println!("(the paper reports 2-11.6x for planar matrices on 16 nodes, Fig. 9)");
 
-    // Refresh the pinned observability artifacts (see `salu::sample`): a
-    // Chrome trace, a metrics dump, a memory profile, and a wire-volume
-    // report of a small deterministic traced run. The `observability` test
-    // asserts the committed copies match.
-    let (trace, metrics, memprof, commvol) = salu::sample::sample_artifacts();
+    // Refresh the pinned observability artifacts (see `salu::sample`): the
+    // Chrome trace and the run document of a small deterministic traced
+    // run. The `observability` test asserts the committed copies match.
+    let (trace, run) = salu::sample::sample_artifacts();
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/sample_trace.json", trace).expect("write trace");
-    std::fs::write("results/sample_metrics.json", metrics).expect("write metrics");
-    std::fs::write("results/sample_memprof.json", memprof).expect("write memprof");
-    std::fs::write("results/sample_commvol.json", commvol).expect("write commvol");
-    println!(
-        "\nwrote results/sample_trace.json, results/sample_metrics.json,\n\
-         results/sample_memprof.json, and results/sample_commvol.json"
-    );
+    std::fs::write("results/sample_run.json", run).expect("write run document");
+    println!("\nwrote results/sample_trace.json and results/sample_run.json");
 }

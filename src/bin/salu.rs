@@ -28,11 +28,7 @@ struct Args {
     symmetric: bool,
     report: bool,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
-    mem_out: Option<String>,
-    commvol_out: Option<String>,
-    hostprof_out: Option<String>,
-    plan_out: Option<String>,
+    run_out: Option<String>,
     plan_check: bool,
     conformance: Option<String>,
     sanitize: bool,
@@ -75,29 +71,26 @@ fn usage() -> ! {
          \x20 --trace-out FILE   write a Chrome trace-event JSON of the run\n\
          \x20                    (open in ui.perfetto.dev) and print the\n\
          \x20                    critical-path attribution\n\
-         \x20 --metrics-out FILE write the merged metrics registry as JSON\n\
-         \x20 --mem-out FILE     write the per-rank memory profile (tagged\n\
-         \x20                    allocation-ledger peaks with class and\n\
-         \x20                    tree-level attribution) as JSON; '-' = stdout\n\
-         \x20 --commvol-out FILE write the wire-volume report (per-class/\n\
-         \x20                    per-level/per-axis sent words, per-edge\n\
-         \x20                    totals, padding-waste ratios) as JSON;\n\
-         \x20                    '-' = stdout (see docs/commvol.md)\n\
-         \x20 --hostprof-out FILE write the host-time profile (per-rank wall\n\
-         \x20                    phase breakdown, flop-rate gauges, folded\n\
-         \x20                    stacks for flamegraphs) as JSON; '-' = stdout\n\
-         \x20                    (see docs/hostprof.md)\n\
-         \x20 --plan-out FILE    derive the static communication plan from\n\
+         \x20 --run-out FILE     write the run document (salu-run/1) as JSON;\n\
+         \x20                    '-' = stdout: sim.{{metrics, memprof, commvol}} —\n\
+         \x20                    the merged metrics registry, the memory\n\
+         \x20                    ledgers and the wire ledgers, bitwise the same\n\
+         \x20                    on every host and backend — and host.{{sched,\n\
+         \x20                    hostprof}} — the event scheduler's counters\n\
+         \x20                    (null under 'threaded') and the host-time\n\
+         \x20                    profile, which this flag turns on; with\n\
+         \x20                    --plan-check also the static plan, as 'plan'\n\
+         \x20                    (see docs/observability.md)\n\
+         \x20 --plan-check       derive the static communication plan from\n\
          \x20                    symbolic analysis alone (per-rank, per-phase\n\
          \x20                    message counts and exact word volumes, keyed\n\
          \x20                    like the wire ledger), run the plan-time\n\
-         \x20                    checks, and write it as JSON; '-' = stdout\n\
-         \x20                    (see docs/commplan.md). Exit 1 on findings.\n\
-         \x20 --plan-check       additionally run a factor-only pass and\n\
+         \x20                    checks, then run a factor-only pass and\n\
          \x20                    assert its measured wire ledger matches the\n\
          \x20                    plan EXACTLY, per (phase, class, level, axis)\n\
          \x20                    cell and per peer edge — recovered fault runs\n\
-         \x20                    included. Exit 1 naming the first mismatch.\n\
+         \x20                    included. Exit 1 on a finding or naming the\n\
+         \x20                    first mismatch (see docs/commplan.md).\n\
          \x20 --conformance FILE check measured memory/communication against\n\
          \x20                    the Section IV cost models (runs a 2D baseline)\n\
          \x20                    and write the pass/fail report as JSON;\n\
@@ -109,8 +102,8 @@ fn usage() -> ! {
          \x20                    discrete-event scheduler — runs paper-scale\n\
          \x20                    grids like 64x64x1 = 4096 ranks in one\n\
          \x20                    process). Factor digests, makespans, and all\n\
-         \x20                    ledgers are bitwise identical either way; host\n\
-         \x20                    profiling needs 'threaded' (see docs/backends.md)\n\
+         \x20                    ledgers are bitwise identical either way (see\n\
+         \x20                    docs/backends.md)\n\
          \n\
          fault injection (see docs/faultlab.md):\n\
          \x20 --faults SPEC      inject deterministic faults into the simulated\n\
@@ -151,11 +144,7 @@ fn parse_args() -> Args {
         symmetric: false,
         report: false,
         trace_out: None,
-        metrics_out: None,
-        mem_out: None,
-        commvol_out: None,
-        hostprof_out: None,
-        plan_out: None,
+        run_out: None,
         plan_check: false,
         conformance: None,
         sanitize: false,
@@ -195,11 +184,7 @@ fn parse_args() -> Args {
             "--no-compare" => args.compare_2d = false,
             "--report" => args.report = true,
             "--trace-out" => args.trace_out = Some(val("--trace-out")),
-            "--hostprof-out" => args.hostprof_out = Some(val("--hostprof-out")),
-            "--metrics-out" => args.metrics_out = Some(val("--metrics-out")),
-            "--mem-out" => args.mem_out = Some(val("--mem-out")),
-            "--commvol-out" => args.commvol_out = Some(val("--commvol-out")),
-            "--plan-out" => args.plan_out = Some(val("--plan-out")),
+            "--run-out" => args.run_out = Some(val("--run-out")),
             "--plan-check" => args.plan_check = true,
             "--conformance" => args.conformance = Some(val("--conformance")),
             "--sanitize" => args.sanitize = true,
@@ -242,7 +227,6 @@ fn parse_args() -> Args {
 }
 
 fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
-    let unsym = if args.symmetric { 0.0 } else { 0.1 };
     if let Some(path) = &args.mtx {
         let a = salu::sparsemat::io::read_matrix_market_file(path).unwrap_or_else(|e| {
             eprintln!("failed to read {path}: {e}");
@@ -258,53 +242,12 @@ fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
         return (a, Geometry::General, path.clone());
     }
     let spec = args.gen_spec.as_ref().unwrap();
-    let (kind, size) = spec.split_once(':').unwrap_or_else(|| {
-        eprintln!("bad --gen '{spec}', expected KIND:SIZE");
+    let unsym = if args.symmetric { 0.0 } else { 0.1 };
+    let (a, geometry) = salu::sparsemat::matgen::from_spec(spec, unsym).unwrap_or_else(|e| {
+        eprintln!("bad --gen: {e}");
         usage()
     });
-    let k: usize = size.parse().unwrap_or_else(|_| {
-        eprintln!("bad size in --gen '{spec}'");
-        usage()
-    });
-    match kind {
-        "grid2d" => (
-            salu::sparsemat::matgen::grid2d_5pt(k, k, unsym, 1),
-            Geometry::Grid2d { nx: k, ny: k },
-            format!("2D 5-pt {k}x{k}"),
-        ),
-        "grid2d9" => (
-            salu::sparsemat::matgen::grid2d_9pt(k, k, unsym, 1),
-            Geometry::Grid2d { nx: k, ny: k },
-            format!("2D 9-pt {k}x{k}"),
-        ),
-        "grid3d" => (
-            salu::sparsemat::matgen::grid3d_7pt(k, k, k, unsym, 1),
-            Geometry::Grid3d {
-                nx: k,
-                ny: k,
-                nz: k,
-            },
-            format!("3D 7-pt {k}^3"),
-        ),
-        "grid3d27" => (
-            salu::sparsemat::matgen::grid3d_27pt(k, k, k, unsym, 1),
-            Geometry::Grid3d {
-                nx: k,
-                ny: k,
-                nz: k,
-            },
-            format!("3D 27-pt {k}^3"),
-        ),
-        "kkt" => (
-            salu::sparsemat::matgen::kkt_3d(k, k, k, 1e-2, 1),
-            Geometry::General,
-            format!("KKT on {k}^3 grid"),
-        ),
-        other => {
-            eprintln!("unknown generator kind '{other}'");
-            usage();
-        }
-    }
+    (a, geometry, spec.clone())
 }
 
 /// Standalone offline-lint mode: check one trace, or two for determinism.
@@ -391,7 +334,7 @@ fn main() {
         lookahead: args.lookahead,
         refine_steps: args.refine,
         tracing: args.trace_out.is_some() || args.report,
-        host_profiling: args.hostprof_out.is_some() || args.report,
+        host_profiling: args.run_out.is_some() || args.report,
         sanitize: args.sanitize,
         backend: args.backend,
         fault_plan: fault_plan.clone(),
@@ -401,7 +344,7 @@ fn main() {
     };
     // Static communication plan: derived from symbolic analysis alone,
     // before (and independent of) any numeric execution.
-    let plan = if args.plan_out.is_some() || args.plan_check {
+    let plan = args.plan_check.then(|| {
         let forest = salu::lu3d::EtreeForest::build(&prep.tree, &prep.sym, pz);
         let grid3 = salu::simgrid::Grid3d::new(pr, pc, pz);
         let plan = salu::commplan::build_plan(&prep.sym, &forest, grid3, args.lookahead);
@@ -428,17 +371,8 @@ fn main() {
                 }
             }
         }
-        if let Some(path) = &args.plan_out {
-            emit_json(
-                path,
-                &salu::commplan::plan_json(&plan, &audit),
-                "communication plan",
-            );
-        }
-        Some(plan)
-    } else {
-        None
-    };
+        (plan, audit)
+    });
 
     // det-lint: allow(wall-clock): CLI progress timing only
     let t0 = std::time::Instant::now();
@@ -530,31 +464,20 @@ fn main() {
             println!("{}", cp.render());
         }
     }
-    if let Some(path) = &args.metrics_out {
-        if let Err(e) = std::fs::write(path, out.metrics().to_json().pretty()) {
-            eprintln!("failed to write {path}: {e}");
-            exit(1);
+    if let Some(path) = &args.run_out {
+        let mut doc = salu::simgrid::run_document(&out.reports, out.sched.as_ref());
+        if let (salu::simgrid::Json::Obj(sections), Some((plan, audit))) = (&mut doc, &plan) {
+            sections.push(("plan".into(), salu::commplan::plan_json(plan, audit)));
         }
-        println!("metrics written to {path}");
-    }
-    if let Some(path) = &args.mem_out {
-        emit_json(path, &out.mem_profile(), "memory profile");
-    }
-    if let Some(path) = &args.commvol_out {
-        emit_json(path, &out.commvol_profile(), "wire-volume report");
-    }
-    if let Some(path) = &args.hostprof_out {
-        let doc = out.hostprof_profile().expect("host profiling was enabled");
-        emit_json(path, &doc, "host-time profile");
+        emit_json(path, &doc, "run document");
     }
 
-    if args.plan_check {
+    if let Some((plan, _)) = &plan {
         // The main run's ledger includes solve/refine traffic; the plan
         // covers the factorization, so measure a factor-only pass under the
         // same config — fault plan included: a recovered run must still
         // match bit-for-bit (retransmissions live in fault.* counters, not
         // the ledger).
-        let plan = plan.as_ref().expect("plan built when --plan-check is set");
         let fonly = factor_only(&prep, &cfg);
         let ledgers: Vec<_> = fonly.reports.iter().map(|r| r.commvol.clone()).collect();
         match salu::commplan::compare_with_measured(plan, &ledgers) {
@@ -629,7 +552,8 @@ fn main() {
     // One 2D baseline serves both the comparison printout and the
     // conformance gate (which needs it even under --no-compare).
     let baseline = if (args.compare_2d || args.conformance.is_some()) && pz > 1 {
-        let (br, bc) = bench_layer(pr * pc * pz);
+        let salu::simgrid::Grid2d { pr: br, pc: bc } =
+            salu::simgrid::Grid2d::near_square(pr * pc * pz);
         let base = factor_only(
             &prep,
             &SolverConfig {
@@ -655,7 +579,7 @@ fn main() {
         );
         println!(
             "  3D speedup            = {:.2}x   comm reduction = {:.2}x   memory overhead = {:+.0}%",
-            base.makespan() / out_factor_makespan(&prep, &cfg),
+            base.makespan() / out.factor_makespan,
             base.w_fact() as f64 / (out.w_fact() + out.w_red()).max(1) as f64,
             100.0 * (out.total_peak_bytes() as f64 / base.total_peak_bytes() as f64 - 1.0),
         );
@@ -792,18 +716,4 @@ fn emit_json(path: &str, doc: &salu::simgrid::Json, what: &str) {
         }
         println!("{what} written to {path}");
     }
-}
-
-/// Factor-only makespan for the timing comparison (excludes solve).
-fn out_factor_makespan(prep: &Prepared, cfg: &SolverConfig) -> f64 {
-    factor_only(prep, cfg).makespan()
-}
-
-/// Near-square layer for the baseline run.
-fn bench_layer(p: usize) -> (usize, usize) {
-    let mut pr = (p as f64).sqrt() as usize;
-    while pr > 1 && !p.is_multiple_of(pr) {
-        pr -= 1;
-    }
-    (pr.max(1), p / pr.max(1))
 }

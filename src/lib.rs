@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use lu3d::EtreeForest;
     pub use simgrid::{Backend, FaultPlan, Machine, RetryPolicy, TimeModel};
-    pub use slu2d::driver::{run_2d, Prepared};
+    pub use slu2d::driver::Prepared;
     pub use slu2d::factor2d::FactorOpts;
     pub use sparsemat::testmats::{test_matrix, test_suite, Geometry, MatrixClass, Scale};
     pub use sparsemat::{Csr, Perm};

@@ -1,9 +1,9 @@
 //! A small, fully deterministic traced 3D run whose observability artifacts
-//! (Chrome trace + metrics JSON + memory profile + wire-volume report) are
-//! pinned as golden files under `results/`. The example `planar_scaling` writes them; the
-//! `observability` integration test asserts they are byte-identical to the
-//! committed copies, so any change to the simulation's timing, traffic, or
-//! export format shows up as a reviewable diff.
+//! (the Chrome trace and the run document) are pinned as golden files under
+//! `results/`. The example `planar_scaling` writes them; the `observability`
+//! integration test asserts they are byte-identical to the committed copies,
+//! so any change to the simulation's timing, traffic, or export format shows
+//! up as a reviewable diff.
 
 use crate::prelude::*;
 
@@ -27,14 +27,13 @@ pub fn sample_output() -> Output3d {
     factor_and_solve(&prep, &cfg, Some(b))
 }
 
-/// The sample run's `(chrome_trace, metrics, memprof, commvol)` documents,
-/// pretty-printed. Byte-stable: the simulation is deterministic and the
-/// JSON writer keeps insertion order.
-pub fn sample_artifacts() -> (String, String, String, String) {
+/// The sample run's `(chrome_trace, run_document)`, pretty-printed.
+/// Byte-stable: the simulation is deterministic, the JSON writer keeps
+/// insertion order, and the run is threaded and unprofiled, so the
+/// document's `host` section is two `null`s.
+pub fn sample_artifacts() -> (String, String) {
     let out = sample_output();
     let trace = out.chrome_trace().expect("sample run traces").pretty();
-    let metrics = out.metrics().to_json().pretty();
-    let memprof = out.mem_profile().pretty();
-    let commvol = out.commvol_profile().pretty();
-    (trace, metrics, memprof, commvol)
+    let run = simgrid::run_document(&out.reports, out.sched.as_ref()).pretty();
+    (trace, run)
 }

@@ -1,7 +1,8 @@
 //! Differential backend suite: the event backend must be observationally
 //! indistinguishable from the threaded backend on everything the
-//! simulation defines — factor digests, simulated makespans, wire-volume
-//! and memory ledgers, and the static plan-check verdict — across the
+//! simulation defines — factor digests, simulated makespans, the run
+//! document's whole `sim` section (merged metrics, memory and wire
+//! ledgers), and the static plan-check verdict — across the
 //! generator × grid-shape × option matrix. Only host-side artifacts
 //! (wall clock, hostprof) may differ.
 //!
@@ -14,7 +15,7 @@ use commplan::{build_plan, check_plan, compare_with_measured};
 use lu3d::solver::{try_factor_only, SolverConfig};
 use lu3d::EtreeForest;
 use salu::prelude::*;
-use salu::simgrid::Grid3d;
+use salu::simgrid::{run_document, Grid3d};
 use sparsemat::matgen;
 use sparsemat::Csr;
 
@@ -137,8 +138,18 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
     }
 }
 
+/// The `sim` section of a run's document, rendered: everything the
+/// simulation determines about the run, and nothing the host adds.
+fn sim_section(out: &Output3d) -> String {
+    run_document(&out.reports, out.sched.as_ref())
+        .get("sim")
+        .expect("sim section")
+        .pretty()
+}
+
 /// Every simulated observable of a factor-only run is backend-independent,
-/// bitwise: digest, makespan, wire ledger, memory ledger.
+/// bitwise: digest, makespan, and the document's `sim` section — metrics
+/// (the chaos case's `fault.*` counters included), memory and wire ledgers.
 #[test]
 fn every_config_is_bitwise_identical_across_backends() {
     for case in cases() {
@@ -162,15 +173,9 @@ fn every_config_is_bitwise_identical_across_backends() {
             event.makespan()
         );
         assert_eq!(
-            threaded.commvol_profile().pretty(),
-            event.commvol_profile().pretty(),
-            "{}: wire-volume reports diverge",
-            case.label
-        );
-        assert_eq!(
-            threaded.mem_profile().pretty(),
-            event.mem_profile().pretty(),
-            "{}: memory-ledger reports diverge",
+            sim_section(&threaded),
+            sim_section(&event),
+            "{}: the run documents' sim sections diverge",
             case.label
         );
         if case.batches {
@@ -261,10 +266,7 @@ fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
     assert_eq!(bits(&threaded), bits(&event), "solutions diverge");
     assert_eq!(threaded.factor_digest, event.factor_digest);
     assert_eq!(threaded.makespan().to_bits(), event.makespan().to_bits());
-    assert_eq!(
-        threaded.commvol_profile().pretty(),
-        event.commvol_profile().pretty()
-    );
+    assert_eq!(sim_section(&threaded), sim_section(&event));
     assert!(threaded.sched.is_none());
     let s = event.sched.expect("event runs report scheduler counters");
     assert_eq!(Some(s), again.sched, "scheduler counters must repeat");

@@ -1,6 +1,7 @@
 //! The `salu` binary on inputs that used to panic between the reader and
 //! the ordering: every one ends in a one-line message and exit 1, or runs.
 
+use salu::simgrid::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -77,21 +78,92 @@ fn leaf_size_zero_runs_on_the_multilevel_engine() {
 }
 
 /// A flag the CLI no longer has is bad usage (exit 2, the argument named
-/// ahead of the usage text), not an option that is read and dropped.
+/// ahead of the usage text), not an option that is read and dropped:
+/// `--schedule`, and the five output flags `--run-out` took the place of.
 #[test]
-fn removed_schedule_flag_is_rejected() {
-    let out = salu(&[
-        "--gen",
-        "grid2d:8",
-        "--grid",
-        "1x1x1",
+fn removed_flags_are_rejected() {
+    for flag in [
         "--schedule",
-        "level",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.starts_with("unknown argument --schedule\n"),
-        "stderr: {stderr}"
-    );
+        "--metrics-out",
+        "--mem-out",
+        "--commvol-out",
+        "--hostprof-out",
+        "--plan-out",
+    ] {
+        let out = salu(&["--gen", "grid2d:8", "--grid", "1x1x1", flag, "-"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
+        let (first, usage) = stderr.split_once('\n').expect("usage follows");
+        assert_eq!(first, format!("unknown argument {flag}"), "{flag}");
+        assert!(!usage.contains(flag), "{flag}: the usage text offers it");
+        for kept in ["--run-out", "--trace-out"] {
+            assert!(usage.contains(kept), "the usage text lost {kept}");
+        }
+    }
+}
+
+/// `--run-out -` prints one `salu-run/1` document among the report lines:
+/// the host-time profile is on because the flag turns it on, the scheduler
+/// counters are there exactly when a scheduler of ours ran.
+#[test]
+fn run_out_prints_one_versioned_document() {
+    for (backend, has_sched) in [("threaded", false), ("event", true)] {
+        let out = salu(&[
+            "--gen",
+            "grid2d:8",
+            "--grid",
+            "1x2x2",
+            "--no-compare",
+            "--backend",
+            backend,
+            "--run-out",
+            "-",
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{backend}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // The pretty-printed document is the only text between a line that
+        // is exactly `{` and one that is exactly `}`.
+        let lines: Vec<&str> = stdout.lines().collect();
+        let open = lines
+            .iter()
+            .position(|l| *l == "{")
+            .expect("document opens");
+        let close = lines
+            .iter()
+            .rposition(|l| *l == "}")
+            .expect("document closes");
+        let doc = Json::parse(&lines[open..=close].join("\n"))
+            .unwrap_or_else(|e| panic!("{backend}: document does not parse: {e}"));
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some("salu-run/1"),
+            "{backend}"
+        );
+        let sim = doc.get("sim").expect("sim section");
+        for section in ["metrics", "memprof", "commvol"] {
+            assert!(
+                sim.get(section).and_then(Json::as_obj).is_some(),
+                "{backend}: sim.{section}"
+            );
+        }
+        let host = doc.get("host").expect("host section");
+        assert!(
+            host.get("hostprof").and_then(Json::as_obj).is_some(),
+            "{backend}: --run-out turns host profiling on"
+        );
+        let sched = host.get("sched").expect("host.sched");
+        if has_sched {
+            assert!(sched.get("steps").and_then(Json::as_f64).unwrap() > 0.0);
+        } else {
+            assert_eq!(sched, &Json::Null, "{backend}: the kernel scheduled");
+        }
+        assert!(
+            doc.get("plan").is_none(),
+            "{backend}: no --plan-check, no plan"
+        );
+    }
 }

@@ -30,9 +30,14 @@ fn run_on(sanitize: bool, backend: Backend) -> (Vec<f64>, String, String) {
     };
     let out = factor_and_solve(&prep, &cfg, Some(b));
     let trace = out.chrome_trace().expect("tracing was on").pretty();
-    let commvol = out.commvol_profile().pretty();
+    // Everything the simulation determines besides the timeline: merged
+    // metrics, memory ledgers, wire ledgers.
+    let sim = salu::simgrid::run_document(&out.reports, out.sched.as_ref())
+        .get("sim")
+        .expect("sim section")
+        .pretty();
     let x = out.x.expect("solution");
-    (x, trace, commvol)
+    (x, trace, sim)
 }
 
 fn assert_bitwise_equal(a: &[f64], b: &[f64]) {
@@ -54,9 +59,9 @@ fn repeated_runs_are_bitwise_identical() {
     // The message traces — every send, receive, timestamp, payload size —
     // must also match byte for byte.
     assert_eq!(t1, t2, "chrome traces differ between identical runs");
-    // So must the wire-volume report: every (phase, class, level, axis)
-    // cell and every per-edge total.
-    assert_eq!(w1, w2, "wire-volume reports differ between identical runs");
+    // So must the run document's `sim` section: every metric, every ledger
+    // peak, every (phase, class, level, axis) cell and per-edge total.
+    assert_eq!(w1, w2, "sim sections differ between identical runs");
     // And the offline checker agrees, event by event.
     let (d1, d2) = (Json::parse(&t1).unwrap(), Json::parse(&t2).unwrap());
     commcheck::check_determinism(&d1, &d2).expect("schedules must be identical");
@@ -71,14 +76,14 @@ fn event_backend_reproduces_the_threaded_schedule() {
     let (xe, te, we) = run_on(false, Backend::Event);
     assert_bitwise_equal(&xt, &xe);
     assert_eq!(tt, te, "chrome traces differ between backends");
-    assert_eq!(wt, we, "wire-volume reports differ between backends");
+    assert_eq!(wt, we, "sim sections differ between backends");
     let (dt, de) = (Json::parse(&tt).unwrap(), Json::parse(&te).unwrap());
     commcheck::check_determinism(&dt, &de).expect("schedules must be identical across backends");
     // And the event backend is self-deterministic, sanitized or not.
     let (xe2, te2, we2) = run_on(true, Backend::Event);
     assert_bitwise_equal(&xe, &xe2);
     assert_eq!(te, te2, "sanitizer changed the event schedule");
-    assert_eq!(we, we2, "sanitizer changed the event wire ledger");
+    assert_eq!(we, we2, "sanitizer changed the event run's sim section");
 }
 
 #[test]
@@ -90,5 +95,5 @@ fn sanitizer_does_not_perturb_the_simulation() {
     let (x_san, t_san, w_san) = run_once(true);
     assert_bitwise_equal(&x_plain, &x_san);
     assert_eq!(t_plain, t_san, "sanitizer changed the simulated schedule");
-    assert_eq!(w_plain, w_san, "sanitizer changed the wire ledger");
+    assert_eq!(w_plain, w_san, "sanitizer changed the sim section");
 }

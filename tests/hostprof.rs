@@ -4,7 +4,7 @@
 
 use salu::prelude::*;
 use salu::simgrid::obs::validate_chrome_trace;
-use salu::simgrid::{HostPhase, Json};
+use salu::simgrid::{run_document, HostPhase, Json};
 
 fn pinned_run(host_profiling: bool, tracing: bool) -> Output3d {
     let nx = 16;
@@ -79,7 +79,12 @@ fn profiling_never_perturbs_the_factors() {
         "host profiling changed the simulated clock"
     );
     assert!(plain.reports.iter().all(|r| r.hostprof.is_none()));
-    assert!(plain.hostprof_profile().is_none());
+    let doc = run_document(&plain.reports, plain.sched.as_ref());
+    assert_eq!(
+        doc.get("host").and_then(|h| h.get("hostprof")),
+        Some(&Json::Null),
+        "an unprofiled run's document claims no host-time profile"
+    );
 }
 
 #[test]
@@ -142,8 +147,12 @@ fn the_contract_holds_under_the_event_backend() {
 #[test]
 fn hostprof_document_is_well_formed() {
     let out = pinned_run(true, false);
-    let doc = out.hostprof_profile().expect("profiling was on");
+    let doc = run_document(&out.reports, out.sched.as_ref());
     let doc = Json::parse(&doc.pretty()).expect("emitted JSON parses back");
+    let doc = doc
+        .get("host")
+        .and_then(|h| h.get("hostprof"))
+        .expect("profiling was on");
     assert_eq!(
         doc.get("ranks").and_then(Json::as_arr).map(<[Json]>::len),
         Some(8),

@@ -115,31 +115,18 @@ fn factor_only_runs_have_no_solve_phase() {
 
 #[test]
 fn sample_artifacts_match_pinned_goldens() {
-    let (trace, metrics, memprof, commvol) = salu::sample::sample_artifacts();
+    let (trace, run) = salu::sample::sample_artifacts();
     let root = env!("CARGO_MANIFEST_DIR");
     let want_trace = std::fs::read_to_string(format!("{root}/results/sample_trace.json"))
         .expect("run `cargo run --example planar_scaling` to create the goldens");
-    let want_metrics = std::fs::read_to_string(format!("{root}/results/sample_metrics.json"))
+    let want_run = std::fs::read_to_string(format!("{root}/results/sample_run.json"))
         .expect("run `cargo run --example planar_scaling` to create the goldens");
-    let want_memprof = std::fs::read_to_string(format!("{root}/results/sample_memprof.json"))
-        .expect("run `cargo run --example planar_scaling` to create the goldens");
-    let want_commvol = std::fs::read_to_string(format!("{root}/results/sample_commvol.json"))
-        .expect("run `cargo run --example planar_scaling` to create the goldens");
-    // Byte-identical: the simulation and the JSON writer are deterministic.
-    // On mismatch, rerun the example and review the diff like any golden.
+    // Byte-identical: the simulation and the JSON writer are deterministic,
+    // and the sample run is threaded and unprofiled, so even the document's
+    // `host` section (two `null`s) is. On mismatch, rerun the example and
+    // review the diff like any golden.
     assert_eq!(trace, want_trace, "results/sample_trace.json is stale");
-    assert_eq!(
-        metrics, want_metrics,
-        "results/sample_metrics.json is stale"
-    );
-    assert_eq!(
-        memprof, want_memprof,
-        "results/sample_memprof.json is stale"
-    );
-    assert_eq!(
-        commvol, want_commvol,
-        "results/sample_commvol.json is stale"
-    );
+    assert_eq!(run, want_run, "results/sample_run.json is stale");
     // And the pinned trace itself must stay a valid Chrome trace, now with
     // memory and wire counter tracks alongside the slices.
     let stats = validate_chrome_trace(&Json::parse(&want_trace).unwrap()).unwrap();
@@ -152,11 +139,17 @@ fn sample_artifacts_match_pinned_goldens() {
         want_trace.contains("\"wire rank 0\""),
         "sample trace must carry wire counter tracks"
     );
-    // The pinned wire report names every class and axis it charges.
-    let doc = Json::parse(&want_commvol).unwrap();
-    assert!(doc.get("total_sent_words").unwrap().as_f64().unwrap() > 0.0);
-    assert!(doc.get("by_class").unwrap().get("LPanel").is_some());
-    assert!(doc.get("by_axis").unwrap().get("z").is_some());
+    // The pinned document is a `salu-run/1` whose wire section names every
+    // class and axis it charges.
+    let doc = Json::parse(&want_run).unwrap();
+    assert_eq!(doc.get("schema").unwrap().as_str(), Some("salu-run/1"));
+    let host = doc.get("host").unwrap();
+    assert_eq!(host.get("sched"), Some(&Json::Null));
+    assert_eq!(host.get("hostprof"), Some(&Json::Null));
+    let wire = doc.get("sim").unwrap().get("commvol").unwrap();
+    assert!(wire.get("total_sent_words").unwrap().as_f64().unwrap() > 0.0);
+    assert!(wire.get("by_class").unwrap().get("LPanel").is_some());
+    assert!(wire.get("by_axis").unwrap().get("z").is_some());
 }
 
 #[test]

@@ -189,9 +189,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// For any matrix and grid shape, the two solve strategies (fully
-    /// distributed 3D vs gather-to-grid-0) agree to rounding, and 2D
-    /// (Pz = 1) agrees with 3D up to reduction rounding.
+    /// For any matrix and grid shape, the distributed 3D solve agrees with
+    /// its own `Pz = 1` case — the 2D solve, which has no z-axis traffic at
+    /// all — up to reduction rounding, and solves the system.
     #[test]
     fn solve_strategies_and_grids_agree(
         n in 30usize..80,
@@ -199,18 +199,16 @@ proptest! {
         pc in 1usize..3,
         lpz in 1usize..3,
     ) {
-        use salu::lu3d::solver::SolveStrategy;
         let a = salu::sparsemat::matgen::random_band(n, 4, 0.6, seed);
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64) - 11.0).collect();
         let prep = Prepared::new(a, Geometry::General, 8, 8);
-        let run = |pz: usize, strategy: SolveStrategy| -> Vec<f64> {
+        let run = |pz: usize| -> Vec<f64> {
             factor_and_solve(
                 &prep,
                 &SolverConfig {
                     pr: 1,
                     pc,
                     pz,
-                    solve_strategy: strategy,
                     model: TimeModel::zero(),
                     ..Default::default()
                 },
@@ -219,12 +217,10 @@ proptest! {
             .x
             .unwrap()
         };
-        let x3 = run(1 << lpz, SolveStrategy::Distributed3d);
-        let xg = run(1 << lpz, SolveStrategy::GatherToGrid0);
-        let x2 = run(1, SolveStrategy::Distributed3d);
+        let x3 = run(1 << lpz);
+        let x2 = run(1);
         let scale = x2.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for ((u, v), w) in x3.iter().zip(&xg).zip(&x2) {
-            prop_assert!((u - v).abs() / scale < 1e-9, "strategy divergence");
+        for (u, w) in x3.iter().zip(&x2) {
             prop_assert!((u - w).abs() / scale < 1e-7, "2D/3D divergence");
         }
         let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
