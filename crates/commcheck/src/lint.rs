@@ -18,8 +18,7 @@
 //!    same sequence of collectives, in the same order.
 //!
 //! [`check_determinism`] additionally compares two traces of the *same*
-//! program event-by-event, the offline form of the race detector's
-//! guarantee: a schedule that is deterministic across runs.
+//! program event-by-event: a schedule that is deterministic across runs.
 
 use obs::{validate_chrome_trace, Json};
 use std::collections::{BTreeMap, HashMap};
@@ -332,8 +331,8 @@ pub fn lint_trace(doc: &Json) -> Result<LintReport, String> {
 
 /// Compare two traces of the same program: identical per-rank communication
 /// schedules (kind, timing, peer, payload, uid, ctx, tag). This is the
-/// offline determinism check — the invariant the online race detector
-/// protects, verified across repeated runs.
+/// offline determinism check: every receive names its source, so the
+/// schedule is a function of the program — verified across repeated runs.
 pub fn check_determinism(a: &Json, b: &Json) -> Result<(), String> {
     // One comm event flattened for exact comparison:
     // (is_send, ts bits, dur bits, peer, words, ctx, tag).

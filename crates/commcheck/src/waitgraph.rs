@@ -16,31 +16,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Who can unblock a blocked rank.
-#[derive(Clone, Debug)]
-pub enum WaitTargets {
-    /// A deterministic `recv(src, ..)`: this world rank and no other.
-    One(usize),
-    /// A wildcard (any-source) receive: any one of these world ranks — the
-    /// other members of the communicator — suffices.
-    AnyOf(Arc<[usize]>),
-}
-
-impl WaitTargets {
-    /// The world ranks that could unblock the waiting rank.
-    pub fn ranks(&self) -> &[usize] {
-        match self {
-            WaitTargets::One(src) => std::slice::from_ref(src),
-            WaitTargets::AnyOf(ranks) => ranks,
-        }
-    }
-}
-
-/// What a blocked rank is waiting on. Cheap to build: a deterministic
-/// receive registers one without allocating.
+/// What a blocked rank is waiting on. Cheap to build: registering a wait
+/// allocates nothing.
 #[derive(Clone, Debug)]
 pub struct WaitInfo {
-    pub targets: WaitTargets,
+    /// The one world rank that can satisfy the receive.
+    pub src: usize,
     pub ctx: u64,
     pub tag: u64,
     /// Traffic phase label active on the waiting rank.
@@ -48,21 +29,10 @@ pub struct WaitInfo {
 }
 
 impl WaitInfo {
-    /// The source as failure reports name it: the world rank, or `ANY`.
-    pub fn src_desc(&self) -> String {
-        match &self.targets {
-            WaitTargets::One(src) => src.to_string(),
-            WaitTargets::AnyOf(_) => "ANY".to_string(),
-        }
-    }
-
     fn describe(&self) -> String {
         format!(
             "(ctx={}, src={}, tag={}, phase={})",
-            self.ctx,
-            self.src_desc(),
-            self.tag,
-            self.phase
+            self.ctx, self.src, self.tag, self.phase
         )
     }
 }
@@ -121,15 +91,12 @@ impl WaitGraph {
         slots[rank].state = RankState::Done;
     }
 
-    /// True when every rank in `targets` has terminated (marked done).
-    /// A blocked receive whose possible senders are all done can never
-    /// complete; the fault layer uses this to resolve waits on dead peers
-    /// as cascade failures instead of hanging until the timeout backstop.
-    pub fn all_done(&self, targets: &[usize]) -> bool {
-        let slots = self.slots.lock().unwrap();
-        targets
-            .iter()
-            .all(|&t| matches!(slots[t].state, RankState::Done))
+    /// True when `rank` has terminated (marked done). A blocked receive
+    /// whose source is done can never complete; the fault layer uses this
+    /// to resolve waits on dead peers as cascade failures instead of
+    /// hanging until the timeout backstop.
+    pub fn is_done(&self, rank: usize) -> bool {
+        matches!(self.slots.lock().unwrap()[rank].state, RankState::Done)
     }
 
     /// The confirmed deadlock report, if the detector found one. Cheap to
@@ -158,11 +125,11 @@ impl WaitGraph {
         out
     }
 
-    /// Find the candidate stuck set: blocked ranks all of whose wait
-    /// targets are finished or themselves in the set (greatest fixed
-    /// point). Members can never be unblocked — unless a message to one of
-    /// them is still in flight, which [`WaitGraph::run_detector`] rules out
-    /// by re-checking episodes after a grace period.
+    /// Find the candidate stuck set: blocked ranks whose source is
+    /// finished or itself in the set (greatest fixed point). Members can
+    /// never be unblocked — unless a message to one of them is still in
+    /// flight, which [`WaitGraph::run_detector`] rules out by re-checking
+    /// episodes after a grace period.
     fn candidate_stuck(&self) -> Vec<(usize, u64)> {
         let slots = self.slots.lock().unwrap();
         let n = slots.len();
@@ -183,11 +150,9 @@ impl WaitGraph {
                 let RankState::Blocked(w) = &slots[r].state else {
                     unreachable!()
                 };
-                // A rank stays in the set only if every potential sender
-                // can never send again. (For a deterministic receive there
-                // is exactly one target; for a wildcard, all of them.)
-                let hopeless = w.targets.ranks().iter().all(|&t| done[t] || stuck[t]);
-                if !hopeless {
+                // A rank stays in the set only if its source can never
+                // send again.
+                if !(done[w.src] || stuck[w.src]) {
                     stuck[r] = false;
                     changed = true;
                 }
@@ -211,11 +176,10 @@ impl WaitGraph {
         );
         for &(r, _) in members {
             if let RankState::Blocked(w) = &slots[r].state {
-                let waits: Vec<String> = w.targets.ranks().iter().map(|t| t.to_string()).collect();
                 out.push_str(&format!(
                     "  rank {r} blocked in recv {} waiting on rank(s) {}\n",
                     w.describe(),
-                    waits.join(",")
+                    w.src
                 ));
             }
         }
@@ -244,7 +208,7 @@ impl WaitGraph {
     /// grace period (same members, same blocked episodes), then publish the
     /// report for blocked ranks to abort with. Runs until `stop` is set or
     /// a deadlock is confirmed. The machine owns this on a dedicated
-    /// `commcheck-detector` thread when the sanitizer is enabled.
+    /// `commcheck-detector` thread when a fault plan is installed.
     pub fn run_detector(&self, stop: &AtomicBool) {
         const SCAN: Duration = Duration::from_millis(10);
         const GRACE: Duration = Duration::from_millis(50);
@@ -275,12 +239,9 @@ impl WaitGraph {
 mod tests {
     use super::*;
 
-    fn wait(targets: Vec<usize>, ctx: u64, tag: u64) -> WaitInfo {
-        let [src] = targets[..] else {
-            panic!("a deterministic receive has one source");
-        };
+    fn wait(src: usize, ctx: u64, tag: u64) -> WaitInfo {
         WaitInfo {
-            targets: WaitTargets::One(src),
+            src,
             ctx,
             tag,
             phase: "fact".into(),
@@ -290,8 +251,8 @@ mod tests {
     #[test]
     fn cross_recv_cycle_is_stuck() {
         let g = WaitGraph::new(2);
-        g.block(0, wait(vec![1], 0, 5));
-        g.block(1, wait(vec![0], 0, 6));
+        g.block(0, wait(1, 0, 5));
+        g.block(1, wait(0, 0, 6));
         let stuck = g.candidate_stuck();
         assert_eq!(stuck.iter().map(|s| s.0).collect::<Vec<_>>(), vec![0, 1]);
         let rep = g.format_deadlock(&stuck);
@@ -304,8 +265,8 @@ mod tests {
     #[test]
     fn waiting_on_running_rank_is_not_stuck() {
         let g = WaitGraph::new(3);
-        g.block(0, wait(vec![1], 0, 1));
-        g.block(1, wait(vec![2], 0, 1));
+        g.block(0, wait(1, 0, 1));
+        g.block(1, wait(2, 0, 1));
         // Rank 2 is running: the chain can still drain.
         assert!(g.candidate_stuck().is_empty());
     }
@@ -314,36 +275,22 @@ mod tests {
     fn waiting_on_finished_rank_is_stuck() {
         let g = WaitGraph::new(2);
         g.mark_done(1);
-        g.block(0, wait(vec![1], 0, 9));
+        g.block(0, wait(1, 0, 9));
         let stuck = g.candidate_stuck();
         assert_eq!(stuck.len(), 1);
         assert_eq!(stuck[0].0, 0);
     }
 
     #[test]
-    fn wildcard_needs_all_targets_hopeless() {
-        let g = WaitGraph::new(3);
-        let mut w = wait(vec![1], 0, 1);
-        w.targets = WaitTargets::AnyOf(vec![1, 2].into());
-        assert_eq!(w.src_desc(), "ANY");
-        g.block(0, w);
-        g.mark_done(1);
-        // Rank 2 still running: the wildcard could still be satisfied.
-        assert!(g.candidate_stuck().is_empty());
-        g.mark_done(2);
-        assert_eq!(g.candidate_stuck().len(), 1);
-    }
-
-    #[test]
     fn unblock_clears_the_edge_and_episode_advances() {
         let g = WaitGraph::new(2);
-        g.block(0, wait(vec![1], 0, 1));
+        g.block(0, wait(1, 0, 1));
         g.mark_done(1);
         let before = g.candidate_stuck();
         assert_eq!(before.len(), 1);
         g.unblock(0);
         assert!(g.candidate_stuck().is_empty());
-        g.block(0, wait(vec![1], 0, 2));
+        g.block(0, wait(1, 0, 2));
         let after = g.candidate_stuck();
         assert_eq!(after.len(), 1);
         assert_ne!(before[0].1, after[0].1, "episode must advance");
@@ -352,8 +299,8 @@ mod tests {
     #[test]
     fn detector_confirms_and_publishes() {
         let g = std::sync::Arc::new(WaitGraph::new(2));
-        g.block(0, wait(vec![1], 7, 5));
-        g.block(1, wait(vec![0], 7, 6));
+        g.block(0, wait(1, 7, 5));
+        g.block(1, wait(0, 7, 6));
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let (g2, s2) = (std::sync::Arc::clone(&g), std::sync::Arc::clone(&stop));
         let h = std::thread::spawn(move || g2.run_detector(&s2));
@@ -366,8 +313,8 @@ mod tests {
     #[test]
     fn detect_now_publishes_without_grace() {
         let g = WaitGraph::new(3);
-        g.block(0, wait(vec![1], 2, 5));
-        g.block(1, wait(vec![0], 2, 6));
+        g.block(0, wait(1, 2, 5));
+        g.block(1, wait(0, 2, 6));
         // Rank 2 is running: not part of the stuck set, detection still fires.
         let rep = g
             .detect_now()
@@ -380,28 +327,25 @@ mod tests {
     #[test]
     fn detect_now_is_none_while_progress_is_possible() {
         let g = WaitGraph::new(2);
-        g.block(0, wait(vec![1], 0, 1));
+        g.block(0, wait(1, 0, 1));
         // Rank 1 is running: nothing is stuck, nothing is published.
         assert!(g.detect_now().is_none());
         assert!(g.deadlock_report().is_none());
     }
 
     #[test]
-    fn all_done_tracks_termination() {
+    fn is_done_tracks_termination() {
         let g = WaitGraph::new(3);
-        assert!(!g.all_done(&[1, 2]));
+        assert!(!g.is_done(1));
         g.mark_done(1);
-        assert!(!g.all_done(&[1, 2]));
-        assert!(g.all_done(&[1]));
-        g.mark_done(2);
-        assert!(g.all_done(&[1, 2]));
-        assert!(g.all_done(&[]), "vacuously true for no targets");
+        assert!(g.is_done(1));
+        assert!(!g.is_done(2));
     }
 
     #[test]
     fn dump_names_every_rank_state() {
         let g = WaitGraph::new(3);
-        g.block(1, wait(vec![2], 0, 4));
+        g.block(1, wait(2, 0, 4));
         g.mark_done(2);
         let d = g.dump();
         assert!(d.contains("rank 0: running"), "{d}");

@@ -6,8 +6,8 @@ use crate::forest::EtreeForest;
 use crate::solve3d::solve_3d;
 use simgrid::topology::build_grid_comms;
 use simgrid::{
-    Backend, CommReport, FailKind, FaultPlan, Finding, Grid3d, Machine, MachineFailure,
-    RankFailure, RankReport, RetryPolicy, TimeModel, TrafficSummary,
+    Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
+    TimeModel, TrafficSummary,
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
@@ -45,16 +45,6 @@ pub struct SolverConfig {
     /// Purely host-side — simulated clocks, factors, and digests are
     /// untouched. Off by default.
     pub host_profiling: bool,
-    /// Run under the communication sanitizer (`commcheck`): vector-clock
-    /// race detection on wildcard receives, message-leak accounting, and a
-    /// wait-for-graph deadlock detector that aborts a hung run within
-    /// ~100ms naming the exact cycle. Off by default — then no clocks, no
-    /// send table, and no detector thread exist (zero overhead). The
-    /// report lands in [`Output3d::sanitizer`]; findings fail the run — a
-    /// panic from [`factor_and_solve`] / [`factor_only`], so CI cannot miss
-    /// them, a [`SolverError`] carrying the report from the `try_` entry
-    /// points.
-    pub sanitize: bool,
     /// Seeded deterministic fault plan (`simgrid::faultlab`): message
     /// drop/dup/delay rules, rank stall windows, link degradation. `None`
     /// (the default) costs nothing. Parse one from the `salu --faults`
@@ -64,7 +54,8 @@ pub struct SolverConfig {
     /// faulted run delivers the exact fault-free payload sequence: factors
     /// stay *bitwise identical* (see [`Output3d::factor_digest`]), only
     /// simulated clocks shift. `None` means drops are simply lost — the
-    /// run then fails structurally (deadlock or leak naming the edge).
+    /// run then fails structurally (a deadlock naming the edge; an
+    /// unrecovered duplicate fails as an unreceived message naming it).
     pub retry: Option<RetryPolicy>,
     /// Simulated-time receive deadline in seconds: a receive whose message
     /// arrives later than this fails the rank with a structured error
@@ -92,7 +83,6 @@ impl Default for SolverConfig {
             model: TimeModel::edison_like(),
             tracing: false,
             host_profiling: false,
-            sanitize: false,
             fault_plan: None,
             retry: None,
             recv_deadline: None,
@@ -180,10 +170,6 @@ pub struct Output3d {
     pub total_store_words: u64,
     /// The tree-forest partition used (for critical-path diagnostics).
     pub forest: EtreeForest,
-    /// Communication-correctness report; `None` unless the run had
-    /// [`SolverConfig::sanitize`] set. A sanitized run with findings
-    /// fails before this is ever returned, so a present report is clean.
-    pub sanitizer: Option<simgrid::CommReport>,
     /// Digest over every rank's factored blocks (block keys and dimensions
     /// in ascending key order, raw f64 bit patterns; ranks folded in world
     /// order). Two runs produced *bitwise identical* L/U factors iff their
@@ -443,34 +429,6 @@ fn layer_predicates<'a>(
     (keep, value_pred)
 }
 
-/// A sanitizer report with findings is the run's failure: attributed to the
-/// rank and traffic phase of the first finding (a leak's sender, a race's
-/// receiver), carrying the whole rendered report.
-fn sanitizer_verdict(rep: &CommReport) -> Result<(), MachineFailure> {
-    let Some(first) = rep.findings.first() else {
-        return Ok(());
-    };
-    let (rank, phase) = match first {
-        Finding::Race {
-            receiver, phase, ..
-        } => (*receiver, phase),
-        Finding::Leak { src, phase, .. } => (*src, phase),
-    };
-    Err(MachineFailure {
-        failures: vec![RankFailure {
-            rank,
-            phase: phase.clone(),
-            kind: FailKind::Solver {
-                phase: "sanitize".to_string(),
-                supernode: None,
-                level: None,
-                detail: format!("communication sanitizer found defects:\n{}", rep.render()),
-            },
-            seq: 0,
-        }],
-    })
-}
-
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
     match try_run(prep, cfg, rhs) {
         Ok(out) => out,
@@ -499,9 +457,6 @@ fn try_run(
     }
     if cfg.host_profiling {
         machine = machine.with_host_profiling();
-    }
-    if cfg.sanitize {
-        machine = machine.with_sanitizer();
     }
     if let Some(plan) = &cfg.fault_plan {
         machine = machine.with_fault_plan(plan.clone());
@@ -576,9 +531,6 @@ fn try_run(
         )
     })?;
 
-    if let Some(rep) = &out.sanitizer {
-        sanitizer_verdict(rep)?;
-    }
     let perturbations = out.results.iter().map(|r| r.0).sum();
     let lookahead_hits = out.results.iter().map(|r| r.1).sum();
     let max_store_words = out.results.iter().map(|r| r.2).max().unwrap_or(0);
@@ -602,7 +554,6 @@ fn try_run(
         max_store_words,
         total_store_words,
         forest: Arc::try_unwrap(forest).unwrap_or_else(|a| (*a).clone()),
-        sanitizer: out.sanitizer,
         factor_digest,
         sched: out.sched,
         factor_makespan,
@@ -1144,10 +1095,9 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_full_run_is_clean() {
-        // The whole 3D factor+solve pipeline under the communication
-        // sanitizer: every send matched, no wildcard races, no leaks. (Any
-        // finding would panic inside `run`.)
+    fn full_run_receives_every_message_it_sends() {
+        // The whole 3D factor+solve pipeline: every send matched. (A
+        // message left unreceived would panic inside `run`.)
         let a = grid2d_5pt(12, 12, 0.1, 11);
         let n = a.nrows;
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 5.0).collect();
@@ -1158,14 +1108,13 @@ mod tests {
             pc: 1,
             pz: 2,
             model: TimeModel::zero(),
-            sanitize: true,
             ..Default::default()
         };
         let out = factor_and_solve(&prep, &cfg, Some(b));
-        let rep = out.sanitizer.as_ref().expect("sanitized run must report");
-        assert!(rep.is_clean(), "{}", rep.render());
-        assert_eq!(rep.msgs_sent, rep.msgs_received, "{}", rep.render());
-        assert!(rep.msgs_sent > 0);
+        let sent: u64 = out.reports.iter().map(|r| r.commvol.sent_msgs()).sum();
+        let received: u64 = out.reports.iter().map(|r| r.commvol.recv_msgs()).sum();
+        assert_eq!(sent, received);
+        assert!(sent > 0);
         assert!(out.x.is_some());
     }
 
@@ -1222,32 +1171,34 @@ mod tests {
         }
     }
 
-    /// The solver's own program gives the sanitizer nothing to find, so the
-    /// report → failure conversion is handed a report that has something:
-    /// rank 0 sends twice, rank 1 receives once.
+    /// The solver's own program leaves nothing unreceived, so the machine
+    /// failure → [`SolverError`] conversion is handed a run that does: rank
+    /// 0 sends twice, rank 1 receives once.
     #[test]
-    fn sanitizer_findings_become_a_structured_failure_naming_them() {
-        let m = Machine::new(2, TimeModel::zero()).with_sanitizer();
-        let out = m.run(|rank| {
-            let world = rank.world();
-            rank.set_phase("fact");
-            if rank.id() == 0 {
-                rank.send(&world, 1, 7, simgrid::Payload::F64s(vec![1.0, 2.0]));
-                rank.send(&world, 1, 8, simgrid::Payload::F64s(vec![3.0; 5])); // leaked
-            } else {
-                let _ = rank.recv(&world, 0, 7);
-            }
-        });
-        let rep = out.sanitizer.expect("sanitized run must report");
-        let mf = sanitizer_verdict(&rep).expect_err("a leak is a failure");
-        // What `run` panics with still leads with the old assertion text.
-        assert!(mf
-            .render()
-            .contains("communication sanitizer found defects"));
-        let err = SolverError::from_machine(mf);
-        assert_eq!((err.rank, err.phase.as_str(), err.cascades), (0, "fact", 0));
-        assert!(err.to_string().contains("LEAK: message 0 -> 1"), "{err}");
-        assert!(sanitizer_verdict(&CommReport::default()).is_ok());
+    fn an_unreceived_message_becomes_a_solver_error_naming_it() {
+        for backend in [Backend::Threaded, Backend::Event] {
+            let m = Machine::new(2, TimeModel::zero()).with_backend(backend);
+            let mf = m
+                .try_run(|rank| {
+                    let world = rank.world();
+                    if rank.id() == 0 {
+                        rank.send(&world, 1, 7, simgrid::Payload::F64s(vec![1.0, 2.0]));
+                        rank.send(&world, 1, 8, simgrid::Payload::F64s(vec![3.0; 5]));
+                    } else {
+                        let _ = rank.recv(&world, 0, 7);
+                    }
+                })
+                .expect_err("an unreceived message is a failure");
+            // What `run` panics with names the message too.
+            assert!(mf.render().contains("sent but never received"));
+            let err = SolverError::from_machine(mf);
+            assert_eq!((err.rank, err.cascades), (1, 0), "{backend}");
+            assert!(
+                err.to_string().contains("0 -> 1 (ctx=0, tag=8 ["),
+                "{backend}: {err}"
+            );
+            assert!(err.to_string().contains("5 words"), "{backend}: {err}");
+        }
     }
 
     #[test]

@@ -68,52 +68,6 @@ pub fn gemm_notrans(c: &mut Mat, a: &Mat, b: &Mat) {
     gemm(-1.0, a, b, 1.0, c);
 }
 
-/// `C = beta*C + alpha * A * B^T` with `A: m x k`, `B: n x k`, `C: m x n`.
-///
-/// The symmetric Schur-update kernel (`A(I,J) -= L(I,k) L(J,k)^T` in the
-/// Cholesky path) without materializing the transpose: column `j` of `C`
-/// accumulates `A(:,kk) * B(j,kk)` with stride-1 inner loops.
-pub fn gemm_nt(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
-    let m = a.rows();
-    let k = a.cols();
-    let n = b.rows();
-    assert_eq!(b.cols(), k, "gemm_nt: inner dimensions differ");
-    assert_eq!(c.rows(), m, "gemm_nt: C row count mismatch");
-    assert_eq!(c.cols(), n, "gemm_nt: C col count mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if beta != 1.0 {
-        for v in c.as_mut_slice() {
-            *v *= beta;
-        }
-    }
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-    let a_buf = a.as_slice();
-    let mut skipped_pairs = 0u64;
-    for k0 in (0..k).step_by(KB) {
-        let k1 = (k0 + KB).min(k);
-        for j in 0..n {
-            let cj = c.col_mut(j);
-            for kk in k0..k1 {
-                let scale = alpha * b.at(j, kk);
-                if scale == 0.0 {
-                    skipped_pairs += 1;
-                    continue;
-                }
-                let ak = &a_buf[kk * m..(kk + 1) * m];
-                for (ci, ai) in cj.iter_mut().zip(ak) {
-                    *ci += scale * *ai;
-                }
-            }
-        }
-    }
-    flops::add(2 * m as u64 * ((n * k) as u64 - skipped_pairs));
-    flops::add_skipped(2 * m as u64 * skipped_pairs);
-}
-
 /// Reference triple-loop GEMM used only by tests and property checks.
 pub fn gemm_naive(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
     let m = a.rows();
@@ -171,28 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_nt_matches_explicit_transpose() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (5, 7, 3),
-            (16, 16, 16),
-            (9, 33, 20),
-        ] {
-            let a = mk(m, k, 11);
-            let b = mk(n, k, 12);
-            let mut c1 = mk(m, n, 13);
-            let mut c2 = c1.clone();
-            gemm_nt(-1.5, &a, &b, 0.5, &mut c1);
-            gemm(-1.5, &a, &b.transpose(), 0.5, &mut c2);
-            for j in 0..n {
-                for i in 0..m {
-                    assert!((c1.at(i, j) - c2.at(i, j)).abs() < 1e-10, "({i},{j})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_k_only_scales() {
         let a = Mat::zeros(3, 0);
         let b = Mat::zeros(0, 4);
@@ -237,15 +169,6 @@ mod tests {
         let dead = flops::gemm_flops(m, 1, k);
         assert_eq!(charged, flops::gemm_flops(m, n, k) - dead);
         assert_eq!(skipped, dead);
-
-        // Same contract for the transposed-B kernel.
-        flops::reset();
-        flops::reset_skipped();
-        let bt = b.transpose();
-        let mut c2 = Mat::zeros(m, n);
-        gemm_nt(1.0, &a, &bt, 0.0, &mut c2);
-        assert_eq!(flops::reset(), flops::gemm_flops(m, n, k) - dead);
-        assert_eq!(flops::reset_skipped(), dead);
     }
 
     #[test]

@@ -26,15 +26,13 @@ pub mod getrf;
 pub mod matrix;
 pub mod microkernel;
 pub mod norms;
-pub mod potrf;
 pub mod trsm;
 
-pub use gemm::{gemm, gemm_notrans, gemm_nt};
+pub use gemm::{gemm, gemm_notrans};
 pub use getrf::{getrf, lu_solve_inplace, GetrfInfo, PivotPolicy};
 pub use matrix::Mat;
 pub use microkernel::{gemm_blocked, gemm_blocked_tiled};
 pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
-pub use potrf::{chol_backward, chol_forward, potrf, trsm_right_ltrans, PotrfInfo};
 pub use trsm::{
     backward_subst, backward_subst_ltrans_unit, forward_subst_unit, forward_subst_utrans,
     trsm_left_lower_unit, trsm_right_upper,

@@ -89,8 +89,8 @@ pub struct SchedStats {
     /// Parked ranks made runnable by a send matching their published wait.
     pub wakeups: u64,
     /// Sends delivered to a parked rank that was waiting for something
-    /// else. Each would have been a spurious wakeup under a wake-on-any-send
-    /// scheduler; here it costs no step.
+    /// else. Each stays in the inbox for the receive that names it and
+    /// costs no step.
     pub unmatched_sends: u64,
     /// Times the machine went quiescent with live ranks parked and the
     /// scheduler had to resolve it (deadlock verdict or cascade wake-all).
@@ -116,18 +116,17 @@ impl SchedStats {
 }
 
 /// What a parked receive is waiting for: the match key of
-/// [`Rank::recv`](crate::Rank::recv) (`src = Some(world rank)`) or
-/// [`Rank::recv_any`](crate::Rank::recv_any) (`src = None`: any sender).
+/// [`Rank::recv`](crate::Rank::recv), `src` a world rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct WaitKey {
     pub(crate) ctx: u64,
     pub(crate) tag: u64,
-    pub(crate) src: Option<usize>,
+    pub(crate) src: usize,
 }
 
 impl WaitKey {
     fn matches(&self, src: usize, ctx: u64, tag: u64) -> bool {
-        self.ctx == ctx && self.tag == tag && self.src.is_none_or(|s| s == src)
+        (self.src, self.ctx, self.tag) == (src, ctx, tag)
     }
 }
 

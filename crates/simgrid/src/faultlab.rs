@@ -23,12 +23,14 @@
 //!   [`crate::Machine::try_run`] reports the original failing rank instead
 //!   of whichever thread happened to abort first.
 //!
-//! Interaction with `commcheck`: recovery-internal retransmissions and
-//! filtered duplicates are transport-level events — invisible to the
-//! sanitizer, which audits the *protocol* level. An unrecovered drop, by
-//! contrast, leaves the sanitizer's outstanding-send table unbalanced (a
-//! leak naming the edge) and usually deadlocks the receiver (caught by the
-//! wait-for-graph detector). See `docs/faultlab.md`.
+//! Interaction with the end-of-run unreceived-message check
+//! ([`FailKind::Unreceived`]): recovery-internal retransmissions and
+//! filtered duplicates are transport-level events, not protocol messages,
+//! and are never reported. An unrecovered drop never reaches the
+//! destination's queue, so it is not reported either: it surfaces as the
+//! receiver's deadlock (caught by the wait-for-graph detector). An
+//! unrecovered duplicate is a real extra message and fails the run as
+//! unreceived. See `docs/faultlab.md`.
 
 use crate::payload::PayloadKind;
 use std::fmt;
@@ -357,13 +359,13 @@ pub enum RecvError {
     /// rank `origin` failed — the wait can never complete.
     PeerFailed {
         origin: usize,
-        src: String,
+        src: usize,
         ctx: u64,
         tag: u64,
     },
     /// The wall-clock backstop expired (`SALU_RECV_TIMEOUT_SECS`).
     WallTimeout {
-        src: String,
+        src: usize,
         ctx: u64,
         tag: u64,
         dump: String,
@@ -408,6 +410,32 @@ impl fmt::Display for RecvError {
     }
 }
 
+/// One message still queued at its destination when every rank had
+/// returned (see [`FailKind::Unreceived`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnreceivedMsg {
+    pub src: usize,
+    pub dst: usize,
+    pub ctx: u64,
+    pub tag: u64,
+    pub words: u64,
+}
+
+impl fmt::Display for UnreceivedMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} -> {} (ctx={}, tag={} [{}], {} words)",
+            self.src,
+            self.dst,
+            self.ctx,
+            self.tag,
+            crate::tags::describe(self.tag),
+            self.words
+        )
+    }
+}
+
 /// The structured cause of one rank's failure.
 #[derive(Clone, Debug)]
 pub enum FailKind {
@@ -434,14 +462,15 @@ pub enum FailKind {
         level: Option<usize>,
         detail: String,
     },
-    /// A wildcard receive matched a message whose sender is not a member
-    /// of the receiving communicator: communicator-context aliasing, i.e.
-    /// some rank broke [`crate::Rank::subset`]'s collective, same-order
-    /// contract. Carries the message provenance (the failing rank's phase
-    /// rides on the [`RankFailure`] record).
-    NonMemberMatch { src: usize, ctx: u64, tag: u64 },
-    /// An invalid machine configuration rejected before any rank ran
-    /// (e.g. host profiling requested under the event backend).
+    /// Every rank returned, yet messages were still queued at their
+    /// destinations: sent but never received. Found by
+    /// [`crate::Machine::try_run`] after the join, on every run, from the
+    /// inboxes and unexpected-message queues the ranks hand back; listed in
+    /// `(dst, src, send order)` order. Transport duplicates injected under
+    /// recovery are not protocol messages and are not listed.
+    Unreceived { msgs: Vec<UnreceivedMsg> },
+    /// An invalid configuration rejected before any rank ran (e.g. a grid
+    /// whose `pz` is not a power of two).
     Config { detail: String },
     /// An uncategorized panic unwound out of the SPMD closure.
     Panic { message: String },
@@ -491,13 +520,13 @@ impl fmt::Display for FailKind {
                 }
                 write!(f, ": {detail}")
             }
-            FailKind::NonMemberMatch { src, ctx, tag } => write!(
-                f,
-                "wildcard recv matched a message from world rank {src}, which is \
-                 not a member of the receiving communicator (ctx={ctx}, tag={tag}): \
-                 communicator contexts are aliased — `subset` must be called \
-                 collectively, in the same order, with the same members on every rank"
-            ),
+            FailKind::Unreceived { msgs } => {
+                write!(f, "{} message(s) sent but never received:", msgs.len())?;
+                for m in msgs {
+                    write!(f, "\n  {m}")?;
+                }
+                Ok(())
+            }
             FailKind::Config { detail } => write!(f, "configuration error: {detail}"),
             FailKind::Panic { message } => write!(f, "{message}"),
         }

@@ -66,7 +66,7 @@ pub use backend::{Backend, SchedStats};
 pub use comm::Comm;
 pub use faultlab::{
     EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,
-    MachineFailure, RankFailure, RecvError, RetryPolicy, StallRule,
+    MachineFailure, RankFailure, RecvError, RetryPolicy, StallRule, UnreceivedMsg,
 };
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Payload, PayloadKind};
@@ -82,10 +82,5 @@ pub use obs::{
     ActivityKind, CommClass, CommLedger, CriticalPath, GridAxis, HostPhase, HostReport, HostScope,
     Json, MemClass, MemLedger, MemReport, MetricsRegistry, RankObs, SpanCat, SpanId,
 };
-// `obs::CommReport` (the wire-volume report on `RankReport::commvol`) is
-// deliberately not re-exported at the top level: `commcheck::CommReport`
-// below already owns that name here. Reach it as `simgrid::obs::CommReport`.
-// Communication sanitizer: race/deadlock/leak detection online
-// ([`Machine::with_sanitizer`]) and the offline trace linter.
+// The wait-for graph embedded in every run and the offline trace linter.
 pub use commcheck;
-pub use commcheck::{CommReport, Finding};

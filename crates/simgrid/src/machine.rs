@@ -5,11 +5,12 @@
 use crate::backend::{Backend, BatonGuard, EventSched, SchedStats};
 use crate::faultlab::{
     FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, RetryPolicy,
+    UnreceivedMsg,
 };
 use crate::rank::{FaultCtx, Msg, Rank};
 use crate::stats::{RankReport, TrafficSummary};
 use crate::timemodel::TimeModel;
-use commcheck::{CommReport, SanState, WaitGraph};
+use commcheck::WaitGraph;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -46,7 +47,6 @@ pub struct Machine {
     backend: Backend,
     tracing: bool,
     host_profiling: bool,
-    sanitize: bool,
     /// Seeded fault plan injected at the send path; `None` = healthy run.
     faults: Option<Arc<FaultPlan>>,
     /// Ack/retransmit recovery for droppable sends; `None` = drops are lost.
@@ -67,9 +67,6 @@ pub struct RunResult<T> {
     pub results: Vec<T>,
     /// Per-rank traffic/time reports, indexed by world rank.
     pub reports: Vec<RankReport>,
-    /// Communication-correctness report (races, leaks, counts), `None`
-    /// unless the machine ran with [`Machine::with_sanitizer`].
-    pub sanitizer: Option<CommReport>,
     /// Scheduler counters of an event-backend run; `None` under the
     /// threaded backend, where the kernel schedules.
     pub sched: Option<SchedStats>,
@@ -122,7 +119,6 @@ impl Machine {
             backend: Backend::default(),
             tracing: false,
             host_profiling: false,
-            sanitize: false,
             faults: None,
             retry: None,
             recv_deadline: None,
@@ -172,23 +168,13 @@ impl Machine {
         self
     }
 
-    /// Enable the communication sanitizer (see the `commcheck` crate):
-    /// vector clocks on every message for wildcard-receive race detection,
-    /// an outstanding-send table for leak accounting, and a wait-for-graph
-    /// deadlock detector that aborts a deadlocked run within ~100ms naming
-    /// the exact cycle. Off by default — then no clocks are allocated, no
-    /// table is kept, and no detector thread runs.
-    pub fn with_sanitizer(mut self) -> Self {
-        self.sanitize = true;
-        self
-    }
-
     /// Install a seeded fault plan (see [`crate::faultlab`]): messages
     /// matching its rules are dropped, duplicated, or delayed, ranks stall,
-    /// and links degrade — all deterministically from the plan's seed. The
-    /// wait-for-graph deadlock detector runs whenever faults are on (even
-    /// without the sanitizer), so an unrecovered drop aborts the run with a
-    /// cycle report instead of hanging until the wall-clock backstop.
+    /// and links degrade — all deterministically from the plan's seed. Under
+    /// the threaded backend the wait-for-graph watchdog runs whenever a plan
+    /// is installed (even one with no rules), so an unrecovered drop aborts
+    /// the run with a cycle report within ~100ms instead of hanging until
+    /// the wall-clock backstop; the event backend needs no watchdog.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
         self
@@ -246,6 +232,13 @@ impl Machine {
     /// the original failing rank even when other ranks die in its wake —
     /// the panic-collection reports the cause, not the cascade.
     ///
+    /// A run in which every rank returned still fails, with
+    /// [`FailKind::Unreceived`], if a message was sent and never received.
+    /// The check costs the message path nothing: a returned rank's inbox
+    /// and unexpected-message queue stay open until every rank is joined,
+    /// and what they hold then is the answer — the same one whichever of
+    /// sender and receiver the host ran first.
+    ///
     /// One engine runs both backends, one task per rank either way; the
     /// machine's [`Backend`] decides who schedules them — the kernel
     /// (threaded) or the ranks themselves, passing the `EventSched` baton
@@ -287,18 +280,14 @@ impl Machine {
         let board = Arc::new(FailureBoard::new());
 
         // The wait-for graph always exists (it feeds the receive-timeout
-        // backstop's dump); the sanitizer state is created only on demand.
-        // The watchdog deadlock detector runs for sanitized *and* faulted
+        // backstop's dump). The watchdog deadlock detector runs for faulted
         // threaded runs: an unrecovered drop must abort with a cycle
-        // report, not hang. The event backend needs no watchdog — its
-        // scheduler detects stuckness synchronously from quiescence.
+        // report, not hang. It is not always on — its grace confirmation is
+        // wall-clock, and oversubscribed healthy runs must not be judged by
+        // it. The event backend needs no watchdog — its scheduler detects
+        // stuckness synchronously from quiescence.
         let wait_graph = Arc::new(WaitGraph::new(n));
-        let san: Option<Arc<SanState>> = if self.sanitize {
-            Some(Arc::new(SanState::new()))
-        } else {
-            None
-        };
-        let _detector = (!event_mode && (self.sanitize || self.faults.is_some())).then(|| {
+        let _detector = (!event_mode && self.faults.is_some()).then(|| {
             let graph = Arc::clone(&wait_graph);
             let stop = Arc::new(AtomicBool::new(false));
             let stop2 = Arc::clone(&stop);
@@ -334,7 +323,6 @@ impl Machine {
             let senders = Arc::clone(&senders);
             let f = Arc::clone(&f);
             let graph = Arc::clone(&wait_graph);
-            let san = san.clone();
             let fctx = fctx.clone();
             let sched = sched.clone();
             let world = Arc::clone(&world);
@@ -375,7 +363,6 @@ impl Machine {
                         tracing,
                         host_profiling,
                         graph,
-                        san,
                         fctx,
                         sched,
                     );
@@ -419,11 +406,14 @@ impl Machine {
 
         let mut results = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(n);
+        // Each returned rank's (inbox, unexpected-message queue), by rank.
+        let mut mail = Vec::with_capacity(n);
         for (world_rank, h) in handles.into_iter().enumerate() {
             match h.join() {
-                Ok(Some((out, report))) => {
+                Ok(Some((out, (report, inbox, pending)))) => {
                     results.push(out);
                     reports.push(report);
+                    mail.push((inbox, pending));
                 }
                 // Failure already recorded on the board.
                 Ok(None) => {}
@@ -445,17 +435,42 @@ impl Machine {
                 failures: board.into_failures(),
             });
         }
-        // All rank threads are joined: nothing is in flight, so whatever is
-        // still in the outstanding table is a genuine leak.
-        let sanitizer = san.map(|s| {
-            Arc::try_unwrap(s)
-                .expect("sanitizer state still shared after join")
-                .into_report()
-        });
+        // Every rank returned (so `mail` is indexed by rank) and is joined:
+        // nothing is in flight, and a message still queued at its
+        // destination was never received. Transport duplicates (recovery
+        // on) were never protocol messages.
+        let mut left: Vec<(u64, UnreceivedMsg)> = Vec::new();
+        for (dst, (inbox, pending)) in mail.into_iter().enumerate() {
+            for m in pending.into_iter().chain(inbox.try_iter()) {
+                if !m.injected_dup {
+                    let unreceived = UnreceivedMsg {
+                        src: m.src_world,
+                        dst,
+                        ctx: m.ctx,
+                        tag: m.tag,
+                        words: m.payload.words(),
+                    };
+                    left.push((m.uid, unreceived));
+                }
+            }
+        }
+        if !left.is_empty() {
+            // The uid is (sender, send sequence): a program order, where
+            // the queues' own order is the host's.
+            left.sort_by_key(|(uid, m)| (m.dst, *uid));
+            let msgs: Vec<UnreceivedMsg> = left.into_iter().map(|(_, m)| m).collect();
+            return Err(MachineFailure {
+                failures: vec![RankFailure {
+                    rank: msgs[0].dst,
+                    phase: "finalize".to_string(),
+                    kind: FailKind::Unreceived { msgs },
+                    seq: 0,
+                }],
+            });
+        }
         Ok(RunResult {
             results,
             reports,
-            sanitizer,
             sched: sched_stats,
         })
     }

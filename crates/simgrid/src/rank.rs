@@ -12,7 +12,7 @@ use crate::stats::RankReport;
 use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
-use commcheck::{SanState, SendRec, VClock, WaitGraph, WaitInfo, WaitTargets};
+use commcheck::{WaitGraph, WaitInfo};
 use obs::{
     ActivityKind, CommClass, CommLedger, GridAxis, Histogram, HostPhase, HostProf, HostScope,
     MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
@@ -36,9 +36,6 @@ pub(crate) struct Msg {
     /// Machine-unique id linking this message's send and recv trace
     /// activities (high bits: sender world rank; low bits: send sequence).
     pub uid: u64,
-    /// Sender's vector clock at the send, piggybacked when the sanitizer is
-    /// on. `None` (no allocation, no work) otherwise.
-    pub clock: Option<Box<VClock>>,
     /// Link-degradation factor in effect on this edge (1.0 = healthy);
     /// the receiver charges the same degraded transfer cost the sender did.
     pub link: f64,
@@ -116,11 +113,6 @@ pub struct Rank {
     /// Machine-wide wait-for graph; touched only when a receive actually
     /// blocks on the channel, so the fast path costs nothing.
     wait_graph: Arc<WaitGraph>,
-    /// Online sanitizer state, present when the machine runs with
-    /// [`crate::Machine::with_sanitizer`].
-    san: Option<Arc<SanState>>,
-    /// This rank's vector clock (happens-before), present iff `san` is.
-    vclock: Option<VClock>,
     /// Seeded fault plan, present when the machine runs with
     /// [`crate::Machine::with_fault_plan`]. `None` costs nothing on the
     /// send path.
@@ -150,6 +142,11 @@ pub struct Rank {
     sched: Option<Arc<EventSched>>,
 }
 
+/// Is `m` the message the blocked receive `wait` names?
+fn satisfies(m: &Msg, wait: &WaitInfo) -> bool {
+    (m.ctx, m.src_world, m.tag) == (wait.ctx, wait.src, wait.tag)
+}
+
 /// Fault-layer wiring shared by every rank; built once per run by the
 /// machine.
 #[derive(Clone)]
@@ -172,7 +169,6 @@ impl Rank {
         tracing: bool,
         host_profiling: bool,
         wait_graph: Arc<WaitGraph>,
-        san: Option<Arc<SanState>>,
         fctx: FaultCtx,
         sched: Option<Arc<EventSched>>,
     ) -> Self {
@@ -181,7 +177,6 @@ impl Rank {
             .as_ref()
             .map(|p| p.stalls_for(world_rank))
             .unwrap_or_default();
-        let world_size = world_members.len();
         let phase: Arc<str> = "default".into();
         Rank {
             world_rank,
@@ -218,8 +213,6 @@ impl Rank {
             comm_class: None,
             grid: None,
             wait_graph,
-            vclock: san.as_ref().map(|_| VClock::new(world_size)),
-            san,
             faults: fctx.faults,
             retry: fctx.retry,
             recv_deadline: fctx.recv_deadline,
@@ -609,10 +602,9 @@ impl Rank {
                 }
                 None => {
                     // No recovery: the message vanishes in the network. The
-                    // sender cannot tell, so it pays and registers the send
-                    // normally — the sanitizer is left with an outstanding
-                    // send that is never received (a leak naming this
-                    // edge), and the receiver usually deadlocks.
+                    // sender cannot tell, so it pays and records the send
+                    // normally; nothing reaches the destination, whose
+                    // receive deadlocks.
                     self.send_physical(
                         comm.ctx, dst_world, tag, payload, link, 0.0, true, false, false,
                     );
@@ -640,9 +632,9 @@ impl Rank {
             self.metrics.inc("fault.injected.dup", 1);
             // The duplicate rides right behind the original. With recovery
             // on it is transport-internal (flagged, filtered at the
-            // receiver's intake, invisible to the sanitizer); without
-            // recovery it is a real protocol-level extra message the
-            // sanitizer reports as a leak.
+            // receiver's intake or, past its last receive, skipped by the
+            // machine's unreceived-message check); without recovery it is
+            // a real protocol-level extra message that check reports.
             let recovering = self.retry.is_some();
             self.send_physical(
                 comm.ctx,
@@ -660,12 +652,14 @@ impl Rank {
 
     /// One physical message: charge the sender, record the activity, hand
     /// the message to the destination channel. `visible` sends carry their
-    /// message identity and register with the sanitizer; transport-internal
-    /// ones (recovered duplicates) do neither. `deliver: false` models an
-    /// unrecovered network drop: the sender pays and registers as usual but
-    /// the message never reaches the destination channel. A closed
-    /// destination channel means the peer thread died mid-run — an orderly
-    /// cascade failure, not a process abort.
+    /// message identity and count as algorithmic traffic;
+    /// transport-internal ones (recovered duplicates) do neither.
+    /// `deliver: false` models an unrecovered network drop: the sender pays
+    /// and records as usual but the message never reaches the destination
+    /// channel. A rank that returned keeps its inbox open until the machine
+    /// has joined every rank, so a closed destination channel means the
+    /// peer *died* mid-run — an orderly cascade failure, not a process
+    /// abort — whichever of the two ranks the host ran first.
     #[allow(clippy::too_many_arguments)]
     fn send_physical(
         &mut self,
@@ -714,27 +708,6 @@ impl Rank {
             self.metrics.inc("fault.resent_msgs", 1);
             self.metrics.inc("fault.resent_words", words);
         }
-        // Sanitizer: the send is an event — tick, register in the
-        // outstanding table, and piggyback the clock on the message.
-        let clock = match (&self.san, &mut self.vclock) {
-            (Some(san), Some(vc)) if visible => {
-                vc.tick(self.world_rank);
-                san.on_send(
-                    uid,
-                    SendRec {
-                        src: self.world_rank,
-                        dst: dst_world,
-                        ctx,
-                        tag,
-                        words,
-                        phase: self.phase.to_string(),
-                        clock: vc.clone(),
-                    },
-                );
-                Some(Box::new(vc.clone()))
-            }
-            _ => None,
-        };
         if !deliver {
             return;
         }
@@ -744,7 +717,6 @@ impl Rank {
             tag,
             arrival: self.clock + delay,
             uid,
-            clock,
             link,
             injected_dup,
             payload,
@@ -790,22 +762,17 @@ impl Rank {
         Some(m)
     }
 
-    /// Wait on the inbox for a message satisfying `accept`, buffering
-    /// everything else. The caller has already checked `pending`. While
-    /// genuinely blocked (channel empty), this rank is registered in the
-    /// machine's wait-for graph: the deadlock detector reads it, and a
+    /// Wait on the inbox for the message with `key = (ctx, src_world, tag)`,
+    /// buffering everything else. The caller has already checked `pending`.
+    /// While genuinely blocked (channel empty), this rank is registered in
+    /// the machine's wait-for graph: the deadlock detector reads it, and a
     /// confirmed deadlock published there aborts the wait immediately with
-    /// the cycle report. A wait whose possible senders have all terminated
-    /// after another rank failed resolves as a cascade
-    /// ([`RecvError::PeerFailed`]); the wall-clock timeout stays as the
-    /// last backstop and its report names the whole wait-for-graph state.
-    fn blocked_recv(
-        &mut self,
-        ctx: u64,
-        tag: u64,
-        targets: WaitTargets,
-        accept: impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    /// the cycle report. A wait whose source has terminated after another
+    /// rank failed resolves as a cascade ([`RecvError::PeerFailed`]); the
+    /// wall-clock timeout stays as the last backstop and its report names
+    /// the whole wait-for-graph state.
+    fn blocked_recv(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
+        let (ctx, src, tag) = key;
         // Host-profiler attribution: everything below — including the
         // fast-path drain — is time spent satisfying a receive the
         // algorithm is blocked on.
@@ -813,7 +780,7 @@ impl Rank {
         // Fast path: drain whatever is already queued without blocking.
         while let Ok(m) = self.inbox.try_recv() {
             let Some(m) = self.intake(m) else { continue };
-            if accept(&m) {
+            if (m.ctx, m.src_world, m.tag) == key {
                 return Ok(m);
             }
             self.stash(m);
@@ -821,16 +788,16 @@ impl Rank {
         // Registering the wait costs two reference counts; what a failure
         // report says about it is rendered only if the wait fails.
         let wait = WaitInfo {
-            targets,
+            src,
             ctx,
             tag,
             phase: Arc::clone(&self.phase),
         };
         self.wait_graph.block(self.world_rank, wait.clone());
         let result = if self.sched.is_some() {
-            self.blocked_wait_event(&wait, &accept)
+            self.blocked_wait_event(&wait)
         } else {
-            self.blocked_wait_threaded(&wait, &accept)
+            self.blocked_wait_threaded(&wait)
         };
         self.wait_graph.unblock(self.world_rank);
         result
@@ -839,11 +806,7 @@ impl Rank {
     /// Threaded-backend wait: sleep on the channel in slices, polling for a
     /// published deadlock report, cascade resolution, and the wall-clock
     /// backstop.
-    fn blocked_wait_threaded(
-        &mut self,
-        wait: &WaitInfo,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn blocked_wait_threaded(&mut self, wait: &WaitInfo) -> Result<Msg, RecvError> {
         // det-lint: allow(wall-clock): host watchdog against a hung recv, not simulated time
         let deadline = Instant::now() + self.recv_timeout;
         loop {
@@ -853,19 +816,19 @@ impl Rank {
             match self.inbox.recv_timeout(BLOCK_SLICE) {
                 Ok(m) => {
                     let Some(m) = self.intake(m) else { continue };
-                    if accept(&m) {
+                    if satisfies(&m, wait) {
                         return Ok(m);
                     }
                     self.stash(m);
                 }
                 Err(_) => {
-                    if self.board.has_failure() && self.wait_graph.all_done(wait.targets.ranks()) {
-                        return self.resolve_cascade(wait, accept);
+                    if self.board.has_failure() && self.wait_graph.is_done(wait.src) {
+                        return self.resolve_cascade(wait);
                     }
                     // det-lint: allow(wall-clock): host watchdog check
                     if Instant::now() >= deadline {
                         return Err(RecvError::WallTimeout {
-                            src: wait.src_desc(),
+                            src: wait.src,
                             ctx: wait.ctx,
                             tag: wait.tag,
                             dump: self.wait_graph.dump(),
@@ -881,25 +844,18 @@ impl Rank {
     /// and is resumed when a matching message has been delivered to it — or
     /// when the whole machine went quiescent and a deadlock report is
     /// published or waits on dead peers should resolve as cascades.
-    fn blocked_wait_event(
-        &mut self,
-        wait: &WaitInfo,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn blocked_wait_event(&mut self, wait: &WaitInfo) -> Result<Msg, RecvError> {
         let key = WaitKey {
             ctx: wait.ctx,
             tag: wait.tag,
-            src: match wait.targets {
-                WaitTargets::One(src) => Some(src),
-                WaitTargets::AnyOf(_) => None,
-            },
+            src: wait.src,
         };
         loop {
             if let Some(report) = self.wait_graph.deadlock_report() {
                 return Err(RecvError::Deadlock { report });
             }
-            if self.board.has_failure() && self.wait_graph.all_done(wait.targets.ranks()) {
-                return self.resolve_cascade(wait, accept);
+            if self.board.has_failure() && self.wait_graph.is_done(wait.src) {
+                return self.resolve_cascade(wait);
             }
             // Park. On resume either the message is waiting in the inbox or
             // the machine went quiescent and the checks above will fire.
@@ -917,7 +873,7 @@ impl Rank {
             }
             while let Ok(m) = self.inbox.try_recv() {
                 let Some(m) = self.intake(m) else { continue };
-                if accept(&m) {
+                if satisfies(&m, wait) {
                     return Ok(m);
                 }
                 self.stash(m);
@@ -925,19 +881,15 @@ impl Rank {
         }
     }
 
-    /// Every rank that could satisfy this receive has terminated after a
+    /// The rank that could satisfy this receive has terminated after a
     /// failure elsewhere. Drain once more — a dying peer may have pushed
     /// the match right before exiting — then give up as a cascade of the
     /// primary failure.
-    fn resolve_cascade(
-        &mut self,
-        wait: &WaitInfo,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn resolve_cascade(&mut self, wait: &WaitInfo) -> Result<Msg, RecvError> {
         let mut matched = None;
         while let Ok(m) = self.inbox.try_recv() {
             let Some(m) = self.intake(m) else { continue };
-            if matched.is_none() && accept(&m) {
+            if matched.is_none() && satisfies(&m, wait) {
                 matched = Some(m);
             } else {
                 self.stash(m);
@@ -947,16 +899,15 @@ impl Rank {
             Some(m) => Ok(m),
             None => Err(RecvError::PeerFailed {
                 origin: self.board.primary_rank().unwrap_or(self.world_rank),
-                src: wait.src_desc(),
+                src: wait.src,
                 ctx: wait.ctx,
                 tag: wait.tag,
             }),
         }
     }
 
-    /// Receiver-side accounting shared by [`Rank::recv`] and
-    /// [`Rank::recv_any`]: clock advance, trace activities, traffic
-    /// counters, and the sanitizer's clock merge.
+    /// Receiver-side accounting: clock advance, trace activities, traffic
+    /// counters.
     fn complete_recv(&mut self, msg: Msg) -> Result<Payload, RecvError> {
         let src_world = msg.src_world;
         let words = msg.payload.words();
@@ -966,18 +917,6 @@ impl Rank {
         if let Some(d) = self.recv_deadline {
             let waited = ready - self.clock;
             if waited > d {
-                // The message did arrive, so the sanitizer's outstanding
-                // entry must still retire — the reportable failure is the
-                // deadline, not a spurious message leak.
-                if let Some(san) = &self.san {
-                    if let Some(vc) = &mut self.vclock {
-                        if let Some(sender_clock) = &msg.clock {
-                            vc.merge(sender_clock);
-                        }
-                        vc.tick(self.world_rank);
-                    }
-                    san.on_recv(msg.uid);
-                }
                 return Err(RecvError::Deadline {
                     src: src_world,
                     ctx: msg.ctx,
@@ -1025,17 +964,6 @@ impl Rank {
         self.ledger
             .credit_at(MemClass::MsgInFlight, 0, words * 8, done);
         self.comm.charge_recv(src_world, words);
-        // Sanitizer: absorb the sender's clock (this receive happens after
-        // the send), tick our own event, retire the outstanding entry.
-        if let Some(san) = &self.san {
-            if let Some(vc) = &mut self.vclock {
-                if let Some(sender_clock) = &msg.clock {
-                    vc.merge(sender_clock);
-                }
-                vc.tick(self.world_rank);
-            }
-            san.on_recv(msg.uid);
-        }
         Ok(msg.payload)
     }
 
@@ -1049,12 +977,13 @@ impl Rank {
     /// time plus the transfer charge; waiting time counts as communication.
     ///
     /// A receive that cannot complete fails the rank in an orderly way
-    /// (recorded on the machine's failure board): a deadlock within ~100ms
-    /// via the sanitizer's detector (naming the exact cycle), a wait whose
-    /// peers all died as a cascade, a late arrival past the simulated
-    /// deadline, or the wall-clock backstop — failing loudly beats hanging
-    /// the test suite. Use [`Rank::recv_checked`] to handle the error
-    /// instead.
+    /// (recorded on the machine's failure board): a deadlock naming the
+    /// exact cycle (proved from quiescence under the event backend, by the
+    /// watchdog within ~100ms under the threaded one when a fault plan is
+    /// installed), a wait whose source died as a cascade, a late arrival
+    /// past the simulated deadline, or the wall-clock backstop — failing
+    /// loudly beats hanging the test suite. Use [`Rank::recv_checked`] to
+    /// handle the error instead.
     pub fn recv(&mut self, comm: &Comm, src: usize, tag: u64) -> Payload {
         match self.recv_checked(comm, src, tag) {
             Ok(p) => p,
@@ -1075,9 +1004,7 @@ impl Rank {
         let key = (comm.ctx, src_world, tag);
         let msg = match self.pop_pending(key) {
             Some(m) => m,
-            None => self.blocked_recv(comm.ctx, tag, WaitTargets::One(src_world), |m| {
-                (m.ctx, m.src_world, m.tag) == key
-            })?,
+            None => self.blocked_recv(key)?,
         };
         self.complete_recv(msg)
     }
@@ -1099,73 +1026,6 @@ impl Rank {
         }
     }
 
-    /// Wildcard receive (`MPI_ANY_SOURCE`): the next message on `comm` with
-    /// `tag` from *any* member. Returns the sender's local rank and the
-    /// payload.
-    ///
-    /// Which message matches depends on arrival order, so two concurrent
-    /// senders make the result nondeterministic — exactly what the
-    /// sanitizer's happens-before race check flags
-    /// ([`commcheck::Finding::Race`]). Prefer deterministic-source
-    /// [`Rank::recv`] in algorithm code; this exists for opportunistic
-    /// work-stealing patterns and for exercising the race detector.
-    pub fn recv_any(&mut self, comm: &Comm, tag: u64) -> (usize, Payload) {
-        let ctx = comm.ctx;
-        // Pull everything already queued into `pending`, then scan members
-        // in local-rank order so the buffered case is deterministic.
-        while let Ok(m) = self.inbox.try_recv() {
-            if let Some(m) = self.intake(m) {
-                self.stash(m);
-            }
-        }
-        let mut found = None;
-        for &w in comm.members().iter() {
-            if let Some(m) = self.pop_pending((ctx, w, tag)) {
-                found = Some(m);
-                break;
-            }
-        }
-        let msg = match found {
-            Some(m) => m,
-            None => {
-                let others = comm
-                    .members()
-                    .iter()
-                    .copied()
-                    .filter(|&w| w != self.world_rank)
-                    .collect();
-                let targets = WaitTargets::AnyOf(others);
-                match self.blocked_recv(ctx, tag, targets, |m| m.ctx == ctx && m.tag == tag) {
-                    Ok(m) => m,
-                    Err(e) => self.fail_recv(e),
-                }
-            }
-        };
-        // Race check must see the matched send while it is still
-        // outstanding (complete_recv retires it).
-        if let Some(san) = &self.san {
-            san.check_wildcard_match(self.world_rank, ctx, tag, msg.uid, &self.phase);
-        }
-        // A match from outside the communicator means another rank created
-        // a different communicator under the same context id (a broken
-        // collective `subset` call). Fail the rank in an orderly way with
-        // the full message provenance — the phase rides on the failure
-        // record — instead of the historical bare panic.
-        let src_local = match comm.local_rank_of_world(msg.src_world) {
-            Some(l) => l,
-            None => self.fail(FailKind::NonMemberMatch {
-                src: msg.src_world,
-                ctx,
-                tag,
-            }),
-        };
-        let payload = match self.complete_recv(msg) {
-            Ok(p) => p,
-            Err(e) => self.fail_recv(e),
-        };
-        (src_local, payload)
-    }
-
     /// Charge `flops` floating-point operations of compute time.
     pub fn advance_compute(&mut self, flops: u64) {
         let cost = self.model.compute(flops);
@@ -1182,8 +1042,11 @@ impl Rank {
     }
 
     /// Snapshot the final report (called by the machine after the SPMD
-    /// closure returns). Closes any spans left open.
-    pub(crate) fn into_report(self, wall_secs: f64) -> RankReport {
+    /// closure returns). Closes any spans left open. The rank's mail comes
+    /// back with it — the still-open inbox and the unexpected-message queue —
+    /// for the machine to hold until every rank is joined: a peer's late
+    /// send still lands, and whatever is queued then was never received.
+    pub(crate) fn into_report(self, wall_secs: f64) -> (RankReport, Receiver<Msg>, Vec<Msg>) {
         // A profiled rank's wall is the time it ran: under the event
         // backend, what it spent parked belongs to the baton holders.
         let wall_secs = match &self.host {
@@ -1219,7 +1082,7 @@ impl Rank {
             }
         }
         metrics.gauge_max("mem.peak_bytes", memprof.peak_bytes as f64);
-        RankReport {
+        let report = RankReport {
             clock,
             t_comm: self.t_comm,
             t_comp: self.t_comp,
@@ -1236,6 +1099,126 @@ impl Rank {
                 obs.host = host_timeline;
                 obs
             }),
+        };
+        (report, self.inbox, self.pending)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faultlab::UnreceivedMsg;
+    use crate::{Backend, Machine};
+    use std::cell::RefCell;
+    use std::sync::mpsc::channel;
+    use std::sync::Mutex;
+
+    /// Fires when the thread that holds it is torn down — after the rank's
+    /// closure has returned and the rank itself has been consumed.
+    struct ExitSignal(Sender<()>);
+
+    impl Drop for ExitSignal {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: RefCell<Option<ExitSignal>> = const { RefCell::new(None) };
+    }
+
+    const GO: u64 = 1;
+
+    /// Rank 1's whole program: say go and return at once, leaving a signal
+    /// that fires once its thread is gone.
+    fn go_and_leave(rank: &mut Rank, gone: &Mutex<Sender<()>>) {
+        let gone = gone.lock().unwrap().clone();
+        ON_EXIT.with(|s| *s.borrow_mut() = Some(ExitSignal(gone)));
+        let world = rank.world();
+        rank.send(&world, 0, GO, Payload::Empty);
+    }
+
+    /// Rank 0's prologue: take the go (under the event backend this is what
+    /// hands rank 1 the baton), then block until rank 1's thread is gone.
+    fn wait_until_peer_is_gone(rank: &mut Rank, gone: &Mutex<Receiver<()>>) {
+        let world = rank.world();
+        rank.recv(&world, 1, GO);
+        gone.lock().unwrap().recv().expect("rank 1 exits");
+    }
+
+    #[test]
+    fn a_send_to_a_returned_rank_is_the_same_unreceived_message_whoever_wins_the_race() {
+        // The sender outruns the receiver's return, or the receiver is long
+        // gone when the send happens: one verdict. Each order is forced with
+        // a host channel; before receivers outlived their ranks the second
+        // one failed the *sender* with `PeerDown` instead.
+        let verdict = |backend, receiver_gone_first: bool| {
+            let (tx, rx) = channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let mf = Machine::new(2, TimeModel::zero())
+                .with_backend(backend)
+                .try_run(move |rank| {
+                    let world = rank.world();
+                    let late = Payload::F64s(vec![0.5; 3]);
+                    match (rank.id(), receiver_gone_first) {
+                        (0, true) => {
+                            wait_until_peer_is_gone(rank, &rx);
+                            rank.send(&world, 1, 9, late);
+                        }
+                        (_, true) => go_and_leave(rank, &tx),
+                        (0, false) => {
+                            rank.send(&world, 1, 9, late);
+                            tx.lock().unwrap().send(()).expect("rank 1 listens");
+                        }
+                        (_, false) => rx.lock().unwrap().recv().expect("rank 0 has sent"),
+                    }
+                })
+                .expect_err("the late message is never received");
+            match &mf.primary().kind {
+                FailKind::Unreceived { msgs } => assert_eq!(
+                    msgs,
+                    &[UnreceivedMsg {
+                        src: 0,
+                        dst: 1,
+                        ctx: 0,
+                        tag: 9,
+                        words: 3
+                    }]
+                ),
+                other => panic!("{backend}: expected an unreceived message, got {other}"),
+            }
+            mf.render()
+        };
+        let first = verdict(Backend::Threaded, true);
+        for (backend, receiver_gone_first) in [
+            (Backend::Threaded, false),
+            (Backend::Event, true),
+            (Backend::Event, false),
+        ] {
+            assert_eq!(verdict(backend, receiver_gone_first), first, "{backend}");
+        }
+    }
+
+    #[test]
+    fn a_transport_duplicate_sent_after_its_receiver_returned_is_neither_failure_nor_leak() {
+        // `Rank::send` emits a recovered duplicate right behind its
+        // original; when the original was the receiver's last receive the
+        // copy can land after the receiver is gone. Forced here by sending
+        // the copy alone, once the peer's thread has exited.
+        for backend in [Backend::Threaded, Backend::Event] {
+            let (tx, rx) = channel();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let out = Machine::new(2, TimeModel::zero())
+                .with_backend(backend)
+                .try_run(move |rank| {
+                    if rank.id() == 0 {
+                        wait_until_peer_is_gone(rank, &rx);
+                        rank.send_physical(0, 1, 4, Payload::Empty, 1.0, 0.0, false, true, true);
+                    } else {
+                        go_and_leave(rank, &tx);
+                    }
+                });
+            assert!(out.is_ok(), "{backend}: {}", out.unwrap_err().render());
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Seeded-defect tests for the online communication sanitizer: a planted
-//! deadlock, a planted leak, and a planted wildcard race must each be
-//! detected and reported with the exact ranks, phase, and (ctx, tag).
+//! Seeded-defect tests for the checks every run carries: a planted deadlock
+//! and a planted unreceived message must each be detected and reported with
+//! the exact ranks, phase, and (ctx, tag) — under both backends.
 
-use commcheck::Finding;
-use simgrid::{Machine, Payload, TimeModel};
+use simgrid::{Backend, FailKind, FaultPlan, Machine, Payload, TimeModel, UnreceivedMsg};
 use std::panic::AssertUnwindSafe;
 
 /// Run `f` expecting a rank panic; return the panic message.
@@ -18,30 +17,43 @@ fn panic_message<T: std::fmt::Debug + Send + 'static>(
         .expect("panic payload must be a string")
 }
 
+/// A machine per backend, each with its deadlock detection live the way
+/// production arms it: the threaded watchdog runs when a fault plan is
+/// installed (here one with no rules), the event scheduler proves
+/// quiescence on its own.
+fn machines(n: usize) -> [Machine; 2] {
+    let m = Machine::new(n, TimeModel::zero());
+    [
+        m.clone().with_fault_plan(FaultPlan::default()),
+        m.with_backend(Backend::Event),
+    ]
+}
+
 #[test]
 fn seeded_deadlock_is_reported_with_the_cycle() {
     // Classic A<->B cross receive: each rank waits for the other's message
     // before sending its own. The detector must name both ranks, what each
     // waits on, and the phase — long before the timeout backstop.
-    let m = Machine::new(2, TimeModel::zero()).with_sanitizer();
-    let msg = panic_message(m, |rank| {
-        let world = rank.world();
-        rank.set_phase("fact");
-        let peer = 1 - rank.id();
-        let tag = 40 + rank.id() as u64;
-        let got = rank.recv(&world, peer, tag); // never satisfied
-        rank.send(&world, peer, 41 - rank.id() as u64, Payload::Empty);
-        got.words()
-    });
-    assert!(msg.contains("deadlock detected"), "{msg}");
-    assert!(msg.contains("2 rank(s)"), "{msg}");
-    assert!(msg.contains("rank 0 blocked in recv"), "{msg}");
-    assert!(msg.contains("rank 1 blocked in recv"), "{msg}");
-    // Rank 0 waits on (ctx=0, src=1, tag=40); rank 1 on (ctx=0, src=0, tag=41).
-    assert!(msg.contains("(ctx=0, src=1, tag=40, phase=fact)"), "{msg}");
-    assert!(msg.contains("(ctx=0, src=0, tag=41, phase=fact)"), "{msg}");
-    assert!(msg.contains("waiting on rank(s) 1"), "{msg}");
-    assert!(msg.contains("waiting on rank(s) 0"), "{msg}");
+    for m in machines(2) {
+        let msg = panic_message(m, |rank| {
+            let world = rank.world();
+            rank.set_phase("fact");
+            let peer = 1 - rank.id();
+            let tag = 40 + rank.id() as u64;
+            let got = rank.recv(&world, peer, tag); // never satisfied
+            rank.send(&world, peer, 41 - rank.id() as u64, Payload::Empty);
+            got.words()
+        });
+        assert!(msg.contains("deadlock detected"), "{msg}");
+        assert!(msg.contains("2 rank(s)"), "{msg}");
+        assert!(msg.contains("rank 0 blocked in recv"), "{msg}");
+        assert!(msg.contains("rank 1 blocked in recv"), "{msg}");
+        // Rank 0 waits on (ctx=0, src=1, tag=40); rank 1 on (ctx=0, src=0, tag=41).
+        assert!(msg.contains("(ctx=0, src=1, tag=40, phase=fact)"), "{msg}");
+        assert!(msg.contains("(ctx=0, src=0, tag=41, phase=fact)"), "{msg}");
+        assert!(msg.contains("waiting on rank(s) 1"), "{msg}");
+        assert!(msg.contains("waiting on rank(s) 0"), "{msg}");
+    }
 }
 
 #[test]
@@ -49,141 +61,69 @@ fn deadlock_on_a_finished_rank_is_detected() {
     // Rank 1 exits without ever sending; rank 0 waits forever on it. Not a
     // cycle, but just as hopeless — the wait-for graph treats Done ranks as
     // never able to send.
-    let m = Machine::new(2, TimeModel::zero()).with_sanitizer();
-    let msg = panic_message(m, |rank| {
-        let world = rank.world();
-        rank.set_phase("reduce");
-        if rank.id() == 0 {
-            rank.recv(&world, 1, 9);
-        }
-        0u64
-    });
-    assert!(msg.contains("deadlock detected"), "{msg}");
-    assert!(msg.contains("rank 0 blocked in recv"), "{msg}");
-    assert!(msg.contains("(ctx=0, src=1, tag=9, phase=reduce)"), "{msg}");
+    for m in machines(2) {
+        let msg = panic_message(m, |rank| {
+            let world = rank.world();
+            rank.set_phase("reduce");
+            if rank.id() == 0 {
+                rank.recv(&world, 1, 9);
+            }
+            0u64
+        });
+        assert!(msg.contains("deadlock detected"), "{msg}");
+        assert!(msg.contains("rank 0 blocked in recv"), "{msg}");
+        assert!(msg.contains("(ctx=0, src=1, tag=9, phase=reduce)"), "{msg}");
+    }
 }
 
 #[test]
 fn seeded_leak_is_reported_with_src_dst_slot() {
-    // Rank 0 sends two messages; rank 1 receives only one. The unmatched
-    // send must surface as a Leak with full addressing detail.
-    let m = Machine::new(2, TimeModel::zero()).with_sanitizer();
-    let out = m.run(|rank| {
-        let world = rank.world();
-        rank.set_phase("fact");
-        if rank.id() == 0 {
-            rank.send(&world, 1, 7, Payload::F64s(vec![1.0, 2.0]));
-            rank.send(&world, 1, 8, Payload::F64s(vec![3.0; 5])); // leaked
-        } else {
-            let _ = rank.recv(&world, 0, 7);
+    // Rank 0 sends two messages; rank 1 receives only one. No opt-in: a
+    // plain machine fails the run, naming the unmatched send with full
+    // addressing detail, the same way under both backends.
+    for backend in [Backend::Threaded, Backend::Event] {
+        let m = Machine::new(2, TimeModel::zero()).with_backend(backend);
+        let mf = m
+            .try_run(|rank| {
+                let world = rank.world();
+                rank.set_phase("fact");
+                if rank.id() == 0 {
+                    rank.send(&world, 1, 7, Payload::F64s(vec![1.0, 2.0]));
+                    rank.send(&world, 1, 8, Payload::F64s(vec![3.0; 5])); // leaked
+                } else {
+                    let _ = rank.recv(&world, 0, 7);
+                }
+            })
+            .expect_err("an unreceived message must fail the run");
+        assert_eq!(mf.failures.len(), 1, "{backend}: {}", mf.render());
+        let leaked = UnreceivedMsg {
+            src: 0,
+            dst: 1,
+            ctx: 0,
+            tag: 8,
+            words: 5,
+        };
+        match &mf.primary().kind {
+            FailKind::Unreceived { msgs } => assert_eq!(msgs, &[leaked], "{backend}"),
+            other => panic!("{backend}: expected an unreceived message, got {other}"),
         }
-    });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert_eq!(rep.msgs_sent, 2);
-    assert_eq!(rep.msgs_received, 1);
-    let leaks: Vec<_> = rep.leaks().collect();
-    assert_eq!(leaks.len(), 1, "{}", rep.render());
-    match leaks[0] {
-        Finding::Leak {
-            src,
-            dst,
-            ctx,
-            tag,
-            words,
-            phase,
-        } => {
-            assert_eq!((*src, *dst, *ctx, *tag, *words), (0, 1, 0, 8, 5));
-            assert_eq!(phase, "fact");
-        }
-        other => panic!("expected a leak, got {other}"),
+        let rendered = mf.render();
+        assert!(
+            rendered.contains("1 message(s) sent but never received"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("0 -> 1 (ctx=0, tag=8 [p2p:?|0x8], 5 words)"),
+            "{rendered}"
+        );
     }
-    let rendered = rep.render();
-    assert!(rendered.contains("LEAK: message 0 -> 1"), "{rendered}");
 }
 
 #[test]
-fn seeded_wildcard_race_is_reported_with_both_senders() {
-    // Ranks 1 and 2 race their sends to rank 0's wildcard receive. A
-    // side channel ("ready" messages on another tag) guarantees both racy
-    // sends are outstanding before the wildcard matches, so detection is
-    // deterministic even though the winner is not.
-    let m = Machine::new(3, TimeModel::zero()).with_sanitizer();
-    let out = m.run(|rank| {
-        let world = rank.world();
-        if rank.id() == 0 {
-            let _ = rank.recv(&world, 1, 99);
-            let _ = rank.recv(&world, 2, 99);
-            rank.set_phase("reduce");
-            let (a, _) = rank.recv_any(&world, 5);
-            let (b, _) = rank.recv_any(&world, 5);
-            assert_ne!(a, b);
-        } else {
-            rank.send(&world, 0, 5, Payload::F64s(vec![rank.id() as f64]));
-            rank.send(&world, 0, 99, Payload::Empty);
-        }
-    });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert_eq!(rep.wildcard_matches, 2);
-    let races: Vec<_> = rep.races().collect();
-    assert_eq!(races.len(), 1, "{}", rep.render());
-    match races[0] {
-        Finding::Race {
-            receiver,
-            ctx,
-            tag,
-            matched_src,
-            rival_src,
-            phase,
-        } => {
-            assert_eq!((*receiver, *ctx, *tag), (0, 0, 5));
-            let mut pair = [*matched_src, *rival_src];
-            pair.sort_unstable();
-            assert_eq!(pair, [1, 2]);
-            assert_eq!(phase, "reduce");
-        }
-        other => panic!("expected a race, got {other}"),
-    }
-    assert_eq!(rep.leaks().count(), 0, "{}", rep.render());
-}
-
-#[test]
-fn ordered_sends_to_a_wildcard_are_not_a_race() {
-    // Rank 1 sends to 0, then tells rank 2 to go; rank 2's later send is
-    // therefore ordered after rank 1's under happens-before. Both may be
-    // outstanding when rank 0's wildcard matches, but there is no race.
-    let m = Machine::new(3, TimeModel::zero()).with_sanitizer();
-    let out = m.run(|rank| {
-        let world = rank.world();
-        match rank.id() {
-            0 => {
-                let _ = rank.recv(&world, 2, 99); // both sends now pending
-                let (_, a) = rank.recv_any(&world, 5);
-                let (_, b) = rank.recv_any(&world, 5);
-                a.words() + b.words()
-            }
-            1 => {
-                rank.send(&world, 0, 5, Payload::F64s(vec![1.0]));
-                rank.send(&world, 2, 17, Payload::Empty); // "go"
-                0
-            }
-            _ => {
-                let _ = rank.recv(&world, 1, 17);
-                rank.send(&world, 0, 5, Payload::F64s(vec![2.0]));
-                rank.send(&world, 0, 99, Payload::Empty);
-                0
-            }
-        }
-    });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert_eq!(rep.wildcard_matches, 2);
-    assert!(rep.is_clean(), "{}", rep.render());
-}
-
-#[test]
-fn clean_collective_run_reports_clean() {
-    // A representative mix of collectives and point-to-point under the
-    // sanitizer: everything matches, nothing races, nothing leaks.
-    let m = Machine::new(4, TimeModel::edison_like()).with_sanitizer();
+fn clean_collective_run_receives_everything() {
+    // A representative mix of collectives and point-to-point: everything
+    // matches, so the run succeeds — a message left over would fail it.
+    let m = Machine::new(4, TimeModel::edison_like());
     let out = m.run(|rank| {
         let world = rank.world();
         rank.set_phase("fact");
@@ -201,22 +141,8 @@ fn clean_collective_run_reports_clean() {
     for r in &out.results {
         assert_eq!(*r, 14.0);
     }
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert!(rep.is_clean(), "{}", rep.render());
-    assert_eq!(rep.msgs_sent, rep.msgs_received, "{}", rep.render());
-    assert!(rep.msgs_sent > 0);
-}
-
-#[test]
-fn unsanitized_run_has_no_report() {
-    let m = Machine::new(2, TimeModel::zero());
-    let out = m.run(|rank| {
-        let world = rank.world();
-        if rank.id() == 0 {
-            rank.send(&world, 1, 1, Payload::Empty);
-        } else {
-            let _ = rank.recv(&world, 0, 1);
-        }
-    });
-    assert!(out.sanitizer.is_none());
+    let sent: u64 = out.reports.iter().map(|r| r.commvol.sent_msgs()).sum();
+    let received: u64 = out.reports.iter().map(|r| r.commvol.recv_msgs()).sum();
+    assert_eq!(sent, received);
+    assert!(sent > 0);
 }

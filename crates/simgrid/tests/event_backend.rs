@@ -3,7 +3,7 @@
 //! instead of the watchdog thread, and rank counts far beyond what
 //! free-running threads could sensibly run.
 
-use simgrid::{commcheck, Backend, FailKind, Machine, Payload, TimeModel};
+use simgrid::{Backend, FailKind, Machine, Payload, TimeModel};
 
 fn machine(n: usize, backend: Backend) -> Machine {
     Machine::new(n, TimeModel::edison_like()).with_backend(backend)
@@ -39,18 +39,15 @@ fn ring_exchange_matches_threaded_bitwise() {
 }
 
 #[test]
-fn collectives_and_wildcards_run_under_the_scheduler() {
+fn collectives_run_under_the_scheduler() {
     let out = machine(8, Backend::Event).run(|rank| {
         let world = rank.world();
         rank.barrier(&world, 0);
-        // Deterministic wildcard: exactly one in-flight candidate.
         if rank.id() == 1 {
             rank.send(&world, 0, 7, Payload::Idx(vec![rank.id()]));
         }
         let got = if rank.id() == 0 {
-            let (src, p) = rank.recv_any(&world, 7);
-            assert_eq!(src, 1);
-            p.into_idx()[0]
+            rank.recv(&world, 1, 7).into_idx()[0]
         } else {
             0
         };
@@ -70,10 +67,9 @@ fn collectives_and_wildcards_run_under_the_scheduler() {
 
 #[test]
 fn quiescence_is_reported_as_a_deadlock_with_the_exact_cycle() {
-    // Cross-receive cycle, no sanitizer, no fault plan: the threaded
-    // backend would only trip the wall-clock backstop here (no detector
-    // thread), but the event scheduler *proves* quiescence and publishes
-    // the cycle immediately.
+    // Cross-receive cycle, no fault plan: the threaded backend would only
+    // trip the wall-clock backstop here (no detector thread), but the event
+    // scheduler *proves* quiescence and publishes the cycle immediately.
     let err = machine(2, Backend::Event)
         .try_run(|rank| {
             let world = rank.world();
@@ -121,25 +117,6 @@ fn event_backend_runs_4096_ranks() {
     });
     let expected = (P * (P - 1) / 2) as f64;
     assert!(out.results.iter().all(|&s| s == expected));
-}
-
-#[test]
-fn sanitizer_rides_along_without_a_detector_thread() {
-    // Race detection still works under the event backend (the SanState is
-    // shared state, not a thread), and a clean run reports clean.
-    let out = machine(4, Backend::Event).with_sanitizer().run(|rank| {
-        let world = rank.world();
-        let right = (rank.id() + 1) % 4;
-        let left = (rank.id() + 3) % 4;
-        rank.send(&world, right, 1, Payload::Idx(vec![rank.id()]));
-        rank.recv(&world, left, 1).into_idx()[0]
-    });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert!(rep.is_clean(), "{}", rep.render());
-    assert!(!rep
-        .findings
-        .iter()
-        .any(|f| matches!(f, commcheck::Finding::Race { .. })));
 }
 
 #[test]
@@ -218,49 +195,6 @@ fn a_thousand_out_of_order_messages_are_matched_oldest_first_per_key() {
         }
     });
     assert_eq!(out.results[1], TAGS as usize * PER_TAG);
-}
-
-#[test]
-fn recv_any_from_a_non_member_is_an_orderly_failure() {
-    // Communicator-context aliasing: ranks 0 and 1 build {0,1}, while rank
-    // 2 (breaking `subset`'s collective contract) builds {1,2} under the
-    // same context id and sends to rank 1. Rank 1's wildcard receive
-    // matches on (ctx, tag) and lands on a message from a non-member —
-    // which used to die via `.expect(...)` and must now surface as a
-    // structured `FailKind::NonMemberMatch` with full provenance. The
-    // event backend makes the interleaving deterministic: rank 1 parks
-    // before rank 2 sends.
-    let err = machine(3, Backend::Event)
-        .try_run(|rank| {
-            match rank.id() {
-                0 => {
-                    let _ = rank.subset(&[0, 1]);
-                }
-                1 => {
-                    let comm = rank.subset(&[0, 1]).expect("member");
-                    rank.set_phase("steal");
-                    let _ = rank.recv_any(&comm, 7);
-                }
-                _ => {
-                    let comm = rank.subset(&[1, 2]).expect("member");
-                    rank.send(&comm, 0, 7, Payload::Idx(vec![42]));
-                }
-            };
-        })
-        .expect_err("non-member match must fail the run");
-    let primary = err.primary();
-    assert_eq!(primary.rank, 1);
-    assert_eq!(primary.phase, "steal", "phase provenance must be recorded");
-    match &primary.kind {
-        FailKind::NonMemberMatch { src, ctx, tag } => {
-            assert_eq!(*src, 2);
-            assert_eq!(*ctx, 1);
-            assert_eq!(*tag, 7);
-        }
-        other => panic!("expected NonMemberMatch, got: {other}"),
-    }
-    let text = err.render();
-    assert!(text.contains("not a member"), "{text}");
 }
 
 #[test]
@@ -354,34 +288,6 @@ fn a_three_rank_cycle_is_named_exactly() {
         assert!(text.contains(&format!("tag={}", 40 + r)), "{text}");
     }
     assert!(!text.contains("rank 3 blocked"), "{text}");
-}
-
-#[test]
-fn recv_any_wakes_on_a_match_from_any_member_and_only_on_a_match() {
-    // Rank 0 takes three wildcard receives on tag 7. Ranks 1..3 each send
-    // one, every one preceded by a tag-8 decoy that must not resume rank 0.
-    let out = machine(4, Backend::Event).run(|rank| {
-        let world = rank.world();
-        if rank.id() == 0 {
-            let mut srcs: Vec<usize> = (0..3).map(|_| rank.recv_any(&world, 7).0).collect();
-            srcs.sort_unstable();
-            for src in 1..4 {
-                rank.recv(&world, src, 8);
-            }
-            srcs
-        } else {
-            rank.send(&world, 0, 8, Payload::Idx(vec![]));
-            rank.send(&world, 0, 7, Payload::Idx(vec![rank.id()]));
-            Vec::new()
-        }
-    });
-    assert_eq!(out.results[0], vec![1, 2, 3]);
-    let s = out.sched.expect("event run");
-    // Rank 0 parks once; rank 1's decoy finds it parked and is not a match.
-    // Its tag-7 send is, and by the time rank 0 runs again all three are in.
-    assert_eq!(s.unmatched_sends, 1);
-    assert_eq!(s.wakeups, 1);
-    assert_eq!(s.steps, 5);
 }
 
 #[test]

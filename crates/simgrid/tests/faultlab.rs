@@ -1,13 +1,13 @@
 //! Chaos tests for the fault-injection layer: seeded delay/dup/drop plans
-//! crossed with recovery on/off and the sanitizer on/off. The contract
+//! crossed with recovery on/off. The contract
 //! under test is the faultlab determinism guarantee — the injected
 //! schedule is a pure function of the plan seed and each message's
 //! protocol identity, never of thread interleaving — plus the recovery
 //! guarantee that faults with retransmission change clocks, never values.
 
 use simgrid::{
-    EdgeFilter, FailKind, FaultAction, FaultPlan, FaultRule, LinkRule, Machine, Payload, RecvError,
-    RetryPolicy, StallRule, TimeModel,
+    Backend, EdgeFilter, FailKind, FaultAction, FaultPlan, FaultRule, LinkRule, Machine, Payload,
+    RecvError, RetryPolicy, StallRule, TimeModel, UnreceivedMsg,
 };
 
 /// A plan with one rule on the given edge.
@@ -94,8 +94,7 @@ fn same_seed_same_schedule() {
         };
         let m = Machine::new(2, TimeModel::edison_like())
             .with_fault_plan(plan)
-            .with_retry(RetryPolicy::default())
-            .with_sanitizer();
+            .with_retry(RetryPolicy::default());
         ping_run(m, 64)
     };
     let (vals_a, clocks_a, metrics_a) = chaos();
@@ -131,13 +130,12 @@ fn different_seed_different_schedule() {
 fn recovered_drops_deliver_the_exact_payloads() {
     // Every message on the edge is dropped at least once (p=1 re-rolls per
     // attempt, so the retry budget's last attempt gets through). Payloads
-    // must come out identical to the fault-free run; the sanitizer must
-    // see a perfectly balanced protocol.
+    // must come out identical to the fault-free run, with nothing left
+    // unreceived (which would fail the run).
     let plan = plan_with(7, edge_0_to_1(), FaultAction::Drop { p: 1.0 });
     let m = Machine::new(2, TimeModel::edison_like())
         .with_fault_plan(plan)
-        .with_retry(RetryPolicy::default())
-        .with_sanitizer();
+        .with_retry(RetryPolicy::default());
     let (vals, clocks, metrics) = ping_run(m, 8);
     let clean = Machine::new(2, TimeModel::edison_like());
     let (vals_clean, clocks_clean, _) = ping_run(clean, 8);
@@ -159,9 +157,7 @@ fn unrecovered_drop_is_a_deadlock_naming_the_edge() {
     // never match, the wait-for-graph detector (armed whenever faults are
     // on) must abort the run, and the failure must name the edge.
     let plan = plan_with(5, edge_0_to_1(), FaultAction::Drop { p: 1.0 });
-    let m = Machine::new(2, TimeModel::zero())
-        .with_fault_plan(plan)
-        .with_sanitizer();
+    let m = Machine::new(2, TimeModel::zero()).with_fault_plan(plan);
     let mf = m
         .try_run(|rank| {
             let world = rank.world();
@@ -193,45 +189,52 @@ fn unrecovered_drop_is_a_deadlock_naming_the_edge() {
 }
 
 #[test]
-fn unrecovered_dup_is_a_sanitizer_leak() {
+fn unrecovered_dup_is_an_unreceived_message() {
     // Without recovery a duplicate is a real protocol-level extra message:
-    // the receiver matches one copy, the other stays in the sanitizer's
-    // outstanding table — a leak naming the edge.
-    let plan = plan_with(11, edge_0_to_1(), FaultAction::Dup { p: 1.0 });
-    let m = Machine::new(2, TimeModel::zero())
-        .with_fault_plan(plan)
-        .with_sanitizer();
-    let out = m.run(|rank| {
-        let world = rank.world();
-        rank.set_phase("fact");
-        if rank.id() == 0 {
-            rank.send(&world, 1, 4, Payload::F64s(vec![9.0]));
-        } else {
-            let _ = rank.recv(&world, 0, 4);
+    // the receiver matches one copy, the other is still queued when every
+    // rank has returned — the run fails naming the edge, whether the copy
+    // was sent before or after the receiver returned.
+    for backend in [Backend::Threaded, Backend::Event] {
+        let plan = plan_with(11, edge_0_to_1(), FaultAction::Dup { p: 1.0 });
+        let m = Machine::new(2, TimeModel::zero())
+            .with_backend(backend)
+            .with_fault_plan(plan);
+        let mf = m
+            .try_run(|rank| {
+                let world = rank.world();
+                rank.set_phase("fact");
+                if rank.id() == 0 {
+                    rank.send(&world, 1, 4, Payload::F64s(vec![9.0]));
+                } else {
+                    let _ = rank.recv(&world, 0, 4);
+                }
+            })
+            .expect_err("the extra copy must fail the run");
+        let extra = UnreceivedMsg {
+            src: 0,
+            dst: 1,
+            ctx: 0,
+            tag: 4,
+            words: 1,
+        };
+        match &mf.primary().kind {
+            FailKind::Unreceived { msgs } => assert_eq!(msgs, &[extra], "{backend}"),
+            other => panic!("{backend}: expected an unreceived message, got {other}"),
         }
-    });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert_eq!(rep.msgs_sent, 2, "{}", rep.render());
-    assert_eq!(rep.msgs_received, 1);
-    let leaks: Vec<_> = rep.leaks().collect();
-    assert_eq!(leaks.len(), 1, "{}", rep.render());
-    assert!(
-        rep.render().contains("LEAK: message 0 -> 1"),
-        "{}",
-        rep.render()
-    );
+        let rendered = mf.render();
+        assert!(rendered.contains("0 -> 1 (ctx=0, tag=4 ["), "{rendered}");
+    }
 }
 
 #[test]
 fn recovered_dup_is_filtered_before_the_protocol() {
     // With recovery on the duplicate is transport-internal: consumed at
-    // the receiver's intake, invisible to the sanitizer, and the channel
+    // the receiver's intake, never reported as unreceived, and the channel
     // stays clean for the next (differently tagged) message.
     let plan = plan_with(11, edge_0_to_1(), FaultAction::Dup { p: 1.0 });
     let m = Machine::new(2, TimeModel::zero())
         .with_fault_plan(plan)
-        .with_retry(RetryPolicy::default())
-        .with_sanitizer();
+        .with_retry(RetryPolicy::default());
     let out = m.run(|rank| {
         let world = rank.world();
         rank.set_phase("fact");
@@ -245,10 +248,9 @@ fn recovered_dup_is_filtered_before_the_protocol() {
             assert_eq!(b, vec![10.0]);
         }
     });
-    let rep = out.sanitizer.expect("sanitized run must report");
-    assert!(rep.is_clean(), "{}", rep.render());
     assert_eq!(
-        rep.msgs_sent, 2,
+        out.reports[0].commvol.sent_msgs(),
+        2,
         "duplicates must not register as protocol sends"
     );
     let mut metrics = simgrid::MetricsRegistry::default();
@@ -257,9 +259,9 @@ fn recovered_dup_is_filtered_before_the_protocol() {
     }
     assert_eq!(metrics.counter("fault.injected.dup"), 2);
     // The duplicate of tag 4 is pulled (and filtered) while draining for
-    // tag 5; the duplicate of tag 5 is still in flight when the receiver
-    // finishes — it dies in the channel, equally invisible to the
-    // protocol, so exactly one filter event is observable here.
+    // tag 5; the duplicate of tag 5 is never pulled — it is still queued
+    // (or lands later) when the receiver has finished, equally invisible
+    // to the protocol, so exactly one filter event is observable here.
     assert_eq!(metrics.counter("fault.recovered.dup_filtered"), 1);
 }
 
@@ -327,8 +329,7 @@ fn degraded_link_slows_the_transfer() {
 #[test]
 fn recv_deadline_trips_on_late_arrival() {
     // A 5-second injected delay against a 1-second simulated deadline:
-    // the receive must fail with the structured Deadline error, not hang
-    // and not report a spurious leak.
+    // the receive must fail with the structured Deadline error, not hang.
     let plan = plan_with(2, edge_0_to_1(), FaultAction::Delay { p: 1.0, secs: 5.0 });
     let m = Machine::new(2, TimeModel::zero())
         .with_fault_plan(plan)
@@ -393,7 +394,7 @@ fn cascades_attribute_to_the_original_failure() {
     // Rank 2 dies first (payload mismatch). Ranks 0 and 1 are blocked on
     // messages rank 2 will never send — they must resolve as *cascade*
     // failures, and the machine must attribute the run to rank 2.
-    let m = Machine::new(3, TimeModel::zero()).with_sanitizer();
+    let m = Machine::new(3, TimeModel::zero());
     let mf = m
         .try_run(|rank| {
             let world = rank.world();

@@ -1,6 +1,6 @@
-//! The receive-timeout backstop (sanitizer off): the panic must name the
-//! missing message *and* the whole wait-for-graph state, so even an
-//! unsanitized hang is diagnosable.
+//! The receive-timeout backstop (threaded backend, no fault plan, so no
+//! watchdog): the panic must name the missing message *and* the whole
+//! wait-for-graph state, so even an unwatched hang is diagnosable.
 //!
 //! The timeout is per-[`Machine`] config ([`Machine::with_recv_timeout`])
 //! with `SALU_RECV_TIMEOUT_SECS` as the run-time default — NOT latched
@@ -33,7 +33,7 @@ fn hang_until_backstop(m: Machine) -> String {
 
 #[test]
 fn timeout_backstop_names_wait_graph_state() {
-    let m = Machine::new(2, TimeModel::zero()) // no sanitizer: no detector
+    let m = Machine::new(2, TimeModel::zero()) // no fault plan: no detector
         .with_recv_timeout(Duration::from_secs(1));
     let msg = hang_until_backstop(m);
     assert!(

@@ -27,7 +27,6 @@
 //! tree-forest level (`dSparseLU2D(A, nList)` in Algorithm 1) — with an
 //! optional elimination-tree lookahead window (§II-F).
 
-pub mod cholseq;
 pub mod condest;
 pub mod driver;
 pub mod factor2d;
@@ -36,7 +35,6 @@ pub mod seq;
 pub mod solve2d;
 pub mod store;
 
-pub use cholseq::{build_chol_store, chol_factor, chol_solve};
 pub use condest::{condest_1, inverse_norm1_estimate, seq_solve_transpose};
 pub use factor2d::{factor_nodes, FactorEnv, FactorOpts};
 pub use seq::{seq_factor, seq_solve, seq_solve_multi};

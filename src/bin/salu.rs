@@ -24,14 +24,11 @@ struct Args {
     refine: usize,
     compare_2d: bool,
     condest: bool,
-    chol: bool,
-    symmetric: bool,
     report: bool,
     trace_out: Option<String>,
     run_out: Option<String>,
     plan_check: bool,
     conformance: Option<String>,
-    sanitize: bool,
     backend: Backend,
     faults: Option<String>,
     fault_seed: u64,
@@ -66,8 +63,6 @@ fn usage() -> ! {
          \x20                    the host-time phase breakdown (enables tracing\n\
          \x20                    and host profiling for this run)\n\
          \x20 --condest          estimate the 1-norm condition number (sequential)\n\
-         \x20 --chol             also run the Cholesky variant (needs --sym)\n\
-         \x20 --sym              generate value-symmetric matrices (for --chol)\n\
          \x20 --trace-out FILE   write a Chrome trace-event JSON of the run\n\
          \x20                    (open in ui.perfetto.dev) and print the\n\
          \x20                    critical-path attribution\n\
@@ -95,8 +90,6 @@ fn usage() -> ! {
          \x20                    the Section IV cost models (runs a 2D baseline)\n\
          \x20                    and write the pass/fail report as JSON;\n\
          \x20                    '-' = stdout. Exit 1 on failure.\n\
-         \x20 --sanitize         run under the communication sanitizer\n\
-         \x20                    (race/deadlock/leak detection; see docs/commcheck.md)\n\
          \x20 --backend B        execution backend: 'threaded' (default; one OS\n\
          \x20                    thread per rank) or 'event' (cooperative\n\
          \x20                    discrete-event scheduler — runs paper-scale\n\
@@ -114,7 +107,8 @@ fn usage() -> ! {
          \x20 --fault-seed N     seed for the fault plan's RNG (default 1)\n\
          \x20 --no-recover       disable ack/retransmit recovery: dropped\n\
          \x20                    messages stay lost and the run fails\n\
-         \x20                    structurally (deadlock/leak naming the edge)\n\
+         \x20                    structurally (a deadlock naming the edge; see\n\
+         \x20                    docs/commcheck.md)\n\
          \x20 --recv-deadline S  simulated-time receive deadline in seconds;\n\
          \x20                    a later-arriving message fails the rank with\n\
          \x20                    a structured phase/supernode error\n\
@@ -140,14 +134,11 @@ fn parse_args() -> Args {
         refine: 1,
         compare_2d: true,
         condest: false,
-        chol: false,
-        symmetric: false,
         report: false,
         trace_out: None,
         run_out: None,
         plan_check: false,
         conformance: None,
-        sanitize: false,
         backend: Backend::Threaded,
         faults: None,
         fault_seed: 1,
@@ -187,7 +178,6 @@ fn parse_args() -> Args {
             "--run-out" => args.run_out = Some(val("--run-out")),
             "--plan-check" => args.plan_check = true,
             "--conformance" => args.conformance = Some(val("--conformance")),
-            "--sanitize" => args.sanitize = true,
             "--backend" => {
                 let v = val("--backend");
                 args.backend = v.parse().unwrap_or_else(|e| {
@@ -206,8 +196,6 @@ fn parse_args() -> Args {
             }
             "--lint-trace" => args.lint_trace.push(val("--lint-trace")),
             "--condest" => args.condest = true,
-            "--chol" => args.chol = true,
-            "--sym" => args.symmetric = true,
             "-h" | "--help" => usage(),
             other => {
                 eprintln!("unknown argument {other}");
@@ -242,8 +230,7 @@ fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
         return (a, Geometry::General, path.clone());
     }
     let spec = args.gen_spec.as_ref().unwrap();
-    let unsym = if args.symmetric { 0.0 } else { 0.1 };
-    let (a, geometry) = salu::sparsemat::matgen::from_spec(spec, unsym).unwrap_or_else(|e| {
+    let (a, geometry) = salu::sparsemat::matgen::from_spec(spec, 0.1).unwrap_or_else(|e| {
         eprintln!("bad --gen: {e}");
         usage()
     });
@@ -335,7 +322,6 @@ fn main() {
         refine_steps: args.refine,
         tracing: args.trace_out.is_some() || args.report,
         host_profiling: args.run_out.is_some() || args.report,
-        sanitize: args.sanitize,
         backend: args.backend,
         fault_plan: fault_plan.clone(),
         retry: (fault_plan.is_some() && !args.no_recover).then(RetryPolicy::default),
@@ -409,11 +395,6 @@ fn main() {
         summary.max_edge_words,
         summary.mean_edge_words,
     );
-    if let Some(rep) = &out.sanitizer {
-        // A sanitized run with findings panics inside the solver, so
-        // reaching this line means the run was clean.
-        print!("{}", rep.render());
-    }
 
     if args.report {
         print_report(&out);
@@ -433,7 +414,6 @@ fn main() {
                 retry: None,
                 recv_deadline: None,
                 tracing: false,
-                sanitize: false,
                 ..cfg.clone()
             };
             let reference = factor_only(&prep, &ref_cfg);
@@ -514,39 +494,6 @@ fn main() {
             "  est. condition (1-norm)= {:.3e}",
             condest_1(&prep.pa, &store, &prep.sym)
         );
-    }
-
-    if args.chol {
-        use salu::slu2d::{build_chol_store, chol_factor, chol_solve};
-        // The Cholesky path needs value symmetry; verify before running.
-        let sym_vals = (0..prep.pa.nrows).all(|i| {
-            prep.pa
-                .row_cols(i)
-                .iter()
-                .zip(prep.pa.row_vals(i))
-                .all(|(j, v)| (prep.pa.get(*j, i) - v).abs() < 1e-14)
-        });
-        if !sym_vals {
-            println!("\n--chol skipped: matrix values are not symmetric");
-        } else {
-            let mut cs = build_chol_store(&prep.pa, &prep.sym);
-            match chol_factor(&mut cs, &prep.sym) {
-                Ok(()) => {
-                    let pb = prep.permute_rhs(&b);
-                    let px = chol_solve(&cs, &prep.sym, &pb);
-                    let xs = prep.unpermute_solution(&px);
-                    println!(
-                        "\nCholesky variant: residual = {:.2e} (storage {:.0}% of LU)",
-                        prep.a.residual_inf(&xs, &b) / bmax,
-                        100.0 * cs.total_words() as f64 / prep.sym.stats().factor_words as f64
-                    );
-                }
-                Err(e) => println!(
-                    "\nCholesky variant: matrix not SPD (supernode {} col {})",
-                    e.supernode, e.column
-                ),
-            }
-        }
     }
 
     // One 2D baseline serves both the comparison printout and the

@@ -4,7 +4,7 @@
 //! 1. With recovery on, the faulted factorization is **bitwise identical**
 //!    to the fault-free one (same `factor_digest`, same solution bits) —
 //!    injected faults shift simulated clocks, never values.
-//! 2. With recovery off, the same plan fails **structurally**: commcheck's
+//! 2. With recovery off, the same plan fails **structurally**: the deadlock
 //!    detector aborts the run with an error naming the injected edge,
 //!    instead of hanging or corrupting results.
 
@@ -28,7 +28,6 @@ fn chaos_cfg(recover: bool, backend: Backend) -> SolverConfig {
         pc: 2,
         pz: 4,
         model: TimeModel::edison_like(),
-        sanitize: true,
         backend,
         fault_plan: Some(FaultPlan::parse(CHAOS_SPEC, CHAOS_SEED).expect("spec parses")),
         retry: recover.then(RetryPolicy::default),
@@ -61,12 +60,11 @@ fn recovered_chaos_run_is_bitwise_identical_to_fault_free() {
             "{backend}: plan injected no drops"
         );
         assert!(m.counter("fault.recovered.retransmit") > 0, "{backend}");
-        // ...the sanitizer saw a balanced protocol...
-        let rep = faulted.sanitizer.as_ref().expect("sanitized run reports");
-        assert!(rep.is_clean(), "{backend}: {}", rep.render());
-        // ...retransmits and injected duplicates were charged to the fault
-        // ledger, never to the algorithmic wire volume: the recovered run's
-        // wire-volume report is byte-identical to the fault-free one...
+        // ...every protocol message was received — one left over would have
+        // failed the run above — and retransmits and injected duplicates
+        // were charged to the fault ledger, never to the algorithmic wire
+        // volume: the recovered run's wire-volume report is byte-identical
+        // to the fault-free one...
         assert!(
             m.counter("fault.resent_words") > 0,
             "{backend}: no retransmit volume"

@@ -1,17 +1,13 @@
 //! Determinism regression: the simulated 3D factorization is bitwise
 //! reproducible. Two identical runs must produce identical factors and
 //! solutions AND identical message traces — the property the paper's
-//! deterministic reduction orders guarantee, and the property the
-//! commcheck race detector exists to protect.
+//! deterministic reduction orders guarantee: every receive names its
+//! source, so the schedule is a function of the program.
 
 use salu::prelude::*;
 use salu::simgrid::{commcheck, Json};
 
-fn run_once(sanitize: bool) -> (Vec<f64>, String, String) {
-    run_on(sanitize, Backend::Threaded)
-}
-
-fn run_on(sanitize: bool, backend: Backend) -> (Vec<f64>, String, String) {
+fn run_on(backend: Backend) -> (Vec<f64>, String, String) {
     let nx = 12;
     let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 5);
     let x_true: Vec<f64> = (0..a.nrows).map(|i| ((i % 9) as f64) - 4.0).collect();
@@ -23,7 +19,6 @@ fn run_on(sanitize: bool, backend: Backend) -> (Vec<f64>, String, String) {
         pz: 2,
         model: TimeModel::edison_like(),
         tracing: true,
-        sanitize,
         backend,
         refine_steps: 1,
         ..Default::default()
@@ -53,8 +48,8 @@ fn assert_bitwise_equal(a: &[f64], b: &[f64]) {
 
 #[test]
 fn repeated_runs_are_bitwise_identical() {
-    let (x1, t1, w1) = run_once(false);
-    let (x2, t2, w2) = run_once(false);
+    let (x1, t1, w1) = run_on(Backend::Threaded);
+    let (x2, t2, w2) = run_on(Backend::Threaded);
     assert_bitwise_equal(&x1, &x2);
     // The message traces — every send, receive, timestamp, payload size —
     // must also match byte for byte.
@@ -72,28 +67,16 @@ fn event_backend_reproduces_the_threaded_schedule() {
     // Cross-backend determinism: the event scheduler's cooperative order
     // must reproduce not just the solution but the entire simulated
     // message schedule of free-running threads, byte for byte.
-    let (xt, tt, wt) = run_on(false, Backend::Threaded);
-    let (xe, te, we) = run_on(false, Backend::Event);
+    let (xt, tt, wt) = run_on(Backend::Threaded);
+    let (xe, te, we) = run_on(Backend::Event);
     assert_bitwise_equal(&xt, &xe);
     assert_eq!(tt, te, "chrome traces differ between backends");
     assert_eq!(wt, we, "sim sections differ between backends");
     let (dt, de) = (Json::parse(&tt).unwrap(), Json::parse(&te).unwrap());
     commcheck::check_determinism(&dt, &de).expect("schedules must be identical across backends");
-    // And the event backend is self-deterministic, sanitized or not.
-    let (xe2, te2, we2) = run_on(true, Backend::Event);
+    // And the event backend is self-deterministic.
+    let (xe2, te2, we2) = run_on(Backend::Event);
     assert_bitwise_equal(&xe, &xe2);
-    assert_eq!(te, te2, "sanitizer changed the event schedule");
-    assert_eq!(we, we2, "sanitizer changed the event run's sim section");
-}
-
-#[test]
-fn sanitizer_does_not_perturb_the_simulation() {
-    // Vector clocks and the detector thread ride along without changing a
-    // single simulated event: traces with and without the sanitizer are
-    // byte-identical.
-    let (x_plain, t_plain, w_plain) = run_once(false);
-    let (x_san, t_san, w_san) = run_once(true);
-    assert_bitwise_equal(&x_plain, &x_san);
-    assert_eq!(t_plain, t_san, "sanitizer changed the simulated schedule");
-    assert_eq!(w_plain, w_san, "sanitizer changed the sim section");
+    assert_eq!(te, te2, "event schedules differ between identical runs");
+    assert_eq!(we, we2, "event sim sections differ between identical runs");
 }
