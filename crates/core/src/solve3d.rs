@@ -20,26 +20,127 @@
 //! solution. SuperLU_DIST gained an analogous 3D solve after the paper.
 //! The 2D solve is its `pz = 1` case, which `tests/proptest_stack.rs` holds
 //! every deeper grid's solution against.
+//!
+//! Each forest part is swept by dependency waves (`slu2d::solve2d`); the
+//! batches of every part are a [`SolvePlan`], derived once per machine.
 
 use crate::forest::EtreeForest;
 use simgrid::topology::GridComms;
-use simgrid::{FailKind, Grid3d, Payload, Rank};
+use simgrid::{FailKind, Grid2d, Grid3d, Payload, Rank};
 use slu2d::factor2d::{FactorEnv, FactorOpts};
-use slu2d::solve2d::{apply_ancestor_x, backward_nodes, forward_nodes, DistSolveState};
+use slu2d::solve2d::{
+    apply_ancestor_x, backward_nodes, forward_nodes, DistSolveState, SolveLayout, SweepPlan,
+};
 use slu2d::store::BlockStore;
 use symbolic::Symbolic;
 
 use simgrid::tags::{T_ACC_RED, T_X_DOWN};
 
+/// Everything about a 3D solve that does not depend on the rank or the
+/// right-hand side: the batched sweeps of every forest part and the blocks
+/// each process row applies. Shared by all ranks and all solves of a run.
+#[derive(Debug)]
+pub struct SolvePlan {
+    layout: SolveLayout,
+    /// `parts[lvl][q]` sweeps forest part `(lvl, q)`.
+    parts: Vec<Vec<SweepPlan>>,
+}
+
+impl SolvePlan {
+    pub fn new(sym: &Symbolic, forest: &EtreeForest, grid: &Grid2d) -> SolvePlan {
+        let parts = (0..=forest.l)
+            .map(|lvl| {
+                (0..1usize << lvl)
+                    .map(|q| SweepPlan::new(sym, grid, forest.supernodes_of(lvl, q, &sym.part)))
+                    .collect()
+            })
+            .collect();
+        SolvePlan {
+            layout: SolveLayout::new(&sym.fill, grid),
+            parts,
+        }
+    }
+
+    /// `log2 Pz` of the forest the plan was made for.
+    fn l(&self) -> usize {
+        self.parts.len() - 1
+    }
+
+    /// The sweep of forest part `(lvl, q)`.
+    pub fn part(&self, lvl: usize, q: usize) -> &SweepPlan {
+        &self.parts[lvl][q]
+    }
+
+    /// The sweep grid `z` runs at forest level `lvl`, if it is active there.
+    pub fn part_of_grid(&self, lvl: usize, z: usize) -> Option<&SweepPlan> {
+        let shift = self.l() - lvl;
+        z.is_multiple_of(1 << shift)
+            .then(|| &self.parts[lvl][z >> shift])
+    }
+
+    /// Waves per forest level: the most of any part of the level, whose
+    /// grids sweep side by side.
+    pub fn waves_per_level(&self) -> Vec<usize> {
+        let most = |parts: &Vec<SweepPlan>| parts.iter().map(|p| p.waves().len()).max();
+        self.parts.iter().map(|p| most(p).unwrap_or(0)).collect()
+    }
+
+    /// The supernodes whose diagonal block the rank at `(r, c, z)` solves
+    /// with: the only rows of a right-hand side it reads.
+    pub fn solved_by(&self, (r, c, z): (usize, usize, usize)) -> Vec<usize> {
+        let mut out = Vec::new();
+        for sweep in (0..=self.l()).filter_map(|lvl| self.part_of_grid(lvl, z)) {
+            for batch in sweep.waves().flatten().filter(|b| b.root == (r, c)) {
+                out.extend_from_slice(sweep.nodes_of(batch));
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The supernodes of grid `z`'s chain part at level `la`: its own part
+    /// there, or the ancestor part it shares with its neighbours.
+    fn chain(&self, la: usize, z: usize) -> &[usize] {
+        self.parts[la][z >> (self.l() - la)].nodes()
+    }
+
+    /// All supernodes in the ancestor chain above level `lvl` for grid `z`,
+    /// ascending.
+    fn ancestors(&self, z: usize, lvl: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..lvl).flat_map(|la| self.chain(la, z)).copied().collect();
+        out.sort_unstable();
+        out
+    }
+}
+
+/// A sweep's failure, with the forest level it happened at.
+fn at_level(kind: FailKind, lvl: usize) -> FailKind {
+    match kind {
+        FailKind::Solver {
+            phase,
+            supernode,
+            detail,
+            ..
+        } => FailKind::Solver {
+            phase,
+            supernode,
+            level: Some(lvl),
+            detail,
+        },
+        other => other,
+    }
+}
+
 /// Solve `L U x = b` with the factors laid out as [`crate::factor3d`] left
-/// them. `b` must be the permuted right-hand side, available on every rank.
-/// Returns this rank's partial solution (zero where other ranks own the
-/// segments); the caller sums over *all* ranks of the machine.
+/// them. `b` must be the permuted right-hand side; a rank reads only the
+/// rows of [`SolvePlan::solved_by`]. Returns this rank's partial solution
+/// (zero where other ranks own the segments); the caller sums over *all*
+/// ranks of the machine.
 ///
 /// Like [`crate::factor3d::factor_3d`], a z-line transfer that cannot
-/// complete (or carries the wrong payload kind) surfaces as a structured
-/// [`FailKind::Solver`] naming the sweep and forest level, for the caller
-/// to fail the rank with.
+/// complete (or carries the wrong payload kind), or a sweep that finds its
+/// own data missing, surfaces as a structured [`FailKind::Solver`] naming
+/// the sweep and forest level, for the caller to fail the rank with.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_3d(
     rank: &mut Rank,
@@ -47,11 +148,11 @@ pub fn solve_3d(
     comms: &GridComms,
     store: &BlockStore,
     sym: &Symbolic,
-    forest: &EtreeForest,
+    plan: &SolvePlan,
     opts: FactorOpts,
     b: &[f64],
 ) -> Result<Vec<f64>, FailKind> {
-    let l = forest.l;
+    let l = plan.l();
     let (my_r, my_c, my_z) = comms.coords;
     let env = FactorEnv {
         grid: grid3.grid2d,
@@ -66,21 +167,20 @@ pub fn solve_3d(
 
     // ---- Forward sweep: leaves to root, acc reduced along z. ----
     for lvl in (0..=l).rev() {
-        let step = 1usize << (l - lvl);
-        if my_z % step != 0 {
+        let Some(sweep) = plan.part_of_grid(lvl, my_z) else {
             continue;
-        }
-        let q = my_z >> (l - lvl);
-        let nodes = forest.supernodes_of(lvl, q, &sym.part);
+        };
+        let step = 1usize << (l - lvl);
         let sweep_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("fwd{lvl}"));
-        forward_nodes(rank, &env, store, sym, &nodes, b, &mut st);
+        forward_nodes(rank, &env, store, sym, &plan.layout, sweep, b, &mut st)
+            .map_err(|e| at_level(e, lvl))?;
         if lvl == 0 {
             rank.span_exit(sweep_span);
             break;
         }
         // Pairwise accumulator reduction over all shared ancestor levels.
         let k = my_z / step;
-        let ancestors = ancestor_supernodes(forest, sym, my_z, lvl);
+        let ancestors = plan.ancestors(my_z, lvl);
         if k.is_multiple_of(2) {
             let src_z = my_z + step;
             let fwd_err = |detail: String| FailKind::Solver {
@@ -124,41 +224,49 @@ pub fn solve_3d(
 
     // ---- Backward sweep: root to leaves, x broadcast down the pair tree. ----
     for lvl in 0..=l {
-        let step = 1usize << (l - lvl);
-        if my_z % step != 0 {
+        let Some(sweep) = plan.part_of_grid(lvl, my_z) else {
             continue;
-        }
+        };
+        let step = 1usize << (l - lvl);
         let k = my_z / step;
         let sweep_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("bwd{lvl}"));
+        let bwd_err = |supernode: Option<usize>, detail: String| FailKind::Solver {
+            phase: "solve-bwd".to_string(),
+            supernode,
+            level: Some(lvl),
+            detail,
+        };
         // A grid is "born" at the first level where it is active; except for
         // grid 0 (born at level 0), it first receives the ancestor solution
         // segments from its pair partner.
         let born_here = my_z != 0 && k % 2 == 1;
         if born_here {
             let dest_z = my_z - step;
-            let bwd_err = |detail: String| FailKind::Solver {
-                phase: "solve-bwd".to_string(),
-                supernode: None,
-                level: Some(lvl),
-                detail,
-            };
             let (meta, data) = rank
                 .recv_checked(&comms.zline, dest_z, T_X_DOWN | lvl as u64)
-                .map_err(|e| bwd_err(format!("ancestor-x recv from z={dest_z} failed: {e}")))?
+                .map_err(|e| bwd_err(None, format!("ancestor-x recv from z={dest_z} failed: {e}")))?
                 .try_into_packed()
-                .map_err(|e| bwd_err(format!("ancestor-x from z={dest_z}: {e}")))?;
+                .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
             let mut off = 0;
             for &s in &meta {
                 let w = sym.part.width(s);
                 let seg = &data[off..off + w];
                 off += w;
-                apply_ancestor_x(rank, &env, store, sym, s, seg, &mut st);
+                apply_ancestor_x(rank, &env, store, sym, &plan.layout, s, seg, &mut st);
             }
             debug_assert_eq!(off, data.len());
         }
-        let q = my_z >> (l - lvl);
-        let nodes = forest.supernodes_of(lvl, q, &sym.part);
-        backward_nodes(rank, &env, store, sym, &nodes, &mut st, &mut x_out);
+        backward_nodes(
+            rank,
+            &env,
+            store,
+            sym,
+            &plan.layout,
+            sweep,
+            &mut st,
+            &mut x_out,
+        )
+        .map_err(|e| at_level(e, lvl))?;
 
         // Hand the now-known chain solutions to the grid born at the next
         // level (my pair partner there).
@@ -170,15 +278,16 @@ pub fn solve_3d(
             let mut meta = Vec::new();
             let mut data = Vec::new();
             for la in 0..=lvl {
-                let qa = my_z >> (l - la);
-                for s in forest.supernodes_of(la, qa, &sym.part) {
-                    if s % grid3.grid2d.pc == my_c {
-                        let xk = st.x.get(&s).unwrap_or_else(|| {
-                            panic!("x segment of chain supernode {s} unknown on column rank")
-                        });
-                        meta.push(s);
-                        data.extend_from_slice(xk);
-                    }
+                let chain = plan.chain(la, my_z).iter();
+                for &s in chain.filter(|&&s| s % grid3.grid2d.pc == my_c) {
+                    let xk = st.x.get(&s).ok_or_else(|| {
+                        bwd_err(
+                            Some(s),
+                            "x segment of a chain supernode unknown on its column rank".to_string(),
+                        )
+                    })?;
+                    meta.push(s);
+                    data.extend_from_slice(xk);
                 }
             }
             rank.send(
@@ -191,19 +300,6 @@ pub fn solve_3d(
         rank.span_exit(sweep_span);
     }
     Ok(x_out)
-}
-
-/// All supernodes in the ancestor chain above level `lvl` for grid `z`,
-/// ascending.
-fn ancestor_supernodes(forest: &EtreeForest, sym: &Symbolic, z: usize, lvl: usize) -> Vec<usize> {
-    let l = forest.l;
-    let mut out = Vec::new();
-    for la in 0..lvl {
-        let qa = z >> (l - la);
-        out.extend(forest.supernodes_of(la, qa, &sym.part));
-    }
-    out.sort_unstable();
-    out
 }
 
 #[cfg(test)]

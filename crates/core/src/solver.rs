@@ -3,7 +3,7 @@
 
 use crate::factor3d::factor_3d;
 use crate::forest::EtreeForest;
-use crate::solve3d::solve_3d;
+use crate::solve3d::{solve_3d, SolvePlan};
 use simgrid::topology::build_grid_comms;
 use simgrid::{
     Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
@@ -39,8 +39,9 @@ pub struct SolverConfig {
     pub tracing: bool,
     /// Profile host wall-clock time per rank (`obs::hostprof`): RAII
     /// scopes attribute the rank's measured wall to a fixed phase taxonomy
-    /// (store-build/panel-factor/gather/gemm/scatter/solves/digest/comm-wait
-    /// plus an orchestration residual), summing to 100% by construction.
+    /// (store-build/panel-factor/gather/gemm/scatter/solves/refine/digest/
+    /// comm-wait plus an orchestration residual), summing to 100% by
+    /// construction.
     /// Under the event backend a rank's wall is the time it held the baton.
     /// Purely host-side — simulated clocks, factors, and digests are
     /// untouched. Off by default.
@@ -187,6 +188,10 @@ pub struct Output3d {
     /// [`Output3d::makespan`] reports after [`factor_only`] under the same
     /// configuration.
     pub factor_makespan: f64,
+    /// Dependency waves of the triangular solve per forest level, root
+    /// first (the most of any part of the level); empty without a
+    /// right-hand side.
+    pub solve_waves: Vec<usize>,
 }
 
 impl Output3d {
@@ -378,23 +383,42 @@ pub fn try_factor_and_solve(
 
 /// Solve, then run `refine_steps` sweeps of iterative refinement, on the
 /// ranks of `comm`. `solve_once` returns this rank's partial solution for a
-/// right-hand side; every rank of `comm` materializes the full vector by
-/// allreduce so it can compute the residual `b - A x` locally
-/// (redundantly, hence deterministically) from the shared matrix values.
+/// right-hand side, of which it reads only `my_rows`; every rank of `comm`
+/// materializes the full vector by allreduce and forms the residual
+/// `b - A x` on those rows alone, so each row is computed once on the
+/// machine.
 fn solve_and_refine(
     rank: &mut simgrid::Rank,
     comm: &simgrid::Comm,
     pa: &sparsemat::Csr,
+    my_rows: &[std::ops::Range<usize>],
     b: &[f64],
     refine_steps: usize,
     mut solve_once: impl FnMut(&mut simgrid::Rank, &[f64]) -> Vec<f64>,
 ) -> Vec<f64> {
     let xp = solve_once(rank, b);
-    let mut x_full = rank.allreduce_sum(comm, xp, simgrid::tags::CB_SOLVE_X);
+    let mut x_full = {
+        let _host = rank.host_scope(simgrid::HostPhase::Refine);
+        rank.allreduce_sum(comm, xp, simgrid::tags::CB_SOLVE_X)
+    };
     for step in 0..refine_steps {
-        let ax = pa.matvec(&x_full);
-        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
+        let r = {
+            let _host = rank.host_scope(simgrid::HostPhase::Refine);
+            let mut r = vec![0.0; b.len()];
+            let mut nnz = 0;
+            for i in my_rows.iter().cloned().flatten() {
+                let mut ax = 0.0;
+                for (c, v) in pa.row_cols(i).iter().zip(pa.row_vals(i)) {
+                    ax += v * x_full[*c];
+                }
+                r[i] = b[i] - ax;
+                nnz += pa.row_cols(i).len();
+            }
+            rank.advance_compute(2 * nnz as u64);
+            r
+        };
         let dxp = solve_once(rank, &r);
+        let _host = rank.host_scope(simgrid::HostPhase::Refine);
         let dx = rank.allreduce_sum(comm, dxp, simgrid::tags::CB_REFINE | step as u64);
         for (xi, di) in x_full.iter_mut().zip(dx) {
             *xi += di;
@@ -473,6 +497,11 @@ fn try_run(
     // Where every block and matrix entry lives on a layer: derived once for
     // the machine, read by every rank's store.
     let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
+    // Likewise the solve's batches, when there is something to solve.
+    let plan = rhs
+        .is_some()
+        .then(|| Arc::new(SolvePlan::new(&sym, &forest, &grid3.grid2d)));
+    let solve_waves = plan.as_ref().map_or(Vec::new(), |p| p.waves_per_level());
     let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
     let opts = FactorOpts {
         lookahead: cfg.lookahead,
@@ -513,13 +542,16 @@ fn try_run(
             store_digest(&store)
         };
 
-        let x_full = rhs_p.as_ref().map(|b| {
+        let x_full = rhs_p.as_ref().zip(plan.as_ref()).map(|(b, plan)| {
             rank.set_phase("solve");
             let world = rank.world();
-            solve_and_refine(rank, &world, &pa, b, cfg_refine, |rank, rhs| {
-                solve_3d(rank, &grid3, &comms, &store, &sym, &forest_cl, opts, rhs)
+            let mine = plan.solved_by(comms.coords);
+            let my_rows: Vec<_> = mine.iter().map(|&k| sym.part.ranges[k].clone()).collect();
+            let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| {
+                solve_3d(rank, &grid3, &comms, &store, &sym, plan, opts, rhs)
                     .unwrap_or_else(|kind| rank.fail(kind))
-            })
+            };
+            solve_and_refine(rank, &world, &pa, &my_rows, b, cfg_refine, solve_once)
         });
         (
             outcome.perturbations,
@@ -557,6 +589,7 @@ fn try_run(
         factor_digest,
         sched: out.sched,
         factor_makespan,
+        solve_waves,
     })
 }
 

@@ -50,6 +50,10 @@ pub enum HostPhase {
     SolveFwd,
     /// Backward triangular solve.
     SolveBwd,
+    /// Between the triangular solves of a run with a right-hand side:
+    /// assembling the solution (and each refinement correction) over the
+    /// whole machine and forming this rank's rows of the residual.
+    Refine,
     /// Hashing the rank's factored blocks into the run's factor digest.
     Digest,
     /// Blocked in a receive whose message had not yet arrived on the
@@ -63,7 +67,7 @@ pub enum HostPhase {
 
 impl HostPhase {
     /// All phases, in the fixed order used by every report and track.
-    pub const ALL: [HostPhase; 10] = [
+    pub const ALL: [HostPhase; 11] = [
         HostPhase::StoreBuild,
         HostPhase::PanelFactor,
         HostPhase::Gather,
@@ -71,6 +75,7 @@ impl HostPhase {
         HostPhase::Scatter,
         HostPhase::SolveFwd,
         HostPhase::SolveBwd,
+        HostPhase::Refine,
         HostPhase::Digest,
         HostPhase::CommWait,
         HostPhase::Orchestration,
@@ -96,6 +101,7 @@ impl HostPhase {
             HostPhase::Scatter => "scatter",
             HostPhase::SolveFwd => "solve-fwd",
             HostPhase::SolveBwd => "solve-bwd",
+            HostPhase::Refine => "refine",
             HostPhase::Digest => "digest",
             HostPhase::CommWait => "comm-wait",
             HostPhase::Orchestration => "orchestration",

@@ -129,6 +129,30 @@ impl BlockFill {
         order
     }
 
+    /// The dependency waves of a triangular solve over the node list `nodes`
+    /// (ascending): the wave of each listed node, by position, where
+    /// `wave(i) = 1 + max wave(j)` over the listed `j` with `i` in
+    /// `struct_of[j]` and a node nothing listed feeds is in wave 0. Forward
+    /// substitution may solve a wave's nodes together once every earlier wave
+    /// is done, back substitution the same waves in reverse. A pure function
+    /// of symbolic state, like [`BlockFill::lookahead_order`]: every rank of a
+    /// layer derives the same waves.
+    pub fn solve_waves(&self, nodes: &[usize]) -> Vec<usize> {
+        let mut wave = vec![0usize; nodes.len()];
+        for (pos, &j) in nodes.iter().enumerate() {
+            let next = wave[pos] + 1;
+            // `struct_of[j]` holds only nodes above `j`: later positions.
+            let mut from = pos + 1;
+            for &i in &self.struct_of[j] {
+                from += nodes[from..].partition_point(|&s| s < i);
+                if nodes.get(from) == Some(&i) {
+                    wave[from] = wave[from].max(next);
+                }
+            }
+        }
+        wave
+    }
+
     /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
     /// elimination tree.
     pub fn is_ancestor(&self, s: usize, anc: usize) -> bool {
@@ -277,6 +301,13 @@ mod tests {
         for s in 0..n - 1 {
             assert_eq!(fill.struct_of[s], vec![s + 1]);
         }
+        // A chain solves one supernode per wave; listed without their
+        // neighbours, its supernodes do not wait for each other at all.
+        let all: Vec<usize> = (0..n).collect();
+        assert_eq!(fill.solve_waves(&all), all);
+        let even: Vec<usize> = (0..n).step_by(2).collect();
+        assert_eq!(fill.solve_waves(&even), vec![0; even.len()]);
+        assert_eq!(fill.solve_waves(&[2, 3, 4, 7, 8]), vec![0, 1, 2, 0, 1]);
     }
 
     #[test]

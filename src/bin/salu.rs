@@ -564,13 +564,34 @@ fn main() {
 }
 
 /// The `--report` digest: every observability subsystem's headline numbers
-/// in one place — simulated critical path, ledger memory by class, wire
-/// volume by class and axis, the Schur dispatch split, and the host-time
-/// phase breakdown.
+/// in one place — simulated critical path, the factor's and the solve's
+/// share of the clock and the wire, ledger memory by class, wire volume by
+/// class and axis, the Schur dispatch split, and the host-time phase
+/// breakdown.
 fn print_report(out: &salu::lu3d::Output3d) {
     use salu::simgrid::{CommClass, GridAxis, HostPhase, MemClass};
     println!("\n== run digest ==");
     println!("simulated makespan      = {:.6} s", out.makespan());
+    println!(
+        "factor                  = {:.6} s simulated; W_fact / W_red = {} / {} words (max rank)",
+        out.factor_makespan,
+        out.w_fact(),
+        out.w_red()
+    );
+    if out.x.is_some() {
+        let solve_msgs = |r: &salu::simgrid::RankReport| -> u64 {
+            let solve = r.commvol.entries.iter().filter(|e| e.phase == "solve");
+            solve.map(|e| e.cell.msgs).sum()
+        };
+        println!(
+            "solve + refinement      = {:.6} s simulated; {} msgs / {} words (max rank); \
+             waves per forest level, root first: {:?}",
+            out.makespan() - out.factor_makespan,
+            out.reports.iter().map(solve_msgs).max().unwrap_or(0),
+            salu::simgrid::TrafficSummary::max_sent_words_in(&out.reports, "solve"),
+            out.solve_waves
+        );
+    }
     if let Some(cp) = out.critical_path() {
         println!("{}", cp.render());
     }

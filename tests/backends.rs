@@ -277,13 +277,16 @@ fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
 }
 
 /// Paper-scale smoke: a 64x64x1 process grid — P = 4096 ranks — factored
-/// in one process by the event backend. Threaded could not sensibly run
-/// this (4096 free-running OS threads); the scheduler just takes turns.
+/// and solved in one process by the event backend. Threaded could not
+/// sensibly run this (4096 free-running OS threads); the scheduler just
+/// takes turns. It is also the shape where the solve's waves merge least:
+/// 4096 roots, so nearly every batch is one supernode.
 #[test]
 #[ignore = "paper-scale (minutes in debug); CI runs it in release via --ignored"]
 fn event_backend_factors_p4096_in_one_process() {
     let n = 64usize;
     let a = matgen::grid2d_5pt(n, n, 0.1, 1);
+    let b = a.matvec(&vec![1.0; a.nrows]);
     let prep = Prepared::new(a, Geometry::Grid2d { nx: n, ny: n }, 16, 24);
     let cfg = SolverConfig {
         pr: 64,
@@ -293,8 +296,13 @@ fn event_backend_factors_p4096_in_one_process() {
         backend: Backend::Event,
         ..Default::default()
     };
-    let out = try_factor_only(&prep, &cfg).expect("paper-scale event run");
+    let out = try_factor_and_solve(&prep, &cfg, Some(b.clone())).expect("paper-scale event run");
     assert_eq!(out.reports.len(), 4096);
-    assert!(out.makespan() > 0.0);
+    assert!(out.factor_makespan > 0.0 && out.makespan() > out.factor_makespan);
     assert!(out.w_fact() > 0, "no factor-phase traffic recorded");
+    let bmax = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let residual = prep.a.residual_inf(out.x.as_ref().expect("solution"), &b) / bmax;
+    assert!(residual < 1e-10, "relative residual {residual}");
+    let sched = out.sched.expect("event runs report scheduler counters");
+    assert_eq!(sched.quiescence_resolutions, 0, "a rank waited in a cycle");
 }

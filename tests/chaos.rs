@@ -22,11 +22,16 @@ fn chaos_problem() -> (Prepared, Vec<f64>) {
     (Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8), b)
 }
 
+/// Two refinement sweeps: three solves, so recovered duplicates and
+/// retransmits cross the batched reductions and broadcasts of the solve.
+const REFINE_STEPS: usize = 2;
+
 fn chaos_cfg(recover: bool, backend: Backend) -> SolverConfig {
     SolverConfig {
         pr: 2,
         pc: 2,
         pz: 4,
+        refine_steps: REFINE_STEPS,
         model: TimeModel::edison_like(),
         backend,
         fault_plan: Some(FaultPlan::parse(CHAOS_SPEC, CHAOS_SEED).expect("spec parses")),
@@ -44,6 +49,7 @@ fn recovered_chaos_run_is_bitwise_identical_to_fault_free() {
             pr: 2,
             pc: 2,
             pz: 4,
+            refine_steps: REFINE_STEPS,
             model: TimeModel::edison_like(),
             ..Default::default()
         },

@@ -63,6 +63,11 @@ fn attribution_sums_to_wall_on_every_rank() {
     assert!(total(HostPhase::PanelFactor) > 0.0);
     assert!(total(HostPhase::SolveFwd) > 0.0);
     assert!(total(HostPhase::SolveBwd) > 0.0);
+    // Every rank takes part in the allreduce that assembles x; were its
+    // scope missing from `HostPhase::ALL`, the sum above would fall short.
+    for hp in out.hostprof_reports().unwrap() {
+        assert!(hp.phase_secs(HostPhase::Refine) > 0.0);
+    }
 }
 
 #[test]

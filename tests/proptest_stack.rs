@@ -147,6 +147,72 @@ proptest! {
         prop_assert_eq!(sym.fill.blocks_into(), &blocks_into[..]);
     }
 
+    /// The dependency waves of the triangular solve, over any sub-list of
+    /// any matrix's supernodes: a node sits one wave above the highest listed
+    /// node feeding it (so strictly above all of them, and no higher than it
+    /// must), and the batched sweep plan deals every listed node into exactly
+    /// one batch — of its wave, on its diagonal owner, roots ascending.
+    #[test]
+    fn solve_waves_respect_every_dependency_and_partition_the_list(
+        n in 16usize..160,
+        bw in 1usize..8,
+        fill in 0.1f64..1.0,
+        seed in 0u64..1000,
+        maxsup in 1usize..12,
+        keep in 1u64..8,
+        pr in 1usize..4,
+        pc in 1usize..4,
+    ) {
+        use salu::simgrid::Grid2d;
+        use salu::slu2d::solve2d::SweepPlan;
+        let a = salu::sparsemat::matgen::random_band(n, bw, fill, seed);
+        let g = Graph::from_matrix(&a);
+        let tree = nested_dissection(
+            &g,
+            NdOptions {
+                leaf_size: 8,
+                geometry: Geometry::General,
+                seed,
+            },
+        );
+        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
+        let sym = Symbolic::analyze(&pa, &tree, maxsup);
+        // Roughly `keep` eighths of the supernodes, scattered.
+        let nodes: Vec<usize> = (0..sym.nsup())
+            .filter(|&s| (s as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed) >> 61 < keep)
+            .collect();
+        let wave = sym.fill.solve_waves(&nodes);
+        prop_assert_eq!(wave.len(), nodes.len());
+        let wave_of = |s: usize| nodes.binary_search(&s).ok().map(|pos| wave[pos]);
+        for (&i, &w) in nodes.iter().zip(&wave) {
+            let feeders = sym.fill.blocks_into()[i].iter().filter_map(|&j| wave_of(j));
+            let needed = feeders.map(|wj| wj + 1).max().unwrap_or(0);
+            prop_assert!(w == needed, "node {}: wave {}, needs {}", i, w, needed);
+        }
+
+        let grid = Grid2d::new(pr, pc);
+        let plan = SweepPlan::new(&sym, &grid, nodes.clone());
+        prop_assert_eq!(plan.nodes(), &nodes[..]);
+        let mut dealt = Vec::new();
+        for (w, batches) in plan.waves().enumerate() {
+            prop_assert!(!batches.is_empty(), "wave {} is empty", w);
+            prop_assert!(batches.windows(2).all(|b| b[0].root < b[1].root));
+            for batch in batches {
+                let members = plan.nodes_of(batch);
+                prop_assert!(members.windows(2).all(|m| m[0] < m[1]));
+                for &k in members {
+                    prop_assert_eq!(wave_of(k), Some(w));
+                    prop_assert_eq!(grid.owner(k, k), batch.root);
+                }
+                let words: usize = members.iter().map(|&k| sym.part.width(k)).sum();
+                prop_assert_eq!(batch.words, words);
+                dealt.extend_from_slice(members);
+            }
+        }
+        dealt.sort_unstable();
+        prop_assert_eq!(dealt, nodes);
+    }
+
     /// Tree-forest partitions cover every node exactly once with nested
     /// replication ranges, for every Pz.
     #[test]
