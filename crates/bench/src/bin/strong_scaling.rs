@@ -95,9 +95,9 @@ fn main() {
             &rows,
         );
         println!(
-            "2D stops improving at P = {p_min_2d}; 3D at P = {p_min_3d} \
-             ({}x more processes usable)\n",
-            p_min_3d / p_min_2d.max(1)
+            "2D is fastest at P = {p_min_2d}, 3D at P = {p_min_3d} \
+             ({:.2}x the processes 2D can use)\n",
+            p_min_3d as f64 / p_min_2d.max(1) as f64
         );
     }
     println!(

@@ -594,14 +594,14 @@ pz = [2, 3]
     #[test]
     fn the_committed_scaling_campaign_stays_valid() {
         // The CI strong-scaling step runs this exact file and compares it
-        // with results/BENCH_pr10.json point by point.
+        // with results/BENCH_pr25.json point by point.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../campaigns/scaling.toml"
         ))
         .expect("campaigns/scaling.toml exists");
         let spec = CampaignSpec::parse(&text).unwrap();
-        assert_eq!(spec.pr_label, "pr10");
+        assert_eq!(spec.pr_label, "pr25");
         let (jobs, skipped) = spec.expand();
         assert!(skipped.is_empty(), "{skipped:?}");
         // 4 P values x 2 Pz, all event-backend

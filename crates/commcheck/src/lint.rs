@@ -13,15 +13,17 @@
 //! 4. **FIFO** — per `(src, dst, ctx, tag)` slot, messages are received in
 //!    the order they were sent (the matching invariant bitwise-reproducible
 //!    reductions rely on).
-//! 5. **Collective participation** — for each communicator context, every
-//!    rank that communicates under it inside collective spans executes the
-//!    same sequence of collectives, in the same order.
+//! 5. **Collective participation**, per instance — the `(ctx, tag)` of its
+//!    messages: every rank with a message of an instance runs it inside one
+//!    collective slice of the same kind, and ranks that share instances on
+//!    a context run them in the same relative order. A rank off a
+//!    broadcast's roster has no message of it and is not judged by it.
 //!
 //! [`check_determinism`] additionally compares two traces of the *same*
 //! program event-by-event: a schedule that is deterministic across runs.
 
 use obs::{validate_chrome_trace, Json};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Aggregate facts the linter established.
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,7 +36,8 @@ pub struct LintStats {
     pub matched: usize,
     /// Distinct communicator contexts seen on messages.
     pub contexts: usize,
-    /// Collective slices that took part in the participation check.
+    /// (collective instance, rank) participations the participation check
+    /// judged.
     pub colls: usize,
 }
 
@@ -53,7 +56,8 @@ impl LintReport {
     pub fn render(&self) -> String {
         let s = self.stats;
         let mut out = format!(
-            "commcheck lint: {} tracks, {} messages ({} paired), {} contexts, {} collective slices\n",
+            "commcheck lint: {} tracks, {} messages ({} paired), {} contexts, \
+             {} collective participations\n",
             s.tracks, s.messages, s.matched, s.contexts, s.colls
         );
         if self.is_clean() {
@@ -93,6 +97,12 @@ fn arg_u64(ev: &Json, key: &str) -> Option<u64> {
     ev.get("args")?.get(key)?.as_f64().map(|v| v as u64)
 }
 
+/// The wire tag, exported as a hex string (it does not fit an f64).
+fn arg_tag(ev: &Json) -> Option<u64> {
+    let hex = ev.get("args")?.get("tag")?.as_str()?;
+    u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()
+}
+
 /// What [`extract`] pulls out of a trace: the comm events, the collective
 /// slices per track, and how many send/recv slices lacked commcheck args.
 type Extracted = (Vec<CommEv>, BTreeMap<i64, Vec<CollSlice>>, usize);
@@ -122,7 +132,7 @@ fn extract(doc: &Json) -> Result<Extracted, String> {
             });
         } else if cat == "activity" && (name == "send" || name == "recv") {
             let (Some(uid), Some(ctx), Some(tag)) =
-                (arg_u64(ev, "uid"), arg_u64(ev, "ctx"), arg_u64(ev, "tag"))
+                (arg_u64(ev, "uid"), arg_u64(ev, "ctx"), arg_tag(ev))
             else {
                 missing_ids += 1;
                 continue;
@@ -273,60 +283,104 @@ pub fn lint_trace(doc: &Json) -> Result<LintReport, String> {
         }
     }
 
-    // 5. Collective participation: per context, every participating rank
-    // must run the same sequence of collectives. A rank participates in a
-    // collective slice when one of its messages under that context sits
-    // inside the slice.
-    let mut coll_seq: BTreeMap<u64, BTreeMap<i64, Vec<String>>> = BTreeMap::new();
-    for ev in &comms {
-        let Some(track_colls) = colls.get(&ev.track) else {
-            continue;
-        };
+    // 5. Collective participation, per instance.
+    report
+        .findings
+        .extend(check_participation(&comms, &colls, &mut report.stats));
+
+    Ok(report)
+}
+
+/// One collective instance: `(ctx, tag, occurrence on the track)` — the
+/// n-th run of that pair when a program repeats it (one per solve, say).
+type Instance = (u64, u64, usize);
+
+/// Check 5 of [`lint_trace`]: each track with a message of an instance runs
+/// it inside one collective slice, of the same kind on every track, and
+/// tracks that share instances on a context run them in the same relative
+/// order. Returns its findings.
+fn check_participation(
+    comms: &[CommEv],
+    colls: &BTreeMap<i64, Vec<CollSlice>>,
+    stats: &mut LintStats,
+) -> Vec<String> {
+    let mut findings = Vec::new();
+    // Per (ctx, tag, track): the enclosing slices of its messages in order,
+    // repeats collapsed — `None` for a message outside every slice.
+    let mut runs: BTreeMap<(u64, u64, i64), Vec<Option<usize>>> = BTreeMap::new();
+    // Per (ctx, track): its instances in the order it first touched them.
+    let mut order: BTreeMap<(u64, i64), Vec<Instance>> = BTreeMap::new();
+    for ev in comms {
         let eps = 1e-6 * (1.0 + ev.ts.abs());
         // Innermost enclosing collective slice: the last one in document
         // (creation) order that contains the activity interval.
-        let Some(idx) = track_colls
-            .iter()
-            .rposition(|c| c.ts <= ev.ts + eps && ev.ts + ev.dur <= c.ts + c.dur + eps)
-        else {
-            continue; // point-to-point outside any collective
-        };
-        let seq = coll_seq
-            .entry(ev.ctx)
-            .or_default()
-            .entry(ev.track)
-            .or_default();
-        let name = format!("{}@{idx}", track_colls[idx].name);
-        if seq.last() != Some(&name) {
-            seq.push(name);
-        }
-    }
-    for (ctx, per_track) in &coll_seq {
-        let mut names_only: BTreeMap<i64, Vec<&str>> = BTreeMap::new();
-        for (track, seq) in per_track {
-            report.stats.colls += seq.len();
-            names_only.insert(
-                *track,
-                seq.iter()
-                    .map(|s| s.split_once('@').map(|(n, _)| n).unwrap_or(s))
-                    .collect(),
-            );
-        }
-        let mut iter = names_only.iter();
-        let Some((first_track, first_seq)) = iter.next() else {
-            continue;
-        };
-        for (track, seq) in iter {
-            if seq != first_seq {
-                report.findings.push(format!(
-                    "collective participation mismatch on ctx {ctx}: rank {first_track} \
-                     ran {first_seq:?} but rank {track} ran {seq:?}"
-                ));
-            }
+        let slice = colls.get(&ev.track).and_then(|track_colls| {
+            track_colls
+                .iter()
+                .rposition(|c| c.ts <= ev.ts + eps && ev.ts + ev.dur <= c.ts + c.dur + eps)
+        });
+        let run = runs.entry((ev.ctx, ev.tag, ev.track)).or_default();
+        if run.last() != Some(&slice) {
+            run.push(slice);
+            let inst = (ev.ctx, ev.tag, run.len() - 1);
+            order.entry((ev.ctx, ev.track)).or_default().push(inst);
         }
     }
 
-    Ok(report)
+    // What each track ran every instance as: a slice's kind, or nothing.
+    let mut kinds: BTreeMap<Instance, Vec<(i64, &str)>> = BTreeMap::new();
+    for (&(ctx, tag, track), run) in &runs {
+        for (n, slice) in run.iter().enumerate() {
+            let kind = slice.map_or("no collective", |i| colls[&track][i].name.as_str());
+            kinds.entry((ctx, tag, n)).or_default().push((track, kind));
+        }
+    }
+    let mut collective = BTreeSet::new();
+    for ((ctx, tag, n), ran) in &kinds {
+        if ran.iter().all(|&(_, kind)| kind == "no collective") {
+            continue; // point-to-point traffic
+        }
+        collective.insert((*ctx, *tag, *n));
+        stats.colls += ran.len();
+        let (first, first_kind) = ran[0];
+        if let Some((track, kind)) = ran.iter().find(|&&(_, kind)| kind != first_kind) {
+            findings.push(format!(
+                "collective participation mismatch on ctx {ctx} tag {tag:#x} (run {n}): \
+                 rank {first} ran {first_kind} but rank {track} ran {kind}"
+            ));
+        }
+    }
+
+    // Relative order, pair by pair of tracks on one context.
+    let mut by_ctx: BTreeMap<u64, Vec<(i64, Vec<Instance>)>> = BTreeMap::new();
+    for ((ctx, track), seq) in order {
+        let seq: Vec<Instance> = seq.into_iter().filter(|i| collective.contains(i)).collect();
+        by_ctx.entry(ctx).or_default().push((track, seq));
+    }
+    for (ctx, tracks) in &by_ctx {
+        let at: Vec<HashMap<Instance, usize>> = tracks
+            .iter()
+            .map(|(_, seq)| seq.iter().enumerate().map(|(p, &i)| (i, p)).collect())
+            .collect();
+        for (a, (track_a, seq_a)) in tracks.iter().enumerate() {
+            for (b, (track_b, _)) in tracks.iter().enumerate().skip(a + 1) {
+                let shared = seq_a.iter().filter_map(|i| at[b].get(i).map(|&p| (i, p)));
+                let mut last: Option<(&Instance, usize)> = None;
+                for (inst, p) in shared {
+                    if let Some((prev, _)) = last.filter(|&(_, q)| q > p) {
+                        findings.push(format!(
+                            "collective order mismatch on ctx {ctx}: rank {track_a} ran tag \
+                             {:#x} before tag {:#x}, rank {track_b} the other way round",
+                            prev.1, inst.1
+                        ));
+                        break;
+                    }
+                    last = Some((inst, p));
+                }
+            }
+        }
+    }
+    findings
 }
 
 /// Compare two traces of the same program: identical per-rank communication
@@ -489,6 +543,66 @@ mod tests {
             rep.findings
                 .iter()
                 .any(|f| f.contains("collective participation mismatch")),
+            "{}",
+            rep.render()
+        );
+    }
+
+    /// Two broadcasts on one context (tags 5 and 6), each rank's messages
+    /// inside a `bcast` slice; rank 1 runs them in `order_1`, and rank 2
+    /// sits on neither roster but runs a third broadcast (tag 7) with
+    /// rank 0.
+    fn two_bcasts(order_1: [u64; 2]) -> Json {
+        let mut r0 = Recorder::new(0);
+        for (t, tag) in [(0.0, 5), (1.0, 6), (2.0, 7)] {
+            let c = r0.enter(SpanCat::Coll, "bcast", t);
+            let peer = if tag == 7 { 2 } else { 1 };
+            r0.activity(
+                ActivityKind::Send,
+                t,
+                t + 1.0,
+                Some(peer),
+                8,
+                mi(tag, 1, tag),
+            );
+            r0.exit(c, t + 1.0);
+        }
+        let mut r1 = Recorder::new(1);
+        for (t, tag) in [(1.0, order_1[0]), (2.0, order_1[1])] {
+            let c = r1.enter(SpanCat::Coll, "bcast", t);
+            r1.activity(
+                ActivityKind::Recv,
+                t + 0.5,
+                t + 1.0,
+                Some(0),
+                8,
+                mi(tag, 1, tag),
+            );
+            r1.exit(c, t + 1.0);
+        }
+        let mut r2 = Recorder::new(2);
+        let c = r2.enter(SpanCat::Coll, "bcast", 0.0);
+        r2.activity(ActivityKind::Recv, 3.0, 3.5, Some(0), 8, mi(7, 1, 7));
+        r2.exit(c, 3.5);
+        chrome_trace(&[r0.finish(3.0), r1.finish(3.5), r2.finish(3.5)])
+    }
+
+    #[test]
+    fn ranks_off_a_roster_are_not_judged_by_it() {
+        let rep = lint_trace(&two_bcasts([5, 6])).unwrap();
+        assert!(rep.is_clean(), "{}", rep.render());
+        assert_eq!(rep.stats.colls, 6);
+    }
+
+    #[test]
+    fn shared_collectives_in_opposite_orders_are_reported() {
+        let rep = lint_trace(&two_bcasts([6, 5])).unwrap();
+        assert!(
+            rep.findings
+                .iter()
+                .any(|f| f.contains("collective order mismatch on ctx 1")
+                    && f.contains("rank 0")
+                    && f.contains("rank 1")),
             "{}",
             rep.render()
         );

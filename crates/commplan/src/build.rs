@@ -9,7 +9,8 @@
 //! - panels are enumerated in the lookahead order `factor_nodes` executes
 //!   (`BlockFill::lookahead_order`, the same call on the same symbolic
 //!   state), and each panel's broadcasts in kernel order (diagonal row,
-//!   diagonal column, L panel, U panel);
+//!   diagonal column, L panel, U panel) over the rosters the kernel reads
+//!   (`BlockFill::panel_rosters`, the same call);
 //! - broadcasts are expanded into the binomial-tree edges `Rank::bcast`
 //!   walks (`simgrid::coll::bcast_tree`), so the plan predicts not just
 //!   totals but each intermediate forward hop, on the communicator context
@@ -25,10 +26,12 @@ use simgrid::coll::bcast_tree;
 use simgrid::tags::{coll_tag, PH_BCAST, T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_REDUCE, T_UPANEL};
 use simgrid::topology::CommFamily;
 use simgrid::Grid3d;
-use symbolic::{LookaheadStep, Symbolic};
+use symbolic::{LookaheadStep, PanelRosters, Symbolic};
 
 struct Builder<'a> {
     sym: &'a Symbolic,
+    /// The panel rosters the runtime broadcasts over.
+    rosters: &'a PanelRosters,
     forest: &'a EtreeForest,
     grid: Grid3d,
     plan: CommPlan,
@@ -51,8 +54,10 @@ pub fn build_plan(
 ) -> CommPlan {
     let pz = grid.pz;
     assert_eq!(pz, forest.pz(), "grid/forest Pz mismatch");
+    let rosters = sym.fill.panel_rosters(grid.grid2d.pr, grid.grid2d.pc);
     let mut b = Builder {
         sym,
+        rosters: &rosters,
         forest,
         grid,
         plan: CommPlan {
@@ -102,11 +107,13 @@ pub fn build_plan(
 }
 
 impl Builder<'_> {
-    /// Plan the four broadcasts of one panel step (`factor_step_panel`):
-    /// diagonal across the owner row and down the owner column, then one
-    /// packed L-panel broadcast per participating row and one packed
-    /// U-panel broadcast per participating column. A supernode with no
-    /// off-diagonal structure communicates nothing.
+    /// Plan the four broadcasts of one panel step (`factor_step_panel`) over
+    /// the rosters the runtime reads ([`symbolic::BlockFill::panel_rosters`]):
+    /// diagonal along the owner row to `cols(k)` and down the owner column
+    /// to `rows(k)`, then one packed L-panel broadcast per row holding L
+    /// blocks, to `cols(k)`, and one packed U-panel broadcast per column
+    /// holding U blocks, to `rows(k)`. A supernode with no off-diagonal
+    /// structure communicates nothing.
     fn plan_panel(&mut self, lvl: usize, z: usize, k: usize) {
         let (pr, pc) = (self.grid.grid2d.pr, self.grid.grid2d.pc);
         let struct_k: &[usize] = &self.sym.fill.struct_of[k];
@@ -116,17 +123,37 @@ impl Builder<'_> {
         let (kr, kc) = (k % pr, k % pc);
         let wk = self.sym.part.width(k) as u64;
 
-        let grid = self.grid;
-        let row_members =
-            |r: usize| -> Vec<usize> { (0..pc).map(|c| grid.rank_of(r, c, z)).collect() };
-        let col_members =
-            |c: usize| -> Vec<usize> { (0..pr).map(|r| grid.rank_of(r, c, z)).collect() };
+        let (grid, rosters) = (self.grid, self.rosters);
+        let (rows, cols) = (rosters.rows(k), rosters.cols(k));
+        // World ranks of the roster along row `r` / down column `c`, and the
+        // root's position on it.
+        let along_row =
+            |r: usize| -> Vec<usize> { cols.iter().map(|&c| grid.rank_of(r, c, z)).collect() };
+        let down_col =
+            |c: usize| -> Vec<usize> { rows.iter().map(|&r| grid.rank_of(r, c, z)).collect() };
+        let root_c = cols
+            .binary_search(&kc)
+            .expect("the diagonal column is on cols(k)");
+        let root_r = rows
+            .binary_search(&kr)
+            .expect("the diagonal row is on rows(k)");
+        // The packed payload of a panel piece: (id, rows, cols) metadata
+        // plus column-major data.
+        let packed_words = |mine: &dyn Fn(usize) -> bool| -> u64 {
+            let (cnt, data) = struct_k
+                .iter()
+                .filter(|&&i| mine(i))
+                .fold((0, 0), |(n, d), &i| {
+                    (n + 1, d + self.sym.part.width(i) as u64 * wk)
+                });
+            1 + 3 * cnt + data
+        };
 
         // Diagonal broadcasts: w(k)^2 words, classified Collective at
         // runtime via the COLL tag namespace fallback.
         self.plan_bcast(
-            &row_members(kr),
-            kc,
+            &along_row(kr),
+            root_c,
             grid.ctx_id(CommFamily::Row, (kr, 0, z)),
             coll_tag(PH_BCAST, T_DIAG_ROW | k as u64),
             wk * wk,
@@ -135,8 +162,8 @@ impl Builder<'_> {
             format!("fact L{lvl} z{z} k{k} diag-row"),
         );
         self.plan_bcast(
-            &col_members(kc),
-            kr,
+            &down_col(kc),
+            root_r,
             grid.ctx_id(CommFamily::Col, (0, kc, z)),
             coll_tag(PH_BCAST, T_DIAG_COL | k as u64),
             wk * wk,
@@ -145,46 +172,27 @@ impl Builder<'_> {
             format!("fact L{lvl} z{z} k{k} diag-col"),
         );
 
-        // L-panel broadcast per process row holding L blocks: the packed
-        // payload ships (id, rows, cols) metadata plus column-major data.
-        for r in 0..pr {
-            let block_words: u64 = struct_k
-                .iter()
-                .filter(|&&i| i % pr == r)
-                .map(|&i| self.sym.part.width(i) as u64 * wk)
-                .sum();
-            let cnt = struct_k.iter().filter(|&&i| i % pr == r).count() as u64;
-            if cnt == 0 {
-                continue;
-            }
+        // L-panel broadcast per process row holding L blocks.
+        for &r in rows.iter().filter(|&&r| rosters.row_holds_l(k, r)) {
             self.plan_bcast(
-                &row_members(r),
-                kc,
+                &along_row(r),
+                root_c,
                 grid.ctx_id(CommFamily::Row, (r, 0, z)),
                 coll_tag(PH_BCAST, T_LPANEL | k as u64),
-                1 + 3 * cnt + block_words,
+                packed_words(&|i| i % pr == r),
                 CommClass::LPanel,
                 lvl,
                 format!("fact L{lvl} z{z} k{k} lpanel r{r}"),
             );
         }
         // U-panel broadcast per process column holding U blocks.
-        for c in 0..pc {
-            let block_words: u64 = struct_k
-                .iter()
-                .filter(|&&j| j % pc == c)
-                .map(|&j| wk * self.sym.part.width(j) as u64)
-                .sum();
-            let cnt = struct_k.iter().filter(|&&j| j % pc == c).count() as u64;
-            if cnt == 0 {
-                continue;
-            }
+        for &c in cols.iter().filter(|&&c| rosters.col_holds_u(k, c)) {
             self.plan_bcast(
-                &col_members(c),
-                kr,
+                &down_col(c),
+                root_r,
                 grid.ctx_id(CommFamily::Col, (0, c, z)),
                 coll_tag(PH_BCAST, T_UPANEL | k as u64),
-                1 + 3 * cnt + block_words,
+                packed_words(&|j| j % pc == c),
                 CommClass::UPanel,
                 lvl,
                 format!("fact L{lvl} z{z} k{k} upanel c{c}"),
@@ -192,8 +200,9 @@ impl Builder<'_> {
         }
     }
 
-    /// Expand one broadcast into its binomial-tree point-to-point edges
-    /// ([`bcast_tree`], which `Rank::bcast` executes): each non-root
+    /// Expand one broadcast over `members` (world ranks in roster order,
+    /// `root` a position on it) into its binomial-tree point-to-point edges
+    /// ([`bcast_tree`], which `Rank::bcast_among` executes): each non-root
     /// receives from its parent, then every rank forwards to its children
     /// in sending order. `p - 1` messages total, zero when `p <= 1`.
     #[allow(clippy::too_many_arguments)]

@@ -131,7 +131,12 @@ pub fn factor_3d(
         let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
         let k = my_z / step;
-        let fo = factor_nodes(rank, &env, store, sym, &nodes, &mut done);
+        let fo = factor_nodes(rank, &env, store, sym, &nodes, &mut done).map_err(|mut e| {
+            if let FailKind::Solver { level, .. } = &mut e {
+                *level = Some(lvl);
+            }
+            e
+        })?;
         outcome.perturbations += fo.perturbations;
         outcome.lookahead_hits += fo.lookahead_hits;
 

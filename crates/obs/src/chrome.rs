@@ -62,11 +62,12 @@ pub fn chrome_trace(obs: &[RankObs]) -> Json {
             }
             // Message identity for the offline commcheck linter: pairing,
             // FIFO order, and collective participation are all derived
-            // from (uid, ctx, tag).
+            // from (uid, ctx, tag). A wire tag spans 63 bits, more than an
+            // f64 holds exactly, so it travels as a hex string.
             if let Some(m) = a.msg {
                 args.push(("uid".into(), Json::num(m.uid as f64)));
                 args.push(("ctx".into(), Json::num(m.ctx as f64)));
-                args.push(("tag".into(), Json::num(m.tag as f64)));
+                args.push(("tag".into(), Json::str(format!("{:#x}", m.tag))));
             }
             events.push(Json::Obj(vec![
                 ("ph".into(), Json::str("X")),

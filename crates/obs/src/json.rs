@@ -307,21 +307,30 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    let mut chars = std::str::from_utf8(&bytes[*pos..])
-        .map_err(|_| "invalid utf-8".to_string())?
-        .char_indices();
+    // `"` and `\` never occur inside a multi-byte UTF-8 sequence: find the
+    // closing quote on bytes and validate only the string's own span (not
+    // the rest of the document, once per string).
+    let mut end = *pos;
     loop {
-        let Some((off, ch)) = chars.next() else {
-            return Err("unterminated string".into());
+        match bytes.get(end) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => break,
+            Some(b'\\') => end += 2,
+            Some(_) => end += 1,
+        }
+    }
+    let mut out = String::new();
+    let mut chars = std::str::from_utf8(&bytes[*pos..end])
+        .map_err(|_| "invalid utf-8".to_string())?
+        .chars();
+    loop {
+        let Some(ch) = chars.next() else {
+            *pos = end + 1;
+            return Ok(out);
         };
         match ch {
-            '"' => {
-                *pos += off + 1;
-                return Ok(out);
-            }
             '\\' => {
-                let Some((_, esc)) = chars.next() else {
+                let Some(esc) = chars.next() else {
                     return Err("unterminated escape".into());
                 };
                 match esc {
@@ -336,7 +345,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     'u' => {
                         let mut code = 0u32;
                         for _ in 0..4 {
-                            let Some((_, h)) = chars.next() else {
+                            let Some(h) = chars.next() else {
                                 return Err("truncated \\u escape".into());
                             };
                             code = code * 16 + h.to_digit(16).ok_or("bad hex in \\u escape")?;
@@ -360,6 +369,7 @@ mod tests {
     fn roundtrip_document() {
         let doc = Json::Obj(vec![
             ("name".into(), Json::str("trace \"x\"\n")),
+            ("label".into(), Json::str("Pz × Pxy — ünïcode \\ \"q\"")),
             ("count".into(), Json::num(42.0)),
             ("ratio".into(), Json::num(0.125)),
             ("flag".into(), Json::Bool(true)),

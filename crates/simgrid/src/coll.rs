@@ -47,7 +47,9 @@ use obs::SpanCat;
 /// root is relative 0; a non-root's parent is its relative rank with the
 /// lowest set bit cleared, and every bit below that one addresses a distinct
 /// child subtree, forwarded in decreasing bit order. The one definition of
-/// the tree: [`Rank::bcast`] executes it and `commplan` plans from it.
+/// the tree: [`Rank::bcast_among`] executes it over roster positions (and
+/// [`Rank::bcast`] over the whole communicator), and `commplan` plans from
+/// it.
 pub fn bcast_tree(
     p: usize,
     root: usize,
@@ -75,30 +77,66 @@ impl Rank {
     /// total, `ceil(log2 p)` on the critical path.
     pub fn bcast(&mut self, comm: &Comm, root: usize, data: Option<Payload>, tag: u64) -> Payload {
         let sp = self.span_enter(SpanCat::Coll, "bcast");
-        let out = self.bcast_inner(comm, root, data, coll_tag(PH_BCAST, tag));
+        let out = self.bcast_inner(comm, None, root, data, coll_tag(PH_BCAST, tag));
+        self.span_exit(sp);
+        out
+    }
+
+    /// Broadcast from `root` to the members of `roster` only: the ascending
+    /// local ranks of `comm` that need the payload, `root` among them. Only
+    /// members call it; the rest of the communicator neither sends nor
+    /// receives. The binomial tree of [`bcast_tree`] over roster positions:
+    /// `|roster| - 1` messages, and on the whole communicator exactly the
+    /// edges of [`Rank::bcast`].
+    pub fn bcast_among(
+        &mut self,
+        comm: &Comm,
+        roster: &[usize],
+        root: usize,
+        data: Option<Payload>,
+        tag: u64,
+    ) -> Payload {
+        let sp = self.span_enter(SpanCat::Coll, "bcast");
+        let out = self.bcast_inner(comm, Some(roster), root, data, coll_tag(PH_BCAST, tag));
         self.span_exit(sp);
         out
     }
 
     /// `tag` is a fully namespaced collective tag (see [`coll_tag`]); the
     /// phase id is the caller's responsibility so allreduce variants can
-    /// keep their broadcast half disjoint from direct broadcasts.
+    /// keep their broadcast half disjoint from direct broadcasts. `roster`
+    /// `None` is the whole communicator.
     fn bcast_inner(
         &mut self,
         comm: &Comm,
+        roster: Option<&[usize]>,
         root: usize,
         data: Option<Payload>,
         tag: u64,
     ) -> Payload {
-        let p = comm.size();
-        assert!(root < p, "bcast root out of range");
-        let (parent, children) = bcast_tree(p, root, comm.local_rank());
+        let me = comm.local_rank();
+        let (p, at, root_at) = match roster {
+            None => (comm.size(), me, root),
+            Some(r) => {
+                debug_assert!(r.windows(2).all(|w| w[0] < w[1]), "roster must ascend");
+                let pos = |m: usize| r.binary_search(&m).ok();
+                let at = pos(me).expect("only roster members take part in a roster bcast");
+                (
+                    r.len(),
+                    at,
+                    pos(root).expect("the bcast root is on its roster"),
+                )
+            }
+        };
+        assert!(root_at < p, "bcast root out of range");
+        let member = |pos: usize| roster.map_or(pos, |r| r[pos]);
+        let (parent, children) = bcast_tree(p, root_at, at);
         let payload = match parent {
             None => data.expect("bcast root must supply data"),
-            Some(src) => self.recv(comm, src, tag),
+            Some(src) => self.recv(comm, member(src), tag),
         };
         for dst in children {
-            self.send(comm, dst, tag, payload.clone());
+            self.send(comm, member(dst), tag, payload.clone());
         }
         payload
     }
@@ -162,6 +200,7 @@ impl Rank {
         let out = self
             .bcast_inner(
                 comm,
+                None,
                 0,
                 reduced.map(Payload::F64s),
                 coll_tag(PH_ALLREDUCE_BCAST, tag),
@@ -207,7 +246,7 @@ impl Rank {
         } else {
             None
         };
-        self.bcast_inner(comm, 0, out, coll_tag(PH_MAX_BCAST, tag))
+        self.bcast_inner(comm, None, 0, out, coll_tag(PH_MAX_BCAST, tag))
             .into_f64s()[0]
     }
 

@@ -4,7 +4,8 @@
 //! ordering patterns.
 
 use proptest::prelude::*;
-use simgrid::{Machine, Payload, TimeModel, TrafficSummary};
+use simgrid::coll::bcast_tree;
+use simgrid::{Backend, Machine, Payload, TimeModel, TrafficSummary};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -35,6 +36,63 @@ proptest! {
         }
         let total: u64 = out.reports.iter().map(|r| r.total_sent_msgs()).sum();
         prop_assert_eq!(total, (p - 1) as u64);
+    }
+
+    /// A roster broadcast reaches its members only: each receives the
+    /// payload once, from its tree parent over roster positions, in
+    /// `|roster| - 1` messages; the rest of the communicator neither sends
+    /// nor receives. With the whole communicator as roster the edges are
+    /// `bcast_tree(p, root, ·)`, those of `Rank::bcast`. Both backends.
+    #[test]
+    fn roster_bcast_reaches_exactly_its_members(
+        p in 1usize..71,
+        root_raw in 0usize..70,
+        seed in 0u64..1_000_000,
+        whole in 0u8..4,
+        event in 0u8..2,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let root = root_raw % p;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let roster: Vec<usize> =
+            (0..p).filter(|&r| r == root || whole == 0 || rng.gen_bool(0.4)).collect();
+        let backend = if event == 1 { Backend::Event } else { Backend::Threaded };
+        let members = roster.clone();
+        let out = Machine::new(p, TimeModel::zero()).with_backend(backend).run(move |rank| {
+            let world = rank.world();
+            let me = world.local_rank();
+            members.binary_search(&me).is_ok().then(|| {
+                let data = (me == root).then(|| Payload::F64s(vec![root as f64; 3]));
+                rank.bcast_among(&world, &members, root, data, 1).into_f64s()
+            })
+        });
+        let total: u64 = out.reports.iter().map(|r| r.total_sent_msgs()).sum();
+        prop_assert_eq!(total, (roster.len() - 1) as u64);
+        let root_at = roster.binary_search(&root).unwrap();
+        for (r, (got, report)) in out.results.iter().zip(&out.reports).enumerate() {
+            let edges = |e: &[simgrid::obs::EdgeVolume]| -> Vec<(usize, u64)> {
+                e.iter().map(|v| (v.peer, v.msgs)).collect()
+            };
+            let (recvd, sent) = (edges(&report.commvol.recv_from), edges(&report.commvol.sent_to));
+            let Ok(at) = roster.binary_search(&r) else {
+                prop_assert!(got.is_none() && recvd.is_empty() && sent.is_empty(), "rank {r}");
+                continue;
+            };
+            prop_assert_eq!(got.as_deref(), Some(&[root as f64; 3][..]));
+            let (parent, children) = bcast_tree(roster.len(), root_at, at);
+            let want_recv: Vec<_> = parent.map(|q| (roster[q], 1)).into_iter().collect();
+            let mut want_sent: Vec<_> = children.map(|q| (roster[q], 1)).collect();
+            want_sent.sort_unstable();
+            prop_assert!(recvd == want_recv, "rank {r} received {recvd:?}, not {want_recv:?}");
+            prop_assert!(sent == want_sent, "rank {r} sent {sent:?}, not {want_sent:?}");
+            if whole == 0 {
+                let (parent, children) = bcast_tree(p, root, r);
+                let mut children: Vec<_> = children.map(|c| (c, 1)).collect();
+                children.sort_unstable();
+                prop_assert_eq!(recvd, parent.map(|q| (q, 1)).into_iter().collect::<Vec<_>>());
+                prop_assert_eq!(sent, children);
+            }
+        }
     }
 
     /// Reduce-sum agrees with the sequential sum for any size/root, and

@@ -139,7 +139,8 @@ mod tests {
             );
             let nodes: Vec<usize> = (0..sym.nsup()).collect();
             let mut done = vec![false; sym.nsup()];
-            factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done);
+            factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done)
+                .expect("the factorization completes");
             store
         });
         let g2 = simgrid::Grid2d::new(2, 2);

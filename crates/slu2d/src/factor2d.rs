@@ -3,7 +3,7 @@
 
 use crate::kernels::{factor_step_panel, factor_step_schur_at, PanelData, BATCH_MIN_FLOPS};
 use crate::store::{BlockStore, SchurScratch};
-use simgrid::{Comm, Grid2d, MemClass, Rank, SpanCat};
+use simgrid::{Comm, FailKind, Grid2d, MemClass, Rank, SpanCat};
 use symbolic::{LookaheadStep, Symbolic};
 
 /// Per-rank environment for a 2D factorization: the grid shape, this rank's
@@ -60,6 +60,8 @@ pub struct FactorOutcome {
 /// nodes of `nodes` done as it processes them.
 ///
 /// Collective across the layer: every rank calls with identical arguments.
+/// A panel step that finds this rank's share of the store incomplete ends
+/// the list with its [`FailKind::Solver`] (phase `fact`, the supernode).
 pub fn factor_nodes(
     rank: &mut Rank,
     env: &FactorEnv,
@@ -67,7 +69,7 @@ pub fn factor_nodes(
     sym: &Symbolic,
     nodes: &[usize],
     done: &mut [bool],
-) -> FactorOutcome {
+) -> Result<FactorOutcome, FailKind> {
     factor_nodes_at(rank, env, store, sym, nodes, done, BATCH_MIN_FLOPS)
 }
 
@@ -82,7 +84,7 @@ fn factor_nodes_at(
     nodes: &[usize],
     done: &mut [bool],
     batch_min_flops: u64,
-) -> FactorOutcome {
+) -> Result<FactorOutcome, FailKind> {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     let mut outcome = FactorOutcome::default();
 
@@ -119,9 +121,10 @@ fn factor_nodes_at(
         match step {
             LookaheadStep::Panel(j) => {
                 let m = nodes[j];
-                let (pd, pert) = rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
-                    factor_step_panel(rank, env, store, sym, m)
-                });
+                let (pd, pert) =
+                    rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
+                        factor_step_panel(rank, env, store, sym, m)
+                    })?;
                 outcome.perturbations += pert;
                 if j > next_schur {
                     outcome.lookahead_hits += 1;
@@ -146,7 +149,7 @@ fn factor_nodes_at(
         }
     }
     scratch.release(rank);
-    outcome
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -216,7 +219,7 @@ mod tests {
                 );
                 // Only the root is listed and nothing is done: contract violated.
                 let mut done = vec![false; sym_cl.nsup()];
-                factor_nodes(rank, &env, &mut store, &sym_cl, &[root_sn], &mut done);
+                let _ = factor_nodes(rank, &env, &mut store, &sym_cl, &[root_sn], &mut done);
             })
         }))
         .expect_err("violating the done[] contract must panic");
@@ -228,6 +231,75 @@ mod tests {
         assert!(msg.contains("done[] contract violated"), "{msg}");
         assert!(msg.contains(&format!("supernode {root_sn}")), "{msg}");
         assert!(msg.contains(&format!("child {child}")), "{msg}");
+    }
+
+    /// A panel step whose store lacks one of its supernode's L blocks fails
+    /// the block's owner with a structured error naming the supernode; the
+    /// machine reports that rank, not the peers left waiting for it, and
+    /// nothing aborts — on both backends.
+    #[test]
+    fn a_missing_l_block_is_a_structured_failure_naming_the_supernode() {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 3),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(2, 2, 1);
+        // A leaf: no earlier update targets its column, so its panel step is
+        // the first to look for the block.
+        let fill = &prep.sym.fill;
+        let lost = (prep.sym.nsup() / 2..prep.sym.nsup())
+            .find(|&k| fill.children()[k].is_empty() && !fill.struct_of[k].is_empty())
+            .expect("a leaf supernode with an L block");
+        let row = prep.sym.fill.struct_of[lost][0];
+        let owner = grid3.grid2d.owner(row, lost);
+        for backend in [simgrid::Backend::Threaded, simgrid::Backend::Event] {
+            let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
+            let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
+            let failure = machine
+                .try_run(move |rank| {
+                    let comms = build_grid_comms(rank, &grid3);
+                    let (my_r, my_c, _) = comms.coords;
+                    let env = FactorEnv {
+                        grid: grid3.grid2d,
+                        my_r,
+                        my_c,
+                        row: comms.row,
+                        col: comms.col,
+                        opts: FactorOpts::default(),
+                    };
+                    let mut store = BlockStore::build(
+                        &pa,
+                        &sym,
+                        &env.grid,
+                        my_r,
+                        my_c,
+                        &|_| true,
+                        InitValues::FromMatrix,
+                    );
+                    if (my_r, my_c) == owner {
+                        store.take(row, lost).expect("the owner holds it");
+                    }
+                    let nodes: Vec<usize> = (0..sym.nsup()).collect();
+                    let mut done = vec![false; sym.nsup()];
+                    factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done)
+                        .unwrap_or_else(|kind| rank.fail(kind));
+                })
+                .expect_err("the factorization cannot complete");
+            let primary = failure.primary();
+            assert_eq!(
+                primary.rank,
+                grid3.rank_of(owner.0, owner.1, 0),
+                "{backend}"
+            );
+            assert!(
+                matches!(&primary.kind, simgrid::FailKind::Solver { phase, supernode, .. }
+                    if phase == "fact" && *supernode == Some(lost)),
+                "{backend}: {}",
+                primary.kind
+            );
+        }
     }
 
     // ---- The Schur dispatch's bitwise contract --------------------------
@@ -284,7 +356,8 @@ mod tests {
                 &nodes,
                 &mut done,
                 batch_min_flops,
-            );
+            )
+            .expect("the factorization completes");
             store
         });
         (out.results, out.reports)

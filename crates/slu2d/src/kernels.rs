@@ -5,7 +5,7 @@
 use crate::factor2d::FactorEnv;
 use crate::store::{pack_blocks, unpack_blocks, BlockStore, SchurScratch};
 use densela::{flops, getrf, trsm_left_lower_unit, trsm_right_upper, Mat, PivotPolicy};
-use simgrid::{CommClass, HostPhase, Payload, Rank};
+use simgrid::{CommClass, FailKind, HostPhase, Payload, Rank};
 use symbolic::Symbolic;
 
 // Message-tag kinds (shifted above the supernode id) come from the
@@ -17,7 +17,8 @@ use simgrid::tags::{T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_UPANEL};
 /// `(I, L(I,k))` for the block rows `I` of `struct(k)` in this rank's process
 /// row, `u` holds `(J, U(k,J))` for the block columns `J` in its process
 /// column, both ascending — the sublists of `struct(k)` the Schur kernels
-/// range over.
+/// range over. Both are empty on a rank off `k`'s rosters, which has no
+/// update of `k` to apply.
 pub struct PanelData {
     pub l: Vec<(usize, Mat)>,
     pub u: Vec<(usize, Mat)>,
@@ -35,33 +36,53 @@ impl PanelData {
     }
 }
 
-/// Run the panel phase for supernode `k`: kernels 1-4 of §II-E. Collective
-/// across the 2D grid (every rank of the layer must call it with the same
-/// `k`). Returns the panel data this rank needs for its Schur updates, and
-/// the number of static-pivot perturbations (nonzero only on the diagonal
-/// owner).
+/// Run the panel phase for supernode `k`: kernels 1-4 of §II-E. Every rank
+/// of the layer calls it with the same `k`; only the ranks in
+/// `rows(k) × cols(k)` of the store's [`symbolic::PanelRosters`] take part,
+/// and every broadcast reaches just the rows or columns of its roster — the
+/// ranks holding a block that reads it. Returns the panel data this rank
+/// needs for its Schur updates, and the number of static-pivot
+/// perturbations (nonzero only on the diagonal owner). A block this rank's
+/// share should hold but does not is a [`FailKind::Solver`] naming `k`.
 pub fn factor_step_panel(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &mut BlockStore,
     sym: &Symbolic,
     k: usize,
-) -> (PanelData, usize) {
+) -> Result<(PanelData, usize), FailKind> {
+    let no_panel = PanelData {
+        l: Vec::new(),
+        u: Vec::new(),
+    };
+    let rosters = store.rosters();
+    let (my_r, my_c) = (env.my_r, env.my_c);
+    let in_rows = rosters.rows(k).binary_search(&my_r).is_ok();
+    if !in_rows || rosters.cols(k).binary_search(&my_c).is_err() {
+        return Ok((no_panel, 0));
+    }
+    let (row_holds_l, col_holds_u) = (rosters.row_holds_l(k, my_r), rosters.col_holds_u(k, my_c));
     // Host-time attribution: everything in this step is panel work except
     // the nested collective waits, which the simulator's own CommWait
     // scopes subtract out as self-time of their own phase.
     let _host = rank.host_scope_sn(HostPhase::PanelFactor, k);
     let f0 = flops::get();
-    let grid = env.grid;
-    let (kr, kc) = (k % grid.pr, k % grid.pc);
+    let (kr, kc) = (k % env.grid.pr, k % env.grid.pc);
     let struct_k = &sym.fill.struct_of[k];
+    let missing = |detail: &str| FailKind::Solver {
+        phase: "fact".to_string(),
+        supernode: Some(k),
+        level: None,
+        detail: detail.to_string(),
+    };
     let mut perturbations = 0usize;
 
     // 1. Diagonal factorization on the owner.
-    if (env.my_r, env.my_c) == (kr, kc) {
+    let mut diag_data = None;
+    if (my_r, my_c) == (kr, kc) {
         let d = store
             .get_mut(k, k)
-            .expect("diagonal owner must hold the diagonal block");
+            .ok_or_else(|| missing("diagonal owner must hold the diagonal block"))?;
         let info = getrf(
             d,
             PivotPolicy::Static {
@@ -69,109 +90,101 @@ pub fn factor_step_panel(
             },
         );
         perturbations = info.perturbations;
+        diag_data = (!struct_k.is_empty()).then(|| d.as_slice().to_vec());
     }
 
-    // 2. Diagonal broadcast. The packed LU of A_kk goes across the owner's
-    //    process row (for the U panel solves) and process column (for the L
-    //    panel solves). Skipped entirely when the supernode has no
-    //    off-diagonal blocks.
+    // 2. Diagonal broadcast. The packed LU of A_kk goes along the owner's
+    //    process row to the columns holding U blocks (for the U panel
+    //    solves) and down its process column to the rows holding L blocks
+    //    (for the L panel solves). Skipped entirely when the supernode has
+    //    no off-diagonal blocks.
+    let w = sym.part.width(k);
     let mut diag_lu: Option<Mat> = None;
     if !struct_k.is_empty() {
-        if env.my_r == kr {
-            let data = if env.my_c == kc {
-                Some(Payload::F64s(store.get(k, k).unwrap().as_slice().to_vec()))
-            } else {
-                None
-            };
-            let buf = rank
-                .bcast(&env.row, kc, data, T_DIAG_ROW | k as u64)
-                .into_f64s();
-            let w = sym.part.width(k);
-            diag_lu = Some(Mat::from_vec(w, w, buf));
+        let rosters = store.rosters();
+        if my_r == kr {
+            let data = diag_data.clone().map(Payload::F64s);
+            let buf = rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_DIAG_ROW | k as u64);
+            diag_lu = Some(Mat::from_vec(w, w, buf.into_f64s()));
         }
-        if env.my_c == kc {
-            let data = if env.my_r == kr {
-                Some(Payload::F64s(store.get(k, k).unwrap().as_slice().to_vec()))
-            } else {
-                None
-            };
-            let buf = rank
-                .bcast(&env.col, kr, data, T_DIAG_COL | k as u64)
-                .into_f64s();
-            let w = sym.part.width(k);
-            diag_lu = Some(Mat::from_vec(w, w, buf));
+        if my_c == kc {
+            let data = diag_data.map(Payload::F64s);
+            let buf = rank.bcast_among(&env.col, rosters.rows(k), kr, data, T_DIAG_COL | k as u64);
+            diag_lu = Some(Mat::from_vec(w, w, buf.into_f64s()));
         }
     }
 
     // 3. Panel solves.
-    if !struct_k.is_empty() && env.my_c == kc {
+    if row_holds_l && my_c == kc {
         let d = diag_lu
             .as_ref()
-            .expect("column owners received the diagonal");
+            .ok_or_else(|| missing("column owners received the diagonal"))?;
         for &i in struct_k {
-            if i % grid.pr == env.my_r {
+            if i % env.grid.pr == my_r {
                 let b = store
                     .get_mut(i, k)
-                    .expect("panel owner must hold its L block");
+                    .ok_or_else(|| missing("panel owner must hold its L block"))?;
                 trsm_right_upper(d, b); // L(I,k) = A(I,k) * U_kk^{-1}
             }
         }
     }
-    if !struct_k.is_empty() && env.my_r == kr {
-        let d = diag_lu.as_ref().expect("row owners received the diagonal");
+    if col_holds_u && my_r == kr {
+        let d = diag_lu
+            .as_ref()
+            .ok_or_else(|| missing("row owners received the diagonal"))?;
         for &j in struct_k {
-            if j % grid.pc == env.my_c {
+            if j % env.grid.pc == my_c {
                 let b = store
                     .get_mut(k, j)
-                    .expect("panel owner must hold its U block");
+                    .ok_or_else(|| missing("panel owner must hold its U block"))?;
                 trsm_left_lower_unit(d, b); // U(k,J) = L_kk^{-1} A(k,J)
             }
         }
     }
 
-    // 4. Panel broadcasts: one packed message per participating row/column.
-    //    My process row participates in the L broadcast iff some block row
-    //    of the panel maps to it (deterministic from the symbolic pattern,
-    //    so every rank agrees without communication).
-    let mut l = Vec::new();
-    let row_has_l = struct_k.iter().any(|&i| i % grid.pr == env.my_r);
-    if row_has_l {
-        let data = if env.my_c == kc {
+    // 4. Panel broadcasts: one packed message per row holding L blocks, to
+    //    the columns of the roster, and one per column holding U blocks, to
+    //    its rows (both deterministic from the symbolic pattern, so every
+    //    rank agrees without communication).
+    let rosters = store.rosters();
+    let mut panel = no_panel;
+    if row_holds_l {
+        let data = if my_c == kc {
             let items: Vec<(usize, &Mat)> = struct_k
                 .iter()
-                .filter(|&&i| i % grid.pr == env.my_r)
-                .map(|&i| (i, store.get(i, k).expect("owned L block")))
-                .collect();
+                .filter(|&&i| i % env.grid.pr == my_r)
+                .map(|&i| store.get(i, k).map(|m| (i, m)))
+                .collect::<Option<_>>()
+                .ok_or_else(|| missing("panel owner must hold its L block"))?;
             Some(pack_blocks(&items))
         } else {
             None
         };
         let payload = rank.with_comm_class(CommClass::LPanel, |rank| {
-            rank.bcast(&env.row, kc, data, T_LPANEL | k as u64)
+            rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_LPANEL | k as u64)
         });
-        l = unpack_blocks(payload);
+        panel.l = unpack_blocks(payload);
     }
-    let mut u = Vec::new();
-    let col_has_u = struct_k.iter().any(|&j| j % grid.pc == env.my_c);
-    if col_has_u {
-        let data = if env.my_r == kr {
+    if col_holds_u {
+        let data = if my_r == kr {
             let items: Vec<(usize, &Mat)> = struct_k
                 .iter()
-                .filter(|&&j| j % grid.pc == env.my_c)
-                .map(|&j| (j, store.get(k, j).expect("owned U block")))
-                .collect();
+                .filter(|&&j| j % env.grid.pc == my_c)
+                .map(|&j| store.get(k, j).map(|m| (j, m)))
+                .collect::<Option<_>>()
+                .ok_or_else(|| missing("panel owner must hold its U block"))?;
             Some(pack_blocks(&items))
         } else {
             None
         };
         let payload = rank.with_comm_class(CommClass::UPanel, |rank| {
-            rank.bcast(&env.col, kr, data, T_UPANEL | k as u64)
+            rank.bcast_among(&env.col, rosters.rows(k), kr, data, T_UPANEL | k as u64)
         });
-        u = unpack_blocks(payload);
+        panel.u = unpack_blocks(payload);
     }
 
     rank.advance_compute(flops::get() - f0);
-    (PanelData { l, u }, perturbations)
+    Ok((panel, perturbations))
 }
 
 /// Below this many (estimated dense) flops in one rank's share of a

@@ -15,7 +15,7 @@
 use densela::Mat;
 use simgrid::{Grid2d, MemClass, Payload, Rank};
 use std::sync::Arc;
-use symbolic::Symbolic;
+use symbolic::{PanelRosters, Symbolic};
 
 /// Bytes of symbolic bookkeeping charged to the memory ledger per stored
 /// block: the `(i, j)` key, the dimension header, and the owner-map entry
@@ -44,10 +44,13 @@ const ABSENT: u32 = u32::MAX;
 /// *share* — the blocks the block-cyclic layout assigns to it — is numbered
 /// in the same order, so walking a share walks its keys sorted. The entries
 /// of the matrix are bucketed by owner as indices into its value array: a
-/// rank fills its store from its own bucket and never scans the rest.
+/// rank fills its store from its own bucket and never scans the rest. The
+/// layout also carries who reads each supernode's panel on this grid, its
+/// [`PanelRosters`].
 #[derive(Debug)]
 pub struct StoreLayout {
     grid: Grid2d,
+    rosters: PanelRosters,
     /// The block pattern in CSR form: block row `i` holds the ascending
     /// block columns `cols[row_ptr[i]..row_ptr[i + 1]]` (the `L(i, ·)`
     /// blocks, the diagonal, the `U(i, ·)` blocks).
@@ -118,6 +121,7 @@ impl StoreLayout {
 
         let mut layout = StoreLayout {
             grid: *grid,
+            rosters: fill.panel_rosters(grid.pr, grid.pc),
             row_ptr,
             cols,
             slot,
@@ -320,6 +324,11 @@ impl BlockStore {
     fn index_of(&self, i: usize, j: usize) -> Option<usize> {
         let p = self.pos[self.slot_of(i, j)?];
         (p != ABSENT).then_some(p as usize)
+    }
+
+    /// The panel-step rosters of the store's grid, derived with its layout.
+    pub fn rosters(&self) -> &PanelRosters {
+        &self.layout.rosters
     }
 
     /// Borrow a block.

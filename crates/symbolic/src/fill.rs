@@ -153,6 +153,18 @@ impl BlockFill {
         wave
     }
 
+    /// The rosters of every supernode's panel step on a `pr x pc`
+    /// block-cyclic grid (owner of block `(i, j)`: process row `i % pr`,
+    /// column `j % pc`). A pure function of symbolic state, derived once per
+    /// machine: the factorization broadcasts over these rosters and the
+    /// communication plan expands the same ones.
+    pub fn panel_rosters(&self, pr: usize, pc: usize) -> PanelRosters {
+        PanelRosters {
+            rows: Roster::deal(&self.struct_of, pr),
+            cols: Roster::deal(&self.struct_of, pc),
+        }
+    }
+
     /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
     /// elimination tree.
     pub fn is_ancestor(&self, s: usize, anc: usize) -> bool {
@@ -164,6 +176,99 @@ impl BlockFill {
             cur = self.parent[c];
         }
         false
+    }
+}
+
+/// Who takes part in supernode `k`'s panel step (§II-E), by process row and
+/// column: [`PanelRosters::rows`] holds the rows with an `L(I, k)` block — the
+/// ranks whose L panel solves read the diagonal, and whose Schur updates read
+/// the U pieces — and [`PanelRosters::cols`] the columns with a `U(k, J)`
+/// block, each with the diagonal owner's row or column added as the root. A
+/// rank outside `rows(k) × cols(k)` reads nothing of `k`'s panel step.
+#[derive(Clone, Debug)]
+pub struct PanelRosters {
+    rows: Roster,
+    cols: Roster,
+}
+
+impl PanelRosters {
+    /// The ascending process rows holding an `L(I, k)` block, plus `k % pr`.
+    pub fn rows(&self, k: usize) -> &[usize] {
+        self.rows.of(k)
+    }
+
+    /// The ascending process columns holding a `U(k, J)` block, plus
+    /// `k % pc`.
+    pub fn cols(&self, k: usize) -> &[usize] {
+        self.cols.of(k)
+    }
+
+    /// Does process row `r` hold an `L(I, k)` block (so it sends or receives
+    /// an L panel piece)? Only the diagonal owner's row can be on the roster
+    /// without one.
+    pub fn row_holds_l(&self, k: usize, r: usize) -> bool {
+        self.rows.holds(k, r)
+    }
+
+    /// Does process column `c` hold a `U(k, J)` block?
+    pub fn col_holds_u(&self, k: usize, c: usize) -> bool {
+        self.cols.holds(k, c)
+    }
+}
+
+/// One axis of [`PanelRosters`]: per supernode, the ascending process
+/// coordinates `i % p` over `struct_of[k]`, with `k % p` added.
+#[derive(Clone, Debug)]
+struct Roster {
+    p: usize,
+    /// Supernode `k`'s roster is `members[ptr[k]..ptr[k + 1]]`.
+    ptr: Vec<usize>,
+    members: Vec<usize>,
+    /// Whether `k % p` is there for a block of its own, not only as the root.
+    root_holds: Vec<bool>,
+}
+
+impl Roster {
+    fn deal(struct_of: &[Vec<usize>], p: usize) -> Roster {
+        let mut ptr = Vec::with_capacity(struct_of.len() + 1);
+        let mut members = Vec::new();
+        let mut root_holds = Vec::with_capacity(struct_of.len());
+        let mut seen = vec![usize::MAX; p];
+        ptr.push(0);
+        for (k, st) in struct_of.iter().enumerate() {
+            let start = members.len();
+            for &i in st {
+                if seen[i % p] != k {
+                    seen[i % p] = k;
+                    members.push(i % p);
+                }
+            }
+            let holds = seen[k % p] == k;
+            root_holds.push(holds);
+            if !holds {
+                members.push(k % p);
+            }
+            members[start..].sort_unstable();
+            ptr.push(members.len());
+        }
+        Roster {
+            p,
+            ptr,
+            members,
+            root_holds,
+        }
+    }
+
+    fn of(&self, k: usize) -> &[usize] {
+        &self.members[self.ptr[k]..self.ptr[k + 1]]
+    }
+
+    fn holds(&self, k: usize, x: usize) -> bool {
+        if x == k % self.p {
+            self.root_holds[k]
+        } else {
+            self.of(k).binary_search(&x).is_ok()
+        }
     }
 }
 

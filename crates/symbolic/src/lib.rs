@@ -30,7 +30,7 @@ pub mod fill;
 pub mod stats;
 pub mod supernode;
 
-pub use fill::{block_symbolic, BlockFill, LookaheadStep};
+pub use fill::{block_symbolic, BlockFill, LookaheadStep, PanelRosters};
 pub use stats::{FillStats, SnCost};
 pub use supernode::SnPartition;
 

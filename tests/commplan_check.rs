@@ -7,11 +7,14 @@
 //! prove the comparator actually catches planted extra and missing sends
 //! with a named edge.
 
-use commplan::{build_plan, check_plan, check_planar_volume, compare_with_measured, Dir};
+use commplan::{
+    build_plan, check_plan, check_planar_volume, compare_with_measured, Dir, OpKind, PlanEvent,
+};
 use lu3d::solver::{factor_only, SolverConfig};
 use lu3d::EtreeForest;
 use obs::ActivityKind;
 use proptest::prelude::*;
+use simgrid::coll::bcast_tree;
 use simgrid::Grid3d;
 use slu2d::driver::Prepared;
 use sparsemat::matgen;
@@ -156,6 +159,16 @@ fn plan_matches_ledger_degenerate_grids() {
         lookahead: 8,
         fault_spec: None,
     });
+    // One wide process row: every panel broadcast runs along it, to the
+    // columns of its roster only.
+    check_case(Case {
+        label: "grid2d:24 1x16x1",
+        a: matgen::grid2d_5pt(24, 24, 0.1, 1),
+        geometry: Geometry::Grid2d { nx: 24, ny: 24 },
+        grid: (1, 16, 1),
+        lookahead: 8,
+        fault_spec: None,
+    });
 }
 
 /// Zero lookahead changes the local compute schedule, not the wire
@@ -193,6 +206,16 @@ fn plan_matches_ledger_other_generators() {
         geometry: Geometry::General,
         grid: (2, 2, 2),
         lookahead: 4,
+        fault_spec: None,
+    });
+    // A square 4x4 layer, where most panels reach a part of each row and
+    // column.
+    check_case(Case {
+        label: "kkt:6 4x4x2",
+        a: matgen::kkt_3d(6, 6, 6, 1e-2, 1),
+        geometry: Geometry::General,
+        grid: (4, 4, 2),
+        lookahead: 8,
         fault_spec: None,
     });
 }
@@ -300,6 +323,69 @@ fn plan_check_catches_extra_send() {
             .any(|m| m.contains(&format!("rank {rank}")) && m.contains("planned")),
         "mismatch does not name the mutated edge (rank {rank} -> {peer}):\n{}",
         err.join("\n")
+    );
+}
+
+/// Mutation: one panel broadcast whose roster its members believe one rank
+/// wider than it is. The members expand the widened tree; the extra rank
+/// never learns it is on the roster and posts nothing. The static check must
+/// name a channel into that rank as unmatched.
+#[test]
+fn plan_check_catches_a_widened_roster() {
+    let prep = Prepared::new(matgen::kkt_3d(6, 6, 6, 1e-2, 1), Geometry::General, 16, 24);
+    let grid = Grid3d::new(4, 4, 2);
+    let forest = EtreeForest::build(&prep.tree, &prep.sym, grid.pz);
+    let mut plan = build_plan(&prep.sym, &forest, grid, 8);
+    assert!(check_plan(&plan).ok());
+
+    // A broadcast along a process row that leaves a column of it out.
+    let (op, members, root, extra) = plan
+        .ops
+        .iter()
+        .enumerate()
+        .find_map(|(op, meta)| {
+            let OpKind::Bcast { members, root } = &meta.kind else {
+                return None;
+            };
+            let (r, _, z) = grid.coords_of(members[0]);
+            let row = (0..grid.grid2d.pc).map(|c| grid.rank_of(r, c, z));
+            let along_row = members.iter().all(|&m| grid.coords_of(m).0 == r);
+            let extra = row.clone().find(|w| !members.contains(w))?;
+            along_row.then(|| (op as u32, members.clone(), members[*root], extra))
+        })
+        .expect("some row broadcast is pruned on 4x4x2");
+    let mut widened = members.clone();
+    widened.push(extra);
+    widened.sort_unstable();
+    let root_at = widened.iter().position(|&w| w == root).unwrap();
+    for &world in &members {
+        let evs = &mut plan.events[world];
+        let at = evs.iter().position(|e| e.op == op).unwrap();
+        let template = evs[at].clone();
+        let n = evs[at..].iter().take_while(|e| e.op == op).count();
+        let local = widened.iter().position(|&w| w == world).unwrap();
+        let (parent, children) = bcast_tree(widened.len(), root_at, local);
+        let edge = |dir, peer: usize| PlanEvent {
+            dir,
+            peer: widened[peer],
+            ..template.clone()
+        };
+        let new: Vec<_> = parent
+            .map(|q| edge(Dir::Recv, q))
+            .into_iter()
+            .chain(children.map(|q| edge(Dir::Send, q)))
+            .collect();
+        evs.splice(at..at + n, new);
+    }
+
+    let audit = check_plan(&plan);
+    assert!(
+        audit
+            .findings
+            .iter()
+            .any(|f| f.starts_with("unmatched channel") && f.contains(&format!("->{extra} "))),
+        "the widened roster's extra rank {extra} is not named: {:?}",
+        audit.findings
     );
 }
 
