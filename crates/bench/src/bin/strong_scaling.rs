@@ -8,19 +8,9 @@
 //! cargo run --release -p bench --bin strong_scaling
 //! ```
 
-use bench::{matrix, prepare, print_table};
-use lu3d::solver::{factor_only, SolverConfig};
-use simgrid::TimeModel;
+use bench::{matrix, prepare, print_table, run_config};
 
 const P_SWEEP: &[usize] = &[4, 8, 16, 32, 64, 128];
-
-fn layer(pxy: usize) -> (usize, usize) {
-    let mut pr = (pxy as f64).sqrt() as usize;
-    while pr > 1 && !pxy.is_multiple_of(pr) {
-        pr -= 1;
-    }
-    (pr.max(1), pxy / pr.max(1))
-}
 
 fn main() {
     println!("Strong scaling — best 2D vs best 3D configuration per P\n");
@@ -37,36 +27,14 @@ fn main() {
         let mut p_min_2d = 0usize;
         let mut p_min_3d = 0usize;
         for &p in P_SWEEP {
-            let (pr, pc) = layer(p);
-            let t2 = factor_only(
-                &prep,
-                &SolverConfig {
-                    pr,
-                    pc,
-                    pz: 1,
-                    model: TimeModel::edison_like(),
-                    ..Default::default()
-                },
-            )
-            .makespan();
+            let t2 = run_config(&prep, p, 1).expect("P divides").makespan();
             // Best 3D over the power-of-two Pz dividing P.
             let mut t3 = f64::INFINITY;
             let mut best_pz = 1;
             let mut pz = 2usize;
             while pz <= p {
-                if p % pz == 0 {
-                    let (pr, pc) = layer(p / pz);
-                    let t = factor_only(
-                        &prep,
-                        &SolverConfig {
-                            pr,
-                            pc,
-                            pz,
-                            model: TimeModel::edison_like(),
-                            ..Default::default()
-                        },
-                    )
-                    .makespan();
+                if let Some(out) = run_config(&prep, p, pz) {
+                    let t = out.makespan();
                     if t < t3 {
                         t3 = t;
                         best_pz = pz;

@@ -31,8 +31,8 @@
 //!   must also match: retransmissions are segregated into `fault.resent_*`
 //!   and never touch the ledger.
 //!
-//! The plan is the static schedule the future event-driven backend
-//! (ROADMAP item 1) will execute directly.
+//! The plan keeps no rule of its own: it is the communication projection of
+//! `lu3d::FactorProgram`, the one program the runtime executes.
 
 mod build;
 mod checks;
@@ -122,20 +122,9 @@ pub struct PlannedRank {
 }
 
 impl CommPlan {
-    /// Grid axis of an edge between two world ranks, mirroring the runtime
-    /// classification (`Rank::comm_axis`).
-    pub fn axis(&self, a: usize, b: usize) -> GridAxis {
-        let (r0, c0, z0) = self.grid.coords_of(a);
-        let (r1, c1, z1) = self.grid.coords_of(b);
-        match (r0 != r1, c0 != c1, z0 != z1) {
-            (false, true, false) => GridAxis::X,
-            (true, false, false) => GridAxis::Y,
-            (false, false, true) => GridAxis::Z,
-            _ => GridAxis::Cross,
-        }
-    }
-
-    /// Aggregate one rank's events into its planned ledger.
+    /// Aggregate one rank's events into its planned ledger, each send keyed
+    /// by the grid axis the runtime ledger charges it to
+    /// ([`Grid3d::axis`]).
     pub fn rank_ledger(&self, rank: usize) -> PlannedRank {
         let mut out = PlannedRank::default();
         for ev in &self.events[rank] {
@@ -145,7 +134,7 @@ impl CommPlan {
                         ev.phase.to_string(),
                         ev.class,
                         ev.level,
-                        self.axis(rank, ev.peer),
+                        self.grid.axis(rank, ev.peer),
                     );
                     let cell = out.entries.entry(key).or_insert((0, 0));
                     cell.0 += 1;

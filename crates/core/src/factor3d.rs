@@ -1,16 +1,14 @@
 //! Algorithm 1: the 3D sparse LU factorization driver.
 //!
-//! Every rank executes the level loop from the paper's pseudocode. At level
-//! `lvl` (counting `l` at the leaves down to `0` at the root), the grids
-//! whose `z` is a multiple of `2^(l-lvl)` are *active*: each factors its
-//! local forest `E_f[lvl]` with the 2D kernel (`dSparseLU2D`), updating its
-//! replicated ancestor copies. Then active grids pair up along `z` and the
-//! odd member of each pair sends its ancestor blocks to the even member,
-//! which sums them (*ancestor reduction*). Communication in the reduction
-//! is purely point-to-point between ranks with identical `(x, y)` grid
-//! coordinates — the z-axis of the 3D grid.
+//! Every rank executes its layer of the machine's [`FactorProgram`]: per
+//! active forest level, it factors the layer's local forest `E_f[lvl]` with
+//! the 2D kernel (`dSparseLU2D`) in the program's panel order, updating its
+//! replicated ancestor copies, then takes its side of the level's ancestor
+//! reduction. Communication in the reduction is purely point-to-point
+//! between ranks with identical `(x, y)` grid coordinates — the z-axis of
+//! the 3D grid.
 
-use crate::forest::EtreeForest;
+use crate::program::{FactorProgram, Reduction};
 use simgrid::topology::GridComms;
 use simgrid::{FailKind, Grid3d, Rank};
 use slu2d::factor2d::{factor_nodes, FactorEnv, FactorOpts};
@@ -30,54 +28,31 @@ pub struct Outcome3d {
     pub active_levels: usize,
 }
 
-/// The blocks of supernode `s` this rank owns among the ancestor set:
-/// diagonal plus both panels, in a deterministic order shared by sender and
-/// receiver. Block ids are encoded as `i * nsup + j` for the packed wire
-/// format.
-fn owned_ancestor_blocks(
-    store: &BlockStore,
-    sym: &Symbolic,
-    grid: &simgrid::Grid2d,
-    my_r: usize,
-    my_c: usize,
-    s: usize,
-) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    if grid.owner(s, s) == (my_r, my_c) && store.contains(s, s) {
-        out.push((s, s));
-    }
-    for &i in &sym.fill.struct_of[s] {
-        if grid.owner(i, s) == (my_r, my_c) && store.contains(i, s) {
-            out.push((i, s));
-        }
-        if grid.owner(s, i) == (my_r, my_c) && store.contains(s, i) {
-            out.push((s, i));
-        }
-    }
-    out
-}
-
-/// Run Algorithm 1. `store` must have been built with the forest's keep and
-/// value-initialization predicates (see [`crate::solver`]). Returns per-rank
-/// counters; the factored panels are left distributed exactly as the paper's
-/// "final state": each supernode's factors on the grid that factored it.
+/// Run Algorithm 1: execute layer `z` of `program` on this rank. `store`
+/// must have been built with the program's keep and value-initialization
+/// rules ([`FactorProgram::keeps`], [`FactorProgram::initializes`]).
+/// Returns per-rank counters; the factored panels are left distributed
+/// exactly as the paper's "final state": each supernode's factors on the
+/// grid that factored it.
 ///
 /// A z-line reduction whose message cannot be received (stalled peer past
-/// the receive deadline, dead peer, deadlock) surfaces as a structured
+/// the receive deadline, dead peer, deadlock), a sender missing one of the
+/// ancestor blocks it must send, or a message that does not carry exactly
+/// the receiver's own block list surfaces as a structured
 /// [`FailKind::Solver`] naming the phase, supernode, and forest level,
-/// instead of poisoning a channel — the caller fails the rank with it
-/// (`rank.fail`), keeping machine-level failure attribution intact.
+/// instead of poisoning a channel or summing a short message — the caller
+/// fails the rank with it (`rank.fail`), keeping machine-level failure
+/// attribution intact.
 pub fn factor_3d(
     rank: &mut Rank,
     grid3: &Grid3d,
     comms: &GridComms,
     store: &mut BlockStore,
     sym: &Symbolic,
-    forest: &EtreeForest,
+    program: &FactorProgram,
     opts: FactorOpts,
 ) -> Result<Outcome3d, FailKind> {
-    let l = forest.l;
-    assert_eq!(grid3.pz, forest.pz(), "grid/forest Pz mismatch");
+    assert_eq!(grid3.pz, program.pz(), "grid/program Pz mismatch");
     let (my_r, my_c, my_z) = comms.coords;
     // Charge every block to the memory ledger up front (the symbolic
     // pattern is fully allocated before numeric work starts). The panel
@@ -88,17 +63,15 @@ pub fn factor_3d(
     // here rather than in the caller keeps the reduction's
     // `AncestorReplica` credits symmetric for every `factor_3d` user.
     store.charge_to_ledger(rank, |i, j| {
-        let p = i.min(j);
-        let np = sym.part.node_of_sn[p];
-        let lvl = forest.part_level[np] as u32;
-        let class = if forest.part_level[np] < forest.l {
+        let lvl = program.level_of(i.min(j));
+        let class = if lvl < program.leaf_level() {
             simgrid::MemClass::AncestorReplica
         } else if i < j {
             simgrid::MemClass::UPanel
         } else {
             simgrid::MemClass::LPanel
         };
-        (class, lvl)
+        (class, lvl as u32)
     });
     let env = FactorEnv {
         grid: grid3.grid2d,
@@ -109,129 +82,198 @@ pub fn factor_3d(
         opts,
     };
 
-    // Supernodes whose updates this grid never sees locally (other grids'
-    // subtrees) are marked done up front: their contributions arrive through
-    // the ancestor reduction instead.
-    let mut done: Vec<bool> = (0..sym.nsup())
-        .map(|s| !forest.keeps(sym.part.node_of_sn[s], my_z))
-        .collect();
-
     let mut outcome = Outcome3d::default();
-    for lvl in (0..=l).rev() {
-        let step = 1usize << (l - lvl);
-        if my_z % step != 0 {
-            continue; // this grid is inactive from here on
-        }
+    for level in program.layer(my_z) {
+        let lvl = level.lvl;
         outcome.active_levels += 1;
         rank.set_tree_level(lvl as u32);
-        let q = my_z >> (l - lvl);
-        let nodes = forest.supernodes_of(lvl, q, &sym.part);
         // One span per active forest level; the `fact`/`reduce` phase spans
         // and per-supernode node spans nest underneath it.
         let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
-        let k = my_z / step;
-        let fo = factor_nodes(rank, &env, store, sym, &nodes, &mut done).map_err(|mut e| {
-            if let FailKind::Solver { level, .. } = &mut e {
-                *level = Some(lvl);
-            }
-            e
-        })?;
+        let fo =
+            factor_nodes(rank, &env, store, sym, &level.nodes, &level.order).map_err(|mut e| {
+                if let FailKind::Solver { level, .. } = &mut e {
+                    *level = Some(lvl);
+                }
+                e
+            })?;
         outcome.perturbations += fo.perturbations;
         outcome.lookahead_hits += fo.lookahead_hits;
-
-        if lvl == 0 {
-            rank.span_exit(lvl_span);
-            break;
-        }
-        // Ancestor reduction: pair (k even) <- (k odd) along the z-axis.
-        rank.set_phase("reduce");
-        if k.is_multiple_of(2) {
-            let src_z = my_z + step;
-            reduce_ancestors(rank, comms, store, sym, forest, lvl, my_z, src_z, false)?;
-        } else {
-            let dest_z = my_z - step;
-            reduce_ancestors(rank, comms, store, sym, forest, lvl, my_z, dest_z, true)?;
+        if let Some(reduction) = &level.reduction {
+            rank.set_phase("reduce");
+            reduce_ancestors(rank, &env, comms, store, sym, program, reduction)?;
         }
         rank.span_exit(lvl_span);
     }
     Ok(outcome)
 }
 
-/// One side of the level-`lvl` ancestor reduction between this rank and its
-/// z-line peer. Covers every ancestor forest level `l_a < lvl`
-/// (Algorithm 1's inner loop), one packed message per supernode with owned
-/// blocks. Sender and receiver derive identical block lists from shared
-/// symbolic state, so no negotiation traffic is needed.
-#[allow(clippy::too_many_arguments)]
+/// This rank's side of one ancestor reduction with its z-line peer: one
+/// packed message per ancestor supernode it holds blocks of, in the
+/// program's `(l_a desc, s asc)` order. Sender and receiver read their
+/// block lists off the same rule ([`FactorProgram::reduction_blocks`]), so
+/// no negotiation traffic is needed, and each side checks the other
+/// against it.
 fn reduce_ancestors(
     rank: &mut Rank,
+    env: &FactorEnv,
     comms: &GridComms,
     store: &mut BlockStore,
     sym: &Symbolic,
-    forest: &EtreeForest,
-    lvl: usize,
-    my_z: usize,
-    peer_z: usize,
-    i_am_sender: bool,
+    program: &FactorProgram,
+    reduction: &Reduction,
 ) -> Result<(), FailKind> {
-    let l = forest.l;
-    let grid = simgrid::Grid2d {
-        pr: comms.col.size(),
-        pc: comms.row.size(),
-    };
-    let (my_r, my_c, _) = comms.coords;
-    for l_a in (0..lvl).rev() {
-        let q_a = my_z >> (l - l_a);
-        debug_assert_eq!(q_a, peer_z >> (l - l_a), "pair must share ancestors");
-        for s in forest.supernodes_of(l_a, q_a, &sym.part) {
-            let blocks = owned_ancestor_blocks(store, sym, &grid, my_r, my_c, s);
-            if blocks.is_empty() {
-                continue;
+    let (my_z, peer_z) = (comms.coords.2, reduction.peer);
+    let nsup = sym.nsup();
+    for &(l_a, s) in &reduction.ancestors {
+        let blocks: Vec<(usize, usize)> = program
+            .reduction_blocks(sym, env.grid, s, (env.my_r, env.my_c), my_z)
+            .collect();
+        if blocks.is_empty() {
+            continue;
+        }
+        let fail = |detail: String| FailKind::Solver {
+            phase: "reduce".to_string(),
+            supernode: Some(s),
+            level: Some(l_a),
+            detail,
+        };
+        let tag = T_REDUCE | s as u64;
+        if reduction.send {
+            let items = blocks
+                .iter()
+                .map(|&(i, j)| store.get(i, j).map(|m| (i * nsup + j, m)))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| fail(format!("an ancestor block of {blocks:?} is not held")))?;
+            let sent_bytes: u64 = items
+                .iter()
+                .map(|(_, m)| (m.rows() * m.cols()) as u64 * 8)
+                .sum();
+            let payload = pack_blocks(&items);
+            rank.with_comm_class(simgrid::CommClass::ZReduction, |rank| {
+                rank.send(&comms.zline, peer_z, tag, payload)
+            });
+            // This grid retires after sending: its replica of ancestor
+            // `s` is dead, so release the bytes charged at store build
+            // (class AncestorReplica, level `l_a`).
+            rank.mem_credit_at(simgrid::MemClass::AncestorReplica, l_a as u32, sent_bytes);
+        } else {
+            let payload = rank
+                .recv_checked(&comms.zline, peer_z, tag)
+                .map_err(|e| fail(format!("z-line reduction recv from z={peer_z} failed: {e}")))?;
+            let received = unpack_blocks(payload);
+            let ids: Vec<(usize, usize)> = received
+                .iter()
+                .map(|(code, _)| (code / nsup, code % nsup))
+                .collect();
+            if ids != blocks {
+                return Err(fail(format!(
+                    "z={peer_z} sent blocks {ids:?}, this rank reduces {blocks:?}"
+                )));
             }
-            let tag = T_REDUCE | s as u64;
-            if i_am_sender {
-                let nsup = sym.nsup();
-                let items: Vec<(usize, &densela::Mat)> = blocks
-                    .iter()
-                    .map(|&(i, j)| (i * nsup + j, store.get(i, j).expect("owned block")))
-                    .collect();
-                let sent_bytes: u64 = items
-                    .iter()
-                    .map(|(_, m)| (m.rows() * m.cols()) as u64 * 8)
-                    .sum();
-                let payload = pack_blocks(&items);
-                rank.with_comm_class(simgrid::CommClass::ZReduction, |rank| {
-                    rank.send(&comms.zline, peer_z, tag, payload)
-                });
-                // This grid retires after sending: its replica of ancestor
-                // `s` is dead, so release the bytes charged at store build
-                // (class AncestorReplica, level `l_a`).
-                rank.mem_credit_at(simgrid::MemClass::AncestorReplica, l_a as u32, sent_bytes);
-            } else {
-                let payload =
-                    rank.recv_checked(&comms.zline, peer_z, tag)
-                        .map_err(|e| FailKind::Solver {
-                            phase: "reduce".to_string(),
-                            supernode: Some(s),
-                            level: Some(l_a),
-                            detail: format!("z-line reduction recv from z={peer_z} failed: {e}"),
-                        })?;
-                let nsup = sym.nsup();
-                for (code, m) in unpack_blocks(payload) {
-                    let (i, j) = (code / nsup, code % nsup);
-                    store
-                        .get_mut(i, j)
-                        .ok_or_else(|| FailKind::Solver {
-                            phase: "reduce".to_string(),
-                            supernode: Some(s),
-                            level: Some(l_a),
-                            detail: format!("reduction target ({i},{j}) missing"),
-                        })?
-                        .add_assign(&m);
-                }
+            for ((i, j), (_, m)) in blocks.into_iter().zip(received) {
+                store
+                    .get_mut(i, j)
+                    .ok_or_else(|| fail(format!("reduction target ({i},{j}) missing")))?
+                    .add_assign(&m);
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::forest::EtreeForest;
+    use simgrid::topology::build_grid_comms;
+    use simgrid::{Backend, Machine, TimeModel};
+    use slu2d::driver::Prepared;
+    use sparsemat::matgen::grid2d_5pt;
+    use sparsemat::testmats::Geometry;
+    use std::sync::Arc;
+
+    /// A sending layer whose store has lost one of the ancestor blocks its
+    /// reduction ships fails that rank with a structured error naming the
+    /// supernode — it used to send a short message the receiver summed
+    /// without a word, leaving factors unreduced. The machine reports the
+    /// sender, not the receiver left waiting, and nothing aborts — on both
+    /// backends.
+    #[test]
+    fn a_missing_ancestor_block_is_a_structured_failure_naming_the_supernode() {
+        let prep = Prepared::new(
+            grid2d_5pt(16, 16, 0.1, 3),
+            Geometry::Grid2d { nx: 16, ny: 16 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(2, 2, 2);
+        let sym = &prep.sym;
+        let forest = EtreeForest::build(&prep.tree, sym, grid3.pz);
+        let program = Arc::new(FactorProgram::new(sym, &forest, 8));
+        // Layer 1 sends at the leaf level. Lose a block of its reduction
+        // that none of its own Schur updates targets, so the reduction is
+        // the first step to look for it.
+        let level = program.level(1, 1).expect("layer 1 runs the leaf level");
+        let reduction = level
+            .reduction
+            .as_ref()
+            .filter(|r| r.send)
+            .expect("it sends");
+        let updated = |i: usize, j: usize| {
+            let targets = |k: usize| {
+                let st = &sym.fill.struct_of[k];
+                st.contains(&i) && st.contains(&j)
+            };
+            level.nodes.iter().any(|&k| targets(k))
+        };
+        let positions = (0..2).flat_map(|r| (0..2).map(move |c| (r, c)));
+        let (s, at, (i, j)) = reduction
+            .ancestors
+            .iter()
+            .flat_map(|&(_, s)| positions.clone().map(move |at| (s, at)))
+            .find_map(|(s, at)| {
+                let mut blocks = program.reduction_blocks(sym, grid3.grid2d, s, at, 1);
+                blocks.find(|&(i, j)| !updated(i, j)).map(|b| (s, at, b))
+            })
+            .expect("an ancestor block no update on layer 1 targets");
+        for backend in [Backend::Threaded, Backend::Event] {
+            let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
+            let (pa, sym, program) = (
+                Arc::clone(&prep.pa),
+                Arc::clone(&prep.sym),
+                Arc::clone(&program),
+            );
+            let failure = machine
+                .try_run(move |rank| {
+                    let comms = build_grid_comms(rank, &grid3);
+                    let (my_r, my_c, my_z) = comms.coords;
+                    let mut store = BlockStore::build_with_value_pred(
+                        &pa,
+                        &sym,
+                        &grid3.grid2d,
+                        my_r,
+                        my_c,
+                        &|s| program.keeps(s, my_z),
+                        &|i, j| program.initializes(i, j, my_z),
+                    );
+                    if (my_r, my_c, my_z) == (at.0, at.1, 1) {
+                        store.take(i, j).expect("the sender holds it");
+                    }
+                    let opts = FactorOpts::default();
+                    factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts)
+                        .unwrap_or_else(|kind| rank.fail(kind));
+                })
+                .expect_err("the reduction cannot complete");
+            let primary = failure.primary();
+            assert_eq!(primary.rank, grid3.rank_of(at.0, at.1, 1), "{backend}");
+            assert!(
+                matches!(&primary.kind, FailKind::Solver { phase, supernode, .. }
+                    if phase == "reduce" && *supernode == Some(s)),
+                "{backend}: {}",
+                primary.kind
+            );
+        }
+    }
 }

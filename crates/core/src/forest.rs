@@ -63,25 +63,10 @@ impl EtreeForest {
         for (node, sns) in sym.part.sns_of_node.iter().enumerate() {
             node_cost[node] = sns.iter().map(|&s| sym.cost.flops[s]).sum();
         }
-        Self::build_with_costs(tree, &node_cost, pz, strategy)
-    }
-
-    /// Partition with caller-supplied per-node costs. Used before any
-    /// symbolic information exists — the distributed symbolic phase
-    /// partitions by vertex counts (`node.width()` per node), then the
-    /// numeric phase re-partitions by predicted flops.
-    pub fn build_with_costs(
-        tree: &SepTree,
-        node_cost: &[u64],
-        pz: usize,
-        strategy: PartitionStrategy,
-    ) -> EtreeForest {
         assert!(pz.is_power_of_two(), "Pz must be a power of two");
         let l = pz.trailing_zeros() as usize;
-        let nn = tree.nodes.len();
-        assert_eq!(node_cost.len(), nn);
         // Subtree costs (nodes are in postorder: children precede parents).
-        let mut subtree_cost = node_cost.to_vec();
+        let mut subtree_cost = node_cost.clone();
         for i in 0..nn {
             for &c in &tree.nodes[i].children {
                 subtree_cost[i] += subtree_cost[c];
@@ -113,7 +98,7 @@ impl EtreeForest {
                 continue;
             }
             let (s, c1, c2) = match strategy {
-                PartitionStrategy::Greedy => split_forest(tree, node_cost, &subtree_cost, &roots),
+                PartitionStrategy::Greedy => split_forest(tree, &node_cost, &subtree_cost, &roots),
                 PartitionStrategy::NaiveNd => split_naive(tree, &roots),
             };
             let mut s = s;

@@ -16,8 +16,13 @@
 //! - [`forest`]: the greedy inter-grid load-balancing partition of the
 //!   separator tree into `E_f` (paper Fig. 8), plus the replication/keep
 //!   queries that decide which blocks each grid allocates and initializes.
-//! - [`factor3d`]: Algorithm 1 itself — per-level 2D factorization (via
-//!   [`slu2d::factor_nodes`]) and the pairwise ancestor reduction.
+//! - [`program`]: Algorithm 1's program, derived once per machine — the
+//!   levels each layer runs, each level's panel order and its ancestor
+//!   reduction, and the block rules they rest on. The runtime executes it
+//!   and `commplan` projects it into per-rank communication events.
+//! - [`factor3d`]: Algorithm 1 itself — the program's interpreter: per-level
+//!   2D factorization (via [`slu2d::factor_nodes`]) and the pairwise
+//!   ancestor reduction.
 //! - [`solve3d`]: the triangular solve on the 3D factor layout — per-forest
 //!   sweeps with accumulator reductions and solution broadcasts along z.
 //! - [`solver`]: the end-to-end API — order, analyze, partition, factor,
@@ -42,14 +47,14 @@
 
 pub mod factor3d;
 pub mod forest;
+pub mod program;
 pub mod solve3d;
 pub mod solver;
-pub mod symbolic3d;
 
 pub use factor3d::factor_3d;
 pub use forest::EtreeForest;
+pub use program::FactorProgram;
 pub use solver::{
     factor_and_solve, factor_only, try_factor_and_solve, try_factor_only, Output3d, SolverConfig,
     SolverError,
 };
-pub use symbolic3d::distributed_symbolic;

@@ -3,6 +3,7 @@
 
 use crate::factor3d::factor_3d;
 use crate::forest::EtreeForest;
+use crate::program::FactorProgram;
 use crate::solve3d::{solve_3d, SolvePlan};
 use simgrid::topology::build_grid_comms;
 use simgrid::{
@@ -427,32 +428,6 @@ fn solve_and_refine(
     x_full
 }
 
-/// What grid `z` allocates and what it initializes: `keep(sn)` holds for the
-/// supernodes of its forest parts plus every replicated ancestor, and
-/// `value_pred(i, j)` for the blocks whose values of `A` land on this grid —
-/// each block's designated initialization grid is the factoring grid of its
-/// deeper endpoint; the other grids start it at zero (§III-A).
-fn layer_predicates<'a>(
-    forest: &'a EtreeForest,
-    sym: &'a symbolic::Symbolic,
-    z: usize,
-) -> (
-    impl Fn(usize) -> bool + 'a,
-    impl Fn(usize, usize) -> bool + 'a,
-) {
-    let keep = move |sn: usize| forest.keeps(sym.part.node_of_sn[sn], z);
-    let value_pred = move |bi: usize, bj: usize| {
-        let (ni, nj) = (sym.part.node_of_sn[bi], sym.part.node_of_sn[bj]);
-        let deeper = if forest.part_level[ni] >= forest.part_level[nj] {
-            ni
-        } else {
-            nj
-        };
-        forest.factoring_grid(deeper) == z
-    };
-    (keep, value_pred)
-}
-
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
     match try_run(prep, cfg, rhs) {
         Ok(out) => out,
@@ -491,30 +466,30 @@ fn try_run(
     if let Some(deadline) = cfg.recv_deadline {
         machine = machine.with_recv_deadline(deadline);
     }
-    let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, cfg.pz));
+    let forest = EtreeForest::build(&prep.tree, &prep.sym, cfg.pz);
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
     // Where every block and matrix entry lives on a layer: derived once for
     // the machine, read by every rank's store.
     let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
-    // Likewise the solve's batches, when there is something to solve.
+    // Likewise what every layer factors, in which order, and what it
+    // reduces — the program `commplan` projects.
+    let program = Arc::new(FactorProgram::new(&sym, &forest, cfg.lookahead));
+    // And the solve's batches, when there is something to solve.
     let plan = rhs
         .is_some()
         .then(|| Arc::new(SolvePlan::new(&sym, &forest, &grid3.grid2d)));
     let solve_waves = plan.as_ref().map_or(Vec::new(), |p| p.waves_per_level());
     let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
     let opts = FactorOpts {
-        lookahead: cfg.lookahead,
         pivot_threshold: cfg.pivot_threshold,
     };
-    let forest_cl = Arc::clone(&forest);
     let cfg_refine = cfg.refine_steps;
 
     let out = machine.try_run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
         let (my_r, my_c, my_z) = comms.coords;
 
-        let (keep, value_pred) = layer_predicates(&forest_cl, &sym, my_z);
         let mut store = {
             let _host = rank.host_scope(simgrid::HostPhase::StoreBuild);
             BlockStore::from_layout(
@@ -523,8 +498,8 @@ fn try_run(
                 &sym,
                 my_r,
                 my_c,
-                &keep,
-                &value_pred,
+                &|s| program.keeps(s, my_z),
+                &|i, j| program.initializes(i, j, my_z),
             )
         };
         let store_words = store.total_words();
@@ -532,7 +507,7 @@ fn try_run(
         // A structured stage failure ends this rank in an orderly way: the
         // machine's failure board attributes the run to it (not to the
         // ranks that cascade), and `try_run` surfaces it as the error.
-        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &forest_cl, opts) {
+        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts) {
             Ok(o) => o,
             Err(kind) => rank.fail(kind),
         };
@@ -585,7 +560,7 @@ fn try_run(
         lookahead_hits,
         max_store_words,
         total_store_words,
-        forest: Arc::try_unwrap(forest).unwrap_or_else(|a| (*a).clone()),
+        forest,
         factor_digest,
         sched: out.sched,
         factor_makespan,
@@ -688,10 +663,12 @@ mod tests {
         let ctx = format!("{pr}x{pc}x{pz}");
         let grid = Grid2d::new(pr, pc);
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
+        let program = FactorProgram::new(&prep.sym, &forest, 8);
         let layout = Arc::new(StoreLayout::new(&prep.pa, &prep.sym, &grid));
         let mut total_blocks = 0;
         for z in 0..pz {
-            let (keep, value_pred) = layer_predicates(&forest, &prep.sym, z);
+            let keep = |s: usize| program.keeps(s, z);
+            let value_pred = |i: usize, j: usize| program.initializes(i, j, z);
             for (r, c) in (0..pr).flat_map(|r| (0..pc).map(move |c| (r, c))) {
                 let oracle = scan_build(&prep.pa, &prep.sym, &grid, (r, c), &keep, &value_pred);
                 let shared = BlockStore::from_layout(

@@ -106,10 +106,10 @@ pub struct Rank {
     /// panel broadcasts keep their class inside collective internals.
     comm_class: Option<CommClass>,
     /// 3D process-grid shape registered by the topology layer
-    /// ([`Rank::register_grid`]) with this rank's coordinates in it;
-    /// classifies each send's edge by grid axis. Without it every edge
-    /// classifies as [`GridAxis::Cross`].
-    grid: Option<(Grid3d, (usize, usize, usize))>,
+    /// ([`Rank::register_grid`]); classifies each send's edge by grid axis
+    /// ([`Grid3d::axis`]). Without it every edge classifies as
+    /// [`GridAxis::Cross`].
+    grid: Option<Grid3d>,
     /// Machine-wide wait-for graph; touched only when a receive actually
     /// blocks on the channel, so the fast path costs nothing.
     wait_graph: Arc<WaitGraph>,
@@ -464,7 +464,7 @@ impl Rank {
     /// Called once by [`crate::build_grid_comms`]; drivers that build their
     /// own communicators can call it directly.
     pub fn register_grid(&mut self, g: Grid3d) {
-        self.grid = Some((g, g.coords_of(self.world_rank)));
+        self.grid = Some(g);
     }
 
     /// Set the communication class subsequent sends are charged to in the
@@ -483,22 +483,6 @@ impl Rank {
         let out = f(self);
         self.comm_class = prev;
         out
-    }
-
-    /// Which grid axis the edge from this rank to world rank `peer` runs
-    /// along. Exactly one differing coordinate names the axis; anything
-    /// else — including no registered grid — is a cross edge.
-    fn comm_axis(&self, peer: usize) -> GridAxis {
-        let Some((g, (r0, c0, z0))) = self.grid else {
-            return GridAxis::Cross;
-        };
-        let (r1, c1, z1) = g.coords_of(peer);
-        match (r0 != r1, c0 != c1, z0 != z1) {
-            (false, true, false) => GridAxis::X,
-            (true, false, false) => GridAxis::Y,
-            (false, false, true) => GridAxis::Z,
-            _ => GridAxis::Cross,
-        }
     }
 
     /// Apply any stall window whose trigger time has been reached: the
@@ -698,7 +682,9 @@ impl Rank {
             } else {
                 CommClass::Control
             });
-            let axis = self.comm_axis(dst_world);
+            let axis = self
+                .grid
+                .map_or(GridAxis::Cross, |g| g.axis(self.world_rank, dst_world));
             self.comm
                 .charge_send(&self.phase, class, axis, dst_world, words, struct_words, t0);
         } else {

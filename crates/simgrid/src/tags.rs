@@ -50,18 +50,6 @@ pub const T_REDUCE: u64 = 9 << KIND_SHIFT;
 pub const T_ACC_RED: u64 = 12 << KIND_SHIFT;
 /// 3D triangular solve: solved ancestor segments pushed down the z-line.
 pub const T_X_DOWN: u64 = 13 << KIND_SHIFT;
-/// 3D symbolic setup: structure reduction up the z-line.
-pub const T_SYM_RED: u64 = 14 << KIND_SHIFT;
-/// 3D symbolic setup: merged structure gather.
-pub const T_SYM_GATHER: u64 = 15 << KIND_SHIFT;
-/// 2.5D dense SUMMA: A-panel ring shift.
-pub const T_APAN: u64 = 21 << KIND_SHIFT;
-/// 2.5D dense SUMMA: B-panel ring shift.
-pub const T_BPAN: u64 = 22 << KIND_SHIFT;
-/// 2.5D dense SUMMA: initial replication across layers.
-pub const T_REPL: u64 = 23 << KIND_SHIFT;
-/// 2.5D dense SUMMA: C-contribution reduction across layers.
-pub const T_CRED: u64 = 24 << KIND_SHIFT;
 
 // --- Collective caller bases (routed through [`coll_tag`]) ------------------
 
@@ -187,36 +175,6 @@ pub const REGISTRY: &[TagDecl] = &[
         name: "T_X_DOWN",
         space: TagSpace::P2p,
         base: T_X_DOWN,
-    },
-    TagDecl {
-        name: "T_SYM_RED",
-        space: TagSpace::P2p,
-        base: T_SYM_RED,
-    },
-    TagDecl {
-        name: "T_SYM_GATHER",
-        space: TagSpace::P2p,
-        base: T_SYM_GATHER,
-    },
-    TagDecl {
-        name: "T_APAN",
-        space: TagSpace::P2p,
-        base: T_APAN,
-    },
-    TagDecl {
-        name: "T_BPAN",
-        space: TagSpace::P2p,
-        base: T_BPAN,
-    },
-    TagDecl {
-        name: "T_REPL",
-        space: TagSpace::P2p,
-        base: T_REPL,
-    },
-    TagDecl {
-        name: "T_CRED",
-        space: TagSpace::P2p,
-        base: T_CRED,
     },
     TagDecl {
         name: "CB_SOLVE_X",

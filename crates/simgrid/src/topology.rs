@@ -9,6 +9,7 @@
 
 use crate::comm::Comm;
 use crate::rank::Rank;
+use obs::GridAxis;
 
 /// A 2D process grid of shape `pr x pc`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,6 +116,22 @@ impl Grid3d {
     /// Number of levels in Algorithm 1's reduction ladder: `log2 pz`.
     pub fn levels(&self) -> usize {
         self.pz.trailing_zeros() as usize
+    }
+
+    /// Which grid axis the edge between world ranks `a` and `b` runs along
+    /// (x: along a process row, y: down a process column, z: the z-line).
+    /// Exactly one differing coordinate names the axis; anything else is a
+    /// cross edge. The wire ledger classifies every send with it and the
+    /// static plan every planned one.
+    pub fn axis(&self, a: usize, b: usize) -> GridAxis {
+        let (r0, c0, z0) = self.coords_of(a);
+        let (r1, c1, z1) = self.coords_of(b);
+        match (r0 != r1, c0 != c1, z0 != z1) {
+            (false, true, false) => GridAxis::X,
+            (true, false, false) => GridAxis::Y,
+            (false, false, true) => GridAxis::Z,
+            _ => GridAxis::Cross,
+        }
     }
 
     /// How many communicators `family` has on this grid, and which of them
@@ -255,6 +272,14 @@ mod tests {
                 }
             }
         }
+        // One differing coordinate names the axis; two make a cross edge.
+        assert_eq!(g.axis(g.rank_of(1, 0, 2), g.rank_of(1, 2, 2)), GridAxis::X);
+        assert_eq!(g.axis(g.rank_of(0, 1, 2), g.rank_of(1, 1, 2)), GridAxis::Y);
+        assert_eq!(g.axis(g.rank_of(1, 2, 0), g.rank_of(1, 2, 3)), GridAxis::Z);
+        assert_eq!(
+            g.axis(g.rank_of(0, 0, 0), g.rank_of(1, 1, 0)),
+            GridAxis::Cross
+        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor2d::{factor_nodes, FactorEnv, FactorOpts};
+    use crate::factor2d::{factor_nodes, whole_order, FactorEnv, FactorOpts};
     use crate::store::BlockStore;
     use simgrid::topology::build_grid_comms;
     use simgrid::{Grid3d, Machine, TimeModel};
@@ -137,9 +137,8 @@ mod tests {
                 &|_| true,
                 InitValues::FromMatrix,
             );
-            let nodes: Vec<usize> = (0..sym.nsup()).collect();
-            let mut done = vec![false; sym.nsup()];
-            factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done)
+            let (nodes, order) = whole_order(&sym);
+            factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
                 .expect("the factorization completes");
             store
         });

@@ -19,13 +19,10 @@ pub struct FactorEnv {
     pub opts: FactorOpts,
 }
 
-/// Tuning knobs for the factorization.
+/// Tuning knobs for the factorization. The lookahead window (§II-F) is not
+/// one of them: it shapes the order a caller hands to [`factor_nodes`].
 #[derive(Clone, Copy, Debug)]
 pub struct FactorOpts {
-    /// Elimination-tree lookahead window: how many upcoming supernodes may
-    /// run their panel phase before the current Schur update (paper §II-F:
-    /// "typically ... in the range 8-20"). `0` disables lookahead.
-    pub lookahead: usize,
     /// Static-pivoting threshold (relative to the block's max entry).
     pub pivot_threshold: f64,
 }
@@ -33,7 +30,6 @@ pub struct FactorOpts {
 impl Default for FactorOpts {
     fn default() -> Self {
         FactorOpts {
-            lookahead: 8,
             pivot_threshold: 1e-10,
         }
     }
@@ -54,10 +50,9 @@ pub struct FactorOutcome {
 /// replicated ancestors outside `nodes`, which is what the 3D algorithm
 /// relies on).
 ///
-/// `done[s]` must be `true` for every supernode whose updates have already
-/// been applied (previous 3D levels) or which lives on another grid (its
-/// contribution arrives via ancestor reduction instead). The function marks
-/// nodes of `nodes` done as it processes them.
+/// `order` is the lookahead order of `nodes`
+/// ([`symbolic::BlockFill::lookahead_order`]), executed step by step; the
+/// 3D driver reads it from its factorization program.
 ///
 /// Collective across the layer: every rank calls with identical arguments.
 /// A panel step that finds this rank's share of the store incomplete ends
@@ -68,9 +63,9 @@ pub fn factor_nodes(
     store: &mut BlockStore,
     sym: &Symbolic,
     nodes: &[usize],
-    done: &mut [bool],
+    order: &[LookaheadStep],
 ) -> Result<FactorOutcome, FailKind> {
-    factor_nodes_at(rank, env, store, sym, nodes, done, BATCH_MIN_FLOPS)
+    factor_nodes_at(rank, env, store, sym, nodes, order, BATCH_MIN_FLOPS)
 }
 
 /// [`factor_nodes`] with the Schur dispatch threshold as an argument (see
@@ -82,31 +77,11 @@ fn factor_nodes_at(
     store: &mut BlockStore,
     sym: &Symbolic,
     nodes: &[usize],
-    done: &mut [bool],
+    order: &[LookaheadStep],
     batch_min_flops: u64,
 ) -> Result<FactorOutcome, FailKind> {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     let mut outcome = FactorOutcome::default();
-
-    // Validate the `done[]` contract up front: every scheduled node's
-    // children must either be marked done (processed earlier, or owned by
-    // another grid whose contribution arrives via ancestor reduction) or be
-    // scheduled before it in this list. A violation used to surface as a
-    // bare "current node must be panel-ready" panic deep inside the loop;
-    // failing here names the offending supernode and child instead.
-    let children = sym.fill.children();
-    for &k in nodes {
-        for &c in &children[k] {
-            if !done[c] && nodes.binary_search(&c).is_err() {
-                panic!(
-                    "factor_nodes: done[] contract violated by caller — supernode {k} \
-                     depends on elimination-tree child {c}, which is neither marked \
-                     done nor scheduled in this node list (out-of-grid children must \
-                     be pre-marked done; their updates arrive via ancestor reduction)"
-                );
-            }
-        }
-    }
 
     // Panels factored ahead of their Schur update, by position in `nodes`.
     let mut panels: Vec<Option<PanelData>> = (0..nodes.len()).map(|_| None).collect();
@@ -114,10 +89,10 @@ fn factor_nodes_at(
     // supernode of this node list; released (ledger-credited) at the end.
     let mut scratch = SchurScratch::new();
 
-    // All ranks derive the same order from shared symbolic state, keeping
-    // the collective broadcasts of the panel steps aligned.
+    // All ranks execute the same order, keeping the collective broadcasts
+    // of the panel steps aligned.
     let mut next_schur = 0;
-    for step in sym.fill.lookahead_order(nodes, done, env.opts.lookahead) {
+    for &step in order {
         match step {
             LookaheadStep::Panel(j) => {
                 let m = nodes[j];
@@ -143,7 +118,6 @@ fn factor_nodes_at(
                     factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops);
                 });
                 rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
-                done[k] = true;
                 next_schur = idx + 1;
             }
         }
@@ -152,86 +126,30 @@ fn factor_nodes_at(
     Ok(outcome)
 }
 
+/// Every supernode as one node list, with its lookahead order at the
+/// default window of 8: the whole 2D factorization, for the tests that
+/// drive [`factor_nodes`] without a 3D program.
+#[cfg(test)]
+pub(crate) fn whole_order(sym: &Symbolic) -> (Vec<usize>, Vec<LookaheadStep>) {
+    let nodes: Vec<usize> = (0..sym.nsup()).collect();
+    let order = sym
+        .fill
+        .lookahead_order(&nodes, &vec![false; nodes.len()], 8);
+    (nodes, order)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::Prepared;
     use crate::store::InitValues;
-    use ordering::{nested_dissection, Graph, NdOptions};
     use proptest::prelude::*;
     use simgrid::topology::build_grid_comms;
     use simgrid::{Grid3d, Machine, RankReport, TimeModel};
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt, random_band};
     use sparsemat::testmats::Geometry;
-    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-
-    fn setup(k: usize) -> (sparsemat::Csr, Symbolic) {
-        let a = grid2d_5pt(k, k, 0.1, 0);
-        let g = Graph::from_matrix(&a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: 8,
-                geometry: Geometry::Grid2d { nx: k, ny: k },
-                ..Default::default()
-            },
-        );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
-        let sym = Symbolic::analyze(&pa, &tree, 8);
-        (pa, sym)
-    }
-
-    /// A caller that schedules a node whose children are neither done nor
-    /// scheduled must be rejected at entry with the offending supernode and
-    /// child named — not with the old bare "must be panel-ready" panic from
-    /// deep inside the loop.
-    #[test]
-    fn done_contract_violation_names_node_and_child() {
-        let (pa, sym) = setup(8);
-        let sym = Arc::new(sym);
-        let pa = Arc::new(pa);
-        let root_sn = sym.nsup() - 1;
-        let child = *sym.fill.children()[root_sn]
-            .first()
-            .expect("root supernode must have a child in this fixture");
-        let m = Machine::new(1, TimeModel::zero());
-        let sym_cl = Arc::clone(&sym);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            m.run(move |rank| {
-                let env = FactorEnv {
-                    grid: simgrid::Grid2d::new(1, 1),
-                    my_r: 0,
-                    my_c: 0,
-                    row: rank.world(),
-                    col: rank.world(),
-                    opts: FactorOpts::default(),
-                };
-                let mut store = BlockStore::build(
-                    &pa,
-                    &sym_cl,
-                    &env.grid,
-                    0,
-                    0,
-                    &|_| true,
-                    InitValues::FromMatrix,
-                );
-                // Only the root is listed and nothing is done: contract violated.
-                let mut done = vec![false; sym_cl.nsup()];
-                let _ = factor_nodes(rank, &env, &mut store, &sym_cl, &[root_sn], &mut done);
-            })
-        }))
-        .expect_err("violating the done[] contract must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload must be a string");
-        assert!(msg.contains("done[] contract violated"), "{msg}");
-        assert!(msg.contains(&format!("supernode {root_sn}")), "{msg}");
-        assert!(msg.contains(&format!("child {child}")), "{msg}");
-    }
 
     /// A panel step whose store lacks one of its supernode's L blocks fails
     /// the block's owner with a structured error naming the supernode; the
@@ -281,9 +199,8 @@ mod tests {
                     if (my_r, my_c) == owner {
                         store.take(row, lost).expect("the owner holds it");
                     }
-                    let nodes: Vec<usize> = (0..sym.nsup()).collect();
-                    let mut done = vec![false; sym.nsup()];
-                    factor_nodes(rank, &env, &mut store, &sym, &nodes, &mut done)
+                    let (nodes, order) = whole_order(&sym);
+                    factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
                 .expect_err("the factorization cannot complete");
@@ -346,15 +263,14 @@ mod tests {
                 &|_| true,
                 InitValues::FromMatrix,
             );
-            let nodes: Vec<usize> = (0..sym.nsup()).collect();
-            let mut done = vec![false; sym.nsup()];
+            let (nodes, order) = whole_order(&sym);
             factor_nodes_at(
                 rank,
                 &env,
                 &mut store,
                 &sym,
                 &nodes,
-                &mut done,
+                &order,
                 batch_min_flops,
             )
             .expect("the factorization completes");

@@ -492,9 +492,20 @@ impl SchurScratch {
     }
 }
 
+/// Words on the wire of a [`pack_blocks`] payload holding blocks of the
+/// given `(rows, cols)` shapes: `1 + 3·count + Σ rows·cols`. The static
+/// communication plan counts every packed message with it.
+pub fn packed_words(shapes: impl IntoIterator<Item = (usize, usize)>) -> u64 {
+    let (count, data) = shapes
+        .into_iter()
+        .fold((0, 0), |(n, d), (rows, cols)| (n + 1, d + rows * cols));
+    (1 + 3 * count + data) as u64
+}
+
 /// Pack a list of `(block_id, Mat)` into one wire payload: the shape of a
 /// SuperLU packed panel message. Meta layout: `[count, id0, rows0, cols0,
-/// id1, ...]`, data: concatenated column-major buffers.
+/// id1, ...]`, data: concatenated column-major buffers; [`packed_words`]
+/// words in all.
 pub fn pack_blocks(items: &[(usize, &Mat)]) -> Payload {
     let mut meta = Vec::with_capacity(1 + 3 * items.len());
     meta.push(items.len());
@@ -509,7 +520,12 @@ pub fn pack_blocks(items: &[(usize, &Mat)]) -> Payload {
     for (_, m) in items {
         data.extend_from_slice(m.as_slice());
     }
-    Payload::Packed { meta, data }
+    let payload = Payload::Packed { meta, data };
+    debug_assert_eq!(
+        payload.words(),
+        packed_words(items.iter().map(|(_, m)| (m.rows(), m.cols())))
+    );
+    payload
 }
 
 /// Unpack a payload produced by [`pack_blocks`] into `(block_id, Mat)`

@@ -95,18 +95,33 @@ impl BlockFill {
     /// `idx..=idx + lookahead` that has not run yet and whose children are
     /// all complete — `done` on entry, or updated earlier in this list.
     /// Steps carry positions in `nodes`. A pure function of symbolic state,
-    /// so every rank of a layer derives the same order; the factorization
-    /// executes it and the communication plan flattens it.
+    /// derived once per machine into `lu3d`'s factorization program, which
+    /// the factorization executes and the communication plan flattens.
+    ///
+    /// Every child of a listed node must be `done` or listed itself (a
+    /// child on another grid is done: its update arrives by ancestor
+    /// reduction); a violation panics naming the node and the child.
     pub fn lookahead_order(
         &self,
         nodes: &[usize],
         done: &[bool],
         lookahead: usize,
     ) -> Vec<LookaheadStep> {
-        let mut pending: Vec<usize> = nodes
-            .iter()
-            .map(|&k| self.children[k].iter().filter(|&&c| !done[c]).count())
-            .collect();
+        let mut pending = Vec::with_capacity(nodes.len());
+        for &k in nodes {
+            let waiting = self.children[k].iter().filter(|&&c| !done[c]);
+            for &c in waiting.clone() {
+                if nodes.binary_search(&c).is_err() {
+                    panic!(
+                        "lookahead_order: done[] contract violated by caller — supernode {k} \
+                         depends on elimination-tree child {c}, which is neither marked done \
+                         nor listed (out-of-grid children must be pre-marked done; their \
+                         updates arrive via ancestor reduction)"
+                    );
+                }
+            }
+            pending.push(waiting.count());
+        }
         let mut paneled = vec![false; nodes.len()];
         let mut order = Vec::with_capacity(2 * nodes.len());
         for idx in 0..nodes.len() {
@@ -547,5 +562,30 @@ mod tests {
             ran_ahead,
             "no panel ever ran ahead: the window was never used"
         );
+    }
+
+    /// A node list with a child neither done nor listed is rejected naming
+    /// the supernode and the child — not with a bare "must be panel-ready"
+    /// panic from deep inside the factorization that executes the order.
+    #[test]
+    fn done_contract_violation_names_node_and_child() {
+        let a = grid2d_5pt(8, 8, 0.1, 0);
+        let (fill, _, _) = analyze(&a, Geometry::Grid2d { nx: 8, ny: 8 }, 8, 8);
+        let root_sn = fill.parent.len() - 1;
+        let child = *fill.children()[root_sn]
+            .first()
+            .expect("root supernode must have a child in this fixture");
+        // Only the root is listed and nothing is done: contract violated.
+        let done = vec![false; fill.parent.len()];
+        let err = std::panic::catch_unwind(|| fill.lookahead_order(&[root_sn], &done, 8))
+            .expect_err("violating the done[] contract must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic payload must be a string");
+        assert!(msg.contains("done[] contract violated"), "{msg}");
+        assert!(msg.contains(&format!("supernode {root_sn}")), "{msg}");
+        assert!(msg.contains(&format!("child {child}")), "{msg}");
     }
 }

@@ -49,7 +49,6 @@ pub mod sample;
 
 pub use commplan;
 pub use costmodel;
-pub use dense25d;
 pub use densela;
 pub use lu3d;
 pub use ordering;

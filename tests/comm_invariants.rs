@@ -172,7 +172,7 @@ fn deterministic_counters_across_runs() {
 fn traced_3d_run_has_consistent_timelines() {
     // Run Algorithm 1 with event tracing and validate every rank's trace:
     // ordered, non-overlapping, and summing to the reported t_comp/t_comm.
-    use salu::lu3d::{factor_3d, EtreeForest};
+    use salu::lu3d::{factor_3d, EtreeForest, FactorProgram};
     use salu::simgrid::topology::build_grid_comms;
     use salu::simgrid::{Grid3d, Machine};
     use salu::slu2d::store::BlockStore;
@@ -182,30 +182,21 @@ fn traced_3d_run_has_consistent_timelines() {
     let prep = Prepared::new(tm.matrix.clone(), tm.geometry, 16, 16);
     let grid3 = Grid3d::new(1, 2, 2);
     let machine = Machine::new(grid3.size(), TimeModel::edison_like()).with_tracing();
-    let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, 2));
+    let forest = EtreeForest::build(&prep.tree, &prep.sym, 2);
+    let program = Arc::new(FactorProgram::new(&prep.sym, &forest, 8));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
     let out = machine.run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
         let (my_r, my_c, my_z) = comms.coords;
-        let keep = |sn: usize| forest.keeps(sym.part.node_of_sn[sn], my_z);
-        let value_pred = |bi: usize, bj: usize| {
-            let (ni, nj) = (sym.part.node_of_sn[bi], sym.part.node_of_sn[bj]);
-            let deeper = if forest.part_level[ni] >= forest.part_level[nj] {
-                ni
-            } else {
-                nj
-            };
-            forest.factoring_grid(deeper) == my_z
-        };
         let mut store = BlockStore::build_with_value_pred(
             &pa,
             &sym,
             &grid3.grid2d,
             my_r,
             my_c,
-            &keep,
-            &value_pred,
+            &|s| program.keeps(s, my_z),
+            &|i, j| program.initializes(i, j, my_z),
         );
         factor_3d(
             rank,
@@ -213,7 +204,7 @@ fn traced_3d_run_has_consistent_timelines() {
             &comms,
             &mut store,
             &sym,
-            &forest,
+            &program,
             salu::slu2d::factor2d::FactorOpts::default(),
         )
         .expect("fault-free factorization succeeds");
