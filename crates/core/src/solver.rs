@@ -4,7 +4,8 @@
 use crate::factor3d::factor_3d;
 use crate::forest::EtreeForest;
 use crate::program::FactorProgram;
-use crate::solve3d::{solve_3d, SolvePlan};
+use crate::solve3d::{exchange, solve_3d, SolvePlan};
+use simgrid::tags::{T_X_GATHER, T_X_HALO};
 use simgrid::topology::build_grid_comms;
 use simgrid::{
     Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
@@ -382,35 +383,40 @@ pub fn try_factor_and_solve(
     try_run(prep, cfg, rhs).map_err(SolverError::from_machine)
 }
 
-/// Solve, then run `refine_steps` sweeps of iterative refinement, on the
-/// ranks of `comm`. `solve_once` returns this rank's partial solution for a
-/// right-hand side, of which it reads only `my_rows`; every rank of `comm`
-/// materializes the full vector by allreduce and forms the residual
-/// `b - A x` on those rows alone, so each row is computed once on the
-/// machine.
+/// Solve, then run `refine_steps` sweeps of iterative refinement.
+/// `solve_once` returns this rank's part of the solution for a right-hand
+/// side: the segments of its own supernodes ([`SolvePlan::solved_by`]), the
+/// only rows of the right-hand side it reads. A rank keeps x on those
+/// segments alone. Before each sweep it receives from their owners the
+/// segments its residual rows read (the plan's halo), forms the residual
+/// `b - A x` on its own rows, so each row is computed once on the machine,
+/// and adds the correction to its own segments. At the end world rank 0
+/// gathers every owner's segments: its return value is the whole solution,
+/// every other rank's its own part.
 fn solve_and_refine(
     rank: &mut simgrid::Rank,
-    comm: &simgrid::Comm,
+    plan: &SolvePlan,
     pa: &sparsemat::Csr,
-    my_rows: &[std::ops::Range<usize>],
+    part: &symbolic::SnPartition,
     b: &[f64],
     refine_steps: usize,
     mut solve_once: impl FnMut(&mut simgrid::Rank, &[f64]) -> Vec<f64>,
 ) -> Vec<f64> {
-    let xp = solve_once(rank, b);
-    let mut x_full = {
-        let _host = rank.host_scope(simgrid::HostPhase::Refine);
-        rank.allreduce_sum(comm, xp, simgrid::tags::CB_SOLVE_X)
-    };
+    let world = rank.world();
+    let mine = plan.solved_by(rank.id());
+    let mut x = solve_once(rank, b);
     for step in 0..refine_steps {
         let r = {
             let _host = rank.host_scope(simgrid::HostPhase::Refine);
+            let tag = T_X_HALO | step as u64;
+            exchange(rank, &world, part, plan.halo(), tag, "refine", &mut x)
+                .unwrap_or_else(|kind| rank.fail(kind));
             let mut r = vec![0.0; b.len()];
             let mut nnz = 0;
-            for i in my_rows.iter().cloned().flatten() {
+            for i in mine.iter().flat_map(|&k| part.ranges[k].clone()) {
                 let mut ax = 0.0;
                 for (c, v) in pa.row_cols(i).iter().zip(pa.row_vals(i)) {
-                    ax += v * x_full[*c];
+                    ax += v * x[*c];
                 }
                 r[i] = b[i] - ax;
                 nnz += pa.row_cols(i).len();
@@ -418,14 +424,24 @@ fn solve_and_refine(
             rank.advance_compute(2 * nnz as u64);
             r
         };
-        let dxp = solve_once(rank, &r);
+        let dx = solve_once(rank, &r);
         let _host = rank.host_scope(simgrid::HostPhase::Refine);
-        let dx = rank.allreduce_sum(comm, dxp, simgrid::tags::CB_REFINE | step as u64);
-        for (xi, di) in x_full.iter_mut().zip(dx) {
-            *xi += di;
+        for i in mine.iter().flat_map(|&k| part.ranges[k].clone()) {
+            x[i] += dx[i];
         }
     }
-    x_full
+    let _host = rank.host_scope(simgrid::HostPhase::Refine);
+    exchange(
+        rank,
+        &world,
+        part,
+        plan.gather(),
+        T_X_GATHER,
+        "gather",
+        &mut x,
+    )
+    .unwrap_or_else(|kind| rank.fail(kind));
+    x
 }
 
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
@@ -475,10 +491,10 @@ fn try_run(
     // Likewise what every layer factors, in which order, and what it
     // reduces — the program `commplan` projects.
     let program = Arc::new(FactorProgram::new(&sym, &forest, cfg.lookahead));
-    // And the solve's batches, when there is something to solve.
+    // And the solve's batches and routes, when there is something to solve.
     let plan = rhs
         .is_some()
-        .then(|| Arc::new(SolvePlan::new(&sym, &forest, &grid3.grid2d)));
+        .then(|| Arc::new(SolvePlan::new(&pa, &sym, &forest, &grid3)));
     let solve_waves = plan.as_ref().map_or(Vec::new(), |p| p.waves_per_level());
     let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
     let opts = FactorOpts {
@@ -519,14 +535,11 @@ fn try_run(
 
         let x_full = rhs_p.as_ref().zip(plan.as_ref()).map(|(b, plan)| {
             rank.set_phase("solve");
-            let world = rank.world();
-            let mine = plan.solved_by(comms.coords);
-            let my_rows: Vec<_> = mine.iter().map(|&k| sym.part.ranges[k].clone()).collect();
             let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| {
                 solve_3d(rank, &grid3, &comms, &store, &sym, plan, opts, rhs)
                     .unwrap_or_else(|kind| rank.fail(kind))
             };
-            solve_and_refine(rank, &world, &pa, &my_rows, b, cfg_refine, solve_once)
+            solve_and_refine(rank, plan, &pa, &sym.part, b, cfg_refine, solve_once)
         });
         (
             outcome.perturbations,

@@ -3,16 +3,16 @@
 //! Implemented with the classical tree algorithms so the simulated message
 //! counts and critical-path latency match what an MPI library would incur:
 //!
-//! - broadcast / reduce: binomial trees, `ceil(log2 p)` rounds,
-//! - barrier: dissemination algorithm, `ceil(log2 p)` rounds,
-//! - allreduce: reduce-to-root followed by broadcast.
+//! - broadcast / reduce: binomial trees, `ceil(log2 p)` rounds, over the
+//!   whole communicator or over a roster of its ranks,
+//! - barrier: dissemination algorithm, `ceil(log2 p)` rounds.
 //!
 //! Tags are namespaced under high bits so collective traffic can never
 //! collide with user point-to-point tags on the same communicator, and
-//! every collective *phase* (the reduce half of an allreduce, the
-//! broadcast half, a barrier round, ...) owns a disjoint sub-namespace so
-//! two adjacent collectives with nearby base tags can never alias either.
-//! The layout of a collective-internal tag:
+//! every collective *phase* (a broadcast, a reduction, a barrier round, ...)
+//! owns a disjoint sub-namespace so two adjacent collectives with nearby
+//! base tags can never alias either. The layout of a collective-internal
+//! tag:
 //!
 //! ```text
 //! bit 62        : COLL_TAG     — separates collective from user traffic
@@ -22,23 +22,19 @@
 //! ```
 //!
 //! Earlier revisions derived sub-tags arithmetically (`tag + round` for
-//! barrier rounds, `tag ^ 0x5555` / `tag ^ 0x3333` for the broadcast half
-//! of allreduces), which collides when a sibling collective's base tag
-//! differs by the same small integer — e.g. two adjacent barriers with
-//! consecutive base tags, or an allreduce whose XORed broadcast tag lands
-//! on another collective's reduce tag. Dedicated bit fields make the
-//! sub-namespaces disjoint by construction; `coll_tags::namespaces_are_
-//! disjoint` pins the property. The layout constants and the workspace-wide
-//! registry of declared tag bases live in [`crate::tags`], whose `audit()`
-//! the static communication planner re-runs at plan time.
+//! barrier rounds, `tag ^ 0x5555` for the broadcast half of an allreduce),
+//! which collides when a sibling collective's base tag differs by the same
+//! small integer — e.g. two adjacent barriers with consecutive base tags.
+//! Dedicated bit fields make the sub-namespaces disjoint by construction;
+//! `coll_tags::namespaces_are_disjoint` pins the property. The layout
+//! constants and the workspace-wide registry of declared tag kinds live in
+//! [`crate::tags`], whose `audit()` the static communication planner re-runs
+//! at plan time.
 
 use crate::comm::Comm;
 use crate::payload::Payload;
 use crate::rank::Rank;
-use crate::tags::{
-    coll_tag, MAX_ROUNDS, PH_ALLREDUCE_BCAST, PH_BARRIER, PH_BCAST, PH_GATHER, PH_MAX_BCAST,
-    PH_MAX_REDUCE, PH_REDUCE, ROUND_SHIFT,
-};
+use crate::tags::{coll_tag, MAX_ROUNDS, PH_BARRIER, PH_BCAST, PH_REDUCE, ROUND_SHIFT};
 use obs::SpanCat;
 
 /// Position of local rank `local` in the binomial broadcast tree over `p`
@@ -48,13 +44,13 @@ use obs::SpanCat;
 /// lowest set bit cleared, and every bit below that one addresses a distinct
 /// child subtree, forwarded in decreasing bit order. The one definition of
 /// the tree: [`Rank::bcast_among`] executes it over roster positions (and
-/// [`Rank::bcast`] over the whole communicator), and `commplan` plans from
-/// it.
+/// [`Rank::bcast`] over the whole communicator), [`Rank::reduce_sum_among`]
+/// walks it the other way, and `commplan` plans from it.
 pub fn bcast_tree(
     p: usize,
     root: usize,
     local: usize,
-) -> (Option<usize>, impl Iterator<Item = usize>) {
+) -> (Option<usize>, impl DoubleEndedIterator<Item = usize>) {
     let relative = (local + p - root) % p;
     let low = if relative == 0 {
         p.next_power_of_two()
@@ -70,16 +66,37 @@ pub fn bcast_tree(
     (parent, children)
 }
 
+/// This rank's parent and children, as local ranks of `comm`, in the tree
+/// of [`bcast_tree`] over the positions of `roster` (`None`: the whole
+/// communicator) rooted at local rank `root`. Only members may ask.
+fn tree_among<'a>(
+    comm: &Comm,
+    roster: Option<&'a [usize]>,
+    root: usize,
+    what: &str,
+) -> (Option<usize>, impl DoubleEndedIterator<Item = usize> + 'a) {
+    debug_assert!(
+        roster.is_none_or(|r| r.windows(2).all(|w| w[0] < w[1])),
+        "roster must ascend"
+    );
+    let pos = |m: usize| roster.map_or(Some(m), |r| r.binary_search(&m).ok());
+    let at = pos(comm.local_rank())
+        .unwrap_or_else(|| panic!("only roster members take part in a roster {what}"));
+    let root_at = pos(root).unwrap_or_else(|| panic!("the {what} root is on its roster"));
+    let p = roster.map_or(comm.size(), <[usize]>::len);
+    assert!(root_at < p, "{what} root out of range");
+    let member = move |pos: usize| roster.map_or(pos, |r| r[pos]);
+    let (parent, children) = bcast_tree(p, root_at, at);
+    (parent.map(member), children.map(member))
+}
+
 impl Rank {
     /// Broadcast from `root` (local rank) to every member of `comm`.
     /// `data` must be `Some` on the root and is ignored elsewhere. Every
     /// rank returns the broadcast payload. Binomial tree: `p - 1` messages
     /// total, `ceil(log2 p)` on the critical path.
     pub fn bcast(&mut self, comm: &Comm, root: usize, data: Option<Payload>, tag: u64) -> Payload {
-        let sp = self.span_enter(SpanCat::Coll, "bcast");
-        let out = self.bcast_inner(comm, None, root, data, coll_tag(PH_BCAST, tag));
-        self.span_exit(sp);
-        out
+        self.bcast_inner(comm, None, root, data, tag)
     }
 
     /// Broadcast from `root` to the members of `roster` only: the ascending
@@ -96,16 +113,9 @@ impl Rank {
         data: Option<Payload>,
         tag: u64,
     ) -> Payload {
-        let sp = self.span_enter(SpanCat::Coll, "bcast");
-        let out = self.bcast_inner(comm, Some(roster), root, data, coll_tag(PH_BCAST, tag));
-        self.span_exit(sp);
-        out
+        self.bcast_inner(comm, Some(roster), root, data, tag)
     }
 
-    /// `tag` is a fully namespaced collective tag (see [`coll_tag`]); the
-    /// phase id is the caller's responsibility so allreduce variants can
-    /// keep their broadcast half disjoint from direct broadcasts. `roster`
-    /// `None` is the whole communicator.
     fn bcast_inner(
         &mut self,
         comm: &Comm,
@@ -114,37 +124,24 @@ impl Rank {
         data: Option<Payload>,
         tag: u64,
     ) -> Payload {
-        let me = comm.local_rank();
-        let (p, at, root_at) = match roster {
-            None => (comm.size(), me, root),
-            Some(r) => {
-                debug_assert!(r.windows(2).all(|w| w[0] < w[1]), "roster must ascend");
-                let pos = |m: usize| r.binary_search(&m).ok();
-                let at = pos(me).expect("only roster members take part in a roster bcast");
-                (
-                    r.len(),
-                    at,
-                    pos(root).expect("the bcast root is on its roster"),
-                )
-            }
-        };
-        assert!(root_at < p, "bcast root out of range");
-        let member = |pos: usize| roster.map_or(pos, |r| r[pos]);
-        let (parent, children) = bcast_tree(p, root_at, at);
+        let sp = self.span_enter(SpanCat::Coll, "bcast");
+        let tag = coll_tag(PH_BCAST, tag);
+        let (parent, children) = tree_among(comm, roster, root, "bcast");
         let payload = match parent {
             None => data.expect("bcast root must supply data"),
-            Some(src) => self.recv(comm, member(src), tag),
+            Some(src) => self.recv(comm, src, tag),
         };
         for dst in children {
-            self.send(comm, member(dst), tag, payload.clone());
+            self.send(comm, dst, tag, payload.clone());
         }
+        self.span_exit(sp);
         payload
     }
 
-    /// Elementwise-sum reduction of `data` to `root` (local rank). Returns
-    /// `Some(sum)` on the root, `None` elsewhere. Binomial tree with a
-    /// deterministic combine order, so results are bitwise reproducible for
-    /// a fixed communicator size.
+    /// Elementwise-sum reduction of `data` to `root` (local rank) over every
+    /// member of `comm`. Returns `Some(sum)` on the root, `None` elsewhere.
+    /// Binomial tree with a deterministic combine order, so results are
+    /// bitwise reproducible for a fixed communicator size.
     pub fn reduce_sum(
         &mut self,
         comm: &Comm,
@@ -152,102 +149,55 @@ impl Rank {
         data: Vec<f64>,
         tag: u64,
     ) -> Option<Vec<f64>> {
-        let sp = self.span_enter(SpanCat::Coll, "reduce");
-        let out = self.reduce_sum_inner(comm, root, data, coll_tag(PH_REDUCE, tag));
-        self.span_exit(sp);
-        out
+        self.reduce_sum_inner(comm, None, root, data, tag)
     }
 
-    /// `tag` is a fully namespaced collective tag (see [`bcast_inner`]).
-    fn reduce_sum_inner(
+    /// Elementwise-sum reduction of `data` to `root` over the members of
+    /// `roster` only: the ascending local ranks of `comm` holding a
+    /// contribution, `root` among them. Only members call it. The tree of
+    /// [`bcast_tree`] over roster positions, walked from the leaves: each
+    /// member adds its children's operands in increasing bit order, then
+    /// sends the sum to its parent — `|roster| - 1` messages, and on the
+    /// whole communicator exactly [`Rank::reduce_sum`].
+    pub fn reduce_sum_among(
         &mut self,
         comm: &Comm,
+        roster: &[usize],
         root: usize,
         data: Vec<f64>,
         tag: u64,
     ) -> Option<Vec<f64>> {
-        let p = comm.size();
-        assert!(root < p, "reduce root out of range");
-        let relative = (comm.local_rank() + p - root) % p;
+        self.reduce_sum_inner(comm, Some(roster), root, data, tag)
+    }
+
+    fn reduce_sum_inner(
+        &mut self,
+        comm: &Comm,
+        roster: Option<&[usize]>,
+        root: usize,
+        data: Vec<f64>,
+        tag: u64,
+    ) -> Option<Vec<f64>> {
+        let sp = self.span_enter(SpanCat::Coll, "reduce");
+        let tag = coll_tag(PH_REDUCE, tag);
+        let (parent, children) = tree_among(comm, roster, root, "reduce");
         let mut acc = data;
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask == 0 {
-                let child = relative | mask;
-                if child < p {
-                    let src = (child + root) % p;
-                    let v = self.recv_f64s(comm, src, tag);
-                    assert_eq!(v.len(), acc.len(), "reduce_sum operand length mismatch");
-                    for (a, b) in acc.iter_mut().zip(v) {
-                        *a += b;
-                    }
-                }
-            } else {
-                let parent = relative & !mask;
-                let dst = (parent + root) % p;
+        for src in children.rev() {
+            let v = self.recv_f64s(comm, src, tag);
+            assert_eq!(v.len(), acc.len(), "reduce_sum operand length mismatch");
+            for (a, b) in acc.iter_mut().zip(v) {
+                *a += b;
+            }
+        }
+        let out = match parent {
+            None => Some(acc),
+            Some(dst) => {
                 self.send(comm, dst, tag, Payload::F64s(acc));
-                return None;
+                None
             }
-            mask <<= 1;
-        }
-        Some(acc)
-    }
-
-    /// Allreduce (sum): reduce to local rank 0, then broadcast.
-    pub fn allreduce_sum(&mut self, comm: &Comm, data: Vec<f64>, tag: u64) -> Vec<f64> {
-        let sp = self.span_enter(SpanCat::Coll, "allreduce");
-        let reduced = self.reduce_sum_inner(comm, 0, data, coll_tag(PH_REDUCE, tag));
-        let out = self
-            .bcast_inner(
-                comm,
-                None,
-                0,
-                reduced.map(Payload::F64s),
-                coll_tag(PH_ALLREDUCE_BCAST, tag),
-            )
-            .into_f64s();
-        self.span_exit(sp);
-        out
-    }
-
-    /// Maximum-allreduce of a single value (used for load statistics and
-    /// convergence checks).
-    pub fn allreduce_max(&mut self, comm: &Comm, value: f64, tag: u64) -> f64 {
-        let sp = self.span_enter(SpanCat::Coll, "allreduce_max");
-        let out = self.allreduce_max_inner(comm, value, tag);
-        self.span_exit(sp);
-        out
-    }
-
-    fn allreduce_max_inner(&mut self, comm: &Comm, value: f64, tag: u64) -> f64 {
-        let p = comm.size();
-        let rtag = coll_tag(PH_MAX_REDUCE, tag);
-        let relative = comm.local_rank();
-        let mut acc = value;
-        let mut mask = 1usize;
-        let mut is_root = true;
-        while mask < p {
-            if relative & mask == 0 {
-                let child = relative | mask;
-                if child < p {
-                    let v = self.recv_f64s(comm, child, rtag);
-                    acc = acc.max(v[0]);
-                }
-            } else {
-                let parent = relative & !mask;
-                self.send(comm, parent, rtag, Payload::F64s(vec![acc]));
-                is_root = false;
-                break;
-            }
-            mask <<= 1;
-        }
-        let out = if is_root {
-            Some(Payload::F64s(vec![acc]))
-        } else {
-            None
         };
-        self.bcast_inner(comm, None, 0, out, coll_tag(PH_MAX_BCAST, tag))
-            .into_f64s()[0]
+        self.span_exit(sp);
+        out
     }
 
     /// Dissemination barrier: `ceil(log2 p)` rounds of paired empty
@@ -284,64 +234,12 @@ impl Rank {
             round += 1;
         }
     }
-
-    /// Gather variable-length f64 payloads to `root`; returns `Some(vec of
-    /// per-local-rank data)` on the root. Linear algorithm (`p - 1` messages
-    /// to the root); used for result collection, never inside the
-    /// factorization inner loops.
-    pub fn gather_f64(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<f64>,
-        tag: u64,
-    ) -> Option<Vec<Vec<f64>>> {
-        let sp = self.span_enter(SpanCat::Coll, "gather");
-        let out = self.gather_f64_inner(comm, root, data, tag);
-        self.span_exit(sp);
-        out
-    }
-
-    fn gather_f64_inner(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Vec<f64>,
-        tag: u64,
-    ) -> Option<Vec<Vec<f64>>> {
-        let p = comm.size();
-        let tag = coll_tag(PH_GATHER, tag);
-        let me = comm.local_rank();
-        if me == root {
-            let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-            out[root] = data;
-            for src in 0..p {
-                if src != root {
-                    out[src] = self.recv_f64s(comm, src, tag);
-                }
-            }
-            Some(out)
-        } else {
-            self.send(comm, root, tag, Payload::F64s(data));
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod coll_tags {
     use super::*;
-    use crate::tags::COLL_TAG;
-
-    const PHASES: &[(u64, &str)] = &[
-        (PH_BCAST, "bcast"),
-        (PH_REDUCE, "reduce"),
-        (PH_ALLREDUCE_BCAST, "allreduce-bcast"),
-        (PH_MAX_REDUCE, "max-reduce"),
-        (PH_MAX_BCAST, "max-bcast"),
-        (PH_BARRIER, "barrier"),
-        (PH_GATHER, "gather"),
-    ];
+    use crate::tags::{COLL_TAG, PHASES};
 
     #[test]
     fn namespaces_are_disjoint() {
@@ -366,9 +264,9 @@ mod coll_tags {
     fn sibling_collectives_with_nearby_tags_never_alias() {
         // The regressions that motivated the bit fields: a barrier's round
         // `r` tag versus a sibling barrier whose base tag differs by `r`
-        // (formerly `tag + round`), and an allreduce's broadcast tag versus
-        // another collective's reduce tag (formerly `tag ^ 0x5555`, which
-        // maps e.g. 0x5554 onto 0x5554 + 1).
+        // (formerly `tag + round`), and one collective's tag versus another
+        // phase's (an allreduce once broadcast on `tag ^ 0x5555`, which maps
+        // e.g. 0x5554 onto 0x5554 + 1).
         for base in [0u64, 7, 0x5554, 0x5554 & !1, (12 << 48) | 3] {
             for delta in 1u64..8 {
                 for ra in 0..MAX_ROUNDS {
@@ -379,14 +277,12 @@ mod coll_tags {
                     }
                 }
             }
-            // An allreduce's two halves and a plain reduce/bcast with ANY
-            // base tag below the namespace can only collide phase-by-phase,
-            // so equal tags imply equal base tags within the same phase.
-            let ar_bcast = coll_tag(PH_ALLREDUCE_BCAST, base);
+            // A reduce and a broadcast with ANY base tags below the
+            // namespace can only collide phase by phase: equal tags imply
+            // equal phases and equal base tags.
             for other in [base, base ^ 0x5555, base ^ 0x3333, base + 1] {
-                assert_ne!(ar_bcast, coll_tag(PH_REDUCE, other));
-                assert_ne!(ar_bcast, coll_tag(PH_BCAST, other));
-                assert_ne!(coll_tag(PH_MAX_BCAST, base), coll_tag(PH_REDUCE, other));
+                assert_ne!(coll_tag(PH_BCAST, base), coll_tag(PH_REDUCE, other));
+                assert_ne!(coll_tag(PH_REDUCE, base), coll_tag(PH_BARRIER, other));
             }
         }
     }

@@ -592,36 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_and_barrier() {
-        let m = Machine::new(6, TimeModel::zero());
-        let out = m.run(|rank| {
-            let world = rank.world();
-            rank.barrier(&world, 0);
-            let s = rank.allreduce_sum(&world, vec![1.0], 9)[0];
-            let mx = rank.allreduce_max(&world, rank.id() as f64, 11);
-            (s, mx)
-        });
-        for &(s, mx) in &out.results {
-            assert_eq!(s, 6.0);
-            assert_eq!(mx, 5.0);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let m = Machine::new(4, TimeModel::zero());
-        let out = m.run(|rank| {
-            let world = rank.world();
-            rank.gather_f64(&world, 2, vec![rank.id() as f64; rank.id() + 1], 1)
-        });
-        let g = out.results[2].as_ref().unwrap();
-        for (i, v) in g.iter().enumerate() {
-            assert_eq!(v.len(), i + 1);
-            assert!(v.iter().all(|&x| x == i as f64));
-        }
-    }
-
-    #[test]
     fn subset_communicators_isolate_traffic() {
         let m = Machine::new(4, TimeModel::zero());
         let out = m.run(|rank| {

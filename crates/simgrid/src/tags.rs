@@ -4,14 +4,15 @@
 //! namespaces:
 //!
 //! - **Point-to-point kinds** — `tag = KIND | payload` with the kind id in
-//!   bits 48..62 and a caller payload (supernode / panel / step index)
+//!   bits 48..=52 and a caller payload (supernode / panel / step index)
 //!   below bit 48. Declared here as `T_*` constants and listed in
 //!   [`REGISTRY`].
 //! - **Collective-internal tags** — bit 62 ([`COLL_TAG`]) set, a phase id
 //!   in bits 57..=59, a round counter in bits 53..=56, and the caller's
-//!   base tag below bit 53 (composed by [`coll_tag`]). Collective *caller
-//!   bases* (`CB_*`) live in the same numeric range as p2p kinds but are
-//!   physically disjoint because the composed tag always carries bit 62.
+//!   base tag below bit 53 (composed by [`coll_tag`]). A collective's
+//!   caller base is a `T_*` kind and payload like any other; the composed
+//!   tag always carries bit 62, so it never meets the same kind sent point
+//!   to point.
 //!
 //! Earlier revisions (pre-PR 4) derived collective sub-tags arithmetically
 //! (`tag + round`, `tag ^ 0x5555`), which aliased sibling collectives with
@@ -46,17 +47,15 @@ pub const T_BWD_RED: u64 = 7 << KIND_SHIFT;
 pub const T_BWD_BC: u64 = 8 << KIND_SHIFT;
 /// 3D factorization: z-line ancestor reduction (Algorithm 1's reduce phase).
 pub const T_REDUCE: u64 = 9 << KIND_SHIFT;
+/// Iterative refinement: an owner's solved segments to a rank whose residual
+/// rows read them (`T_X_HALO | step`).
+pub const T_X_HALO: u64 = 10 << KIND_SHIFT;
+/// The solution's owned segments gathered to world rank 0.
+pub const T_X_GATHER: u64 = 11 << KIND_SHIFT;
 /// 3D triangular solve: ancestor partial-sum accumulation up the z-line.
 pub const T_ACC_RED: u64 = 12 << KIND_SHIFT;
 /// 3D triangular solve: solved ancestor segments pushed down the z-line.
 pub const T_X_DOWN: u64 = 13 << KIND_SHIFT;
-
-// --- Collective caller bases (routed through [`coll_tag`]) ------------------
-
-/// World allreduce assembling the final solution vector (3D solve).
-pub const CB_SOLVE_X: u64 = 11 << KIND_SHIFT;
-/// Per-step allreduce in iterative refinement (`CB_REFINE | step`).
-pub const CB_REFINE: u64 = 12 << KIND_SHIFT;
 
 // --- Collective-internal tag layout ----------------------------------------
 
@@ -66,22 +65,12 @@ pub const COLL_TAG: u64 = 1 << 62;
 
 /// Phase-id field: bits 57..=59.
 pub const PHASE_SHIFT: u32 = 57;
-/// Broadcast requested directly via `Rank::bcast`.
+/// Broadcast: `Rank::bcast` and `Rank::bcast_among`.
 pub const PH_BCAST: u64 = 1 << PHASE_SHIFT;
-/// Reduce-to-root — both `Rank::reduce_sum` and the reduce half of
-/// `Rank::allreduce_sum` (sequentially indistinguishable on a FIFO
-/// channel; allreduce's broadcast half is namespaced apart).
+/// Reduce-to-root: `Rank::reduce_sum` and `Rank::reduce_sum_among`.
 pub const PH_REDUCE: u64 = 2 << PHASE_SHIFT;
-/// The broadcast half of `Rank::allreduce_sum`.
-pub const PH_ALLREDUCE_BCAST: u64 = 3 << PHASE_SHIFT;
-/// The reduce half of `Rank::allreduce_max`.
-pub const PH_MAX_REDUCE: u64 = 4 << PHASE_SHIFT;
-/// The broadcast half of `Rank::allreduce_max`.
-pub const PH_MAX_BCAST: u64 = 5 << PHASE_SHIFT;
 /// Dissemination-barrier rounds (combined with the round field).
 pub const PH_BARRIER: u64 = 6 << PHASE_SHIFT;
-/// Linear gather to root.
-pub const PH_GATHER: u64 = 7 << PHASE_SHIFT;
 
 /// Per-round counter field for the barrier: bits 53..=56, zero for every
 /// other collective. 4 bits bound `ceil(log2 p)` rounds at `p <= 2^16`.
@@ -100,21 +89,10 @@ pub fn coll_tag(phase: u64, tag: u64) -> u64 {
 
 // --- Registry + audit -------------------------------------------------------
 
-/// Which namespace a registered tag base belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TagSpace {
-    /// `T_*`: physical p2p tag base, payload in the low 48 bits.
-    P2p,
-    /// `CB_*`: caller base handed to a collective; physical tags carry
-    /// [`COLL_TAG`] and a phase id on top.
-    CollBase,
-}
-
-/// One declared tag base.
+/// One declared tag kind.
 #[derive(Clone, Copy, Debug)]
 pub struct TagDecl {
     pub name: &'static str,
-    pub space: TagSpace,
     pub base: u64,
 }
 
@@ -123,139 +101,85 @@ pub struct TagDecl {
 pub const REGISTRY: &[TagDecl] = &[
     TagDecl {
         name: "T_DIAG_ROW",
-        space: TagSpace::P2p,
         base: T_DIAG_ROW,
     },
     TagDecl {
         name: "T_DIAG_COL",
-        space: TagSpace::P2p,
         base: T_DIAG_COL,
     },
     TagDecl {
         name: "T_LPANEL",
-        space: TagSpace::P2p,
         base: T_LPANEL,
     },
     TagDecl {
         name: "T_UPANEL",
-        space: TagSpace::P2p,
         base: T_UPANEL,
     },
     TagDecl {
         name: "T_FWD_RED",
-        space: TagSpace::P2p,
         base: T_FWD_RED,
     },
     TagDecl {
         name: "T_FWD_BC",
-        space: TagSpace::P2p,
         base: T_FWD_BC,
     },
     TagDecl {
         name: "T_BWD_RED",
-        space: TagSpace::P2p,
         base: T_BWD_RED,
     },
     TagDecl {
         name: "T_BWD_BC",
-        space: TagSpace::P2p,
         base: T_BWD_BC,
     },
     TagDecl {
         name: "T_REDUCE",
-        space: TagSpace::P2p,
         base: T_REDUCE,
     },
     TagDecl {
         name: "T_ACC_RED",
-        space: TagSpace::P2p,
         base: T_ACC_RED,
     },
     TagDecl {
         name: "T_X_DOWN",
-        space: TagSpace::P2p,
         base: T_X_DOWN,
     },
     TagDecl {
-        name: "CB_SOLVE_X",
-        space: TagSpace::CollBase,
-        base: CB_SOLVE_X,
+        name: "T_X_HALO",
+        base: T_X_HALO,
     },
     TagDecl {
-        name: "CB_REFINE",
-        space: TagSpace::CollBase,
-        base: CB_REFINE,
+        name: "T_X_GATHER",
+        base: T_X_GATHER,
     },
 ];
 
-const PHASES: &[(u64, &str)] = &[
+pub(crate) const PHASES: &[(u64, &str)] = &[
     (PH_BCAST, "bcast"),
     (PH_REDUCE, "reduce"),
-    (PH_ALLREDUCE_BCAST, "allreduce-bcast"),
-    (PH_MAX_REDUCE, "max-reduce"),
-    (PH_MAX_BCAST, "max-bcast"),
     (PH_BARRIER, "barrier"),
-    (PH_GATHER, "gather"),
 ];
 
-/// Statically audit the tag registry: every point-to-point kind is aligned,
-/// nonzero, below the collective namespace, and pairwise distinct; every
-/// collective caller base is aligned, fits below the round field, and is
-/// pairwise distinct among bases; phase ids are pairwise distinct and clear
-/// of the round/caller fields. Returns the first violation as an error.
+/// Statically audit the tag registry: every kind is aligned, nonzero, low
+/// enough that its whole payload range can also be a collective's caller
+/// tag (below the round field), and pairwise distinct; phase ids are
+/// pairwise distinct and clear of the round/caller fields. Returns the first
+/// violation as an error.
 pub fn audit() -> Result<(), String> {
-    let p2p: Vec<&TagDecl> = REGISTRY
-        .iter()
-        .filter(|d| d.space == TagSpace::P2p)
-        .collect();
-    let cb: Vec<&TagDecl> = REGISTRY
-        .iter()
-        .filter(|d| d.space == TagSpace::CollBase)
-        .collect();
-    for d in &p2p {
+    for (i, d) in REGISTRY.iter().enumerate() {
         if d.base == 0 {
-            return Err(format!("{}: zero p2p base", d.name));
+            return Err(format!("{}: zero kind", d.name));
         }
         if d.base & PAYLOAD_MASK != 0 {
-            return Err(format!("{}: p2p base overlaps the payload field", d.name));
+            return Err(format!("{}: kind overlaps the payload field", d.name));
         }
         // The whole payload range [base, base | PAYLOAD_MASK] must stay
-        // below COLL_TAG; since the base's low bits are zero (checked
-        // above) this reduces to the base comparison.
-        if d.base >= COLL_TAG {
-            return Err(format!("{}: p2p tags reach the COLL namespace", d.name));
-        }
-    }
-    for (i, a) in p2p.iter().enumerate() {
-        for b in &p2p[i + 1..] {
-            if a.base == b.base {
-                return Err(format!("duplicate p2p kind: {} vs {}", a.name, b.name));
-            }
-        }
-    }
-    for d in &cb {
-        if d.base & PAYLOAD_MASK != 0 {
-            return Err(format!(
-                "{}: collective base overlaps the payload field",
-                d.name
-            ));
-        }
-        // As above: payload-range containment reduces to the base check.
+        // below the round field; since the base's low bits are zero
+        // (checked above) this reduces to the base comparison.
         if d.base >= 1 << ROUND_SHIFT {
-            return Err(format!(
-                "{}: collective base overflows into the round field",
-                d.name
-            ));
+            return Err(format!("{}: kind overflows into the round field", d.name));
         }
-    }
-    for (i, a) in cb.iter().enumerate() {
-        for b in &cb[i + 1..] {
-            if a.base == b.base {
-                return Err(format!(
-                    "duplicate collective base: {} vs {}",
-                    a.name, b.name
-                ));
-            }
+        if let Some(e) = REGISTRY[i + 1..].iter().find(|e| e.base == d.base) {
+            return Err(format!("duplicate kind: {} vs {}", d.name, e.name));
         }
     }
     let round_mask = (MAX_ROUNDS - 1) << ROUND_SHIFT;
@@ -283,22 +207,23 @@ pub fn describe(tag: u64) -> String {
             .iter()
             .find(|&&(p, _)| p == phase)
             .map_or("?", |&(_, n)| n);
-        let bname = REGISTRY
-            .iter()
-            .find(|d| d.space == TagSpace::CollBase && d.base == base & !PAYLOAD_MASK)
-            .map_or("?", |d| d.name);
         format!(
-            "coll:{pname} base={bname}|{:#x} round={round}",
+            "coll:{pname} base={}|{:#x} round={round}",
+            kind_name(base),
             base & PAYLOAD_MASK
         )
     } else {
-        let kind = tag & !PAYLOAD_MASK;
-        let kname = REGISTRY
-            .iter()
-            .find(|d| d.space == TagSpace::P2p && d.base == kind)
-            .map_or("?", |d| d.name);
-        format!("p2p:{kname}|{:#x}", tag & PAYLOAD_MASK)
+        format!("p2p:{}|{:#x}", kind_name(tag), tag & PAYLOAD_MASK)
     }
+}
+
+/// The registered name of `tag`'s kind, or `?`.
+fn kind_name(tag: u64) -> &'static str {
+    let kind = tag & !PAYLOAD_MASK;
+    REGISTRY
+        .iter()
+        .find(|d| d.base == kind)
+        .map_or("?", |d| d.name)
 }
 
 #[cfg(test)]
@@ -314,6 +239,9 @@ mod tests {
     fn describe_names_known_tags() {
         assert_eq!(describe(T_REDUCE | 17), "p2p:T_REDUCE|0x11");
         assert!(describe(coll_tag(PH_BCAST, T_LPANEL | 3)).contains("bcast"));
-        assert!(describe(coll_tag(PH_REDUCE, CB_SOLVE_X)).contains("CB_SOLVE_X"));
+        assert_eq!(
+            describe(coll_tag(PH_REDUCE, T_FWD_RED | 5)),
+            "coll:reduce base=T_FWD_RED|0x5 round=0"
+        );
     }
 }

@@ -346,10 +346,14 @@ mod tests {
         let out = m.run(move |rank| {
             let comms = build_grid_comms(rank, &g);
             let (r, c, z) = comms.coords;
-            // Row-allreduce of column ids, col-allreduce of row ids, and a
-            // z-line exchange.
-            let row_sum = rank.allreduce_sum(&comms.row, vec![c as f64], 1)[0];
-            let col_sum = rank.allreduce_sum(&comms.col, vec![r as f64], 2)[0];
+            // Row-reduce of column ids, col-reduce of row ids (each to local
+            // rank 0, then broadcast back), and a z-line exchange.
+            let mut all_reduce = |comm: &Comm, v: f64, tag: u64| {
+                let sum = rank.reduce_sum(comm, 0, vec![v], tag).map(Payload::F64s);
+                rank.bcast(comm, 0, sum, tag).into_f64s()[0]
+            };
+            let row_sum = all_reduce(&comms.row, c as f64, 1);
+            let col_sum = all_reduce(&comms.col, r as f64, 2);
             let peer = 1 - comms.zline.local_rank();
             rank.send(&comms.zline, peer, 3, Payload::Idx(vec![z]));
             let peer_z = rank.recv(&comms.zline, peer, 3).into_idx()[0];

@@ -95,33 +95,71 @@ proptest! {
         }
     }
 
-    /// Reduce-sum agrees with the sequential sum for any size/root, and
-    /// allreduce distributes the identical result everywhere.
+    /// Reduce-sum agrees with the sequential sum for any size/root, over the
+    /// whole communicator or a roster of it: only members send, each once,
+    /// to its parent in `bcast_tree` over roster positions, and the root
+    /// gets the members' sum. With the whole communicator as roster the
+    /// result is bitwise `Rank::reduce_sum`'s. Both backends.
     #[test]
     fn reductions_correct_for_any_shape(
-        p in 1usize..12,
-        root_raw in 0usize..12,
+        p in 1usize..40,
+        root_raw in 0usize..40,
         len in 1usize..64,
+        seed in 0u64..1_000_000,
+        whole in 0u8..4,
+        event in 0u8..2,
     ) {
+        use rand::{Rng, SeedableRng};
         let root = root_raw % p;
-        let m = Machine::new(p, TimeModel::zero());
-        let out = m.run(move |rank| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let roster: Vec<usize> =
+            (0..p).filter(|&r| r == root || whole == 0 || rng.gen_bool(0.4)).collect();
+        let backend = if event == 1 { Backend::Event } else { Backend::Threaded };
+        let members = roster.clone();
+        // Operands whose sum depends on the order of the additions.
+        let operand = move |r: usize| -> Vec<f64> {
+            (0..len).map(|i| (r * 100 + i) as f64 * 0.1 + 1e-3 / (1 + r) as f64).collect()
+        };
+        let out = Machine::new(p, TimeModel::zero()).with_backend(backend).run(move |rank| {
             let world = rank.world();
-            let data: Vec<f64> = (0..len).map(|i| (rank.id() * 100 + i) as f64).collect();
-            let red = rank.reduce_sum(&world, root, data.clone(), 2);
-            let all = rank.allreduce_sum(&world, data, 3);
-            (red, all)
+            let me = world.local_rank();
+            let among = members
+                .binary_search(&me)
+                .is_ok()
+                .then(|| rank.reduce_sum_among(&world, &members, root, operand(me), 2))
+                .flatten();
+            let all = rank.reduce_sum(&world, root, operand(me), 3);
+            (among, all)
         });
-        let expect: Vec<f64> = (0..len)
-            .map(|i| (0..p).map(|r| (r * 100 + i) as f64).sum())
-            .collect();
-        for (rid, (red, all)) in out.results.iter().enumerate() {
-            prop_assert_eq!(all, &expect);
-            if rid == root {
-                prop_assert_eq!(red.as_ref().unwrap(), &expect);
+        let sum = |ranks: &[usize]| -> Vec<f64> {
+            (0..len).map(|i| ranks.iter().map(|&r| operand(r)[i]).sum()).collect()
+        };
+        let everyone: Vec<usize> = (0..p).collect();
+        let root_at = roster.binary_search(&root).unwrap();
+        for (r, ((among, all), report)) in out.results.iter().zip(&out.reports).enumerate() {
+            if r == root {
+                let (among, all) = (among.as_ref().unwrap(), all.as_ref().unwrap());
+                for (got, want) in among.iter().zip(sum(&roster)) {
+                    prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
+                }
+                for (got, want) in all.iter().zip(sum(&everyone)) {
+                    prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
+                }
+                if whole == 0 {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(among), bits(all));
+                }
             } else {
-                prop_assert!(red.is_none());
+                prop_assert!(among.is_none() && all.is_none());
             }
+            // The roster reduction's messages are the ledger minus the
+            // whole-communicator reduction's single send per non-root.
+            let sent: u64 = report.total_sent_msgs() - u64::from(r != root);
+            let want = match roster.binary_search(&r) {
+                Ok(at) => u64::from(bcast_tree(roster.len(), root_at, at).0.is_some()),
+                Err(_) => 0,
+            };
+            prop_assert!(sent == want, "rank {r}: {sent} messages, not {want}");
         }
     }
 

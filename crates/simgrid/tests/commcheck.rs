@@ -134,7 +134,8 @@ fn clean_collective_run_receives_everything() {
         };
         let b = rank.bcast(&world, 0, data, 2).into_f64s();
         rank.set_phase("reduce");
-        let s = rank.allreduce_sum(&world, vec![b[0]], 4)[0];
+        let sum = rank.reduce_sum(&world, 0, vec![b[0]], 4).map(Payload::F64s);
+        let s = rank.bcast(&world, 0, sum, 4).into_f64s()[0];
         rank.barrier(&world, 6);
         s
     });

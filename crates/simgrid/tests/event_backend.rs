@@ -3,10 +3,16 @@
 //! instead of the watchdog thread, and rank counts far beyond what
 //! free-running threads could sensibly run.
 
-use simgrid::{Backend, FailKind, Machine, Payload, TimeModel};
+use simgrid::{Backend, Comm, FailKind, Machine, Payload, Rank, TimeModel};
 
 fn machine(n: usize, backend: Backend) -> Machine {
     Machine::new(n, TimeModel::edison_like()).with_backend(backend)
+}
+
+/// Sum `v` over `comm` to local rank 0 and broadcast the sum back.
+fn all_sum(rank: &mut Rank, comm: &Comm, v: f64, tag: u64) -> f64 {
+    let sum = rank.reduce_sum(comm, 0, vec![v], tag).map(Payload::F64s);
+    rank.bcast(comm, 0, sum, tag).into_f64s()[0]
 }
 
 #[test]
@@ -23,7 +29,7 @@ fn ring_exchange_matches_threaded_bitwise() {
                 Payload::F64s(vec![rank.id() as f64 * 0.1]),
             );
             let got = rank.recv(&world, left, 1).into_f64s()[0];
-            rank.allreduce_sum(&world, vec![got], 2)[0]
+            all_sum(rank, &world, got, 2)
         })
     };
     let t = run(Backend::Threaded);
@@ -51,7 +57,7 @@ fn collectives_run_under_the_scheduler() {
         } else {
             0
         };
-        let s = rank.allreduce_sum(&world, vec![got as f64], 9)[0];
+        let s = all_sum(rank, &world, got as f64, 9);
         rank.bcast(
             &world,
             3,
@@ -104,7 +110,7 @@ fn waits_on_a_dead_peer_resolve_as_cascades() {
 #[test]
 fn event_backend_runs_4096_ranks() {
     // Paper-scale rank count in one process: a 4096-rank ring with a
-    // final allreduce. Free-running threads would thrash; cooperative
+    // final sum to every rank. Free-running threads would thrash; cooperative
     // tasks just take turns.
     const P: usize = 4096;
     let out = machine(P, Backend::Event).run(|rank| {
@@ -113,7 +119,7 @@ fn event_backend_runs_4096_ranks() {
         let left = (rank.id() + P - 1) % P;
         rank.send(&world, right, 1, Payload::Idx(vec![rank.id()]));
         let got = rank.recv(&world, left, 1).into_idx()[0];
-        rank.allreduce_sum(&world, vec![got as f64], 2)[0]
+        all_sum(rank, &world, got as f64, 2)
     });
     let expected = (P * (P - 1) / 2) as f64;
     assert!(out.results.iter().all(|&s| s == expected));

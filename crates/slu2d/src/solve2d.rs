@@ -3,20 +3,25 @@
 //! Fan-in / fan-out substitution, executed by **waves**: a node list's
 //! supernodes are grouped by dependency height ([`BlockFill::solve_waves`]),
 //! and every supernode of a wave with the same diagonal owner — its *root* —
-//! forms one [`Batch`]. Per wave a rank takes part in one reduction per root
-//! column of its process row (the concatenated partial sums of the batch),
-//! the root solves the whole batch, and one broadcast per root row of its
-//! process column carries the concatenated solutions. Independent subtrees
-//! share a wave, so they neither wait on each other nor pay a message
-//! latency each; a wave holding one supernode per root sends exactly the
-//! messages of a per-supernode sweep.
+//! forms one [`Batch`]. Per wave a rank takes part in at most one reduction
+//! per root column of its process row (the concatenated partial sums of the
+//! batch), the root solves the whole batch, and at most one broadcast per
+//! root row of its process column carries the concatenated solutions.
+//! Independent subtrees share a wave, so they neither wait on each other nor
+//! pay a message latency each.
+//!
+//! Each collective reaches only its batch's roster ([`SolveLayout`]): a
+//! reduction the columns holding a partial sum of one of the batch's
+//! supernodes, a broadcast the rows holding a block that reads one of its
+//! solutions (docs/perf.md, "The solve goes only where it is read").
 //!
 //! Every rank visits a wave's roots in ascending order, all reductions
 //! before any broadcast. A reduction waits only on ranks of its own process
 //! row working down the same list, a broadcast only on a root that has
 //! finished its row's reductions, and nothing in a wave waits on a later
 //! one, so no two collectives can wait on each other (docs/perf.md, "The
-//! solve: waves").
+//! solve: waves"); dropping ranks from a collective keeps that order on the
+//! ranks that remain.
 //!
 //! The forward and backward phases are exposed separately with an explicit
 //! [`DistSolveState`] so the 3D solver can interleave them with z-axis
@@ -29,7 +34,7 @@ use densela::{backward_subst, flops, forward_subst_unit, Mat};
 use simgrid::{FailKind, Grid2d, HostPhase, Payload, Rank};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use symbolic::{BlockFill, Symbolic};
+use symbolic::{BlockFill, PanelRosters, SnPartition, Symbolic};
 
 use simgrid::tags::{T_BWD_BC, T_BWD_RED, T_FWD_BC, T_FWD_RED};
 
@@ -39,10 +44,50 @@ use simgrid::tags::{T_BWD_BC, T_BWD_RED, T_FWD_BC, T_FWD_RED};
 pub struct Batch {
     /// Process row and column of the diagonal owner.
     pub root: (usize, usize),
-    /// Vector entries of the batch: the words either collective carries.
-    pub words: usize,
+    /// Who takes part in each of the batch's four collectives: the union of
+    /// its supernodes' rosters (see [`SolveLayout::rosters`]).
+    pub rosters: Rosters,
     /// The batch's supernodes, as a range of its plan's wave order.
     nodes: Range<usize>,
+}
+
+/// The ascending members of one supernode's (or batch's) four solve
+/// collectives, each with the root on it: process columns of the root's row
+/// for the reductions, process rows of its column for the broadcasts.
+#[derive(Clone, Debug)]
+pub struct Rosters {
+    /// Forward reduction: the columns holding an `L(k, j)` block of row `k`,
+    /// whose forward sweeps (or z-line accumulators) add into `k`'s sum.
+    pub fwd_red: Vec<usize>,
+    /// Forward broadcast: the rows holding an `L(i, k)` block, which apply
+    /// `y_k`.
+    pub fwd_bc: Vec<usize>,
+    /// Backward reduction: the columns holding a `U(k, j)` block.
+    pub bwd_red: Vec<usize>,
+    /// Backward broadcast: the rows holding a `U(j, k)` block, which apply
+    /// `x_k`.
+    pub bwd_bc: Vec<usize>,
+}
+
+impl Rosters {
+    /// Add `other`'s members to this one's, keeping each list ascending.
+    fn merge(&mut self, other: &Rosters) {
+        for (into, from) in [
+            (&mut self.fwd_red, &other.fwd_red),
+            (&mut self.fwd_bc, &other.fwd_bc),
+            (&mut self.bwd_red, &other.bwd_red),
+            (&mut self.bwd_bc, &other.bwd_bc),
+        ] {
+            into.extend_from_slice(from);
+            into.sort_unstable();
+            into.dedup();
+        }
+    }
+}
+
+/// Is `x` on the ascending `roster`?
+pub fn on(roster: &[usize], x: usize) -> bool {
+    roster.binary_search(&x).is_ok()
 }
 
 /// The triangular sweeps of one node list on one 2D grid, batched by wave.
@@ -61,8 +106,14 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Batch the sweeps over `nodes` (ascending) for `grid`.
-    pub fn new(sym: &Symbolic, grid: &Grid2d, nodes: Vec<usize>) -> SweepPlan {
+    /// Batch the sweeps over `nodes` (ascending) for `grid`, whose rosters
+    /// `layout` holds.
+    pub fn new(
+        sym: &Symbolic,
+        grid: &Grid2d,
+        layout: &SolveLayout,
+        nodes: Vec<usize>,
+    ) -> SweepPlan {
         let wave = sym.fill.solve_waves(&nodes);
         let key = |pos: usize| (wave[pos], grid.owner(nodes[pos], nodes[pos]));
         let mut by_batch: Vec<usize> = (0..nodes.len()).collect();
@@ -71,7 +122,7 @@ impl SweepPlan {
         let mut wave_ptr = Vec::new();
         for (at, &pos) in by_batch.iter().enumerate() {
             let (w, root) = key(pos);
-            let width = sym.part.width(nodes[pos]);
+            let rosters = layout.rosters(nodes[pos]);
             // Every wave below the highest has a node, so they start in turn.
             let new_wave = w == wave_ptr.len();
             if new_wave {
@@ -80,11 +131,11 @@ impl SweepPlan {
             match batches.last_mut() {
                 Some(last) if !new_wave && last.root == root => {
                     last.nodes.end += 1;
-                    last.words += width;
+                    last.rosters.merge(&rosters);
                 }
                 _ => batches.push(Batch {
                     root,
-                    words: width,
+                    rosters,
                     nodes: at..at + 1,
                 }),
             }
@@ -152,14 +203,21 @@ impl RowDeal {
 }
 
 /// Which off-diagonal blocks of a solved supernode's column each process row
-/// applies: derived once per machine, so no rank re-scans `struct_of[k]` with
-/// an ownership test per entry in every sweep of every solve.
+/// applies, and who takes part in each supernode's collectives: derived once
+/// per machine, so no rank re-scans `struct_of[k]` with an ownership test
+/// per entry in every sweep of every solve.
 #[derive(Debug)]
 pub struct SolveLayout {
     /// The `L(i, k)` blocks of column `k` (`struct_of[k]`).
     below: RowDeal,
     /// The `U(j, k)` blocks of column `k` (`blocks_into()[k]`).
     above: RowDeal,
+    /// Rosters of the `struct_of` deal: the `L(i, k)` rows and `U(k, j)`
+    /// columns.
+    panel: PanelRosters,
+    /// Rosters of the transposed deal: the `U(j, k)` rows and `L(k, j)`
+    /// columns.
+    transposed: PanelRosters,
 }
 
 impl SolveLayout {
@@ -167,7 +225,33 @@ impl SolveLayout {
         SolveLayout {
             below: RowDeal::new(&fill.struct_of, grid.pr),
             above: RowDeal::new(fill.blocks_into(), grid.pr),
+            panel: fill.panel_rosters(grid.pr, grid.pc),
+            transposed: fill.transposed_rosters(grid.pr, grid.pc),
         }
+    }
+
+    /// Supernode `k`'s four rosters. A rank off one holds nothing the
+    /// collective carries or reads: a partial sum of `k` lives only on the
+    /// columns of its row's blocks (the z-line moves accumulators between
+    /// equal coordinates), and only a block of `k`'s column reads its
+    /// solution.
+    pub fn rosters(&self, k: usize) -> Rosters {
+        Rosters {
+            fwd_red: self.fwd_red(k).to_vec(),
+            fwd_bc: self.panel.rows(k).to_vec(),
+            bwd_red: self.panel.cols(k).to_vec(),
+            bwd_bc: self.bwd_bc(k).to_vec(),
+        }
+    }
+
+    /// The forward reduction's roster of `k`: [`Rosters::fwd_red`].
+    pub fn fwd_red(&self, k: usize) -> &[usize] {
+        self.transposed.cols(k)
+    }
+
+    /// The backward broadcast's roster of `k`: [`Rosters::bwd_bc`].
+    pub fn bwd_bc(&self, k: usize) -> &[usize] {
+        self.transposed.rows(k)
     }
 }
 
@@ -181,8 +265,8 @@ pub struct DistSolveState {
     /// Forward solutions this rank reads back: the solved buffer of each
     /// batch it is the root of, by the batch's first supernode.
     y: BTreeMap<usize, Vec<f64>>,
-    /// Backward solutions known to this rank (diagonal owners and their
-    /// process columns), ordered by supernode.
+    /// Backward solutions known to this rank (the members of each
+    /// supernode's backward broadcast), ordered by supernode.
     pub x: BTreeMap<usize, Vec<f64>>,
 }
 
@@ -216,11 +300,12 @@ fn diag_of<'a>(store: &'a BlockStore, phase: &str, k: usize) -> Result<&'a Mat, 
         .ok_or_else(|| sweep_failure(phase, k, "diagonal block missing on its owner"))
 }
 
-/// The accumulator segments of `nodes`, concatenated: a reduction's operand.
-fn gather_segments(sym: &Symbolic, nodes: &[usize], words: usize, from: &[f64]) -> Vec<f64> {
-    let mut seg = Vec::with_capacity(words);
+/// The segments of `nodes` in `from`, concatenated: a reduction's operand,
+/// a z-line or a point-to-point message of solved segments.
+pub fn gather_segments(part: &SnPartition, nodes: &[usize], from: &[f64]) -> Vec<f64> {
+    let mut seg = Vec::with_capacity(nodes.iter().map(|&k| part.width(k)).sum());
     for &k in nodes {
-        seg.extend_from_slice(&from[sym.part.ranges[k].clone()]);
+        seg.extend_from_slice(&from[part.ranges[k].clone()]);
     }
     seg
 }
@@ -266,11 +351,13 @@ pub fn forward_nodes(
         // 1. Reduce the partial sums of each batch along its root's process
         //    row; the root solves its batch.
         let mut solved = None;
-        for batch in wave.iter().filter(|b| b.root.0 == env.my_r) {
+        let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.fwd_red, env.my_c);
+        for batch in wave.iter().filter(reducing) {
             let nodes = sweep.nodes_of(batch);
-            let seg = gather_segments(sym, nodes, batch.words, &st.acc);
+            let seg = gather_segments(&sym.part, nodes, &st.acc);
             let tag = T_FWD_RED | nodes[0] as u64;
-            if let Some(mut y) = rank.reduce_sum(&env.row, batch.root.1, seg, tag) {
+            let roster = &batch.rosters.fwd_red;
+            if let Some(mut y) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
                 let f0 = flops::get();
                 let mut off = 0;
                 for &k in nodes {
@@ -288,12 +375,16 @@ pub fn forward_nodes(
         }
         // 2. Broadcast each batch's solutions down its root's process
         //    column; column ranks apply their L(I,k) blocks.
-        for batch in wave.iter().filter(|b| b.root.1 == env.my_c) {
+        let reading = |b: &&Batch| b.root.1 == env.my_c && on(&b.rosters.fwd_bc, env.my_r);
+        for batch in wave.iter().filter(reading) {
             let nodes = sweep.nodes_of(batch);
             let mine = batch.root.0 == env.my_r;
             let data = solved.take_if(|_| mine).map(Payload::F64s);
             let tag = T_FWD_BC | nodes[0] as u64;
-            let y = rank.bcast(&env.col, batch.root.0, data, tag).into_f64s();
+            let roster = &batch.rosters.fwd_bc;
+            let y = rank
+                .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                .into_f64s();
             let f0 = flops::get();
             let mut off = 0;
             for &k in nodes {
@@ -356,11 +447,13 @@ pub fn backward_nodes(
     let part = &sym.part;
     for wave in sweep.waves().rev() {
         let mut solved = None;
-        for batch in wave.iter().filter(|b| b.root.0 == env.my_r) {
+        let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.bwd_red, env.my_c);
+        for batch in wave.iter().filter(reducing) {
             let nodes = sweep.nodes_of(batch);
-            let seg = gather_segments(sym, nodes, batch.words, &st.accu);
+            let seg = gather_segments(&sym.part, nodes, &st.accu);
             let tag = T_BWD_RED | nodes[0] as u64;
-            if let Some(sum) = rank.reduce_sum(&env.row, batch.root.1, seg, tag) {
+            let roster = &batch.rosters.bwd_red;
+            if let Some(sum) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
                 let f0 = flops::get();
                 let mut x = st.y.remove(&nodes[0]).ok_or_else(|| {
                     sweep_failure("solve-bwd", nodes[0], "no forward solution on the root")
@@ -380,13 +473,17 @@ pub fn backward_nodes(
                 solved = Some(x);
             }
         }
-        for batch in wave.iter().filter(|b| b.root.1 == env.my_c) {
+        let reading = |b: &&Batch| b.root.1 == env.my_c && on(&b.rosters.bwd_bc, env.my_r);
+        for batch in wave.iter().filter(reading) {
             let nodes = sweep.nodes_of(batch);
             let data = solved
                 .take_if(|_| batch.root.0 == env.my_r)
                 .map(Payload::F64s);
             let tag = T_BWD_BC | nodes[0] as u64;
-            let x = rank.bcast(&env.col, batch.root.0, data, tag).into_f64s();
+            let roster = &batch.rosters.bwd_bc;
+            let x = rank
+                .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                .into_f64s();
             let f0 = flops::get();
             let mut off = 0;
             for &k in nodes {
@@ -428,8 +525,8 @@ mod tests {
         let grid3 = Grid3d::new(2, 2, 1);
         let nodes: Vec<usize> = (0..prep.sym.nsup()).collect();
         let lost = nodes.len() / 2;
-        let sweep = Arc::new(SweepPlan::new(&prep.sym, &grid3.grid2d, nodes));
         let layout = Arc::new(SolveLayout::new(&prep.sym.fill, &grid3.grid2d));
+        let sweep = Arc::new(SweepPlan::new(&prep.sym, &grid3.grid2d, &layout, nodes));
         for backend in [Backend::Threaded, Backend::Event] {
             let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
             let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));

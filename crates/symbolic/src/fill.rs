@@ -180,6 +180,19 @@ impl BlockFill {
         }
     }
 
+    /// The same deal over the transposed structure ([`BlockFill::blocks_into`]):
+    /// `rows(k)` holds the process rows with a `U(j, k)` block of column `k`
+    /// and `cols(k)` the process columns with an `L(k, j)` block of row `k`,
+    /// each with the diagonal owner's row or column added as the root. With
+    /// [`BlockFill::panel_rosters`], who takes part in supernode `k`'s four
+    /// triangular-solve collectives.
+    pub fn transposed_rosters(&self, pr: usize, pc: usize) -> PanelRosters {
+        PanelRosters {
+            rows: Roster::deal(&self.blocks_into, pr),
+            cols: Roster::deal(&self.blocks_into, pc),
+        }
+    }
+
     /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
     /// elimination tree.
     pub fn is_ancestor(&self, s: usize, anc: usize) -> bool {
@@ -200,6 +213,9 @@ impl BlockFill {
 /// the U pieces — and [`PanelRosters::cols`] the columns with a `U(k, J)`
 /// block, each with the diagonal owner's row or column added as the root. A
 /// rank outside `rows(k) × cols(k)` reads nothing of `k`'s panel step.
+/// [`BlockFill::transposed_rosters`] deals the transposed structure the same
+/// way: there `rows(k)` are the rows with a `U(j, k)` block and `cols(k)` the
+/// columns with an `L(k, j)` block.
 #[derive(Clone, Debug)]
 pub struct PanelRosters {
     rows: Roster,

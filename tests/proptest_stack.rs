@@ -1,10 +1,13 @@
 //! Property-based tests across the stack: random matrices, random grid
 //! shapes, and structural invariants that must hold for *every* input.
 
+mod solve_traffic;
+
 use proptest::prelude::*;
 use salu::ordering::{nested_dissection, Graph, NdOptions};
 use salu::prelude::*;
 use salu::symbolic::Symbolic;
+use solve_traffic::{measured_solve_traffic, plan_batches, planned_solve_traffic};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -151,7 +154,8 @@ proptest! {
     /// any matrix's supernodes: a node sits one wave above the highest listed
     /// node feeding it (so strictly above all of them, and no higher than it
     /// must), and the batched sweep plan deals every listed node into exactly
-    /// one batch — of its wave, on its diagonal owner, roots ascending.
+    /// one batch — of its wave, on its diagonal owner, roots ascending — whose
+    /// rosters are its members', merged.
     #[test]
     fn solve_waves_respect_every_dependency_and_partition_the_list(
         n in 16usize..160,
@@ -164,7 +168,7 @@ proptest! {
         pc in 1usize..4,
     ) {
         use salu::simgrid::Grid2d;
-        use salu::slu2d::solve2d::SweepPlan;
+        use salu::slu2d::solve2d::{Rosters, SolveLayout, SweepPlan};
         let a = salu::sparsemat::matgen::random_band(n, bw, fill, seed);
         let g = Graph::from_matrix(&a);
         let tree = nested_dissection(
@@ -191,7 +195,8 @@ proptest! {
         }
 
         let grid = Grid2d::new(pr, pc);
-        let plan = SweepPlan::new(&sym, &grid, nodes.clone());
+        let layout = SolveLayout::new(&sym.fill, &grid);
+        let plan = SweepPlan::new(&sym, &grid, &layout, nodes.clone());
         prop_assert_eq!(plan.nodes(), &nodes[..]);
         let mut dealt = Vec::new();
         for (w, batches) in plan.waves().enumerate() {
@@ -204,8 +209,21 @@ proptest! {
                     prop_assert_eq!(wave_of(k), Some(w));
                     prop_assert_eq!(grid.owner(k, k), batch.root);
                 }
-                let words: usize = members.iter().map(|&k| sym.part.width(k)).sum();
-                prop_assert_eq!(batch.words, words);
+                // The batch's rosters: its members', merged, root on each.
+                let of: Vec<Rosters> = members.iter().map(|&k| layout.rosters(k)).collect();
+                let union = |pick: fn(&Rosters) -> &Vec<usize>| {
+                    let mut all: Vec<usize> = of.iter().flat_map(pick).copied().collect();
+                    all.sort_unstable();
+                    all.dedup();
+                    all
+                };
+                let (r, (row, col)) = (&batch.rosters, batch.root);
+                prop_assert_eq!(&r.fwd_red, &union(|r| &r.fwd_red));
+                prop_assert_eq!(&r.fwd_bc, &union(|r| &r.fwd_bc));
+                prop_assert_eq!(&r.bwd_red, &union(|r| &r.bwd_red));
+                prop_assert_eq!(&r.bwd_bc, &union(|r| &r.bwd_bc));
+                prop_assert!(r.fwd_red.contains(&col) && r.bwd_red.contains(&col));
+                prop_assert!(r.fwd_bc.contains(&row) && r.bwd_bc.contains(&row));
                 dealt.extend_from_slice(members);
             }
         }
@@ -291,6 +309,65 @@ proptest! {
         }
         let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         prop_assert!(prep.a.residual_inf(&x3, &b) / bmax < 1e-7);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 8, // every case runs the solve on both backends and at Pz = 1
+        .. ProptestConfig::default()
+    })]
+
+    /// For any generator, grid shape and refinement count, the solve sends
+    /// exactly what its plan counts (batch rosters, z-line lists, halo and
+    /// gather routes) on both backends, the backends agree on x to the bit,
+    /// no rank ever waits in a cycle, and x is as good as the `Pz = 1`
+    /// solve's: the 3D-vs-2D distance and residual bounds the suite holds
+    /// every grid to.
+    #[test]
+    fn pruned_solve_traffic_is_the_plan_on_any_shape(
+        generator in 0usize..4,
+        pr in 1usize..4,
+        pc in 1usize..4,
+        lpz in 0usize..3,
+        refine_steps in 0usize..3,
+    ) {
+        let (a, geometry) = match generator {
+            0 => salu::sparsemat::matgen::from_spec("grid2d:14", 0.1).unwrap(),
+            1 => salu::sparsemat::matgen::from_spec("grid3d:6", 0.1).unwrap(),
+            2 => salu::sparsemat::matgen::from_spec("kkt:4", 0.0).unwrap(),
+            _ => (salu::sparsemat::matgen::random_band(90, 4, 0.6, 7), Geometry::General),
+        };
+        let n = a.nrows;
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64) - 11.0).collect();
+        let prep = Prepared::new(a, geometry, 8, 8);
+        let pz = 1 << lpz;
+        let run = |pz: usize, backend: Backend| {
+            let cfg = SolverConfig { pr, pc, pz, refine_steps, backend, ..Default::default() };
+            try_factor_and_solve(&prep, &cfg, Some(b.clone())).unwrap()
+        };
+        let grid = salu::simgrid::Grid3d::new(pr, pc, pz);
+        let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
+        let plan = salu::lu3d::solve3d::SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid);
+        let planned = planned_solve_traffic(&prep, &plan, grid, refine_steps, |lvl, q| {
+            plan_batches(&prep, &plan, lvl, q)
+        });
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (threaded, event) = (run(pz, Backend::Threaded), run(pz, Backend::Event));
+        for out in [&threaded, &event] {
+            prop_assert!(measured_solve_traffic(out) == planned, "ledger != plan count");
+        }
+        let x = threaded.x.as_ref().unwrap();
+        prop_assert_eq!(bits(x), bits(event.x.as_ref().unwrap()));
+        prop_assert_eq!(event.sched.unwrap().quiescence_resolutions, 0);
+        let flat = run(1, Backend::Event);
+        let x1 = flat.x.as_ref().unwrap();
+        let scale = x1.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        for (u, w) in x.iter().zip(x1) {
+            prop_assert!((u - w).abs() / scale < 1e-7, "3D/Pz=1 divergence");
+        }
+        let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        prop_assert!(prep.a.residual_inf(x, &b) / bmax < 1e-7);
     }
 }
 

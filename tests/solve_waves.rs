@@ -1,14 +1,18 @@
-//! The solve in waves: what it sends is a function of its batch lists, what
-//! it computes agrees with the sequential and the `Pz = 1` solve, and both
-//! backends run it to the same bits with no rank ever waiting in a cycle.
+//! The solve in waves, each collective over its roster: what it sends is a
+//! function of its plan, what it computes agrees with the sequential and the
+//! `Pz = 1` solve, and both backends run it to the same bits with no rank
+//! ever waiting in a cycle.
+
+mod solve_traffic;
 
 use salu::lu3d::solve3d::SolvePlan;
 use salu::prelude::*;
-use salu::simgrid::coll::bcast_tree;
 use salu::simgrid::{run_document, Grid3d};
+use salu::slu2d::solve2d::{Rosters, SolveLayout};
 use salu::slu2d::store::{BlockStore, InitValues};
 use salu::slu2d::{seq_factor, seq_solve};
 use salu::sparsemat::matgen;
+use solve_traffic::{measured_solve_traffic, plan_batches, planned_solve_traffic, Sent};
 
 const REFINE_STEPS: usize = 2;
 
@@ -62,6 +66,23 @@ fn shapes() -> Vec<Shape> {
             ),
             grid: (2, 2, 1),
         },
+        // Wide enough layers that most rows and columns hold no block of a
+        // given supernode: the rosters must prune.
+        Shape {
+            label: "kkt:6 4x4x2",
+            prep: Prepared::new(matgen::kkt_3d(6, 6, 6, 1e-2, 1), Geometry::General, 8, 12),
+            grid: (4, 4, 2),
+        },
+        Shape {
+            label: "grid2d:24 1x8x1",
+            prep: Prepared::new(
+                matgen::grid2d_5pt(24, 24, 0.1, 6),
+                Geometry::Grid2d { nx: 24, ny: 24 },
+                8,
+                8,
+            ),
+            grid: (1, 8, 1),
+        },
         Shape {
             label: "grid2d:14 3x2x2",
             prep: Prepared::new(
@@ -93,86 +114,9 @@ fn run(shape: &Shape, pz: usize, backend: Backend) -> Output3d {
         .unwrap_or_else(|e| panic!("{} pz={pz} {backend}: {e}", shape.label))
 }
 
-/// Messages and words one rank sends: `[msgs, words]`.
-type Sent = [u64; 2];
-
-/// What every rank of `grid` sends under the `solve` phase of a run with
-/// `REFINE_STEPS` sweeps, counted from the plan's batch lists and the
-/// binomial tree alone. `batches_of` yields a part's `(root, words)` pairs:
-/// the plan's own, or one per supernode — the scheme the waves replaced.
-fn planned_solve_traffic<'a, I>(
-    prep: &'a Prepared,
-    plan: &'a SolvePlan,
-    grid: Grid3d,
-    batches_of: impl Fn(usize, usize) -> I,
-) -> Vec<Sent>
-where
-    I: Iterator<Item = ((usize, usize), usize)>,
-{
-    let Grid3d { grid2d, pz } = grid;
-    let l = pz.trailing_zeros() as usize;
-    let part = &prep.sym.part;
-    let width_of = |nodes: &[usize]| nodes.iter().map(|&s| part.width(s)).sum::<usize>();
-    let mut sent = vec![[0u64; 2]; grid.size()];
-    let mut send = |rank: usize, msgs: usize, words: usize| {
-        sent[rank][0] += msgs as u64;
-        sent[rank][1] += (msgs * words) as u64;
-    };
-    for z in 0..pz {
-        for (r, c) in (0..grid2d.pr).flat_map(|r| (0..grid2d.pc).map(move |c| (r, c))) {
-            let me = grid.rank_of(r, c, z);
-            for _ in 0..=REFINE_STEPS {
-                for lvl in 0..=l {
-                    let step = 1usize << (l - lvl);
-                    if z % step != 0 {
-                        continue;
-                    }
-                    // One reduction and one broadcast per batch, in each of
-                    // the two sweeps: a non-root sends its operand once, a
-                    // broadcast rank once per child.
-                    for (root, words) in batches_of(lvl, z / step) {
-                        if root.0 == r && root.1 != c {
-                            send(me, 2, words);
-                        }
-                        if root.1 == c {
-                            let children = bcast_tree(grid2d.pr, root.0, r).1.count();
-                            send(me, 2 * children, words);
-                        }
-                    }
-                    // The accumulators of the shared ancestors, up the z-line.
-                    if lvl > 0 && (z / step) % 2 == 1 {
-                        let words: usize = (0..lvl)
-                            .map(|la| width_of(plan.part(la, z >> (l - la)).nodes()))
-                            .sum();
-                        send(me, 1, words);
-                    }
-                    // The chain solutions of my process column, down it.
-                    if lvl < l {
-                        let words: usize = (0..=lvl)
-                            .flat_map(|la| plan.part(la, z >> (l - la)).nodes())
-                            .filter(|&&s| s % grid2d.pc == c)
-                            .map(|&s| 1 + part.width(s))
-                            .sum();
-                        send(me, 1, words);
-                    }
-                }
-                // The world allreduce of x: up the tree, then down it.
-                let (parent, children) = bcast_tree(grid.size(), 0, me);
-                send(me, parent.iter().count() + children.count(), part.n());
-            }
-        }
-    }
-    sent
-}
-
-fn measured_solve_traffic(out: &Output3d) -> Vec<Sent> {
-    out.reports
-        .iter()
-        .map(|r| {
-            let solve = r.commvol.entries.iter().filter(|e| e.phase == "solve");
-            solve.fold([0, 0], |[m, w], e| [m + e.cell.msgs, w + e.cell.words])
-        })
-        .collect()
+/// Total messages of a per-rank count.
+fn msgs(t: &[Sent]) -> u64 {
+    t.iter().map(|s| s[0]).sum()
 }
 
 fn relative_distance(x: &[f64], y: &[f64]) -> f64 {
@@ -188,6 +132,11 @@ fn sim_section(out: &Output3d) -> String {
         .pretty()
 }
 
+/// The solve's ledger is the count from its plan — batch rosters, z-line
+/// lists, halo and gather routes — rank for rank on both backends. Batching
+/// never sends more messages than one collective per supernode would over
+/// the same rosters, and pruning never more than whole rows and columns:
+/// strictly fewer on the shapes with wide layers.
 #[test]
 fn solve_traffic_is_the_batch_lists_count_and_never_above_per_supernode() {
     for shape in shapes() {
@@ -196,32 +145,63 @@ fn solve_traffic_is_the_batch_lists_count_and_never_above_per_supernode() {
         let grid = Grid3d::new(pr, pc, pz);
         let prep = &shape.prep;
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
-        let plan = SolvePlan::new(&prep.sym, &forest, &grid.grid2d);
+        let plan = SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid);
+        let count = |batches_of: &dyn Fn(usize, usize) -> Vec<_>| {
+            planned_solve_traffic(prep, &plan, grid, REFINE_STEPS, |lvl, q| {
+                batches_of(lvl, q).into_iter()
+            })
+        };
 
-        let batched = planned_solve_traffic(prep, &plan, grid, |lvl, q| {
-            let sweep = plan.part(lvl, q);
-            sweep.waves().flatten().map(|b| (b.root, b.words))
-        });
-        let per_supernode = planned_solve_traffic(prep, &plan, grid, |lvl, q| {
+        let batched = count(&|lvl, q| plan_batches(prep, &plan, lvl, q).collect());
+        for backend in [Backend::Threaded, Backend::Event] {
+            let measured = measured_solve_traffic(&run(&shape, pz, backend));
+            assert_eq!(measured, batched, "{label} {backend}: ledger != plan count");
+        }
+
+        // One collective per supernode over its own rosters, and the
+        // plan's batches over whole rows and columns.
+        let layout = SolveLayout::new(&prep.sym.fill, &grid.grid2d);
+        let width = |k: usize| prep.sym.part.width(k);
+        let per_supernode = count(&|lvl, q| {
             let nodes = plan.part(lvl, q).nodes().iter();
-            nodes.map(|&k| (grid.grid2d.owner(k, k), prep.sym.part.width(k)))
+            nodes
+                .map(|&k| (grid.grid2d.owner(k, k), width(k), layout.rosters(k)))
+                .collect()
         });
-        let measured = measured_solve_traffic(&run(&shape, pz, Backend::Event));
-        assert_eq!(measured, batched, "{label}: ledger != batch-list count");
-
-        for (rank, (b, s)) in batched.iter().zip(&per_supernode).enumerate() {
-            assert!(b[0] <= s[0], "{label}: rank {rank} sends more messages");
-            assert_eq!(b[1], s[1], "{label}: rank {rank} sends other words");
+        let whole = Rosters {
+            fwd_red: (0..pc).collect(),
+            fwd_bc: (0..pr).collect(),
+            bwd_red: (0..pc).collect(),
+            bwd_bc: (0..pr).collect(),
+        };
+        let whole_rows = count(&|lvl, q| {
+            let batches = plan_batches(prep, &plan, lvl, q);
+            batches
+                .map(|(root, words, _)| (root, words, whole.clone()))
+                .collect()
+        });
+        assert!(
+            msgs(&batched) <= msgs(&per_supernode),
+            "{label}: batching sent more"
+        );
+        assert!(
+            msgs(&batched) <= msgs(&whole_rows),
+            "{label}: pruning sent more"
+        );
+        if label.contains("4x4x2") || label.contains("1x8x1") {
+            assert!(
+                msgs(&batched) < msgs(&whole_rows),
+                "{label}: no roster pruned anything"
+            );
         }
         let one_per_wave = (0..=forest.l)
             .all(|lvl| (0..1usize << lvl).all(|q| plan.part(lvl, q).waves().all(|w| w.len() == 1)));
         if label.contains("chain") {
-            // The degenerate case: nothing to merge, today's messages.
+            // The degenerate case: nothing to merge, one collective each.
             assert!(one_per_wave, "{label}: not a chain");
             assert_eq!(plan.waves_per_level(), vec![prep.sym.nsup()]);
             assert_eq!(batched, per_supernode, "{label}");
         } else {
-            let msgs = |t: &[Sent]| t.iter().map(|s| s[0]).sum::<u64>();
             assert!(
                 msgs(&batched) < msgs(&per_supernode),
                 "{label}: no wave merged anything"
