@@ -12,7 +12,7 @@ use crate::program::{FactorProgram, Reduction};
 use simgrid::topology::GridComms;
 use simgrid::{FailKind, Grid3d, Rank};
 use slu2d::factor2d::{factor_nodes, FactorEnv, FactorOpts};
-use slu2d::store::{pack_blocks, unpack_blocks, BlockStore};
+use slu2d::store::{pack_blocks, BlockStore, PackedBlocks};
 use symbolic::Symbolic;
 
 /// Reduction message tag namespace (above the 2D kernel tags), from the
@@ -162,21 +162,18 @@ fn reduce_ancestors(
             let payload = rank
                 .recv_checked(&comms.zline, peer_z, tag)
                 .map_err(|e| fail(format!("z-line reduction recv from z={peer_z} failed: {e}")))?;
-            let received = unpack_blocks(payload);
-            let ids: Vec<(usize, usize)> = received
+            let width = |s: usize| sym.part.width(s);
+            let expected: Vec<_> = blocks
                 .iter()
-                .map(|(code, _)| (code / nsup, code % nsup))
+                .map(|&(i, j)| (i * nsup + j, width(i), width(j)))
                 .collect();
-            if ids != blocks {
-                return Err(fail(format!(
-                    "z={peer_z} sent blocks {ids:?}, this rank reduces {blocks:?}"
-                )));
-            }
-            for ((i, j), (_, m)) in blocks.into_iter().zip(received) {
+            let received = PackedBlocks::from_payload(payload, &expected)
+                .map_err(|d| fail(format!("z={peer_z} sent {d}; this rank reduces {blocks:?}")))?;
+            for ((i, j), (_, m)) in blocks.iter().copied().zip(received.iter()) {
                 store
                     .get_mut(i, j)
                     .ok_or_else(|| fail(format!("reduction target ({i},{j}) missing")))?
-                    .add_assign(&m);
+                    .add_assign(m);
             }
         }
     }

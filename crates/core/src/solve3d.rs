@@ -449,12 +449,12 @@ pub fn solve_3d(
         };
         if !ancestors.is_empty() {
             let dest_z = my_z - step;
-            let (meta, data) = rank
+            let packed = rank
                 .recv_checked(&comms.zline, dest_z, T_X_DOWN | lvl as u64)
                 .map_err(|e| bwd_err(None, format!("ancestor-x recv from z={dest_z} failed: {e}")))?
                 .try_into_packed()
                 .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
-            for (s, seg) in x_segments(part, &ancestors, &meta, &data, lvl)? {
+            for (s, seg) in x_segments(part, &ancestors, packed.meta(), packed.data(), lvl)? {
                 apply_ancestor_x(rank, &env, store, sym, &plan.layout, s, seg, &mut st);
             }
         }
@@ -492,7 +492,7 @@ pub fn solve_3d(
                 &comms.zline,
                 my_z + step / 2,
                 T_X_DOWN | (lvl + 1) as u64,
-                Payload::Packed { meta: chain, data },
+                Payload::packed(chain, data),
             );
         }
         rank.span_exit(sweep_span);

@@ -7,15 +7,23 @@
 //! which the compiler auto-vectorizes.
 
 use crate::flops;
-use crate::matrix::Mat;
+use crate::matrix::{Mat, MatRef};
 
 /// Block size over the `k` dimension; keeps the active panel of `A` in cache.
 const KB: usize = 64;
 
 /// `C = beta*C + alpha * A * B` with `A: m x k`, `B: k x n`, `C: m x n`.
+/// `A` and `B` are read-only views ([`MatRef`]; a `&Mat` converts).
 ///
 /// Panics if dimensions are inconsistent.
-pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
+pub fn gemm<'a, 'b>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    beta: f64,
+    c: &mut Mat,
+) {
+    let (a, b) = (a.into(), b.into());
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();

@@ -30,7 +30,7 @@ pub mod trsm;
 
 pub use gemm::{gemm, gemm_notrans};
 pub use getrf::{getrf, lu_solve_inplace, GetrfInfo, PivotPolicy};
-pub use matrix::Mat;
+pub use matrix::{Mat, MatRef};
 pub use microkernel::{gemm_blocked, gemm_blocked_tiled};
 pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
 pub use trsm::{

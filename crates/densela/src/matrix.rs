@@ -138,12 +138,22 @@ impl Mat {
         }
     }
 
+    /// A read-only view of the whole matrix.
+    #[inline]
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef {
+            rows: self.rows,
+            cols: self.cols,
+            data: &self.data,
+        }
+    }
+
     /// Elementwise `self += other`. Dimensions must match. Used by the
     /// ancestor-reduction step to sum replicated block copies.
-    pub fn add_assign(&mut self, other: &Mat) {
+    pub fn add_assign(&mut self, other: MatRef<'_>) {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, b) in self.data.iter_mut().zip(other.data) {
             *a += *b;
         }
     }
@@ -225,6 +235,60 @@ impl Mat {
     }
 }
 
+/// A read-only column-major `rows x cols` matrix borrowed from someone
+/// else's buffer: a [`Mat`] ([`Mat::view`]), or one block of a received
+/// panel read in place. The dense kernels take their read-only operands as
+/// views, so a block need not be copied into a `Mat` to be multiplied.
+#[derive(Clone, Copy, Debug)]
+pub struct MatRef<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> MatRef<'a> {
+    /// View `data` as a column-major `rows x cols` matrix. `data.len()`
+    /// must equal `rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f64]) -> Self {
+        assert_eq!(data.len(), rows * cols, "buffer size mismatch");
+        MatRef { rows, cols, data }
+    }
+
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(i < self.rows && j < self.cols);
+        self.data[i + j * self.rows]
+    }
+
+    /// Column `j` as a slice.
+    #[inline]
+    pub fn col(&self, j: usize) -> &'a [f64] {
+        &self.data[j * self.rows..(j + 1) * self.rows]
+    }
+
+    /// The raw column-major buffer.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+}
+
+impl<'a> From<&'a Mat> for MatRef<'a> {
+    fn from(m: &'a Mat) -> Self {
+        m.view()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,11 +330,22 @@ mod tests {
         let a0 = Mat::from_fn(3, 3, |i, j| (i + j) as f64);
         let b = Mat::from_fn(3, 3, |i, j| (i * j) as f64);
         let mut a = a0.clone();
-        a.add_assign(&b);
+        a.add_assign(b.view());
         assert_eq!(a.at(2, 2), 4.0 + 4.0);
         let mut c = a0.clone();
         c.axpy(-1.0, &a0);
         assert!(c.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn a_view_reads_the_matrix_in_place() {
+        let m = Mat::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
+        let v = m.view();
+        assert_eq!((v.rows(), v.cols(), v.at(2, 1)), (3, 2, 21.0));
+        assert_eq!(v.col(1), m.col(1));
+        assert!(std::ptr::eq(v.as_slice(), m.as_slice()));
+        let tail = MatRef::new(1, 2, &m.as_slice()[4..]);
+        assert_eq!(tail.col(1), &[21.0]);
     }
 
     #[test]

@@ -335,6 +335,23 @@ fn gemm_core_ws(
     flops::add_skipped(2 * m as u64 * skipped_pairs);
 }
 
+/// The row stripe and local row of a full `MR`-row tile starting at global
+/// row `i0` that lies inside one stripe — the common case, which the tile
+/// loads and stores copy as one fixed `[f64; MR]` per column — or `None`
+/// for a partial or stripe-straddling tile.
+#[inline]
+fn whole_tile_row(
+    blocks: &[Mat],
+    s_cols: usize,
+    row_map: &[(u32, u32)],
+    i0: usize,
+    mr_len: usize,
+) -> Option<(usize, usize)> {
+    let (bi, lr) = row_map[i0];
+    let (bi, lr) = (bi as usize, lr as usize);
+    (mr_len == MR && lr + MR <= blocks[bi * s_cols].rows()).then_some((bi, lr))
+}
+
 /// Load the `mr_len x nr_len` C tile at `(i0, j0)` into the register-tile
 /// accumulator, pulling each column's row range from the stripe blocks it
 /// crosses. Unloaded accumulator lanes stay zero (padded rows/columns) and
@@ -352,6 +369,16 @@ fn load_tile(
     mr_len: usize,
     nr_len: usize,
 ) {
+    if let Some((bi, lr)) = whole_tile_row(blocks, s_cols, row_map, i0, mr_len) {
+        for (cc, lanes) in acc.chunks_exact_mut(MR).take(nr_len).enumerate() {
+            let (bj, lc) = col_map[j0 + cc];
+            let col = blocks[bi * s_cols + bj as usize].col(lc as usize);
+            let src: &[f64; MR] = col[lr..lr + MR].try_into().unwrap();
+            let dst: &mut [f64; MR] = lanes.try_into().unwrap();
+            *dst = *src;
+        }
+        return;
+    }
     for cc in 0..nr_len {
         let (bj, lc) = col_map[j0 + cc];
         let mut r = 0usize;
@@ -381,6 +408,16 @@ fn store_tile(
     mr_len: usize,
     nr_len: usize,
 ) {
+    if let Some((bi, lr)) = whole_tile_row(blocks, s_cols, row_map, i0, mr_len) {
+        for (cc, lanes) in acc.chunks_exact(MR).take(nr_len).enumerate() {
+            let (bj, lc) = col_map[j0 + cc];
+            let col = blocks[bi * s_cols + bj as usize].col_mut(lc as usize);
+            let dst: &mut [f64; MR] = (&mut col[lr..lr + MR]).try_into().unwrap();
+            let src: &[f64; MR] = lanes.try_into().unwrap();
+            *dst = *src;
+        }
+        return;
+    }
     for cc in 0..nr_len {
         let (bj, lc) = col_map[j0 + cc];
         let mut r = 0usize;
@@ -521,6 +558,52 @@ mod tests {
             for cols in col_off.windows(2) {
                 let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
                 let c = mk(h, w, (rows[0] * 100 + cols[0]) as u64 + 3);
+                let mut updated = c.clone();
+                let a_blk = a.block(rows[0], 0, h, k);
+                let b_blk = b.block(0, cols[0], k, w);
+                gemm(-1.0, &a_blk, &b_blk, 1.0, &mut updated);
+                blocks.push(c);
+                want.push(updated);
+            }
+        }
+        gemm_blocked_tiled(-1.0, &a, &b, &row_off, &col_off, &mut blocks);
+        for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "block {i} differs");
+        }
+    }
+
+    #[test]
+    fn whole_and_straddling_tiles_match_one_axpy_gemm_per_block() {
+        // Row stripes [0, 37) and [38, 75) hold whole MR-row tiles (the
+        // fixed-array loads and stores); the tile at row 32 straddles the
+        // one-row stripe [37, 38), and the last one is partial (the
+        // fragment walk). Both must equal one axpy GEMM per block, bit for
+        // bit.
+        let (row_off, col_off, k) = ([0usize, 37, 38, 75], [0usize, 9, 22], 23);
+        let (m, n) = (75, 22);
+        let row_map: Vec<(u32, u32)> = row_off
+            .windows(2)
+            .enumerate()
+            .flat_map(|(bi, r)| (0..r[1] - r[0]).map(move |lr| (bi as u32, lr as u32)))
+            .collect();
+        let stripes = [Mat::zeros(37, 1), Mat::zeros(1, 1), Mat::zeros(37, 1)];
+        let whole: Vec<bool> = (0..m)
+            .step_by(MR)
+            .map(|i0| whole_tile_row(&stripes, 1, &row_map, i0, MR.min(m - i0)).is_some())
+            .collect();
+        assert_eq!(whole, [true, true, false, true, false]);
+        let a = mk_sparse(m, k, 4);
+        let b = mk_sparse(k, n, 5);
+        let (mut blocks, mut want) = (Vec::new(), Vec::new());
+        for rows in row_off.windows(2) {
+            for cols in col_off.windows(2) {
+                let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
+                let c = mk(h, w, (rows[0] * 100 + cols[0]) as u64 + 6);
                 let mut updated = c.clone();
                 let a_blk = a.block(rows[0], 0, h, k);
                 let b_blk = b.block(0, cols[0], k, w);

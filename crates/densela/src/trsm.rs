@@ -12,13 +12,15 @@
 //! diagonal.
 
 use crate::flops;
-use crate::matrix::Mat;
+use crate::matrix::{Mat, MatRef};
 
 /// In-place solve `L * X = B` where `L` is the unit lower triangle stored in
 /// `lu` (a square in-place LU factor). `b` holds `B` on entry, `X` on exit.
 ///
-/// `b` may be rectangular: `lu.rows() == b.rows()`.
-pub fn trsm_left_lower_unit(lu: &Mat, b: &mut Mat) {
+/// `b` may be rectangular: `lu.rows() == b.rows()`. `lu` is read in place
+/// ([`MatRef`]; a `&Mat` converts).
+pub fn trsm_left_lower_unit<'a>(lu: impl Into<MatRef<'a>>, b: &mut Mat) {
+    let lu = lu.into();
     let n = lu.rows();
     assert_eq!(lu.cols(), n, "triangular factor must be square");
     assert_eq!(b.rows(), n, "rhs row count mismatch");
@@ -48,8 +50,10 @@ pub fn trsm_left_lower_unit(lu: &Mat, b: &mut Mat) {
 /// In-place solve `X * U = B` where `U` is the (non-unit) upper triangle
 /// stored in `lu`. `b` holds `B` on entry, `X` on exit.
 ///
-/// `b` may be rectangular: `lu.rows() == b.cols()`.
-pub fn trsm_right_upper(lu: &Mat, b: &mut Mat) {
+/// `b` may be rectangular: `lu.rows() == b.cols()`. `lu` is read in place
+/// ([`MatRef`]; a `&Mat` converts).
+pub fn trsm_right_upper<'a>(lu: impl Into<MatRef<'a>>, b: &mut Mat) {
+    let lu = lu.into();
     let n = lu.rows();
     assert_eq!(lu.cols(), n, "triangular factor must be square");
     assert_eq!(b.cols(), n, "rhs col count mismatch");

@@ -94,7 +94,9 @@ impl Rank {
     /// Broadcast from `root` (local rank) to every member of `comm`.
     /// `data` must be `Some` on the root and is ignored elsewhere. Every
     /// rank returns the broadcast payload. Binomial tree: `p - 1` messages
-    /// total, `ceil(log2 p)` on the critical path.
+    /// total, `ceil(log2 p)` on the critical path. A [`Payload::Packed`]
+    /// travels the tree as one shared buffer: every member returns the
+    /// root's, and no rank copies it.
     pub fn bcast(&mut self, comm: &Comm, root: usize, data: Option<Payload>, tag: u64) -> Payload {
         self.bcast_inner(comm, None, root, data, tag)
     }

@@ -69,7 +69,7 @@ pub use faultlab::{
     MachineFailure, RankFailure, RecvError, RetryPolicy, StallRule, UnreceivedMsg,
 };
 pub use machine::{Machine, RunResult};
-pub use payload::{KindMismatch, Payload, PayloadKind};
+pub use payload::{KindMismatch, Packed, PackedBlock, Payload, PayloadKind};
 pub use rank::Rank;
 pub use stats::{merged_metrics, run_document, RankReport, TrafficSummary};
 pub use timemodel::TimeModel;

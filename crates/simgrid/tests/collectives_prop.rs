@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use simgrid::coll::bcast_tree;
-use simgrid::{Backend, Machine, Payload, TimeModel, TrafficSummary};
+use simgrid::{Backend, CommClass, Machine, Payload, TimeModel, TrafficSummary};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -225,4 +226,56 @@ proptest! {
         let s = TrafficSummary::from_reports(&out.reports);
         prop_assert!((s.makespan - receiver_done).abs() < 1e-15);
     }
+}
+
+/// A roster broadcast of a packed panel hands every member the root's own
+/// buffer: no member copies it, and every edge charges the buffer's cached
+/// structural words. Both backends deliver the same bytes and the same
+/// ledger cells.
+#[test]
+fn a_packed_roster_bcast_shares_the_roots_buffer() {
+    let (p, root, roster) = (9usize, 3usize, vec![0usize, 2, 3, 5, 8]);
+    // Two column-major blocks, 3x2 with an all-zero middle row and 2x2.
+    let meta = vec![2, 11, 3, 2, 12, 2, 2];
+    let data = vec![1.0, 0.0, 3.0, 4.0, 0.0, 6.0, 7.0, 8.0, 9.0, 0.0];
+    let per_msg = (7 + 4 + 4) as u64;
+    let mut by_backend = Vec::new();
+    for backend in [Backend::Threaded, Backend::Event] {
+        let (members, meta, data) = (roster.clone(), meta.clone(), data.clone());
+        let out = Machine::new(p, TimeModel::zero())
+            .with_backend(backend)
+            .run(move |rank| {
+                let world = rank.world();
+                let me = world.local_rank();
+                members.binary_search(&me).is_ok().then(|| {
+                    let data = (me == root).then(|| Payload::packed(meta.clone(), data.clone()));
+                    match rank.bcast_among(&world, &members, root, data, 1) {
+                        Payload::Packed(buf) => buf,
+                        other => panic!("a bcast delivered {:?}", other.kind()),
+                    }
+                })
+            });
+        let root_buf = out.results[root].clone().expect("the root is a member");
+        assert_eq!(root_buf.struct_words(), per_msg);
+        let mut cells = Vec::new();
+        for (r, (got, report)) in out.results.iter().zip(&out.reports).enumerate() {
+            assert_eq!(got.is_some(), roster.contains(&r), "{backend}: rank {r}");
+            if let Some(buf) = got {
+                assert!(
+                    Arc::ptr_eq(buf, &root_buf),
+                    "{backend}: rank {r} holds a copy"
+                );
+            }
+            let cell = report.commvol.class_cell(CommClass::Collective);
+            assert_eq!(
+                cell.struct_words,
+                cell.msgs * per_msg,
+                "{backend}: rank {r}"
+            );
+            cells.push((cell.msgs, cell.words, cell.struct_words));
+        }
+        let (meta, data) = (root_buf.meta().to_vec(), root_buf.data().to_vec());
+        by_backend.push((meta, data, cells));
+    }
+    assert_eq!(by_backend[0], by_backend[1]);
 }

@@ -3,8 +3,8 @@
 //! Schur-complement update.
 
 use crate::factor2d::FactorEnv;
-use crate::store::{pack_blocks, unpack_blocks, BlockStore, SchurScratch};
-use densela::{flops, getrf, trsm_left_lower_unit, trsm_right_upper, Mat, PivotPolicy};
+use crate::store::{pack_blocks, BlockStore, PackedBlocks, SchurScratch};
+use densela::{flops, getrf, trsm_left_lower_unit, trsm_right_upper, Mat, MatRef, PivotPolicy};
 use simgrid::{CommClass, FailKind, HostPhase, Payload, Rank};
 use symbolic::Symbolic;
 
@@ -12,27 +12,24 @@ use symbolic::Symbolic;
 // workspace-wide audited registry.
 use simgrid::tags::{T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_UPANEL};
 
-/// The L and U panel pieces a rank holds after the panel phase of
-/// supernode `k`, as the panel broadcasts delivered them: `l` holds
-/// `(I, L(I,k))` for the block rows `I` of `struct(k)` in this rank's process
-/// row, `u` holds `(J, U(k,J))` for the block columns `J` in its process
-/// column, both ascending — the sublists of `struct(k)` the Schur kernels
-/// range over. Both are empty on a rank off `k`'s rosters, which has no
-/// update of `k` to apply.
+/// The L and U panel pieces a rank reads after the panel phase of
+/// supernode `k`, in place in the buffers the panel broadcasts delivered:
+/// `l` holds `(I, L(I,k))` for the block rows `I` of `struct(k)` in this
+/// rank's process row, `u` holds `(J, U(k,J))` for the block columns `J` in
+/// its process column, both ascending — the sublists of `struct(k)` the
+/// Schur kernels range over. Both are empty on a rank off `k`'s rosters,
+/// which has no update of `k` to apply.
+#[derive(Default)]
 pub struct PanelData {
-    pub l: Vec<(usize, Mat)>,
-    pub u: Vec<(usize, Mat)>,
+    pub l: PackedBlocks,
+    pub u: PackedBlocks,
 }
 
 impl PanelData {
     /// Total words of panel storage held (for Schur-buffer memory
     /// accounting).
     pub fn words(&self) -> u64 {
-        self.l
-            .iter()
-            .chain(&self.u)
-            .map(|(_, m)| (m.rows() * m.cols()) as u64)
-            .sum()
+        self.l.words() + self.u.words()
     }
 }
 
@@ -43,7 +40,11 @@ impl PanelData {
 /// ranks holding a block that reads it. Returns the panel data this rank
 /// needs for its Schur updates, and the number of static-pivot
 /// perturbations (nonzero only on the diagonal owner). A block this rank's
-/// share should hold but does not is a [`FailKind::Solver`] naming `k`.
+/// share should hold but does not, or a received diagonal or panel other
+/// than the one this rank reads, is a [`FailKind::Solver`] naming `k`.
+///
+/// Every broadcast ships one shared buffer: the root packs its blocks once,
+/// and every member — the root included — reads them in place.
 pub fn factor_step_panel(
     rank: &mut Rank,
     env: &FactorEnv,
@@ -51,10 +52,7 @@ pub fn factor_step_panel(
     sym: &Symbolic,
     k: usize,
 ) -> Result<(PanelData, usize), FailKind> {
-    let no_panel = PanelData {
-        l: Vec::new(),
-        u: Vec::new(),
-    };
+    let no_panel = PanelData::default();
     let rosters = store.rosters();
     let (my_r, my_c) = (env.my_r, env.my_c);
     let in_rows = rosters.rows(k).binary_search(&my_r).is_ok();
@@ -90,35 +88,50 @@ pub fn factor_step_panel(
             },
         );
         perturbations = info.perturbations;
-        diag_data = (!struct_k.is_empty()).then(|| d.as_slice().to_vec());
+        // A bare block with no header: its shape is known to every reader.
+        diag_data =
+            (!struct_k.is_empty()).then(|| Payload::packed(Vec::new(), d.as_slice().to_vec()));
     }
 
     // 2. Diagonal broadcast. The packed LU of A_kk goes along the owner's
     //    process row to the columns holding U blocks (for the U panel
     //    solves) and down its process column to the rows holding L blocks
-    //    (for the L panel solves). Skipped entirely when the supernode has
-    //    no off-diagonal blocks.
+    //    (for the L panel solves), one buffer for both. Skipped entirely
+    //    when the supernode has no off-diagonal blocks.
     let w = sym.part.width(k);
-    let mut diag_lu: Option<Mat> = None;
+    let mut diag_lu = None;
     if !struct_k.is_empty() {
         let rosters = store.rosters();
+        let read_diag = |buf: Payload| match buf.try_into_packed() {
+            Ok(p) if p.meta().is_empty() && p.data().len() == w * w => Ok(p),
+            Ok(p) => Err(missing(&format!(
+                "diagonal broadcast of {} values with a {}-word header, expected {w}x{w} bare",
+                p.data().len(),
+                p.meta().len()
+            ))),
+            Err(e) => Err(missing(&format!("diagonal broadcast: {e}"))),
+        };
         if my_r == kr {
-            let data = diag_data.clone().map(Payload::F64s);
+            let data = diag_data.clone();
             let buf = rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_DIAG_ROW | k as u64);
-            diag_lu = Some(Mat::from_vec(w, w, buf.into_f64s()));
+            diag_lu = Some(read_diag(buf)?);
         }
         if my_c == kc {
-            let data = diag_data.map(Payload::F64s);
-            let buf = rank.bcast_among(&env.col, rosters.rows(k), kr, data, T_DIAG_COL | k as u64);
-            diag_lu = Some(Mat::from_vec(w, w, buf.into_f64s()));
+            let buf = rank.bcast_among(
+                &env.col,
+                rosters.rows(k),
+                kr,
+                diag_data,
+                T_DIAG_COL | k as u64,
+            );
+            diag_lu = Some(read_diag(buf)?);
         }
     }
+    let diag_lu = diag_lu.as_deref().map(|p| MatRef::new(w, w, p.data()));
 
     // 3. Panel solves.
     if row_holds_l && my_c == kc {
-        let d = diag_lu
-            .as_ref()
-            .ok_or_else(|| missing("column owners received the diagonal"))?;
+        let d = diag_lu.ok_or_else(|| missing("column owners received the diagonal"))?;
         for &i in struct_k {
             if i % env.grid.pr == my_r {
                 let b = store
@@ -129,9 +142,7 @@ pub fn factor_step_panel(
         }
     }
     if col_holds_u && my_r == kr {
-        let d = diag_lu
-            .as_ref()
-            .ok_or_else(|| missing("row owners received the diagonal"))?;
+        let d = diag_lu.ok_or_else(|| missing("row owners received the diagonal"))?;
         for &j in struct_k {
             if j % env.grid.pc == my_c {
                 let b = store
@@ -145,15 +156,25 @@ pub fn factor_step_panel(
     // 4. Panel broadcasts: one packed message per row holding L blocks, to
     //    the columns of the roster, and one per column holding U blocks, to
     //    its rows (both deterministic from the symbolic pattern, so every
-    //    rank agrees without communication).
+    //    rank agrees without communication). Each member checks what it
+    //    received against the sublist of `struct(k)` it reads.
     let rosters = store.rosters();
+    let width = |s: usize| sym.part.width(s);
+    let read_panel = |what: &str, payload, expected: &[(usize, usize, usize)]| {
+        PackedBlocks::from_payload(payload, expected)
+            .map_err(|d| missing(&format!("{what} panel broadcast: {d}")))
+    };
     let mut panel = no_panel;
     if row_holds_l {
+        let mine: Vec<(usize, usize, usize)> = struct_k
+            .iter()
+            .filter(|&&i| i % env.grid.pr == my_r)
+            .map(|&i| (i, width(i), w))
+            .collect();
         let data = if my_c == kc {
-            let items: Vec<(usize, &Mat)> = struct_k
+            let items: Vec<(usize, &Mat)> = mine
                 .iter()
-                .filter(|&&i| i % env.grid.pr == my_r)
-                .map(|&i| store.get(i, k).map(|m| (i, m)))
+                .map(|&(i, ..)| store.get(i, k).map(|m| (i, m)))
                 .collect::<Option<_>>()
                 .ok_or_else(|| missing("panel owner must hold its L block"))?;
             Some(pack_blocks(&items))
@@ -163,14 +184,18 @@ pub fn factor_step_panel(
         let payload = rank.with_comm_class(CommClass::LPanel, |rank| {
             rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_LPANEL | k as u64)
         });
-        panel.l = unpack_blocks(payload);
+        panel.l = read_panel("L", payload, &mine)?;
     }
     if col_holds_u {
+        let mine: Vec<(usize, usize, usize)> = struct_k
+            .iter()
+            .filter(|&&j| j % env.grid.pc == my_c)
+            .map(|&j| (j, w, width(j)))
+            .collect();
         let data = if my_r == kr {
-            let items: Vec<(usize, &Mat)> = struct_k
+            let items: Vec<(usize, &Mat)> = mine
                 .iter()
-                .filter(|&&j| j % env.grid.pc == my_c)
-                .map(|&j| store.get(k, j).map(|m| (j, m)))
+                .map(|&(j, ..)| store.get(k, j).map(|m| (j, m)))
                 .collect::<Option<_>>()
                 .ok_or_else(|| missing("panel owner must hold its U block"))?;
             Some(pack_blocks(&items))
@@ -180,7 +205,7 @@ pub fn factor_step_panel(
         let payload = rank.with_comm_class(CommClass::UPanel, |rank| {
             rank.bcast_among(&env.col, rosters.rows(k), kr, data, T_UPANEL | k as u64)
         });
-        panel.u = unpack_blocks(payload);
+        panel.u = read_panel("U", payload, &mine)?;
     }
 
     rank.advance_compute(flops::get() - f0);
@@ -248,12 +273,13 @@ pub(crate) fn factor_step_schur_at(
 }
 
 /// One `densela::gemm` per owned `(I, J)` block pair — the same loop the
-/// sequential reference [`crate::seq::seq_factor`] runs.
+/// sequential reference [`crate::seq::seq_factor`] runs — reading the panel
+/// blocks in place.
 fn schur_per_block(rank: &mut Rank, store: &mut BlockStore, k: usize, panels: &PanelData) {
     let _host = rank.host_scope_sn(HostPhase::Gemm, k);
-    for (j, u) in &panels.u {
-        for (i, l) in &panels.l {
-            let target = store.get_mut(*i, *j).unwrap_or_else(|| {
+    for (j, u) in panels.u.iter() {
+        for (i, l) in panels.l.iter() {
+            let target = store.get_mut(i, j).unwrap_or_else(|| {
                 panic!("Schur target block ({i},{j}) missing — fill closure violated")
             });
             densela::gemm(-1.0, l, u, 1.0, target);
@@ -317,8 +343,8 @@ fn schur_batched(
     // happens inside the kernel's C-tile stores, with no target-panel copy
     // in either direction.
     let mut targets: Vec<Mat> = Vec::with_capacity(panels.l.len() * panels.u.len());
-    for &(i, _) in &panels.l {
-        for &(j, _) in &panels.u {
+    for (i, _) in panels.l.iter() {
+        for (j, _) in panels.u.iter() {
             targets.push(store.take(i, j).unwrap_or_else(|| {
                 panic!("Schur target block ({i},{j}) missing — fill closure violated")
             }));
@@ -337,9 +363,141 @@ fn schur_batched(
     drop(gemm_scope);
     let _scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);
     let mut it = targets.into_iter();
-    for &(i, _) in &panels.l {
-        for &(j, _) in &panels.u {
+    for (i, _) in panels.l.iter() {
+        for (j, _) in panels.u.iter() {
             store.insert(i, j, it.next().expect("one target per block pair"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::Prepared;
+    use crate::factor2d::FactorOpts;
+    use crate::store::InitValues;
+    use simgrid::topology::build_grid_comms;
+    use simgrid::{Backend, Grid3d, Machine, TimeModel};
+    use sparsemat::matgen::grid2d_5pt;
+    use sparsemat::testmats::Geometry;
+    use std::sync::Arc;
+
+    /// What the diagonal owner sends its row in place of a sound panel
+    /// step.
+    #[derive(Clone, Copy, Debug)]
+    enum Forged {
+        ShortL,
+        LongL,
+        WrongIdL,
+        WrongKindL,
+        ShortDiag,
+    }
+
+    /// On a 1 x 2 grid the diagonal owner of `k` broadcasts a malformed
+    /// diagonal or L panel to the other column, which reads `k`'s panel:
+    /// the reader fails with a structured error naming `k` — it used to
+    /// panic on a short panel and accept a long one — on both backends.
+    #[test]
+    fn a_malformed_panel_is_a_structured_failure_naming_the_supernode() {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 3),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(1, 2, 1);
+        let sym = &prep.sym;
+        // The reader must be on the row roster for the diagonal, so it
+        // holds a U block of `k`.
+        let k = (0..sym.nsup())
+            .find(|&k| sym.fill.struct_of[k].iter().any(|&j| j % 2 != k % 2))
+            .expect("a supernode with a U block in the other column");
+        let (kc, reader) = (k % 2, 1 - k % 2);
+        for forged in [
+            Forged::ShortL,
+            Forged::LongL,
+            Forged::WrongIdL,
+            Forged::WrongKindL,
+            Forged::ShortDiag,
+        ] {
+            for backend in [Backend::Threaded, Backend::Event] {
+                let machine = Machine::new(2, TimeModel::zero()).with_backend(backend);
+                let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
+                let failure = machine
+                    .try_run(move |rank| {
+                        let comms = build_grid_comms(rank, &grid3);
+                        let (my_r, my_c, _) = comms.coords;
+                        let env = FactorEnv {
+                            grid: grid3.grid2d,
+                            my_r,
+                            my_c,
+                            row: comms.row,
+                            col: comms.col,
+                            opts: FactorOpts::default(),
+                        };
+                        let mut store = BlockStore::build(
+                            &pa,
+                            &sym,
+                            &env.grid,
+                            my_r,
+                            my_c,
+                            &|_| true,
+                            InitValues::FromMatrix,
+                        );
+                        if my_c == reader {
+                            if let Err(kind) = factor_step_panel(rank, &env, &mut store, &sym, k) {
+                                rank.fail(kind);
+                            }
+                            return;
+                        }
+                        let w = sym.part.width(k);
+                        let cols = store.rosters().cols(k);
+                        let mut diag = Mat::identity(w).into_vec();
+                        if let Forged::ShortDiag = forged {
+                            diag.pop();
+                        }
+                        let diag = Payload::packed(Vec::new(), diag);
+                        rank.bcast_among(&env.row, cols, kc, Some(diag), T_DIAG_ROW | k as u64);
+                        let l_ids = &sym.fill.struct_of[k];
+                        let mut meta = vec![l_ids.len()];
+                        for &i in l_ids {
+                            meta.extend([i, sym.part.width(i), w]);
+                        }
+                        let values: usize = l_ids.iter().map(|&i| sym.part.width(i) * w).sum();
+                        let panel = match forged {
+                            Forged::ShortL => Payload::packed(meta, vec![1.0; values - 1]),
+                            Forged::LongL => Payload::packed(meta, vec![1.0; values + 1]),
+                            Forged::WrongIdL => {
+                                meta[1] = k;
+                                Payload::packed(meta, vec![1.0; values])
+                            }
+                            Forged::WrongKindL => Payload::F64s(vec![1.0; values]),
+                            Forged::ShortDiag => return,
+                        };
+                        rank.with_comm_class(CommClass::LPanel, |rank| {
+                            rank.bcast_among(&env.row, cols, kc, Some(panel), T_LPANEL | k as u64)
+                        });
+                    })
+                    .expect_err("the reader cannot accept the panel");
+                let primary = failure.primary();
+                let ctx = format!("{forged:?} on {backend}");
+                assert_eq!(primary.rank, grid3.rank_of(0, reader, 0), "{ctx}");
+                let FailKind::Solver {
+                    phase,
+                    supernode,
+                    detail,
+                    ..
+                } = &primary.kind
+                else {
+                    panic!("{ctx}: {}", primary.kind)
+                };
+                assert_eq!((phase.as_str(), *supernode), ("fact", Some(k)), "{ctx}");
+                let what = match forged {
+                    Forged::ShortDiag => "diagonal broadcast",
+                    _ => "L panel broadcast",
+                };
+                assert!(detail.contains(what), "{ctx}: {detail}");
+            }
         }
     }
 }

@@ -12,8 +12,8 @@
 //! addressed through the shared layout — the supernodal index arrays of the
 //! SuperLU_DIST lineage, set up once and read by every rank.
 
-use densela::Mat;
-use simgrid::{Grid2d, MemClass, Payload, Rank};
+use densela::{Mat, MatRef};
+use simgrid::{Grid2d, MemClass, Packed, PackedBlock, Payload, Rank};
 use std::sync::Arc;
 use symbolic::{PanelRosters, Symbolic};
 
@@ -505,7 +505,9 @@ pub fn packed_words(shapes: impl IntoIterator<Item = (usize, usize)>) -> u64 {
 /// Pack a list of `(block_id, Mat)` into one wire payload: the shape of a
 /// SuperLU packed panel message. Meta layout: `[count, id0, rows0, cols0,
 /// id1, ...]`, data: concatenated column-major buffers; [`packed_words`]
-/// words in all.
+/// words in all. The one copy a panel's values make on their way to every
+/// reader: the payload is shared from here on, and receivers read it in
+/// place through [`PackedBlocks`].
 pub fn pack_blocks(items: &[(usize, &Mat)]) -> Payload {
     let mut meta = Vec::with_capacity(1 + 3 * items.len());
     meta.push(items.len());
@@ -520,7 +522,7 @@ pub fn pack_blocks(items: &[(usize, &Mat)]) -> Payload {
     for (_, m) in items {
         data.extend_from_slice(m.as_slice());
     }
-    let payload = Payload::Packed { meta, data };
+    let payload = Payload::packed(meta, data);
     debug_assert_eq!(
         payload.words(),
         packed_words(items.iter().map(|(_, m)| (m.rows(), m.cols())))
@@ -528,23 +530,73 @@ pub fn pack_blocks(items: &[(usize, &Mat)]) -> Payload {
     payload
 }
 
-/// Unpack a payload produced by [`pack_blocks`] into `(block_id, Mat)`
-/// pairs.
-pub fn unpack_blocks(payload: Payload) -> Vec<(usize, Mat)> {
-    let (meta, data) = payload.into_packed();
-    let count = meta[0];
-    let mut out = Vec::with_capacity(count);
-    let mut off = 0usize;
-    for k in 0..count {
-        let id = meta[1 + 3 * k];
-        let rows = meta[2 + 3 * k];
-        let cols = meta[3 + 3 * k];
-        let len = rows * cols;
-        out.push((id, Mat::from_vec(rows, cols, data[off..off + len].to_vec())));
-        off += len;
+/// The blocks of a received [`pack_blocks`] payload, read in place: the
+/// shared buffer plus, per block, its id and where it sits. The sender packs
+/// once, every reader holds the same buffer, and the last reader to drop
+/// its `PackedBlocks` frees it. The default holds no blocks.
+#[derive(Debug, Default)]
+pub struct PackedBlocks {
+    buf: Option<Arc<Packed>>,
+    index: Vec<PackedBlock>,
+}
+
+impl PackedBlocks {
+    /// Read `payload` as the pack of exactly the blocks `expected` lists,
+    /// as `(id, rows, cols)` in order. Any other payload kind, a header that
+    /// does not follow the layout, values too few or too many for its
+    /// blocks, or another block list is an error saying which.
+    pub fn from_payload(
+        payload: Payload,
+        expected: &[(usize, usize, usize)],
+    ) -> Result<PackedBlocks, String> {
+        let buf = payload.try_into_packed().map_err(|e| e.to_string())?;
+        let len = buf.data().len();
+        let index = buf
+            .blocks()
+            .ok_or_else(|| format!("malformed header, or blocks past the {len} values"))?;
+        let end = index.last().map_or(0, |b| b.offset + b.rows * b.cols);
+        if end != len {
+            return Err(format!("blocks of {end} values in a payload of {len}"));
+        }
+        if !index
+            .iter()
+            .map(|b| (b.id, b.rows, b.cols))
+            .eq(expected.iter().copied())
+        {
+            let got: Vec<_> = index.iter().map(|b| (b.id, b.rows, b.cols)).collect();
+            return Err(format!(
+                "blocks {got:?} (id, rows, cols), expected {expected:?}"
+            ));
+        }
+        Ok(PackedBlocks {
+            buf: Some(buf),
+            index,
+        })
     }
-    debug_assert_eq!(off, data.len());
-    out
+
+    /// The blocks as `(id, view)`, in pack order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, MatRef<'_>)> + '_ {
+        let data = self.buf.as_deref().map_or(&[][..], Packed::data);
+        self.index.iter().map(move |b| {
+            let end = b.offset + b.rows * b.cols;
+            (b.id, MatRef::new(b.rows, b.cols, &data[b.offset..end]))
+        })
+    }
+
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no block is held.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Words of block values held (for Schur-buffer memory accounting).
+    pub fn words(&self) -> u64 {
+        self.index.iter().map(|b| (b.rows * b.cols) as u64).sum()
+    }
 }
 
 #[cfg(test)]
@@ -633,23 +685,76 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn packed_blocks_read_the_pack_in_place() {
         let m1 = Mat::from_fn(3, 2, |i, j| (i + 10 * j) as f64);
         let m2 = Mat::from_fn(1, 4, |_, j| j as f64);
         let p = pack_blocks(&[(7, &m1), (9, &m2)]);
         assert_eq!(p.words(), (1 + 6) as u64 + (6 + 4) as u64);
-        let out = unpack_blocks(p);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 7);
-        assert_eq!(out[0].1, m1);
-        assert_eq!(out[1].0, 9);
-        assert_eq!(out[1].1, m2);
+        let Payload::Packed(buf) = &p else {
+            panic!("a pack is a Packed payload")
+        };
+        let buf = Arc::clone(buf);
+        let blocks = PackedBlocks::from_payload(p, &[(7, 3, 2), (9, 1, 4)]).unwrap();
+        assert_eq!((blocks.len(), blocks.words()), (2, 10));
+        let got: Vec<(usize, MatRef)> = blocks.iter().collect();
+        assert_eq!((got[0].0, got[0].1.as_slice()), (7, m1.as_slice()));
+        assert_eq!((got[1].0, got[1].1.as_slice()), (9, m2.as_slice()));
+        // In place: the views point into the sender's buffer.
+        assert!(std::ptr::eq(got[0].1.as_slice(), &buf.data()[..6]));
     }
 
     #[test]
     fn pack_empty_list() {
         let p = pack_blocks(&[]);
-        assert_eq!(unpack_blocks(p).len(), 0);
+        let blocks = PackedBlocks::from_payload(p, &[]).unwrap();
+        assert!(blocks.is_empty());
+        assert!(PackedBlocks::default().iter().next().is_none());
+    }
+
+    /// Short, long, mislabelled, misshapen and wrong-kind payloads are
+    /// errors, never a panic or a silently accepted block.
+    #[test]
+    fn malformed_packs_are_rejected() {
+        let m = Mat::from_fn(3, 2, |i, j| (i + j) as f64);
+        let want = [(7, 3, 2)];
+        let check = |p: Payload, what: &str, needle: &str| {
+            let e = PackedBlocks::from_payload(p, &want).expect_err(what);
+            assert!(e.contains(needle), "{what}: {e}");
+        };
+        let body = m.as_slice().to_vec();
+        let short = body[..5].to_vec();
+        let long = [&body[..], &[0.0]].concat();
+        check(
+            Payload::packed(vec![1, 7, 3, 2], short),
+            "short",
+            "past the 5 values",
+        );
+        check(
+            Payload::packed(vec![1, 7, 3, 2], long),
+            "long",
+            "blocks of 6 values in a payload of 7",
+        );
+        check(
+            Payload::packed(vec![1, 8, 3, 2], body.clone()),
+            "wrong id",
+            "expected [(7, 3, 2)]",
+        );
+        check(
+            Payload::packed(vec![1, 7, 2, 3], body.clone()),
+            "wrong shape",
+            "expected [(7, 3, 2)]",
+        );
+        check(
+            Payload::packed(vec![2, 7, 3, 2], body.clone()),
+            "miscounted",
+            "malformed header",
+        );
+        check(
+            Payload::F64s(body),
+            "wrong kind",
+            "expected Packed payload, got F64s",
+        );
+        assert!(PackedBlocks::from_payload(pack_blocks(&[(7, &m)]), &want).is_ok());
     }
 
     #[test]
