@@ -16,10 +16,12 @@
 //!   level.
 //!
 //! Every supernode is solved exactly once — by the diagonal owner on the
-//! grid that factored it ([`SolvePlan::solved_by`]) — so the per-rank
-//! outputs partition the solution. SuperLU_DIST gained an analogous
-//! 3D solve after the paper. The 2D solve is its `pz = 1` case, which
-//! `tests/proptest_stack.rs` holds every deeper grid's solution against.
+//! grid that factored it ([`SolvePlan::owned`]) — so the per-rank outputs
+//! partition the solution. A rank holds only its share of each vector: its
+//! process row's segments for the partial sums, its own for b and x.
+//! SuperLU_DIST gained an analogous 3D solve after the paper. The 2D solve
+//! is its `pz = 1` case, which `tests/proptest_stack.rs` holds every deeper
+//! grid's solution against.
 //!
 //! Each forest part is swept by dependency waves (`slu2d::solve2d`), each
 //! wave's collectives over their rosters; the batches of every part, the
@@ -34,7 +36,7 @@ use simgrid::topology::GridComms;
 use simgrid::{Comm, FailKind, Grid3d, Payload, Rank};
 use slu2d::factor2d::{FactorEnv, FactorOpts};
 use slu2d::solve2d::{
-    apply_ancestor_x, backward_nodes, forward_nodes, gather_segments, on, DistSolveState,
+    apply_ancestor_x, backward_nodes, forward_nodes, on, DistSolveState, SegVec, Segments,
     SolveLayout, SweepPlan,
 };
 use slu2d::store::BlockStore;
@@ -51,8 +53,10 @@ pub struct SolvePlan {
     layout: SolveLayout,
     /// `parts[lvl][q]` sweeps forest part `(lvl, q)`.
     parts: Vec<Vec<SweepPlan>>,
-    /// World rank that solves each supernode.
-    owner: Vec<usize>,
+    /// Per world rank, the supernodes it solves.
+    owned: Vec<Segments>,
+    /// Per world rank, those and the halo its residual rows read.
+    with_halo: Vec<Segments>,
     /// Refinement's halo exchange.
     halo: Routes,
     /// The final gather of x to world rank 0.
@@ -65,7 +69,7 @@ impl SolvePlan {
     pub fn new(pa: &Csr, sym: &Symbolic, forest: &EtreeForest, grid: &Grid3d) -> SolvePlan {
         assert_eq!(grid.pz, 1 << forest.l, "forest and grid disagree on pz");
         let g2 = grid.grid2d;
-        let layout = SolveLayout::new(&sym.fill, &g2);
+        let layout = SolveLayout::new(sym, &g2);
         let mut owner = vec![0; sym.nsup()];
         let parts = (0..=forest.l)
             .map(|lvl| {
@@ -99,13 +103,30 @@ impl SolvePlan {
             .filter(|&k| owner[k] != 0)
             .map(|k| (owner[k], 0, k))
             .collect();
+        let mut owned = vec![Vec::new(); grid.size()];
+        for (k, &rank) in owner.iter().enumerate() {
+            owned[rank].push(k);
+        }
+        let mut with_halo = owned.clone();
+        for &(_, reader, s) in &halo {
+            with_halo[reader].push(s);
+        }
+        let segments = |lists: Vec<Vec<usize>>| {
+            let sorted = |mut nodes: Vec<usize>| {
+                nodes.sort_unstable();
+                nodes.dedup();
+                Segments::new(part, nodes)
+            };
+            lists.into_iter().map(sorted).collect()
+        };
         SolvePlan {
             grid: *grid,
             layout,
             parts,
             halo: Routes::new(grid.size(), halo),
             gather: Routes::new(grid.size(), gather),
-            owner,
+            owned: segments(owned),
+            with_halo: segments(with_halo),
         }
     }
 
@@ -135,12 +156,16 @@ impl SolvePlan {
 
     /// The supernodes world rank `rank` solves, ascending: those whose
     /// diagonal block it owns on the grid whose forest part holds them. The
-    /// only rows of a right-hand side it reads, and the only segments of x it
-    /// knows when the solve returns.
-    pub fn solved_by(&self, rank: usize) -> Vec<usize> {
-        (0..self.owner.len())
-            .filter(|&k| self.owner[k] == rank)
-            .collect()
+    /// only segments of a right-hand side it reads, and the only segments of
+    /// x it knows when the solve returns.
+    pub fn owned(&self, rank: usize) -> &Segments {
+        &self.owned[rank]
+    }
+
+    /// The segments world rank `rank` holds of x while it refines: its own
+    /// and the halo its residual rows read.
+    pub(crate) fn with_halo(&self, rank: usize) -> &Segments {
+        &self.with_halo[rank]
     }
 
     /// Refinement's halo exchange: each owner's segments to the ranks whose
@@ -228,9 +253,9 @@ impl Routes {
 }
 
 /// Move solved segments along `routes`: send this rank's to each peer, then
-/// receive each peer's into `x`. `world` must be the world communicator. A
-/// message that cannot be received, or whose length is not its segments',
-/// is a structured failure of `phase`.
+/// receive each peer's into `x`, which must hold both. `world` must be the
+/// world communicator. A message that cannot be received, or whose length is
+/// not its segments', is a structured failure of `phase`.
 pub(crate) fn exchange(
     rank: &mut Rank,
     world: &Comm,
@@ -238,12 +263,11 @@ pub(crate) fn exchange(
     routes: &Routes,
     tag: u64,
     phase: &str,
-    x: &mut [f64],
+    x: &mut SegVec,
 ) -> Result<(), FailKind> {
     let me = rank.id();
     for (peer, nodes) in routes.sends(me) {
-        let data = gather_segments(part, nodes, x);
-        rank.send(world, *peer, tag, Payload::F64s(data));
+        rank.send(world, *peer, tag, Payload::F64s(x.gather(nodes)));
     }
     for (peer, nodes) in routes.receives(me) {
         let fail = |detail: String| FailKind::Solver {
@@ -258,7 +282,7 @@ pub(crate) fn exchange(
             .try_into_f64s()
             .map_err(|e| fail(e.to_string()))?;
         for (s, seg) in split(part, nodes, &data).map_err(fail)? {
-            x[part.ranges[s].clone()].copy_from_slice(seg);
+            x.seg_mut(s).copy_from_slice(seg);
         }
     }
     Ok(())
@@ -301,12 +325,12 @@ fn add_accumulators(
     part: &SnPartition,
     nodes: &[usize],
     data: &[f64],
-    acc: &mut [f64],
+    acc: &mut SegVec,
     lvl: usize,
 ) -> Result<(), FailKind> {
     let fail = |d| zline_failure("solve-fwd", lvl, None, format!("accumulator reduction {d}"));
     for (s, seg) in split(part, nodes, data).map_err(fail)? {
-        for (a, d) in acc[part.ranges[s].clone()].iter_mut().zip(seg) {
+        for (a, d) in acc.seg_mut(s).iter_mut().zip(seg) {
             *a += d;
         }
     }
@@ -361,10 +385,9 @@ fn at_level(kind: FailKind, lvl: usize) -> FailKind {
 }
 
 /// Solve `L U x = b` with the factors laid out as [`crate::factor3d`] left
-/// them. `b` must be the permuted right-hand side; a rank reads only the
-/// rows of its own supernodes ([`SolvePlan::solved_by`]). Returns this
-/// rank's part of the solution: its own supernodes' segments, zero
-/// elsewhere.
+/// them. `b` holds the permuted right-hand side on this rank's own
+/// supernodes ([`SolvePlan::owned`]), the only rows it reads. Returns this
+/// rank's part of the solution, on the same segments.
 ///
 /// Like [`crate::factor3d::factor_3d`], a z-line transfer that cannot
 /// complete (or carries the wrong payload kind, supernodes or length), or a
@@ -372,16 +395,16 @@ fn at_level(kind: FailKind, lvl: usize) -> FailKind {
 /// [`FailKind::Solver`] naming the sweep and forest level, for the caller to
 /// fail the rank with.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_3d(
+pub fn solve_3d<'p>(
     rank: &mut Rank,
     grid3: &Grid3d,
     comms: &GridComms,
     store: &BlockStore,
     sym: &Symbolic,
-    plan: &SolvePlan,
+    plan: &'p SolvePlan,
     opts: FactorOpts,
-    b: &[f64],
-) -> Result<Vec<f64>, FailKind> {
+    b: &SegVec,
+) -> Result<SegVec<'p>, FailKind> {
     let l = plan.l();
     let (my_r, my_c, my_z) = comms.coords;
     let env = FactorEnv {
@@ -393,8 +416,8 @@ pub fn solve_3d(
         opts,
     };
     let part = &sym.part;
-    let mut st = DistSolveState::new(sym);
-    let mut x_out = vec![0.0; part.n()];
+    let mut st = DistSolveState::new(&plan.layout, my_r);
+    let mut x_out = SegVec::zeros(plan.owned(rank.id()));
 
     // ---- Forward sweep: leaves to root, acc reduced along z. ----
     for lvl in (0..=l).rev() {
@@ -419,7 +442,7 @@ pub fn solve_3d(
                 .map_err(|e| fwd_err(format!("accumulator reduction from z={src_z}: {e}")))?;
             add_accumulators(part, &ancestors, &data, &mut st.acc, lvl)?;
         } else if !ancestors.is_empty() {
-            let data = gather_segments(part, &ancestors, &st.acc);
+            let data = st.acc.gather(&ancestors);
             rank.send(&comms.zline, my_z - step, tag, Payload::F64s(data));
         }
         rank.span_exit(sweep_span);
@@ -455,7 +478,7 @@ pub fn solve_3d(
                 .try_into_packed()
                 .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
             for (s, seg) in x_segments(part, &ancestors, packed.meta(), packed.data(), lvl)? {
-                apply_ancestor_x(rank, &env, store, sym, &plan.layout, s, seg, &mut st);
+                apply_ancestor_x(rank, &env, store, &plan.layout, s, seg, &mut st);
             }
         }
         backward_nodes(
@@ -506,6 +529,7 @@ mod tests {
     use crate::solver::{factor_and_solve, SolverConfig};
     use simgrid::{FailKind, TimeModel};
     use slu2d::driver::Prepared;
+    use slu2d::solve2d::{SegVec, Segments};
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt};
     use sparsemat::testmats::Geometry;
     use symbolic::SnPartition;
@@ -618,9 +642,10 @@ mod tests {
     fn a_short_or_long_accumulator_reduction_is_a_structured_failure() {
         let part = partition();
         let nodes = [0, 2];
-        let mut acc = vec![1.0; 6];
+        let all = Segments::new(&part, vec![0, 1, 2]);
+        let mut acc = SegVec::from_full(&all, &part, &[1.0; 6]);
         add_accumulators(&part, &nodes, &[1.0, 2.0, 3.0], &mut acc, 3).unwrap();
-        assert_eq!(acc, [2.0, 3.0, 1.0, 1.0, 1.0, 4.0]);
+        assert_eq!(acc.gather(&[0, 1, 2]), [2.0, 3.0, 1.0, 1.0, 1.0, 4.0]);
         for len in [2, 4, 0] {
             let err = add_accumulators(&part, &nodes, &vec![9.0; len], &mut acc, 3).unwrap_err();
             assert!(is_failure(&err, "solve-fwd", None), "{err}");
@@ -630,7 +655,7 @@ mod tests {
             );
         }
         assert_eq!(
-            acc,
+            acc.into_vec(),
             [2.0, 3.0, 1.0, 1.0, 1.0, 4.0],
             "a failed add adds nothing"
         );

@@ -13,6 +13,7 @@ use simgrid::{
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
+use slu2d::solve2d::{SegVec, Segments};
 use slu2d::store::{BlockStore, StoreLayout};
 use std::sync::Arc;
 
@@ -385,63 +386,81 @@ pub fn try_factor_and_solve(
 
 /// Solve, then run `refine_steps` sweeps of iterative refinement.
 /// `solve_once` returns this rank's part of the solution for a right-hand
-/// side: the segments of its own supernodes ([`SolvePlan::solved_by`]), the
-/// only rows of the right-hand side it reads. A rank keeps x on those
-/// segments alone. Before each sweep it receives from their owners the
-/// segments its residual rows read (the plan's halo), forms the residual
-/// `b - A x` on its own rows, so each row is computed once on the machine,
-/// and adds the correction to its own segments. At the end world rank 0
-/// gathers every owner's segments: its return value is the whole solution,
-/// every other rank's its own part.
-fn solve_and_refine(
+/// side on its own supernodes ([`SolvePlan::owned`]): the same segments, the
+/// only ones it solves. A rank keeps x on those segments plus, when it
+/// refines, the halo its residual rows read. Before each sweep it receives
+/// the halo from its owners, forms the residual `b - A x` on its own rows,
+/// so each row is computed once on the machine, and adds the correction to
+/// its own segments. At the end world rank 0 gathers every owner's segments.
+/// Returns this rank's x and, on world rank 0 only, the whole solution: the
+/// one vector of length n besides the shared `b`.
+fn solve_and_refine<'p>(
     rank: &mut simgrid::Rank,
-    plan: &SolvePlan,
+    plan: &'p SolvePlan,
     pa: &sparsemat::Csr,
     part: &symbolic::SnPartition,
     b: &[f64],
     refine_steps: usize,
-    mut solve_once: impl FnMut(&mut simgrid::Rank, &[f64]) -> Vec<f64>,
-) -> Vec<f64> {
+    mut solve_once: impl FnMut(&mut simgrid::Rank, &SegVec) -> SegVec<'p>,
+) -> (SegVec<'p>, Option<Vec<f64>>) {
     let world = rank.world();
-    let mine = plan.solved_by(rank.id());
-    let mut x = solve_once(rank, b);
+    let me = rank.id();
+    let mine = plan.owned(me);
+    let b = SegVec::from_full(mine, part, b);
+    let mut x = solve_once(rank, &b);
+    if refine_steps > 0 {
+        x = x.widened(plan.with_halo(me));
+    }
     for step in 0..refine_steps {
         let r = {
             let _host = rank.host_scope(simgrid::HostPhase::Refine);
             let tag = T_X_HALO | step as u64;
             exchange(rank, &world, part, plan.halo(), tag, "refine", &mut x)
                 .unwrap_or_else(|kind| rank.fail(kind));
-            let mut r = vec![0.0; b.len()];
+            let mut r = SegVec::zeros(mine);
             let mut nnz = 0;
-            for i in mine.iter().flat_map(|&k| part.ranges[k].clone()) {
-                let mut ax = 0.0;
-                for (c, v) in pa.row_cols(i).iter().zip(pa.row_vals(i)) {
-                    ax += v * x[*c];
+            // The segment of x last read, and its columns: a row's columns
+            // ascend, so it reads few segments in turn.
+            let (mut at, mut xs): (_, &[f64]) = (0..0, &[]);
+            for &k in mine.nodes() {
+                let (rk, bk) = (r.seg_mut(k), b.seg(k));
+                for ((ri, bi), i) in rk.iter_mut().zip(bk).zip(part.ranges[k].clone()) {
+                    let mut ax = 0.0;
+                    for (&c, v) in pa.row_cols(i).iter().zip(pa.row_vals(i)) {
+                        if !at.contains(&c) {
+                            let s = part.sn_of_col[c];
+                            (at, xs) = (part.ranges[s].clone(), x.seg(s));
+                        }
+                        ax += v * xs[c - at.start];
+                    }
+                    *ri = bi - ax;
+                    nnz += pa.row_cols(i).len();
                 }
-                r[i] = b[i] - ax;
-                nnz += pa.row_cols(i).len();
             }
             rank.advance_compute(2 * nnz as u64);
             r
         };
         let dx = solve_once(rank, &r);
         let _host = rank.host_scope(simgrid::HostPhase::Refine);
-        for i in mine.iter().flat_map(|&k| part.ranges[k].clone()) {
-            x[i] += dx[i];
+        for &k in mine.nodes() {
+            for (xi, di) in x.seg_mut(k).iter_mut().zip(dx.seg(k)) {
+                *xi += di;
+            }
         }
     }
     let _host = rank.host_scope(simgrid::HostPhase::Refine);
-    exchange(
-        rank,
-        &world,
-        part,
-        plan.gather(),
-        T_X_GATHER,
-        "gather",
-        &mut x,
-    )
-    .unwrap_or_else(|kind| rank.fail(kind));
-    x
+    let gather = |rank: &mut simgrid::Rank, x: &mut SegVec| {
+        exchange(rank, &world, part, plan.gather(), T_X_GATHER, "gather", x)
+            .unwrap_or_else(|kind| rank.fail(kind))
+    };
+    if me != 0 {
+        gather(rank, &mut x);
+        return (x, None);
+    }
+    let everything = Segments::new(part, (0..part.nsup()).collect());
+    let mut whole = x.widened(&everything);
+    gather(rank, &mut whole);
+    (x, Some(whole.into_vec()))
 }
 
 fn run(prep: &Prepared, cfg: &SolverConfig, rhs: Option<Vec<f64>>) -> Output3d {
@@ -533,13 +552,13 @@ fn try_run(
             store_digest(&store)
         };
 
-        let x_full = rhs_p.as_ref().zip(plan.as_ref()).map(|(b, plan)| {
+        let x_full = rhs_p.as_ref().zip(plan.as_ref()).and_then(|(b, plan)| {
             rank.set_phase("solve");
-            let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| {
+            let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
                 solve_3d(rank, &grid3, &comms, &store, &sym, plan, opts, rhs)
                     .unwrap_or_else(|kind| rank.fail(kind))
             };
-            solve_and_refine(rank, plan, &pa, &sym.part, b, cfg_refine, solve_once)
+            solve_and_refine(rank, plan, &pa, &sym.part, b, cfg_refine, solve_once).1
         });
         (
             outcome.perturbations,
@@ -547,7 +566,7 @@ fn try_run(
             store_words,
             factor_digest,
             factor_clock,
-            x_full.filter(|_| rank.id() == 0),
+            x_full,
         )
     })?;
 
@@ -1221,6 +1240,142 @@ mod tests {
                 "{backend}: {err}"
             );
             assert!(err.to_string().contains("5 words"), "{backend}: {err}");
+        }
+    }
+
+    /// What one rank kept of a solve: the segments of every `solve_3d`
+    /// result, the segments and words of its final x, and the gathered x
+    /// (world rank 0 only).
+    type Share = (
+        Vec<Vec<usize>>,
+        Vec<usize>,
+        usize,
+        Vec<u64>,
+        Option<Vec<f64>>,
+    );
+
+    /// Every rank's solve state is sized by its own segments: the partial
+    /// sums by its process row's supernodes, each solve's result by the
+    /// supernodes it owns, refinement's x by those plus the halo its
+    /// residual rows read. The only vector of length n is world rank 0's
+    /// gathered x, and it holds every owner's segments bit for bit.
+    #[test]
+    fn each_rank_holds_only_its_share_of_the_solve() {
+        use crate::solve3d::solve_3d;
+        use slu2d::solve2d::{DistSolveState, SolveLayout};
+        for (spec, (pr, pc, pz)) in [("kkt:4", (4, 4, 4)), ("grid2d:24", (2, 2, 4))] {
+            let (a, geometry) = sparsemat::matgen::from_spec(spec, 0.1).unwrap();
+            let n = a.nrows;
+            let b = a.matvec(&(0..n).map(|i| (i % 7) as f64 - 3.0).collect::<Vec<_>>());
+            let prep = Prepared::new(a, geometry, 8, 8);
+            let (sym, part) = (Arc::clone(&prep.sym), &prep.sym.part);
+            let grid3 = Grid3d::new(pr, pc, pz);
+            let forest = EtreeForest::build(&prep.tree, &sym, pz);
+            let program = Arc::new(FactorProgram::new(&sym, &forest, 8));
+            let plan = Arc::new(SolvePlan::new(&prep.pa, &sym, &forest, &grid3));
+            let layout = Arc::new(StoreLayout::new(&prep.pa, &sym, &grid3.grid2d));
+            let width = |nodes: &[usize]| nodes.iter().map(|&s| part.width(s)).sum::<usize>();
+
+            // The partial sums: a process row's supernodes, 2n/pr words.
+            let solve_layout = SolveLayout::new(&sym, &grid3.grid2d);
+            for r in 0..pr {
+                let row: Vec<usize> = (r..sym.nsup()).step_by(pr).collect();
+                let st = DistSolveState::new(&solve_layout, r);
+                assert_eq!(st.words(), 2 * width(&row), "{spec} row {r}");
+            }
+            // Oracles, from the factorization program and the pattern: a
+            // supernode is solved on the lowest layer keeping it, by its
+            // diagonal owner; a rank's residual rows read the supernodes of
+            // their columns.
+            let mut owned = vec![Vec::new(); grid3.size()];
+            for k in 0..sym.nsup() {
+                let z = (0..pz).find(|&z| program.keeps(k, z)).unwrap();
+                owned[grid3.rank_of(k % pr, k % pc, z)].push(k);
+            }
+            let with_halo: Vec<Vec<usize>> = owned
+                .iter()
+                .map(|mine| {
+                    let rows = mine.iter().flat_map(|&k| part.ranges[k].clone());
+                    let cols = rows.flat_map(|i| prep.pa.row_cols(i).iter());
+                    let mut read: Vec<usize> = cols.map(|&c| part.sn_of_col[c]).collect();
+                    read.extend(mine);
+                    read.sort_unstable();
+                    read.dedup();
+                    read
+                })
+                .collect();
+
+            let b_p = Arc::new(prep.permute_rhs(&b));
+            for refine in [0, 2] {
+                for backend in [Backend::Threaded, Backend::Event] {
+                    let machine =
+                        Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
+                    let (pa, sym, b_p) = (Arc::clone(&prep.pa), Arc::clone(&sym), Arc::clone(&b_p));
+                    let (program, plan, layout) =
+                        (Arc::clone(&program), Arc::clone(&plan), Arc::clone(&layout));
+                    let out = machine.run(move |rank| -> Share {
+                        let comms = build_grid_comms(rank, &grid3);
+                        let (my_r, my_c, my_z) = comms.coords;
+                        let mut store = BlockStore::from_layout(
+                            Arc::clone(&layout),
+                            &pa,
+                            &sym,
+                            my_r,
+                            my_c,
+                            &|s| program.keeps(s, my_z),
+                            &|i, j| program.initializes(i, j, my_z),
+                        );
+                        let opts = FactorOpts::default();
+                        factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts)
+                            .expect("the factorization completes");
+                        let mut solved = Vec::new();
+                        let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
+                            let x = solve_3d(rank, &grid3, &comms, &store, &sym, &plan, opts, rhs)
+                                .expect("the solve completes");
+                            solved.push(x.index().nodes().to_vec());
+                            x
+                        };
+                        let (x, whole) =
+                            solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, refine, solve_once);
+                        let mine = plan.owned(rank.id()).nodes();
+                        let bits = x.gather(mine).iter().map(|v| v.to_bits()).collect();
+                        (solved, x.index().nodes().to_vec(), x.words(), bits, whole)
+                    });
+                    let whole = out.results[0].4.clone().expect("rank 0 gathers x");
+                    assert_eq!(whole.len(), n);
+                    let x = prep.unpermute_solution(&whole);
+                    let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                    assert!(prep.a.residual_inf(&x, &b) / bmax < 1e-8);
+                    for (me, (solved, held, words, bits, gathered)) in
+                        out.results.iter().enumerate()
+                    {
+                        let ctx = format!("{spec} refine {refine} {backend} rank {me}");
+                        assert_eq!(solved.len(), refine + 1, "{ctx}");
+                        for nodes in solved {
+                            assert_eq!(
+                                nodes, &owned[me],
+                                "{ctx}: a solve returns the owned segments"
+                            );
+                        }
+                        let want = if refine > 0 {
+                            &with_halo[me]
+                        } else {
+                            &owned[me]
+                        };
+                        assert_eq!(held, want, "{ctx}: x holds its own and its halo");
+                        assert_eq!(*words, width(held), "{ctx}");
+                        assert!(*words < n, "{ctx}: only the gathered x is of length n");
+                        assert_eq!(gathered.is_some(), me == 0, "{ctx}");
+                        let at_owner: Vec<u64> = owned[me]
+                            .iter()
+                            .flat_map(|&k| {
+                                whole[part.ranges[k].clone()].iter().map(|v| v.to_bits())
+                            })
+                            .collect();
+                        assert_eq!(bits, &at_owner, "{ctx}: the gather moved its segments");
+                    }
+                }
+            }
         }
     }
 

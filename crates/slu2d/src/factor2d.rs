@@ -55,8 +55,9 @@ pub struct FactorOutcome {
 /// 3D driver reads it from its factorization program.
 ///
 /// Collective across the layer: every rank calls with identical arguments.
-/// A panel step that finds this rank's share of the store incomplete ends
-/// the list with its [`FailKind::Solver`] (phase `fact`, the supernode).
+/// A panel step or Schur update that finds this rank's share of the store
+/// incomplete, or an order that updates a supernode before its panel step,
+/// ends the list with a [`FailKind::Solver`] (phase `fact`, the supernode).
 pub fn factor_nodes(
     rank: &mut Rank,
     env: &FactorEnv,
@@ -111,12 +112,15 @@ fn factor_nodes_at(
             }
             LookaheadStep::Schur(idx) => {
                 let k = nodes[idx];
-                let pd = panels[idx]
-                    .take()
-                    .expect("current node must be panel-ready (children all done)");
+                let pd = panels[idx].take().ok_or_else(|| FailKind::Solver {
+                    phase: "fact".to_string(),
+                    supernode: Some(k),
+                    level: None,
+                    detail: "Schur update before the supernode's panel step".to_string(),
+                })?;
                 rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
-                    factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops);
-                });
+                    factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops)
+                })?;
                 rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
                 next_schur = idx + 1;
             }
@@ -217,6 +221,127 @@ mod tests {
                 primary.kind
             );
         }
+    }
+
+    /// A Schur update whose target block is missing from its owner's store
+    /// fails that owner with a structured error naming the supernode, under
+    /// either kernel and on both backends — it used to panic the rank.
+    #[test]
+    fn a_missing_schur_target_is_a_structured_failure_naming_the_supernode() {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 3),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(2, 2, 1);
+        // An off-diagonal target whose first writer is `k`'s update: no
+        // earlier update, and no panel step before it, looks for the block.
+        let mut first_writer = std::collections::BTreeMap::new();
+        for (k, list) in prep.sym.fill.struct_of.iter().enumerate() {
+            for &i in list {
+                for &j in list.iter().filter(|&&j| j != i) {
+                    first_writer.entry((i, j)).or_insert(k);
+                }
+            }
+        }
+        let (&(i, j), &k) = first_writer
+            .iter()
+            .find(|&(_, &k)| k >= prep.sym.nsup() / 2)
+            .expect("an off-diagonal Schur target");
+        let owner = grid3.grid2d.owner(i, j);
+        for batch_min_flops in [PER_BLOCK, ALL_BATCHED] {
+            for backend in [simgrid::Backend::Threaded, simgrid::Backend::Event] {
+                let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
+                let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
+                let failure = machine
+                    .try_run(move |rank| {
+                        let comms = build_grid_comms(rank, &grid3);
+                        let (my_r, my_c, _) = comms.coords;
+                        let env = FactorEnv {
+                            grid: grid3.grid2d,
+                            my_r,
+                            my_c,
+                            row: comms.row,
+                            col: comms.col,
+                            opts: FactorOpts::default(),
+                        };
+                        let mut store = BlockStore::build(
+                            &pa,
+                            &sym,
+                            &env.grid,
+                            my_r,
+                            my_c,
+                            &|_| true,
+                            InitValues::FromMatrix,
+                        );
+                        if (my_r, my_c) == owner {
+                            store.take(i, j).expect("the owner holds it");
+                        }
+                        let (nodes, order) = whole_order(&sym);
+                        let at = batch_min_flops;
+                        factor_nodes_at(rank, &env, &mut store, &sym, &nodes, &order, at)
+                            .unwrap_or_else(|kind| rank.fail(kind));
+                    })
+                    .expect_err("the factorization cannot complete");
+                let ctx = format!("({i},{j}) of {k}, threshold {batch_min_flops}, {backend}");
+                let primary = failure.primary();
+                assert_eq!(primary.rank, grid3.rank_of(owner.0, owner.1, 0), "{ctx}");
+                assert!(
+                    matches!(&primary.kind, simgrid::FailKind::Solver { phase, supernode, detail, .. }
+                        if phase == "fact" && *supernode == Some(k)
+                            && detail.contains(&format!("({i},{j})"))),
+                    "{ctx}: {}",
+                    primary.kind
+                );
+            }
+        }
+    }
+
+    /// An order that updates a supernode before its panel step is refused
+    /// with a structured error naming it, not a panic.
+    #[test]
+    fn a_schur_update_before_its_panel_is_a_structured_failure() {
+        let prep = Prepared::new(
+            grid2d_5pt(6, 6, 0.1, 3),
+            Geometry::Grid2d { nx: 6, ny: 6 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(1, 1, 1);
+        let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
+        let failure = Machine::new(1, TimeModel::zero())
+            .try_run(move |rank| {
+                let comms = build_grid_comms(rank, &grid3);
+                let env = FactorEnv {
+                    grid: grid3.grid2d,
+                    my_r: 0,
+                    my_c: 0,
+                    row: comms.row,
+                    col: comms.col,
+                    opts: FactorOpts::default(),
+                };
+                let mut store = BlockStore::build(
+                    &pa,
+                    &sym,
+                    &env.grid,
+                    0,
+                    0,
+                    &|_| true,
+                    InitValues::FromMatrix,
+                );
+                let (nodes, _) = whole_order(&sym);
+                let order = [LookaheadStep::Schur(0)];
+                factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                    .unwrap_or_else(|kind| rank.fail(kind));
+            })
+            .expect_err("the order is refused");
+        assert!(
+            matches!(&failure.primary().kind, simgrid::FailKind::Solver { phase, supernode: Some(0), .. }
+                if phase == "fact"),
+            "{}",
+            failure.primary().kind
+        );
     }
 
     // ---- The Schur dispatch's bitwise contract --------------------------

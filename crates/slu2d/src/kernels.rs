@@ -223,7 +223,9 @@ pub(crate) const BATCH_MIN_FLOPS: u64 = 1_000_000;
 /// The Schur-complement update for supernode `k` (§II-E): every rank
 /// updates its owned trailing blocks `A(I,J) -= L(I,k) * U(k,J)` for
 /// `I, J` in `struct(k)`. Purely local; the block-fill closure property
-/// guarantees every target block exists.
+/// guarantees every target block exists, and a store that lacks one ends
+/// the update with a [`FailKind::Solver`] naming `k` (phase `fact`), the
+/// rank's share of the store then incomplete.
 ///
 /// The kernel is chosen per supernode from the size of this rank's share:
 /// small updates run one `densela::gemm` per block pair, large ones gather
@@ -238,8 +240,8 @@ pub fn factor_step_schur(
     k: usize,
     panels: &PanelData,
     scratch: &mut SchurScratch,
-) {
-    factor_step_schur_at(rank, store, sym, k, panels, scratch, BATCH_MIN_FLOPS);
+) -> Result<(), FailKind> {
+    factor_step_schur_at(rank, store, sym, k, panels, scratch, BATCH_MIN_FLOPS)
 }
 
 /// [`factor_step_schur`] with the dispatch threshold as an argument — the
@@ -253,7 +255,7 @@ pub(crate) fn factor_step_schur_at(
     panels: &PanelData,
     scratch: &mut SchurScratch,
     batch_min_flops: u64,
-) {
+) -> Result<(), FailKind> {
     let f0 = flops::get();
     // Size this rank's share: summed widths of the block rows / columns
     // both kernels visit.
@@ -263,28 +265,43 @@ pub(crate) fn factor_step_schur_at(
     // `.max(1)`: an empty share is the per-block loop's no-op even when a
     // test forces the threshold to zero.
     if dense_flops < batch_min_flops.max(1) {
-        schur_per_block(rank, store, k, panels);
+        schur_per_block(rank, store, k, panels)?;
     } else {
-        schur_batched(rank, store, sym, k, panels, scratch);
+        schur_batched(rank, store, sym, k, panels, scratch)?;
     }
     let df = flops::get() - f0;
     rank.metric_observe("gemm.flops_per_supernode", df as f64);
     rank.advance_compute(df);
+    Ok(())
+}
+
+/// A target block of `k`'s update that the store does not hold.
+fn missing_target(k: usize, i: usize, j: usize) -> FailKind {
+    FailKind::Solver {
+        phase: "fact".to_string(),
+        supernode: Some(k),
+        level: None,
+        detail: format!("Schur target block ({i},{j}) missing — fill closure violated"),
+    }
 }
 
 /// One `densela::gemm` per owned `(I, J)` block pair — the same loop the
 /// sequential reference [`crate::seq::seq_factor`] runs — reading the panel
 /// blocks in place.
-fn schur_per_block(rank: &mut Rank, store: &mut BlockStore, k: usize, panels: &PanelData) {
+fn schur_per_block(
+    rank: &mut Rank,
+    store: &mut BlockStore,
+    k: usize,
+    panels: &PanelData,
+) -> Result<(), FailKind> {
     let _host = rank.host_scope_sn(HostPhase::Gemm, k);
     for (j, u) in panels.u.iter() {
         for (i, l) in panels.l.iter() {
-            let target = store.get_mut(i, j).unwrap_or_else(|| {
-                panic!("Schur target block ({i},{j}) missing — fill closure violated")
-            });
+            let target = store.get_mut(i, j).ok_or_else(|| missing_target(k, i, j))?;
             densela::gemm(-1.0, l, u, 1.0, target);
         }
     }
+    Ok(())
 }
 
 /// Running sums of `extents`, from 0 to their total.
@@ -315,7 +332,7 @@ fn schur_batched(
     k: usize,
     panels: &PanelData,
     scratch: &mut SchurScratch,
-) {
+) -> Result<(), FailKind> {
     rank.metric_inc("schur.batched_supernodes", 1);
     let gather_scope = rank.host_scope_sn(HostPhase::Gather, k);
     let w = sym.part.width(k);
@@ -345,9 +362,7 @@ fn schur_batched(
     let mut targets: Vec<Mat> = Vec::with_capacity(panels.l.len() * panels.u.len());
     for (i, _) in panels.l.iter() {
         for (j, _) in panels.u.iter() {
-            targets.push(store.take(i, j).unwrap_or_else(|| {
-                panic!("Schur target block ({i},{j}) missing — fill closure violated")
-            }));
+            targets.push(store.take(i, j).ok_or_else(|| missing_target(k, i, j))?);
         }
     }
     drop(gather_scope);
@@ -368,6 +383,7 @@ fn schur_batched(
             store.insert(i, j, it.next().expect("one target per block pair"));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,14 +27,21 @@
 //! [`DistSolveState`] so the 3D solver can interleave them with z-axis
 //! reductions and broadcasts (mirroring Algorithm 1's structure for the
 //! solve, see `lu3d::solve3d`).
+//!
+//! A rank holds only its share of every vector ([`SegVec`]): its process
+//! row's supernodes for the partial sums, since every block it applies adds
+//! into a row `i % pr == my_r` and every batch it reduces is rooted there,
+//! and its own supernodes for the right-hand side and the solution
+//! (docs/perf.md, "The solve holds its share").
 
 use crate::factor2d::FactorEnv;
 use crate::store::BlockStore;
 use densela::{backward_subst, flops, forward_subst_unit, Mat};
-use simgrid::{FailKind, Grid2d, HostPhase, Payload, Rank};
+use simgrid::{FailKind, Grid2d, HostPhase, Packed, Payload, Rank};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use symbolic::{BlockFill, PanelRosters, SnPartition, Symbolic};
+use std::sync::Arc;
+use symbolic::{PanelRosters, SnPartition, Symbolic};
 
 use simgrid::tags::{T_BWD_BC, T_BWD_RED, T_FWD_BC, T_FWD_RED};
 
@@ -202,10 +209,124 @@ impl RowDeal {
     }
 }
 
+/// Where the segments of an ascending supernode list sit in a vector that
+/// holds only them, back to back in list order. Derived once per machine —
+/// a process row's supernodes, a rank's own — and read by every solve.
+#[derive(Debug)]
+pub struct Segments {
+    nodes: Vec<usize>,
+    /// `ptr[p]..ptr[p + 1]` holds `nodes[p]`'s segment.
+    ptr: Vec<usize>,
+}
+
+impl Segments {
+    /// The segments of `nodes` (ascending) of `part`.
+    pub fn new(part: &SnPartition, nodes: Vec<usize>) -> Segments {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
+        let mut ptr = Vec::with_capacity(nodes.len() + 1);
+        ptr.push(0);
+        for &k in &nodes {
+            ptr.push(ptr[ptr.len() - 1] + part.width(k));
+        }
+        Segments { nodes, ptr }
+    }
+
+    /// The supernodes, ascending.
+    pub fn nodes(&self) -> &[usize] {
+        &self.nodes
+    }
+
+    /// Words of a vector over these segments.
+    pub fn words(&self) -> usize {
+        self.ptr[self.nodes.len()]
+    }
+
+    /// Where supernode `k`'s segment sits. Asking for a supernode that is
+    /// not on the list is a broken invariant of the caller.
+    fn range(&self, k: usize) -> Range<usize> {
+        let p = self
+            .nodes
+            .binary_search(&k)
+            .unwrap_or_else(|_| panic!("supernode {k} is not a segment of this vector"));
+        self.ptr[p]..self.ptr[p + 1]
+    }
+}
+
+/// The values of a [`Segments`] list: one rank's share of a vector of
+/// length n, sized by the segments the rank touches.
+#[derive(Debug)]
+pub struct SegVec<'a> {
+    index: &'a Segments,
+    data: Vec<f64>,
+}
+
+impl<'a> SegVec<'a> {
+    /// Zero on every segment of `index`.
+    pub fn zeros(index: &'a Segments) -> SegVec<'a> {
+        SegVec {
+            index,
+            data: vec![0.0; index.words()],
+        }
+    }
+
+    /// `full`'s values (a vector of length n) on `index`'s segments.
+    pub fn from_full(index: &'a Segments, part: &SnPartition, full: &[f64]) -> SegVec<'a> {
+        let mut data = Vec::with_capacity(index.words());
+        for &k in &index.nodes {
+            data.extend_from_slice(&full[part.ranges[k].clone()]);
+        }
+        SegVec { index, data }
+    }
+
+    /// This vector's values on the segments of `wider`, which must hold all
+    /// of its own; zero on the others.
+    pub fn widened<'b>(&self, wider: &'b Segments) -> SegVec<'b> {
+        let mut out = SegVec::zeros(wider);
+        for &k in &self.index.nodes {
+            out.seg_mut(k).copy_from_slice(self.seg(k));
+        }
+        out
+    }
+
+    /// The segments this vector holds.
+    pub fn index(&self) -> &'a Segments {
+        self.index
+    }
+
+    /// Words held.
+    pub fn words(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Supernode `k`'s segment.
+    pub fn seg(&self, k: usize) -> &[f64] {
+        &self.data[self.index.range(k)]
+    }
+
+    /// Supernode `k`'s segment, writable.
+    pub fn seg_mut(&mut self, k: usize) -> &mut [f64] {
+        let at = self.index.range(k);
+        &mut self.data[at]
+    }
+
+    /// The segments of `nodes`, concatenated: a reduction's operand, a
+    /// z-line or a point-to-point message of solved segments.
+    pub fn gather(&self, nodes: &[usize]) -> Vec<f64> {
+        nodes.iter().flat_map(|&k| self.seg(k)).copied().collect()
+    }
+
+    /// The values, segment after segment: over every supernode, the vector
+    /// of length n itself.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+}
+
 /// Which off-diagonal blocks of a solved supernode's column each process row
-/// applies, and who takes part in each supernode's collectives: derived once
-/// per machine, so no rank re-scans `struct_of[k]` with an ownership test
-/// per entry in every sweep of every solve.
+/// applies, who takes part in each supernode's collectives, and which
+/// segments a process row's partial sums hold: derived once per machine, so
+/// no rank re-scans `struct_of[k]` with an ownership test per entry in every
+/// sweep of every solve.
 #[derive(Debug)]
 pub struct SolveLayout {
     /// The `L(i, k)` blocks of column `k` (`struct_of[k]`).
@@ -218,16 +339,28 @@ pub struct SolveLayout {
     /// Rosters of the transposed deal: the `U(j, k)` rows and `L(k, j)`
     /// columns.
     transposed: PanelRosters,
+    /// Per process row `r`, the supernodes `r, r + pr, …`: every segment a
+    /// partial sum of that row is written or read at.
+    rows: Vec<Segments>,
 }
 
 impl SolveLayout {
-    pub fn new(fill: &BlockFill, grid: &Grid2d) -> SolveLayout {
+    pub fn new(sym: &Symbolic, grid: &Grid2d) -> SolveLayout {
+        let fill = &sym.fill;
         SolveLayout {
             below: RowDeal::new(&fill.struct_of, grid.pr),
             above: RowDeal::new(fill.blocks_into(), grid.pr),
             panel: fill.panel_rosters(grid.pr, grid.pc),
             transposed: fill.transposed_rosters(grid.pr, grid.pc),
+            rows: (0..grid.pr)
+                .map(|r| Segments::new(&sym.part, (r..sym.nsup()).step_by(grid.pr).collect()))
+                .collect(),
         }
+    }
+
+    /// The segments of process row `r`'s partial sums.
+    pub fn row(&self, r: usize) -> &Segments {
+        &self.rows[r]
     }
 
     /// Supernode `k`'s four rosters. A rank off one holds nothing the
@@ -256,30 +389,36 @@ impl SolveLayout {
 }
 
 /// Per-rank running state of a distributed triangular solve.
-pub struct DistSolveState {
+pub struct DistSolveState<'a> {
     /// Forward partial sums: this rank's accumulated `L(I,j) y_j`
-    /// contributions, indexed by global (permuted) vector position.
-    pub acc: Vec<f64>,
-    /// Backward partial sums: accumulated `U(j,k) x_k` contributions.
-    pub accu: Vec<f64>,
-    /// Forward solutions this rank reads back: the solved buffer of each
+    /// contributions, on its process row's segments.
+    pub acc: SegVec<'a>,
+    /// Backward partial sums: accumulated `U(j,k) x_k` contributions, on
+    /// the same segments.
+    pub accu: SegVec<'a>,
+    /// Forward solutions this rank reads back: the broadcast buffer of each
     /// batch it is the root of, by the batch's first supernode.
-    y: BTreeMap<usize, Vec<f64>>,
+    y: BTreeMap<usize, Arc<Packed>>,
     /// Backward solutions known to this rank (the members of each
     /// supernode's backward broadcast), ordered by supernode.
     pub x: BTreeMap<usize, Vec<f64>>,
 }
 
-impl DistSolveState {
-    /// Fresh state for a solve over `sym`'s supernodes.
-    pub fn new(sym: &Symbolic) -> DistSolveState {
-        let n = sym.part.n();
+impl<'a> DistSolveState<'a> {
+    /// Fresh state for a rank of process row `my_r`: partial sums over that
+    /// row's segments, about 2n/pr words.
+    pub fn new(layout: &'a SolveLayout, my_r: usize) -> DistSolveState<'a> {
         DistSolveState {
-            acc: vec![0.0; n],
-            accu: vec![0.0; n],
+            acc: SegVec::zeros(layout.row(my_r)),
+            accu: SegVec::zeros(layout.row(my_r)),
             y: BTreeMap::new(),
             x: BTreeMap::new(),
         }
+    }
+
+    /// Words of the two partial-sum vectors.
+    pub fn words(&self) -> usize {
+        self.acc.words() + self.accu.words()
     }
 }
 
@@ -300,40 +439,51 @@ fn diag_of<'a>(store: &'a BlockStore, phase: &str, k: usize) -> Result<&'a Mat, 
         .ok_or_else(|| sweep_failure(phase, k, "diagonal block missing on its owner"))
 }
 
-/// The segments of `nodes` in `from`, concatenated: a reduction's operand,
-/// a z-line or a point-to-point message of solved segments.
-pub fn gather_segments(part: &SnPartition, nodes: &[usize], from: &[f64]) -> Vec<f64> {
-    let mut seg = Vec::with_capacity(nodes.iter().map(|&k| part.width(k)).sum());
-    for &k in nodes {
-        seg.extend_from_slice(&from[part.ranges[k].clone()]);
-    }
-    seg
-}
-
 /// `into_i += B(i, k) v` for every block of column `k` in `rows` this rank
 /// holds (a layer of a 3D grid keeps only its own subtrees' blocks).
 fn apply_column(
     store: &BlockStore,
-    sym: &Symbolic,
     rows: impl Iterator<Item = usize>,
     k: usize,
     v: &[f64],
-    into: &mut [f64],
+    into: &mut SegVec,
 ) {
     for i in rows {
         if let Some(block) = store.get(i, k) {
             let contrib = block.matvec(v);
-            for (a, c) in into[sym.part.ranges[i].clone()].iter_mut().zip(contrib) {
+            for (a, c) in into.seg_mut(i).iter_mut().zip(contrib) {
                 *a += c;
             }
         }
     }
 }
 
+/// A batch's solutions as broadcast: one shared buffer, no header, exactly
+/// the batch's segments. Any other payload is a structured failure of
+/// `phase`.
+fn solutions(
+    payload: Payload,
+    part: &SnPartition,
+    nodes: &[usize],
+    phase: &str,
+) -> Result<Arc<Packed>, FailKind> {
+    let want: usize = nodes.iter().map(|&k| part.width(k)).sum();
+    let fail = |detail: String| sweep_failure(phase, nodes[0], &detail);
+    match payload.try_into_packed() {
+        Ok(p) if p.meta().is_empty() && p.data().len() == want => Ok(p),
+        Ok(p) => Err(fail(format!(
+            "solution broadcast of {} values with a {}-word header, expected {want} bare",
+            p.data().len(),
+            p.meta().len()
+        ))),
+        Err(e) => Err(fail(format!("solution broadcast: {e}"))),
+    }
+}
+
 /// Forward substitution over `sweep`'s node list: computes `y_k` on each
 /// diagonal owner and spreads `L(I,k) y_k` contributions into `st.acc`.
-/// `b` is read only on diagonal owners, at their supernodes' rows.
-/// Collective across the layer.
+/// `b` must hold the segments of the supernodes this rank is the diagonal
+/// owner of; no other rank reads them. Collective across the layer.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_nodes(
     rank: &mut Rank,
@@ -342,7 +492,7 @@ pub fn forward_nodes(
     sym: &Symbolic,
     layout: &SolveLayout,
     sweep: &SweepPlan,
-    b: &[f64],
+    b: &SegVec,
     st: &mut DistSolveState,
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveFwd);
@@ -354,18 +504,17 @@ pub fn forward_nodes(
         let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.fwd_red, env.my_c);
         for batch in wave.iter().filter(reducing) {
             let nodes = sweep.nodes_of(batch);
-            let seg = gather_segments(&sym.part, nodes, &st.acc);
+            let seg = st.acc.gather(nodes);
             let tag = T_FWD_RED | nodes[0] as u64;
             let roster = &batch.rosters.fwd_red;
             if let Some(mut y) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
                 let f0 = flops::get();
                 let mut off = 0;
                 for &k in nodes {
-                    let rows = part.ranges[k].clone();
-                    let yk = &mut y[off..off + rows.len()];
-                    off += rows.len();
-                    for (s, i) in yk.iter_mut().zip(rows) {
-                        *s = b[i] - *s;
+                    let yk = &mut y[off..off + part.width(k)];
+                    off += yk.len();
+                    for (s, bi) in yk.iter_mut().zip(b.seg(k)) {
+                        *s = bi - *s;
                     }
                     forward_subst_unit(diag_of(store, "solve-fwd", k)?, yk);
                 }
@@ -374,24 +523,26 @@ pub fn forward_nodes(
             }
         }
         // 2. Broadcast each batch's solutions down its root's process
-        //    column; column ranks apply their L(I,k) blocks.
+        //    column, one shared buffer; column ranks apply their L(I,k)
+        //    blocks.
         let reading = |b: &&Batch| b.root.1 == env.my_c && on(&b.rosters.fwd_bc, env.my_r);
         for batch in wave.iter().filter(reading) {
             let nodes = sweep.nodes_of(batch);
             let mine = batch.root.0 == env.my_r;
-            let data = solved.take_if(|_| mine).map(Payload::F64s);
+            let data = solved
+                .take_if(|_| mine)
+                .map(|y| Payload::packed(Vec::new(), y));
             let tag = T_FWD_BC | nodes[0] as u64;
             let roster = &batch.rosters.fwd_bc;
-            let y = rank
-                .bcast_among(&env.col, roster, batch.root.0, data, tag)
-                .into_f64s();
+            let y = rank.bcast_among(&env.col, roster, batch.root.0, data, tag);
+            let y = solutions(y, part, nodes, "solve-fwd")?;
             let f0 = flops::get();
             let mut off = 0;
             for &k in nodes {
-                let yk = &y[off..off + part.width(k)];
+                let yk = &y.data()[off..off + part.width(k)];
                 off += yk.len();
                 let rows = layout.below.hand(k, env.my_r);
-                apply_column(store, sym, rows, k, yk, &mut st.acc);
+                apply_column(store, rows, k, yk, &mut st.acc);
             }
             rank.advance_compute(flops::get() - f0);
             // Only the root reads its batch back (backward phase).
@@ -408,12 +559,10 @@ pub fn forward_nodes(
 /// Used by the 3D solve when ancestor solutions arrive over the z-axis
 /// instead of through this layer's own backward pass. The caller must be in
 /// process column `k % pc`.
-#[allow(clippy::too_many_arguments)]
 pub fn apply_ancestor_x(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &BlockStore,
-    sym: &Symbolic,
     layout: &SolveLayout,
     k: usize,
     xk: &[f64],
@@ -422,16 +571,17 @@ pub fn apply_ancestor_x(
     debug_assert_eq!(env.my_c, k % env.grid.pc);
     let f0 = flops::get();
     let rows = layout.above.hand(k, env.my_r);
-    apply_column(store, sym, rows, k, xk, &mut st.accu);
+    apply_column(store, rows, k, xk, &mut st.accu);
     rank.advance_compute(flops::get() - f0);
     st.x.insert(k, xk.to_vec());
 }
 
 /// Backward substitution over `sweep`'s node list, its waves in reverse:
 /// computes `x_k` on each diagonal owner, writing solved segments into
-/// `x_out`, and spreads `U(j,k) x_k` contributions into `st.accu`. The
-/// forward sweep over the same plan must have run on `st`. Collective across
-/// the layer.
+/// `x_out`, which must hold the segments of the supernodes this rank is the
+/// diagonal owner of, and spreads `U(j,k) x_k` contributions into
+/// `st.accu`. The forward sweep over the same plan must have run on `st`.
+/// Collective across the layer.
 #[allow(clippy::too_many_arguments)]
 pub fn backward_nodes(
     rank: &mut Rank,
@@ -441,7 +591,7 @@ pub fn backward_nodes(
     layout: &SolveLayout,
     sweep: &SweepPlan,
     st: &mut DistSolveState,
-    x_out: &mut [f64],
+    x_out: &mut SegVec,
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveBwd);
     let part = &sym.part;
@@ -450,24 +600,24 @@ pub fn backward_nodes(
         let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.bwd_red, env.my_c);
         for batch in wave.iter().filter(reducing) {
             let nodes = sweep.nodes_of(batch);
-            let seg = gather_segments(&sym.part, nodes, &st.accu);
+            let seg = st.accu.gather(nodes);
             let tag = T_BWD_RED | nodes[0] as u64;
             let roster = &batch.rosters.bwd_red;
-            if let Some(sum) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
+            if let Some(mut x) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
                 let f0 = flops::get();
-                let mut x = st.y.remove(&nodes[0]).ok_or_else(|| {
+                let y = st.y.remove(&nodes[0]).ok_or_else(|| {
                     sweep_failure("solve-bwd", nodes[0], "no forward solution on the root")
                 })?;
-                for (s, a) in x.iter_mut().zip(sum) {
-                    *s -= a;
+                // x = y - sum, in the reduced buffer.
+                for (s, yi) in x.iter_mut().zip(y.data()) {
+                    *s = yi - *s;
                 }
                 let mut off = 0;
                 for &k in nodes {
-                    let rows = part.ranges[k].clone();
-                    let xk = &mut x[off..off + rows.len()];
-                    off += rows.len();
+                    let xk = &mut x[off..off + part.width(k)];
+                    off += xk.len();
                     backward_subst(diag_of(store, "solve-bwd", k)?, xk);
-                    x_out[rows].copy_from_slice(xk);
+                    x_out.seg_mut(k).copy_from_slice(xk);
                 }
                 rank.advance_compute(flops::get() - f0);
                 solved = Some(x);
@@ -478,19 +628,18 @@ pub fn backward_nodes(
             let nodes = sweep.nodes_of(batch);
             let data = solved
                 .take_if(|_| batch.root.0 == env.my_r)
-                .map(Payload::F64s);
+                .map(|x| Payload::packed(Vec::new(), x));
             let tag = T_BWD_BC | nodes[0] as u64;
             let roster = &batch.rosters.bwd_bc;
-            let x = rank
-                .bcast_among(&env.col, roster, batch.root.0, data, tag)
-                .into_f64s();
+            let x = rank.bcast_among(&env.col, roster, batch.root.0, data, tag);
+            let x = solutions(x, part, nodes, "solve-bwd")?;
             let f0 = flops::get();
             let mut off = 0;
             for &k in nodes {
-                let xk = &x[off..off + part.width(k)];
+                let xk = &x.data()[off..off + part.width(k)];
                 off += xk.len();
                 let rows = layout.above.hand(k, env.my_r);
-                apply_column(store, sym, rows, k, xk, &mut st.accu);
+                apply_column(store, rows, k, xk, &mut st.accu);
                 st.x.insert(k, xk.to_vec());
             }
             rank.advance_compute(flops::get() - f0);
@@ -525,7 +674,7 @@ mod tests {
         let grid3 = Grid3d::new(2, 2, 1);
         let nodes: Vec<usize> = (0..prep.sym.nsup()).collect();
         let lost = nodes.len() / 2;
-        let layout = Arc::new(SolveLayout::new(&prep.sym.fill, &grid3.grid2d));
+        let layout = Arc::new(SolveLayout::new(&prep.sym, &grid3.grid2d));
         let sweep = Arc::new(SweepPlan::new(&prep.sym, &grid3.grid2d, &layout, nodes));
         for backend in [Backend::Threaded, Backend::Event] {
             let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
@@ -557,8 +706,10 @@ mod tests {
                     if env.grid.owner(lost, lost) == (my_r, my_c) {
                         store.take(lost, lost).expect("the owner holds it");
                     }
-                    let b = vec![1.0; sym.part.n()];
-                    let mut st = DistSolveState::new(&sym);
+                    let own = (0..sym.nsup()).filter(|&k| env.grid.owner(k, k) == (my_r, my_c));
+                    let own = Segments::new(&sym.part, own.collect());
+                    let b = SegVec::from_full(&own, &sym.part, &vec![1.0; sym.part.n()]);
+                    let mut st = DistSolveState::new(&layout, my_r);
                     forward_nodes(rank, &env, &store, &sym, &layout, &sweep, &b, &mut st)
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
@@ -571,6 +722,91 @@ mod tests {
                     if phase == "solve-fwd" && *supernode == Some(lost)),
                 "{backend}: {}",
                 primary.kind
+            );
+        }
+    }
+
+    /// Three supernodes of widths 2, 3 and 1.
+    fn partition() -> SnPartition {
+        SnPartition {
+            ranges: vec![0..2, 2..5, 5..6],
+            sn_of_col: vec![0, 0, 1, 1, 1, 2],
+            node_of_sn: vec![0; 3],
+            sns_of_node: vec![vec![0, 1, 2]],
+        }
+    }
+
+    #[test]
+    fn a_segment_vector_holds_exactly_its_segments() {
+        let part = partition();
+        let full = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let ends = Segments::new(&part, vec![0, 2]);
+        assert_eq!((ends.nodes(), ends.words()), (&[0, 2][..], 3));
+        let mut v = SegVec::from_full(&ends, &part, &full);
+        assert_eq!((v.seg(0), v.seg(2)), (&[1.0, 2.0][..], &[6.0][..]));
+        v.seg_mut(2)[0] += 1.0;
+        assert_eq!(v.gather(&[2, 0]), [7.0, 1.0, 2.0]);
+        let all = Segments::new(&part, vec![0, 1, 2]);
+        assert_eq!(v.widened(&all).into_vec(), [1.0, 2.0, 0.0, 0.0, 0.0, 7.0]);
+        assert_eq!(SegVec::zeros(&all).words(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "supernode 1 is not a segment")]
+    fn a_segment_a_vector_does_not_hold_is_a_broken_invariant() {
+        let part = partition();
+        let ends = Segments::new(&part, vec![0, 2]);
+        SegVec::zeros(&ends).seg(1);
+    }
+
+    /// A rank's partial sums hold its process row's supernodes and nothing
+    /// else: about 2n/pr words, never 2n.
+    #[test]
+    fn partial_sums_are_sized_by_the_process_row() {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 3),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            8,
+        );
+        let part = &prep.sym.part;
+        for pr in 1..=4 {
+            let layout = SolveLayout::new(&prep.sym, &Grid2d::new(pr, 2));
+            let mut total = 0;
+            for r in 0..pr {
+                let row: Vec<usize> = (0..part.nsup()).filter(|s| s % pr == r).collect();
+                let words: usize = row.iter().map(|&s| part.width(s)).sum();
+                assert_eq!(layout.row(r).nodes(), row, "pr={pr} r={r}");
+                assert_eq!(DistSolveState::new(&layout, r).words(), 2 * words);
+                total += words;
+            }
+            assert_eq!(total, part.n(), "pr={pr}: the rows partition the vector");
+        }
+    }
+
+    /// A solution broadcast must be one bare buffer of exactly the batch's
+    /// words: anything else names the batch's first supernode.
+    #[test]
+    fn a_malformed_solution_broadcast_is_a_structured_failure() {
+        let part = partition();
+        let nodes = [1, 2];
+        let good = solutions(
+            Payload::packed(Vec::new(), vec![0.5; 4]),
+            &part,
+            &nodes,
+            "solve-bwd",
+        );
+        assert_eq!(good.unwrap().data(), [0.5; 4]);
+        for (payload, said) in [
+            (Payload::packed(Vec::new(), vec![0.5; 3]), "3 values"),
+            (Payload::packed(vec![1], vec![0.5; 4]), "1-word header"),
+            (Payload::F64s(vec![0.5; 4]), "expected Packed"),
+        ] {
+            let err = solutions(payload, &part, &nodes, "solve-bwd").unwrap_err();
+            assert!(
+                matches!(&err, FailKind::Solver { phase, supernode: Some(1), detail, .. }
+                    if phase == "solve-bwd" && detail.contains(said)),
+                "{err}"
             );
         }
     }

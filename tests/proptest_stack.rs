@@ -195,7 +195,7 @@ proptest! {
         }
 
         let grid = Grid2d::new(pr, pc);
-        let layout = SolveLayout::new(&sym.fill, &grid);
+        let layout = SolveLayout::new(&sym, &grid);
         let plan = SweepPlan::new(&sym, &grid, &layout, nodes.clone());
         prop_assert_eq!(plan.nodes(), &nodes[..]);
         let mut dealt = Vec::new();

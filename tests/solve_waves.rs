@@ -160,7 +160,7 @@ fn solve_traffic_is_the_batch_lists_count_and_never_above_per_supernode() {
 
         // One collective per supernode over its own rosters, and the
         // plan's batches over whole rows and columns.
-        let layout = SolveLayout::new(&prep.sym.fill, &grid.grid2d);
+        let layout = SolveLayout::new(&prep.sym, &grid.grid2d);
         let width = |k: usize| prep.sym.part.width(k);
         let per_supernode = count(&|lvl, q| {
             let nodes = plan.part(lvl, q).nodes().iter();
