@@ -125,11 +125,11 @@ impl Builder<'_> {
         // The packed payloads of row `r`'s L piece and column `c`'s U piece.
         let l_piece = |r: usize| {
             let held = struct_k.iter().filter(|&&i| i % pr == r);
-            packed_words(held.map(|&i| (part.width(i), wk)))
+            packed_words(held.map(|&i| self.sym.block_shape(i, k)))
         };
         let u_piece = |c: usize| {
             let held = struct_k.iter().filter(|&&j| j % pc == c);
-            packed_words(held.map(|&j| (wk, part.width(j))))
+            packed_words(held.map(|&j| self.sym.block_shape(k, j)))
         };
 
         // Diagonal broadcasts: w(k)^2 words, classified Collective at
@@ -246,7 +246,6 @@ impl Builder<'_> {
         ancestors: &[(usize, usize)],
     ) {
         let g2 = self.grid.grid2d;
-        let part = &self.sym.part;
         for &(l_a, s) in ancestors {
             for r in 0..g2.pr {
                 for c in 0..g2.pc {
@@ -257,7 +256,7 @@ impl Builder<'_> {
                     if blocks.peek().is_none() {
                         continue;
                     }
-                    let words = packed_words(blocks.map(|(i, j)| (part.width(i), part.width(j))));
+                    let words = packed_words(blocks.map(|(i, j)| self.sym.block_shape(i, j)));
                     let tag = T_REDUCE | s as u64;
                     let ctx = self.grid.ctx_id(CommFamily::Zline, (r, c, 0));
                     let op = self.plan.ops.len() as u32;

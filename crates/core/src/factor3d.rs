@@ -162,10 +162,12 @@ fn reduce_ancestors(
             let payload = rank
                 .recv_checked(&comms.zline, peer_z, tag)
                 .map_err(|e| fail(format!("z-line reduction recv from z={peer_z} failed: {e}")))?;
-            let width = |s: usize| sym.part.width(s);
             let expected: Vec<_> = blocks
                 .iter()
-                .map(|&(i, j)| (i * nsup + j, width(i), width(j)))
+                .map(|&(i, j)| {
+                    let (rows, cols) = sym.block_shape(i, j);
+                    (i * nsup + j, rows, cols)
+                })
                 .collect();
             let received = PackedBlocks::from_payload(payload, &expected)
                 .map_err(|d| fail(format!("z={peer_z} sent {d}; this rank reduces {blocks:?}")))?;

@@ -55,9 +55,10 @@ pub struct SolvePlan {
     parts: Vec<Vec<SweepPlan>>,
     /// Per world rank, the supernodes it solves.
     owned: Vec<Segments>,
-    /// Per world rank, those and the halo its residual rows read.
+    /// Per world rank, those and the halo its residual rows read; empty
+    /// unless the plan refines.
     with_halo: Vec<Segments>,
-    /// Refinement's halo exchange.
+    /// Refinement's halo exchange; no route unless the plan refines.
     halo: Routes,
     /// The final gather of x to world rank 0.
     gather: Routes,
@@ -65,8 +66,16 @@ pub struct SolvePlan {
 
 impl SolvePlan {
     /// The plan of `sym`'s solve on `grid`, whose `pz` must be the forest's
-    /// `2^l`. `pa` is the permuted matrix whose residual refinement forms.
-    pub fn new(pa: &Csr, sym: &Symbolic, forest: &EtreeForest, grid: &Grid3d) -> SolvePlan {
+    /// `2^l`. `pa` is the permuted matrix whose residual refinement forms;
+    /// its halo is derived only when `refines`, for the sweeps after the
+    /// first solve.
+    pub fn new(
+        pa: &Csr,
+        sym: &Symbolic,
+        forest: &EtreeForest,
+        grid: &Grid3d,
+        refines: bool,
+    ) -> SolvePlan {
         assert_eq!(grid.pz, 1 << forest.l, "forest and grid disagree on pz");
         let g2 = grid.grid2d;
         let layout = SolveLayout::new(sym, &g2);
@@ -89,13 +98,15 @@ impl SolvePlan {
         // A residual row of supernode `k` reads x on every column of its
         // pattern: the segments of the supernodes there, from their owners.
         let mut halo = Vec::new();
-        let mut seen = vec![usize::MAX; owner.len()];
-        for (k, &reader) in owner.iter().enumerate() {
-            for &c in part.ranges[k].clone().flat_map(|i| pa.row_cols(i)) {
-                let s = part.sn_of_col[c];
-                if owner[s] != reader && seen[s] != k {
-                    seen[s] = k;
-                    halo.push((owner[s], reader, s));
+        if refines {
+            let mut seen = vec![usize::MAX; owner.len()];
+            for (k, &reader) in owner.iter().enumerate() {
+                for &c in part.ranges[k].clone().flat_map(|i| pa.row_cols(i)) {
+                    let s = part.sn_of_col[c];
+                    if owner[s] != reader && seen[s] != k {
+                        seen[s] = k;
+                        halo.push((owner[s], reader, s));
+                    }
                 }
             }
         }
@@ -107,7 +118,7 @@ impl SolvePlan {
         for (k, &rank) in owner.iter().enumerate() {
             owned[rank].push(k);
         }
-        let mut with_halo = owned.clone();
+        let mut with_halo = if refines { owned.clone() } else { Vec::new() };
         for &(_, reader, s) in &halo {
             with_halo[reader].push(s);
         }
@@ -163,9 +174,12 @@ impl SolvePlan {
     }
 
     /// The segments world rank `rank` holds of x while it refines: its own
-    /// and the halo its residual rows read.
+    /// and the halo its residual rows read. Only a plan made for refinement
+    /// has them.
     pub(crate) fn with_halo(&self, rank: usize) -> &Segments {
-        &self.with_halo[rank]
+        self.with_halo
+            .get(rank)
+            .expect("the solve plan was derived without refinement")
     }
 
     /// Refinement's halo exchange: each owner's segments to the ranks whose
@@ -478,7 +492,7 @@ pub fn solve_3d<'p>(
                 .try_into_packed()
                 .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
             for (s, seg) in x_segments(part, &ancestors, packed.meta(), packed.data(), lvl)? {
-                apply_ancestor_x(rank, &env, store, &plan.layout, s, seg, &mut st);
+                apply_ancestor_x(rank, &env, store, sym, &plan.layout, s, seg, &mut st);
             }
         }
         backward_nodes(
@@ -558,6 +572,34 @@ mod tests {
         );
         let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         prep.a.residual_inf(&out.x.unwrap(), &b) / bmax
+    }
+
+    /// The halo is refinement's: a plan without it lists no halo route and
+    /// no widened segments, and derives the same batches, owners and gather
+    /// as one with it.
+    #[test]
+    fn only_a_refining_plan_derives_the_halo() {
+        use super::SolvePlan;
+        use crate::forest::EtreeForest;
+        let prep = Prepared::new(
+            grid2d_5pt(16, 16, 0.1, 2),
+            Geometry::Grid2d { nx: 16, ny: 16 },
+            8,
+            8,
+        );
+        let grid = simgrid::Grid3d::new(2, 2, 2);
+        let forest = EtreeForest::build(&prep.tree, &prep.sym, 2);
+        let plan = |refines| SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid, refines);
+        let (bare, refining) = (plan(false), plan(true));
+        assert!((0..grid.size()).all(|r| bare.halo().sends(r).is_empty()));
+        assert!((0..grid.size()).any(|r| !refining.halo().sends(r).is_empty()));
+        assert!(bare.with_halo.is_empty());
+        assert_eq!(bare.waves_per_level(), refining.waves_per_level());
+        for r in 0..grid.size() {
+            assert_eq!(bare.owned(r).nodes(), refining.owned(r).nodes());
+            assert_eq!(bare.gather().sends(r), refining.gather().sends(r));
+            assert!(refining.with_halo(r).nodes().len() >= refining.owned(r).nodes().len());
+        }
     }
 
     #[test]

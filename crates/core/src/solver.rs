@@ -27,7 +27,8 @@ pub struct SolverConfig {
     pub pz: usize,
     /// Lookahead window for the 2D kernel (§II-F).
     pub lookahead: usize,
-    /// Static-pivoting threshold.
+    /// Static-pivoting threshold: finite and above zero, or the run is
+    /// refused as a config error.
     pub pivot_threshold: f64,
     /// Iterative-refinement sweeps after the solve. SuperLU_DIST pairs
     /// static pivoting with refinement to recover accuracy lost to pivot
@@ -478,6 +479,15 @@ fn try_run(
     // A bad grid is bad input, not a broken invariant: report it the way the
     // machine reports its own config errors.
     let grid3 = Grid3d::try_new(cfg.pr, cfg.pc, cfg.pz).map_err(MachineFailure::config)?;
+    // Static pivoting lifts a pivot below `threshold * max|a|`: zero, a
+    // negative or a NaN threshold lifts nothing, and the first zero pivot
+    // would end a rank's triangular solve.
+    let threshold = cfg.pivot_threshold;
+    if !(threshold.is_finite() && threshold > 0.0) {
+        return Err(MachineFailure::config(format!(
+            "pivot threshold {threshold} is not a finite number above zero"
+        )));
+    }
     if let Some(b) = rhs.as_ref().filter(|b| b.len() != prep.a.nrows) {
         return Err(MachineFailure::config(format!(
             "right-hand side has {} entries but the matrix has {} rows",
@@ -511,13 +521,15 @@ fn try_run(
     // reduces — the program `commplan` projects.
     let program = Arc::new(FactorProgram::new(&sym, &forest, cfg.lookahead));
     // And the solve's batches and routes, when there is something to solve.
+    let refines = cfg.refine_steps > 0;
     let plan = rhs
         .is_some()
-        .then(|| Arc::new(SolvePlan::new(&pa, &sym, &forest, &grid3)));
+        .then(|| Arc::new(SolvePlan::new(&pa, &sym, &forest, &grid3, refines)));
     let solve_waves = plan.as_ref().map_or(Vec::new(), |p| p.waves_per_level());
     let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
     let opts = FactorOpts {
         pivot_threshold: cfg.pivot_threshold,
+        ..FactorOpts::default()
     };
     let cfg_refine = cfg.refine_steps;
 
@@ -639,9 +651,10 @@ mod tests {
     use slu2d::store::InitValues;
     use std::collections::BTreeMap;
 
-    /// The store as every rank used to build it — scan the whole pattern,
-    /// then the whole matrix, keeping what is this rank's. The oracle the
-    /// layout-indexed store is compared against.
+    /// The store as every rank used to build it before blocks were
+    /// compressed — scan the whole pattern, then the whole matrix, keeping
+    /// what is this rank's, every block dense `width(i) x width(j)`. The
+    /// padded oracle the layout-indexed store is compared against.
     fn scan_build(
         a: &Csr,
         sym: &symbolic::Symbolic,
@@ -684,13 +697,50 @@ mod tests {
         blocks
     }
 
-    fn bits(m: &Mat) -> Vec<u64> {
-        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    /// A stored block `(i, j)` against its padded oracle: every stored entry
+    /// equals the oracle's entry in its place (bit for bit where nonzero;
+    /// a zero may differ in sign), and every entry the block drops is ±0
+    /// in the oracle.
+    fn assert_matches_padded(
+        sym: &symbolic::Symbolic,
+        (i, j): (usize, usize),
+        got: &Mat,
+        want: &Mat,
+        ctx: &str,
+    ) {
+        let (wi, wj) = (sym.part.width(i), sym.part.width(j));
+        assert_eq!(
+            (want.rows(), want.cols()),
+            (wi, wj),
+            "{ctx}: oracle ({i},{j})"
+        );
+        assert_eq!(
+            (got.rows(), got.cols()),
+            sym.block_shape(i, j),
+            "{ctx}: shape of ({i},{j})"
+        );
+        for (r, c) in (0..wj).flat_map(|c| (0..wi).map(move |r| (r, c))) {
+            let w = want.at(r, c);
+            match sym.stored_at(i, j, r, c) {
+                Some((sr, sc)) => {
+                    let g = got.at(sr, sc);
+                    assert!(
+                        g == w && (w == 0.0 || g.to_bits() == w.to_bits()),
+                        "{ctx}: ({i},{j}) entry ({r},{c}) is {g:e}, the padded oracle's {w:e}"
+                    );
+                }
+                None => assert!(
+                    w == 0.0,
+                    "{ctx}: ({i},{j}) drops entry ({r},{c}), which the padded oracle holds as {w:e}"
+                ),
+            }
+        }
     }
 
     /// Every rank of a `pr x pc x pz` machine, under the solver's real
-    /// predicates: the layout-built store equals the scanned one block for
-    /// block and bit for bit, and digests the same however it was filled.
+    /// predicates: the layout-built store holds the scanned one's blocks,
+    /// each its kept rows or columns of the padded block bit for bit and
+    /// nothing else, and digests the same however it was filled.
     fn assert_stores_match_the_oracle(prep: &Prepared, pr: usize, pc: usize, pz: usize) {
         let ctx = format!("{pr}x{pc}x{pz}");
         let grid = Grid2d::new(pr, pc);
@@ -729,21 +779,17 @@ mod tests {
                         "{ctx}: block sets"
                     );
                     assert_eq!(store.len(), oracle.len(), "{ctx}");
-                    for ((i, j), want) in &oracle {
-                        let got = store.get(*i, *j).expect("listed key");
-                        assert_eq!(
-                            (got.rows(), got.cols()),
-                            (want.rows(), want.cols()),
-                            "{ctx}: shape of ({i},{j})"
-                        );
-                        assert_eq!(bits(got), bits(want), "{ctx}: block ({i},{j})");
+                    for (&key, want) in &oracle {
+                        let got = store.get(key.0, key.1).expect("listed key");
+                        assert_matches_padded(&prep.sym, key, got, want, &ctx);
                     }
                 }
                 // The digest is a function of the content, not of how or in
                 // what order the store was filled.
                 let mut refilled = BlockStore::empty(Arc::clone(&layout), r, c);
-                for ((i, j), m) in oracle.iter().rev() {
-                    refilled.insert(*i, *j, m.clone());
+                let blocks: Vec<_> = shared.iter().collect();
+                for ((i, j), m) in blocks.into_iter().rev() {
+                    refilled.insert(i, j, m.clone());
                 }
                 assert_eq!(store_digest(&shared), store_digest(&refilled), "{ctx}");
                 assert_eq!(store_digest(&shared), store_digest(&private), "{ctx}");
@@ -779,6 +825,249 @@ mod tests {
         assert_stores_match_the_oracle(&nonplanar, 1, 1, 1);
         let kkt = Prepared::new(kkt_3d(6, 5, 4, 1e-2, 3), Geometry::General, 8, 8);
         assert_stores_match_the_oracle(&kkt, 3, 2, 2);
+    }
+
+    /// The factorization before blocks were compressed, kept as the oracle
+    /// of the compressed one: Algorithm 1 on the padded blocks of
+    /// [`scan_build`], one dense store per layer (a layer's 2D grid shape
+    /// changes no arithmetic). Per forest level each active layer factors
+    /// its supernodes in order, one dense GEMM per block pair, then each
+    /// sender's ancestor blocks are added into its partner's. Returns every
+    /// block as the layer that factors its panel left it.
+    fn padded_factor(prep: &Prepared, program: &FactorProgram) -> BTreeMap<(usize, usize), Mat> {
+        let sym = &prep.sym;
+        let grid = Grid2d::new(1, 1);
+        let mut layers: Vec<_> = (0..program.pz())
+            .map(|z| {
+                let keep = |s: usize| program.keeps(s, z);
+                let init = |i: usize, j: usize| program.initializes(i, j, z);
+                scan_build(&prep.pa, sym, &grid, (0, 0), &keep, &init)
+            })
+            .collect();
+        let threshold = SolverConfig::default().pivot_threshold;
+        for lvl in (0..=program.leaf_level()).rev() {
+            for (z, blocks) in layers.iter_mut().enumerate() {
+                let Some(level) = program.level(z, lvl) else {
+                    continue;
+                };
+                for &k in &level.nodes {
+                    let d = blocks.get_mut(&(k, k)).expect("diagonal");
+                    densela::getrf(d, densela::PivotPolicy::Static { threshold });
+                    let d = d.clone();
+                    let st = &sym.fill.struct_of[k];
+                    for &i in st {
+                        densela::trsm_right_upper(&d, blocks.get_mut(&(i, k)).expect("L"));
+                        densela::trsm_left_lower_unit(&d, blocks.get_mut(&(k, i)).expect("U"));
+                    }
+                    for &j in st {
+                        for &i in st {
+                            let (l, u) = (blocks[&(i, k)].clone(), blocks[&(k, j)].clone());
+                            let t = blocks.get_mut(&(i, j)).expect("target");
+                            densela::gemm(-1.0, &l, &u, 1.0, t);
+                        }
+                    }
+                }
+            }
+            for z in 0..program.pz() {
+                let Some(red) = program.level(z, lvl).and_then(|l| l.reduction.as_ref()) else {
+                    continue;
+                };
+                if !red.send {
+                    continue;
+                }
+                for &(_, s) in &red.ancestors {
+                    for key in program.reduction_blocks(sym, grid, s, (0, 0), z) {
+                        let sent = layers[z][&key].clone();
+                        layers[red.peer]
+                            .get_mut(&key)
+                            .expect("the partner keeps it")
+                            .add_assign(sent.view());
+                    }
+                }
+            }
+        }
+        let mut out = BTreeMap::new();
+        for (z, blocks) in layers.into_iter().enumerate() {
+            out.extend(
+                blocks
+                    .into_iter()
+                    .filter(|((i, j), _)| program.initializes(*i, *j, z)),
+            );
+        }
+        out
+    }
+
+    /// `A x = b` on padded factors, with dense block products.
+    fn padded_solve(
+        prep: &Prepared,
+        blocks: &BTreeMap<(usize, usize), Mat>,
+        b: &[f64],
+    ) -> Vec<f64> {
+        let (sym, part) = (&prep.sym, &prep.sym.part);
+        let mut x = prep.permute_rhs(b);
+        for k in 0..sym.nsup() {
+            let mut seg = x[part.ranges[k].clone()].to_vec();
+            densela::forward_subst_unit(&blocks[&(k, k)], &mut seg);
+            x[part.ranges[k].clone()].copy_from_slice(&seg);
+            for &i in &sym.fill.struct_of[k] {
+                let contrib = blocks[&(i, k)].matvec(&seg);
+                for (xv, c) in x[part.ranges[i].clone()].iter_mut().zip(contrib) {
+                    *xv -= c;
+                }
+            }
+        }
+        for k in (0..sym.nsup()).rev() {
+            let mut seg = x[part.ranges[k].clone()].to_vec();
+            for &j in &sym.fill.struct_of[k] {
+                let contrib = blocks[&(k, j)].matvec(&x[part.ranges[j].clone()]);
+                for (s, c) in seg.iter_mut().zip(contrib) {
+                    *s -= c;
+                }
+            }
+            densela::backward_subst(&blocks[&(k, k)], &mut seg);
+            x[part.ranges[k].clone()].copy_from_slice(&seg);
+        }
+        prep.unpermute_solution(&x)
+    }
+
+    /// The compressed blocks hold exactly the padded factorization's
+    /// structural entries, on `a` and a `pr x pc x pz` grid: the sequential
+    /// factors and every rank's final blocks — under either Schur kernel
+    /// and either backend — equal the padded oracle's entries bit for bit
+    /// (zeros up to sign), and every entry a block drops is ±0 there. The
+    /// sequential solve is the padded solve's x to the bit, and the runs
+    /// agree with each other to the bit.
+    fn assert_compressed_blocks_hold_the_padded_factors(
+        a: Csr,
+        geometry: Geometry,
+        (pr, pc, pz): (usize, usize, usize),
+        ctx: &str,
+    ) {
+        let n = a.nrows;
+        let b = a.matvec(&(0..n).map(|i| (i % 7) as f64 - 3.0).collect::<Vec<_>>());
+        let prep = Prepared::new(a, geometry, 8, 8);
+        let sym = Arc::clone(&prep.sym);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let threshold = SolverConfig::default().pivot_threshold;
+
+        let flat = FactorProgram::new(&sym, &EtreeForest::build(&prep.tree, &sym, 1), 8);
+        let oracle = padded_factor(&prep, &flat);
+        let all = |_: usize| true;
+        let mut seq = BlockStore::build(
+            &prep.pa,
+            &sym,
+            &Grid2d::new(1, 1),
+            0,
+            0,
+            &all,
+            InitValues::FromMatrix,
+        );
+        slu2d::seq_factor(&mut seq, &sym, threshold);
+        for (key, m) in seq.iter() {
+            assert_matches_padded(&sym, key, m, &oracle[&key], &format!("{ctx} seq"));
+        }
+        let x_seq = slu2d::seq_solve(&seq, &sym, &prep.permute_rhs(&b));
+        assert_eq!(
+            bits(&prep.unpermute_solution(&x_seq)),
+            bits(&padded_solve(&prep, &oracle, &b)),
+            "{ctx}: sequential x"
+        );
+
+        let grid3 = Grid3d::new(pr, pc, pz);
+        let forest = EtreeForest::build(&prep.tree, &sym, pz);
+        let program = Arc::new(FactorProgram::new(&sym, &forest, 8));
+        let plan = Arc::new(SolvePlan::new(&prep.pa, &sym, &forest, &grid3, false));
+        let layout = Arc::new(StoreLayout::new(&prep.pa, &sym, &grid3.grid2d));
+        let oracle = padded_factor(&prep, &program);
+        let b_p = Arc::new(prep.permute_rhs(&b));
+        let mut xs = Vec::new();
+        for seam in [u64::MAX, 0] {
+            for backend in [Backend::Threaded, Backend::Event] {
+                let ctx = format!("{ctx} seam {seam} {backend}");
+                let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
+                let (pa, shared, b_p) = (Arc::clone(&prep.pa), Arc::clone(&sym), Arc::clone(&b_p));
+                let (program, plan, layout) =
+                    (Arc::clone(&program), Arc::clone(&plan), Arc::clone(&layout));
+                let out = machine.run(move |rank| {
+                    let sym = &shared;
+                    let comms = build_grid_comms(rank, &grid3);
+                    let (my_r, my_c, my_z) = comms.coords;
+                    let mut store = BlockStore::from_layout(
+                        Arc::clone(&layout),
+                        &pa,
+                        sym,
+                        my_r,
+                        my_c,
+                        &|s| program.keeps(s, my_z),
+                        &|i, j| program.initializes(i, j, my_z),
+                    );
+                    let opts = FactorOpts {
+                        schur_batch_min_flops: seam,
+                        ..FactorOpts::default()
+                    };
+                    factor_3d(rank, &grid3, &comms, &mut store, sym, &program, opts)
+                        .expect("the factorization completes");
+                    let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
+                        solve_3d(rank, &grid3, &comms, &store, sym, &plan, opts, rhs)
+                            .expect("the solve completes")
+                    };
+                    let x = solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, 0, solve_once).1;
+                    // The blocks of the supernodes this layer factored are
+                    // final; its other copies were reduced away.
+                    let fin: Vec<_> = store
+                        .iter()
+                        .filter(|&((i, j), _)| program.initializes(i, j, my_z))
+                        .map(|(key, m)| (key, m.clone()))
+                        .collect();
+                    (fin, x)
+                });
+                let mut compared = 0;
+                for (key, m) in out.results.iter().flat_map(|(fin, _)| fin) {
+                    assert_matches_padded(&sym, *key, m, &oracle[key], &ctx);
+                    compared += 1;
+                }
+                assert_eq!(compared, oracle.len(), "{ctx}: every block once");
+                let x = out.results[0].1.as_ref().expect("rank 0 gathers x");
+                let x = prep.unpermute_solution(x);
+                let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                assert!(prep.a.residual_inf(&x, &b) / bmax < 1e-8, "{ctx}: residual");
+                xs.push(bits(&x));
+            }
+        }
+        assert!(
+            xs.windows(2).all(|w| w[0] == w[1]),
+            "{ctx}: x differs across kernels or backends"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 8, // each case factors four matrices six times each
+            .. ProptestConfig::default()
+        })]
+
+        /// [`assert_compressed_blocks_hold_the_padded_factors`] on a planar,
+        /// a 3D, a KKT and a random-deletion matrix, on random grids with
+        /// `Pz` up to 4.
+        #[test]
+        fn compressed_blocks_hold_the_padded_factors_on_every_grid_and_kernel(
+            seed in 0u64..1000,
+            pr in 1usize..3,
+            pc in 1usize..4,
+            lpz in 0usize..3,
+        ) {
+            let grid = (pr, pc, 1 << lpz);
+            let deletions = sparsemat::matgen::grid2d_random_deletions(14, 14, 0.15, seed);
+            for (name, a, geometry) in [
+                ("grid2d", grid2d_5pt(14, 14, 0.1, seed), Geometry::Grid2d { nx: 14, ny: 14 }),
+                ("grid3d", grid3d_7pt(6, 6, 6, 0.1, seed), Geometry::Grid3d { nx: 6, ny: 6, nz: 6 }),
+                ("kkt", kkt_3d(4, 4, 4, 1e-2, seed), Geometry::General),
+                ("deletions", deletions, Geometry::General),
+            ] {
+                let ctx = format!("{name} seed {seed} {pr}x{pc}x{}", grid.2);
+                assert_compressed_blocks_hold_the_padded_factors(a, geometry, grid, &ctx);
+            }
+        }
     }
 
     /// A small store with blocks of many shapes, values from the matrix.
@@ -1189,6 +1478,50 @@ mod tests {
         }
     }
 
+    /// A pivot threshold that lifts no pivot used to panic a rank with
+    /// "zero pivot in trsm_right_upper" on a KKT matrix without
+    /// regularization; it is a config error, on both backends, before any
+    /// rank starts.
+    #[test]
+    fn try_entry_points_report_a_bad_pivot_threshold_as_a_config_error() {
+        let a = kkt_3d(4, 4, 4, 0.0, 1);
+        let b = vec![1.0; a.nrows];
+        let prep = Prepared::new(a, Geometry::General, 8, 8);
+        for backend in [Backend::Threaded, Backend::Event] {
+            for threshold in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let cfg = SolverConfig {
+                    pr: 2,
+                    pc: 2,
+                    pivot_threshold: threshold,
+                    backend,
+                    ..Default::default()
+                };
+                let errs = [
+                    try_factor_only(&prep, &cfg).err(),
+                    try_factor_and_solve(&prep, &cfg, Some(b.clone())).err(),
+                ];
+                for err in errs {
+                    let err = err.unwrap_or_else(|| panic!("{threshold} on {backend} must fail"));
+                    assert_eq!((err.phase.as_str(), err.cascades), ("config", 0));
+                    assert!(
+                        matches!(&err.kind, FailKind::Config { detail }
+                            if detail.contains(&format!("pivot threshold {threshold}"))),
+                        "{backend}: {}",
+                        err.kind
+                    );
+                }
+            }
+            // The default threshold factors and solves the same system.
+            let cfg = SolverConfig {
+                pr: 2,
+                pc: 2,
+                backend,
+                ..Default::default()
+            };
+            assert!(try_factor_and_solve(&prep, &cfg, Some(b.clone())).is_ok());
+        }
+    }
+
     #[test]
     fn try_factor_and_solve_rejects_a_wrong_length_rhs_as_a_config_error() {
         let a = grid2d_5pt(8, 8, 0.0, 0);
@@ -1272,7 +1605,6 @@ mod tests {
             let grid3 = Grid3d::new(pr, pc, pz);
             let forest = EtreeForest::build(&prep.tree, &sym, pz);
             let program = Arc::new(FactorProgram::new(&sym, &forest, 8));
-            let plan = Arc::new(SolvePlan::new(&prep.pa, &sym, &forest, &grid3));
             let layout = Arc::new(StoreLayout::new(&prep.pa, &sym, &grid3.grid2d));
             let width = |nodes: &[usize]| nodes.iter().map(|&s| part.width(s)).sum::<usize>();
 
@@ -1307,6 +1639,7 @@ mod tests {
 
             let b_p = Arc::new(prep.permute_rhs(&b));
             for refine in [0, 2] {
+                let plan = Arc::new(SolvePlan::new(&prep.pa, &sym, &forest, &grid3, refine > 0));
                 for backend in [Backend::Threaded, Backend::Event] {
                     let machine =
                         Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);

@@ -31,11 +31,11 @@ pub fn reset() -> u64 {
 }
 
 /// Record `n` flops of *skipped* work: multiply-adds a kernel avoided by
-/// short-circuiting on zero scale factors (zero-padded supernodal panel
-/// columns, structural zeros). Skipped work is never charged to the
-/// simulated clock — only [`add`] feeds compute time — but the separate
-/// ledger keeps the nominal `2mnk` total reconstructible as
-/// `get() + skipped()` for kernels that would otherwise overcount.
+/// short-circuiting on zero scale factors (zero entries of a panel).
+/// Skipped work is never charged to the simulated clock — only [`add`]
+/// feeds compute time — but the separate ledger keeps the nominal `2mnk`
+/// total reconstructible as `get() + skipped()` for kernels that would
+/// otherwise overcount.
 #[inline]
 pub fn add_skipped(n: u64) {
     SKIPPED.with(|f| f.set(f.get() + n));

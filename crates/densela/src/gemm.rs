@@ -1,16 +1,20 @@
 //! General matrix-matrix multiply: the Schur-complement workhorse.
 //!
-//! The sparse LU Schur update `A_ij -= L_ik * U_kj` (paper §II-E) is a plain
-//! dense GEMM once supernodal blocks are stored as padded dense panels. The
-//! kernel here is an axpy-form column-major GEMM with k-blocking: for each
-//! column of `C` it accumulates `A(:,k) * B(k,j)` with stride-1 inner loops,
-//! which the compiler auto-vectorizes.
+//! The sparse LU Schur update `A_ij -= L_ik * U_kj` (paper §II-E) is a dense
+//! GEMM of two compressed panels whose rows and columns land on a subset of
+//! the target block's ([`gemm_scatter`]). The kernel here is an axpy-form
+//! column-major GEMM with k-blocking: for each column of `C` it accumulates
+//! `A(:,k) * B(k,j)` with stride-1 inner loops, which the compiler
+//! auto-vectorizes.
 
 use crate::flops;
 use crate::matrix::{Mat, MatRef};
 
 /// Block size over the `k` dimension; keeps the active panel of `A` in cache.
 const KB: usize = 64;
+
+/// Scattered target rows [`gemm_scatter`] updates in a local buffer at once.
+const SCATTER_ROWS: usize = 64;
 
 /// `C = beta*C + alpha * A * B` with `A: m x k`, `B: k x n`, `C: m x n`.
 /// `A` and `B` are read-only views ([`MatRef`]; a `&Mat` converts).
@@ -24,49 +28,132 @@ pub fn gemm<'a, 'b>(
     c: &mut Mat,
 ) {
     let (a, b) = (a.into(), b.into());
-    let m = a.rows();
-    let k = a.cols();
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "gemm: inner dimensions differ");
-    assert_eq!(c.rows(), m, "gemm: C row count mismatch");
-    assert_eq!(c.cols(), n, "gemm: C col count mismatch");
-    if m == 0 || n == 0 {
+    assert_eq!(b.rows(), a.cols(), "gemm: inner dimensions differ");
+    assert_eq!(c.rows(), a.rows(), "gemm: C row count mismatch");
+    assert_eq!(c.cols(), b.cols(), "gemm: C col count mismatch");
+    if c.rows() == 0 || c.cols() == 0 {
         return;
     }
-
     if beta != 1.0 {
         for v in c.as_mut_slice() {
             *v *= beta;
         }
     }
+    axpy_core(alpha, a, b, c, None, None);
+}
+
+/// `C(rows, cols) += alpha * A * B`: row `r` of the product lands on row
+/// `rows[r]` of `C` and column `j` on column `cols[j]` — the Schur update of
+/// a compressed panel into a target that keeps more rows or columns than it.
+/// Per element the arithmetic is [`gemm`]'s (ascending `kk`, zero scales
+/// skipped), and so is the flop charge; a contiguous `rows` takes the same
+/// slice loop as [`gemm`], scattered rows are updated in a local buffer.
+///
+/// Panics when the maps do not match `A`'s rows and `B`'s columns, are not
+/// strictly ascending, or leave `C`.
+pub fn gemm_scatter<'a, 'b>(
+    alpha: f64,
+    a: impl Into<MatRef<'a>>,
+    b: impl Into<MatRef<'b>>,
+    c: &mut Mat,
+    rows: &[u32],
+    cols: &[u32],
+) {
+    let (a, b) = (a.into(), b.into());
+    assert_eq!(b.rows(), a.cols(), "gemm_scatter: inner dimensions differ");
+    assert_eq!(rows.len(), a.rows(), "gemm_scatter: one target row per row");
+    assert_eq!(
+        cols.len(),
+        b.cols(),
+        "gemm_scatter: one target column per column"
+    );
+    assert!(
+        ascending_within(rows, c.rows()) && ascending_within(cols, c.cols()),
+        "gemm_scatter: maps must ascend strictly inside C"
+    );
+    if rows.is_empty() || cols.is_empty() {
+        return;
+    }
+    axpy_core(alpha, a, b, c, Some(rows), Some(cols));
+}
+
+/// True when `map` ascends strictly and stays below `bound`.
+pub(crate) fn ascending_within(map: &[u32], bound: usize) -> bool {
+    map.windows(2).all(|w| w[0] < w[1]) && map.last().is_none_or(|&l| (l as usize) < bound)
+}
+
+/// The axpy kernel behind [`gemm`] and [`gemm_scatter`]: `C += alpha * A *
+/// B` onto the rows and columns the maps name (`None`: all, in order). Maps
+/// must ascend strictly, so a contiguous `rows` is one slice.
+fn axpy_core(
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut Mat,
+    rows: Option<&[u32]>,
+    cols: Option<&[u32]>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
     if k == 0 || alpha == 0.0 {
         return;
     }
-
+    // A run of consecutive target rows is the slice from `r0`; any other
+    // map scatters.
+    let (r0, scatter) = match rows {
+        Some(r) if r[m - 1] - r[0] != m as u32 - 1 => (0, Some(r)),
+        Some(r) => (r[0] as usize, None),
+        None => (0, None),
+    };
     let a_buf = a.as_slice();
     let b_buf = b.as_slice();
     let mut skipped_pairs = 0u64;
     for k0 in (0..k).step_by(KB) {
         let k1 = (k0 + KB).min(k);
         for j in 0..n {
-            let cj = c.col_mut(j);
+            let cj = c.col_mut(cols.map_or(j, |cols| cols[j] as usize));
             let bj = &b_buf[j * k..(j + 1) * k];
-            for kk in k0..k1 {
-                let scale = alpha * bj[kk];
-                if scale == 0.0 {
-                    skipped_pairs += 1;
-                    continue;
+            skipped_pairs += bj[k0..k1].iter().filter(|&&v| alpha * v == 0.0).count() as u64;
+            let Some(rows) = scatter else {
+                for kk in k0..k1 {
+                    let scale = alpha * bj[kk];
+                    if scale == 0.0 {
+                        continue;
+                    }
+                    let ak = &a_buf[kk * m..(kk + 1) * m];
+                    for (ci, ai) in cj[r0..r0 + m].iter_mut().zip(ak) {
+                        *ci += scale * *ai;
+                    }
                 }
-                let ak = &a_buf[kk * m..(kk + 1) * m];
-                for (ci, ai) in cj.iter_mut().zip(ak) {
-                    *ci += scale * *ai;
+                continue;
+            };
+            // Scattered rows: pull a stretch of them into a local buffer,
+            // update it contiguously over every `kk`, and put it back —
+            // each entry sees the same additions in the same order.
+            for (at, stretch) in rows.chunks(SCATTER_ROWS).enumerate() {
+                let mut acc = [0.0f64; SCATTER_ROWS];
+                let acc = &mut acc[..stretch.len()];
+                for (x, &r) in acc.iter_mut().zip(stretch) {
+                    *x = cj[r as usize];
+                }
+                let from = at * SCATTER_ROWS;
+                for kk in k0..k1 {
+                    let scale = alpha * bj[kk];
+                    if scale == 0.0 {
+                        continue;
+                    }
+                    let ak = &a_buf[kk * m + from..kk * m + from + stretch.len()];
+                    for (x, ai) in acc.iter_mut().zip(ak) {
+                        *x += scale * *ai;
+                    }
+                }
+                for (&x, &r) in acc.iter().zip(stretch) {
+                    cj[r as usize] = x;
                 }
             }
         }
     }
     // Charge only the multiply-adds actually performed; zero-scale columns
-    // (padded supernodal panels) go to the skipped ledger instead of the
-    // simulated clock.
+    // go to the skipped ledger instead of the simulated clock.
     flops::add(2 * m as u64 * ((n * k) as u64 - skipped_pairs));
     flops::add_skipped(2 * m as u64 * skipped_pairs);
 }

@@ -28,14 +28,14 @@ pub mod microkernel;
 pub mod norms;
 pub mod trsm;
 
-pub use gemm::{gemm, gemm_notrans};
+pub use gemm::{gemm, gemm_notrans, gemm_scatter};
 pub use getrf::{getrf, lu_solve_inplace, GetrfInfo, PivotPolicy};
 pub use matrix::{Mat, MatRef};
-pub use microkernel::{gemm_blocked, gemm_blocked_tiled};
+pub use microkernel::{gemm_blocked, gemm_blocked_tiled, BlockMap};
 pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
 pub use trsm::{
     backward_subst, backward_subst_ltrans_unit, forward_subst_unit, forward_subst_utrans,
-    trsm_left_lower_unit, trsm_right_upper,
+    trsm_left_lower_unit, trsm_left_lower_unit_rows, trsm_right_upper,
 };
 
 #[cfg(test)]

@@ -62,7 +62,27 @@ struct Workspace {
     tile_zeros: Vec<u64>,
     row_map: Vec<(u32, u32)>,
     col_map: Vec<(u32, u32)>,
+    /// Per target block, the first row of its row map when the map is one
+    /// run of consecutive rows, else [`SCATTERED`].
+    runs: Vec<u32>,
+    /// The stripe stretches of every MR-row tile of the current `MC` block:
+    /// tile `it` is `frags[frag_ptr[it]..frag_ptr[it + 1]]`.
+    frags: Vec<Frag>,
+    frag_ptr: Vec<usize>,
 }
+
+/// The rows of one MR-row tile that lie in one row stripe: `len` stripe
+/// rows from `lr` of stripe `bi`, in accumulator lanes from `lane`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Frag {
+    bi: u32,
+    lr: u32,
+    len: u32,
+    lane: u32,
+}
+
+/// A row map that is not one run of consecutive rows.
+const SCATTERED: u32 = u32::MAX;
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
@@ -94,18 +114,43 @@ pub fn gemm_blocked(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
             *v *= beta;
         }
     }
-    gemm_core(alpha, a, b, &[0, m], &[0, n], std::slice::from_mut(c));
+    let (rows, cols): (Vec<u32>, Vec<u32>) = ((0..m as u32).collect(), (0..n as u32).collect());
+    let whole = BlockMap {
+        rows: &rows,
+        cols: &cols,
+    };
+    gemm_core(
+        alpha,
+        a,
+        b,
+        &[0, m],
+        &[0, n],
+        std::slice::from_mut(c),
+        &[whole],
+    );
+}
+
+/// Where one target block of [`gemm_blocked_tiled`] takes its stripes:
+/// stripe row `r` lands on block row `rows[r]`, stripe column `c` on block
+/// column `cols[c]`. Both maps ascend strictly — a compressed panel's rows
+/// among the rows its target keeps.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockMap<'a> {
+    pub rows: &'a [u32],
+    pub cols: &'a [u32],
 }
 
 /// `C += alpha * A * B` where C is a panel *tiled from disjoint blocks*:
-/// `blocks[bi * (col_off.len() - 1) + bj]` covers global rows
-/// `row_off[bi]..row_off[bi + 1]` and columns `col_off[bj]..col_off[bj + 1]`.
-/// The kernel loads and stores its C register tiles directly from the
-/// blocks, so callers with block-partitioned targets (the batched Schur
-/// update) pay no panel gather or scatter copies — the scatter *is* the
-/// tile store. Same bitwise contract and flop accounting as
-/// [`gemm_blocked`]; no sliver fallback (tile fragmentation, not shape,
-/// decides the cost here, and the arithmetic is identical either way).
+/// `blocks[bi * (col_off.len() - 1) + bj]` takes global rows
+/// `row_off[bi]..row_off[bi + 1]` and columns `col_off[bj]..col_off[bj + 1]`,
+/// at the rows and columns its [`BlockMap`] names. The kernel loads and
+/// stores its C register tiles directly from the blocks, so callers with
+/// block-partitioned targets (the batched Schur update) pay no panel gather
+/// or scatter copies — the scatter *is* the tile store; a run of
+/// consecutive target rows moves as one slice. Same bitwise contract and
+/// flop accounting as [`gemm_blocked`]; no sliver fallback (tile
+/// fragmentation, not shape, decides the cost here, and the arithmetic is
+/// identical either way).
 pub fn gemm_blocked_tiled(
     alpha: f64,
     a: &Mat,
@@ -113,6 +158,7 @@ pub fn gemm_blocked_tiled(
     row_off: &[usize],
     col_off: &[usize],
     blocks: &mut [Mat],
+    maps: &[BlockMap<'_>],
 ) {
     let m = a.rows();
     let n = b.cols();
@@ -133,19 +179,22 @@ pub fn gemm_blocked_tiled(
         (row_off.len() - 1) * s_cols,
         "need one block per (row stripe, col stripe) pair"
     );
-    // A block smaller than its stripe would stall the tile loads on a
-    // zero-length fragment; a larger one would be silently half-updated.
+    assert_eq!(maps.len(), blocks.len(), "need one map per block");
+    // A map shorter than its stripe would stall the tile loads on a
+    // zero-length fragment; one leaving its block, or not ascending, would
+    // update the wrong entries.
     for (bi, rows) in row_off.windows(2).enumerate() {
         for (bj, cols) in col_off.windows(2).enumerate() {
-            let blk = &blocks[bi * s_cols + bj];
-            assert_eq!(
-                (blk.rows(), blk.cols()),
-                (rows[1] - rows[0], cols[1] - cols[0]),
-                "block ({bi},{bj}) does not have the shape of its stripes"
+            let (blk, map) = (&blocks[bi * s_cols + bj], &maps[bi * s_cols + bj]);
+            assert!(
+                (map.rows.len(), map.cols.len()) == (rows[1] - rows[0], cols[1] - cols[0])
+                    && crate::gemm::ascending_within(map.rows, blk.rows())
+                    && crate::gemm::ascending_within(map.cols, blk.cols()),
+                "block ({bi},{bj}) does not map its stripes into itself"
             );
         }
     }
-    gemm_core(alpha, a, b, row_off, col_off, blocks);
+    gemm_core(alpha, a, b, row_off, col_off, blocks, maps);
 }
 
 /// Shared core of [`gemm_blocked`] / [`gemm_blocked_tiled`]: accumulating
@@ -157,6 +206,7 @@ fn gemm_core(
     row_off: &[usize],
     col_off: &[usize],
     blocks: &mut [Mat],
+    maps: &[BlockMap<'_>],
 ) {
     let m = a.rows();
     let k = a.cols();
@@ -166,8 +216,18 @@ fn gemm_core(
     }
     WORKSPACE.with(|ws| {
         let ws = &mut *ws.borrow_mut();
-        gemm_core_ws(alpha, a, b, row_off, col_off, blocks, ws);
+        gemm_core_ws(alpha, a, b, row_off, col_off, blocks, maps, ws);
     });
+}
+
+/// The target blocks of one tiled GEMM with their maps, `s_cols` per row
+/// stripe.
+struct Tiles<'b, 'm> {
+    blocks: &'b mut [Mat],
+    maps: &'b [BlockMap<'m>],
+    /// [`Workspace::runs`] of `maps`.
+    runs: &'b [u32],
+    s_cols: usize,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -178,13 +238,25 @@ fn gemm_core_ws(
     row_off: &[usize],
     col_off: &[usize],
     blocks: &mut [Mat],
+    maps: &[BlockMap<'_>],
     ws: &mut Workspace,
 ) {
     let m = a.rows();
     let k = a.cols();
     let n = b.cols();
-    // Global index -> (stripe, local index) maps for C tile loads/stores.
     let s_cols = col_off.len() - 1;
+    ws.runs.clear();
+    ws.runs.extend(maps.iter().map(|map| match map.rows {
+        [first, ..] if is_run(map.rows) => *first,
+        _ => SCATTERED,
+    }));
+    let mut tiles = Tiles {
+        blocks,
+        maps,
+        runs: &ws.runs,
+        s_cols,
+    };
+    // Global index -> (stripe, local index) maps for C tile loads/stores.
     ensure(&mut ws.row_map, m);
     let row_map = &mut ws.row_map[..m];
     for bi in 0..row_off.len() - 1 {
@@ -208,12 +280,13 @@ fn gemm_core_ws(
     // alpha folded in. Edge tiles are zero-padded so the micro-kernel never
     // branches on ragged bounds.
     //
-    // Gathered U panels are riddled with structural zeros that arrive as
-    // whole zero rows, so packing compresses them out per tile: `kk` steps
-    // whose every real column has a zero scale are dropped (their
-    // contributions would all be skipped anyway), and `tile_kks` records
-    // the surviving original `kk` indices, ascending — the arithmetic
-    // sequence per element is exactly the axpy kernel's.
+    // Zeros of a gathered U panel that fill a whole row of a tile (a row
+    // of `k` that a few kept columns do not reach) are compressed out per
+    // tile by the packing: `kk` steps whose every real column has a zero
+    // scale are dropped (their contributions would all be skipped
+    // anyway), and `tile_kks` records the surviving original `kk` indices,
+    // ascending — the arithmetic sequence per element is exactly the axpy
+    // kernel's.
     // The B panel spans the full column range: supernodal Schur updates
     // always have `k <= KC` (the supernode width), so the entire packed B
     // fits one `KC`-deep panel and packs exactly once — and with no outer
@@ -239,6 +312,7 @@ fn gemm_core_ws(
         &mut ws.tile_len[..],
         &mut ws.tile_zeros[..],
     );
+    let (frags, frag_ptr) = (&mut ws.frags, &mut ws.frag_ptr);
     let mut performed_madds = 0u64;
     let mut skipped_pairs = 0u64;
 
@@ -299,6 +373,29 @@ fn gemm_core_ws(
                         }
                     }
                 }
+                // The stripe stretches of each tile, shared by every column
+                // tile it meets.
+                frags.clear();
+                frag_ptr.clear();
+                frag_ptr.push(0);
+                for it in 0..m_tiles {
+                    let i0 = ic + it * MR;
+                    let mr_len = MR.min(m - i0);
+                    let mut r = 0;
+                    while r < mr_len {
+                        let (bi, lr) = row_map[i0 + r];
+                        let height = row_off[bi as usize + 1] - row_off[bi as usize];
+                        let len = (mr_len - r).min(height - lr as usize);
+                        frags.push(Frag {
+                            bi,
+                            lr,
+                            len: len as u32,
+                            lane: r as u32,
+                        });
+                        r += len;
+                    }
+                    frag_ptr.push(frags.len());
+                }
 
                 for jt in 0..n_tiles {
                     let len = tile_len[jt];
@@ -310,22 +407,18 @@ fn gemm_core_ws(
                     let dense = tile_zeros[jt] == 0;
                     let kks = &tile_kks[jt * KC..jt * KC + len];
                     let b_tile = &bp[jt * NR * kc_len..jt * NR * kc_len + len * NR];
+                    let cols = &col_map[j0..j0 + nr_len];
                     for it in 0..m_tiles {
-                        let i0 = ic + it * MR;
-                        let mr_len = MR.min(m - i0);
                         let a_tile = &ap[it * MR * kc_len..(it + 1) * MR * kc_len];
+                        let tile = &frags[frag_ptr[it]..frag_ptr[it + 1]];
                         let mut acc = [0.0f64; MR * NR];
-                        load_tile(
-                            &mut acc, blocks, s_cols, row_map, col_map, i0, j0, mr_len, nr_len,
-                        );
+                        tiles.load(tile, cols, &mut acc);
                         if dense {
                             micro_tile_dense(a_tile, b_tile, kks, &mut acc);
                         } else {
                             micro_tile(a_tile, b_tile, kks, &mut acc);
                         }
-                        store_tile(
-                            &acc, blocks, s_cols, row_map, col_map, i0, j0, mr_len, nr_len,
-                        );
+                        tiles.store(tile, cols, &acc);
                     }
                 }
             }
@@ -335,99 +428,108 @@ fn gemm_core_ws(
     flops::add_skipped(2 * m as u64 * skipped_pairs);
 }
 
-/// The row stripe and local row of a full `MR`-row tile starting at global
-/// row `i0` that lies inside one stripe — the common case, which the tile
-/// loads and stores copy as one fixed `[f64; MR]` per column — or `None`
-/// for a partial or stripe-straddling tile.
-#[inline]
-fn whole_tile_row(
-    blocks: &[Mat],
-    s_cols: usize,
-    row_map: &[(u32, u32)],
-    i0: usize,
-    mr_len: usize,
-) -> Option<(usize, usize)> {
-    let (bi, lr) = row_map[i0];
-    let (bi, lr) = (bi as usize, lr as usize);
-    (mr_len == MR && lr + MR <= blocks[bi * s_cols].rows()).then_some((bi, lr))
-}
-
-/// Load the `mr_len x nr_len` C tile at `(i0, j0)` into the register-tile
-/// accumulator, pulling each column's row range from the stripe blocks it
-/// crosses. Unloaded accumulator lanes stay zero (padded rows/columns) and
-/// are never stored back.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn load_tile(
-    acc: &mut [f64; MR * NR],
-    blocks: &[Mat],
-    s_cols: usize,
-    row_map: &[(u32, u32)],
-    col_map: &[(u32, u32)],
-    i0: usize,
-    j0: usize,
-    mr_len: usize,
-    nr_len: usize,
-) {
-    if let Some((bi, lr)) = whole_tile_row(blocks, s_cols, row_map, i0, mr_len) {
-        for (cc, lanes) in acc.chunks_exact_mut(MR).take(nr_len).enumerate() {
-            let (bj, lc) = col_map[j0 + cc];
-            let col = blocks[bi * s_cols + bj as usize].col(lc as usize);
-            let src: &[f64; MR] = col[lr..lr + MR].try_into().unwrap();
-            let dst: &mut [f64; MR] = lanes.try_into().unwrap();
-            *dst = *src;
-        }
-        return;
-    }
-    for cc in 0..nr_len {
-        let (bj, lc) = col_map[j0 + cc];
-        let mut r = 0usize;
-        while r < mr_len {
-            let (bi, lr) = row_map[i0 + r];
-            let col = blocks[bi as usize * s_cols + bj as usize].col(lc as usize);
-            let lr = lr as usize;
-            let frag = (mr_len - r).min(col.len() - lr);
-            acc[cc * MR + r..cc * MR + r + frag].copy_from_slice(&col[lr..lr + frag]);
-            r += frag;
+/// `dst = src` for the at most `MR` values of one tile stretch: a loop of
+/// fixed trip count the compiler unrolls, where `copy_from_slice` would call
+/// `memcpy` for a handful of values.
+#[inline(always)]
+fn copy_short(dst: &mut [f64], src: &[f64]) {
+    let len = dst.len();
+    for i in 0..MR {
+        if i < len {
+            dst[i] = src[i];
         }
     }
 }
 
-/// Inverse of [`load_tile`]: write the accumulator's real lanes back into
-/// the stripe blocks.
-#[allow(clippy::too_many_arguments)]
+/// True when the ascending `rows` are consecutive: one slice of a column.
 #[inline]
-fn store_tile(
-    acc: &[f64; MR * NR],
-    blocks: &mut [Mat],
-    s_cols: usize,
-    row_map: &[(u32, u32)],
-    col_map: &[(u32, u32)],
-    i0: usize,
-    j0: usize,
-    mr_len: usize,
-    nr_len: usize,
-) {
-    if let Some((bi, lr)) = whole_tile_row(blocks, s_cols, row_map, i0, mr_len) {
-        for (cc, lanes) in acc.chunks_exact(MR).take(nr_len).enumerate() {
-            let (bj, lc) = col_map[j0 + cc];
-            let col = blocks[bi * s_cols + bj as usize].col_mut(lc as usize);
-            let dst: &mut [f64; MR] = (&mut col[lr..lr + MR]).try_into().unwrap();
-            let src: &[f64; MR] = lanes.try_into().unwrap();
-            *dst = *src;
-        }
-        return;
+fn is_run(rows: &[u32]) -> bool {
+    rows[rows.len() - 1] - rows[0] == rows.len() as u32 - 1
+}
+
+/// Where stretch `f` of a tile lands in target block `b`: `Ok(first row)`
+/// when on consecutive rows, else the rows.
+#[inline]
+fn rows_of<'a>(
+    maps: &[BlockMap<'a>],
+    runs: &[u32],
+    b: usize,
+    f: &Frag,
+) -> Result<usize, &'a [u32]> {
+    if runs[b] != SCATTERED {
+        return Ok((runs[b] + f.lr) as usize);
     }
-    for cc in 0..nr_len {
-        let (bj, lc) = col_map[j0 + cc];
-        let mut r = 0usize;
-        while r < mr_len {
-            let (bi, lr) = row_map[i0 + r];
-            let col = blocks[bi as usize * s_cols + bj as usize].col_mut(lc as usize);
-            let lr = lr as usize;
-            let frag = (mr_len - r).min(col.len() - lr);
-            col[lr..lr + frag].copy_from_slice(&acc[cc * MR + r..cc * MR + r + frag]);
-            r += frag;
+    let rows = &maps[b].rows[f.lr as usize..(f.lr + f.len) as usize];
+    if is_run(rows) {
+        Ok(rows[0] as usize)
+    } else {
+        Err(rows)
+    }
+}
+
+impl Tiles<'_, '_> {
+    /// Block and target column of stretch `f` in the tile column of global
+    /// column `(bj, lc)`.
+    #[inline]
+    fn target(&self, f: &Frag, (bj, lc): (u32, u32)) -> (usize, usize) {
+        let b = f.bi as usize * self.s_cols + bj as usize;
+        (b, self.maps[b].cols[lc as usize] as usize)
+    }
+
+    /// Load a C tile — its stripe stretches `tile` over the global columns
+    /// `cols` — into the register-tile accumulator. A whole column of the
+    /// tile on consecutive target rows — the common case — moves as one
+    /// fixed `[f64; MR]`, a shorter run as one slice, anything else entry
+    /// by entry. Unloaded accumulator lanes stay zero (padded rows/columns)
+    /// and are never stored back.
+    #[inline]
+    fn load(&self, tile: &[Frag], cols: &[(u32, u32)], acc: &mut [f64; MR * NR]) {
+        for (lanes, &col_at) in acc.chunks_exact_mut(MR).zip(cols) {
+            for f in tile {
+                let (b, c) = self.target(f, col_at);
+                let col = self.blocks[b].col(c);
+                let lanes = &mut lanes[f.lane as usize..(f.lane + f.len) as usize];
+                match rows_of(self.maps, self.runs, b, f) {
+                    Ok(r0) if lanes.len() == MR => {
+                        let src: &[f64; MR] = col[r0..r0 + MR].try_into().unwrap();
+                        let dst: &mut [f64; MR] = lanes.try_into().unwrap();
+                        *dst = *src;
+                    }
+                    Ok(r0) => copy_short(lanes, &col[r0..r0 + lanes.len()]),
+                    Err(rows) => {
+                        for (v, &r) in lanes.iter_mut().zip(rows) {
+                            *v = col[r as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`Tiles::load`]: write the accumulator's real lanes back
+    /// into the target blocks.
+    #[inline]
+    fn store(&mut self, tile: &[Frag], cols: &[(u32, u32)], acc: &[f64; MR * NR]) {
+        for (lanes, &col_at) in acc.chunks_exact(MR).zip(cols) {
+            for f in tile {
+                let (b, c) = self.target(f, col_at);
+                let rows = rows_of(self.maps, self.runs, b, f);
+                let col = self.blocks[b].col_mut(c);
+                let lanes = &lanes[f.lane as usize..(f.lane + f.len) as usize];
+                match rows {
+                    Ok(r0) if lanes.len() == MR => {
+                        let dst: &mut [f64; MR] = (&mut col[r0..r0 + MR]).try_into().unwrap();
+                        let src: &[f64; MR] = lanes.try_into().unwrap();
+                        *dst = *src;
+                    }
+                    Ok(r0) => copy_short(&mut col[r0..r0 + lanes.len()], lanes),
+                    Err(rows) => {
+                        for (&v, &r) in lanes.iter().zip(rows) {
+                            col[r as usize] = v;
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -545,93 +647,126 @@ mod tests {
         }
     }
 
+    /// `m` rows, ascending, with every `step`-th left out after the third
+    /// (none when `step` is 0) — a compressed stripe's rows among its
+    /// target's.
+    fn sparse_map(m: usize, step: usize) -> Vec<u32> {
+        (0u32..)
+            .filter(|&r| step == 0 || r < 3 || !(r as usize - 3).is_multiple_of(step))
+            .take(m)
+            .collect()
+    }
+
+    /// Tile `C` from stripes over `row_off x col_off`, each block mapped
+    /// from its stripe through [`sparse_map`] with `step` (so larger than
+    /// its stripe unless `step` is 0); run the tiled kernel and one
+    /// [`gemm_scatter`] per block, and compare every bit.
+    fn tiled_matches_gemm_scatter_per_block(
+        row_off: &[usize],
+        col_off: &[usize],
+        k: usize,
+        step: usize,
+        seed: u64,
+    ) {
+        let (m, n) = (*row_off.last().unwrap(), *col_off.last().unwrap());
+        let a = mk_sparse(m, k, seed);
+        let b = mk_sparse(k, n, seed + 1);
+        let (mut blocks, mut want, mut maps) = (Vec::new(), Vec::new(), Vec::new());
+        for rows in row_off.windows(2) {
+            for cols in col_off.windows(2) {
+                let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
+                let (rmap, cmap) = (sparse_map(h, step), sparse_map(w, step));
+                let (th, tw) = (
+                    rmap.last().map_or(0, |&r| r as usize + 1),
+                    cmap.last().map_or(0, |&c| c as usize + 1),
+                );
+                let c = mk(th + 1, tw, (rows[0] * 100 + cols[0]) as u64 + seed);
+                let mut updated = c.clone();
+                let a_blk = a.block(rows[0], 0, h, k);
+                let b_blk = b.block(0, cols[0], k, w);
+                crate::gemm::gemm_scatter(-1.0, &a_blk, &b_blk, &mut updated, &rmap, &cmap);
+                blocks.push(c);
+                want.push(updated);
+                maps.push((rmap, cmap));
+            }
+        }
+        let maps: Vec<BlockMap> = maps
+            .iter()
+            .map(|(rows, cols)| BlockMap { rows, cols })
+            .collect();
+        gemm_blocked_tiled(-1.0, &a, &b, row_off, col_off, &mut blocks, &maps);
+        for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "step {step}: block {i} differs");
+        }
+    }
+
     #[test]
     fn tiled_matches_one_axpy_gemm_per_block() {
         // C tiled from ragged stripes (crossing MR/NR tile boundaries): the
-        // fused scatter must equal one axpy GEMM per block, bit for bit.
-        let (row_off, col_off, k) = ([0usize, 7, 24, 41], [0usize, 3, 22], 19);
-        let (m, n) = (41, 22);
-        let a = mk_sparse(m, k, 1);
-        let b = mk_sparse(k, n, 2);
-        let (mut blocks, mut want) = (Vec::new(), Vec::new());
-        for rows in row_off.windows(2) {
-            for cols in col_off.windows(2) {
-                let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
-                let c = mk(h, w, (rows[0] * 100 + cols[0]) as u64 + 3);
-                let mut updated = c.clone();
-                let a_blk = a.block(rows[0], 0, h, k);
-                let b_blk = b.block(0, cols[0], k, w);
-                gemm(-1.0, &a_blk, &b_blk, 1.0, &mut updated);
-                blocks.push(c);
-                want.push(updated);
-            }
-        }
-        gemm_blocked_tiled(-1.0, &a, &b, &row_off, &col_off, &mut blocks);
-        for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
-            let same = got
-                .as_slice()
-                .iter()
-                .zip(want.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "block {i} differs");
+        // fused scatter must equal one axpy GEMM per block, bit for bit —
+        // onto blocks of the stripes' own shape and onto larger blocks the
+        // stripes map into with gaps.
+        for step in [0, 6, 2] {
+            tiled_matches_gemm_scatter_per_block(&[0, 7, 24, 41], &[0, 3, 22], 19, step, 1);
+            // Stripes [0, 37) and [38, 75) hold whole MR-row tiles (one
+            // fixed-array move per column when their rows are consecutive);
+            // the tile at row 32 straddles the one-row stripe [37, 38), and
+            // the last one is partial.
+            tiled_matches_gemm_scatter_per_block(&[0, 37, 38, 75], &[0, 9, 22], 23, step, 4);
         }
     }
 
     #[test]
-    fn whole_and_straddling_tiles_match_one_axpy_gemm_per_block() {
-        // Row stripes [0, 37) and [38, 75) hold whole MR-row tiles (the
-        // fixed-array loads and stores); the tile at row 32 straddles the
-        // one-row stripe [37, 38), and the last one is partial (the
-        // fragment walk). Both must equal one axpy GEMM per block, bit for
-        // bit.
-        let (row_off, col_off, k) = ([0usize, 37, 38, 75], [0usize, 9, 22], 23);
-        let (m, n) = (75, 22);
-        let row_map: Vec<(u32, u32)> = row_off
-            .windows(2)
-            .enumerate()
-            .flat_map(|(bi, r)| (0..r[1] - r[0]).map(move |lr| (bi as u32, lr as u32)))
-            .collect();
-        let stripes = [Mat::zeros(37, 1), Mat::zeros(1, 1), Mat::zeros(37, 1)];
-        let whole: Vec<bool> = (0..m)
-            .step_by(MR)
-            .map(|i0| whole_tile_row(&stripes, 1, &row_map, i0, MR.min(m - i0)).is_some())
-            .collect();
-        assert_eq!(whole, [true, true, false, true, false]);
-        let a = mk_sparse(m, k, 4);
-        let b = mk_sparse(k, n, 5);
-        let (mut blocks, mut want) = (Vec::new(), Vec::new());
-        for rows in row_off.windows(2) {
-            for cols in col_off.windows(2) {
-                let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
-                let c = mk(h, w, (rows[0] * 100 + cols[0]) as u64 + 6);
-                let mut updated = c.clone();
-                let a_blk = a.block(rows[0], 0, h, k);
-                let b_blk = b.block(0, cols[0], k, w);
-                gemm(-1.0, &a_blk, &b_blk, 1.0, &mut updated);
-                blocks.push(c);
-                want.push(updated);
+    fn scatter_lands_where_the_maps_say_and_nowhere_else() {
+        let (a, b) = (mk_sparse(5, 6, 7), mk_sparse(6, 3, 8));
+        let (rows, cols) = ([1u32, 2, 4, 7, 8], [0u32, 2, 3]);
+        let mut c = mk(9, 4, 9);
+        let before = c.clone();
+        crate::gemm::gemm_scatter(-1.0, &a, &b, &mut c, &rows, &cols);
+        let mut dense = Mat::zeros(5, 3);
+        for (jj, &j) in cols.iter().enumerate() {
+            for (ii, &i) in rows.iter().enumerate() {
+                *dense.at_mut(ii, jj) = before.at(i as usize, j as usize);
             }
         }
-        gemm_blocked_tiled(-1.0, &a, &b, &row_off, &col_off, &mut blocks);
-        for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
-            let same = got
-                .as_slice()
-                .iter()
-                .zip(want.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "block {i} differs");
+        gemm(-1.0, &a, &b, 1.0, &mut dense);
+        for j in 0..4 {
+            for i in 0..9 {
+                let mapped = rows.iter().position(|&r| r as usize == i);
+                let want = match (mapped, cols.iter().position(|&c| c as usize == j)) {
+                    (Some(ii), Some(jj)) => dense.at(ii, jj),
+                    _ => before.at(i, j),
+                };
+                assert_eq!(c.at(i, j).to_bits(), want.to_bits(), "({i},{j})");
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "does not have the shape of its stripes")]
+    #[should_panic(expected = "does not map its stripes into itself")]
     fn tiled_rejects_blocks_that_do_not_match_their_stripes() {
         // Stripe 1 claims a row that belongs to block 0: used to spin
         // forever on a zero-length tile fragment.
         let a = mk(10, 4, 1);
         let b = mk(4, 6, 2);
         let mut blocks = vec![mk(5, 6, 3), mk(5, 6, 4)];
-        gemm_blocked_tiled(-1.0, &a, &b, &[0, 4, 10], &[0, 6], &mut blocks);
+        let (rows, cols): (Vec<u32>, Vec<u32>) = ((0..5).collect(), (0..6).collect());
+        let maps = [
+            BlockMap {
+                rows: &rows[..4],
+                cols: &cols,
+            },
+            BlockMap {
+                rows: &rows,
+                cols: &cols,
+            },
+        ];
+        gemm_blocked_tiled(-1.0, &a, &b, &[0, 4, 10], &[0, 6], &mut blocks, &maps);
     }
 
     #[test]

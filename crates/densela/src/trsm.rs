@@ -28,19 +28,65 @@ pub fn trsm_left_lower_unit<'a>(lu: impl Into<MatRef<'a>>, b: &mut Mat) {
     if n == 0 || nrhs == 0 {
         return;
     }
-    let lbuf = lu.as_slice();
-    for j in 0..nrhs {
-        let x = b.col_mut(j);
-        // Forward substitution, column-oriented: once x[k] is final, subtract
-        // x[k] * L(:,k) from the remainder (stride-1 over the L column).
-        for k in 0..n {
-            let xk = x[k];
-            if xk == 0.0 {
-                continue;
+    if nrhs < ROWWISE_MIN_RHS {
+        let lbuf = lu.as_slice();
+        for j in 0..nrhs {
+            let x = b.col_mut(j);
+            // Forward substitution, column-oriented: once x[k] is final,
+            // subtract x[k] * L(:,k) from the remainder (stride-1 over the L
+            // column).
+            for k in 0..n {
+                let xk = x[k];
+                if xk == 0.0 {
+                    continue;
+                }
+                let lcol = &lbuf[k * n..(k + 1) * n];
+                for i in k + 1..n {
+                    x[i] -= xk * lcol[i];
+                }
             }
-            let lcol = &lbuf[k * n..(k + 1) * n];
-            for i in k + 1..n {
-                x[i] -= xk * lcol[i];
+        }
+        flops::add(flops::trsm_flops(n, nrhs));
+    } else {
+        let mut t = vec![0.0; n * nrhs];
+        for j in 0..nrhs {
+            for (k, &v) in b.col(j).iter().enumerate() {
+                t[k * nrhs + j] = v;
+            }
+        }
+        trsm_left_lower_unit_rows(lu, &mut t, nrhs);
+        for j in 0..nrhs {
+            for (k, v) in b.col_mut(j).iter_mut().enumerate() {
+                *v = t[k * nrhs + j];
+            }
+        }
+    }
+}
+
+/// From this many right-hand sides on, [`trsm_left_lower_unit`] substitutes
+/// them all at once over a transposed copy instead of one column at a time.
+const ROWWISE_MIN_RHS: usize = 4;
+
+/// [`trsm_left_lower_unit`] on right-hand sides stored row by row: row `k`
+/// of `X` is `t[k * nrhs..(k + 1) * nrhs]`. Once row `k` is final it
+/// subtracts `x[k] * L(i,k)` from each row `i` below it, every right-hand
+/// side at once; the zero-`x[k]` skip is a select per entry, so every entry
+/// sees exactly the column-oriented substitution's arithmetic, in the same
+/// order.
+pub fn trsm_left_lower_unit_rows<'a>(lu: impl Into<MatRef<'a>>, t: &mut [f64], nrhs: usize) {
+    let lu = lu.into();
+    let n = lu.rows();
+    assert_eq!(lu.cols(), n, "triangular factor must be square");
+    assert_eq!(t.len(), n * nrhs, "rhs size mismatch");
+    let lbuf = lu.as_slice();
+    for k in 0..n {
+        let (done, below) = t.split_at_mut((k + 1) * nrhs);
+        let xk = &done[k * nrhs..];
+        let lcol = &lbuf[k * n + k + 1..(k + 1) * n];
+        for (xi, &lik) in below.chunks_exact_mut(nrhs.max(1)).zip(lcol) {
+            for (x, &s) in xi.iter_mut().zip(xk) {
+                let v = *x - s * lik;
+                *x = if s != 0.0 { v } else { *x };
             }
         }
     }
@@ -258,6 +304,41 @@ mod tests {
         backward_subst_ltrans_unit(&lu, &mut b);
         for i in 0..n {
             assert!((b[i] - x_true[i]).abs() < 1e-10, "i={i}");
+        }
+    }
+
+    /// The row-wise substitution many right-hand sides take is the
+    /// column-oriented one entry for entry: same values to the bit, zero
+    /// entries of `x` skipped alike, one column or a hundred.
+    #[test]
+    fn row_wise_substitution_is_the_column_substitution_bit_for_bit() {
+        let n = 13;
+        let lu = packed_lu(n);
+        for nrhs in [1, 3, 4, 7, 40] {
+            let b = Mat::from_fn(n, nrhs, |i, j| {
+                if (i * 5 + j * 3) % 4 == 0 {
+                    0.0
+                } else {
+                    ((i * 7 + j * 11) % 13) as f64 * 0.37 - 2.0
+                }
+            });
+            let mut want = b.clone();
+            for j in 0..nrhs {
+                let x = want.col_mut(j);
+                for k in 0..n {
+                    let xk = x[k];
+                    if xk == 0.0 {
+                        continue;
+                    }
+                    for i in k + 1..n {
+                        x[i] -= xk * lu.at(i, k);
+                    }
+                }
+            }
+            let mut got = b.clone();
+            trsm_left_lower_unit(&lu, &mut got);
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{nrhs} right-hand sides");
         }
     }
 

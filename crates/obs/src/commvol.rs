@@ -9,12 +9,12 @@
 //!
 //! Two audits ride on the ledger:
 //!
-//! - **Padding waste**: blocks travel zero-padded dense, so each charge
-//!   records both the padded words actually shipped and the struct-nonzero
-//!   words a zero-row-compressed encoding would ship (the per-tile
-//!   compression the GEMM microkernel already performs on arrival). The
-//!   gap, per class, is the headroom a SpComm3D-style sparse wire format
-//!   would recover.
+//! - **Padding waste**: each charge records both the words actually
+//!   shipped and the struct-nonzero words a zero-row-compressed encoding
+//!   would ship. Blocks keep only their structural rows, so the gap, per
+//!   class, is rows that are zero by cancellation rather than by
+//!   structure — near nothing — where zero-padded blocks used to ship a
+//!   third to a half of their words as zero rows.
 //! - **Replication**: per-class/per-level volumes let the conformance
 //!   gates compare measured z-axis reduction traffic against the analytic
 //!   per-level bounds of the cost model (paper §IV, eq. 10).

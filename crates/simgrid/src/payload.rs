@@ -201,8 +201,9 @@ impl Payload {
     /// ledger's padding-waste audit. `Empty` and `Idx` payloads are all
     /// structure; an `F64s` payload counts its nonzero entries; a `Packed`
     /// panel counts its meta header plus, per block, `nonzero_rows × cols`
-    /// — rows that are entirely zero are padding shipped only because the
-    /// block was padded to a dense supernodal tile. Always `<= words()`.
+    /// — rows that are entirely zero carry no value (blocks keep only their
+    /// structural rows, so such a row is zero by cancellation). Always `<=
+    /// words()`.
     /// A `Packed` payload whose meta does not follow the `[count, (id, rows,
     /// cols)*]` layout is counted as all structure; one with no meta at all
     /// counts its nonzero entries, like `F64s`.

@@ -26,11 +26,11 @@ pub fn seq_solve_transpose(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec
         let mut seg = x[r.clone()].to_vec();
         forward_subst_utrans(d, &mut seg);
         x[r].copy_from_slice(&seg);
-        for &i in &sym.fill.struct_of[k] {
+        for (p, &i) in sym.fill.struct_of[k].iter().enumerate() {
             let u = store.get(k, i).unwrap(); // U(k,i), transposed use
-            let contrib = u.tr_matvec(&seg);
-            for (xv, c) in x[part.ranges[i].clone()].iter_mut().zip(contrib) {
-                *xv -= c;
+            let xi = &mut x[part.ranges[i].clone()];
+            for (row, c) in sym.fill.kept(k, p).iter().zip(u.tr_matvec(&seg)) {
+                xi[row] -= c;
             }
         }
     }
@@ -40,10 +40,11 @@ pub fn seq_solve_transpose(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec
     for k in (0..nsup).rev() {
         let r = part.ranges[k].clone();
         let mut seg = x[r.clone()].to_vec();
-        for &i in &sym.fill.struct_of[k] {
+        for (p, &i) in sym.fill.struct_of[k].iter().enumerate() {
             let l = store.get(i, k).unwrap();
-            let contrib = l.tr_matvec(&x[part.ranges[i].clone()]);
-            for (s, c) in seg.iter_mut().zip(contrib) {
+            let xi = &x[part.ranges[i].clone()];
+            let kept: Vec<f64> = sym.fill.kept(k, p).iter().map(|row| xi[row]).collect();
+            for (s, c) in seg.iter_mut().zip(l.tr_matvec(&kept)) {
                 *s -= c;
             }
         }

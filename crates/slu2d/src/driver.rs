@@ -41,9 +41,10 @@ impl Prepared {
         maxsup: usize,
         amalgamate: Option<usize>,
     ) -> Prepared {
-        let g = Graph::from_matrix(&a);
+        // The graph lives only as long as the ordering needs it: the
+        // permuted matrix and the symbolic analysis below reuse its memory.
         let mut tree = nested_dissection(
-            &g,
+            &Graph::from_matrix(&a),
             NdOptions {
                 leaf_size,
                 geometry,

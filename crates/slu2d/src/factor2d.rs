@@ -1,7 +1,7 @@
 //! The node-list factorization driver: `dSparseLU2D(A, nList)` from the
 //! paper's Algorithm 1, with the elimination-tree lookahead of §II-F.
 
-use crate::kernels::{factor_step_panel, factor_step_schur_at, PanelData, BATCH_MIN_FLOPS};
+use crate::kernels::{factor_step_panel, factor_step_schur, PanelData, BATCH_MIN_FLOPS};
 use crate::store::{BlockStore, SchurScratch};
 use simgrid::{Comm, FailKind, Grid2d, MemClass, Rank, SpanCat};
 use symbolic::{LookaheadStep, Symbolic};
@@ -25,12 +25,21 @@ pub struct FactorEnv {
 pub struct FactorOpts {
     /// Static-pivoting threshold (relative to the block's max entry).
     pub pivot_threshold: f64,
+    /// The Schur kernel dispatch threshold
+    /// ([`crate::kernels::factor_step_schur`]), `BATCH_MIN_FLOPS` by
+    /// default: the seam the kernel-equivalence tests force one kernel
+    /// through (`u64::MAX` always per block, `0` always batched). The
+    /// kernels are bitwise identical, so it moves host time only, and no
+    /// solver configuration exposes it.
+    #[doc(hidden)]
+    pub schur_batch_min_flops: u64,
 }
 
 impl Default for FactorOpts {
     fn default() -> Self {
         FactorOpts {
             pivot_threshold: 1e-10,
+            schur_batch_min_flops: BATCH_MIN_FLOPS,
         }
     }
 }
@@ -65,21 +74,6 @@ pub fn factor_nodes(
     sym: &Symbolic,
     nodes: &[usize],
     order: &[LookaheadStep],
-) -> Result<FactorOutcome, FailKind> {
-    factor_nodes_at(rank, env, store, sym, nodes, order, BATCH_MIN_FLOPS)
-}
-
-/// [`factor_nodes`] with the Schur dispatch threshold as an argument (see
-/// [`factor_step_schur_at`]): the crate-private seam the equivalence tests
-/// force a kernel through. Never a public option.
-fn factor_nodes_at(
-    rank: &mut Rank,
-    env: &FactorEnv,
-    store: &mut BlockStore,
-    sym: &Symbolic,
-    nodes: &[usize],
-    order: &[LookaheadStep],
-    batch_min_flops: u64,
 ) -> Result<FactorOutcome, FailKind> {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     let mut outcome = FactorOutcome::default();
@@ -119,7 +113,8 @@ fn factor_nodes_at(
                     detail: "Schur update before the supernode's panel step".to_string(),
                 })?;
                 rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
-                    factor_step_schur_at(rank, store, sym, k, &pd, &mut scratch, batch_min_flops)
+                    let at = env.opts.schur_batch_min_flops;
+                    factor_step_schur(rank, store, sym, k, &pd, &mut scratch, at)
                 })?;
                 rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
                 next_schur = idx + 1;
@@ -264,7 +259,10 @@ mod tests {
                             my_c,
                             row: comms.row,
                             col: comms.col,
-                            opts: FactorOpts::default(),
+                            opts: FactorOpts {
+                                schur_batch_min_flops: batch_min_flops,
+                                ..FactorOpts::default()
+                            },
                         };
                         let mut store = BlockStore::build(
                             &pa,
@@ -279,8 +277,7 @@ mod tests {
                             store.take(i, j).expect("the owner holds it");
                         }
                         let (nodes, order) = whole_order(&sym);
-                        let at = batch_min_flops;
-                        factor_nodes_at(rank, &env, &mut store, &sym, &nodes, &order, at)
+                        factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
                             .unwrap_or_else(|kind| rank.fail(kind));
                     })
                     .expect_err("the factorization cannot complete");
@@ -377,7 +374,10 @@ mod tests {
                 my_c,
                 row: comms.row,
                 col: comms.col,
-                opts: FactorOpts::default(),
+                opts: FactorOpts {
+                    schur_batch_min_flops: batch_min_flops,
+                    ..FactorOpts::default()
+                },
             };
             let mut store = BlockStore::build(
                 &pa,
@@ -389,16 +389,8 @@ mod tests {
                 InitValues::FromMatrix,
             );
             let (nodes, order) = whole_order(&sym);
-            factor_nodes_at(
-                rank,
-                &env,
-                &mut store,
-                &sym,
-                &nodes,
-                &order,
-                batch_min_flops,
-            )
-            .expect("the factorization completes");
+            factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                .expect("the factorization completes");
             store
         });
         (out.results, out.reports)
@@ -456,11 +448,11 @@ mod tests {
 
     #[test]
     fn dispatcher_matches_per_block_on_pinned_grids() {
-        let a = grid3d_7pt(14, 14, 14, 0.1, 42);
+        let a = grid3d_7pt(16, 16, 16, 0.1, 42);
         let geometry = Geometry::Grid3d {
-            nx: 14,
-            ny: 14,
-            nz: 14,
+            nx: 16,
+            ny: 16,
+            nz: 16,
         };
         let prep = Prepared::new(a, geometry, 32, 32);
         for (pr, pc) in [(1, 1), (2, 2), (1, 3), (3, 2)] {

@@ -4,8 +4,12 @@
 
 use crate::factor2d::FactorEnv;
 use crate::store::{pack_blocks, BlockStore, PackedBlocks, SchurScratch};
-use densela::{flops, getrf, trsm_left_lower_unit, trsm_right_upper, Mat, MatRef, PivotPolicy};
+use densela::{
+    flops, getrf, trsm_left_lower_unit, trsm_left_lower_unit_rows, trsm_right_upper, BlockMap, Mat,
+    MatRef, PivotPolicy,
+};
 use simgrid::{CommClass, FailKind, HostPhase, Payload, Rank};
+use std::cmp::Ordering;
 use symbolic::Symbolic;
 
 // Message-tag kinds (shifted above the supernode id) come from the
@@ -132,24 +136,28 @@ pub fn factor_step_panel(
     // 3. Panel solves.
     if row_holds_l && my_c == kc {
         let d = diag_lu.ok_or_else(|| missing("column owners received the diagonal"))?;
-        for &i in struct_k {
-            if i % env.grid.pr == my_r {
-                let b = store
-                    .get_mut(i, k)
-                    .ok_or_else(|| missing("panel owner must hold its L block"))?;
-                trsm_right_upper(d, b); // L(I,k) = A(I,k) * U_kk^{-1}
-            }
+        let mine = struct_k.iter().filter(|&&i| i % env.grid.pr == my_r);
+        let mut l: Vec<Mat> = mine
+            .clone()
+            .map(|&i| store.take(i, k))
+            .collect::<Option<_>>()
+            .ok_or_else(|| missing("panel owner must hold its L block"))?;
+        trsm_l_blocks(d, &mut l);
+        for (&i, b) in mine.zip(l) {
+            store.insert(i, k, b);
         }
     }
     if col_holds_u && my_r == kr {
         let d = diag_lu.ok_or_else(|| missing("row owners received the diagonal"))?;
-        for &j in struct_k {
-            if j % env.grid.pc == my_c {
-                let b = store
-                    .get_mut(k, j)
-                    .ok_or_else(|| missing("panel owner must hold its U block"))?;
-                trsm_left_lower_unit(d, b); // U(k,J) = L_kk^{-1} A(k,J)
-            }
+        let mine = struct_k.iter().filter(|&&j| j % env.grid.pc == my_c);
+        let mut u: Vec<Mat> = mine
+            .clone()
+            .map(|&j| store.take(k, j))
+            .collect::<Option<_>>()
+            .ok_or_else(|| missing("panel owner must hold its U block"))?;
+        trsm_u_blocks(d, &mut u);
+        for (&j, b) in mine.zip(u) {
+            store.insert(k, j, b);
         }
     }
 
@@ -159,7 +167,8 @@ pub fn factor_step_panel(
     //    rank agrees without communication). Each member checks what it
     //    received against the sublist of `struct(k)` it reads.
     let rosters = store.rosters();
-    let width = |s: usize| sym.part.width(s);
+    // Kept rows of L(I, k), by I: the columns U(k, I) keeps too.
+    let kept = |p: usize| sym.fill.kept(k, p).len();
     let read_panel = |what: &str, payload, expected: &[(usize, usize, usize)]| {
         PackedBlocks::from_payload(payload, expected)
             .map_err(|d| missing(&format!("{what} panel broadcast: {d}")))
@@ -168,8 +177,9 @@ pub fn factor_step_panel(
     if row_holds_l {
         let mine: Vec<(usize, usize, usize)> = struct_k
             .iter()
-            .filter(|&&i| i % env.grid.pr == my_r)
-            .map(|&i| (i, width(i), w))
+            .enumerate()
+            .filter(|&(_, &i)| i % env.grid.pr == my_r)
+            .map(|(p, &i)| (i, kept(p), w))
             .collect();
         let data = if my_c == kc {
             let items: Vec<(usize, &Mat)> = mine
@@ -189,8 +199,9 @@ pub fn factor_step_panel(
     if col_holds_u {
         let mine: Vec<(usize, usize, usize)> = struct_k
             .iter()
-            .filter(|&&j| j % env.grid.pc == my_c)
-            .map(|&j| (j, w, width(j)))
+            .enumerate()
+            .filter(|&(_, &j)| j % env.grid.pc == my_c)
+            .map(|(p, &j)| (j, w, kept(p)))
             .collect();
         let data = if my_r == kr {
             let items: Vec<(usize, &Mat)> = mine
@@ -212,42 +223,92 @@ pub fn factor_step_panel(
     Ok((panel, perturbations))
 }
 
-/// Below this many (estimated dense) flops in one rank's share of a
-/// supernode's update, the gather/pack overhead of the batched kernel
-/// outweighs its register blocking and the per-block loop is faster
-/// (`kkt_scale` in the repo benchmark lives entirely below it,
-/// `nonplanar_schur` mostly above). Both kernels are bitwise identical, so
-/// this is purely a host-performance threshold.
-pub(crate) const BATCH_MIN_FLOPS: u64 = 1_000_000;
+/// `L(I, k) = A(I, k) U_kk^{-1}` for every block of `blocks`, `lu` holding
+/// `U_kk`: one solve over their rows stacked into one panel, so its inner
+/// loops run over the kept rows of all of them at once. Rows are
+/// independent, so every value is what a solve per block gives.
+pub(crate) fn trsm_l_blocks(lu: MatRef<'_>, blocks: &mut [Mat]) {
+    if let [b] = blocks {
+        return trsm_right_upper(lu, b);
+    }
+    let w = lu.cols();
+    let m: usize = blocks.iter().map(Mat::rows).sum();
+    let mut stacked = Mat::zeros(m, w);
+    for c in 0..w {
+        let mut at = 0;
+        for b in blocks.iter() {
+            stacked.col_mut(c)[at..at + b.rows()].copy_from_slice(b.col(c));
+            at += b.rows();
+        }
+    }
+    trsm_right_upper(lu, &mut stacked);
+    for c in 0..w {
+        let mut at = 0;
+        for b in blocks.iter_mut() {
+            let rows = b.rows();
+            b.col_mut(c).copy_from_slice(&stacked.col(c)[at..at + rows]);
+            at += rows;
+        }
+    }
+}
+
+/// `U(k, J) = L_kk^{-1} A(k, J)` for every block of `blocks`, `lu` holding
+/// `L_kk`: one solve over all their columns, copied row by row so the
+/// solve's inner loops run along the kept columns of all of them at once.
+/// Columns are independent, so every value is what a solve per block gives.
+pub(crate) fn trsm_u_blocks(lu: MatRef<'_>, blocks: &mut [Mat]) {
+    if let [b] = blocks {
+        return trsm_left_lower_unit(lu, b);
+    }
+    let n: usize = blocks.iter().map(Mat::cols).sum();
+    let mut rows = vec![0.0; lu.rows() * n];
+    let mut at = 0;
+    for b in blocks.iter() {
+        for c in 0..b.cols() {
+            for (k, &v) in b.col(c).iter().enumerate() {
+                rows[k * n + at + c] = v;
+            }
+        }
+        at += b.cols();
+    }
+    trsm_left_lower_unit_rows(lu, &mut rows, n);
+    at = 0;
+    for b in blocks.iter_mut() {
+        for c in 0..b.cols() {
+            for (k, v) in b.col_mut(c).iter_mut().enumerate() {
+                *v = rows[k * n + at + c];
+            }
+        }
+        at += b.cols();
+    }
+}
+
+/// Below this many flops in one rank's share of a supernode's update (kept
+/// rows x width x kept columns, times two), the gather/pack overhead of the
+/// batched kernel outweighs its register blocking and the per-block loop is
+/// faster (`kkt_scale` in the repo benchmark lives almost entirely below it,
+/// `nonplanar_schur` almost entirely above; docs/perf.md, "Blocks hold only
+/// their structural rows"). Both kernels are bitwise identical, so this is
+/// purely a host-performance threshold.
+pub(crate) const BATCH_MIN_FLOPS: u64 = 50_000;
 
 /// The Schur-complement update for supernode `k` (§II-E): every rank
 /// updates its owned trailing blocks `A(I,J) -= L(I,k) * U(k,J)` for
 /// `I, J` in `struct(k)`. Purely local; the block-fill closure property
-/// guarantees every target block exists, and a store that lacks one ends
-/// the update with a [`FailKind::Solver`] naming `k` (phase `fact`), the
-/// rank's share of the store then incomplete.
+/// guarantees every target block exists and keeps the rows and columns the
+/// update writes, and a store that lacks one ends the update with a
+/// [`FailKind::Solver`] naming `k` (phase `fact`), the rank's share of the
+/// store then incomplete.
 ///
 /// The kernel is chosen per supernode from the size of this rank's share:
-/// small updates run one `densela::gemm` per block pair, large ones gather
-/// the panel pieces and run one register-blocked GEMM over the whole
-/// update. Factors, flop charges, and simulated clocks are bit-identical
-/// either way (see docs/perf.md); `scratch` is the gather arena, reused
-/// across the supernodes of one node list.
+/// below `batch_min_flops` ([`BATCH_MIN_FLOPS`] unless a test forces one
+/// kernel: `u64::MAX` always per block, `0` always batched) it runs one
+/// [`densela::gemm_scatter`] per block pair, above it gathers the panel
+/// pieces and runs one register-blocked GEMM over the whole update.
+/// Factors, flop charges, and simulated clocks are bit-identical either way
+/// (see docs/perf.md); `scratch` is the gather arena, reused across the
+/// supernodes of one node list.
 pub fn factor_step_schur(
-    rank: &mut Rank,
-    store: &mut BlockStore,
-    sym: &Symbolic,
-    k: usize,
-    panels: &PanelData,
-    scratch: &mut SchurScratch,
-) -> Result<(), FailKind> {
-    factor_step_schur_at(rank, store, sym, k, panels, scratch, BATCH_MIN_FLOPS)
-}
-
-/// [`factor_step_schur`] with the dispatch threshold as an argument — the
-/// crate-private seam the equivalence tests use to force one kernel for
-/// every supernode (`u64::MAX`: always per-block, `0`: always batched).
-pub(crate) fn factor_step_schur_at(
     rank: &mut Rank,
     store: &mut BlockStore,
     sym: &Symbolic,
@@ -257,15 +318,22 @@ pub(crate) fn factor_step_schur_at(
     batch_min_flops: u64,
 ) -> Result<(), FailKind> {
     let f0 = flops::get();
-    // Size this rank's share: summed widths of the block rows / columns
-    // both kernels visit.
+    let (l_ids, u_ids) = (
+        panels.l.iter().map(|(i, _)| i),
+        panels.u.iter().map(|(j, _)| j),
+    );
+    scratch
+        .maps
+        .build(sym, k, l_ids, u_ids)
+        .map_err(|(i, j)| missing_target(k, i, j))?;
+    // Size this rank's share: summed kept rows / columns both kernels visit.
     let m_total: usize = panels.l.iter().map(|(_, m)| m.rows()).sum();
     let n_total: usize = panels.u.iter().map(|(_, m)| m.cols()).sum();
     let dense_flops = 2 * (m_total * sym.part.width(k) * n_total) as u64;
     // `.max(1)`: an empty share is the per-block loop's no-op even when a
     // test forces the threshold to zero.
     if dense_flops < batch_min_flops.max(1) {
-        schur_per_block(rank, store, k, panels)?;
+        schur_per_block(rank, store, k, panels, &scratch.maps)?;
     } else {
         schur_batched(rank, store, sym, k, panels, scratch)?;
     }
@@ -275,7 +343,8 @@ pub(crate) fn factor_step_schur_at(
     Ok(())
 }
 
-/// A target block of `k`'s update that the store does not hold.
+/// A target block of `k`'s update that the store does not hold, or that
+/// does not keep a row or column the update writes.
 fn missing_target(k: usize, i: usize, j: usize) -> FailKind {
     FailKind::Solver {
         phase: "fact".to_string(),
@@ -285,20 +354,121 @@ fn missing_target(k: usize, i: usize, j: usize) -> FailKind {
     }
 }
 
-/// One `densela::gemm` per owned `(I, J)` block pair — the same loop the
-/// sequential reference [`crate::seq::seq_factor`] runs — reading the panel
-/// blocks in place.
+/// Where supernode `k`'s update lands in each of its target blocks: for
+/// every pair of an `L(I, k)` and a `U(k, J)` piece, the target rows the
+/// kept rows of `L(I, k)` take and the target columns the kept columns of
+/// `U(k, J)` take. A diagonal or `U(I, J)` target keeps every row of `I`, so
+/// the rows are the kept rows themselves; an `L(I, J)` target keeps its own
+/// subset, so they are their positions there — and likewise for columns.
+/// Rebuilt per supernode into buffers reused across supernodes.
+#[derive(Debug, Default)]
+pub(crate) struct UpdateMaps {
+    idx: Vec<u32>,
+    /// Per pair, row-major over (L piece, U piece): `[row start, row end,
+    /// column start, column end]` in `idx`.
+    pairs: Vec<[u32; 4]>,
+    l: Vec<Piece>,
+    u: Vec<Piece>,
+}
+
+/// A panel piece of one update: its supernode, its position in
+/// `struct(k)`, and where its own kept rows sit in [`UpdateMaps::idx`].
+#[derive(Clone, Copy, Debug)]
+struct Piece {
+    id: usize,
+    pos: usize,
+    own: [u32; 2],
+}
+
+impl UpdateMaps {
+    /// The maps of `k`'s update of the pieces `L(i, k)`, `i` in `l_ids`, and
+    /// `U(k, j)`, `j` in `u_ids` (both ascending sublists of `struct(k)`).
+    /// `Err((i, j))` names a target that is not in the pattern or does not
+    /// keep a row or column the update writes.
+    pub(crate) fn build(
+        &mut self,
+        sym: &Symbolic,
+        k: usize,
+        l_ids: impl IntoIterator<Item = usize>,
+        u_ids: impl IntoIterator<Item = usize>,
+    ) -> Result<(), (usize, usize)> {
+        let fill = &sym.fill;
+        let struct_k = &fill.struct_of[k];
+        let Self { idx, pairs, l, u } = self;
+        idx.clear();
+        pairs.clear();
+        let mut own = |ids: &mut dyn Iterator<Item = usize>, into: &mut Vec<Piece>| {
+            into.clear();
+            let mut pos = 0;
+            for id in ids {
+                pos += struct_k[pos..].partition_point(|&s| s < id);
+                debug_assert_eq!(struct_k.get(pos), Some(&id), "a piece of struct({k})");
+                let start = idx.len() as u32;
+                fill.kept(k, pos).extend_rows(idx);
+                into.push(Piece {
+                    id,
+                    pos,
+                    own: [start, idx.len() as u32],
+                });
+            }
+        };
+        own(&mut l_ids.into_iter(), l);
+        own(&mut u_ids.into_iter(), u);
+        for lp in l.iter() {
+            for up in u.iter() {
+                let (i, j) = (lp.id, up.id);
+                // The compressed side of the target: L's rows or U's columns.
+                let (hi, lo, from) = match i.cmp(&j) {
+                    Ordering::Equal => {
+                        pairs.push([lp.own[0], lp.own[1], up.own[0], up.own[1]]);
+                        continue;
+                    }
+                    Ordering::Greater => (i, j, lp.pos),
+                    Ordering::Less => (j, i, up.pos),
+                };
+                let start = idx.len() as u32;
+                let target = fill.kept_rows(hi, lo).ok_or((i, j))?;
+                if !fill.kept(k, from).extend_positions_in(target, idx) {
+                    return Err((i, j));
+                }
+                let at = [start, idx.len() as u32];
+                pairs.push(if i > j {
+                    [at[0], at[1], up.own[0], up.own[1]]
+                } else {
+                    [lp.own[0], lp.own[1], at[0], at[1]]
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The target rows and columns of pair `p` (row-major over the pieces).
+    pub(crate) fn pair(&self, p: usize) -> BlockMap<'_> {
+        let [r0, r1, c0, c1] = self.pairs[p];
+        BlockMap {
+            rows: &self.idx[r0 as usize..r1 as usize],
+            cols: &self.idx[c0 as usize..c1 as usize],
+        }
+    }
+}
+
+/// One [`densela::gemm_scatter`] per owned `(I, J)` block pair — the same
+/// loop the sequential reference [`crate::seq::seq_factor`] runs — reading
+/// the panel blocks in place.
 fn schur_per_block(
     rank: &mut Rank,
     store: &mut BlockStore,
     k: usize,
     panels: &PanelData,
+    maps: &UpdateMaps,
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope_sn(HostPhase::Gemm, k);
-    for (j, u) in panels.u.iter() {
-        for (i, l) in panels.l.iter() {
+    let nu = panels.u.len();
+    for (b, (j, u)) in panels.u.iter().enumerate() {
+        for (a, (i, l)) in panels.l.iter().enumerate() {
             let target = store.get_mut(i, j).ok_or_else(|| missing_target(k, i, j))?;
-            densela::gemm(-1.0, l, u, 1.0, target);
+            let map = maps.pair(a * nu + b);
+            densela::gemm_scatter(-1.0, l, u, target, map.rows, map.cols);
         }
     }
     Ok(())
@@ -316,15 +486,15 @@ fn panel_offsets(extents: impl Iterator<Item = usize>) -> Vec<usize> {
 /// Gather-GEMM-scatter: instead of one tiny GEMM per `(I, J)` block pair,
 /// gather this rank's owned L-blocks and U-panel pieces into two contiguous
 /// column-major panels and run ONE register-blocked GEMM over the whole
-/// trailing update — the
-/// supernodal-panel aggregation of the SuperLU_DIST lineage. The scatter is
-/// fused into the kernel ([`densela::gemm_blocked_tiled`] stores its C
-/// register tiles straight into the target blocks), so the targets are
-/// never copied through a scratch panel. Bit-identical to
-/// [`schur_per_block`]: every target element receives the same
-/// contributions in the same ascending-`k` order with the same zero-scale
-/// skips ([`densela::gemm_blocked`]'s contract), and the flop count
-/// matches, so simulated clocks and traces are unchanged.
+/// trailing update — the supernodal-panel aggregation of the SuperLU_DIST
+/// lineage. The scatter is fused into the kernel
+/// ([`densela::gemm_blocked_tiled`] stores its C register tiles straight
+/// into the target blocks, at the rows and columns the [`UpdateMaps`]
+/// name), so the targets are never copied through a scratch panel.
+/// Bit-identical to [`schur_per_block`]: every target element receives the
+/// same contributions in the same ascending-`k` order with the same
+/// zero-scale skips ([`densela::gemm_blocked`]'s contract), and the flop
+/// count matches, so simulated clocks and traces are unchanged.
 fn schur_batched(
     rank: &mut Rank,
     store: &mut BlockStore,
@@ -359,12 +529,14 @@ fn schur_batched(
     // the tiled GEMM reads and writes them in place: the result scatter
     // happens inside the kernel's C-tile stores, with no target-panel copy
     // in either direction.
-    let mut targets: Vec<Mat> = Vec::with_capacity(panels.l.len() * panels.u.len());
+    let pairs = panels.l.len() * panels.u.len();
+    let mut targets: Vec<Mat> = Vec::with_capacity(pairs);
     for (i, _) in panels.l.iter() {
         for (j, _) in panels.u.iter() {
             targets.push(store.take(i, j).ok_or_else(|| missing_target(k, i, j))?);
         }
     }
+    let maps: Vec<BlockMap> = (0..pairs).map(|p| scratch.maps.pair(p)).collect();
     drop(gather_scope);
     let gemm_scope = rank.host_scope_sn(HostPhase::Gemm, k);
     densela::gemm_blocked_tiled(
@@ -374,6 +546,7 @@ fn schur_batched(
         &row_off,
         &col_off,
         &mut targets,
+        &maps,
     );
     drop(gemm_scope);
     let _scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);

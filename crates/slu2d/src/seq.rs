@@ -4,10 +4,9 @@
 //! validated against, and as the `P = 1` corner of every scaling
 //! experiment.
 
+use crate::kernels::{trsm_l_blocks, trsm_u_blocks, UpdateMaps};
 use crate::store::BlockStore;
-use densela::{
-    backward_subst, forward_subst_unit, getrf, trsm_left_lower_unit, trsm_right_upper, PivotPolicy,
-};
+use densela::{backward_subst, forward_subst_unit, gemm_scatter, getrf, PivotPolicy};
 use symbolic::Symbolic;
 
 /// Factor a full (undistributed) store in place. Returns the number of
@@ -15,6 +14,7 @@ use symbolic::Symbolic;
 pub fn seq_factor(store: &mut BlockStore, sym: &Symbolic, pivot_threshold: f64) -> usize {
     let nsup = sym.nsup();
     let mut perturbations = 0;
+    let mut maps = UpdateMaps::default();
     for k in 0..nsup {
         // Diagonal factorization.
         let info = {
@@ -28,24 +28,34 @@ pub fn seq_factor(store: &mut BlockStore, sym: &Symbolic, pivot_threshold: f64) 
         };
         perturbations += info.perturbations;
         let d = store.get(k, k).unwrap().clone();
-        let struct_k = sym.fill.struct_of[k].clone();
-        // Panel solves.
-        for &i in &struct_k {
-            trsm_right_upper(&d, store.get_mut(i, k).expect("L block"));
-        }
-        for &j in &struct_k {
-            trsm_left_lower_unit(&d, store.get_mut(k, j).expect("U block"));
-        }
-        // Schur updates.
-        for &j in &struct_k {
-            let u = store.get(k, j).unwrap().clone();
-            for &i in &struct_k {
-                let l = store.get(i, k).unwrap().clone();
+        let struct_k = &sym.fill.struct_of[k];
+        // Panel solves, on blocks taken out of the store for the update.
+        let mut l: Vec<_> = struct_k
+            .iter()
+            .map(|&i| store.take(i, k).expect("L block"))
+            .collect();
+        trsm_l_blocks(d.view(), &mut l);
+        let mut u: Vec<_> = struct_k
+            .iter()
+            .map(|&j| store.take(k, j).expect("U block"))
+            .collect();
+        trsm_u_blocks(d.view(), &mut u);
+        // Schur updates, block by block, onto the rows and columns each
+        // target keeps.
+        maps.build(sym, k, struct_k.iter().copied(), struct_k.iter().copied())
+            .unwrap_or_else(|(i, j)| panic!("Schur target ({i},{j}) misses rows of {k}"));
+        for (b, &j) in struct_k.iter().enumerate() {
+            for (a, &i) in struct_k.iter().enumerate() {
                 let t = store
                     .get_mut(i, j)
                     .unwrap_or_else(|| panic!("missing Schur target ({i},{j})"));
-                densela::gemm(-1.0, &l, &u, 1.0, t);
+                let map = maps.pair(a * struct_k.len() + b);
+                gemm_scatter(-1.0, &l[a], &u[b], t, map.rows, map.cols);
             }
+        }
+        for ((&i, l), u) in struct_k.iter().zip(l).zip(u) {
+            store.insert(i, k, l);
+            store.insert(k, i, u);
         }
     }
     perturbations
@@ -68,12 +78,12 @@ pub fn seq_solve(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec<f64> {
         let mut seg = x[r.clone()].to_vec();
         forward_subst_unit(d, &mut seg);
         x[r.clone()].copy_from_slice(&seg);
-        for &i in &sym.fill.struct_of[k] {
-            let l = store.get(i, k).unwrap();
-            let contrib = l.matvec(&seg);
-            let ri = part.ranges[i].clone();
-            for (xv, c) in x[ri].iter_mut().zip(contrib) {
-                *xv -= c;
+        for (p, &i) in sym.fill.struct_of[k].iter().enumerate() {
+            // L(i, k) reaches only the rows of i it keeps.
+            let contrib = store.get(i, k).unwrap().matvec(&seg);
+            let xi = &mut x[part.ranges[i].clone()];
+            for (row, c) in sym.fill.kept(k, p).iter().zip(contrib) {
+                xi[row] -= c;
             }
         }
     }
@@ -82,10 +92,11 @@ pub fn seq_solve(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec<f64> {
     for k in (0..nsup).rev() {
         let r = part.ranges[k].clone();
         let mut seg = x[r.clone()].to_vec();
-        for &j in &sym.fill.struct_of[k] {
-            let u = store.get(k, j).unwrap();
-            let rj = part.ranges[j].clone();
-            let contrib = u.matvec(&x[rj]);
+        for (p, &j) in sym.fill.struct_of[k].iter().enumerate() {
+            // U(k, j) reads only the entries of x_j it keeps columns for.
+            let xj = &x[part.ranges[j].clone()];
+            let kept: Vec<f64> = sym.fill.kept(k, p).iter().map(|c| xj[c]).collect();
+            let contrib = store.get(k, j).unwrap().matvec(&kept);
             for (s, c) in seg.iter_mut().zip(contrib) {
                 *s -= c;
             }
@@ -109,6 +120,16 @@ pub fn seq_solve_multi(store: &BlockStore, sym: &Symbolic, b: &densela::Mat) -> 
     assert_eq!(b.rows(), n);
     let nrhs = b.cols();
     let mut x = b.clone();
+    let all_cols: Vec<u32> = (0..nrhs as u32).collect();
+    // The rows of `x` that block (k, p) of `struct(k)` keeps.
+    let kept_rows = |k: usize, p: usize| -> Vec<u32> {
+        let start = part.ranges[sym.fill.struct_of[k][p]].start as u32;
+        sym.fill
+            .kept(k, p)
+            .iter()
+            .map(|r| start + r as u32)
+            .collect()
+    };
 
     let seg = |x: &Mat, k: usize| -> Mat {
         let r = part.ranges[k].clone();
@@ -121,19 +142,18 @@ pub fn seq_solve_multi(store: &BlockStore, sym: &Symbolic, b: &densela::Mat) -> 
         let mut yk = seg(&x, k);
         trsm_left_lower_unit(d, &mut yk);
         x.copy_block_from(&yk, part.ranges[k].start, 0);
-        for &i in &sym.fill.struct_of[k] {
+        for (p, &i) in sym.fill.struct_of[k].iter().enumerate() {
             let l = store.get(i, k).unwrap();
-            let mut xi = seg(&x, i);
-            gemm(-1.0, l, &yk, 1.0, &mut xi);
-            x.copy_block_from(&xi, part.ranges[i].start, 0);
+            gemm_scatter(-1.0, l, &yk, &mut x, &kept_rows(k, p), &all_cols);
         }
     }
     // Backward: X = U^{-1} Y, left-looking in reverse.
     for k in (0..sym.nsup()).rev() {
         let mut acc = seg(&x, k);
-        for &j in &sym.fill.struct_of[k] {
+        for (p, &j) in sym.fill.struct_of[k].iter().enumerate() {
             let u = store.get(k, j).unwrap();
-            let xj = seg(&x, j);
+            let rows = kept_rows(k, p);
+            let xj = Mat::from_fn(rows.len(), nrhs, |r, c| x.at(rows[r] as usize, c));
             gemm(-1.0, u, &xj, 1.0, &mut acc);
         }
         // Solve U_kk X_k = acc, column by column of the RHS block.

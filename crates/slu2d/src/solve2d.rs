@@ -440,18 +440,30 @@ fn diag_of<'a>(store: &'a BlockStore, phase: &str, k: usize) -> Result<&'a Mat, 
 }
 
 /// `into_i += B(i, k) v` for every block of column `k` in `rows` this rank
-/// holds (a layer of a 3D grid keeps only its own subtrees' blocks).
+/// holds (a layer of a 3D grid keeps only its own subtrees' blocks). An
+/// `L(i, k)` block (`i > k`) adds into the rows of `i` it keeps; a `U(i, k)`
+/// block reads the entries of `v` it keeps columns for.
 fn apply_column(
     store: &BlockStore,
+    sym: &Symbolic,
     rows: impl Iterator<Item = usize>,
     k: usize,
     v: &[f64],
     into: &mut SegVec,
 ) {
+    let kept = |hi: usize, lo: usize| sym.fill.kept_rows(hi, lo).expect("a block of the pattern");
     for i in rows {
-        if let Some(block) = store.get(i, k) {
-            let contrib = block.matvec(v);
-            for (a, c) in into.seg_mut(i).iter_mut().zip(contrib) {
+        let Some(block) = store.get(i, k) else {
+            continue;
+        };
+        let seg = into.seg_mut(i);
+        if i > k {
+            for (r, c) in kept(i, k).iter().zip(block.matvec(v)) {
+                seg[r] += c;
+            }
+        } else {
+            let vk: Vec<f64> = kept(k, i).iter().map(|c| v[c]).collect();
+            for (a, c) in seg.iter_mut().zip(block.matvec(&vk)) {
                 *a += c;
             }
         }
@@ -542,7 +554,7 @@ pub fn forward_nodes(
                 let yk = &y.data()[off..off + part.width(k)];
                 off += yk.len();
                 let rows = layout.below.hand(k, env.my_r);
-                apply_column(store, rows, k, yk, &mut st.acc);
+                apply_column(store, sym, rows, k, yk, &mut st.acc);
             }
             rank.advance_compute(flops::get() - f0);
             // Only the root reads its batch back (backward phase).
@@ -559,10 +571,12 @@ pub fn forward_nodes(
 /// Used by the 3D solve when ancestor solutions arrive over the z-axis
 /// instead of through this layer's own backward pass. The caller must be in
 /// process column `k % pc`.
+#[allow(clippy::too_many_arguments)]
 pub fn apply_ancestor_x(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &BlockStore,
+    sym: &Symbolic,
     layout: &SolveLayout,
     k: usize,
     xk: &[f64],
@@ -571,7 +585,7 @@ pub fn apply_ancestor_x(
     debug_assert_eq!(env.my_c, k % env.grid.pc);
     let f0 = flops::get();
     let rows = layout.above.hand(k, env.my_r);
-    apply_column(store, rows, k, xk, &mut st.accu);
+    apply_column(store, sym, rows, k, xk, &mut st.accu);
     rank.advance_compute(flops::get() - f0);
     st.x.insert(k, xk.to_vec());
 }
@@ -639,7 +653,7 @@ pub fn backward_nodes(
                 let xk = &x.data()[off..off + part.width(k)];
                 off += xk.len();
                 let rows = layout.above.hand(k, env.my_r);
-                apply_column(store, rows, k, xk, &mut st.accu);
+                apply_column(store, sym, rows, k, xk, &mut st.accu);
                 st.x.insert(k, xk.to_vec());
             }
             rank.advance_compute(flops::get() - f0);

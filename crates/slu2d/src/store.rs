@@ -1,9 +1,12 @@
 //! Per-rank storage of supernodal blocks, plus panel packing for messages.
 //!
-//! Blocks are stored as zero-padded dense panels (`n_I x n_J` for block
-//! `(I, J)`), the granularity substitution documented in DESIGN.md: it
-//! preserves the block sparsity, distribution, and communication pattern of
-//! SuperLU_DIST while making every Schur update a plain GEMM.
+//! Blocks are stored compressed, as SuperLU_DIST stores them: a diagonal
+//! block is dense, `L(I, K)` holds only the rows of `I` structurally
+//! nonzero in `K`'s columns (`|kept| x n_K`) and `U(K, I)` the same set as
+//! columns (`n_K x |kept|`), the rows [`symbolic::BlockFill::kept`] names.
+//! The shapes come from [`Symbolic::block_shape`], so every store, pack and
+//! plan agrees on them, and no kernel, message or solve pays for a row that
+//! stays zero.
 //!
 //! Where a block lives is decided once per machine, not once per rank: a
 //! [`StoreLayout`] maps every block of the symbolic pattern to its
@@ -12,6 +15,7 @@
 //! addressed through the shared layout — the supernodal index arrays of the
 //! SuperLU_DIST lineage, set up once and read by every rank.
 
+use crate::kernels::UpdateMaps;
 use densela::{Mat, MatRef};
 use simgrid::{Grid2d, MemClass, Packed, PackedBlock, Payload, Rank};
 use std::sync::Arc;
@@ -60,9 +64,12 @@ pub struct StoreLayout {
     slot: Vec<u32>,
     /// Per owner (layer rank): the keys of its share, in slot order.
     share: Vec<Vec<(u32, u32)>>,
-    /// Per owner: the matrix entries that fall into its share, as
-    /// `(index into the value array, share slot)`, ascending by index.
-    entries: Vec<Vec<(u32, u32)>>,
+    /// Per owner: the stored `(rows, cols)` of each block of its share.
+    dims: Vec<Vec<(u32, u32)>>,
+    /// Per owner: the matrix entries that fall into its share, as `(index
+    /// into the value array, share slot, offset in the stored block)`,
+    /// ascending by index.
+    entries: Vec<Vec<(u32, u32, u32)>>,
 }
 
 impl StoreLayout {
@@ -100,6 +107,7 @@ impl StoreLayout {
         let mut cols = Vec::with_capacity(nblocks);
         let mut slot = Vec::with_capacity(nblocks);
         let mut share: Vec<Vec<(u32, u32)>> = vec![Vec::new(); grid.size()];
+        let mut dims: Vec<Vec<(u32, u32)>> = vec![Vec::new(); grid.size()];
         row_ptr.push(0);
         for i in 0..nsup {
             let row = into[i]
@@ -109,8 +117,10 @@ impl StoreLayout {
             for &j in row {
                 let owner = owner_of(i, j);
                 if wanted(owner) {
+                    let (rows, cols) = sym.block_shape(i, j);
                     slot.push(share[owner].len() as u32);
                     share[owner].push((i as u32, j as u32));
+                    dims[owner].push((rows as u32, cols as u32));
                 } else {
                     slot.push(ABSENT);
                 }
@@ -126,32 +136,55 @@ impl StoreLayout {
             cols,
             slot,
             share,
+            dims,
             entries: vec![Vec::new(); grid.size()],
         };
         for row in 0..a.nrows {
             let bi = part.sn_of_col[row];
+            let r = row - part.ranges[bi].start;
             // Columns ascend within a CSR row, so entries of one block are
             // adjacent: look a block up once per run of them.
-            let mut run = (usize::MAX, 0usize, ABSENT);
+            let mut run = (usize::MAX, 0usize, ABSENT, None, 0usize);
             for e in a.row_ptr[row]..a.row_ptr[row + 1] {
-                let bj = part.sn_of_col[a.col_idx[e]];
+                let col = a.col_idx[e];
+                let bj = part.sn_of_col[col];
                 if run.0 != bj {
                     let owner = owner_of(bi, bj);
-                    let s = if wanted(owner) {
+                    let (s, kept, rows) = if wanted(owner) {
                         // The pattern contains all of A.
                         let id = layout
                             .find(bi, bj)
                             .expect("matrix entry outside the symbolic pattern");
-                        layout.slot[id]
+                        let s = layout.slot[id];
+                        let rows = layout.dims[owner][s as usize].0 as usize;
+                        // The compressed side: L's rows, U's columns.
+                        let kept = (bi != bj).then(|| {
+                            fill.kept_rows(bi.max(bj), bi.min(bj))
+                                .expect("a pattern block has kept rows")
+                        });
+                        (s, kept, rows)
                     } else {
-                        ABSENT
+                        (ABSENT, None, 0)
                     };
-                    run = (bj, owner, s);
+                    run = (bj, owner, s, kept, rows);
                 }
-                let (_, owner, s) = run;
-                if s != ABSENT {
-                    layout.entries[owner].push((e as u32, s));
+                let (_, owner, s, kept, rows) = run;
+                if s == ABSENT {
+                    continue;
                 }
+                // The place `Symbolic::stored_at` gives, the kept set looked
+                // up once per run.
+                let c = col - part.ranges[bj].start;
+                let at = |kept: symbolic::RowSet, x: usize| {
+                    kept.position(x)
+                        .expect("the kept rows hold every entry of A")
+                };
+                let (r, c) = match kept {
+                    Some(kept) if bi > bj => (at(kept, r), c),
+                    Some(kept) => (r, at(kept, c)),
+                    None => (r, c),
+                };
+                layout.entries[owner].push((e as u32, s, (r + c * rows) as u32));
             }
         }
         layout
@@ -274,31 +307,21 @@ impl BlockStore {
         let mut pos = vec![ABSENT; share.len()];
         let mut blocks = Vec::with_capacity(count);
         let mut from_matrix = Vec::with_capacity(count);
-        for (s, key) in share.iter().enumerate() {
+        for (s, (key, &(rows, cols))) in share.iter().zip(&layout.dims[owner]).enumerate() {
             if held(key) {
-                let (i, j) = (key.0 as usize, key.1 as usize);
                 pos[s] = blocks.len() as u32;
-                blocks.push(Mat::zeros(part.width(i), part.width(j)));
-                from_matrix.push(value_pred(i, j));
+                blocks.push(Mat::zeros(rows as usize, cols as usize));
+                from_matrix.push(value_pred(key.0 as usize, key.1 as usize));
             }
         }
 
-        // Scatter this rank's bucket of matrix values. The bucket ascends by
-        // entry index, so the row of an entry is found by walking `row_ptr`.
-        let mut row = 0usize;
-        for &(e, s) in &layout.entries[owner] {
+        // Scatter this rank's bucket of matrix values, each to the offset the
+        // layout found for it.
+        for &(e, s, off) in &layout.entries[owner] {
             let p = pos[s as usize];
-            if p == ABSENT || !from_matrix[p as usize] {
-                continue;
+            if p != ABSENT && from_matrix[p as usize] {
+                blocks[p as usize].as_mut_slice()[off as usize] += a.values[e as usize];
             }
-            let e = e as usize;
-            while a.row_ptr[row + 1] <= e {
-                row += 1;
-            }
-            let (bi, bj) = share[s as usize];
-            let r_off = row - part.ranges[bi as usize].start;
-            let c_off = a.col_idx[e] - part.ranges[bj as usize].start;
-            *blocks[p as usize].at_mut(r_off, c_off) += a.values[e];
         }
         BlockStore {
             layout,
@@ -430,20 +453,24 @@ impl BlockStore {
     }
 }
 
-/// Reusable per-rank scratch arena for the batched gather-GEMM-scatter
-/// Schur update: one contiguous panel each for the gathered L-blocks and
-/// the gathered U-panel pieces (the Schur targets are updated in place by
-/// the tiled GEMM, so they need no scratch). The panels are reshaped in
-/// place per supernode (keeping their allocations), and the arena's
-/// high-water footprint is charged to [`MemClass::SchurBuf`] on the owning
-/// rank's memory ledger — charged as it grows, credited once when the
-/// factorization loop releases the arena.
+/// Reusable per-rank scratch arena for the Schur update: one contiguous
+/// panel each for the gathered L-blocks and the gathered U-panel pieces of
+/// the batched gather-GEMM-scatter (the Schur targets are updated in place
+/// by the tiled GEMM, so they need no scratch), and the index maps of
+/// either kernel. The panels are reshaped in place per supernode (keeping
+/// their allocations), and their high-water footprint is charged to
+/// [`MemClass::SchurBuf`] on the owning rank's memory ledger — charged as
+/// it grows, credited once when the factorization loop releases the arena.
+/// The maps are host bookkeeping, like the GEMM's packing workspace, and
+/// are not charged.
 #[derive(Debug)]
 pub struct SchurScratch {
-    /// Stacked L-blocks: `(sum of owned row widths) x width(k)`.
+    /// Stacked L-blocks: `(sum of owned kept rows) x width(k)`.
     pub l: Mat,
-    /// Concatenated U pieces: `width(k) x (sum of owned col widths)`.
+    /// Concatenated U pieces: `width(k) x (sum of owned kept columns)`.
     pub u: Mat,
+    /// Where the update lands in each target block.
+    pub(crate) maps: UpdateMaps,
     /// Bytes currently charged to the ledger (the arena's high water).
     charged_bytes: u64,
 }
@@ -453,6 +480,7 @@ impl Default for SchurScratch {
         SchurScratch {
             l: Mat::zeros(0, 0),
             u: Mat::zeros(0, 0),
+            maps: UpdateMaps::default(),
             charged_bytes: 0,
         }
     }
@@ -640,8 +668,9 @@ mod tests {
                 let (r, c) = grid.owner(bi, bj);
                 let store = &stores[grid.rank_of(r, c)];
                 let m = store.get(bi, bj).expect("owner must hold the block");
-                let got = m.at(i - sym.part.ranges[bi].start, j - sym.part.ranges[bj].start);
-                assert_eq!(got, *v);
+                let (dr, dc) = (i - sym.part.ranges[bi].start, j - sym.part.ranges[bj].start);
+                let (sr, sc) = sym.stored_at(bi, bj, dr, dc).expect("A's entries are kept");
+                assert_eq!(m.at(sr, sc), *v);
                 // And in no other store.
                 for (p, other) in stores.iter().enumerate() {
                     if p != grid.rank_of(r, c) {
@@ -770,8 +799,10 @@ mod tests {
             })
             .sum();
         assert_eq!(s.total_words(), manual);
-        // Must equal the symbolic prediction.
-        let predicted: u64 = sym.cost.factor_words.iter().sum();
-        assert_eq!(s.total_words(), predicted);
+        // Must equal the symbolic prediction of the compressed blocks, and
+        // hold less than the dense-block cost model counts.
+        assert_eq!(s.total_words(), sym.stored_words());
+        let padded: u64 = sym.cost.factor_words.iter().sum();
+        assert!(s.total_words() < padded, "{} of {padded}", s.total_words());
     }
 }

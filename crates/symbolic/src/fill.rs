@@ -12,8 +12,11 @@
 //! Because the input pattern is symmetric (SuperLU_DIST factors the
 //! symmetrized pattern under static pivoting), `L` and `U` have transposed
 //! block structures: `struct(s)` lists both the `L(I, s)` blocks (column
-//! panel) and the `U(s, I)` blocks (row panel).
+//! panel) and the `U(s, I)` blocks (row panel). The same pass records which
+//! rows of `I` each `L(I, s)` keeps (the columns of `U(s, I)`), the
+//! compressed storage of SuperLU_DIST.
 
+use crate::rowset::RowSet;
 use crate::supernode::SnPartition;
 use sparsemat::Csr;
 
@@ -32,6 +35,11 @@ pub struct BlockFill {
     /// Derived from `struct_of` by [`BlockFill::new`]; see
     /// [`BlockFill::blocks_into`].
     blocks_into: Vec<Vec<usize>>,
+    /// The kept rows of every off-diagonal block, `row_words` words each:
+    /// those of `L(struct_of[k][p], k)` are `row_bits[k][row_words * p..]`.
+    /// See [`BlockFill::kept`].
+    row_words: usize,
+    row_bits: Vec<Vec<u64>>,
 }
 
 /// One step of [`BlockFill::lookahead_order`], by position in its node list.
@@ -48,9 +56,16 @@ pub enum LookaheadStep {
 impl BlockFill {
     /// Assemble a fill pattern, deriving the two rank-invariant indexes every
     /// rank of a distributed factorization or solve reads — once here instead
-    /// of once per rank. `struct_of` and `parent` must not be modified
-    /// afterwards.
-    pub fn new(struct_of: Vec<Vec<usize>>, parent: Vec<Option<usize>>) -> BlockFill {
+    /// of once per rank. `row_bits[k]` holds the kept rows of the blocks of
+    /// `struct_of[k]`, in order, `row_words` words each
+    /// ([`BlockFill::kept`]).
+    /// `struct_of` and `parent` must not be modified afterwards.
+    pub fn new(
+        struct_of: Vec<Vec<usize>>,
+        parent: Vec<Option<usize>>,
+        row_words: usize,
+        row_bits: Vec<Vec<u64>>,
+    ) -> BlockFill {
         let mut children = vec![Vec::new(); parent.len()];
         for (s, p) in parent.iter().enumerate() {
             if let Some(p) = p {
@@ -63,12 +78,36 @@ impl BlockFill {
                 blocks_into[i].push(j);
             }
         }
+        assert!(
+            struct_of
+                .iter()
+                .zip(&row_bits)
+                .all(|(st, bits)| bits.len() == row_words * st.len()),
+            "one row set per block"
+        );
         BlockFill {
             struct_of,
             parent,
             children,
             blocks_into,
+            row_words,
+            row_bits,
         }
+    }
+
+    /// The rows of supernode `struct_of[k][p]` that block `L(struct_of[k][p],
+    /// k)` keeps — those structurally nonzero in `k`'s columns — and, the
+    /// pattern being symmetric, the columns `U(k, struct_of[k][p])` keeps.
+    pub fn kept(&self, k: usize, p: usize) -> RowSet<'_> {
+        let at = self.row_words * p;
+        RowSet::new(&self.row_bits[k][at..at + self.row_words])
+    }
+
+    /// [`BlockFill::kept`] by supernode: the rows of `i` that `L(i, k)`
+    /// keeps, or `None` when `i` is not in `struct_of[k]`.
+    pub fn kept_rows(&self, i: usize, k: usize) -> Option<RowSet<'_>> {
+        let p = self.struct_of.get(k)?.binary_search(&i).ok()?;
+        Some(self.kept(k, p))
     }
 
     /// Number of structurally nonzero off-diagonal blocks in `L` (equal to
@@ -303,52 +342,73 @@ impl Roster {
     }
 }
 
-/// Run the block symbolic factorization. `a` must be pattern-symmetric and
-/// already in elimination (nested-dissection) order.
+/// Run the block symbolic factorization, with the kept rows of every block.
+/// `a` must be pattern-symmetric and already in elimination
+/// (nested-dissection) order.
+///
+/// The rows recur like the blocks: `L(I, s)` keeps the rows of `I` that
+/// `A` has in `s`'s columns, plus the rows `L(I, c)` keeps for each child
+/// `c`. That is the union of the column structures over `s`'s columns —
+/// a superset of every numerically nonzero row — and it nests: for `J` in
+/// `struct(s)` below `I`, the rows of `L(I, s)` are among those of `L(I, J)`,
+/// so every Schur target keeps the rows its update writes.
 pub fn block_symbolic(a: &Csr, part: &SnPartition) -> BlockFill {
     let nsup = part.nsup();
-
-    // 1. Block pattern of the strict lower triangle of A: for each column
-    //    supernode J, the set of row supernodes I > J. Built from rows
-    //    (pattern symmetric: row i of A lists the columns j, so block
-    //    (sn(i), sn(j)) with sn(i) > sn(j) contributes to column sn(j)).
-    let mut ablocks: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    for i in 0..a.nrows {
-        let si = part.sn_of_col[i];
-        for &j in a.row_cols(i) {
-            let sj = part.sn_of_col[j];
-            if si > sj {
-                ablocks[sj].push(si);
-            }
-        }
-    }
-    for list in &mut ablocks {
-        list.sort_unstable();
-        list.dedup();
-    }
-
-    // 2. Symbolic recurrence in ascending supernode order (elimination
-    //    order). Children contribute their structs to their etree parent.
+    let words = part.max_width().div_ceil(64).max(1);
     let mut struct_of: Vec<Vec<usize>> = vec![Vec::new(); nsup];
     let mut parent: Vec<Option<usize>> = vec![None; nsup];
     let mut pending_children: Vec<Vec<usize>> = vec![Vec::new(); nsup];
+    let mut row_bits: Vec<Vec<u64>> = vec![Vec::new(); nsup];
+    // Each block's position in the current supernode's list (valid for
+    // that list only).
+    let mut pos_of = vec![0usize; nsup];
+    // `(I, row of I)` for the entries of A below the diagonal block in the
+    // current supernode's columns (pattern symmetric: read off its rows).
+    let mut a_rows: Vec<(usize, usize)> = Vec::new();
 
+    // Ascending supernode order (elimination order): children contribute
+    // their structs and row sets to their etree parent.
     for s in 0..nsup {
-        // Merge A-blocks with children's propagated structs.
-        let mut merged = std::mem::take(&mut ablocks[s]);
+        a_rows.clear();
+        for j in part.ranges[s].clone() {
+            for &i in a.row_cols(j) {
+                let si = part.sn_of_col[i];
+                if si > s {
+                    a_rows.push((si, i - part.ranges[si].start));
+                }
+            }
+        }
+        let mut merged: Vec<usize> = a_rows.iter().map(|&(si, _)| si).collect();
         for &c in &pending_children[s] {
             merged.extend(struct_of[c].iter().copied().filter(|&i| i > s));
         }
         merged.sort_unstable();
         merged.dedup();
+
+        let mut bits = vec![0u64; words * merged.len()];
+        for (p, &i) in merged.iter().enumerate() {
+            pos_of[i] = words * p;
+        }
+        for &(si, r) in &a_rows {
+            bits[pos_of[si] + r / 64] |= 1 << (r % 64);
+        }
+        for &c in &pending_children[s] {
+            let child = struct_of[c].iter().zip(row_bits[c].chunks_exact(words));
+            for (&i, from) in child.filter(|&(&i, _)| i > s) {
+                for (into, from) in bits[pos_of[i]..pos_of[i] + words].iter_mut().zip(from) {
+                    *into |= from;
+                }
+            }
+        }
         if let Some(&p) = merged.first() {
             parent[s] = Some(p);
             pending_children[p].push(s);
         }
         struct_of[s] = merged;
+        row_bits[s] = bits;
     }
 
-    BlockFill::new(struct_of, parent)
+    BlockFill::new(struct_of, parent, words, row_bits)
 }
 
 #[cfg(test)]
@@ -496,6 +556,78 @@ mod tests {
         }
         // The last supernode is always a root.
         assert_eq!(fill.parent[nsup - 1], None);
+    }
+
+    /// Every numerically nonzero entry of the factors lies in a kept row of
+    /// its `L` block or a kept column of its `U` block: a dense LU of the
+    /// reordered matrix (no pivoting, tiny pivots lifted as static pivoting
+    /// does) against the row sets, on a 3D grid, a KKT system and a
+    /// random-deletion grid. And the sets nest along every Schur update.
+    #[test]
+    fn kept_rows_cover_every_nonzero_of_the_factors() {
+        use sparsemat::matgen::{grid2d_random_deletions, kkt_3d};
+        for (name, a, leaf, maxsup) in [
+            ("grid3d", grid3d_7pt(6, 6, 6, 0.1, 1), 8, 8),
+            ("kkt", kkt_3d(3, 3, 3, 1e-2, 2), 8, 6),
+            ("deletions", grid2d_random_deletions(15, 15, 0.15, 3), 12, 5),
+        ] {
+            let (fill, part, perm) = analyze(&a, Geometry::General, leaf, maxsup);
+            let pa = a.permute_sym(&perm).symmetrize_pattern();
+            let n = pa.nrows;
+            let mut lu = vec![0.0f64; n * n];
+            for i in 0..n {
+                for (&j, &v) in pa.row_cols(i).iter().zip(pa.row_vals(i)) {
+                    lu[i * n + j] = v;
+                }
+            }
+            for k in 0..n {
+                if lu[k * n + k].abs() < 1e-10 {
+                    lu[k * n + k] = 1e-10;
+                }
+                for i in k + 1..n {
+                    let l = lu[i * n + k] / lu[k * n + k];
+                    lu[i * n + k] = l;
+                    if l != 0.0 {
+                        for j in k + 1..n {
+                            lu[i * n + j] -= l * lu[k * n + j];
+                        }
+                    }
+                }
+            }
+            let mut nonzeros = 0;
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let (si, sj) = (part.sn_of_col[i], part.sn_of_col[j]);
+                if lu[i * n + j] == 0.0 || si == sj {
+                    continue;
+                }
+                nonzeros += 1;
+                // L(si, sj) keeps row i of si; U(si, sj) keeps column j of sj.
+                let (hi, lo, r) = if si > sj {
+                    (si, sj, i - part.ranges[si].start)
+                } else {
+                    (sj, si, j - part.ranges[sj].start)
+                };
+                let kept = fill.kept_rows(hi, lo);
+                assert!(
+                    kept.is_some_and(|rows| rows.contains(r)),
+                    "{name}: factor entry ({i},{j}) outside the kept rows of ({si},{sj})"
+                );
+            }
+            assert!(nonzeros > n, "{name}: the fixture has off-diagonal fill");
+            for k in 0..fill.struct_of.len() {
+                let st = &fill.struct_of[k];
+                for (p, &i) in st.iter().enumerate() {
+                    for &j in &st[..p] {
+                        let mut at = Vec::new();
+                        let target = fill.kept_rows(i, j).expect("fill closure");
+                        assert!(
+                            fill.kept(k, p).extend_positions_in(target, &mut at),
+                            "{name}: rows of L({i},{k}) not kept by L({i},{j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

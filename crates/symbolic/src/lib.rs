@@ -10,8 +10,9 @@
 //!    chains, exactly how SuperLU_DIST bounds supernode width.
 //! 2. [`fill`]: block-level symbolic LU. Computes, for every supernode `s`,
 //!    the list of block rows `I > s` with a nonzero block `L(I, s)` (and by
-//!    pattern symmetry the blocks `U(s, I)`), plus the supernodal
-//!    elimination tree (paper §II-D).
+//!    pattern symmetry the blocks `U(s, I)`), the rows of `I` each such
+//!    block keeps ([`RowSet`]), plus the supernodal elimination tree (paper
+//!    §II-D).
 //! 3. [`stats`]: predicted factor storage and flop counts per supernode /
 //!    per tree node — the cost function `T(v)` the paper's inter-grid load
 //!    balancing heuristic minimizes (§III-C).
@@ -19,18 +20,21 @@
 //! # Granularity substitution (documented in DESIGN.md)
 //!
 //! SuperLU computes fill at vertex granularity and stores compressed row
-//! subsets inside each block. This reproduction computes fill on the
-//! *supernode quotient graph* (block granularity) and stores blocks as
-//! padded dense panels. Block-level symbolic factorization is self-
-//! consistent (the fill path theorem holds on the quotient graph), slightly
-//! overestimates fill exactly like supernode amalgamation does, and matches
-//! the dense-separator-block model the paper's own analysis (§IV) uses.
+//! subsets inside each block. This reproduction finds the blocks on the
+//! *supernode quotient graph* (block granularity) and, inside each, the
+//! rows as the union of its supernode's column structures: `L(I, K)` keeps
+//! the rows of `I` nonzero in `K`'s columns and `U(K, I)` the same set as
+//! columns, while diagonal blocks stay dense. The per-supernode cost model
+//! ([`SnCost`]) still counts whole blocks, the dense-separator-block model
+//! the paper's own analysis (§IV) uses.
 
 pub mod fill;
+pub mod rowset;
 pub mod stats;
 pub mod supernode;
 
 pub use fill::{block_symbolic, BlockFill, LookaheadStep, PanelRosters};
+pub use rowset::RowSet;
 pub use stats::{FillStats, SnCost};
 pub use supernode::SnPartition;
 
@@ -88,6 +92,57 @@ impl Symbolic {
     /// Overall fill statistics.
     pub fn stats(&self) -> FillStats {
         FillStats::from_cost(&self.cost)
+    }
+
+    /// The stored shape of block `(i, j)` of the pattern: `width(i)²` on
+    /// the diagonal, `|kept| x width(j)` for `L(i, j)` and `width(i) x
+    /// |kept|` for `U(i, j)`, where `kept` is [`BlockFill::kept_rows`] of the
+    /// lower endpoint in the higher one's column. Panics on a block outside
+    /// the pattern.
+    pub fn block_shape(&self, i: usize, j: usize) -> (usize, usize) {
+        let kept = |hi: usize, lo: usize| {
+            self.fill
+                .kept_rows(hi, lo)
+                .unwrap_or_else(|| panic!("block ({i},{j}) is not in the pattern"))
+                .len()
+        };
+        match i.cmp(&j) {
+            std::cmp::Ordering::Equal => (self.part.width(i), self.part.width(i)),
+            std::cmp::Ordering::Greater => (kept(i, j), self.part.width(j)),
+            std::cmp::Ordering::Less => (self.part.width(i), kept(j, i)),
+        }
+    }
+
+    /// Where entry `(r, c)` of block `(i, j)` — offsets into the dense
+    /// `width(i) x width(j)` block — sits in the stored block, or `None`
+    /// when the block drops its row (`L`) or column (`U`). Panics on a
+    /// block outside the pattern.
+    pub fn stored_at(&self, i: usize, j: usize, r: usize, c: usize) -> Option<(usize, usize)> {
+        let kept = |hi: usize, lo: usize| {
+            self.fill
+                .kept_rows(hi, lo)
+                .unwrap_or_else(|| panic!("block ({i},{j}) is not in the pattern"))
+        };
+        match i.cmp(&j) {
+            std::cmp::Ordering::Equal => Some((r, c)),
+            std::cmp::Ordering::Greater => Some((kept(i, j).position(r)?, c)),
+            std::cmp::Ordering::Less => Some((r, kept(j, i).position(c)?)),
+        }
+    }
+
+    /// Words of factor storage the blocks hold, over the whole pattern:
+    /// dense diagonals plus the kept rows of every `L` block and the kept
+    /// columns of every `U` block.
+    pub fn stored_words(&self) -> u64 {
+        (0..self.nsup())
+            .map(|k| {
+                let w = self.part.width(k) as u64;
+                let kept: u64 = (0..self.fill.struct_of[k].len())
+                    .map(|p| self.fill.kept(k, p).len() as u64)
+                    .sum();
+                w * w + 2 * w * kept
+            })
+            .sum()
     }
 }
 

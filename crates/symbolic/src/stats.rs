@@ -2,9 +2,10 @@
 //!
 //! These are the quantities the rest of the stack schedules against:
 //!
-//! - `factor_words(s)`: words of LU-factor storage supernode `s` owns
-//!   (diagonal block + padded L and U panels) — the basis of the memory
-//!   accounting behind Fig. 11;
+//! - `factor_words(s)`: words of LU-factor storage supernode `s` owns if
+//!   its L and U panels were dense (diagonal block + whole panels), the
+//!   dense-separator-block model; the store holds only the kept rows
+//!   ([`crate::Symbolic::stored_words`]);
 //! - `flops(s)`: flops to factor supernode `s` (diagonal LU + two panel
 //!   TRSMs + the full Schur-complement GEMM fan-out) — the paper's cost
 //!   function `T(v)` for the inter-grid load-balance heuristic (§III-C).

@@ -220,8 +220,8 @@ fn traced_3d_run_has_consistent_timelines() {
 
 #[test]
 fn memory_accounting_matches_symbolic_prediction_in_2d() {
-    // In pure 2D, the sum of all ranks' stores equals the symbolic factor
-    // size exactly (no replication).
+    // In pure 2D, the sum of all ranks' stores equals the symbolic
+    // prediction of the compressed blocks exactly (no replication).
     let tm = test_matrix("ecology", Scale::Tiny);
     let prep = Prepared::new(tm.matrix.clone(), tm.geometry, 16, 16);
     let out = factor_only(
@@ -234,5 +234,5 @@ fn memory_accounting_matches_symbolic_prediction_in_2d() {
             ..Default::default()
         },
     );
-    assert_eq!(out.total_store_words, prep.sym.stats().factor_words);
+    assert_eq!(out.total_store_words, prep.sym.stored_words());
 }

@@ -68,12 +68,13 @@ fn expected(prep: &Prepared, grid: Grid3d) -> Expected {
                 let (kr, kc) = grid2d.owner(k, k);
                 let wk = part.width(k) as u64;
                 // The packed piece of the L blocks in row `r` / U blocks in
-                // column `c`: (id, rows, cols) per block plus the data; 0
-                // when there is no block.
+                // column `c`: (id, rows, cols) per block plus the data — the
+                // kept rows of `i` by `k`'s width — and 0 when there is no
+                // block.
                 let piece = |mine: &dyn Fn(usize) -> bool| -> u64 {
-                    let blocks = struct_k.iter().filter(|&&i| mine(i));
-                    let (n, data) =
-                        blocks.fold((0, 0), |(n, d), &i| (n + 1, d + part.width(i) as u64 * wk));
+                    let blocks = struct_k.iter().enumerate().filter(|&(_, &i)| mine(i));
+                    let kept = |p: usize| sym.fill.kept(k, p).len() as u64;
+                    let (n, data) = blocks.fold((0, 0), |(n, d), (p, _)| (n + 1, d + kept(p) * wk));
                     if n == 0 {
                         0
                     } else {

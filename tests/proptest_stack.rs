@@ -348,7 +348,8 @@ proptest! {
         };
         let grid = salu::simgrid::Grid3d::new(pr, pc, pz);
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
-        let plan = salu::lu3d::solve3d::SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid);
+        let refines = refine_steps > 0;
+        let plan = salu::lu3d::solve3d::SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid, refines);
         let planned = planned_solve_traffic(&prep, &plan, grid, refine_steps, |lvl, q| {
             plan_batches(&prep, &plan, lvl, q)
         });

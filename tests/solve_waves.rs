@@ -145,7 +145,7 @@ fn solve_traffic_is_the_batch_lists_count_and_never_above_per_supernode() {
         let grid = Grid3d::new(pr, pc, pz);
         let prep = &shape.prep;
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
-        let plan = SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid);
+        let plan = SolvePlan::new(&prep.pa, &prep.sym, &forest, &grid, REFINE_STEPS > 0);
         let count = |batches_of: &dyn Fn(usize, usize) -> Vec<_>| {
             planned_solve_traffic(prep, &plan, grid, REFINE_STEPS, |lvl, q| {
                 batches_of(lvl, q).into_iter()
