@@ -16,11 +16,12 @@
 //!   space, not CPU.
 //!
 //! Either way one table ([`Sched`]) records every rank task as ready,
-//! running, blocked in a receive (on what), or done. A blocking receive
-//! that finds its inbox empty publishes its wait there and parks its
-//! thread; a send marks its destination runnable only if the message is the
-//! one the destination is parked on. When a park or an exit leaves no rank
-//! runnable, the machine is provably quiescent and that rank resolves the
+//! running, blocked in a receive (on what), or done, and holds every
+//! message no receive has matched yet. A blocking receive that finds no
+//! match publishes its wait there and parks its thread; a send queues its
+//! message there and marks its destination runnable only if the message is
+//! the one the destination is parked on. When a park or an exit leaves no
+//! rank runnable, the machine is provably quiescent and that rank resolves the
 //! situation synchronously from the same table: a deadlock verdict, or a
 //! cascade wake-all when a failure is on the board. No watchdog thread and
 //! no wall-clock timeout exist under either backend.
@@ -31,7 +32,7 @@
 //! differential suite in `tests/backends.rs` pins exactly that.
 
 use crate::faultlab::{FailureBoard, RecvError};
-use crate::rank::{Mailbox, Msg};
+use crate::rank::Msg;
 #[cfg(doc)]
 use crate::{Machine, Rank, RunResult};
 use obs::Json;
@@ -92,8 +93,8 @@ pub struct SchedStats {
     /// Parked ranks made runnable by a send matching their published wait.
     pub wakeups: u64,
     /// Sends delivered to a parked rank that was waiting for something
-    /// else. Each stays in the inbox for the receive that names it and
-    /// costs no step.
+    /// else. Each stays queued in the table for the receive that names it
+    /// and costs no step.
     pub unmatched_sends: u64,
     /// Times the machine went quiescent with live ranks parked and the
     /// scheduler had to resolve it (deadlock verdict or cascade wake-all).
@@ -130,7 +131,7 @@ pub(crate) struct WaitInfo {
 }
 
 impl WaitInfo {
-    /// The mailbox key, `(ctx, src, tag)`.
+    /// The match key, `(ctx, src, tag)` (see [`Msg::key`]).
     pub(crate) fn key(&self) -> (u64, usize, u64) {
         (self.ctx, self.src, self.tag)
     }
@@ -160,6 +161,10 @@ enum TaskState {
 /// Everything the table knows, behind the one lock of [`Sched`].
 struct Table {
     state: Vec<TaskState>,
+    /// Each rank's messages that no receive has matched yet, in arrival
+    /// order — an MPI unexpected-message queue. A receive takes the oldest
+    /// with its key, so a queue is empty once its messages are all matched.
+    mail: Vec<Vec<Msg>>,
     /// Event backend: ranks waiting for the baton, strict FIFO. Always
     /// empty under the threaded backend, where every runnable rank runs.
     ready: VecDeque<usize>,
@@ -181,31 +186,28 @@ struct Table {
 /// shared by every [`Rank`] of a run under either backend. There is no
 /// scheduler thread.
 ///
-/// # Parking and matched wakeups
+/// # Delivery, parking and matched wakeups
 ///
-/// A receive whose inbox holds no match calls [`Sched::park`]: under the
-/// table lock it drains the inbox once more and, still finding nothing,
-/// publishes what it waits for and gives the CPU up — passing the baton
-/// (event) or simply sleeping (threaded). The send path
-/// ([`Sched::note_send`]) runs after the message is in the destination's
-/// channel and marks the destination runnable only when the message matches
-/// its published wait; a send the parked receive would merely stash leaves
-/// it parked (the message waits in its inbox for the receive that wants
-/// it). A resumed rank therefore finds its message — the only other resumes
-/// come from the quiescence resolver and from transport-level duplicates,
-/// which match the key but are filtered at intake.
+/// A send ([`Sched::deliver`]) queues its message at the destination and,
+/// in the same critical section, marks the destination runnable only when
+/// the message matches its published wait; a message some later receive
+/// wants leaves it parked. A receive takes the oldest queued message with
+/// its key ([`Sched::take`]); finding none it calls [`Sched::park`], which
+/// looks once more under the lock and, still finding nothing, publishes what
+/// it waits for and gives the CPU up — passing the baton (event) or simply
+/// sleeping (threaded). A resumed rank therefore finds its message; the
+/// only other resumes come from the quiescence resolver.
 ///
 /// # No wake can be lost, and quiescence is exact
 ///
-/// The drain and the publish are one critical section, and a send's
-/// channel push precedes its `note_send` under the same lock. So a message
-/// pushed before the park's critical section is found by its drain, and one
-/// pushed after it finds the wait published. Sends come only from running
-/// ranks, and a sender stays runnable from its push to its `note_send`:
-/// when no rank is runnable, every sent message has been matched against
-/// the waits, and the blocked ranks can never be woken by anything but the
-/// resolver. This holds for OS threads as much as for the baton — no grace
-/// period, no in-flight guess.
+/// A send's push and wake are one critical section, and so are a park's
+/// last look and its publish. So a message delivered before a park is found
+/// by its look, and one delivered after it finds the wait published. Sends
+/// come only from running ranks: when no rank is runnable, every sent
+/// message is queued and has been matched against the waits, and the
+/// blocked ranks can never be woken by anything but the resolver. This
+/// holds for OS threads as much as for the baton — no grace period, no
+/// in-flight guess.
 ///
 /// # Ready-queue ordering (event backend, deterministic by construction)
 ///
@@ -234,6 +236,7 @@ impl Sched {
         Sched {
             st: Mutex::new(Table {
                 state: vec![TaskState::Ready; n],
+                mail: (0..n).map(|_| Vec::new()).collect(),
                 ready: if baton {
                     (0..n).collect()
                 } else {
@@ -259,8 +262,8 @@ impl Sched {
         self.baton
     }
 
-    /// The critical sections below are a few index writes, queue pushes and
-    /// a mailbox drain; a panic inside one is a scheduler bug. Recover the
+    /// The critical sections below are a few index writes and queue pushes
+    /// and removals; a panic inside one is a scheduler bug. Recover the
     /// guard anyway: the panicking rank's [`TaskGuard`] must still be able
     /// to end its task, or the run would hang instead of reporting the
     /// panic.
@@ -325,15 +328,17 @@ impl Sched {
         }
     }
 
-    /// Record that `src` handed a `(ctx, tag)` message to `dst`'s channel:
-    /// a destination parked on a matching wait becomes runnable.
-    pub(crate) fn note_send(&self, src: usize, dst: usize, ctx: u64, tag: u64) {
+    /// Queue `msg` at `dst`, in arrival order: a destination parked on a
+    /// matching wait becomes runnable.
+    pub(crate) fn deliver(&self, dst: usize, msg: Msg) {
         let mut st = self.lock();
         st.nsends += 1;
+        let key = msg.key();
+        st.mail[dst].push(msg);
         let TaskState::Blocked(w) = &st.state[dst] else {
             return;
         };
-        if w.key() != (ctx, src, tag) {
+        if w.key() != key {
             st.stats.unmatched_sends += 1;
             return;
         }
@@ -345,22 +350,35 @@ impl Sched {
         }
     }
 
-    /// `rank`'s receive of `wait` found nothing in its inbox. Under the
-    /// table lock: take the message from `mail` if it has arrived since;
-    /// fail if the machine has a verdict for this wait (a proven deadlock,
-    /// or a source that terminated after a failure elsewhere — a cascade);
+    /// Take the oldest message queued at `rank` with `key = (ctx, src,
+    /// tag)`: a receive's fast path.
+    pub(crate) fn take(&self, rank: usize, key: (u64, usize, u64)) -> Option<Msg> {
+        self.lock().take(rank, key)
+    }
+
+    /// Number of messages queued at `rank` that no receive has matched.
+    #[cfg(test)]
+    pub(crate) fn queued(&self, rank: usize) -> usize {
+        self.lock().mail[rank].len()
+    }
+
+    /// Every message still queued, by destination. After the join these
+    /// are the messages sent and never received.
+    pub(crate) fn take_mail(&self) -> Vec<Vec<Msg>> {
+        std::mem::take(&mut self.lock().mail)
+    }
+
+    /// `rank`'s receive of `wait` found no queued match. Under the table
+    /// lock: take the message if it has arrived since; fail if the machine
+    /// has a verdict for this wait (a proven deadlock, or a source that
+    /// terminated after a failure elsewhere — a cascade);
     /// else publish the wait, give the CPU up, sleep until a matching send
     /// or a quiescence resolution wakes the rank, and look again under the
     /// lock it wakes with: two critical sections per park.
-    pub(crate) fn park(
-        &self,
-        rank: usize,
-        wait: &WaitInfo,
-        mail: &mut Mailbox,
-    ) -> Result<Msg, RecvError> {
+    pub(crate) fn park(&self, rank: usize, wait: &WaitInfo) -> Result<Msg, RecvError> {
         let mut st = self.lock();
         loop {
-            if let Some(m) = mail.take(wait.key()) {
+            if let Some(m) = st.take(rank, wait.key()) {
                 return Ok(m);
             }
             if let Some(report) = &st.deadlock {
@@ -417,6 +435,12 @@ impl Sched {
 }
 
 impl Table {
+    fn take(&mut self, rank: usize, key: (u64, usize, u64)) -> Option<Msg> {
+        let queue = &mut self.mail[rank];
+        let at = queue.iter().position(|m| m.key() == key)?;
+        Some(queue.remove(at))
+    }
+
     /// Make parked rank `r` runnable: queued for the baton, or running.
     fn wake(&mut self, r: usize, baton: bool) {
         self.runnable += 1;
@@ -440,7 +464,7 @@ impl Table {
     }
 
     /// No rank is runnable but live ranks remain: every one of them is
-    /// parked in a blocking receive with no matching message in its inbox,
+    /// parked in a blocking receive with no matching message queued,
     /// and none is in flight (see [`Sched`]). The machine cannot move on
     /// its own. Three cases:
     ///

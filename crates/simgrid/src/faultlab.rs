@@ -18,15 +18,15 @@
 //!   factors stay bitwise identical; only the clocks shift.
 //! - [`FailureBoard`] / [`RankFailure`]: structured rank-failure collection
 //!   replacing the panic-happy error paths. The first failure is recorded
-//!   as *primary*; ranks that die in its wake (peer channels closed, waits
-//!   that can never complete) are recorded as *cascade* failures, so
+//!   as *primary*; ranks that die in its wake (waits on a dead peer that
+//!   can never complete) are recorded as *cascade* failures, so
 //!   [`crate::Machine::try_run`] reports the original failing rank instead
 //!   of whichever thread happened to abort first.
 //!
 //! Interaction with the end-of-run unreceived-message check
 //! ([`FailKind::Unreceived`]): recovery-internal retransmissions and
-//! filtered duplicates are transport-level events, not protocol messages,
-//! and are never reported. An unrecovered drop never reaches the
+//! duplicates are transport-level events that never reach the destination,
+//! not protocol messages, and are never reported. An unrecovered drop never reaches the
 //! destination's queue, so it is not reported either: it surfaces as the
 //! receiver's deadlock (proved from quiescence by the task table). An
 //! unrecovered duplicate is a real extra message and fails the run as
@@ -425,9 +425,6 @@ impl fmt::Display for UnreceivedMsg {
 pub enum FailKind {
     /// A blocking receive gave up (deadline, deadlock, dead peers).
     Recv(RecvError),
-    /// A send found the peer's inbox closed: the peer thread is gone
-    /// mid-run, i.e. it failed first.
-    PeerDown { peer: usize },
     /// A typed receive got the wrong payload kind — a protocol error, now
     /// with full provenance instead of a bare `panic!`.
     PayloadMismatch {
@@ -448,9 +445,9 @@ pub enum FailKind {
     /// Every rank returned, yet messages were still queued at their
     /// destinations: sent but never received. Found by
     /// [`crate::Machine::try_run`] after the join, on every run, from the
-    /// inboxes and unexpected-message queues the ranks hand back; listed in
-    /// `(dst, src, send order)` order. Transport duplicates injected under
-    /// recovery are not protocol messages and are not listed.
+    /// messages left queued in the task table; listed in `(dst, src, send
+    /// order)` order. Transport duplicates injected under recovery are
+    /// never delivered, so they are not listed.
     Unreceived { msgs: Vec<UnreceivedMsg> },
     /// An invalid configuration rejected before any rank ran (e.g. a grid
     /// whose `pz` is not a power of two).
@@ -463,10 +460,7 @@ impl FailKind {
     /// Failures caused by *another* rank's death are cascades; the board
     /// demotes them below primary causes when attributing the run failure.
     pub fn is_cascade(&self) -> bool {
-        matches!(
-            self,
-            FailKind::PeerDown { .. } | FailKind::Recv(RecvError::PeerFailed { .. })
-        )
+        matches!(self, FailKind::Recv(RecvError::PeerFailed { .. }))
     }
 }
 
@@ -474,9 +468,6 @@ impl fmt::Display for FailKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FailKind::Recv(e) => write!(f, "{e}"),
-            FailKind::PeerDown { peer } => {
-                write!(f, "send failed: peer rank {peer} terminated mid-run")
-            }
             FailKind::PayloadMismatch {
                 expected,
                 got,
@@ -830,7 +821,12 @@ mod tests {
         board.record(RankFailure {
             rank: 0,
             phase: "fact".into(),
-            kind: FailKind::PeerDown { peer: 2 },
+            kind: FailKind::Recv(RecvError::PeerFailed {
+                origin: 2,
+                src: 2,
+                ctx: 0,
+                tag: 60,
+            }),
             seq: 0,
         });
         board.record(RankFailure {

@@ -10,7 +10,7 @@
 //! measures:
 //!
 //! - **Ranks are tasks** executing the same SPMD closure; point-to-point
-//!   messages travel over unbounded channels (eager-mode MPI semantics:
+//!   messages wait in unbounded per-rank queues (eager-mode MPI semantics:
 //!   sends never block, receives block until a matching message arrives).
 //!   Two interchangeable [`backend`]s drive them: free-running OS threads
 //!   (the default) or a cooperative discrete-event scheduler that runs

@@ -7,16 +7,15 @@ use crate::faultlab::{
     FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, RetryPolicy,
     UnreceivedMsg,
 };
-use crate::rank::{FaultCtx, Msg, Rank};
+use crate::rank::{FaultCtx, Rank};
 use crate::stats::{RankReport, TrafficSummary};
 use crate::timemodel::TimeModel;
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A simulated distributed-memory machine with a fixed rank count and
 /// machine model. Cheap to construct; each [`Machine::run`] spawns fresh
-/// threads and channels.
+/// threads and a fresh task table.
 #[derive(Clone, Debug)]
 pub struct Machine {
     nranks: usize,
@@ -164,10 +163,10 @@ impl Machine {
     ///
     /// A run in which every rank returned still fails, with
     /// [`FailKind::Unreceived`], if a message was sent and never received.
-    /// The check costs the message path nothing: a returned rank's inbox
-    /// and unexpected-message queue stay open until every rank is joined,
-    /// and what they hold then is the answer — the same one whichever of
-    /// sender and receiver the host ran first.
+    /// The check costs the message path nothing: unmatched messages wait
+    /// in the task table, which outlives every rank, and what it holds
+    /// after the join is the answer — the same one whichever of sender and
+    /// receiver the host ran first.
     ///
     /// One engine runs both backends, one task per rank either way, parked
     /// and woken through one task table (`Sched`); the machine's
@@ -194,23 +193,16 @@ impl Machine {
         });
 
         let n = self.nranks;
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
         let f = Arc::new(f);
         let model = self.model;
         let tracing = self.tracing;
         let host_profiling = self.host_profiling;
         let board = Arc::new(FailureBoard::new());
 
-        // The task table is the run's one wait-for graph: it schedules the
-        // ranks (event) or only parks and wakes them (threaded), and it
-        // proves every deadlock from quiescence.
+        // The task table is the run's one wait-for graph and holds every
+        // message not yet received: it schedules the ranks (event) or only
+        // parks and wakes them (threaded), and it proves every deadlock
+        // from quiescence.
         let sched = Arc::new(Sched::new(n, self.backend, Arc::clone(&board)));
         // One member list for every rank's world communicator.
         let world: Arc<Vec<usize>> = Arc::new((0..n).collect());
@@ -222,8 +214,7 @@ impl Machine {
             board: Arc::clone(&board),
         };
         let mut handles = Vec::with_capacity(n);
-        for (world_rank, inbox) in receivers.into_iter().enumerate() {
-            let senders = Arc::clone(&senders);
+        for world_rank in 0..n {
             let f = Arc::clone(&f);
             let fctx = fctx.clone();
             let sched = Arc::clone(&sched);
@@ -248,8 +239,6 @@ impl Machine {
                     let mut rank = Rank::new(
                         world_rank,
                         world,
-                        senders,
-                        inbox,
                         model,
                         tracing,
                         host_profiling,
@@ -293,20 +282,14 @@ impl Machine {
         // Start the ranks. Event mode also sleeps here until every task has
         // terminated, so the join loop below never blocks for long.
         let sched_stats = sched.drive(&handles);
-        // The table holds a board reference too.
-        drop(sched);
 
         let mut results = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(n);
-        // Each returned rank's mailbox (inbox and unexpected-message queue),
-        // by rank.
-        let mut mail = Vec::with_capacity(n);
         for (world_rank, h) in handles.into_iter().enumerate() {
             match h.join() {
-                Ok(Some((out, (report, rank_mail)))) => {
+                Ok(Some((out, report))) => {
                     results.push(out);
                     reports.push(report);
-                    mail.push(rank_mail);
                 }
                 // Failure already recorded on the board.
                 Ok(None) => {}
@@ -322,33 +305,28 @@ impl Machine {
                 }),
             }
         }
+        let mail = sched.take_mail();
+        // The table holds a board reference too.
+        drop(sched);
         let board = Arc::try_unwrap(board).expect("failure board still shared after join");
         if board.has_failure() {
             return Err(MachineFailure {
                 failures: board.into_failures(),
             });
         }
-        // Every rank returned (so `mail` is indexed by rank) and is joined:
-        // nothing is in flight, and a message still queued at its
-        // destination was never received. Transport duplicates (recovery
-        // on) were never protocol messages.
+        // Every rank returned and is joined: nothing is in flight, and a
+        // message still queued at its destination was never received.
         let mut left: Vec<(u64, UnreceivedMsg)> = Vec::new();
-        for (dst, rank_mail) in mail.into_iter().enumerate() {
-            for m in rank_mail
-                .pending
-                .into_iter()
-                .chain(rank_mail.inbox.try_iter())
-            {
-                if !m.injected_dup {
-                    let unreceived = UnreceivedMsg {
-                        src: m.src_world,
-                        dst,
-                        ctx: m.ctx,
-                        tag: m.tag,
-                        words: m.payload.words(),
-                    };
-                    left.push((m.uid, unreceived));
-                }
+        for (dst, queue) in mail.into_iter().enumerate() {
+            for m in queue {
+                let unreceived = UnreceivedMsg {
+                    src: m.src_world,
+                    dst,
+                    ctx: m.ctx,
+                    tag: m.tag,
+                    words: m.payload.words(),
+                };
+                left.push((m.uid, unreceived));
             }
         }
         if !left.is_empty() {
@@ -385,10 +363,10 @@ mod tests {
             let world = rank.world();
             let right = (rank.id() + 1) % 5;
             let left = (rank.id() + 4) % 5;
-            rank.send(&world, right, 1, Payload::Idx(vec![rank.id()]));
-            rank.recv(&world, left, 1).into_idx()[0]
+            rank.send(&world, right, 1, Payload::F64s(vec![rank.id() as f64]));
+            rank.recv(&world, left, 1).into_f64s()[0]
         });
-        assert_eq!(out.results, vec![4, 0, 1, 2, 3]);
+        assert_eq!(out.results, vec![4.0, 0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -424,13 +402,13 @@ mod tests {
                 let world = rank.world();
                 if rank.id() == 0 {
                     for tag in 0..N {
-                        rank.send(&world, 1, tag, Payload::Idx(vec![tag as usize]));
+                        rank.send(&world, 1, tag, Payload::F64s(vec![tag as f64]));
                     }
                     (0, 0)
                 } else {
                     let mut high_water = 0;
                     for tag in (0..N).rev() {
-                        assert_eq!(rank.recv(&world, 0, tag).into_idx(), vec![tag as usize]);
+                        assert_eq!(rank.recv(&world, 0, tag).into_f64s(), vec![tag as f64]);
                         high_water = high_water.max(rank.unexpected_msgs());
                     }
                     (high_water, rank.unexpected_msgs())
@@ -517,10 +495,10 @@ mod tests {
             };
             let comm = c_even.or(c_odd).unwrap();
             let peer = 1 - comm.local_rank();
-            rank.send(&comm, peer, 77, Payload::Idx(vec![rank.id()]));
-            rank.recv(&comm, peer, 77).into_idx()[0]
+            rank.send(&comm, peer, 77, Payload::F64s(vec![rank.id() as f64]));
+            rank.recv(&comm, peer, 77).into_f64s()[0]
         });
-        assert_eq!(out.results, vec![2, 3, 0, 1]);
+        assert_eq!(out.results, vec![2.0, 3.0, 0.0, 1.0]);
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub enum Payload {
     /// Numeric data (reduction operands, solve segments). Owned: receivers
     /// consume and mutate it.
     F64s(Vec<f64>),
-    /// Index data (block ids, structural metadata).
-    Idx(Vec<usize>),
     /// A structural header plus numeric body, sent as one message — the
     /// shape of a packed supernodal panel (block ids + block values).
     /// Shared and immutable: cloning it, as a broadcast does once per
@@ -157,7 +155,6 @@ fn nonzeros(v: &[f64]) -> u64 {
 pub enum PayloadKind {
     Empty,
     F64s,
-    Idx,
     Packed,
 }
 
@@ -192,14 +189,12 @@ impl Payload {
         match self {
             Payload::Empty => 0,
             Payload::F64s(v) => v.len() as u64,
-            Payload::Idx(v) => v.len() as u64,
             Payload::Packed(p) => p.words(),
         }
     }
 
     /// Number of 8-byte words carrying structural content, for the wire
-    /// ledger's padding-waste audit. `Empty` and `Idx` payloads are all
-    /// structure; an `F64s` payload counts its nonzero entries; a `Packed`
+    /// ledger's padding-waste audit. An `Empty` payload has none; an `F64s` payload counts its nonzero entries; a `Packed`
     /// panel counts its meta header plus, per block, `nonzero_rows × cols`
     /// — rows that are entirely zero carry no value (blocks keep only their
     /// structural rows, so such a row is zero by cancellation). Always `<=
@@ -211,7 +206,6 @@ impl Payload {
         match self {
             Payload::Empty => 0,
             Payload::F64s(v) => nonzeros(v),
-            Payload::Idx(v) => v.len() as u64,
             Payload::Packed(p) => p.struct_words(),
         }
     }
@@ -221,7 +215,6 @@ impl Payload {
         match self {
             Payload::Empty => PayloadKind::Empty,
             Payload::F64s(_) => PayloadKind::F64s,
-            Payload::Idx(_) => PayloadKind::Idx,
             Payload::Packed(_) => PayloadKind::Packed,
         }
     }
@@ -232,17 +225,6 @@ impl Payload {
             Payload::F64s(v) => Ok(v),
             other => Err(KindMismatch {
                 expected: PayloadKind::F64s,
-                got: other.kind(),
-            }),
-        }
-    }
-
-    /// Unwrap an `Idx` payload, reporting the actual kind on mismatch.
-    pub fn try_into_idx(self) -> Result<Vec<usize>, KindMismatch> {
-        match self {
-            Payload::Idx(v) => Ok(v),
-            other => Err(KindMismatch {
-                expected: PayloadKind::Idx,
                 got: other.kind(),
             }),
         }
@@ -264,11 +246,6 @@ impl Payload {
     pub fn into_f64s(self) -> Vec<f64> {
         self.try_into_f64s().unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// Unwrap an `Idx` payload; panics on other variants.
-    pub fn into_idx(self) -> Vec<usize> {
-        self.try_into_idx().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 #[cfg(test)]
@@ -279,14 +256,12 @@ mod tests {
     fn word_counts() {
         assert_eq!(Payload::Empty.words(), 0);
         assert_eq!(Payload::F64s(vec![0.0; 5]).words(), 5);
-        assert_eq!(Payload::Idx(vec![0; 3]).words(), 3);
         assert_eq!(Payload::packed(vec![1, 2], vec![0.0; 10]).words(), 12);
     }
 
     #[test]
     fn struct_words_counts_nonzero_rows() {
         assert_eq!(Payload::Empty.struct_words(), 0);
-        assert_eq!(Payload::Idx(vec![0; 3]).struct_words(), 3);
         assert_eq!(Payload::F64s(vec![1.0, 0.0, 2.0, 0.0]).struct_words(), 2);
         // One 3x2 block (column-major) whose middle row is all zero:
         // only 2 of 3 rows carry structure -> 4 data words + 4 meta words.
@@ -414,12 +389,11 @@ mod tests {
 
     #[test]
     fn try_unwrap_reports_both_kinds() {
-        let e = Payload::Idx(vec![1]).try_into_f64s().unwrap_err();
+        let e = Payload::Empty.try_into_f64s().unwrap_err();
         assert_eq!(e.expected, PayloadKind::F64s);
-        assert_eq!(e.got, PayloadKind::Idx);
-        assert_eq!(e.to_string(), "expected F64s payload, got Idx");
+        assert_eq!(e.got, PayloadKind::Empty);
+        assert_eq!(e.to_string(), "expected F64s payload, got Empty");
         assert_eq!(Payload::F64s(vec![2.0]).try_into_f64s().unwrap(), vec![2.0]);
-        assert!(Payload::Empty.try_into_idx().is_err());
         assert!(Payload::Empty.try_into_packed().is_err());
     }
 }

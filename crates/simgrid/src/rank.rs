@@ -16,7 +16,6 @@ use obs::{
     ActivityKind, CommClass, CommLedger, GridAxis, Histogram, HostPhase, HostProf, HostScope,
     MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
 };
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// A message in flight.
@@ -33,50 +32,13 @@ pub(crate) struct Msg {
     /// Link-degradation factor in effect on this edge (1.0 = healthy);
     /// the receiver charges the same degraded transfer cost the sender did.
     pub link: f64,
-    /// True for a transport-level duplicate injected under recovery: the
-    /// receiver filters it at intake before protocol matching.
-    pub injected_dup: bool,
     pub payload: Payload,
 }
 
-/// A rank's incoming messages: the channel every peer sends into, and the
-/// messages taken off it but not yet matched by a receive, in arrival order
-/// — an MPI unexpected-message queue. A receive takes the oldest message
-/// with its key, so the queue holds exactly the messages still owed a
-/// receive and is empty once they are all matched.
-pub(crate) struct Mailbox {
-    pub(crate) inbox: Receiver<Msg>,
-    pub(crate) pending: Vec<Msg>,
-    /// Transport duplicates consumed at intake
-    /// (`fault.recovered.dup_filtered`).
-    dups_filtered: u64,
-}
-
-impl Mailbox {
-    /// Take the oldest buffered message with `key = (ctx, src_world, tag)`.
-    fn pop_pending(&mut self, key: (u64, usize, u64)) -> Option<Msg> {
-        let at = self
-            .pending
-            .iter()
-            .position(|m| (m.ctx, m.src_world, m.tag) == key)?;
-        Some(self.pending.remove(at))
-    }
-
-    /// Drain the channel up to the message with `key`, buffering everything
-    /// else. Transport-level duplicates injected under recovery are
-    /// consumed here, before any protocol matching or stashing — the
-    /// protocol layer never sees them.
-    pub(crate) fn take(&mut self, key: (u64, usize, u64)) -> Option<Msg> {
-        while let Ok(m) = self.inbox.try_recv() {
-            if m.injected_dup {
-                self.dups_filtered += 1;
-            } else if (m.ctx, m.src_world, m.tag) == key {
-                return Some(m);
-            } else {
-                self.pending.push(m);
-            }
-        }
-        None
+impl Msg {
+    /// What a receive matches on: `(ctx, src_world, tag)`.
+    pub(crate) fn key(&self) -> (u64, usize, u64) {
+        (self.ctx, self.src_world, self.tag)
     }
 }
 
@@ -88,8 +50,6 @@ pub struct Rank {
     /// The world communicator, built once: its member list is one
     /// allocation shared by every rank of the machine.
     world: Comm,
-    senders: Arc<Vec<Sender<Msg>>>,
-    mail: Mailbox,
     model: TimeModel,
     /// Monotonic counter for deterministic communicator context ids; all
     /// ranks create communicators in the same order (SPMD discipline).
@@ -157,8 +117,8 @@ pub struct Rank {
     my_stalls: Vec<StallRule>,
     /// Index of the next unapplied stall window.
     stall_idx: usize,
-    /// The machine's task table: where a blocking receive parks and a send
-    /// wakes its destination, under either backend.
+    /// The machine's task table: where a send queues its message and wakes
+    /// its destination, and a blocking receive parks, under either backend.
     sched: Arc<Sched>,
 }
 
@@ -173,12 +133,9 @@ pub(crate) struct FaultCtx {
 }
 
 impl Rank {
-    #[allow(clippy::too_many_arguments)] // crate-internal; called once from Machine::run
     pub(crate) fn new(
         world_rank: usize,
         world_members: Arc<Vec<usize>>,
-        senders: Arc<Vec<Sender<Msg>>>,
-        inbox: Receiver<Msg>,
         model: TimeModel,
         tracing: bool,
         host_profiling: bool,
@@ -197,12 +154,6 @@ impl Rank {
                 ctx: 0,
                 members: world_members,
                 my_local: world_rank,
-            },
-            senders,
-            mail: Mailbox {
-                inbox,
-                pending: Vec::new(),
-                dups_filtered: 0,
             },
             model,
             next_ctx: 1, // 0 is reserved for the world communicator
@@ -597,9 +548,7 @@ impl Rank {
                     // sender cannot tell, so it pays and records the send
                     // normally; nothing reaches the destination, whose
                     // receive deadlocks.
-                    self.send_physical(
-                        comm.ctx, dst_world, tag, payload, link, 0.0, true, false, false,
-                    );
+                    self.send_physical(comm.ctx, dst_world, tag, payload, link, 0.0, true, false);
                     return;
                 }
             }
@@ -617,17 +566,16 @@ impl Rank {
             link,
             decision.delay,
             true,
-            false,
             true,
         );
         if let Some(p) = dup_payload {
             self.metrics.inc("fault.injected.dup", 1);
             // The duplicate rides right behind the original. With recovery
-            // on it is transport-internal (flagged, filtered at the
-            // receiver's intake or, past its last receive, skipped by the
-            // machine's unreceived-message check); without recovery it is
-            // a real protocol-level extra message that check reports.
-            let recovering = self.retry.is_some();
+            // on it is transport-internal: the sender pays for it and the
+            // transport discards it. Without recovery it is a real
+            // protocol-level extra message that the machine's
+            // unreceived-message check reports.
+            let protocol = self.retry.is_none();
             self.send_physical(
                 comm.ctx,
                 dst_world,
@@ -635,23 +583,21 @@ impl Rank {
                 p,
                 link,
                 decision.delay,
-                !recovering,
-                recovering,
-                true,
+                protocol,
+                protocol,
             );
         }
     }
 
-    /// One physical message: charge the sender, record the activity, hand
-    /// the message to the destination channel. `visible` sends carry their
-    /// message identity and count as algorithmic traffic;
+    /// One physical message: charge the sender, record the activity, queue
+    /// the message at the destination ([`Sched::deliver`]). `visible` sends
+    /// carry their message identity and count as algorithmic traffic;
     /// transport-internal ones (recovered duplicates) do neither.
-    /// `deliver: false` models an unrecovered network drop: the sender pays
-    /// and records as usual but the message never reaches the destination
-    /// channel. A rank that returned keeps its inbox open until the machine
-    /// has joined every rank, so a closed destination channel means the
-    /// peer *died* mid-run — an orderly cascade failure, not a process
-    /// abort — whichever of the two ranks the host ran first.
+    /// `deliver: false` models a message the network loses (an unrecovered
+    /// drop) or the transport discards (a recovered duplicate): the sender
+    /// pays and records as usual but nothing reaches the destination. A
+    /// send never fails: a message to a rank that has died stays queued,
+    /// and that rank's own failure decides the run.
     #[allow(clippy::too_many_arguments)]
     fn send_physical(
         &mut self,
@@ -662,7 +608,6 @@ impl Rank {
         link: f64,
         delay: f64,
         visible: bool,
-        injected_dup: bool,
         deliver: bool,
     ) {
         let words = payload.words();
@@ -711,39 +656,28 @@ impl Rank {
             arrival: self.clock + delay,
             uid,
             link,
-            injected_dup,
             payload,
         };
-        if self.senders[dst_world].send(msg).is_err() {
-            self.fail(FailKind::PeerDown { peer: dst_world });
-        }
-        // A delivered message is a scheduler event: a destination parked on
-        // exactly this message becomes runnable.
-        self.sched.note_send(self.world_rank, dst_world, ctx, tag);
+        self.sched.deliver(dst_world, msg);
     }
 
-    /// Number of received messages no `recv` has matched yet.
+    /// Number of delivered messages no `recv` has matched yet.
     #[cfg(test)]
     pub(crate) fn unexpected_msgs(&self) -> usize {
-        self.mail.pending.len()
+        self.sched.queued(self.world_rank)
     }
 
-    /// Wait for the message with `key = (ctx, src_world, tag)`, buffering
-    /// everything else. The caller has already checked the unexpected-message
-    /// queue. A receive that finds nothing parks on the machine's task table
+    /// Wait for the message with `key = (ctx, src_world, tag)`. The caller
+    /// has already looked for it among the queued messages. A receive that
+    /// finds nothing parks on the machine's task table
     /// ([`Sched::park`]) until the message arrives, or until the table
     /// proves it never will: a deadlock report, or a cascade
     /// ([`RecvError::PeerFailed`]) when the source terminated after another
     /// rank failed.
     fn blocked_recv(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
-        // Host-profiler attribution: everything below — including the
-        // fast-path drain — is time spent satisfying a receive the
-        // algorithm is blocked on.
+        // Host-profiler attribution: everything below is time spent
+        // satisfying a receive the algorithm is blocked on.
         let _host = self.host_scope(HostPhase::CommWait);
-        // Fast path: drain whatever is already queued, lock-free.
-        if let Some(m) = self.mail.take(key) {
-            return Ok(m);
-        }
         // Publishing the wait costs two reference counts; what a failure
         // report says about it is rendered only if the wait fails.
         let (ctx, src, tag) = key;
@@ -759,7 +693,7 @@ impl Rank {
         if let Some(host) = host {
             host.pause();
         }
-        let got = self.sched.park(self.world_rank, &wait, &mut self.mail);
+        let got = self.sched.park(self.world_rank, &wait);
         if let Some(host) = host {
             host.resume();
         }
@@ -860,7 +794,7 @@ impl Rank {
     ) -> Result<Payload, RecvError> {
         let src_world = comm.world_rank_of(src);
         let key = (comm.ctx, src_world, tag);
-        let msg = match self.mail.pop_pending(key) {
+        let msg = match self.sched.take(self.world_rank, key) {
             Some(m) => m,
             None => self.blocked_recv(key)?,
         };
@@ -900,11 +834,8 @@ impl Rank {
     }
 
     /// Snapshot the final report (called by the machine after the SPMD
-    /// closure returns). Closes any spans left open. The rank's mail comes
-    /// back with it — the still-open inbox and the unexpected-message queue —
-    /// for the machine to hold until every rank is joined: a peer's late
-    /// send still lands, and whatever is queued then was never received.
-    pub(crate) fn into_report(self, wall_secs: f64) -> (RankReport, Mailbox) {
+    /// closure returns). Closes any spans left open.
+    pub(crate) fn into_report(self, wall_secs: f64) -> RankReport {
         // A profiled rank's wall is the time it ran: under the event
         // backend, what it spent parked belongs to the baton holders.
         let wall_secs = match &self.host {
@@ -928,9 +859,6 @@ impl Rank {
             .as_ref()
             .map(|h| h.report(wall_secs, self.flops, commvol.sent_words()));
         let mut metrics = self.metrics;
-        if self.mail.dups_filtered > 0 {
-            metrics.inc("fault.recovered.dup_filtered", self.mail.dups_filtered);
-        }
         for (name, samples) in [
             ("msg.send_words", self.send_words),
             ("recv.wait_secs", self.recv_wait_secs),
@@ -939,7 +867,7 @@ impl Rank {
                 metrics.histograms.insert(name.to_string(), samples);
             }
         }
-        let report = RankReport {
+        RankReport {
             clock,
             t_comm: self.t_comm,
             t_comp: self.t_comp,
@@ -956,8 +884,7 @@ impl Rank {
                 obs.host = host_timeline;
                 obs
             }),
-        };
-        (report, self.mail)
+        }
     }
 }
 
@@ -967,7 +894,7 @@ mod tests {
     use crate::faultlab::UnreceivedMsg;
     use crate::{Backend, Machine};
     use std::cell::RefCell;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Mutex;
 
     /// Fires when the thread that holds it is torn down — after the rank's
@@ -1007,8 +934,7 @@ mod tests {
     fn a_send_to_a_returned_rank_is_the_same_unreceived_message_whoever_wins_the_race() {
         // The sender outruns the receiver's return, or the receiver is long
         // gone when the send happens: one verdict. Each order is forced with
-        // a host channel; before receivers outlived their ranks the second
-        // one failed the *sender* with `PeerDown` instead.
+        // a host channel; the message waits in the task table either way.
         let verdict = |backend, receiver_gone_first: bool| {
             let (tx, rx) = channel();
             let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
@@ -1060,7 +986,7 @@ mod tests {
     fn a_transport_duplicate_sent_after_its_receiver_returned_is_neither_failure_nor_leak() {
         // `Rank::send` emits a recovered duplicate right behind its
         // original; when the original was the receiver's last receive the
-        // copy can land after the receiver is gone. Forced here by sending
+        // copy is sent after the receiver is gone. Forced here by sending
         // the copy alone, once the peer's thread has exited.
         for backend in [Backend::Threaded, Backend::Event] {
             let (tx, rx) = channel();
@@ -1070,7 +996,7 @@ mod tests {
                 .try_run(move |rank| {
                     if rank.id() == 0 {
                         wait_until_peer_is_gone(rank, &rx);
-                        rank.send_physical(0, 1, 4, Payload::Empty, 1.0, 0.0, false, true, true);
+                        rank.send_physical(0, 1, 4, Payload::Empty, 1.0, 0.0, false, false);
                     } else {
                         go_and_leave(rank, &tx);
                     }

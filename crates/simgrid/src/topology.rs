@@ -355,15 +355,15 @@ mod tests {
             let row_sum = all_reduce(&comms.row, c as f64, 1);
             let col_sum = all_reduce(&comms.col, r as f64, 2);
             let peer = 1 - comms.zline.local_rank();
-            rank.send(&comms.zline, peer, 3, Payload::Idx(vec![z]));
-            let peer_z = rank.recv(&comms.zline, peer, 3).into_idx()[0];
+            rank.send(&comms.zline, peer, 3, Payload::F64s(vec![z as f64]));
+            let peer_z = rank.recv(&comms.zline, peer, 3).into_f64s()[0];
             (row_sum, col_sum, peer_z)
         });
         for (world, &(rs, cs, pz)) in out.results.iter().enumerate() {
             let (_, _, z) = g.coords_of(world);
             assert_eq!(rs, 1.0); // 0 + 1 over the row
             assert_eq!(cs, 1.0);
-            assert_eq!(pz, 1 - z);
+            assert_eq!(pz, (1 - z) as f64);
         }
     }
 }

@@ -50,14 +50,14 @@ fn collectives_run_under_the_scheduler() {
         let world = rank.world();
         rank.barrier(&world, 0);
         if rank.id() == 1 {
-            rank.send(&world, 0, 7, Payload::Idx(vec![rank.id()]));
+            rank.send(&world, 0, 7, Payload::F64s(vec![rank.id() as f64]));
         }
         let got = if rank.id() == 0 {
-            rank.recv(&world, 1, 7).into_idx()[0]
+            rank.recv(&world, 1, 7).into_f64s()[0]
         } else {
-            0
+            0.0
         };
-        let s = all_sum(rank, &world, got as f64, 9);
+        let s = all_sum(rank, &world, got, 9);
         rank.bcast(
             &world,
             3,
@@ -116,9 +116,9 @@ fn event_backend_runs_4096_ranks() {
         let world = rank.world();
         let right = (rank.id() + 1) % P;
         let left = (rank.id() + P - 1) % P;
-        rank.send(&world, right, 1, Payload::Idx(vec![rank.id()]));
-        let got = rank.recv(&world, left, 1).into_idx()[0];
-        all_sum(rank, &world, got as f64, 2)
+        rank.send(&world, right, 1, Payload::F64s(vec![rank.id() as f64]));
+        let got = rank.recv(&world, left, 1).into_f64s()[0];
+        all_sum(rank, &world, got, 2)
     });
     let expected = (P * (P - 1) / 2) as f64;
     assert!(out.results.iter().all(|&s| s == expected));
@@ -179,7 +179,7 @@ fn a_thousand_out_of_order_messages_are_matched_oldest_first_per_key() {
         if rank.id() == 0 {
             for seq in 0..PER_TAG {
                 for tag in 0..TAGS {
-                    rank.send(&world, 1, tag, Payload::Idx(vec![tag as usize, seq]));
+                    rank.send(&world, 1, tag, Payload::F64s(vec![tag as f64, seq as f64]));
                 }
             }
             rank.send(&world, 1, TAGS, Payload::Empty);
@@ -190,8 +190,8 @@ fn a_thousand_out_of_order_messages_are_matched_oldest_first_per_key() {
             for tag in (0..TAGS).rev() {
                 for seq in 0..PER_TAG {
                     assert_eq!(
-                        rank.recv(&world, 0, tag).into_idx(),
-                        vec![tag as usize, seq]
+                        rank.recv(&world, 0, tag).into_f64s(),
+                        vec![tag as f64, seq as f64]
                     );
                     matched += 1;
                 }
@@ -215,20 +215,20 @@ fn a_rank_parked_on_one_tag_is_not_resumed_by_sends_of_another() {
             if rank.id() == 0 {
                 rank.recv(&world, 1, 1000);
                 for i in 0..mismatched {
-                    rank.send(&world, 1, i, Payload::Idx(vec![i as usize]));
+                    rank.send(&world, 1, i, Payload::F64s(vec![i as f64]));
                 }
-                rank.send(&world, 1, 99, Payload::Idx(vec![7]));
-                0
+                rank.send(&world, 1, 99, Payload::F64s(vec![7.0]));
+                0.0
             } else {
-                rank.send(&world, 0, 1000, Payload::Idx(vec![]));
-                let got = rank.recv(&world, 0, 99).into_idx()[0];
+                rank.send(&world, 0, 1000, Payload::F64s(vec![]));
+                let got = rank.recv(&world, 0, 99).into_f64s()[0];
                 for i in 0..mismatched {
-                    assert_eq!(rank.recv(&world, 0, i).into_idx()[0], i as usize);
+                    assert_eq!(rank.recv(&world, 0, i).into_f64s()[0], i as f64);
                 }
                 got
             }
         });
-        assert_eq!(out.results[1], 7);
+        assert_eq!(out.results[1], 7.0);
         out.sched.expect("event runs report scheduler counters")
     };
     let (none, many) = (run(0), run(64));
@@ -257,7 +257,7 @@ fn a_panicking_rank_passes_the_baton_to_the_ranks_it_strands() {
                 panic!("boom");
             }
             if rank.id() == 7 {
-                rank.send(&world, 0, 1, Payload::Idx(vec![]));
+                rank.send(&world, 0, 1, Payload::F64s(vec![]));
             }
             let _ = rank.recv(&world, 0, 5);
         })

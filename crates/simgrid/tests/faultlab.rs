@@ -7,8 +7,11 @@
 
 use simgrid::{
     Backend, EdgeFilter, FailKind, FaultAction, FaultPlan, FaultRule, LinkRule, Machine, Payload,
-    RecvError, RetryPolicy, StallRule, TimeModel, UnreceivedMsg,
+    RankReport, RecvError, RetryPolicy, StallRule, TimeModel, UnreceivedMsg,
 };
+use std::cell::RefCell;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Mutex;
 
 /// A plan with one rule on the given edge.
 fn plan_with(seed: u64, edge: EdgeFilter, action: FaultAction) -> FaultPlan {
@@ -228,9 +231,9 @@ fn unrecovered_dup_is_an_unreceived_message() {
 
 #[test]
 fn recovered_dup_is_filtered_before_the_protocol() {
-    // With recovery on the duplicate is transport-internal: consumed at
-    // the receiver's intake, never reported as unreceived, and the channel
-    // stays clean for the next (differently tagged) message.
+    // With recovery on the duplicate is transport-internal: the sender pays
+    // for it, the transport discards it, it is never reported as
+    // unreceived, and the next (differently tagged) message is unaffected.
     let plan = plan_with(11, edge_0_to_1(), FaultAction::Dup { p: 1.0 });
     let m = Machine::new(2, TimeModel::zero())
         .with_fault_plan(plan)
@@ -258,11 +261,107 @@ fn recovered_dup_is_filtered_before_the_protocol() {
         metrics.merge(&r.metrics);
     }
     assert_eq!(metrics.counter("fault.injected.dup"), 2);
-    // The duplicate of tag 4 is pulled (and filtered) while draining for
-    // tag 5; the duplicate of tag 5 is never pulled — it is still queued
-    // (or lands later) when the receiver has finished, equally invisible
-    // to the protocol, so exactly one filter event is observable here.
-    assert_eq!(metrics.counter("fault.recovered.dup_filtered"), 1);
+}
+
+/// Ranks 1..4 each send 24 messages to rank 0, which takes them in reverse
+/// send order under a recovered dup + delay plan on every edge into rank 0.
+/// Returns the merged metrics and every rank's report, host wall taken out.
+fn fan_in(backend: Backend) -> (simgrid::MetricsRegistry, Vec<String>) {
+    let plan = FaultPlan::parse("dup:p=0.5,dst=0;delay:p=0.3,secs=1e-4,dst=0", 13).unwrap();
+    let out = Machine::new(4, TimeModel::edison_like())
+        .with_backend(backend)
+        .with_fault_plan(plan)
+        .with_retry(RetryPolicy::default())
+        .run(|rank| {
+            let (world, me) = (rank.world(), rank.id());
+            for tag in 0..24 {
+                if me != 0 {
+                    rank.send(&world, 0, tag, Payload::F64s(vec![me as f64]));
+                    continue;
+                }
+                for src in 1..4 {
+                    assert_eq!(rank.recv_f64s(&world, src, 23 - tag), [src as f64]);
+                }
+            }
+        });
+    let metrics = simgrid::merged_metrics(&out.reports);
+    let strip = |r: RankReport| {
+        format!(
+            "{:?}",
+            RankReport {
+                wall_secs: 0.0,
+                ..r
+            }
+        )
+    };
+    (metrics, out.reports.into_iter().map(strip).collect())
+}
+
+#[test]
+fn recovered_dups_into_one_receiver_are_one_account_on_every_schedule() {
+    // The transport discards every recovered duplicate, so no counter or
+    // report depends on when the receiver looked.
+    let event = fan_in(Backend::Event);
+    assert!(event.0.counter("fault.injected.dup") > 0);
+    assert!(event.0.counter("fault.injected.delay") > 0);
+    for run in 0..6 {
+        assert_eq!(fan_in(Backend::Threaded), event, "run {run}");
+    }
+}
+
+/// Fires when the thread holding it is torn down, after its rank's task
+/// has ended on the table.
+struct ExitSignal(Sender<()>);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
+}
+
+thread_local! {
+    static ON_EXIT: RefCell<Option<ExitSignal>> = const { RefCell::new(None) };
+}
+
+#[test]
+fn sends_to_a_rank_that_already_panicked_fail_nobody() {
+    // Rank 0 panics. Once its thread is gone rank 1 sends to it and waits on
+    // it; once rank 1's thread is gone rank 2 does the same. The sends are
+    // queued like any other: rank 0's panic, then two cascades, everywhere.
+    let render = |backend| {
+        let links: Vec<_> = (0..2).map(|_| channel()).collect();
+        let links: Vec<_> = links.into_iter().map(|(t, r)| (t, Mutex::new(r))).collect();
+        let run = Machine::new(3, TimeModel::zero())
+            .with_backend(backend)
+            .try_run(move |rank| {
+                let (world, me) = (rank.world(), rank.id());
+                if let Some((gone, _)) = links.get(me) {
+                    ON_EXIT.with(|s| *s.borrow_mut() = Some(ExitSignal(gone.clone())));
+                }
+                if me == 0 {
+                    rank.send(&world, 1, 1, Payload::Empty);
+                    panic!("boom");
+                }
+                // Under the event backend this hands the previous rank the
+                // baton; then wait until its thread is gone.
+                rank.recv(&world, me - 1, 1);
+                links[me - 1].1.lock().unwrap().recv().unwrap();
+                rank.send(&world, 0, 7, Payload::Empty);
+                if me == 1 {
+                    rank.send(&world, 2, 1, Payload::Empty);
+                }
+                rank.recv(&world, 0, 8);
+            });
+        run.unwrap_err().render()
+    };
+    let cascade = "aborted while waiting for (ctx=0, src=0, tag=8): \
+                   peers terminated after rank 0 failed";
+    let expected = format!(
+        "simulated rank 0 panicked: boom\n  [cascade] rank 1: {cascade}\n  [cascade] rank 2: {cascade}"
+    );
+    for backend in [Backend::Threaded, Backend::Threaded, Backend::Event] {
+        assert_eq!(render(backend), expected, "{backend}");
+    }
 }
 
 #[test]
@@ -370,7 +469,7 @@ fn payload_mismatch_carries_provenance() {
             let world = rank.world();
             rank.set_phase("fact");
             if rank.id() == 0 {
-                rank.send(&world, 1, 21, Payload::Idx(vec![3, 4]));
+                rank.send(&world, 1, 21, Payload::Empty);
             } else {
                 let _ = rank.recv_f64s(&world, 0, 21); // wrong kind
             }
@@ -403,7 +502,7 @@ fn cascades_attribute_to_the_original_failure() {
                 2 => {
                     // Self-inflicted: receives the wrong payload kind.
                     let w = rank.world();
-                    rank.send(&w, 2, 50, Payload::Idx(vec![1]));
+                    rank.send(&w, 2, 50, Payload::Empty);
                     let _ = rank.recv_f64s(&w, 2, 50);
                 }
                 _ => {
