@@ -5,7 +5,7 @@
 //!
 //! A campaign is a TOML spec (see `campaigns/*.toml` and docs/campaign.md)
 //! that sweeps generator/matrix × `n` × `P` × `Pz` × options
-//! (`lookahead`, `faults`, `backend`). The runner expands the sweep into
+//! (`lookahead`, `backend`). The runner expands the sweep into
 //! jobs, factors each one best-of-N, writes per-job artifact directories
 //! (metrics / memprof / commvol / hostprof — the latter for
 //! threaded-backend jobs only), and emits:
@@ -17,7 +17,7 @@
 //!   (improved / unchanged / regressed / incomparable).
 //!
 //! The comparator matches points by
-//! `(matrix, n, p, pz, lookahead, faults, backend, leaf, maxsup)`; deterministic
+//! `(matrix, n, p, pz, lookahead, backend, leaf, maxsup)`; deterministic
 //! simulated metrics gate under a tight tolerance band, host wall-clock
 //! under a loose, by default non-gating one. [`figures::render`] prints the
 //! paper's tables and figures from the output of `campaigns/paper.toml`.

@@ -18,7 +18,7 @@
 use crate::snapshot::{BenchPoint, Snapshot};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
 use lu3d::solver::{try_factor_only, Output3d, SolverConfig};
-use simgrid::{Backend, FaultPlan, Grid2d, RetryPolicy, TimeModel};
+use simgrid::{Backend, Grid2d, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Geometry};
 use sparsemat::{matgen, Csr};
@@ -64,12 +64,6 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         return Err(format!("p={} pz={}: empty layer", job.p, job.pz));
     }
     let layer = Grid2d::near_square(pxy);
-    let fault_plan = match &job.faults {
-        Some(spec) => {
-            Some(FaultPlan::parse(spec, 1).map_err(|e| format!("bad faults spec '{spec}': {e}"))?)
-        }
-        None => None,
-    };
     Ok(SolverConfig {
         pr: layer.pr,
         pc: layer.pc,
@@ -81,8 +75,6 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         // not carry the profiler's scope timers: their `host.hostprof` is
         // `null`.
         host_profiling: job.backend == Backend::Threaded,
-        retry: fault_plan.is_some().then(RetryPolicy::default),
-        fault_plan,
         ..Default::default()
     })
 }
@@ -378,23 +370,19 @@ mod tests {
 
     #[test]
     fn failed_jobs_are_recorded_without_sinking_the_sweep() {
-        // Job 1's faults spec fails to parse inside the worker pool; job 2
-        // is healthy and must still run, point, and snapshot.
+        // Job 1 has no ranks, so its grid fails to form inside the worker
+        // pool; job 2 is healthy and must still run, point, and snapshot.
         let spec = CampaignSpec::parse(
             "[campaign]\nname = \"f\"\npr = \"test\"\n\
-             [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [4]\nfaults = [\"not-a-fault-spec\", \"\"]\n",
+             [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [0, 4]\n",
         )
         .unwrap();
         let dir = std::env::temp_dir().join(format!("campaign-fail-{}", std::process::id()));
         let out = run_campaign(&spec, &dir).unwrap();
         assert_eq!(out.failed.len(), 1, "{:?}", out.failed);
-        assert!(
-            out.failed[0].contains("not-a-fault-spec"),
-            "{}",
-            out.failed[0]
-        );
+        assert!(out.failed[0].contains("empty layer"), "{}", out.failed[0]);
         assert_eq!(out.snapshot.points.len(), 1);
-        assert!(out.snapshot.points[0].key.faults.is_none());
+        assert_eq!(out.snapshot.points[0].key.p, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

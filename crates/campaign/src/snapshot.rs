@@ -3,12 +3,12 @@
 //! Every PR that moves performance leaves one snapshot in `results/`, all
 //! in one schema, `salu-bench-snapshot/3`: one record per measured
 //! configuration, keyed by
-//! `(matrix, n, p, pz, lookahead, faults, backend, leaf, maxsup)`, with
+//! `(matrix, n, p, pz, lookahead, backend, leaf, maxsup)`, with
 //! the metric columns of [`METRICS`] and the figure columns of
 //! [`FIGURE_COLUMNS`]. `scale` is carried for display but not matched on
 //! (matrix + n already pin the problem). A record that omits an option
 //! column means that option's default (`lookahead = 8`,
-//! `backend = "threaded"`, no faults); one that omits the supernode pins
+//! `backend = "threaded"`); one that omits the supernode pins
 //! (`leaf`, `maxsup`; every record written before they were columns)
 //! matches any pin.
 //!
@@ -28,7 +28,6 @@ pub struct PointKey {
     /// `None` for points at the default window (and in documents that
     /// predate option sweeps); matched as equal to the default.
     pub lookahead: Option<u64>,
-    pub faults: Option<String>,
     /// Execution backend (`threaded` | `event`). `None` in documents that
     /// predate the backend column; matched as equal to `threaded`, so
     /// every historical snapshot keeps comparing against threaded runs.
@@ -42,14 +41,13 @@ pub struct PointKey {
 impl PointKey {
     /// Canonical form for matching: an absent option column and its
     /// explicit default mean the same configuration.
-    fn canon(&self) -> (String, u64, u64, u64, u64, Option<String>, String) {
+    fn canon(&self) -> (String, u64, u64, u64, u64, String) {
         (
             self.matrix.clone(),
             self.n,
             self.p,
             self.pz,
             self.lookahead.unwrap_or(DEFAULT_LOOKAHEAD),
-            self.faults.clone(),
             self.backend.clone().unwrap_or_else(|| "threaded".into()),
         )
     }
@@ -81,9 +79,6 @@ impl PointKey {
         if let Some((leaf, maxsup)) = self.pins() {
             s.push_str(&format!("-leaf{leaf}-maxsup{maxsup}"));
         }
-        if self.faults.is_some() {
-            s.push_str("-faults");
-        }
         if let Some(b) = self.backend.as_deref().filter(|&b| b != "threaded") {
             s.push_str(&format!("-{b}"));
         }
@@ -109,9 +104,6 @@ impl std::fmt::Display for PointKey {
             if la != DEFAULT_LOOKAHEAD {
                 write!(f, " la={la}")?;
             }
-        }
-        if let Some(fa) = &self.faults {
-            write!(f, " faults={fa}")?;
         }
         if let Some((leaf, maxsup)) = self.pins() {
             write!(f, " leaf={leaf} maxsup={maxsup}")?;
@@ -250,9 +242,6 @@ impl Snapshot {
                         Json::str(p.key.backend.as_deref().unwrap_or("threaded")),
                     ),
                 ];
-                if let Some(fa) = &p.key.faults {
-                    fields.push(("faults".into(), Json::str(fa)));
-                }
                 for (name, pin) in [("leaf", p.key.leaf), ("maxsup", p.key.maxsup)] {
                     if let Some(v) = pin {
                         fields.push((name.into(), Json::num(v as f64)));
@@ -288,7 +277,6 @@ fn load_point(pt: &Json) -> Result<BenchPoint, String> {
             p: num_field("p")?,
             pz: num_field("pz")?,
             lookahead: opt_num("lookahead"),
-            faults: str_field("faults"),
             backend: str_field("backend"),
             leaf: opt_num("leaf"),
             maxsup: opt_num("maxsup"),
@@ -351,7 +339,6 @@ mod tests {
                     p: 16,
                     pz: 4,
                     lookahead: Some(4),
-                    faults: Some("drop:p=0.05".into()),
                     backend: Some("event".into()),
                     leaf: Some(16),
                     maxsup: Some(24),

@@ -51,9 +51,6 @@ pub struct PointSpec {
     pub p: Vec<usize>,
     pub pz: Vec<usize>,
     pub lookahead: Vec<usize>,
-    /// Fault-plan specs in `FaultPlan::parse` syntax; `""` means no
-    /// faults (the common case, and the default sweep).
-    pub faults: Vec<String>,
     /// Execution backends to sweep (`threaded` | `event`); defaults to
     /// threaded only, matching every historical snapshot.
     pub backend: Vec<Backend>,
@@ -72,8 +69,6 @@ pub struct Job {
     pub p: usize,
     pub pz: usize,
     pub lookahead: usize,
-    /// `None` = fault-free.
-    pub faults: Option<String>,
     pub backend: Backend,
     pub reps: usize,
 }
@@ -89,7 +84,6 @@ impl Job {
             pz: self.pz as u64,
             lookahead: (self.lookahead as u64 != DEFAULT_LOOKAHEAD)
                 .then_some(self.lookahead as u64),
-            faults: self.faults.clone(),
             backend: (self.backend != Backend::Threaded).then(|| self.backend.to_string()),
             leaf: Some(self.leaf as u64),
             maxsup: Some(self.maxsup as u64),
@@ -212,22 +206,19 @@ impl CampaignSpec {
                         continue;
                     }
                     for &lookahead in &pt.lookahead {
-                        for faults in &pt.faults {
-                            for &backend in &pt.backend {
-                                let job = Job {
-                                    matrix: pt.matrix.clone(),
-                                    leaf: pt.leaf,
-                                    maxsup: pt.maxsup,
-                                    p,
-                                    pz,
-                                    lookahead,
-                                    faults: (!faults.is_empty()).then(|| faults.clone()),
-                                    backend,
-                                    reps: pt.reps.unwrap_or(self.reps),
-                                };
-                                if !jobs.iter().any(|j| j.same_config(&job)) {
-                                    jobs.push(job);
-                                }
+                        for &backend in &pt.backend {
+                            let job = Job {
+                                matrix: pt.matrix.clone(),
+                                leaf: pt.leaf,
+                                maxsup: pt.maxsup,
+                                p,
+                                pz,
+                                lookahead,
+                                backend,
+                                reps: pt.reps.unwrap_or(self.reps),
+                            };
+                            if !jobs.iter().any(|j| j.same_config(&job)) {
+                                jobs.push(job);
                             }
                         }
                     }
@@ -251,7 +242,6 @@ const POINT_KEYS: &[&str] = &[
     "p",
     "pz",
     "lookahead",
-    "faults",
     "backend",
     "reps",
 ];
@@ -323,21 +313,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
     }
     let pz = usize_list("pz", 1)?;
     let lookahead = usize_list("lookahead", 8)?;
-    let faults = match t.get("faults") {
-        None => vec![String::new()],
-        Some(v) => {
-            let vals: Option<Vec<String>> = v
-                .as_list()
-                .iter()
-                .map(|x| x.as_str().map(str::to_string))
-                .collect();
-            let vals = vals.ok_or("faults must be a string list")?;
-            if vals.is_empty() {
-                return Err("faults sweep is empty".into());
-            }
-            vals
-        }
-    };
     let backend = match t.get("backend") {
         None => vec![Backend::Threaded],
         Some(v) => {
@@ -368,7 +343,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
         p,
         pz,
         lookahead,
-        faults,
         backend,
         reps,
     })
@@ -473,7 +447,6 @@ pz = [2, 3]
         assert_eq!(jobs.len(), 1);
         let j = &jobs[0];
         assert_eq!((j.pz, j.lookahead, j.leaf, j.maxsup), (1, 8, 32, 32));
-        assert!(j.faults.is_none());
         assert_eq!(j.reps, 1);
         assert_eq!(spec.pr_label, "d", "pr label defaults to the name");
     }
@@ -693,18 +666,5 @@ pz = [2, 3]
         slugs.sort();
         slugs.dedup();
         assert_eq!(slugs.len(), jobs.len(), "one job directory per job");
-    }
-
-    #[test]
-    fn fault_sweeps_map_empty_string_to_fault_free() {
-        let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"f\"\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\nfaults = [\"\", \"drop:p=0.05\"]\n",
-        )
-        .unwrap();
-        let (jobs, _) = spec.expand();
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs[0].faults.is_none());
-        assert_eq!(jobs[1].faults.as_deref(), Some("drop:p=0.05"));
-        assert!(jobs[1].slug().ends_with("-faults"));
     }
 }

@@ -152,7 +152,7 @@ impl SolvePlan {
     }
 
     /// The sweep grid `z` runs at forest level `lvl`, if it is active there.
-    pub fn part_of_grid(&self, lvl: usize, z: usize) -> Option<&SweepPlan> {
+    fn part_of_grid(&self, lvl: usize, z: usize) -> Option<&SweepPlan> {
         let shift = self.l() - lvl;
         z.is_multiple_of(1 << shift)
             .then(|| &self.parts[lvl][z >> shift])

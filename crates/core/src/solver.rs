@@ -8,8 +8,8 @@ use crate::solve3d::{exchange, solve_3d, SolvePlan};
 use simgrid::tags::{T_X_GATHER, T_X_HALO};
 use simgrid::topology::build_grid_comms;
 use simgrid::{
-    Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
-    TimeModel, TrafficSummary,
+    Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, TimeModel,
+    TrafficSummary,
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
@@ -46,7 +46,8 @@ pub struct SolverConfig {
     /// (store-build/panel-factor/gather/gemm/scatter/solves/refine/digest/
     /// comm-wait plus an orchestration residual), summing to 100% by
     /// construction.
-    /// Under the event backend a rank's wall is the time it held the baton.
+    /// A rank's wall is the time it held a run slot (parked time is
+    /// nobody's).
     /// Purely host-side — simulated clocks, factors, and digests are
     /// untouched. Off by default.
     pub host_profiling: bool,
@@ -58,10 +59,10 @@ pub struct SolverConfig {
     /// Ack/retransmit recovery for droppable sends. With recovery on, a
     /// faulted run delivers the exact fault-free payload sequence: factors
     /// stay *bitwise identical* (see [`Output3d::factor_digest`]), only
-    /// simulated clocks shift. `None` means drops are simply lost — the
+    /// simulated clocks shift. Off means drops are simply lost — the
     /// run then fails structurally (a deadlock naming the edge; an
     /// unrecovered duplicate fails as an unreceived message naming it).
-    pub retry: Option<RetryPolicy>,
+    pub recover: bool,
     /// Simulated-time receive deadline in seconds: a receive whose message
     /// arrives later than this fails the rank with a structured error
     /// naming phase/supernode/level. Without it a stall is absorbed into
@@ -90,7 +91,7 @@ impl Default for SolverConfig {
             tracing: false,
             host_profiling: false,
             fault_plan: None,
-            retry: None,
+            recover: false,
             recv_deadline: None,
             backend: Backend::Threaded,
         }
@@ -186,7 +187,8 @@ pub struct Output3d {
     /// and no artifact stores one.
     pub factor_digest: u64,
     /// Scheduler counters of the run (steps, matched wakeups, unmatched
-    /// sends, quiescence resolutions); `None` under the threaded backend.
+    /// sends, quiescence resolutions); `None` under the threaded backend
+    /// with more than one rank.
     pub sched: Option<simgrid::SchedStats>,
     /// Simulated makespan of the factorization alone: the largest clock
     /// over ranks when `factor_3d` returned, before any solve. Bitwise what
@@ -506,8 +508,8 @@ fn try_run(
     if let Some(plan) = &cfg.fault_plan {
         machine = machine.with_fault_plan(plan.clone());
     }
-    if let Some(retry) = cfg.retry {
-        machine = machine.with_retry(retry);
+    if cfg.recover {
+        machine = machine.with_recovery();
     }
     if let Some(deadline) = cfg.recv_deadline {
         machine = machine.with_recv_deadline(deadline);

@@ -46,9 +46,8 @@ impl PlanarModel {
     }
 
     /// The xy-plane (2D factorization) term of the 3D volume alone:
-    /// equation (7), `W_3D^{xy}`. The wire ledger's replication audit
-    /// compares the measured `fact`-phase volume against this.
-    pub fn comm_xy(&self, pz: f64) -> f64 {
+    /// equation (7), `W_3D^{xy}`.
+    fn comm_xy(&self, pz: f64) -> f64 {
         let (n, p) = (self.n, self.p);
         n / p.sqrt() * (2.0 * pz.sqrt() + lg(n) / pz.sqrt())
     }

@@ -106,22 +106,11 @@ impl Mat {
         self.data
     }
 
-    /// Reshape in place to `rows x cols`, zero-filled, reusing the existing
-    /// allocation when it is large enough. This is the scratch-arena
-    /// primitive behind the batched Schur update: one matrix serves every
-    /// supernode's panel without reallocating per step.
-    pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-    }
-
     /// Reshape in place to `rows x cols` WITHOUT clearing: surviving
     /// entries keep stale values (only growth beyond the previous element
     /// count is zeroed, a `Vec::resize` artifact). For scratch panels whose
     /// every entry is overwritten before being read — skips the O(rows *
-    /// cols) zero-fill of [`Mat::reshape_zeroed`] on each reuse.
+    /// cols) zero-fill on each reuse.
     pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;

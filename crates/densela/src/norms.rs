@@ -30,11 +30,6 @@ pub fn max_abs(a: &Mat) -> f64 {
     a.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
-/// Euclidean norm of a vector.
-pub fn vec_norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,11 +42,5 @@ mod tests {
         assert_eq!(one_norm(&a), 6.0); // max(|1|+|3|, |-2|+|4|)
         assert_eq!(inf_norm(&a), 7.0); // max(1+2, 3+4)
         assert_eq!(max_abs(&a), 4.0);
-    }
-
-    #[test]
-    fn vector_norm() {
-        assert!((vec_norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(vec_norm2(&[]), 0.0);
     }
 }

@@ -357,15 +357,6 @@ impl CommReport {
             .sum()
     }
 
-    /// Padded words sent at one tree level.
-    pub fn level_words(&self, level: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.level == level)
-            .map(|e| e.cell.words)
-            .sum()
-    }
-
     /// Padded words sent under one phase label.
     pub fn phase_words(&self, phase: &str) -> u64 {
         self.entries
@@ -594,8 +585,8 @@ mod tests {
         assert_eq!(r.class_cell(CommClass::LPanel).words, 150);
         assert_eq!(r.class_cell(CommClass::LPanel).struct_words, 110);
         assert_eq!(r.axis_words(GridAxis::Z), 80);
-        assert_eq!(r.level_words(3), 80);
-        assert_eq!(r.level_words(0), 150);
+        let levels: Vec<u32> = r.entries.iter().map(|e| e.level).collect();
+        assert_eq!(levels, [0, 3]);
         assert_eq!(r.phase_words("reduce"), 80);
         assert_eq!(r.class_cell(CommClass::SchurContrib).words, 0);
     }

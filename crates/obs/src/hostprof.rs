@@ -234,8 +234,8 @@ impl HostProf {
         }
     }
 
-    /// The rank stops running on the host (the event backend parks it and
-    /// another rank takes the baton): until [`HostProf::resume`], wall time
+    /// The rank stops running on the host (it parks and gives its run slot
+    /// up): until [`HostProf::resume`], wall time
     /// is nobody's — it is taken out of every open frame and reported by
     /// [`HostProf::paused_secs`] so the caller can take it out of the rank's
     /// wall as well.
@@ -577,7 +577,7 @@ mod tests {
             let _inner = p.scope(HostPhase::CommWait, None, 0.0);
             spin_ns(100_000);
             p.pause();
-            spin_ns(5_000_000); // parked: another rank holds the baton
+            spin_ns(5_000_000); // parked: another rank holds the slot
             p.resume();
             spin_ns(100_000);
         }

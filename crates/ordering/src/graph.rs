@@ -162,17 +162,9 @@ impl Graph {
         (comp, ncomp)
     }
 
-    /// Breadth-first level structure from `start`: returns (level per
-    /// vertex, vertices in BFS order). Unreached vertices get
-    /// `usize::MAX`.
-    pub fn bfs_levels(&self, start: usize) -> (Vec<usize>, Vec<usize>) {
-        let mut buf = BfsBuffers::default();
-        self.bfs_levels_in(start, &mut buf);
-        (buf.level, buf.order)
-    }
-
-    /// [`Graph::bfs_levels`] into the caller's buffers; `buf.order` doubles
-    /// as the queue.
+    /// Breadth-first level structure from `start` into the caller's
+    /// buffers: `buf.level` per vertex (`usize::MAX` if unreached) and
+    /// `buf.order`, the vertices in BFS order, which doubles as the queue.
     fn bfs_levels_in(&self, start: usize, buf: &mut BfsBuffers) {
         let BfsBuffers { level, order } = buf;
         level.clear();
@@ -193,14 +185,9 @@ impl Graph {
         }
     }
 
-    /// A pseudo-peripheral vertex: repeated BFS from the farthest vertex
-    /// until eccentricity stops growing. Classic starting point for
-    /// graph-growing bisection.
-    pub fn pseudo_peripheral(&self, start: usize) -> usize {
-        self.pseudo_peripheral_in(start, &mut BfsBuffers::default())
-    }
-
-    /// [`Graph::pseudo_peripheral`] on the caller's buffers.
+    /// A pseudo-peripheral vertex, found on the caller's buffers: repeated
+    /// BFS from the farthest vertex until eccentricity stops growing.
+    /// Classic starting point for graph-growing bisection.
     pub(crate) fn pseudo_peripheral_in(&self, start: usize, buf: &mut BfsBuffers) -> usize {
         let mut v = start;
         let mut ecc = 0;
@@ -328,15 +315,16 @@ mod tests {
     #[test]
     fn bfs_levels_on_path() {
         let g = path_graph(5);
-        let (levels, order) = g.bfs_levels(0);
-        assert_eq!(levels, vec![0, 1, 2, 3, 4]);
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        let mut buf = BfsBuffers::default();
+        g.bfs_levels_in(0, &mut buf);
+        assert_eq!(buf.level, vec![0, 1, 2, 3, 4]);
+        assert_eq!(buf.order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn pseudo_peripheral_finds_path_end() {
         let g = path_graph(9);
-        let v = g.pseudo_peripheral(4);
+        let v = g.pseudo_peripheral_in(4, &mut BfsBuffers::default());
         assert!(v == 0 || v == 8);
     }
 }

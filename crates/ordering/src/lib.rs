@@ -26,11 +26,9 @@ pub mod geometric;
 pub mod graph;
 pub mod multilevel;
 pub mod nd;
-pub mod rcm;
 pub mod refine;
 pub mod septree;
 
 pub use graph::Graph;
 pub use nd::{nested_dissection, NdOptions};
-pub use rcm::reverse_cuthill_mckee;
 pub use septree::{SepNode, SepTree};

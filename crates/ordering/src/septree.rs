@@ -122,103 +122,6 @@ impl SepTree {
     }
 }
 
-impl SepTree {
-    /// Relaxed-supernode amalgamation: collapse every subtree whose total
-    /// column count is at most `max_merged` into a single leaf node.
-    ///
-    /// SuperLU_DIST applies the same relaxation to the bottom of the
-    /// elimination tree: tiny supernodes waste panel setup and message
-    /// latency, so merging them (accepting the extra fill inside the merged
-    /// block) is a net win. Subtree column ranges are contiguous by
-    /// construction (postorder numbering), so a merge is just a range
-    /// union; the permutation is unchanged.
-    pub fn amalgamate(&self, max_merged: usize) -> SepTree {
-        let n_nodes = self.nodes.len();
-        // Subtree column spans (contiguous: leftmost descendant start to
-        // own end) and widths.
-        let mut span_start: Vec<usize> = (0..n_nodes).map(|i| self.nodes[i].cols.start).collect();
-        for i in 0..n_nodes {
-            for &c in &self.nodes[i].children {
-                span_start[i] = span_start[i].min(span_start[c]);
-            }
-        }
-        // A node becomes a merged leaf when its whole subtree fits and its
-        // parent's doesn't (top-most such node).
-        let subtree_width = |i: usize| -> usize { self.nodes[i].cols.end - span_start[i] };
-        let merged_root: Vec<bool> = (0..n_nodes)
-            .map(|i| {
-                let parent_fits = self.nodes[i]
-                    .parent
-                    .map(|p| subtree_width(p) <= max_merged)
-                    .unwrap_or(false);
-                subtree_width(i) <= max_merged && !parent_fits
-            })
-            .collect();
-        // Rebuild, dropping descendants of merged roots. Postorder of the
-        // original tree restricted to surviving nodes is still a postorder.
-        let mut new_index = vec![usize::MAX; n_nodes];
-        let mut nodes: Vec<SepNode> = Vec::new();
-        // Determine dropped nodes top-down (walk from each merged root).
-        let mut drop = vec![false; n_nodes];
-        for (i, &is_root) in merged_root.iter().enumerate() {
-            if is_root {
-                let mut stack = self.nodes[i].children.clone();
-                while let Some(v) = stack.pop() {
-                    drop[v] = true;
-                    stack.extend_from_slice(&self.nodes[v].children);
-                }
-            }
-        }
-        for i in 0..n_nodes {
-            if drop[i] {
-                continue;
-            }
-            let old = &self.nodes[i];
-            let idx = nodes.len();
-            new_index[i] = idx;
-            let (cols, children, is_leaf) = if merged_root[i] {
-                (span_start[i]..old.cols.end, Vec::new(), true)
-            } else {
-                (
-                    old.cols.clone(),
-                    old.children.iter().map(|&c| new_index[c]).collect(),
-                    old.is_leaf,
-                )
-            };
-            nodes.push(SepNode {
-                parent: None, // fixed below
-                children,
-                cols,
-                level: old.level,
-                is_leaf,
-            });
-        }
-        // Restore parent links and re-normalize levels (depth from root).
-        for i in 0..nodes.len() {
-            for ci in 0..nodes[i].children.len() {
-                let c = nodes[i].children[ci];
-                nodes[c].parent = Some(i);
-            }
-        }
-        let root = nodes.len() - 1;
-        fix_levels(&mut nodes, root, 0);
-        let tree = SepTree {
-            nodes,
-            perm: self.perm.clone(),
-        };
-        debug_assert!(tree.validate().is_ok(), "{:?}", tree.validate());
-        tree
-    }
-}
-
-fn fix_levels(nodes: &mut [SepNode], v: usize, level: usize) {
-    nodes[v].level = level;
-    let children = nodes[v].children.clone();
-    for c in children {
-        fix_levels(nodes, c, level + 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,60 +170,6 @@ mod tests {
         let mut t = tiny_tree();
         t.nodes[1].cols = 2..6; // overlaps node 0
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn amalgamate_merges_small_subtrees() {
-        // tiny_tree has two 3-wide leaves + 2-wide root; total width 8.
-        let t = tiny_tree();
-        // Threshold below any subtree: unchanged structure.
-        let same = t.amalgamate(2);
-        assert_eq!(same.nodes.len(), 3);
-        same.validate().unwrap();
-        // Threshold covering everything: the whole tree becomes one leaf.
-        let one = t.amalgamate(8);
-        assert_eq!(one.nodes.len(), 1);
-        assert!(one.nodes[0].is_leaf);
-        assert_eq!(one.nodes[0].cols, 0..8);
-        one.validate().unwrap();
-        // Threshold covering just the leaves: no change (leaves already
-        // minimal; merging a leaf alone is a no-op structurally).
-        let leaves = t.amalgamate(3);
-        assert_eq!(leaves.nodes.len(), 3);
-        leaves.validate().unwrap();
-    }
-
-    #[test]
-    fn amalgamate_on_real_nd_tree() {
-        use crate::graph::Graph;
-        use crate::nd::{nested_dissection, NdOptions};
-        use sparsemat::matgen::grid2d_5pt;
-        use sparsemat::testmats::Geometry;
-        let a = grid2d_5pt(16, 16, 0.0, 0);
-        let g = Graph::from_matrix(&a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: 4,
-                geometry: Geometry::Grid2d { nx: 16, ny: 16 },
-                ..Default::default()
-            },
-        );
-        let before = tree.nodes.len();
-        let merged = tree.amalgamate(24);
-        merged.validate().unwrap();
-        assert!(
-            merged.nodes.len() < before,
-            "{} !< {before}",
-            merged.nodes.len()
-        );
-        // Permutation unchanged; every merged leaf within the bound.
-        assert_eq!(merged.perm, tree.perm);
-        for node in &merged.nodes {
-            if node.is_leaf {
-                assert!(node.width() <= 24);
-            }
-        }
     }
 
     #[test]

@@ -1,30 +1,29 @@
-//! Execution backends: how the simulated ranks are driven.
+//! Execution backends: how many simulated ranks may run at once.
 //!
 //! The machine's SPMD contract — `f(&mut Rank)` per rank, blocking
 //! receives, deterministic results — admits more than one execution
-//! strategy. [`Backend`] names the two, and [`Machine::try_run`] runs either:
+//! strategy. Every rank is a task on its own (mostly parked) OS thread, and
+//! one table ([`Sched`]) hands out *run slots*: a rank runs only while it
+//! holds one. [`Backend`] names the two slot counts [`Machine::try_run`]
+//! offers:
 //!
-//! - [`Backend::Threaded`]: the original free-running mode. Every rank is an
-//!   OS thread scheduled by the kernel, all of them runnable at once. Real
-//!   host parallelism.
-//! - [`Backend::Event`]: discrete-event mode. Ranks are *resumable tasks*:
-//!   each still owns a (mostly parked) OS thread as its coroutine stack,
-//!   but exactly one runs at any instant — the one holding the *baton*. A
-//!   rank that parks or finishes picks the next ready rank and wakes it
-//!   directly. This is what makes paper-scale grids — `P = 64×64 = 4096`
-//!   ranks — run in one process: 4096 parked tasks cost virtual address
-//!   space, not CPU.
+//! - [`Backend::Threaded`]: one slot per rank. Every runnable rank runs at
+//!   once and the kernel interleaves them. Real host parallelism.
+//! - [`Backend::Event`]: one slot. Exactly one rank runs at any instant,
+//!   and the ready ranks take the slot in FIFO order. This is what makes
+//!   paper-scale grids — `P = 64×64 = 4096` ranks — run in one process:
+//!   4096 parked tasks cost virtual address space, not CPU.
 //!
-//! Either way one table ([`Sched`]) records every rank task as ready,
-//! running, blocked in a receive (on what), or done, and holds every
-//! message no receive has matched yet. A blocking receive that finds no
-//! match publishes its wait there and parks its thread; a send queues its
-//! message there and marks its destination runnable only if the message is
-//! the one the destination is parked on. When a park or an exit leaves no
-//! rank runnable, the machine is provably quiescent and that rank resolves the
+//! The table records every rank task as ready, running, blocked in a
+//! receive (on what), or done, and holds every message no receive has
+//! matched yet. A blocking receive that finds no match publishes its wait
+//! there, gives its slot up and parks its thread; a send queues its message
+//! there and makes its destination ready only if the message is the one the
+//! destination is parked on. When a park or an exit leaves no rank
+//! runnable, the machine is provably quiescent and that rank resolves the
 //! situation synchronously from the same table: a deadlock verdict, or a
 //! cascade wake-all when a failure is on the board. No watchdog thread and
-//! no wall-clock timeout exist under either backend.
+//! no wall-clock timeout exist under either slot count.
 //!
 //! Both backends execute the same per-rank program against the same
 //! simulated clocks, so factor digests, makespans, and every `obs` ledger
@@ -40,14 +39,14 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{JoinHandle, Thread};
 
-/// Which execution backend drives a [`Machine`] run.
+/// Which execution backend drives a [`Machine`] run: how many run slots
+/// its task table has.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// One free-running OS thread per rank (kernel-scheduled).
+    /// One slot per rank: every runnable rank runs, kernel-scheduled.
     #[default]
     Threaded,
-    /// Cooperative discrete-event scheduler; ranks are resumable tasks and
-    /// exactly one runs at a time.
+    /// One slot: ranks are resumable tasks and exactly one runs at a time.
     Event,
 }
 
@@ -82,13 +81,13 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Host-side counters of one event-backend run ([`RunResult::sched`]).
+/// Host-side counters of a one-slot run ([`RunResult::sched`]).
 /// Deterministic — a function of the rank programs alone — but kept out of
 /// the merged metrics registry: they describe the engine, not the
 /// simulation, and no golden artifact depends on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Time slices granted: every resume of a rank task, the first included.
+    /// Slots granted: every resume of a rank task, the first included.
     pub steps: u64,
     /// Parked ranks made runnable by a send matching their published wait.
     pub wakeups: u64,
@@ -147,10 +146,9 @@ impl WaitInfo {
 /// The table's view of one rank task.
 #[derive(Clone, Debug)]
 enum TaskState {
-    /// Event backend: in the ready queue, waiting for the baton. Under the
-    /// threaded backend only before [`Sched::drive`] starts the run.
+    /// In the ready queue, waiting for a free slot.
     Ready,
-    /// Running: holding the baton (event) or free-running (threaded).
+    /// Holding a slot and running.
     Running,
     /// Parked in a blocking receive, waiting for the message it names.
     Blocked(WaitInfo),
@@ -165,9 +163,10 @@ struct Table {
     /// order — an MPI unexpected-message queue. A receive takes the oldest
     /// with its key, so a queue is empty once its messages are all matched.
     mail: Vec<Vec<Msg>>,
-    /// Event backend: ranks waiting for the baton, strict FIFO. Always
-    /// empty under the threaded backend, where every runnable rank runs.
+    /// Ranks waiting for a slot, strict FIFO, seeded `0..n`.
     ready: VecDeque<usize>,
+    /// Slots no rank holds.
+    free: usize,
     /// Ranks `Ready` or `Running`. A park or an exit that brings it to zero
     /// with ranks still live is quiescence.
     runnable: usize,
@@ -182,21 +181,30 @@ struct Table {
     deadlock: Option<String>,
 }
 
-/// The machine's one wait-for graph and scheduler: a per-rank task table,
-/// shared by every [`Rank`] of a run under either backend. There is no
-/// scheduler thread.
+/// The machine's one wait-for graph and scheduler: a per-rank task table
+/// with a fixed number of run slots, shared by every [`Rank`] of a run.
+/// There is no scheduler thread.
+///
+/// # One dispatch rule
+///
+/// A rank runs only while it holds a slot. Every critical section that can
+/// free a slot or make a rank ready — the start, a park, an exit, a
+/// matching send — ends in [`Table::dispatch`]: ready ranks take the free
+/// slots in FIFO order, are marked running, and are unparked once the lock
+/// is dropped. One slot per rank means a ready rank never waits; one slot
+/// means a parking rank hands the CPU to the next ready rank directly.
 ///
 /// # Delivery, parking and matched wakeups
 ///
 /// A send ([`Sched::deliver`]) queues its message at the destination and,
-/// in the same critical section, marks the destination runnable only when
+/// in the same critical section, makes the destination ready only when
 /// the message matches its published wait; a message some later receive
 /// wants leaves it parked. A receive takes the oldest queued message with
 /// its key ([`Sched::take`]); finding none it calls [`Sched::park`], which
 /// looks once more under the lock and, still finding nothing, publishes what
-/// it waits for and gives the CPU up — passing the baton (event) or simply
-/// sleeping (threaded). A resumed rank therefore finds its message; the
-/// only other resumes come from the quiescence resolver.
+/// it waits for, gives its slot up and sleeps. A resumed rank therefore
+/// finds its message; the only other resumes come from the quiescence
+/// resolver.
 ///
 /// # No wake can be lost, and quiescence is exact
 ///
@@ -206,42 +214,40 @@ struct Table {
 /// come only from running ranks: when no rank is runnable, every sent
 /// message is queued and has been matched against the waits, and the
 /// blocked ranks can never be woken by anything but the resolver. This
-/// holds for OS threads as much as for the baton — no grace period, no
-/// in-flight guess.
+/// holds for any number of slots — no grace period, no in-flight guess.
 ///
-/// # Ready-queue ordering (event backend, deterministic by construction)
+/// # Ready-queue ordering (deterministic with one slot)
 ///
-/// The ready queue is strict FIFO, seeded `0..n`. Only the baton holder
-/// executes, so only it sends, and each matching send appends its
+/// The ready queue is strict FIFO, seeded `0..n`. With one slot only one
+/// rank executes, so only it sends, and each matching send appends its
 /// destination under the lock, in program order: the queue is a
 /// deterministic function of the rank programs. *No* simulated quantity
 /// depends on it, but determinism here also makes host-side behavior
 /// (step counts, trace file layout) reproducible run-to-run.
 pub(crate) struct Sched {
     st: Mutex<Table>,
-    /// Event backend: exactly one rank runs, the one holding the baton.
-    baton: bool,
+    /// Run slots: the most ranks that run at once.
+    slots: usize,
     board: Arc<FailureBoard>,
-    /// Rank task threads, set once by [`Sched::drive`] before any rank runs.
+    /// Rank task threads, set once by [`Sched::start`] before any rank runs.
     threads: OnceLock<Vec<Thread>>,
-    /// The thread sleeping in [`Sched::drive`] (event backend).
-    driver: Thread,
 }
 
 impl Sched {
-    /// A table for `n` rank tasks, all ready; the calling thread becomes the
-    /// driver.
+    /// A table for `n` rank tasks, all ready, with the backend's slots:
+    /// one under [`Backend::Event`], one per rank under
+    /// [`Backend::Threaded`].
     pub(crate) fn new(n: usize, backend: Backend, board: Arc<FailureBoard>) -> Self {
-        let baton = backend == Backend::Event;
+        let slots = match backend {
+            Backend::Event => 1,
+            Backend::Threaded => n,
+        };
         Sched {
             st: Mutex::new(Table {
                 state: vec![TaskState::Ready; n],
                 mail: (0..n).map(|_| Vec::new()).collect(),
-                ready: if baton {
-                    (0..n).collect()
-                } else {
-                    VecDeque::new()
-                },
+                ready: (0..n).collect(),
+                free: slots,
                 runnable: n,
                 ndone: 0,
                 nsends: 0,
@@ -249,17 +255,10 @@ impl Sched {
                 stats: SchedStats::default(),
                 deadlock: None,
             }),
-            baton,
+            slots,
             board,
             threads: OnceLock::new(),
-            driver: std::thread::current(),
         }
-    }
-
-    /// True under the event backend, where a parked rank's wall time
-    /// belongs to whoever holds the baton.
-    pub(crate) fn cooperative(&self) -> bool {
-        self.baton
     }
 
     /// The critical sections below are a few index writes and queue pushes
@@ -271,52 +270,38 @@ impl Sched {
         self.st.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Start the run; `tasks[r]` is rank `r`'s task thread. Threaded: every
-    /// rank starts running and this returns `None` at once. Event: hand the
-    /// first baton to rank 0 and sleep until every task is done, returning
-    /// the scheduler counters.
-    pub(crate) fn drive<T>(&self, tasks: &[JoinHandle<T>]) -> Option<SchedStats> {
-        let threads = self
-            .threads
+    /// Start the run; `tasks[r]` is rank `r`'s task thread. Fills the slots
+    /// and returns: the caller joins the tasks.
+    pub(crate) fn start<T>(&self, tasks: &[JoinHandle<T>]) {
+        self.threads
             .get_or_init(|| tasks.iter().map(|h| h.thread().clone()).collect());
-        if !self.baton {
-            self.lock().state.fill(TaskState::Running);
-            threads.iter().for_each(Thread::unpark);
-            return None;
-        }
-        let first = self.lock().pick_next();
-        self.pass_baton(first);
-        loop {
-            let st = self.lock();
-            if st.ndone == tasks.len() {
-                return Some(st.stats);
-            }
-            drop(st);
-            std::thread::park();
-        }
+        let run = self.lock().dispatch();
+        self.unpark(run, None);
     }
 
-    fn unpark(&self, rank: usize) {
-        self.threads.get().expect("rank woken before drive()")[rank].unpark();
+    /// The scheduler counters, once every task is done. `Some` only with
+    /// one slot: with more the kernel interleaves the ranks, and the
+    /// counters are not a function of the programs.
+    pub(crate) fn stats(&self) -> Option<SchedStats> {
+        (self.slots == 1).then(|| self.lock().stats)
     }
 
-    /// Event backend: wake whoever holds the baton next — a rank task, or,
-    /// when every task is done, the driver.
-    fn pass_baton(&self, next: Option<usize>) {
-        match next {
-            Some(r) => self.unpark(r),
-            None => self.driver.unpark(),
+    /// Wake the ranks `dispatch` gave a slot, except `me`, which is awake.
+    fn unpark(&self, run: Vec<usize>, me: Option<usize>) {
+        let threads = self.threads.get().expect("rank woken before start()");
+        for r in run.into_iter().filter(|&r| Some(r) != me) {
+            threads[r].unpark();
         }
     }
 
-    /// Sleep until [`Sched::drive`] lets rank task `rank` start: nothing —
-    /// not even rank construction — runs before.
+    /// Sleep until [`Sched::start`] gives rank task `rank` a slot: nothing
+    /// — not even rank construction — runs before.
     pub(crate) fn wait_start(&self, rank: usize) {
         drop(self.wait_turn(rank));
     }
 
-    /// Sleep until `rank` may run; returns holding the lock that saw it
-    /// running.
+    /// Sleep until `rank` holds a slot; returns holding the lock that saw
+    /// it running.
     fn wait_turn(&self, rank: usize) -> MutexGuard<'_, Table> {
         loop {
             let st = self.lock();
@@ -329,7 +314,7 @@ impl Sched {
     }
 
     /// Queue `msg` at `dst`, in arrival order: a destination parked on a
-    /// matching wait becomes runnable.
+    /// matching wait becomes ready.
     pub(crate) fn deliver(&self, dst: usize, msg: Msg) {
         let mut st = self.lock();
         st.nsends += 1;
@@ -343,11 +328,10 @@ impl Sched {
             return;
         }
         st.stats.wakeups += 1;
-        st.wake(dst, self.baton);
+        st.wake(dst);
+        let run = st.dispatch();
         drop(st);
-        if !self.baton {
-            self.unpark(dst);
-        }
+        self.unpark(run, None);
     }
 
     /// Take the oldest message queued at `rank` with `key = (ctx, src,
@@ -372,7 +356,7 @@ impl Sched {
     /// lock: take the message if it has arrived since; fail if the machine
     /// has a verdict for this wait (a proven deadlock, or a source that
     /// terminated after a failure elsewhere — a cascade);
-    /// else publish the wait, give the CPU up, sleep until a matching send
+    /// else publish the wait, give the slot up, sleep until a matching send
     /// or a quiescence resolution wakes the rank, and look again under the
     /// lock it wakes with: two critical sections per park.
     pub(crate) fn park(&self, rank: usize, wait: &WaitInfo) -> Result<Msg, RecvError> {
@@ -408,29 +392,17 @@ impl Sched {
         self.stop_running(st, rank);
     }
 
-    /// `rank`, whose new state is already in `st`, stops running. If no
-    /// rank is runnable now, resolve the quiescence. Then wake whoever runs
-    /// next: the next baton holder (event), or the ranks the resolver woke
-    /// (threaded).
+    /// `rank`, whose new state is already in `st`, gives its slot up. If no
+    /// rank is runnable now, resolve the quiescence. Then dispatch.
     fn stop_running(&self, mut st: MutexGuard<'_, Table>, rank: usize) {
         st.runnable -= 1;
-        let woken = if st.runnable == 0 && st.ndone < st.state.len() {
-            st.resolve_quiescence(&self.board, self.baton)
-        } else {
-            Vec::new()
-        };
-        if self.baton {
-            let next = st.pick_next();
-            drop(st);
-            if next != Some(rank) {
-                self.pass_baton(next);
-            }
-        } else {
-            drop(st);
-            for r in woken.into_iter().filter(|&r| r != rank) {
-                self.unpark(r);
-            }
+        st.free += 1;
+        if st.runnable == 0 && st.ndone < st.state.len() {
+            st.resolve_quiescence(&self.board);
         }
+        let run = st.dispatch();
+        drop(st);
+        self.unpark(run, Some(rank));
     }
 }
 
@@ -441,26 +413,28 @@ impl Table {
         Some(queue.remove(at))
     }
 
-    /// Make parked rank `r` runnable: queued for the baton, or running.
-    fn wake(&mut self, r: usize, baton: bool) {
+    /// Make parked rank `r` ready: it queues for a slot.
+    fn wake(&mut self, r: usize) {
         self.runnable += 1;
-        if baton {
-            self.state[r] = TaskState::Ready;
-            self.ready.push_back(r);
-        } else {
-            self.state[r] = TaskState::Running;
-        }
+        self.state[r] = TaskState::Ready;
+        self.ready.push_back(r);
     }
 
-    /// Event backend: choose who runs next and mark it running; `None` once
-    /// every task is done. The caller has just given the baton up, so no
-    /// rank is running, and the queue is empty only when all are done
-    /// (quiescence resolution re-queues every parked rank).
-    fn pick_next(&mut self) -> Option<usize> {
-        let r = self.ready.pop_front()?;
-        self.state[r] = TaskState::Running;
-        self.stats.steps += 1;
-        Some(r)
+    /// The one scheduling rule: ready ranks take the free slots, oldest
+    /// first, and are marked running. Returns them for the caller to
+    /// unpark once the lock is dropped.
+    fn dispatch(&mut self) -> Vec<usize> {
+        let mut run = Vec::new();
+        while self.free > 0 {
+            let Some(r) = self.ready.pop_front() else {
+                break;
+            };
+            self.state[r] = TaskState::Running;
+            self.free -= 1;
+            self.stats.steps += 1;
+            run.push(r);
+        }
+        run
     }
 
     /// No rank is runnable but live ranks remain: every one of them is
@@ -477,9 +451,7 @@ impl Table {
     ///    progress (no termination, no send): the survivors are cyclically
     ///    stuck independent of the failure — publish the deadlock report
     ///    and wake them to abort.
-    ///
-    /// Returns the ranks it woke.
-    fn resolve_quiescence(&mut self, board: &FailureBoard, baton: bool) -> Vec<usize> {
+    fn resolve_quiescence(&mut self, board: &FailureBoard) {
         self.stats.quiescence_resolutions += 1;
         let progress = (self.ndone, self.nsends);
         let stalled = self.stall_snapshot == Some(progress);
@@ -487,13 +459,11 @@ impl Table {
         if !board.has_failure() || stalled {
             self.deadlock = Some(deadlock_report(&self.state));
         }
-        let parked: Vec<usize> = (0..self.state.len())
-            .filter(|&r| matches!(self.state[r], TaskState::Blocked(_)))
-            .collect();
-        for &r in &parked {
-            self.wake(r, baton);
+        for r in 0..self.state.len() {
+            if matches!(self.state[r], TaskState::Blocked(_)) {
+                self.wake(r);
+            }
         }
-        parked
     }
 }
 
@@ -542,8 +512,8 @@ fn deadlock_report(state: &[TaskState]) -> String {
 }
 
 /// Ends the rank's task on the table when its thread exits, normally or by
-/// panic, so a dying rank can never strand the parked ones: it passes the
-/// baton, and its exit may be the one that proves quiescence.
+/// panic, so a dying rank can never strand the parked ones: it gives its
+/// slot up, and its exit may be the one that proves quiescence.
 pub(crate) struct TaskGuard {
     pub(crate) rank: usize,
     pub(crate) sched: Arc<Sched>,

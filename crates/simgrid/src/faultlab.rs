@@ -11,9 +11,10 @@
 //!   per-rank **stall windows**, and **link-degradation** factors applied in
 //!   the α-β time model. Built programmatically or parsed from the compact
 //!   spec grammar of [`FaultPlan::parse`] (the `salu --faults` syntax).
-//! - [`RetryPolicy`]: the recovery half — an ack/retransmit protocol with
-//!   timeout + exponential backoff for droppable sends, simulated entirely
-//!   in simulated time (see `Rank::send`). With recovery on, a faulted run
+//! - Recovery ([`crate::Machine::with_recovery`]): an ack/retransmit
+//!   protocol with timeout + exponential backoff for droppable sends
+//!   ([`RETRY_TIMEOUT_SECS`], [`RETRY_BACKOFF`], [`RETRY_ATTEMPTS`]),
+//!   simulated entirely in simulated time (see `Rank::send`). With recovery on, a faulted run
 //!   delivers the exact same payload sequence as the fault-free run, so
 //!   factors stay bitwise identical; only the clocks shift.
 //! - [`FailureBoard`] / [`RankFailure`]: structured rank-failure collection
@@ -313,30 +314,15 @@ impl FaultPlan {
     }
 }
 
-/// Recovery knobs for droppable sends: a (simulated) ack timeout with
-/// exponential backoff, capping the total number of physical attempts.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Simulated seconds the sender waits for the (implicit) ack before the
-    /// first retransmission.
-    pub timeout: f64,
-    /// Multiplier applied to the timeout after each failed attempt.
-    pub backoff: f64,
-    /// Total physical send attempts (1 original + `max_attempts - 1`
-    /// retransmissions). The fault layer never drops the last attempt, so
-    /// a recovered run always delivers.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout: 1e-3,
-            backoff: 2.0,
-            max_attempts: 5,
-        }
-    }
-}
+/// Recovery ([`crate::Machine::with_recovery`]): simulated seconds a sender
+/// waits for the (implicit) ack before the first retransmission.
+pub const RETRY_TIMEOUT_SECS: f64 = 1e-3;
+/// Recovery: multiplier applied to the ack timeout after each lost attempt.
+pub const RETRY_BACKOFF: f64 = 2.0;
+/// Recovery: total physical send attempts (1 original + 4 retransmissions).
+/// The fault layer never drops the last attempt, so a recovered run always
+/// delivers.
+pub const RETRY_ATTEMPTS: u32 = 5;
 
 /// Why a blocking receive gave up. Returned by the `_checked` receive
 /// variants; the panicking variants convert it into a [`RankFailure`].

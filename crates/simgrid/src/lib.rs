@@ -12,10 +12,11 @@
 //! - **Ranks are tasks** executing the same SPMD closure; point-to-point
 //!   messages wait in unbounded per-rank queues (eager-mode MPI semantics:
 //!   sends never block, receives block until a matching message arrives).
-//!   Two interchangeable [`backend`]s drive them: free-running OS threads
-//!   (the default) or a cooperative discrete-event scheduler that runs
-//!   paper-scale rank counts — `P = 4096` and beyond — in one process.
-//!   Simulated results are bitwise identical either way.
+//!   One task table hands the ranks run slots, and a [`backend`] is only
+//!   the number of slots: one per rank (the default, every runnable rank
+//!   runs) or one, which runs paper-scale rank counts — `P = 4096` and
+//!   beyond — in one process. Simulated results are bitwise identical
+//!   either way.
 //! - **Collectives are built on point-to-point** (binomial-tree broadcast
 //!   and reduce, dissemination barrier), so message *counts* and *volumes*
 //!   match what a real MPI implementation would transfer.
@@ -66,7 +67,7 @@ pub use backend::{Backend, SchedStats};
 pub use comm::Comm;
 pub use faultlab::{
     EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,
-    MachineFailure, RankFailure, RecvError, RetryPolicy, StallRule, UnreceivedMsg,
+    MachineFailure, RankFailure, RecvError, StallRule, UnreceivedMsg,
 };
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Packed, PackedBlock, Payload, PayloadKind};

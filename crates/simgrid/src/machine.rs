@@ -4,8 +4,7 @@
 
 use crate::backend::{Backend, Sched, SchedStats, TaskGuard};
 use crate::faultlab::{
-    FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, RetryPolicy,
-    UnreceivedMsg,
+    FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, UnreceivedMsg,
 };
 use crate::rank::{FaultCtx, Rank};
 use crate::stats::{RankReport, TrafficSummary};
@@ -26,8 +25,8 @@ pub struct Machine {
     host_profiling: bool,
     /// Seeded fault plan injected at the send path; `None` = healthy run.
     faults: Option<Arc<FaultPlan>>,
-    /// Ack/retransmit recovery for droppable sends; `None` = drops are lost.
-    retry: Option<RetryPolicy>,
+    /// Ack/retransmit recovery for droppable sends; off = drops are lost.
+    recover: bool,
     /// Simulated-time receive deadline (seconds); `None` = wait until the
     /// message arrives or the machine proves it never will.
     recv_deadline: Option<f64>,
@@ -40,8 +39,9 @@ pub struct RunResult<T> {
     pub results: Vec<T>,
     /// Per-rank traffic/time reports, indexed by world rank.
     pub reports: Vec<RankReport>,
-    /// Scheduler counters of an event-backend run; `None` under the
-    /// threaded backend, where the kernel schedules.
+    /// Scheduler counters of a one-slot run (the event backend, or any
+    /// one-rank machine); `None` with more slots, where the kernel
+    /// interleaves the ranks.
     pub sched: Option<SchedStats>,
 }
 
@@ -63,16 +63,17 @@ impl Machine {
             tracing: false,
             host_profiling: false,
             faults: None,
-            retry: None,
+            recover: false,
             recv_deadline: None,
         }
     }
 
-    /// Select the execution backend (see [`Backend`] and `docs/backends.md`).
-    /// Simulated results — factor digests, makespans, every ledger — are
-    /// identical either way; only host-side scheduling differs. The
-    /// threaded default keeps real parallelism; the event backend runs
-    /// arbitrarily large rank counts in one cooperative process.
+    /// Select the execution backend: how many ranks may run at once (see
+    /// [`Backend`] and `docs/backends.md`). Simulated results — factor
+    /// digests, makespans, every ledger — are identical either way; only
+    /// host-side scheduling differs. The threaded default (a slot per rank)
+    /// keeps real parallelism; the event backend (one slot) runs
+    /// arbitrarily large rank counts in one process.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -92,9 +93,9 @@ impl Machine {
     /// untouched. When combined with [`Machine::with_tracing`], host
     /// counter tracks join the Chrome trace. Off by default.
     ///
-    /// Valid under both backends. Under the event backend a rank's wall is
-    /// the time it held the baton: the profiler is paused while the rank is
-    /// parked, so the per-rank walls add up to (at most) the machine's.
+    /// Valid under both backends. A rank's wall is the time it held a run
+    /// slot: the profiler is paused while the rank is parked, so under the
+    /// event backend the per-rank walls add up to (at most) the machine's.
     pub fn with_host_profiling(mut self) -> Self {
         self.host_profiling = true;
         self
@@ -110,12 +111,13 @@ impl Machine {
         self
     }
 
-    /// Enable ack/retransmit recovery for droppable sends (see
-    /// [`RetryPolicy`]). With recovery on, a faulted run delivers the same
-    /// payload sequence as the fault-free run — results stay bitwise
-    /// identical, only clocks shift.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
+    /// Enable ack/retransmit recovery for droppable sends: a lost attempt
+    /// is resent after a simulated ack timeout with exponential backoff
+    /// ([`crate::faultlab::RETRY_TIMEOUT_SECS`] and its siblings). With
+    /// recovery on, a faulted run delivers the same payload sequence as the
+    /// fault-free run — results stay bitwise identical, only clocks shift.
+    pub fn with_recovery(mut self) -> Self {
+        self.recover = true;
         self
     }
 
@@ -139,8 +141,9 @@ impl Machine {
     }
 
     /// Run `f` as an SPMD program: one OS thread per rank, every thread
-    /// calls `f(&mut rank)`. Blocks until all ranks return. A failure on
-    /// any rank panics with the rank-attributed report of
+    /// calls `f(&mut rank)` while it holds one of the backend's run slots.
+    /// Blocks until all ranks return. A failure on any rank panics with the
+    /// rank-attributed report of
     /// [`MachineFailure::render`] (primary cause first, cascades listed) so
     /// protocol bugs fail tests. Use [`Machine::try_run`] to handle the
     /// failure structurally instead.
@@ -170,8 +173,8 @@ impl Machine {
     ///
     /// One engine runs both backends, one task per rank either way, parked
     /// and woken through one task table (`Sched`); the machine's
-    /// [`Backend`] decides who schedules the runnable ones — the kernel
-    /// (threaded) or the ranks themselves, passing a baton (event).
+    /// [`Backend`] is only how many of them may run at once — all
+    /// (threaded) or one (event).
     pub fn try_run<T, F>(&self, f: F) -> Result<RunResult<T>, MachineFailure>
     where
         T: Send + 'static,
@@ -200,16 +203,15 @@ impl Machine {
         let board = Arc::new(FailureBoard::new());
 
         // The task table is the run's one wait-for graph and holds every
-        // message not yet received: it schedules the ranks (event) or only
-        // parks and wakes them (threaded), and it proves every deadlock
-        // from quiescence.
+        // message not yet received: it hands the backend's run slots to
+        // the ready ranks, and it proves every deadlock from quiescence.
         let sched = Arc::new(Sched::new(n, self.backend, Arc::clone(&board)));
         // One member list for every rank's world communicator.
         let world: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
         let fctx = FaultCtx {
             faults: self.faults.clone(),
-            retry: self.retry,
+            recover: self.recover,
             recv_deadline: self.recv_deadline,
             board: Arc::clone(&board),
         };
@@ -279,9 +281,8 @@ impl Machine {
         // post-join `Arc::try_unwrap` sees the sole owner.
         drop(fctx);
 
-        // Start the ranks. Event mode also sleeps here until every task has
-        // terminated, so the join loop below never blocks for long.
-        let sched_stats = sched.drive(&handles);
+        // Fill the run slots; the join loop below waits for the ranks.
+        sched.start(&handles);
 
         let mut results = Vec::with_capacity(n);
         let mut reports = Vec::with_capacity(n);
@@ -305,6 +306,7 @@ impl Machine {
                 }),
             }
         }
+        let sched_stats = sched.stats();
         let mail = sched.take_mail();
         // The table holds a board reference too.
         drop(sched);

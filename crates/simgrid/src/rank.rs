@@ -5,7 +5,7 @@ use crate::backend::{Sched, WaitInfo};
 use crate::comm::Comm;
 use crate::faultlab::{
     FailKind, FailureBoard, FaultDecision, FaultPlan, OrderlyAbort, RankFailure, RecvError,
-    RetryPolicy, StallRule,
+    StallRule, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_SECS,
 };
 use crate::payload::Payload;
 use crate::stats::RankReport;
@@ -90,8 +90,8 @@ pub struct Rank {
     /// [`crate::Machine::with_host_profiling`]. `None` means every
     /// [`Rank::host_scope`] is a no-op guard — zero cost on default runs.
     host: Option<Arc<HostProf>>,
-    /// Explicit communication class for subsequent sends
-    /// ([`Rank::set_comm_class`]); overrides tag-based classification, so
+    /// Explicit communication class for sends inside
+    /// [`Rank::with_comm_class`]; overrides tag-based classification, so
     /// panel broadcasts keep their class inside collective internals.
     comm_class: Option<CommClass>,
     /// 3D process-grid shape registered by the topology layer
@@ -99,20 +99,9 @@ pub struct Rank {
     /// ([`Grid3d::axis`]). Without it every edge classifies as
     /// [`GridAxis::Cross`].
     grid: Option<Grid3d>,
-    /// Seeded fault plan, present when the machine runs with
-    /// [`crate::Machine::with_fault_plan`]. `None` costs nothing on the
-    /// send path.
-    faults: Option<Arc<FaultPlan>>,
-    /// Ack/retransmit recovery for droppable sends
-    /// ([`crate::Machine::with_retry`]); `None` means drops are lost.
-    retry: Option<RetryPolicy>,
-    /// Simulated-time receive deadline ([`crate::Machine::with_recv_deadline`]):
-    /// a receive whose matching message arrives later than this many
-    /// simulated seconds after the receiver started waiting fails with
-    /// [`RecvError::Deadline`] instead of silently absorbing the stall.
-    recv_deadline: Option<f64>,
-    /// Machine-wide failure collection (primary vs cascade attribution).
-    board: Arc<FailureBoard>,
+    /// The machine's fault wiring: plan, recovery, receive deadline and
+    /// failure board.
+    fault: FaultCtx,
     /// This rank's stall windows from the plan, sorted by trigger time.
     my_stalls: Vec<StallRule>,
     /// Index of the next unapplied stall window.
@@ -126,9 +115,19 @@ pub struct Rank {
 /// machine.
 #[derive(Clone)]
 pub(crate) struct FaultCtx {
+    /// Seeded fault plan, present when the machine runs with
+    /// [`crate::Machine::with_fault_plan`]. `None` costs nothing on the
+    /// send path.
     pub faults: Option<Arc<FaultPlan>>,
-    pub retry: Option<RetryPolicy>,
+    /// Ack/retransmit recovery for droppable sends
+    /// ([`crate::Machine::with_recovery`]); off means drops are lost.
+    pub recover: bool,
+    /// Simulated-time receive deadline ([`crate::Machine::with_recv_deadline`]):
+    /// a receive whose matching message arrives later than this many
+    /// simulated seconds after the receiver started waiting fails with
+    /// [`RecvError::Deadline`] instead of silently absorbing the stall.
     pub recv_deadline: Option<f64>,
+    /// Machine-wide failure collection (primary vs cascade attribution).
     pub board: Arc<FailureBoard>,
 }
 
@@ -178,10 +177,7 @@ impl Rank {
             host: host_profiling.then(|| Arc::new(HostProf::new(tracing))),
             comm_class: None,
             grid: None,
-            faults: fctx.faults,
-            retry: fctx.retry,
-            recv_deadline: fctx.recv_deadline,
-            board: fctx.board,
+            fault: fctx,
             my_stalls,
             stall_idx: 0,
             sched,
@@ -194,7 +190,7 @@ impl Rank {
     /// here never masks the original cause. Public so solver layers can
     /// surface structured [`FailKind::Solver`] failures.
     pub fn fail(&self, kind: FailKind) -> ! {
-        self.board.record(RankFailure {
+        self.fault.board.record(RankFailure {
             rank: self.world_rank,
             phase: self.phase.to_string(),
             kind,
@@ -426,16 +422,10 @@ impl Rank {
         self.grid = Some(g);
     }
 
-    /// Set the communication class subsequent sends are charged to in the
-    /// wire ledger, or clear it with `None`. An explicit class overrides
+    /// Run `f` with sends charged to `class` in the wire ledger, restoring
+    /// the previous classification on return. An explicit class overrides
     /// tag-based classification (collective-internal vs control), so a
     /// panel broadcast keeps its class while riding a collective.
-    pub fn set_comm_class(&mut self, class: Option<CommClass>) {
-        self.comm_class = class;
-    }
-
-    /// Run `f` with sends classified as `class`, restoring the previous
-    /// classification on return.
     pub fn with_comm_class<T>(&mut self, class: CommClass, f: impl FnOnce(&mut Rank) -> T) -> T {
         let prev = self.comm_class;
         self.comm_class = Some(class);
@@ -472,7 +462,7 @@ impl Rank {
     /// This is the injection point of the fault layer
     /// ([`crate::Machine::with_fault_plan`]): a matching plan may stall the
     /// rank, drop/duplicate/delay the message, or degrade the link. With
-    /// recovery on ([`crate::Machine::with_retry`]) dropped attempts are
+    /// recovery on ([`crate::Machine::with_recovery`]) dropped attempts are
     /// retransmitted after a simulated timeout with exponential backoff —
     /// the receiver sees exactly the fault-free payload sequence, so
     /// results stay bitwise identical and only clocks shift.
@@ -481,11 +471,12 @@ impl Rank {
             self.apply_stalls();
         }
         let dst_world = comm.world_rank_of(dst);
-        let (decision, link) = match &self.faults {
+        let (decision, link) = match &self.fault.faults {
             Some(plan) => {
-                let max_drops = match &self.retry {
-                    Some(r) => r.max_attempts.saturating_sub(1),
-                    None => 1,
+                let max_drops = if self.fault.recover {
+                    RETRY_ATTEMPTS - 1
+                } else {
+                    1
                 };
                 (
                     plan.decide(
@@ -504,53 +495,50 @@ impl Rank {
         if decision.drops > 0 {
             self.metrics
                 .inc("fault.injected.drop", u64::from(decision.drops));
-            match self.retry {
-                Some(retry) => {
-                    // Recovery: each lost attempt costs its transfer charge
-                    // plus the (backed-off) ack timeout, all in simulated
-                    // time; then the loop below sends the attempt that gets
-                    // through. Transport-internal attempts carry no message
-                    // identity — the offline linter pairs sends and
-                    // receives by uid, and these are never received.
-                    let words = payload.words();
-                    let sp = self.span_enter(SpanCat::Fault, "retransmit");
-                    for attempt in 0..decision.drops {
-                        let cost = self.model.xfer_on(words, link);
-                        let wait = retry.timeout * retry.backoff.powi(attempt as i32);
-                        let t0 = self.clock;
-                        self.clock += cost;
-                        self.record(
-                            ActivityKind::Send,
-                            t0,
-                            self.clock,
-                            Some(dst_world),
-                            words,
-                            None,
-                        );
-                        let tw = self.clock;
-                        self.clock += wait;
-                        self.record(ActivityKind::Wait, tw, self.clock, Some(dst_world), 0, None);
-                        self.t_comm += cost + wait;
-                        // Lost attempts are transport overhead, not
-                        // algorithmic volume: they stay out of the traffic
-                        // counters and wire ledger so a recovered run
-                        // reports the same algorithmic volume as a
-                        // fault-free one.
-                        self.metrics.inc("fault.resent_msgs", 1);
-                        self.metrics.inc("fault.resent_words", words);
-                        self.metrics.inc("fault.recovered.retransmit", 1);
-                        self.metrics.observe("fault.retry_wait_secs", wait);
-                    }
-                    self.span_exit(sp);
+            if self.fault.recover {
+                // Recovery: each lost attempt costs its transfer charge
+                // plus the (backed-off) ack timeout, all in simulated
+                // time; then the loop below sends the attempt that gets
+                // through. Transport-internal attempts carry no message
+                // identity — the offline linter pairs sends and
+                // receives by uid, and these are never received.
+                let words = payload.words();
+                let sp = self.span_enter(SpanCat::Fault, "retransmit");
+                for attempt in 0..decision.drops {
+                    let cost = self.model.xfer_on(words, link);
+                    let wait = RETRY_TIMEOUT_SECS * RETRY_BACKOFF.powi(attempt as i32);
+                    let t0 = self.clock;
+                    self.clock += cost;
+                    self.record(
+                        ActivityKind::Send,
+                        t0,
+                        self.clock,
+                        Some(dst_world),
+                        words,
+                        None,
+                    );
+                    let tw = self.clock;
+                    self.clock += wait;
+                    self.record(ActivityKind::Wait, tw, self.clock, Some(dst_world), 0, None);
+                    self.t_comm += cost + wait;
+                    // Lost attempts are transport overhead, not
+                    // algorithmic volume: they stay out of the traffic
+                    // counters and wire ledger so a recovered run
+                    // reports the same algorithmic volume as a
+                    // fault-free one.
+                    self.metrics.inc("fault.resent_msgs", 1);
+                    self.metrics.inc("fault.resent_words", words);
+                    self.metrics.inc("fault.recovered.retransmit", 1);
+                    self.metrics.observe("fault.retry_wait_secs", wait);
                 }
-                None => {
-                    // No recovery: the message vanishes in the network. The
-                    // sender cannot tell, so it pays and records the send
-                    // normally; nothing reaches the destination, whose
-                    // receive deadlocks.
-                    self.send_physical(comm.ctx, dst_world, tag, payload, link, 0.0, true, false);
-                    return;
-                }
+                self.span_exit(sp);
+            } else {
+                // No recovery: the message vanishes in the network. The
+                // sender cannot tell, so it pays and records the send
+                // normally; nothing reaches the destination, whose
+                // receive deadlocks.
+                self.send_physical(comm.ctx, dst_world, tag, payload, link, 0.0, true, false);
+                return;
             }
         }
         if decision.delay > 0.0 {
@@ -575,7 +563,7 @@ impl Rank {
             // transport discards it. Without recovery it is a real
             // protocol-level extra message that the machine's
             // unreceived-message check reports.
-            let protocol = self.retry.is_none();
+            let protocol = !self.fault.recover;
             self.send_physical(
                 comm.ctx,
                 dst_world,
@@ -687,14 +675,12 @@ impl Rank {
             tag,
             phase: Arc::clone(&self.phase),
         };
-        // Under the event backend parked wall time belongs to whoever holds
-        // the baton, not to this rank's host profile.
-        let host = self.host.as_ref().filter(|_| self.sched.cooperative());
-        if let Some(host) = host {
+        // A parked rank holds no run slot: its wall time is not its own.
+        if let Some(host) = &self.host {
             host.pause();
         }
         let got = self.sched.park(self.world_rank, &wait);
-        if let Some(host) = host {
+        if let Some(host) = &self.host {
             host.resume();
         }
         got
@@ -708,7 +694,7 @@ impl Rank {
         // Receiver-side charge: wait until the message is available, then
         // pay the transfer cost.
         let ready = msg.arrival.max(self.clock);
-        if let Some(d) = self.recv_deadline {
+        if let Some(d) = self.fault.recv_deadline {
             let waited = ready - self.clock;
             if waited > d {
                 return Err(RecvError::Deadline {
@@ -836,8 +822,8 @@ impl Rank {
     /// Snapshot the final report (called by the machine after the SPMD
     /// closure returns). Closes any spans left open.
     pub(crate) fn into_report(self, wall_secs: f64) -> RankReport {
-        // A profiled rank's wall is the time it ran: under the event
-        // backend, what it spent parked belongs to the baton holders.
+        // A profiled rank's wall is the time it held a run slot: what it
+        // spent parked belongs to the ranks that ran.
         let wall_secs = match &self.host {
             Some(h) => (wall_secs - h.paused_secs()).max(0.0),
             None => wall_secs,
@@ -923,7 +909,7 @@ mod tests {
     }
 
     /// Rank 0's prologue: take the go (under the event backend this is what
-    /// hands rank 1 the baton), then block until rank 1's thread is gone.
+    /// hands rank 1 the slot), then block until rank 1's thread is gone.
     fn wait_until_peer_is_gone(rank: &mut Rank, gone: &Mutex<Receiver<()>>) {
         let world = rank.world();
         rank.recv(&world, 1, GO);

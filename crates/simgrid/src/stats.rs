@@ -154,7 +154,8 @@ pub fn merged_metrics(reports: &[RankReport]) -> MetricsRegistry {
 /// and the wire ledgers ([`obs::commvol_json`]) — and is bitwise the same on
 /// every host, backend and repetition of one configuration. `host` holds what
 /// the engine and the machine it ran on add: the event scheduler's counters
-/// (`null` under the threaded backend, where the kernel schedules) and the
+/// (`null` with more than one run slot, where the kernel interleaves the
+/// ranks) and the
 /// host-time profile ([`obs::hostprof_json`]; `null` unless the run had host
 /// profiling on). The timeline of a traced run is not a section: it stays a
 /// bare trace-event file, which is what Perfetto and the trace linter read.

@@ -95,7 +95,7 @@ impl Grid3d {
     }
 
     /// Processes per 2D layer.
-    pub fn layer_size(&self) -> usize {
+    fn layer_size(&self) -> usize {
         self.grid2d.size()
     }
 

@@ -125,7 +125,7 @@ fn event_backend_runs_4096_ranks() {
 }
 
 #[test]
-fn host_profiling_under_the_event_backend_charges_only_baton_time() {
+fn host_profiling_under_the_event_backend_charges_only_slot_time() {
     // Rank 1 parks until rank 0 has spun for a while. Its profile must not
     // book the parked wall anywhere: phases sum to its wall, and the two
     // walls together fit inside the machine's.
@@ -244,9 +244,9 @@ fn a_rank_parked_on_one_tag_is_not_resumed_by_sends_of_another() {
 }
 
 #[test]
-fn a_panicking_rank_passes_the_baton_to_the_ranks_it_strands() {
+fn a_panicking_rank_gives_its_slot_to_the_ranks_it_strands() {
     // Ranks 1..8 park on rank 0 (rank 0 waits for the last of them first),
-    // then rank 0 panics. Its unwind must hand the baton on: the machine
+    // then rank 0 panics. Its unwind must give the slot up: the machine
     // goes quiescent with a failure on the board, every stranded wait
     // resolves as a cascade, and the run ends with the panic as primary.
     let err = machine(8, Backend::Event)

@@ -7,7 +7,7 @@
 
 use simgrid::{
     Backend, EdgeFilter, FailKind, FaultAction, FaultPlan, FaultRule, LinkRule, Machine, Payload,
-    RankReport, RecvError, RetryPolicy, StallRule, TimeModel, UnreceivedMsg,
+    RankReport, RecvError, StallRule, TimeModel, UnreceivedMsg,
 };
 use std::cell::RefCell;
 use std::sync::mpsc::{channel, Sender};
@@ -97,7 +97,7 @@ fn same_seed_same_schedule() {
         };
         let m = Machine::new(2, TimeModel::edison_like())
             .with_fault_plan(plan)
-            .with_retry(RetryPolicy::default());
+            .with_recovery();
         ping_run(m, 64)
     };
     let (vals_a, clocks_a, metrics_a) = chaos();
@@ -117,7 +117,7 @@ fn different_seed_different_schedule() {
         let plan = plan_with(seed, EdgeFilter::any(), FaultAction::Drop { p: 0.5 });
         let m = Machine::new(2, TimeModel::zero())
             .with_fault_plan(plan)
-            .with_retry(RetryPolicy::default());
+            .with_recovery();
         ping_run(m, 64).2
     };
     let a = run(1).counter("fault.injected.drop");
@@ -138,7 +138,7 @@ fn recovered_drops_deliver_the_exact_payloads() {
     let plan = plan_with(7, edge_0_to_1(), FaultAction::Drop { p: 1.0 });
     let m = Machine::new(2, TimeModel::edison_like())
         .with_fault_plan(plan)
-        .with_retry(RetryPolicy::default());
+        .with_recovery();
     let (vals, clocks, metrics) = ping_run(m, 8);
     let clean = Machine::new(2, TimeModel::edison_like());
     let (vals_clean, clocks_clean, _) = ping_run(clean, 8);
@@ -237,7 +237,7 @@ fn recovered_dup_is_filtered_before_the_protocol() {
     let plan = plan_with(11, edge_0_to_1(), FaultAction::Dup { p: 1.0 });
     let m = Machine::new(2, TimeModel::zero())
         .with_fault_plan(plan)
-        .with_retry(RetryPolicy::default());
+        .with_recovery();
     let out = m.run(|rank| {
         let world = rank.world();
         rank.set_phase("fact");
@@ -271,7 +271,7 @@ fn fan_in(backend: Backend) -> (simgrid::MetricsRegistry, Vec<String>) {
     let out = Machine::new(4, TimeModel::edison_like())
         .with_backend(backend)
         .with_fault_plan(plan)
-        .with_retry(RetryPolicy::default())
+        .with_recovery()
         .run(|rank| {
             let (world, me) = (rank.world(), rank.id());
             for tag in 0..24 {
@@ -343,7 +343,7 @@ fn sends_to_a_rank_that_already_panicked_fail_nobody() {
                     panic!("boom");
                 }
                 // Under the event backend this hands the previous rank the
-                // baton; then wait until its thread is gone.
+                // slot; then wait until its thread is gone.
                 rank.recv(&world, me - 1, 1);
                 links[me - 1].1.lock().unwrap().recv().unwrap();
                 rank.send(&world, 0, 7, Payload::Empty);

@@ -27,23 +27,9 @@ pub struct Prepared {
 impl Prepared {
     /// Run ordering and symbolic analysis.
     pub fn new(a: Csr, geometry: Geometry, leaf_size: usize, maxsup: usize) -> Prepared {
-        Self::with_amalgamation(a, geometry, leaf_size, maxsup, None)
-    }
-
-    /// Like [`Prepared::new`], with optional relaxed-supernode amalgamation:
-    /// subtrees of at most `amalgamate` columns collapse into single leaf
-    /// supernodes before the symbolic phase (see
-    /// `ordering::SepTree::amalgamate`).
-    pub fn with_amalgamation(
-        a: Csr,
-        geometry: Geometry,
-        leaf_size: usize,
-        maxsup: usize,
-        amalgamate: Option<usize>,
-    ) -> Prepared {
         // The graph lives only as long as the ordering needs it: the
         // permuted matrix and the symbolic analysis below reuse its memory.
-        let mut tree = nested_dissection(
+        let tree = nested_dissection(
             &Graph::from_matrix(&a),
             NdOptions {
                 leaf_size,
@@ -51,9 +37,6 @@ impl Prepared {
                 ..Default::default()
             },
         );
-        if let Some(bound) = amalgamate {
-            tree = tree.amalgamate(bound);
-        }
         let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
         let sym = Symbolic::analyze(&pa, &tree, maxsup);
         Prepared {

@@ -331,41 +331,6 @@ pub fn grid2d_lshape(k: usize, unsym: f64, seed: u64) -> Csr {
     coo.to_csr()
 }
 
-/// Anisotropic 2D 5-point operator: `-eps * u_xx - u_yy` discretized on an
-/// `nx x ny` grid. Strong anisotropy (`eps << 1`) makes the x-direction
-/// coupling weak, which stresses orderings: cutting across the strong
-/// (y) direction is much cheaper than the geometric median plane. A
-/// standard hard case for partitioners.
-pub fn grid2d_aniso(nx: usize, ny: usize, eps: f64, seed: u64) -> Csr {
-    assert!(eps > 0.0);
-    let n = nx * ny;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(n, n);
-    coo.reserve(5 * n);
-    for y in 0..ny {
-        for x in 0..nx {
-            let v = idx2d(nx, x, y);
-            coo.push(v, v, 2.0 * eps + 2.0 + 0.01);
-            let mut link = |u: usize, w: f64, rng: &mut StdRng| {
-                coo.push(v, u, unsym_val(rng, -w, 0.0));
-            };
-            if x > 0 {
-                link(idx2d(nx, x - 1, y), eps, &mut rng);
-            }
-            if x + 1 < nx {
-                link(idx2d(nx, x + 1, y), eps, &mut rng);
-            }
-            if y > 0 {
-                link(idx2d(nx, x, y - 1), 1.0, &mut rng);
-            }
-            if y + 1 < ny {
-                link(idx2d(nx, x, y + 1), 1.0, &mut rng);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// Shifted (Helmholtz-like) 2D operator: the 5-point Laplacian minus
 /// `shift * I`. For shifts inside the spectrum the matrix is symmetric
 /// *indefinite* — small or negative pivots appear under static pivoting,
@@ -525,16 +490,6 @@ mod tests {
         assert!(a.is_pattern_symmetric());
         // Lower-right block diagonal is the regularization.
         assert_eq!(a.get(20, 20), -1e-2);
-    }
-
-    #[test]
-    fn aniso_has_weak_and_strong_couplings() {
-        let a = grid2d_aniso(6, 6, 1e-3, 0);
-        assert!(a.is_pattern_symmetric());
-        let v = idx2d(6, 2, 2);
-        // x-neighbours weakly coupled, y-neighbours strongly.
-        assert!((a.get(v, idx2d(6, 1, 2)) + 1e-3).abs() < 1e-12);
-        assert!((a.get(v, idx2d(6, 2, 1)) + 1.0).abs() < 1e-12);
     }
 
     #[test]

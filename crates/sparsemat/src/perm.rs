@@ -73,22 +73,6 @@ impl Perm {
             .collect();
         Perm::from_old_order(order)
     }
-
-    /// Permute a data vector from old numbering into new numbering.
-    pub fn apply_vec<T: Clone>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.len());
-        self.old_of_new.iter().map(|&old| x[old].clone()).collect()
-    }
-
-    /// Undo: take a vector in new numbering back to old numbering.
-    pub fn unapply_vec<T: Clone + Default>(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.len());
-        let mut out = vec![T::default(); x.len()];
-        for (new, &old) in self.old_of_new.iter().enumerate() {
-            out[old] = x[new].clone();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -104,15 +88,6 @@ mod tests {
         for old in 0..4 {
             assert_eq!(p.old_of(p.new_of(old)), old);
         }
-    }
-
-    #[test]
-    fn apply_and_unapply_are_inverse() {
-        let p = Perm::from_old_order(vec![2, 0, 3, 1]);
-        let x = vec![10, 20, 30, 40];
-        let y = p.apply_vec(&x);
-        assert_eq!(y, vec![30, 10, 40, 20]);
-        assert_eq!(p.unapply_vec(&y), x);
     }
 
     #[test]

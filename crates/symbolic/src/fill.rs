@@ -231,19 +231,6 @@ impl BlockFill {
             cols: Roster::deal(&self.blocks_into, pc),
         }
     }
-
-    /// True if `anc` is an ancestor of `s` (or equal) in the supernodal
-    /// elimination tree.
-    pub fn is_ancestor(&self, s: usize, anc: usize) -> bool {
-        let mut cur = Some(s);
-        while let Some(c) = cur {
-            if c == anc {
-                return true;
-            }
-            cur = self.parent[c];
-        }
-        false
-    }
 }
 
 /// Who takes part in supernode `k`'s panel step (§II-E), by process row and
@@ -658,18 +645,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ancestor_query() {
-        let a = grid2d_5pt(8, 8, 0.0, 0);
-        let (fill, _, _) = analyze(&a, Geometry::Grid2d { nx: 8, ny: 8 }, 4, 4);
-        let nsup = fill.parent.len();
-        // Everything reaches the last supernode on a connected matrix.
-        for s in 0..nsup {
-            assert!(fill.is_ancestor(s, nsup - 1));
-        }
-        assert!(!fill.is_ancestor(nsup - 1, 0));
     }
 
     /// What the window may and may not do: every node gets one panel and

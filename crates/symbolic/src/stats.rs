@@ -51,12 +51,6 @@ impl SnCost {
             panel_rows,
         }
     }
-
-    /// Total flops of the factorization of a subtree given by the supernode
-    /// list `sns`.
-    pub fn flops_of(&self, sns: &[usize]) -> u64 {
-        sns.iter().map(|&s| self.flops[s]).sum()
-    }
 }
 
 /// Whole-factorization summary.
@@ -157,16 +151,5 @@ mod tests {
             top as f64 > 0.3 * total as f64,
             "top levels hold {top} of {total}"
         );
-    }
-
-    #[test]
-    fn flops_of_sums_subsets() {
-        let (cost, stats) = costs_for(
-            &grid2d_5pt(12, 12, 0.0, 0),
-            Geometry::Grid2d { nx: 12, ny: 12 },
-        );
-        let all: Vec<usize> = (0..cost.flops.len()).collect();
-        assert_eq!(cost.flops_of(&all), stats.total_flops);
-        assert_eq!(cost.flops_of(&[]), 0);
     }
 }

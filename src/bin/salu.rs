@@ -72,7 +72,7 @@ fn usage() -> ! {
          \x20                    ledgers and the wire ledgers, bitwise the same\n\
          \x20                    on every host and backend — and host.{{sched,\n\
          \x20                    hostprof}} — the event scheduler's counters\n\
-         \x20                    (null under 'threaded') and the host-time\n\
+         \x20                    (null under 'threaded' on P > 1) and the host-time\n\
          \x20                    profile, which this flag turns on; with\n\
          \x20                    --plan-check also the static plan, as 'plan'\n\
          \x20                    (see docs/observability.md)\n\
@@ -90,9 +90,9 @@ fn usage() -> ! {
          \x20                    the Section IV cost models (runs a 2D baseline)\n\
          \x20                    and write the pass/fail report as JSON;\n\
          \x20                    '-' = stdout. Exit 1 on failure.\n\
-         \x20 --backend B        execution backend: 'threaded' (default; one OS\n\
-         \x20                    thread per rank) or 'event' (cooperative\n\
-         \x20                    discrete-event scheduler — runs paper-scale\n\
+         \x20 --backend B        execution backend: 'threaded' (default; every\n\
+         \x20                    rank may run at once) or 'event' (one rank\n\
+         \x20                    runs at a time — runs paper-scale\n\
          \x20                    grids like 64x64x1 = 4096 ranks in one\n\
          \x20                    process). Factor digests, makespans, and all\n\
          \x20                    ledgers are bitwise identical either way (see\n\
@@ -324,7 +324,7 @@ fn main() {
         host_profiling: args.run_out.is_some() || args.report,
         backend: args.backend,
         fault_plan: fault_plan.clone(),
-        retry: (fault_plan.is_some() && !args.no_recover).then(RetryPolicy::default),
+        recover: fault_plan.is_some() && !args.no_recover,
         recv_deadline: args.recv_deadline,
         ..Default::default()
     };
@@ -411,7 +411,7 @@ fn main() {
             // never values. Factor fault-free and compare digests.
             let ref_cfg = SolverConfig {
                 fault_plan: None,
-                retry: None,
+                recover: false,
                 recv_deadline: None,
                 tracing: false,
                 ..cfg.clone()

@@ -66,7 +66,7 @@ pub mod prelude {
         SolverConfig, SolverError,
     };
     pub use lu3d::EtreeForest;
-    pub use simgrid::{Backend, FaultPlan, Machine, RetryPolicy, TimeModel};
+    pub use simgrid::{Backend, FaultPlan, Machine, TimeModel};
     pub use slu2d::driver::Prepared;
     pub use slu2d::factor2d::FactorOpts;
     pub use sparsemat::testmats::{test_matrix, test_suite, Geometry, MatrixClass, Scale};

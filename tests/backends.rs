@@ -15,7 +15,7 @@ use commplan::{build_plan, check_plan, compare_with_measured};
 use lu3d::solver::{try_factor_only, SolverConfig};
 use lu3d::EtreeForest;
 use salu::prelude::*;
-use salu::simgrid::{run_document, Grid3d};
+use salu::simgrid::{run_document, Grid3d, SchedStats};
 use sparsemat::matgen;
 use sparsemat::Csr;
 
@@ -133,7 +133,7 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
         fault_plan: case
             .fault_spec
             .map(|s| FaultPlan::parse(s, 7).expect("fault spec parses")),
-        retry: case.fault_spec.map(|_| RetryPolicy::default()),
+        recover: case.fault_spec.is_some(),
         ..Default::default()
     }
 }
@@ -232,32 +232,35 @@ fn plan_check_accepts_both_backends_ledgers() {
     }
 }
 
+/// One fixed P = 16 program: KKT factored on 2x2x4, solved, and refined
+/// once.
+fn p16_run(backend: Backend) -> Output3d {
+    let a = matgen::kkt_3d(4, 4, 4, 1e-2, 1);
+    let b: Vec<f64> = (0..a.nrows).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+    let prep = Prepared::new(a, Geometry::General, 16, 24);
+    let cfg = SolverConfig {
+        pr: 2,
+        pc: 2,
+        pz: 4,
+        refine_steps: 1,
+        model: TimeModel::edison_like(),
+        backend,
+        ..Default::default()
+    };
+    try_factor_and_solve(&prep, &cfg, Some(b))
+        .unwrap_or_else(|e| panic!("{backend} run failed: {e}"))
+}
+
 /// P = 16 with the solve and a refinement sweep on top: the solution is
 /// bitwise backend-independent too, and the event run's scheduler counters
 /// are a deterministic function of the rank programs (absent under the
 /// threaded backend, where the kernel schedules).
 #[test]
 fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
-    let a = matgen::kkt_3d(4, 4, 4, 1e-2, 1);
-    let b: Vec<f64> = (0..a.nrows).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-    let prep = Prepared::new(a, Geometry::General, 16, 24);
-    let run = |backend| {
-        let cfg = SolverConfig {
-            pr: 2,
-            pc: 2,
-            pz: 4,
-            refine_steps: 1,
-            model: TimeModel::edison_like(),
-            backend,
-            ..Default::default()
-        };
-        try_factor_and_solve(&prep, &cfg, Some(b.clone()))
-            .unwrap_or_else(|e| panic!("{backend} run failed: {e}"))
-    };
     let (threaded, event, again) = (
-        run(Backend::Threaded),
-        run(Backend::Event),
-        run(Backend::Event),
+        p16_run(Backend::Threaded),
+        p16_run(Backend::Event),
+        p16_run(Backend::Event),
     );
     let bits = |o: &Output3d| -> Vec<u64> {
         let x = o.x.as_ref().expect("solution");
@@ -274,6 +277,23 @@ fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
     // quiescence wake-all — and a healthy run never goes quiescent.
     assert_eq!(s.quiescence_resolutions, 0);
     assert_eq!(s.steps, 16 + s.wakeups);
+}
+
+/// The one-slot dispatch order, pinned: the event backend's counters on
+/// the program above are literals. Ranks taking the slot in another order
+/// move them, so a change to the dispatch rule cannot pass silently.
+#[test]
+fn event_scheduler_counters_are_pinned() {
+    let sched = p16_run(Backend::Event).sched;
+    assert_eq!(
+        sched,
+        Some(SchedStats {
+            steps: 153,
+            wakeups: 137,
+            unmatched_sends: 37,
+            quiescence_resolutions: 0,
+        })
+    );
 }
 
 /// Paper-scale smoke: a 64x64x1 process grid — P = 4096 ranks — factored

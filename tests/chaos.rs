@@ -35,7 +35,7 @@ fn chaos_cfg(recover: bool, backend: Backend) -> SolverConfig {
         model: TimeModel::edison_like(),
         backend,
         fault_plan: Some(FaultPlan::parse(CHAOS_SPEC, CHAOS_SEED).expect("spec parses")),
-        retry: recover.then(RetryPolicy::default),
+        recover,
         ..Default::default()
     }
 }

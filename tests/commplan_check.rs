@@ -46,7 +46,7 @@ fn check_case(case: Case) -> commplan::CommPlan {
         pz,
         lookahead,
         fault_plan: fault_spec.map(|s| simgrid::FaultPlan::parse(s, 7).expect("fault spec")),
-        retry: fault_spec.map(|_| simgrid::RetryPolicy::default()),
+        recover: fault_spec.is_some(),
         // Retransmissions would show in a trace; the plan has none.
         tracing: fault_spec.is_none(),
         ..Default::default()

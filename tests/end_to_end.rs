@@ -139,36 +139,6 @@ fn rectangular_layers_and_odd_shapes() {
 }
 
 #[test]
-fn amalgamated_trees_still_solve() {
-    // Relaxed-supernode amalgamation merges small subtrees; the factor and
-    // solve must be unaffected numerically while using fewer supernodes.
-    let tm = test_matrix("k2d5pt", Scale::Tiny);
-    let a = &tm.matrix;
-    let b: Vec<f64> = (0..a.nrows).map(|i| (i as f64 * 0.7).sin()).collect();
-    let plain = Prepared::new(a.clone(), tm.geometry, 8, 16);
-    let merged = Prepared::with_amalgamation(a.clone(), tm.geometry, 8, 16, Some(24));
-    assert!(
-        merged.sym.nsup() < plain.sym.nsup(),
-        "amalgamation must reduce supernode count"
-    );
-    for prep in [&plain, &merged] {
-        let out = factor_and_solve(
-            prep,
-            &SolverConfig {
-                pr: 2,
-                pc: 1,
-                pz: 2,
-                model: TimeModel::zero(),
-                ..Default::default()
-            },
-            Some(b.clone()),
-        );
-        let x = out.x.unwrap();
-        assert!(prep.a.residual_inf(&x, &b) < 1e-8);
-    }
-}
-
-#[test]
 fn dense_matrix_through_the_sparse_stack() {
     // Degenerate corner: a fully dense matrix. Nested dissection cannot
     // find separators (the graph is a clique), the "tree" collapses, and

@@ -95,7 +95,7 @@ fn profiling_never_perturbs_the_factors() {
 #[test]
 fn the_contract_holds_under_the_event_backend() {
     // One rank runs at a time, so a rank's wall is the time it held the
-    // baton: the phases still partition it, the walls of all 16 ranks fit
+    // one slot: the phases still partition it, the walls of all 16 ranks fit
     // inside the machine's, and the simulation cannot tell it was profiled.
     let nx = 24;
     let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
@@ -134,7 +134,7 @@ fn the_contract_holds_under_the_event_backend() {
     let wall_sum: f64 = reports.iter().map(|r| r.wall_secs).sum();
     assert!(
         wall_sum <= machine_wall,
-        "ranks held the baton for {wall_sum} s of a {machine_wall} s run"
+        "ranks held the slot for {wall_sum} s of a {machine_wall} s run"
     );
 
     assert_eq!(profiled.factor_digest, plain.factor_digest);
