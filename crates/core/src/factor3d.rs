@@ -43,7 +43,7 @@ pub struct Outcome3d {
 /// instead of poisoning a channel or summing a short message — the caller
 /// fails the rank with it (`rank.fail`), keeping machine-level failure
 /// attribution intact.
-pub fn factor_3d(
+pub async fn factor_3d(
     rank: &mut Rank,
     grid3: &Grid3d,
     comms: &GridComms,
@@ -91,8 +91,9 @@ pub fn factor_3d(
         // and per-supernode node spans nest underneath it.
         let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
-        let fo =
-            factor_nodes(rank, &env, store, sym, &level.nodes, &level.order).map_err(|mut e| {
+        let fo = factor_nodes(rank, &env, store, sym, &level.nodes, &level.order)
+            .await
+            .map_err(|mut e| {
                 if let FailKind::Solver { level, .. } = &mut e {
                     *level = Some(lvl);
                 }
@@ -102,7 +103,7 @@ pub fn factor_3d(
         outcome.lookahead_hits += fo.lookahead_hits;
         if let Some(reduction) = &level.reduction {
             rank.set_phase("reduce");
-            reduce_ancestors(rank, &env, comms, store, sym, program, reduction)?;
+            reduce_ancestors(rank, &env, comms, store, sym, program, reduction).await?;
         }
         rank.span_exit(lvl_span);
     }
@@ -115,7 +116,7 @@ pub fn factor_3d(
 /// block lists off the same rule ([`FactorProgram::reduction_blocks`]), so
 /// no negotiation traffic is needed, and each side checks the other
 /// against it.
-fn reduce_ancestors(
+async fn reduce_ancestors(
     rank: &mut Rank,
     env: &FactorEnv,
     comms: &GridComms,
@@ -151,9 +152,10 @@ fn reduce_ancestors(
                 .map(|(_, m)| (m.rows() * m.cols()) as u64 * 8)
                 .sum();
             let payload = pack_blocks(&items);
-            rank.with_comm_class(simgrid::CommClass::ZReduction, |rank| {
+            rank.with_comm_class(simgrid::CommClass::ZReduction, async |rank| {
                 rank.send(&comms.zline, peer_z, tag, payload)
-            });
+            })
+            .await;
             // This grid retires after sending: its replica of ancestor
             // `s` is dead, so release the bytes charged at store build
             // (class AncestorReplica, level `l_a`).
@@ -161,6 +163,7 @@ fn reduce_ancestors(
         } else {
             let payload = rank
                 .recv_checked(&comms.zline, peer_z, tag)
+                .await
                 .map_err(|e| fail(format!("z-line reduction recv from z={peer_z} failed: {e}")))?;
             let expected: Vec<_> = blocks
                 .iter()
@@ -245,7 +248,7 @@ mod tests {
                 Arc::clone(&program),
             );
             let failure = machine
-                .try_run(move |rank| {
+                .try_run_tasks(async move |rank| {
                     let comms = build_grid_comms(rank, &grid3);
                     let (my_r, my_c, my_z) = comms.coords;
                     let mut store = BlockStore::build_with_value_pred(
@@ -262,6 +265,7 @@ mod tests {
                     }
                     let opts = FactorOpts::default();
                     factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts)
+                        .await
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
                 .expect_err("the reduction cannot complete");

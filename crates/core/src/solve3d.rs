@@ -270,14 +270,14 @@ impl Routes {
 /// receive each peer's into `x`, which must hold both. `world` must be the
 /// world communicator. A message that cannot be received, or whose length is
 /// not its segments', is a structured failure of `phase`.
-pub(crate) fn exchange(
+pub(crate) async fn exchange(
     rank: &mut Rank,
     world: &Comm,
     part: &SnPartition,
     routes: &Routes,
     tag: u64,
     phase: &str,
-    x: &mut SegVec,
+    x: &mut SegVec<'_>,
 ) -> Result<(), FailKind> {
     let me = rank.id();
     for (peer, nodes) in routes.sends(me) {
@@ -292,6 +292,7 @@ pub(crate) fn exchange(
         };
         let data = rank
             .recv_checked(world, *peer, tag)
+            .await
             .map_err(|e| fail(format!("recv failed: {e}")))?
             .try_into_f64s()
             .map_err(|e| fail(e.to_string()))?;
@@ -409,7 +410,7 @@ fn at_level(kind: FailKind, lvl: usize) -> FailKind {
 /// [`FailKind::Solver`] naming the sweep and forest level, for the caller to
 /// fail the rank with.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_3d<'p>(
+pub async fn solve_3d<'p>(
     rank: &mut Rank,
     grid3: &Grid3d,
     comms: &GridComms,
@@ -417,7 +418,7 @@ pub fn solve_3d<'p>(
     sym: &Symbolic,
     plan: &'p SolvePlan,
     opts: FactorOpts,
-    b: &SegVec,
+    b: &SegVec<'_>,
 ) -> Result<SegVec<'p>, FailKind> {
     let l = plan.l();
     let (my_r, my_c, my_z) = comms.coords;
@@ -441,6 +442,7 @@ pub fn solve_3d<'p>(
         let step = 1usize << (l - lvl);
         let sweep_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("fwd{lvl}"));
         forward_nodes(rank, &env, store, sym, &plan.layout, sweep, b, &mut st)
+            .await
             .map_err(|e| at_level(e, lvl))?;
         // Pairwise accumulator reduction over the shared ancestor levels:
         // the segments this rank can hold nonzero, if any.
@@ -451,6 +453,7 @@ pub fn solve_3d<'p>(
             let fwd_err = |detail: String| zline_failure("solve-fwd", lvl, None, detail);
             let data = rank
                 .recv_checked(&comms.zline, src_z, tag)
+                .await
                 .map_err(|e| fwd_err(format!("accumulator recv from z={src_z} failed: {e}")))?
                 .try_into_f64s()
                 .map_err(|e| fwd_err(format!("accumulator reduction from z={src_z}: {e}")))?;
@@ -488,6 +491,7 @@ pub fn solve_3d<'p>(
             let dest_z = my_z - step;
             let packed = rank
                 .recv_checked(&comms.zline, dest_z, T_X_DOWN | lvl as u64)
+                .await
                 .map_err(|e| bwd_err(None, format!("ancestor-x recv from z={dest_z} failed: {e}")))?
                 .try_into_packed()
                 .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
@@ -505,6 +509,7 @@ pub fn solve_3d<'p>(
             &mut st,
             &mut x_out,
         )
+        .await
         .map_err(|e| at_level(e, lvl))?;
 
         // Hand the now-known chain solutions the grid born at the next level

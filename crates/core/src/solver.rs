@@ -398,20 +398,20 @@ pub fn try_factor_and_solve(
 /// its own segments. At the end world rank 0 gathers every owner's segments.
 /// Returns this rank's x and, on world rank 0 only, the whole solution: the
 /// one vector of length n besides the shared `b`.
-fn solve_and_refine<'p>(
+async fn solve_and_refine<'p>(
     rank: &mut simgrid::Rank,
     plan: &'p SolvePlan,
     pa: &sparsemat::Csr,
     part: &symbolic::SnPartition,
     b: &[f64],
     refine_steps: usize,
-    mut solve_once: impl FnMut(&mut simgrid::Rank, &SegVec) -> SegVec<'p>,
+    mut solve_once: impl AsyncFnMut(&mut simgrid::Rank, &SegVec<'_>) -> SegVec<'p>,
 ) -> (SegVec<'p>, Option<Vec<f64>>) {
     let world = rank.world();
     let me = rank.id();
     let mine = plan.owned(me);
     let b = SegVec::from_full(mine, part, b);
-    let mut x = solve_once(rank, &b);
+    let mut x = solve_once(rank, &b).await;
     if refine_steps > 0 {
         x = x.widened(plan.with_halo(me));
     }
@@ -420,6 +420,7 @@ fn solve_and_refine<'p>(
             let _host = rank.host_scope(simgrid::HostPhase::Refine);
             let tag = T_X_HALO | step as u64;
             exchange(rank, &world, part, plan.halo(), tag, "refine", &mut x)
+                .await
                 .unwrap_or_else(|kind| rank.fail(kind));
             let mut r = SegVec::zeros(mine);
             let mut nnz = 0;
@@ -444,7 +445,7 @@ fn solve_and_refine<'p>(
             rank.advance_compute(2 * nnz as u64);
             r
         };
-        let dx = solve_once(rank, &r);
+        let dx = solve_once(rank, &r).await;
         let _host = rank.host_scope(simgrid::HostPhase::Refine);
         for &k in mine.nodes() {
             for (xi, di) in x.seg_mut(k).iter_mut().zip(dx.seg(k)) {
@@ -453,17 +454,18 @@ fn solve_and_refine<'p>(
         }
     }
     let _host = rank.host_scope(simgrid::HostPhase::Refine);
-    let gather = |rank: &mut simgrid::Rank, x: &mut SegVec| {
-        exchange(rank, &world, part, plan.gather(), T_X_GATHER, "gather", x)
-            .unwrap_or_else(|kind| rank.fail(kind))
-    };
+    let gather = plan.gather();
     if me != 0 {
-        gather(rank, &mut x);
+        exchange(rank, &world, part, gather, T_X_GATHER, "gather", &mut x)
+            .await
+            .unwrap_or_else(|kind| rank.fail(kind));
         return (x, None);
     }
     let everything = Segments::new(part, (0..part.nsup()).collect());
     let mut whole = x.widened(&everything);
-    gather(rank, &mut whole);
+    exchange(rank, &world, part, gather, T_X_GATHER, "gather", &mut whole)
+        .await
+        .unwrap_or_else(|kind| rank.fail(kind));
     (x, Some(whole.into_vec()))
 }
 
@@ -536,7 +538,7 @@ fn try_run(
     };
     let cfg_refine = cfg.refine_steps;
 
-    let out = machine.try_run(move |rank| {
+    let out = machine.try_run_tasks(async move |rank| {
         let comms = build_grid_comms(rank, &grid3);
         let (my_r, my_c, my_z) = comms.coords;
 
@@ -557,7 +559,8 @@ fn try_run(
         // A structured stage failure ends this rank in an orderly way: the
         // machine's failure board attributes the run to it (not to the
         // ranks that cascade), and `try_run` surfaces it as the error.
-        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts) {
+        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts).await
+        {
             Ok(o) => o,
             Err(kind) => rank.fail(kind),
         };
@@ -567,14 +570,18 @@ fn try_run(
             store_digest(&store)
         };
 
-        let x_full = rhs_p.as_ref().zip(plan.as_ref()).and_then(|(b, plan)| {
+        let mut x_full = None;
+        if let Some((b, plan)) = rhs_p.as_ref().zip(plan.as_ref()) {
             rank.set_phase("solve");
-            let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
+            let solve_once = async |rank: &mut simgrid::Rank, rhs: &SegVec<'_>| {
                 solve_3d(rank, &grid3, &comms, &store, &sym, plan, opts, rhs)
+                    .await
                     .unwrap_or_else(|kind| rank.fail(kind))
             };
-            solve_and_refine(rank, plan, &pa, &sym.part, b, cfg_refine, solve_once).1
-        });
+            x_full = solve_and_refine(rank, plan, &pa, &sym.part, b, cfg_refine, solve_once)
+                .await
+                .1;
+        }
         (
             outcome.perturbations,
             outcome.lookahead_hits,
@@ -991,7 +998,7 @@ mod tests {
                 let (pa, shared, b_p) = (Arc::clone(&prep.pa), Arc::clone(&sym), Arc::clone(&b_p));
                 let (program, plan, layout) =
                     (Arc::clone(&program), Arc::clone(&plan), Arc::clone(&layout));
-                let out = machine.run(move |rank| {
+                let out = machine.run_tasks(async move |rank| {
                     let sym = &shared;
                     let comms = build_grid_comms(rank, &grid3);
                     let (my_r, my_c, my_z) = comms.coords;
@@ -1009,12 +1016,16 @@ mod tests {
                         ..FactorOpts::default()
                     };
                     factor_3d(rank, &grid3, &comms, &mut store, sym, &program, opts)
+                        .await
                         .expect("the factorization completes");
-                    let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
+                    let solve_once = async |rank: &mut simgrid::Rank, rhs: &SegVec<'_>| {
                         solve_3d(rank, &grid3, &comms, &store, sym, &plan, opts, rhs)
+                            .await
                             .expect("the solve completes")
                     };
-                    let x = solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, 0, solve_once).1;
+                    let x = solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, 0, solve_once)
+                        .await
+                        .1;
                     // The blocks of the supernodes this layer factored are
                     // final; its other copies were reduced away.
                     let fin: Vec<_> = store
@@ -1557,13 +1568,13 @@ mod tests {
         for backend in [Backend::Threaded, Backend::Event] {
             let m = Machine::new(2, TimeModel::zero()).with_backend(backend);
             let mf = m
-                .try_run(|rank| {
+                .try_run_tasks(async |rank| {
                     let world = rank.world();
                     if rank.id() == 0 {
                         rank.send(&world, 1, 7, simgrid::Payload::F64s(vec![1.0, 2.0]));
                         rank.send(&world, 1, 8, simgrid::Payload::F64s(vec![3.0; 5]));
                     } else {
-                        let _ = rank.recv(&world, 0, 7);
+                        let _ = rank.recv(&world, 0, 7).await;
                     }
                 })
                 .expect_err("an unreceived message is a failure");
@@ -1649,7 +1660,7 @@ mod tests {
                     let (pa, sym, b_p) = (Arc::clone(&prep.pa), Arc::clone(&sym), Arc::clone(&b_p));
                     let (program, plan, layout) =
                         (Arc::clone(&program), Arc::clone(&plan), Arc::clone(&layout));
-                    let out = machine.run(move |rank| -> Share {
+                    let out = machine.run_tasks(async move |rank| -> Share {
                         let comms = build_grid_comms(rank, &grid3);
                         let (my_r, my_c, my_z) = comms.coords;
                         let mut store = BlockStore::from_layout(
@@ -1663,16 +1674,19 @@ mod tests {
                         );
                         let opts = FactorOpts::default();
                         factor_3d(rank, &grid3, &comms, &mut store, &sym, &program, opts)
+                            .await
                             .expect("the factorization completes");
                         let mut solved = Vec::new();
-                        let solve_once = |rank: &mut simgrid::Rank, rhs: &SegVec| {
+                        let solve_once = async |rank: &mut simgrid::Rank, rhs: &SegVec<'_>| {
                             let x = solve_3d(rank, &grid3, &comms, &store, &sym, &plan, opts, rhs)
+                                .await
                                 .expect("the solve completes");
                             solved.push(x.index().nodes().to_vec());
                             x
                         };
                         let (x, whole) =
-                            solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, refine, solve_once);
+                            solve_and_refine(rank, &plan, &pa, &sym.part, &b_p, refine, solve_once)
+                                .await;
                         let mine = plan.owned(rank.id()).nodes();
                         let bits = x.gather(mine).iter().map(|v| v.to_bits()).collect();
                         (solved, x.index().nodes().to_vec(), x.words(), bits, whole)

@@ -1,12 +1,19 @@
 //! Per-thread floating-point operation accounting.
 //!
-//! Each simulated MPI rank runs on its own thread, so a thread-local counter
-//! gives exact per-rank flop totals with zero synchronization cost. The
-//! simulated machine converts these totals into compute time via its
+//! Every dense kernel adds its flops to a thread-local counter, with zero
+//! synchronization cost. A simulated rank reads the counter around its own
+//! kernel calls and charges the difference to its clock via the machine's
 //! flop-rate constant, which is how the `T_scu` component of the paper's
 //! Fig. 9 is charged.
+//!
+//! A difference is this rank's only while no other rank runs on the thread
+//! in between. Rank tasks share one thread under the one-slot executor and
+//! switch only where a rank awaits a receive: a span that awaits measures
+//! its flops with a [`Meter`], which counts only the segments between its
+//! awaits.
 
 use std::cell::Cell;
+use std::future::Future;
 
 thread_local! {
     static FLOPS: Cell<u64> = const { Cell::new(0) };
@@ -50,6 +57,39 @@ pub fn skipped() -> u64 {
 /// value.
 pub fn reset_skipped() -> u64 {
     SKIPPED.with(|f| f.replace(0))
+}
+
+/// The calling thread's flops over the segments of one span that run
+/// between its awaits: the other tasks polled on the thread while this one
+/// waits add to the counter, never to the meter.
+#[derive(Debug)]
+pub struct Meter {
+    total: u64,
+    since: u64,
+}
+
+impl Meter {
+    /// Start metering at the counter's current value.
+    pub fn start() -> Meter {
+        Meter {
+            total: 0,
+            since: get(),
+        }
+    }
+
+    /// Await `fut` unmetered: the segment so far is counted, and metering
+    /// restarts once `fut` is done.
+    pub async fn excluding<F: Future>(&mut self, fut: F) -> F::Output {
+        self.total += get() - self.since;
+        let out = fut.await;
+        self.since = get();
+        out
+    }
+
+    /// The flops of every metered segment, the current one included.
+    pub fn total(&self) -> u64 {
+        self.total + (get() - self.since)
+    }
 }
 
 /// Flops for an `m x n x k` GEMM update (`C += A*B`): `2 m n k`.
@@ -114,6 +154,22 @@ mod tests {
         assert_eq!(reset_skipped(), 6);
         assert_eq!(get(), 8, "resetting skipped must not touch charged flops");
         reset();
+    }
+
+    #[test]
+    fn a_meter_counts_only_its_own_segments() {
+        let mut meter = Meter::start();
+        add(5);
+        let other = async {
+            // Another task's kernel, run while the metered one waits.
+            add(1000);
+            3
+        };
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let waited = std::pin::pin!(meter.excluding(other)).poll(&mut cx);
+        assert_eq!(waited, std::task::Poll::Ready(3));
+        add(7);
+        assert_eq!(meter.total(), 12);
     }
 
     #[test]

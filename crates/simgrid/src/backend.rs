@@ -1,25 +1,29 @@
 //! Execution backends: how many simulated ranks may run at once.
 //!
-//! The machine's SPMD contract — `f(&mut Rank)` per rank, blocking
-//! receives, deterministic results — admits more than one execution
-//! strategy. Every rank is a task on its own (mostly parked) OS thread, and
-//! one table ([`Sched`]) hands out *run slots*: a rank runs only while it
-//! holds one. [`Backend`] names the two slot counts [`Machine::try_run`]
-//! offers:
+//! The machine's SPMD contract — one program per rank, receives that wait
+//! for their message, deterministic results — admits more than one
+//! execution strategy. Every rank is a task, and one table ([`Sched`])
+//! hands out *run slots*: a rank runs only while it holds one. [`Backend`]
+//! names the two slot counts a [`Machine`] offers:
 //!
-//! - [`Backend::Threaded`]: one slot per rank. Every runnable rank runs at
-//!   once and the kernel interleaves them. Real host parallelism.
+//! - [`Backend::Threaded`]: one slot per rank. Every rank task is polled on
+//!   its own OS thread, every runnable rank runs at once and the kernel
+//!   interleaves them. Real host parallelism.
 //! - [`Backend::Event`]: one slot. Exactly one rank runs at any instant,
-//!   and the ready ranks take the slot in FIFO order. This is what makes
-//!   paper-scale grids — `P = 64×64 = 4096` ranks — run in one process:
-//!   4096 parked tasks cost virtual address space, not CPU.
+//!   and the ready ranks take the slot in FIFO order. Under
+//!   [`Machine::try_run_tasks`] the calling thread polls every rank's
+//!   program itself, a resume is a function call, and no OS thread is
+//!   spawned: this is what makes paper-scale grids — `P = 64×64 = 4096`
+//!   ranks — run in one process.
 //!
-//! The table records every rank task as ready, running, blocked in a
-//! receive (on what), or done, and holds every message no receive has
-//! matched yet. A blocking receive that finds no match publishes its wait
-//! there, gives its slot up and parks its thread; a send queues its message
-//! there and makes its destination ready only if the message is the one the
-//! destination is parked on. When a park or an exit leaves no rank
+//! A rank program's only await point is a receive. The table records every
+//! rank task as ready, running, blocked in a receive (on what), or done, and
+//! holds every message no receive has matched yet. A receive that finds no
+//! match publishes its wait and its task's [`Waker`] there and gives its
+//! slot up (the future returns `Pending`); a send queues its message there
+//! and makes its destination ready only if the message is the one the
+//! destination waits for. A rank granted a slot is woken through its waker:
+//! the executor polls it again. When a park or an exit leaves no rank
 //! runnable, the machine is provably quiescent and that rank resolves the
 //! situation synchronously from the same table: a deadlock verdict, or a
 //! cascade wake-all when a failure is on the board. No watchdog thread and
@@ -36,8 +40,8 @@ use crate::rank::Msg;
 use crate::{Machine, Rank, RunResult};
 use obs::Json;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Context, Poll, Waker};
 
 /// Which execution backend drives a [`Machine`] run: how many run slots
 /// its task table has.
@@ -46,7 +50,8 @@ pub enum Backend {
     /// One slot per rank: every runnable rank runs, kernel-scheduled.
     #[default]
     Threaded,
-    /// One slot: ranks are resumable tasks and exactly one runs at a time.
+    /// One slot: exactly one rank runs at a time; rank tasks are polled on
+    /// the calling thread.
     Event,
 }
 
@@ -87,7 +92,7 @@ impl std::str::FromStr for Backend {
 /// simulation, and no golden artifact depends on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Slots granted: every resume of a rank task, the first included.
+    /// Slots granted: every poll of a rank task, the first included.
     pub steps: u64,
     /// Parked ranks made runnable by a send matching their published wait.
     pub wakeups: u64,
@@ -150,7 +155,7 @@ enum TaskState {
     Ready,
     /// Holding a slot and running.
     Running,
-    /// Parked in a blocking receive, waiting for the message it names.
+    /// Parked in a receive, waiting for the message it names.
     Blocked(WaitInfo),
     /// Terminated; never runs or sends again.
     Done,
@@ -165,6 +170,10 @@ struct Table {
     mail: Vec<Vec<Msg>>,
     /// Ranks waiting for a slot, strict FIFO, seeded `0..n`.
     ready: VecDeque<usize>,
+    /// What wakes each rank task when it is granted a slot: the executor's
+    /// waker installed by [`Sched::start`], replaced by the one a receive
+    /// parks with.
+    wakers: Vec<Waker>,
     /// Slots no rank holds.
     free: usize,
     /// Ranks `Ready` or `Running`. A park or an exit that brings it to zero
@@ -190,9 +199,10 @@ struct Table {
 /// A rank runs only while it holds a slot. Every critical section that can
 /// free a slot or make a rank ready — the start, a park, an exit, a
 /// matching send — ends in [`Table::dispatch`]: ready ranks take the free
-/// slots in FIFO order, are marked running, and are unparked once the lock
-/// is dropped. One slot per rank means a ready rank never waits; one slot
-/// means a parking rank hands the CPU to the next ready rank directly.
+/// slots in FIFO order, are marked running, and their wakers are woken once
+/// the lock is dropped. One slot per rank means a ready rank never waits;
+/// one slot means a parking rank hands the executor to the next ready rank
+/// directly.
 ///
 /// # Delivery, parking and matched wakeups
 ///
@@ -200,17 +210,19 @@ struct Table {
 /// in the same critical section, makes the destination ready only when
 /// the message matches its published wait; a message some later receive
 /// wants leaves it parked. A receive takes the oldest queued message with
-/// its key ([`Sched::take`]); finding none it calls [`Sched::park`], which
+/// its key ([`Sched::take`]); finding none it polls [`Sched::park`], which
 /// looks once more under the lock and, still finding nothing, publishes what
-/// it waits for, gives its slot up and sleeps. A resumed rank therefore
-/// finds its message; the only other resumes come from the quiescence
-/// resolver.
+/// it waits for and its waker, gives its slot up and returns `Pending`. A
+/// resumed rank therefore finds its message; the only other resumes come
+/// from the quiescence resolver.
 ///
 /// # No wake can be lost, and quiescence is exact
 ///
-/// A send's push and wake are one critical section, and so are a park's
-/// last look and its publish. So a message delivered before a park is found
-/// by its look, and one delivered after it finds the wait published. Sends
+/// A send's push and its decision to wake are one critical section, and so
+/// are a park's last look and its publish (wait and waker together). So a
+/// message delivered before a park is found by its look, and one delivered
+/// after it finds the wait published; the waker is woken only after the
+/// lock drops, and a thread executor's unpark outlives a late park. Sends
 /// come only from running ranks: when no rank is runnable, every sent
 /// message is queued and has been matched against the waits, and the
 /// blocked ranks can never be woken by anything but the resolver. This
@@ -229,8 +241,6 @@ pub(crate) struct Sched {
     /// Run slots: the most ranks that run at once.
     slots: usize,
     board: Arc<FailureBoard>,
-    /// Rank task threads, set once by [`Sched::start`] before any rank runs.
-    threads: OnceLock<Vec<Thread>>,
 }
 
 impl Sched {
@@ -247,6 +257,7 @@ impl Sched {
                 state: vec![TaskState::Ready; n],
                 mail: (0..n).map(|_| Vec::new()).collect(),
                 ready: (0..n).collect(),
+                wakers: vec![Waker::noop().clone(); n],
                 free: slots,
                 runnable: n,
                 ndone: 0,
@@ -257,7 +268,6 @@ impl Sched {
             }),
             slots,
             board,
-            threads: OnceLock::new(),
         }
     }
 
@@ -270,13 +280,15 @@ impl Sched {
         self.st.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Start the run; `tasks[r]` is rank `r`'s task thread. Fills the slots
-    /// and returns: the caller joins the tasks.
-    pub(crate) fn start<T>(&self, tasks: &[JoinHandle<T>]) {
-        self.threads
-            .get_or_init(|| tasks.iter().map(|h| h.thread().clone()).collect());
-        let run = self.lock().dispatch();
-        self.unpark(run, None);
+    /// Start the run; `wakers[r]` wakes rank `r`'s task. Fills the slots,
+    /// wakes the ranks that got one, and returns: the caller's executor
+    /// drives the tasks.
+    pub(crate) fn start(&self, wakers: Vec<Waker>) {
+        let mut st = self.lock();
+        st.wakers = wakers;
+        let run = st.dispatch();
+        drop(st);
+        wake(run);
     }
 
     /// The scheduler counters, once every task is done. `Some` only with
@@ -286,29 +298,11 @@ impl Sched {
         (self.slots == 1).then(|| self.lock().stats)
     }
 
-    /// Wake the ranks `dispatch` gave a slot, except `me`, which is awake.
-    fn unpark(&self, run: Vec<usize>, me: Option<usize>) {
-        let threads = self.threads.get().expect("rank woken before start()");
-        for r in run.into_iter().filter(|&r| Some(r) != me) {
-            threads[r].unpark();
-        }
-    }
-
-    /// Sleep until [`Sched::start`] gives rank task `rank` a slot: nothing
-    /// — not even rank construction — runs before.
-    pub(crate) fn wait_start(&self, rank: usize) {
-        drop(self.wait_turn(rank));
-    }
-
-    /// Sleep until `rank` holds a slot; returns holding the lock that saw
-    /// it running.
-    fn wait_turn(&self, rank: usize) -> MutexGuard<'_, Table> {
-        loop {
-            let st = self.lock();
-            if matches!(st.state[rank], TaskState::Running) {
-                return st;
-            }
-            drop(st);
+    /// Sleep the calling thread until `rank` holds a slot: how a rank on
+    /// its own thread waits to start, and waits after a `Pending` poll. Its
+    /// waker unparks the thread.
+    pub(crate) fn wait_turn(&self, rank: usize) {
+        while !matches!(self.lock().state[rank], TaskState::Running) {
             std::thread::park();
         }
     }
@@ -331,7 +325,7 @@ impl Sched {
         st.wake(dst);
         let run = st.dispatch();
         drop(st);
-        self.unpark(run, None);
+        wake(run);
     }
 
     /// Take the oldest message queued at `rank` with `key = (ctx, src,
@@ -352,49 +346,54 @@ impl Sched {
         std::mem::take(&mut self.lock().mail)
     }
 
-    /// `rank`'s receive of `wait` found no queued match. Under the table
-    /// lock: take the message if it has arrived since; fail if the machine
-    /// has a verdict for this wait (a proven deadlock, or a source that
-    /// terminated after a failure elsewhere — a cascade);
-    /// else publish the wait, give the slot up, sleep until a matching send
-    /// or a quiescence resolution wakes the rank, and look again under the
-    /// lock it wakes with: two critical sections per park.
-    pub(crate) fn park(&self, rank: usize, wait: &WaitInfo) -> Result<Msg, RecvError> {
+    /// Poll `rank`'s receive of `wait`, which found no queued match. Under
+    /// the table lock: take the message if it has arrived since; fail if the
+    /// machine has a verdict for this wait (a proven deadlock, or a source
+    /// that terminated after a failure elsewhere — a cascade); else publish
+    /// the wait and the task's waker, give the slot up and return `Pending`.
+    /// A matching send or a quiescence resolution makes the rank ready, and
+    /// the slot's grant wakes it to poll again: two critical sections per
+    /// park.
+    pub(crate) fn park(
+        &self,
+        rank: usize,
+        wait: &WaitInfo,
+        cx: &Context<'_>,
+    ) -> Poll<Result<Msg, RecvError>> {
         let mut st = self.lock();
-        loop {
-            if let Some(m) = st.take(rank, wait.key()) {
-                return Ok(m);
-            }
-            if let Some(report) = &st.deadlock {
-                return Err(RecvError::Deadlock {
-                    report: report.clone(),
-                });
-            }
-            if self.board.has_failure() && matches!(st.state[wait.src], TaskState::Done) {
-                return Err(RecvError::PeerFailed {
-                    origin: self.board.primary_rank().unwrap_or(rank),
-                    src: wait.src,
-                    ctx: wait.ctx,
-                    tag: wait.tag,
-                });
-            }
-            st.state[rank] = TaskState::Blocked(wait.clone());
-            self.stop_running(st, rank);
-            st = self.wait_turn(rank);
+        if let Some(m) = st.take(rank, wait.key()) {
+            return Poll::Ready(Ok(m));
         }
+        if let Some(report) = &st.deadlock {
+            return Poll::Ready(Err(RecvError::Deadlock {
+                report: report.clone(),
+            }));
+        }
+        if self.board.has_failure() && matches!(st.state[wait.src], TaskState::Done) {
+            return Poll::Ready(Err(RecvError::PeerFailed {
+                origin: self.board.primary_rank().unwrap_or(rank),
+                src: wait.src,
+                ctx: wait.ctx,
+                tag: wait.tag,
+            }));
+        }
+        st.state[rank] = TaskState::Blocked(wait.clone());
+        st.wakers[rank].clone_from(cx.waker());
+        self.stop_running(st);
+        Poll::Pending
     }
 
     /// `rank`'s task ended, normally or by panic: it never sends again.
-    fn exit(&self, rank: usize) {
+    pub(crate) fn exit(&self, rank: usize) {
         let mut st = self.lock();
         st.state[rank] = TaskState::Done;
         st.ndone += 1;
-        self.stop_running(st, rank);
+        self.stop_running(st);
     }
 
-    /// `rank`, whose new state is already in `st`, gives its slot up. If no
+    /// A rank whose new state is already in `st` gives its slot up. If no
     /// rank is runnable now, resolve the quiescence. Then dispatch.
-    fn stop_running(&self, mut st: MutexGuard<'_, Table>, rank: usize) {
+    fn stop_running(&self, mut st: MutexGuard<'_, Table>) {
         st.runnable -= 1;
         st.free += 1;
         if st.runnable == 0 && st.ndone < st.state.len() {
@@ -402,7 +401,14 @@ impl Sched {
         }
         let run = st.dispatch();
         drop(st);
-        self.unpark(run, Some(rank));
+        wake(run);
+    }
+}
+
+/// Wake the tasks [`Table::dispatch`] gave a slot, outside the lock.
+fn wake(run: Vec<Waker>) {
+    for w in run {
+        w.wake();
     }
 }
 
@@ -421,9 +427,9 @@ impl Table {
     }
 
     /// The one scheduling rule: ready ranks take the free slots, oldest
-    /// first, and are marked running. Returns them for the caller to
-    /// unpark once the lock is dropped.
-    fn dispatch(&mut self) -> Vec<usize> {
+    /// first, and are marked running. Returns their wakers for the caller
+    /// to wake once the lock is dropped.
+    fn dispatch(&mut self) -> Vec<Waker> {
         let mut run = Vec::new();
         while self.free > 0 {
             let Some(r) = self.ready.pop_front() else {
@@ -432,13 +438,13 @@ impl Table {
             self.state[r] = TaskState::Running;
             self.free -= 1;
             self.stats.steps += 1;
-            run.push(r);
+            run.push(self.wakers[r].clone());
         }
         run
     }
 
     /// No rank is runnable but live ranks remain: every one of them is
-    /// parked in a blocking receive with no matching message queued,
+    /// parked in a receive with no matching message queued,
     /// and none is in flight (see [`Sched`]). The machine cannot move on
     /// its own. Three cases:
     ///
@@ -513,7 +519,9 @@ fn deadlock_report(state: &[TaskState]) -> String {
 
 /// Ends the rank's task on the table when its thread exits, normally or by
 /// panic, so a dying rank can never strand the parked ones: it gives its
-/// slot up, and its exit may be the one that proves quiescence.
+/// slot up, and its exit may be the one that proves quiescence. (The
+/// calling-thread executor ends its tasks itself, after the poll that
+/// finished or unwound them.)
 pub(crate) struct TaskGuard {
     pub(crate) rank: usize,
     pub(crate) sched: Arc<Sched>,

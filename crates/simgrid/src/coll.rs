@@ -97,8 +97,14 @@ impl Rank {
     /// total, `ceil(log2 p)` on the critical path. A [`Payload::Packed`]
     /// travels the tree as one shared buffer: every member returns the
     /// root's, and no rank copies it.
-    pub fn bcast(&mut self, comm: &Comm, root: usize, data: Option<Payload>, tag: u64) -> Payload {
-        self.bcast_inner(comm, None, root, data, tag)
+    pub async fn bcast(
+        &mut self,
+        comm: &Comm,
+        root: usize,
+        data: Option<Payload>,
+        tag: u64,
+    ) -> Payload {
+        self.bcast_inner(comm, None, root, data, tag).await
     }
 
     /// Broadcast from `root` to the members of `roster` only: the ascending
@@ -107,7 +113,7 @@ impl Rank {
     /// receives. The binomial tree of [`bcast_tree`] over roster positions:
     /// `|roster| - 1` messages, and on the whole communicator exactly the
     /// edges of [`Rank::bcast`].
-    pub fn bcast_among(
+    pub async fn bcast_among(
         &mut self,
         comm: &Comm,
         roster: &[usize],
@@ -115,10 +121,10 @@ impl Rank {
         data: Option<Payload>,
         tag: u64,
     ) -> Payload {
-        self.bcast_inner(comm, Some(roster), root, data, tag)
+        self.bcast_inner(comm, Some(roster), root, data, tag).await
     }
 
-    fn bcast_inner(
+    async fn bcast_inner(
         &mut self,
         comm: &Comm,
         roster: Option<&[usize]>,
@@ -131,7 +137,7 @@ impl Rank {
         let (parent, children) = tree_among(comm, roster, root, "bcast");
         let payload = match parent {
             None => data.expect("bcast root must supply data"),
-            Some(src) => self.recv(comm, src, tag),
+            Some(src) => self.recv(comm, src, tag).await,
         };
         for dst in children {
             self.send(comm, dst, tag, payload.clone());
@@ -144,14 +150,14 @@ impl Rank {
     /// member of `comm`. Returns `Some(sum)` on the root, `None` elsewhere.
     /// Binomial tree with a deterministic combine order, so results are
     /// bitwise reproducible for a fixed communicator size.
-    pub fn reduce_sum(
+    pub async fn reduce_sum(
         &mut self,
         comm: &Comm,
         root: usize,
         data: Vec<f64>,
         tag: u64,
     ) -> Option<Vec<f64>> {
-        self.reduce_sum_inner(comm, None, root, data, tag)
+        self.reduce_sum_inner(comm, None, root, data, tag).await
     }
 
     /// Elementwise-sum reduction of `data` to `root` over the members of
@@ -161,7 +167,7 @@ impl Rank {
     /// member adds its children's operands in increasing bit order, then
     /// sends the sum to its parent — `|roster| - 1` messages, and on the
     /// whole communicator exactly [`Rank::reduce_sum`].
-    pub fn reduce_sum_among(
+    pub async fn reduce_sum_among(
         &mut self,
         comm: &Comm,
         roster: &[usize],
@@ -170,9 +176,10 @@ impl Rank {
         tag: u64,
     ) -> Option<Vec<f64>> {
         self.reduce_sum_inner(comm, Some(roster), root, data, tag)
+            .await
     }
 
-    fn reduce_sum_inner(
+    async fn reduce_sum_inner(
         &mut self,
         comm: &Comm,
         roster: Option<&[usize]>,
@@ -185,7 +192,7 @@ impl Rank {
         let (parent, children) = tree_among(comm, roster, root, "reduce");
         let mut acc = data;
         for src in children.rev() {
-            let v = self.recv_f64s(comm, src, tag);
+            let v = self.recv_f64s(comm, src, tag).await;
             assert_eq!(v.len(), acc.len(), "reduce_sum operand length mismatch");
             for (a, b) in acc.iter_mut().zip(v) {
                 *a += b;
@@ -206,17 +213,17 @@ impl Rank {
     /// messages. Synchronizes simulated clocks (up to the model's transfer
     /// charges) — this is where load imbalance becomes visible
     /// synchronization time.
-    pub fn barrier(&mut self, comm: &Comm, tag: u64) {
+    pub async fn barrier(&mut self, comm: &Comm, tag: u64) {
         let p = comm.size();
         if p <= 1 {
             return;
         }
         let sp = self.span_enter(SpanCat::Coll, "barrier");
-        self.barrier_inner(comm, tag);
+        self.barrier_inner(comm, tag).await;
         self.span_exit(sp);
     }
 
-    fn barrier_inner(&mut self, comm: &Comm, tag: u64) {
+    async fn barrier_inner(&mut self, comm: &Comm, tag: u64) {
         let p = comm.size();
         let base = coll_tag(PH_BARRIER, tag);
         let me = comm.local_rank();
@@ -231,7 +238,7 @@ impl Rank {
             let dst = (me + dist) % p;
             let src = (me + p - dist) % p;
             self.send(comm, dst, rtag, Payload::Empty);
-            let _ = self.recv(comm, src, rtag);
+            let _ = self.recv(comm, src, rtag).await;
             dist <<= 1;
             round += 1;
         }

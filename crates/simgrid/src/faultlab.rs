@@ -324,7 +324,7 @@ pub const RETRY_BACKOFF: f64 = 2.0;
 /// delivers.
 pub const RETRY_ATTEMPTS: u32 = 5;
 
-/// Why a blocking receive gave up. Returned by the `_checked` receive
+/// Why a receive gave up. Returned by the `_checked` receive
 /// variants; the panicking variants convert it into a [`RankFailure`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum RecvError {
@@ -409,7 +409,7 @@ impl fmt::Display for UnreceivedMsg {
 /// The structured cause of one rank's failure.
 #[derive(Clone, Debug)]
 pub enum FailKind {
-    /// A blocking receive gave up (deadline, deadlock, dead peers).
+    /// A receive gave up (deadline, deadlock, dead peers).
     Recv(RecvError),
     /// A typed receive got the wrong payload kind — a protocol error, now
     /// with full provenance instead of a bare `panic!`.

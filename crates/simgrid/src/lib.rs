@@ -9,14 +9,17 @@
 //! *simulated machine* that preserves every quantity the paper's evaluation
 //! measures:
 //!
-//! - **Ranks are tasks** executing the same SPMD closure; point-to-point
-//!   messages wait in unbounded per-rank queues (eager-mode MPI semantics:
-//!   sends never block, receives block until a matching message arrives).
-//!   One task table hands the ranks run slots, and a [`backend`] is only
-//!   the number of slots: one per rank (the default, every runnable rank
-//!   runs) or one, which runs paper-scale rank counts — `P = 4096` and
-//!   beyond — in one process. Simulated results are bitwise identical
-//!   either way.
+//! - **Ranks are tasks**: one `async` program per rank whose only await
+//!   point is a receive; point-to-point messages wait in unbounded per-rank
+//!   queues (eager-mode MPI semantics: sends never block, a receive waits
+//!   until a matching message arrives). One task table hands the ranks run
+//!   slots, and a [`backend`] is only the number of slots: one per rank
+//!   (the default, every rank polled on its own OS thread) or one, where
+//!   the calling thread polls every rank in turn and a resume is a function
+//!   call — which runs paper-scale rank counts, `P = 4096` and beyond, in
+//!   one process. Simulated results are bitwise identical either way.
+//!   Programs written as plain blocking closures run on rank threads
+//!   through [`BlockingRank`].
 //! - **Collectives are built on point-to-point** (binomial-tree broadcast
 //!   and reduce, dissemination barrier), so message *counts* and *volumes*
 //!   match what a real MPI implementation would transfer.
@@ -35,22 +38,23 @@
 //! context ids from a per-rank counter). This mirrors `MPI_Comm_create`.
 //!
 //! ```
-//! use simgrid::{Machine, Payload, TimeModel};
+//! use simgrid::{Backend, Machine, Payload, TimeModel};
 //!
-//! let machine = Machine::new(4, TimeModel::edison_like());
-//! let out = machine.run(|rank| {
+//! let machine = Machine::new(4, TimeModel::edison_like()).with_backend(Backend::Event);
+//! let out = machine.run_tasks(async |rank| {
 //!     let world = rank.world();
 //!     // ring: everyone sends its id to the right
 //!     let right = (rank.id() + 1) % 4;
 //!     let left = (rank.id() + 3) % 4;
 //!     rank.send(&world, right, 7, Payload::F64s(vec![rank.id() as f64]));
-//!     let got = rank.recv(&world, left, 7).into_f64s();
+//!     let got = rank.recv(&world, left, 7).await.into_f64s();
 //!     got[0] as usize
 //! });
 //! assert_eq!(out.results, vec![3, 0, 1, 2]);
 //! ```
 
 pub mod backend;
+pub mod blocking;
 pub mod coll;
 pub mod comm;
 pub mod faultlab;
@@ -64,6 +68,7 @@ pub mod topology;
 pub mod trace;
 
 pub use backend::{Backend, SchedStats};
+pub use blocking::BlockingRank;
 pub use comm::Comm;
 pub use faultlab::{
     EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,

@@ -1,20 +1,26 @@
-//! The machine driver: spawns one task per simulated rank, runs the SPMD
-//! closure under the configured [`Backend`], and collects results plus
-//! per-rank reports.
+//! The machine driver: runs one task per simulated rank under the
+//! configured [`Backend`] and collects results plus per-rank reports.
 
 use crate::backend::{Backend, Sched, SchedStats, TaskGuard};
+use crate::blocking::{drive, BlockingRank, Unpark};
 use crate::faultlab::{
     FailKind, FailureBoard, FaultPlan, MachineFailure, OrderlyAbort, RankFailure, UnreceivedMsg,
 };
 use crate::rank::{FaultCtx, Rank};
 use crate::stats::{RankReport, TrafficSummary};
 use crate::timemodel::TimeModel;
+use std::any::Any;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
 /// A simulated distributed-memory machine with a fixed rank count and
-/// machine model. Cheap to construct; each [`Machine::run`] spawns fresh
-/// threads and a fresh task table.
+/// machine model. Cheap to construct; each run builds fresh ranks and a
+/// fresh task table.
 #[derive(Clone, Debug)]
 pub struct Machine {
     nranks: usize,
@@ -71,9 +77,10 @@ impl Machine {
     /// Select the execution backend: how many ranks may run at once (see
     /// [`Backend`] and `docs/backends.md`). Simulated results — factor
     /// digests, makespans, every ledger — are identical either way; only
-    /// host-side scheduling differs. The threaded default (a slot per rank)
-    /// keeps real parallelism; the event backend (one slot) runs
-    /// arbitrarily large rank counts in one process.
+    /// host-side scheduling differs. The threaded default (a slot and an OS
+    /// thread per rank) keeps real parallelism; the event backend (one slot,
+    /// rank tasks polled on the calling thread) runs arbitrarily large rank
+    /// counts in one process.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -94,8 +101,9 @@ impl Machine {
     /// counter tracks join the Chrome trace. Off by default.
     ///
     /// Valid under both backends. A rank's wall is the time it held a run
-    /// slot: the profiler is paused while the rank is parked, so under the
-    /// event backend the per-rank walls add up to (at most) the machine's.
+    /// slot — for a task, the sum of its polls: the profiler is paused while
+    /// the rank is parked in a receive, so under the event backend the
+    /// per-rank walls add up to (at most) the machine's.
     pub fn with_host_profiling(mut self) -> Self {
         self.host_profiling = true;
         self
@@ -140,25 +148,26 @@ impl Machine {
         self.model
     }
 
-    /// Run `f` as an SPMD program: one OS thread per rank, every thread
-    /// calls `f(&mut rank)` while it holds one of the backend's run slots.
-    /// Blocks until all ranks return. A failure on any rank panics with the
-    /// rank-attributed report of
-    /// [`MachineFailure::render`] (primary cause first, cascades listed) so
-    /// protocol bugs fail tests. Use [`Machine::try_run`] to handle the
-    /// failure structurally instead.
-    pub fn run<T, F>(&self, f: F) -> RunResult<T>
+    /// Run `f` as an SPMD program of rank tasks: `f(&mut rank)` for every
+    /// rank, its receives the only await points. Under [`Backend::Event`]
+    /// the calling thread polls every rank's future — no OS thread is
+    /// spawned and a resume is a function call; under
+    /// [`Backend::Threaded`] each rank's future is polled on its own
+    /// thread. Blocks until all ranks return. A failure on any rank panics
+    /// with the rank-attributed report of [`MachineFailure::render`]
+    /// (primary cause first, cascades listed) so protocol bugs fail tests.
+    /// Use [`Machine::try_run_tasks`] to handle the failure structurally
+    /// instead.
+    pub fn run_tasks<T, F>(&self, f: F) -> RunResult<T>
     where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static,
+        T: Send,
+        F: AsyncFn(&mut Rank) -> T + Sync,
     {
-        match self.try_run(f) {
-            Ok(r) => r,
-            Err(mf) => panic!("{}", mf.render()),
-        }
+        self.try_run_tasks(f)
+            .unwrap_or_else(|mf| panic!("{}", mf.render()))
     }
 
-    /// Like [`Machine::run`], but a failing rank yields a structured
+    /// Like [`Machine::run_tasks`], but a failing rank yields a structured
     /// [`MachineFailure`] instead of a panic. Failures are collected on a
     /// machine-wide board; the *primary* (earliest non-cascade) entry names
     /// the original failing rank even when other ranks die in its wake —
@@ -168,20 +177,60 @@ impl Machine {
     /// [`FailKind::Unreceived`], if a message was sent and never received.
     /// The check costs the message path nothing: unmatched messages wait
     /// in the task table, which outlives every rank, and what it holds
-    /// after the join is the answer — the same one whichever of sender and
+    /// after the run is the answer — the same one whichever of sender and
     /// receiver the host ran first.
     ///
-    /// One engine runs both backends, one task per rank either way, parked
-    /// and woken through one task table (`Sched`); the machine's
-    /// [`Backend`] is only how many of them may run at once — all
-    /// (threaded) or one (event).
+    /// One task table (`Sched`) parks and wakes the ranks under either
+    /// backend; the machine's [`Backend`] is only how many of them may run
+    /// at once — all (threaded) or one (event).
+    pub fn try_run_tasks<T, F>(&self, f: F) -> Result<RunResult<T>, MachineFailure>
+    where
+        T: Send,
+        F: AsyncFn(&mut Rank) -> T + Sync,
+    {
+        self.execute(|run| match self.backend {
+            Backend::Event => run.polled_here(&f),
+            Backend::Threaded => run.on_threads(|rank, waker| {
+                let sched = Arc::clone(rank.sched());
+                drive(&sched, rank.id(), waker, f(rank))
+            }),
+        })
+    }
+
+    /// Run `f` as an SPMD program of blocking closures: one OS thread per
+    /// rank, every thread calls `f(&mut rank)` while it holds one of the
+    /// backend's run slots. [`BlockingRank`] derefs to [`Rank`]; its
+    /// receives and collectives drive the async ones to completion on the
+    /// rank's thread. Panics on failure like [`Machine::run_tasks`].
+    pub fn run<T, F>(&self, f: F) -> RunResult<T>
+    where
+        T: Send,
+        F: Fn(&mut BlockingRank) -> T + Sync,
+    {
+        self.try_run(f)
+            .unwrap_or_else(|mf| panic!("{}", mf.render()))
+    }
+
+    /// [`Machine::run`] with the failure reported as
+    /// [`Machine::try_run_tasks`] reports it.
     pub fn try_run<T, F>(&self, f: F) -> Result<RunResult<T>, MachineFailure>
     where
-        T: Send + 'static,
-        F: Fn(&mut Rank) -> T + Send + Sync + 'static,
+        T: Send,
+        F: Fn(&mut BlockingRank) -> T + Sync,
     {
+        self.execute(|run| run.on_threads(|rank, waker| f(&mut BlockingRank::new(rank, waker))))
+    }
+
+    /// One run: a fresh failure board and task table, the rank tasks
+    /// driven by `exec`, then the verdict — the board's failures, else any
+    /// message sent and never received, else every rank's result and
+    /// report.
+    fn execute<T>(
+        &self,
+        exec: impl FnOnce(&Run) -> Vec<Finished<T>>,
+    ) -> Result<RunResult<T>, MachineFailure> {
         // An orderly rank shutdown unwinds with a typed payload that the
-        // join loop interprets via the failure board; the default panic
+        // executor interprets via the failure board; the default panic
         // hook would still print "thread panicked" plus a backtrace for
         // it. Silence exactly that payload, once per process, and keep
         // the previous hook for genuine panics.
@@ -196,128 +245,35 @@ impl Machine {
         });
 
         let n = self.nranks;
-        let f = Arc::new(f);
-        let model = self.model;
-        let tracing = self.tracing;
-        let host_profiling = self.host_profiling;
         let board = Arc::new(FailureBoard::new());
-
-        // The task table is the run's one wait-for graph and holds every
-        // message not yet received: it hands the backend's run slots to
-        // the ready ranks, and it proves every deadlock from quiescence.
-        let sched = Arc::new(Sched::new(n, self.backend, Arc::clone(&board)));
-        // One member list for every rank's world communicator.
-        let world: Arc<Vec<usize>> = Arc::new((0..n).collect());
-
-        let fctx = FaultCtx {
-            faults: self.faults.clone(),
-            recover: self.recover,
-            recv_deadline: self.recv_deadline,
-            board: Arc::clone(&board),
+        let run = Run {
+            machine: self,
+            // The task table is the run's one wait-for graph and holds every
+            // message not yet received: it hands the backend's run slots to
+            // the ready ranks, and it proves every deadlock from quiescence.
+            sched: Arc::new(Sched::new(n, self.backend, Arc::clone(&board))),
+            // One member list for every rank's world communicator.
+            world: Arc::new((0..n).collect()),
+            fctx: FaultCtx {
+                faults: self.faults.clone(),
+                recover: self.recover,
+                recv_deadline: self.recv_deadline,
+                board: Arc::clone(&board),
+            },
         };
-        let mut handles = Vec::with_capacity(n);
-        for world_rank in 0..n {
-            let f = Arc::clone(&f);
-            let fctx = fctx.clone();
-            let sched = Arc::clone(&sched);
-            let world = Arc::clone(&world);
-            let handle = std::thread::Builder::new()
-                .name(format!("simrank-{world_rank}"))
-                // Factorization recursion and big local buffers: give each
-                // simulated rank a roomy stack. Lazily committed, so 4096
-                // event-mode tasks reserve address space, not RAM.
-                .stack_size(16 << 20)
-                .spawn(move || {
-                    // The rank is marked done (never sends again) even on
-                    // panic.
-                    let _task = TaskGuard {
-                        rank: world_rank,
-                        sched: Arc::clone(&sched),
-                    };
-                    let board = Arc::clone(&fctx.board);
-                    sched.wait_start(world_rank);
-                    // det-lint: allow(wall-clock): host-side wall_secs profiling only
-                    let started = Instant::now();
-                    let mut rank = Rank::new(
-                        world_rank,
-                        world,
-                        model,
-                        tracing,
-                        host_profiling,
-                        fctx,
-                        sched,
-                    );
-                    let out =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rank)));
-                    match out {
-                        Ok(v) => {
-                            let wall = started.elapsed().as_secs_f64();
-                            Some((v, rank.into_report(wall)))
-                        }
-                        Err(e) => {
-                            // Orderly aborts already recorded themselves on
-                            // the board; anything else is a raw panic.
-                            if e.downcast_ref::<OrderlyAbort>().is_none() {
-                                let message = e
-                                    .downcast_ref::<String>()
-                                    .cloned()
-                                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                                    .unwrap_or_else(|| "<non-string panic>".to_string());
-                                board.record(RankFailure {
-                                    rank: world_rank,
-                                    phase: String::new(),
-                                    kind: FailKind::Panic { message },
-                                    seq: 0,
-                                });
-                            }
-                            None
-                        }
-                    }
-                })
-                .expect("failed to spawn simulated rank");
-            handles.push(handle);
-        }
-        // The template context holds a board reference; release it so the
-        // post-join `Arc::try_unwrap` sees the sole owner.
-        drop(fctx);
-
-        // Fill the run slots; the join loop below waits for the ranks.
-        sched.start(&handles);
-
-        let mut results = Vec::with_capacity(n);
-        let mut reports = Vec::with_capacity(n);
-        for (world_rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(Some((out, report))) => {
-                    results.push(out);
-                    reports.push(report);
-                }
-                // Failure already recorded on the board.
-                Ok(None) => {}
-                // catch_unwind swallows unwinding panics; a join error here
-                // means the thread aborted some other way.
-                Err(_) => board.record(RankFailure {
-                    rank: world_rank,
-                    phase: String::new(),
-                    kind: FailKind::Panic {
-                        message: "rank thread terminated abnormally".to_string(),
-                    },
-                    seq: 0,
-                }),
-            }
-        }
-        let sched_stats = sched.stats();
-        let mail = sched.take_mail();
-        // The table holds a board reference too.
-        drop(sched);
-        let board = Arc::try_unwrap(board).expect("failure board still shared after join");
+        let finished = exec(&run);
+        let sched_stats = run.sched.stats();
+        let mail = run.sched.take_mail();
+        // The table and the ranks' template context hold board references.
+        drop(run);
+        let board = Arc::try_unwrap(board).expect("failure board still shared after the run");
         if board.has_failure() {
             return Err(MachineFailure {
                 failures: board.into_failures(),
             });
         }
-        // Every rank returned and is joined: nothing is in flight, and a
-        // message still queued at its destination was never received.
+        // Every rank returned: nothing is in flight, and a message still
+        // queued at its destination was never received.
         let mut left: Vec<(u64, UnreceivedMsg)> = Vec::new();
         for (dst, queue) in mail.into_iter().enumerate() {
             for m in queue {
@@ -345,11 +301,203 @@ impl Machine {
                 }],
             });
         }
+        let (results, reports) = finished.into_iter().flatten().unzip();
         Ok(RunResult {
             results,
             reports,
             sched: sched_stats,
         })
+    }
+}
+
+/// What one rank task left: its return value and report, or `None` when it
+/// failed (the failure is on the board).
+type Finished<T> = Option<(T, RankReport)>;
+
+/// The shared state of one run, read by its executor.
+struct Run<'m> {
+    machine: &'m Machine,
+    sched: Arc<Sched>,
+    world: Arc<Vec<usize>>,
+    fctx: FaultCtx,
+}
+
+impl Run<'_> {
+    /// World rank `r`'s execution context.
+    fn rank(&self, r: usize) -> Rank {
+        let m = self.machine;
+        Rank::new(
+            r,
+            Arc::clone(&self.world),
+            m.model,
+            m.tracing,
+            m.host_profiling,
+            self.fctx.clone(),
+            Arc::clone(&self.sched),
+        )
+    }
+
+    /// Record rank `r`'s unwinding on the board: orderly aborts recorded
+    /// themselves, anything else is a raw panic.
+    fn record_panic(&self, r: usize, e: Box<dyn Any + Send>) {
+        if e.downcast_ref::<OrderlyAbort>().is_some() {
+            return;
+        }
+        let message = e
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "<non-string panic>".to_string());
+        self.fctx.board.record(RankFailure {
+            rank: r,
+            phase: String::new(),
+            kind: FailKind::Panic { message },
+            seq: 0,
+        });
+    }
+
+    /// The one-slot executor: every rank's future, polled on the calling
+    /// thread. Every [`Rank`] is built into one `Vec` first, and each task
+    /// borrows its own. A rank granted the slot is woken through its waker,
+    /// which names it to the loop below: one poll per grant, so a
+    /// [`SchedStats`] step is a poll. A poll that unwinds ends its task like
+    /// a return does.
+    fn polled_here<T>(&self, f: &impl AsyncFn(&mut Rank) -> T) -> Vec<Finished<T>> {
+        let n = self.world.len();
+        let mut ranks: Vec<Rank> = (0..n).map(|r| self.rank(r)).collect();
+        let granted = Arc::new(AtomicUsize::new(NONE));
+        let wakers: Vec<Waker> = (0..n)
+            .map(|rank| {
+                let to = Arc::clone(&granted);
+                Waker::from(Arc::new(Grant { rank, to }))
+            })
+            .collect();
+        let mut done: Vec<Option<(T, f64)>> = (0..n).map(|_| None).collect();
+        let mut tasks: Vec<Option<Task<'_, T>>> = ranks
+            .iter_mut()
+            .map(|rank| Some(Box::pin(f(rank)) as Task<'_, T>))
+            .collect();
+        let mut started: Vec<Option<Instant>> = vec![None; n];
+        self.sched.start(wakers.clone());
+        loop {
+            let r = granted.swap(NONE, Ordering::Relaxed);
+            if r == NONE {
+                break;
+            }
+            let task = tasks[r].as_mut().expect("a granted task is live");
+            // det-lint: allow(wall-clock): host-side wall_secs profiling only
+            let t0 = *started[r].get_or_insert_with(Instant::now);
+            let mut cx = Context::from_waker(&wakers[r]);
+            match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(v)) => done[r] = Some((v, t0.elapsed().as_secs_f64())),
+                Err(e) => self.record_panic(r, e),
+            }
+            tasks[r] = None;
+            self.sched.exit(r);
+        }
+        // Every task ended: a grant is pending while any rank is live.
+        debug_assert!(tasks.iter().all(Option::is_none), "a rank task never ended");
+        drop(tasks);
+        ranks
+            .into_iter()
+            .zip(done)
+            .map(|(rank, d)| d.map(|(v, wall)| (v, rank.into_report(wall))))
+            .collect()
+    }
+
+    /// One scoped OS thread per rank, each running `body` on its rank while
+    /// it holds a slot and parking whenever `body` waits.
+    fn on_threads<T: Send>(
+        &self,
+        body: impl Fn(&mut Rank, &Waker) -> T + Sync,
+    ) -> Vec<Finished<T>> {
+        std::thread::scope(|s| {
+            let body = &body;
+            let handles: Vec<_> = (0..self.world.len())
+                .map(|r| {
+                    std::thread::Builder::new()
+                        .name(format!("simrank-{r}"))
+                        // Factorization recursion and big local buffers:
+                        // give each simulated rank a roomy stack. Lazily
+                        // committed, so 4096 one-slot threads reserve
+                        // address space, not RAM.
+                        .stack_size(16 << 20)
+                        .spawn_scoped(s, move || self.thread_task(r, body))
+                        .expect("failed to spawn simulated rank")
+                })
+                .collect();
+            let wakers = handles
+                .iter()
+                .map(|h| Waker::from(Arc::new(Unpark(h.thread().clone()))))
+                .collect();
+            // Fill the run slots; the joins below wait for the ranks.
+            self.sched.start(wakers);
+            let board = &self.fctx.board;
+            let join = |(r, h): (usize, std::thread::ScopedJoinHandle<'_, Finished<T>>)| {
+                // catch_unwind swallows unwinding panics; a join error here
+                // means the thread aborted some other way.
+                h.join().unwrap_or_else(|_| {
+                    board.record(RankFailure {
+                        rank: r,
+                        phase: String::new(),
+                        kind: FailKind::Panic {
+                            message: "rank thread terminated abnormally".to_string(),
+                        },
+                        seq: 0,
+                    });
+                    None
+                })
+            };
+            handles.into_iter().enumerate().map(join).collect()
+        })
+    }
+
+    /// Rank `r`'s thread: wait for a slot (nothing — not even rank
+    /// construction — runs before), then run `body`.
+    fn thread_task<T>(&self, r: usize, body: &impl Fn(&mut Rank, &Waker) -> T) -> Finished<T> {
+        // The rank is marked done (never sends again) even on panic.
+        let _task = TaskGuard {
+            rank: r,
+            sched: Arc::clone(&self.sched),
+        };
+        self.sched.wait_turn(r);
+        // det-lint: allow(wall-clock): host-side wall_secs profiling only
+        let started = Instant::now();
+        let mut rank = self.rank(r);
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        match catch_unwind(AssertUnwindSafe(|| body(&mut rank, &waker))) {
+            Ok(v) => Some((v, rank.into_report(started.elapsed().as_secs_f64()))),
+            Err(e) => {
+                self.record_panic(r, e);
+                None
+            }
+        }
+    }
+}
+
+/// A rank's future in the one-slot executor, borrowing its [`Rank`].
+type Task<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
+
+/// No rank holds the one-slot executor's grant.
+const NONE: usize = usize::MAX;
+
+/// The waker of a rank task in the one-slot executor: name the rank to the
+/// executor's loop, which polls it next.
+struct Grant {
+    rank: usize,
+    to: Arc<AtomicUsize>,
+}
+
+impl Wake for Grant {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        // Every wake happens on the executor's thread, inside a poll or the
+        // loop's own `exit`: the grant publishes nothing across threads.
+        self.to.store(self.rank, Ordering::Relaxed);
     }
 }
 
@@ -361,12 +509,12 @@ mod tests {
     #[test]
     fn ring_exchange() {
         let m = Machine::new(5, TimeModel::zero());
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             let world = rank.world();
             let right = (rank.id() + 1) % 5;
             let left = (rank.id() + 4) % 5;
             rank.send(&world, right, 1, Payload::F64s(vec![rank.id() as f64]));
-            rank.recv(&world, left, 1).into_f64s()[0]
+            rank.recv(&world, left, 1).await.into_f64s()[0]
         });
         assert_eq!(out.results, vec![4.0, 0.0, 1.0, 2.0, 3.0]);
     }
@@ -376,15 +524,15 @@ mod tests {
         // Rank 0 sends two differently tagged messages; rank 1 receives them
         // in the opposite order.
         let m = Machine::new(2, TimeModel::zero());
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             let world = rank.world();
             if rank.id() == 0 {
                 rank.send(&world, 1, 10, Payload::F64s(vec![1.0]));
                 rank.send(&world, 1, 20, Payload::F64s(vec![2.0]));
                 0.0
             } else {
-                let b = rank.recv(&world, 0, 20).into_f64s()[0];
-                let a = rank.recv(&world, 0, 10).into_f64s()[0];
+                let b = rank.recv(&world, 0, 20).await.into_f64s()[0];
+                let a = rank.recv(&world, 0, 10).await.into_f64s()[0];
                 a * 10.0 + b
             }
         });
@@ -400,7 +548,7 @@ mod tests {
         const N: u64 = 1500;
         for backend in [Backend::Threaded, Backend::Event] {
             let m = Machine::new(2, TimeModel::zero()).with_backend(backend);
-            let out = m.run(|rank| {
+            let out = m.run_tasks(async |rank| {
                 let world = rank.world();
                 if rank.id() == 0 {
                     for tag in 0..N {
@@ -410,7 +558,10 @@ mod tests {
                 } else {
                     let mut high_water = 0;
                     for tag in (0..N).rev() {
-                        assert_eq!(rank.recv(&world, 0, tag).into_f64s(), vec![tag as f64]);
+                        assert_eq!(
+                            rank.recv(&world, 0, tag).await.into_f64s(),
+                            vec![tag as f64]
+                        );
                         high_water = high_water.max(rank.unexpected_msgs());
                     }
                     (high_water, rank.unexpected_msgs())
@@ -427,14 +578,14 @@ mod tests {
         for p in 1..=9usize {
             for root in 0..p {
                 let m = Machine::new(p, TimeModel::zero());
-                let out = m.run(move |rank| {
+                let out = m.run_tasks(async move |rank| {
                     let world = rank.world();
                     let data = if rank.world().local_rank() == root {
                         Some(Payload::F64s(vec![42.0, 7.0]))
                     } else {
                         None
                     };
-                    rank.bcast(&world, root, data, 3).into_f64s()
+                    rank.bcast(&world, root, data, 3).await.into_f64s()
                 });
                 for r in &out.results {
                     assert_eq!(r, &vec![42.0, 7.0], "p={p} root={root}");
@@ -451,10 +602,10 @@ mod tests {
         for p in 1..=9usize {
             for root in 0..p {
                 let m = Machine::new(p, TimeModel::zero());
-                let out = m.run(move |rank| {
+                let out = m.run_tasks(async move |rank| {
                     let world = rank.world();
                     let data = vec![rank.id() as f64, 1.0];
-                    rank.reduce_sum(&world, root, data, 5)
+                    rank.reduce_sum(&world, root, data, 5).await
                 });
                 let expected0 = (0..p).sum::<usize>() as f64;
                 for (i, r) in out.results.iter().enumerate() {
@@ -471,7 +622,7 @@ mod tests {
     #[test]
     fn subset_communicators_isolate_traffic() {
         let m = Machine::new(4, TimeModel::zero());
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             // Split into even/odd pairs; same tags on both communicators.
             let evens = [0usize, 2];
             let odds = [1usize, 3];
@@ -498,7 +649,7 @@ mod tests {
             let comm = c_even.or(c_odd).unwrap();
             let peer = 1 - comm.local_rank();
             rank.send(&comm, peer, 77, Payload::F64s(vec![rank.id() as f64]));
-            rank.recv(&comm, peer, 77).into_f64s()[0]
+            rank.recv(&comm, peer, 77).await.into_f64s()[0]
         });
         assert_eq!(out.results, vec![2.0, 3.0, 0.0, 1.0]);
     }
@@ -511,14 +662,14 @@ mod tests {
             flops_per_sec: 1.0,
         };
         let m = Machine::new(2, model);
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             let world = rank.world();
             if rank.id() == 0 {
                 rank.advance_compute(10); // clock = 10
                 rank.send(&world, 1, 0, Payload::F64s(vec![0.0; 10])); // +2 -> 12, arrival 12
                 rank.clock()
             } else {
-                rank.recv(&world, 0, 0); // ready at 12, +2 transfer = 14
+                rank.recv(&world, 0, 0).await; // ready at 12, +2 transfer = 14
                 rank.clock()
             }
         });
@@ -532,7 +683,7 @@ mod tests {
     #[should_panic(expected = "panicked")]
     fn rank_panic_propagates() {
         let m = Machine::new(2, TimeModel::zero());
-        let _ = m.run(|rank| {
+        let _ = m.run_tasks(async |rank| {
             if rank.id() == 1 {
                 panic!("boom");
             }

@@ -107,7 +107,7 @@ pub struct Rank {
     /// Index of the next unapplied stall window.
     stall_idx: usize,
     /// The machine's task table: where a send queues its message and wakes
-    /// its destination, and a blocking receive parks, under either backend.
+    /// its destination, and a receive parks, under either backend.
     sched: Arc<Sched>,
 }
 
@@ -337,14 +337,14 @@ impl Rank {
 
     /// Run `f` inside a span: sugar for `span_enter` / `span_exit` that
     /// cannot leak an open span on early return of a value.
-    pub fn with_span<T>(
+    pub async fn with_span<T>(
         &mut self,
         cat: SpanCat,
         name: impl std::fmt::Display,
-        f: impl FnOnce(&mut Rank) -> T,
+        f: impl AsyncFnOnce(&mut Rank) -> T,
     ) -> T {
         let id = self.span_enter(cat, name);
-        let out = f(self);
+        let out = f(self).await;
         self.span_exit(id);
         out
     }
@@ -426,10 +426,14 @@ impl Rank {
     /// the previous classification on return. An explicit class overrides
     /// tag-based classification (collective-internal vs control), so a
     /// panel broadcast keeps its class while riding a collective.
-    pub fn with_comm_class<T>(&mut self, class: CommClass, f: impl FnOnce(&mut Rank) -> T) -> T {
+    pub async fn with_comm_class<T>(
+        &mut self,
+        class: CommClass,
+        f: impl AsyncFnOnce(&mut Rank) -> T,
+    ) -> T {
         let prev = self.comm_class;
         self.comm_class = Some(class);
-        let out = f(self);
+        let out = f(self).await;
         self.comm_class = prev;
         out
     }
@@ -655,14 +659,19 @@ impl Rank {
         self.sched.queued(self.world_rank)
     }
 
+    /// The machine's task table.
+    pub(crate) fn sched(&self) -> &Arc<Sched> {
+        &self.sched
+    }
+
     /// Wait for the message with `key = (ctx, src_world, tag)`. The caller
     /// has already looked for it among the queued messages. A receive that
-    /// finds nothing parks on the machine's task table
-    /// ([`Sched::park`]) until the message arrives, or until the table
-    /// proves it never will: a deadlock report, or a cascade
+    /// finds nothing parks on the machine's task table ([`Sched::park`]):
+    /// its task returns `Pending` until the message arrives, or until the
+    /// table proves it never will: a deadlock report, or a cascade
     /// ([`RecvError::PeerFailed`]) when the source terminated after another
-    /// rank failed.
-    fn blocked_recv(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
+    /// rank failed. This is a rank program's only await point.
+    async fn blocked_recv(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
         // Host-profiler attribution: everything below is time spent
         // satisfying a receive the algorithm is blocked on.
         let _host = self.host_scope(HostPhase::CommWait);
@@ -676,14 +685,23 @@ impl Rank {
             phase: Arc::clone(&self.phase),
         };
         // A parked rank holds no run slot: its wall time is not its own.
-        if let Some(host) = &self.host {
-            host.pause();
-        }
-        let got = self.sched.park(self.world_rank, &wait);
-        if let Some(host) = &self.host {
-            host.resume();
-        }
-        got
+        // The profiler stops when the task returns `Pending` and runs again
+        // at its next poll, so a task's wall is the sum of its polls and
+        // its open scopes are charged nothing for the ranks polled between.
+        let (host, sched, me) = (self.host.as_deref(), &self.sched, self.world_rank);
+        let mut parked = false;
+        std::future::poll_fn(|cx| {
+            if let (true, Some(h)) = (parked, host) {
+                h.resume();
+            }
+            let polled = sched.park(me, &wait, cx);
+            parked = polled.is_pending();
+            if let (true, Some(h)) = (parked, host) {
+                h.pause();
+            }
+            polled
+        })
+        .await
     }
 
     /// Receiver-side accounting: clock advance, trace activities, traffic
@@ -752,9 +770,10 @@ impl Rank {
         self.fail(FailKind::Recv(e))
     }
 
-    /// Blocking receive of the message from local rank `src` of `comm` with
-    /// `tag`. Advances this rank's clock to at least the message arrival
-    /// time plus the transfer charge; waiting time counts as communication.
+    /// Receive the message from local rank `src` of `comm` with `tag`,
+    /// waiting (the rank's task returns `Pending`) until it arrives.
+    /// Advances this rank's clock to at least the message arrival time plus
+    /// the transfer charge; waiting time counts as communication.
     ///
     /// A receive that cannot complete fails the rank in an orderly way
     /// (recorded on the machine's failure board): a deadlock naming the
@@ -762,8 +781,8 @@ impl Rank {
     /// whose source died as a cascade, or a late arrival past the simulated
     /// deadline — failing loudly beats hanging the test suite. Use
     /// [`Rank::recv_checked`] to handle the error instead.
-    pub fn recv(&mut self, comm: &Comm, src: usize, tag: u64) -> Payload {
-        match self.recv_checked(comm, src, tag) {
+    pub async fn recv(&mut self, comm: &Comm, src: usize, tag: u64) -> Payload {
+        match self.recv_checked(comm, src, tag).await {
             Ok(p) => p,
             Err(e) => self.fail_recv(e),
         }
@@ -772,7 +791,7 @@ impl Rank {
     /// Like [`Rank::recv`], but surfaces the failure to the caller so
     /// solver layers can attach algorithmic context (phase, supernode)
     /// before failing the rank.
-    pub fn recv_checked(
+    pub async fn recv_checked(
         &mut self,
         comm: &Comm,
         src: usize,
@@ -782,7 +801,7 @@ impl Rank {
         let key = (comm.ctx, src_world, tag);
         let msg = match self.sched.take(self.world_rank, key) {
             Some(m) => m,
-            None => self.blocked_recv(key)?,
+            None => self.blocked_recv(key).await?,
         };
         self.complete_recv(msg)
     }
@@ -790,9 +809,9 @@ impl Rank {
     /// Receive and unwrap an `F64s` payload. A kind mismatch fails the rank
     /// with a structured [`FailKind::PayloadMismatch`] carrying the message
     /// provenance (src/ctx/tag/phase) instead of a bare panic.
-    pub fn recv_f64s(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<f64> {
+    pub async fn recv_f64s(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<f64> {
         let src_world = comm.world_rank_of(src);
-        match self.recv(comm, src, tag).try_into_f64s() {
+        match self.recv(comm, src, tag).await.try_into_f64s() {
             Ok(v) => v,
             Err(e) => self.fail(FailKind::PayloadMismatch {
                 expected: e.expected,
@@ -878,7 +897,7 @@ impl Rank {
 mod tests {
     use super::*;
     use crate::faultlab::UnreceivedMsg;
-    use crate::{Backend, Machine};
+    use crate::{Backend, BlockingRank, Machine};
     use std::cell::RefCell;
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Mutex;
@@ -910,7 +929,7 @@ mod tests {
 
     /// Rank 0's prologue: take the go (under the event backend this is what
     /// hands rank 1 the slot), then block until rank 1's thread is gone.
-    fn wait_until_peer_is_gone(rank: &mut Rank, gone: &Mutex<Receiver<()>>) {
+    fn wait_until_peer_is_gone(rank: &mut BlockingRank, gone: &Mutex<Receiver<()>>) {
         let world = rank.world();
         rank.recv(&world, 1, GO);
         gone.lock().unwrap().recv().expect("rank 1 exits");

@@ -322,12 +322,12 @@ mod tests {
             };
             let describe = |c: &Comm| (c.ctx, c.members().to_vec(), c.local_rank());
             let m = Machine::new(g.size(), TimeModel::zero());
-            let out = m.run(move |rank| {
+            let out = m.run_tasks(async move |rank| {
                 let want: Vec<_> = by_definition(rank).iter().map(describe).collect();
                 let next_by_definition = rank.subset(&[rank.id()]).expect("member").ctx;
                 (want, next_by_definition)
             });
-            let got = m.run(move |rank| {
+            let got = m.run_tasks(async move |rank| {
                 let c = build_grid_comms(rank, &g);
                 let comms = [&c.layer, &c.row, &c.col, &c.zline];
                 let stated = CommFamily::CREATION_ORDER.map(|f| g.ctx_id(f, c.coords));
@@ -343,20 +343,23 @@ mod tests {
     fn comms_route_correctly() {
         let g = Grid3d::new(2, 2, 2);
         let m = Machine::new(g.size(), TimeModel::zero());
-        let out = m.run(move |rank| {
+        let out = m.run_tasks(async move |rank| {
             let comms = build_grid_comms(rank, &g);
             let (r, c, z) = comms.coords;
             // Row-reduce of column ids, col-reduce of row ids (each to local
             // rank 0, then broadcast back), and a z-line exchange.
-            let mut all_reduce = |comm: &Comm, v: f64, tag: u64| {
-                let sum = rank.reduce_sum(comm, 0, vec![v], tag).map(Payload::F64s);
-                rank.bcast(comm, 0, sum, tag).into_f64s()[0]
+            let mut all_reduce = async |comm: &Comm, v: f64, tag: u64| {
+                let sum = rank
+                    .reduce_sum(comm, 0, vec![v], tag)
+                    .await
+                    .map(Payload::F64s);
+                rank.bcast(comm, 0, sum, tag).await.into_f64s()[0]
             };
-            let row_sum = all_reduce(&comms.row, c as f64, 1);
-            let col_sum = all_reduce(&comms.col, r as f64, 2);
+            let row_sum = all_reduce(&comms.row, c as f64, 1).await;
+            let col_sum = all_reduce(&comms.col, r as f64, 2).await;
             let peer = 1 - comms.zline.local_rank();
             rank.send(&comms.zline, peer, 3, Payload::F64s(vec![z as f64]));
-            let peer_z = rank.recv(&comms.zline, peer, 3).into_f64s()[0];
+            let peer_z = rank.recv(&comms.zline, peer, 3).await.into_f64s()[0];
             (row_sum, col_sum, peer_z)
         });
         for (world, &(rs, cs, pz)) in out.results.iter().enumerate() {

@@ -115,13 +115,13 @@ mod tests {
             flops_per_sec: 10.0,
         };
         let m = Machine::new(2, model).with_tracing();
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             let world = rank.world();
             if rank.id() == 0 {
                 rank.advance_compute(50);
                 rank.send(&world, 1, 0, Payload::F64s(vec![0.0; 10]));
             } else {
-                rank.recv(&world, 0, 0);
+                rank.recv(&world, 0, 0).await;
                 rank.advance_compute(20);
             }
         });
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn tracing_disabled_by_default() {
         let m = Machine::new(1, TimeModel::zero());
-        let out = m.run(|_| ());
+        let out = m.run_tasks(async |_| ());
         assert!(out.reports[0].trace.is_none());
     }
 
@@ -146,7 +146,7 @@ mod tests {
             flops_per_sec: 1.0,
         };
         let m = Machine::new(1, model).with_tracing();
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             for _ in 0..100 {
                 rank.advance_compute(1);
             }
@@ -164,19 +164,21 @@ mod tests {
             flops_per_sec: 1.0,
         };
         let m = Machine::new(2, model).with_tracing();
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             let world = rank.world();
-            rank.with_span(SpanCat::Level, "level0", |rank| {
+            rank.with_span(SpanCat::Level, "level0", async |rank| {
                 rank.set_phase("fact");
                 rank.advance_compute(3);
-                rank.with_span(SpanCat::Node, "sn0", |rank| {
+                rank.with_span(SpanCat::Node, "sn0", async |rank| {
                     if rank.id() == 0 {
                         rank.send(&world, 1, 1, Payload::F64s(vec![1.0]));
                     } else {
-                        rank.recv(&world, 0, 1);
+                        rank.recv(&world, 0, 1).await;
                     }
-                });
-            });
+                })
+                .await;
+            })
+            .await;
             rank.set_phase("solve");
             rank.advance_compute(2);
         });
@@ -216,12 +218,13 @@ mod tests {
             },
         )
         .with_tracing();
-        let out = m.run(|rank| {
+        let out = m.run_tasks(async |rank| {
             for lvl in 0..2 {
-                rank.with_span(SpanCat::Level, format_args!("level{lvl}"), |rank| {
+                rank.with_span(SpanCat::Level, format_args!("level{lvl}"), async |rank| {
                     rank.set_phase("fact");
                     rank.advance_compute(1);
-                });
+                })
+                .await;
             }
         });
         let trace = out.reports[0].trace.as_ref().unwrap();

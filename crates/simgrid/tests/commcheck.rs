@@ -15,7 +15,7 @@ const VERDICT_WITHIN: Duration = Duration::from_secs(1);
 /// panic message.
 fn panic_message<T: std::fmt::Debug + Send + 'static>(
     m: Machine,
-    f: impl Fn(&mut simgrid::Rank) -> T + Send + Sync + 'static,
+    f: impl Fn(&mut simgrid::BlockingRank) -> T + Send + Sync + 'static,
 ) -> String {
     let started = Instant::now();
     let err = std::panic::catch_unwind(AssertUnwindSafe(|| m.run(f))).expect_err("run must panic");

@@ -3,14 +3,14 @@
 //! quiescence, and rank counts far beyond what free-running threads could
 //! sensibly run.
 
-use simgrid::{Backend, Comm, FailKind, Machine, Payload, Rank, TimeModel};
+use simgrid::{Backend, BlockingRank, Comm, FailKind, HostPhase, Machine, Payload, TimeModel};
 
 fn machine(n: usize, backend: Backend) -> Machine {
     Machine::new(n, TimeModel::edison_like()).with_backend(backend)
 }
 
 /// Sum `v` over `comm` to local rank 0 and broadcast the sum back.
-fn all_sum(rank: &mut Rank, comm: &Comm, v: f64, tag: u64) -> f64 {
+fn all_sum(rank: &mut BlockingRank, comm: &Comm, v: f64, tag: u64) -> f64 {
     let sum = rank.reduce_sum(comm, 0, vec![v], tag).map(Payload::F64s);
     rank.bcast(comm, 0, sum, tag).into_f64s()[0]
 }
@@ -126,43 +126,65 @@ fn event_backend_runs_4096_ranks() {
 
 #[test]
 fn host_profiling_under_the_event_backend_charges_only_slot_time() {
-    // Rank 1 parks until rank 0 has spun for a while. Its profile must not
-    // book the parked wall anywhere: phases sum to its wall, and the two
-    // walls together fit inside the machine's.
+    // Rank 1 opens a panel scope and parks until rank 0 has spun for a
+    // while. Its profile must not book the parked wall anywhere, not even to
+    // the scope left open across the wait: phases sum to its wall, and the
+    // two walls together fit inside the machine's. The same whether the
+    // ranks are blocking closures on their own threads or tasks polled on
+    // the caller.
     let spin = std::time::Duration::from_millis(30);
-    let started = std::time::Instant::now();
-    let out = machine(2, Backend::Event)
-        .with_host_profiling()
-        .run(move |rank| {
-            let world = rank.world();
-            if rank.id() == 0 {
+    macro_rules! program {
+        ($rank:ident $($aw:tt)*) => {{
+            let world = $rank.world();
+            if $rank.id() == 0 {
+                $rank.recv(&world, 1, 0) $($aw)*;
                 let t0 = std::time::Instant::now();
                 while t0.elapsed() < spin {
                     std::hint::spin_loop();
                 }
-                rank.send(&world, 1, 1, Payload::Empty);
+                $rank.send(&world, 1, 1, Payload::Empty);
             } else {
-                rank.recv(&world, 0, 1);
+                let _panel = $rank.host_scope(HostPhase::PanelFactor);
+                $rank.send(&world, 0, 0, Payload::Empty);
+                $rank.recv(&world, 0, 1) $($aw)*;
             }
-        });
-    let machine_wall = started.elapsed().as_secs_f64();
-    let walls: Vec<f64> = out.reports.iter().map(|r| r.wall_secs).collect();
-    assert!(walls[0] >= spin.as_secs_f64(), "rank 0 ran {walls:?}");
-    assert!(
-        walls[1] < spin.as_secs_f64() / 2.0,
-        "rank 1 was parked while rank 0 spun, yet reports {walls:?}"
-    );
-    assert!(walls.iter().sum::<f64>() <= machine_wall, "{walls:?}");
-    for r in &out.reports {
-        let hp = r.hostprof.as_ref().expect("profiled run");
-        assert_eq!(hp.wall_secs, r.wall_secs);
+        }};
+    }
+    let machine = || machine(2, Backend::Event).with_host_profiling();
+    for tasks in [false, true] {
+        let started = std::time::Instant::now();
+        let out = if tasks {
+            machine().run_tasks(async |rank| program!(rank.await))
+        } else {
+            machine().run(|rank| program!(rank))
+        };
+        let machine_wall = started.elapsed().as_secs_f64();
+        let walls: Vec<f64> = out.reports.iter().map(|r| r.wall_secs).collect();
+        let ctx = if tasks { "tasks" } else { "blocking" };
         assert!(
-            (hp.attributed_secs() - hp.wall_secs).abs() < 1e-6,
-            "phases {} vs wall {}",
-            hp.attributed_secs(),
-            hp.wall_secs
+            walls[0] >= spin.as_secs_f64(),
+            "{ctx}: rank 0 ran {walls:?}"
         );
-        assert!(hp.phase_secs(simgrid::HostPhase::CommWait) <= hp.wall_secs);
+        assert!(
+            walls[1] < spin.as_secs_f64() / 2.0,
+            "{ctx}: rank 1 was parked while rank 0 spun, yet reports {walls:?}"
+        );
+        assert!(
+            walls.iter().sum::<f64>() <= machine_wall,
+            "{ctx}: {walls:?}"
+        );
+        for r in &out.reports {
+            let hp = r.hostprof.as_ref().expect("profiled run");
+            assert_eq!(hp.wall_secs, r.wall_secs);
+            assert!(
+                (hp.attributed_secs() - hp.wall_secs).abs() < 1e-6,
+                "{ctx}: phases {} vs wall {}",
+                hp.attributed_secs(),
+                hp.wall_secs
+            );
+            assert!(hp.phase_secs(HostPhase::CommWait) <= hp.wall_secs);
+            assert!(hp.phase_secs(HostPhase::PanelFactor) <= hp.wall_secs);
+        }
     }
 }
 

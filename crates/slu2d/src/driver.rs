@@ -101,7 +101,7 @@ mod tests {
         let machine = Machine::new(4, TimeModel::zero());
         let pa = Arc::clone(&prep.pa);
         let sym = Arc::clone(&prep.sym);
-        let out = machine.run(move |rank| {
+        let out = machine.run_tasks(async move |rank| {
             let comms = build_grid_comms(rank, &grid3);
             let (my_r, my_c, _) = comms.coords;
             let env = FactorEnv {
@@ -123,6 +123,7 @@ mod tests {
             );
             let (nodes, order) = whole_order(&sym);
             factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                .await
                 .expect("the factorization completes");
             store
         });

@@ -67,7 +67,7 @@ pub struct FactorOutcome {
 /// A panel step or Schur update that finds this rank's share of the store
 /// incomplete, or an order that updates a supernode before its panel step,
 /// ends the list with a [`FailKind::Solver`] (phase `fact`, the supernode).
-pub fn factor_nodes(
+pub async fn factor_nodes(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &mut BlockStore,
@@ -91,10 +91,11 @@ pub fn factor_nodes(
         match step {
             LookaheadStep::Panel(j) => {
                 let m = nodes[j];
-                let (pd, pert) =
-                    rank.with_span(SpanCat::Node, format_args!("panel{m}"), |rank| {
-                        factor_step_panel(rank, env, store, sym, m)
-                    })?;
+                let (pd, pert) = rank
+                    .with_span(SpanCat::Node, format_args!("panel{m}"), async |rank| {
+                        factor_step_panel(rank, env, store, sym, m).await
+                    })
+                    .await?;
                 outcome.perturbations += pert;
                 if j > next_schur {
                     outcome.lookahead_hits += 1;
@@ -112,10 +113,11 @@ pub fn factor_nodes(
                     level: None,
                     detail: "Schur update before the supernode's panel step".to_string(),
                 })?;
-                rank.with_span(SpanCat::Node, format_args!("schur{k}"), |rank| {
+                rank.with_span(SpanCat::Node, format_args!("schur{k}"), async |rank| {
                     let at = env.opts.schur_batch_min_flops;
                     factor_step_schur(rank, store, sym, k, &pd, &mut scratch, at)
-                })?;
+                })
+                .await?;
                 rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
                 next_schur = idx + 1;
             }
@@ -175,7 +177,7 @@ mod tests {
             let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
             let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
             let failure = machine
-                .try_run(move |rank| {
+                .try_run_tasks(async move |rank| {
                     let comms = build_grid_comms(rank, &grid3);
                     let (my_r, my_c, _) = comms.coords;
                     let env = FactorEnv {
@@ -200,6 +202,7 @@ mod tests {
                     }
                     let (nodes, order) = whole_order(&sym);
                     factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                        .await
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
                 .expect_err("the factorization cannot complete");
@@ -250,7 +253,7 @@ mod tests {
                 let machine = Machine::new(grid3.size(), TimeModel::zero()).with_backend(backend);
                 let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
                 let failure = machine
-                    .try_run(move |rank| {
+                    .try_run_tasks(async move |rank| {
                         let comms = build_grid_comms(rank, &grid3);
                         let (my_r, my_c, _) = comms.coords;
                         let env = FactorEnv {
@@ -278,6 +281,7 @@ mod tests {
                         }
                         let (nodes, order) = whole_order(&sym);
                         factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                            .await
                             .unwrap_or_else(|kind| rank.fail(kind));
                     })
                     .expect_err("the factorization cannot complete");
@@ -308,7 +312,7 @@ mod tests {
         let grid3 = Grid3d::new(1, 1, 1);
         let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
         let failure = Machine::new(1, TimeModel::zero())
-            .try_run(move |rank| {
+            .try_run_tasks(async move |rank| {
                 let comms = build_grid_comms(rank, &grid3);
                 let env = FactorEnv {
                     grid: grid3.grid2d,
@@ -330,6 +334,7 @@ mod tests {
                 let (nodes, _) = whole_order(&sym);
                 let order = [LookaheadStep::Schur(0)];
                 factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                    .await
                     .unwrap_or_else(|kind| rank.fail(kind));
             })
             .expect_err("the order is refused");
@@ -365,7 +370,7 @@ mod tests {
         let machine = Machine::new(pr * pc, TimeModel::edison_like());
         let pa = Arc::clone(&prep.pa);
         let sym = Arc::clone(&prep.sym);
-        let out = machine.run(move |rank| {
+        let out = machine.run_tasks(async move |rank| {
             let comms = build_grid_comms(rank, &grid3);
             let (my_r, my_c, _) = comms.coords;
             let env = FactorEnv {
@@ -390,6 +395,7 @@ mod tests {
             );
             let (nodes, order) = whole_order(&sym);
             factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                .await
                 .expect("the factorization completes");
             store
         });

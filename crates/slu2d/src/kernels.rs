@@ -49,7 +49,7 @@ impl PanelData {
 ///
 /// Every broadcast ships one shared buffer: the root packs its blocks once,
 /// and every member — the root included — reads them in place.
-pub fn factor_step_panel(
+pub async fn factor_step_panel(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &mut BlockStore,
@@ -68,7 +68,9 @@ pub fn factor_step_panel(
     // the nested collective waits, which the simulator's own CommWait
     // scopes subtract out as self-time of their own phase.
     let _host = rank.host_scope_sn(HostPhase::PanelFactor, k);
-    let f0 = flops::get();
+    // This rank's flops only: other ranks may run while it awaits a
+    // broadcast.
+    let mut meter = flops::Meter::start();
     let (kr, kc) = (k % env.grid.pr, k % env.grid.pc);
     let struct_k = &sym.fill.struct_of[k];
     let missing = |detail: &str| FailKind::Solver {
@@ -117,18 +119,14 @@ pub fn factor_step_panel(
         };
         if my_r == kr {
             let data = diag_data.clone();
-            let buf = rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_DIAG_ROW | k as u64);
-            diag_lu = Some(read_diag(buf)?);
+            let bcast =
+                rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_DIAG_ROW | k as u64);
+            diag_lu = Some(read_diag(meter.excluding(bcast).await)?);
         }
         if my_c == kc {
-            let buf = rank.bcast_among(
-                &env.col,
-                rosters.rows(k),
-                kr,
-                diag_data,
-                T_DIAG_COL | k as u64,
-            );
-            diag_lu = Some(read_diag(buf)?);
+            let tag = T_DIAG_COL | k as u64;
+            let bcast = rank.bcast_among(&env.col, rosters.rows(k), kr, diag_data, tag);
+            diag_lu = Some(read_diag(meter.excluding(bcast).await)?);
         }
     }
     let diag_lu = diag_lu.as_deref().map(|p| MatRef::new(w, w, p.data()));
@@ -191,10 +189,12 @@ pub fn factor_step_panel(
         } else {
             None
         };
-        let payload = rank.with_comm_class(CommClass::LPanel, |rank| {
-            rank.bcast_among(&env.row, rosters.cols(k), kc, data, T_LPANEL | k as u64)
+        let bcast = rank.with_comm_class(CommClass::LPanel, async |rank| {
+            let tag = T_LPANEL | k as u64;
+            rank.bcast_among(&env.row, rosters.cols(k), kc, data, tag)
+                .await
         });
-        panel.l = read_panel("L", payload, &mine)?;
+        panel.l = read_panel("L", meter.excluding(bcast).await, &mine)?;
     }
     if col_holds_u {
         let mine: Vec<(usize, usize, usize)> = struct_k
@@ -213,13 +213,15 @@ pub fn factor_step_panel(
         } else {
             None
         };
-        let payload = rank.with_comm_class(CommClass::UPanel, |rank| {
-            rank.bcast_among(&env.col, rosters.rows(k), kr, data, T_UPANEL | k as u64)
+        let bcast = rank.with_comm_class(CommClass::UPanel, async |rank| {
+            let tag = T_UPANEL | k as u64;
+            rank.bcast_among(&env.col, rosters.rows(k), kr, data, tag)
+                .await
         });
-        panel.u = read_panel("U", payload, &mine)?;
+        panel.u = read_panel("U", meter.excluding(bcast).await, &mine)?;
     }
 
-    rank.advance_compute(flops::get() - f0);
+    rank.advance_compute(meter.total());
     Ok((panel, perturbations))
 }
 
@@ -571,6 +573,61 @@ mod tests {
     use sparsemat::testmats::Geometry;
     use std::sync::Arc;
 
+    /// On a 1 x 2 grid rank 0 reads supernode `k`'s diagonal from rank 1,
+    /// its owner. Under the event backend rank 0 parks inside its panel
+    /// step's metered span while rank 1 factors the diagonal on the same
+    /// thread: rank 0 must be charged its own flops only, so its clock is
+    /// the threaded run's to the bit.
+    #[test]
+    fn a_panel_step_charges_only_its_own_flops_while_a_peer_runs() {
+        let prep = Prepared::new(
+            grid2d_5pt(12, 12, 0.1, 3),
+            Geometry::Grid2d { nx: 12, ny: 12 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(1, 2, 1);
+        let sym = &prep.sym;
+        // Owned by column 1, with a U block in column 0 for rank 0 to solve.
+        let k = (0..sym.nsup())
+            .find(|&k| k % 2 == 1 && sym.fill.struct_of[k].iter().any(|&j| j % 2 == 0))
+            .expect("a supernode of column 1 with a U block in column 0");
+        let run = |backend| {
+            let machine = Machine::new(2, TimeModel::edison_like()).with_backend(backend);
+            machine.run_tasks(async |rank| {
+                let comms = build_grid_comms(rank, &grid3);
+                let (my_r, my_c, _) = comms.coords;
+                let env = FactorEnv {
+                    grid: grid3.grid2d,
+                    my_r,
+                    my_c,
+                    row: comms.row,
+                    col: comms.col,
+                    opts: FactorOpts::default(),
+                };
+                let mut store = BlockStore::build(
+                    &prep.pa,
+                    sym,
+                    &env.grid,
+                    my_r,
+                    my_c,
+                    &|_| true,
+                    InitValues::FromMatrix,
+                );
+                factor_step_panel(rank, &env, &mut store, sym, k)
+                    .await
+                    .expect("the panel step completes");
+            })
+        };
+        let (threaded, event) = (run(Backend::Threaded), run(Backend::Event));
+        let (reader, owner) = (&event.reports[0], &event.reports[1]);
+        assert!(reader.flops > 0 && owner.flops > 0, "both ranks compute");
+        for (t, e) in threaded.reports.iter().zip(&event.reports) {
+            assert_eq!(t.flops, e.flops);
+            assert_eq!(t.clock.to_bits(), e.clock.to_bits());
+        }
+    }
+
     /// What the diagonal owner sends its row in place of a sound panel
     /// step.
     #[derive(Clone, Copy, Debug)]
@@ -613,7 +670,7 @@ mod tests {
                 let machine = Machine::new(2, TimeModel::zero()).with_backend(backend);
                 let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
                 let failure = machine
-                    .try_run(move |rank| {
+                    .try_run_tasks(async move |rank| {
                         let comms = build_grid_comms(rank, &grid3);
                         let (my_r, my_c, _) = comms.coords;
                         let env = FactorEnv {
@@ -634,7 +691,9 @@ mod tests {
                             InitValues::FromMatrix,
                         );
                         if my_c == reader {
-                            if let Err(kind) = factor_step_panel(rank, &env, &mut store, &sym, k) {
+                            if let Err(kind) =
+                                factor_step_panel(rank, &env, &mut store, &sym, k).await
+                            {
                                 rank.fail(kind);
                             }
                             return;
@@ -646,7 +705,8 @@ mod tests {
                             diag.pop();
                         }
                         let diag = Payload::packed(Vec::new(), diag);
-                        rank.bcast_among(&env.row, cols, kc, Some(diag), T_DIAG_ROW | k as u64);
+                        let tag = T_DIAG_ROW | k as u64;
+                        rank.bcast_among(&env.row, cols, kc, Some(diag), tag).await;
                         let l_ids = &sym.fill.struct_of[k];
                         let mut meta = vec![l_ids.len()];
                         for &i in l_ids {
@@ -663,9 +723,11 @@ mod tests {
                             Forged::WrongKindL => Payload::F64s(vec![1.0; values]),
                             Forged::ShortDiag => return,
                         };
-                        rank.with_comm_class(CommClass::LPanel, |rank| {
-                            rank.bcast_among(&env.row, cols, kc, Some(panel), T_LPANEL | k as u64)
-                        });
+                        rank.with_comm_class(CommClass::LPanel, async |rank| {
+                            let tag = T_LPANEL | k as u64;
+                            rank.bcast_among(&env.row, cols, kc, Some(panel), tag).await
+                        })
+                        .await;
                     })
                     .expect_err("the reader cannot accept the panel");
                 let primary = failure.primary();

@@ -497,15 +497,15 @@ fn solutions(
 /// `b` must hold the segments of the supernodes this rank is the diagonal
 /// owner of; no other rank reads them. Collective across the layer.
 #[allow(clippy::too_many_arguments)]
-pub fn forward_nodes(
+pub async fn forward_nodes(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &BlockStore,
     sym: &Symbolic,
     layout: &SolveLayout,
     sweep: &SweepPlan,
-    b: &SegVec,
-    st: &mut DistSolveState,
+    b: &SegVec<'_>,
+    st: &mut DistSolveState<'_>,
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveFwd);
     let part = &sym.part;
@@ -519,7 +519,11 @@ pub fn forward_nodes(
             let seg = st.acc.gather(nodes);
             let tag = T_FWD_RED | nodes[0] as u64;
             let roster = &batch.rosters.fwd_red;
-            if let Some(mut y) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
+            let root = batch.root.1;
+            if let Some(mut y) = rank
+                .reduce_sum_among(&env.row, roster, root, seg, tag)
+                .await
+            {
                 let f0 = flops::get();
                 let mut off = 0;
                 for &k in nodes {
@@ -546,7 +550,9 @@ pub fn forward_nodes(
                 .map(|y| Payload::packed(Vec::new(), y));
             let tag = T_FWD_BC | nodes[0] as u64;
             let roster = &batch.rosters.fwd_bc;
-            let y = rank.bcast_among(&env.col, roster, batch.root.0, data, tag);
+            let y = rank
+                .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                .await;
             let y = solutions(y, part, nodes, "solve-fwd")?;
             let f0 = flops::get();
             let mut off = 0;
@@ -597,15 +603,15 @@ pub fn apply_ancestor_x(
 /// `st.accu`. The forward sweep over the same plan must have run on `st`.
 /// Collective across the layer.
 #[allow(clippy::too_many_arguments)]
-pub fn backward_nodes(
+pub async fn backward_nodes(
     rank: &mut Rank,
     env: &FactorEnv,
     store: &BlockStore,
     sym: &Symbolic,
     layout: &SolveLayout,
     sweep: &SweepPlan,
-    st: &mut DistSolveState,
-    x_out: &mut SegVec,
+    st: &mut DistSolveState<'_>,
+    x_out: &mut SegVec<'_>,
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveBwd);
     let part = &sym.part;
@@ -617,7 +623,11 @@ pub fn backward_nodes(
             let seg = st.accu.gather(nodes);
             let tag = T_BWD_RED | nodes[0] as u64;
             let roster = &batch.rosters.bwd_red;
-            if let Some(mut x) = rank.reduce_sum_among(&env.row, roster, batch.root.1, seg, tag) {
+            let root = batch.root.1;
+            if let Some(mut x) = rank
+                .reduce_sum_among(&env.row, roster, root, seg, tag)
+                .await
+            {
                 let f0 = flops::get();
                 let y = st.y.remove(&nodes[0]).ok_or_else(|| {
                     sweep_failure("solve-bwd", nodes[0], "no forward solution on the root")
@@ -645,7 +655,9 @@ pub fn backward_nodes(
                 .map(|x| Payload::packed(Vec::new(), x));
             let tag = T_BWD_BC | nodes[0] as u64;
             let roster = &batch.rosters.bwd_bc;
-            let x = rank.bcast_among(&env.col, roster, batch.root.0, data, tag);
+            let x = rank
+                .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                .await;
             let x = solutions(x, part, nodes, "solve-bwd")?;
             let f0 = flops::get();
             let mut off = 0;
@@ -695,7 +707,7 @@ mod tests {
             let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
             let (sweep, layout) = (Arc::clone(&sweep), Arc::clone(&layout));
             let failure = machine
-                .try_run(move |rank| {
+                .try_run_tasks(async move |rank| {
                     let comms = build_grid_comms(rank, &grid3);
                     let (my_r, my_c, _) = comms.coords;
                     let env = FactorEnv {
@@ -725,6 +737,7 @@ mod tests {
                     let b = SegVec::from_full(&own, &sym.part, &vec![1.0; sym.part.n()]);
                     let mut st = DistSolveState::new(&layout, my_r);
                     forward_nodes(rank, &env, &store, &sym, &layout, &sweep, &b, &mut st)
+                        .await
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
                 .expect_err("the sweep cannot complete");

@@ -90,9 +90,10 @@ fn usage() -> ! {
          \x20                    the Section IV cost models (runs a 2D baseline)\n\
          \x20                    and write the pass/fail report as JSON;\n\
          \x20                    '-' = stdout. Exit 1 on failure.\n\
-         \x20 --backend B        execution backend: 'threaded' (default; every\n\
-         \x20                    rank may run at once) or 'event' (one rank\n\
-         \x20                    runs at a time — runs paper-scale\n\
+         \x20 --backend B        execution backend: 'threaded' (default; one\n\
+         \x20                    OS thread per rank, every rank may run at\n\
+         \x20                    once) or 'event' (every rank a task polled on\n\
+         \x20                    one thread, one at a time — runs paper-scale\n\
          \x20                    grids like 64x64x1 = 4096 ranks in one\n\
          \x20                    process). Factor digests, makespans, and all\n\
          \x20                    ledgers are bitwise identical either way (see\n\

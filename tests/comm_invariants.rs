@@ -186,7 +186,7 @@ fn traced_3d_run_has_consistent_timelines() {
     let program = Arc::new(FactorProgram::new(&prep.sym, &forest, 8));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
-    let out = machine.run(move |rank| {
+    let out = machine.run_tasks(async move |rank| {
         let comms = build_grid_comms(rank, &grid3);
         let (my_r, my_c, my_z) = comms.coords;
         let mut store = BlockStore::build_with_value_pred(
@@ -207,6 +207,7 @@ fn traced_3d_run_has_consistent_timelines() {
             &program,
             salu::slu2d::factor2d::FactorOpts::default(),
         )
+        .await
         .expect("fault-free factorization succeeds");
     });
     for rep in &out.reports {
