@@ -439,10 +439,15 @@ pub fn check_determinism(a: &Json, b: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{chrome_trace, ActivityKind, MsgInfo, Recorder, SpanCat};
+    use obs::{chrome_trace, ActivityKind, CommClass, MsgInfo, Recorder, SpanCat};
 
     fn mi(uid: u64, ctx: u64, tag: u64) -> Option<MsgInfo> {
-        Some(MsgInfo { uid, ctx, tag })
+        Some(MsgInfo {
+            uid,
+            ctx,
+            tag,
+            class: CommClass::Control,
+        })
     }
 
     /// rank 0 sends two messages to rank 1 on the same slot; rank 1

@@ -493,6 +493,13 @@ fn try_run(
             "pivot threshold {threshold} is not a finite number above zero"
         )));
     }
+    // A NaN deadline would never fire (`waited > NaN` is false) and a
+    // negative one would fail the first receive as a false "deadline".
+    if let Some(d) = cfg.recv_deadline.filter(|d| d.is_nan() || *d < 0.0) {
+        return Err(MachineFailure::config(format!(
+            "receive deadline {d} is not a number of seconds at or above zero"
+        )));
+    }
     if let Some(b) = rhs.as_ref().filter(|b| b.len() != prep.a.nrows) {
         return Err(MachineFailure::config(format!(
             "right-hand side has {} entries but the matrix has {} rows",
@@ -1533,6 +1540,31 @@ mod tests {
                 ..Default::default()
             };
             assert!(try_factor_and_solve(&prep, &cfg, Some(b.clone())).is_ok());
+        }
+    }
+
+    /// A NaN receive deadline used to never fire and a negative one failed
+    /// the first receive as a late arrival; both are config errors.
+    #[test]
+    fn try_factor_only_reports_a_bad_recv_deadline_as_a_config_error() {
+        let a = grid2d_5pt(8, 8, 0.0, 0);
+        let prep = Prepared::new(a, Geometry::Grid2d { nx: 8, ny: 8 }, 8, 8);
+        for deadline in [f64::NAN, -1e-3] {
+            let cfg = SolverConfig {
+                pc: 2,
+                recv_deadline: Some(deadline),
+                ..Default::default()
+            };
+            let err = try_factor_only(&prep, &cfg)
+                .err()
+                .unwrap_or_else(|| panic!("a receive deadline of {deadline} must be rejected"));
+            assert_eq!((err.phase.as_str(), err.cascades), ("config", 0));
+            assert!(
+                matches!(&err.kind, FailKind::Config { detail }
+                    if detail.contains(&format!("receive deadline {deadline}"))),
+                "unexpected failure kind: {}",
+                err.kind
+            );
         }
     }
 

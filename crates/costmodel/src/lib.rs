@@ -7,7 +7,7 @@
 //! (`L`, messages on the critical path) for the 2D baseline and the 3D
 //! algorithm, on planar (2D-geometry) and non-planar (3D-geometry) model
 //! problems. The experiment harness prints them side by side with measured
-//! counters (the `table2_model` binary), and [`optimal_pz_planar`]
+//! counters (`salu-campaign figures`, Table II), and [`optimal_pz_planar`]
 //! implements Equation (8): `Pz* = (1/2) log2 n`.
 //!
 //! All functions work in *words* (8-byte units) and *message counts*; they

@@ -102,118 +102,89 @@ pub fn chrome_trace(obs: &[RankObs]) -> Json {
                 events.push(Json::Obj(flow));
             }
         }
-        // Memory counter track: one "C" sample per distinct ledger
-        // timestamp, args = cumulative bytes per class (summed over tree
-        // levels). Perfetto renders each (pid, name) counter as a stacked
-        // area chart beside the rank's span track.
-        if !r.mem.is_empty() {
-            let live: Vec<MemClass> = MemClass::ALL
-                .iter()
-                .copied()
-                .filter(|&c| r.mem.iter().any(|e| e.class == c))
-                .collect();
-            let mut totals: BTreeMap<MemClass, i64> = BTreeMap::new();
-            let mut i = 0;
-            while i < r.mem.len() {
-                let t = r.mem[i].t;
-                while i < r.mem.len() && r.mem[i].t == t {
-                    *totals.entry(r.mem[i].class).or_insert(0) += r.mem[i].delta;
-                    i += 1;
-                }
-                let args = live
-                    .iter()
-                    .map(|&c| {
-                        let v = totals.get(&c).copied().unwrap_or(0);
-                        (c.as_str().to_string(), Json::num(v as f64))
-                    })
-                    .collect();
-                events.push(Json::Obj(vec![
-                    ("ph".into(), Json::str("C")),
-                    ("name".into(), Json::str(format!("mem rank {}", r.rank))),
-                    ("cat".into(), Json::str("mem")),
-                    ("ts".into(), Json::num(t * US)),
-                    ("pid".into(), Json::num(0.0)),
-                    ("tid".into(), Json::num(r.rank as f64)),
-                    ("args".into(), Json::Obj(args)),
-                ]));
-            }
-        }
-        // Wire counter track: one "C" sample per distinct send timestamp,
-        // args = cumulative words shipped per communication class. The
-        // series are monotone by construction (sends only add words).
-        if !r.comm.is_empty() {
-            let live: Vec<CommClass> = CommClass::ALL
-                .iter()
-                .copied()
-                .filter(|&c| r.comm.iter().any(|e| e.class == c))
-                .collect();
-            let mut totals: BTreeMap<CommClass, u64> = BTreeMap::new();
-            let mut i = 0;
-            while i < r.comm.len() {
-                let t = r.comm[i].t;
-                while i < r.comm.len() && r.comm[i].t == t {
-                    *totals.entry(r.comm[i].class).or_insert(0) += r.comm[i].words;
-                    i += 1;
-                }
-                let args = live
-                    .iter()
-                    .map(|&c| {
-                        let v = totals.get(&c).copied().unwrap_or(0);
-                        (c.as_str().to_string(), Json::num(v as f64))
-                    })
-                    .collect();
-                events.push(Json::Obj(vec![
-                    ("ph".into(), Json::str("C")),
-                    ("name".into(), Json::str(format!("wire rank {}", r.rank))),
-                    ("cat".into(), Json::str("wire")),
-                    ("ts".into(), Json::num(t * US)),
-                    ("pid".into(), Json::num(0.0)),
-                    ("tid".into(), Json::num(r.rank as f64)),
-                    ("args".into(), Json::Obj(args)),
-                ]));
-            }
-        }
-        // Host-profiler counter track: one "C" sample per distinct
-        // simulated open time, args = cumulative host self-nanoseconds per
-        // phase. Timestamps are simulated (deterministic placement); only
-        // the values carry nondeterministic host measurements.
-        if !r.host.is_empty() {
-            let live: Vec<HostPhase> = HostPhase::ALL
-                .iter()
-                .copied()
-                .filter(|&p| r.host.iter().any(|e| e.phase == p))
-                .collect();
-            let mut totals: BTreeMap<HostPhase, u64> = BTreeMap::new();
-            let mut i = 0;
-            while i < r.host.len() {
-                let t = r.host[i].t;
-                while i < r.host.len() && r.host[i].t == t {
-                    *totals.entry(r.host[i].phase).or_insert(0) += r.host[i].ns;
-                    i += 1;
-                }
-                let args = live
-                    .iter()
-                    .map(|&p| {
-                        let v = totals.get(&p).copied().unwrap_or(0);
-                        (p.as_str().to_string(), Json::num(v as f64))
-                    })
-                    .collect();
-                events.push(Json::Obj(vec![
-                    ("ph".into(), Json::str("C")),
-                    ("name".into(), Json::str(format!("host rank {}", r.rank))),
-                    ("cat".into(), Json::str("host")),
-                    ("ts".into(), Json::num(t * US)),
-                    ("pid".into(), Json::num(0.0)),
-                    ("tid".into(), Json::num(r.rank as f64)),
-                    ("args".into(), Json::Obj(args)),
-                ]));
-            }
-        }
+        // Counter tracks beside the rank's span track, each a stacked area
+        // chart in Perfetto: memory bytes per class (summed over tree
+        // levels), wire words per class (the visible sends; monotone, as
+        // sends only add words), and host self-nanoseconds per phase
+        // (placed at simulated open times; only the values are host
+        // measurements).
+        let mem: Vec<_> = r.mem.iter().map(|e| (e.t, e.class, e.delta)).collect();
+        counter_track(
+            &mut events,
+            "mem",
+            r.rank,
+            &MemClass::ALL,
+            MemClass::as_str,
+            &mem,
+        );
+        let wire: Vec<_> = r
+            .activities
+            .iter()
+            .filter(|a| a.kind == ActivityKind::Send && a.words > 0)
+            .filter_map(|a| a.msg.map(|m| (a.start, m.class, a.words as i64)))
+            .collect();
+        counter_track(
+            &mut events,
+            "wire",
+            r.rank,
+            &CommClass::ALL,
+            CommClass::as_str,
+            &wire,
+        );
+        let host: Vec<_> = r.host.iter().map(|e| (e.t, e.phase, e.ns as i64)).collect();
+        counter_track(
+            &mut events,
+            "host",
+            r.rank,
+            &HostPhase::ALL,
+            HostPhase::as_str,
+            &host,
+        );
     }
     Json::Obj(vec![
         ("traceEvents".into(), Json::Arr(events)),
         ("displayTimeUnit".into(), Json::str("ms")),
     ])
+}
+
+/// Append the `"{cat} rank {rank}"` counter track: one `"C"` sample per
+/// distinct timestamp of `samples` (chronological `(t, series, delta)`),
+/// whose args are the running totals of every series that ever appears, in
+/// the order of `all`.
+fn counter_track<K: Copy + PartialEq>(
+    events: &mut Vec<Json>,
+    cat: &str,
+    rank: usize,
+    all: &[K],
+    label: fn(K) -> &'static str,
+    samples: &[(f64, K, i64)],
+) {
+    let live: Vec<K> = all
+        .iter()
+        .copied()
+        .filter(|&k| samples.iter().any(|s| s.1 == k))
+        .collect();
+    let mut totals = vec![0i64; live.len()];
+    for (i, &(t, k, delta)) in samples.iter().enumerate() {
+        totals[live.iter().position(|&l| l == k).unwrap()] += delta;
+        if samples.get(i + 1).is_some_and(|next| next.0 == t) {
+            continue;
+        }
+        let args = live
+            .iter()
+            .zip(&totals)
+            .map(|(&k, &v)| (label(k).to_string(), Json::num(v as f64)))
+            .collect();
+        events.push(Json::Obj(vec![
+            ("ph".into(), Json::str("C")),
+            ("name".into(), Json::str(format!("{cat} rank {rank}"))),
+            ("cat".into(), Json::str(cat)),
+            ("ts".into(), Json::num(t * US)),
+            ("pid".into(), Json::num(0.0)),
+            ("tid".into(), Json::num(rank as f64)),
+            ("args".into(), Json::Obj(args)),
+        ]));
+    }
 }
 
 /// Structural facts established by [`validate_chrome_trace`].
@@ -227,7 +198,7 @@ pub struct ChromeTraceStats {
     pub max_nesting: usize,
     /// Matched send→recv flow pairs.
     pub flow_pairs: usize,
-    /// `"C"` counter samples (memory tracks).
+    /// `"C"` counter samples (memory, wire and host tracks).
     pub counter_events: usize,
 }
 
@@ -379,6 +350,7 @@ mod tests {
                 uid: 7,
                 ctx: 0,
                 tag: 3,
+                class: CommClass::Control,
             }),
         );
         r0.exit(node, 2.5);
@@ -398,6 +370,7 @@ mod tests {
                 uid: 7,
                 ctx: 0,
                 tag: 3,
+                class: CommClass::Control,
             }),
         );
         r1.exit(ph1, 3.0);
@@ -436,6 +409,7 @@ mod tests {
                 uid: 99,
                 ctx: 0,
                 tag: 1,
+                class: CommClass::Control,
             }),
         );
         let doc = chrome_trace(&[r0.finish(1.0)]);
@@ -451,10 +425,11 @@ mod tests {
     fn counter_track_roundtrips_and_counts() {
         use crate::memprof::{MemClass, MemLedger};
         let mut led = MemLedger::new(true);
-        led.charge(MemClass::LPanel, 128, 0.0);
-        led.charge(MemClass::MsgInFlight, 64, 1.0);
-        led.credit(MemClass::MsgInFlight, 64, 2.0);
-        let mut obs = two_rank_obs();
+        led.charge(MemClass::LPanel, 0, 128, 0.0);
+        led.charge(MemClass::MsgInFlight, 0, 64, 1.0);
+        led.credit(MemClass::MsgInFlight, 0, 64, 2.0);
+        // No sends: the rank's only counter track is its memory.
+        let mut obs = vec![Recorder::new(0).finish(2.0)];
         obs[0].mem = led.take_timeline();
         let doc = chrome_trace(&obs);
         let stats = validate_chrome_trace(&doc).unwrap();
@@ -481,14 +456,24 @@ mod tests {
 
     #[test]
     fn wire_counter_track_is_cumulative_per_class() {
-        use crate::commvol::{CommClass, CommLedger, GridAxis};
-        let mut led = CommLedger::new(true);
-        led.charge_send("fact", CommClass::LPanel, GridAxis::X, 1, 16, 8, 0.0);
-        led.charge_send("fact", CommClass::LPanel, GridAxis::X, 1, 4, 4, 1.0);
-        led.charge_send("reduce", CommClass::ZReduction, GridAxis::Z, 2, 10, 5, 1.0);
-        let mut obs = two_rank_obs();
-        obs[0].comm = led.take_timeline();
-        let doc = chrome_trace(&obs);
+        // Visible sends with words are samples; a transport-internal send
+        // (no message identity) and a zero-word one are not.
+        let mut r0 = Recorder::new(0);
+        let mut send = |t: f64, words: u64, class: Option<CommClass>| {
+            let msg = class.map(|class| MsgInfo {
+                uid: t as u64,
+                ctx: 0,
+                tag: 1,
+                class,
+            });
+            r0.activity(ActivityKind::Send, t, t + 0.5, Some(1), words, msg);
+        };
+        send(0.0, 16, Some(CommClass::LPanel));
+        send(1.0, 4, Some(CommClass::LPanel));
+        send(1.0, 10, Some(CommClass::ZReduction));
+        send(2.0, 99, None);
+        send(3.0, 0, Some(CommClass::Collective));
+        let doc = chrome_trace(&[r0.finish(3.5)]);
         let stats = validate_chrome_trace(&doc).unwrap();
         assert_eq!(stats.counter_events, 2, "two distinct timestamps");
         let back = Json::parse(&doc.dump()).unwrap();
@@ -508,12 +493,13 @@ mod tests {
         assert_eq!(series(counters[0], "ZReduction"), 0.0);
         assert_eq!(series(counters[1], "LPanel"), 20.0);
         assert_eq!(series(counters[1], "ZReduction"), 10.0);
+        assert!(counters[1].get("args").unwrap().get("Collective").is_none());
     }
 
     #[test]
     fn host_counter_track_is_cumulative_per_phase() {
         use crate::hostprof::{HostEvent, HostPhase};
-        let mut obs = two_rank_obs();
+        let mut obs = vec![Recorder::new(0).finish(1.0)];
         obs[0].host = vec![
             HostEvent {
                 t: 0.0,

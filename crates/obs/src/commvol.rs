@@ -24,9 +24,9 @@
 //! bitwise the same ledger as a fault-free run. Transport overhead lands
 //! in the `fault.resent_*` metrics instead.
 //!
-//! When tracing is on, the ledger records each send as a [`CommEvent`];
-//! the Chrome exporter turns that timeline into cumulative `"ph":"C"`
-//! counter tracks per class ("wire rank N").
+//! The ledger keeps no timeline: a traced run's visible `Send` activities
+//! carry their class, and the Chrome exporter projects them into
+//! cumulative `"ph":"C"` counter tracks per class ("wire rank N").
 
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -107,16 +107,6 @@ impl GridAxis {
     }
 }
 
-/// One send on the wire timeline (recorded only when tracing).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CommEvent {
-    /// Simulated seconds at which the send started.
-    pub t: f64,
-    pub class: CommClass,
-    /// Padded words shipped.
-    pub words: u64,
-}
-
 /// Accumulated volume under one ledger key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommCell {
@@ -136,120 +126,57 @@ pub struct EdgeVolume {
     pub words: u64,
 }
 
-/// A ledger key with the phase label replaced by its index in
-/// [`CommLedger::phases`].
+/// What a send is charged under. The phase is an index into the caller's
+/// intern table of labels, which [`CommLedger::report`] takes back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CellKey {
-    phase: u32,
-    class: CommClass,
-    level: u32,
-    axis: GridAxis,
+pub struct CommKey {
+    pub phase: u32,
+    pub class: CommClass,
+    pub level: u32,
+    pub axis: GridAxis,
 }
 
 /// Running per-key volumes for one rank.
 ///
 /// A rank touches a few dozen distinct keys in a run and sends thousands of
 /// messages under each, almost always under the key of the previous send: the
-/// cells are a short vector searched last-hit first, the phase labels are
-/// interned, and the labelled, sorted rows exist only in the report.
+/// cells are a short vector searched last-hit first, and the labelled, sorted
+/// rows exist only in the report.
 #[derive(Clone, Debug, Default)]
 pub struct CommLedger {
-    /// Current tree level, stamped onto send charges.
-    level: u32,
-    /// Phase labels in order of first use.
-    phases: Vec<String>,
-    cells: Vec<(CellKey, CommCell)>,
+    cells: Vec<(CommKey, CommCell)>,
     /// Index into `cells` of the last charge.
     last: usize,
     sent_to: BTreeMap<usize, (u64, u64)>,
     recv_from: BTreeMap<usize, (u64, u64)>,
-    /// Per-event timeline, recorded only when tracing.
-    timeline: Option<Vec<CommEvent>>,
 }
 
 impl CommLedger {
-    /// `timeline = true` records every send for counter-track export;
-    /// the keyed volumes are always on.
-    pub fn new(timeline: bool) -> Self {
-        CommLedger {
-            timeline: if timeline { Some(Vec::new()) } else { None },
-            ..Default::default()
-        }
-    }
-
-    /// Set the elimination-tree level subsequent send charges are
-    /// attributed to (mirrors [`crate::memprof::MemLedger::set_level`]).
-    pub fn set_level(&mut self, level: u32) {
-        self.level = level;
-    }
-
-    /// The cell of `(phase, class, current level, axis)`, created on first
-    /// use. Allocates only then.
-    fn cell_mut(&mut self, phase: &str, class: CommClass, axis: GridAxis) -> &mut CommCell {
-        let level = self.level;
-        let phases = &self.phases;
-        let is_key = |k: &CellKey| {
-            k.class == class
-                && k.level == level
-                && k.axis == axis
-                && phases[k.phase as usize] == phase
-        };
-        if !self.cells.get(self.last).is_some_and(|(k, _)| is_key(k)) {
-            self.last = match self.cells.iter().position(|(k, _)| is_key(k)) {
+    /// Charge one algorithmic send under `key`: `words` padded words (with
+    /// `struct_words` of them structurally nonzero) to `dst`. Zero-word
+    /// messages (barriers) still count as messages. Allocates only on a
+    /// key's first use.
+    pub fn charge_send(&mut self, key: CommKey, dst: usize, words: u64, struct_words: u64) {
+        debug_assert!(
+            struct_words <= words,
+            "struct {struct_words} > padded {words}"
+        );
+        if self.cells.get(self.last).is_none_or(|(k, _)| *k != key) {
+            self.last = match self.cells.iter().position(|(k, _)| *k == key) {
                 Some(at) => at,
                 None => {
-                    let phase = match self.phases.iter().position(|p| p == phase) {
-                        Some(id) => id,
-                        None => {
-                            self.phases.push(phase.to_string());
-                            self.phases.len() - 1
-                        }
-                    } as u32;
-                    let key = CellKey {
-                        phase,
-                        class,
-                        level,
-                        axis,
-                    };
                     self.cells.push((key, CommCell::default()));
                     self.cells.len() - 1
                 }
             };
         }
-        &mut self.cells[self.last].1
-    }
-
-    /// Charge one algorithmic send: `words` padded words (with
-    /// `struct_words` of them structurally nonzero) to `dst` along `axis`,
-    /// under `phase` and `class` at the current tree level. Zero-word
-    /// messages (barriers) still count as messages.
-    #[allow(clippy::too_many_arguments)] // one scalar per ledger dimension; called once from Rank
-    pub fn charge_send(
-        &mut self,
-        phase: &str,
-        class: CommClass,
-        axis: GridAxis,
-        dst: usize,
-        words: u64,
-        struct_words: u64,
-        t: f64,
-    ) {
-        debug_assert!(
-            struct_words <= words,
-            "struct {struct_words} > padded {words}"
-        );
-        let cell = self.cell_mut(phase, class, axis);
+        let cell = &mut self.cells[self.last].1;
         cell.msgs += 1;
         cell.words += words;
         cell.struct_words += struct_words.min(words);
         let e = self.sent_to.entry(dst).or_default();
         e.0 += 1;
         e.1 += words;
-        if words > 0 {
-            if let Some(tl) = &mut self.timeline {
-                tl.push(CommEvent { t, class, words });
-            }
-        }
     }
 
     /// Record one algorithmic receive of `words` words from `src`.
@@ -259,18 +186,9 @@ impl CommLedger {
         e.1 += words;
     }
 
-    /// Padded words sent so far, all keys.
-    pub fn sent_words(&self) -> u64 {
-        self.cells.iter().map(|(_, c)| c.words).sum()
-    }
-
-    /// Take the recorded event timeline (empty when tracing was off).
-    pub fn take_timeline(&mut self) -> Vec<CommEvent> {
-        self.timeline.take().unwrap_or_default()
-    }
-
-    /// Freeze into a report. Call at the end of the run.
-    pub fn report(&self) -> CommReport {
+    /// Freeze into a report, naming each key's phase from `phases`, the
+    /// intern table its indices point into. Call at the end of the run.
+    pub fn report(&self, phases: &[impl AsRef<str>]) -> CommReport {
         let edges = |m: &BTreeMap<usize, (u64, u64)>| {
             m.iter()
                 .map(|(&peer, &(msgs, words))| EdgeVolume { peer, msgs, words })
@@ -280,7 +198,7 @@ impl CommLedger {
             .cells
             .iter()
             .map(|&(key, cell)| CommEntry {
-                phase: self.phases[key.phase as usize].clone(),
+                phase: phases[key.phase as usize].as_ref().to_string(),
                 class: key.class,
                 level: key.level,
                 axis: key.axis,
@@ -523,6 +441,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const PHASES: [&str; 4] = ["solve", "fact", "reduce", "default"];
+    const FACT: u32 = 1;
+    const REDUCE: u32 = 2;
+
+    fn key(phase: u32, class: CommClass, level: u32, axis: GridAxis) -> CommKey {
+        CommKey {
+            phase,
+            class,
+            level,
+            axis,
+        }
+    }
+
     proptest! {
         /// Random sends over a handful of phases, classes, levels and axes:
         /// the indexed cells render to exactly the rows a map keyed by the
@@ -538,25 +469,24 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 (z ^ (z >> 31)) % n
             };
-            let phases = ["solve", "fact", "reduce", "default"];
-            let mut ledger = CommLedger::new(false);
+            let mut ledger = CommLedger::default();
             let mut reference: BTreeMap<(String, CommClass, u32, GridAxis), CommCell> = BTreeMap::new();
-            let mut key = (phases[0], CommClass::Control, 0u32, GridAxis::X);
+            let mut k = key(0, CommClass::Control, 0, GridAxis::X);
             for _ in 0..sends {
                 // Mostly the key of the previous send, as in a real run.
                 if draw(4) == 0 {
-                    key = (
-                        phases[draw(4) as usize],
+                    k = key(
+                        draw(4) as u32,
                         CommClass::ALL[draw(6) as usize],
                         draw(3) as u32,
                         GridAxis::ALL[draw(4) as usize],
                     );
-                    ledger.set_level(key.2);
                 }
                 let words = draw(50);
                 let struct_words = draw(words + 1);
-                ledger.charge_send(key.0, key.1, key.3, draw(5) as usize, words, struct_words, 0.0);
-                let cell = reference.entry((key.0.to_string(), key.1, key.2, key.3)).or_default();
+                ledger.charge_send(k, draw(5) as usize, words, struct_words);
+                let label = PHASES[k.phase as usize].to_string();
+                let cell = reference.entry((label, k.class, k.level, k.axis)).or_default();
                 cell.msgs += 1;
                 cell.words += words;
                 cell.struct_words += struct_words;
@@ -565,20 +495,24 @@ mod tests {
                 .into_iter()
                 .map(|((phase, class, level, axis), cell)| CommEntry { phase, class, level, axis, cell })
                 .collect();
-            let report = ledger.report();
-            prop_assert_eq!(ledger.sent_words(), report.sent_words());
+            let report = ledger.report(&PHASES);
             prop_assert_eq!(report.entries, expected);
         }
     }
 
     #[test]
     fn keys_separate_phase_class_level_axis() {
-        let mut l = CommLedger::new(false);
-        l.charge_send("fact", CommClass::LPanel, GridAxis::X, 1, 100, 60, 0.0);
-        l.charge_send("fact", CommClass::LPanel, GridAxis::X, 2, 50, 50, 1.0);
-        l.set_level(3);
-        l.charge_send("reduce", CommClass::ZReduction, GridAxis::Z, 4, 80, 40, 2.0);
-        let r = l.report();
+        let mut l = CommLedger::default();
+        let lpanel = key(FACT, CommClass::LPanel, 0, GridAxis::X);
+        l.charge_send(lpanel, 1, 100, 60);
+        l.charge_send(lpanel, 2, 50, 50);
+        l.charge_send(
+            key(REDUCE, CommClass::ZReduction, 3, GridAxis::Z),
+            4,
+            80,
+            40,
+        );
+        let r = l.report(&PHASES);
         assert_eq!(r.entries.len(), 2);
         assert_eq!(r.sent_words(), 230);
         assert_eq!(r.sent_msgs(), 3);
@@ -593,9 +527,9 @@ mod tests {
 
     #[test]
     fn waste_ratio_is_padding_fraction() {
-        let mut l = CommLedger::new(false);
-        l.charge_send("fact", CommClass::UPanel, GridAxis::Y, 1, 200, 50, 0.0);
-        let r = l.report();
+        let mut l = CommLedger::default();
+        l.charge_send(key(FACT, CommClass::UPanel, 0, GridAxis::Y), 1, 200, 50);
+        let r = l.report(&PHASES);
         assert_eq!(r.waste_ratio(CommClass::UPanel), 0.75);
         // A class that sent nothing has zero waste, not NaN.
         assert_eq!(r.waste_ratio(CommClass::LPanel), 0.0);
@@ -603,13 +537,14 @@ mod tests {
 
     #[test]
     fn edges_accumulate_per_peer() {
-        let mut l = CommLedger::new(false);
-        l.charge_send("fact", CommClass::Control, GridAxis::X, 1, 10, 10, 0.0);
-        l.charge_send("fact", CommClass::Control, GridAxis::X, 1, 5, 5, 1.0);
-        l.charge_send("fact", CommClass::Control, GridAxis::Y, 2, 7, 7, 2.0);
+        let mut l = CommLedger::default();
+        let x = key(FACT, CommClass::Control, 0, GridAxis::X);
+        l.charge_send(x, 1, 10, 10);
+        l.charge_send(x, 1, 5, 5);
+        l.charge_send(key(FACT, CommClass::Control, 0, GridAxis::Y), 2, 7, 7);
         l.charge_recv(3, 9);
         l.charge_recv(3, 1);
-        let r = l.report();
+        let r = l.report(&PHASES);
         assert_eq!(r.sent_to.len(), 2);
         assert_eq!(
             r.sent_to[0],
@@ -633,26 +568,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_word_messages_count_msgs_not_timeline() {
-        let mut l = CommLedger::new(true);
-        l.charge_send("fact", CommClass::Collective, GridAxis::Cross, 1, 0, 0, 0.0);
-        l.charge_send("fact", CommClass::Collective, GridAxis::Cross, 1, 4, 4, 1.0);
-        let r = l.report();
-        assert_eq!(r.sent_msgs(), 2);
-        assert_eq!(r.sent_words(), 4);
-        let tl = l.take_timeline();
-        assert_eq!(tl.len(), 1, "barriers stay off the counter track");
-        assert_eq!(tl[0].words, 4);
-    }
-
-    #[test]
     fn report_json_is_deterministic_and_parses_back() {
-        let mut l = CommLedger::new(false);
-        l.charge_send("fact", CommClass::LPanel, GridAxis::X, 1, 64, 48, 0.25);
-        l.set_level(1);
-        l.charge_send("reduce", CommClass::ZReduction, GridAxis::Z, 2, 32, 16, 0.5);
+        let mut l = CommLedger::default();
+        l.charge_send(key(FACT, CommClass::LPanel, 0, GridAxis::X), 1, 64, 48);
+        l.charge_send(
+            key(REDUCE, CommClass::ZReduction, 1, GridAxis::Z),
+            2,
+            32,
+            16,
+        );
         l.charge_recv(2, 32);
-        let doc = commvol_json(&[l.report()]);
+        let doc = commvol_json(&[l.report(&PHASES)]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();
@@ -670,25 +596,5 @@ mod tests {
             back.get("by_level").unwrap().get("1").unwrap().as_f64(),
             Some(32.0)
         );
-    }
-
-    #[test]
-    fn timeline_replays_to_ledger_totals() {
-        let mut l = CommLedger::new(true);
-        for i in 0..5u64 {
-            l.charge_send(
-                "fact",
-                CommClass::UPanel,
-                GridAxis::Y,
-                1,
-                8 + i,
-                8,
-                i as f64,
-            );
-        }
-        let total = l.sent_words();
-        let tl = l.take_timeline();
-        assert_eq!(tl.iter().map(|e| e.words).sum::<u64>(), total);
-        assert!(tl.windows(2).all(|w| w[0].t <= w[1].t));
     }
 }

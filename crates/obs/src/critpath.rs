@@ -135,7 +135,7 @@ impl CriticalPath {
             let seg_start = a.start.min(cur_t);
             let kind = match a.kind {
                 ActivityKind::Compute => SegKind::Comp,
-                ActivityKind::Send | ActivityKind::Recv => SegKind::Comm,
+                ActivityKind::Send | ActivityKind::Recv | ActivityKind::Resend => SegKind::Comm,
                 ActivityKind::Wait => SegKind::Wait,
             };
             segments.push(CritSegment {
@@ -264,6 +264,7 @@ mod tests {
             uid,
             ctx: 0,
             tag: 1,
+            class: crate::CommClass::Control,
         })
     }
     use crate::span::{ActivityKind, Recorder, SpanCat};

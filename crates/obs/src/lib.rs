@@ -5,10 +5,12 @@
 //! attribution.
 //!
 //! This crate is a leaf — it knows nothing about the simulator or the
-//! factorization. The `simgrid` machine owns a [`Recorder`] per rank and
-//! feeds it spans (opened by algorithm layers via `Rank` methods) and
-//! activities (charged by the machine itself); everything here consumes
-//! the resulting [`RankObs`] stores.
+//! factorization. Each `simgrid` rank bundles one of each instrument here
+//! behind a hook per send, receive, compute charge and wait, so every
+//! quantity is recorded once: the ledgers count, the [`Recorder`] keeps
+//! the timeline (spans opened by algorithm layers via `Rank` methods,
+//! activities charged by the machine itself), and the Chrome counter
+//! tracks are projections of what those recorded, not a third copy.
 //!
 //! # The pieces
 //!
@@ -25,7 +27,8 @@
 //!   over a fixed phase taxonomy, with self-time attribution that sums to
 //!   100% of the measured wall and folded-stack export for flamegraphs.
 //! - [`chrome`]: trace-event JSON for <https://ui.perfetto.dev>, with
-//!   send→recv flow arrows, and a structural validator.
+//!   send→recv flow arrows, `mem` / `wire` / `host` counter tracks from
+//!   one builder, and a structural validator.
 //! - [`critpath`]: backward walk over the send→recv dependency graph
 //!   yielding the makespan-determining chain and per-phase attribution
 //!   that sums to 100% of the makespan.
@@ -59,7 +62,7 @@ pub mod span;
 
 pub use chrome::{chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use commvol::{
-    commvol_json, CommClass, CommEntry, CommEvent, CommLedger, CommReport, EdgeVolume, GridAxis,
+    commvol_json, CommClass, CommEntry, CommKey, CommLedger, CommReport, EdgeVolume, GridAxis,
 };
 pub use critpath::{CritSegment, CriticalPath, SegKind};
 pub use hostprof::{hostprof_json, HostEvent, HostPhase, HostProf, HostReport, HostScope};

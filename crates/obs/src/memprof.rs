@@ -13,8 +13,9 @@
 //! the span Gantt in Perfetto.
 //!
 //! Like the rest of this crate, the module is a leaf: the simulator wires
-//! the ledger into its `Rank`, the algorithm layers pick the classes, and
-//! everything here just does deterministic arithmetic.
+//! the ledger into its rank's instruments, which hold the current tree
+//! level and pass it with every charge; the algorithm layers pick the
+//! classes, and everything here just does deterministic arithmetic.
 
 use crate::json::Json;
 
@@ -114,9 +115,6 @@ pub struct MemLedger {
     peak_by: Balances,
     /// True while `cur` stands in for `peak_by`.
     peak_is_cur: bool,
-    /// Current tree level; stamped onto charges (credits look up the
-    /// level a balance was charged under).
-    level: u32,
     /// Per-event timeline, recorded only when tracing.
     timeline: Option<Vec<MemEvent>>,
 }
@@ -132,22 +130,9 @@ impl MemLedger {
         }
     }
 
-    /// Set the elimination-tree level subsequent charges are attributed
-    /// to. The 3D driver calls this once per level loop; 2D runs stay at
-    /// the default level 0.
-    pub fn set_level(&mut self, level: u32) {
-        self.level = level;
-    }
-
-    /// Charge `bytes` of `class` at simulated time `t`, attributed to the
-    /// current tree level.
-    pub fn charge(&mut self, class: MemClass, bytes: u64, t: f64) {
-        self.charge_at(class, self.level, bytes, t)
-    }
-
-    /// Charge against an explicit level (used when the allocation's level
-    /// is known statically, e.g. ancestor replicas at store build).
-    pub fn charge_at(&mut self, class: MemClass, level: u32, bytes: u64, t: f64) {
+    /// Charge `bytes` of `class` at simulated time `t`, attributed to
+    /// elimination-tree level `level` (0 for 2D runs).
+    pub fn charge(&mut self, class: MemClass, level: u32, bytes: u64, t: f64) {
         if bytes == 0 {
             return;
         }
@@ -172,15 +157,10 @@ impl MemLedger {
         }
     }
 
-    /// Credit (free) `bytes` of `class` at time `t` against the current
-    /// tree level. Panics if the balance would go negative — a credit
-    /// without a matching charge is a wiring bug.
-    pub fn credit(&mut self, class: MemClass, bytes: u64, t: f64) {
-        self.credit_at(class, self.level, bytes, t)
-    }
-
-    /// Credit against an explicit level.
-    pub fn credit_at(&mut self, class: MemClass, level: u32, bytes: u64, t: f64) {
+    /// Credit (free) `bytes` of `class` at time `t` against the balance of
+    /// `level`. Panics if the balance would go negative — a credit without
+    /// a matching charge is a wiring bug.
+    pub fn credit(&mut self, class: MemClass, level: u32, bytes: u64, t: f64) {
         if bytes == 0 {
             return;
         }
@@ -416,7 +396,7 @@ mod tests {
     }
 
     proptest! {
-        /// Random charge / credit / `set_level` sequences: the lazily
+        /// Random charge / credit sequences over levels: the lazily
         /// snapshotted ledger reports exactly what the eager one does, at
         /// every prefix a report could be asked for.
         #[test]
@@ -437,14 +417,11 @@ mod tests {
                 let t = step as f64;
                 let class = MemClass::ALL[draw(6) as usize];
                 match draw(8) {
-                    0 => {
-                        level = draw(5) as u32;
-                        lazy.set_level(level);
-                    }
+                    0 => level = draw(5) as u32,
                     1..=4 => {
                         // Zero-byte charges included: they are no-ops.
                         let bytes = draw(4) * draw(100);
-                        lazy.charge(class, bytes, t);
+                        lazy.charge(class, level, bytes, t);
                         eager.charge_at(class, level, bytes, t);
                     }
                     _ => {
@@ -453,7 +430,7 @@ mod tests {
                         if !live.is_empty() {
                             let ((class, at), bal) = live[draw(live.len() as u64) as usize];
                             let bytes = if draw(2) == 0 { bal } else { 1 + draw(bal) };
-                            lazy.credit_at(class, at, bytes, t);
+                            lazy.credit(class, at, bytes, t);
                             eager.credit_at(class, at, bytes);
                         }
                     }
@@ -467,12 +444,11 @@ mod tests {
     #[test]
     fn peak_attribution_sums_to_peak() {
         let mut l = MemLedger::new(false);
-        l.charge(MemClass::LPanel, 100, 0.0);
-        l.charge(MemClass::UPanel, 50, 1.0);
-        l.set_level(2);
-        l.charge(MemClass::AncestorReplica, 30, 2.0); // peak = 180
-        l.credit(MemClass::AncestorReplica, 30, 3.0);
-        l.charge(MemClass::SchurBuf, 10, 4.0); // 160 < 180
+        l.charge(MemClass::LPanel, 0, 100, 0.0);
+        l.charge(MemClass::UPanel, 0, 50, 1.0);
+        l.charge(MemClass::AncestorReplica, 2, 30, 2.0); // peak = 180
+        l.credit(MemClass::AncestorReplica, 2, 30, 3.0);
+        l.charge(MemClass::SchurBuf, 2, 10, 4.0); // 160 < 180
         let r = l.report();
         assert_eq!(r.peak_bytes, 180);
         assert_eq!(r.peak_t, 2.0);
@@ -496,10 +472,10 @@ mod tests {
         let mut max = 0u64;
         for (i, &(b, charge)) in deltas.iter().enumerate() {
             if charge {
-                l.charge(MemClass::SchurBuf, b, i as f64);
+                l.charge(MemClass::SchurBuf, 0, b, i as f64);
                 running += b;
             } else {
-                l.credit(MemClass::SchurBuf, b, i as f64);
+                l.credit(MemClass::SchurBuf, 0, b, i as f64);
                 running -= b;
             }
             max = max.max(running);
@@ -522,22 +498,22 @@ mod tests {
     #[should_panic(expected = "exceeds balance")]
     fn credit_beyond_balance_panics() {
         let mut l = MemLedger::new(false);
-        l.charge(MemClass::LPanel, 8, 0.0);
-        l.credit(MemClass::LPanel, 16, 1.0);
+        l.charge(MemClass::LPanel, 0, 8, 0.0);
+        l.credit(MemClass::LPanel, 0, 16, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "empty balance")]
     fn credit_without_charge_panics() {
         let mut l = MemLedger::new(false);
-        l.credit(MemClass::MsgInFlight, 1, 0.0);
+        l.credit(MemClass::MsgInFlight, 0, 1, 0.0);
     }
 
     #[test]
     fn levels_are_tracked_separately() {
         let mut l = MemLedger::new(false);
-        l.charge_at(MemClass::AncestorReplica, 1, 100, 0.0);
-        l.charge_at(MemClass::AncestorReplica, 0, 7, 0.5);
+        l.charge(MemClass::AncestorReplica, 1, 100, 0.0);
+        l.charge(MemClass::AncestorReplica, 0, 7, 0.5);
         let r = l.report();
         assert_eq!(r.peak_class_bytes(MemClass::AncestorReplica), 107);
         let lv1: Vec<_> = r.peak_by.iter().filter(|a| a.level == 1).collect();
@@ -548,8 +524,8 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_and_parses_back() {
         let mut l = MemLedger::new(false);
-        l.charge(MemClass::UPanel, 64, 0.25);
-        l.charge(MemClass::SymbolicMeta, 32, 0.5);
+        l.charge(MemClass::UPanel, 0, 64, 0.25);
+        l.charge(MemClass::SymbolicMeta, 0, 32, 0.5);
         let doc = memprof_json(&[l.report()]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
@@ -568,8 +544,8 @@ mod tests {
     #[test]
     fn zero_byte_ops_are_noops() {
         let mut l = MemLedger::new(true);
-        l.charge(MemClass::LPanel, 0, 0.0);
-        l.credit(MemClass::LPanel, 0, 0.0);
+        l.charge(MemClass::LPanel, 0, 0, 0.0);
+        l.credit(MemClass::LPanel, 0, 0, 0.0);
         assert_eq!(l.total(), 0);
         assert_eq!(l.peak(), 0);
         assert!(l.take_timeline().is_empty());

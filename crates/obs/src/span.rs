@@ -14,6 +14,8 @@
 //! Chrome exporter can draw send→recv flow arrows and the critical-path
 //! analyzer can hop from a blocked receive to the sender's timeline.
 
+use crate::commvol::CommClass;
+
 /// Index of a span within one rank's [`RankObs::spans`].
 pub type SpanId = usize;
 
@@ -68,8 +70,12 @@ pub struct SpanRecord {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ActivityKind {
     Compute,
+    /// An algorithmic message leaving: it carries its [`MsgInfo`].
     Send,
     Recv,
+    /// A transport-internal send (a recovered retransmit or duplicate):
+    /// paid for on the wire, never received, with no message identity.
+    Resend,
     /// Blocked waiting for a message that had not yet arrived.
     Wait,
 }
@@ -80,6 +86,7 @@ impl ActivityKind {
             ActivityKind::Compute => "compute",
             ActivityKind::Send => "send",
             ActivityKind::Recv => "recv",
+            ActivityKind::Resend => "resend",
             ActivityKind::Wait => "wait",
         }
     }
@@ -89,12 +96,16 @@ impl ActivityKind {
 /// machine-unique id linking a Send to its Recv, plus the communicator
 /// context and tag the message was matched under. The offline trace
 /// linter (`commcheck`) reconstructs send↔recv pairing and per-`(ctx,
-/// tag)` FIFO order from these fields.
+/// tag)` FIFO order from these fields. Only algorithmic messages have one:
+/// transport-internal sends (recovered retransmits and duplicates) do not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MsgInfo {
     pub uid: u64,
     pub ctx: u64,
     pub tag: u64,
+    /// The wire ledger's class of the message; the `wire rank N` counter
+    /// track is the running sum of `Send` words per class.
+    pub class: CommClass,
 }
 
 /// One machine-level interval of simulated time.
@@ -137,10 +148,6 @@ pub struct RankObs {
     /// recorded a [`crate::memprof::MemLedger`] timeline); the Chrome
     /// exporter turns these into `"ph":"C"` counter tracks.
     pub mem: Vec<crate::memprof::MemEvent>,
-    /// Wire-volume ledger events in chronological order (empty unless the
-    /// run recorded a [`crate::commvol::CommLedger`] timeline); exported
-    /// as cumulative per-class counter tracks beside the memory curves.
-    pub comm: Vec<crate::commvol::CommEvent>,
     /// Host-profiler scope events sorted by simulated open time (empty
     /// unless the run recorded a [`crate::hostprof::HostProf`] timeline);
     /// exported as cumulative per-phase host-nanosecond counter tracks.
@@ -285,7 +292,6 @@ impl Recorder {
             spans: self.spans,
             activities: self.activities,
             mem: Vec::new(),
-            comm: Vec::new(),
             host: Vec::new(),
         }
     }
@@ -367,6 +373,7 @@ mod tests {
                 uid: 42,
                 ctx: 0,
                 tag: 1,
+                class: CommClass::Control,
             }),
         );
         r.activity(
@@ -379,6 +386,7 @@ mod tests {
                 uid: 43,
                 ctx: 0,
                 tag: 1,
+                class: CommClass::Control,
             }),
         );
         let obs = r.finish(12.0);

@@ -36,12 +36,12 @@ fn run_stream(seed: u64, len: usize) -> (MemLedger, Vec<(MemClass, u32, u64)>) {
         if rng.below(3) == 0 && !live.is_empty() {
             let idx = rng.below(live.len() as u64) as usize;
             let (c, l, b) = live.remove(idx);
-            ledger.credit_at(c, l, b, t);
+            ledger.credit(c, l, b, t);
         } else {
             let class = MemClass::ALL[rng.below(MemClass::ALL.len() as u64) as usize];
             let level = rng.below(4) as u32;
             let bytes = rng.below(10_000) + 1;
-            ledger.charge_at(class, level, bytes, t);
+            ledger.charge(class, level, bytes, t);
             live.push((class, level, bytes));
         }
     }
@@ -93,7 +93,7 @@ proptest! {
         let mut t = 1e6;
         for (c, l, b) in live {
             t += 1.0;
-            ledger.credit_at(c, l, b, t);
+            ledger.credit(c, l, b, t);
         }
         prop_assert_eq!(ledger.total(), 0);
         for &c in &MemClass::ALL {

@@ -58,6 +58,7 @@ pub mod blocking;
 pub mod coll;
 pub mod comm;
 pub mod faultlab;
+mod instruments;
 pub mod machine;
 pub mod payload;
 pub mod rank;
@@ -85,6 +86,6 @@ pub use trace::validate_trace;
 // critical-path analysis (see the `obs` crate).
 pub use obs;
 pub use obs::{
-    ActivityKind, CommClass, CommLedger, CriticalPath, GridAxis, HostPhase, HostReport, HostScope,
-    Json, MemClass, MemLedger, MemReport, MetricsRegistry, RankObs, SpanCat, SpanId,
+    ActivityKind, CommClass, CriticalPath, GridAxis, HostPhase, HostReport, HostScope, Json,
+    MemClass, MemReport, MetricsRegistry, RankObs, SpanCat, SpanId,
 };

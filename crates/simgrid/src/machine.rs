@@ -280,11 +280,11 @@ impl Machine {
                 let unreceived = UnreceivedMsg {
                     src: m.src_world,
                     dst,
-                    ctx: m.ctx,
-                    tag: m.tag,
+                    ctx: m.info.ctx,
+                    tag: m.info.tag,
                     words: m.payload.words(),
                 };
-                left.push((m.uid, unreceived));
+                left.push((m.info.uid, unreceived));
             }
         }
         if !left.is_empty() {

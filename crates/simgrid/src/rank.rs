@@ -1,5 +1,6 @@
-//! The per-rank execution context: point-to-point messaging, clocks,
-//! counters, spans, and metrics.
+//! The per-rank execution context: point-to-point messaging and clocks.
+//! What a rank records lives in its [`Instruments`], reached through one
+//! hook per send, receive, compute charge and wait.
 
 use crate::backend::{Sched, WaitInfo};
 use crate::comm::Comm;
@@ -7,28 +8,24 @@ use crate::faultlab::{
     FailKind, FailureBoard, FaultDecision, FaultPlan, OrderlyAbort, RankFailure, RecvError,
     StallRule, RETRY_ATTEMPTS, RETRY_BACKOFF, RETRY_TIMEOUT_SECS,
 };
+use crate::instruments::Instruments;
 use crate::payload::Payload;
 use crate::stats::RankReport;
-use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
-use obs::{
-    ActivityKind, CommClass, CommLedger, GridAxis, Histogram, HostPhase, HostProf, HostScope,
-    MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
-};
+use obs::{CommClass, HostPhase, HostScope, MemClass, MsgInfo, SpanCat, SpanId};
 use std::sync::Arc;
 
 /// A message in flight.
 #[derive(Debug)]
 pub(crate) struct Msg {
     pub src_world: usize,
-    pub ctx: u64,
-    pub tag: u64,
+    /// Identity and class: the machine-unique id linking this message's
+    /// send and recv trace activities (high bits: sender world rank; low
+    /// bits: send sequence), and the context and tag it is matched under.
+    pub info: MsgInfo,
     /// Simulated time at which this message is available to the receiver.
     pub arrival: f64,
-    /// Machine-unique id linking this message's send and recv trace
-    /// activities (high bits: sender world rank; low bits: send sequence).
-    pub uid: u64,
     /// Link-degradation factor in effect on this edge (1.0 = healthy);
     /// the receiver charges the same degraded transfer cost the sender did.
     pub link: f64,
@@ -38,7 +35,7 @@ pub(crate) struct Msg {
 impl Msg {
     /// What a receive matches on: `(ctx, src_world, tag)`.
     pub(crate) fn key(&self) -> (u64, usize, u64) {
-        (self.ctx, self.src_world, self.tag)
+        (self.info.ctx, self.src_world, self.info.tag)
     }
 }
 
@@ -54,51 +51,12 @@ pub struct Rank {
     /// Monotonic counter for deterministic communicator context ids; all
     /// ranks create communicators in the same order (SPMD discipline).
     next_ctx: u64,
-    /// The current traffic phase label, shared with [`Rank::phases`].
-    phase: Arc<str>,
-    /// Every label [`Rank::set_phase`] has seen: changing phase, or handing
-    /// the label to a published wait, allocates nothing after a label's
-    /// first use.
-    phases: Vec<Arc<str>>,
     clock: f64,
     t_comm: f64,
     t_comp: f64,
     flops: u64,
     /// Per-send sequence number feeding message uids.
     msg_seq: u64,
-    /// Span/activity recorder, present when the machine traces.
-    rec: Option<Recorder>,
-    /// The `Phase` span opened by [`Rank::set_phase`], rotated on change.
-    phase_span: Option<SpanId>,
-    /// Always-on counters/gauges/histograms; merged across ranks after the
-    /// run.
-    metrics: MetricsRegistry,
-    /// The per-message metrics, kept as plain fields on the send and receive
-    /// paths and entered into `metrics` under their names by
-    /// [`Rank::into_report`]: `msg.send_words`, `recv.wait_secs`.
-    send_words: Histogram,
-    recv_wait_secs: Histogram,
-    /// Tagged allocation ledger: running balances per memory class, the
-    /// high-water mark, and its class+level attribution. Always on; the
-    /// per-event timeline is recorded only when tracing.
-    ledger: MemLedger,
-    /// Wire-volume ledger: algorithmic words sent keyed by
-    /// `(phase, class, tree level, grid axis)` plus per-edge totals.
-    /// Always on; the per-event timeline is recorded only when tracing.
-    comm: CommLedger,
-    /// Host-time profiler, present when the machine runs with
-    /// [`crate::Machine::with_host_profiling`]. `None` means every
-    /// [`Rank::host_scope`] is a no-op guard — zero cost on default runs.
-    host: Option<Arc<HostProf>>,
-    /// Explicit communication class for sends inside
-    /// [`Rank::with_comm_class`]; overrides tag-based classification, so
-    /// panel broadcasts keep their class inside collective internals.
-    comm_class: Option<CommClass>,
-    /// 3D process-grid shape registered by the topology layer
-    /// ([`Rank::register_grid`]); classifies each send's edge by grid axis
-    /// ([`Grid3d::axis`]). Without it every edge classifies as
-    /// [`GridAxis::Cross`].
-    grid: Option<Grid3d>,
     /// The machine's fault wiring: plan, recovery, receive deadline and
     /// failure board.
     fault: FaultCtx,
@@ -109,6 +67,8 @@ pub struct Rank {
     /// The machine's task table: where a send queues its message and wakes
     /// its destination, and a receive parks, under either backend.
     sched: Arc<Sched>,
+    /// Ledgers, metrics, spans, trace and host profile.
+    inst: Instruments,
 }
 
 /// Fault-layer wiring shared by every rank; built once per run by the
@@ -146,7 +106,6 @@ impl Rank {
             .as_ref()
             .map(|p| p.stalls_for(world_rank))
             .unwrap_or_default();
-        let phase: Arc<str> = "default".into();
         Rank {
             world_rank,
             world: Comm {
@@ -156,31 +115,16 @@ impl Rank {
             },
             model,
             next_ctx: 1, // 0 is reserved for the world communicator
-            phases: vec![Arc::clone(&phase)],
-            phase,
             clock: 0.0,
             t_comm: 0.0,
             t_comp: 0.0,
             flops: 0,
             msg_seq: 0,
-            rec: if tracing {
-                Some(Recorder::new(world_rank))
-            } else {
-                None
-            },
-            phase_span: None,
-            metrics: MetricsRegistry::default(),
-            send_words: Histogram::default(),
-            recv_wait_secs: Histogram::default(),
-            ledger: MemLedger::new(tracing),
-            comm: CommLedger::new(tracing),
-            host: host_profiling.then(|| Arc::new(HostProf::new(tracing))),
-            comm_class: None,
-            grid: None,
             fault: fctx,
             my_stalls,
             stall_idx: 0,
             sched,
+            inst: Instruments::new(world_rank, tracing, host_profiling),
         }
     }
 
@@ -192,27 +136,11 @@ impl Rank {
     pub fn fail(&self, kind: FailKind) -> ! {
         self.fault.board.record(RankFailure {
             rank: self.world_rank,
-            phase: self.phase.to_string(),
+            phase: self.inst.phase().to_string(),
             kind,
             seq: 0,
         });
         std::panic::panic_any(OrderlyAbort);
-    }
-
-    /// Record one machine-level activity interval, if tracing.
-    #[inline]
-    fn record(
-        &mut self,
-        kind: ActivityKind,
-        start: f64,
-        end: f64,
-        peer: Option<usize>,
-        words: u64,
-        msg: Option<MsgInfo>,
-    ) {
-        if let Some(rec) = &mut self.rec {
-            rec.activity(kind, start, end, peer, words, msg);
-        }
     }
 
     /// This rank's world rank.
@@ -287,31 +215,7 @@ impl Rank {
     /// is currently open (e.g. the level span), so phases show up in the
     /// trace hierarchy and critical-path attribution without extra calls.
     pub fn set_phase(&mut self, phase: &str) {
-        let changed = &*self.phase != phase;
-        if changed {
-            let known = self.phases.iter().position(|p| **p == *phase);
-            let at = known.unwrap_or_else(|| {
-                self.phases.push(phase.into());
-                self.phases.len() - 1
-            });
-            self.phase = Arc::clone(&self.phases[at]);
-        }
-        let Some(rec) = &mut self.rec else {
-            return;
-        };
-        // Reopen even when the label is unchanged if the previous phase
-        // span was closed by an enclosing span's exit (next level loop).
-        let stale = self.phase_span.is_none_or(|ps| !rec.is_open(ps));
-        if !changed && !stale {
-            return;
-        }
-        let t = self.clock;
-        if let Some(ps) = self.phase_span.take() {
-            if rec.is_open(ps) {
-                rec.exit(ps, t);
-            }
-        }
-        self.phase_span = Some(rec.enter(SpanCat::Phase, &self.phase, t));
+        self.inst.set_phase(phase, self.clock);
     }
 
     /// Open a labeled span at the current simulated time. Returns a handle
@@ -320,19 +224,13 @@ impl Rank {
     /// `name` is rendered only when tracing: pass `format_args!(..)` for a
     /// computed name and an untraced run allocates nothing for it.
     pub fn span_enter(&mut self, cat: SpanCat, name: impl std::fmt::Display) -> Option<SpanId> {
-        let t = self.clock;
-        self.rec
-            .as_mut()
-            .map(|rec| rec.enter(cat, &name.to_string(), t))
+        self.inst.span_enter(cat, name, self.clock)
     }
 
     /// Close a span opened by [`Rank::span_enter`]. Inner spans still open
     /// are closed with it.
     pub fn span_exit(&mut self, id: Option<SpanId>) {
-        let t = self.clock;
-        if let (Some(rec), Some(id)) = (self.rec.as_mut(), id) {
-            rec.exit(id, t);
-        }
+        self.inst.span_exit(id, self.clock);
     }
 
     /// Run `f` inside a span: sugar for `span_enter` / `span_exit` that
@@ -351,12 +249,12 @@ impl Rank {
 
     /// Bump a named metrics counter by `by`.
     pub fn metric_inc(&mut self, name: &str, by: u64) {
-        self.metrics.inc(name, by);
+        self.inst.metrics().inc(name, by);
     }
 
     /// Record a histogram sample under `name` (log2 buckets).
     pub fn metric_observe(&mut self, name: &str, v: f64) {
-        self.metrics.observe(name, v);
+        self.inst.metrics().observe(name, v);
     }
 
     /// Open a host-time profiling scope for `phase`. Returns a no-op guard
@@ -364,54 +262,43 @@ impl Rank {
     /// so call sites never branch. The guard holds its own profiler handle —
     /// the rank stays mutably usable while the scope is open.
     pub fn host_scope(&self, phase: HostPhase) -> HostScope {
-        match &self.host {
-            Some(h) => h.scope(phase, None, self.clock),
-            None => HostScope::noop(),
-        }
+        self.inst.host_scope(phase, None, self.clock)
     }
 
     /// Like [`Rank::host_scope`], additionally attributing the scope's
     /// self time to supernode `sn`.
     pub fn host_scope_sn(&self, phase: HostPhase, sn: usize) -> HostScope {
-        match &self.host {
-            Some(h) => h.scope(phase, Some(sn), self.clock),
-            None => HostScope::noop(),
-        }
+        self.inst.host_scope(phase, Some(sn), self.clock)
     }
 
     /// Charge `bytes` of `class` to the memory ledger at the current
     /// simulated time, attributed to the current elimination-tree level.
     pub fn mem_charge(&mut self, class: MemClass, bytes: u64) {
-        let t = self.clock;
-        self.ledger.charge(class, bytes, t);
+        self.inst.mem_charge(class, None, bytes, self.clock);
     }
 
     /// Charge against an explicit tree level (e.g. ancestor replicas whose
     /// level is known at store-build time).
     pub fn mem_charge_at(&mut self, class: MemClass, level: u32, bytes: u64) {
-        let t = self.clock;
-        self.ledger.charge_at(class, level, bytes, t);
+        self.inst.mem_charge(class, Some(level), bytes, self.clock);
     }
 
     /// Credit (free) `bytes` of `class` at the current level. Panics on
     /// underflow — a credit without a matching charge is a wiring bug.
     pub fn mem_credit(&mut self, class: MemClass, bytes: u64) {
-        let t = self.clock;
-        self.ledger.credit(class, bytes, t);
+        self.inst.mem_credit(class, None, bytes, self.clock);
     }
 
     /// Credit against an explicit tree level.
     pub fn mem_credit_at(&mut self, class: MemClass, level: u32, bytes: u64) {
-        let t = self.clock;
-        self.ledger.credit_at(class, level, bytes, t);
+        self.inst.mem_credit(class, Some(level), bytes, self.clock);
     }
 
-    /// Set the elimination-tree level subsequent ledger charges are
-    /// attributed to (the 3D driver calls this once per level; 2D runs
+    /// Set the elimination-tree level subsequent memory charges and sends
+    /// are attributed to (the 3D factorization calls this once per level; 2D runs
     /// stay at level 0).
     pub fn set_tree_level(&mut self, level: u32) {
-        self.ledger.set_level(level);
-        self.comm.set_level(level);
+        self.inst.set_level(level);
     }
 
     /// Register the 3D process-grid shape so subsequent traffic is
@@ -419,7 +306,7 @@ impl Rank {
     /// Called once by [`crate::build_grid_comms`]; drivers that build their
     /// own communicators can call it directly.
     pub fn register_grid(&mut self, g: Grid3d) {
-        self.grid = Some(g);
+        self.inst.set_grid(g);
     }
 
     /// Run `f` with sends charged to `class` in the wire ledger, restoring
@@ -431,10 +318,9 @@ impl Rank {
         class: CommClass,
         f: impl AsyncFnOnce(&mut Rank) -> T,
     ) -> T {
-        let prev = self.comm_class;
-        self.comm_class = Some(class);
+        let prev = self.inst.replace_class(Some(class));
         let out = f(self).await;
-        self.comm_class = prev;
+        self.inst.replace_class(prev);
         out
     }
 
@@ -452,10 +338,10 @@ impl Rank {
             let t0 = self.clock;
             self.clock += secs;
             self.t_comm += secs;
-            self.record(ActivityKind::Wait, t0, self.clock, None, 0, None);
+            self.inst.on_wait((t0, self.clock), None);
             self.span_exit(sp);
-            self.metrics.inc("fault.injected.stall", 1);
-            self.metrics.observe("fault.stall_secs", secs);
+            self.metric_inc("fault.injected.stall", 1);
+            self.metric_observe("fault.stall_secs", secs);
         }
     }
 
@@ -497,43 +383,29 @@ impl Rank {
             None => (FaultDecision::default(), 1.0),
         };
         if decision.drops > 0 {
-            self.metrics
-                .inc("fault.injected.drop", u64::from(decision.drops));
+            self.metric_inc("fault.injected.drop", u64::from(decision.drops));
             if self.fault.recover {
                 // Recovery: each lost attempt costs its transfer charge
                 // plus the (backed-off) ack timeout, all in simulated
                 // time; then the loop below sends the attempt that gets
-                // through. Transport-internal attempts carry no message
-                // identity — the offline linter pairs sends and
-                // receives by uid, and these are never received.
-                let words = payload.words();
+                // through. Lost attempts are transport overhead, not
+                // algorithmic volume: they carry no message identity, so
+                // they are traced as `resend` slices and stay out of the
+                // wire ledger.
                 let sp = self.span_enter(SpanCat::Fault, "retransmit");
                 for attempt in 0..decision.drops {
-                    let cost = self.model.xfer_on(words, link);
+                    let cost = self.model.xfer_on(payload.words(), link);
                     let wait = RETRY_TIMEOUT_SECS * RETRY_BACKOFF.powi(attempt as i32);
                     let t0 = self.clock;
                     self.clock += cost;
-                    self.record(
-                        ActivityKind::Send,
-                        t0,
-                        self.clock,
-                        Some(dst_world),
-                        words,
-                        None,
-                    );
+                    self.inst
+                        .on_send((t0, self.clock), dst_world, &payload, None);
                     let tw = self.clock;
                     self.clock += wait;
-                    self.record(ActivityKind::Wait, tw, self.clock, Some(dst_world), 0, None);
+                    self.inst.on_wait((tw, self.clock), Some(dst_world));
                     self.t_comm += cost + wait;
-                    // Lost attempts are transport overhead, not
-                    // algorithmic volume: they stay out of the traffic
-                    // counters and wire ledger so a recovered run
-                    // reports the same algorithmic volume as a
-                    // fault-free one.
-                    self.metrics.inc("fault.resent_msgs", 1);
-                    self.metrics.inc("fault.resent_words", words);
-                    self.metrics.inc("fault.recovered.retransmit", 1);
-                    self.metrics.observe("fault.retry_wait_secs", wait);
+                    self.metric_inc("fault.recovered.retransmit", 1);
+                    self.metric_observe("fault.retry_wait_secs", wait);
                 }
                 self.span_exit(sp);
             } else {
@@ -546,8 +418,8 @@ impl Rank {
             }
         }
         if decision.delay > 0.0 {
-            self.metrics.inc("fault.injected.delay", 1);
-            self.metrics.observe("fault.delay_secs", decision.delay);
+            self.metric_inc("fault.injected.delay", 1);
+            self.metric_observe("fault.delay_secs", decision.delay);
         }
         let dup_payload = decision.dup.then(|| payload.clone());
         self.send_physical(
@@ -561,7 +433,7 @@ impl Rank {
             true,
         );
         if let Some(p) = dup_payload {
-            self.metrics.inc("fault.injected.dup", 1);
+            self.metric_inc("fault.injected.dup", 1);
             // The duplicate rides right behind the original. With recovery
             // on it is transport-internal: the sender pays for it and the
             // transport discards it. Without recovery it is a real
@@ -581,15 +453,16 @@ impl Rank {
         }
     }
 
-    /// One physical message: charge the sender, record the activity, queue
-    /// the message at the destination ([`Sched::deliver`]). `visible` sends
-    /// carry their message identity and count as algorithmic traffic;
-    /// transport-internal ones (recovered duplicates) do neither.
-    /// `deliver: false` models a message the network loses (an unrecovered
-    /// drop) or the transport discards (a recovered duplicate): the sender
-    /// pays and records as usual but nothing reaches the destination. A
-    /// send never fails: a message to a rank that has died stays queued,
-    /// and that rank's own failure decides the run.
+    /// One physical message: charge the sender, hand the send to the
+    /// instruments, queue the message at the destination
+    /// ([`Sched::deliver`]). `visible` sends carry their message identity
+    /// and count as algorithmic traffic; transport-internal ones (recovered
+    /// duplicates) do neither. `deliver: false` models a message the
+    /// network loses (an unrecovered drop) or the transport discards (a
+    /// recovered duplicate): the sender pays and records as usual but
+    /// nothing reaches the destination. A send never fails: a message to a
+    /// rank that has died stays queued, and that rank's own failure decides
+    /// the run.
     #[allow(clippy::too_many_arguments)]
     fn send_physical(
         &mut self,
@@ -602,51 +475,30 @@ impl Rank {
         visible: bool,
         deliver: bool,
     ) {
-        let words = payload.words();
-        let cost = self.model.xfer_on(words, link);
+        let cost = self.model.xfer_on(payload.words(), link);
         let t0 = self.clock;
         self.clock += cost;
         self.t_comm += cost;
-        let uid = ((self.world_rank as u64) << 40) | self.msg_seq;
+        let info = MsgInfo {
+            uid: ((self.world_rank as u64) << 40) | self.msg_seq,
+            ctx,
+            tag,
+            class: self.inst.class_of(tag),
+        };
         self.msg_seq += 1;
-        let info = visible.then_some(MsgInfo { uid, ctx, tag });
-        self.record(
-            ActivityKind::Send,
-            t0,
-            self.clock,
-            Some(dst_world),
-            words,
-            info,
+        self.inst.on_send(
+            (t0, self.clock),
+            dst_world,
+            &payload,
+            visible.then_some(info),
         );
-        if visible {
-            self.send_words.observe(words as f64);
-            let struct_words = payload.struct_words();
-            let class = self.comm_class.unwrap_or(if tag & COLL_TAG != 0 {
-                CommClass::Collective
-            } else {
-                CommClass::Control
-            });
-            let axis = self
-                .grid
-                .map_or(GridAxis::Cross, |g| g.axis(self.world_rank, dst_world));
-            self.comm
-                .charge_send(&self.phase, class, axis, dst_world, words, struct_words, t0);
-        } else {
-            // Transport-internal duplicate under recovery: the network
-            // pays, the algorithm doesn't — count it as resend overhead
-            // only, like the retransmit attempts above.
-            self.metrics.inc("fault.resent_msgs", 1);
-            self.metrics.inc("fault.resent_words", words);
-        }
         if !deliver {
             return;
         }
         let msg = Msg {
             src_world: self.world_rank,
-            ctx,
-            tag,
+            info,
             arrival: self.clock + delay,
-            uid,
             link,
             payload,
         };
@@ -682,13 +534,13 @@ impl Rank {
             src,
             ctx,
             tag,
-            phase: Arc::clone(&self.phase),
+            phase: Arc::clone(self.inst.phase()),
         };
         // A parked rank holds no run slot: its wall time is not its own.
         // The profiler stops when the task returns `Pending` and runs again
         // at its next poll, so a task's wall is the sum of its polls and
         // its open scopes are charged nothing for the ranks polled between.
-        let (host, sched, me) = (self.host.as_deref(), &self.sched, self.world_rank);
+        let (host, sched, me) = (self.inst.host(), &self.sched, self.world_rank);
         let mut parked = false;
         std::future::poll_fn(|cx| {
             if let (true, Some(h)) = (parked, host) {
@@ -704,70 +556,32 @@ impl Rank {
         .await
     }
 
-    /// Receiver-side accounting: clock advance, trace activities, traffic
-    /// counters.
+    /// Receiver-side charge: wait until the message is available, then pay
+    /// the transfer cost; hand the receive to the instruments.
     fn complete_recv(&mut self, msg: Msg) -> Result<Payload, RecvError> {
-        let src_world = msg.src_world;
         let words = msg.payload.words();
-        // Receiver-side charge: wait until the message is available, then
-        // pay the transfer cost.
         let ready = msg.arrival.max(self.clock);
         if let Some(d) = self.fault.recv_deadline {
             let waited = ready - self.clock;
             if waited > d {
                 return Err(RecvError::Deadline {
-                    src: src_world,
-                    ctx: msg.ctx,
-                    tag: msg.tag,
+                    src: msg.src_world,
+                    ctx: msg.info.ctx,
+                    tag: msg.info.tag,
                     waited,
                     deadline: d,
                 });
             }
         }
+        // Both ends of the transfer window are pure simulated-time
+        // quantities — charging at physical channel arrival would depend on
+        // wall-clock thread interleaving and break run determinism.
         let done = ready + self.model.xfer_on(words, msg.link);
-        // The message's bytes occupy this rank's receive buffers for the
-        // transfer window [ready, done]: charged when the transfer starts,
-        // credited when the receive consumes them. Both endpoints are pure
-        // simulated-time quantities — charging at physical channel arrival
-        // would depend on wall-clock thread interleaving and break run
-        // determinism. Level 0 on both sides so a tree-level change during
-        // the window cannot unbalance the ledger.
-        self.ledger
-            .charge_at(MemClass::MsgInFlight, 0, words * 8, ready);
         self.t_comm += done - self.clock;
-        if ready > self.clock {
-            self.recv_wait_secs.observe(ready - self.clock);
-        }
-        self.record(
-            ActivityKind::Wait,
-            self.clock,
-            ready,
-            Some(src_world),
-            0,
-            None,
-        );
-        self.record(
-            ActivityKind::Recv,
-            ready,
-            done,
-            Some(src_world),
-            words,
-            Some(MsgInfo {
-                uid: msg.uid,
-                ctx: msg.ctx,
-                tag: msg.tag,
-            }),
-        );
+        self.inst
+            .on_recv((self.clock, ready, done), msg.src_world, words, msg.info);
         self.clock = done;
-        self.ledger
-            .credit_at(MemClass::MsgInFlight, 0, words * 8, done);
-        self.comm.charge_recv(src_world, words);
         Ok(msg.payload)
-    }
-
-    /// Convert a failed receive into an orderly rank failure.
-    fn fail_recv(&self, e: RecvError) -> ! {
-        self.fail(FailKind::Recv(e))
     }
 
     /// Receive the message from local rank `src` of `comm` with `tag`,
@@ -784,7 +598,7 @@ impl Rank {
     pub async fn recv(&mut self, comm: &Comm, src: usize, tag: u64) -> Payload {
         match self.recv_checked(comm, src, tag).await {
             Ok(p) => p,
-            Err(e) => self.fail_recv(e),
+            Err(e) => self.fail(FailKind::Recv(e)),
         }
     }
 
@@ -830,7 +644,7 @@ impl Rank {
         self.clock += cost;
         self.t_comp += cost;
         self.flops += flops;
-        self.record(ActivityKind::Compute, t0, self.clock, None, 0, None);
+        self.inst.on_compute((t0, self.clock));
     }
 
     /// Current simulated clock in seconds.
@@ -841,54 +655,12 @@ impl Rank {
     /// Snapshot the final report (called by the machine after the SPMD
     /// closure returns). Closes any spans left open.
     pub(crate) fn into_report(self, wall_secs: f64) -> RankReport {
-        // A profiled rank's wall is the time it held a run slot: what it
-        // spent parked belongs to the ranks that ran.
-        let wall_secs = match &self.host {
-            Some(h) => (wall_secs - h.paused_secs()).max(0.0),
-            None => wall_secs,
-        };
-        let clock = self.clock;
-        let mut ledger = self.ledger;
-        let mem_timeline = ledger.take_timeline();
-        let memprof = ledger.report();
-        let mut wire = self.comm;
-        let comm_timeline = wire.take_timeline();
-        let commvol = wire.report();
-        let host_timeline = self
-            .host
-            .as_ref()
-            .map(|h| h.take_timeline())
-            .unwrap_or_default();
-        let hostprof = self
-            .host
-            .as_ref()
-            .map(|h| h.report(wall_secs, self.flops, commvol.sent_words()));
-        let mut metrics = self.metrics;
-        for (name, samples) in [
-            ("msg.send_words", self.send_words),
-            ("recv.wait_secs", self.recv_wait_secs),
-        ] {
-            if samples.count > 0 {
-                metrics.histograms.insert(name.to_string(), samples);
-            }
-        }
         RankReport {
-            clock,
+            clock: self.clock,
             t_comm: self.t_comm,
             t_comp: self.t_comp,
             flops: self.flops,
-            wall_secs,
-            metrics,
-            memprof,
-            commvol,
-            hostprof,
-            trace: self.rec.map(|rec| {
-                let mut obs = rec.finish(clock);
-                obs.mem = mem_timeline;
-                obs.comm = comm_timeline;
-                obs.host = host_timeline;
-                obs
-            }),
+            ..self.inst.finish(self.clock, self.flops, wall_secs)
         }
     }
 }

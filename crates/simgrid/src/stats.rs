@@ -189,20 +189,28 @@ pub fn run_document(reports: &[RankReport], sched: Option<&SchedStats>) -> Json 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{CommClass, CommLedger, GridAxis};
+    use obs::{CommClass, CommKey, CommLedger, GridAxis};
+
+    const PHASES: [&str; 2] = ["fact", "reduce"];
 
     /// A report whose ledger saw `sends` as `(phase, words)` and `recvs` as
     /// word counts, all on one edge.
     fn report(sends: &[(&str, u64)], recvs: &[u64]) -> RankReport {
-        let mut ledger = CommLedger::new(false);
+        let mut ledger = CommLedger::default();
         for &(phase, words) in sends {
-            ledger.charge_send(phase, CommClass::Control, GridAxis::X, 1, words, words, 0.0);
+            let key = CommKey {
+                phase: PHASES.iter().position(|&p| p == phase).unwrap() as u32,
+                class: CommClass::Control,
+                level: 0,
+                axis: GridAxis::X,
+            };
+            ledger.charge_send(key, 1, words, words);
         }
         for &words in recvs {
             ledger.charge_recv(1, words);
         }
         RankReport {
-            commvol: ledger.report(),
+            commvol: ledger.report(&PHASES),
             ..Default::default()
         }
     }

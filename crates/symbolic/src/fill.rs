@@ -164,7 +164,7 @@ impl BlockFill {
         let mut paneled = vec![false; nodes.len()];
         let mut order = Vec::with_capacity(2 * nodes.len());
         for idx in 0..nodes.len() {
-            let w_end = (idx + lookahead + 1).min(nodes.len());
+            let w_end = (idx + 1).saturating_add(lookahead).min(nodes.len());
             for j in idx..w_end {
                 if !paneled[j] && pending[j] == 0 {
                     order.push(LookaheadStep::Panel(j));
@@ -684,6 +684,20 @@ mod tests {
         assert!(
             ran_ahead,
             "no panel ever ran ahead: the window was never used"
+        );
+    }
+
+    /// A window of `usize::MAX` (`salu --lookahead 18446744073709551615`)
+    /// saturates to the whole list instead of wrapping to an empty window.
+    #[test]
+    fn lookahead_window_saturates_at_usize_max() {
+        let a = grid2d_5pt(10, 10, 0.0, 0);
+        let (fill, _, _) = analyze(&a, Geometry::Grid2d { nx: 10, ny: 10 }, 6, 4);
+        let nodes: Vec<usize> = (0..fill.parent.len()).collect();
+        let done = vec![false; nodes.len()];
+        assert_eq!(
+            fill.lookahead_order(&nodes, &done, usize::MAX),
+            fill.lookahead_order(&nodes, &done, nodes.len())
         );
     }
 

@@ -205,3 +205,62 @@ fn recv_deadline_failure_names_phase_and_supernode() {
     }
     assert!(err.supernode().is_some() && err.level().is_some(), "{err}");
 }
+
+/// The trace's counter tracks are projections, not second ledgers: on a
+/// fault-free run and on a recovered one (whose retransmits and transport
+/// duplicates are `resend` slices with no message identity), each rank's
+/// last `wire rank N` sample is its wire ledger's words per class and its
+/// last `mem rank N` sample its memory ledger's final balance per class.
+#[test]
+fn counter_tracks_end_at_the_ledger_totals() {
+    use salu::simgrid::{ActivityKind, CommClass, Json, MemClass};
+    let (prep, b) = chaos_problem();
+    for faulted in [false, true] {
+        let mut cfg = chaos_cfg(true, Backend::Event);
+        if !faulted {
+            cfg.fault_plan = None;
+        }
+        cfg.tracing = true;
+        let out = try_factor_and_solve(&prep, &cfg, Some(b.clone())).expect("the run completes");
+        let resends = (out.rank_obs().unwrap().iter())
+            .flat_map(|r| &r.activities)
+            .filter(|a| a.kind == ActivityKind::Resend)
+            .count();
+        assert_eq!(resends > 0, faulted, "transport-internal sends: {resends}");
+        let doc = out.chrome_trace().unwrap();
+        // The last sample of each counter track, by track name.
+        let mut last: std::collections::BTreeMap<String, &Json> = Default::default();
+        for ev in doc.get("traceEvents").unwrap().as_arr().unwrap() {
+            if ev.get("ph").and_then(|p| p.as_str()) == Some("C") {
+                let name = ev.get("name").unwrap().as_str().unwrap();
+                last.insert(name.to_string(), ev.get("args").unwrap());
+            }
+        }
+        let sample = |track: &str, series: &str| {
+            last.get(track)
+                .and_then(|args| args.get(series))
+                .map_or(0, |v| v.as_f64().unwrap() as u64)
+        };
+        for (rank, rep) in out.reports.iter().enumerate() {
+            for class in CommClass::ALL {
+                assert_eq!(
+                    sample(&format!("wire rank {rank}"), class.as_str()),
+                    rep.commvol.class_cell(class).words,
+                    "faulted={faulted}: rank {rank} {class:?} words"
+                );
+            }
+            for class in MemClass::ALL {
+                let balance: u64 = (rep.memprof.final_by.iter())
+                    .filter(|a| a.class == class)
+                    .map(|a| a.bytes)
+                    .sum();
+                assert_eq!(
+                    sample(&format!("mem rank {rank}"), class.as_str()),
+                    balance,
+                    "faulted={faulted}: rank {rank} {class:?} bytes"
+                );
+            }
+            assert!(rep.commvol.sent_words() > 0, "rank {rank} sent nothing");
+        }
+    }
+}

@@ -83,7 +83,9 @@ fn check_case(case: Case) -> commplan::CommPlan {
                 let dir = match a.kind {
                     ActivityKind::Send => Dir::Send,
                     ActivityKind::Recv => Dir::Recv,
-                    ActivityKind::Compute | ActivityKind::Wait => return None,
+                    ActivityKind::Compute | ActivityKind::Wait | ActivityKind::Resend => {
+                        return None
+                    }
                 };
                 let msg = a.msg.expect("a fault-free message has an identity");
                 let peer = a.peer.expect("a message has a peer");
