@@ -56,7 +56,7 @@ pub fn build_plan(
     lookahead: usize,
 ) -> CommPlan {
     assert_eq!(grid.pz, forest.pz(), "grid/forest Pz mismatch");
-    let program = FactorProgram::new(sym, forest, lookahead);
+    let program = FactorProgram::new(sym, forest, grid.grid2d, lookahead);
     let rosters = sym.fill.panel_rosters(grid.grid2d.pr, grid.grid2d.pc);
     let mut b = Builder {
         sym,

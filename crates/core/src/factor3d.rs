@@ -1,10 +1,11 @@
 //! Algorithm 1: the 3D sparse LU factorization driver.
 //!
 //! Every rank executes its layer of the machine's [`FactorProgram`]: per
-//! active forest level, it factors the layer's local forest `E_f[lvl]` with
-//! the 2D kernel (`dSparseLU2D`) in the program's panel order, updating its
-//! replicated ancestor copies, then takes its side of the level's ancestor
-//! reduction. Communication in the reduction is purely point-to-point
+//! active forest level, it takes its steps of the layer's local forest
+//! `E_f[lvl]` with the 2D kernel (`dSparseLU2D`) in the program's panel
+//! order — the panel steps and updates of the supernodes whose rosters
+//! include its grid position, no others — updating its replicated ancestor
+//! copies, then takes its side of the level's ancestor reduction. Communication in the reduction is purely point-to-point
 //! between ranks with identical `(x, y)` grid coordinates — the z-axis of
 //! the 3D grid.
 
@@ -91,7 +92,8 @@ pub async fn factor_3d(
         // and per-supernode node spans nest underneath it.
         let lvl_span = rank.span_enter(simgrid::SpanCat::Level, format_args!("level{lvl}"));
         rank.set_phase("fact");
-        let fo = factor_nodes(rank, &env, store, sym, &level.nodes, &level.order)
+        let steps = level.steps_at((my_r, my_c));
+        outcome.perturbations += factor_nodes(rank, &env, store, sym, &level.nodes, steps)
             .await
             .map_err(|mut e| {
                 if let FailKind::Solver { level, .. } = &mut e {
@@ -99,8 +101,7 @@ pub async fn factor_3d(
                 }
                 e
             })?;
-        outcome.perturbations += fo.perturbations;
-        outcome.lookahead_hits += fo.lookahead_hits;
+        outcome.lookahead_hits += level.lookahead_hits;
         if let Some(reduction) = &level.reduction {
             rank.set_phase("reduce");
             reduce_ancestors(rank, &env, comms, store, sym, program, reduction).await?;
@@ -213,7 +214,7 @@ mod tests {
         let grid3 = Grid3d::new(2, 2, 2);
         let sym = &prep.sym;
         let forest = EtreeForest::build(&prep.tree, sym, grid3.pz);
-        let program = Arc::new(FactorProgram::new(sym, &forest, 8));
+        let program = Arc::new(FactorProgram::new(sym, &forest, grid3.grid2d, 8));
         // Layer 1 sends at the leaf level. Lose a block of its reduction
         // that none of its own Schur updates targets, so the reduction is
         // the first step to look for it.

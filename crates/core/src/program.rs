@@ -2,9 +2,10 @@
 //! alone.
 //!
 //! Which levels a layer runs, the order of each level's panel and Schur
-//! steps, and which ancestor blocks each level's z-line reduction moves
-//! are fixed before any numeric work: the forest, the grid and the
-//! lookahead window decide them. [`FactorProgram`] derives them once.
+//! steps, which of those steps the rank at each grid position takes, and
+//! which ancestor blocks each level's z-line reduction moves are fixed
+//! before any numeric work: the forest, the grid and the lookahead window
+//! decide them. [`FactorProgram`] derives them once.
 //! [`crate::factor3d::factor_3d`] executes it on every rank, and `commplan`
 //! projects the same program into per-rank communication events, so
 //! neither keeps a rule of its own.
@@ -17,7 +18,8 @@
 
 use crate::forest::EtreeForest;
 use simgrid::Grid2d;
-use symbolic::{LookaheadStep, Symbolic};
+use slu2d::ByPosition;
+use symbolic::{LookaheadStep, PanelRosters, Symbolic};
 
 /// One forest level as a layer runs it.
 #[derive(Debug)]
@@ -29,8 +31,22 @@ pub struct Level {
     /// The panel and Schur steps over `nodes`, in the lookahead order
     /// ([`symbolic::BlockFill::lookahead_order`]).
     pub order: Vec<LookaheadStep>,
+    /// Panel steps of `order` that run ahead of their in-order position
+    /// (§II-F); counted once per rank of the layer in the run's total.
+    pub lookahead_hits: usize,
+    /// Per grid position, the indices into `order` of the steps whose
+    /// supernode's [`symbolic::PanelRosters`] include it: all that the rank
+    /// there takes of this level.
+    steps: ByPosition<u32>,
     /// The ancestor reduction that ends the level; `None` at the root.
     pub reduction: Option<Reduction>,
+}
+
+impl Level {
+    /// The steps the rank at grid position `at` takes, in `order`'s order.
+    pub fn steps_at(&self, at: (usize, usize)) -> impl Iterator<Item = LookaheadStep> + '_ {
+        self.steps.at(at).iter().map(|&i| self.order[i as usize])
+    }
 }
 
 /// One side of a level's z-line ancestor reduction.
@@ -59,21 +75,34 @@ pub struct FactorProgram {
 }
 
 impl FactorProgram {
-    /// Derive the program of `forest` with the lookahead window
-    /// `lookahead` (§II-F; `0` disables it).
-    pub fn new(sym: &Symbolic, forest: &EtreeForest, lookahead: usize) -> FactorProgram {
+    /// Derive the program of `forest` on layers of shape `grid` with the
+    /// lookahead window `lookahead` (§II-F; `0` disables it).
+    pub fn new(
+        sym: &Symbolic,
+        forest: &EtreeForest,
+        grid: Grid2d,
+        lookahead: usize,
+    ) -> FactorProgram {
         let mut program = FactorProgram {
             forest: forest.clone(),
             node_of_sn: sym.part.node_of_sn.clone(),
             layers: Vec::new(),
         };
+        let rosters = sym.fill.panel_rosters(grid.pr, grid.pc);
         program.layers = (0..forest.pz())
-            .map(|z| program.derive_layer(sym, lookahead, z))
+            .map(|z| program.derive_layer(sym, grid, &rosters, lookahead, z))
             .collect();
         program
     }
 
-    fn derive_layer(&self, sym: &Symbolic, lookahead: usize, z: usize) -> Vec<Level> {
+    fn derive_layer(
+        &self,
+        sym: &Symbolic,
+        grid: Grid2d,
+        rosters: &PanelRosters,
+        lookahead: usize,
+        z: usize,
+    ) -> Vec<Level> {
         let l = self.forest.l;
         let part_of = |lvl: usize| self.forest.supernodes_of(lvl, z >> (l - lvl), &sym.part);
         // Supernodes this layer does not keep are done from the start:
@@ -90,6 +119,21 @@ impl FactorProgram {
             for &k in &nodes {
                 done[k] = true;
             }
+            let mut next_schur = 0;
+            let mut lookahead_hits = 0;
+            for &step in &order {
+                match step {
+                    LookaheadStep::Panel(j) => lookahead_hits += usize::from(j > next_schur),
+                    LookaheadStep::Schur(j) => next_schur = j + 1,
+                }
+            }
+            let takers = order.iter().enumerate().flat_map(|(i, step)| {
+                let k = nodes[step.pos()];
+                let i = u32::try_from(i).expect("a level's order fits u32");
+                let rows = rosters.rows(k).iter();
+                rows.flat_map(move |&r| rosters.cols(k).iter().map(move |&c| ((r, c), i)))
+            });
+            let steps = ByPosition::deal(grid, takers);
             let reduction = (lvl > 0).then(|| {
                 let send = !(z / step).is_multiple_of(2);
                 Reduction {
@@ -105,6 +149,8 @@ impl FactorProgram {
                 lvl,
                 nodes,
                 order,
+                lookahead_hits,
+                steps,
                 reduction,
             });
         }
@@ -185,6 +231,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use slu2d::driver::Prepared;
+    use slu2d::solve2d::{Rosters, SolveLayout, SweepPlan, SweepStep};
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt, kkt_3d};
     use sparsemat::testmats::Geometry;
 
@@ -223,8 +270,8 @@ mod tests {
             let prep = prepared(gen, k);
             let sym = &prep.sym;
             let forest = EtreeForest::build(&prep.tree, sym, 1 << lpz);
-            let program = FactorProgram::new(sym, &forest, lookahead);
             let grid = Grid2d::new(pr, pc);
+            let program = FactorProgram::new(sym, &forest, grid, lookahead);
             let children = sym.fill.children();
             let mut factored_on = vec![None; sym.nsup()];
             for z in 0..program.pz() {
@@ -279,6 +326,99 @@ mod tests {
             for (s, z) in factored_on.iter().enumerate() {
                 let node = sym.part.node_of_sn[s];
                 prop_assert!(*z == Some(forest.factoring_grid(node)), "supernode {}", s);
+            }
+        }
+
+        /// The per-position lists are the filters every rank used to apply
+        /// while walking whole lists: each position's factor steps are
+        /// exactly the order's steps whose supernode's panel rosters hold
+        /// it, in order; each level's lookahead-hit count is what every
+        /// rank counted on that walk; and each position's forward and
+        /// backward sweep steps are exactly, wave by wave, the batches whose
+        /// reduction roster holds it in its root's row, then those whose
+        /// broadcast roster holds it in its root's column.
+        #[test]
+        fn each_position_lists_exactly_the_steps_its_rosters_give_it(
+            gen in 0u8..3,
+            k in 10usize..24,
+            pr in 1usize..4,
+            pc in 1usize..4,
+            lpz in 0usize..4,
+            lookahead in 0usize..10,
+        ) {
+            let prep = prepared(gen, k);
+            let sym = &prep.sym;
+            let forest = EtreeForest::build(&prep.tree, sym, 1 << lpz);
+            let grid = Grid2d::new(pr, pc);
+            let program = FactorProgram::new(sym, &forest, grid, lookahead);
+            let rosters = sym.fill.panel_rosters(pr, pc);
+            let layout = SolveLayout::new(sym, &grid);
+            let positions: Vec<_> = (0..pr).flat_map(|r| (0..pc).map(move |c| (r, c))).collect();
+            for z in 0..program.pz() {
+                for level in program.layer(z) {
+                    // A hit: a panel step with fewer updates before it
+                    // than nodes before its own.
+                    let hits = (0..level.order.len())
+                        .filter(|&p| match level.order[p] {
+                            LookaheadStep::Panel(j) => {
+                                let updated = level.order[..p]
+                                    .iter()
+                                    .filter(|s| matches!(s, LookaheadStep::Schur(_)))
+                                    .count();
+                                updated < j
+                            }
+                            LookaheadStep::Schur(_) => false,
+                        })
+                        .count();
+                    prop_assert!(level.lookahead_hits == hits, "z{} L{}", z, level.lvl);
+                    for &(r, c) in &positions {
+                        let on = |k: usize| {
+                            rosters.rows(k).contains(&r) && rosters.cols(k).contains(&c)
+                        };
+                        let walked: Vec<_> = level
+                            .order
+                            .iter()
+                            .copied()
+                            .filter(|s| on(level.nodes[s.pos()]))
+                            .collect();
+                        let listed: Vec<_> = level.steps_at((r, c)).collect();
+                        prop_assert!(listed == walked, "z{} L{} ({},{})", z, level.lvl, r, c);
+                    }
+                }
+            }
+            for lvl in 0..=forest.l {
+                for q in 0..1usize << lvl {
+                    let nodes = forest.supernodes_of(lvl, q, &sym.part);
+                    let sweep = SweepPlan::new(sym, &grid, &layout, nodes);
+                    // Batch indices, wave by wave.
+                    let mut waves = Vec::new();
+                    let mut first = 0;
+                    for wave in sweep.waves() {
+                        waves.push((first..first + wave.len()).collect::<Vec<usize>>());
+                        first += wave.len();
+                    }
+                    for &(r, c) in &positions {
+                        let walk = |waves: &mut dyn Iterator<Item = &Vec<usize>>,
+                                    red: fn(&Rosters) -> &Vec<usize>,
+                                    bc: fn(&Rosters) -> &Vec<usize>| {
+                            let mut steps = Vec::new();
+                            for wave in waves {
+                                let batch = |b: usize| sweep.batch(b);
+                                steps.extend(wave.iter().filter(|&&b| {
+                                    batch(b).root.0 == r && red(&batch(b).rosters).contains(&c)
+                                }).map(|&b| SweepStep::Reduce(b)));
+                                steps.extend(wave.iter().filter(|&&b| {
+                                    batch(b).root.1 == c && bc(&batch(b).rosters).contains(&r)
+                                }).map(|&b| SweepStep::Read(b)));
+                            }
+                            steps
+                        };
+                        let fwd = walk(&mut waves.iter(), |r| &r.fwd_red, |r| &r.fwd_bc);
+                        let bwd = walk(&mut waves.iter().rev(), |r| &r.bwd_red, |r| &r.bwd_bc);
+                        prop_assert!(sweep.forward_steps((r, c)) == &fwd[..], "fwd ({},{})", r, c);
+                        prop_assert!(sweep.backward_steps((r, c)) == &bwd[..], "bwd ({},{})", r, c);
+                    }
+                }
             }
         }
     }

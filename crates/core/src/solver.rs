@@ -531,7 +531,12 @@ fn try_run(
     let layout = Arc::new(StoreLayout::new(&pa, &sym, &grid3.grid2d));
     // Likewise what every layer factors, in which order, and what it
     // reduces — the program `commplan` projects.
-    let program = Arc::new(FactorProgram::new(&sym, &forest, cfg.lookahead));
+    let program = Arc::new(FactorProgram::new(
+        &sym,
+        &forest,
+        grid3.grid2d,
+        cfg.lookahead,
+    ));
     // And the solve's batches and routes, when there is something to solve.
     let refines = cfg.refine_steps > 0;
     let plan = rhs
@@ -554,7 +559,6 @@ fn try_run(
             BlockStore::from_layout(
                 Arc::clone(&layout),
                 &pa,
-                &sym,
                 my_r,
                 my_c,
                 &|s| program.keeps(s, my_z),
@@ -762,7 +766,7 @@ mod tests {
         let ctx = format!("{pr}x{pc}x{pz}");
         let grid = Grid2d::new(pr, pc);
         let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
-        let program = FactorProgram::new(&prep.sym, &forest, 8);
+        let program = FactorProgram::new(&prep.sym, &forest, grid, 8);
         let layout = Arc::new(StoreLayout::new(&prep.pa, &prep.sym, &grid));
         let mut total_blocks = 0;
         for z in 0..pz {
@@ -773,7 +777,6 @@ mod tests {
                 let shared = BlockStore::from_layout(
                     Arc::clone(&layout),
                     &prep.pa,
-                    &prep.sym,
                     r,
                     c,
                     &keep,
@@ -967,7 +970,12 @@ mod tests {
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let threshold = SolverConfig::default().pivot_threshold;
 
-        let flat = FactorProgram::new(&sym, &EtreeForest::build(&prep.tree, &sym, 1), 8);
+        let flat = FactorProgram::new(
+            &sym,
+            &EtreeForest::build(&prep.tree, &sym, 1),
+            Grid2d::new(1, 1),
+            8,
+        );
         let oracle = padded_factor(&prep, &flat);
         let all = |_: usize| true;
         let mut seq = BlockStore::build(
@@ -992,7 +1000,7 @@ mod tests {
 
         let grid3 = Grid3d::new(pr, pc, pz);
         let forest = EtreeForest::build(&prep.tree, &sym, pz);
-        let program = Arc::new(FactorProgram::new(&sym, &forest, 8));
+        let program = Arc::new(FactorProgram::new(&sym, &forest, grid3.grid2d, 8));
         let plan = Arc::new(SolvePlan::new(&prep.pa, &sym, &forest, &grid3, false));
         let layout = Arc::new(StoreLayout::new(&prep.pa, &sym, &grid3.grid2d));
         let oracle = padded_factor(&prep, &program);
@@ -1012,7 +1020,6 @@ mod tests {
                     let mut store = BlockStore::from_layout(
                         Arc::clone(&layout),
                         &pa,
-                        sym,
                         my_r,
                         my_c,
                         &|s| program.keeps(s, my_z),
@@ -1650,7 +1657,7 @@ mod tests {
             let (sym, part) = (Arc::clone(&prep.sym), &prep.sym.part);
             let grid3 = Grid3d::new(pr, pc, pz);
             let forest = EtreeForest::build(&prep.tree, &sym, pz);
-            let program = Arc::new(FactorProgram::new(&sym, &forest, 8));
+            let program = Arc::new(FactorProgram::new(&sym, &forest, grid3.grid2d, 8));
             let layout = Arc::new(StoreLayout::new(&prep.pa, &sym, &grid3.grid2d));
             let width = |nodes: &[usize]| nodes.iter().map(|&s| part.width(s)).sum::<usize>();
 
@@ -1698,7 +1705,6 @@ mod tests {
                         let mut store = BlockStore::from_layout(
                             Arc::clone(&layout),
                             &pa,
-                            &sym,
                             my_r,
                             my_c,
                             &|s| program.keeps(s, my_z),

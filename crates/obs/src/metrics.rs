@@ -43,6 +43,19 @@ impl Histogram {
         *self.buckets.entry(key).or_insert(0) += 1;
     }
 
+    /// Record `n` exact zeros at once: the same histogram as `n` calls of
+    /// `observe(0.0)` (`x + 0.0 == x`, and the order of samples is not
+    /// kept).
+    pub fn observe_zeros(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // Samples are nonnegative, and an empty histogram's max is 0.
+        self.min = 0.0;
+        self.count += n;
+        *self.buckets.entry(i32::MIN).or_insert(0) += n;
+    }
+
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -172,6 +185,23 @@ impl MetricsRegistry {
         }
     }
 
+    /// [`Histogram::observe_zeros`] under `name`; `n == 0` records nothing
+    /// (and creates no histogram).
+    pub fn observe_zeros(&mut self, name: &str, n: u64) {
+        if n == 0 {
+            return;
+        }
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe_zeros(n),
+            None => {
+                self.histograms
+                    .entry(name.to_string())
+                    .or_default()
+                    .observe_zeros(n);
+            }
+        }
+    }
+
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -264,6 +294,49 @@ mod tests {
         assert_eq!(h.buckets[&0], 2); // 1.0 and 1.5 in [1, 2)
         assert_eq!(h.buckets[&1], 1); // 2.0 in [2, 4)
         assert_eq!(h.buckets[&9], 1); // 1000 in [512, 1024)
+    }
+
+    /// `n` zeros recorded at once are `n` calls of `observe(0.0)`, into an
+    /// empty or a non-empty histogram, and stay so through `merge`.
+    #[test]
+    fn bulk_zeros_equal_one_observe_each() {
+        let seeded = |samples: &[f64]| {
+            let mut h = Histogram::default();
+            for &v in samples {
+                h.observe(v);
+            }
+            h
+        };
+        for samples in [&[][..], &[3.0, 0.0, 1000.0][..], &[0.5][..]] {
+            for n in [0u64, 1, 7] {
+                let mut one_by_one = seeded(samples);
+                for _ in 0..n {
+                    one_by_one.observe(0.0);
+                }
+                let mut bulk = seeded(samples);
+                bulk.observe_zeros(n);
+                assert_eq!(bulk, one_by_one, "{samples:?} + {n} zeros");
+                assert_eq!(bulk.sum.to_bits(), one_by_one.sum.to_bits());
+                for other in [Histogram::default(), seeded(&[2.0, 0.0])] {
+                    let (mut a, mut b) = (other.clone(), other.clone());
+                    a.merge(&one_by_one);
+                    b.merge(&bulk);
+                    assert_eq!(a, b, "{samples:?} + {n} zeros, merged");
+                }
+            }
+        }
+        // The registry records nothing for no zeros, as no `observe` call
+        // would.
+        let mut m = MetricsRegistry::default();
+        m.observe_zeros("h", 0);
+        assert!(m.is_empty());
+        m.observe_zeros("h", 2);
+        m.observe("h", 4.0);
+        let mut want = MetricsRegistry::default();
+        for v in [0.0, 4.0, 0.0] {
+            want.observe("h", v);
+        }
+        assert_eq!(m, want);
     }
 
     #[test]

@@ -206,6 +206,12 @@ impl Rank {
         }
     }
 
+    /// Take the context ids of `count` communicators this rank builds none
+    /// of, as `count` `subset` calls it is not a member of would.
+    pub(crate) fn skip_contexts(&mut self, count: usize) {
+        self.next_ctx += count as u64;
+    }
+
     /// Set the traffic-accounting phase label. All subsequent sends and
     /// receives are counted under this label until it changes. The LU stack
     /// uses `"fact"` for xy-plane factorization traffic and `"reduce"` for
@@ -255,6 +261,12 @@ impl Rank {
     /// Record a histogram sample under `name` (log2 buckets).
     pub fn metric_observe(&mut self, name: &str, v: f64) {
         self.inst.metrics().observe(name, v);
+    }
+
+    /// Record `n` zero samples under `name` at once: what `n` calls of
+    /// [`Rank::metric_observe`] with `0.0` record.
+    pub fn metric_observe_zeros(&mut self, name: &str, n: u64) {
+        self.inst.metrics().observe_zeros(name, n);
     }
 
     /// Open a host-time profiling scope for `phase`. Returns a no-op guard

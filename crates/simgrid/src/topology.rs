@@ -164,7 +164,8 @@ impl Grid3d {
 /// The four families of disjoint communicators of a 3D grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommFamily {
-    /// One per `z`: a whole 2D layer.
+    /// One per `z`: a whole 2D layer. [`build_grid_comms`] reserves its
+    /// context ids but builds none of them.
     Layer,
     /// One per `(z, r)`: a process row of a layer.
     Row,
@@ -189,8 +190,6 @@ impl CommFamily {
 pub struct GridComms {
     /// This rank's 3D coordinates `(r, c, z)`.
     pub coords: (usize, usize, usize),
-    /// All ranks in my 2D layer (my `z`), ordered row-major.
-    pub layer: Comm,
     /// My process row within my layer (fixed `r`, varying `c`).
     pub row: Comm,
     /// My process column within my layer (fixed `c`, varying `r`).
@@ -212,19 +211,20 @@ pub fn build_grid_comms(rank: &mut Rank, g: &Grid3d) -> GridComms {
     // One communicator of each family, in creation order, with context ids
     // as if every rank had created every communicator of each family
     // ([`Grid3d::ctx_id`] states the ids; `commplan` reads them there). A
-    // rank builds only the one of each family it belongs to.
+    // rank builds only the one of each family it belongs to. Nothing
+    // communicates over a whole layer, so that family keeps its ids and no
+    // communicator.
     let coords = (my_r, my_c, my_z);
+    rank.skip_contexts(g.family_slot(CommFamily::Layer, coords).0);
     let mut create = |family, members: Vec<usize>| {
         let (count, index) = g.family_slot(family, coords);
         rank.subset_in_family(count, index, members)
     };
-    let layer = (0..g2.size()).map(|l| my_z * g2.size() + l).collect();
     let row = (0..g2.pc).map(|c| g.rank_of(my_r, c, my_z)).collect();
     let col = (0..g2.pr).map(|r| g.rank_of(r, my_c, my_z)).collect();
     let zline = (0..g.pz).map(|z| g.rank_of(my_r, my_c, z)).collect();
     GridComms {
         coords,
-        layer: create(CommFamily::Layer, layer),
         row: create(CommFamily::Row, row),
         col: create(CommFamily::Col, col),
         zline: create(CommFamily::Zline, zline),
@@ -291,18 +291,24 @@ mod tests {
     /// The arithmetic context ids — the ones [`Grid3d::ctx_id`] states and
     /// `build_grid_comms` hands out — equal those of the definition: every
     /// rank calling `subset` once per layer, row, column and z-line, in
-    /// that order.
+    /// that order. The layers' ids are taken but no layer communicator is
+    /// kept, so the row, column and z-line communicators and the next free
+    /// id are compared.
     #[test]
     fn context_ids_match_one_subset_call_per_communicator() {
         for (pr, pc, pz) in [(2, 3, 4), (3, 1, 2), (1, 1, 1), (4, 4, 1)] {
             let g = Grid3d::new(pr, pc, pz);
             let by_definition = move |rank: &mut Rank| {
                 let g2 = g.grid2d;
+                for z in 0..g.pz {
+                    rank.subset(
+                        &(0..g2.size())
+                            .map(|l| z * g2.size() + l)
+                            .collect::<Vec<_>>(),
+                    );
+                }
                 let mut mine = Vec::new();
                 let mut create = |members: Vec<usize>| mine.extend(rank.subset(&members));
-                for z in 0..g.pz {
-                    create((0..g2.size()).map(|l| z * g2.size() + l).collect());
-                }
                 for z in 0..g.pz {
                     for r in 0..g2.pr {
                         create((0..g2.pc).map(|c| g.rank_of(r, c, z)).collect());
@@ -329,8 +335,9 @@ mod tests {
             });
             let got = m.run_tasks(async move |rank| {
                 let c = build_grid_comms(rank, &g);
-                let comms = [&c.layer, &c.row, &c.col, &c.zline];
-                let stated = CommFamily::CREATION_ORDER.map(|f| g.ctx_id(f, c.coords));
+                let comms = [&c.row, &c.col, &c.zline];
+                let families = [CommFamily::Row, CommFamily::Col, CommFamily::Zline];
+                let stated = families.map(|f| g.ctx_id(f, c.coords));
                 assert_eq!(comms.map(|c| c.ctx), stated, "Grid3d::ctx_id");
                 let got = comms.map(describe).to_vec();
                 (got, rank.subset(&[rank.id()]).expect("member").ctx)

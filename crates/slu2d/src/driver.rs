@@ -121,8 +121,8 @@ mod tests {
                 &|_| true,
                 InitValues::FromMatrix,
             );
-            let (nodes, order) = whole_order(&sym);
-            factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+            let (nodes, steps) = whole_order(&sym, &env);
+            factor_nodes(rank, &env, &mut store, &sym, &nodes, steps)
                 .await
                 .expect("the factorization completes");
             store

@@ -44,28 +44,26 @@ impl Default for FactorOpts {
     }
 }
 
-/// Outcome counters of a node-list factorization.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FactorOutcome {
-    /// Static-pivot perturbations applied on this rank.
-    pub perturbations: usize,
-    /// Supernodes whose panel phase ran ahead of the in-order position.
-    pub lookahead_hits: usize,
-}
-
-/// Factor the supernodes of `nodes` (ascending elimination order) on the 2D
-/// grid, updating `store` in place: factored panels overwrite their blocks
-/// and Schur updates accumulate into every owned trailing block (including
-/// replicated ancestors outside `nodes`, which is what the 3D algorithm
-/// relies on).
+/// Factor this rank's share of the supernodes of `nodes` (ascending
+/// elimination order) on the 2D grid, updating `store` in place: factored
+/// panels overwrite their blocks and Schur updates accumulate into every
+/// owned trailing block (including replicated ancestors outside `nodes`,
+/// which is what the 3D algorithm relies on). Returns the number of
+/// static-pivot perturbations applied on this rank.
 ///
-/// `order` is the lookahead order of `nodes`
-/// ([`symbolic::BlockFill::lookahead_order`]), executed step by step; the
-/// 3D driver reads it from its factorization program.
+/// `steps` are the steps of the lookahead order of `nodes`
+/// ([`symbolic::BlockFill::lookahead_order`]) that this rank takes — those
+/// of the supernodes whose [`symbolic::PanelRosters`] include its grid
+/// position — in that order: every other rank of a supernode's rosters
+/// takes its panel step in the same relative order, keeping the roster
+/// broadcasts aligned, and a rank off them has nothing of that step to do.
+/// The 3D driver reads each rank's list from its factorization program. A
+/// Schur step this rank skips is an update with no local share: it is
+/// recorded as a zero-flop `gemm.flops_per_supernode` sample, all of them in
+/// one call.
 ///
-/// Collective across the layer: every rank calls with identical arguments.
 /// A panel step or Schur update that finds this rank's share of the store
-/// incomplete, or an order that updates a supernode before its panel step,
+/// incomplete, or a list that updates a supernode before its panel step,
 /// ends the list with a [`FailKind::Solver`] (phase `fact`, the supernode).
 pub async fn factor_nodes(
     rank: &mut Rank,
@@ -73,21 +71,24 @@ pub async fn factor_nodes(
     store: &mut BlockStore,
     sym: &Symbolic,
     nodes: &[usize],
-    order: &[LookaheadStep],
-) -> Result<FactorOutcome, FailKind> {
+    steps: impl IntoIterator<Item = LookaheadStep>,
+) -> Result<usize, FailKind> {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
-    let mut outcome = FactorOutcome::default();
+    let mut perturbations = 0;
+    let mut schur_steps = 0;
 
-    // Panels factored ahead of their Schur update, by position in `nodes`.
-    let mut panels: Vec<Option<PanelData>> = (0..nodes.len()).map(|_| None).collect();
+    // Panels factored ahead of their Schur update, with their position in
+    // `nodes`: at most the lookahead window's worth at a time, so a short
+    // vector searched in full. (A map allocating a node per few panels
+    // changed glibc's heap trimming enough to fault the freed heap back in
+    // every operation: 1.8 k → 10.7 k page faults per `nonplanar_schur`
+    // operation in the benchmark.)
+    let mut panels: Vec<(usize, PanelData)> = Vec::new();
     // Gather arena of the batched Schur kernel, reused across every
     // supernode of this node list; released (ledger-credited) at the end.
     let mut scratch = SchurScratch::new();
 
-    // All ranks execute the same order, keeping the collective broadcasts
-    // of the panel steps aligned.
-    let mut next_schur = 0;
-    for &step in order {
+    for step in steps {
         match step {
             LookaheadStep::Panel(j) => {
                 let m = nodes[j];
@@ -96,47 +97,60 @@ pub async fn factor_nodes(
                         factor_step_panel(rank, env, store, sym, m).await
                     })
                     .await?;
-                outcome.perturbations += pert;
-                if j > next_schur {
-                    outcome.lookahead_hits += 1;
-                }
+                perturbations += pert;
                 // Panel pieces held for a pending Schur update are transient
                 // Schur-buffer memory; credited when the update consumes them.
                 rank.mem_charge(MemClass::SchurBuf, pd.words() * 8);
-                panels[j] = Some(pd);
+                panels.push((j, pd));
             }
             LookaheadStep::Schur(idx) => {
                 let k = nodes[idx];
-                let pd = panels[idx].take().ok_or_else(|| FailKind::Solver {
-                    phase: "fact".to_string(),
-                    supernode: Some(k),
-                    level: None,
-                    detail: "Schur update before the supernode's panel step".to_string(),
-                })?;
+                let pending = panels.iter().position(|&(j, _)| j == idx);
+                let pd =
+                    pending
+                        .map(|at| panels.swap_remove(at).1)
+                        .ok_or_else(|| FailKind::Solver {
+                            phase: "fact".to_string(),
+                            supernode: Some(k),
+                            level: None,
+                            detail: "Schur update before the supernode's panel step".to_string(),
+                        })?;
                 rank.with_span(SpanCat::Node, format_args!("schur{k}"), async |rank| {
                     let at = env.opts.schur_batch_min_flops;
                     factor_step_schur(rank, store, sym, k, &pd, &mut scratch, at)
                 })
                 .await?;
                 rank.mem_credit(MemClass::SchurBuf, pd.words() * 8);
-                next_schur = idx + 1;
+                schur_steps += 1;
             }
         }
     }
     scratch.release(rank);
-    Ok(outcome)
+    let skipped = nodes.len().saturating_sub(schur_steps);
+    rank.metric_observe_zeros("gemm.flops_per_supernode", skipped as u64);
+    Ok(perturbations)
 }
 
-/// Every supernode as one node list, with its lookahead order at the
-/// default window of 8: the whole 2D factorization, for the tests that
-/// drive [`factor_nodes`] without a 3D program.
+/// Every supernode as one node list, and the steps of its lookahead order
+/// at the default window of 8 that the rank at `env`'s grid position takes:
+/// the whole 2D factorization, for the tests that drive [`factor_nodes`]
+/// without a 3D program.
 #[cfg(test)]
-pub(crate) fn whole_order(sym: &Symbolic) -> (Vec<usize>, Vec<LookaheadStep>) {
+pub(crate) fn whole_order(sym: &Symbolic, env: &FactorEnv) -> (Vec<usize>, Vec<LookaheadStep>) {
     let nodes: Vec<usize> = (0..sym.nsup()).collect();
     let order = sym
         .fill
         .lookahead_order(&nodes, &vec![false; nodes.len()], 8);
-    (nodes, order)
+    let rosters = sym.fill.panel_rosters(env.grid.pr, env.grid.pc);
+    let takes = |k: usize| {
+        rosters.rows(k).binary_search(&env.my_r).is_ok()
+            && rosters.cols(k).binary_search(&env.my_c).is_ok()
+    };
+    let steps = order
+        .into_iter()
+        .filter(|s| takes(nodes[s.pos()]))
+        .collect();
+    (nodes, steps)
 }
 
 #[cfg(test)]
@@ -200,8 +214,8 @@ mod tests {
                     if (my_r, my_c) == owner {
                         store.take(row, lost).expect("the owner holds it");
                     }
-                    let (nodes, order) = whole_order(&sym);
-                    factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                    let (nodes, steps) = whole_order(&sym, &env);
+                    factor_nodes(rank, &env, &mut store, &sym, &nodes, steps)
                         .await
                         .unwrap_or_else(|kind| rank.fail(kind));
                 })
@@ -279,8 +293,8 @@ mod tests {
                         if (my_r, my_c) == owner {
                             store.take(i, j).expect("the owner holds it");
                         }
-                        let (nodes, order) = whole_order(&sym);
-                        factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                        let (nodes, steps) = whole_order(&sym, &env);
+                        factor_nodes(rank, &env, &mut store, &sym, &nodes, steps)
                             .await
                             .unwrap_or_else(|kind| rank.fail(kind));
                     })
@@ -331,9 +345,9 @@ mod tests {
                     &|_| true,
                     InitValues::FromMatrix,
                 );
-                let (nodes, _) = whole_order(&sym);
+                let (nodes, _) = whole_order(&sym, &env);
                 let order = [LookaheadStep::Schur(0)];
-                factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+                factor_nodes(rank, &env, &mut store, &sym, &nodes, order)
                     .await
                     .unwrap_or_else(|kind| rank.fail(kind));
             })
@@ -393,8 +407,8 @@ mod tests {
                 &|_| true,
                 InitValues::FromMatrix,
             );
-            let (nodes, order) = whole_order(&sym);
-            factor_nodes(rank, &env, &mut store, &sym, &nodes, &order)
+            let (nodes, steps) = whole_order(&sym, &env);
+            factor_nodes(rank, &env, &mut store, &sym, &nodes, steps)
                 .await
                 .expect("the factorization completes");
             store

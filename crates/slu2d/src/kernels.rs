@@ -21,8 +21,8 @@ use simgrid::tags::{T_DIAG_COL, T_DIAG_ROW, T_LPANEL, T_UPANEL};
 /// `l` holds `(I, L(I,k))` for the block rows `I` of `struct(k)` in this
 /// rank's process row, `u` holds `(J, U(k,J))` for the block columns `J` in
 /// its process column, both ascending — the sublists of `struct(k)` the
-/// Schur kernels range over. Both are empty on a rank off `k`'s rosters,
-/// which has no update of `k` to apply.
+/// Schur kernels range over. A rank off `k`'s rosters has no update of `k`
+/// to apply and takes neither step.
 #[derive(Default)]
 pub struct PanelData {
     pub l: PackedBlocks,
@@ -37,15 +37,15 @@ impl PanelData {
     }
 }
 
-/// Run the panel phase for supernode `k`: kernels 1-4 of §II-E. Every rank
-/// of the layer calls it with the same `k`; only the ranks in
-/// `rows(k) × cols(k)` of the store's [`symbolic::PanelRosters`] take part,
-/// and every broadcast reaches just the rows or columns of its roster — the
-/// ranks holding a block that reads it. Returns the panel data this rank
-/// needs for its Schur updates, and the number of static-pivot
-/// perturbations (nonzero only on the diagonal owner). A block this rank's
-/// share should hold but does not, or a received diagonal or panel other
-/// than the one this rank reads, is a [`FailKind::Solver`] naming `k`.
+/// Run the panel phase for supernode `k`: kernels 1-4 of §II-E. Exactly the
+/// ranks in `rows(k) × cols(k)` of the store's [`symbolic::PanelRosters`]
+/// call it, and every broadcast reaches just the rows or columns of its
+/// roster — the ranks holding a block that reads it. Returns the panel
+/// data this rank needs for its Schur updates, and the number of
+/// static-pivot perturbations (nonzero only on the diagonal owner). A
+/// block this rank's share should hold but does not, or a received
+/// diagonal or panel other than the one this rank reads, is a
+/// [`FailKind::Solver`] naming `k`.
 ///
 /// Every broadcast ships one shared buffer: the root packs its blocks once,
 /// and every member — the root included — reads them in place.
@@ -56,13 +56,13 @@ pub async fn factor_step_panel(
     sym: &Symbolic,
     k: usize,
 ) -> Result<(PanelData, usize), FailKind> {
-    let no_panel = PanelData::default();
     let rosters = store.rosters();
     let (my_r, my_c) = (env.my_r, env.my_c);
-    let in_rows = rosters.rows(k).binary_search(&my_r).is_ok();
-    if !in_rows || rosters.cols(k).binary_search(&my_c).is_err() {
-        return Ok((no_panel, 0));
-    }
+    debug_assert!(
+        rosters.rows(k).binary_search(&my_r).is_ok()
+            && rosters.cols(k).binary_search(&my_c).is_ok(),
+        "({my_r},{my_c}) is off supernode {k}'s panel rosters"
+    );
     let (row_holds_l, col_holds_u) = (rosters.row_holds_l(k, my_r), rosters.col_holds_u(k, my_c));
     // Host-time attribution: everything in this step is panel work except
     // the nested collective waits, which the simulator's own CommWait
@@ -171,7 +171,7 @@ pub async fn factor_step_panel(
         PackedBlocks::from_payload(payload, expected)
             .map_err(|d| missing(&format!("{what} panel broadcast: {d}")))
     };
-    let mut panel = no_panel;
+    let mut panel = PanelData::default();
     if row_holds_l {
         let mine: Vec<(usize, usize, usize)> = struct_k
             .iter()

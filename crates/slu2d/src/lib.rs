@@ -22,20 +22,24 @@
 //! 5. *Schur update* — every process updates its owned trailing blocks
 //!    `A(I,J) -= L(I,k) U(k,J)`.
 //!
-//! [`factor2d::factor_nodes`] drives these steps over an arbitrary
-//! ascending supernode list — the entry point the 3D algorithm calls per
-//! tree-forest level (`dSparseLU2D(A, nList)` in Algorithm 1) — with an
-//! optional elimination-tree lookahead window (§II-F).
+//! [`factor2d::factor_nodes`] drives a rank's share of these steps over an
+//! arbitrary ascending supernode list — the entry point the 3D algorithm
+//! calls per tree-forest level (`dSparseLU2D(A, nList)` in Algorithm 1) —
+//! in an elimination-tree lookahead order (§II-F); the rank takes only the
+//! steps of supernodes whose rosters include it ([`ByPosition`] holds each
+//! grid position's list).
 
 pub mod condest;
 pub mod driver;
 pub mod factor2d;
 pub mod kernels;
+pub mod positions;
 pub mod seq;
 pub mod solve2d;
 pub mod store;
 
 pub use condest::{condest_1, inverse_norm1_estimate, seq_solve_transpose};
 pub use factor2d::{factor_nodes, FactorEnv, FactorOpts};
+pub use positions::ByPosition;
 pub use seq::{seq_factor, seq_solve, seq_solve_multi};
 pub use store::BlockStore;

@@ -16,12 +16,14 @@
 //! solutions (docs/perf.md, "The solve goes only where it is read").
 //!
 //! Every rank visits a wave's roots in ascending order, all reductions
-//! before any broadcast. A reduction waits only on ranks of its own process
-//! row working down the same list, a broadcast only on a root that has
-//! finished its row's reductions, and nothing in a wave waits on a later
-//! one, so no two collectives can wait on each other (docs/perf.md, "The
-//! solve: waves"); dropping ranks from a collective keeps that order on the
-//! ranks that remain.
+//! before any broadcast, and only the batches whose rosters include it: its
+//! steps are listed per grid position once per machine ([`SweepPlan`]). A
+//! reduction waits only on ranks of its own process row working down the
+//! same list, a broadcast only on a root that has finished its row's
+//! reductions, and nothing in a wave waits on a later one, so no two
+//! collectives can wait on each other (docs/perf.md, "The solve: waves");
+//! dropping ranks from a collective keeps that order on the ranks that
+//! remain.
 //!
 //! The forward and backward phases are exposed separately with an explicit
 //! [`DistSolveState`] so the 3D solver can interleave them with z-axis
@@ -35,6 +37,7 @@
 //! (docs/perf.md, "The solve holds its share").
 
 use crate::factor2d::FactorEnv;
+use crate::positions::ByPosition;
 use crate::store::BlockStore;
 use densela::{backward_subst, flops, forward_subst_unit, Mat};
 use simgrid::{FailKind, Grid2d, HostPhase, Packed, Payload, Rank};
@@ -97,6 +100,15 @@ pub fn on(roster: &[usize], x: usize) -> bool {
     roster.binary_search(&x).is_ok()
 }
 
+/// One step of a rank's sweep, by batch index in its [`SweepPlan`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepStep {
+    /// Take part in the batch's reduction (and solve it, on the root).
+    Reduce(usize),
+    /// Take part in the broadcast of the batch's solutions (and apply them).
+    Read(usize),
+}
+
 /// The triangular sweeps of one node list on one 2D grid, batched by wave.
 /// A pure function of symbolic state and the grid shape: derived once per
 /// machine, read by every rank and every solve.
@@ -110,6 +122,12 @@ pub struct SweepPlan {
     batches: Vec<Batch>,
     /// `batches[wave_ptr[w]..wave_ptr[w + 1]]` is wave `w`.
     wave_ptr: Vec<usize>,
+    /// Per grid position, the forward sweep's steps there: wave by wave,
+    /// the batches whose reduction it is on, then those whose broadcast it
+    /// is on, each by ascending root.
+    fwd: ByPosition<SweepStep>,
+    /// The backward sweep's, its waves in reverse.
+    bwd: ByPosition<SweepStep>,
 }
 
 impl SweepPlan {
@@ -148,11 +166,16 @@ impl SweepPlan {
             }
         }
         wave_ptr.push(batches.len());
+        let waves = wave_ptr.windows(2).map(|w| w[0]..w[1]);
+        let fwd = deal_steps(grid, &batches, waves.clone(), |r| &r.fwd_red, |r| &r.fwd_bc);
+        let bwd = deal_steps(grid, &batches, waves.rev(), |r| &r.bwd_red, |r| &r.bwd_bc);
         SweepPlan {
             order: by_batch.into_iter().map(|pos| nodes[pos]).collect(),
             nodes,
             batches,
             wave_ptr,
+            fwd,
+            bwd,
         }
     }
 
@@ -170,6 +193,55 @@ impl SweepPlan {
     pub fn nodes_of(&self, batch: &Batch) -> &[usize] {
         &self.order[batch.nodes.clone()]
     }
+
+    /// The batch a [`SweepStep`] names.
+    pub fn batch(&self, b: usize) -> &Batch {
+        &self.batches[b]
+    }
+
+    /// The forward sweep's steps at grid position `at`, in the order the
+    /// rank there takes them.
+    pub fn forward_steps(&self, at: (usize, usize)) -> &[SweepStep] {
+        self.fwd.at(at)
+    }
+
+    /// The backward sweep's steps at grid position `at`.
+    pub fn backward_steps(&self, at: (usize, usize)) -> &[SweepStep] {
+        self.bwd.at(at)
+    }
+}
+
+/// One sweep's steps by grid position, over `waves` (ranges of `batches`) in
+/// the order the sweep takes them: per wave, each batch's reduction along
+/// its root's row to the columns of roster `red`, then each broadcast down
+/// its root's column to the rows of roster `bc`.
+fn deal_steps(
+    grid: &Grid2d,
+    batches: &[Batch],
+    waves: impl Iterator<Item = Range<usize>>,
+    red: fn(&Rosters) -> &Vec<usize>,
+    bc: fn(&Rosters) -> &Vec<usize>,
+) -> ByPosition<SweepStep> {
+    let mut steps = Vec::new();
+    for wave in waves {
+        for b in wave.clone() {
+            let (root, rosters) = (batches[b].root, &batches[b].rosters);
+            steps.extend(
+                red(rosters)
+                    .iter()
+                    .map(|&c| ((root.0, c), SweepStep::Reduce(b))),
+            );
+        }
+        for b in wave {
+            let (root, rosters) = (batches[b].root, &batches[b].rosters);
+            steps.extend(
+                bc(rosters)
+                    .iter()
+                    .map(|&r| ((r, root.1), SweepStep::Read(b))),
+            );
+        }
+    }
+    ByPosition::deal(*grid, steps)
 }
 
 /// Block lists dealt by process row: for each supernode `k`, the entries `i`
@@ -495,7 +567,11 @@ fn solutions(
 /// Forward substitution over `sweep`'s node list: computes `y_k` on each
 /// diagonal owner and spreads `L(I,k) y_k` contributions into `st.acc`.
 /// `b` must hold the segments of the supernodes this rank is the diagonal
-/// owner of; no other rank reads them. Collective across the layer.
+/// owner of; no other rank reads them.
+///
+/// Every rank of the layer calls it with the same plan, and each takes only
+/// its own steps ([`SweepPlan::forward_steps`]): the reductions and
+/// broadcasts whose rosters include its grid position, no other batch.
 #[allow(clippy::too_many_arguments)]
 pub async fn forward_nodes(
     rank: &mut Rank,
@@ -509,63 +585,67 @@ pub async fn forward_nodes(
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveFwd);
     let part = &sym.part;
-    for wave in sweep.waves() {
-        // 1. Reduce the partial sums of each batch along its root's process
-        //    row; the root solves its batch.
-        let mut solved = None;
-        let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.fwd_red, env.my_c);
-        for batch in wave.iter().filter(reducing) {
-            let nodes = sweep.nodes_of(batch);
-            let seg = st.acc.gather(nodes);
-            let tag = T_FWD_RED | nodes[0] as u64;
-            let roster = &batch.rosters.fwd_red;
-            let root = batch.root.1;
-            if let Some(mut y) = rank
-                .reduce_sum_among(&env.row, roster, root, seg, tag)
-                .await
-            {
+    // The solutions of the batch this rank roots in the current wave, from
+    // its reduction to its broadcast.
+    let mut solved = None;
+    for &step in sweep.forward_steps((env.my_r, env.my_c)) {
+        match step {
+            // Reduce the partial sums of the batch along its root's process
+            // row; the root solves the batch.
+            SweepStep::Reduce(i) => {
+                let batch = sweep.batch(i);
+                let nodes = sweep.nodes_of(batch);
+                let seg = st.acc.gather(nodes);
+                let tag = T_FWD_RED | nodes[0] as u64;
+                let roster = &batch.rosters.fwd_red;
+                let root = batch.root.1;
+                if let Some(mut y) = rank
+                    .reduce_sum_among(&env.row, roster, root, seg, tag)
+                    .await
+                {
+                    let f0 = flops::get();
+                    let mut off = 0;
+                    for &k in nodes {
+                        let yk = &mut y[off..off + part.width(k)];
+                        off += yk.len();
+                        for (s, bi) in yk.iter_mut().zip(b.seg(k)) {
+                            *s = bi - *s;
+                        }
+                        forward_subst_unit(diag_of(store, "solve-fwd", k)?, yk);
+                    }
+                    rank.advance_compute(flops::get() - f0);
+                    solved = Some(y);
+                }
+            }
+            // Broadcast the batch's solutions down its root's process
+            // column, one shared buffer; column ranks apply their L(I,k)
+            // blocks.
+            SweepStep::Read(i) => {
+                let batch = sweep.batch(i);
+                let nodes = sweep.nodes_of(batch);
+                let mine = batch.root.0 == env.my_r;
+                let data = solved
+                    .take_if(|_| mine)
+                    .map(|y| Payload::packed(Vec::new(), y));
+                let tag = T_FWD_BC | nodes[0] as u64;
+                let roster = &batch.rosters.fwd_bc;
+                let y = rank
+                    .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                    .await;
+                let y = solutions(y, part, nodes, "solve-fwd")?;
                 let f0 = flops::get();
                 let mut off = 0;
                 for &k in nodes {
-                    let yk = &mut y[off..off + part.width(k)];
+                    let yk = &y.data()[off..off + part.width(k)];
                     off += yk.len();
-                    for (s, bi) in yk.iter_mut().zip(b.seg(k)) {
-                        *s = bi - *s;
-                    }
-                    forward_subst_unit(diag_of(store, "solve-fwd", k)?, yk);
+                    let rows = layout.below.hand(k, env.my_r);
+                    apply_column(store, sym, rows, k, yk, &mut st.acc);
                 }
                 rank.advance_compute(flops::get() - f0);
-                solved = Some(y);
-            }
-        }
-        // 2. Broadcast each batch's solutions down its root's process
-        //    column, one shared buffer; column ranks apply their L(I,k)
-        //    blocks.
-        let reading = |b: &&Batch| b.root.1 == env.my_c && on(&b.rosters.fwd_bc, env.my_r);
-        for batch in wave.iter().filter(reading) {
-            let nodes = sweep.nodes_of(batch);
-            let mine = batch.root.0 == env.my_r;
-            let data = solved
-                .take_if(|_| mine)
-                .map(|y| Payload::packed(Vec::new(), y));
-            let tag = T_FWD_BC | nodes[0] as u64;
-            let roster = &batch.rosters.fwd_bc;
-            let y = rank
-                .bcast_among(&env.col, roster, batch.root.0, data, tag)
-                .await;
-            let y = solutions(y, part, nodes, "solve-fwd")?;
-            let f0 = flops::get();
-            let mut off = 0;
-            for &k in nodes {
-                let yk = &y.data()[off..off + part.width(k)];
-                off += yk.len();
-                let rows = layout.below.hand(k, env.my_r);
-                apply_column(store, sym, rows, k, yk, &mut st.acc);
-            }
-            rank.advance_compute(flops::get() - f0);
-            // Only the root reads its batch back (backward phase).
-            if mine {
-                st.y.insert(nodes[0], y);
+                // Only the root reads its batch back (backward phase).
+                if mine {
+                    st.y.insert(nodes[0], y);
+                }
             }
         }
     }
@@ -601,7 +681,8 @@ pub fn apply_ancestor_x(
 /// `x_out`, which must hold the segments of the supernodes this rank is the
 /// diagonal owner of, and spreads `U(j,k) x_k` contributions into
 /// `st.accu`. The forward sweep over the same plan must have run on `st`.
-/// Collective across the layer.
+/// Like [`forward_nodes`], each rank takes only its own steps
+/// ([`SweepPlan::backward_steps`]).
 #[allow(clippy::too_many_arguments)]
 pub async fn backward_nodes(
     rank: &mut Rank,
@@ -615,60 +696,62 @@ pub async fn backward_nodes(
 ) -> Result<(), FailKind> {
     let _host = rank.host_scope(HostPhase::SolveBwd);
     let part = &sym.part;
-    for wave in sweep.waves().rev() {
-        let mut solved = None;
-        let reducing = |b: &&Batch| b.root.0 == env.my_r && on(&b.rosters.bwd_red, env.my_c);
-        for batch in wave.iter().filter(reducing) {
-            let nodes = sweep.nodes_of(batch);
-            let seg = st.accu.gather(nodes);
-            let tag = T_BWD_RED | nodes[0] as u64;
-            let roster = &batch.rosters.bwd_red;
-            let root = batch.root.1;
-            if let Some(mut x) = rank
-                .reduce_sum_among(&env.row, roster, root, seg, tag)
-                .await
-            {
-                let f0 = flops::get();
-                let y = st.y.remove(&nodes[0]).ok_or_else(|| {
-                    sweep_failure("solve-bwd", nodes[0], "no forward solution on the root")
-                })?;
-                // x = y - sum, in the reduced buffer.
-                for (s, yi) in x.iter_mut().zip(y.data()) {
-                    *s = yi - *s;
+    let mut solved = None;
+    for &step in sweep.backward_steps((env.my_r, env.my_c)) {
+        match step {
+            SweepStep::Reduce(b) => {
+                let batch = sweep.batch(b);
+                let nodes = sweep.nodes_of(batch);
+                let seg = st.accu.gather(nodes);
+                let tag = T_BWD_RED | nodes[0] as u64;
+                let roster = &batch.rosters.bwd_red;
+                let root = batch.root.1;
+                if let Some(mut x) = rank
+                    .reduce_sum_among(&env.row, roster, root, seg, tag)
+                    .await
+                {
+                    let f0 = flops::get();
+                    let y = st.y.remove(&nodes[0]).ok_or_else(|| {
+                        sweep_failure("solve-bwd", nodes[0], "no forward solution on the root")
+                    })?;
+                    // x = y - sum, in the reduced buffer.
+                    for (s, yi) in x.iter_mut().zip(y.data()) {
+                        *s = yi - *s;
+                    }
+                    let mut off = 0;
+                    for &k in nodes {
+                        let xk = &mut x[off..off + part.width(k)];
+                        off += xk.len();
+                        backward_subst(diag_of(store, "solve-bwd", k)?, xk);
+                        x_out.seg_mut(k).copy_from_slice(xk);
+                    }
+                    rank.advance_compute(flops::get() - f0);
+                    solved = Some(x);
                 }
+            }
+            SweepStep::Read(b) => {
+                let batch = sweep.batch(b);
+                let nodes = sweep.nodes_of(batch);
+                let data = solved
+                    .take_if(|_| batch.root.0 == env.my_r)
+                    .map(|x| Payload::packed(Vec::new(), x));
+                let tag = T_BWD_BC | nodes[0] as u64;
+                let roster = &batch.rosters.bwd_bc;
+                let x = rank
+                    .bcast_among(&env.col, roster, batch.root.0, data, tag)
+                    .await;
+                let x = solutions(x, part, nodes, "solve-bwd")?;
+                let f0 = flops::get();
                 let mut off = 0;
                 for &k in nodes {
-                    let xk = &mut x[off..off + part.width(k)];
+                    let xk = &x.data()[off..off + part.width(k)];
                     off += xk.len();
-                    backward_subst(diag_of(store, "solve-bwd", k)?, xk);
-                    x_out.seg_mut(k).copy_from_slice(xk);
+                    let rows = layout.above.hand(k, env.my_r);
+                    apply_column(store, sym, rows, k, xk, &mut st.accu);
+                    st.x.insert(k, xk.to_vec());
                 }
                 rank.advance_compute(flops::get() - f0);
-                solved = Some(x);
             }
-        }
-        let reading = |b: &&Batch| b.root.1 == env.my_c && on(&b.rosters.bwd_bc, env.my_r);
-        for batch in wave.iter().filter(reading) {
-            let nodes = sweep.nodes_of(batch);
-            let data = solved
-                .take_if(|_| batch.root.0 == env.my_r)
-                .map(|x| Payload::packed(Vec::new(), x));
-            let tag = T_BWD_BC | nodes[0] as u64;
-            let roster = &batch.rosters.bwd_bc;
-            let x = rank
-                .bcast_among(&env.col, roster, batch.root.0, data, tag)
-                .await;
-            let x = solutions(x, part, nodes, "solve-bwd")?;
-            let f0 = flops::get();
-            let mut off = 0;
-            for &k in nodes {
-                let xk = &x.data()[off..off + part.width(k)];
-                off += xk.len();
-                let rows = layout.above.hand(k, env.my_r);
-                apply_column(store, sym, rows, k, xk, &mut st.accu);
-                st.x.insert(k, xk.to_vec());
-            }
-            rank.advance_compute(flops::get() - f0);
         }
     }
     Ok(())

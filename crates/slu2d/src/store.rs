@@ -279,27 +279,26 @@ impl BlockStore {
         value_pred: &dyn Fn(usize, usize) -> bool,
     ) -> BlockStore {
         let layout = StoreLayout::derive(a, sym, grid, Some(grid.rank_of(my_r, my_c)));
-        Self::from_layout(Arc::new(layout), a, sym, my_r, my_c, keep, value_pred)
+        Self::from_layout(Arc::new(layout), a, my_r, my_c, keep, value_pred)
     }
 
     /// [`BlockStore::build_with_value_pred`] on a layout shared by every
     /// rank of the machine: walks this rank's share and its bucket of
     /// matrix entries only. `layout` must have been derived from the same
-    /// `a` and `sym`.
+    /// `a`.
     pub fn from_layout(
         layout: Arc<StoreLayout>,
         a: &sparsemat::Csr,
-        sym: &Symbolic,
         my_r: usize,
         my_c: usize,
         keep: &dyn Fn(usize) -> bool,
         value_pred: &dyn Fn(usize, usize) -> bool,
     ) -> BlockStore {
-        let part = &sym.part;
         let owner = layout.grid.rank_of(my_r, my_c);
         let share = &layout.share[owner];
-        let kept: Vec<bool> = (0..part.nsup()).map(keep).collect();
-        let held = |&(i, j): &(u32, u32)| kept[i as usize] && kept[j as usize];
+        // Asked per block of the share, not per supernode: a rank of a large
+        // machine holds far fewer blocks than there are supernodes.
+        let held = |&(i, j): &(u32, u32)| keep(i as usize) && keep(j as usize);
 
         // Allocate the kept part of the share; exactly sized, so a layer
         // that keeps a quarter of the pattern pays for a quarter.

@@ -53,6 +53,15 @@ pub enum LookaheadStep {
     Schur(usize),
 }
 
+impl LookaheadStep {
+    /// The position in the node list of the node this step works on.
+    pub fn pos(self) -> usize {
+        match self {
+            LookaheadStep::Panel(j) | LookaheadStep::Schur(j) => j,
+        }
+    }
+}
+
 impl BlockFill {
     /// Assemble a fill pattern, deriving the two rank-invariant indexes every
     /// rank of a distributed factorization or solve reads — once here instead

@@ -624,14 +624,22 @@ fn print_report(out: &salu::lu3d::Output3d) {
             .join(", ")
     );
     let metrics = out.metrics();
-    let updates = metrics
+    // One sample per (rank, supernode) of a level the rank factors. The zero
+    // bucket holds the updates that applied nothing: those the rank has no
+    // share of, and those whose U piece is all zeros (zero scales are
+    // skipped and charge no flop).
+    let (samples, zero_flop) = metrics
         .histogram("gemm.flops_per_supernode")
-        .map_or(0, |h| h.count);
+        .map_or((0, 0), |h| {
+            (h.count, h.buckets.get(&i32::MIN).copied().unwrap_or(0))
+        });
+    let updates = samples - zero_flop;
     let batched = metrics.counter("schur.batched_supernodes");
     println!(
         "schur updates           = {updates} (rank, supernode) updates: {batched} batched \
-         gather-GEMM-scatter, {} per-block",
-        updates - batched
+         gather-GEMM-scatter, {} per-block; {zero_flop} zero-flop (no local share, or an \
+         all-zero U piece)",
+        updates.saturating_sub(batched)
     );
     if let Some(s) = &out.sched {
         println!(

@@ -172,3 +172,62 @@ fn run_out_prints_one_versioned_document() {
         );
     }
 }
+
+/// `--report`'s "schur updates" line counts the updates ranks applied, not
+/// every `gemm.flops_per_supernode` sample: the zero-flop samples (mostly
+/// supernodes a rank has no share of the update of) are printed apart, and
+/// the two add up to the samples of the run document.
+#[test]
+fn report_counts_schur_updates_apart_from_no_local_share() {
+    let out = salu(&[
+        "--gen",
+        "grid2d:16",
+        "--grid",
+        "2x2x2",
+        "--no-compare",
+        "--report",
+        "--run-out",
+        "-",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("schur updates"))
+        .expect("a schur updates line");
+    let numbers: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [updates, batched, per_block, zero_flop] = numbers[..] else {
+        panic!("four counts in {line:?}");
+    };
+    assert_eq!(batched + per_block, updates, "{line}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let open = lines
+        .iter()
+        .position(|l| *l == "{")
+        .expect("document opens");
+    let close = lines
+        .iter()
+        .rposition(|l| *l == "}")
+        .expect("document closes");
+    let doc = Json::parse(&lines[open..=close].join("\n")).expect("document parses");
+    let hist = doc
+        .get("sim")
+        .and_then(|s| s.get("metrics"))
+        .and_then(|m| m.get("histograms"))
+        .and_then(|h| h.get("gemm.flops_per_supernode"))
+        .expect("the update histogram");
+    let count = hist.get("count").and_then(Json::as_f64).expect("count") as u64;
+    let zeros = hist
+        .get("buckets")
+        .and_then(Json::as_arr)
+        .expect("buckets")
+        .iter()
+        .find(|b| b.get("ge").and_then(Json::as_str) == Some("0"))
+        .and_then(|b| b.get("count").and_then(Json::as_f64))
+        .expect("a zero bucket: on 2x2 layers some rank has no share") as u64;
+    assert_eq!((updates, zero_flop), (count - zeros, zeros), "{line}");
+    assert!(updates > 0 && zero_flop > 0, "{line}");
+}

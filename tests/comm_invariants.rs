@@ -183,7 +183,7 @@ fn traced_3d_run_has_consistent_timelines() {
     let grid3 = Grid3d::new(1, 2, 2);
     let machine = Machine::new(grid3.size(), TimeModel::edison_like()).with_tracing();
     let forest = EtreeForest::build(&prep.tree, &prep.sym, 2);
-    let program = Arc::new(FactorProgram::new(&prep.sym, &forest, 8));
+    let program = Arc::new(FactorProgram::new(&prep.sym, &forest, grid3.grid2d, 8));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
     let out = machine.run_tasks(async move |rank| {
