@@ -185,8 +185,18 @@ impl Mat {
 
     /// Matrix-vector product `y = A * x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Mat::matvec`] into the caller's vector, which is resized to the
+    /// row count: the same sums in the same order, and no allocation once
+    /// `y` has the capacity.
+    pub fn matvec_into(&self, x: &[f64], y: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0; self.rows];
+        y.clear();
+        y.resize(self.rows, 0.0);
         for j in 0..self.cols {
             let xj = x[j];
             if xj != 0.0 {
@@ -195,7 +205,6 @@ impl Mat {
                 }
             }
         }
-        y
     }
 
     /// Transposed matrix-vector product `y = A^T * x`.

@@ -102,6 +102,9 @@ pub(crate) fn graph_growing_bisection_in(
         side.clear();
         side.resize(n, 1u8);
         let mut grown = 0u64;
+        // Kept as vertices join side 0: an edge to side 0 stops crossing,
+        // an edge to side 1 starts.
+        let mut cut = 0u64;
         let visited = &mut ws.visited;
         visited.clear();
         visited.resize(n, false);
@@ -127,14 +130,24 @@ pub(crate) fn graph_growing_bisection_in(
             };
             side[v] = 0;
             grown += g.vwgt[v];
-            for &u in g.neighbors(v) {
+            let mut to_side = [0u64; 2];
+            for (u, w) in g.neighbors_weighted(v) {
+                if u != v {
+                    to_side[side[u] as usize] += w;
+                }
                 if !visited[u] {
                     visited[u] = true;
                     queue.push_back(u);
                 }
             }
+            cut = cut - to_side[0] + to_side[1];
         }
-        let b = Bisection::recompute(g, side);
+        let b = Bisection {
+            side,
+            cut,
+            weight: [grown, total - grown],
+        };
+        debug_assert!(b.is_consistent(g), "cut and weights kept while growing");
         let better = match &best {
             None => true,
             Some(cur) => {

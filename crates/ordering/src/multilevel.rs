@@ -9,7 +9,7 @@ use crate::bisect::{
     graph_growing_bisection_in, vertex_separator_from_bisection, Bisection, GrowWorkspace,
 };
 use crate::graph::Graph;
-use crate::refine::{fm_refine_in, FmWorkspace};
+use crate::refine::{assert_packable, fm_refine_in, FmWorkspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -91,19 +91,16 @@ fn heavy_edge_matching(g: &Graph, rng: &mut StdRng, ws: &mut Workspace) -> (Vec<
             mate[v] = v; // stays single
         }
     }
-    // Assign coarse ids: the smaller endpoint of each pair names the pair.
-    let mut fine_to_coarse = vec![usize::MAX; n];
+    // Assign coarse ids: the smaller endpoint of each pair names the pair,
+    // in ascending order, and writes the id of both.
+    let mut fine_to_coarse = vec![0; n];
     let mut next = 0usize;
-    for v in 0..n {
-        if fine_to_coarse[v] != usize::MAX {
-            continue;
-        }
-        let m = mate[v];
-        fine_to_coarse[v] = next;
-        if m != v {
+    for (v, &m) in mate.iter().enumerate() {
+        if m >= v {
+            fine_to_coarse[v] = next;
             fine_to_coarse[m] = next;
+            next += 1;
         }
-        next += 1;
     }
     (fine_to_coarse, next)
 }
@@ -220,6 +217,7 @@ fn project(level: &CoarseLevel, fine: &Graph, bis: &mut Bisection, side: &mut Ve
 
 /// Multilevel edge bisection of `g`.
 pub fn multilevel_bisection(g: &Graph, seed: u64) -> Bisection {
+    assert_packable(g);
     multilevel_bisection_in(g, seed, &mut Workspace::default())
 }
 
@@ -247,6 +245,7 @@ pub(crate) fn multilevel_bisection_in(g: &Graph, seed: u64, ws: &mut Workspace) 
 /// dissection uses for general graphs. Returns `assignment[v] in {0,1,2}`
 /// (2 = separator) and the separator size.
 pub fn multilevel_vertex_separator(g: &Graph, seed: u64) -> (Vec<u8>, usize) {
+    assert_packable(g);
     multilevel_vertex_separator_in(g, seed, &mut Workspace::default())
 }
 

@@ -9,6 +9,7 @@
 use crate::geometric::{plane_bisect, Coords};
 use crate::graph::Graph;
 use crate::multilevel::{multilevel_vertex_separator_in, Workspace};
+use crate::refine::assert_packable;
 use crate::septree::{SepNode, SepTree};
 use sparsemat::testmats::Geometry;
 use sparsemat::Perm;
@@ -175,10 +176,13 @@ pub fn nested_dissection(g: &Graph, opts: NdOptions) -> SepTree {
     let n = g.n();
     assert!(n > 0, "empty graph");
     let engine = match opts.geometry {
-        Geometry::General => Engine::Multilevel {
-            local: vec![usize::MAX; n],
-            ws: Box::default(),
-        },
+        Geometry::General => {
+            assert_packable(g);
+            Engine::Multilevel {
+                local: vec![usize::MAX; n],
+                ws: Box::default(),
+            }
+        }
         geom => {
             let c = Coords::from_geometry(&geom);
             assert_eq!(

@@ -13,15 +13,49 @@
 
 use crate::bisect::Bisection;
 use crate::graph::Graph;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Maximum allowed side weight as a fraction of total (1.0 = perfectly
 /// balanced halves are required; METIS-style default allows some slack).
 const BALANCE_SLACK: f64 = 1.10;
 
-/// Heap key: largest gain first, then smallest vertex id.
-type HeapKey = (i64, Reverse<usize>);
+/// Heap key: largest gain first, then smallest vertex id, in one word. The
+/// gain plus 2³¹ is the high half and `u32::MAX − id` the low half, so keys
+/// compare as `(gain, Reverse(id))` does while |gain| < 2³¹ and id <
+/// `u32::MAX` ([`assert_packable`]).
+type HeapKey = u64;
+
+/// Offset that makes a gain in (−2³¹, 2³¹) a positive 32-bit number.
+const GAIN_BIAS: i64 = 1 << 31;
+
+#[inline]
+fn key(gain: i64, v: usize) -> HeapKey {
+    debug_assert!(gain.abs() < GAIN_BIAS && v < u32::MAX as usize);
+    ((gain + GAIN_BIAS) as u64) << 32 | u64::from(u32::MAX - v as u32)
+}
+
+/// `(gain, id)` of a [`key`].
+#[inline]
+fn unkey(k: HeapKey) -> (i64, usize) {
+    ((k >> 32) as i64 - GAIN_BIAS, (u32::MAX - k as u32) as usize)
+}
+
+/// Panics unless every gain FM can meet on `g`, its subgraphs and their
+/// coarsenings fits a [`HeapKey`]: fewer than `u32::MAX` vertices, and an
+/// edge weight total below 2³¹. A gain is at most its vertex's weighted
+/// degree, every edge is stored under both endpoints, and contraction and
+/// induced subgraphs only sum or drop edges, so that total bounds every
+/// gain on every level. The multilevel entry points check it once per
+/// graph, before the first bisection.
+pub(crate) fn assert_packable(g: &Graph) {
+    let total: u64 = g.ewgt.iter().sum();
+    assert!(
+        g.n() < u32::MAX as usize && total < GAIN_BIAS as u64,
+        "FM heap keys pack a vertex id and a gain into 32 bits each: \
+         {} vertices, edge weight total {total}",
+        g.n()
+    );
+}
 
 /// What the passes run through one workspace did, summed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -40,7 +74,8 @@ pub(crate) struct FmStats {
 #[derive(Default)]
 pub(crate) struct FmWorkspace {
     locked: Vec<bool>,
-    /// Current gain of every unlocked vertex.
+    /// Gain of every vertex. Current for every vertex when a pass starts,
+    /// and for every unlocked one while it runs.
     gain: Vec<i64>,
     /// Per unlocked vertex, the weight of its edges to locked neighbours,
     /// by the side those neighbours are locked on.
@@ -48,8 +83,11 @@ pub(crate) struct FmWorkspace {
     /// Lazy priority queue: an entry is live iff its vertex is unlocked and
     /// its gain equals `gain[v]`; every unlocked vertex has a live entry.
     heap: BinaryHeap<HeapKey>,
-    /// Move log for the roll-back.
+    /// Move log for the roll-back; the next pass of the same refinement
+    /// recomputes the gains around it.
     moves: Vec<usize>,
+    /// The vertices the pass locked without moving them (balance refusals).
+    refusals: Vec<usize>,
     pub stats: FmStats,
 }
 
@@ -110,7 +148,24 @@ fn gain_of(g: &Graph, side: &[u8], v: usize) -> i64 {
 ///
 /// `fm_refine_exhaustive` (test builds only) is that defining pass, kept
 /// verbatim; the tests compare the two on random graphs.
+///
+/// # Gains carried between passes
+///
+/// A pass leaves `gain` current for its unlocked vertices in the state
+/// before its roll-back. A vertex's gain is a function of its own side and
+/// its neighbours' sides, and only the vertices the pass moved (kept or
+/// rolled back) changed side; the gains of those vertices and their
+/// neighbours are recomputed when the next pass starts, and every other
+/// gain carries over. So does the heap: an unpopped entry whose gain is
+/// still current is live again, and only the recomputed vertices and the
+/// ones the pass refused (popped, so without an entry) are pushed anew.
+/// Stale entries stay behind and are skipped as within a pass; which
+/// vertex pops next depends only on the live entries, so the moves are the
+/// ones a freshly built heap gives. The first pass of each call computes
+/// gains and heap from scratch, since the graph or the sides changed in
+/// between.
 pub fn fm_refine(g: &Graph, bis: &mut Bisection, passes: usize) -> usize {
+    assert_packable(g);
     fm_refine_in(g, bis, passes, &mut FmWorkspace::default())
 }
 
@@ -123,33 +178,79 @@ pub(crate) fn fm_refine_in(
 ) -> usize {
     let max_side = ((g.total_vwgt() as f64 / 2.0) * BALANCE_SLACK).ceil() as u64;
     (0..passes)
-        .take_while(|_| fm_pass(g, bis, max_side, ws))
+        .take_while(|&pass| fm_pass(g, bis, max_side, ws, pass > 0))
         .count()
 }
 
 /// One pass; true if it lowered the cut (and committed the best prefix).
-fn fm_pass(g: &Graph, bis: &mut Bisection, max_side: u64, ws: &mut FmWorkspace) -> bool {
+/// `carried`: the previous pass on this graph left its gains, heap, move
+/// log and refusals in `ws`.
+fn fm_pass(
+    g: &Graph,
+    bis: &mut Bisection,
+    max_side: u64,
+    ws: &mut FmWorkspace,
+    carried: bool,
+) -> bool {
     let n = g.n();
     let side = &mut bis.side;
     let FmWorkspace {
         locked,
         gain,
         to_locked,
+        heap,
         moves,
+        refusals,
         ..
     } = ws;
     locked.clear();
     locked.resize(n, false);
     to_locked.clear();
     to_locked.resize(n, [0; 2]);
-    gain.clear();
-    gain.extend((0..n).map(|v| gain_of(g, side, v)));
+    if carried {
+        // `locked` marks the vertices already given an entry, then is
+        // cleared.
+        for &v in moves.iter() {
+            for u in std::iter::once(v).chain(g.neighbors(v).iter().copied()) {
+                if !locked[u] {
+                    locked[u] = true;
+                    gain[u] = gain_of(g, side, u);
+                    heap.push(key(gain[u], u));
+                }
+            }
+        }
+        for &v in refusals.iter() {
+            if !locked[v] {
+                locked[v] = true;
+                heap.push(key(gain[v], v));
+            }
+        }
+        locked.fill(false);
+    } else {
+        gain.clear();
+        gain.extend((0..n).map(|v| gain_of(g, side, v)));
+        // Heapify in O(n) on the previous pass's storage.
+        let mut keys = std::mem::take(heap).into_vec();
+        keys.clear();
+        keys.extend(gain.iter().enumerate().map(|(v, &gv)| key(gv, v)));
+        *heap = BinaryHeap::from(keys);
+    }
+    debug_assert!(
+        (0..n).all(|v| gain[v] == gain_of(g, side, v)),
+        "gains current at the start of a pass"
+    );
+    debug_assert!(
+        {
+            let mut live = vec![false; n];
+            for (gk, v) in heap.iter().map(|&k| unkey(k)) {
+                live[v] |= gk == gain[v];
+            }
+            live.into_iter().all(|l| l)
+        },
+        "every vertex has a live heap entry at the start of a pass"
+    );
     moves.clear();
-    // Heapify in O(n) on the previous pass's storage.
-    let mut keys = std::mem::take(&mut ws.heap).into_vec();
-    keys.clear();
-    keys.extend(gain.iter().enumerate().map(|(v, &gv)| (gv, Reverse(v))));
-    let mut heap = BinaryHeap::from(keys);
+    refusals.clear();
 
     let start_cut = bis.cut as i64;
     let mut weight = bis.weight;
@@ -161,7 +262,7 @@ fn fm_pass(g: &Graph, bis: &mut Bisection, max_side: u64, ws: &mut FmWorkspace) 
     let mut nlocked = 0usize;
 
     while bound < best_cut {
-        let Some((gv, Reverse(v))) = heap.pop() else {
+        let Some((gv, v)) = heap.pop().map(unkey) else {
             break;
         };
         if locked[v] || gv != gain[v] {
@@ -176,6 +277,9 @@ fn fm_pass(g: &Graph, bis: &mut Bisection, max_side: u64, ws: &mut FmWorkspace) 
         let stays = if refused { from } else { to };
         locked[v] = true;
         nlocked += 1;
+        if refused {
+            refusals.push(v);
+        }
         bound += to_locked[v][1 - stays] - to_locked[v][0].min(to_locked[v][1]);
         if !refused {
             side[v] = to as u8;
@@ -206,11 +310,10 @@ fn fm_pass(g: &Graph, bis: &mut Bisection, max_side: u64, ws: &mut FmWorkspace) 
                 } else {
                     2 * w
                 };
-                heap.push((gain[u], Reverse(u)));
+                heap.push(key(gain[u], u));
             }
         }
     }
-    ws.heap = heap;
     ws.stats.passes += 1;
     ws.stats.moves += moves.len();
     ws.stats.kept += best_len;
@@ -348,6 +451,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sparsemat::matgen::grid2d_5pt;
+    use std::cmp::Reverse;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Refine a copy of `bis` with the exhaustive pass and `bis` itself with
@@ -404,6 +508,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The packed key orders exactly like `(gain, Reverse(id))`: at the
+    /// extremes of its range, on random pairs across it, and on pairs drawn
+    /// from a few gains and ids, where ties are frequent.
+    #[test]
+    fn packed_key_orders_like_the_tuple() {
+        let m = GAIN_BIAS - 1;
+        let top = u32::MAX as usize - 1;
+        let extremes: Vec<(i64, usize)> = [-m, -m + 1, -1, 0, 1, m - 1, m]
+            .into_iter()
+            .flat_map(|gain| [0, 1, top - 1, top].map(|v| (gain, v)))
+            .collect();
+        let tuple = |(gain, v): (i64, usize)| (gain, Reverse(v));
+        let agree = |a: (i64, usize), b: (i64, usize)| {
+            assert_eq!(unkey(key(a.0, a.1)), a);
+            assert_eq!(
+                key(a.0, a.1).cmp(&key(b.0, b.1)),
+                tuple(a).cmp(&tuple(b)),
+                "{a:?} vs {b:?}"
+            );
+        };
+        for &a in &extremes {
+            for &b in &extremes {
+                agree(a, b);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(38);
+        for _ in 0..100_000 {
+            let wide = |rng: &mut StdRng| (rng.gen_range(-m..m + 1), rng.gen_range(0..top + 1));
+            let narrow = |rng: &mut StdRng| (rng.gen_range(-2..3), rng.gen_range(0..3));
+            agree(wide(&mut rng), wide(&mut rng));
+            agree(narrow(&mut rng), narrow(&mut rng));
+            agree(extremes[rng.gen_range(0..extremes.len())], wide(&mut rng));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits each")]
+    fn an_edge_weight_total_past_the_key_range_is_refused() {
+        let mut g = Graph::from_matrix(&grid2d_5pt(4, 4, 0.0, 0));
+        g.ewgt[0] = 1 << 31;
+        assert_packable(&g);
     }
 
     #[test]

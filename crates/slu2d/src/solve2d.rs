@@ -474,6 +474,16 @@ pub struct DistSolveState<'a> {
     /// Backward solutions known to this rank (the members of each
     /// supernode's backward broadcast), ordered by supernode.
     pub x: BTreeMap<usize, Vec<f64>>,
+    /// What [`apply_column`] computes per block, reused from block to block.
+    scratch: BlockScratch,
+}
+
+/// The two vectors of one block's product: the gathered `x` of a `U` block
+/// and the block times its `x`.
+#[derive(Default)]
+struct BlockScratch {
+    gathered: Vec<f64>,
+    product: Vec<f64>,
 }
 
 impl<'a> DistSolveState<'a> {
@@ -485,6 +495,7 @@ impl<'a> DistSolveState<'a> {
             accu: SegVec::zeros(layout.row(my_r)),
             y: BTreeMap::new(),
             x: BTreeMap::new(),
+            scratch: BlockScratch::default(),
         }
     }
 
@@ -522,20 +533,25 @@ fn apply_column(
     k: usize,
     v: &[f64],
     into: &mut SegVec,
+    scratch: &mut BlockScratch,
 ) {
     let kept = |hi: usize, lo: usize| sym.fill.kept_rows(hi, lo).expect("a block of the pattern");
+    let BlockScratch { gathered, product } = scratch;
     for i in rows {
         let Some(block) = store.get(i, k) else {
             continue;
         };
         let seg = into.seg_mut(i);
         if i > k {
-            for (r, c) in kept(i, k).iter().zip(block.matvec(v)) {
+            block.matvec_into(v, product);
+            for (r, c) in kept(i, k).iter().zip(product.iter()) {
                 seg[r] += c;
             }
         } else {
-            let vk: Vec<f64> = kept(k, i).iter().map(|c| v[c]).collect();
-            for (a, c) in seg.iter_mut().zip(block.matvec(&vk)) {
+            gathered.clear();
+            gathered.extend(kept(k, i).iter().map(|c| v[c]));
+            block.matvec_into(gathered, product);
+            for (a, c) in seg.iter_mut().zip(product.iter()) {
                 *a += c;
             }
         }
@@ -639,7 +655,7 @@ pub async fn forward_nodes(
                     let yk = &y.data()[off..off + part.width(k)];
                     off += yk.len();
                     let rows = layout.below.hand(k, env.my_r);
-                    apply_column(store, sym, rows, k, yk, &mut st.acc);
+                    apply_column(store, sym, rows, k, yk, &mut st.acc, &mut st.scratch);
                 }
                 rank.advance_compute(flops::get() - f0);
                 // Only the root reads its batch back (backward phase).
@@ -671,7 +687,7 @@ pub fn apply_ancestor_x(
     debug_assert_eq!(env.my_c, k % env.grid.pc);
     let f0 = flops::get();
     let rows = layout.above.hand(k, env.my_r);
-    apply_column(store, sym, rows, k, xk, &mut st.accu);
+    apply_column(store, sym, rows, k, xk, &mut st.accu, &mut st.scratch);
     rank.advance_compute(flops::get() - f0);
     st.x.insert(k, xk.to_vec());
 }
@@ -747,7 +763,7 @@ pub async fn backward_nodes(
                     let xk = &x.data()[off..off + part.width(k)];
                     off += xk.len();
                     let rows = layout.above.hand(k, env.my_r);
-                    apply_column(store, sym, rows, k, xk, &mut st.accu);
+                    apply_column(store, sym, rows, k, xk, &mut st.accu, &mut st.scratch);
                     st.x.insert(k, xk.to_vec());
                 }
                 rank.advance_compute(flops::get() - f0);
