@@ -7,8 +7,8 @@
 //! that sweeps generator/matrix × `n` × `P` × `Pz` × options
 //! (`lookahead`, `backend`). The runner expands the sweep into
 //! jobs, factors each one best-of-N, writes per-job artifact directories
-//! (metrics / memprof / commvol / hostprof — the latter for
-//! threaded-backend jobs only), and emits:
+//! (metrics / memprof / commvol; every job runs unprofiled, so its
+//! `hostprof` is `null`), and emits:
 //!
 //! - a `BENCH_<pr>.json` snapshot (schema `salu-bench-snapshot/3`) that
 //!   extends the `results/BENCH_*.json` trajectory, and

@@ -9,7 +9,7 @@
 //! digest never moved.
 //!
 //! Every job writes its run document (`simgrid::run_document`, schema
-//! `salu-run/1`) as `run.json` into `<out>/jobs/<slug>/`. With
+//! `salu-run/2`) as `run.json` into `<out>/jobs/<slug>/`. With
 //! `trace = true` in the spec, one extra traced repetition records the
 //! compute time on the critical path as the `crit_comp_secs` column (kept
 //! out of the timed repetitions so tracing overhead never pollutes the wall
@@ -18,7 +18,7 @@
 use crate::snapshot::{BenchPoint, Snapshot};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
 use lu3d::solver::{try_factor_only, Output3d, SolverConfig};
-use simgrid::{Backend, Grid2d, TimeModel};
+use simgrid::{Grid2d, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Geometry};
 use sparsemat::{matgen, Csr};
@@ -71,10 +71,6 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
         model: TimeModel::edison_like(),
         lookahead: job.lookahead,
         backend: job.backend,
-        // Event-mode jobs are the scaling points, whose wall column should
-        // not carry the profiler's scope timers: their `host.hostprof` is
-        // `null`.
-        host_profiling: job.backend == Backend::Threaded,
         ..Default::default()
     })
 }
@@ -319,10 +315,12 @@ mod tests {
             let doc = run_doc(&dir, &slug);
             assert_eq!(
                 doc.get("schema").and_then(|s| s.as_str()),
-                Some("salu-run/1")
+                Some("salu-run/2")
             );
+            // timed repetitions run unprofiled, so the wall column carries
+            // no scope timers
             let host = doc.get("host").expect("host section");
-            assert!(host.get("hostprof").and_then(|h| h.as_obj()).is_some());
+            assert_eq!(host.get("hostprof"), Some(&simgrid::Json::Null));
             assert_eq!(host.get("sched"), Some(&simgrid::Json::Null));
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -352,7 +350,8 @@ mod tests {
             assert_eq!(thr.metric(m), evt.metric(m), "{m}");
         }
         // ... and so is the whole `sim` section of the two run documents;
-        // the event job carries scheduler counters and no host-time profile.
+        // the event job carries scheduler counters and, like the threaded
+        // one, no host-time profile, so their wall columns compare.
         let (thr_doc, evt_doc) = (
             run_doc(&dir, "k2d5pt-p4-pz2"),
             run_doc(&dir, "k2d5pt-p4-pz2-event"),
@@ -363,7 +362,7 @@ mod tests {
         assert_eq!(
             host.get("hostprof"),
             Some(&simgrid::Json::Null),
-            "event jobs must not claim host-time attribution"
+            "campaign jobs must not claim host-time attribution"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,19 +4,18 @@
 //! `memprof` answers "where did the bytes go" and `commvol` answers "where
 //! did the words go"; this module answers "where did the *host seconds*
 //! go". Algorithm layers open scoped RAII timers ([`HostScope`]) tagged
-//! with a [`HostPhase`] (and optionally a supernode); the profiler keeps a
-//! strict LIFO frame stack so nested scopes attribute **self time** —
-//! elapsed minus time spent in children — and the per-phase totals
-//! therefore partition the covered wall time with no double counting.
-//! Whatever the run's measured wall clock is *not* covered by an explicit
-//! scope is reported as [`HostPhase::Orchestration`], so the attribution
-//! sums to 100% of the wall by construction (tests assert it).
+//! with a [`HostPhase`]; the profiler keeps a strict LIFO frame stack so
+//! nested scopes attribute **self time** — elapsed minus time spent in
+//! children — to the full phase path of the open stack. That one map is
+//! the ledger: the per-phase totals are its sums by leaf phase, so they
+//! partition the covered wall time with no double counting. Whatever the
+//! run's measured wall clock is *not* covered by an explicit scope is
+//! reported as [`HostPhase::Orchestration`], so the attribution sums to
+//! 100% of the wall by construction (tests assert it).
 //!
-//! Frozen reports carry derived gauges against the simulator's existing
-//! ledgers — host flop rate from the flop counter, host wire bandwidth
-//! from the wire-volume ledger — plus a folded-stack export
-//! (`rank 0;gemm 12345` lines) that `inferno`/`flamegraph.pl` render
-//! directly.
+//! Frozen reports carry a host flop rate derived from the simulator's flop
+//! counter, plus a folded-stack export (`rank 0;gemm 12345` lines) that
+//! `inferno`/`flamegraph.pl` render directly.
 //!
 //! Unlike the simulated-time ledgers this one reads the **host** clock,
 //! which is inherently nondeterministic; it therefore never touches
@@ -121,11 +120,10 @@ pub struct HostEvent {
     pub ns: u64,
 }
 
-/// One open frame on the scope stack.
+/// One open frame on the scope stack; its phase is the matching entry of
+/// `Inner::path`.
 #[derive(Debug)]
 struct Frame {
-    phase: HostPhase,
-    sn: Option<usize>,
     start: Instant,
     /// Nanoseconds the rank spent paused while this frame was open; not
     /// part of its elapsed time.
@@ -139,14 +137,10 @@ struct Frame {
 #[derive(Debug, Default)]
 struct Inner {
     stack: Vec<Frame>,
-    /// Phase path of the open stack, root first (mirror of `stack`).
+    /// Phase path of the open stack, root first (one entry per frame).
     path: Vec<HostPhase>,
-    /// Self-time nanoseconds per full phase path (folded stacks).
+    /// Self-time nanoseconds per full phase path: the only aggregate.
     folded: BTreeMap<Vec<HostPhase>, u64>,
-    /// Self-time nanoseconds per phase, summed over paths.
-    per_phase: BTreeMap<HostPhase, u64>,
-    /// Self-time nanoseconds per supernode (scopes opened with one).
-    per_sn: BTreeMap<usize, u64>,
     /// Per-scope timeline, recorded only when tracing.
     timeline: Option<Vec<HostEvent>>,
     /// When the current pause began, while the rank is paused.
@@ -173,7 +167,7 @@ impl HostProf {
 
     /// `timeline = true` additionally records one [`HostEvent`] per closed
     /// scope for counter-track export (costs memory proportional to scope
-    /// count); the phase/supernode/folded totals are always on.
+    /// count); the per-path totals are always on.
     pub fn new(timeline: bool) -> Self {
         HostProf {
             inner: Mutex::new(Inner {
@@ -186,20 +180,16 @@ impl HostProf {
     /// Open a scope. The returned guard closes it on drop; scopes must
     /// nest (LIFO), which the RAII discipline enforces. `t_sim` is the
     /// simulated clock at open, used only to place timeline samples.
-    pub fn scope(self: &Arc<Self>, phase: HostPhase, sn: Option<usize>, t_sim: f64) -> HostScope {
-        {
-            let mut inner = self.lock();
-            inner.path.push(phase);
-            inner.stack.push(Frame {
-                phase,
-                sn,
-                // det-lint: allow(wall-clock): host-time profiler scope open
-                start: Instant::now(),
-                paused_ns: 0,
-                child_ns: 0,
-                t_sim,
-            });
-        }
+    pub fn scope(self: &Arc<Self>, phase: HostPhase, t_sim: f64) -> HostScope {
+        let mut inner = self.lock();
+        inner.path.push(phase);
+        inner.stack.push(Frame {
+            // det-lint: allow(wall-clock): host-time profiler scope open
+            start: Instant::now(),
+            paused_ns: 0,
+            child_ns: 0,
+            t_sim,
+        });
         HostScope {
             prof: Some(Arc::clone(self)),
         }
@@ -207,7 +197,8 @@ impl HostProf {
 
     /// Close the innermost scope (called by [`HostScope::drop`]).
     fn close_scope(&self) {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let frame = inner
             .stack
             .pop()
@@ -215,20 +206,22 @@ impl HostProf {
         // det-lint: allow(wall-clock): host-time profiler scope close
         let elapsed = (frame.start.elapsed().as_nanos() as u64).saturating_sub(frame.paused_ns);
         let self_ns = elapsed.saturating_sub(frame.child_ns);
-        let key = inner.path.clone();
-        inner.path.pop();
-        *inner.folded.entry(key).or_insert(0) += self_ns;
-        *inner.per_phase.entry(frame.phase).or_insert(0) += self_ns;
-        if let Some(sn) = frame.sn {
-            *inner.per_sn.entry(sn).or_insert(0) += self_ns;
+        if let Some(ns) = inner.folded.get_mut(inner.path.as_slice()) {
+            *ns += self_ns;
+        } else {
+            inner.folded.insert(inner.path.clone(), self_ns);
         }
+        let phase = inner
+            .path
+            .pop()
+            .expect("hostprof: one path entry per frame");
         if let Some(parent) = inner.stack.last_mut() {
             parent.child_ns += elapsed;
         }
         if let Some(tl) = &mut inner.timeline {
             tl.push(HostEvent {
                 t: frame.t_sim,
-                phase: frame.phase,
+                phase,
                 ns: self_ns,
             });
         }
@@ -268,41 +261,34 @@ impl HostProf {
     /// close in drop order, which is non-monotone under nesting). Empty
     /// when tracing was off.
     pub fn take_timeline(&self) -> Vec<HostEvent> {
-        let mut tl = self
-            .inner
-            .lock()
-            .unwrap()
-            .timeline
-            .take()
-            .unwrap_or_default();
-        tl.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap());
+        let mut tl = self.lock().timeline.take().unwrap_or_default();
+        tl.sort_by(|a, b| a.t.total_cmp(&b.t));
         tl
     }
 
     /// Freeze into a report at the end of the run. `wall_secs` is the
-    /// rank thread's measured wall time; `flops` and `wire_words` come
-    /// from the rank's flop counter and wire ledger and feed the derived
-    /// gauges. Panics if scopes are still open — an unbalanced scope is a
-    /// wiring bug.
-    pub fn report(&self, wall_secs: f64, flops: u64, wire_words: u64) -> HostReport {
+    /// rank's measured wall time and `flops` its flop counter, which feeds
+    /// the derived flop rate. Each phase's self time is the sum of the
+    /// paths that end in it. Panics if scopes are still open — an
+    /// unbalanced scope is a wiring bug.
+    pub fn report(&self, wall_secs: f64, flops: u64) -> HostReport {
         let inner = self.lock();
         assert!(
             inner.stack.is_empty(),
             "hostprof: report with {} scope(s) still open",
             inner.stack.len()
         );
-        let mut phase_ns: Vec<(HostPhase, u64)> = HostPhase::ALL
-            .iter()
-            .map(|&p| (p, inner.per_phase.get(&p).copied().unwrap_or(0)))
-            .collect();
-        let covered_ns: u64 = phase_ns.iter().map(|&(_, ns)| ns).sum();
-        let wall_ns = (wall_secs.max(0.0) * 1.0e9) as u64;
-        let orch_ns = wall_ns.saturating_sub(covered_ns);
-        for (p, ns) in phase_ns.iter_mut() {
-            if *p == HostPhase::Orchestration {
-                *ns = orch_ns;
-            }
+        let mut phase_ns: Vec<(HostPhase, u64)> = HostPhase::ALL.iter().map(|&p| (p, 0)).collect();
+        let mut add = |phase: HostPhase, ns: u64| {
+            let slot = phase_ns.iter_mut().find(|(p, _)| *p == phase);
+            slot.expect("every phase is listed").1 += ns;
+        };
+        for (path, &ns) in &inner.folded {
+            add(*path.last().expect("hostprof: a path has a frame"), ns);
         }
+        let covered_ns: u64 = inner.folded.values().sum();
+        let wall_ns = (wall_secs.max(0.0) * 1.0e9) as u64;
+        add(HostPhase::Orchestration, wall_ns.saturating_sub(covered_ns));
         let folded = inner
             .folded
             .iter()
@@ -318,10 +304,8 @@ impl HostProf {
         HostReport {
             wall_secs,
             phase_ns,
-            per_supernode_ns: inner.per_sn.iter().map(|(&sn, &ns)| (sn, ns)).collect(),
             folded,
             flops,
-            wire_words,
         }
     }
 }
@@ -352,24 +336,20 @@ impl Drop for HostScope {
 
 /// Frozen per-rank host-time profile: self-time per phase (including the
 /// [`HostPhase::Orchestration`] residual, so the entries partition the
-/// wall), per-supernode attribution, folded stacks for flamegraphs, and
-/// the ledger inputs for the derived gauges.
+/// wall), the folded phase paths they are summed from, and the flop count
+/// for the derived rate.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HostReport {
-    /// Measured wall seconds of the rank thread.
+    /// Measured wall seconds of the rank.
     pub wall_secs: f64,
     /// Self-time nanoseconds per phase, in [`HostPhase::ALL`] order. The
     /// `Orchestration` entry is the residual `wall - covered`.
     pub phase_ns: Vec<(HostPhase, u64)>,
-    /// Self-time nanoseconds per supernode (scopes that named one).
-    pub per_supernode_ns: Vec<(usize, u64)>,
     /// Folded phase paths (`"gemm"`, `"gemm;comm-wait"`, ...) with
     /// self-time nanoseconds — `folded_stacks` prepends the rank frame.
     pub folded: Vec<(String, u64)>,
     /// Total flops the rank charged (from the simulator's flop counter).
     pub flops: u64,
-    /// Total algorithmic words the rank sent (from the wire ledger).
-    pub wire_words: u64,
 }
 
 impl HostReport {
@@ -399,22 +379,7 @@ impl HostReport {
     /// Derived host flop rate: ledger flops over compute-phase seconds
     /// (0 when no compute time was measured).
     pub fn flop_rate(&self) -> f64 {
-        let s = self.compute_secs();
-        if s > 0.0 {
-            self.flops as f64 / s
-        } else {
-            0.0
-        }
-    }
-
-    /// Derived host wire bandwidth in bytes/sec: ledger words × 8 over
-    /// the measured wall (0 when the wall is unmeasured).
-    pub fn wire_bandwidth(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.wire_words as f64 * 8.0 / self.wall_secs
-        } else {
-            0.0
-        }
+        rate(self.flops, self.compute_secs())
     }
 
     /// Folded-stack lines for flamegraph tools: one
@@ -443,6 +408,9 @@ impl HostReport {
         out
     }
 
+    /// The rank's entry of the machine document: `{wall_secs, phase_ns,
+    /// flops, flop_rate}`. Its paths are rendered once, in the document's
+    /// `folded_stacks` text.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("wall_secs".into(), Json::num(self.wall_secs)),
@@ -455,45 +423,25 @@ impl HostReport {
                         .collect(),
                 ),
             ),
-            (
-                "per_supernode_ns".into(),
-                Json::Arr(
-                    self.per_supernode_ns
-                        .iter()
-                        .map(|&(sn, ns)| {
-                            Json::Obj(vec![
-                                ("sn".into(), Json::num(sn as f64)),
-                                ("ns".into(), Json::num(ns as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "folded".into(),
-                Json::Arr(
-                    self.folded
-                        .iter()
-                        .map(|(path, ns)| {
-                            Json::Obj(vec![
-                                ("path".into(), Json::str(path.clone())),
-                                ("ns".into(), Json::num(*ns as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("flops".into(), Json::num(self.flops as f64)),
-            ("wire_words".into(), Json::num(self.wire_words as f64)),
             ("flop_rate".into(), Json::num(self.flop_rate())),
-            ("wire_bandwidth".into(), Json::num(self.wire_bandwidth())),
         ])
+    }
+}
+
+/// `flops / secs`, or 0 when no compute time was measured.
+fn rate(flops: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        flops as f64 / secs
+    } else {
+        0.0
     }
 }
 
 /// Machine-wide host profile document: per-rank reports plus a summary —
 /// max wall, per-phase seconds summed over ranks, aggregate flop rate,
-/// and the full folded-stack text ready for a flamegraph renderer.
+/// and the full folded-stack text ready for a flamegraph renderer (the
+/// one rendering of every rank's phase paths).
 pub fn hostprof_json(per_rank: &[HostReport]) -> Json {
     let max_wall = per_rank.iter().map(|r| r.wall_secs).fold(0.0, f64::max);
     let by_phase = Json::Obj(
@@ -505,13 +453,10 @@ pub fn hostprof_json(per_rank: &[HostReport]) -> Json {
             })
             .collect(),
     );
-    let total_flops: u64 = per_rank.iter().map(|r| r.flops).sum();
-    let total_compute: f64 = per_rank.iter().map(|r| r.compute_secs()).sum();
-    let flop_rate = if total_compute > 0.0 {
-        total_flops as f64 / total_compute
-    } else {
-        0.0
-    };
+    let flop_rate = rate(
+        per_rank.iter().map(|r| r.flops).sum(),
+        per_rank.iter().map(|r| r.compute_secs()).sum(),
+    );
     let mut folded = String::new();
     for (i, r) in per_rank.iter().enumerate() {
         folded.push_str(&r.folded_stacks(&format!("rank {i}")));
@@ -531,6 +476,7 @@ pub fn hostprof_json(per_rank: &[HostReport]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spin_ns(ns: u64) {
         let t0 = Instant::now();
@@ -539,19 +485,26 @@ mod tests {
         }
     }
 
+    /// Sum of a folded-stack text's line values.
+    fn folded_total(txt: &str) -> u64 {
+        txt.lines()
+            .map(|line| line.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum()
+    }
+
     #[test]
     fn self_time_excludes_children() {
         let p = Arc::new(HostProf::new(false));
         {
-            let _outer = p.scope(HostPhase::Gemm, Some(3), 0.0);
+            let _outer = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(200_000);
             {
-                let _inner = p.scope(HostPhase::CommWait, None, 0.5);
+                let _inner = p.scope(HostPhase::CommWait, 0.5);
                 spin_ns(200_000);
             }
             spin_ns(200_000);
         }
-        let r = p.report(1.0, 0, 0);
+        let r = p.report(1.0, 0);
         let gemm = r.phase_secs(HostPhase::Gemm);
         let wait = r.phase_secs(HostPhase::CommWait);
         assert!(gemm > 0.0 && wait > 0.0);
@@ -564,62 +517,48 @@ mod tests {
         let paths: Vec<&str> = r.folded.iter().map(|(s, _)| s.as_str()).collect();
         assert!(paths.contains(&"gemm"));
         assert!(paths.contains(&"gemm;comm-wait"));
-        // Supernode attribution saw only the outer scope's self time.
-        assert_eq!(r.per_supernode_ns.len(), 1);
-        assert_eq!(r.per_supernode_ns[0].0, 3);
     }
 
     #[test]
     fn paused_time_belongs_to_no_frame() {
         let p = Arc::new(HostProf::new(false));
+        let t0 = Instant::now();
         {
-            let _outer = p.scope(HostPhase::PanelFactor, None, 0.0);
-            let _inner = p.scope(HostPhase::CommWait, None, 0.0);
+            let _outer = p.scope(HostPhase::PanelFactor, 0.0);
+            let _inner = p.scope(HostPhase::CommWait, 0.0);
             spin_ns(100_000);
             p.pause();
             spin_ns(5_000_000); // parked: another rank holds the slot
             p.resume();
             spin_ns(100_000);
         }
+        let elapsed_ns = t0.elapsed().as_nanos() as u64;
         p.resume(); // without a pause: nothing happens
         let paused = p.paused_secs();
         assert!(paused >= 5.0e-3, "paused {paused}");
-        let r = p.report(1.0, 0, 0);
+        let r = p.report(1.0, 0);
         let wait = r.phase_secs(HostPhase::CommWait);
-        let panel = r.phase_secs(HostPhase::PanelFactor);
         assert!(wait >= 200_000.0e-9, "wait {wait}");
+        // The frames opened after `t0` and closed before `elapsed_ns` was
+        // read, so their self times are at most the block's unpaused time;
+        // a preempted spin lengthens both sides alike. The slack covers
+        // only the rounding of `paused_secs` to seconds.
+        let framed: u64 = r.folded.iter().map(|(_, ns)| ns).sum();
+        let unpaused = elapsed_ns as f64 - paused * 1.0e9;
         assert!(
-            wait + panel < 2.5e-3,
-            "the pause leaked into a frame: wait {wait}, panel {panel}"
+            framed as f64 <= unpaused + 1.0,
+            "the pause leaked into a frame: {framed} ns framed of {unpaused} ns unpaused"
         );
-    }
-
-    #[test]
-    fn attribution_sums_to_wall_via_orchestration() {
-        let p = Arc::new(HostProf::new(false));
-        {
-            let _g = p.scope(HostPhase::PanelFactor, None, 0.0);
-            spin_ns(100_000);
-        }
-        let wall = 0.0123;
-        let r = p.report(wall, 0, 0);
-        assert!(
-            (r.attributed_secs() - wall).abs() < 1e-8,
-            "sum {} wall {wall}",
-            r.attributed_secs()
-        );
-        // Residual is positive: the scope covered far less than the wall.
-        assert!(r.phase_secs(HostPhase::Orchestration) > 0.0);
     }
 
     #[test]
     fn covered_beyond_wall_saturates_orchestration_to_zero() {
         let p = Arc::new(HostProf::new(false));
         {
-            let _g = p.scope(HostPhase::Gemm, None, 0.0);
+            let _g = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(1_000_000);
         }
-        let r = p.report(1.0e-9, 0, 0);
+        let r = p.report(1.0e-9, 0);
         assert_eq!(r.phase_secs(HostPhase::Orchestration), 0.0);
     }
 
@@ -629,8 +568,8 @@ mod tests {
         {
             // Outer opens at sim 1.0 but closes *after* the inner, which
             // opened at sim 2.0 — drop order is (2.0, 1.0).
-            let _outer = p.scope(HostPhase::Gemm, None, 1.0);
-            let _inner = p.scope(HostPhase::Gather, None, 2.0);
+            let _outer = p.scope(HostPhase::Gemm, 1.0);
+            let _inner = p.scope(HostPhase::Gather, 2.0);
         }
         let tl = p.take_timeline();
         assert_eq!(tl.len(), 2);
@@ -641,20 +580,17 @@ mod tests {
     }
 
     #[test]
-    fn derived_gauges_use_ledger_inputs() {
+    fn flop_rate_uses_the_flop_ledger() {
         let p = Arc::new(HostProf::new(false));
         {
-            let _g = p.scope(HostPhase::Gemm, None, 0.0);
+            let _g = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(1_000_000); // ≥ 1ms of compute-phase time
         }
-        let r = p.report(0.01, 2_000_000, 1_000);
+        let r = p.report(0.01, 2_000_000);
         assert!(r.flop_rate() > 0.0);
-        // 1000 words × 8 B over 0.01 s = 800 kB/s.
-        assert!((r.wire_bandwidth() - 800_000.0).abs() < 1e-6);
-        // Zero-wall guard.
-        let r0 = HostReport::default();
-        assert_eq!(r0.wire_bandwidth(), 0.0);
-        assert_eq!(r0.flop_rate(), 0.0);
+        assert!(r.flop_rate() <= 2.0e9, "{}", r.flop_rate());
+        // Zero-compute guard.
+        assert_eq!(HostReport::default().flop_rate(), 0.0);
     }
 
     #[test]
@@ -662,44 +598,40 @@ mod tests {
         let _g = HostScope::noop();
         drop(_g);
         let p = HostProf::new(false);
-        let r = p.report(0.0, 0, 0);
+        let r = p.report(0.0, 0);
         assert_eq!(r.folded.len(), 0);
-        assert_eq!(r.per_supernode_ns.len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "still open")]
     fn report_with_open_scope_panics() {
         let p = Arc::new(HostProf::new(false));
-        let _g = p.scope(HostPhase::Gemm, None, 0.0);
-        let _ = p.report(1.0, 0, 0);
+        let _g = p.scope(HostPhase::Gemm, 0.0);
+        let _ = p.report(1.0, 0);
     }
 
     #[test]
     fn folded_stacks_render_with_root_and_residual() {
         let p = Arc::new(HostProf::new(false));
         {
-            let _g = p.scope(HostPhase::PanelFactor, None, 0.0);
+            let _g = p.scope(HostPhase::PanelFactor, 0.0);
             spin_ns(50_000);
         }
-        let r = p.report(1.0, 0, 0);
+        let r = p.report(1.0, 0);
         let txt = r.folded_stacks("rank 7");
         assert!(txt.contains("rank 7;panel-factor "));
         assert!(txt.contains("rank 7;orchestration "));
-        for line in txt.lines() {
-            let (_, ns) = line.rsplit_once(' ').unwrap();
-            let _: u64 = ns.parse().unwrap();
-        }
+        assert_eq!(folded_total(&txt), 1_000_000_000);
     }
 
     #[test]
     fn json_roundtrips_and_aggregates() {
         let p = Arc::new(HostProf::new(false));
         {
-            let _g = p.scope(HostPhase::Gemm, Some(0), 0.0);
+            let _g = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(50_000);
         }
-        let doc = hostprof_json(&[p.report(0.5, 100, 10)]);
+        let doc = hostprof_json(&[p.report(0.5, 100)]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();
@@ -711,5 +643,72 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("rank 0;gemm"));
+    }
+
+    proptest! {
+        /// Random nested open / close / pause / resume sequences: each
+        /// phase's self time is the sum of the paths ending in it, the
+        /// folded-stack lines add up to the attributed time (the wall, once
+        /// the orchestration residual is in), and no frame is charged time
+        /// the rank spent paused.
+        #[test]
+        fn phases_are_the_folded_paths_summed_by_leaf(
+            seed in 0u64..1_000_000,
+            nops in 1usize..80,
+            wall in 0u8..2,
+        ) {
+            let mut state = seed;
+            let mut draw = |n: u64| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) % n
+            };
+            let p = Arc::new(HostProf::new(true));
+            let mut open = Vec::new();
+            let mut paused = false;
+            let t0 = Instant::now();
+            for _ in 0..nops {
+                // A parked rank runs nothing until it resumes.
+                match (draw(4), paused) {
+                    (_, true) | (3, false) => {
+                        p.resume();
+                        paused = false;
+                    }
+                    (0, false) => {
+                        // Any phase but the orchestration residual.
+                        let phase = HostPhase::ALL[draw(10) as usize];
+                        open.push(p.scope(phase, 0.0));
+                    }
+                    (1, false) => drop(open.pop()),
+                    _ => {
+                        p.pause();
+                        paused = true;
+                    }
+                }
+            }
+            p.resume();
+            while open.pop().is_some() {}
+            let elapsed_ns = t0.elapsed().as_nanos() as u64;
+            let r = p.report(f64::from(wall), 0);
+
+            for &(phase, ns) in r.phase_ns.iter().filter(|(p, _)| *p != HostPhase::Orchestration) {
+                let by_paths: u64 = r
+                    .folded
+                    .iter()
+                    .filter(|(path, _)| path.rsplit(';').next() == Some(phase.as_str()))
+                    .map(|&(_, ns)| ns)
+                    .sum();
+                prop_assert!(ns == by_paths, "{:?}: {} != {}", phase, ns, by_paths);
+            }
+            let lines = folded_total(&r.folded_stacks("rank 0"));
+            prop_assert_eq!((r.attributed_secs() * 1.0e9).round() as u64, lines);
+            if wall == 1 {
+                prop_assert_eq!(lines, 1_000_000_000);
+            }
+
+            let framed: u64 = r.folded.iter().map(|(_, ns)| ns).sum();
+            let unpaused = elapsed_ns as f64 - p.paused_secs() * 1.0e9;
+            prop_assert!(framed as f64 <= unpaused + 1.0, "{} > {}", framed, unpaused);
+            prop_assert_eq!(p.take_timeline().iter().map(|e| e.ns).sum::<u64>(), framed);
+        }
     }
 }

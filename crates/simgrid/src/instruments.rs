@@ -11,7 +11,7 @@
 //! | bytes held per `(class, level)`, the peak and its attribution | the memory ledger ([`MemLedger`]) |
 //! | the `msg.send_words` / `recv.wait_secs` samples, fault counters | the metrics registry |
 //! | spans and activities (tracing only) | the [`Recorder`]; the `wire rank N` counter track is a projection of its `Send` activities |
-//! | host wall per phase (host profiling only) | the [`HostProf`] |
+//! | host self time per phase path (host profiling only) | the [`HostProf`] |
 //!
 //! The phase label and the tree level are held here once: the wire ledger
 //! keys its cells by the label's index in [`Instruments`]' intern table, and
@@ -248,9 +248,9 @@ impl Instruments {
         self.host.as_deref()
     }
 
-    pub(crate) fn host_scope(&self, phase: HostPhase, sn: Option<usize>, t: f64) -> HostScope {
+    pub(crate) fn host_scope(&self, phase: HostPhase, t: f64) -> HostScope {
         match &self.host {
-            Some(h) => h.scope(phase, sn, t),
+            Some(h) => h.scope(phase, t),
             None => HostScope::noop(),
         }
     }
@@ -311,7 +311,7 @@ impl Instruments {
             wall_secs,
             metrics,
             memprof: mem.report(),
-            hostprof: host.map(|h| h.report(wall_secs, flops, commvol.sent_words())),
+            hostprof: host.map(|h| h.report(wall_secs, flops)),
             commvol,
             trace,
             ..Default::default()

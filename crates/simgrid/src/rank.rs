@@ -274,13 +274,7 @@ impl Rank {
     /// so call sites never branch. The guard holds its own profiler handle —
     /// the rank stays mutably usable while the scope is open.
     pub fn host_scope(&self, phase: HostPhase) -> HostScope {
-        self.inst.host_scope(phase, None, self.clock)
-    }
-
-    /// Like [`Rank::host_scope`], additionally attributing the scope's
-    /// self time to supernode `sn`.
-    pub fn host_scope_sn(&self, phase: HostPhase, sn: usize) -> HostScope {
-        self.inst.host_scope(phase, Some(sn), self.clock)
+        self.inst.host_scope(phase, self.clock)
     }
 
     /// Charge `bytes` of `class` to the memory ledger at the current

@@ -144,7 +144,7 @@ pub fn merged_metrics(reports: &[RankReport]) -> MetricsRegistry {
 /// The one account of a finished run, and the only place it is assembled:
 ///
 /// ```text
-/// {"schema": "salu-run/1",
+/// {"schema": "salu-run/2",
 ///  "sim":  {"metrics", "memprof", "commvol"},
 ///  "host": {"sched", "hostprof"}}
 /// ```
@@ -164,7 +164,7 @@ pub fn run_document(reports: &[RankReport], sched: Option<&SchedStats>) -> Json 
     let commvol: Vec<_> = reports.iter().map(|r| r.commvol.clone()).collect();
     let hostprof: Option<Vec<_>> = reports.iter().map(|r| r.hostprof.clone()).collect();
     Json::Obj(vec![
-        ("schema".into(), Json::str("salu-run/1")),
+        ("schema".into(), Json::str("salu-run/2")),
         (
             "sim".into(),
             Json::Obj(vec![

@@ -67,7 +67,7 @@ pub async fn factor_step_panel(
     // Host-time attribution: everything in this step is panel work except
     // the nested collective waits, which the simulator's own CommWait
     // scopes subtract out as self-time of their own phase.
-    let _host = rank.host_scope_sn(HostPhase::PanelFactor, k);
+    let _host = rank.host_scope(HostPhase::PanelFactor);
     // This rank's flops only: other ranks may run while it awaits a
     // broadcast.
     let mut meter = flops::Meter::start();
@@ -464,7 +464,7 @@ fn schur_per_block(
     panels: &PanelData,
     maps: &UpdateMaps,
 ) -> Result<(), FailKind> {
-    let _host = rank.host_scope_sn(HostPhase::Gemm, k);
+    let _host = rank.host_scope(HostPhase::Gemm);
     let nu = panels.u.len();
     for (b, (j, u)) in panels.u.iter().enumerate() {
         for (a, (i, l)) in panels.l.iter().enumerate() {
@@ -506,7 +506,7 @@ fn schur_batched(
     scratch: &mut SchurScratch,
 ) -> Result<(), FailKind> {
     rank.metric_inc("schur.batched_supernodes", 1);
-    let gather_scope = rank.host_scope_sn(HostPhase::Gather, k);
+    let gather_scope = rank.host_scope(HostPhase::Gather);
     let w = sym.part.width(k);
     // Panel offsets of the participating block rows/columns (ascending
     // supernode order), closed by the panel's total extent.
@@ -540,7 +540,7 @@ fn schur_batched(
     }
     let maps: Vec<BlockMap> = (0..pairs).map(|p| scratch.maps.pair(p)).collect();
     drop(gather_scope);
-    let gemm_scope = rank.host_scope_sn(HostPhase::Gemm, k);
+    let gemm_scope = rank.host_scope(HostPhase::Gemm);
     densela::gemm_blocked_tiled(
         -1.0,
         &scratch.l,
@@ -551,7 +551,7 @@ fn schur_batched(
         &maps,
     );
     drop(gemm_scope);
-    let _scatter_scope = rank.host_scope_sn(HostPhase::Scatter, k);
+    let _scatter_scope = rank.host_scope(HostPhase::Scatter);
     let mut it = targets.into_iter();
     for (i, _) in panels.l.iter() {
         for (j, _) in panels.u.iter() {

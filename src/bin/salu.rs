@@ -66,7 +66,7 @@ fn usage() -> ! {
          \x20 --trace-out FILE   write a Chrome trace-event JSON of the run\n\
          \x20                    (open in ui.perfetto.dev) and print the\n\
          \x20                    critical-path attribution\n\
-         \x20 --run-out FILE     write the run document (salu-run/1) as JSON;\n\
+         \x20 --run-out FILE     write the run document (salu-run/2) as JSON;\n\
          \x20                    '-' = stdout: sim.{{metrics, memprof, commvol}} —\n\
          \x20                    the merged metrics registry, the memory\n\
          \x20                    ledgers and the wire ledgers, bitwise the same\n\

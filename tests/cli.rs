@@ -107,7 +107,7 @@ fn removed_flags_are_rejected() {
     }
 }
 
-/// `--run-out -` prints one `salu-run/1` document among the report lines:
+/// `--run-out -` prints one `salu-run/2` document among the report lines:
 /// the host-time profile is on because the flag turns it on, the scheduler
 /// counters are there exactly when a scheduler of ours ran.
 #[test]
@@ -145,7 +145,7 @@ fn run_out_prints_one_versioned_document() {
             .unwrap_or_else(|e| panic!("{backend}: document does not parse: {e}"));
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("salu-run/1"),
+            Some("salu-run/2"),
             "{backend}"
         );
         let sim = doc.get("sim").expect("sim section");

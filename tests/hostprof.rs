@@ -158,11 +158,17 @@ fn hostprof_document_is_well_formed() {
         .get("host")
         .and_then(|h| h.get("hostprof"))
         .expect("profiling was on");
-    assert_eq!(
-        doc.get("ranks").and_then(Json::as_arr).map(<[Json]>::len),
-        Some(8),
-        "one entry per rank"
-    );
+    let ranks = doc.get("ranks").and_then(Json::as_arr).unwrap();
+    assert_eq!(ranks.len(), 8, "one entry per rank");
+    // Each rank states its own host quantities once: its words are in
+    // `sim.commvol` and its paths in `folded_stacks`.
+    for entry in ranks {
+        let keys = entry.as_obj().unwrap().iter().map(|(k, _)| k.as_str());
+        assert!(
+            keys.eq(["wall_secs", "phase_ns", "flops", "flop_rate"]),
+            "{entry:?}"
+        );
+    }
     assert!(doc.get("max_wall_secs").and_then(Json::as_f64).unwrap() > 0.0);
     let folded = doc
         .get("folded_stacks")

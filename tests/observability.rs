@@ -139,10 +139,10 @@ fn sample_artifacts_match_pinned_goldens() {
         want_trace.contains("\"wire rank 0\""),
         "sample trace must carry wire counter tracks"
     );
-    // The pinned document is a `salu-run/1` whose wire section names every
+    // The pinned document is a `salu-run/2` whose wire section names every
     // class and axis it charges.
     let doc = Json::parse(&want_run).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("salu-run/1"));
+    assert_eq!(doc.get("schema").unwrap().as_str(), Some("salu-run/2"));
     let host = doc.get("host").unwrap();
     assert_eq!(host.get("sched"), Some(&Json::Null));
     assert_eq!(host.get("hostprof"), Some(&Json::Null));
