@@ -115,7 +115,7 @@ impl Figures {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let commvol = doc.get("sim").and_then(|s| s.get("commvol")).cloned();
+        let commvol = doc.at(&["sim", "commvol"]).cloned();
         commvol.ok_or_else(|| format!("{}: no sim.commvol", path.display()))
     }
 
@@ -271,15 +271,18 @@ impl Figures {
                         Some(_) => "down",
                     };
                     let cv = self.commvol(&k)?;
-                    let class = |c: &str, field: &str| num(&cv, &["by_class", c, field]);
-                    let words: u64 = packed.iter().map(|c| class(c, "words")).sum();
-                    let padding =
-                        words - packed.iter().map(|c| class(c, "struct_words")).sum::<u64>();
+                    let class = |field: &str| -> Result<Vec<u64>, String> {
+                        let at = |c: &str| cv.num_at(&["by_class", c, field]).map(|w| w as u64);
+                        packed.iter().map(|c| at(c)).collect()
+                    };
+                    let (class_words, class_structs) = (class("words")?, class("struct_words")?);
+                    let words: u64 = class_words.iter().sum();
+                    let padding = words - class_structs.iter().sum::<u64>();
                     let waste = 100.0 * padding as f64 / words.max(1) as f64;
                     let mut cells = vec![format!("{}x{pz}", p / pz)];
                     cells.extend([wf, wr, wf + wr].map(|w| w.to_string()));
-                    cells.push((rank_max(&cv, "recv_words") * 8).to_string());
-                    cells.extend(packed.map(|c| (class(c, "words") * 8).to_string()));
+                    cells.push((rank_max(&cv, "recv_words")? * 8).to_string());
+                    cells.extend(class_words.iter().map(|w| (w * 8).to_string()));
                     cells.extend([format!("{waste:.1}%"), trend.into()]);
                     Ok(cells)
                 })?;
@@ -394,7 +397,7 @@ impl Figures {
     fn latency(&self) -> Result<String, String> {
         let rows = self.suite_rows(|name| {
             let msgs = each(PZ_SWEEP, |pz| {
-                Ok(rank_max(&self.commvol(&want(name, 16, pz))?, "sent_msgs"))
+                rank_max(&self.commvol(&want(name, 16, pz))?, "sent_msgs")
             })?;
             let gain = |m: &u64| format!("{m} ({:.1}x)", msgs[0] as f64 / (*m).max(1) as f64);
             Ok(msgs.iter().map(gain).collect())
@@ -435,8 +438,8 @@ impl Figures {
                 w.to_string(),
                 self.col(&k, "supernodes")?.to_string(),
                 format!("{:.4}", self.makespan(&k)?),
-                rank_max(&cv, "sent_msgs").to_string(),
-                rank_max(&cv, "sent_words").to_string(),
+                rank_max(&cv, "sent_msgs")?.to_string(),
+                rank_max(&cv, "sent_words")?.to_string(),
                 format!("{:.2}M", self.col(&k, "store_words")? / 1e6),
             ])
         })?;
@@ -464,16 +467,13 @@ fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The integer at `path` under a JSON object (0 when absent).
-fn num(doc: &Json, path: &[&str]) -> u64 {
-    let v = path.iter().try_fold(doc, |d, k| d.get(k));
-    v.and_then(Json::as_f64).unwrap_or(0.0) as u64
-}
-
 /// The largest value of one field over the ranks of a wire ledger.
-fn rank_max(commvol: &Json, field: &str) -> u64 {
-    let ranks = commvol.get("ranks").and_then(Json::as_arr).unwrap_or(&[]);
-    ranks.iter().map(|r| num(r, &[field])).max().unwrap_or(0)
+fn rank_max(commvol: &Json, field: &str) -> Result<u64, String> {
+    let ranks = commvol.at(&["ranks"]).and_then(Json::as_arr);
+    let ranks = ranks.ok_or("no sim.commvol.ranks")?;
+    ranks
+        .iter()
+        .try_fold(0, |max, r| Ok(max.max(r.num_at(&[field])? as u64)))
 }
 
 /// A right-aligned text table under a dashed rule; `headers` are

@@ -8,8 +8,9 @@
 //! so they are taken from the last repetition after asserting the factor
 //! digest never moved.
 //!
-//! Every job writes its run document (`simgrid::run_document`, schema
-//! `salu-run/2`) as `run.json` into `<out>/jobs/<slug>/`. With
+//! Every job writes its run document (`Output3d::run_document`, schema
+//! `salu-run/3`) as `run.json` into `<out>/jobs/<slug>/`, and its snapshot
+//! columns are read from that document's account. With
 //! `trace = true` in the spec, one extra traced repetition records the
 //! compute time on the critical path as the `crit_comp_secs` column (kept
 //! out of the timed repetitions so tracing overhead never pollutes the wall
@@ -18,7 +19,7 @@
 use crate::snapshot::{BenchPoint, Snapshot};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
 use lu3d::solver::{try_factor_only, Output3d, SolverConfig};
-use simgrid::{Grid2d, TimeModel};
+use simgrid::{Grid2d, Json, TimeModel};
 use slu2d::driver::Prepared;
 use sparsemat::testmats::{test_matrix, Geometry};
 use sparsemat::{matgen, Csr};
@@ -137,41 +138,42 @@ fn run_job(job: &Job, prep: &Prepared, trace: bool) -> Result<JobRun, String> {
 }
 
 /// Write one job's run document, `<dir>/run.json`.
-fn write_run_document(dir: &Path, run: &JobRun) -> Result<(), String> {
+fn write_run_document(dir: &Path, doc: &Json) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let path = dir.join("run.json");
-    let doc = simgrid::run_document(&run.out.reports, run.out.sched.as_ref());
     std::fs::write(&path, doc.pretty()).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-/// Convert one finished job into a snapshot point.
-fn to_point(job: &Job, run: &JobRun) -> BenchPoint {
-    let (out, s) = (&run.out, run.out.summary());
+/// Convert one finished job into a snapshot point: the simulated columns
+/// are its account's.
+fn to_point(job: &Job, run: &JobRun, account: &Json) -> Result<BenchPoint, String> {
+    // No key on these paths has a dot of its own.
+    let at = |path: &str| account.num_at(&path.split('.').collect::<Vec<_>>());
     let figure_columns = [
-        ("flops", Some(s.total_flops as f64)),
+        ("flops", Some(at("sim.run.flops")?)),
         ("crit_comp_secs", run.crit_comp_secs),
-        ("lookahead_hits", Some(out.lookahead_hits as f64)),
-        ("store_words", Some(out.total_store_words as f64)),
+        ("lookahead_hits", Some(at("sim.run.lookahead_hits")?)),
+        ("store_words", Some(run.out.total_store_words as f64)),
         ("supernodes", Some(run.supernodes as f64)),
     ];
     let metrics = [
         ("wall_secs", run.wall_secs),
-        ("makespan_secs", out.makespan()),
-        ("max_peak_bytes", out.max_peak_bytes() as f64),
-        ("total_peak_bytes", out.total_peak_bytes() as f64),
-        ("w_fact_words", out.w_fact() as f64),
-        ("w_red_words", out.w_red() as f64),
-        ("total_sent_words", s.total_sent_words as f64),
+        ("makespan_secs", at("sim.run.makespan_secs")?),
+        ("max_peak_bytes", at("sim.memprof.max_peak_bytes")?),
+        ("total_peak_bytes", at("sim.memprof.sum_peak_bytes")?),
+        ("w_fact_words", at("sim.run.fact.words")?),
+        ("w_red_words", at("sim.run.reduce.words")?),
+        ("total_sent_words", at("sim.commvol.total_sent_words")?),
     ];
     let figure_columns = figure_columns
         .into_iter()
         .filter_map(|(k, v)| Some((k, v?)));
     let metrics = metrics.into_iter().chain(figure_columns);
-    BenchPoint {
+    Ok(BenchPoint {
         key: job.key(run.n as u64),
         scale: job.matrix.scale(),
         metrics: metrics.map(|(k, v)| (k.to_string(), v)).collect(),
-    }
+    })
 }
 
 /// Convert a panic in one job into that job's failure. A panic that
@@ -225,15 +227,17 @@ pub fn run_campaign(spec: &CampaignSpec, out_dir: &Path) -> Result<CampaignOutco
                 let dir = jobs_dir.join(job.slug());
                 let res = panic_firewall(&job.slug(), || {
                     run_job(job, prep, spec.trace).and_then(|run| {
-                        write_run_document(&dir, &run)?;
-                        let point = to_point(job, &run);
+                        let account = run.out.account();
+                        write_run_document(&dir, &run.out.with_ranks(account.clone()))?;
+                        let point = to_point(job, &run, &account)?;
+                        let column = |k| point.metric(k).unwrap_or(0.0);
                         let line = format!(
                             "{:<40} wall {:>9.4}s  makespan {:>10.6}s  peak {:>8.2} MB  {:>10} words",
                             job.slug(),
                             run.wall_secs,
-                            run.out.makespan(),
-                            run.out.max_peak_bytes() as f64 / 1e6,
-                            point.metric("total_sent_words").unwrap_or(0.0) as u64,
+                            column("makespan_secs"),
+                            column("max_peak_bytes") / 1e6,
+                            column("total_sent_words") as u64,
                         );
                         Ok((point, line))
                     })
@@ -315,7 +319,7 @@ mod tests {
             let doc = run_doc(&dir, &slug);
             assert_eq!(
                 doc.get("schema").and_then(|s| s.as_str()),
-                Some("salu-run/2")
+                Some("salu-run/3")
             );
             // timed repetitions run unprofiled, so the wall column carries
             // no scope timers

@@ -27,6 +27,8 @@
 //!   sweeps with accumulator reductions and solution broadcasts along z.
 //! - [`solver`]: the end-to-end API — order, analyze, partition, factor,
 //!   solve — plus the measurement output every experiment harness consumes.
+//! - [`account`]: the run's one account (`salu-run/3`), assembled from that
+//!   output, and the text `salu` renders from it.
 //!
 //! ```
 //! use lu3d::solver::{SolverConfig, factor_and_solve};
@@ -45,12 +47,14 @@
 //! assert!(resid < 1e-8);
 //! ```
 
+pub mod account;
 pub mod factor3d;
 pub mod forest;
 pub mod program;
 pub mod solve3d;
 pub mod solver;
 
+pub use account::{baseline_text, RunText};
 pub use factor3d::factor_3d;
 pub use forest::EtreeForest;
 pub use program::FactorProgram;

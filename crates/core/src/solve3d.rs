@@ -666,7 +666,7 @@ mod tests {
         assert_eq!(fact.w_fact(), solved.w_fact());
         assert_eq!(fact.w_red(), solved.w_red());
         // ... and the solve did send something, under its own label.
-        let solve_words = simgrid::TrafficSummary::max_sent_words_in(&solved.reports, "solve");
+        let (_, solve_words) = simgrid::TrafficSummary::max_sent_in(&solved.reports, "solve");
         assert!(solve_words > 0);
     }
 

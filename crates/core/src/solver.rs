@@ -209,12 +209,12 @@ impl Output3d {
 
     /// Max per-rank words sent during 2D factorization (`W_fact`, Fig. 10).
     pub fn w_fact(&self) -> u64 {
-        TrafficSummary::max_sent_words_in(&self.reports, "fact")
+        TrafficSummary::max_sent_in(&self.reports, "fact").1
     }
 
     /// Max per-rank words sent during ancestor reduction (`W_red`, Fig. 10).
     pub fn w_red(&self) -> u64 {
-        TrafficSummary::max_sent_words_in(&self.reports, "reduce")
+        TrafficSummary::max_sent_in(&self.reports, "reduce").1
     }
 
     /// Simulated makespan: the largest clock over ranks at the end of the
@@ -255,58 +255,14 @@ impl Output3d {
 
     /// Max per-rank ledger high-water mark (bytes).
     pub fn max_peak_bytes(&self) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.memprof.peak_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Sum over ranks of ledger high-water marks (bytes) — the live-ledger
-    /// memory measure behind the regenerated Fig. 11 table.
-    pub fn total_peak_bytes(&self) -> u64 {
-        self.reports.iter().map(|r| r.memprof.peak_bytes).sum()
-    }
-
-    /// Sum over ranks of peak-instant bytes attributed to one memory
-    /// class.
-    pub fn peak_class_bytes(&self, class: simgrid::MemClass) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.memprof.peak_class_bytes(class))
-            .sum()
-    }
-
-    /// Per-rank host-time reports, when profiling was on.
-    pub fn hostprof_reports(&self) -> Option<Vec<simgrid::HostReport>> {
-        self.reports.iter().map(|r| r.hostprof.clone()).collect()
-    }
-
-    /// Sum over ranks of algorithmic words sent under one communication
-    /// class (wire ledger).
-    pub fn class_words(&self, class: simgrid::CommClass) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.commvol.class_cell(class).words)
-            .sum()
+        let memprof: Vec<_> = self.reports.iter().map(|r| &r.memprof).collect();
+        simgrid::obs::max_peak_bytes(&memprof)
     }
 
     /// Max per-rank algorithmic words sent (wire ledger) — the measured
     /// counterpart of the cost model's per-process volume `W(p, pz)`.
     pub fn max_rank_sent_words(&self) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.commvol.sent_words())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Sum over ranks of algorithmic words sent along one grid axis.
-    pub fn axis_words(&self, axis: simgrid::GridAxis) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.commvol.axis_words(axis))
-            .sum()
+        self.summary().max_sent_words
     }
 }
 

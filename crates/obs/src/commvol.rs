@@ -118,6 +118,24 @@ pub struct CommCell {
     pub struct_words: u64,
 }
 
+impl CommCell {
+    fn add(&mut self, other: &CommCell) {
+        self.msgs += other.msgs;
+        self.words += other.words;
+        self.struct_words += other.struct_words;
+    }
+
+    /// Fraction of the shipped words that are padding (`0.0` = fully
+    /// dense, also when nothing was sent).
+    pub fn waste_ratio(&self) -> f64 {
+        if self.words == 0 {
+            0.0
+        } else {
+            (self.words - self.struct_words) as f64 / self.words as f64
+        }
+    }
+}
+
 /// Volume over one directed edge (this rank ↔ one peer).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EdgeVolume {
@@ -257,11 +275,18 @@ impl CommReport {
 
     /// Aggregate volume of one class over phases, levels, and axes.
     pub fn class_cell(&self, class: CommClass) -> CommCell {
+        self.cell_where(|e| e.class == class)
+    }
+
+    /// Aggregate volume of one phase label over classes, levels, and axes.
+    pub fn phase_cell(&self, phase: &str) -> CommCell {
+        self.cell_where(|e| e.phase == phase)
+    }
+
+    fn cell_where(&self, keep: impl Fn(&CommEntry) -> bool) -> CommCell {
         let mut out = CommCell::default();
-        for e in self.entries.iter().filter(|e| e.class == class) {
-            out.msgs += e.cell.msgs;
-            out.words += e.cell.words;
-            out.struct_words += e.cell.struct_words;
+        for e in self.entries.iter().filter(|e| keep(e)) {
+            out.add(&e.cell);
         }
         out
     }
@@ -275,118 +300,75 @@ impl CommReport {
             .sum()
     }
 
-    /// Padded words sent under one phase label.
-    pub fn phase_words(&self, phase: &str) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.phase == phase)
-            .map(|e| e.cell.words)
-            .sum()
-    }
-
-    /// Fraction of one class's shipped words that are padding
-    /// (`0.0` = fully dense, also when the class sent nothing).
-    pub fn waste_ratio(&self, class: CommClass) -> f64 {
-        let c = self.class_cell(class);
-        if c.words == 0 {
-            0.0
-        } else {
-            (c.words - c.struct_words) as f64 / c.words as f64
-        }
-    }
-
-    /// Largest per-destination sent volume.
-    pub fn max_edge_words(&self) -> u64 {
-        self.sent_to.iter().map(|e| e.words).max().unwrap_or(0)
-    }
-
     pub fn to_json(&self) -> Json {
         let edges = |v: &[EdgeVolume]| {
             Json::Arr(
                 v.iter()
                     .map(|e| {
-                        Json::Obj(vec![
-                            ("peer".into(), Json::num(e.peer as f64)),
-                            ("msgs".into(), Json::num(e.msgs as f64)),
-                            ("words".into(), Json::num(e.words as f64)),
+                        Json::obj([
+                            ("peer", Json::num(e.peer as f64)),
+                            ("msgs", Json::num(e.msgs as f64)),
+                            ("words", Json::num(e.words as f64)),
                         ])
                     })
                     .collect(),
             )
         };
-        Json::Obj(vec![
-            ("sent_words".into(), Json::num(self.sent_words() as f64)),
-            ("sent_msgs".into(), Json::num(self.sent_msgs() as f64)),
-            ("recv_words".into(), Json::num(self.recv_words() as f64)),
-            ("recv_msgs".into(), Json::num(self.recv_msgs() as f64)),
+        Json::obj([
+            ("sent_words", Json::num(self.sent_words() as f64)),
+            ("sent_msgs", Json::num(self.sent_msgs() as f64)),
+            ("recv_words", Json::num(self.recv_words() as f64)),
+            ("recv_msgs", Json::num(self.recv_msgs() as f64)),
             (
-                "entries".into(),
+                "entries",
                 Json::Arr(
                     self.entries
                         .iter()
                         .map(|e| {
-                            Json::Obj(vec![
-                                ("phase".into(), Json::str(e.phase.clone())),
-                                ("class".into(), Json::str(e.class.as_str())),
-                                ("level".into(), Json::num(e.level as f64)),
-                                ("axis".into(), Json::str(e.axis.as_str())),
-                                ("msgs".into(), Json::num(e.cell.msgs as f64)),
-                                ("words".into(), Json::num(e.cell.words as f64)),
-                                ("struct_words".into(), Json::num(e.cell.struct_words as f64)),
+                            Json::obj([
+                                ("phase", Json::str(e.phase.clone())),
+                                ("class", Json::str(e.class.as_str())),
+                                ("level", Json::num(e.level as f64)),
+                                ("axis", Json::str(e.axis.as_str())),
+                                ("msgs", Json::num(e.cell.msgs as f64)),
+                                ("words", Json::num(e.cell.words as f64)),
+                                ("struct_words", Json::num(e.cell.struct_words as f64)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("sent_to".into(), edges(&self.sent_to)),
-            ("recv_from".into(), edges(&self.recv_from)),
+            ("sent_to", edges(&self.sent_to)),
+            ("recv_from", edges(&self.recv_from)),
         ])
     }
 }
 
-/// Machine-wide wire-volume document: per-rank reports plus a summary —
-/// totals and waste ratios per class, volumes per axis and per level, and
-/// the per-edge max/mean across the whole machine.
-pub fn commvol_json(per_rank: &[CommReport]) -> Json {
+/// The machine's wire-volume summary: totals and waste ratios per class,
+/// volumes per axis and per level, and the per-edge count, max and mean
+/// across the whole machine (an edge is a `(src, dst)` pair that carried
+/// words). Each rank's [`CommReport::to_json`] is the document's `ranks`
+/// array, attached apart.
+pub fn commvol_json(per_rank: &[&CommReport]) -> Json {
     let total_sent: u64 = per_rank.iter().map(|r| r.sent_words()).sum();
     let max_rank_sent = per_rank.iter().map(|r| r.sent_words()).max().unwrap_or(0);
-    let by_class = Json::Obj(
-        CommClass::ALL
-            .iter()
-            .map(|&c| {
-                let mut cell = CommCell::default();
-                for r in per_rank {
-                    let rc = r.class_cell(c);
-                    cell.msgs += rc.msgs;
-                    cell.words += rc.words;
-                    cell.struct_words += rc.struct_words;
-                }
-                let waste = if cell.words == 0 {
-                    0.0
-                } else {
-                    (cell.words - cell.struct_words) as f64 / cell.words as f64
-                };
-                (
-                    c.as_str().to_string(),
-                    Json::Obj(vec![
-                        ("msgs".into(), Json::num(cell.msgs as f64)),
-                        ("words".into(), Json::num(cell.words as f64)),
-                        ("struct_words".into(), Json::num(cell.struct_words as f64)),
-                        ("waste_ratio".into(), Json::num(waste)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let by_axis = Json::Obj(
-        GridAxis::ALL
-            .iter()
-            .map(|&a| {
-                let words: u64 = per_rank.iter().map(|r| r.axis_words(a)).sum();
-                (a.as_str().to_string(), Json::num(words as f64))
-            })
-            .collect(),
-    );
+    let by_class = Json::obj(CommClass::ALL.map(|c| {
+        let mut cell = CommCell::default();
+        for r in per_rank {
+            cell.add(&r.class_cell(c));
+        }
+        let cell_json = Json::obj([
+            ("msgs", Json::num(cell.msgs as f64)),
+            ("words", Json::num(cell.words as f64)),
+            ("struct_words", Json::num(cell.struct_words as f64)),
+            ("waste_ratio", Json::num(cell.waste_ratio())),
+        ]);
+        (c.as_str(), cell_json)
+    }));
+    let by_axis = Json::obj(GridAxis::ALL.map(|a| {
+        let words: u64 = per_rank.iter().map(|r| r.axis_words(a)).sum();
+        (a.as_str(), Json::num(words as f64))
+    }));
     let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
     for r in per_rank {
         for e in &r.entries {
@@ -417,22 +399,15 @@ pub fn commvol_json(per_rank: &[CommReport]) -> Json {
     } else {
         edge_sum as f64 / n_edges as f64
     };
-    Json::Obj(vec![
-        ("total_sent_words".into(), Json::num(total_sent as f64)),
-        (
-            "max_rank_sent_words".into(),
-            Json::num(max_rank_sent as f64),
-        ),
-        ("edges".into(), Json::num(n_edges as f64)),
-        ("max_edge_words".into(), Json::num(max_edge as f64)),
-        ("mean_edge_words".into(), Json::num(mean_edge)),
-        ("by_class".into(), by_class),
-        ("by_axis".into(), by_axis),
-        ("by_level".into(), by_level),
-        (
-            "ranks".into(),
-            Json::Arr(per_rank.iter().map(|r| r.to_json()).collect()),
-        ),
+    Json::obj([
+        ("total_sent_words", Json::num(total_sent as f64)),
+        ("max_rank_sent_words", Json::num(max_rank_sent as f64)),
+        ("edges", Json::num(n_edges as f64)),
+        ("max_edge_words", Json::num(max_edge as f64)),
+        ("mean_edge_words", Json::num(mean_edge)),
+        ("by_class", by_class),
+        ("by_axis", by_axis),
+        ("by_level", by_level),
     ])
 }
 
@@ -521,7 +496,7 @@ mod tests {
         assert_eq!(r.axis_words(GridAxis::Z), 80);
         let levels: Vec<u32> = r.entries.iter().map(|e| e.level).collect();
         assert_eq!(levels, [0, 3]);
-        assert_eq!(r.phase_words("reduce"), 80);
+        assert_eq!(r.phase_cell("reduce").words, 80);
         assert_eq!(r.class_cell(CommClass::SchurContrib).words, 0);
     }
 
@@ -530,9 +505,9 @@ mod tests {
         let mut l = CommLedger::default();
         l.charge_send(key(FACT, CommClass::UPanel, 0, GridAxis::Y), 1, 200, 50);
         let r = l.report(&PHASES);
-        assert_eq!(r.waste_ratio(CommClass::UPanel), 0.75);
+        assert_eq!(r.class_cell(CommClass::UPanel).waste_ratio(), 0.75);
         // A class that sent nothing has zero waste, not NaN.
-        assert_eq!(r.waste_ratio(CommClass::LPanel), 0.0);
+        assert_eq!(r.class_cell(CommClass::LPanel).waste_ratio(), 0.0);
     }
 
     #[test]
@@ -554,7 +529,6 @@ mod tests {
                 words: 15
             }
         );
-        assert_eq!(r.max_edge_words(), 15);
         assert_eq!(
             r.recv_from,
             vec![EdgeVolume {
@@ -578,7 +552,7 @@ mod tests {
             16,
         );
         l.charge_recv(2, 32);
-        let doc = commvol_json(&[l.report(&PHASES)]);
+        let doc = commvol_json(&[&l.report(&PHASES)]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();

@@ -412,19 +412,18 @@ impl HostReport {
     /// flops, flop_rate}`. Its paths are rendered once, in the document's
     /// `folded_stacks` text.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("wall_secs".into(), Json::num(self.wall_secs)),
+        Json::obj([
+            ("wall_secs", Json::num(self.wall_secs)),
             (
-                "phase_ns".into(),
-                Json::Obj(
+                "phase_ns",
+                Json::obj(
                     self.phase_ns
                         .iter()
-                        .map(|&(p, ns)| (p.as_str().to_string(), Json::num(ns as f64)))
-                        .collect(),
+                        .map(|&(p, ns)| (p.as_str(), Json::num(ns as f64))),
                 ),
             ),
-            ("flops".into(), Json::num(self.flops as f64)),
-            ("flop_rate".into(), Json::num(self.flop_rate())),
+            ("flops", Json::num(self.flops as f64)),
+            ("flop_rate", Json::num(self.flop_rate())),
         ])
     }
 }
@@ -438,39 +437,38 @@ fn rate(flops: u64, secs: f64) -> f64 {
     }
 }
 
-/// Machine-wide host profile document: per-rank reports plus a summary —
-/// max wall, per-phase seconds summed over ranks, aggregate flop rate,
-/// and the full folded-stack text ready for a flamegraph renderer (the
-/// one rendering of every rank's phase paths).
-pub fn hostprof_json(per_rank: &[HostReport]) -> Json {
+/// The machine's host-time summary: max and summed wall, per-phase
+/// seconds summed over ranks, and the host flop rate — flops of all ranks
+/// over their compute-phase seconds summed, the one machine-wide rate. The
+/// per-rank entries ([`HostReport::to_json`]) and [`folded_stacks`] are
+/// attached apart.
+pub fn hostprof_json(per_rank: &[&HostReport]) -> Json {
     let max_wall = per_rank.iter().map(|r| r.wall_secs).fold(0.0, f64::max);
-    let by_phase = Json::Obj(
-        HostPhase::ALL
-            .iter()
-            .map(|&p| {
-                let secs: f64 = per_rank.iter().map(|r| r.phase_secs(p)).sum();
-                (p.as_str().to_string(), Json::num(secs))
-            })
-            .collect(),
-    );
+    let sum_wall: f64 = per_rank.iter().map(|r| r.wall_secs).sum();
+    let by_phase = Json::obj(HostPhase::ALL.map(|p| {
+        let secs: f64 = per_rank.iter().map(|r| r.phase_secs(p)).sum();
+        (p.as_str(), Json::num(secs))
+    }));
     let flop_rate = rate(
         per_rank.iter().map(|r| r.flops).sum(),
         per_rank.iter().map(|r| r.compute_secs()).sum(),
     );
+    Json::obj([
+        ("max_wall_secs", Json::num(max_wall)),
+        ("sum_wall_secs", Json::num(sum_wall)),
+        ("phase_secs", by_phase),
+        ("flop_rate", Json::num(flop_rate)),
+    ])
+}
+
+/// Every rank's phase paths as one folded-stack text, ready for a
+/// flamegraph renderer: the one rendering of them.
+pub fn folded_stacks(per_rank: &[&HostReport]) -> String {
     let mut folded = String::new();
     for (i, r) in per_rank.iter().enumerate() {
         folded.push_str(&r.folded_stacks(&format!("rank {i}")));
     }
-    Json::Obj(vec![
-        ("max_wall_secs".into(), Json::num(max_wall)),
-        ("phase_secs".into(), by_phase),
-        ("flop_rate".into(), Json::num(flop_rate)),
-        ("folded_stacks".into(), Json::str(folded)),
-        (
-            "ranks".into(),
-            Json::Arr(per_rank.iter().map(|r| r.to_json()).collect()),
-        ),
-    ])
+    folded
 }
 
 #[cfg(test)]
@@ -631,18 +629,20 @@ mod tests {
             let _g = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(50_000);
         }
-        let doc = hostprof_json(&[p.report(0.5, 100)]);
+        let (r, q) = (p.report(0.5, 100), p.report(0.25, 100));
+        let doc = hostprof_json(&[&r, &q]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();
-        assert_eq!(back.get("max_wall_secs").unwrap().as_f64(), Some(0.5));
-        assert!(back.get("phase_secs").unwrap().get("gemm").is_some());
-        assert!(back
-            .get("folded_stacks")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("rank 0;gemm"));
+        assert_eq!(back.num_at(&["max_wall_secs"]), Ok(0.5));
+        assert_eq!(back.num_at(&["sum_wall_secs"]), Ok(0.75));
+        assert!(back.at(&["phase_secs", "gemm"]).is_some());
+        assert_eq!(
+            back.num_at(&["flop_rate"]),
+            Ok(200.0 / (r.compute_secs() + q.compute_secs()))
+        );
+        let folded = folded_stacks(&[&r, &q]);
+        assert!(folded.contains("rank 0;gemm") && folded.contains("rank 1;gemm"));
     }
 
     proptest! {

@@ -29,11 +29,44 @@ impl Json {
         Json::Num(v)
     }
 
+    /// An object of `members`, in their order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object member by key (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// The value at `path` through nested objects (`self` for an empty path).
+    pub fn at(&self, path: &[&str]) -> Option<&Json> {
+        path.iter().try_fold(self, |v, k| v.get(k))
+    }
+
+    /// The number at `path`, or an error naming the path.
+    pub fn num_at(&self, path: &[&str]) -> Result<f64, String> {
+        self.at(path)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("no number at {}", path.join(".")))
+    }
+
+    /// Append `key: value` to the object at `path`; an error names the path
+    /// when no object is there.
+    pub fn push_at(&mut self, path: &[&str], key: &str, value: Json) -> Result<(), String> {
+        let at = path.iter().try_fold(self, |v, k| match v {
+            Json::Obj(members) => members.iter_mut().find(|(m, _)| m == k).map(|(_, v)| v),
+            _ => None,
+        });
+        match at {
+            Some(Json::Obj(members)) => {
+                members.push((key.to_string(), value));
+                Ok(())
+            }
+            _ => Err(format!("no object at {}", path.join("."))),
         }
     }
 
@@ -367,23 +400,34 @@ mod tests {
 
     #[test]
     fn roundtrip_document() {
-        let doc = Json::Obj(vec![
-            ("name".into(), Json::str("trace \"x\"\n")),
-            ("label".into(), Json::str("Pz × Pxy — ünïcode \\ \"q\"")),
-            ("count".into(), Json::num(42.0)),
-            ("ratio".into(), Json::num(0.125)),
-            ("flag".into(), Json::Bool(true)),
-            ("none".into(), Json::Null),
-            (
-                "items".into(),
-                Json::Arr(vec![Json::num(1.0), Json::num(-2.5e-3)]),
-            ),
+        let doc = Json::obj([
+            ("name", Json::str("trace \"x\"\n")),
+            ("label", Json::str("Pz × Pxy — ünïcode \\ \"q\"")),
+            ("count", Json::num(42.0)),
+            ("ratio", Json::num(0.125)),
+            ("flag", Json::Bool(true)),
+            ("none", Json::Null),
+            ("items", Json::Arr(vec![Json::num(1.0), Json::num(-2.5e-3)])),
         ]);
         let text = doc.dump();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back, doc);
         // Pretty form parses to the same value.
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn paths_reach_nested_members() {
+        let mut doc = Json::parse(r#"{"a": {"b": {"c": 2}}, "n": null}"#).unwrap();
+        assert_eq!(doc.at(&[]), Some(&doc));
+        assert_eq!(doc.num_at(&["a", "b", "c"]), Ok(2.0));
+        assert_eq!(doc.num_at(&["a", "x"]), Err("no number at a.x".into()));
+        doc.push_at(&["a", "b"], "d", Json::num(3.0)).unwrap();
+        assert_eq!(
+            doc.at(&["a", "b"]),
+            Some(&Json::obj([("c", Json::num(2.0)), ("d", Json::num(3.0))]))
+        );
+        assert!(doc.push_at(&["n"], "d", Json::Null).is_err());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! - [`span`]: nested spans (`level → phase → supernode → collective`) over
 //!   simulated time, plus the machine-level activity stream.
-//! - [`metrics`]: counters, max-gauges, and log2-bucket histograms,
-//!   mergeable across ranks and dumpable as JSON.
+//! - [`metrics`]: counters and log2-bucket histograms, mergeable across
+//!   ranks and dumpable as JSON.
 //! - [`memprof`]: the tagged allocation ledger — per-rank high-water
 //!   marks with class+tree-level attribution of the peak instant.
 //! - [`commvol`]: the wire-volume ledger — per-rank sent/received words
@@ -32,7 +32,8 @@
 //! - [`critpath`]: backward walk over the send→recv dependency graph
 //!   yielding the makespan-determining chain and per-phase attribution
 //!   that sums to 100% of the makespan.
-//! - [`json`]: the dependency-free JSON value type the exporters use.
+//! - [`json`]: the dependency-free JSON value type the exporters use, with
+//!   one path getter ([`Json::at`]) for the documents they write.
 //!
 //! # Example
 //!
@@ -65,8 +66,12 @@ pub use commvol::{
     commvol_json, CommClass, CommEntry, CommKey, CommLedger, CommReport, EdgeVolume, GridAxis,
 };
 pub use critpath::{CritSegment, CriticalPath, SegKind};
-pub use hostprof::{hostprof_json, HostEvent, HostPhase, HostProf, HostReport, HostScope};
+pub use hostprof::{
+    folded_stacks, hostprof_json, HostEvent, HostPhase, HostProf, HostReport, HostScope,
+};
 pub use json::Json;
-pub use memprof::{memprof_json, MemAttr, MemClass, MemEvent, MemLedger, MemReport};
+pub use memprof::{
+    max_peak_bytes, memprof_json, MemAttr, MemClass, MemEvent, MemLedger, MemReport,
+};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use span::{Activity, ActivityKind, MsgInfo, RankObs, Recorder, SpanCat, SpanId, SpanRecord};

@@ -278,48 +278,45 @@ impl MemReport {
             Json::Arr(
                 v.iter()
                     .map(|a| {
-                        Json::Obj(vec![
-                            ("class".into(), Json::str(a.class.as_str())),
-                            ("level".into(), Json::num(a.level as f64)),
-                            ("bytes".into(), Json::num(a.bytes as f64)),
+                        Json::obj([
+                            ("class", Json::str(a.class.as_str())),
+                            ("level", Json::num(a.level as f64)),
+                            ("bytes", Json::num(a.bytes as f64)),
                         ])
                     })
                     .collect(),
             )
         };
-        Json::Obj(vec![
-            ("peak_bytes".into(), Json::num(self.peak_bytes as f64)),
-            ("peak_t".into(), Json::num(self.peak_t)),
-            ("peak_by".into(), attr(&self.peak_by)),
-            ("final_bytes".into(), Json::num(self.final_bytes as f64)),
-            ("final_by".into(), attr(&self.final_by)),
+        Json::obj([
+            ("peak_bytes", Json::num(self.peak_bytes as f64)),
+            ("peak_t", Json::num(self.peak_t)),
+            ("peak_by", attr(&self.peak_by)),
+            ("final_bytes", Json::num(self.final_bytes as f64)),
+            ("final_by", attr(&self.final_by)),
         ])
     }
 }
 
-/// Machine-wide memory profile document: per-rank reports plus a summary
-/// (max/sum of peaks, and per-class totals taken at each rank's own peak
-/// instant — "where was memory when it mattered").
-pub fn memprof_json(per_rank: &[MemReport]) -> Json {
-    let max_peak = per_rank.iter().map(|r| r.peak_bytes).max().unwrap_or(0);
+/// The largest high-water mark over ranks: the one definition of the
+/// machine's peak.
+pub fn max_peak_bytes(per_rank: &[&MemReport]) -> u64 {
+    per_rank.iter().map(|r| r.peak_bytes).max().unwrap_or(0)
+}
+
+/// The machine's memory summary: max and sum of the ranks' peaks, and
+/// per-class totals taken at each rank's own peak instant ("where was
+/// memory when it mattered"). Each rank's [`MemReport::to_json`] is the
+/// document's `ranks` array, attached apart.
+pub fn memprof_json(per_rank: &[&MemReport]) -> Json {
     let sum_peak: u64 = per_rank.iter().map(|r| r.peak_bytes).sum();
-    let by_class = Json::Obj(
-        MemClass::ALL
-            .iter()
-            .map(|&c| {
-                let total: u64 = per_rank.iter().map(|r| r.peak_class_bytes(c)).sum();
-                (c.as_str().to_string(), Json::num(total as f64))
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("max_peak_bytes".into(), Json::num(max_peak as f64)),
-        ("sum_peak_bytes".into(), Json::num(sum_peak as f64)),
-        ("peak_by_class".into(), by_class),
-        (
-            "ranks".into(),
-            Json::Arr(per_rank.iter().map(|r| r.to_json()).collect()),
-        ),
+    let by_class = Json::obj(MemClass::ALL.map(|c| {
+        let total: u64 = per_rank.iter().map(|r| r.peak_class_bytes(c)).sum();
+        (c.as_str(), Json::num(total as f64))
+    }));
+    Json::obj([
+        ("max_peak_bytes", Json::num(max_peak_bytes(per_rank) as f64)),
+        ("sum_peak_bytes", Json::num(sum_peak as f64)),
+        ("peak_by_class", by_class),
     ])
 }
 
@@ -526,7 +523,7 @@ mod tests {
         let mut l = MemLedger::new(false);
         l.charge(MemClass::UPanel, 0, 64, 0.25);
         l.charge(MemClass::SymbolicMeta, 0, 32, 0.5);
-        let doc = memprof_json(&[l.report()]);
+        let doc = memprof_json(&[&l.report()]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();

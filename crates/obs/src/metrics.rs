@@ -1,10 +1,10 @@
-//! Cross-crate metrics registry: counters, gauges, and log2-bucket
-//! histograms, mergeable across ranks and dumpable as JSON.
+//! Cross-crate metrics registry: counters and log2-bucket histograms,
+//! mergeable across ranks and dumpable as JSON.
 //!
 //! Every simulated rank owns a registry; algorithm layers record into it
 //! through [`crate::span`]-agnostic names like `"gemm.flops_per_supernode"`
-//! or `"msg.send_words"`. After a run the per-rank registries are merged
-//! into one machine-wide view for the metrics dump.
+//! or `"schur.batched_supernodes"`. After a run the per-rank registries are
+//! merged into one machine-wide view for the run document.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -120,39 +120,33 @@ impl Histogram {
                 } else {
                     format!("2^{k}")
                 };
-                Json::Obj(vec![
-                    ("ge".into(), Json::str(lo)),
-                    ("count".into(), Json::num(n as f64)),
-                ])
+                Json::obj([("ge", Json::str(lo)), ("count", Json::num(n as f64))])
             })
             .collect();
-        Json::Obj(vec![
-            ("count".into(), Json::num(self.count as f64)),
-            ("sum".into(), Json::num(self.sum)),
-            ("min".into(), Json::num(self.min)),
-            ("max".into(), Json::num(self.max)),
-            ("mean".into(), Json::num(self.mean())),
-            ("p50".into(), Json::num(self.quantile(0.50))),
-            ("p95".into(), Json::num(self.quantile(0.95))),
-            ("p99".into(), Json::num(self.quantile(0.99))),
-            ("buckets".into(), Json::Arr(buckets)),
+        Json::obj([
+            ("count", Json::num(self.count as f64)),
+            ("sum", Json::num(self.sum)),
+            ("min", Json::num(self.min)),
+            ("max", Json::num(self.max)),
+            ("mean", Json::num(self.mean())),
+            ("p50", Json::num(self.quantile(0.50))),
+            ("p95", Json::num(self.quantile(0.95))),
+            ("p99", Json::num(self.quantile(0.99))),
+            ("buckets", Json::Arr(buckets)),
         ])
     }
 }
 
-/// Named counters, gauges, and histograms for one rank (or, after
+/// Named counters and histograms for one rank (or, after
 /// [`MetricsRegistry::merge`], a whole machine).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     pub counters: BTreeMap<String, u64>,
-    /// Gauges keep the maximum observed value (the only reduction the
-    /// stack needs: peak memory, peak queue depth, ...).
-    pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricsRegistry {
-    // The three recorders look the name up before they own it: a hit — every
+    // The recorders look the name up before they own it: a hit — every
     // call but a metric's first — allocates nothing.
 
     pub fn inc(&mut self, name: &str, by: u64) {
@@ -160,15 +154,6 @@ impl MetricsRegistry {
             Some(c) => *c += by,
             None => {
                 self.counters.insert(name.to_string(), by);
-            }
-        }
-    }
-
-    pub fn gauge_max(&mut self, name: &str, v: f64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = g.max(v),
-            None => {
-                self.gauges.insert(name.to_string(), v.max(f64::MIN));
             }
         }
     }
@@ -211,20 +196,14 @@ impl MetricsRegistry {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Fold another registry into this one (sum counters, max gauges,
-    /// merge histograms).
+    /// Fold another registry into this one (sum counters, merge
+    /// histograms).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, &v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, &v) in &other.gauges {
-            let g = self.gauges.entry(k.clone()).or_insert(f64::MIN);
-            if v > *g {
-                *g = v;
-            }
         }
         for (k, h) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(h);
@@ -233,9 +212,9 @@ impl MetricsRegistry {
 
     /// Deterministic JSON view (BTreeMap order).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        Json::obj([
             (
-                "counters".into(),
+                "counters",
                 Json::Obj(
                     self.counters
                         .iter()
@@ -244,16 +223,7 @@ impl MetricsRegistry {
                 ),
             ),
             (
-                "gauges".into(),
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::num(v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms".into(),
+                "histograms",
                 Json::Obj(
                     self.histograms
                         .iter()
@@ -271,14 +241,11 @@ mod tests {
     use crate::json::Json;
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let mut m = MetricsRegistry::default();
         m.inc("msgs", 2);
         m.inc("msgs", 3);
-        m.gauge_max("peak", 10.0);
-        m.gauge_max("peak", 4.0);
         assert_eq!(m.counter("msgs"), 5);
-        assert_eq!(m.gauges["peak"], 10.0);
     }
 
     #[test]
@@ -368,16 +335,13 @@ mod tests {
         let mut a = MetricsRegistry::default();
         a.inc("n", 1);
         a.observe("sz", 8.0);
-        a.gauge_max("g", 1.0);
         let mut b = MetricsRegistry::default();
         b.inc("n", 2);
         b.observe("sz", 16.0);
-        b.gauge_max("g", 5.0);
         a.merge(&b);
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.histogram("sz").unwrap().count, 2);
         assert_eq!(a.histogram("sz").unwrap().sum, 24.0);
-        assert_eq!(a.gauges["g"], 5.0);
     }
 
     #[test]
@@ -385,7 +349,6 @@ mod tests {
         let mut m = MetricsRegistry::default();
         m.inc("a.count", 7);
         m.observe("b.hist", 12.0);
-        m.gauge_max("c.gauge", 2.5);
         let doc = Json::parse(&m.to_json().dump()).unwrap();
         assert_eq!(
             doc.get("counters")

@@ -108,15 +108,12 @@ pub struct SchedStats {
 impl SchedStats {
     /// The `host.sched` section of the run document.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("steps".into(), Json::num(self.steps as f64)),
-            ("wakeups".into(), Json::num(self.wakeups as f64)),
+        Json::obj([
+            ("steps", Json::num(self.steps as f64)),
+            ("wakeups", Json::num(self.wakeups as f64)),
+            ("unmatched_sends", Json::num(self.unmatched_sends as f64)),
             (
-                "unmatched_sends".into(),
-                Json::num(self.unmatched_sends as f64),
-            ),
-            (
-                "quiescence_resolutions".into(),
+                "quiescence_resolutions",
                 Json::num(self.quiescence_resolutions as f64),
             ),
         ])

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | messages and words per `(phase, class, level, axis)` and per edge | the wire ledger ([`CommLedger`]) |
 //! | bytes held per `(class, level)`, the peak and its attribution | the memory ledger ([`MemLedger`]) |
-//! | the `msg.send_words` / `recv.wait_secs` samples, fault counters | the metrics registry |
+//! | fault counters and the kernels' own samples (Schur dispatch) | the metrics registry |
 //! | spans and activities (tracing only) | the [`Recorder`]; the `wire rank N` counter track is a projection of its `Send` activities |
 //! | host self time per phase path (host profiling only) | the [`HostProf`] |
 //!
@@ -22,8 +22,8 @@ use crate::stats::RankReport;
 use crate::tags::COLL_TAG;
 use crate::topology::Grid3d;
 use obs::{
-    ActivityKind, CommClass, CommKey, CommLedger, GridAxis, Histogram, HostPhase, HostProf,
-    HostScope, MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
+    ActivityKind, CommClass, CommKey, CommLedger, GridAxis, HostPhase, HostProf, HostScope,
+    MemClass, MemLedger, MetricsRegistry, MsgInfo, Recorder, SpanCat, SpanId,
 };
 use std::sync::Arc;
 
@@ -52,12 +52,8 @@ pub(crate) struct Instruments {
     /// The `Phase` span opened by [`Instruments::set_phase`], rotated on
     /// change.
     phase_span: Option<SpanId>,
-    /// Named counters, gauges and histograms.
+    /// Named counters and histograms.
     metrics: MetricsRegistry,
-    /// The per-message histograms, entered into `metrics` under their names
-    /// by [`Instruments::finish`]: `msg.send_words`, `recv.wait_secs`.
-    send_words: Histogram,
-    recv_wait_secs: Histogram,
     mem: MemLedger,
     wire: CommLedger,
     /// Host-time profiler, present when the machine profiles. Shared with
@@ -80,8 +76,6 @@ impl Instruments {
             rec: tracing.then(|| Recorder::new(me)),
             phase_span: None,
             metrics: MetricsRegistry::default(),
-            send_words: Histogram::default(),
-            recv_wait_secs: Histogram::default(),
             mem: MemLedger::new(tracing),
             wire: CommLedger::default(),
             host: host_profiling.then(|| Arc::new(HostProf::new(tracing))),
@@ -105,7 +99,7 @@ impl Instruments {
 
     /// One physical send to `dst` over `span` of the sender's clock. A
     /// visible send (`msg` present) is algorithmic traffic: traced with its
-    /// identity and class, sampled, and charged to the wire ledger. A
+    /// identity and class and charged to the wire ledger. A
     /// transport-internal one (a recovered retransmit or duplicate) is
     /// traced as a `Resend` and counted as overhead only, so a recovered run
     /// reports the algorithmic volume of a fault-free one.
@@ -128,7 +122,6 @@ impl Instruments {
             self.metrics.inc("fault.resent_words", words);
             return;
         };
-        self.send_words.observe(words as f64);
         let key = CommKey {
             phase: self.phase,
             class: m.class,
@@ -164,9 +157,6 @@ impl Instruments {
         msg: MsgInfo,
     ) {
         self.mem.charge(MemClass::MsgInFlight, 0, words * 8, ready);
-        if ready > t {
-            self.recv_wait_secs.observe(ready - t);
-        }
         self.on_wait((t, ready), Some(src));
         self.trace(
             ActivityKind::Recv,
@@ -290,15 +280,6 @@ impl Instruments {
             None => wall_secs,
         };
         let commvol = self.wire.report(&self.phases);
-        let mut metrics = self.metrics;
-        for (name, samples) in [
-            ("msg.send_words", self.send_words),
-            ("recv.wait_secs", self.recv_wait_secs),
-        ] {
-            if samples.count > 0 {
-                metrics.histograms.insert(name.to_string(), samples);
-            }
-        }
         let mut mem = self.mem;
         let host = self.host;
         let trace = self.rec.map(|rec| {
@@ -309,7 +290,7 @@ impl Instruments {
         });
         RankReport {
             wall_secs,
-            metrics,
+            metrics: self.metrics,
             memprof: mem.report(),
             hostprof: host.map(|h| h.report(wall_secs, flops)),
             commvol,

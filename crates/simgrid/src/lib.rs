@@ -78,7 +78,7 @@ pub use faultlab::{
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Packed, PackedBlock, Payload, PayloadKind};
 pub use rank::Rank;
-pub use stats::{merged_metrics, run_document, RankReport, TrafficSummary};
+pub use stats::{merged_metrics, RankReport, TrafficSummary};
 pub use timemodel::TimeModel;
 pub use topology::{Grid2d, Grid3d};
 pub use trace::validate_trace;

@@ -591,7 +591,7 @@ mod tests {
                     assert_eq!(r, &vec![42.0, 7.0], "p={p} root={root}");
                 }
                 // Binomial tree sends exactly p-1 messages.
-                let total: u64 = out.reports.iter().map(|r| r.total_sent_msgs()).sum();
+                let total: u64 = out.reports.iter().map(|r| r.commvol.sent_msgs()).sum();
                 assert_eq!(total, (p - 1) as u64, "p={p} root={root}");
             }
         }

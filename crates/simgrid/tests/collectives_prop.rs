@@ -35,7 +35,7 @@ proptest! {
                 prop_assert_eq!(*v, i as f64 * 0.5);
             }
         }
-        let total: u64 = out.reports.iter().map(|r| r.total_sent_msgs()).sum();
+        let total: u64 = out.reports.iter().map(|r| r.commvol.sent_msgs()).sum();
         prop_assert_eq!(total, (p - 1) as u64);
     }
 
@@ -67,7 +67,7 @@ proptest! {
                 rank.bcast_among(&world, &members, root, data, 1).into_f64s()
             })
         });
-        let total: u64 = out.reports.iter().map(|r| r.total_sent_msgs()).sum();
+        let total: u64 = out.reports.iter().map(|r| r.commvol.sent_msgs()).sum();
         prop_assert_eq!(total, (roster.len() - 1) as u64);
         let root_at = roster.binary_search(&root).unwrap();
         for (r, (got, report)) in out.results.iter().zip(&out.reports).enumerate() {
@@ -155,7 +155,7 @@ proptest! {
             }
             // The roster reduction's messages are the ledger minus the
             // whole-communicator reduction's single send per non-root.
-            let sent: u64 = report.total_sent_msgs() - u64::from(r != root);
+            let sent: u64 = report.commvol.sent_msgs() - u64::from(r != root);
             let want = match roster.binary_search(&r) {
                 Ok(at) => u64::from(bcast_tree(roster.len(), root_at, at).0.is_some()),
                 Err(_) => 0,

@@ -40,7 +40,7 @@ fn ring_exchange_matches_threaded_bitwise() {
     // Simulated clocks and traffic are the same machine-level ledger.
     for (rt, re) in t.reports.iter().zip(&e.reports) {
         assert_eq!(rt.clock.to_bits(), re.clock.to_bits());
-        assert_eq!(rt.total_sent_msgs(), re.total_sent_msgs());
+        assert_eq!(rt.commvol.sent_msgs(), re.commvol.sent_msgs());
     }
 }
 

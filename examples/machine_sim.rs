@@ -56,7 +56,7 @@ fn main() {
             rep.clock,
             rep.t_comp,
             rep.t_comm,
-            rep.total_sent_words()
+            rep.commvol.sent_words()
         );
     }
     let s = out.summary();
@@ -64,7 +64,7 @@ fn main() {
         "\nmakespan = {:.6}s; max per-rank sent = {} words ({} in 'fact', {} in 'reduce')",
         s.makespan,
         s.max_sent_words,
-        salu::simgrid::TrafficSummary::max_sent_words_in(&out.reports, "fact"),
-        salu::simgrid::TrafficSummary::max_sent_words_in(&out.reports, "reduce"),
+        salu::simgrid::TrafficSummary::max_sent_in(&out.reports, "fact").1,
+        salu::simgrid::TrafficSummary::max_sent_in(&out.reports, "reduce").1,
     );
 }

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use salu::lu3d::{baseline_text, RunText};
 use salu::prelude::*;
 
 fn main() {
@@ -43,31 +44,29 @@ fn main() {
     let out = factor_and_solve(&prep, &cfg, Some(b.clone()));
 
     let x = out.x.as_ref().expect("solution");
-    let resid = prep.a.residual_inf(x, &b);
-    // Re-run factor-only so the timing comparison below excludes the solve
-    // phase on both sides (the paper times factorization only).
-    let fact3d = factor_only(&prep, &cfg);
+    let bmax = b.iter().fold(1.0f64, |m, v| m.max(v.abs()));
     println!(
-        "\n3D factorization on a {}x{}x{} grid:",
+        "\n3D factorization and solve on a {}x{}x{} grid:",
         cfg.pr, cfg.pc, cfg.pz
     );
     println!(
-        "  relative residual      = {:.2e}",
-        resid / b.iter().fold(1.0f64, |m, v| m.max(v.abs()))
+        "  residual |Ax-b|/|b|   = {:.2e}",
+        prep.a.residual_inf(x, &b) / bmax
     );
-    println!("  static pivot perturbs  = {}", out.perturbations);
-    println!(
-        "  simulated makespan     = {:.4} s (factorization)",
-        fact3d.makespan()
+    // Everything else is rendered from the run's account, as `salu` does.
+    let account = out.account();
+    print!(
+        "{}",
+        RunText::of(&account).expect("an account renders").summary
     );
-    println!("  W_fact (max per rank)  = {} words", fact3d.w_fact());
-    println!("  W_red  (max per rank)  = {} words", fact3d.w_red());
     println!(
-        "  peak factor storage    = {:.2} Mwords/rank",
-        fact3d.max_store_words as f64 / 1e6
+        "  peak factor storage   = {:.2} Mwords/rank",
+        out.max_store_words as f64 / 1e6
     );
 
-    // Compare with the 2D baseline on the same number of ranks (4x4x1).
+    // Compare with the 2D baseline on the same number of ranks (4x4x1). The
+    // speedup is over the 3D factorization alone: the paper times
+    // factorization only.
     let cfg2d = SolverConfig {
         pr: 4,
         pc: 4,
@@ -75,13 +74,10 @@ fn main() {
         model: TimeModel::edison_like(),
         ..Default::default()
     };
-    let base = factor_only(&prep, &cfg2d);
+    let base = factor_only(&prep, &cfg2d).account();
     println!("\n2D baseline on a 4x4 grid (same 16 ranks):");
-    println!("  simulated makespan     = {:.4} s", base.makespan());
-    println!("  W_fact (max per rank)  = {} words", base.w_fact());
-    println!(
-        "\nspeedup of 3D over 2D  = {:.2}x, communication reduction = {:.2}x",
-        base.makespan() / fact3d.makespan(),
-        base.w_fact() as f64 / (fact3d.w_fact() + fact3d.w_red()).max(1) as f64,
+    print!(
+        "{}",
+        baseline_text(&account, &base).expect("accounts render")
     );
 }

@@ -11,7 +11,9 @@
 //! salu --mtx path/to/matrix.mtx --grid 4x4x2 --maxsup 64
 //! ```
 
+use salu::lu3d::{baseline_text, RunText};
 use salu::prelude::*;
+use salu::simgrid::Json;
 use std::process::exit;
 
 struct Args {
@@ -66,11 +68,12 @@ fn usage() -> ! {
          \x20 --trace-out FILE   write a Chrome trace-event JSON of the run\n\
          \x20                    (open in ui.perfetto.dev) and print the\n\
          \x20                    critical-path attribution\n\
-         \x20 --run-out FILE     write the run document (salu-run/2) as JSON;\n\
-         \x20                    '-' = stdout: sim.{{metrics, memprof, commvol}} —\n\
-         \x20                    the merged metrics registry, the memory\n\
-         \x20                    ledgers and the wire ledgers, bitwise the same\n\
-         \x20                    on every host and backend — and host.{{sched,\n\
+         \x20 --run-out FILE     write the run document (salu-run/3) as JSON;\n\
+         \x20                    '-' = stdout: sim.{{run, metrics, memprof,\n\
+         \x20                    commvol}} — the run's clocks and counts, the\n\
+         \x20                    merged metrics registry, the memory ledgers and\n\
+         \x20                    the wire ledgers, bitwise the same on every\n\
+         \x20                    host and backend — and host.{{sched,\n\
          \x20                    hostprof}} — the event scheduler's counters\n\
          \x20                    (null under 'threaded' on P > 1) and the host-time\n\
          \x20                    profile, which this flag turns on; with\n\
@@ -241,12 +244,12 @@ fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
 /// Standalone offline-lint mode: check one trace, or two for determinism.
 /// Exit status 0 = clean, 1 = findings, 2 = unreadable input.
 fn lint_traces(paths: &[String]) -> ! {
-    let load = |path: &String| -> salu::simgrid::Json {
+    let load = |path: &String| -> Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("failed to read {path}: {e}");
             exit(2)
         });
-        salu::simgrid::Json::parse(&text).unwrap_or_else(|e| {
+        Json::parse(&text).unwrap_or_else(|e| {
             eprintln!("{path}: not valid JSON: {e}");
             exit(2)
         })
@@ -375,37 +378,24 @@ fn main() {
         "  residual |Ax-b|/|b|   = {:.2e}",
         prep.a.residual_inf(x, &b) / bmax
     );
-    println!("  pivot perturbations   = {}", out.perturbations);
-    println!("  simulated time        = {:.4} s", out.makespan());
-    println!(
-        "  W_fact / W_red        = {} / {} words per rank (max)",
-        out.w_fact(),
-        out.w_red()
-    );
-    println!(
-        "  peak memory per rank  = {:.2} MB (ledger high-water, max over ranks)",
-        out.max_peak_bytes() as f64 / 1e6
-    );
-    let summary = out.summary();
-    println!(
-        "  wire volume           = {} words total, {} max per rank; \
-         {} edges (max {} / mean {:.0} words)",
-        summary.total_sent_words,
-        out.max_rank_sent_words(),
-        summary.edges,
-        summary.max_edge_words,
-        summary.mean_edge_words,
-    );
-
+    let account = out.account();
+    let text = RunText::of(&account).expect("an account renders");
+    print!("{}", text.summary);
     if args.report {
-        print_report(&out);
+        print!("{}", text.digest_clock);
+        if let Some(cp) = out.critical_path() {
+            println!("{}", cp.render());
+        }
+        print!("{}", text.digest_ledgers);
     }
 
     if fault_plan.is_some() {
-        let m = out.metrics();
         println!("\nfault injection (seed {}):", args.fault_seed);
-        for (k, v) in m.counters.iter().filter(|(k, _)| k.starts_with("fault.")) {
-            println!("  {k:<30} = {v}");
+        let counters = account.at(&["sim", "metrics", "counters"]);
+        for (k, v) in counters.and_then(Json::as_obj).unwrap_or(&[]) {
+            if k.starts_with("fault.") {
+                println!("  {k:<30} = {}", v.as_f64().unwrap_or(0.0) as u64);
+            }
         }
         if !args.no_recover {
             // The recovery guarantee: faults with recovery shift clocks but
@@ -446,8 +436,8 @@ fn main() {
         }
     }
     if let Some(path) = &args.run_out {
-        let mut doc = salu::simgrid::run_document(&out.reports, out.sched.as_ref());
-        if let (salu::simgrid::Json::Obj(sections), Some((plan, audit))) = (&mut doc, &plan) {
+        let mut doc = out.with_ranks(account.clone());
+        if let (Json::Obj(sections), Some((plan, audit))) = (&mut doc, &plan) {
             sections.push(("plan".into(), salu::commplan::plan_json(plan, audit)));
         }
         emit_json(path, &doc, "run document");
@@ -502,17 +492,14 @@ fn main() {
     let baseline = if (args.compare_2d || args.conformance.is_some()) && pz > 1 {
         let salu::simgrid::Grid2d { pr: br, pc: bc } =
             salu::simgrid::Grid2d::near_square(pr * pc * pz);
-        let base = factor_only(
-            &prep,
-            &SolverConfig {
-                pr: br,
-                pc: bc,
-                pz: 1,
-                lookahead: args.lookahead,
-                ..Default::default()
-            },
-        );
-        Some((br, bc, base))
+        let base = SolverConfig {
+            pr: br,
+            pc: bc,
+            pz: 1,
+            lookahead: args.lookahead,
+            ..Default::default()
+        };
+        Some((br, bc, factor_only(&prep, &base).account()))
     } else {
         None
     };
@@ -520,16 +507,9 @@ fn main() {
     if args.compare_2d && pz > 1 {
         let (br, bc, base) = baseline.as_ref().unwrap();
         println!("\n2D baseline ({br} x {bc} x 1):");
-        println!("  simulated time        = {:.4} s", base.makespan());
-        println!(
-            "  W_fact                = {} words per rank (max)",
-            base.w_fact()
-        );
-        println!(
-            "  3D speedup            = {:.2}x   comm reduction = {:.2}x   memory overhead = {:+.0}%",
-            base.makespan() / out.factor_makespan,
-            base.w_fact() as f64 / (out.w_fact() + out.w_red()).max(1) as f64,
-            100.0 * (out.total_peak_bytes() as f64 / base.total_peak_bytes() as f64 - 1.0),
+        print!(
+            "{}",
+            baseline_text(&account, base).expect("accounts render")
         );
     }
 
@@ -537,23 +517,25 @@ fn main() {
         use salu::costmodel::{check_conformance, ConformanceInput};
         // Pz = 1: the 3D run *is* the 2D baseline, so the ratios are 1
         // on both sides and the report trivially passes.
+        let at = |doc: &Json, path: &[&str]| doc.num_at(path).expect("an account field");
+        let mem = |doc: &Json| at(doc, &["sim", "memprof", "max_peak_bytes"]) / 8.0;
+        let words = |doc: &Json, phase| at(doc, &["sim", "run", phase, "words"]);
+        let (mem3d_words, wz_words) = (mem(&account), words(&account, "reduce"));
+        let w3d_words = words(&account, "fact") + wz_words;
         let (mem2d_words, w2d_words) = match &baseline {
-            Some((_, _, base)) => (base.max_peak_bytes() as f64 / 8.0, base.w_fact() as f64),
-            None => (
-                out.max_peak_bytes() as f64 / 8.0,
-                (out.w_fact() + out.w_red()) as f64,
-            ),
+            Some((_, _, base)) => (mem(base), words(base, "fact")),
+            None => (mem3d_words, w3d_words),
         };
         let rep = check_conformance(ConformanceInput {
             n: prep.a.nrows as f64,
             p: (pr * pc * pz) as f64,
             pz: pz as f64,
             planar,
-            mem3d_words: out.max_peak_bytes() as f64 / 8.0,
+            mem3d_words,
             mem2d_words,
-            w3d_words: (out.w_fact() + out.w_red()) as f64,
+            w3d_words,
             w2d_words,
-            wz_words: out.w_red() as f64,
+            wz_words,
         });
         println!("\ncost-model conformance:");
         print!("{}", rep.render());
@@ -564,126 +546,8 @@ fn main() {
     }
 }
 
-/// The `--report` digest: every observability subsystem's headline numbers
-/// in one place — simulated critical path, the factor's and the solve's
-/// share of the clock and the wire, ledger memory by class, wire volume by
-/// class and axis, the Schur dispatch split, and the host-time phase
-/// breakdown.
-fn print_report(out: &salu::lu3d::Output3d) {
-    use salu::simgrid::{CommClass, GridAxis, HostPhase, MemClass};
-    println!("\n== run digest ==");
-    println!("simulated makespan      = {:.6} s", out.makespan());
-    println!(
-        "factor                  = {:.6} s simulated; W_fact / W_red = {} / {} words (max rank)",
-        out.factor_makespan,
-        out.w_fact(),
-        out.w_red()
-    );
-    if out.x.is_some() {
-        let solve_msgs = |r: &salu::simgrid::RankReport| -> u64 {
-            let solve = r.commvol.entries.iter().filter(|e| e.phase == "solve");
-            solve.map(|e| e.cell.msgs).sum()
-        };
-        println!(
-            "solve + refinement      = {:.6} s simulated; {} msgs / {} words (max rank); \
-             waves per forest level, root first: {:?}",
-            out.makespan() - out.factor_makespan,
-            out.reports.iter().map(solve_msgs).max().unwrap_or(0),
-            salu::simgrid::TrafficSummary::max_sent_words_in(&out.reports, "solve"),
-            out.solve_waves
-        );
-    }
-    if let Some(cp) = out.critical_path() {
-        println!("{}", cp.render());
-    }
-    println!(
-        "peak memory             = {:.2} MB max rank / {:.2} MB all ranks; at the peak instant, by class:",
-        out.max_peak_bytes() as f64 / 1e6,
-        out.total_peak_bytes() as f64 / 1e6
-    );
-    for class in MemClass::ALL {
-        let bytes = out.peak_class_bytes(class);
-        if bytes > 0 {
-            println!("  {:<22}= {:.2} MB", class.as_str(), bytes as f64 / 1e6);
-        }
-    }
-    let total_words: u64 = CommClass::ALL.iter().map(|&c| out.class_words(c)).sum();
-    println!("wire volume             = {total_words} words, by class:");
-    for class in CommClass::ALL {
-        let words = out.class_words(class);
-        if words > 0 {
-            println!("  {:<22}= {words} words", class.as_str());
-        }
-    }
-    println!(
-        "  by axis: {}",
-        GridAxis::ALL
-            .iter()
-            .map(|&ax| format!("{} {}", ax.as_str(), out.axis_words(ax)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let metrics = out.metrics();
-    // One sample per (rank, supernode) of a level the rank factors. The zero
-    // bucket holds the updates that applied nothing: those the rank has no
-    // share of, and those whose U piece is all zeros (zero scales are
-    // skipped and charge no flop).
-    let (samples, zero_flop) = metrics
-        .histogram("gemm.flops_per_supernode")
-        .map_or((0, 0), |h| {
-            (h.count, h.buckets.get(&i32::MIN).copied().unwrap_or(0))
-        });
-    let updates = samples - zero_flop;
-    let batched = metrics.counter("schur.batched_supernodes");
-    println!(
-        "schur updates           = {updates} (rank, supernode) updates: {batched} batched \
-         gather-GEMM-scatter, {} per-block; {zero_flop} zero-flop (no local share, or an \
-         all-zero U piece)",
-        updates.saturating_sub(batched)
-    );
-    if let Some(s) = &out.sched {
-        println!(
-            "event scheduler         = {} steps, {} matched wakeups, {} unmatched sends \
-             (no step each), {} quiescence resolution(s)",
-            s.steps, s.wakeups, s.unmatched_sends, s.quiescence_resolutions
-        );
-    }
-    let Some(reports) = out.hostprof_reports() else {
-        return;
-    };
-    let wall_sum: f64 = reports.iter().map(|r| r.wall_secs).sum();
-    let wall_max = reports.iter().fold(0.0f64, |m, r| m.max(r.wall_secs));
-    let flops: u64 = reports.iter().map(|r| r.flops).sum();
-    println!(
-        "host time               = {:.4} s max rank / {:.4} s all ranks \
-         ({:.2} Mflop/s effective), by phase:",
-        wall_max,
-        wall_sum,
-        if wall_max > 0.0 {
-            flops as f64 / wall_max / 1e6
-        } else {
-            0.0
-        }
-    );
-    for phase in HostPhase::ALL {
-        let secs: f64 = reports.iter().map(|r| r.phase_secs(phase)).sum();
-        if secs > 0.0 {
-            println!(
-                "  {:<22}= {:>9.4} s  ({:4.1}%)",
-                phase.as_str(),
-                secs,
-                if wall_sum > 0.0 {
-                    100.0 * secs / wall_sum
-                } else {
-                    0.0
-                }
-            );
-        }
-    }
-}
-
 /// Write a JSON document to `path`, or to stdout when `path` is `-`.
-fn emit_json(path: &str, doc: &salu::simgrid::Json, what: &str) {
+fn emit_json(path: &str, doc: &Json, what: &str) {
     if path == "-" {
         println!("{}", doc.pretty());
     } else {

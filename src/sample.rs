@@ -34,6 +34,6 @@ pub fn sample_output() -> Output3d {
 pub fn sample_artifacts() -> (String, String) {
     let out = sample_output();
     let trace = out.chrome_trace().expect("sample run traces").pretty();
-    let run = simgrid::run_document(&out.reports, out.sched.as_ref()).pretty();
+    let run = out.run_document().pretty();
     (trace, run)
 }

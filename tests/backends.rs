@@ -15,7 +15,7 @@ use commplan::{build_plan, check_plan, compare_with_measured};
 use lu3d::solver::{try_factor_only, SolverConfig};
 use lu3d::EtreeForest;
 use salu::prelude::*;
-use salu::simgrid::{run_document, Grid3d, SchedStats};
+use salu::simgrid::{Grid3d, SchedStats};
 use sparsemat::matgen;
 use sparsemat::Csr;
 
@@ -141,10 +141,7 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
 /// The `sim` section of a run's document, rendered: everything the
 /// simulation determines about the run, and nothing the host adds.
 fn sim_section(out: &Output3d) -> String {
-    run_document(&out.reports, out.sched.as_ref())
-        .get("sim")
-        .expect("sim section")
-        .pretty()
+    out.run_document().get("sim").expect("sim section").pretty()
 }
 
 /// Every simulated observable of a factor-only run is backend-independent,

@@ -75,13 +75,13 @@ fn recovered_chaos_run_is_bitwise_identical_to_fault_free() {
             m.counter("fault.resent_words") > 0,
             "{backend}: no retransmit volume"
         );
-        // (Only that sub-section of the run documents' `sim`: `metrics`
-        // carries the `fault.*` counters asserted above and `memprof` the
-        // simulated instant of each peak, which recovery shifts.)
+        // (Only that sub-section of the run documents' `sim`: `run` carries
+        // the makespans, `metrics` the `fault.*` counters asserted above and
+        // `memprof` the simulated instant of each peak, which recovery
+        // shifts.)
         let wire = |o: &Output3d| {
-            let doc = salu::simgrid::run_document(&o.reports, o.sched.as_ref());
-            let sim = doc.get("sim").expect("sim section");
-            sim.get("commvol").expect("wire section").pretty()
+            let doc = o.run_document();
+            doc.at(&["sim", "commvol"]).expect("wire section").pretty()
         };
         assert_eq!(
             wire(&faulted),

@@ -1,6 +1,8 @@
-//! The `salu` binary on inputs that used to panic between the reader and
-//! the ordering: every one ends in a one-line message and exit 1, or runs.
+//! The `salu` binary: inputs that used to panic between the reader and the
+//! ordering end in a one-line message and exit 1, or run; its flags; and
+//! its text, which is a rendering of the run document it writes.
 
+use salu::lu3d::RunText;
 use salu::simgrid::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -16,6 +18,21 @@ fn mtx_file(name: &str, text: &str) -> PathBuf {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, text).expect("scratch file written");
     path
+}
+
+/// The document `--run-out -` printed: the pretty-printed JSON is the only
+/// text between a line that is exactly `{` and one that is exactly `}`.
+fn document_in(stdout: &str) -> Json {
+    let lines: Vec<&str> = stdout.lines().collect();
+    let open = lines
+        .iter()
+        .position(|l| *l == "{")
+        .expect("document opens");
+    let close = lines
+        .iter()
+        .rposition(|l| *l == "}")
+        .expect("document closes");
+    Json::parse(&lines[open..=close].join("\n")).expect("document parses")
 }
 
 /// Exit 1 with exactly one line on stderr (so: no panic message, no
@@ -107,7 +124,7 @@ fn removed_flags_are_rejected() {
     }
 }
 
-/// `--run-out -` prints one `salu-run/2` document among the report lines:
+/// `--run-out -` prints one `salu-run/3` document among the report lines:
 /// the host-time profile is on because the flag turns it on, the scheduler
 /// counters are there exactly when a scheduler of ours ran.
 #[test]
@@ -130,44 +147,32 @@ fn run_out_prints_one_versioned_document() {
             "{backend}: stderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        // The pretty-printed document is the only text between a line that
-        // is exactly `{` and one that is exactly `}`.
-        let lines: Vec<&str> = stdout.lines().collect();
-        let open = lines
-            .iter()
-            .position(|l| *l == "{")
-            .expect("document opens");
-        let close = lines
-            .iter()
-            .rposition(|l| *l == "}")
-            .expect("document closes");
-        let doc = Json::parse(&lines[open..=close].join("\n"))
-            .unwrap_or_else(|e| panic!("{backend}: document does not parse: {e}"));
+        let doc = document_in(&stdout);
         assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("salu-run/2"),
+            doc.at(&["schema"]).and_then(Json::as_str),
+            Some("salu-run/3"),
             "{backend}"
         );
-        let sim = doc.get("sim").expect("sim section");
-        for section in ["metrics", "memprof", "commvol"] {
+        for section in ["run", "metrics", "memprof", "commvol"] {
             assert!(
-                sim.get(section).and_then(Json::as_obj).is_some(),
+                doc.at(&["sim", section]).and_then(Json::as_obj).is_some(),
                 "{backend}: sim.{section}"
             );
         }
-        let host = doc.get("host").expect("host section");
         assert!(
-            host.get("hostprof").and_then(Json::as_obj).is_some(),
+            doc.at(&["host", "hostprof"])
+                .and_then(Json::as_obj)
+                .is_some(),
             "{backend}: --run-out turns host profiling on"
         );
-        let sched = host.get("sched").expect("host.sched");
+        let sched = doc.at(&["host", "sched"]).expect("host.sched");
         if has_sched {
-            assert!(sched.get("steps").and_then(Json::as_f64).unwrap() > 0.0);
+            assert!(sched.num_at(&["steps"]).unwrap() > 0.0);
         } else {
             assert_eq!(sched, &Json::Null, "{backend}: the kernel scheduled");
         }
         assert!(
-            doc.get("plan").is_none(),
+            doc.at(&["plan"]).is_none(),
             "{backend}: no --plan-check, no plan"
         );
     }
@@ -203,31 +208,55 @@ fn report_counts_schur_updates_apart_from_no_local_share() {
         panic!("four counts in {line:?}");
     };
     assert_eq!(batched + per_block, updates, "{line}");
-    let lines: Vec<&str> = stdout.lines().collect();
-    let open = lines
-        .iter()
-        .position(|l| *l == "{")
-        .expect("document opens");
-    let close = lines
-        .iter()
-        .rposition(|l| *l == "}")
-        .expect("document closes");
-    let doc = Json::parse(&lines[open..=close].join("\n")).expect("document parses");
+    let doc = document_in(&stdout);
     let hist = doc
-        .get("sim")
-        .and_then(|s| s.get("metrics"))
-        .and_then(|m| m.get("histograms"))
-        .and_then(|h| h.get("gemm.flops_per_supernode"))
+        .at(&["sim", "metrics", "histograms", "gemm.flops_per_supernode"])
         .expect("the update histogram");
-    let count = hist.get("count").and_then(Json::as_f64).expect("count") as u64;
+    let count = hist.num_at(&["count"]).expect("count") as u64;
     let zeros = hist
-        .get("buckets")
+        .at(&["buckets"])
         .and_then(Json::as_arr)
         .expect("buckets")
         .iter()
-        .find(|b| b.get("ge").and_then(Json::as_str) == Some("0"))
-        .and_then(|b| b.get("count").and_then(Json::as_f64))
+        .find(|b| b.at(&["ge"]).and_then(Json::as_str) == Some("0"))
+        .and_then(|b| b.num_at(&["count"]).ok())
         .expect("a zero bucket: on 2x2 layers some rank has no share") as u64;
     assert_eq!((updates, zero_flop), (count - zeros, zeros), "{line}");
     assert!(updates > 0 && zero_flop > 0, "{line}");
+}
+
+/// The text is a function of the document: the run document `--run-out`
+/// writes, parsed back and rendered by the library, is the summary and the
+/// digest stdout shows, byte for byte, on both backends.
+#[test]
+fn printed_text_is_the_rendered_run_document() {
+    for backend in ["threaded", "event"] {
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{backend}.json"));
+        let args = "--gen grid2d:16 --grid 2x2x2 --refine 2 --report --backend";
+        let mut args: Vec<&str> = args.split(' ').collect();
+        args.extend([backend, "--run-out", path.to_str().unwrap()]);
+        let out = salu(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = Json::parse(&std::fs::read_to_string(&path).expect("document written"));
+        let text = RunText::of(&doc.expect("document parses")).expect("the document renders");
+        for block in [&text.summary, &text.digest_clock, &text.digest_ledgers] {
+            assert!(
+                stdout.contains(block.as_str()),
+                "{backend}: not in stdout:\n{block}"
+            );
+        }
+        // The blocks carry the run's own lines.
+        assert!(
+            text.digest_clock.contains("solve + refinement"),
+            "{backend}"
+        );
+        assert!(text.digest_ledgers.contains("host time"), "{backend}");
+        let has_sched = text.digest_ledgers.contains("event scheduler");
+        assert_eq!(has_sched, backend == "event");
+    }
 }

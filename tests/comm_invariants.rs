@@ -143,18 +143,25 @@ fn measured_per_rank_volume_falls_with_pz_planar() {
 
 #[test]
 fn wire_classes_and_axes_cover_the_algorithm() {
-    use salu::simgrid::{CommClass, GridAxis};
     let tm = test_matrix("k2d5pt", Scale::Tiny);
+    let words = |out: &Output3d, path: &[&str]| {
+        let wire = out.account();
+        wire.at(&["sim", "commvol"]).unwrap().num_at(path).unwrap()
+    };
     let out = run(&tm, 8, 2);
     // A 3D factorization ships L panels, U panels, and z reductions.
-    for class in [CommClass::LPanel, CommClass::UPanel, CommClass::ZReduction] {
-        assert!(out.class_words(class) > 0, "no {class:?} traffic charged");
+    for class in ["LPanel", "UPanel", "ZReduction"] {
+        let sent = words(&out, &["by_class", class, "words"]);
+        assert!(sent > 0.0, "no {class} traffic charged");
     }
-    assert!(out.axis_words(GridAxis::Z) > 0, "no z-axis words at Pz=2");
+    assert!(
+        words(&out, &["by_axis", "z"]) > 0.0,
+        "no z-axis words at Pz=2"
+    );
     // Pure 2D runs have neither z-axis edges nor reduction payloads.
     let flat = run(&tm, 8, 1);
-    assert_eq!(flat.class_words(CommClass::ZReduction), 0);
-    assert_eq!(flat.axis_words(GridAxis::Z), 0);
+    assert_eq!(words(&flat, &["by_class", "ZReduction", "words"]), 0.0);
+    assert_eq!(words(&flat, &["by_axis", "z"]), 0.0);
 }
 
 #[test]

@@ -28,10 +28,7 @@ fn run_on(backend: Backend) -> (Vec<f64>, String, String) {
     let trace = out.chrome_trace().expect("tracing was on").pretty();
     // Everything the simulation determines besides the timeline: merged
     // metrics, memory ledgers, wire ledgers.
-    let sim = salu::simgrid::run_document(&out.reports, out.sched.as_ref())
-        .get("sim")
-        .expect("sim section")
-        .pretty();
+    let sim = out.run_document().get("sim").expect("sim section").pretty();
     let x = out.x.expect("solution");
     (x, trace, sim)
 }

@@ -4,7 +4,13 @@
 
 use salu::prelude::*;
 use salu::simgrid::obs::validate_chrome_trace;
-use salu::simgrid::{run_document, HostPhase, Json};
+use salu::simgrid::{HostPhase, HostReport, Json};
+
+/// Every rank's host profile; panics unless the run was profiled.
+fn host_reports(out: &Output3d) -> Vec<&HostReport> {
+    let reports = out.reports.iter().map(|r| r.hostprof.as_ref());
+    reports.collect::<Option<_>>().expect("profiling was on")
+}
 
 fn pinned_run(host_profiling: bool, tracing: bool) -> Output3d {
     let nx = 16;
@@ -53,19 +59,13 @@ fn attribution_sums_to_wall_on_every_rank() {
         );
     }
     // Some rank did panel work and the solve phases ran somewhere.
-    let total = |p: HostPhase| -> f64 {
-        out.hostprof_reports()
-            .unwrap()
-            .iter()
-            .map(|r| r.phase_secs(p))
-            .sum()
-    };
+    let total = |p: HostPhase| -> f64 { host_reports(&out).iter().map(|r| r.phase_secs(p)).sum() };
     assert!(total(HostPhase::PanelFactor) > 0.0);
     assert!(total(HostPhase::SolveFwd) > 0.0);
     assert!(total(HostPhase::SolveBwd) > 0.0);
     // Every rank takes part in the allreduce that assembles x; were its
     // scope missing from `HostPhase::ALL`, the sum above would fall short.
-    for hp in out.hostprof_reports().unwrap() {
+    for hp in host_reports(&out) {
         assert!(hp.phase_secs(HostPhase::Refine) > 0.0);
     }
 }
@@ -84,9 +84,8 @@ fn profiling_never_perturbs_the_factors() {
         "host profiling changed the simulated clock"
     );
     assert!(plain.reports.iter().all(|r| r.hostprof.is_none()));
-    let doc = run_document(&plain.reports, plain.sched.as_ref());
     assert_eq!(
-        doc.get("host").and_then(|h| h.get("hostprof")),
+        plain.run_document().at(&["host", "hostprof"]),
         Some(&Json::Null),
         "an unprofiled run's document claims no host-time profile"
     );
@@ -117,7 +116,7 @@ fn the_contract_holds_under_the_event_backend() {
     let (profiled, machine_wall) = run(true);
     let (plain, _) = run(false);
 
-    let reports = profiled.hostprof_reports().expect("profiling was on");
+    let reports = host_reports(&profiled);
     assert_eq!(reports.len(), 16);
     for (rank, hp) in reports.iter().enumerate() {
         assert!(hp.wall_secs > 0.0, "rank {rank} wall");
@@ -152,13 +151,9 @@ fn the_contract_holds_under_the_event_backend() {
 #[test]
 fn hostprof_document_is_well_formed() {
     let out = pinned_run(true, false);
-    let doc = run_document(&out.reports, out.sched.as_ref());
-    let doc = Json::parse(&doc.pretty()).expect("emitted JSON parses back");
-    let doc = doc
-        .get("host")
-        .and_then(|h| h.get("hostprof"))
-        .expect("profiling was on");
-    let ranks = doc.get("ranks").and_then(Json::as_arr).unwrap();
+    let doc = Json::parse(&out.run_document().pretty()).expect("emitted JSON parses back");
+    let doc = doc.at(&["host", "hostprof"]).expect("profiling was on");
+    let ranks = doc.at(&["ranks"]).and_then(Json::as_arr).unwrap();
     assert_eq!(ranks.len(), 8, "one entry per rank");
     // Each rank states its own host quantities once: its words are in
     // `sim.commvol` and its paths in `folded_stacks`.
@@ -169,9 +164,14 @@ fn hostprof_document_is_well_formed() {
             "{entry:?}"
         );
     }
-    assert!(doc.get("max_wall_secs").and_then(Json::as_f64).unwrap() > 0.0);
+    assert!(doc.num_at(&["max_wall_secs"]).unwrap() > 0.0);
+    // The one machine-wide host rate: flops over compute seconds summed.
+    let host = host_reports(&out);
+    let flops: u64 = host.iter().map(|r| r.flops).sum();
+    let compute: f64 = host.iter().map(|r| r.compute_secs()).sum();
+    assert_eq!(doc.num_at(&["flop_rate"]), Ok(flops as f64 / compute));
     let folded = doc
-        .get("folded_stacks")
+        .at(&["folded_stacks"])
         .and_then(Json::as_str)
         .expect("folded stacks text");
     assert!(folded.contains("rank 0;"), "folded stacks name ranks");
@@ -183,11 +183,11 @@ fn host_counter_tracks_appear_only_when_both_flags_are_on() {
     let doc = both.chrome_trace().expect("tracing was on");
     validate_chrome_trace(&doc).expect("trace validates with host counters");
     let has_host_track = |doc: &Json| {
-        doc.get("traceEvents")
+        doc.at(&["traceEvents"])
             .and_then(Json::as_arr)
             .unwrap()
             .iter()
-            .any(|e| e.get("cat").and_then(Json::as_str) == Some("host"))
+            .any(|e| e.at(&["cat"]).and_then(Json::as_str) == Some("host"))
     };
     assert!(has_host_track(&doc), "host counter tracks in the trace");
     // Tracing without host profiling keeps the golden trace shape: no

@@ -139,17 +139,19 @@ fn sample_artifacts_match_pinned_goldens() {
         want_trace.contains("\"wire rank 0\""),
         "sample trace must carry wire counter tracks"
     );
-    // The pinned document is a `salu-run/2` whose wire section names every
+    // The pinned document is a `salu-run/3` whose wire section names every
     // class and axis it charges.
     let doc = Json::parse(&want_run).unwrap();
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("salu-run/2"));
-    let host = doc.get("host").unwrap();
-    assert_eq!(host.get("sched"), Some(&Json::Null));
-    assert_eq!(host.get("hostprof"), Some(&Json::Null));
-    let wire = doc.get("sim").unwrap().get("commvol").unwrap();
-    assert!(wire.get("total_sent_words").unwrap().as_f64().unwrap() > 0.0);
-    assert!(wire.get("by_class").unwrap().get("LPanel").is_some());
-    assert!(wire.get("by_axis").unwrap().get("z").is_some());
+    assert_eq!(
+        doc.at(&["schema"]).and_then(Json::as_str),
+        Some("salu-run/3")
+    );
+    assert_eq!(doc.at(&["host", "sched"]), Some(&Json::Null));
+    assert_eq!(doc.at(&["host", "hostprof"]), Some(&Json::Null));
+    let wire = doc.at(&["sim", "commvol"]).unwrap();
+    assert!(wire.num_at(&["total_sent_words"]).unwrap() > 0.0);
+    assert!(wire.at(&["by_class", "LPanel"]).is_some());
+    assert!(wire.at(&["by_axis", "z"]).is_some());
 }
 
 #[test]
@@ -172,11 +174,10 @@ fn memory_peak_attribution_sums_to_peak_on_every_rank() {
 
 #[test]
 fn ancestor_replica_footprint_grows_with_pz() {
-    use salu::simgrid::MemClass;
     let nx = 24;
     let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
     let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
-    let mut prev = 0u64;
+    let mut prev = 0.0;
     for pz in [1usize, 2, 4, 8] {
         let out = factor_only(
             &prep,
@@ -188,13 +189,14 @@ fn ancestor_replica_footprint_grows_with_pz() {
                 ..Default::default()
             },
         );
-        let bytes = out.peak_class_bytes(MemClass::AncestorReplica);
+        let path = ["sim", "memprof", "peak_by_class", "AncestorReplica"];
+        let bytes = out.account().num_at(&path).unwrap();
         assert!(
             bytes >= prev,
             "AncestorReplica shrank from {prev} to {bytes} at Pz={pz}"
         );
         if pz > 1 {
-            assert!(bytes > 0, "replication must appear at Pz={pz}");
+            assert!(bytes > 0.0, "replication must appear at Pz={pz}");
         }
         prev = bytes;
     }

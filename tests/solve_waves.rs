@@ -7,7 +7,7 @@ mod solve_traffic;
 
 use salu::lu3d::solve3d::SolvePlan;
 use salu::prelude::*;
-use salu::simgrid::{run_document, Grid3d};
+use salu::simgrid::Grid3d;
 use salu::slu2d::solve2d::{Rosters, SolveLayout};
 use salu::slu2d::store::{BlockStore, InitValues};
 use salu::slu2d::{seq_factor, seq_solve};
@@ -126,10 +126,7 @@ fn relative_distance(x: &[f64], y: &[f64]) -> f64 {
 }
 
 fn sim_section(out: &Output3d) -> String {
-    run_document(&out.reports, out.sched.as_ref())
-        .get("sim")
-        .expect("sim section")
-        .pretty()
+    out.run_document().get("sim").expect("sim section").pretty()
 }
 
 /// The solve's ledger is the count from its plan — batch rosters, z-line
