@@ -407,9 +407,8 @@ mod tests {
             spec: "grid2d:4".into()
         })
         .is_ok());
-        assert!(build_matrix(&MatrixSource::Gen {
-            spec: "nope:4".into()
-        })
-        .is_err());
+        for spec in ["nope:4", "grid2d:0", "kkt:0"] {
+            assert!(build_matrix(&MatrixSource::Gen { spec: spec.into() }).is_err());
+        }
     }
 }

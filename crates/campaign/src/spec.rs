@@ -336,10 +336,14 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
                 .max(1),
         ),
     };
+    let maxsup = single_usize(t, "maxsup", DEFAULT_PIN as usize)?;
+    if maxsup == 0 {
+        return Err("maxsup must be at least 1: a supernode holds at least one column".into());
+    }
     Ok(PointSpec {
         matrix,
         leaf: single_usize(t, "leaf", DEFAULT_PIN as usize)?,
-        maxsup: single_usize(t, "maxsup", DEFAULT_PIN as usize)?,
+        maxsup,
         p,
         pz,
         lookahead,
@@ -483,6 +487,10 @@ pz = [2, 3]
             (
                 "matrix = \"k2d5pt\"\nscale = \"huge\"",
                 "unknown scale 'huge'".into(),
+            ),
+            (
+                "matrix = \"k2d5pt\"\nmaxsup = 0",
+                "maxsup must be at least 1".into(),
             ),
         ] {
             let e = CampaignSpec::parse(&format!(

@@ -60,10 +60,11 @@ pub fn chrome_trace(obs: &[RankObs]) -> Json {
             if a.words > 0 {
                 args.push(("words".into(), Json::num(a.words as f64)));
             }
-            // Message identity for the offline commcheck linter: pairing,
-            // FIFO order, and collective participation are all derived
-            // from (uid, ctx, tag). A wire tag spans 63 bits, more than an
-            // f64 holds exactly, so it travels as a hex string.
+            // Message identity: the uid pairs a send with its receive (the
+            // flow arrows below, and `validate_chrome_trace`); ctx and tag
+            // name the slot it was matched under. A wire tag spans 63
+            // bits, more than an f64 holds exactly, so it travels as a hex
+            // string.
             if let Some(m) = a.msg {
                 args.push(("uid".into(), Json::num(m.uid as f64)));
                 args.push(("ctx".into(), Json::num(m.ctx as f64)));
@@ -202,9 +203,23 @@ pub struct ChromeTraceStats {
     pub counter_events: usize,
 }
 
+/// One end of a message: the `send` or `recv` activity slice carrying its
+/// uid.
+#[derive(Clone, Copy)]
+struct MsgEnd {
+    tid: i64,
+    ts: f64,
+    end: f64,
+    words: f64,
+}
+
 /// Validate a parsed Chrome trace document: required fields on every
-/// event, strictly nested (never partially overlapping) `"X"` slices per
-/// track, and every flow-finish matched by a flow-start with the same id.
+/// event, finite times, strictly nested (never partially overlapping)
+/// `"X"` slices per track, every flow-finish matched by a flow-start with
+/// the same id, and every message uid on exactly one `send` and one `recv`
+/// slice with equal words, the receive not ending before the send starts.
+/// `resend` slices (retransmits and recovered duplicates) carry no uid and
+/// are not messages.
 pub fn validate_chrome_trace(doc: &Json) -> Result<ChromeTraceStats, String> {
     let events = doc
         .get("traceEvents")
@@ -218,6 +233,8 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<ChromeTraceStats, String> {
     let mut slices: BTreeMap<i64, Vec<(f64, f64)>> = BTreeMap::new();
     let mut flow_starts: HashSet<i64> = HashSet::new();
     let mut flow_ends: Vec<i64> = Vec::new();
+    // uid -> [send, recv]
+    let mut msgs: BTreeMap<u64, [Option<MsgEnd>; 2]> = BTreeMap::new();
 
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
@@ -238,13 +255,34 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<ChromeTraceStats, String> {
                     .get("dur")
                     .and_then(|d| d.as_f64())
                     .ok_or_else(|| format!("event {i}: X without dur"))?;
-                if ev.get("name").and_then(|n| n.as_str()).is_none() {
-                    return Err(format!("event {i}: X without name"));
+                let name = ev
+                    .get("name")
+                    .and_then(|n| n.as_str())
+                    .ok_or_else(|| format!("event {i}: X without name"))?;
+                if !ts.is_finite() || !dur.is_finite() {
+                    return Err(format!("event {i}: non-finite ts {ts} or dur {dur}"));
                 }
                 if dur < 0.0 {
                     return Err(format!("event {i}: negative duration"));
                 }
                 slices.entry(tid).or_default().push((ts, dur));
+                let side = match (ev.get("cat").and_then(|c| c.as_str()), name) {
+                    (Some("activity"), "send") => 0,
+                    (Some("activity"), "recv") => 1,
+                    _ => continue,
+                };
+                let arg = |k| ev.get("args")?.get(k)?.as_f64();
+                let Some(uid) = arg("uid") else { continue };
+                let slot = &mut msgs.entry(uid as u64).or_default()[side];
+                if slot.is_some() {
+                    return Err(format!("event {i}: message {uid} has a second {name}"));
+                }
+                *slot = Some(MsgEnd {
+                    tid,
+                    ts,
+                    end: ts + dur,
+                    words: arg("words").unwrap_or(0.0),
+                });
             }
             "s" => {
                 let id = ev
@@ -290,11 +328,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<ChromeTraceStats, String> {
     // Slice containment per track: sort by (ts asc, dur desc) and sweep a
     // stack. A slice must either start after the top ends or end within it.
     for (tid, track) in slices.iter_mut() {
-        track.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap()
-                .then(b.1.partial_cmp(&a.1).unwrap())
-        });
+        track.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
         let mut stack: Vec<(f64, f64)> = Vec::new();
         for &(ts, dur) in track.iter() {
             let end = ts + dur;
@@ -326,6 +360,22 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<ChromeTraceStats, String> {
         }
     }
     stats.flow_pairs = flow_ends.len();
+
+    for (uid, ends) in &msgs {
+        let problem = match ends {
+            [Some(s), Some(r)] if s.words != r.words => {
+                format!("sent {} words but received {}", s.words, r.words)
+            }
+            [Some(s), Some(r)] if r.end < s.ts - 1e-6 * (1.0 + s.ts.abs()) => format!(
+                "receive on track {} ends at {} before its send on track {} starts at {}",
+                r.tid, r.end, s.tid, s.ts
+            ),
+            [Some(s), None] => format!("sent on track {} but never received", s.tid),
+            [None, Some(r)] => format!("received on track {} but never sent", r.tid),
+            _ => continue,
+        };
+        return Err(format!("message {uid}: {problem}"));
+    }
     Ok(stats)
 }
 
@@ -396,29 +446,74 @@ mod tests {
         validate_chrome_trace(&back).unwrap();
     }
 
-    #[test]
-    fn unreceived_send_gets_no_flow_start() {
+    fn msg(uid: u64) -> Option<MsgInfo> {
+        Some(MsgInfo {
+            uid,
+            ctx: 0,
+            tag: 1,
+            class: CommClass::Control,
+        })
+    }
+
+    /// Message 1: rank 0 sends `sent` words over `[t_send, t_send + 1)`,
+    /// rank 1 receives `recvd` words over `[t_recv, t_recv + 0.5)`.
+    fn one_message(t_send: f64, sent: u64, t_recv: f64, recvd: u64) -> Json {
         let mut r0 = Recorder::new(0);
         r0.activity(
             ActivityKind::Send,
-            0.0,
-            1.0,
+            t_send,
+            t_send + 1.0,
             Some(1),
-            8,
-            Some(MsgInfo {
-                uid: 99,
-                ctx: 0,
-                tag: 1,
-                class: CommClass::Control,
-            }),
+            sent,
+            msg(1),
         );
+        let mut r1 = Recorder::new(1);
+        r1.activity(
+            ActivityKind::Recv,
+            t_recv,
+            t_recv + 0.5,
+            Some(0),
+            recvd,
+            msg(1),
+        );
+        chrome_trace(&[r0.finish(t_send + 1.0), r1.finish(t_recv + 0.5)])
+    }
+
+    #[test]
+    fn unreceived_send_is_a_leak_finding() {
+        let mut r0 = Recorder::new(0);
+        r0.activity(ActivityKind::Send, 0.0, 1.0, Some(1), 8, msg(99));
         let doc = chrome_trace(&[r0.finish(1.0)]);
-        let stats = validate_chrome_trace(&doc).unwrap();
-        assert_eq!(stats.flow_pairs, 0);
+        // The exporter draws no arrow to nowhere...
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(events
             .iter()
             .all(|e| e.get("ph").unwrap().as_str() != Some("s")));
+        // ...and the validator names the leaked message.
+        let err = validate_chrome_trace(&doc).unwrap_err();
+        assert!(
+            err.contains("message 99") && err.contains("never received"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn causality_violation_is_reported() {
+        // The receive completes at t=1, before the send started at t=5.
+        let err = validate_chrome_trace(&one_message(5.0, 8, 0.5, 8)).unwrap_err();
+        assert!(err.contains("before its send"), "{err}");
+    }
+
+    #[test]
+    fn unequal_words_are_reported() {
+        let err = validate_chrome_trace(&one_message(0.0, 16, 1.0, 8)).unwrap_err();
+        assert!(err.contains("sent 16 words"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_time_is_an_error_not_a_panic() {
+        let err = validate_chrome_trace(&one_message(f64::NAN, 8, 1.0, 8)).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
     }
 
     #[test]
@@ -458,22 +553,30 @@ mod tests {
     fn wire_counter_track_is_cumulative_per_class() {
         // Visible sends with words are samples; a transport-internal send
         // (no message identity) and a zero-word one are not.
-        let mut r0 = Recorder::new(0);
+        // Rank 1 receives every message, so the document is a valid run.
+        let (mut r0, mut r1) = (Recorder::new(0), Recorder::new(1));
+        let mut uid = 0;
         let mut send = |t: f64, words: u64, class: Option<CommClass>| {
-            let msg = class.map(|class| MsgInfo {
-                uid: t as u64,
-                ctx: 0,
-                tag: 1,
-                class,
+            let msg = class.map(|class| {
+                uid += 1;
+                MsgInfo {
+                    uid,
+                    ctx: 0,
+                    tag: 1,
+                    class,
+                }
             });
             r0.activity(ActivityKind::Send, t, t + 0.5, Some(1), words, msg);
+            if msg.is_some() {
+                r1.activity(ActivityKind::Recv, t, t + 0.5, Some(0), words, msg);
+            }
         };
         send(0.0, 16, Some(CommClass::LPanel));
         send(1.0, 4, Some(CommClass::LPanel));
         send(1.0, 10, Some(CommClass::ZReduction));
         send(2.0, 99, None);
         send(3.0, 0, Some(CommClass::Collective));
-        let doc = chrome_trace(&[r0.finish(3.5)]);
+        let doc = chrome_trace(&[r0.finish(3.5), r1.finish(3.5)]);
         let stats = validate_chrome_trace(&doc).unwrap();
         assert_eq!(stats.counter_events, 2, "two distinct timestamps");
         let back = Json::parse(&doc.dump()).unwrap();

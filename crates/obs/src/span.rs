@@ -94,9 +94,9 @@ impl ActivityKind {
 
 /// Identity of the message behind a point-to-point activity: the
 /// machine-unique id linking a Send to its Recv, plus the communicator
-/// context and tag the message was matched under. The offline trace
-/// linter (`commcheck`) reconstructs send↔recv pairing and per-`(ctx,
-/// tag)` FIFO order from these fields. Only algorithmic messages have one:
+/// context and tag the message was matched under. The trace validator
+/// (`validate_chrome_trace`) pairs each send with its receive by uid.
+/// Only algorithmic messages have one:
 /// transport-internal sends (recovered retransmits and duplicates) do not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MsgInfo {

@@ -249,13 +249,17 @@ impl FaultPlan {
     /// ```
     ///
     /// Example: `drop:p=0.05,src=1,dst=0;delay:p=0.2,secs=1e-4;stall:rank=2,at=0.01,secs=0.5`.
-    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
+    pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::seeded(seed);
         for clause in spec.split(';').filter(|c| !c.trim().is_empty()) {
             let clause = clause.trim();
+            let err = |reason: String| FaultSpecError {
+                clause: clause.to_string(),
+                reason,
+            };
             let (kind, body) = clause
                 .split_once(':')
-                .ok_or_else(|| format!("fault clause `{clause}` is missing `kind:`"))?;
+                .ok_or_else(|| err("missing `kind:`".into()))?;
             let mut p = None;
             let mut secs = None;
             let mut factor = None;
@@ -265,8 +269,8 @@ impl FaultPlan {
             for kv in body.split(',').filter(|s| !s.trim().is_empty()) {
                 let (k, v) = kv
                     .split_once('=')
-                    .ok_or_else(|| format!("fault clause `{clause}`: `{kv}` is not key=value"))?;
-                let bad = |what: &str| format!("fault clause `{clause}`: bad {what} `{v}`");
+                    .ok_or_else(|| err(format!("`{kv}` is not key=value")))?;
+                let bad = |what: &str| err(format!("bad {what} `{v}`"));
                 match k.trim() {
                     "p" => p = Some(v.parse::<f64>().map_err(|_| bad("probability"))?),
                     "secs" => secs = Some(v.parse::<f64>().map_err(|_| bad("seconds"))?),
@@ -277,42 +281,76 @@ impl FaultPlan {
                     "dst" => edge.dst = Some(v.parse().map_err(|_| bad("dst"))?),
                     "ctx" => edge.ctx = Some(v.parse().map_err(|_| bad("ctx"))?),
                     "tag" => edge.tag = Some(v.parse().map_err(|_| bad("tag"))?),
-                    other => return Err(format!("fault clause `{clause}`: unknown key `{other}`")),
+                    other => return Err(err(format!("unknown key `{other}`"))),
                 }
             }
-            let need_p = || p.ok_or_else(|| format!("fault clause `{clause}` needs p="));
+            // A value outside its range would run clocks backwards or
+            // collapse them, not fault the run.
+            let ranges = [
+                ("p", p.filter(|x| !(0.0..=1.0).contains(x)), "in [0, 1]"),
+                (
+                    "secs",
+                    secs.filter(|x| !(*x >= 0.0 && x.is_finite())),
+                    "finite, >= 0",
+                ),
+                ("at", at.filter(|x| !x.is_finite()), "finite"),
+                (
+                    "factor",
+                    factor.filter(|x| !(*x > 0.0 && x.is_finite())),
+                    "finite, > 0",
+                ),
+            ];
+            if let Some((key, Some(x), want)) = ranges.into_iter().find(|r| r.1.is_some()) {
+                return Err(err(format!("{key}={x} must be {want}")));
+            }
+            let need = |v: Option<f64>, key: &str| v.ok_or_else(|| err(format!("needs {key}=")));
             match kind.trim() {
                 "drop" => plan.rules.push(FaultRule {
                     edge,
-                    action: FaultAction::Drop { p: need_p()? },
+                    action: FaultAction::Drop { p: need(p, "p")? },
                 }),
                 "dup" => plan.rules.push(FaultRule {
                     edge,
-                    action: FaultAction::Dup { p: need_p()? },
+                    action: FaultAction::Dup { p: need(p, "p")? },
                 }),
                 "delay" => plan.rules.push(FaultRule {
                     edge,
                     action: FaultAction::Delay {
-                        p: need_p()?,
-                        secs: secs.ok_or_else(|| format!("fault clause `{clause}` needs secs="))?,
+                        p: need(p, "p")?,
+                        secs: need(secs, "secs")?,
                     },
                 }),
                 "stall" => plan.stalls.push(StallRule {
-                    rank: rank.ok_or_else(|| format!("fault clause `{clause}` needs rank="))?,
-                    at: at.ok_or_else(|| format!("fault clause `{clause}` needs at="))?,
-                    secs: secs.ok_or_else(|| format!("fault clause `{clause}` needs secs="))?,
+                    rank: rank.ok_or_else(|| err("needs rank=".into()))?,
+                    at: need(at, "at")?,
+                    secs: need(secs, "secs")?,
                 }),
                 "degrade" => plan.links.push(LinkRule {
                     edge,
-                    factor: factor
-                        .ok_or_else(|| format!("fault clause `{clause}` needs factor="))?,
+                    factor: need(factor, "factor")?,
                 }),
-                other => return Err(format!("unknown fault kind `{other}` in `{clause}`")),
+                other => return Err(err(format!("unknown fault kind `{other}`"))),
             }
         }
         Ok(plan)
     }
 }
+
+/// A fault spec [`FaultPlan::parse`] refuses: the clause, and what is
+/// wrong with it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultSpecError {
+    pub clause: String,
+    pub reason: String,
+}
+
+impl fmt::Display for FaultSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "fault clause `{}`: {}", self.clause, self.reason)
+    }
+}
+
+impl std::error::Error for FaultSpecError {}
 
 /// Recovery ([`crate::Machine::with_recovery`]): simulated seconds a sender
 /// waits for the (implicit) ack before the first retransmission.
@@ -772,6 +810,28 @@ mod tests {
                 "`{bad}` must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn parse_refuses_values_the_injector_cannot_apply() {
+        for (spec, clause) in [
+            ("delay:p=0.5,secs=-1", "delay:p=0.5,secs=-1"),
+            ("drop:p=0.1;degrade:factor=-5", "degrade:factor=-5"),
+            ("drop:p=2", "drop:p=2"),
+            ("drop:p=nan", "drop:p=nan"),
+            ("stall:rank=1,at=0,secs=-1", "stall:rank=1,at=0,secs=-1"),
+            ("stall:rank=1,at=nan,secs=1", "stall:rank=1,at=nan,secs=1"),
+        ] {
+            let err = FaultPlan::parse(spec, 0).expect_err(spec);
+            assert_eq!(err.clause, clause, "{spec}: {err}");
+            assert!(err.to_string().contains("must be"), "{spec}: {err}");
+        }
+        // The edges of each range are faults the injector applies.
+        FaultPlan::parse(
+            "drop:p=0;dup:p=1;delay:p=1,secs=0;stall:rank=0,at=-1,secs=0",
+            0,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub use backend::{Backend, SchedStats};
 pub use blocking::BlockingRank;
 pub use comm::Comm;
 pub use faultlab::{
-    EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, LinkRule,
-    MachineFailure, RankFailure, RecvError, StallRule, UnreceivedMsg,
+    EdgeFilter, FailKind, FailureBoard, FaultAction, FaultPlan, FaultRule, FaultSpecError,
+    LinkRule, MachineFailure, RankFailure, RecvError, StallRule, UnreceivedMsg,
 };
 pub use machine::{Machine, RunResult};
 pub use payload::{KindMismatch, Packed, PackedBlock, Payload, PayloadKind};

@@ -417,6 +417,11 @@ pub fn from_spec(spec: &str, unsym: f64) -> Result<(Csr, Geometry), String> {
     let k: usize = size
         .parse()
         .map_err(|_| format!("bad size in generator spec '{spec}'"))?;
+    if k == 0 {
+        return Err(format!(
+            "size 0 in generator spec '{spec}': the matrix would be empty"
+        ));
+    }
     let planar = Geometry::Grid2d { nx: k, ny: k };
     let cube = Geometry::Grid3d {
         nx: k,
@@ -571,6 +576,8 @@ mod tests {
             ("nope:4", "unknown generator kind 'nope'"),
             ("grid2d", "expected KIND:SIZE"),
             ("grid2d:x", "bad size"),
+            ("grid2d:0", "size 0"),
+            ("kkt:0", "size 0"),
         ] {
             let err = from_spec(spec, 0.1).expect_err(spec);
             assert!(err.contains(needle), "{spec}: {err}");

@@ -32,11 +32,10 @@ struct Args {
     plan_check: bool,
     conformance: Option<String>,
     backend: Backend,
-    faults: Option<String>,
+    fault_plan: Option<FaultPlan>,
     fault_seed: u64,
     no_recover: bool,
     recv_deadline: Option<f64>,
-    lint_trace: Vec<String>,
 }
 
 fn usage() -> ! {
@@ -115,14 +114,7 @@ fn usage() -> ! {
          \x20                    docs/commcheck.md)\n\
          \x20 --recv-deadline S  simulated-time receive deadline in seconds;\n\
          \x20                    a later-arriving message fails the rank with\n\
-         \x20                    a structured phase/supernode error\n\
-         \n\
-         standalone (no matrix needed):\n\
-         \x20 --lint-trace FILE  offline-lint a trace written by --trace-out:\n\
-         \x20                    send/recv pairing, per-(ctx,tag) FIFO order,\n\
-         \x20                    collective participation. Give the flag twice\n\
-         \x20                    to also check two runs for determinism.\n\
-         \x20                    Exit 1 on findings."
+         \x20                    a structured phase/supernode error"
     );
     exit(2)
 }
@@ -144,12 +136,12 @@ fn parse_args() -> Args {
         plan_check: false,
         conformance: None,
         backend: Backend::Threaded,
-        faults: None,
+        fault_plan: None,
         fault_seed: 1,
         no_recover: false,
         recv_deadline: None,
-        lint_trace: Vec::new(),
     };
+    let mut faults = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> String {
@@ -189,7 +181,7 @@ fn parse_args() -> Args {
                     usage()
                 })
             }
-            "--faults" => args.faults = Some(val("--faults")),
+            "--faults" => faults = Some(val("--faults")),
             "--fault-seed" => {
                 args.fault_seed = val("--fault-seed").parse().unwrap_or_else(|_| usage())
             }
@@ -198,7 +190,6 @@ fn parse_args() -> Args {
                 args.recv_deadline =
                     Some(val("--recv-deadline").parse().unwrap_or_else(|_| usage()))
             }
-            "--lint-trace" => args.lint_trace.push(val("--lint-trace")),
             "--condest" => args.condest = true,
             "-h" | "--help" => usage(),
             other => {
@@ -207,7 +198,17 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.gen_spec.is_none() && args.mtx.is_none() && args.lint_trace.is_empty() {
+    if args.gen_spec.is_none() && args.mtx.is_none() {
+        usage();
+    }
+    args.fault_plan = faults.map(|spec| {
+        FaultPlan::parse(&spec, args.fault_seed).unwrap_or_else(|e| {
+            eprintln!("bad --faults '{spec}': {e}");
+            exit(2)
+        })
+    });
+    if args.maxsup == 0 {
+        eprintln!("bad --maxsup 0: a supernode holds at least one column");
         usage();
     }
     let (pr, pc, pz) = args.grid;
@@ -241,54 +242,8 @@ fn build_matrix(args: &Args) -> (Csr, Geometry, String) {
     (a, geometry, spec.clone())
 }
 
-/// Standalone offline-lint mode: check one trace, or two for determinism.
-/// Exit status 0 = clean, 1 = findings, 2 = unreadable input.
-fn lint_traces(paths: &[String]) -> ! {
-    let load = |path: &String| -> Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("failed to read {path}: {e}");
-            exit(2)
-        });
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: not valid JSON: {e}");
-            exit(2)
-        })
-    };
-    let mut clean = true;
-    let docs: Vec<_> = paths.iter().map(load).collect();
-    for (path, doc) in paths.iter().zip(&docs) {
-        match salu::commcheck::lint_trace(doc) {
-            Ok(report) => {
-                println!("{path}:");
-                print!("{}", report.render());
-                clean &= report.is_clean();
-            }
-            Err(e) => {
-                eprintln!("{path}: not a Chrome trace document: {e}");
-                exit(2)
-            }
-        }
-    }
-    if let [a, b] = docs.as_slice() {
-        match salu::commcheck::check_determinism(a, b) {
-            Ok(()) => println!("determinism: communication schedules identical"),
-            Err(why) => {
-                println!("determinism: {why}");
-                clean = false;
-            }
-        }
-    } else if docs.len() > 2 {
-        eprintln!("--lint-trace accepts at most two files");
-        exit(2)
-    }
-    exit(if clean { 0 } else { 1 })
-}
-
 fn main() {
     let args = parse_args();
-    if !args.lint_trace.is_empty() {
-        lint_traces(&args.lint_trace);
-    }
     let (a, geometry, label) = build_matrix(&args);
     let planar = matches!(geometry, Geometry::Grid2d { .. });
     let (pr, pc, pz) = args.grid;
@@ -312,12 +267,6 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    let fault_plan = args.faults.as_ref().map(|spec| {
-        FaultPlan::parse(spec, args.fault_seed).unwrap_or_else(|e| {
-            eprintln!("bad --faults '{spec}': {e}");
-            exit(2)
-        })
-    });
     let cfg = SolverConfig {
         pr,
         pc,
@@ -327,8 +276,8 @@ fn main() {
         tracing: args.trace_out.is_some() || args.report,
         host_profiling: args.run_out.is_some() || args.report,
         backend: args.backend,
-        fault_plan: fault_plan.clone(),
-        recover: fault_plan.is_some() && !args.no_recover,
+        fault_plan: args.fault_plan.clone(),
+        recover: args.fault_plan.is_some() && !args.no_recover,
         recv_deadline: args.recv_deadline,
         ..Default::default()
     };
@@ -389,7 +338,7 @@ fn main() {
         print!("{}", text.digest_ledgers);
     }
 
-    if fault_plan.is_some() {
+    if args.fault_plan.is_some() {
         println!("\nfault injection (seed {}):", args.fault_seed);
         let counters = account.at(&["sim", "metrics", "counters"]);
         for (k, v) in counters.and_then(Json::as_obj).unwrap_or(&[]) {

@@ -47,7 +47,6 @@
 
 pub mod sample;
 
-pub use commcheck;
 pub use commplan;
 pub use costmodel;
 pub use densela;

@@ -9,7 +9,8 @@
 //!    injected edge, instead of hanging or corrupting results.
 
 use salu::prelude::*;
-use salu::simgrid::FailKind;
+use salu::simgrid::obs::validate_chrome_trace;
+use salu::simgrid::{EdgeFilter, FailKind, FaultAction, FaultRule};
 
 const CHAOS_SPEC: &str = "drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3";
 const CHAOS_SEED: u64 = 7;
@@ -211,6 +212,8 @@ fn recv_deadline_failure_names_phase_and_supernode() {
 /// duplicates are `resend` slices with no message identity), each rank's
 /// last `wire rank N` sample is its wire ledger's words per class and its
 /// last `mem rank N` sample its memory ledger's final balance per class.
+/// Both traces validate: every message sent once and received once, never
+/// before it was sent, the `resend` slices beside them.
 #[test]
 fn counter_tracks_end_at_the_ledger_totals() {
     use salu::simgrid::{ActivityKind, CommClass, Json, MemClass};
@@ -228,6 +231,9 @@ fn counter_tracks_end_at_the_ledger_totals() {
             .count();
         assert_eq!(resends > 0, faulted, "transport-internal sends: {resends}");
         let doc = out.chrome_trace().unwrap();
+        let stats = validate_chrome_trace(&doc)
+            .unwrap_or_else(|e| panic!("faulted={faulted}: the trace is invalid: {e}"));
+        assert!(stats.flow_pairs > 0, "faulted={faulted}: no message traced");
         // The last sample of each counter track, by track name.
         let mut last: std::collections::BTreeMap<String, &Json> = Default::default();
         for ev in doc.get("traceEvents").unwrap().as_arr().unwrap() {
@@ -263,4 +269,25 @@ fn counter_tracks_end_at_the_ledger_totals() {
             assert!(rep.commvol.sent_words() > 0, "rank {rank} sent nothing");
         }
     }
+}
+
+/// The causality check is not vacuous on a real trace: a negative delay,
+/// which `FaultPlan::parse` refuses but a plan built by hand can still
+/// carry, delivers messages before they were sent, and the trace validator
+/// says so.
+#[test]
+fn a_negative_delay_breaks_causality_in_the_trace() {
+    let (prep, b) = chaos_problem();
+    let mut cfg = chaos_cfg(true, Backend::Event);
+    cfg.fault_plan = Some(FaultPlan {
+        rules: vec![FaultRule {
+            edge: EdgeFilter::any(),
+            action: FaultAction::Delay { p: 0.5, secs: -1.0 },
+        }],
+        ..FaultPlan::seeded(CHAOS_SEED)
+    });
+    cfg.tracing = true;
+    let out = try_factor_and_solve(&prep, &cfg, Some(b)).expect("the run completes");
+    let err = validate_chrome_trace(&out.chrome_trace().unwrap()).unwrap_err();
+    assert!(err.contains("before its send"), "{err}");
 }

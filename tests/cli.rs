@@ -97,7 +97,9 @@ fn leaf_size_zero_runs_on_the_multilevel_engine() {
 /// A flag the CLI no longer has is bad usage (exit 2, the argument named
 /// ahead of the usage text), not an option that is read and dropped:
 /// `--schedule`, the five output flags `--run-out` took the place of, the
-/// communication-check switch (every run checks now) and the Cholesky pair.
+/// communication-check switch (every run checks now), the Cholesky pair
+/// and the offline trace linter (the trace validator checks message pairing
+/// and causality).
 #[test]
 fn removed_flags_are_rejected() {
     for flag in [
@@ -111,6 +113,7 @@ fn removed_flags_are_rejected() {
         concat!("--sanit", "ize"),
         "--chol",
         "--sym",
+        "--lint-trace",
     ] {
         let out = salu(&["--gen", "grid2d:8", "--grid", "1x1x1", flag, "-"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -121,6 +124,35 @@ fn removed_flags_are_rejected() {
         for kept in ["--run-out", "--trace-out"] {
             assert!(usage.contains(kept), "the usage text lost {kept}");
         }
+    }
+}
+
+/// A generator size or supernode width of 0, and a fault value the injector
+/// cannot apply (it would run clocks backwards or collapse them), are bad
+/// usage: exit 2 naming the input, not a panic and not a run.
+#[test]
+fn degenerate_sizes_and_fault_values_are_refused() {
+    let refused = |args: &[&str], needle: &str| {
+        let out = salu(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+    };
+    refused(&["--gen", "grid2d:8", "--maxsup", "0"], "bad --maxsup 0");
+    for spec in ["grid2d:0", "kkt:0"] {
+        refused(&["--gen", spec, "--grid", "1x1x1"], "size 0");
+    }
+    for faults in [
+        "delay:p=0.5,secs=-1",
+        "degrade:factor=-5",
+        "drop:p=2",
+        "drop:p=nan",
+        "stall:rank=1,at=0,secs=-1",
+        "stall:rank=1,at=nan,secs=1",
+    ] {
+        let args = ["--gen", "grid2d:8", "--grid", "2x2x2", "--no-compare"];
+        refused(&[&args[..], &["--faults", faults]].concat(), faults);
     }
 }
 

@@ -4,33 +4,59 @@
 //! deterministic reduction orders guarantee: every receive names its
 //! source, so the schedule is a function of the program.
 
-use salu::commcheck;
 use salu::prelude::*;
-use salu::simgrid::Json;
+use salu::simgrid::obs::validate_chrome_trace;
+use salu::sparsemat::matgen::{from_spec, grid2d_5pt};
+use salu::sparsemat::Csr;
 
-fn run_on(backend: Backend) -> (Vec<f64>, String, String) {
-    let nx = 12;
-    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 5);
+/// The problems every test runs with `--leaf 8`: a name, the matrix,
+/// `--maxsup`, `--grid` and `--refine`. The `kkt:6` layers prune panel
+/// rosters, and its two refinement sweeps put the solve's roster
+/// reductions and halo exchange in the trace.
+const INPUTS: [Input; 2] = [
+    ("grid2d 12x12", planar, 8, [2, 1, 2], 1),
+    ("kkt:6", kkt, 12, [4, 4, 2], 2),
+];
+
+type Input = (&'static str, fn() -> Problem, usize, [usize; 3], usize);
+type Problem = (Csr, Geometry);
+
+fn planar() -> Problem {
+    let a = grid2d_5pt(12, 12, 0.1, 5);
+    (a, Geometry::Grid2d { nx: 12, ny: 12 })
+}
+
+fn kkt() -> Problem {
+    from_spec("kkt:6", 0.1).unwrap()
+}
+
+/// One run: its solution, its pretty-printed trace (which the trace
+/// validator passes: nesting, flows, every message paired and causal) and
+/// its run document's `sim` section.
+fn run_on(input: Input, backend: Backend) -> (Vec<f64>, String, String) {
+    let (name, matrix, maxsup, [pr, pc, pz], refine_steps) = input;
+    let (a, geometry) = matrix();
     let x_true: Vec<f64> = (0..a.nrows).map(|i| ((i % 9) as f64) - 4.0).collect();
     let b = a.matvec(&x_true);
-    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
+    let prep = Prepared::new(a, geometry, 8, maxsup);
     let cfg = SolverConfig {
-        pr: 2,
-        pc: 1,
-        pz: 2,
+        pr,
+        pc,
+        pz,
         model: TimeModel::edison_like(),
         tracing: true,
         backend,
-        refine_steps: 1,
+        refine_steps,
         ..Default::default()
     };
     let out = factor_and_solve(&prep, &cfg, Some(b));
-    let trace = out.chrome_trace().expect("tracing was on").pretty();
+    let doc = out.chrome_trace().expect("tracing was on");
+    validate_chrome_trace(&doc).unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
     // Everything the simulation determines besides the timeline: merged
     // metrics, memory ledgers, wire ledgers.
     let sim = out.run_document().get("sim").expect("sim section").pretty();
     let x = out.x.expect("solution");
-    (x, trace, sim)
+    (x, doc.pretty(), sim)
 }
 
 fn assert_bitwise_equal(a: &[f64], b: &[f64]) {
@@ -46,18 +72,19 @@ fn assert_bitwise_equal(a: &[f64], b: &[f64]) {
 
 #[test]
 fn repeated_runs_are_bitwise_identical() {
-    let (x1, t1, w1) = run_on(Backend::Threaded);
-    let (x2, t2, w2) = run_on(Backend::Threaded);
-    assert_bitwise_equal(&x1, &x2);
-    // The message traces — every send, receive, timestamp, payload size —
-    // must also match byte for byte.
-    assert_eq!(t1, t2, "chrome traces differ between identical runs");
-    // So must the run document's `sim` section: every metric, every ledger
-    // peak, every (phase, class, level, axis) cell and per-edge total.
-    assert_eq!(w1, w2, "sim sections differ between identical runs");
-    // And the offline checker agrees, event by event.
-    let (d1, d2) = (Json::parse(&t1).unwrap(), Json::parse(&t2).unwrap());
-    commcheck::check_determinism(&d1, &d2).expect("schedules must be identical");
+    for input in INPUTS {
+        let name = input.0;
+        let (x1, t1, w1) = run_on(input, Backend::Threaded);
+        let (x2, t2, w2) = run_on(input, Backend::Threaded);
+        assert_bitwise_equal(&x1, &x2);
+        // The message traces — every send, receive, timestamp, payload
+        // size — must also match byte for byte.
+        assert_eq!(t1, t2, "{name}: traces differ between runs");
+        // So must the run document's `sim` section: every metric, every
+        // ledger peak, every (phase, class, level, axis) cell and per-edge
+        // total.
+        assert_eq!(w1, w2, "{name}: sim sections differ between runs");
+    }
 }
 
 #[test]
@@ -65,16 +92,17 @@ fn event_backend_reproduces_the_threaded_schedule() {
     // Cross-backend determinism: the event scheduler's cooperative order
     // must reproduce not just the solution but the entire simulated
     // message schedule of free-running threads, byte for byte.
-    let (xt, tt, wt) = run_on(Backend::Threaded);
-    let (xe, te, we) = run_on(Backend::Event);
-    assert_bitwise_equal(&xt, &xe);
-    assert_eq!(tt, te, "chrome traces differ between backends");
-    assert_eq!(wt, we, "sim sections differ between backends");
-    let (dt, de) = (Json::parse(&tt).unwrap(), Json::parse(&te).unwrap());
-    commcheck::check_determinism(&dt, &de).expect("schedules must be identical across backends");
-    // And the event backend is self-deterministic.
-    let (xe2, te2, we2) = run_on(Backend::Event);
-    assert_bitwise_equal(&xe, &xe2);
-    assert_eq!(te, te2, "event schedules differ between identical runs");
-    assert_eq!(we, we2, "event sim sections differ between identical runs");
+    for input in INPUTS {
+        let name = input.0;
+        let (xt, tt, wt) = run_on(input, Backend::Threaded);
+        let (xe, te, we) = run_on(input, Backend::Event);
+        assert_bitwise_equal(&xt, &xe);
+        assert_eq!(tt, te, "{name}: traces differ between backends");
+        assert_eq!(wt, we, "{name}: sim sections differ between backends");
+        // And the event backend is self-deterministic.
+        let (xe2, te2, we2) = run_on(input, Backend::Event);
+        assert_bitwise_equal(&xe, &xe2);
+        assert_eq!(te, te2, "{name}: event traces differ between runs");
+        assert_eq!(we, we2, "{name}: event sim sections differ between runs");
+    }
 }
