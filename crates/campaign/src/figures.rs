@@ -281,7 +281,7 @@ impl Figures {
                     let waste = 100.0 * padding as f64 / words.max(1) as f64;
                     let mut cells = vec![format!("{}x{pz}", p / pz)];
                     cells.extend([wf, wr, wf + wr].map(|w| w.to_string()));
-                    cells.push((rank_max(&cv, "recv_words")? * 8).to_string());
+                    cells.push((max_rank(&cv, "recv_words")? * 8).to_string());
                     cells.extend(class_words.iter().map(|w| (w * 8).to_string()));
                     cells.extend([format!("{waste:.1}%"), trend.into()]);
                     Ok(cells)
@@ -397,7 +397,7 @@ impl Figures {
     fn latency(&self) -> Result<String, String> {
         let rows = self.suite_rows(|name| {
             let msgs = each(PZ_SWEEP, |pz| {
-                rank_max(&self.commvol(&want(name, 16, pz))?, "sent_msgs")
+                max_rank(&self.commvol(&want(name, 16, pz))?, "sent_msgs")
             })?;
             let gain = |m: &u64| format!("{m} ({:.1}x)", msgs[0] as f64 / (*m).max(1) as f64);
             Ok(msgs.iter().map(gain).collect())
@@ -438,8 +438,8 @@ impl Figures {
                 w.to_string(),
                 self.col(&k, "supernodes")?.to_string(),
                 format!("{:.4}", self.makespan(&k)?),
-                rank_max(&cv, "sent_msgs")?.to_string(),
-                rank_max(&cv, "sent_words")?.to_string(),
+                max_rank(&cv, "sent_msgs")?.to_string(),
+                max_rank(&cv, "sent_words")?.to_string(),
                 format!("{:.2}M", self.col(&k, "store_words")? / 1e6),
             ])
         })?;
@@ -467,13 +467,10 @@ fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The largest value of one field over the ranks of a wire ledger.
-fn rank_max(commvol: &Json, field: &str) -> Result<u64, String> {
-    let ranks = commvol.at(&["ranks"]).and_then(Json::as_arr);
-    let ranks = ranks.ok_or("no sim.commvol.ranks")?;
-    ranks
-        .iter()
-        .try_fold(0, |max, r| Ok(max.max(r.num_at(&[field])? as u64)))
+/// The largest rank's value of one field of a wire ledger
+/// (`max_rank_<field>`).
+fn max_rank(commvol: &Json, field: &str) -> Result<u64, String> {
+    Ok(commvol.num_at(&[&format!("max_rank_{field}")])? as u64)
 }
 
 /// A right-aligned text table under a dashed rule; `headers` are

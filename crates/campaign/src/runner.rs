@@ -8,9 +8,9 @@
 //! so they are taken from the last repetition after asserting the factor
 //! digest never moved.
 //!
-//! Every job writes its run document (`Output3d::run_document`, schema
-//! `salu-run/3`) as `run.json` into `<out>/jobs/<slug>/`, and its snapshot
-//! columns are read from that document's account. With
+//! Every job writes its run document (`Output3d::account`, schema
+//! `salu-run/4`) as `run.json` into `<out>/jobs/<slug>/`, and its snapshot
+//! columns are read from that document. With
 //! `trace = true` in the spec, one extra traced repetition records the
 //! compute time on the critical path as the `crit_comp_secs` column (kept
 //! out of the timed repetitions so tracing overhead never pollutes the wall
@@ -199,17 +199,20 @@ pub fn run_campaign(spec: &CampaignSpec, out_dir: &Path) -> Result<CampaignOutco
         return Err("campaign expanded to zero jobs".into());
     }
     // Preprocess each distinct (matrix, leaf, maxsup) once, serially: the
-    // symbolic phase is shared work, not part of the measured wall.
-    let mut preps: HashMap<(MatrixSource, usize, usize), Arc<Prepared>> = HashMap::new();
+    // symbolic phase is shared work, not part of the measured wall. A
+    // matrix that cannot be built, or whose preparation panics, fails the
+    // jobs that use it and no other.
+    type Prep = Result<Arc<Prepared>, String>;
+    let mut preps: HashMap<(MatrixSource, usize, usize), Prep> = HashMap::new();
     for job in &jobs {
-        if let std::collections::hash_map::Entry::Vacant(e) =
-            preps.entry((job.matrix.clone(), job.leaf, job.maxsup))
-        {
-            let (matrix, geometry) = build_matrix(&job.matrix)?;
-            e.insert(Arc::new(Prepared::new(
-                matrix, geometry, job.leaf, job.maxsup,
-            )));
-        }
+        let key = (job.matrix.clone(), job.leaf, job.maxsup);
+        preps.entry(key).or_insert_with(|| {
+            panic_firewall("matrix preparation", || {
+                let (matrix, geometry) = build_matrix(&job.matrix)?;
+                let prep = Prepared::new(matrix, geometry, job.leaf, job.maxsup);
+                Ok(Arc::new(prep))
+            })
+        });
     }
     let jobs_dir = out_dir.join("jobs");
     type JobResult = Result<(BenchPoint, String), String>;
@@ -223,12 +226,13 @@ pub fn run_campaign(spec: &CampaignSpec, out_dir: &Path) -> Result<CampaignOutco
                     break;
                 }
                 let job = &jobs[i];
-                let prep = &preps[&(job.matrix.clone(), job.leaf, job.maxsup)];
                 let dir = jobs_dir.join(job.slug());
-                let res = panic_firewall(&job.slug(), || {
+                let prep = &preps[&(job.matrix.clone(), job.leaf, job.maxsup)];
+                let prep = prep.as_ref().map_err(|e| format!("{}: {e}", job.slug()));
+                let res = prep.and_then(|prep| panic_firewall(&job.slug(), || {
                     run_job(job, prep, spec.trace).and_then(|run| {
                         let account = run.out.account();
-                        write_run_document(&dir, &run.out.with_ranks(account.clone()))?;
+                        write_run_document(&dir, &account)?;
                         let point = to_point(job, &run, &account)?;
                         let column = |k| point.metric(k).unwrap_or(0.0);
                         let line = format!(
@@ -241,7 +245,7 @@ pub fn run_campaign(spec: &CampaignSpec, out_dir: &Path) -> Result<CampaignOutco
                         );
                         Ok((point, line))
                     })
-                });
+                }));
                 results.lock().expect("results lock")[i] = Some(res);
             });
         }
@@ -319,7 +323,7 @@ mod tests {
             let doc = run_doc(&dir, &slug);
             assert_eq!(
                 doc.get("schema").and_then(|s| s.as_str()),
-                Some("salu-run/3")
+                Some("salu-run/4")
             );
             // timed repetitions run unprofiled, so the wall column carries
             // no scope timers
@@ -386,6 +390,29 @@ mod tests {
         assert!(out.failed[0].contains("empty layer"), "{}", out.failed[0]);
         assert_eq!(out.snapshot.points.len(), 1);
         assert_eq!(out.snapshot.points[0].key.p, 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_matrix_that_cannot_be_built_fails_only_its_jobs() {
+        let spec = CampaignSpec::parse(
+            "[campaign]\nname = \"m\"\npr = \"test\"\n\
+             [[point]]\ngen = \"grid2d:0\"\np = [4]\npz = [1, 2]\n\
+             [[point]]\ngen = \"grid2d:8\"\np = [4]\n",
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("campaign-matrix-{}", std::process::id()));
+        let out = run_campaign(&spec, &dir).unwrap();
+        // One line per job of the broken matrix, each naming the reason.
+        assert_eq!(out.failed.len(), 2, "{:?}", out.failed);
+        for (line, pz) in out.failed.iter().zip([1, 2]) {
+            assert!(line.starts_with(&format!("grid2d0-p4-pz{pz}")), "{line}");
+            assert!(line.contains("the matrix would be empty"), "{line}");
+        }
+        // The healthy point still ran, snapshotted and wrote its document.
+        assert_eq!(out.snapshot.points.len(), 1);
+        assert_eq!(out.snapshot.points[0].key.matrix, "grid2d8");
+        assert_eq!(job_files(&dir, "grid2d8-p4-pz1"), ["run.json"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,22 +1,21 @@
 //! The one account of a run, and the text rendered from it.
 //!
-//! [`Output3d::account`] is the only place a run's aggregates are derived:
-//! the `salu-run/3` document less its per-rank arrays, cheap enough to
-//! build on every run. [`Output3d::with_ranks`] attaches those arrays, and
-//! [`Output3d::run_document`] is the two composed, what `salu --run-out`
-//! writes. [`RunText`] and [`baseline_text`] render accounts as the text
-//! `salu` prints, reading nothing but the document. The schema and what
-//! each section holds: docs/observability.md, "The run document".
+//! [`Output3d::account`] is the only place a run's aggregates are derived,
+//! and the run document `salu --run-out` and every campaign job write: the
+//! `salu-run/4` schema, whose size does not grow with the number of ranks.
+//! [`RunText`] and [`baseline_text`] render accounts as the text `salu`
+//! prints, reading nothing but the document. The schema and what each
+//! section holds: docs/observability.md, "The run document".
 
 use crate::solver::Output3d;
-use simgrid::{obs, Json, RankReport, TrafficSummary};
+use simgrid::{obs, Json, TrafficSummary};
 
 /// The run document's schema tag.
-const SCHEMA: &str = "salu-run/3";
+const SCHEMA: &str = "salu-run/4";
 
 impl Output3d {
-    /// The run's aggregates, without per-rank arrays (see the module
-    /// docs).
+    /// The run's account: machine-wide aggregates, each per-rank maximum
+    /// with the rank that holds it (see the module docs).
     pub fn account(&self) -> Json {
         let memprof: Vec<_> = self.reports.iter().map(|r| &r.memprof).collect();
         let commvol: Vec<_> = self.reports.iter().map(|r| &r.commvol).collect();
@@ -39,33 +38,6 @@ impl Output3d {
                 Json::obj([("sched", sched), ("hostprof", hostprof)]),
             ),
         ])
-    }
-
-    /// `account` with every rank's entry attached: `sim.memprof.ranks`,
-    /// `sim.commvol.ranks` and, when the run was profiled,
-    /// `host.hostprof.{folded_stacks, ranks}`.
-    pub fn with_ranks(&self, mut account: Json) -> Json {
-        let ranks =
-            |entry: fn(&RankReport) -> Json| Json::Arr(self.reports.iter().map(entry).collect());
-        let mut attach = |path: &[&str], key: &str, value: Json| {
-            let attached = account.push_at(path, key, value);
-            attached.expect("an account has every section");
-        };
-        attach(&["sim", "memprof"], "ranks", ranks(|r| r.memprof.to_json()));
-        attach(&["sim", "commvol"], "ranks", ranks(|r| r.commvol.to_json()));
-        if let Some(host) = self.host_reports() {
-            let folded = Json::str(obs::folded_stacks(&host));
-            attach(&["host", "hostprof"], "folded_stacks", folded);
-            let entries = host.iter().map(|h| h.to_json()).collect();
-            attach(&["host", "hostprof"], "ranks", Json::Arr(entries));
-        }
-        account
-    }
-
-    /// The whole run document, `schema` `salu-run/3`: the account with its
-    /// per-rank arrays.
-    pub fn run_document(&self) -> Json {
-        self.with_ranks(self.account())
     }
 
     /// Every rank's host profile, when the run was profiled.
@@ -122,8 +94,7 @@ fn count(doc: &Json, path: &[&str]) -> Result<u64, String> {
 }
 
 impl RunText {
-    /// Render an account (or a whole run document); an error names the
-    /// first field it lacks.
+    /// Render an account; an error names the first field it lacks.
     pub fn of(doc: &Json) -> Result<RunText, String> {
         let run = |key: &str| doc.num_at(&["sim", "run", key]);
         let phase = |p: &str, field: &str| count(doc, &["sim", "run", p, field]);
@@ -200,21 +171,13 @@ impl RunText {
             .collect::<Result<Vec<_>, String>>()?;
         ledgers += &format!("  by axis: {}\n", axes.join(", "));
 
-        // One sample per (rank, supernode) of a level the rank factors. The
-        // zero bucket holds the updates that applied nothing: those the rank
-        // has no share of, and those whose U piece is all zeros (zero scales
-        // are skipped and charge no flop).
-        let metrics = doc.at(&["sim", "metrics"]).ok_or("no sim.metrics")?;
-        let hist = metrics.at(&["histograms", "gemm.flops_per_supernode"]);
-        let buckets = hist.and_then(|h| h.at(&["buckets"])).and_then(Json::as_arr);
-        let zero = buckets
-            .unwrap_or(&[])
-            .iter()
-            .find(|b| b.at(&["ge"]) == Some(&Json::str("0")));
-        let zero_flop = zero.map_or(Ok(0), |b| count(b, &["count"]))?;
-        let samples = hist.map_or(Ok(0), |h| count(h, &["count"]))?;
-        let updates = samples - zero_flop;
-        let batched = count(metrics, &["counters", "schur.batched_supernodes"]).unwrap_or(0);
+        // One count per (rank, supernode) of a level the rank factors. The
+        // zero-flop count holds the updates that applied nothing: those the
+        // rank has no share of, and those whose U piece is all zeros (zero
+        // scales are skipped and charge no flop).
+        let counter = |name: &str| count(doc, &["sim", "metrics", name]).unwrap_or(0);
+        let (updates, zero_flop) = (counter("schur.updates"), counter("schur.zero_flop_updates"));
+        let batched = counter("schur.batched_supernodes");
         ledgers += &format!(
             "schur updates           = {updates} (rank, supernode) updates: {batched} batched \
              gather-GEMM-scatter, {} per-block; {zero_flop} zero-flop (no local share, or an \

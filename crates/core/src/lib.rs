@@ -27,7 +27,7 @@
 //!   sweeps with accumulator reductions and solution broadcasts along z.
 //! - [`solver`]: the end-to-end API — order, analyze, partition, factor,
 //!   solve — plus the measurement output every experiment harness consumes.
-//! - [`account`]: the run's one account (`salu-run/3`), assembled from that
+//! - [`account`]: the run's one account (`salu-run/4`), assembled from that
 //!   output, and the text `salu` renders from it.
 //!
 //! ```

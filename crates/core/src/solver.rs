@@ -256,7 +256,7 @@ impl Output3d {
     /// Max per-rank ledger high-water mark (bytes).
     pub fn max_peak_bytes(&self) -> u64 {
         let memprof: Vec<_> = self.reports.iter().map(|r| &r.memprof).collect();
-        simgrid::obs::max_peak_bytes(&memprof)
+        simgrid::obs::max_peak_bytes(&memprof).0
     }
 
     /// Max per-rank algorithmic words sent (wire ledger) — the measured

@@ -158,11 +158,6 @@ fn axpy_core(
     flops::add_skipped(2 * m as u64 * skipped_pairs);
 }
 
-/// Convenience wrapper for the Schur-update form `C -= A * B`.
-pub fn gemm_notrans(c: &mut Mat, a: &Mat, b: &Mat) {
-    gemm(-1.0, a, b, 1.0, c);
-}
-
 /// Reference triple-loop GEMM used only by tests and property checks.
 pub fn gemm_naive(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
     let m = a.rows();

@@ -28,7 +28,7 @@ pub mod microkernel;
 pub mod norms;
 pub mod trsm;
 
-pub use gemm::{gemm, gemm_notrans, gemm_scatter};
+pub use gemm::{gemm, gemm_scatter};
 pub use getrf::{getrf, lu_solve_inplace, GetrfInfo, PivotPolicy};
 pub use matrix::{Mat, MatRef};
 pub use microkernel::{gemm_blocked, gemm_blocked_tiled, BlockMap};

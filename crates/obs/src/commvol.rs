@@ -299,59 +299,22 @@ impl CommReport {
             .map(|e| e.cell.words)
             .sum()
     }
-
-    pub fn to_json(&self) -> Json {
-        let edges = |v: &[EdgeVolume]| {
-            Json::Arr(
-                v.iter()
-                    .map(|e| {
-                        Json::obj([
-                            ("peer", Json::num(e.peer as f64)),
-                            ("msgs", Json::num(e.msgs as f64)),
-                            ("words", Json::num(e.words as f64)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        Json::obj([
-            ("sent_words", Json::num(self.sent_words() as f64)),
-            ("sent_msgs", Json::num(self.sent_msgs() as f64)),
-            ("recv_words", Json::num(self.recv_words() as f64)),
-            ("recv_msgs", Json::num(self.recv_msgs() as f64)),
-            (
-                "entries",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("phase", Json::str(e.phase.clone())),
-                                ("class", Json::str(e.class.as_str())),
-                                ("level", Json::num(e.level as f64)),
-                                ("axis", Json::str(e.axis.as_str())),
-                                ("msgs", Json::num(e.cell.msgs as f64)),
-                                ("words", Json::num(e.cell.words as f64)),
-                                ("struct_words", Json::num(e.cell.struct_words as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("sent_to", edges(&self.sent_to)),
-            ("recv_from", edges(&self.recv_from)),
-        ])
-    }
 }
 
 /// The machine's wire-volume summary: totals and waste ratios per class,
-/// volumes per axis and per level, and the per-edge count, max and mean
-/// across the whole machine (an edge is a `(src, dst)` pair that carried
-/// words). Each rank's [`CommReport::to_json`] is the document's `ranks`
-/// array, attached apart.
+/// volumes per axis and per level, the largest rank's words sent, messages
+/// sent and words received (each with its rank), and the per-edge count,
+/// max and mean across the whole machine (an edge is a `(src, dst)` pair
+/// that carried words).
 pub fn commvol_json(per_rank: &[&CommReport]) -> Json {
     let total_sent: u64 = per_rank.iter().map(|r| r.sent_words()).sum();
-    let max_rank_sent = per_rank.iter().map(|r| r.sent_words()).max().unwrap_or(0);
+    let max_rank = |field: fn(&CommReport) -> u64| {
+        let (max, rank) = crate::rank_max(per_rank.iter().map(|r| field(r)));
+        (Json::num(max as f64), Json::num(rank as f64))
+    };
+    let (sent_words, sent_words_rank) = max_rank(CommReport::sent_words);
+    let (sent_msgs, sent_msgs_rank) = max_rank(CommReport::sent_msgs);
+    let (recv_words, recv_words_rank) = max_rank(CommReport::recv_words);
     let by_class = Json::obj(CommClass::ALL.map(|c| {
         let mut cell = CommCell::default();
         for r in per_rank {
@@ -401,7 +364,12 @@ pub fn commvol_json(per_rank: &[&CommReport]) -> Json {
     };
     Json::obj([
         ("total_sent_words", Json::num(total_sent as f64)),
-        ("max_rank_sent_words", Json::num(max_rank_sent as f64)),
+        ("max_rank_sent_words", sent_words),
+        ("max_rank_sent_words_rank", sent_words_rank),
+        ("max_rank_sent_msgs", sent_msgs),
+        ("max_rank_sent_msgs_rank", sent_msgs_rank),
+        ("max_rank_recv_words", recv_words),
+        ("max_rank_recv_words_rank", recv_words_rank),
         ("edges", Json::num(n_edges as f64)),
         ("max_edge_words", Json::num(max_edge as f64)),
         ("mean_edge_words", Json::num(mean_edge)),
@@ -552,23 +520,35 @@ mod tests {
             16,
         );
         l.charge_recv(2, 32);
-        let doc = commvol_json(&[&l.report(&PHASES)]);
+        let quiet = CommLedger::default().report(&PHASES);
+        let report = l.report(&PHASES);
+        let doc = commvol_json(&[&quiet, &report, &report]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();
-        assert_eq!(back.get("total_sent_words").unwrap().as_f64(), Some(96.0));
+        assert_eq!(back.get("total_sent_words").unwrap().as_f64(), Some(192.0));
         assert_eq!(back.get("max_edge_words").unwrap().as_f64(), Some(64.0));
-        assert_eq!(back.get("edges").unwrap().as_f64(), Some(2.0));
+        assert_eq!(back.get("edges").unwrap().as_f64(), Some(4.0));
+        // Each per-rank maximum names the lowest rank holding it.
+        for (field, max) in [
+            ("sent_words", 96.0),
+            ("sent_msgs", 2.0),
+            ("recv_words", 32.0),
+        ] {
+            let at = format!("max_rank_{field}");
+            assert_eq!(back.num_at(&[&at]), Ok(max), "{field}");
+            assert_eq!(back.num_at(&[&format!("{at}_rank")]), Ok(1.0), "{field}");
+        }
         let lp = back.get("by_class").unwrap().get("LPanel").unwrap();
-        assert_eq!(lp.get("words").unwrap().as_f64(), Some(64.0));
+        assert_eq!(lp.get("words").unwrap().as_f64(), Some(128.0));
         assert_eq!(lp.get("waste_ratio").unwrap().as_f64(), Some(0.25));
         assert_eq!(
             back.get("by_axis").unwrap().get("z").unwrap().as_f64(),
-            Some(32.0)
+            Some(64.0)
         );
         assert_eq!(
             back.get("by_level").unwrap().get("1").unwrap().as_f64(),
-            Some(32.0)
+            Some(64.0)
         );
     }
 }

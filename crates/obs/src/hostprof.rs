@@ -14,8 +14,9 @@
 //! 100% of the wall by construction (tests assert it).
 //!
 //! Frozen reports carry a host flop rate derived from the simulator's flop
-//! counter, plus a folded-stack export (`rank 0;gemm 12345` lines) that
-//! `inferno`/`flamegraph.pl` render directly.
+//! counter. The machine's folded-stack text (`gemm;comm-wait 12345` lines,
+//! each path's self time summed over ranks) renders directly in
+//! `inferno`/`flamegraph.pl`.
 //!
 //! Unlike the simulated-time ledgers this one reads the **host** clock,
 //! which is inherently nondeterministic; it therefore never touches
@@ -346,7 +347,7 @@ pub struct HostReport {
     /// `Orchestration` entry is the residual `wall - covered`.
     pub phase_ns: Vec<(HostPhase, u64)>,
     /// Folded phase paths (`"gemm"`, `"gemm;comm-wait"`, ...) with
-    /// self-time nanoseconds — `folded_stacks` prepends the rank frame.
+    /// self-time nanoseconds.
     pub folded: Vec<(String, u64)>,
     /// Total flops the rank charged (from the simulator's flop counter).
     pub flops: u64,
@@ -381,51 +382,6 @@ impl HostReport {
     pub fn flop_rate(&self) -> f64 {
         rate(self.flops, self.compute_secs())
     }
-
-    /// Folded-stack lines for flamegraph tools: one
-    /// `"<root>;<phase>;... <ns>"` line per distinct path, with `root`
-    /// (conventionally `"rank N"`) prepended, plus the orchestration
-    /// residual as its own root-level frame.
-    pub fn folded_stacks(&self, root: &str) -> String {
-        let mut out = String::new();
-        for (path, ns) in &self.folded {
-            if *ns == 0 {
-                continue;
-            }
-            out.push_str(&format!("{root};{path} {ns}\n"));
-        }
-        let orch = self
-            .phase_ns
-            .iter()
-            .find(|&&(p, _)| p == HostPhase::Orchestration)
-            .map_or(0, |&(_, ns)| ns);
-        if orch > 0 {
-            out.push_str(&format!(
-                "{root};{} {orch}\n",
-                HostPhase::Orchestration.as_str()
-            ));
-        }
-        out
-    }
-
-    /// The rank's entry of the machine document: `{wall_secs, phase_ns,
-    /// flops, flop_rate}`. Its paths are rendered once, in the document's
-    /// `folded_stacks` text.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("wall_secs", Json::num(self.wall_secs)),
-            (
-                "phase_ns",
-                Json::obj(
-                    self.phase_ns
-                        .iter()
-                        .map(|&(p, ns)| (p.as_str(), Json::num(ns as f64))),
-                ),
-            ),
-            ("flops", Json::num(self.flops as f64)),
-            ("flop_rate", Json::num(self.flop_rate())),
-        ])
-    }
 }
 
 /// `flops / secs`, or 0 when no compute time was measured.
@@ -437,13 +393,12 @@ fn rate(flops: u64, secs: f64) -> f64 {
     }
 }
 
-/// The machine's host-time summary: max and summed wall, per-phase
-/// seconds summed over ranks, and the host flop rate — flops of all ranks
-/// over their compute-phase seconds summed, the one machine-wide rate. The
-/// per-rank entries ([`HostReport::to_json`]) and [`folded_stacks`] are
-/// attached apart.
+/// The machine's host-time summary: max (with its rank) and summed wall,
+/// per-phase seconds summed over ranks, the host flop rate — flops of all
+/// ranks over their compute-phase seconds summed, the one machine-wide
+/// rate — and the folded-stack text.
 pub fn hostprof_json(per_rank: &[&HostReport]) -> Json {
-    let max_wall = per_rank.iter().map(|r| r.wall_secs).fold(0.0, f64::max);
+    let (max_wall, max_rank) = crate::rank_max(per_rank.iter().map(|r| r.wall_secs));
     let sum_wall: f64 = per_rank.iter().map(|r| r.wall_secs).sum();
     let by_phase = Json::obj(HostPhase::ALL.map(|p| {
         let secs: f64 = per_rank.iter().map(|r| r.phase_secs(p)).sum();
@@ -455,20 +410,34 @@ pub fn hostprof_json(per_rank: &[&HostReport]) -> Json {
     );
     Json::obj([
         ("max_wall_secs", Json::num(max_wall)),
+        ("max_wall_secs_rank", Json::num(max_rank as f64)),
         ("sum_wall_secs", Json::num(sum_wall)),
         ("phase_secs", by_phase),
         ("flop_rate", Json::num(flop_rate)),
+        ("folded_stacks", Json::str(folded_stacks(per_rank))),
     ])
 }
 
-/// Every rank's phase paths as one folded-stack text, ready for a
-/// flamegraph renderer: the one rendering of them.
-pub fn folded_stacks(per_rank: &[&HostReport]) -> String {
-    let mut folded = String::new();
-    for (i, r) in per_rank.iter().enumerate() {
-        folded.push_str(&r.folded_stacks(&format!("rank {i}")));
+/// The machine's phase paths as one folded-stack text, ready for a
+/// flamegraph renderer: one `path ns` line per distinct path, its self time
+/// summed over ranks, with the orchestration residual as a path of its
+/// own. Its length is bounded by the number of distinct paths, not by the
+/// number of ranks.
+fn folded_stacks(per_rank: &[&HostReport]) -> String {
+    let mut paths: BTreeMap<&str, u64> = BTreeMap::new();
+    for r in per_rank {
+        let orch = r
+            .phase_ns
+            .iter()
+            .find(|(p, _)| *p == HostPhase::Orchestration);
+        let orch = orch.map(|&(p, ns)| (p.as_str(), ns));
+        let framed = r.folded.iter().map(|(path, ns)| (path.as_str(), *ns));
+        for (path, ns) in framed.chain(orch) {
+            *paths.entry(path).or_insert(0) += ns;
+        }
     }
-    folded
+    let lines = paths.iter().filter(|(_, &ns)| ns > 0);
+    lines.map(|(path, ns)| format!("{path} {ns}\n")).collect()
 }
 
 #[cfg(test)]
@@ -609,16 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_render_with_root_and_residual() {
+    fn folded_stacks_render_paths_and_residual() {
         let p = Arc::new(HostProf::new(false));
         {
             let _g = p.scope(HostPhase::PanelFactor, 0.0);
             spin_ns(50_000);
         }
         let r = p.report(1.0, 0);
-        let txt = r.folded_stacks("rank 7");
-        assert!(txt.contains("rank 7;panel-factor "));
-        assert!(txt.contains("rank 7;orchestration "));
+        let txt = folded_stacks(&[&r]);
+        assert!(txt.starts_with("orchestration "), "{txt}");
+        assert!(txt.contains("\npanel-factor "), "{txt}");
         assert_eq!(folded_total(&txt), 1_000_000_000);
     }
 
@@ -629,20 +598,27 @@ mod tests {
             let _g = p.scope(HostPhase::Gemm, 0.0);
             spin_ns(50_000);
         }
-        let (r, q) = (p.report(0.5, 100), p.report(0.25, 100));
-        let doc = hostprof_json(&[&r, &q]);
+        let (r, q) = (p.report(0.25, 100), p.report(0.5, 100));
+        let doc = hostprof_json(&[&r, &q, &q]);
         let text = doc.dump();
         assert_eq!(Json::parse(&text).unwrap().dump(), text);
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.num_at(&["max_wall_secs"]), Ok(0.5));
-        assert_eq!(back.num_at(&["sum_wall_secs"]), Ok(0.75));
+        // The lowest of the ranks holding the maximum.
+        assert_eq!(back.num_at(&["max_wall_secs_rank"]), Ok(1.0));
+        assert_eq!(back.num_at(&["sum_wall_secs"]), Ok(1.25));
         assert!(back.at(&["phase_secs", "gemm"]).is_some());
         assert_eq!(
             back.num_at(&["flop_rate"]),
-            Ok(200.0 / (r.compute_secs() + q.compute_secs()))
+            Ok(300.0 / (r.compute_secs() + 2.0 * q.compute_secs()))
         );
-        let folded = folded_stacks(&[&r, &q]);
-        assert!(folded.contains("rank 0;gemm") && folded.contains("rank 1;gemm"));
+        // One line per path, its self time summed over the ranks.
+        let folded = back.at(&["folded_stacks"]).and_then(Json::as_str).unwrap();
+        let gemm_ns: u64 = [&r, &q, &q].iter().map(|h| h.folded[0].1).sum();
+        assert_eq!(r.folded[0].0, "gemm");
+        assert!(folded.contains(&format!("gemm {gemm_ns}\n")), "{folded}");
+        assert_eq!(folded.lines().count(), 2, "{folded}");
+        assert_eq!(folded_total(folded), 1_250_000_000);
     }
 
     proptest! {
@@ -699,7 +675,7 @@ mod tests {
                     .sum();
                 prop_assert!(ns == by_paths, "{:?}: {} != {}", phase, ns, by_paths);
             }
-            let lines = folded_total(&r.folded_stacks("rank 0"));
+            let lines = folded_total(&folded_stacks(&[&r]));
             prop_assert_eq!((r.attributed_secs() * 1.0e9).round() as u64, lines);
             if wall == 1 {
                 prop_assert_eq!(lines, 1_000_000_000);

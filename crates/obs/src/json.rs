@@ -54,22 +54,6 @@ impl Json {
             .ok_or_else(|| format!("no number at {}", path.join(".")))
     }
 
-    /// Append `key: value` to the object at `path`; an error names the path
-    /// when no object is there.
-    pub fn push_at(&mut self, path: &[&str], key: &str, value: Json) -> Result<(), String> {
-        let at = path.iter().try_fold(self, |v, k| match v {
-            Json::Obj(members) => members.iter_mut().find(|(m, _)| m == k).map(|(_, v)| v),
-            _ => None,
-        });
-        match at {
-            Some(Json::Obj(members)) => {
-                members.push((key.to_string(), value));
-                Ok(())
-            }
-            _ => Err(format!("no object at {}", path.join("."))),
-        }
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
@@ -418,16 +402,11 @@ mod tests {
 
     #[test]
     fn paths_reach_nested_members() {
-        let mut doc = Json::parse(r#"{"a": {"b": {"c": 2}}, "n": null}"#).unwrap();
+        let doc = Json::parse(r#"{"a": {"b": {"c": 2}}, "n": null}"#).unwrap();
         assert_eq!(doc.at(&[]), Some(&doc));
         assert_eq!(doc.num_at(&["a", "b", "c"]), Ok(2.0));
         assert_eq!(doc.num_at(&["a", "x"]), Err("no number at a.x".into()));
-        doc.push_at(&["a", "b"], "d", Json::num(3.0)).unwrap();
-        assert_eq!(
-            doc.at(&["a", "b"]),
-            Some(&Json::obj([("c", Json::num(2.0)), ("d", Json::num(3.0))]))
-        );
-        assert!(doc.push_at(&["n"], "d", Json::Null).is_err());
+        assert_eq!(doc.at(&["n", "d"]), None);
     }
 
     #[test]

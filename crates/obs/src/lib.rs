@@ -16,8 +16,8 @@
 //!
 //! - [`span`]: nested spans (`level → phase → supernode → collective`) over
 //!   simulated time, plus the machine-level activity stream.
-//! - [`metrics`]: counters and log2-bucket histograms, mergeable across
-//!   ranks and dumpable as JSON.
+//! - [`metrics`]: named counters, mergeable across ranks and dumpable as
+//!   JSON.
 //! - [`memprof`]: the tagged allocation ledger — per-rank high-water
 //!   marks with class+tree-level attribution of the peak instant.
 //! - [`commvol`]: the wire-volume ledger — per-rank sent/received words
@@ -25,7 +25,8 @@
 //!   padding-waste accounting per class.
 //! - [`hostprof`]: the host-time profiler — scoped RAII wall-clock timers
 //!   over a fixed phase taxonomy, with self-time attribution that sums to
-//!   100% of the measured wall and folded-stack export for flamegraphs.
+//!   100% of the measured wall and a machine-wide folded-stack export for
+//!   flamegraphs.
 //! - [`chrome`]: trace-event JSON for <https://ui.perfetto.dev>, with
 //!   send→recv flow arrows, `mem` / `wire` / `host` counter tracks from
 //!   one builder, and a structural validator.
@@ -66,12 +67,24 @@ pub use commvol::{
     commvol_json, CommClass, CommEntry, CommKey, CommLedger, CommReport, EdgeVolume, GridAxis,
 };
 pub use critpath::{CritSegment, CriticalPath, SegKind};
-pub use hostprof::{
-    folded_stacks, hostprof_json, HostEvent, HostPhase, HostProf, HostReport, HostScope,
-};
+pub use hostprof::{hostprof_json, HostEvent, HostPhase, HostProf, HostReport, HostScope};
 pub use json::Json;
 pub use memprof::{
     max_peak_bytes, memprof_json, MemAttr, MemClass, MemEvent, MemLedger, MemReport,
 };
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use span::{Activity, ActivityKind, MsgInfo, RankObs, Recorder, SpanCat, SpanId, SpanRecord};
+
+/// The largest of the per-rank `values` (in world-rank order) and the
+/// lowest rank holding it; `(0, 0)` for no ranks. Each per-rank maximum the
+/// run document states carries this rank, so a reader can open that
+/// rank's track in the trace.
+pub fn rank_max<T: PartialOrd + Default>(values: impl IntoIterator<Item = T>) -> (T, usize) {
+    let mut max = (T::default(), 0);
+    for (rank, v) in values.into_iter().enumerate() {
+        if v > max.0 {
+            max = (v, rank);
+        }
+    }
+    max
+}

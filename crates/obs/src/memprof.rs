@@ -272,49 +272,27 @@ impl MemReport {
     pub fn peak_attr_sum(&self) -> u64 {
         self.peak_by.iter().map(|a| a.bytes).sum()
     }
-
-    pub fn to_json(&self) -> Json {
-        let attr = |v: &[MemAttr]| {
-            Json::Arr(
-                v.iter()
-                    .map(|a| {
-                        Json::obj([
-                            ("class", Json::str(a.class.as_str())),
-                            ("level", Json::num(a.level as f64)),
-                            ("bytes", Json::num(a.bytes as f64)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        Json::obj([
-            ("peak_bytes", Json::num(self.peak_bytes as f64)),
-            ("peak_t", Json::num(self.peak_t)),
-            ("peak_by", attr(&self.peak_by)),
-            ("final_bytes", Json::num(self.final_bytes as f64)),
-            ("final_by", attr(&self.final_by)),
-        ])
-    }
 }
 
-/// The largest high-water mark over ranks: the one definition of the
-/// machine's peak.
-pub fn max_peak_bytes(per_rank: &[&MemReport]) -> u64 {
-    per_rank.iter().map(|r| r.peak_bytes).max().unwrap_or(0)
+/// The largest high-water mark over ranks and the lowest rank holding it:
+/// the one definition of the machine's peak.
+pub fn max_peak_bytes(per_rank: &[&MemReport]) -> (u64, usize) {
+    crate::rank_max(per_rank.iter().map(|r| r.peak_bytes))
 }
 
-/// The machine's memory summary: max and sum of the ranks' peaks, and
-/// per-class totals taken at each rank's own peak instant ("where was
-/// memory when it mattered"). Each rank's [`MemReport::to_json`] is the
-/// document's `ranks` array, attached apart.
+/// The machine's memory summary: max (with its rank) and sum of the ranks'
+/// peaks, and per-class totals taken at each rank's own peak instant
+/// ("where was memory when it mattered").
 pub fn memprof_json(per_rank: &[&MemReport]) -> Json {
+    let (max_peak, max_rank) = max_peak_bytes(per_rank);
     let sum_peak: u64 = per_rank.iter().map(|r| r.peak_bytes).sum();
     let by_class = Json::obj(MemClass::ALL.map(|c| {
         let total: u64 = per_rank.iter().map(|r| r.peak_class_bytes(c)).sum();
         (c.as_str(), Json::num(total as f64))
     }));
     Json::obj([
-        ("max_peak_bytes", Json::num(max_peak_bytes(per_rank) as f64)),
+        ("max_peak_bytes", Json::num(max_peak as f64)),
+        ("max_peak_bytes_rank", Json::num(max_rank as f64)),
         ("sum_peak_bytes", Json::num(sum_peak as f64)),
         ("peak_by_class", by_class),
     ])

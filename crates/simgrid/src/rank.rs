@@ -258,15 +258,9 @@ impl Rank {
         self.inst.metrics().inc(name, by);
     }
 
-    /// Record a histogram sample under `name` (log2 buckets).
-    pub fn metric_observe(&mut self, name: &str, v: f64) {
-        self.inst.metrics().observe(name, v);
-    }
-
-    /// Record `n` zero samples under `name` at once: what `n` calls of
-    /// [`Rank::metric_observe`] with `0.0` record.
-    pub fn metric_observe_zeros(&mut self, name: &str, n: u64) {
-        self.inst.metrics().observe_zeros(name, n);
+    /// Add simulated `secs` to the counter `name` in whole nanoseconds.
+    fn metric_inc_ns(&mut self, name: &str, secs: f64) {
+        self.metric_inc(name, (secs * 1e9).round() as u64);
     }
 
     /// Open a host-time profiling scope for `phase`. Returns a no-op guard
@@ -347,7 +341,7 @@ impl Rank {
             self.inst.on_wait((t0, self.clock), None);
             self.span_exit(sp);
             self.metric_inc("fault.injected.stall", 1);
-            self.metric_observe("fault.stall_secs", secs);
+            self.metric_inc_ns("fault.stall_ns", secs);
         }
     }
 
@@ -411,7 +405,7 @@ impl Rank {
                     self.inst.on_wait((tw, self.clock), Some(dst_world));
                     self.t_comm += cost + wait;
                     self.metric_inc("fault.recovered.retransmit", 1);
-                    self.metric_observe("fault.retry_wait_secs", wait);
+                    self.metric_inc_ns("fault.retry_wait_ns", wait);
                 }
                 self.span_exit(sp);
             } else {
@@ -425,7 +419,7 @@ impl Rank {
         }
         if decision.delay > 0.0 {
             self.metric_inc("fault.injected.delay", 1);
-            self.metric_observe("fault.delay_secs", decision.delay);
+            self.metric_inc_ns("fault.delay_ns", decision.delay);
         }
         let dup_payload = decision.dup.then(|| payload.clone());
         self.send_physical(

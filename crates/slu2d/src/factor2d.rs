@@ -58,9 +58,8 @@ impl Default for FactorOpts {
 /// takes its panel step in the same relative order, keeping the roster
 /// broadcasts aligned, and a rank off them has nothing of that step to do.
 /// The 3D driver reads each rank's list from its factorization program. A
-/// Schur step this rank skips is an update with no local share: it is
-/// recorded as a zero-flop `gemm.flops_per_supernode` sample, all of them in
-/// one call.
+/// Schur step this rank skips is an update with no local share: it counts
+/// in `schur.zero_flop_updates`, all of them in one call.
 ///
 /// A panel step or Schur update that finds this rank's share of the store
 /// incomplete, or a list that updates a supernode before its panel step,
@@ -127,7 +126,9 @@ pub async fn factor_nodes(
     }
     scratch.release(rank);
     let skipped = nodes.len().saturating_sub(schur_steps);
-    rank.metric_observe_zeros("gemm.flops_per_supernode", skipped as u64);
+    if skipped > 0 {
+        rank.metric_inc("schur.zero_flop_updates", skipped as u64);
+    }
     Ok(perturbations)
 }
 

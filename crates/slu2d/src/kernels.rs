@@ -340,7 +340,12 @@ pub fn factor_step_schur(
         schur_batched(rank, store, sym, k, panels, scratch)?;
     }
     let df = flops::get() - f0;
-    rank.metric_observe("gemm.flops_per_supernode", df as f64);
+    if df > 0 {
+        rank.metric_inc("schur.updates", 1);
+        rank.metric_inc("schur.flops", df);
+    } else {
+        rank.metric_inc("schur.zero_flop_updates", 1);
+    }
     rank.advance_compute(df);
     Ok(())
 }

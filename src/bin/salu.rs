@@ -67,11 +67,11 @@ fn usage() -> ! {
          \x20 --trace-out FILE   write a Chrome trace-event JSON of the run\n\
          \x20                    (open in ui.perfetto.dev) and print the\n\
          \x20                    critical-path attribution\n\
-         \x20 --run-out FILE     write the run document (salu-run/3) as JSON;\n\
+         \x20 --run-out FILE     write the run document (salu-run/4) as JSON;\n\
          \x20                    '-' = stdout: sim.{{run, metrics, memprof,\n\
          \x20                    commvol}} — the run's clocks and counts, the\n\
-         \x20                    merged metrics registry, the memory ledgers and\n\
-         \x20                    the wire ledgers, bitwise the same on every\n\
+         \x20                    merged counters, the memory and wire ledgers'\n\
+         \x20                    aggregates, bitwise the same on every\n\
          \x20                    host and backend — and host.{{sched,\n\
          \x20                    hostprof}} — the event scheduler's counters\n\
          \x20                    (null under 'threaded' on P > 1) and the host-time\n\
@@ -330,9 +330,11 @@ fn main() {
     let account = out.account();
     let text = RunText::of(&account).expect("an account renders");
     print!("{}", text.summary);
+    // Analyzed once; printed in the digest, or after the trace without one.
+    let critical_path = out.critical_path();
     if args.report {
         print!("{}", text.digest_clock);
-        if let Some(cp) = out.critical_path() {
+        if let Some(cp) = &critical_path {
             println!("{}", cp.render());
         }
         print!("{}", text.digest_ledgers);
@@ -340,7 +342,7 @@ fn main() {
 
     if args.fault_plan.is_some() {
         println!("\nfault injection (seed {}):", args.fault_seed);
-        let counters = account.at(&["sim", "metrics", "counters"]);
+        let counters = account.at(&["sim", "metrics"]);
         for (k, v) in counters.and_then(Json::as_obj).unwrap_or(&[]) {
             if k.starts_with("fault.") {
                 println!("  {k:<30} = {}", v.as_f64().unwrap_or(0.0) as u64);
@@ -380,12 +382,12 @@ fn main() {
             exit(1);
         }
         println!("\ntrace written to {path} (open in ui.perfetto.dev)");
-        if let Some(cp) = out.critical_path() {
+        if let Some(cp) = critical_path.as_ref().filter(|_| !args.report) {
             println!("{}", cp.render());
         }
     }
     if let Some(path) = &args.run_out {
-        let mut doc = out.with_ranks(account.clone());
+        let mut doc = account.clone();
         if let (Json::Obj(sections), Some((plan, audit))) = (&mut doc, &plan) {
             sections.push(("plan".into(), salu::commplan::plan_json(plan, audit)));
         }

@@ -27,13 +27,13 @@ pub fn sample_output() -> Output3d {
     factor_and_solve(&prep, &cfg, Some(b))
 }
 
-/// The sample run's `(chrome_trace, run_document)`, pretty-printed.
+/// The sample run's `(chrome_trace, account)`, pretty-printed.
 /// Byte-stable: the simulation is deterministic, the JSON writer keeps
 /// insertion order, and the run is threaded and unprofiled, so the
 /// document's `host` section is two `null`s.
 pub fn sample_artifacts() -> (String, String) {
     let out = sample_output();
     let trace = out.chrome_trace().expect("sample run traces").pretty();
-    let run = out.run_document().pretty();
+    let run = out.account().pretty();
     (trace, run)
 }

@@ -11,11 +11,14 @@
 //! (`cargo test --release --test backends -- --ignored`) and the smoke
 //! campaign factors the same point end-to-end.
 
+mod same_sim;
+
 use commplan::{build_plan, check_plan, compare_with_measured};
 use lu3d::solver::{try_factor_only, SolverConfig};
 use lu3d::EtreeForest;
 use salu::prelude::*;
 use salu::simgrid::{Grid3d, SchedStats};
+use same_sim::assert_same_sim;
 use sparsemat::matgen;
 use sparsemat::Csr;
 
@@ -138,15 +141,9 @@ fn config(case: &Case, backend: Backend) -> SolverConfig {
     }
 }
 
-/// The `sim` section of a run's document, rendered: everything the
-/// simulation determines about the run, and nothing the host adds.
-fn sim_section(out: &Output3d) -> String {
-    out.run_document().get("sim").expect("sim section").pretty()
-}
-
 /// Every simulated observable of a factor-only run is backend-independent,
-/// bitwise: digest, makespan, and the document's `sim` section — metrics
-/// (the chaos case's `fault.*` counters included), memory and wire ledgers.
+/// bitwise: digest, makespan, the account's `sim` section and every rank's
+/// counters (the chaos case's `fault.*` included), memory and wire ledgers.
 #[test]
 fn every_config_is_bitwise_identical_across_backends() {
     for case in cases() {
@@ -169,12 +166,7 @@ fn every_config_is_bitwise_identical_across_backends() {
             threaded.makespan(),
             event.makespan()
         );
-        assert_eq!(
-            sim_section(&threaded),
-            sim_section(&event),
-            "{}: the run documents' sim sections diverge",
-            case.label
-        );
+        assert_same_sim(&threaded, &event, case.label);
         if case.batches {
             // The gather-GEMM-scatter kernel ran, equally often on both
             // backends, and an event rerun repeats digest and scheduler
@@ -266,7 +258,7 @@ fn p16_solve_is_bitwise_identical_and_scheduler_counters_repeat() {
     assert_eq!(bits(&threaded), bits(&event), "solutions diverge");
     assert_eq!(threaded.factor_digest, event.factor_digest);
     assert_eq!(threaded.makespan().to_bits(), event.makespan().to_bits());
-    assert_eq!(sim_section(&threaded), sim_section(&event));
+    assert_same_sim(&threaded, &event, "P = 16");
     assert!(threaded.sched.is_none());
     let s = event.sched.expect("event runs report scheduler counters");
     assert_eq!(Some(s), again.sched, "scheduler counters must repeat");

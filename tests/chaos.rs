@@ -76,12 +76,12 @@ fn recovered_chaos_run_is_bitwise_identical_to_fault_free() {
             m.counter("fault.resent_words") > 0,
             "{backend}: no retransmit volume"
         );
-        // (Only that sub-section of the run documents' `sim`: `run` carries
-        // the makespans, `metrics` the `fault.*` counters asserted above and
-        // `memprof` the simulated instant of each peak, which recovery
-        // shifts.)
+        // (Only that sub-section of the accounts' `sim`, and each rank's
+        // wire ledger: `run` carries the makespans, `metrics` the `fault.*`
+        // counters asserted above and `memprof` the simulated instant of
+        // each peak, which recovery shifts.)
         let wire = |o: &Output3d| {
-            let doc = o.run_document();
+            let doc = o.account();
             doc.at(&["sim", "commvol"]).expect("wire section").pretty()
         };
         assert_eq!(
@@ -89,6 +89,10 @@ fn recovered_chaos_run_is_bitwise_identical_to_fault_free() {
             wire(&clean),
             "{backend}: recovered run must report fault-free algorithmic volume"
         );
+        assert_eq!(faulted.reports.len(), clean.reports.len());
+        for (rank, (f, c)) in faulted.reports.iter().zip(&clean.reports).enumerate() {
+            assert_eq!(f.commvol, c.commvol, "{backend}: rank {rank} wire ledger");
+        }
         // ...and the factors and solution are bit-for-bit the fault-free
         // ones.
         assert_eq!(

@@ -156,7 +156,7 @@ fn degenerate_sizes_and_fault_values_are_refused() {
     }
 }
 
-/// `--run-out -` prints one `salu-run/3` document among the report lines:
+/// `--run-out -` prints one `salu-run/4` document among the report lines:
 /// the host-time profile is on because the flag turns it on, the scheduler
 /// counters are there exactly when a scheduler of ours ran.
 #[test]
@@ -182,7 +182,7 @@ fn run_out_prints_one_versioned_document() {
         let doc = document_in(&stdout);
         assert_eq!(
             doc.at(&["schema"]).and_then(Json::as_str),
-            Some("salu-run/3"),
+            Some("salu-run/4"),
             "{backend}"
         );
         for section in ["run", "metrics", "memprof", "commvol"] {
@@ -210,10 +210,9 @@ fn run_out_prints_one_versioned_document() {
     }
 }
 
-/// `--report`'s "schur updates" line counts the updates ranks applied, not
-/// every `gemm.flops_per_supernode` sample: the zero-flop samples (mostly
-/// supernodes a rank has no share of the update of) are printed apart, and
-/// the two add up to the samples of the run document.
+/// `--report`'s "schur updates" line counts the updates ranks applied: the
+/// zero-flop ones (mostly supernodes a rank has no share of the update of)
+/// are printed apart, and both are the run document's counters.
 #[test]
 fn report_counts_schur_updates_apart_from_no_local_share() {
     let out = salu(&[
@@ -241,32 +240,30 @@ fn report_counts_schur_updates_apart_from_no_local_share() {
     };
     assert_eq!(batched + per_block, updates, "{line}");
     let doc = document_in(&stdout);
-    let hist = doc
-        .at(&["sim", "metrics", "histograms", "gemm.flops_per_supernode"])
-        .expect("the update histogram");
-    let count = hist.num_at(&["count"]).expect("count") as u64;
-    let zeros = hist
-        .at(&["buckets"])
-        .and_then(Json::as_arr)
-        .expect("buckets")
-        .iter()
-        .find(|b| b.at(&["ge"]).and_then(Json::as_str) == Some("0"))
-        .and_then(|b| b.num_at(&["count"]).ok())
-        .expect("a zero bucket: on 2x2 layers some rank has no share") as u64;
-    assert_eq!((updates, zero_flop), (count - zeros, zeros), "{line}");
+    let counter = |name| doc.num_at(&["sim", "metrics", name]).expect(name) as u64;
+    assert_eq!(
+        (updates, zero_flop),
+        (counter("schur.updates"), counter("schur.zero_flop_updates")),
+        "{line}"
+    );
     assert!(updates > 0 && zero_flop > 0, "{line}");
+    assert!(counter("schur.flops") >= updates, "{line}");
 }
 
 /// The text is a function of the document: the run document `--run-out`
 /// writes, parsed back and rendered by the library, is the summary and the
-/// digest stdout shows, byte for byte, on both backends.
+/// digest stdout shows, byte for byte, on both backends. A traced report
+/// prints its critical path once, in the digest.
 #[test]
 fn printed_text_is_the_rendered_run_document() {
     for backend in ["threaded", "event"] {
         let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{backend}.json"));
+        let trace =
+            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{backend}_t.json"));
         let args = "--gen grid2d:16 --grid 2x2x2 --refine 2 --report --backend";
         let mut args: Vec<&str> = args.split(' ').collect();
         args.extend([backend, "--run-out", path.to_str().unwrap()]);
+        args.extend(["--trace-out", trace.to_str().unwrap()]);
         let out = salu(&args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
@@ -290,5 +287,7 @@ fn printed_text_is_the_rendered_run_document() {
         assert!(text.digest_ledgers.contains("host time"), "{backend}");
         let has_sched = text.digest_ledgers.contains("event scheduler");
         assert_eq!(has_sched, backend == "event");
+        let paths = stdout.matches("critical path: makespan").count();
+        assert_eq!(paths, 1, "{backend}: {stdout}");
     }
 }

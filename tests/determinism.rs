@@ -4,10 +4,13 @@
 //! deterministic reduction orders guarantee: every receive names its
 //! source, so the schedule is a function of the program.
 
+mod same_sim;
+
 use salu::prelude::*;
 use salu::simgrid::obs::validate_chrome_trace;
 use salu::sparsemat::matgen::{from_spec, grid2d_5pt};
 use salu::sparsemat::Csr;
+use same_sim::assert_same_sim;
 
 /// The problems every test runs with `--leaf 8`: a name, the matrix,
 /// `--maxsup`, `--grid` and `--refine`. The `kkt:6` layers prune panel
@@ -32,8 +35,8 @@ fn kkt() -> Problem {
 
 /// One run: its solution, its pretty-printed trace (which the trace
 /// validator passes: nesting, flows, every message paired and causal) and
-/// its run document's `sim` section.
-fn run_on(input: Input, backend: Backend) -> (Vec<f64>, String, String) {
+/// the run itself.
+fn run_on(input: Input, backend: Backend) -> (Vec<f64>, String, Output3d) {
     let (name, matrix, maxsup, [pr, pc, pz], refine_steps) = input;
     let (a, geometry) = matrix();
     let x_true: Vec<f64> = (0..a.nrows).map(|i| ((i % 9) as f64) - 4.0).collect();
@@ -52,11 +55,8 @@ fn run_on(input: Input, backend: Backend) -> (Vec<f64>, String, String) {
     let out = factor_and_solve(&prep, &cfg, Some(b));
     let doc = out.chrome_trace().expect("tracing was on");
     validate_chrome_trace(&doc).unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
-    // Everything the simulation determines besides the timeline: merged
-    // metrics, memory ledgers, wire ledgers.
-    let sim = out.run_document().get("sim").expect("sim section").pretty();
-    let x = out.x.expect("solution");
-    (x, doc.pretty(), sim)
+    let x = out.x.clone().expect("solution");
+    (x, doc.pretty(), out)
 }
 
 fn assert_bitwise_equal(a: &[f64], b: &[f64]) {
@@ -80,10 +80,9 @@ fn repeated_runs_are_bitwise_identical() {
         // The message traces — every send, receive, timestamp, payload
         // size — must also match byte for byte.
         assert_eq!(t1, t2, "{name}: traces differ between runs");
-        // So must the run document's `sim` section: every metric, every
-        // ledger peak, every (phase, class, level, axis) cell and per-edge
-        // total.
-        assert_eq!(w1, w2, "{name}: sim sections differ between runs");
+        // So must every counter, every ledger peak, every (phase, class,
+        // level, axis) cell and per-edge total.
+        assert_same_sim(&w1, &w2, &format!("{name}, between runs"));
     }
 }
 
@@ -98,11 +97,11 @@ fn event_backend_reproduces_the_threaded_schedule() {
         let (xe, te, we) = run_on(input, Backend::Event);
         assert_bitwise_equal(&xt, &xe);
         assert_eq!(tt, te, "{name}: traces differ between backends");
-        assert_eq!(wt, we, "{name}: sim sections differ between backends");
+        assert_same_sim(&wt, &we, &format!("{name}, between backends"));
         // And the event backend is self-deterministic.
         let (xe2, te2, we2) = run_on(input, Backend::Event);
         assert_bitwise_equal(&xe, &xe2);
         assert_eq!(te, te2, "{name}: event traces differ between runs");
-        assert_eq!(we, we2, "{name}: event sim sections differ between runs");
+        assert_same_sim(&we, &we2, &format!("{name}, between event runs"));
     }
 }

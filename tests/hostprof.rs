@@ -85,7 +85,7 @@ fn profiling_never_perturbs_the_factors() {
     );
     assert!(plain.reports.iter().all(|r| r.hostprof.is_none()));
     assert_eq!(
-        plain.run_document().at(&["host", "hostprof"]),
+        plain.account().at(&["host", "hostprof"]),
         Some(&Json::Null),
         "an unprofiled run's document claims no host-time profile"
     );
@@ -151,30 +151,41 @@ fn the_contract_holds_under_the_event_backend() {
 #[test]
 fn hostprof_document_is_well_formed() {
     let out = pinned_run(true, false);
-    let doc = Json::parse(&out.run_document().pretty()).expect("emitted JSON parses back");
+    let doc = Json::parse(&out.account().pretty()).expect("emitted JSON parses back");
     let doc = doc.at(&["host", "hostprof"]).expect("profiling was on");
-    let ranks = doc.at(&["ranks"]).and_then(Json::as_arr).unwrap();
-    assert_eq!(ranks.len(), 8, "one entry per rank");
-    // Each rank states its own host quantities once: its words are in
-    // `sim.commvol` and its paths in `folded_stacks`.
-    for entry in ranks {
-        let keys = entry.as_obj().unwrap().iter().map(|(k, _)| k.as_str());
-        assert!(
-            keys.eq(["wall_secs", "phase_ns", "flops", "flop_rate"]),
-            "{entry:?}"
-        );
-    }
-    assert!(doc.num_at(&["max_wall_secs"]).unwrap() > 0.0);
-    // The one machine-wide host rate: flops over compute seconds summed.
     let host = host_reports(&out);
+    // The slowest rank is named: the lowest one holding the largest wall.
+    let max_wall = doc.num_at(&["max_wall_secs"]).unwrap();
+    let slowest = doc.num_at(&["max_wall_secs_rank"]).unwrap() as usize;
+    assert!(max_wall > 0.0);
+    assert_eq!(host[slowest].wall_secs, max_wall);
+    assert!(host[..slowest].iter().all(|r| r.wall_secs < max_wall));
+    // The one machine-wide host rate: flops over compute seconds summed.
     let flops: u64 = host.iter().map(|r| r.flops).sum();
     let compute: f64 = host.iter().map(|r| r.compute_secs()).sum();
     assert_eq!(doc.num_at(&["flop_rate"]), Ok(flops as f64 / compute));
+    // The folded stacks are machine-wide: one line per distinct phase path,
+    // no rank frame, and together every rank's attributed nanoseconds.
     let folded = doc
         .at(&["folded_stacks"])
         .and_then(Json::as_str)
         .expect("folded stacks text");
-    assert!(folded.contains("rank 0;"), "folded stacks name ranks");
+    let lines: Vec<(&str, u64)> = folded
+        .lines()
+        .map(|l| l.rsplit_once(' ').expect("`path ns`"))
+        .map(|(path, ns)| (path, ns.parse().expect("whole nanoseconds")))
+        .collect();
+    assert!(lines.windows(2).all(|w| w[0].0 < w[1].0), "{folded}");
+    assert!(
+        lines.iter().all(|(path, _)| !path.contains("rank")),
+        "{folded}"
+    );
+    let attributed: u64 = host
+        .iter()
+        .flat_map(|r| &r.phase_ns)
+        .map(|(_, ns)| ns)
+        .sum();
+    assert_eq!(lines.iter().map(|(_, ns)| ns).sum::<u64>(), attributed);
 }
 
 #[test]

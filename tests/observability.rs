@@ -139,12 +139,12 @@ fn sample_artifacts_match_pinned_goldens() {
         want_trace.contains("\"wire rank 0\""),
         "sample trace must carry wire counter tracks"
     );
-    // The pinned document is a `salu-run/3` whose wire section names every
+    // The pinned document is a `salu-run/4` whose wire section names every
     // class and axis it charges.
     let doc = Json::parse(&want_run).unwrap();
     assert_eq!(
         doc.at(&["schema"]).and_then(Json::as_str),
-        Some("salu-run/3")
+        Some("salu-run/4")
     );
     assert_eq!(doc.at(&["host", "sched"]), Some(&Json::Null));
     assert_eq!(doc.at(&["host", "hostprof"]), Some(&Json::Null));
@@ -152,6 +152,45 @@ fn sample_artifacts_match_pinned_goldens() {
     assert!(wire.num_at(&["total_sent_words"]).unwrap() > 0.0);
     assert!(wire.at(&["by_class", "LPanel"]).is_some());
     assert!(wire.at(&["by_axis", "z"]).is_some());
+}
+
+/// The run document is bounded at any P: a profiled P = 256 run on the
+/// event backend, refinement included, states its account in under 16 KiB,
+/// and each per-rank maximum names a rank that holds it.
+#[test]
+fn the_run_document_does_not_grow_with_p() {
+    let nx = 32;
+    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
+    let b = a.matvec(&vec![1.0; a.nrows]);
+    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
+    let cfg = SolverConfig {
+        pr: 8,
+        pc: 8,
+        pz: 4,
+        backend: Backend::Event,
+        host_profiling: true,
+        ..Default::default()
+    };
+    let out = factor_and_solve(&prep, &cfg, Some(b));
+    assert_eq!(out.reports.len(), 256);
+    let doc = out.account();
+    let bytes = doc.pretty().len();
+    assert!(bytes < 16 * 1024, "a P = 256 account is {bytes} bytes");
+    assert!(doc.at(&["host", "hostprof", "folded_stacks"]).is_some());
+    let rank = |path: &[&str]| doc.num_at(path).unwrap() as usize;
+    let peak = rank(&["sim", "memprof", "max_peak_bytes_rank"]);
+    let peak_bytes = rank(&["sim", "memprof", "max_peak_bytes"]) as u64;
+    assert_eq!(out.reports[peak].memprof.peak_bytes, peak_bytes);
+    let sent = rank(&["sim", "commvol", "max_rank_sent_words_rank"]);
+    assert_eq!(
+        out.reports[sent].commvol.sent_words(),
+        out.max_rank_sent_words()
+    );
+    let first = out
+        .reports
+        .iter()
+        .position(|r| r.commvol.sent_words() == out.max_rank_sent_words());
+    assert_eq!(Some(sent), first, "the lowest rank holding the maximum");
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! `Pz = 1` solve, and both backends run it to the same bits with no rank
 //! ever waiting in a cycle.
 
+mod same_sim;
 mod solve_traffic;
 
 use salu::lu3d::solve3d::SolvePlan;
@@ -12,6 +13,7 @@ use salu::slu2d::solve2d::{Rosters, SolveLayout};
 use salu::slu2d::store::{BlockStore, InitValues};
 use salu::slu2d::{seq_factor, seq_solve};
 use salu::sparsemat::matgen;
+use same_sim::assert_same_sim;
 use solve_traffic::{measured_solve_traffic, plan_batches, planned_solve_traffic, Sent};
 
 const REFINE_STEPS: usize = 2;
@@ -125,10 +127,6 @@ fn relative_distance(x: &[f64], y: &[f64]) -> f64 {
     diff.fold(0.0, f64::max) / scale
 }
 
-fn sim_section(out: &Output3d) -> String {
-    out.run_document().get("sim").expect("sim section").pretty()
-}
-
 /// The solve's ledger is the count from its plan — batch rosters, z-line
 /// lists, halo and gather routes — rank for rank on both backends. Batching
 /// never sends more messages than one collective per supernode would over
@@ -224,7 +222,7 @@ fn waves_solve_like_seq_and_pz1_to_the_same_bits_on_both_backends() {
             x.iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&threaded), bits(&event), "{label}: x bits");
-        assert_eq!(sim_section(&threaded), sim_section(&event), "{label}");
+        assert_same_sim(&threaded, &event, label);
         let sched = event.sched.expect("event runs report scheduler counters");
         assert_eq!(Some(sched), again.sched, "{label}: counters must repeat");
         assert_eq!(sched.quiescence_resolutions, 0, "{label}: a rank waited");
