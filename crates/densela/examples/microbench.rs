@@ -1,12 +1,13 @@
 //! Microbenchmark: the packed register-blocked kernel vs the per-block
 //! axpy kernel, on the panel shapes the batched Schur update produces
-//! (tall-skinny times short-wide, small inner dimension).
+//! (tall-skinny times short-wide, small inner dimension), then the tiled
+//! kernel on the target blocks that update writes.
 //!
 //! ```sh
 //! cargo run --release -p densela --example microbench
 //! ```
 
-use densela::Mat;
+use densela::{BlockMap, Mat};
 use std::time::Instant;
 
 fn fill(m: &mut Mat, seed: u64) {
@@ -28,6 +29,46 @@ fn time_it(reps: usize, mut f: impl FnMut()) -> f64 {
         f();
     }
     t0.elapsed().as_secs_f64() / reps as f64
+}
+
+/// `gemm_blocked_tiled` at the batched Schur update's typical shape
+/// (m = n = 800, k = 32) onto C cut into 25 x 25 target blocks, each
+/// mapped through the identity, or with every third row stripe scattered
+/// over a taller target (every other target row skipped): the
+/// staging-panel path the batched update takes.
+fn tiled_rows() {
+    let (m, n, k, h) = (800usize, 800usize, 32usize, 25usize);
+    let mut a = Mat::zeros(m, k);
+    let mut b = Mat::zeros(k, n);
+    fill(&mut a, 1);
+    fill(&mut b, 2);
+    let off: Vec<usize> = (0..=m / h).map(|s| s * h).collect();
+    let run: Vec<u32> = (0..h as u32).collect();
+    let every_other: Vec<u32> = (0..h as u32).map(|r| 2 * r).collect();
+    let reps = (1 << 26) / (m * n) + 1;
+    for (scatter_every, scattered) in [(0usize, "none"), (3, "1/3")] {
+        let (mut blocks, mut maps) = (Vec::new(), Vec::new());
+        for bi in 0..off.len() - 1 {
+            let rows = if scatter_every > 0 && bi % scatter_every == 0 {
+                &every_other
+            } else {
+                &run
+            };
+            for bj in 0..off.len() - 1 {
+                let mut blk = Mat::zeros(*rows.last().unwrap() as usize + 1, h);
+                fill(&mut blk, 3 + (bi * off.len() + bj) as u64);
+                blocks.push(blk);
+                maps.push(BlockMap { rows, cols: &run });
+            }
+        }
+        let t = time_it(reps, || {
+            densela::gemm_blocked_tiled(-1.0, &a, &b, &off, &off, &mut blocks, &maps)
+        });
+        println!(
+            "tiled m={m:4} k={k:2} n={n:4} stripes={h} scattered rows={scattered:4}  {:6.2} GF/s",
+            2.0 * (m * n * k) as f64 / t / 1e9,
+        );
+    }
 }
 
 fn main() {
@@ -127,4 +168,5 @@ fn main() {
             t_perblock / t_blocked,
         );
     }
+    tiled_rows();
 }

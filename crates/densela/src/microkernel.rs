@@ -10,6 +10,13 @@
 //! cache blocking — so each C tile stays in registers across the whole
 //! inner-product loop.
 //!
+//! C reaches the register tiles through one staging panel per `MC`-row
+//! block and `NR`-column tile (`MC x NR` doubles): the panel is gathered
+//! once from the target blocks, every `MR`-row tile of the block loads its
+//! columns from it as fixed `[f64; MR]` arrays and stores them back, and
+//! the panel is scattered back once. The tiles never see how C is cut into
+//! blocks.
+//!
 //! ## Bitwise contract
 //!
 //! [`gemm_blocked`] produces **bit-identical** results to [`crate::gemm::gemm`]
@@ -31,10 +38,12 @@
 use crate::flops;
 use crate::matrix::Mat;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Register-tile rows: each micro-tile update keeps `MR x NR` C values in
-/// registers (16 x 4 doubles = 8 512-bit accumulator vectors, or 16 256-bit
-/// ones on AVX2-only hosts).
+/// registers (16 x 4 doubles = 16 256-bit accumulator vectors; the
+/// `target-cpu=native` build keeps to 256-bit vectors on AVX-512 hosts too,
+/// LLVM's prefer-256-bit tuning).
 pub const MR: usize = 16;
 /// Register-tile columns.
 pub const NR: usize = 4;
@@ -60,29 +69,8 @@ struct Workspace {
     tile_kks: Vec<u16>,
     tile_len: Vec<usize>,
     tile_zeros: Vec<u64>,
-    row_map: Vec<(u32, u32)>,
     col_map: Vec<(u32, u32)>,
-    /// Per target block, the first row of its row map when the map is one
-    /// run of consecutive rows, else [`SCATTERED`].
-    runs: Vec<u32>,
-    /// The stripe stretches of every MR-row tile of the current `MC` block:
-    /// tile `it` is `frags[frag_ptr[it]..frag_ptr[it + 1]]`.
-    frags: Vec<Frag>,
-    frag_ptr: Vec<usize>,
 }
-
-/// The rows of one MR-row tile that lie in one row stripe: `len` stripe
-/// rows from `lr` of stripe `bi`, in accumulator lanes from `lane`.
-#[derive(Clone, Copy, Debug, Default)]
-struct Frag {
-    bi: u32,
-    lr: u32,
-    len: u32,
-    lane: u32,
-}
-
-/// A row map that is not one run of consecutive rows.
-const SCATTERED: u32 = u32::MAX;
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
@@ -143,14 +131,14 @@ pub struct BlockMap<'a> {
 /// `C += alpha * A * B` where C is a panel *tiled from disjoint blocks*:
 /// `blocks[bi * (col_off.len() - 1) + bj]` takes global rows
 /// `row_off[bi]..row_off[bi + 1]` and columns `col_off[bj]..col_off[bj + 1]`,
-/// at the rows and columns its [`BlockMap`] names. The kernel loads and
-/// stores its C register tiles directly from the blocks, so callers with
-/// block-partitioned targets (the batched Schur update) pay no panel gather
-/// or scatter copies — the scatter *is* the tile store; a run of
-/// consecutive target rows moves as one slice. Same bitwise contract and
-/// flop accounting as [`gemm_blocked`]; no sliver fallback (tile
-/// fragmentation, not shape, decides the cost here, and the arithmetic is
-/// identical either way).
+/// at the rows and columns its [`BlockMap`] names. The kernel gathers its
+/// staging panels straight from the blocks and scatters them straight back,
+/// so callers with block-partitioned targets (the batched Schur update)
+/// copy no C panel of their own; a stripe's run of consecutive target rows
+/// moves as one slice, a scattered map entry by entry. Same bitwise
+/// contract and flop accounting as [`gemm_blocked`]; no sliver fallback
+/// (the stripes, not the shape, decide the cost here, and the arithmetic
+/// is identical either way).
 pub fn gemm_blocked_tiled(
     alpha: f64,
     a: &Mat,
@@ -180,9 +168,9 @@ pub fn gemm_blocked_tiled(
         "need one block per (row stripe, col stripe) pair"
     );
     assert_eq!(maps.len(), blocks.len(), "need one map per block");
-    // A map shorter than its stripe would stall the tile loads on a
-    // zero-length fragment; one leaving its block, or not ascending, would
-    // update the wrong entries.
+    // A map shorter than its stripe would end the panel moves on an index
+    // past it; one leaving its block, or not ascending, would update the
+    // wrong entries.
     for (bi, rows) in row_off.windows(2).enumerate() {
         for (bj, cols) in col_off.windows(2).enumerate() {
             let (blk, map) = (&blocks[bi * s_cols + bj], &maps[bi * s_cols + bj]);
@@ -221,13 +209,63 @@ fn gemm_core(
 }
 
 /// The target blocks of one tiled GEMM with their maps, `s_cols` per row
-/// stripe.
-struct Tiles<'b, 'm> {
+/// stripe, the row stripes starting at `row_off`.
+struct Targets<'b, 'm> {
     blocks: &'b mut [Mat],
     maps: &'b [BlockMap<'m>],
-    /// [`Workspace::runs`] of `maps`.
-    runs: &'b [u32],
+    row_off: &'b [usize],
     s_cols: usize,
+}
+
+impl Targets<'_, '_> {
+    /// Move global rows `rows` (one `MC` block, whose first row lies in
+    /// stripe `bi0`) of the global columns `cols` between the target blocks
+    /// and the staging panel: into it when `STORE` is false, back out when
+    /// true. Each stripe's stretch of a column moves as one slice where its
+    /// target rows are consecutive, else entry by entry through the map.
+    fn exchange<const STORE: bool>(
+        &mut self,
+        stage: &mut [f64; MC * NR],
+        bi0: usize,
+        rows: Range<usize>,
+        cols: &[(u32, u32)],
+    ) {
+        for (panel, &(bj, lc)) in stage.chunks_exact_mut(MC).zip(cols) {
+            let mut bi = bi0;
+            while self.row_off[bi] < rows.end {
+                let (start, end) = (
+                    self.row_off[bi].max(rows.start),
+                    self.row_off[bi + 1].min(rows.end),
+                );
+                if start < end {
+                    let b = bi * self.s_cols + bj as usize;
+                    let map = &self.maps[b];
+                    let lr = start - self.row_off[bi];
+                    let at = &mut panel[start - rows.start..end - rows.start];
+                    let target_rows = &map.rows[lr..lr + at.len()];
+                    let col = self.blocks[b].col_mut(map.cols[lc as usize] as usize);
+                    if is_run(target_rows) {
+                        let r0 = target_rows[0] as usize;
+                        let run = &mut col[r0..r0 + at.len()];
+                        if STORE {
+                            run.copy_from_slice(at);
+                        } else {
+                            at.copy_from_slice(run);
+                        }
+                    } else if STORE {
+                        for (&v, &r) in at.iter().zip(target_rows) {
+                            col[r as usize] = v;
+                        }
+                    } else {
+                        for (v, &r) in at.iter_mut().zip(target_rows) {
+                            *v = col[r as usize];
+                        }
+                    }
+                }
+                bi += 1;
+            }
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -245,25 +283,13 @@ fn gemm_core_ws(
     let k = a.cols();
     let n = b.cols();
     let s_cols = col_off.len() - 1;
-    ws.runs.clear();
-    ws.runs.extend(maps.iter().map(|map| match map.rows {
-        [first, ..] if is_run(map.rows) => *first,
-        _ => SCATTERED,
-    }));
-    let mut tiles = Tiles {
+    let mut targets = Targets {
         blocks,
         maps,
-        runs: &ws.runs,
+        row_off,
         s_cols,
     };
-    // Global index -> (stripe, local index) maps for C tile loads/stores.
-    ensure(&mut ws.row_map, m);
-    let row_map = &mut ws.row_map[..m];
-    for bi in 0..row_off.len() - 1 {
-        for (lr, rm) in row_map[row_off[bi]..row_off[bi + 1]].iter_mut().enumerate() {
-            *rm = (bi as u32, lr as u32);
-        }
-    }
+    // Global column -> (stripe, local column).
     ensure(&mut ws.col_map, n);
     let col_map = &mut ws.col_map[..n];
     for bj in 0..s_cols {
@@ -297,148 +323,114 @@ fn gemm_core_ws(
     // Slabs are sized for the depth in use, not for `KC`: a width-32
     // supernode packs a quarter of a `KC`-deep panel, and every rank thread
     // holds its own workspace.
-    let ncb = n.div_ceil(NR) * NR;
+    let n_tiles = n.div_ceil(NR);
     let kc_max = KC.min(k);
     ensure(&mut ws.ap, MC * kc_max);
-    ensure(&mut ws.bp, kc_max * ncb);
-    ensure(&mut ws.tile_kks, (ncb / NR) * KC);
-    ensure(&mut ws.tile_len, ncb / NR);
+    ensure(&mut ws.bp, kc_max * n_tiles * NR);
+    ensure(&mut ws.tile_kks, n_tiles * KC);
+    ensure(&mut ws.tile_len, n_tiles);
     // Zero scales remaining among kept rows' real columns: tiles with none
     // take the branch-free micro-kernel (the common, dense case).
-    ensure(&mut ws.tile_zeros, ncb / NR);
+    ensure(&mut ws.tile_zeros, n_tiles);
     let (ap, bp) = (&mut ws.ap[..], &mut ws.bp[..]);
     let (tile_kks, tile_len, tile_zeros) = (
         &mut ws.tile_kks[..],
         &mut ws.tile_len[..],
         &mut ws.tile_zeros[..],
     );
-    let (frags, frag_ptr) = (&mut ws.frags, &mut ws.frag_ptr);
+    // The C staging panel: one column tile of one `MC` block, `NR` columns
+    // of `MC` rows. Rows past the block's last and columns past `n` are
+    // padding the micro-kernel computes on and nothing reads back.
+    let mut stage = [0.0f64; MC * NR];
     let mut performed_madds = 0u64;
     let mut skipped_pairs = 0u64;
 
-    for jc in (0..n).step_by(ncb) {
-        let nc_len = ncb.min(n - jc);
-        let n_tiles = nc_len.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
-            let kc_len = KC.min(k - pc);
-            // Pack B(pc..pc+kc_len, jc..jc+nc_len), premultiplied by alpha,
-            // counting the zero scales each column-tile will skip and
-            // dropping all-zero rows.
-            let mut zero_pairs = 0u64;
-            for jt in 0..n_tiles {
-                let base = jt * NR * kc_len;
-                let kbase = jt * KC;
-                let tile_cols = NR.min(nc_len - jt * NR);
-                let mut len = 0usize;
-                let mut tz = 0u64;
-                for kk in 0..kc_len {
-                    let mut scales = [0.0f64; NR];
-                    let mut row_zeros = 0u64;
-                    for (cc, s) in scales.iter_mut().enumerate().take(tile_cols) {
-                        *s = alpha * b_buf[(jc + jt * NR + cc) * k + pc + kk];
-                        if *s == 0.0 {
-                            row_zeros += 1;
-                        }
+    for pc in (0..k).step_by(KC) {
+        let kc_len = KC.min(k - pc);
+        // Pack B(pc..pc+kc_len, ..), premultiplied by alpha, counting the
+        // zero scales each column-tile will skip and dropping all-zero rows.
+        let mut zero_pairs = 0u64;
+        for jt in 0..n_tiles {
+            let base = jt * NR * kc_len;
+            let kbase = jt * KC;
+            let tile_cols = NR.min(n - jt * NR);
+            let mut len = 0usize;
+            let mut tz = 0u64;
+            for kk in 0..kc_len {
+                let mut scales = [0.0f64; NR];
+                let mut row_zeros = 0u64;
+                for (cc, s) in scales.iter_mut().enumerate().take(tile_cols) {
+                    *s = alpha * b_buf[(jt * NR + cc) * k + pc + kk];
+                    if *s == 0.0 {
+                        row_zeros += 1;
                     }
-                    zero_pairs += row_zeros;
-                    if row_zeros == tile_cols as u64 {
-                        continue; // every real contribution skipped: drop row
-                    }
-                    tz += row_zeros;
-                    bp[base + len * NR..base + len * NR + NR].copy_from_slice(&scales);
-                    tile_kks[kbase + len] = kk as u16;
-                    len += 1;
                 }
-                tile_len[jt] = len;
-                tile_zeros[jt] = tz;
+                zero_pairs += row_zeros;
+                if row_zeros == tile_cols as u64 {
+                    continue; // every real contribution skipped: drop row
+                }
+                tz += row_zeros;
+                bp[base + len * NR..base + len * NR + NR].copy_from_slice(&scales);
+                tile_kks[kbase + len] = kk as u16;
+                len += 1;
             }
-            let real_pairs = (kc_len * nc_len) as u64;
-            performed_madds += m as u64 * (real_pairs - zero_pairs);
-            skipped_pairs += zero_pairs;
+            tile_len[jt] = len;
+            tile_zeros[jt] = tz;
+        }
+        let real_pairs = (kc_len * n) as u64;
+        performed_madds += m as u64 * (real_pairs - zero_pairs);
+        skipped_pairs += zero_pairs;
 
-            for ic in (0..m).step_by(MC) {
-                let mc_len = MC.min(m - ic);
-                let m_tiles = mc_len.div_ceil(MR);
-                // Pack A(ic..ic+mc_len, pc..pc+kc_len).
-                for it in 0..m_tiles {
-                    let i0 = ic + it * MR;
-                    let rows = MR.min(m - i0);
-                    let base = it * MR * kc_len;
-                    for kk in 0..kc_len {
-                        let src = (pc + kk) * m + i0;
-                        let dst = base + kk * MR;
-                        ap[dst..dst + rows].copy_from_slice(&a_buf[src..src + rows]);
-                        for r in rows..MR {
-                            ap[dst + r] = 0.0;
-                        }
+        // The row stripe holding the current block's first row.
+        let mut bi0 = 0;
+        for ic in (0..m).step_by(MC) {
+            let mc_len = MC.min(m - ic);
+            let m_tiles = mc_len.div_ceil(MR);
+            // Pack A(ic..ic+mc_len, pc..pc+kc_len).
+            for it in 0..m_tiles {
+                let i0 = ic + it * MR;
+                let rows = MR.min(m - i0);
+                let base = it * MR * kc_len;
+                for kk in 0..kc_len {
+                    let src = (pc + kk) * m + i0;
+                    let dst: &mut [f64; MR] = (&mut ap[base + kk * MR..][..MR]).try_into().unwrap();
+                    if rows == MR {
+                        *dst = a_buf[src..src + MR].try_into().unwrap();
+                    } else {
+                        dst[..rows].copy_from_slice(&a_buf[src..src + rows]);
+                        dst[rows..].fill(0.0);
                     }
                 }
-                // The stripe stretches of each tile, shared by every column
-                // tile it meets.
-                frags.clear();
-                frag_ptr.clear();
-                frag_ptr.push(0);
-                for it in 0..m_tiles {
-                    let i0 = ic + it * MR;
-                    let mr_len = MR.min(m - i0);
-                    let mut r = 0;
-                    while r < mr_len {
-                        let (bi, lr) = row_map[i0 + r];
-                        let height = row_off[bi as usize + 1] - row_off[bi as usize];
-                        let len = (mr_len - r).min(height - lr as usize);
-                        frags.push(Frag {
-                            bi,
-                            lr,
-                            len: len as u32,
-                            lane: r as u32,
-                        });
-                        r += len;
-                    }
-                    frag_ptr.push(frags.len());
-                }
+            }
+            while row_off[bi0 + 1] <= ic {
+                bi0 += 1;
+            }
 
-                for jt in 0..n_tiles {
-                    let len = tile_len[jt];
-                    if len == 0 {
-                        continue; // every contribution in this tile is skipped
-                    }
-                    let j0 = jc + jt * NR;
-                    let nr_len = NR.min(n - j0);
-                    let dense = tile_zeros[jt] == 0;
-                    let kks = &tile_kks[jt * KC..jt * KC + len];
-                    let b_tile = &bp[jt * NR * kc_len..jt * NR * kc_len + len * NR];
-                    let cols = &col_map[j0..j0 + nr_len];
-                    for it in 0..m_tiles {
-                        let a_tile = &ap[it * MR * kc_len..(it + 1) * MR * kc_len];
-                        let tile = &frags[frag_ptr[it]..frag_ptr[it + 1]];
-                        let mut acc = [0.0f64; MR * NR];
-                        tiles.load(tile, cols, &mut acc);
-                        if dense {
-                            micro_tile_dense(a_tile, b_tile, kks, &mut acc);
-                        } else {
-                            micro_tile(a_tile, b_tile, kks, &mut acc);
-                        }
-                        tiles.store(tile, cols, &acc);
+            for jt in 0..n_tiles {
+                let len = tile_len[jt];
+                if len == 0 {
+                    continue; // every contribution in this tile is skipped
+                }
+                let j0 = jt * NR;
+                let cols = &col_map[j0..n.min(j0 + NR)];
+                let dense = tile_zeros[jt] == 0;
+                let kks = &tile_kks[jt * KC..jt * KC + len];
+                let b_tile = &bp[jt * NR * kc_len..jt * NR * kc_len + len * NR];
+                targets.exchange::<false>(&mut stage, bi0, ic..ic + mc_len, cols);
+                for it in 0..m_tiles {
+                    let a_tile = &ap[it * MR * kc_len..(it + 1) * MR * kc_len];
+                    if dense {
+                        micro_tile_dense(a_tile, b_tile, kks, &mut stage, it * MR);
+                    } else {
+                        micro_tile(a_tile, b_tile, kks, &mut stage, it * MR);
                     }
                 }
+                targets.exchange::<true>(&mut stage, bi0, ic..ic + mc_len, cols);
             }
         }
     }
     flops::add(2 * performed_madds);
     flops::add_skipped(2 * m as u64 * skipped_pairs);
-}
-
-/// `dst = src` for the at most `MR` values of one tile stretch: a loop of
-/// fixed trip count the compiler unrolls, where `copy_from_slice` would call
-/// `memcpy` for a handful of values.
-#[inline(always)]
-fn copy_short(dst: &mut [f64], src: &[f64]) {
-    let len = dst.len();
-    for i in 0..MR {
-        if i < len {
-            dst[i] = src[i];
-        }
-    }
 }
 
 /// True when the ascending `rows` are consecutive: one slice of a column.
@@ -447,117 +439,43 @@ fn is_run(rows: &[u32]) -> bool {
     rows[rows.len() - 1] - rows[0] == rows.len() as u32 - 1
 }
 
-/// Where stretch `f` of a tile lands in target block `b`: `Ok(first row)`
-/// when on consecutive rows, else the rows.
-#[inline]
-fn rows_of<'a>(
-    maps: &[BlockMap<'a>],
-    runs: &[u32],
-    b: usize,
-    f: &Frag,
-) -> Result<usize, &'a [u32]> {
-    if runs[b] != SCATTERED {
-        return Ok((runs[b] + f.lr) as usize);
-    }
-    let rows = &maps[b].rows[f.lr as usize..(f.lr + f.len) as usize];
-    if is_run(rows) {
-        Ok(rows[0] as usize)
-    } else {
-        Err(rows)
+/// The `MR x NR` register tile of the staging panel at row `r0`, one
+/// fixed `[f64; MR]` per column.
+#[inline(always)]
+fn load_tile(stage: &[f64; MC * NR], r0: usize) -> [[f64; MR]; NR] {
+    std::array::from_fn(|cc| stage[cc * MC + r0..][..MR].try_into().unwrap())
+}
+
+/// Inverse of [`load_tile`].
+#[inline(always)]
+fn store_tile(stage: &mut [f64; MC * NR], r0: usize, acc: &[[f64; MR]; NR]) {
+    for (cc, col) in acc.iter().enumerate() {
+        stage[cc * MC + r0..][..MR].copy_from_slice(col);
     }
 }
 
-impl Tiles<'_, '_> {
-    /// Block and target column of stretch `f` in the tile column of global
-    /// column `(bj, lc)`.
-    #[inline]
-    fn target(&self, f: &Frag, (bj, lc): (u32, u32)) -> (usize, usize) {
-        let b = f.bi as usize * self.s_cols + bj as usize;
-        (b, self.maps[b].cols[lc as usize] as usize)
-    }
-
-    /// Load a C tile — its stripe stretches `tile` over the global columns
-    /// `cols` — into the register-tile accumulator. A whole column of the
-    /// tile on consecutive target rows — the common case — moves as one
-    /// fixed `[f64; MR]`, a shorter run as one slice, anything else entry
-    /// by entry. Unloaded accumulator lanes stay zero (padded rows/columns)
-    /// and are never stored back.
-    #[inline]
-    fn load(&self, tile: &[Frag], cols: &[(u32, u32)], acc: &mut [f64; MR * NR]) {
-        for (lanes, &col_at) in acc.chunks_exact_mut(MR).zip(cols) {
-            for f in tile {
-                let (b, c) = self.target(f, col_at);
-                let col = self.blocks[b].col(c);
-                let lanes = &mut lanes[f.lane as usize..(f.lane + f.len) as usize];
-                match rows_of(self.maps, self.runs, b, f) {
-                    Ok(r0) if lanes.len() == MR => {
-                        let src: &[f64; MR] = col[r0..r0 + MR].try_into().unwrap();
-                        let dst: &mut [f64; MR] = lanes.try_into().unwrap();
-                        *dst = *src;
-                    }
-                    Ok(r0) => copy_short(lanes, &col[r0..r0 + lanes.len()]),
-                    Err(rows) => {
-                        for (v, &r) in lanes.iter_mut().zip(rows) {
-                            *v = col[r as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Tiles::load`]: write the accumulator's real lanes back
-    /// into the target blocks.
-    #[inline]
-    fn store(&mut self, tile: &[Frag], cols: &[(u32, u32)], acc: &[f64; MR * NR]) {
-        for (lanes, &col_at) in acc.chunks_exact(MR).zip(cols) {
-            for f in tile {
-                let (b, c) = self.target(f, col_at);
-                let rows = rows_of(self.maps, self.runs, b, f);
-                let col = self.blocks[b].col_mut(c);
-                let lanes = &lanes[f.lane as usize..(f.lane + f.len) as usize];
-                match rows {
-                    Ok(r0) if lanes.len() == MR => {
-                        let dst: &mut [f64; MR] = (&mut col[r0..r0 + MR]).try_into().unwrap();
-                        let src: &[f64; MR] = lanes.try_into().unwrap();
-                        *dst = *src;
-                    }
-                    Ok(r0) => copy_short(&mut col[r0..r0 + lanes.len()], lanes),
-                    Err(rows) => {
-                        for (&v, &r) in lanes.iter().zip(rows) {
-                            col[r as usize] = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One `MR x NR` register-tile update: accumulate the packed inner
-/// products over the kept `kk` steps (listed ascending in `kks`) into the
-/// pre-loaded accumulator. Padded rows are computed against zero-packed A
-/// lanes and never stored; padded columns carry zero scales and are
-/// skipped like any other zero.
+/// One `MR x NR` register-tile update of the staging panel at row `r0`:
+/// load the tile into the accumulator, accumulate the packed inner
+/// products over the kept `kk` steps (listed ascending in `kks`), store it
+/// back. Padded rows are computed against zero-packed A lanes and never
+/// scattered; padded columns carry zero scales and are skipped like any
+/// other zero.
 #[inline]
-fn micro_tile(a_tile: &[f64], b_tile: &[f64], kks: &[u16], acc: &mut [f64; MR * NR]) {
-    // Work on a by-value copy: a local array the compiler can keep in
-    // registers for the whole inner-product loop (the referenced `acc` is
-    // pinned to memory by the fragment copies around this call).
-    let mut t_acc = *acc;
+fn micro_tile(a_tile: &[f64], b_tile: &[f64], kks: &[u16], stage: &mut [f64; MC * NR], r0: usize) {
+    let mut acc = load_tile(stage, r0);
     for (t, &kk) in kks.iter().enumerate() {
         let ak = &a_tile[kk as usize * MR..kk as usize * MR + MR];
-        for cc in 0..NR {
+        for (cc, col) in acc.iter_mut().enumerate() {
             let s = b_tile[t * NR + cc];
             if s == 0.0 {
                 continue;
             }
             for rr in 0..MR {
-                t_acc[cc * MR + rr] += s * ak[rr];
+                col[rr] += s * ak[rr];
             }
         }
     }
-    *acc = t_acc;
+    store_tile(stage, r0, &acc);
 }
 
 /// Branch-free variant of [`micro_tile`] for B tiles whose kept rows carry
@@ -565,25 +483,28 @@ fn micro_tile(a_tile: &[f64], b_tile: &[f64], kks: &[u16], acc: &mut [f64; MR * 
 /// inner loop, so the whole `MR x NR` accumulator updates as straight-line
 /// vector code. Bitwise identical to [`micro_tile`] on such tiles — the
 /// skip branch would never fire. Padded columns do carry zero scales;
-/// computing on them touches only accumulator lanes that are never stored.
+/// computing on them touches only panel columns that are never scattered.
 #[inline]
-fn micro_tile_dense(a_tile: &[f64], b_tile: &[f64], kks: &[u16], acc: &mut [f64; MR * NR]) {
-    // By-value accumulator copy, as in [`micro_tile`]: keeps the register
-    // tile in registers.
-    let mut t_acc = *acc;
+fn micro_tile_dense(
+    a_tile: &[f64],
+    b_tile: &[f64],
+    kks: &[u16],
+    stage: &mut [f64; MC * NR],
+    r0: usize,
+) {
+    let mut acc = load_tile(stage, r0);
     for (t, &kk) in kks.iter().enumerate() {
         let ak: &[f64; MR] = a_tile[kk as usize * MR..kk as usize * MR + MR]
             .try_into()
             .unwrap();
         let bk: &[f64; NR] = b_tile[t * NR..t * NR + NR].try_into().unwrap();
-        for cc in 0..NR {
-            let s = bk[cc];
+        for (col, &s) in acc.iter_mut().zip(bk) {
             for rr in 0..MR {
-                t_acc[cc * MR + rr] += s * ak[rr];
+                col[rr] += s * ak[rr];
             }
         }
     }
-    *acc = t_acc;
+    store_tile(stage, r0, &acc);
 }
 
 #[cfg(test)]
@@ -626,6 +547,8 @@ mod tests {
             (33, 29, 70),
             (130, 131, 65), // crosses MC/KC boundaries
             (256, 140, 90),
+            (257, 37, 33), // one row past the first MC block
+            (600, 45, 40), // three MC blocks, the last partial
         ] {
             for &(alpha, beta) in &[(1.0, 1.0), (-1.0, 1.0), (1.5, -0.5), (2.0, 0.0)] {
                 let a = mk_sparse(m, k, 1 + m as u64);
@@ -657,21 +580,47 @@ mod tests {
             .collect()
     }
 
+    /// The zero pattern of [`mk_sparse`]: a third of the entries, spread.
+    fn scattered_zeros(seed: u64) -> impl Fn(usize, usize) -> bool {
+        move |i, j| (i * 31 + j * 17 + seed as usize).is_multiple_of(3)
+    }
+
+    /// Zero scales shaped like a gathered U panel's: column tile 2 is zero
+    /// in every step (the whole tile is skipped), step `kk % 7 == 3` is zero
+    /// in every column (dropped from every tile, which stays dense), and
+    /// step `kk % 5 == 1` is zero in the columns `j % 8 == 1` (tiles 0, 4,
+    /// 6, ... keep a zero among their kept steps and take the skipping
+    /// micro-tile). Tiles 1, 3, 5, ... are dense.
+    fn structural_zeros(kk: usize, j: usize) -> bool {
+        j / NR == 2 || kk % 7 == 3 || (kk % 5 == 1 && j % 8 == 1)
+    }
+
     /// Tile `C` from stripes over `row_off x col_off`, each block mapped
     /// from its stripe through [`sparse_map`] with `step` (so larger than
-    /// its stripe unless `step` is 0); run the tiled kernel and one
-    /// [`gemm_scatter`] per block, and compare every bit.
+    /// its stripe unless `step` is 0); B is zero where `b_zero(kk, j)`
+    /// holds. Run the tiled kernel and one [`gemm_scatter`] per block, and
+    /// compare every bit and the flop and skipped-flop charges.
     fn tiled_matches_gemm_scatter_per_block(
         row_off: &[usize],
         col_off: &[usize],
         k: usize,
         step: usize,
         seed: u64,
+        b_zero: impl Fn(usize, usize) -> bool,
     ) {
         let (m, n) = (*row_off.last().unwrap(), *col_off.last().unwrap());
         let a = mk_sparse(m, k, seed);
-        let b = mk_sparse(k, n, seed + 1);
+        let mut b = mk(k, n, seed + 1);
+        for j in 0..n {
+            for kk in 0..k {
+                if b_zero(kk, j) {
+                    *b.at_mut(kk, j) = 0.0;
+                }
+            }
+        }
         let (mut blocks, mut want, mut maps) = (Vec::new(), Vec::new(), Vec::new());
+        flops::reset();
+        flops::reset_skipped();
         for rows in row_off.windows(2) {
             for cols in col_off.windows(2) {
                 let (h, w) = (rows[1] - rows[0], cols[1] - cols[0]);
@@ -690,34 +639,57 @@ mod tests {
                 maps.push((rmap, cmap));
             }
         }
+        let charged = (flops::reset(), flops::reset_skipped());
         let maps: Vec<BlockMap> = maps
             .iter()
             .map(|(rows, cols)| BlockMap { rows, cols })
             .collect();
         gemm_blocked_tiled(-1.0, &a, &b, row_off, col_off, &mut blocks, &maps);
+        let at = format!("stripes {row_off:?} x {col_off:?}, step {step}");
+        assert_eq!((flops::reset(), flops::reset_skipped()), charged, "{at}");
         for (i, (got, want)) in blocks.iter().zip(&want).enumerate() {
             let same = got
                 .as_slice()
                 .iter()
                 .zip(want.as_slice())
                 .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "step {step}: block {i} differs");
+            assert!(same, "{at}: block {i} differs");
         }
     }
 
     #[test]
     fn tiled_matches_one_axpy_gemm_per_block() {
         // C tiled from ragged stripes (crossing MR/NR tile boundaries): the
-        // fused scatter must equal one axpy GEMM per block, bit for bit —
+        // staged panels must equal one axpy GEMM per block, bit for bit —
         // onto blocks of the stripes' own shape and onto larger blocks the
         // stripes map into with gaps.
         for step in [0, 6, 2] {
-            tiled_matches_gemm_scatter_per_block(&[0, 7, 24, 41], &[0, 3, 22], 19, step, 1);
-            // Stripes [0, 37) and [38, 75) hold whole MR-row tiles (one
-            // fixed-array move per column when their rows are consecutive);
-            // the tile at row 32 straddles the one-row stripe [37, 38), and
-            // the last one is partial.
-            tiled_matches_gemm_scatter_per_block(&[0, 37, 38, 75], &[0, 9, 22], 23, step, 4);
+            let zeros = scattered_zeros(1);
+            tiled_matches_gemm_scatter_per_block(&[0, 7, 24, 41], &[0, 3, 22], 19, step, 1, zeros);
+            // Stripes [0, 37) and [38, 75) hold whole MR-row tiles; the
+            // tile at row 32 straddles the one-row stripe [37, 38), and the
+            // last one is partial.
+            let zeros = scattered_zeros(4);
+            tiled_matches_gemm_scatter_per_block(&[0, 37, 38, 75], &[0, 9, 22], 23, step, 4, zeros);
+        }
+        // 600 rows make three MC = 256 row blocks, the last partial. One-row
+        // stripes close the first block ([255, 256)) and open the second
+        // ([256, 257)), [500, 530) straddles the second block's edge, and
+        // [530, 531) is one row inside the third. 37 columns end in a
+        // partial NR tile.
+        let rows = [0, 25, 100, 250, 255, 256, 257, 300, 500, 530, 531, 600];
+        let cols = [0, 9, 25, 37];
+        for step in [0, 2, 6] {
+            tiled_matches_gemm_scatter_per_block(&rows, &cols, 33, step, 7, scattered_zeros(7));
+            tiled_matches_gemm_scatter_per_block(&rows, &cols, 33, step, 8, structural_zeros);
+        }
+        // Evenly cut, as the batched Schur update cuts it: 24 stripes of 25
+        // rows ([250, 275) and [500, 525) straddle block edges) against
+        // 6-column stripes, 22 columns.
+        let rows: Vec<usize> = (0..=24).map(|s| s * 25).collect();
+        let cols = [0, 6, 12, 22];
+        for step in [0, 2, 6] {
+            tiled_matches_gemm_scatter_per_block(&rows, &cols, 32, step, 9, structural_zeros);
         }
     }
 

@@ -495,9 +495,9 @@ fn panel_offsets(extents: impl Iterator<Item = usize>) -> Vec<usize> {
 /// column-major panels and run ONE register-blocked GEMM over the whole
 /// trailing update — the supernodal-panel aggregation of the SuperLU_DIST
 /// lineage. The scatter is fused into the kernel
-/// ([`densela::gemm_blocked_tiled`] stores its C register tiles straight
-/// into the target blocks, at the rows and columns the [`UpdateMaps`]
-/// name), so the targets are never copied through a scratch panel.
+/// ([`densela::gemm_blocked_tiled`] gathers each C staging panel from the
+/// target blocks and scatters it back, at the rows and columns the
+/// [`UpdateMaps`] name), so no caller-side target panel exists.
 /// Bit-identical to [`schur_per_block`]: every target element receives the
 /// same contributions in the same ascending-`k` order with the same
 /// zero-scale skips ([`densela::gemm_blocked`]'s contract), and the flop
@@ -534,8 +534,8 @@ fn schur_batched(
     }
     // Pull the target blocks out of the store (a pointer move each) so
     // the tiled GEMM reads and writes them in place: the result scatter
-    // happens inside the kernel's C-tile stores, with no target-panel copy
-    // in either direction.
+    // happens inside the kernel, through its per-block staging panels, with
+    // no caller-side target-panel copy in either direction.
     let pairs = panels.l.len() * panels.u.len();
     let mut targets: Vec<Mat> = Vec::with_capacity(pairs);
     for (i, _) in panels.l.iter() {
