@@ -395,12 +395,17 @@ mod tests {
 
     #[test]
     fn a_matrix_that_cannot_be_built_fails_only_its_jobs() {
-        let spec = CampaignSpec::parse(
+        let mut spec = CampaignSpec::parse(
             "[campaign]\nname = \"m\"\npr = \"test\"\n\
-             [[point]]\ngen = \"grid2d:0\"\np = [4]\npz = [1, 2]\n\
+             [[point]]\ngen = \"grid2d:1\"\np = [4]\npz = [1, 2]\n\
              [[point]]\ngen = \"grid2d:8\"\np = [4]\n",
         )
         .unwrap();
+        // The spec parser refuses `grid2d:0`; a source set by hand still
+        // reaches the runner, which fails its jobs alone.
+        spec.points[0].matrix = MatrixSource::Gen {
+            spec: "grid2d:0".into(),
+        };
         let dir = std::env::temp_dir().join(format!("campaign-matrix-{}", std::process::id()));
         let out = run_campaign(&spec, &dir).unwrap();
         // One line per job of the broken matrix, each naming the reason.

@@ -12,6 +12,7 @@ use crate::compare::Tolerance;
 use crate::snapshot::{PointKey, DEFAULT_LOOKAHEAD, DEFAULT_PIN};
 use crate::toml::{self, Table, Value};
 use simgrid::Backend;
+use sparsemat::matgen::check_spec;
 use sparsemat::testmats::{Scale, ALL_NAMES};
 
 /// Where a point's matrix comes from.
@@ -287,9 +288,13 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
                 scale,
             }
         }
-        (None, Some(g)) => MatrixSource::Gen {
-            spec: g.as_str().ok_or("gen must be a string")?.to_string(),
-        },
+        (None, Some(g)) => {
+            let spec = g.as_str().ok_or("gen must be a string")?;
+            check_spec(spec)?;
+            MatrixSource::Gen {
+                spec: spec.to_string(),
+            }
+        }
         (Some(_), Some(_)) => return Err("give either matrix or gen, not both".into()),
         (None, None) => return Err("needs a matrix name or a gen spec".into()),
     };
@@ -492,6 +497,18 @@ pz = [2, 3]
                 "matrix = \"k2d5pt\"\nmaxsup = 0",
                 "maxsup must be at least 1".into(),
             ),
+            // A gen spec is read by the generator grammar when the spec is
+            // parsed, not when the job builds its matrix.
+            (
+                "gen = \"grid2d:0\"",
+                "size 0 in generator spec 'grid2d:0'".into(),
+            ),
+            (
+                "gen = \"grid2d:x\"",
+                "bad size in generator spec 'grid2d:x'".into(),
+            ),
+            ("gen = \"foo:4\"", "unknown generator kind 'foo'".into()),
+            ("gen = \"grid2d\"", "expected KIND:SIZE".into()),
         ] {
             let e = CampaignSpec::parse(&format!(
                 "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\n[[point]]\np = 4\n{line}\n"

@@ -537,19 +537,22 @@ impl Rank {
             phase: Arc::clone(self.inst.phase()),
         };
         // A parked rank holds no run slot: its wall time is not its own.
-        // The profiler stops when the task returns `Pending` and runs again
-        // at its next poll, so a task's wall is the sum of its polls and
-        // its open scopes are charged nothing for the ranks polled between.
+        // The profiler stops before `park`, which may grant the slot to
+        // another rank (whose thread then runs at once), and runs again only
+        // when `park` hands this poll the message, after the grant. So a
+        // task's wall is the sum of its polls, no two ranks' walls overlap,
+        // and its open scopes are charged nothing for the ranks polled
+        // between.
         let (host, sched, me) = (self.inst.host(), &self.sched, self.world_rank);
-        let mut parked = false;
+        let mut paused = false;
         std::future::poll_fn(|cx| {
-            if let (true, Some(h)) = (parked, host) {
-                h.resume();
+            if let (false, Some(h)) = (paused, host) {
+                h.pause();
+                paused = true;
             }
             let polled = sched.park(me, &wait, cx);
-            parked = polled.is_pending();
-            if let (true, Some(h)) = (parked, host) {
-                h.pause();
+            if let (true, Some(h)) = (polled.is_ready(), host) {
+                h.resume();
             }
             polled
         })

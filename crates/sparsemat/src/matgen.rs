@@ -411,6 +411,20 @@ pub fn random_band(n: usize, bandwidth: usize, fill_prob: f64, seed: u64) -> Csr
 /// to 1 so one spec always names one matrix; `unsym` is the value asymmetry
 /// of the grid kinds (`kkt` ignores it).
 pub fn from_spec(spec: &str, unsym: f64) -> Result<(Csr, Geometry), String> {
+    let (k, build) = parse_spec(spec)?;
+    Ok(build(k, unsym))
+}
+
+/// The grammar of [`from_spec`] without the build (kind, size, no size 0),
+/// so a spec stored for later is checked where it is read.
+pub fn check_spec(spec: &str) -> Result<(), String> {
+    parse_spec(spec).map(drop)
+}
+
+/// The size of a spec and the builder its kind names.
+type Build = fn(usize, f64) -> (Csr, Geometry);
+
+fn parse_spec(spec: &str) -> Result<(usize, Build), String> {
     let (kind, size) = spec
         .split_once(':')
         .ok_or_else(|| format!("bad generator spec '{spec}', expected KIND:SIZE"))?;
@@ -422,20 +436,25 @@ pub fn from_spec(spec: &str, unsym: f64) -> Result<(Csr, Geometry), String> {
             "size 0 in generator spec '{spec}': the matrix would be empty"
         ));
     }
-    let planar = Geometry::Grid2d { nx: k, ny: k };
-    let cube = Geometry::Grid3d {
-        nx: k,
-        ny: k,
-        nz: k,
-    };
-    match kind {
-        "grid2d" => Ok((grid2d_5pt(k, k, unsym, 1), planar)),
-        "grid2d9" => Ok((grid2d_9pt(k, k, unsym, 1), planar)),
-        "grid3d" => Ok((grid3d_7pt(k, k, k, unsym, 1), cube)),
-        "grid3d27" => Ok((grid3d_27pt(k, k, k, unsym, 1), cube)),
-        "kkt" => Ok((kkt_3d(k, k, k, 1e-2, 1), Geometry::General)),
-        other => Err(format!("unknown generator kind '{other}'")),
+    fn planar(k: usize) -> Geometry {
+        Geometry::Grid2d { nx: k, ny: k }
     }
+    fn cube(k: usize) -> Geometry {
+        Geometry::Grid3d {
+            nx: k,
+            ny: k,
+            nz: k,
+        }
+    }
+    let build: Build = match kind {
+        "grid2d" => |k, unsym| (grid2d_5pt(k, k, unsym, 1), planar(k)),
+        "grid2d9" => |k, unsym| (grid2d_9pt(k, k, unsym, 1), planar(k)),
+        "grid3d" => |k, unsym| (grid3d_7pt(k, k, k, unsym, 1), cube(k)),
+        "grid3d27" => |k, unsym| (grid3d_27pt(k, k, k, unsym, 1), cube(k)),
+        "kkt" => |k, _| (kkt_3d(k, k, k, 1e-2, 1), Geometry::General),
+        other => return Err(format!("unknown generator kind '{other}'")),
+    };
+    Ok((k, build))
 }
 
 #[cfg(test)]

@@ -1,225 +1,63 @@
 //! Plan == ledger: the static communication plan must reproduce the
 //! measured wire-volume ledger of a factor-only run *exactly* — per
-//! (phase, class, level, axis) cell and per peer edge — across a matrix of
-//! configurations, under fault recovery, and for property-sampled configs.
-//! Fault-free cases also run traced, and each rank's point-to-point program
-//! order must equal its planned event list event for event. Mutation tests
-//! prove the comparator actually catches planted extra and missing sends
-//! with a named edge.
+//! (phase, class, level, axis) cell and per peer edge — on both backends,
+//! across the `PLAN_*` shapes of `contracts::table`, under fault recovery,
+//! and for property-sampled configs. Fault-free shapes run traced, and each
+//! rank's point-to-point program order must equal its planned event list
+//! event for event (`Contract::PlanLedger`). Mutation tests prove the
+//! comparator actually catches planted extra and missing sends with a
+//! named edge.
 
-use commplan::{
-    build_plan, check_plan, check_planar_volume, compare_with_measured, Dir, OpKind, PlanEvent,
-};
-use lu3d::solver::{factor_only, SolverConfig};
-use lu3d::EtreeForest;
-use obs::ActivityKind;
+mod contracts;
+
+use commplan::{check_plan, check_planar_volume, compare_with_measured, Dir, OpKind, PlanEvent};
+use contracts::table::*;
+use contracts::{check, plan, run, Contract::*, Gen, Shape};
 use proptest::prelude::*;
+use salu::prelude::*;
 use simgrid::coll::bcast_tree;
 use simgrid::Grid3d;
-use slu2d::driver::Prepared;
-use sparsemat::matgen;
-use sparsemat::testmats::Geometry;
-use sparsemat::Csr;
 
-struct Case {
-    label: &'static str,
-    a: Csr,
-    geometry: Geometry,
-    grid: (usize, usize, usize),
-    lookahead: usize,
-    fault_spec: Option<&'static str>,
-}
-
-fn check_case(case: Case) -> commplan::CommPlan {
-    let Case {
-        label,
-        a,
-        geometry,
-        grid: (pr, pc, pz),
-        lookahead,
-        fault_spec,
-    } = case;
-    let prep = Prepared::new(a, geometry, 16, 24);
-    let cfg = SolverConfig {
-        pr,
-        pc,
-        pz,
-        lookahead,
-        fault_plan: fault_spec.map(|s| simgrid::FaultPlan::parse(s, 7).expect("fault spec")),
-        recover: fault_spec.is_some(),
-        // Retransmissions would show in a trace; the plan has none.
-        tracing: fault_spec.is_none(),
-        ..Default::default()
-    };
-    let grid = Grid3d::new(pr, pc, pz);
-    let forest = EtreeForest::build(&prep.tree, &prep.sym, pz);
-    let plan = build_plan(&prep.sym, &forest, grid, lookahead);
-
-    let audit = check_plan(&plan);
-    assert!(
-        audit.ok(),
-        "{label}: static plan checks failed:\n{}",
-        audit.findings.join("\n")
-    );
-    assert!(audit.msgs > 0, "{label}: plan is empty");
-
-    let out = factor_only(&prep, &cfg);
-    let ledgers: Vec<_> = out.reports.iter().map(|r| r.commvol.clone()).collect();
-    match compare_with_measured(&plan, &ledgers) {
-        Ok(stats) => {
-            assert_eq!(stats.ranks, pr * pc * pz, "{label}");
-            assert!(stats.msgs > 0, "{label}: no planned traffic compared");
-        }
-        Err(mismatches) => panic!("{label}: plan != ledger:\n{}", mismatches.join("\n")),
-    }
-
-    // Totals cannot see order: pin the plan's panel order, broadcast edges
-    // and context ids to what each rank did, message by message.
-    for (rank, ran) in out.rank_obs().iter().flatten().enumerate() {
-        let ran: Vec<_> = ran
-            .activities
-            .iter()
-            .filter_map(|a| {
-                let dir = match a.kind {
-                    ActivityKind::Send => Dir::Send,
-                    ActivityKind::Recv => Dir::Recv,
-                    ActivityKind::Compute | ActivityKind::Wait | ActivityKind::Resend => {
-                        return None
-                    }
-                };
-                let msg = a.msg.expect("a fault-free message has an identity");
-                let peer = a.peer.expect("a message has a peer");
-                Some((dir, peer, msg.ctx, msg.tag, a.words))
-            })
-            .collect();
-        let planned: Vec<_> = plan.events[rank]
-            .iter()
-            .map(|e| (e.dir, e.peer, e.ctx, e.tag, e.words))
-            .collect();
-        if let Some(at) = (0..ran.len().max(planned.len())).find(|&i| ran.get(i) != planned.get(i))
-        {
-            panic!(
-                "{label}: rank {rank} leaves its planned program at event {at} of {}: ran \
-                 {:?}, planned {:?} (dir, peer, ctx, tag, words)",
-                planned.len(),
-                ran.get(at),
-                planned.get(at)
-            );
-        }
-    }
-    plan
-}
+/// What every traced fault-free plan shape is also held to: the two
+/// backends' runs agree bitwise and their traces validate.
+const TRACED: [contracts::Contract; 3] = [PlanLedger, Backends, TraceValid];
 
 #[test]
 fn plan_matches_ledger_small_3d() {
-    check_case(Case {
-        label: "grid2d:16 2x2x2",
-        a: matgen::grid2d_5pt(16, 16, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 16, ny: 16 },
-        grid: (2, 2, 2),
-        lookahead: 8,
-        fault_spec: None,
-    });
+    check(&[PLAN_SMALL_3D], &TRACED);
 }
 
 /// The CI conformance configuration (grid2d:64, 2x2x4) — the same shape the
-/// `salu --plan-check` gate runs — plus the planar volume bound.
+/// `salu --plan-check` gate runs — plus the planar volume bound. (Its trace
+/// is the largest of the suite: it is held to the plan's event order, and
+/// left to the smaller shapes to validate.)
 #[test]
 fn plan_matches_ledger_conformance_grid() {
-    let n = 64usize;
-    let plan = check_case(Case {
-        label: "grid2d:64 2x2x4",
-        a: matgen::grid2d_5pt(n, n, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: n, ny: n },
-        grid: (2, 2, 4),
-        lookahead: 8,
-        fault_spec: None,
-    });
-    match check_planar_volume(&plan, n * n) {
+    check(&[PLAN_CONFORMANCE], &[PlanLedger]);
+    match check_planar_volume(&plan(&PLAN_CONFORMANCE), 64 * 64) {
         Ok(line) => eprintln!("{line}"),
         Err(line) => panic!("planar volume bound violated: {line}"),
     }
 }
 
-/// Degenerate grids: no Z replication (pure 2D path, no reduce phase) and a
-/// Z-only line (no row/col fan-out beyond self).
+/// Degenerate grids: no Z replication (pure 2D path, no reduce phase), a
+/// Z-only line (no row/col fan-out beyond self) and one wide process row.
 #[test]
 fn plan_matches_ledger_degenerate_grids() {
-    check_case(Case {
-        label: "grid2d:16 2x2x1",
-        a: matgen::grid2d_5pt(16, 16, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 16, ny: 16 },
-        grid: (2, 2, 1),
-        lookahead: 8,
-        fault_spec: None,
-    });
-    check_case(Case {
-        label: "grid2d:16 1x1x2",
-        a: matgen::grid2d_5pt(16, 16, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 16, ny: 16 },
-        grid: (1, 1, 2),
-        lookahead: 8,
-        fault_spec: None,
-    });
-    // One wide process row: every panel broadcast runs along it, to the
-    // columns of its roster only.
-    check_case(Case {
-        label: "grid2d:24 1x16x1",
-        a: matgen::grid2d_5pt(24, 24, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 24, ny: 24 },
-        grid: (1, 16, 1),
-        lookahead: 8,
-        fault_spec: None,
-    });
+    check(&PLAN_DEGENERATE, &TRACED);
 }
 
 /// Zero lookahead changes the local compute schedule, not the wire
 /// program: the same plan must hold.
 #[test]
 fn plan_matches_ledger_zero_lookahead() {
-    check_case(Case {
-        label: "grid2d:16 2x1x2 lookahead=0",
-        a: matgen::grid2d_5pt(16, 16, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 16, ny: 16 },
-        grid: (2, 1, 2),
-        lookahead: 0,
-        fault_spec: None,
-    });
+    check(&[PLAN_ZERO_LOOKAHEAD], &TRACED);
 }
 
 /// Non-planar generators: 3D Poisson and a KKT saddle-point system.
 #[test]
 fn plan_matches_ledger_other_generators() {
-    check_case(Case {
-        label: "grid3d:6 2x2x2",
-        a: matgen::grid3d_7pt(6, 6, 6, 0.1, 1),
-        geometry: Geometry::Grid3d {
-            nx: 6,
-            ny: 6,
-            nz: 6,
-        },
-        grid: (2, 2, 2),
-        lookahead: 8,
-        fault_spec: None,
-    });
-    check_case(Case {
-        label: "kkt:4 2x2x2",
-        a: matgen::kkt_3d(4, 4, 4, 1e-2, 1),
-        geometry: Geometry::General,
-        grid: (2, 2, 2),
-        lookahead: 4,
-        fault_spec: None,
-    });
-    // A square 4x4 layer, where most panels reach a part of each row and
-    // column.
-    check_case(Case {
-        label: "kkt:6 4x4x2",
-        a: matgen::kkt_3d(6, 6, 6, 1e-2, 1),
-        geometry: Geometry::General,
-        grid: (4, 4, 2),
-        lookahead: 8,
-        fault_spec: None,
-    });
+    check(&PLAN_OTHER, &TRACED);
 }
 
 /// A recovered chaos run (drops, duplicates, delays + retry) must match the
@@ -227,67 +65,48 @@ fn plan_matches_ledger_other_generators() {
 /// counters and never leak into the per-class ledger the plan predicts.
 #[test]
 fn plan_matches_ledger_under_fault_recovery() {
-    check_case(Case {
-        label: "grid2d:24 2x2x4 chaos",
-        a: matgen::grid2d_5pt(24, 24, 0.1, 1),
-        geometry: Geometry::Grid2d { nx: 24, ny: 24 },
-        grid: (2, 2, 4),
-        lookahead: 8,
-        fault_spec: Some("drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3"),
-    });
+    check(&[PLAN_FAULTS], &[PlanLedger, Backends, Recovered]);
 }
 
+/// The factor-only run the planted defects below are compared with.
 fn build_small_plan() -> (commplan::CommPlan, Vec<obs::CommReport>) {
-    let a = matgen::grid2d_5pt(12, 12, 0.1, 1);
-    let prep = Prepared::new(a, Geometry::Grid2d { nx: 12, ny: 12 }, 16, 24);
-    let cfg = SolverConfig {
-        pr: 2,
-        pc: 2,
-        pz: 2,
-        ..Default::default()
-    };
-    let forest = EtreeForest::build(&prep.tree, &prep.sym, cfg.pz);
-    let plan = build_plan(&prep.sym, &forest, Grid3d::new(2, 2, 2), cfg.lookahead);
-    let out = factor_only(&prep, &cfg);
+    let shape = Shape::new("grid2d:12 2x2x2", Gen::Grid2d(12, 1), [2, 2, 2]);
+    let out = &run(&shape, shape.run(Backend::Threaded)).out;
     let ledgers = out.reports.iter().map(|r| r.commvol.clone()).collect();
-    (plan, ledgers)
+    (plan(&shape), ledgers)
 }
 
-/// Mutation: delete one planned send. The static matching check must flag
-/// the now-unbalanced channel, and the ledger comparison must fail naming
-/// the mutated rank's edge.
+/// The small plan with one send of the first sending rank planted or
+/// removed: the static matching check must flag the now-unbalanced channel,
+/// and the ledger comparison must fail. Returns the rank, its peer and the
+/// mismatches.
+fn planted(plant: impl FnOnce(&mut Vec<PlanEvent>, usize)) -> (usize, usize, Vec<String>) {
+    let (mut plan, ledgers) = build_small_plan();
+    let sends = |evs: &Vec<PlanEvent>| evs.iter().position(|e| e.dir == Dir::Send);
+    let rank = plan.events.iter().position(|evs| sends(evs).is_some());
+    let rank = rank.expect("some rank sends");
+    let idx = sends(&plan.events[rank]).unwrap();
+    let peer = plan.events[rank][idx].peer;
+    plant(&mut plan.events[rank], idx);
+    let findings = check_plan(&plan).findings;
+    let unmatched = findings.iter().any(|f| f.starts_with("unmatched channel"));
+    assert!(unmatched, "static check missed the defect: {findings:?}");
+    let err = compare_with_measured(&plan, &ledgers).expect_err("mutated plan must mismatch");
+    (rank, peer, err)
+}
+
+/// Mutation: delete one planned send; the mismatch names the mutated
+/// rank's edge.
 #[test]
 fn plan_check_catches_missing_send() {
-    let (mut plan, ledgers) = build_small_plan();
-    let rank = plan
-        .events
-        .iter()
-        .position(|evs| evs.iter().any(|e| e.dir == Dir::Send))
-        .expect("some rank sends");
-    let idx = plan.events[rank]
-        .iter()
-        .position(|e| e.dir == Dir::Send)
-        .unwrap();
-    let removed = plan.events[rank].remove(idx);
-
-    let audit = check_plan(&plan);
+    let (rank, peer, err) = planted(|evs, idx| {
+        evs.remove(idx);
+    });
+    let named = |m: &String| m.contains(&format!("rank {rank}")) || m.contains(&format!("{peer}"));
+    let all = err.join("\n");
     assert!(
-        audit
-            .findings
-            .iter()
-            .any(|f| f.starts_with("unmatched channel")),
-        "static check missed the deleted send: {:?}",
-        audit.findings
-    );
-
-    let err = compare_with_measured(&plan, &ledgers).expect_err("mutated plan must mismatch");
-    assert!(
-        err.iter().any(
-            |m| m.contains(&format!("rank {rank}")) || m.contains(&format!("{}", removed.peer))
-        ),
-        "mismatch does not name the mutated edge (rank {rank} -> {}):\n{}",
-        removed.peer,
-        err.join("\n")
+        err.iter().any(named),
+        "{rank} -> {peer} is not named:\n{all}"
     );
 }
 
@@ -295,36 +114,12 @@ fn plan_check_catches_missing_send() {
 /// named channel in the static audit, named edge in the comparison.
 #[test]
 fn plan_check_catches_extra_send() {
-    let (mut plan, ledgers) = build_small_plan();
-    let rank = plan
-        .events
-        .iter()
-        .position(|evs| evs.iter().any(|e| e.dir == Dir::Send))
-        .expect("some rank sends");
-    let idx = plan.events[rank]
-        .iter()
-        .position(|e| e.dir == Dir::Send)
-        .unwrap();
-    let extra = plan.events[rank][idx].clone();
-    let peer = extra.peer;
-    plan.events[rank].push(extra);
-
-    let audit = check_plan(&plan);
+    let (rank, peer, err) = planted(|evs, idx| evs.push(evs[idx].clone()));
+    let named = |m: &String| m.contains(&format!("rank {rank}")) && m.contains("planned");
+    let all = err.join("\n");
     assert!(
-        audit
-            .findings
-            .iter()
-            .any(|f| f.starts_with("unmatched channel")),
-        "static check missed the planted send: {:?}",
-        audit.findings
-    );
-
-    let err = compare_with_measured(&plan, &ledgers).expect_err("mutated plan must mismatch");
-    assert!(
-        err.iter()
-            .any(|m| m.contains(&format!("rank {rank}")) && m.contains("planned")),
-        "mismatch does not name the mutated edge (rank {rank} -> {peer}):\n{}",
-        err.join("\n")
+        err.iter().any(named),
+        "{rank} -> {peer} is not named:\n{all}"
     );
 }
 
@@ -334,10 +129,8 @@ fn plan_check_catches_extra_send() {
 /// name a channel into that rank as unmatched.
 #[test]
 fn plan_check_catches_a_widened_roster() {
-    let prep = Prepared::new(matgen::kkt_3d(6, 6, 6, 1e-2, 1), Geometry::General, 16, 24);
     let grid = Grid3d::new(4, 4, 2);
-    let forest = EtreeForest::build(&prep.tree, &prep.sym, grid.pz);
-    let mut plan = build_plan(&prep.sym, &forest, grid, 8);
+    let mut plan = plan(&PLAN_OTHER[2]);
     assert!(check_plan(&plan).ok());
 
     // A broadcast along a process row that leaves a column of it out.
@@ -409,25 +202,9 @@ proptest! {
         lookahead in 0usize..3,
         faulty in 0u8..2,
     ) {
-        let (a, geometry) = if gen3d == 1 {
-            let k3 = 4 + k / 4;
-            (
-                matgen::grid3d_7pt(k3, k3, k3, 0.1, 1),
-                Geometry::Grid3d { nx: k3, ny: k3, nz: k3 },
-            )
-        } else {
-            (
-                matgen::grid2d_5pt(k, k, 0.1, 1),
-                Geometry::Grid2d { nx: k, ny: k },
-            )
-        };
-        check_case(Case {
-            label: "proptest config",
-            a,
-            geometry,
-            grid: (pr, pc, 1 << lpz),
-            lookahead: lookahead * 4,
-            fault_spec: (faulty == 1).then_some("drop:p=0.03;dup:p=0.02"),
-        });
+        let matrix = if gen3d == 1 { Gen::Grid3d(4 + k / 4, 1) } else { Gen::Grid2d(k, 1) };
+        let shape = Shape::new("proptest config", matrix, [pr, pc, 1 << lpz]).lookahead(lookahead * 4);
+        let shape = if faulty == 1 { shape.faults(Some("drop:p=0.03;dup:p=0.02")) } else { shape.traced(true) };
+        check(&[shape], &[PlanLedger]);
     }
 }

@@ -2,30 +2,19 @@
 //! Chrome trace export, critical-path attribution, and the pinned sample
 //! artifacts under `results/`.
 
+mod contracts;
+
+use contracts::table::{ancestors, traced_12, FACTOR_ONLY_TRACED, RUN_DOC};
+use contracts::{check, run, Contract::TraceValid};
 use proptest::prelude::*;
 use salu::prelude::*;
 use salu::simgrid::obs::validate_chrome_trace;
 use salu::simgrid::{validate_trace, Json, Machine, SpanCat};
 
-fn traced_run(pz: usize, rhs: bool) -> Output3d {
-    let nx = 12;
-    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
-    let b = if rhs {
-        let x_true: Vec<f64> = (0..a.nrows).map(|i| (i % 7) as f64).collect();
-        Some(a.matvec(&x_true))
-    } else {
-        None
-    };
-    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
-    let cfg = SolverConfig {
-        pr: 1,
-        pc: 2,
-        pz,
-        model: TimeModel::edison_like(),
-        tracing: true,
-        ..Default::default()
-    };
-    factor_and_solve(&prep, &cfg, b)
+/// The traced threaded run of `grid2d:12` on `1 x 2 x pz`.
+fn traced(pz: usize) -> &'static Output3d {
+    let shape = traced_12(pz);
+    &run(&shape, shape.run(Backend::Threaded)).out
 }
 
 #[test]
@@ -34,7 +23,7 @@ fn traffic_phases_are_exactly_fact_reduce_solve() {
     // per edge, not per phase, so sends are what this checks. In particular
     // no message may ever be sent under the unlabeled "default" phase —
     // every communication path must set its phase first.
-    let out = traced_run(2, true);
+    let out = traced(2);
     let mut phases: Vec<&str> = out
         .reports
         .iter()
@@ -42,40 +31,28 @@ fn traffic_phases_are_exactly_fact_reduce_solve() {
         .collect();
     phases.sort_unstable();
     phases.dedup();
-    assert_eq!(
-        phases,
-        vec!["fact", "reduce", "solve"],
-        "traffic phase keys"
-    );
+    assert_eq!(phases, vec!["fact", "reduce", "solve"], "phase keys");
 }
 
+/// The exported trace parses back from its text and is a structurally
+/// sound trace on both backends: one track per rank, slices nested at
+/// least level -> phase -> supernode deep, send -> recv flows.
 #[test]
 fn chrome_trace_roundtrips_with_nesting_and_flows() {
-    let out = traced_run(2, true);
-    let doc = out.chrome_trace().expect("tracing was on");
-    // Serialize and parse back: the exported document must be valid JSON
-    // and a structurally sound trace (slices properly nested per track,
-    // every flow-finish matched by a flow-start).
-    let parsed = Json::parse(&doc.dump()).expect("trace must parse back");
-    let stats = validate_chrome_trace(&parsed).expect("trace must validate");
-    assert_eq!(stats.tracks, out.reports.len(), "one track per rank");
-    // level -> phase -> supernode/collective: at least 3 deep.
-    assert!(stats.max_nesting >= 3, "nesting {}", stats.max_nesting);
-    assert!(stats.flow_pairs > 0, "send->recv flow arrows must appear");
-    assert!(stats.events > stats.tracks, "spans + activities present");
+    check(&[traced_12(2)], &[TraceValid]);
+    // The compact writer round-trips too.
+    let doc = traced(2).chrome_trace().expect("tracing was on");
+    assert!(Json::parse(&doc.dump()).expect("trace must parse back") == doc);
 }
 
 #[test]
 fn critical_path_attribution_covers_makespan() {
-    let out = traced_run(4, true);
+    let out = traced(4);
     let cp = out.critical_path().expect("tracing was on");
     assert!(cp.makespan > 0.0);
     // The path segments tile [0, makespan]: attribution is exhaustive.
-    assert!(
-        (cp.coverage() - 1.0).abs() < 1e-9,
-        "critical-path coverage {}",
-        cp.coverage()
-    );
+    let coverage = cp.coverage();
+    assert!((coverage - 1.0).abs() < 1e-9, "coverage {coverage}");
     let total: f64 = cp.attribution_fractions().values().sum();
     assert!((total - 1.0).abs() < 1e-9, "phase fractions sum to {total}");
     // With Pz = 4 the path must cross ranks at least once (ancestor
@@ -91,21 +68,11 @@ fn critical_path_attribution_covers_makespan() {
 
 #[test]
 fn factor_only_runs_have_no_solve_phase() {
-    let out = {
-        let nx = 12;
-        let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
-        let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
-        factor_only(
-            &prep,
-            &SolverConfig {
-                pr: 1,
-                pc: 2,
-                pz: 2,
-                tracing: true,
-                ..Default::default()
-            },
-        )
-    };
+    let out = &run(
+        &FACTOR_ONLY_TRACED,
+        FACTOR_ONLY_TRACED.run(Backend::Threaded),
+    )
+    .out;
     for rep in &out.reports {
         for phase in ["solve", "default"] {
             assert!(rep.commvol.entries.iter().all(|e| e.phase != phase));
@@ -159,19 +126,7 @@ fn sample_artifacts_match_pinned_goldens() {
 /// and each per-rank maximum names a rank that holds it.
 #[test]
 fn the_run_document_does_not_grow_with_p() {
-    let nx = 32;
-    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
-    let b = a.matvec(&vec![1.0; a.nrows]);
-    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
-    let cfg = SolverConfig {
-        pr: 8,
-        pc: 8,
-        pz: 4,
-        backend: Backend::Event,
-        host_profiling: true,
-        ..Default::default()
-    };
-    let out = factor_and_solve(&prep, &cfg, Some(b));
+    let out = &run(&RUN_DOC, RUN_DOC.run(Backend::Event).profiled(true)).out;
     assert_eq!(out.reports.len(), 256);
     let doc = out.account();
     let bytes = doc.pretty().len();
@@ -195,7 +150,7 @@ fn the_run_document_does_not_grow_with_p() {
 
 #[test]
 fn memory_peak_attribution_sums_to_peak_on_every_rank() {
-    let out = traced_run(4, true);
+    let out = traced(4);
     for (rank, rep) in out.reports.iter().enumerate() {
         let m = &rep.memprof;
         assert!(m.peak_bytes > 0, "rank {rank} never allocated");
@@ -213,26 +168,14 @@ fn memory_peak_attribution_sums_to_peak_on_every_rank() {
 
 #[test]
 fn ancestor_replica_footprint_grows_with_pz() {
-    let nx = 24;
-    let a = salu::sparsemat::matgen::grid2d_5pt(nx, nx, 0.1, 3);
-    let prep = Prepared::new(a, Geometry::Grid2d { nx, ny: nx }, 8, 8);
     let mut prev = 0.0;
     for pz in [1usize, 2, 4, 8] {
-        let out = factor_only(
-            &prep,
-            &SolverConfig {
-                pr: 1,
-                pc: 2,
-                pz,
-                model: TimeModel::edison_like(),
-                ..Default::default()
-            },
-        );
+        let out = &run(&ancestors(pz), ancestors(pz).run(Backend::Threaded)).out;
         let path = ["sim", "memprof", "peak_by_class", "AncestorReplica"];
         let bytes = out.account().num_at(&path).unwrap();
         assert!(
             bytes >= prev,
-            "AncestorReplica shrank from {prev} to {bytes} at Pz={pz}"
+            "replicas shrank {prev} -> {bytes} at Pz={pz}"
         );
         if pz > 1 {
             assert!(bytes > 0.0, "replication must appear at Pz={pz}");
