@@ -1,44 +1,44 @@
-//! `salu-campaign` — run declarative perf campaigns and gate regressions.
+//! `salu-campaign` — run declarative campaigns and gate the simulated
+//! columns exactly.
 //!
 //! ```sh
-//! # run a campaign: jobs + artifacts + BENCH_<pr>.json + report.md
-//! salu-campaign run campaigns/smoke.toml --out-dir results/campaign/smoke
+//! # run a campaign: jobs + artifacts + BENCH_<pr>.json + report.md, and
+//! # the exact gate against the spec's baseline
+//! salu-campaign run campaigns/smoke.toml --out-dir campaign_smoke
 //!
 //! # compare any two snapshots
-//! salu-campaign compare results/campaign/smoke/BENCH_pr8.json results/BENCH_pr4.json
+//! salu-campaign compare campaign_scaling/BENCH_pr30.json results/BENCH_pr30.json
 //!
 //! # the paper's tables and figures from a run of campaigns/paper.toml
 //! salu-campaign figures campaign_paper
 //! ```
 //!
-//! `run` exits 1 when a job fails or when the spec names a `baseline`
-//! and any gated metric regressed; `compare` exits 1 on a gated
-//! regression; `figures` exits 1 when it cannot render (an unreadable
-//! directory, or a point or run document a figure needs is missing).
-//! Otherwise exit 2 means bad usage or unreadable input.
+//! `run` exits 1 when a job fails or when the spec names a `baseline` and
+//! any simulated column moved; `compare` exits 1 when any simulated column
+//! moved (the wall column is never compared); `figures` exits 1 when it
+//! cannot render (an unreadable directory, or a point or run document a
+//! figure needs is missing). Otherwise exit 2 means bad usage or
+//! unreadable input.
 
-use campaign::{
-    compare, compare_markdown, run_campaign, run_markdown, CampaignSpec, Snapshot, Tolerance,
-};
+use campaign::{compare, compare_markdown, run_campaign, run_markdown, CampaignSpec, Snapshot};
 use std::path::PathBuf;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n\
-         \x20 salu-campaign run SPEC.toml [--out-dir DIR] [--baseline FILE] [--jobs N]\n\
-         \x20 salu-campaign compare NEW.json BASELINE.json [--tol-wall X] [--tol-sim X] [--gate-wall]\n\
+         \x20 salu-campaign run SPEC.toml [--out-dir DIR]\n\
+         \x20 salu-campaign compare NEW.json BASELINE.json\n\
          \x20 salu-campaign figures OUT_DIR\n\
          \n\
-         run      expand the sweep spec, execute every job (best-of-N wall,\n\
-         \x20        per-job artifact dirs), write BENCH_<pr>.json and report.md\n\
-         \x20        into --out-dir (default results/campaign/<name>), and — when\n\
-         \x20        a baseline is configured — also regression.md/.json, failing\n\
-         \x20        on gated regressions.\n\
-         compare  diff two BENCH_*.json snapshots (salu-bench-snapshot/3) and\n\
-         \x20        print the regression report. --tol-* override the default\n\
-         \x20        bands (wall 0.5, sim 0.02); --gate-wall makes wall\n\
-         \x20        regressions fail the gate too.\n\
+         run      expand the sweep spec, run every job once (per-job artifact\n\
+         \x20        dirs), write BENCH_<pr>.json and report.md into --out-dir\n\
+         \x20        (default results/campaign/<name>), and, when the spec names\n\
+         \x20        a baseline, regression.md/.json, failing if any simulated\n\
+         \x20        column moved.\n\
+         compare  diff two BENCH_*.json snapshots (salu-bench-snapshot/3):\n\
+         \x20        every simulated column equal or moved, any move fails;\n\
+         \x20        wall_secs is not compared.\n\
          figures  render the paper's tables and figures from a `run` of\n\
          \x20        campaigns/paper.toml into OUT_DIR/figures.txt and stdout.\n\
          \n\
@@ -72,23 +72,10 @@ fn cmd_figures(args: &[String]) -> ! {
 fn cmd_run(args: &[String]) -> ! {
     let mut spec_path = None;
     let mut out_dir = None;
-    let mut baseline_flag = None;
-    let mut jobs_flag = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out-dir" => out_dir = Some(PathBuf::from(value(&mut it, "--out-dir"))),
-            "--baseline" => baseline_flag = Some(value(&mut it, "--baseline")),
-            "--jobs" => {
-                jobs_flag = Some(
-                    value(&mut it, "--jobs")
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| {
-                            eprintln!("--jobs needs a positive integer");
-                            usage()
-                        }),
-                )
-            }
             other if spec_path.is_none() && !other.starts_with('-') => {
                 spec_path = Some(other.to_string())
             }
@@ -103,16 +90,10 @@ fn cmd_run(args: &[String]) -> ! {
         eprintln!("failed to read {spec_path}: {e}");
         exit(2)
     });
-    let mut spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
+    let spec = CampaignSpec::parse(&text).unwrap_or_else(|e| {
         eprintln!("{spec_path}: {e}");
         exit(2)
     });
-    if let Some(j) = jobs_flag {
-        spec.workers = j.max(1);
-    }
-    if baseline_flag.is_some() {
-        spec.baseline = baseline_flag;
-    }
     let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("results/campaign").join(&spec.name));
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| {
         eprintln!("failed to create {}: {e}", out_dir.display());
@@ -121,10 +102,9 @@ fn cmd_run(args: &[String]) -> ! {
 
     let (jobs, _) = spec.expand();
     println!(
-        "campaign '{}': {} jobs, best-of-{}, {} worker(s) -> {}",
+        "campaign '{}': {} jobs, {} worker(s) -> {}",
         spec.name,
         jobs.len(),
-        spec.reps,
         spec.workers,
         out_dir.display()
     );
@@ -167,20 +147,20 @@ fn cmd_run(args: &[String]) -> ! {
         eprintln!("{e}");
         exit(2)
     });
-    let cmp = compare(&outcome.snapshot, &baseline, spec.tolerance);
+    let cmp = compare(&outcome.snapshot, &baseline);
     write_file(&out_dir.join("regression.md"), &compare_markdown(&cmp));
     write_file(&out_dir.join("regression.json"), &cmp.to_json().pretty());
-    let (imp, unch, reg, inc) = cmp.tallies();
+    let (equal, moved) = cmp.tallies();
     println!(
-        "vs {baseline_path}: {} matched points ({imp} improved, {unch} unchanged, \
-         {reg} regressed, {inc} incomparable); {} missing, {} new",
+        "vs {baseline_path}: {} matched points ({equal} equal, {moved} moved); \
+         {} missing, {} new",
         cmp.matched.len(),
         cmp.missing.len(),
         cmp.extra.len()
     );
-    if cmp.regressed() {
+    if cmp.moved() {
         eprintln!(
-            "regression gate FAILED — see {}",
+            "regression gate FAILED: a simulated column moved — see {}",
             out_dir.join("regression.md").display()
         );
         exit(1);
@@ -190,45 +170,25 @@ fn cmd_run(args: &[String]) -> ! {
 }
 
 fn cmd_compare(args: &[String]) -> ! {
-    let mut paths = Vec::new();
-    let mut tol = Tolerance::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tol-wall" => tol.wall = parse_f64(&value(&mut it, "--tol-wall")),
-            "--tol-sim" => tol.sim = parse_f64(&value(&mut it, "--tol-sim")),
-            "--gate-wall" => tol.gate_wall = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => {
-                eprintln!("unknown argument {other}");
-                usage()
-            }
-        }
-    }
-    let [new_path, base_path] = paths.as_slice() else {
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown argument {flag}");
         usage()
-    };
+    }
+    let [new_path, base_path] = args else { usage() };
     let load = |p: &str| {
         Snapshot::load(p).unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2)
         })
     };
-    let cmp = compare(&load(new_path), &load(base_path), tol);
+    let cmp = compare(&load(new_path), &load(base_path));
     print!("{}", compare_markdown(&cmp));
-    exit(if cmp.regressed() { 1 } else { 0 })
+    exit(if cmp.moved() { 1 } else { 0 })
 }
 
 fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
     it.next().cloned().unwrap_or_else(|| {
         eprintln!("missing value for {flag}");
-        usage()
-    })
-}
-
-fn parse_f64(s: &str) -> f64 {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad number '{s}'");
         usage()
     })
 }

@@ -1,77 +1,47 @@
-//! Regression comparator over bench snapshots.
+//! Exact comparator over bench snapshots.
 //!
 //! Matches the points of a new snapshot against a baseline (see
-//! [`crate::snapshot`]), diffs each shared metric, and
-//! assigns per-metric verdicts. Every metric is lower-is-better.
-//!
-//! Two tolerance bands apply: `sim` for deterministic simulated/ledger
-//! metrics (tight — these only move when the algorithm moves) and `wall`
-//! for host wall-clock (loose — these move with the machine). Wall
-//! verdicts are reported but, by default, do **not** gate: a CI runner is
-//! not the machine the baseline was measured on. Set
-//! `gate_wall = true` in the spec's `[tolerance]` table (or pass
-//! `--gate-wall`) to make wall regressions fail the run too.
+//! [`crate::snapshot`]) and compares each simulated metric they share —
+//! every column of [`METRICS`] but `wall_secs` — for equality. Those
+//! columns are deterministic functions of the structure and the
+//! configuration, so a value is either equal to the baseline's or it moved,
+//! and any move, up or down, fails the gate: a drop is as much a change to
+//! the program order, the cost model or a ledger as a rise is. The host
+//! wall clock is recorded in every snapshot but never compared here.
 
-use crate::snapshot::{is_wall_metric, PointKey, Snapshot, METRICS};
+use crate::snapshot::{PointKey, Snapshot, METRICS};
 use simgrid::Json;
 
-/// Relative tolerance bands and gating policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Tolerance {
-    /// Band for host wall-clock metrics (relative, e.g. 0.5 = ±50%).
-    pub wall: f64,
-    /// Band for simulated/ledger metrics (relative).
-    pub sim: f64,
-    /// Whether wall regressions fail the gate.
-    pub gate_wall: bool,
-}
+/// The one host-clock column of [`METRICS`]: carried, never compared.
+const WALL: &str = "wall_secs";
 
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            wall: 0.5,
-            sim: 0.02,
-            gate_wall: false,
-        }
-    }
-}
-
-/// Outcome for one metric of one matched point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    Improved,
-    Unchanged,
-    Regressed,
-    /// No ratio exists (NaN/infinite input, or a zero baseline with a
-    /// nonzero wall measurement). Never gates.
-    Incomparable,
-}
-
-impl Verdict {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Improved => "improved",
-            Verdict::Unchanged => "unchanged",
-            Verdict::Regressed => "regressed",
-            Verdict::Incomparable => "incomparable",
-        }
-    }
-}
-
-/// One metric's comparison.
+/// One simulated metric of one matched point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricVerdict {
     pub metric: String,
     pub old: f64,
     pub new: f64,
-    /// `new / old` when defined, else NaN.
+    /// `new / old`, NaN when `old` is zero.
     pub ratio: f64,
-    pub verdict: Verdict,
-    /// Whether a `Regressed` verdict on this metric fails the gate.
-    pub gated: bool,
 }
 
-/// All metric verdicts for one matched point.
+impl MetricVerdict {
+    /// Whether the value differs from the baseline's. A NaN on either side
+    /// is never equal, so a corrupt document fails the gate too.
+    pub fn moved(&self) -> bool {
+        self.old != self.new
+    }
+
+    pub fn verdict(&self) -> &'static str {
+        if self.moved() {
+            "moved"
+        } else {
+            "equal"
+        }
+    }
+}
+
+/// Every compared metric of one matched point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointComparison {
     pub key: PointKey,
@@ -79,10 +49,8 @@ pub struct PointComparison {
 }
 
 impl PointComparison {
-    pub fn regressed(&self) -> bool {
-        self.verdicts
-            .iter()
-            .any(|v| v.gated && v.verdict == Verdict::Regressed)
+    pub fn moved(&self) -> bool {
+        self.verdicts.iter().any(MetricVerdict::moved)
     }
 }
 
@@ -91,7 +59,6 @@ impl PointComparison {
 pub struct Comparison {
     pub baseline_label: String,
     pub new_label: String,
-    pub tol: Tolerance,
     pub matched: Vec<PointComparison>,
     /// Baseline points with no counterpart in the new snapshot (coverage
     /// shrank — reported, not gated).
@@ -101,27 +68,22 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// True when any gated metric of any matched point regressed — the
-    /// CI failure condition.
-    pub fn regressed(&self) -> bool {
-        self.matched.iter().any(PointComparison::regressed)
+    /// True when any compared metric of any matched point moved — the CI
+    /// failure condition.
+    pub fn moved(&self) -> bool {
+        self.matched.iter().any(PointComparison::moved)
     }
 
-    /// Counts of (improved, unchanged, regressed, incomparable) across
-    /// all matched metrics.
-    pub fn tallies(&self) -> (usize, usize, usize, usize) {
-        let mut t = (0, 0, 0, 0);
-        for p in &self.matched {
-            for v in &p.verdicts {
-                match v.verdict {
-                    Verdict::Improved => t.0 += 1,
-                    Verdict::Unchanged => t.1 += 1,
-                    Verdict::Regressed => t.2 += 1,
-                    Verdict::Incomparable => t.3 += 1,
-                }
+    /// Counts of (equal, moved) across all compared metrics.
+    pub fn tallies(&self) -> (usize, usize) {
+        let all = self.matched.iter().flat_map(|p| &p.verdicts);
+        all.fold((0, 0), |(equal, moved), v| {
+            if v.moved() {
+                (equal, moved + 1)
+            } else {
+                (equal + 1, moved)
             }
-        }
-        t
+        })
     }
 
     /// Machine-readable report document.
@@ -130,80 +92,38 @@ impl Comparison {
             .matched
             .iter()
             .map(|p| {
-                Json::Obj(vec![
-                    ("point".into(), Json::str(p.key.to_string())),
-                    ("regressed".into(), Json::Bool(p.regressed())),
-                    (
-                        "metrics".into(),
-                        Json::Arr(
-                            p.verdicts
-                                .iter()
-                                .map(|v| {
-                                    Json::Obj(vec![
-                                        ("metric".into(), Json::str(&v.metric)),
-                                        ("old".into(), Json::num(v.old)),
-                                        ("new".into(), Json::num(v.new)),
-                                        ("ratio".into(), Json::num(v.ratio)),
-                                        ("verdict".into(), Json::str(v.verdict.as_str())),
-                                        ("gated".into(), Json::Bool(v.gated)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
+                let metrics = p.verdicts.iter().map(|v| {
+                    Json::obj([
+                        ("metric", Json::str(&v.metric)),
+                        ("old", Json::num(v.old)),
+                        ("new", Json::num(v.new)),
+                        ("ratio", Json::num(v.ratio)),
+                        ("verdict", Json::str(v.verdict())),
+                    ])
+                });
+                Json::obj([
+                    ("point", Json::str(p.key.to_string())),
+                    ("moved", Json::Bool(p.moved())),
+                    ("metrics", Json::Arr(metrics.collect())),
                 ])
             })
             .collect();
         let keys =
             |ks: &[PointKey]| Json::Arr(ks.iter().map(|k| Json::str(k.to_string())).collect());
-        Json::Obj(vec![
-            ("schema".into(), Json::str("salu-bench-compare/1")),
-            ("baseline".into(), Json::str(&self.baseline_label)),
-            ("new".into(), Json::str(&self.new_label)),
-            ("tolerance_wall".into(), Json::num(self.tol.wall)),
-            ("tolerance_sim".into(), Json::num(self.tol.sim)),
-            ("gate_wall".into(), Json::Bool(self.tol.gate_wall)),
-            ("regressed".into(), Json::Bool(self.regressed())),
-            ("points".into(), Json::Arr(points)),
-            ("missing".into(), keys(&self.missing)),
-            ("extra".into(), keys(&self.extra)),
+        Json::obj([
+            ("schema", Json::str("salu-bench-compare/2")),
+            ("baseline", Json::str(&self.baseline_label)),
+            ("new", Json::str(&self.new_label)),
+            ("moved", Json::Bool(self.moved())),
+            ("points", Json::Arr(points)),
+            ("missing", keys(&self.missing)),
+            ("extra", keys(&self.extra)),
         ])
     }
 }
 
-/// Compare one metric pair under a relative tolerance band.
-fn judge(old: f64, new: f64, tol: f64) -> (Verdict, f64) {
-    if !old.is_finite() || !new.is_finite() {
-        return (Verdict::Incomparable, f64::NAN);
-    }
-    if old == 0.0 {
-        // A deterministic metric appearing from zero is a real change
-        // (e.g. W_red becoming nonzero); there is just no ratio for it.
-        return if new == 0.0 {
-            (Verdict::Unchanged, 1.0)
-        } else {
-            (Verdict::Regressed, f64::NAN)
-        };
-    }
-    if old < 0.0 || new < 0.0 {
-        // All snapshot metrics are nonnegative; a negative value is a
-        // corrupt document, not a perf signal.
-        return (Verdict::Incomparable, f64::NAN);
-    }
-    let ratio = new / old;
-    let rel = (new - old) / old;
-    let verdict = if rel > tol {
-        Verdict::Regressed
-    } else if rel < -tol {
-        Verdict::Improved
-    } else {
-        Verdict::Unchanged
-    };
-    (verdict, ratio)
-}
-
 /// Diff `new` against `baseline`.
-pub fn compare(new: &Snapshot, baseline: &Snapshot, tol: Tolerance) -> Comparison {
+pub fn compare(new: &Snapshot, baseline: &Snapshot) -> Comparison {
     let mut matched = Vec::new();
     let mut extra = Vec::new();
     for np in &new.points {
@@ -211,23 +131,21 @@ pub fn compare(new: &Snapshot, baseline: &Snapshot, tol: Tolerance) -> Compariso
             extra.push(np.key.clone());
             continue;
         };
-        let mut verdicts = Vec::new();
-        for m in METRICS {
-            let (Some(old), Some(newv)) = (bp.metric(m), np.metric(m)) else {
-                continue; // metric absent on one side: nothing to judge
-            };
-            let wall = is_wall_metric(m);
-            let band = if wall { tol.wall } else { tol.sim };
-            let (verdict, ratio) = judge(old, newv, band);
-            verdicts.push(MetricVerdict {
-                metric: m.to_string(),
-                old,
-                new: newv,
-                ratio,
-                verdict,
-                gated: !wall || tol.gate_wall,
-            });
-        }
+        let verdicts = METRICS
+            .iter()
+            .filter(|&&m| m != WALL)
+            .filter_map(|&m| {
+                // a metric absent on one side has nothing to compare
+                let (old, new) = (bp.metric(m)?, np.metric(m)?);
+                let ratio = if old == 0.0 { f64::NAN } else { new / old };
+                Some(MetricVerdict {
+                    metric: m.to_string(),
+                    old,
+                    new,
+                    ratio,
+                })
+            })
+            .collect();
         matched.push(PointComparison {
             key: np.key.clone(),
             verdicts,
@@ -242,7 +160,6 @@ pub fn compare(new: &Snapshot, baseline: &Snapshot, tol: Tolerance) -> Compariso
     Comparison {
         baseline_label: baseline.label.clone(),
         new_label: new.label.clone(),
-        tol,
         matched,
         missing,
         extra,
@@ -258,7 +175,7 @@ mod tests {
         let matrix = matrix.into();
         PointKey {
             matrix,
-            n: 100,
+            n: 4096,
             p: 16,
             pz,
             ..Default::default()
@@ -272,94 +189,120 @@ mod tests {
         }
     }
 
-    fn pt(k: PointKey, wall: f64, makespan: f64) -> BenchPoint {
+    /// The k2d5pt P = 16 Pz = 4 point of `results/BENCH_pr4.json`, every
+    /// metric column filled, plus a figure column `compare` never reads.
+    fn k2d5pt() -> BenchPoint {
+        let metrics = [
+            ("wall_secs", 0.018210096),
+            ("makespan_secs", 0.0013358021833333351),
+            ("max_peak_bytes", 497720.0),
+            ("total_peak_bytes", 5917104.0),
+            ("w_fact_words", 57542.0),
+            ("w_red_words", 8866.0),
+            ("total_sent_words", 664818.0),
+            ("flops", 1.25e7),
+        ];
         BenchPoint {
-            key: k,
+            key: key("k2d5pt", 4),
             scale: "small".into(),
-            metrics: vec![
-                ("wall_secs".into(), wall),
-                ("makespan_secs".into(), makespan),
-            ],
+            metrics: metrics.map(|(k, v)| (k.to_string(), v)).to_vec(),
+        }
+    }
+
+    /// `p` with one column set to `value`.
+    fn with(mut p: BenchPoint, column: &str, value: f64) -> BenchPoint {
+        let slot = p.metrics.iter_mut().find(|(k, _)| k == column).unwrap();
+        slot.1 = value;
+        p
+    }
+
+    #[test]
+    fn the_same_snapshot_is_clean() {
+        let s = snap("pr4", vec![k2d5pt()]);
+        let cmp = compare(&s, &s);
+        assert!(!cmp.moved());
+        // six simulated columns compared; wall_secs and flops are not
+        assert_eq!(cmp.tallies(), (6, 0));
+        let compared: Vec<&str> = cmp.matched[0]
+            .verdicts
+            .iter()
+            .map(|v| v.metric.as_str())
+            .collect();
+        assert_eq!(compared, &METRICS[1..]);
+    }
+
+    #[test]
+    fn a_one_unit_move_of_any_simulated_column_fails_either_way() {
+        let base = snap("pr4", vec![k2d5pt()]);
+        for &m in &METRICS[1..] {
+            let old = k2d5pt().metric(m).unwrap();
+            // one unit: a word or a byte, or the last place of a makespan
+            let (up, down) = if old.fract() == 0.0 {
+                (old + 1.0, old - 1.0)
+            } else {
+                (old.next_up(), old.next_down())
+            };
+            for value in [up, down] {
+                let cmp = compare(&snap("new", vec![with(k2d5pt(), m, value)]), &base);
+                assert!(cmp.moved(), "{m} {old} -> {value}");
+                assert_eq!(cmp.tallies(), (5, 1), "{m}");
+            }
         }
     }
 
     #[test]
-    fn verdicts_respect_tolerance_boundaries() {
-        let tol = Tolerance {
-            wall: 0.5,
-            sim: 0.02,
-            gate_wall: false,
-        };
-        // exactly at the band edge is Unchanged (strict inequality)
-        assert_eq!(judge(100.0, 102.0, tol.sim).0, Verdict::Unchanged);
-        assert_eq!(judge(100.0, 98.0, tol.sim).0, Verdict::Unchanged);
-        // just beyond flips
-        assert_eq!(judge(100.0, 102.1, tol.sim).0, Verdict::Regressed);
-        assert_eq!(judge(100.0, 97.9, tol.sim).0, Verdict::Improved);
-        // the loose wall band swallows a 1.4x swing
-        assert_eq!(judge(0.010, 0.014, tol.wall).0, Verdict::Unchanged);
-        assert_eq!(judge(0.010, 0.016, tol.wall).0, Verdict::Regressed);
+    fn a_different_wall_alone_stays_clean() {
+        let base = snap("pr4", vec![k2d5pt()]);
+        let new = snap("new", vec![with(k2d5pt(), "wall_secs", 10.0)]);
+        let cmp = compare(&new, &base);
+        assert!(!cmp.moved());
+        assert!(cmp.matched[0].verdicts.iter().all(|v| v.metric != WALL));
     }
 
     #[test]
-    fn nan_and_zero_guards() {
-        assert_eq!(judge(f64::NAN, 1.0, 0.1).0, Verdict::Incomparable);
-        assert_eq!(judge(1.0, f64::INFINITY, 0.1).0, Verdict::Incomparable);
-        assert_eq!(judge(0.0, 0.0, 0.1).0, Verdict::Unchanged);
-        // a deterministic metric appearing from zero is a regression with
-        // no ratio
-        let (v, r) = judge(0.0, 5.0, 0.1);
-        assert_eq!(v, Verdict::Regressed);
-        assert!(r.is_nan());
-        assert_eq!(judge(-1.0, 1.0, 0.1).0, Verdict::Incomparable);
-    }
-
-    #[test]
-    fn wall_regressions_do_not_gate_by_default() {
-        let base = snap("pr4", vec![pt(key("m", 1), 0.010, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1), 0.100, 2.0)]);
-        let cmp = compare(&new, &base, Tolerance::default());
-        let wall = &cmp.matched[0].verdicts[0];
-        assert_eq!(wall.verdict, Verdict::Regressed);
-        assert!(!wall.gated);
-        assert!(!cmp.regressed(), "ungated wall regression must not gate");
-        // flipping the policy gates it
-        let cmp = compare(
-            &new,
-            &base,
-            Tolerance {
-                gate_wall: true,
-                ..Tolerance::default()
-            },
+    fn the_w_red_drop_a_two_percent_band_called_unchanged_fails() {
+        // BENCH_pr4 -> a fresh smoke run: 8 866 -> 8 804 words, -0.7%.
+        let base = snap("pr4", vec![k2d5pt()]);
+        let new = snap("pr50", vec![with(k2d5pt(), "w_red_words", 8804.0)]);
+        let cmp = compare(&new, &base);
+        assert!(cmp.moved());
+        let v = &cmp.matched[0].verdicts;
+        let moved: Vec<_> = v.iter().filter(|v| v.moved()).collect();
+        assert_eq!(moved.len(), 1);
+        assert_eq!(moved[0].metric, "w_red_words");
+        assert_eq!(moved[0].ratio, 8804.0 / 8866.0);
+        let doc = cmp.to_json();
+        assert_eq!(doc.get("moved").and_then(Json::as_bool), Some(true));
+        let reparsed = Json::parse(&doc.pretty()).unwrap();
+        assert_eq!(
+            reparsed.get("schema").and_then(Json::as_str),
+            Some("salu-bench-compare/2")
         );
-        assert!(cmp.regressed());
     }
 
     #[test]
-    fn sim_regressions_gate() {
-        let base = snap("pr4", vec![pt(key("m", 1), 0.010, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1), 0.010, 2.5)]);
-        let cmp = compare(&new, &base, Tolerance::default());
-        assert!(cmp.regressed());
-        let (imp, unch, reg, inc) = cmp.tallies();
-        assert_eq!((imp, unch, reg, inc), (0, 1, 1, 0));
+    fn a_column_from_zero_or_nan_moves_without_a_ratio() {
+        let base = snap("pr4", vec![with(k2d5pt(), "w_red_words", 0.0)]);
+        let cmp = compare(&snap("new", vec![k2d5pt()]), &base);
+        let v = &cmp.matched[0].verdicts[4];
+        assert!(v.moved() && v.ratio.is_nan());
+        let nan = snap("nan", vec![with(k2d5pt(), "makespan_secs", f64::NAN)]);
+        assert!(compare(&nan, &nan).moved(), "NaN equals nothing");
     }
 
     #[test]
     fn missing_and_extra_points_are_reported_not_gated() {
-        let base = snap(
-            "pr4",
-            vec![pt(key("m", 1), 0.01, 2.0), pt(key("m", 4), 0.01, 1.0)],
-        );
-        let new = snap(
-            "pr8",
-            vec![pt(key("m", 1), 0.01, 2.0), pt(key("m", 2), 0.01, 2.0)],
-        );
-        let cmp = compare(&new, &base, Tolerance::default());
+        let at_pz = |pz| BenchPoint {
+            key: key("k2d5pt", pz),
+            ..k2d5pt()
+        };
+        let base = snap("pr4", vec![k2d5pt(), at_pz(1)]);
+        let new = snap("pr50", vec![k2d5pt(), at_pz(2)]);
+        let cmp = compare(&new, &base);
         assert_eq!(cmp.matched.len(), 1);
-        assert_eq!(cmp.missing, vec![key("m", 4)]);
-        assert_eq!(cmp.extra, vec![key("m", 2)]);
-        assert!(!cmp.regressed());
+        assert_eq!(cmp.missing, vec![key("k2d5pt", 1)]);
+        assert_eq!(cmp.extra, vec![key("k2d5pt", 2)]);
+        assert!(!cmp.moved());
     }
 
     #[test]
@@ -370,22 +313,11 @@ mod tests {
                 maxsup: Some(pin),
                 ..key("k2d5pt", 2)
             };
-            pt(k, 0.01, makespan)
+            with(BenchPoint { key: k, ..k2d5pt() }, "makespan_secs", makespan)
         };
         let s = snap("pr31", vec![pinned(8, 8.1e-3), pinned(32, 2.3e-3)]);
-        let cmp = compare(&s, &s, Tolerance::default());
-        assert!(!cmp.regressed());
-        assert_eq!(cmp.tallies(), (0, 4, 0, 0));
-    }
-
-    #[test]
-    fn report_json_carries_the_gate_flag() {
-        let base = snap("pr4", vec![pt(key("m", 1), 0.01, 2.0)]);
-        let new = snap("pr8", vec![pt(key("m", 1), 0.01, 2.5)]);
-        let cmp = compare(&new, &base, Tolerance::default());
-        let doc = cmp.to_json();
-        assert_eq!(doc.get("regressed").and_then(Json::as_bool), Some(true));
-        let reparsed = Json::parse(&doc.pretty()).unwrap();
-        assert_eq!(reparsed.get("baseline").and_then(Json::as_str), Some("pr4"));
+        let cmp = compare(&s, &s);
+        assert!(!cmp.moved());
+        assert_eq!(cmp.tallies(), (12, 0));
     }
 }

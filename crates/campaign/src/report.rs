@@ -1,6 +1,6 @@
 //! Markdown rendering for campaign runs and regression comparisons.
 
-use crate::compare::{Comparison, Verdict};
+use crate::compare::Comparison;
 use crate::snapshot::Snapshot;
 
 /// Render the run report: one table row per point, metrics as columns,
@@ -50,44 +50,26 @@ pub fn run_markdown(snapshot: &Snapshot, skipped: &[String], failed: &[String]) 
     md
 }
 
-/// Render the regression report: per-point verdict tables plus the
-/// missing/extra coverage diff.
+/// Render the regression report: per-point tables of the compared
+/// columns plus the missing/extra coverage diff.
 pub fn compare_markdown(cmp: &Comparison) -> String {
     let mut md = String::new();
-    let (imp, unch, reg, inc) = cmp.tallies();
+    let (equal, moved) = cmp.tallies();
     md.push_str(&format!(
         "# Regression report: {} vs {}\n\n\
-         Gate: **{}** — {} improved, {} unchanged, {} regressed, {} incomparable \
-         (tolerance: wall ±{:.0}%, sim ±{:.0}%{}).\n\n",
+         Gate: **{}** — {equal} equal, {moved} moved (simulated columns compared \
+         exactly; `wall_secs` is not compared).\n\n",
         cmp.new_label,
         cmp.baseline_label,
-        if cmp.regressed() {
-            "REGRESSED"
-        } else {
-            "clean"
-        },
-        imp,
-        unch,
-        reg,
-        inc,
-        cmp.tol.wall * 100.0,
-        cmp.tol.sim * 100.0,
-        if cmp.tol.gate_wall {
-            ", wall gated"
-        } else {
-            ", wall ungated"
-        },
+        if cmp.moved() { "MOVED" } else { "clean" },
     ));
     for p in &cmp.matched {
         md.push_str(&format!("## {}\n\n", p.key));
         md.push_str("| metric | baseline | new | ratio | verdict |\n|---|---:|---:|---:|---|\n");
         for v in &p.verdicts {
-            let mark = match v.verdict {
-                Verdict::Regressed if v.gated => " **(gated)**",
-                _ => "",
-            };
+            // shortest round-trip digits: a one-ulp move shows
             md.push_str(&format!(
-                "| {} | {:.6} | {:.6} | {} | {}{} |\n",
+                "| {} | {} | {} | {} | {} |\n",
                 v.metric,
                 v.old,
                 v.new,
@@ -96,8 +78,7 @@ pub fn compare_markdown(cmp: &Comparison) -> String {
                 } else {
                     "—".into()
                 },
-                v.verdict.as_str(),
-                mark,
+                v.verdict(),
             ));
         }
         md.push('\n');
@@ -122,7 +103,7 @@ pub fn compare_markdown(cmp: &Comparison) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare, Tolerance};
+    use crate::compare::compare;
     use crate::snapshot::{BenchPoint, PointKey};
 
     fn point(pz: u64, makespan: f64) -> BenchPoint {
@@ -152,10 +133,10 @@ mod tests {
             label: "pr8".into(),
             points: vec![point(1, 2.5)],
         };
-        let cmp = compare(&new, &base, Tolerance::default());
+        let cmp = compare(&new, &base);
         let md = compare_markdown(&cmp);
-        assert!(md.contains("REGRESSED"));
-        assert!(md.contains("**(gated)**"));
+        assert!(md.contains("Gate: **MOVED** — 0 equal, 1 moved"));
+        assert!(md.contains("| makespan_secs | 2 | 2.5 | 1.250 | moved |"));
         assert!(md.contains("Baseline points not re-measured"));
         let run = run_markdown(&new, &["m p=4 pz=3".into()], &[]);
         assert!(run.contains("| m n=64 P=4 Pz=1 |"));

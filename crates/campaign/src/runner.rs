@@ -2,19 +2,17 @@
 //! parallel), and collect one [`Snapshot`] point per job plus per-job
 //! artifact directories.
 //!
-//! Each job factors its matrix `reps` times and keeps the **minimum** host
-//! wall-clock — the standard estimator for run-to-run noise. Simulated
-//! metrics (makespan, ledger bytes, wire words) are bitwise deterministic,
-//! so they are taken from the last repetition after asserting the factor
-//! digest never moved.
+//! Each job factors its matrix once. Its simulated columns (makespan,
+//! ledger bytes, wire words) are deterministic functions of the structure
+//! and the configuration; its host wall clock is recorded beside them as
+//! information. That a rerun, or tracing, moves no simulated bit is the
+//! contract suite's to check (`tests/contracts/`), not the campaign's.
 //!
 //! Every job writes its run document (`Output3d::account`, schema
 //! `salu-run/4`) as `run.json` into `<out>/jobs/<slug>/`, and its snapshot
-//! columns are read from that document. With
-//! `trace = true` in the spec, one extra traced repetition records the
-//! compute time on the critical path as the `crit_comp_secs` column (kept
-//! out of the timed repetitions so tracing overhead never pollutes the wall
-//! column; a per-run timeline is `salu --trace-out`).
+//! columns are read from that document. With `trace = true` in the spec,
+//! the run is traced and the compute time on its critical path becomes the
+//! `crit_comp_secs` column (a per-run timeline is `salu --trace-out`).
 
 use crate::snapshot::{BenchPoint, Snapshot};
 use crate::spec::{CampaignSpec, Job, MatrixSource};
@@ -76,60 +74,31 @@ fn job_config(job: &Job) -> Result<SolverConfig, String> {
     })
 }
 
-/// Result of one job's timed repetitions.
+/// Result of one job's run.
 struct JobRun {
     wall_secs: f64,
     out: Output3d,
     n: usize,
     supernodes: usize,
-    /// Compute time on the critical path, from the traced repetition.
+    /// Compute time on the critical path, when the run was traced.
     crit_comp_secs: Option<f64>,
 }
 
 fn run_job(job: &Job, prep: &Prepared, trace: bool) -> Result<JobRun, String> {
-    let cfg = job_config(job)?;
-    let mut wall = f64::INFINITY;
-    let mut last: Option<Output3d> = None;
-    for _ in 0..job.reps.max(1) {
-        // det-lint: allow(wall-clock): campaign jobs measure host wall time
-        let t0 = std::time::Instant::now();
-        let out = try_factor_only(prep, &cfg).map_err(|e| format!("{} failed: {e}", job.slug()))?;
-        wall = wall.min(t0.elapsed().as_secs_f64());
-        if let Some(prev) = &last {
-            if prev.factor_digest != out.factor_digest {
-                return Err(format!(
-                    "{}: factor digest moved between repetitions ({:#018x} != {:#018x})",
-                    job.slug(),
-                    prev.factor_digest,
-                    out.factor_digest
-                ));
-            }
-        }
-        last = Some(out);
-    }
-    let out = last.expect("at least one repetition");
-    let crit_comp_secs = if trace {
-        // One extra traced repetition, outside the timed loop: tracing
-        // allocates span stores and would pollute the wall column.
-        let cfg = SolverConfig {
-            tracing: true,
-            ..cfg
-        };
-        let traced = try_factor_only(prep, &cfg)
-            .map_err(|e| format!("{} traced run failed: {e}", job.slug()))?;
-        if traced.factor_digest != out.factor_digest {
-            return Err(format!(
-                "{}: traced run changed the factor digest",
-                job.slug()
-            ));
-        }
-        let cp = traced.critical_path().expect("tracing was enabled");
-        Some(cp.kind_attribution().get("comp").copied().unwrap_or(0.0))
-    } else {
-        None
+    let cfg = SolverConfig {
+        tracing: trace,
+        ..job_config(job)?
     };
+    // det-lint: allow(wall-clock): campaign jobs record host wall time
+    let t0 = std::time::Instant::now();
+    let out = try_factor_only(prep, &cfg).map_err(|e| format!("{} failed: {e}", job.slug()))?;
+    let wall_secs = t0.elapsed().as_secs_f64();
+    let crit_comp_secs = trace.then(|| {
+        let cp = out.critical_path().expect("tracing was enabled");
+        cp.kind_attribution().get("comp").copied().unwrap_or(0.0)
+    });
     Ok(JobRun {
-        wall_secs: wall,
+        wall_secs,
         out,
         n: prep.a.nrows,
         supernodes: prep.sym.nsup(),
@@ -296,7 +265,7 @@ mod tests {
     #[test]
     fn tiny_campaign_runs_and_snapshots() {
         let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"t\"\npr = \"test\"\nreps = 2\nworkers = 2\ntrace = true\n\
+            "[campaign]\nname = \"t\"\npr = \"test\"\nworkers = 2\ntrace = true\n\
              [[point]]\nmatrix = \"k2d5pt\"\nscale = \"tiny\"\np = [4]\npz = [1, 2]\n",
         )
         .unwrap();
@@ -309,8 +278,8 @@ mod tests {
         assert!(planar.metric("wall_secs").unwrap() > 0.0);
         let makespan = planar.metric("makespan_secs").unwrap();
         assert!(makespan > 0.0);
-        // the traced repetition splits the critical path; the figure
-        // columns are filled in
+        // the traced run splits the critical path; the figure columns are
+        // filled in
         let comp = planar.metric("crit_comp_secs").unwrap();
         assert!(comp > 0.0 && comp <= makespan, "{comp} vs {makespan}");
         for col in ["flops", "lookahead_hits", "store_words", "supernodes"] {
@@ -325,8 +294,8 @@ mod tests {
                 doc.get("schema").and_then(|s| s.as_str()),
                 Some("salu-run/4")
             );
-            // timed repetitions run unprofiled, so the wall column carries
-            // no scope timers
+            // jobs run unprofiled, so the wall column carries no scope
+            // timers
             let host = doc.get("host").expect("host section");
             assert_eq!(host.get("hostprof"), Some(&simgrid::Json::Null));
             assert_eq!(host.get("sched"), Some(&simgrid::Json::Null));

@@ -117,9 +117,10 @@ impl std::fmt::Display for PointKey {
     }
 }
 
-/// The comparable metrics of one point, in emission order. `wall_secs` is
-/// the only host-sensitive column; everything else is simulated or
-/// ledger-derived and therefore deterministic.
+/// The metric columns of one point, in emission order. `wall_secs` is the
+/// host wall clock of the job's one run, recorded and never compared;
+/// everything else is simulated or ledger-derived, hence deterministic,
+/// and `compare` checks it for equality.
 pub const METRICS: &[&str] = &[
     "wall_secs",
     "makespan_secs",
@@ -140,12 +141,6 @@ pub const FIGURE_COLUMNS: &[&str] = &[
     "store_words",
     "supernodes",
 ];
-
-/// True for metrics measured on the host wall clock (noisy across machines
-/// and runs); false for simulated/ledger metrics (deterministic).
-pub fn is_wall_metric(name: &str) -> bool {
-    name == "wall_secs"
-}
 
 /// One measured configuration with its metric values.
 #[derive(Clone, Debug, PartialEq)]
@@ -324,7 +319,7 @@ mod tests {
         assert_eq!(p.key.lookahead, None);
         assert_eq!(p.metric("wall_secs"), Some(0.03));
         assert_eq!(p.metric("w_fact_words"), Some(204950.0));
-        // only the columns of METRICS are compared metrics
+        // only the columns of METRICS and FIGURE_COLUMNS are read
         assert_eq!(p.metric("not_a_metric"), None);
     }
 

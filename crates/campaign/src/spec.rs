@@ -1,14 +1,13 @@
 //! Campaign spec: the declarative description of a perf sweep.
 //!
 //! A spec is a TOML file (see [`crate::toml`] for the supported subset)
-//! with one `[campaign]` header, an optional `[tolerance]` table, and one
-//! `[[point]]` block per matrix configuration. Each `[[point]]` names a
-//! matrix (a `sparsemat::testmats` proxy or a generator spec) and sweeps
-//! the grid/options axes; [`CampaignSpec::expand`] takes the cross product
-//! into concrete [`Job`]s, skipping (and reporting) invalid combinations
-//! like `p % pz != 0` rather than silently shrinking the sweep.
+//! with one `[campaign]` header and one `[[point]]` block per matrix
+//! configuration. Each `[[point]]` names a matrix (a `sparsemat::testmats`
+//! proxy or a generator spec) and sweeps the grid/options axes;
+//! [`CampaignSpec::expand`] takes the cross product into concrete
+//! [`Job`]s, skipping (and reporting) invalid combinations like
+//! `p % pz != 0` rather than silently shrinking the sweep.
 
-use crate::compare::Tolerance;
 use crate::snapshot::{PointKey, DEFAULT_LOOKAHEAD, DEFAULT_PIN};
 use crate::toml::{self, Table, Value};
 use simgrid::Backend;
@@ -55,10 +54,6 @@ pub struct PointSpec {
     /// Execution backends to sweep (`threaded` | `event`); defaults to
     /// threaded only, matching every historical snapshot.
     pub backend: Vec<Backend>,
-    /// Per-point repetition override. Paper-scale points (P = 4096) take
-    /// minutes per rep; this lets one point opt out of the campaign-wide
-    /// best-of-N without loosening the small points.
-    pub reps: Option<usize>,
 }
 
 /// One concrete run: a single cell of the sweep cross product.
@@ -71,7 +66,6 @@ pub struct Job {
     pub pz: usize,
     pub lookahead: usize,
     pub backend: Backend,
-    pub reps: usize,
 }
 
 impl Job {
@@ -96,15 +90,6 @@ impl Job {
     pub fn slug(&self) -> String {
         self.key(0).slug()
     }
-
-    /// Everything but `reps` agrees: two points listing one configuration
-    /// name one job.
-    fn same_config(&self, other: &Job) -> bool {
-        Job {
-            reps: other.reps,
-            ..self.clone()
-        } == *other
-    }
 }
 
 /// A fully parsed campaign.
@@ -113,18 +98,14 @@ pub struct CampaignSpec {
     pub name: String,
     /// Label stamped into the emitted snapshot's `pr` field (e.g. `pr8`).
     pub pr_label: String,
-    /// Best-of-N repetitions for the wall-clock column.
-    pub reps: usize,
-    /// Parallel job slots. 1 (the default) keeps wall-clock measurements
-    /// unperturbed; raise it when sweeping simulated-only metrics.
+    /// Parallel job slots (default 1). Only the informational wall column
+    /// feels them.
     pub workers: usize,
     /// Baseline snapshot to compare against after the run, if any.
     pub baseline: Option<String>,
-    /// Run one extra traced repetition per job and record its
-    /// critical-path split as the `crit_comp_secs` snapshot column (no
-    /// trace file is written).
+    /// Trace each job's run and record its critical-path split as the
+    /// `crit_comp_secs` snapshot column (no trace file is written).
     pub trace: bool,
-    pub tolerance: Tolerance,
     pub points: Vec<PointSpec>,
 }
 
@@ -133,9 +114,12 @@ impl CampaignSpec {
     pub fn parse(text: &str) -> Result<CampaignSpec, String> {
         let doc = toml::parse(text)?;
         for (name, _) in &doc.sections {
-            if !["campaign", "tolerance", "point"].contains(&name.as_str()) {
+            if name == "tolerance" {
+                return Err(format!("section [tolerance] {REMOVED_TOLERANCE}"));
+            }
+            if !["campaign", "point"].contains(&name.as_str()) {
                 return Err(format!(
-                    "unknown section [{name}] (known: [campaign], [tolerance], [[point]])"
+                    "unknown section [{name}] (known: [campaign], [[point]])"
                 ));
             }
         }
@@ -145,7 +129,6 @@ impl CampaignSpec {
         known_keys(header, CAMPAIGN_KEYS).map_err(|e| format!("[campaign]: {e}"))?;
         let name = req_str(header, "campaign", "name")?;
         let pr_label = opt_str(header, "pr")?.unwrap_or_else(|| name.clone());
-        let reps = opt_usize(header, "campaign", "reps")?.unwrap_or(1).max(1);
         let workers = opt_usize(header, "campaign", "workers")?
             .unwrap_or(1)
             .max(1);
@@ -154,21 +137,6 @@ impl CampaignSpec {
             Some(v) => v.as_bool().ok_or("[campaign] trace must be a boolean")?,
             None => false,
         };
-        let mut tolerance = Tolerance::default();
-        if let Some(t) = doc.section("tolerance") {
-            known_keys(t, TOLERANCE_KEYS).map_err(|e| format!("[tolerance]: {e}"))?;
-            if let Some(v) = t.get("wall") {
-                tolerance.wall = v.as_f64().ok_or("[tolerance] wall must be a number")?;
-            }
-            if let Some(v) = t.get("sim") {
-                tolerance.sim = v.as_f64().ok_or("[tolerance] sim must be a number")?;
-            }
-            if let Some(v) = t.get("gate_wall") {
-                tolerance.gate_wall = v
-                    .as_bool()
-                    .ok_or("[tolerance] gate_wall must be a boolean")?;
-            }
-        }
         let mut points = Vec::new();
         for (i, table) in doc.sections_named("point").into_iter().enumerate() {
             points.push(parse_point(table).map_err(|e| format!("[[point]] #{}: {e}", i + 1))?);
@@ -179,11 +147,9 @@ impl CampaignSpec {
         Ok(CampaignSpec {
             name,
             pr_label,
-            reps,
             workers,
             baseline,
             trace,
-            tolerance,
             points,
         })
     }
@@ -191,8 +157,7 @@ impl CampaignSpec {
     /// Expand sweeps into concrete jobs. Combinations where `p` is not a
     /// multiple of `pz` cannot form a grid; they are returned separately so
     /// the runner can report them instead of dropping them silently. A
-    /// configuration that several points list is one job (the first
-    /// point's `reps`), so it is factored once.
+    /// configuration that several points list is one job, factored once.
     pub fn expand(&self) -> (Vec<Job>, Vec<String>) {
         let mut jobs: Vec<Job> = Vec::new();
         let mut skipped = Vec::new();
@@ -216,9 +181,8 @@ impl CampaignSpec {
                                 pz,
                                 lookahead,
                                 backend,
-                                reps: pt.reps.unwrap_or(self.reps),
                             };
-                            if !jobs.iter().any(|j| j.same_config(&job)) {
+                            if !jobs.contains(&job) {
                                 jobs.push(job);
                             }
                         }
@@ -232,8 +196,7 @@ impl CampaignSpec {
 
 /// The keys each block reads. Anything else is an error, not an ignored
 /// line: a misspelt axis must not quietly shrink the sweep.
-const CAMPAIGN_KEYS: &[&str] = &["name", "pr", "reps", "workers", "baseline", "trace"];
-const TOLERANCE_KEYS: &[&str] = &["wall", "sim", "gate_wall"];
+const CAMPAIGN_KEYS: &[&str] = &["name", "pr", "workers", "baseline", "trace"];
 const POINT_KEYS: &[&str] = &[
     "matrix",
     "gen",
@@ -244,18 +207,30 @@ const POINT_KEYS: &[&str] = &[
     "pz",
     "lookahead",
     "backend",
-    "reps",
+];
+
+/// Why `[tolerance]` is refused: there is nothing left to tolerate.
+const REMOVED_TOLERANCE: &str = "was removed: the simulated columns are compared exactly \
+     and the wall column is not compared (docs/campaign.md) — delete the section";
+
+/// Keys an older spec may still carry, each refused with its reason.
+const REMOVED_KEYS: &[(&str, &str)] = &[
+    (
+        "batched",
+        "the Schur update now picks its kernel per supernode from the update's size \
+         (docs/perf.md), so there is no second path to sweep",
+    ),
+    (
+        "reps",
+        "every compared column is simulated and deterministic, so each job runs once \
+         (docs/campaign.md)",
+    ),
 ];
 
 fn known_keys(t: &Table, known: &[&str]) -> Result<(), String> {
     for (key, _) in &t.entries {
-        if key == "batched" {
-            return Err(
-                "key 'batched' was removed: the Schur update now picks its kernel per \
-                 supernode from the update's size (docs/perf.md), so there is no second \
-                 path to sweep — delete the line"
-                    .into(),
-            );
+        if let Some((_, why)) = REMOVED_KEYS.iter().find(|(k, _)| k == key) {
+            return Err(format!("key '{key}' was removed: {why} — delete the line"));
         }
         if !known.contains(&key.as_str()) {
             return Err(format!("unknown key '{key}' (known: {})", known.join(", ")));
@@ -333,14 +308,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
             vals
         }
     };
-    let reps = match t.get("reps") {
-        None => None,
-        Some(v) => Some(
-            v.as_usize()
-                .ok_or("reps must be a non-negative integer")?
-                .max(1),
-        ),
-    };
     let maxsup = single_usize(t, "maxsup", DEFAULT_PIN as usize)?;
     if maxsup == 0 {
         return Err("maxsup must be at least 1: a supernode holds at least one column".into());
@@ -353,7 +320,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
         pz,
         lookahead,
         backend,
-        reps,
     })
 }
 
@@ -401,13 +367,8 @@ mod tests {
 [campaign]
 name = \"smoke\"
 pr = \"pr8\"
-reps = 3
 workers = 2
 baseline = \"results/BENCH_pr4.json\"
-
-[tolerance]
-wall = 0.5
-sim = 0.02
 
 [[point]]
 matrix = \"k2d5pt\"
@@ -426,9 +387,8 @@ pz = [2, 3]
         let spec = CampaignSpec::parse(SPEC).unwrap();
         assert_eq!(spec.name, "smoke");
         assert_eq!(spec.pr_label, "pr8");
-        assert_eq!(spec.reps, 3);
+        assert_eq!(spec.workers, 2);
         assert_eq!(spec.baseline.as_deref(), Some("results/BENCH_pr4.json"));
-        assert_eq!(spec.tolerance.sim, 0.02);
         let (jobs, skipped) = spec.expand();
         // point 1: 1 p x 2 pz x 2 lookahead = 4; point 2: pz=2 only (pz=3
         // is not a power of two) = 1.
@@ -456,7 +416,6 @@ pz = [2, 3]
         assert_eq!(jobs.len(), 1);
         let j = &jobs[0];
         assert_eq!((j.pz, j.lookahead, j.leaf, j.maxsup), (1, 8, 32, 32));
-        assert_eq!(j.reps, 1);
         assert_eq!(spec.pr_label, "d", "pr label defaults to the name");
     }
 
@@ -523,7 +482,7 @@ pz = [2, 3]
         let spec = CampaignSpec::parse(
             "[campaign]\nname = \"x\"\n\
              [[point]]\nmatrix = \"k2d5pt\"\np = 8\npz = [2, 4]\nleaf = 8\nmaxsup = 8\n\
-             [[point]]\nmatrix = \"k2d5pt\"\np = [8, 16]\npz = 2\nreps = 3\n\
+             [[point]]\nmatrix = \"k2d5pt\"\np = [8, 16]\npz = 2\n\
              [[point]]\nmatrix = \"k2d5pt\"\np = 8\npz = 2\n",
         )
         .unwrap();
@@ -538,10 +497,6 @@ pz = [2, 3]
             "k2d5pt-p16-pz2",
         ];
         assert_eq!(slugs, want);
-        assert_eq!(
-            jobs[2].reps, 3,
-            "the first block to list a job sets its reps"
-        );
         let (k8, k32) = (jobs[0].key(4096), jobs[2].key(4096));
         assert!(
             !k8.matches(&k32),
@@ -565,6 +520,26 @@ pz = [2, 3]
             e.contains("[[point]] #1") && e.contains("'batched' was removed"),
             "{e}"
         );
+        // So are the host-clock knobs of a spec from before the gate was
+        // exact: best-of-N repetitions and the tolerance bands.
+        let point = "[[point]]\nmatrix = \"k2d5pt\"\np = 4\n";
+        for (spec, want) in [
+            (
+                format!("[campaign]\nname = \"x\"\nreps = 3\n{point}"),
+                "[campaign]: key 'reps' was removed: every compared column is simulated",
+            ),
+            (
+                format!("[campaign]\nname = \"x\"\n{point}reps = 1\n"),
+                "[[point]] #1: key 'reps' was removed",
+            ),
+            (
+                format!("[campaign]\nname = \"x\"\n[tolerance]\nsim = 0.02\n{point}"),
+                "section [tolerance] was removed: the simulated columns are compared exactly",
+            ),
+        ] {
+            let e = CampaignSpec::parse(&spec).unwrap_err();
+            assert!(e.starts_with(want), "{e}");
+        }
         // Typo'd axes used to shrink the sweep to its defaults in silence;
         // so would the `schedule` axis of a spec from before there was one
         // program order.
@@ -587,14 +562,6 @@ pz = [2, 3]
         .unwrap_err();
         assert!(
             e.contains("[campaign]") && e.contains("unknown key 'baselin'"),
-            "{e}"
-        );
-        let e = CampaignSpec::parse(
-            "[campaign]\nname = \"x\"\n[tolerance]\nsimm = 0.1\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\n",
-        )
-        .unwrap_err();
-        assert!(
-            e.contains("[tolerance]") && e.contains("unknown key 'simm'"),
             "{e}"
         );
         // A misspelt block header would drop the whole block.
@@ -635,8 +602,8 @@ pz = [2, 3]
     #[test]
     fn backend_sweeps_expand_and_suffix_the_slug() {
         let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"b\"\nreps = 3\n\
-             [[point]]\nmatrix = \"k2d5pt\"\np = 4\nbackend = [\"threaded\", \"event\"]\nreps = 1\n",
+            "[campaign]\nname = \"b\"\n\
+             [[point]]\nmatrix = \"k2d5pt\"\np = 4\nbackend = [\"threaded\", \"event\"]\n",
         )
         .unwrap();
         let (jobs, _) = spec.expand();
@@ -645,16 +612,13 @@ pz = [2, 3]
         assert_eq!(jobs[1].backend, Backend::Event);
         assert!(!jobs[0].slug().contains("event"));
         assert!(jobs[1].slug().ends_with("-event"));
-        // the per-point override beats the campaign-wide best-of-N
-        assert_eq!((jobs[0].reps, jobs[1].reps), (1, 1));
-        // unswept points stay threaded at the campaign reps
+        // unswept points stay threaded
         let d = CampaignSpec::parse(
-            "[campaign]\nname = \"d\"\nreps = 3\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\n",
+            "[campaign]\nname = \"d\"\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\n",
         )
         .unwrap();
         let (jobs, _) = d.expand();
         assert_eq!(jobs[0].backend, Backend::Threaded);
-        assert_eq!(jobs[0].reps, 3);
         assert!(
             CampaignSpec::parse(
                 "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"k2d5pt\"\np = 4\nbackend = [\"fiber\"]\n"
@@ -666,14 +630,15 @@ pz = [2, 3]
 
     #[test]
     fn the_committed_campaigns_keep_what_ci_reads() {
-        // CI's smoke gate: k2d5pt sweeps both backends, and the
-        // paper-scale event point is present, single-rep.
-        let (_, jobs) = committed("smoke.toml");
+        // CI's smoke gate, against its own committed snapshot: k2d5pt
+        // sweeps both backends, and the paper-scale event point is present.
+        let (spec, jobs) = committed("smoke.toml");
+        assert_eq!(spec.baseline.as_deref(), Some("results/BENCH_pr50.json"));
         assert!(jobs
             .iter()
             .any(|j| j.matrix.label() == "k2d5pt" && j.backend == Backend::Event));
         let paper = jobs.iter().find(|j| j.p == 4096).expect("the P=4096 point");
-        assert_eq!((paper.backend, paper.reps), (Backend::Event, 1));
+        assert_eq!(paper.backend, Backend::Event);
         assert_eq!(paper.slug(), "grid2d64-p4096-pz1-event");
         // CI's drift check against results/BENCH_pr30.json: 4 P values x 2
         // Pz, all event-backend, the paper-scale replicated point included.

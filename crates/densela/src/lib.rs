@@ -32,7 +32,7 @@ pub use gemm::{gemm, gemm_scatter};
 pub use getrf::{getrf, lu_solve_inplace, GetrfInfo, PivotPolicy};
 pub use matrix::{Mat, MatRef};
 pub use microkernel::{gemm_blocked, gemm_blocked_tiled, BlockMap};
-pub use norms::{frobenius_norm, inf_norm, max_abs, one_norm};
+pub use norms::max_abs;
 pub use trsm::{
     backward_subst, backward_subst_ltrans_unit, forward_subst_unit, forward_subst_utrans,
     trsm_left_lower_unit, trsm_left_lower_unit_rows, trsm_right_upper,

@@ -50,7 +50,7 @@ pub struct Rank {
     model: TimeModel,
     /// Monotonic counter for deterministic communicator context ids; all
     /// ranks create communicators in the same order (SPMD discipline).
-    next_ctx: u64,
+    pub(crate) next_ctx: u64,
     clock: f64,
     t_comm: f64,
     t_comp: f64,
@@ -179,37 +179,6 @@ impl Rank {
             members: Arc::new(members.to_vec()),
             my_local,
         })
-    }
-
-    /// [`Rank::subset`] for a family of `count` pairwise-disjoint
-    /// communicators created back to back, of which this rank belongs to the
-    /// `index`-th only (its layer among the layers, its row among the rows):
-    /// the same context ids as `count` `subset` calls, without building the
-    /// member lists of the `count - 1` communicators it is not part of.
-    pub(crate) fn subset_in_family(
-        &mut self,
-        count: usize,
-        index: usize,
-        members: Vec<usize>,
-    ) -> Comm {
-        debug_assert!(index < count);
-        let ctx = self.next_ctx + index as u64;
-        self.next_ctx += count as u64;
-        let my_local = members
-            .iter()
-            .position(|&w| w == self.world_rank)
-            .expect("a rank is a member of its own communicator");
-        Comm {
-            ctx,
-            members: Arc::new(members),
-            my_local,
-        }
-    }
-
-    /// Take the context ids of `count` communicators this rank builds none
-    /// of, as `count` `subset` calls it is not a member of would.
-    pub(crate) fn skip_contexts(&mut self, count: usize) {
-        self.next_ctx += count as u64;
     }
 
     /// Set the traffic-accounting phase label. All subsequent sends and

@@ -10,6 +10,7 @@
 use crate::comm::Comm;
 use crate::rank::Rank;
 use obs::GridAxis;
+use std::sync::Arc;
 
 /// A 2D process grid of shape `pr x pc`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,12 +153,19 @@ impl Grid3d {
     /// as if every rank had created every communicator of each. Coordinates
     /// a family does not distinguish (a row's `c`) are ignored.
     pub fn ctx_id(&self, family: CommFamily, coords: (usize, usize, usize)) -> u64 {
+        self.first_ctx(Some(family)) + self.family_slot(family, coords).1 as u64
+    }
+
+    /// The first context id of `family`'s communicators; with `None`, the
+    /// first id past every family's, which a rank's next communicator
+    /// takes. A family's count is the same through every position.
+    fn first_ctx(&self, family: Option<CommFamily>) -> u64 {
         let before: usize = CommFamily::CREATION_ORDER
             .iter()
-            .take_while(|&&f| f != family)
-            .map(|&f| self.family_slot(f, coords).0)
+            .take_while(|&&f| Some(f) != family)
+            .map(|&f| self.family_slot(f, (0, 0, 0)).0)
             .sum();
-        (1 + before + self.family_slot(family, coords).1) as u64
+        1 + before as u64
     }
 }
 
@@ -208,21 +216,25 @@ pub fn build_grid_comms(rank: &mut Rank, g: &Grid3d) -> GridComms {
     let (my_r, my_c, my_z) = g.coords_of(rank.id());
     let g2 = g.grid2d;
 
-    // One communicator of each family, in creation order, with context ids
-    // as if every rank had created every communicator of each family
-    // ([`Grid3d::ctx_id`] states the ids; `commplan` reads them there). A
-    // rank builds only the one of each family it belongs to. Nothing
-    // communicates over a whole layer, so that family keeps its ids and no
-    // communicator.
+    // Context ids as if every rank had created every communicator of each
+    // family, in creation order: [`Grid3d::ctx_id`] states them, and
+    // `commplan` reads them there too. A rank builds only the one of each
+    // family it belongs to. Nothing communicates over a whole layer, so
+    // that family keeps its ids and no communicator.
     let coords = (my_r, my_c, my_z);
-    rank.skip_contexts(g.family_slot(CommFamily::Layer, coords).0);
-    let mut create = |family, members: Vec<usize>| {
-        let (count, index) = g.family_slot(family, coords);
-        rank.subset_in_family(count, index, members)
+    let me = rank.id();
+    let create = |family, members: Vec<usize>| Comm {
+        ctx: g.ctx_id(family, coords),
+        my_local: members
+            .iter()
+            .position(|&w| w == me)
+            .expect("a rank is a member of its own communicator"),
+        members: Arc::new(members),
     };
     let row = (0..g2.pc).map(|c| g.rank_of(my_r, c, my_z)).collect();
     let col = (0..g2.pr).map(|r| g.rank_of(r, my_c, my_z)).collect();
     let zline = (0..g.pz).map(|z| g.rank_of(my_r, my_c, z)).collect();
+    rank.next_ctx = g.first_ctx(None);
     GridComms {
         coords,
         row: create(CommFamily::Row, row),

@@ -41,5 +41,5 @@ pub mod store;
 pub use condest::{condest_1, inverse_norm1_estimate, seq_solve_transpose};
 pub use factor2d::{factor_nodes, FactorEnv, FactorOpts};
 pub use positions::ByPosition;
-pub use seq::{seq_factor, seq_solve, seq_solve_multi};
+pub use seq::{seq_factor, seq_solve};
 pub use store::BlockStore;

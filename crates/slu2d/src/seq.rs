@@ -108,68 +108,6 @@ pub fn seq_solve(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Solve `L U X = B` for multiple right-hand sides at once, using the
-/// block TRSM/GEMM kernels (one pass over the factors regardless of the
-/// RHS count — the reason direct solvers amortize so well over many RHS).
-/// `b` is `n x nrhs` in the permuted ordering; returns `X` of the same
-/// shape.
-pub fn seq_solve_multi(store: &BlockStore, sym: &Symbolic, b: &densela::Mat) -> densela::Mat {
-    use densela::{gemm, trsm_left_lower_unit, Mat};
-    let part = &sym.part;
-    let n = part.n();
-    assert_eq!(b.rows(), n);
-    let nrhs = b.cols();
-    let mut x = b.clone();
-    let all_cols: Vec<u32> = (0..nrhs as u32).collect();
-    // The rows of `x` that block (k, p) of `struct(k)` keeps.
-    let kept_rows = |k: usize, p: usize| -> Vec<u32> {
-        let start = part.ranges[sym.fill.struct_of[k][p]].start as u32;
-        sym.fill
-            .kept(k, p)
-            .iter()
-            .map(|r| start + r as u32)
-            .collect()
-    };
-
-    let seg = |x: &Mat, k: usize| -> Mat {
-        let r = part.ranges[k].clone();
-        x.block(r.start, 0, r.end - r.start, nrhs)
-    };
-
-    // Forward: Y = L^{-1} B, right-looking.
-    for k in 0..sym.nsup() {
-        let d = store.get(k, k).unwrap();
-        let mut yk = seg(&x, k);
-        trsm_left_lower_unit(d, &mut yk);
-        x.copy_block_from(&yk, part.ranges[k].start, 0);
-        for (p, &i) in sym.fill.struct_of[k].iter().enumerate() {
-            let l = store.get(i, k).unwrap();
-            gemm_scatter(-1.0, l, &yk, &mut x, &kept_rows(k, p), &all_cols);
-        }
-    }
-    // Backward: X = U^{-1} Y, left-looking in reverse.
-    for k in (0..sym.nsup()).rev() {
-        let mut acc = seg(&x, k);
-        for (p, &j) in sym.fill.struct_of[k].iter().enumerate() {
-            let u = store.get(k, j).unwrap();
-            let rows = kept_rows(k, p);
-            let xj = Mat::from_fn(rows.len(), nrhs, |r, c| x.at(rows[r] as usize, c));
-            gemm(-1.0, u, &xj, 1.0, &mut acc);
-        }
-        // Solve U_kk X_k = acc, column by column of the RHS block.
-        let d = store.get(k, k).unwrap();
-        for c in 0..nrhs {
-            let mut col = acc.col(c).to_vec();
-            densela::backward_subst(d, &mut col);
-            for (i, v) in col.into_iter().enumerate() {
-                *acc.at_mut(i, c) = v;
-            }
-        }
-        x.copy_block_from(&acc, part.ranges[k].start, 0);
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,43 +166,6 @@ mod tests {
             out[p.old_of(new)] = v[new];
         }
         out
-    }
-
-    #[test]
-    fn multi_rhs_matches_repeated_single_solves() {
-        use densela::Mat;
-        let a = grid2d_5pt(9, 9, 0.15, 8);
-        let g = Graph::from_matrix(&a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: 8,
-                geometry: Geometry::Grid2d { nx: 9, ny: 9 },
-                ..Default::default()
-            },
-        );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
-        let sym = Symbolic::analyze(&pa, &tree, 8);
-        let grid = Grid2d::new(1, 1);
-        let mut store =
-            BlockStore::build(&pa, &sym, &grid, 0, 0, &|_| true, InitValues::FromMatrix);
-        seq_factor(&mut store, &sym, 1e-10);
-
-        let n = pa.nrows;
-        let nrhs = 5;
-        let b = Mat::from_fn(n, nrhs, |i, j| ((i * 3 + j * 11) % 17) as f64 - 8.0);
-        let xm = seq_solve_multi(&store, &sym, &b);
-        for c in 0..nrhs {
-            let xs = seq_solve(&store, &sym, b.col(c));
-            for i in 0..n {
-                assert!(
-                    (xm.at(i, c) - xs[i]).abs() < 1e-10,
-                    "rhs {c} row {i}: {} vs {}",
-                    xm.at(i, c),
-                    xs[i]
-                );
-            }
-        }
     }
 
     #[test]

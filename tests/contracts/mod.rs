@@ -257,8 +257,9 @@ pub fn run(shape: &Shape, run: Run) -> &'static Done {
 
 /// What every run must say of itself: each edge's words and messages are
 /// booked alike by sender and receiver, each rank's memory peak is fully
-/// attributed, and traffic is sent only under `fact`, `reduce` (with more
-/// than one layer) and `solve` (with a right-hand side).
+/// attributed, traffic is sent only under `fact`, `reduce` (with more
+/// than one layer) and `solve` (with a right-hand side), and the account's
+/// per-phase traffic is the ledgers'.
 pub fn own_ledgers(shape: &Shape, run: Run, out: &Output3d) {
     let mut sent: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
     let mut recv = sent.clone();
@@ -281,6 +282,21 @@ pub fn own_ledgers(shape: &Shape, run: Run, out: &Output3d) {
         }
     }
     assert_eq!(sent, recv, "per-edge (msgs, words) sent/received disagree");
+    // `sim.run.<phase>` against a fold of the raw ledger rows: per rank the
+    // sum over the phase's rows, then the maximum over ranks, each field on
+    // its own.
+    let account = out.account();
+    for phase in ["fact", "reduce", "solve"] {
+        for (field, of) in [("msgs", 0), ("words", 1)] {
+            let per_rank = out.reports.iter().map(|r| {
+                let rows = r.commvol.entries.iter().filter(|e| e.phase == phase);
+                rows.map(|e| [e.cell.msgs, e.cell.words][of]).sum::<u64>()
+            });
+            let want = per_rank.max().unwrap_or(0) as f64;
+            let got = account.num_at(&["sim", "run", phase, field]);
+            assert_eq!(got, Ok(want), "account sim.run.{phase}.{field}");
+        }
+    }
 }
 
 fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
