@@ -6,10 +6,9 @@
 //! generator × grid-shape × option shapes of `contracts::table::BACKENDS`.
 //! Only host-side artifacts (wall clock, hostprof) may differ.
 //!
-//! The paper-scale case (P = 4096 in one process) is `#[ignore]`d here
-//! because debug-mode builds take minutes on it; CI runs it in release
-//! (`cargo test --release --test backends -- --ignored`) and the smoke
-//! campaign factors the same point end-to-end.
+//! The paper-scale case (P = 4096 in one process) runs in every profile,
+//! in about a second in debug; `tests/cli.rs` runs the same point through
+//! `salu` and the smoke campaign factors it end to end.
 
 mod contracts;
 
@@ -68,7 +67,6 @@ fn event_scheduler_counters_are_pinned() {
 /// takes turns. It is also the shape where the solve's waves merge least:
 /// 4096 roots, so nearly every batch is one supernode.
 #[test]
-#[ignore = "paper-scale (minutes in debug); CI runs it in release via --ignored"]
 fn event_backend_factors_p4096_in_one_process() {
     let out = &run(&P4096, P4096.run(Backend::Event)).out;
     assert_eq!(out.reports.len(), 4096);

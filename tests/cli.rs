@@ -1,10 +1,12 @@
 //! The `salu` binary: inputs that used to panic between the reader and the
-//! ordering end in a one-line message and exit 1, or run; its flags; and
-//! its text, which is a rendering of the run document it writes.
+//! ordering end in a one-line message and exit 1, or run; its flags; its
+//! text, which is a rendering of the run document it writes; and its gates
+//! (P = 4096, conformance, plan check, chaos) as a user runs them.
 
 use salu::lu3d::RunText;
+use salu::simgrid::obs::validate_chrome_trace;
 use salu::simgrid::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn salu(args: &[&str]) -> Output {
@@ -14,14 +16,41 @@ fn salu(args: &[&str]) -> Output {
         .expect("salu runs")
 }
 
-fn mtx_file(name: &str, text: &str) -> PathBuf {
-    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::write(&path, text).expect("scratch file written");
+/// A scratch file of the test target, named `name`.
+fn scratch(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+fn mtx_file(name: &str, bytes: impl AsRef<[u8]>) -> PathBuf {
+    let path = scratch(name);
+    std::fs::write(&path, bytes).expect("scratch file written");
     path
 }
 
-/// The document `--run-out -` printed: the pretty-printed JSON is the only
-/// text between a line that is exactly `{` and one that is exactly `}`.
+/// Runs `salu` on `args` (split at spaces) followed by `files`, asserts its
+/// exit code and that its output (stdout, then stderr) holds every needle,
+/// and returns that output.
+fn expect(args: &str, files: &[&Path], code: i32, needles: &[&str]) -> String {
+    let files = files.iter().map(|f| f.to_str().expect("a UTF-8 path"));
+    let args: Vec<&str> = args.split(' ').chain(files).collect();
+    let out = salu(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let text = stdout + String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {text}");
+    for needle in needles {
+        assert!(text.contains(needle), "{args:?}: no {needle:?} in {text}");
+    }
+    text.into_owned()
+}
+
+fn json_file(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).expect("file written");
+    Json::parse(&text).expect("file parses")
+}
+
+/// The document `--run-out -` (or `--conformance -`) printed: the
+/// pretty-printed JSON is the only text between a line that is exactly `{`
+/// and one that is exactly `}`.
 fn document_in(stdout: &str) -> Json {
     let lines: Vec<&str> = stdout.lines().collect();
     let open = lines
@@ -76,22 +105,8 @@ fn hostile_size_line_is_rejected() {
 
 #[test]
 fn leaf_size_zero_runs_on_the_multilevel_engine() {
-    let out = salu(&[
-        "--gen",
-        "kkt:3",
-        "--leaf",
-        "0",
-        "--grid",
-        "1x1x1",
-        "--no-compare",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("residual"), "stdout: {stdout}");
+    let args = "--gen kkt:3 --leaf 0 --grid 1x1x1 --no-compare";
+    expect(args, &[], 0, &["residual"]);
 }
 
 /// A flag the CLI no longer has is bad usage (exit 2, the argument named
@@ -162,24 +177,9 @@ fn degenerate_sizes_and_fault_values_are_refused() {
 #[test]
 fn run_out_prints_one_versioned_document() {
     for (backend, has_sched) in [("threaded", false), ("event", true)] {
-        let out = salu(&[
-            "--gen",
-            "grid2d:8",
-            "--grid",
-            "1x2x2",
-            "--no-compare",
-            "--backend",
-            backend,
-            "--run-out",
-            "-",
-        ]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "{backend}: stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let doc = document_in(&stdout);
+        let args =
+            format!("--gen grid2d:8 --grid 1x2x2 --no-compare --run-out - --backend {backend}");
+        let doc = document_in(&expect(&args, &[], 0, &[]));
         assert_eq!(
             doc.at(&["schema"]).and_then(Json::as_str),
             Some("salu-run/4"),
@@ -215,18 +215,8 @@ fn run_out_prints_one_versioned_document() {
 /// are printed apart, and both are the run document's counters.
 #[test]
 fn report_counts_schur_updates_apart_from_no_local_share() {
-    let out = salu(&[
-        "--gen",
-        "grid2d:16",
-        "--grid",
-        "2x2x2",
-        "--no-compare",
-        "--report",
-        "--run-out",
-        "-",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let args = "--gen grid2d:16 --grid 2x2x2 --no-compare --report --run-out -";
+    let stdout = expect(args, &[], 0, &[]);
     let line = stdout
         .lines()
         .find(|l| l.starts_with("schur updates"))
@@ -257,9 +247,8 @@ fn report_counts_schur_updates_apart_from_no_local_share() {
 #[test]
 fn printed_text_is_the_rendered_run_document() {
     for backend in ["threaded", "event"] {
-        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{backend}.json"));
-        let trace =
-            PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{backend}_t.json"));
+        let path = scratch(&format!("cli_{backend}.json"));
+        let trace = scratch(&format!("cli_{backend}_t.json"));
         let args = "--gen grid2d:16 --grid 2x2x2 --refine 2 --report --backend";
         let mut args: Vec<&str> = args.split(' ').collect();
         args.extend([backend, "--run-out", path.to_str().unwrap()]);
@@ -271,8 +260,7 @@ fn printed_text_is_the_rendered_run_document() {
             "{backend}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let doc = Json::parse(&std::fs::read_to_string(&path).expect("document written"));
-        let text = RunText::of(&doc.expect("document parses")).expect("the document renders");
+        let text = RunText::of(&json_file(&path)).expect("the document renders");
         for block in [&text.summary, &text.digest_clock, &text.digest_ledgers] {
             assert!(
                 stdout.contains(block.as_str()),
@@ -290,4 +278,75 @@ fn printed_text_is_the_rendered_run_document() {
         let paths = stdout.matches("critical path: makespan").count();
         assert_eq!(paths, 1, "{backend}: {stdout}");
     }
+}
+
+/// A pattern file with CRLF line endings and a Latin-1 comment, as older
+/// SuiteSparse exports have them, reads, orders and solves: the reader
+/// decodes only the header and the size line.
+#[test]
+fn crlf_file_with_a_latin1_comment_solves() {
+    let bytes = b"%%MatrixMarket matrix coordinate pattern symmetric\r\n% author: Jos\xe9\r\n\
+        3 3 5\r\n1 1\r\n2 2\r\n3 1\r\n3 2\r\n3 3\r\n";
+    let path = mtx_file("cli_crlf_latin1.mtx", bytes);
+    expect("--grid 1x1x1 --mtx", &[&path], 0, &["residual"]);
+}
+
+const P4096: &str = "--gen grid2d:64 --grid 64x64x1 --backend event --no-compare";
+/// The pinned chaos run: `CHAOS`, then a fault plan such as `FAULTS`.
+const CHAOS: &str = "--gen grid2d:24 --grid 2x2x4 --no-compare --fault-seed 7 --faults";
+const FAULTS: &str = "drop:p=0.05;dup:p=0.02;delay:p=0.1,secs=2e-3";
+
+/// The paper's P = 4096 (`grid2d:64` on a 64x64x1 grid, event backend):
+/// refinement through 4 096 ranks, and 1 072 supernodes of at most 8
+/// columns, each rank taking only its own steps.
+#[test]
+fn paper_scale_refines_and_runs_small_supernodes() {
+    for extra in ["--refine 2", "--leaf 8 --maxsup 8"] {
+        expect(&format!("{P4096} {extra}"), &[], 0, &["residual"]);
+    }
+}
+
+/// The P = 4096 run document, host profiling on: it holds no per-rank
+/// array, so it stays under 64 KiB.
+#[test]
+fn paper_scale_run_document_stays_small() {
+    let path = scratch("cli_run_4096.json");
+    expect(&format!("{P4096} --report --run-out"), &[&path], 0, &[]);
+    let bytes = std::fs::metadata(&path).expect("document written").len();
+    assert!(bytes <= 65_536, "the document is {bytes} bytes");
+    let schema = json_file(&path).at(&["schema"]).cloned();
+    assert_eq!(schema.as_ref().and_then(Json::as_str), Some("salu-run/4"));
+}
+
+/// The cost-model gate passes on the planar proxy, and the static plan
+/// matches the measured ledger exactly, also after a recovered fault run
+/// (retransmissions are `fault.*` counters, never ledger cells).
+#[test]
+fn conformance_and_plan_check_pass() {
+    let proxy = "--gen grid2d:64 --grid 2x2x4 --no-compare";
+    let (run, plan_run) = (scratch("cli_conf_run.json"), scratch("cli_plan_run.json"));
+    let conformance = format!("{proxy} --conformance - --run-out");
+    let report = document_in(&expect(&conformance, &[&run], 0, &[]));
+    assert_eq!(report.at(&["passed"]).and_then(Json::as_bool), Some(true));
+    let matches = ["plan check: measured ledger matches the plan exactly"];
+    let plan_check = format!("{proxy} --plan-check --run-out");
+    expect(&plan_check, &[&plan_run], 0, &matches);
+    let checks_ok = json_file(&plan_run).at(&["plan", "checks_ok"]).cloned();
+    assert_eq!(checks_ok.as_ref().and_then(Json::as_bool), Some(true));
+    let recovered = format!("{CHAOS} {FAULTS} --plan-check");
+    expect(&recovered, &[], 0, &matches);
+}
+
+/// Chaos: with recovery the pinned drop/dup/delay plan leaves factors
+/// bitwise identical to the fault-free run and a trace that validates;
+/// without it the drops fail the run structurally, naming the deadlock.
+#[test]
+fn chaos_recovers_bitwise_or_fails_structurally() {
+    let trace = scratch("cli_chaos_trace.json");
+    let recovered = format!("{CHAOS} {FAULTS} --trace-out");
+    expect(&recovered, &[&trace], 0, &["factors bitwise identical"]);
+    validate_chrome_trace(&json_file(&trace)).expect("the trace validates");
+    let unrecovered = format!("{CHAOS} drop:p=0.05 --no-recover");
+    let failed = ["deadlock detected", "solver failed on rank"];
+    expect(&unrecovered, &[], 1, &failed);
 }

@@ -27,10 +27,10 @@ fn plan_matches_ledger_small_3d() {
     check(&[PLAN_SMALL_3D], &TRACED);
 }
 
-/// The CI conformance configuration (grid2d:64, 2x2x4) — the same shape the
-/// `salu --plan-check` gate runs — plus the planar volume bound. (Its trace
-/// is the largest of the suite: it is held to the plan's event order, and
-/// left to the smaller shapes to validate.)
+/// The conformance configuration (grid2d:64, 2x2x4) — the same shape the
+/// `salu --plan-check` gate of `tests/cli.rs` runs — plus the planar volume
+/// bound. (Its trace is the largest of the suite: it is held to the plan's
+/// event order, and left to the smaller shapes to validate.)
 #[test]
 fn plan_matches_ledger_conformance_grid() {
     check(&[PLAN_CONFORMANCE], &[PlanLedger]);

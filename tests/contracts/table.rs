@@ -89,7 +89,8 @@ pub const CHAOS_SOLVE: Shape = Shape::new("grid2d:20 2x2x4 chaos", Grid2d(20, 5)
 /// Plan == ledger (`tests/commplan_check.rs`): traced factor-only runs.
 pub const PLAN_SMALL_3D: Shape =
     Shape::new("grid2d:16 2x2x2", Grid2d(16, 1), [2, 2, 2]).traced(true);
-/// The CI conformance configuration, the one `salu --plan-check` runs.
+/// The conformance configuration, the one `tests/cli.rs` runs through
+/// `salu --plan-check`.
 pub const PLAN_CONFORMANCE: Shape =
     Shape::new("grid2d:64 2x2x4", Grid2d(64, 1), [2, 2, 4]).traced(true);
 /// No Z replication, a Z-only line, and one wide process row whose panel
