@@ -56,23 +56,23 @@ impl EtreeForest {
         pz: usize,
         strategy: PartitionStrategy,
     ) -> EtreeForest {
-        // Per-node cost: total flops of the node's supernodes (the paper's
-        // heuristic cost function T(v)).
-        let nn = tree.nodes.len();
-        let mut node_cost = vec![0u64; nn];
-        for (node, sns) in sym.part.sns_of_node.iter().enumerate() {
-            node_cost[node] = sns.iter().map(|&s| sym.cost.flops[s]).sum();
-        }
-        assert!(pz.is_power_of_two(), "Pz must be a power of two");
-        let l = pz.trailing_zeros() as usize;
-        // Subtree costs (nodes are in postorder: children precede parents).
-        let mut subtree_cost = node_cost.clone();
-        for i in 0..nn {
-            for &c in &tree.nodes[i].children {
-                subtree_cost[i] += subtree_cost[c];
+        let node_cost = node_costs(tree, sym);
+        let subtree_cost = subtree_costs(tree, &node_cost);
+        match strategy {
+            PartitionStrategy::Greedy => Self::partition(tree, pz, |roots| {
+                split_forest(tree, &node_cost, &subtree_cost, roots)
+            }),
+            PartitionStrategy::NaiveNd => {
+                Self::partition(tree, pz, |roots| split_naive(tree, roots))
             }
         }
+    }
 
+    /// Split `tree` recursively with `split`, `log2 pz` times.
+    fn partition(tree: &SepTree, pz: usize, split: impl Fn(&[usize]) -> Split) -> EtreeForest {
+        assert!(pz.is_power_of_two(), "Pz must be a power of two");
+        let l = pz.trailing_zeros() as usize;
+        let nn = tree.nodes.len();
         let mut parts: Vec<Vec<Vec<usize>>> =
             (0..=l).map(|lvl| vec![Vec::new(); 1 << lvl]).collect();
         let mut part_level = vec![usize::MAX; nn];
@@ -97,11 +97,7 @@ impl EtreeForest {
                 parts[lvl][q] = all;
                 continue;
             }
-            let (s, c1, c2) = match strategy {
-                PartitionStrategy::Greedy => split_forest(tree, &node_cost, &subtree_cost, &roots),
-                PartitionStrategy::NaiveNd => split_naive(tree, &roots),
-            };
-            let mut s = s;
+            let (mut s, c1, c2) = split(&roots);
             s.sort_unstable();
             for &v in &s {
                 part_level[v] = lvl;
@@ -159,10 +155,7 @@ impl EtreeForest {
     /// Critical-path cost of the partition:
     /// `T(E_f) = T(S) + max over children, recursively` (paper Fig. 8).
     pub fn critical_path_cost(&self, tree: &SepTree, sym: &Symbolic) -> u64 {
-        let mut node_cost = vec![0u64; tree.nodes.len()];
-        for (node, sns) in sym.part.sns_of_node.iter().enumerate() {
-            node_cost[node] = sns.iter().map(|&s| sym.cost.flops[s]).sum();
-        }
+        let node_cost = node_costs(tree, sym);
         let part_cost = |lvl: usize, q: usize| -> u64 {
             self.parts[lvl][q].iter().map(|&v| node_cost[v]).sum()
         };
@@ -214,63 +207,99 @@ impl EtreeForest {
     }
 }
 
+/// One split of a forest: the top part `S` and the two child forests.
+type Split = (Vec<usize>, Vec<usize>, Vec<usize>);
+
+/// Per-node cost: total flops of the node's supernodes (the paper's
+/// heuristic cost function T(v)).
+fn node_costs(tree: &SepTree, sym: &Symbolic) -> Vec<u64> {
+    let mut node_cost = vec![0u64; tree.nodes.len()];
+    for (node, sns) in sym.part.sns_of_node.iter().enumerate() {
+        node_cost[node] = sns.iter().map(|&s| sym.cost.flops[s]).sum();
+    }
+    node_cost
+}
+
+/// Each node's cost plus its descendants' (nodes are in postorder:
+/// children precede parents).
+fn subtree_costs(tree: &SepTree, node_cost: &[u64]) -> Vec<u64> {
+    let mut subtree_cost = node_cost.to_vec();
+    for i in 0..tree.nodes.len() {
+        for &c in &tree.nodes[i].children {
+            subtree_cost[i] += subtree_cost[c];
+        }
+    }
+    subtree_cost
+}
+
 /// One greedy split: pull the most expensive subtrees off the frontier into
 /// the top part `S` until the remaining forest packs into two balanced
 /// halves; keep the expansion with the best critical-path cost.
-fn split_forest(
-    tree: &SepTree,
-    node_cost: &[u64],
-    subtree_cost: &[u64],
-    roots: &[usize],
-) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    // Max-heap of frontier subtrees by subtree cost.
+///
+/// An expansion whose `S` plus half the frontier already reaches the best
+/// cost is not packed: the heavier bin holds at least half the frontier,
+/// so it cannot win.
+fn split_forest(tree: &SepTree, node_cost: &[u64], subtree_cost: &[u64], roots: &[usize]) -> Split {
+    // Max-heap of frontier subtrees by subtree cost, and their total.
     let mut frontier: BinaryHeap<(u64, usize)> =
         roots.iter().map(|&r| (subtree_cost[r], r)).collect();
+    let mut frontier_cost: u64 = frontier.iter().map(|&(c, _)| c).sum();
     let mut s: Vec<usize> = Vec::new();
     let mut s_cost = 0u64;
 
-    // (critical-path cost, ancestor part, child forest 1, child forest 2)
-    type Candidate = (u64, Vec<usize>, Vec<usize>, Vec<usize>);
-    let mut best: Option<Candidate> = None;
+    // The best split so far, with its critical-path cost.
+    let mut best: Option<(u64, Split)> = None;
     loop {
-        // Greedy 2-way packing of the current frontier (descending cost,
-        // lighter bin first).
-        let mut items: Vec<(u64, usize)> = frontier.iter().copied().collect();
-        items.sort_unstable_by(|a, b| b.cmp(a));
-        let mut bins = [0u64; 2];
-        let mut packs: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        for (c, v) in items {
-            let t = if bins[0] <= bins[1] { 0 } else { 1 };
-            bins[t] += c;
-            packs[t].push(v);
-        }
-        let cost = s_cost + bins[0].max(bins[1]);
-        if best.as_ref().is_none_or(|(bc, ..)| cost < *bc) {
-            best = Some((cost, s.clone(), packs[0].clone(), packs[1].clone()));
+        let bounded = best.as_ref().is_some_and(|&(bc, _)| {
+            2 * u128::from(s_cost) + u128::from(frontier_cost) >= 2 * u128::from(bc)
+        });
+        if !bounded {
+            let (bins, packs) = pack(&frontier);
+            let cost = s_cost + bins[0].max(bins[1]);
+            if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
+                let [c1, c2] = packs;
+                best = Some((cost, (s.clone(), c1, c2)));
+            }
         }
         // Stop when S alone already exceeds the best seen, or nothing left.
         if frontier.is_empty() {
             break;
         }
-        if let Some((bc, ..)) = &best {
+        if let Some((bc, _)) = &best {
             if s_cost > *bc {
                 break;
             }
         }
-        let (_, v) = frontier.pop().expect("non-empty frontier");
+        let (c, v) = frontier.pop().expect("non-empty frontier");
+        frontier_cost -= c;
         s.push(v);
         s_cost += node_cost[v];
         for &c in &tree.nodes[v].children {
             frontier.push((subtree_cost[c], c));
+            frontier_cost += subtree_cost[c];
         }
     }
-    let (_, s, c1, c2) = best.expect("at least one candidate split");
-    (s, c1, c2)
+    best.expect("at least one candidate split").1
+}
+
+/// Greedy 2-way packing of a frontier (descending cost, lighter bin
+/// first): the two bins' costs and node lists.
+fn pack(frontier: &BinaryHeap<(u64, usize)>) -> ([u64; 2], [Vec<usize>; 2]) {
+    let mut items: Vec<(u64, usize)> = frontier.iter().copied().collect();
+    items.sort_unstable_by(|a, b| b.cmp(a));
+    let mut bins = [0u64; 2];
+    let mut packs: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    for (c, v) in items {
+        let t = if bins[0] <= bins[1] { 0 } else { 1 };
+        bins[t] += c;
+        packs[t].push(v);
+    }
+    (bins, packs)
 }
 
 /// The naive split: ancestors = the forest roots, children distributed by
 /// position without looking at costs (the paper's Fig. 8 left).
-fn split_naive(tree: &SepTree, roots: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+fn split_naive(tree: &SepTree, roots: &[usize]) -> Split {
     let s: Vec<usize> = roots.to_vec();
     let children: Vec<usize> = roots
         .iter()
@@ -291,10 +320,13 @@ fn split_naive(tree: &SepTree, roots: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ordering::{nested_dissection, Graph, NdOptions};
+    use ordering::{nested_dissection, Graph, NdOptions, SepNode};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use slu2d::driver::Prepared;
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt};
     use sparsemat::testmats::Geometry;
+    use std::cell::Cell;
 
     fn prep(k: usize) -> Prepared {
         Prepared::new(
@@ -416,6 +448,123 @@ mod tests {
             let (greedy, naive) = costs(a, geometry);
             assert!(greedy <= naive, "{name}: greedy {greedy} vs naive {naive}");
         }
+    }
+
+    /// The split as it was before the bound: every expansion packed. Counts
+    /// in `skippable` the expansions the bound skips.
+    fn split_forest_exhaustive(
+        tree: &SepTree,
+        node_cost: &[u64],
+        subtree_cost: &[u64],
+        roots: &[usize],
+        skippable: &Cell<usize>,
+    ) -> Split {
+        let mut frontier: BinaryHeap<(u64, usize)> =
+            roots.iter().map(|&r| (subtree_cost[r], r)).collect();
+        let mut s: Vec<usize> = Vec::new();
+        let mut s_cost = 0u64;
+        let mut best: Option<(u64, Split)> = None;
+        loop {
+            let (bins, [c1, c2]) = pack(&frontier);
+            let cost = s_cost + bins[0].max(bins[1]);
+            if let Some((bc, _)) = &best {
+                let total: u64 = bins.iter().sum();
+                skippable.set(skippable.get() + usize::from(2 * s_cost + total >= 2 * bc));
+            }
+            if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
+                best = Some((cost, (s.clone(), c1, c2)));
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            if let Some((bc, _)) = &best {
+                if s_cost > *bc {
+                    break;
+                }
+            }
+            let (_, v) = frontier.pop().expect("non-empty frontier");
+            s.push(v);
+            s_cost += node_cost[v];
+            for &c in &tree.nodes[v].children {
+                frontier.push((subtree_cost[c], c));
+            }
+        }
+        best.expect("at least one candidate split").1
+    }
+
+    /// A random tree in postorder: up to four children a node, costs drawn
+    /// from a few values (ties, zeros) or a wide range.
+    fn random_tree(rng: &mut StdRng) -> (SepTree, Vec<u64>) {
+        fn grow(rng: &mut StdRng, depth: usize, nodes: &mut Vec<SepNode>) -> usize {
+            let nchildren = if depth == 0 || rng.gen_bool(0.2) {
+                0
+            } else {
+                [1, 2, 2, 2, 3, 4][rng.gen_range(0usize..6)]
+            };
+            let children: Vec<usize> = (0..nchildren)
+                .map(|_| grow(rng, depth - 1, nodes))
+                .collect();
+            let idx = nodes.len();
+            for &c in &children {
+                nodes[c].parent = Some(idx);
+            }
+            nodes.push(SepNode {
+                parent: None,
+                is_leaf: children.is_empty(),
+                children,
+                cols: 0..0,
+                level: 0,
+            });
+            idx
+        }
+        let mut nodes = Vec::new();
+        let depth = rng.gen_range(1usize..8);
+        grow(rng, depth, &mut nodes);
+        let wide = rng.gen_bool(0.5);
+        let cost: Vec<u64> = (0..nodes.len())
+            .map(|_| {
+                if wide {
+                    rng.gen_range(0u64..1 << 40)
+                } else {
+                    rng.gen_range(0u64..4)
+                }
+            })
+            .collect();
+        let tree = SepTree {
+            nodes,
+            perm: sparsemat::Perm::from_old_order(Vec::new()),
+        };
+        (tree, cost)
+    }
+
+    /// The bound is exact: on random trees, for Pz up to 16, the bounded
+    /// split gives the exhaustive one's parts — and the bound fires, or
+    /// this would compare the exhaustive split with itself.
+    #[test]
+    fn bounded_split_equals_exhaustive_split() {
+        let mut rng = StdRng::seed_from_u64(52);
+        let skippable = Cell::new(0);
+        for _ in 0..400 {
+            let (tree, node_cost) = random_tree(&mut rng);
+            let subtree_cost = subtree_costs(&tree, &node_cost);
+            for pz in [1, 2, 4, 8, 16] {
+                let bounded = EtreeForest::partition(&tree, pz, |roots| {
+                    split_forest(&tree, &node_cost, &subtree_cost, roots)
+                });
+                let exhaustive = EtreeForest::partition(&tree, pz, |roots| {
+                    split_forest_exhaustive(&tree, &node_cost, &subtree_cost, roots, &skippable)
+                });
+                bounded.validate(&tree).unwrap();
+                assert_eq!(bounded.parts, exhaustive.parts, "pz {pz}");
+                assert_eq!(bounded.part_level, exhaustive.part_level);
+                assert_eq!(bounded.part_index, exhaustive.part_index);
+            }
+        }
+        assert!(
+            skippable.get() > 10_000,
+            "the bound fired {} times",
+            skippable.get()
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Microbenchmark: the packed register-blocked kernel vs the per-block
 //! axpy kernel, on the panel shapes the batched Schur update produces
 //! (tall-skinny times short-wide, small inner dimension), then the tiled
-//! kernel on the target blocks that update writes.
+//! kernel on the target blocks that update writes, and the dense LU of the
+//! diagonal blocks at supernode widths.
 //!
 //! ```sh
 //! cargo run --release -p densela --example microbench
@@ -67,6 +68,28 @@ fn tiled_rows() {
         println!(
             "tiled m={m:4} k={k:2} n={n:4} stripes={h} scattered rows={scattered:4}  {:6.2} GF/s",
             2.0 * (m * n * k) as f64 / t / 1e9,
+        );
+    }
+}
+
+/// `getrf` (static pivoting) on diagonally dominant `n x n` blocks, the
+/// diagonal-block shape of a supernode of width `n`.
+fn getrf_rows() {
+    for n in [8usize, 16, 32] {
+        let mut a = Mat::zeros(n, n);
+        fill(&mut a, 4);
+        for i in 0..n {
+            *a.at_mut(i, i) += n as f64;
+        }
+        let mut lu = a.clone();
+        let reps = (1 << 24) / (n * n * n) + 1;
+        let t = time_it(reps, || {
+            lu.as_mut_slice().copy_from_slice(a.as_slice());
+            densela::getrf(&mut lu, densela::PivotPolicy::Static { threshold: 1e-12 });
+        });
+        println!(
+            "getrf n={n:2}  {:6.2} GF/s",
+            densela::flops::getrf_flops(n, n) as f64 / t / 1e9
         );
     }
 }
@@ -169,4 +192,5 @@ fn main() {
         );
     }
     tiled_rows();
+    getrf_rows();
 }

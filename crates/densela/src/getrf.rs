@@ -57,39 +57,8 @@ pub fn getrf(a: &mut Mat, policy: PivotPolicy) -> GetrfInfo {
         let nb = NB.min(n - k0);
         // 1. Unblocked LU of the current panel columns k0..k0+nb over rows
         //    k0..n (rectangular panel, right-looking within the panel).
-        for k in k0..k0 + nb {
-            let mut pivot = a.at(k, k);
-            match policy {
-                PivotPolicy::Static { threshold } => {
-                    let floor = threshold * anorm;
-                    if pivot.abs() < floor {
-                        pivot = if pivot >= 0.0 { floor } else { -floor };
-                        *a.at_mut(k, k) = pivot;
-                        info.perturbations += 1;
-                    }
-                }
-                PivotPolicy::FailOnZero => {
-                    if pivot == 0.0 {
-                        info.zero_pivot.get_or_insert(k);
-                        return info;
-                    }
-                }
-            }
-            let inv = 1.0 / pivot;
-            for i in k + 1..n {
-                *a.at_mut(i, k) *= inv;
-            }
-            // Update the rest of the panel (columns k+1 .. k0+nb).
-            for j in k + 1..k0 + nb {
-                let ukj = a.at(k, j);
-                if ukj == 0.0 {
-                    continue;
-                }
-                for i in k + 1..n {
-                    let lik = a.at(i, k);
-                    *a.at_mut(i, j) -= lik * ukj;
-                }
-            }
+        if !factor_panel(a, k0, nb, anorm, policy, &mut info) {
+            return info;
         }
         flops::add(flops::getrf_flops(n - k0, nb));
 
@@ -111,6 +80,58 @@ pub fn getrf(a: &mut Mat, policy: PivotPolicy) -> GetrfInfo {
     info
 }
 
+/// Unblocked LU of panel columns `k0..k0 + nb` of the square `a` over rows
+/// `k0..n`, on column slices. Returns `false` at a zero pivot under
+/// [`PivotPolicy::FailOnZero`], which `info` records.
+fn factor_panel(
+    a: &mut Mat,
+    k0: usize,
+    nb: usize,
+    anorm: f64,
+    policy: PivotPolicy,
+    info: &mut GetrfInfo,
+) -> bool {
+    let n = a.rows();
+    for k in k0..k0 + nb {
+        // Column k, and the panel's columns right of it.
+        let (left, right) = a.as_mut_slice().split_at_mut((k + 1) * n);
+        let col_k = &mut left[k * n..];
+        let mut pivot = col_k[k];
+        match policy {
+            PivotPolicy::Static { threshold } => {
+                let floor = threshold * anorm;
+                if pivot.abs() < floor {
+                    pivot = if pivot >= 0.0 { floor } else { -floor };
+                    col_k[k] = pivot;
+                    info.perturbations += 1;
+                }
+            }
+            PivotPolicy::FailOnZero => {
+                if pivot == 0.0 {
+                    info.zero_pivot.get_or_insert(k);
+                    return false;
+                }
+            }
+        }
+        let inv = 1.0 / pivot;
+        let l = &mut col_k[k + 1..];
+        for lik in l.iter_mut() {
+            *lik *= inv;
+        }
+        // Update the rest of the panel (columns k+1 .. k0+nb).
+        for col_j in right.chunks_exact_mut(n).take(k0 + nb - k - 1) {
+            let ukj = col_j[k];
+            if ukj == 0.0 {
+                continue;
+            }
+            for (aij, &lik) in col_j[k + 1..].iter_mut().zip(&*l) {
+                *aij -= lik * ukj;
+            }
+        }
+    }
+    true
+}
+
 /// Solve `A x = b` for a single right-hand side given the in-place LU factor
 /// produced by [`getrf`]. `b` is overwritten by the solution.
 pub fn lu_solve_inplace(lu: &Mat, b: &mut [f64]) {
@@ -121,6 +142,98 @@ pub fn lu_solve_inplace(lu: &Mat, b: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The panel loop [`factor_panel`] replaced, indexing every element
+    /// through `at`/`at_mut`: its oracle.
+    fn factor_panel_indexed(
+        a: &mut Mat,
+        k0: usize,
+        nb: usize,
+        anorm: f64,
+        policy: PivotPolicy,
+        info: &mut GetrfInfo,
+    ) -> bool {
+        let n = a.rows();
+        for k in k0..k0 + nb {
+            let mut pivot = a.at(k, k);
+            match policy {
+                PivotPolicy::Static { threshold } => {
+                    let floor = threshold * anorm;
+                    if pivot.abs() < floor {
+                        pivot = if pivot >= 0.0 { floor } else { -floor };
+                        *a.at_mut(k, k) = pivot;
+                        info.perturbations += 1;
+                    }
+                }
+                PivotPolicy::FailOnZero => {
+                    if pivot == 0.0 {
+                        info.zero_pivot.get_or_insert(k);
+                        return false;
+                    }
+                }
+            }
+            let inv = 1.0 / pivot;
+            for i in k + 1..n {
+                *a.at_mut(i, k) *= inv;
+            }
+            for j in k + 1..k0 + nb {
+                let ukj = a.at(k, j);
+                if ukj == 0.0 {
+                    continue;
+                }
+                for i in k + 1..n {
+                    let lik = a.at(i, k);
+                    *a.at_mut(i, j) -= lik * ukj;
+                }
+            }
+        }
+        true
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 20_000, ..ProptestConfig::default() })]
+
+        /// The slice loop is the indexed loop, bit for bit, on random panels
+        /// of random blocks: signed zeros, whole zero rows of U (the skip),
+        /// tiny and zero pivots under both policies.
+        #[test]
+        fn panel_on_slices_equals_the_indexed_panel(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..41);
+            let k0 = rng.gen_range(0..n);
+            let nb = rng.gen_range(1..NB.min(n - k0) + 1);
+            let a = Mat::from_fn(n, n, |_, _| match rng.gen_range(0usize..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1e-14..1e-14),
+                _ => rng.gen_range(-2.0..2.0),
+            });
+            let mut a = a;
+            if rng.gen_bool(0.3) {
+                let row = rng.gen_range(k0..n);
+                for j in 0..n {
+                    *a.at_mut(row, j) = 0.0;
+                }
+            }
+            let policy = if rng.gen_bool(0.5) {
+                PivotPolicy::Static { threshold: [1e-12, 1e-3, 0.5][rng.gen_range(0usize..3)] }
+            } else {
+                PivotPolicy::FailOnZero
+            };
+            let anorm = max_abs(&a).max(1.0);
+            let (mut slices, mut indexed) = (a.clone(), a);
+            let (mut info_s, mut info_i) = (GetrfInfo::default(), GetrfInfo::default());
+            let done_s = factor_panel(&mut slices, k0, nb, anorm, policy, &mut info_s);
+            let done_i = factor_panel_indexed(&mut indexed, k0, nb, anorm, policy, &mut info_i);
+            prop_assert_eq!(done_s, done_i);
+            prop_assert_eq!(info_s, info_i);
+            let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&slices), bits(&indexed));
+        }
+    }
 
     fn test_matrix(n: usize) -> Mat {
         let mut a = Mat::from_fn(n, n, |i, j| {

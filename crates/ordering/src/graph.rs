@@ -58,14 +58,27 @@ impl Graph {
     /// Build the adjacency graph of a sparse matrix: the pattern of
     /// `A + A^T` without the diagonal, unit weights (paper §II-B).
     pub fn from_matrix(a: &Csr) -> Graph {
-        let (xadj, adj) = a.adjacency();
-        let ewgt = vec![1; adj.len()];
-        let vwgt = vec![1; a.nrows];
+        Graph::from_symmetric(&a.symmetrize_pattern())
+    }
+
+    /// [`Graph::from_matrix`] of a matrix whose pattern is already
+    /// symmetric (a [`Csr::symmetrize_pattern`] product): its pattern
+    /// without the diagonal, unit weights.
+    pub fn from_symmetric(s: &Csr) -> Graph {
+        debug_assert_eq!(s.nrows, s.ncols, "square matrices only");
+        let n = s.nrows;
+        let mut xadj = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(s.nnz());
+        xadj.push(0);
+        for i in 0..n {
+            adj.extend(s.row_cols(i).iter().filter(|&&c| c != i));
+            xadj.push(adj.len());
+        }
         Graph {
+            ewgt: vec![1; adj.len()],
+            vwgt: vec![1; n],
             xadj,
             adj,
-            ewgt,
-            vwgt,
         }
     }
 
@@ -277,6 +290,24 @@ mod tests {
         assert!(g.check_symmetric());
         assert_eq!(g.degree(0), 2); // corner
         assert_eq!(g.degree(5), 4); // interior
+    }
+
+    #[test]
+    fn from_matrix_symmetrizes_and_drops_the_diagonal() {
+        // [ 4 -1  0 ]
+        // [ 0  4 -1 ]
+        // [-1  0  4 ]   (pattern-unsymmetric)
+        let mut c = sparsemat::Coo::new(3, 3);
+        for (i, j, v) in [(0, 0, 4.0), (0, 1, -1.0), (1, 1, 4.0), (1, 2, -1.0)] {
+            c.push(i, j, v);
+        }
+        c.push(2, 0, -1.0);
+        c.push(2, 2, 4.0);
+        let g = Graph::from_matrix(&c.to_csr());
+        // Vertex 0 neighbours: 1 (from A) and 2 (from A^T).
+        assert_eq!(g.xadj, [0, 2, 4, 6]);
+        assert_eq!(g.adj, [1, 2, 0, 2, 0, 1]);
+        assert!(g.check_symmetric());
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub mod refine;
 pub mod septree;
 
 pub use graph::Graph;
-pub use nd::{nested_dissection, NdOptions};
+pub use nd::{nested_dissection, order_symmetric, NdOptions};
 pub use septree::{SepNode, SepTree};

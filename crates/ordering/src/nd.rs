@@ -12,7 +12,7 @@ use crate::multilevel::{multilevel_vertex_separator_in, Workspace};
 use crate::refine::assert_packable;
 use crate::septree::{SepNode, SepTree};
 use sparsemat::testmats::Geometry;
-use sparsemat::Perm;
+use sparsemat::{Csr, Perm};
 
 /// Nested-dissection configuration.
 #[derive(Clone, Copy, Debug)]
@@ -40,11 +40,12 @@ impl Default for NdOptions {
 
 /// The bisection engine of one ordering, with the state it keeps between
 /// bisections.
-enum Engine {
+enum Engine<'g> {
     /// Coordinate planes on a regular grid.
     Geometric(Coords),
-    /// Multilevel bisection of induced subgraphs.
+    /// Multilevel bisection of induced subgraphs of `g`.
     Multilevel {
+        g: &'g Graph,
         /// Original → subgraph vertex id, `usize::MAX` outside the subgraph
         /// being built; `Graph::subgraph_in` resets what it sets.
         local: Vec<usize>,
@@ -53,8 +54,7 @@ enum Engine {
 }
 
 struct NdState<'g> {
-    g: &'g Graph,
-    engine: Engine,
+    engine: Engine<'g>,
     opts: NdOptions,
     /// Output nodes, in postorder.
     nodes: Vec<SepNode>,
@@ -72,8 +72,8 @@ impl<'g> NdState<'g> {
     ) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
         let (c1, c2, sep) = match &mut self.engine {
             Engine::Geometric(coords) => plane_bisect(coords, vertices),
-            Engine::Multilevel { local, ws } => {
-                let sub = self.g.subgraph_in(vertices, local);
+            Engine::Multilevel { g, local, ws } => {
+                let sub = g.subgraph_in(vertices, local);
                 let seed = self.opts.seed ^ (level as u64) << 8;
                 let (assign, _) = multilevel_vertex_separator_in(&sub, seed, ws);
                 let mut c1 = Vec::new();
@@ -152,7 +152,8 @@ impl<'g> NdState<'g> {
 /// Run nested dissection on the adjacency graph `g` of a matrix.
 ///
 /// The returned tree's permutation maps the matrix into elimination order:
-/// factor it with `a.permute_sym(&tree.perm)`.
+/// factor it with `a.permute_sym(&tree.perm)`. A grid geometry reads only
+/// `g.n()`; [`order_symmetric`] orders a matrix without building `g`.
 ///
 /// ```
 /// use ordering::{nested_dissection, Graph, NdOptions};
@@ -173,12 +174,30 @@ impl<'g> NdState<'g> {
 /// assert_eq!(tree.nodes[tree.root()].width(), 16);
 /// ```
 pub fn nested_dissection(g: &Graph, opts: NdOptions) -> SepTree {
-    let n = g.n();
+    dissect(g.n(), opts, Some(g))
+}
+
+/// [`nested_dissection`] of `Graph::from_matrix(a)`, given
+/// `s = a.symmetrize_pattern()`: the same tree, with the adjacency graph
+/// built only for [`Geometry::General`] (a grid geometry orders from
+/// coordinates and the dimension alone).
+pub fn order_symmetric(s: &Csr, opts: NdOptions) -> SepTree {
+    match opts.geometry {
+        Geometry::General => nested_dissection(&Graph::from_symmetric(s), opts),
+        _ => dissect(s.nrows, opts, None),
+    }
+}
+
+/// The ordering core: nested dissection of `n` vertices, with the graph
+/// `g` the multilevel engine bisects (`None` only for a grid geometry).
+fn dissect(n: usize, opts: NdOptions, g: Option<&Graph>) -> SepTree {
     assert!(n > 0, "empty graph");
     let engine = match opts.geometry {
         Geometry::General => {
+            let g = g.expect("multilevel ordering needs the graph");
             assert_packable(g);
             Engine::Multilevel {
+                g,
                 local: vec![usize::MAX; n],
                 ws: Box::default(),
             }
@@ -194,7 +213,6 @@ pub fn nested_dissection(g: &Graph, opts: NdOptions) -> SepTree {
         }
     };
     let mut state = NdState {
-        g,
         engine,
         opts,
         nodes: Vec::new(),

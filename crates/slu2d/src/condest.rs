@@ -108,32 +108,30 @@ pub fn condest_1(a: &sparsemat::Csr, store: &BlockStore, sym: &Symbolic) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Prepared;
     use crate::seq::seq_factor;
     use crate::store::InitValues;
-    use ordering::{nested_dissection, Graph, NdOptions};
     use simgrid::Grid2d;
     use sparsemat::matgen::{grid2d_5pt, random_band};
     use sparsemat::testmats::Geometry;
     use sparsemat::Csr;
+    use std::sync::Arc;
     use symbolic::Symbolic;
 
-    fn factored(a: &Csr, geom: Geometry) -> (Csr, Symbolic, BlockStore) {
-        let g = Graph::from_matrix(a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: 8,
-                geometry: geom,
-                ..Default::default()
-            },
-        );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
-        let sym = Symbolic::analyze(&pa, &tree, 8);
+    fn factored(a: &Csr, geom: Geometry) -> (Arc<Csr>, Arc<Symbolic>, BlockStore) {
+        let prep = Prepared::new(a.clone(), geom, 8, 8);
         let grid = Grid2d::new(1, 1);
-        let mut store =
-            BlockStore::build(&pa, &sym, &grid, 0, 0, &|_| true, InitValues::FromMatrix);
-        seq_factor(&mut store, &sym, 1e-12);
-        (pa, sym, store)
+        let mut store = BlockStore::build(
+            &prep.pa,
+            &prep.sym,
+            &grid,
+            0,
+            0,
+            &|_| true,
+            InitValues::FromMatrix,
+        );
+        seq_factor(&mut store, &prep.sym, 1e-12);
+        (prep.pa, prep.sym, store)
     }
 
     #[test]

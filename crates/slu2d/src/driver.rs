@@ -2,7 +2,7 @@
 //! The 2D baseline every experiment normalizes against is `pz = 1` of
 //! `lu3d::solver`, which factors and solves from a [`Prepared`].
 
-use ordering::{nested_dissection, Graph, NdOptions, SepTree};
+use ordering::{order_symmetric, NdOptions, SepTree};
 use sparsemat::testmats::Geometry;
 use sparsemat::Csr;
 use std::sync::Arc;
@@ -25,19 +25,24 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Run ordering and symbolic analysis.
+    /// Run ordering and symbolic analysis. The pattern is symmetrized
+    /// once (not at all when it is symmetric already): the ordering reads
+    /// it, building an adjacency graph only for [`Geometry::General`], and
+    /// `pa` is its permutation — the same matrix as symmetrizing `P A P^T`.
     pub fn new(a: Csr, geometry: Geometry, leaf_size: usize, maxsup: usize) -> Prepared {
-        // The graph lives only as long as the ordering needs it: the
-        // permuted matrix and the symbolic analysis below reuse its memory.
-        let tree = nested_dissection(
-            &Graph::from_matrix(&a),
+        let merged = a.symmetrized();
+        let s = merged.as_ref().unwrap_or(&a);
+        let tree = order_symmetric(
+            s,
             NdOptions {
                 leaf_size,
                 geometry,
                 ..Default::default()
             },
         );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
+        let pa = s.permute_sym(&tree.perm);
+        // Free the symmetrized copy, if any, before the analysis allocates.
+        drop(merged);
         let sym = Symbolic::analyze(&pa, &tree, maxsup);
         Prepared {
             a: Arc::new(a),
@@ -72,6 +77,93 @@ mod tests {
     use simgrid::topology::build_grid_comms;
     use simgrid::{Grid3d, Machine, TimeModel};
     use sparsemat::matgen::grid2d_5pt;
+
+    /// The set-up as three passes: graph, ordering, `permute_sym` then
+    /// `symmetrize_pattern`.
+    fn three_pass(a: &Csr, geometry: Geometry, leaf_size: usize, maxsup: usize) -> Prepared {
+        let tree = ordering::nested_dissection(
+            &ordering::Graph::from_matrix(a),
+            NdOptions {
+                leaf_size,
+                geometry,
+                ..Default::default()
+            },
+        );
+        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
+        let sym = Symbolic::analyze(&pa, &tree, maxsup);
+        Prepared {
+            a: Arc::new(a.clone()),
+            pa: Arc::new(pa),
+            tree: Arc::new(tree),
+            sym: Arc::new(sym),
+        }
+    }
+
+    /// `Prepared::new` symmetrizes once and builds no graph for a grid: its
+    /// products are the three-pass ones, `pa`'s values bit for bit.
+    #[test]
+    fn one_pass_set_up_equals_the_three_pass_one() {
+        use sparsemat::io::{read_matrix_market, write_matrix_market};
+        use sparsemat::matgen::{grid2d_random_deletions, grid3d_7pt, kkt_3d};
+        // Pattern-asymmetric, with stored zeros and an empty row (3).
+        let mut hand = sparsemat::Coo::new(6, 6);
+        for (i, j, v) in [
+            (0, 0, 2.0),
+            (0, 4, 0.0),
+            (1, 1, 3.0),
+            (1, 0, -1.0),
+            (2, 5, 0.5),
+            (2, 2, 0.0),
+            (4, 4, 1.0),
+            (4, 1, -0.0),
+            (5, 5, 4.0),
+        ] {
+            hand.push(i, j, v);
+        }
+        let deletions = grid2d_random_deletions(40, 40, 0.15, 1);
+        let mut file = Vec::new();
+        write_matrix_market(&mut file, &deletions).unwrap();
+        let cases = [
+            (
+                grid2d_5pt(48, 48, 0.1, 1),
+                Geometry::Grid2d { nx: 48, ny: 48 },
+                32,
+                32,
+            ),
+            (
+                grid3d_7pt(8, 8, 8, 0.1, 1),
+                Geometry::Grid3d {
+                    nx: 8,
+                    ny: 8,
+                    nz: 8,
+                },
+                32,
+                32,
+            ),
+            (kkt_3d(4, 4, 4, 1e-2, 1), Geometry::General, 16, 24),
+            (
+                read_matrix_market(&file[..]).unwrap(),
+                Geometry::General,
+                32,
+                32,
+            ),
+            (hand.to_csr(), Geometry::General, 2, 2),
+        ];
+        let bits = |m: &Csr| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, geometry, leaf, maxsup) in cases {
+            let old = three_pass(&a, geometry, leaf, maxsup);
+            let new = Prepared::new(a, geometry, leaf, maxsup);
+            assert_eq!(new.pa.row_ptr, old.pa.row_ptr, "{geometry:?}");
+            assert_eq!(new.pa.col_idx, old.pa.col_idx, "{geometry:?}");
+            assert_eq!(bits(&new.pa), bits(&old.pa), "{geometry:?}");
+            assert_eq!(new.tree.perm, old.tree.perm, "{geometry:?}");
+            assert_eq!(
+                format!("{:?}", new.tree.nodes),
+                format!("{:?}", old.tree.nodes)
+            );
+            assert_eq!(format!("{:?}", new.sym), format!("{:?}", old.sym));
+        }
+    }
 
     #[test]
     fn distributed_matches_sequential_factors() {

@@ -111,61 +111,37 @@ pub fn seq_solve(store: &BlockStore, sym: &Symbolic, b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Prepared;
     use crate::store::InitValues;
-    use ordering::{nested_dissection, Graph, NdOptions};
     use simgrid::Grid2d;
     use sparsemat::matgen::{grid2d_5pt, grid3d_7pt, kkt_3d, random_band};
     use sparsemat::testmats::Geometry;
-    use sparsemat::{Csr, Perm};
-    use symbolic::Symbolic;
+    use sparsemat::Csr;
 
     /// Full pipeline: order, analyze, factor, solve; return the relative
     /// residual in the original ordering.
     fn factor_solve_residual(a: &Csr, geom: Geometry, leaf: usize, maxsup: usize) -> f64 {
-        let g = Graph::from_matrix(a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: leaf,
-                geometry: geom,
-                ..Default::default()
-            },
-        );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
-        let sym = Symbolic::analyze(&pa, &tree, maxsup);
+        let prep = Prepared::new(a.clone(), geom, leaf, maxsup);
         let grid = Grid2d::new(1, 1);
         let mut store = crate::store::BlockStore::build(
-            &pa,
-            &sym,
+            &prep.pa,
+            &prep.sym,
             &grid,
             0,
             0,
             &|_| true,
             InitValues::FromMatrix,
         );
-        seq_factor(&mut store, &sym, 1e-10);
+        seq_factor(&mut store, &prep.sym, 1e-10);
 
         // Known solution in the ORIGINAL ordering.
         let x_true: Vec<f64> = (0..a.nrows).map(|i| ((i % 7) as f64) - 3.0).collect();
         let b = a.matvec(&x_true);
-        let pb = permute_vec(&tree.perm, &b);
-        let px = seq_solve(&store, &sym, &pb);
-        let x = unpermute_vec(&tree.perm, &px);
+        let px = seq_solve(&store, &prep.sym, &prep.permute_rhs(&b));
+        let x = prep.unpermute_solution(&px);
         let r = a.residual_inf(&x, &b);
         let bnorm = b.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
         r / bnorm
-    }
-
-    fn permute_vec(p: &Perm, v: &[f64]) -> Vec<f64> {
-        (0..v.len()).map(|new| v[p.old_of(new)]).collect()
-    }
-
-    fn unpermute_vec(p: &Perm, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; v.len()];
-        for new in 0..v.len() {
-            out[p.old_of(new)] = v[new];
-        }
-        out
     }
 
     #[test]

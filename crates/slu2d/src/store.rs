@@ -629,24 +629,14 @@ impl PackedBlocks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ordering::{nested_dissection, Graph, NdOptions};
+    use crate::driver::Prepared;
     use sparsemat::matgen::grid2d_5pt;
     use sparsemat::testmats::Geometry;
 
-    fn setup(k: usize) -> (sparsemat::Csr, Symbolic) {
+    fn setup(k: usize) -> (Arc<sparsemat::Csr>, Arc<Symbolic>) {
         let a = grid2d_5pt(k, k, 0.1, 0);
-        let g = Graph::from_matrix(&a);
-        let tree = nested_dissection(
-            &g,
-            NdOptions {
-                leaf_size: 8,
-                geometry: Geometry::Grid2d { nx: k, ny: k },
-                ..Default::default()
-            },
-        );
-        let pa = a.permute_sym(&tree.perm).symmetrize_pattern();
-        let sym = Symbolic::analyze(&pa, &tree, 8);
-        (pa, sym)
+        let prep = Prepared::new(a, Geometry::Grid2d { nx: k, ny: k }, 8, 8);
+        (prep.pa, prep.sym)
     }
 
     #[test]

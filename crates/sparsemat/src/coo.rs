@@ -78,8 +78,13 @@ impl Coo {
         for i in 0..self.nrows {
             row_counts[i + 1] += row_counts[i];
         }
-        let mut order: Vec<usize> = vec![0; nnz];
-        {
+        // Entries pushed row by row (the stencil generators, a general
+        // Matrix Market file as `write_matrix_market` writes it) are already
+        // in counting-sort order: skip the scatter.
+        let sorted = self.rows.is_sorted();
+        let mut order: Vec<usize> = Vec::new();
+        if !sorted {
+            order.resize(nnz, 0);
             let mut next = zeros(nptr)?;
             next.copy_from_slice(&row_counts);
             for (k, &r) in self.rows.iter().enumerate() {
@@ -94,10 +99,14 @@ impl Coo {
         let mut values = Vec::with_capacity(nnz);
         row_ptr.push(0);
         let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let entry = |k: usize| (self.cols[k], self.vals[k]);
         for r in 0..self.nrows {
             scratch.clear();
-            for &k in &order[row_counts[r]..row_counts[r + 1]] {
-                scratch.push((self.cols[k], self.vals[k]));
+            let span = row_counts[r]..row_counts[r + 1];
+            if sorted {
+                scratch.extend(span.map(entry));
+            } else {
+                scratch.extend(order[span].iter().map(|&k| entry(k)));
             }
             scratch.sort_unstable_by_key(|&(c, _)| c);
             let mut it = scratch.iter().peekable();
@@ -151,6 +160,34 @@ mod tests {
         }
         let m = c.to_csr();
         assert_eq!(m.col_idx, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The scatter-free path for rows that arrive in order gives what the
+    /// counting sort gives the same entries in any row order, duplicates
+    /// summed in the order they were pushed.
+    #[test]
+    fn rows_in_order_skip_the_scatter_to_the_same_bits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(52);
+        for _ in 0..64 {
+            let n = rng.gen_range(1usize..12);
+            let mut shuffled = Coo::new(n, n);
+            for _ in 0..rng.gen_range(0usize..4 * n) {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                shuffled.push(i, j, rng.gen_range(-1.0..1.0));
+            }
+            let mut ordered = Coo::new(n, n);
+            for r in 0..n {
+                for k in (0..shuffled.nnz()).filter(|&k| shuffled.rows[k] == r) {
+                    ordered.push(r, shuffled.cols[k], shuffled.vals[k]);
+                }
+            }
+            let (a, b) = (shuffled.to_csr(), ordered.to_csr());
+            assert_eq!((&a.row_ptr, &a.col_idx), (&b.row_ptr, &b.col_idx));
+            let bits = |m: &Csr| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]

@@ -107,40 +107,81 @@ impl Csr {
         }
     }
 
+    /// The pattern of the transpose, `(row_ptr, col_idx)`: the values of
+    /// [`Csr::transpose`] without moving any.
+    fn transpose_pattern(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut counts = vec![0usize; self.ncols + 1];
+        for &c in &self.col_idx {
+            counts[c + 1] += 1;
+        }
+        for i in 0..self.ncols {
+            counts[i + 1] += counts[i];
+        }
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut next = counts.clone();
+        for i in 0..self.nrows {
+            for &c in self.row_cols(i) {
+                col_idx[next[c]] = i;
+                next[c] += 1;
+            }
+        }
+        (counts, col_idx)
+    }
+
     /// True when the *pattern* (not values) is symmetric.
     pub fn is_pattern_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
             return false;
         }
-        let t = self.transpose();
-        self.row_ptr == t.row_ptr && self.col_idx == t.col_idx
+        let (t_ptr, t_idx) = self.transpose_pattern();
+        self.row_ptr == t_ptr && self.col_idx == t_idx
     }
 
     /// The pattern-symmetrized matrix `A + A^T`-structured: entries of `A`
     /// keep their value; positions only present in `A^T` get an explicit
     /// zero. This is what static-pivoting LU factors (SuperLU_DIST works on
-    /// the structurally symmetrized pattern after ordering).
+    /// the structurally symmetrized pattern after ordering). It commutes
+    /// with [`Csr::permute_sym`]: symmetrizing `P A P^T` gives `P S P^T`.
     pub fn symmetrize_pattern(&self) -> Csr {
+        self.symmetrized().unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Csr::symmetrize_pattern`] without the copy: `None` when the
+    /// pattern is already symmetric, which makes `self` its own
+    /// symmetrization.
+    pub fn symmetrized(&self) -> Option<Csr> {
         assert_eq!(self.nrows, self.ncols, "square matrices only");
-        let t = self.transpose();
+        let (t_ptr, t_idx) = self.transpose_pattern();
+        if t_ptr == self.row_ptr && t_idx == self.col_idx {
+            return None;
+        }
         let n = self.nrows;
+        let t_row = |i: usize| &t_idx[t_ptr[i]..t_ptr[i + 1]];
+        // Size the arrays exactly: the merged length of every row first.
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
         row_ptr.push(0);
         for i in 0..n {
-            let (ac, av) = (self.row_cols(i), self.row_vals(i));
-            let tc = t.row_cols(i);
+            let (ac, tc) = (self.row_cols(i), t_row(i));
+            let (mut p, mut q, mut len) = (0, 0, 0);
+            while p < ac.len() && q < tc.len() {
+                let (ca, ct) = (ac[p], tc[q]);
+                p += usize::from(ca <= ct);
+                q += usize::from(ct <= ca);
+                len += 1;
+            }
+            row_ptr.push(row_ptr[i] + len + (ac.len() - p) + (tc.len() - q));
+        }
+        let nnz = row_ptr[n];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for i in 0..n {
+            let (ac, av, tc) = (self.row_cols(i), self.row_vals(i), t_row(i));
             // Merge two sorted index lists.
             let (mut p, mut q) = (0, 0);
             while p < ac.len() || q < tc.len() {
                 let ca = ac.get(p).copied().unwrap_or(usize::MAX);
                 let ct = tc.get(q).copied().unwrap_or(usize::MAX);
-                if ca < ct {
-                    col_idx.push(ca);
-                    values.push(av[p]);
-                    p += 1;
-                } else if ct < ca {
+                if ct < ca {
                     col_idx.push(ct);
                     values.push(0.0);
                     q += 1;
@@ -148,18 +189,18 @@ impl Csr {
                     col_idx.push(ca);
                     values.push(av[p]);
                     p += 1;
-                    q += 1;
+                    q += usize::from(ct == ca);
                 }
             }
-            row_ptr.push(col_idx.len());
         }
-        Csr {
+        debug_assert_eq!(col_idx.len(), nnz);
+        Some(Csr {
             nrows: n,
             ncols: n,
             row_ptr,
             col_idx,
             values,
-        }
+        })
     }
 
     /// Symmetric permutation `B = P A P^T`, where row/column `k` of `B` is
@@ -195,26 +236,6 @@ impl Csr {
         }
     }
 
-    /// The adjacency structure of the associated undirected graph: the
-    /// pattern of `A + A^T` with the diagonal removed. This is the input the
-    /// nested-dissection orderer consumes (paper §II-B).
-    pub fn adjacency(&self) -> (Vec<usize>, Vec<usize>) {
-        let sym = self.symmetrize_pattern();
-        let n = sym.nrows;
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(sym.nnz());
-        xadj.push(0);
-        for i in 0..n {
-            for &c in sym.row_cols(i) {
-                if c != i {
-                    adj.push(c);
-                }
-            }
-            xadj.push(adj.len());
-        }
-        (xadj, adj)
-    }
-
     /// Infinity norm of the residual `A x - b`.
     pub fn residual_inf(&self, x: &[f64], b: &[f64]) -> f64 {
         let ax = self.matvec(x);
@@ -234,6 +255,11 @@ impl Csr {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn small() -> Csr {
         // [ 4 -1  0 ]
@@ -290,13 +316,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adjacency_drops_diagonal() {
-        let a = small();
-        let (xadj, adj) = a.adjacency();
-        assert_eq!(xadj.len(), 4);
-        // Vertex 0 neighbours: 1 (from A) and 2 (from A^T).
-        assert_eq!(&adj[xadj[0]..xadj[1]], &[1, 2]);
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Against a map of entries: `A`'s entries keep their values (stored
+        /// zeros included), positions only in `A^T` are explicit zeros, rows
+        /// ascend; and symmetrizing commutes with a symmetric permutation,
+        /// bit for bit.
+        #[test]
+        fn symmetrize_pattern_matches_a_map_of_entries(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..24);
+            let density = [0.0, 0.05, 0.2, 0.6][rng.gen_range(0usize..4)];
+            // A quarter of the patterns are symmetric already.
+            let mirror = rng.gen_bool(0.25);
+            let mut coo = Coo::new(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    if rng.gen_bool(density) {
+                        let v = if rng.gen_bool(0.2) { 0.0 } else { rng.gen_range(-1.0..1.0) };
+                        coo.push(i, j, v);
+                        if mirror && i != j {
+                            coo.push(j, i, rng.gen_range(-1.0..1.0));
+                        }
+                    }
+                }
+            }
+            let a = coo.to_csr();
+            prop_assert_eq!(a.symmetrized().is_none(), a.is_pattern_symmetric());
+            let mut want = BTreeMap::new();
+            for i in 0..n {
+                for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+                    want.insert((i, j), v.to_bits());
+                    want.entry((j, i)).or_insert(0.0f64.to_bits());
+                }
+            }
+            let s = a.symmetrize_pattern();
+            let got: Vec<((usize, usize), u64)> = (0..n)
+                .flat_map(|i| {
+                    s.row_cols(i).iter().zip(s.row_vals(i)).map(move |(&j, v)| ((i, j), v.to_bits()))
+                })
+                .collect();
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(s.row_ptr.len(), n + 1);
+            prop_assert!(s.symmetrized().is_none());
+
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let perm = Perm::from_old_order(order);
+            let (ps, sp) = (a.permute_sym(&perm).symmetrize_pattern(), s.permute_sym(&perm));
+            prop_assert_eq!(&ps.row_ptr, &sp.row_ptr);
+            prop_assert_eq!(&ps.col_idx, &sp.col_idx);
+            let bits = |m: &Csr| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&ps), bits(&sp));
+        }
     }
 
     #[test]
